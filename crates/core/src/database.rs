@@ -70,24 +70,39 @@ pub struct MovingObject {
     pub trip_end: Option<f64>,
 }
 
+/// Everything the DBMS stores per moving object outside the index: the
+/// object with its current position attribute, and the superseded
+/// attribute versions (transaction-time history; see
+/// [`crate::AttributeHistory`]). Immutable once published behind its
+/// `Arc` — a database and its clones share one record per object, and a
+/// mutator copies-on-write (`Arc::make_mut`), so a copy pinned by a
+/// reader never sees a later write.
+#[derive(Debug, Clone)]
+struct MovingRecord {
+    object: MovingObject,
+    history: AttributeHistory,
+}
+
 /// The DBMS of the paper: a route database, stationary landmarks, moving
 /// objects with position attributes, and the 3-D time-space index.
+///
+/// Cloning copies pointers, not payloads: the network, every
+/// [`MovingRecord`] and every index entry's slab boxes are shared with
+/// the clone. Per copy are only the structures delta-sync mutates in
+/// place — the id maps, the band trees, `unindexed`, the change log.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The road map, shared: routes are append-only and individually
     /// immutable, so clones of the database alias one network and
     /// [`Database::insert_route`] copies-on-write only when aliased.
     network: Arc<RouteNetwork>,
-    moving: HashMap<ObjectId, MovingObject>,
+    moving: HashMap<ObjectId, Arc<MovingRecord>>,
     stationary: HashMap<ObjectId, StationaryObject>,
     index: MovingObjectIndex<ObjectId>,
     /// Ids of moving objects whose policies cannot be o-plane-indexed;
     /// they are appended to every candidate set (exact refinement still
     /// applies).
     unindexed: BTreeSet<ObjectId>,
-    /// Superseded attribute versions per object (transaction-time
-    /// history; see [`crate::AttributeHistory`]).
-    history: HashMap<ObjectId, AttributeHistory>,
     /// Epoch-stamped record of which objects mutated, drained by delta
     /// subscribers (see [`crate::Change`]).
     changes: ChangeLog,
@@ -104,7 +119,6 @@ impl Database {
             moving: HashMap::new(),
             stationary: HashMap::new(),
             unindexed: BTreeSet::new(),
-            history: HashMap::new(),
             changes: ChangeLog::new(config.change_log_capacity),
             config,
         }
@@ -133,14 +147,8 @@ impl Database {
             db.insert_stationary(obj)?;
         }
         for (obj, versions) in moving {
-            let id = obj.id;
-            db.register_moving(obj)?;
-            if config.history_capacity > 0 && !versions.is_empty() {
-                db.history.insert(
-                    id,
-                    AttributeHistory::from_versions(config.history_capacity, versions),
-                );
-            }
+            let history = AttributeHistory::from_versions(config.history_capacity, versions);
+            db.register_record(obj, history)?;
         }
         Ok(db)
     }
@@ -213,7 +221,7 @@ impl Database {
 
     /// Iterator over all moving objects (arbitrary order).
     pub fn moving_objects(&self) -> impl Iterator<Item = &MovingObject> {
-        self.moving.values()
+        self.moving.values().map(|r| &r.object)
     }
 
     /// Iterator over all stationary objects (arbitrary order).
@@ -227,7 +235,12 @@ impl Database {
     ///
     /// [`CoreError::UnknownObject`] when absent.
     pub fn moving(&self, id: ObjectId) -> Result<&MovingObject, CoreError> {
-        self.moving.get(&id).ok_or(CoreError::UnknownObject(id))
+        self.record(id).map(|r| &r.object)
+    }
+
+    fn record(&self, id: ObjectId) -> Result<&MovingRecord, CoreError> {
+        let record = self.moving.get(&id).ok_or(CoreError::UnknownObject(id))?;
+        Ok(record)
     }
 
     /// Looks up a stationary object.
@@ -242,7 +255,7 @@ impl Database {
     /// Finds a moving object by its human-readable name (linear scan —
     /// names are a UI convenience, not a hot path).
     pub fn find_moving_by_name(&self, name: &str) -> Option<&MovingObject> {
-        self.moving.values().find(|o| o.name == name)
+        self.moving_objects().find(|o| o.name == name)
     }
 
     /// Finds a stationary object by name.
@@ -274,6 +287,14 @@ impl Database {
     /// Duplicate ids, unknown routes, and invalid numeric fields are
     /// rejected; index failures propagate.
     pub fn register_moving(&mut self, obj: MovingObject) -> Result<(), CoreError> {
+        self.register_record(obj, AttributeHistory::new(self.config.history_capacity))
+    }
+
+    fn register_record(
+        &mut self,
+        obj: MovingObject,
+        history: AttributeHistory,
+    ) -> Result<(), CoreError> {
         if self.moving.contains_key(&obj.id) || self.stationary.contains_key(&obj.id) {
             return Err(CoreError::DuplicateObject(obj.id));
         }
@@ -291,7 +312,11 @@ impl Database {
             return Err(CoreError::InvalidField("start_arc", obj.attr.start_arc));
         }
         let id = obj.id;
-        self.moving.insert(id, obj);
+        let record = MovingRecord {
+            object: obj,
+            history,
+        };
+        self.moving.insert(id, Arc::new(record));
         self.changes.record(Change::Moving(id));
         self.reindex(id)?;
         Ok(())
@@ -312,11 +337,11 @@ impl Database {
         if !max_speed.is_finite() || max_speed <= 0.0 {
             return Err(CoreError::InvalidField("max_speed", max_speed));
         }
-        let obj = self
+        let record = self
             .moving
             .get_mut(&id)
             .ok_or(CoreError::UnknownObject(id))?;
-        obj.max_speed = max_speed;
+        Arc::make_mut(record).object.max_speed = max_speed;
         self.changes.record(Change::Moving(id));
         self.reindex(id)?;
         Ok(())
@@ -328,15 +353,15 @@ impl Database {
     ///
     /// [`CoreError::UnknownObject`] when absent.
     pub fn remove_moving(&mut self, id: ObjectId) -> Result<MovingObject, CoreError> {
-        let obj = self
+        let record = self
             .moving
             .remove(&id)
             .ok_or(CoreError::UnknownObject(id))?;
-        self.history.remove(&id);
         self.index.remove(&id);
         self.unindexed.remove(&id);
         self.changes.record(Change::Moving(id));
-        Ok(obj)
+        // Copies still holding the record keep it; take it when unshared.
+        Ok(Arc::try_unwrap(record).map_or_else(|shared| shared.object.clone(), |r| r.object))
     }
 
     /// Removes every moving object whose known trip end `Z` has passed
@@ -344,8 +369,7 @@ impl Database {
     /// periodically so ended trips stop occupying the index.
     pub fn expire_trips(&mut self, now: f64) -> Vec<ObjectId> {
         let expired: Vec<ObjectId> = self
-            .moving
-            .values()
+            .moving_objects()
             .filter(|o| o.trip_end.is_some_and(|z| z < now))
             .map(|o| o.id)
             .collect();
@@ -378,13 +402,13 @@ impl Database {
     }
 
     /// The number of change-log entries past which applying a delta
-    /// loses to a full clone. Re-syncing one changed object costs an
-    /// order of magnitude more than bulk-cloning it (per-object index
-    /// surgery vs a straight structure clone), so the break-even sits at
-    /// a modest fraction of the fleet; the floor keeps small fleets on
-    /// the delta path unconditionally.
+    /// loses to a full clone. A clone copies two pointers per object and
+    /// the band trees wholesale; re-syncing one changed object is R\*-tree
+    /// surgery, ~80× the per-object cost of the bulk copy (W3 crossover:
+    /// 1.2 % of the fleet at both 10 k and 100 k objects). The floor
+    /// keeps small fleets on the delta path unconditionally.
     fn delta_budget(&self) -> usize {
-        (self.moving.len() / 16).max(64)
+        (self.moving.len() / 80).max(64)
     }
 
     /// Whether pulling a stale copy forward from `cursor` is worthwhile:
@@ -461,45 +485,19 @@ impl Database {
         }
     }
 
-    /// Copies one moving object's current state (attribute, history,
-    /// index entry, unindexed membership) from `src`, or erases it when
-    /// `src` no longer holds it.
+    /// Adopts `src`'s current state of one moving object — its shared
+    /// record and index entry, its unindexed membership — or erases the
+    /// object when `src` no longer holds it.
     fn sync_moving_from(&mut self, src: &Database, id: ObjectId) {
-        use std::collections::hash_map::Entry;
         match src.moving.get(&id) {
-            Some(obj) => {
-                // clone_from lets displaced heap buffers (names, history
-                // vectors) be reused on the hot resync path.
-                match self.moving.entry(id) {
-                    Entry::Occupied(mut e) => e.get_mut().clone_from(obj),
-                    Entry::Vacant(e) => {
-                        e.insert(obj.clone());
-                    }
-                }
-                match src.history.get(&id) {
-                    Some(h) => match self.history.entry(id) {
-                        Entry::Occupied(mut e) => e.get_mut().clone_from(h),
-                        Entry::Vacant(e) => {
-                            e.insert(h.clone());
-                        }
-                    },
-                    None => {
-                        self.history.remove(&id);
-                    }
-                }
-                self.index.sync_entry_from(&src.index, &id);
-                if src.unindexed.contains(&id) {
-                    self.unindexed.insert(id);
-                } else {
-                    self.unindexed.remove(&id);
-                }
-            }
-            None => {
-                self.moving.remove(&id);
-                self.history.remove(&id);
-                self.index.remove(&id);
-                self.unindexed.remove(&id);
-            }
+            Some(record) => self.moving.insert(id, Arc::clone(record)),
+            None => self.moving.remove(&id),
+        };
+        self.index.sync_entry_from(&src.index, &id);
+        if src.unindexed.contains(&id) {
+            self.unindexed.insert(id);
+        } else {
+            self.unindexed.remove(&id);
         }
     }
 
@@ -512,7 +510,7 @@ impl Database {
     /// and invalid fields are rejected; on error the stored state is
     /// unchanged.
     pub fn apply_update(&mut self, id: ObjectId, msg: &UpdateMessage) -> Result<(), CoreError> {
-        let obj = self.moving.get(&id).ok_or(CoreError::UnknownObject(id))?;
+        let obj = self.moving(id)?;
         if !msg.time.is_finite() {
             return Err(CoreError::InvalidField("time", msg.time));
         }
@@ -529,7 +527,6 @@ impl Database {
         let route = self.network.get(route_id)?;
         let (arc, point) = self.resolve_position(route, msg.position)?;
 
-        let obj = self.moving.get_mut(&id).expect("checked above");
         let mut next = obj.attr.clone();
         next.start_time = msg.time;
         next.route = route_id;
@@ -549,25 +546,21 @@ impl Database {
             // replay is idempotent.
             return Ok(());
         }
-        if msg.time == obj.attr.start_time {
-            // Same-instant revision: last writer wins *in place*. Pushing
-            // the superseded attribute would leave two versions in force
-            // at one timestamp — an infinite-speed trajectory that breaks
-            // the truthfulness premise of every deviation bound (§3.3,
-            // W4's 2·v_max·Δ). Coalescing keeps the trajectory
-            // single-valued per instant and stays deterministic under
-            // WAL replay.
-            obj.attr = next;
-            self.changes.record(Change::Moving(id));
-            return self.reindex(id);
+        // Same-instant revision: last writer wins *in place*. Pushing the
+        // superseded attribute would leave two versions in force at one
+        // timestamp — an infinite-speed trajectory that breaks the
+        // truthfulness premise of every deviation bound (§3.3, W4's
+        // 2·v_max·Δ). Coalescing keeps the trajectory single-valued per
+        // instant and stays deterministic under WAL replay.
+        let coalesce = msg.time == obj.attr.start_time;
+        // Copy-on-write: a record still shared with a clone (a pinned
+        // epoch, a snapshot shadow) is copied once here, and the copies
+        // adopt the new pointer on their next sync.
+        let record = Arc::make_mut(self.moving.get_mut(&id).expect("checked above"));
+        let superseded = std::mem::replace(&mut record.object.attr, next);
+        if !coalesce {
+            record.history.push(superseded);
         }
-        if self.config.history_capacity > 0 {
-            self.history
-                .entry(id)
-                .or_insert_with(|| AttributeHistory::new(self.config.history_capacity))
-                .push(obj.attr.clone());
-        }
-        obj.attr = next;
         self.changes.record(Change::Moving(id));
         self.reindex(id)
     }
@@ -602,7 +595,7 @@ impl Database {
 
     /// Rebuilds the object's index entry from its stored attribute.
     fn reindex(&mut self, id: ObjectId) -> Result<(), CoreError> {
-        let obj = self.moving.get(&id).expect("caller ensures presence");
+        let obj = self.moving(id).expect("caller ensures presence");
         match obj.attr.policy {
             PolicyDescriptor::CostBased { kind, update_cost } => {
                 let route = self.network.get(obj.attr.route)?;
@@ -640,13 +633,7 @@ impl Database {
     /// [`CoreError::UnknownObject`] and route/geometry failures.
     pub fn position_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
         let obj = self.moving(id)?;
-        let route = self.network.get(obj.attr.route)?;
-        let arc = obj.attr.database_arc(route.length(), t);
-        let elapsed = (t - obj.attr.start_time).max(0.0);
-        let bound = obj
-            .attr
-            .policy
-            .deviation_bound(obj.attr.speed, obj.max_speed, elapsed);
+        let (route, arc, bound) = self.locate(obj, t)?;
         let interval = obj.attr.uncertainty_arcs(route.length(), obj.max_speed, t);
         let interval_path = route.polyline().interval_points(interval.0, interval.1)?;
         Ok(PositionAnswer {
@@ -658,10 +645,29 @@ impl Database {
         })
     }
 
+    /// The database position of an object already in hand: its route, the
+    /// arc the attribute extrapolates to at `t`, and the §3.3 deviation
+    /// bound. All a fleet scan (k-nearest, route distance) needs per
+    /// object — no lookup, no interval geometry.
+    pub(crate) fn locate(
+        &self,
+        obj: &MovingObject,
+        t: f64,
+    ) -> Result<(&Route, f64, f64), CoreError> {
+        let route = self.network.get(obj.attr.route)?;
+        let arc = obj.attr.database_arc(route.length(), t);
+        let elapsed = (t - obj.attr.start_time).max(0.0);
+        let bound = obj
+            .attr
+            .policy
+            .deviation_bound(obj.attr.speed, obj.max_speed, elapsed);
+        Ok((route, arc, bound))
+    }
+
     /// The retained attribute history for an object (empty slice when
     /// history is disabled or no update has superseded the registration).
     pub fn history_of(&self, id: ObjectId) -> &[PositionAttribute] {
-        self.history.get(&id).map(|h| h.versions()).unwrap_or(&[])
+        self.moving.get(&id).map_or(&[], |r| r.history.versions())
     }
 
     /// As-of position query: "where did the DBMS believe `m` was at time
@@ -675,14 +681,14 @@ impl Database {
     /// predates all retained history (the epoch was evicted or history is
     /// disabled).
     pub fn position_of_as_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
-        let obj = self.moving(id)?;
+        let record = self.record(id)?;
+        let obj = &record.object;
         if t >= obj.attr.start_time {
             return self.position_of(id, t);
         }
-        let version = self
+        let version = record
             .history
-            .get(&id)
-            .and_then(|h| h.version_at(t))
+            .version_at(t)
             .ok_or(CoreError::InvalidField("as_of_time", t))?;
         let route = self.network.get(version.route)?;
         let arc = version.database_arc(route.length(), t);
@@ -1649,6 +1655,46 @@ mod tests {
         assert!(!again.full_resync);
         assert_eq!(again.applied, 0);
         assert_same_view(&shadow, &db);
+    }
+
+    /// The memory contract of shared payloads: an update copies the
+    /// object's record once (on the live side), and once both shadows
+    /// have synced, the superseded record — full history and all — is
+    /// freed and all three copies hold the one new record.
+    #[test]
+    fn update_of_full_history_leaves_one_copy_once_shadows_sync() {
+        let cfg = DatabaseConfig {
+            history_capacity: 4,
+            ..DatabaseConfig::default()
+        };
+        let id = ObjectId(1);
+        let mut db = Database::new(network(), cfg);
+        db.register_moving(object(1, 10.0, 1.0)).unwrap();
+        let report = |t: f64| UpdateMessage::basic(t, UpdatePosition::Arc(10.0 + t), 1.0);
+        for t in 1..=4 {
+            db.apply_update(id, &report(f64::from(t))).unwrap();
+        }
+        assert_eq!(db.history_of(id).len(), cfg.history_capacity);
+        let mut shadows = [db.clone(), db.clone()];
+        let cursor = db.change_cursor();
+        let superseded = Arc::downgrade(&db.moving[&id]);
+        assert_eq!(superseded.strong_count(), 3, "clones share the record");
+
+        db.apply_update(id, &report(5.0)).unwrap();
+        assert_eq!(Arc::strong_count(&db.moving[&id]), 1, "copied on write");
+        assert_eq!(superseded.strong_count(), 2, "shadows keep the old one");
+        assert_eq!(shadows[0].moving(id).unwrap().attr.start_time, 4.0);
+
+        for shadow in &mut shadows {
+            assert!(!shadow.sync_from(&db, cursor).full_resync);
+        }
+        assert_eq!(superseded.strong_count(), 0, "old record freed");
+        assert_eq!(Arc::strong_count(&db.moving[&id]), 3);
+        for shadow in &shadows {
+            assert!(Arc::ptr_eq(&shadow.moving[&id], &db.moving[&id]));
+            assert!(shadow.index.shares_entry_with(&db.index, &id));
+            assert_eq!(shadow.history_of(id), db.history_of(id));
+        }
     }
 
     #[test]

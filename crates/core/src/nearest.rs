@@ -73,16 +73,22 @@ impl NearestAnswer {
         for n in &mut all {
             n.certain = false;
         }
-        all.sort_by(|a, b| {
+        let by_distance = |a: &Neighbour, b: &Neighbour| {
             a.distance
                 .partial_cmp(&b.distance)
                 .expect("distances are finite")
                 .then_with(|| a.id.cmp(&b.id))
-        });
+        };
+        // Partition the k nearest to the front in O(n); only they and the
+        // (few) contenders are ever sorted, never the whole fleet.
         let split = k.min(all.len());
+        if split > 0 && split < all.len() {
+            all.select_nth_unstable_by(split - 1, by_distance);
+        }
         let (ranked_slice, rest) = all.split_at(split);
         let mut ranked = ranked_slice.to_vec();
-        let contenders: Vec<Neighbour> = if ranked.is_empty() {
+        ranked.sort_by(by_distance);
+        let mut contenders: Vec<Neighbour> = if ranked.is_empty() {
             Vec::new()
         } else {
             // A trailing object contends when its optimistic distance is
@@ -96,6 +102,7 @@ impl NearestAnswer {
                 .cloned()
                 .collect()
         };
+        contenders.sort_by(by_distance);
         // A ranked object is certain when no contender (nor a
         // lower-ranked member) could optimistically beat its pessimistic
         // distance... conservatively: certain iff its pessimistic distance
@@ -130,12 +137,12 @@ impl Database {
             return Err(CoreError::InvalidField("k", 0.0));
         }
         let mut all: Vec<Neighbour> = Vec::with_capacity(self.moving_count());
-        for id in self.moving_ids().collect::<Vec<_>>() {
-            let ans = self.position_of(id, t)?;
+        for obj in self.moving_objects() {
+            let (route, arc, bound) = self.locate(obj, t)?;
             all.push(Neighbour {
-                id,
-                distance: ans.position.distance(center),
-                bound: ans.bound,
+                id: obj.id,
+                distance: route.point_at(arc).distance(center),
+                bound,
                 certain: false,
             });
         }

@@ -41,18 +41,15 @@ impl Database {
         let target_route = target_obj.attr.route;
         let target_ans = self.position_of(target, t)?;
         let mut answer = RangeAnswer::default();
-        for id in self.moving_ids().collect::<Vec<_>>() {
-            if id == target {
-                continue;
-            }
-            let obj = self.moving(id)?;
-            if obj.attr.route != target_route {
-                continue; // infinite route distance (§2)
+        for obj in self.moving_objects() {
+            let id = obj.id;
+            if id == target || obj.attr.route != target_route {
+                continue; // itself, or infinite route distance (§2)
             }
             answer.candidates += 1;
-            let ans = self.position_of(id, t)?;
-            let d = (ans.arc - target_ans.arc).abs();
-            let slack = target_ans.bound + ans.bound;
+            let (_, arc, bound) = self.locate(obj, t)?;
+            let d = (arc - target_ans.arc).abs();
+            let slack = target_ans.bound + bound;
             let classification = if d + slack <= radius {
                 Some(Containment::Must)
             } else if d - slack <= radius {

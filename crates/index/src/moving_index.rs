@@ -33,12 +33,18 @@
 //! cross-band dedup. [`BandConfig::single`] (one all-speeds band) is
 //! bit-identical to the pre-banding single-tree index.
 //!
+//! **Shared payloads.** An object's slab boxes are immutable once
+//! decomposed, so they live behind an `Arc<[Aabb3]>`: cloning the index
+//! and [`MovingObjectIndex::sync_entry_from`] copy the pointer, never the
+//! boxes. Only the per-band trees and the id → boxes map are per copy.
+//!
 //! Filtering a [`QueryRegion`] returns candidate ids; exact may/must
 //! refinement against uncertainty intervals happens in `modb-core`,
 //! where routes are resolvable.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
 use modb_geom::Aabb3;
 use modb_routes::Route;
@@ -278,15 +284,16 @@ pub struct BandStats {
     pub height: usize,
 }
 
-/// One object's stored state: its o-plane, the slab boxes it decomposed
-/// into under its band's knobs, and the band its union box is filed in.
-/// `boxes` empty means *no tree entry anywhere* (a degenerate
-/// decomposition must not plant an `Aabb3::empty()` union box in a
-/// tree — see `upsert`).
+/// One object's stored state: the slab boxes its o-plane decomposed
+/// into under its band's knobs — shared, never copied, between an index
+/// and its clones — and the band its union box is filed in. The slice
+/// sits directly behind the map's pointer, so the per-candidate slab
+/// filter pays the same loads as for an owned vector. `boxes` empty
+/// means *no tree entry anywhere* (a degenerate decomposition must not
+/// plant an `Aabb3::empty()` union box in a tree — see `upsert`).
 #[derive(Debug, Clone)]
 struct Stored {
-    plane: OPlane,
-    boxes: Vec<Aabb3>,
+    boxes: Arc<[Aabb3]>,
     band: usize,
 }
 
@@ -350,11 +357,6 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         self.planes.is_empty()
     }
 
-    /// The stored o-plane for `key`, if any.
-    pub fn plane(&self, key: &K) -> Option<&OPlane> {
-        self.planes.get(key).map(|s| &s.plane)
-    }
-
     /// The band `key`'s entry is filed in, if indexed. `None` for
     /// unknown keys *and* for entries whose decomposition was empty
     /// (no tree holds them).
@@ -380,41 +382,38 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         }
     }
 
-    /// Installs `key` with an already-decomposed plane: tree surgery
-    /// (update in place within a band, delete+insert across bands,
-    /// nothing for empty decompositions) plus the side-table write.
-    fn install(&mut self, key: K, plane: OPlane, boxes: Vec<Aabb3>, band: usize) {
-        match self.planes.get_mut(&key) {
-            Some(stored) => {
-                match (stored.boxes.is_empty(), boxes.is_empty()) {
-                    (false, false) if stored.band == band => {
-                        let updated = self.trees[band].update(
-                            &union_of(&stored.boxes),
-                            union_of(&boxes),
-                            &key,
-                        );
+    /// Files `key` under `next`: tree surgery (update in place within a
+    /// band, delete+insert across bands, nothing for empty
+    /// decompositions) plus the side-table write.
+    fn install(&mut self, key: K, next: Stored) {
+        let tree = &mut self.trees[next.band];
+        match self.planes.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let stored = slot.get();
+                match (stored.boxes.is_empty(), next.boxes.is_empty()) {
+                    (false, false) if stored.band == next.band => {
+                        let updated =
+                            tree.update(&union_of(&stored.boxes), union_of(&next.boxes), &key);
                         debug_assert!(updated, "index out of sync: missing old entry");
                     }
                     (false, false) => {
                         // Band migration: the object's speed regime
                         // changed, so its union box moves trees.
+                        tree.insert(union_of(&next.boxes), key);
                         Self::detach(&mut self.trees, &key, stored);
-                        self.trees[band].insert(union_of(&boxes), key);
                         self.migrations += 1;
                     }
                     (false, true) => Self::detach(&mut self.trees, &key, stored),
-                    (true, false) => self.trees[band].insert(union_of(&boxes), key),
+                    (true, false) => tree.insert(union_of(&next.boxes), key),
                     (true, true) => {}
                 }
-                stored.plane = plane;
-                stored.boxes = boxes;
-                stored.band = band;
+                slot.insert(next);
             }
-            None => {
-                if !boxes.is_empty() {
-                    self.trees[band].insert(union_of(&boxes), key);
+            Entry::Vacant(slot) => {
+                if !next.boxes.is_empty() {
+                    tree.insert(union_of(&next.boxes), key);
                 }
-                self.planes.insert(key, Stored { plane, boxes, band });
+                slot.insert(next);
             }
         }
     }
@@ -435,20 +434,25 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         let spec = self.config.bands()[band];
         let boxes = plane.to_boxes_with_horizon(route, spec.slab_minutes, spec.fine_horizon)?;
         // Touch the old entry only after the new plane decomposed cleanly.
-        self.install(key, plane, boxes, band);
+        self.install(
+            key,
+            Stored {
+                boxes: boxes.into(),
+                band,
+            },
+        );
         Ok(())
     }
 
-    /// Mirrors `src`'s entry for `key` into this index: the old boxes are
-    /// deleted and `src`'s current boxes inserted verbatim — the same
-    /// §4.2 delete+insert maintenance as [`MovingObjectIndex::upsert`],
-    /// but reusing `src`'s already-decomposed slab boxes instead of
-    /// re-decomposing the o-plane. **Band membership is mirrored too**:
-    /// the entry lands in the same band `src` filed it under, so a
-    /// delta-synced shadow copy partitions identically to its source
-    /// (the caller guarantees the configs match — shadows are clones).
-    /// Returns `true` when `src` holds an entry for `key` (otherwise the
-    /// local entry, if any, was removed).
+    /// Mirrors `src`'s entry for `key` into this index — the same §4.2
+    /// delete+insert maintenance as [`MovingObjectIndex::upsert`], but
+    /// *sharing* `src`'s already-decomposed slab boxes instead of
+    /// re-decomposing the o-plane or copying them. **Band membership is
+    /// mirrored too**: the entry lands in the same band `src` filed it
+    /// under, so a delta-synced shadow copy partitions identically to
+    /// its source (the caller guarantees the configs match — shadows
+    /// are clones). Returns `true` when `src` holds an entry for `key`
+    /// (otherwise the local entry, if any, was removed).
     pub fn sync_entry_from(&mut self, src: &Self, key: &K) -> bool {
         debug_assert_eq!(
             self.config, src.config,
@@ -456,49 +460,23 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         );
         match src.planes.get(key) {
             Some(entry) => {
-                match self.planes.get_mut(key) {
-                    Some(stored) => {
-                        match (stored.boxes.is_empty(), entry.boxes.is_empty()) {
-                            (false, false) if stored.band == entry.band => {
-                                let updated = self.trees[entry.band].update(
-                                    &union_of(&stored.boxes),
-                                    union_of(&entry.boxes),
-                                    key,
-                                );
-                                debug_assert!(updated, "index out of sync: missing entry on sync");
-                            }
-                            (false, false) => {
-                                Self::detach(&mut self.trees, key, stored);
-                                self.trees[entry.band].insert(union_of(&entry.boxes), *key);
-                                self.migrations += 1;
-                            }
-                            (false, true) => Self::detach(&mut self.trees, key, stored),
-                            (true, false) => {
-                                self.trees[entry.band].insert(union_of(&entry.boxes), *key)
-                            }
-                            (true, true) => {}
-                        }
-                        // clone_from reuses the displaced entry's heap
-                        // buffers on the hot resync path.
-                        stored.plane.clone_from(&entry.plane);
-                        stored.boxes.clone_from(&entry.boxes);
-                        stored.band = entry.band;
-                    }
-                    None => {
-                        if !entry.boxes.is_empty() {
-                            self.trees[entry.band].insert(union_of(&entry.boxes), *key);
-                        }
-                        self.planes.insert(*key, entry.clone());
-                    }
-                }
+                self.install(*key, entry.clone());
                 true
             }
             None => {
-                if let Some(stored) = self.planes.remove(key) {
-                    Self::detach(&mut self.trees, key, &stored);
-                }
+                self.remove(key);
                 false
             }
+        }
+    }
+
+    /// `true` when `key`'s slab boxes here and in `other` are one shared
+    /// allocation — the probe the sharing tests assert on.
+    #[doc(hidden)]
+    pub fn shares_entry_with(&self, other: &Self, key: &K) -> bool {
+        match (self.planes.get(key), other.planes.get(key)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.boxes, &b.boxes),
+            _ => false,
         }
     }
 
@@ -604,7 +582,13 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     #[cfg(test)]
     fn install_raw(&mut self, key: K, plane: OPlane, boxes: Vec<Aabb3>) {
         let band = self.config.band_for(plane.max_speed);
-        self.install(key, plane, boxes, band);
+        self.install(
+            key,
+            Stored {
+                boxes: boxes.into(),
+                band,
+            },
+        );
     }
 }
 

@@ -256,7 +256,9 @@ proptest! {
     /// A banded index with uniform slab settings answers every query with
     /// exactly the single-tree candidate set — through initial upserts,
     /// max-speed revisions (band migrations), removals, and a shadow kept
-    /// current via `sync_entry_from`.
+    /// current via `sync_entry_from`. The shadow *shares* its source's
+    /// slab boxes (clone and sync copy pointers), yet never sees a source
+    /// write it has not synced.
     #[test]
     fn banded_uniform_matches_single_tree(
         movers in fleet(1..40),
@@ -286,6 +288,7 @@ proptest! {
         // The shadow starts as a clone and mirrors every later mutation
         // entry-by-entry, the way a replica applies a change log.
         let mut shadow = banded.clone();
+        let at_clone = sorted_candidates(&banded, &q);
         let mut touched: Vec<u64> = Vec::new();
 
         // Max-speed revisions: re-upsert with a new top speed, which may
@@ -319,12 +322,42 @@ proptest! {
         prop_assert_eq!(banded.len(), single.len());
         prop_assert_eq!(sorted_candidates(&banded, &q), sorted_candidates(&single, &q));
 
+        // Isolation: the source's writes replaced its entries, they did
+        // not write through the shared boxes — the unsynced shadow still
+        // answers as of the clone, and shares exactly the untouched keys.
+        prop_assert_eq!(sorted_candidates(&shadow, &q), at_clone);
+        for key in 0..movers.len() as u64 {
+            prop_assert_eq!(
+                shadow.shares_entry_with(&banded, &key),
+                !touched.contains(&key),
+                "key {} before sync", key
+            );
+        }
+
         // Shadow catch-up must land every entry in the same band with the
         // same answers as its source.
         for key in &touched {
             shadow.sync_entry_from(&banded, key);
         }
         prop_assert_eq!(shadow.len(), banded.len());
+        // Every surviving entry is now one allocation on both sides, and
+        // the shadow equals an index built from scratch.
+        let mut fresh: MovingObjectIndex<u64> = MovingObjectIndex::with_config(cfg);
+        for (i, m) in movers.iter().enumerate() {
+            let key = i as u64;
+            let removed = remove_mask.get(i).copied().unwrap_or(false);
+            prop_assert_eq!(shadow.shares_entry_with(&banded, &key), !removed);
+            if removed {
+                continue;
+            }
+            let mut current = m.clone();
+            if revise_mask.get(i).copied().unwrap_or(false) {
+                current.max_speed = new_speeds[i];
+                current.speed = m.speed.min(current.max_speed);
+            }
+            fresh.upsert(key, mover_plane(&current, len), &route).unwrap();
+        }
+        prop_assert_eq!(sorted_candidates(&shadow, &q), sorted_candidates(&fresh, &q));
         for key in &touched {
             prop_assert_eq!(shadow.band_of(key), banded.band_of(key));
         }

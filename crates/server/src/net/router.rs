@@ -359,9 +359,10 @@ impl ReadRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{Shutdown, TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::thread::JoinHandle;
     use std::time::Duration;
 
     use modb_core::MAX_BANDS;
@@ -426,7 +427,13 @@ mod tests {
         applied: Arc<AtomicU64>,
         batches: Arc<AtomicU64>,
         stop: Arc<AtomicBool>,
+        /// The accept loop; it returns every session it started so
+        /// `drop` can end them.
+        acceptor: Option<JoinHandle<Vec<Session>>>,
     }
+
+    /// An accepted socket and the thread serving it.
+    type Session = (TcpStream, JoinHandle<()>);
 
     impl FakeFollower {
         fn spawn(applied_lsn: u64) -> Self {
@@ -440,20 +447,25 @@ mod tests {
                 Arc::clone(&batches),
                 Arc::clone(&stop),
             );
-            std::thread::spawn(move || {
-                while !s.load(Ordering::Relaxed) {
-                    let Ok((stream, _)) = listener.accept() else {
-                        break;
-                    };
+            let acceptor = std::thread::spawn(move || {
+                let mut sessions = Vec::new();
+                while let Ok((stream, _)) = listener.accept() {
+                    if s.load(Ordering::Relaxed) {
+                        break; // drop()'s wake-up connection
+                    }
+                    let held = stream.try_clone().unwrap();
                     let (a, b, s) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&s));
-                    std::thread::spawn(move || Self::serve(stream, &a, &b, &s));
+                    let session = std::thread::spawn(move || Self::serve(stream, &a, &b, &s));
+                    sessions.push((held, session));
                 }
+                sessions
             });
             FakeFollower {
                 addr,
                 applied,
                 batches,
                 stop,
+                acceptor: Some(acceptor),
             }
         }
 
@@ -509,10 +521,21 @@ mod tests {
         }
     }
 
+    /// When `drop` returns the follower is gone for good: the listener
+    /// is closed, every accepted socket is shut down and every session
+    /// thread has exited — a connection a router still holds is dead,
+    /// with no session left that could answer one more frame.
     impl Drop for FakeFollower {
         fn drop(&mut self) {
             self.stop.store(true, Ordering::Relaxed);
             let _ = TcpStream::connect(&self.addr); // unblock accept()
+            let Some(acceptor) = self.acceptor.take() else {
+                return;
+            };
+            for (stream, session) in acceptor.join().unwrap_or_default() {
+                let _ = stream.shutdown(Shutdown::Both);
+                let _ = session.join();
+            }
         }
     }
 

@@ -471,7 +471,7 @@ impl fmt::Debug for WorkerPool {
 /// retired snapshot's arc is pulled forward by the change-log delta
 /// under a brief read lock ([`ShadowBuffer::refresh`]) and the newly
 /// retired one is stored back for the publish after that — O(changes)
-/// per publication. The non-incremental path deep-clones every time
+/// per publication. The non-incremental path takes a full clone every time
 /// (benchmark baseline).
 ///
 /// The swap is deliberately placed mid-function: everything before it

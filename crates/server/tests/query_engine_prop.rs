@@ -7,9 +7,11 @@
 //! snapshot answers until the next publish, and the parallel refine
 //! split must be answer-for-answer identical to the serial path.
 
+use std::sync::Arc;
+
 use modb_core::{
-    Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
-    UpdateMessage, UpdatePosition,
+    Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAnswer,
+    PositionAttribute, UpdateMessage, UpdatePosition,
 };
 use modb_geom::{Point, Polygon, Rect};
 use modb_index::QueryRegion;
@@ -112,8 +114,32 @@ enum Op {
     Register(u64, f64),
     Update(u64, f64, f64, f64),
     Remove(u64),
+    SetMaxSpeed(u64, f64),
     /// Pull the shadow forward mid-stream (partial drains must compose).
     Sync,
+}
+
+/// Everything a reader can see of the ids the streams touch: position
+/// answers, retained history, and range answers (must and may sets).
+type View = (
+    Vec<Option<PositionAnswer>>,
+    Vec<Vec<PositionAttribute>>,
+    Vec<(Vec<ObjectId>, Vec<ObjectId>)>,
+);
+
+fn observe(db: &Database) -> View {
+    let ids = || (0..48u64).map(ObjectId);
+    let ranges = [(0.0, 50.0, 10.0), (20.0, 90.0, 5.0), (0.0, ROUTE_LEN, 25.0)]
+        .iter()
+        .map(|&(x0, x1, t)| {
+            let answer = db.range_query(&region(x0, x1, t)).unwrap();
+            (answer.must, answer.may)
+        });
+    (
+        ids().map(|id| db.position_of(id, 15.0).ok()).collect(),
+        ids().map(|id| db.history_of(id).to_vec()).collect(),
+        ranges.collect(),
+    )
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -121,6 +147,7 @@ fn op() -> impl Strategy<Value = Op> {
         (0u64..48, 0.0f64..1.0).prop_map(|(id, frac)| Op::Register(id, frac)),
         update().prop_map(|(id, t, frac, speed)| Op::Update(id, t, frac, speed)),
         (0u64..48).prop_map(Op::Remove),
+        (0u64..48, 0.2f64..3.0).prop_map(|(id, v)| Op::SetMaxSpeed(id, v)),
         Just(Op::Sync),
     ]
 }
@@ -130,8 +157,10 @@ proptest! {
 
     /// A delta-applied shadow is observably identical to a fresh full
     /// clone after an arbitrary interleaving of register / update /
-    /// remove, no matter where the intermediate syncs landed — including
-    /// with a tiny change log that forces full resyncs.
+    /// remove / max-speed revision, no matter where the intermediate
+    /// syncs landed — including with a tiny change log that forces full
+    /// resyncs. And a pinned epoch, which shares every object's payload
+    /// with the live database, reads exactly as it did when pinned.
     #[test]
     fn shadow_after_deltas_equals_full_clone(
         ops in proptest::collection::vec(op(), 1..80),
@@ -156,8 +185,15 @@ proptest! {
         }
         let mut shadow = live.clone();
         let mut cursor = live.change_cursor();
+        // The epoch a slow reader holds, pinned mid-stream so it shares
+        // histories the second half goes on to extend.
+        let mut pinned = None;
 
-        for op in &ops {
+        for (step, op) in ops.iter().enumerate() {
+            if step == ops.len() / 2 {
+                let epoch = Arc::new(live.clone());
+                pinned = Some((observe(&epoch), epoch));
+            }
             match *op {
                 Op::Register(id, frac) => {
                     let _ = live.register_moving(vehicle(id, frac * ROUTE_LEN * 0.99));
@@ -175,6 +211,9 @@ proptest! {
                 Op::Remove(id) => {
                     let _ = live.remove_moving(ObjectId(id));
                 }
+                Op::SetMaxSpeed(id, v) => {
+                    let _ = live.set_max_speed(ObjectId(id), v);
+                }
                 Op::Sync => {
                     cursor = shadow.sync_from(&live, cursor).cursor;
                 }
@@ -182,6 +221,10 @@ proptest! {
         }
         shadow.sync_from(&live, cursor);
         let clone = live.clone();
+        // Copy-on-write isolation: no live write (nor any shadow sync)
+        // reached the pinned copy.
+        let (at_pin_time, epoch) = pinned.expect("ops is never empty");
+        prop_assert_eq!(observe(&epoch), at_pin_time);
 
         // Observably identical: object state, history, and queries (the
         // shadow's incrementally-maintained index must agree with both

@@ -169,8 +169,13 @@ fn log_footprint(dir: &std::path::Path) -> (u64, usize) {
     (bytes, segments.len())
 }
 
+/// A fresh directory per call: sections run concurrently inside one
+/// process under `cargo test`, so the process id alone does not keep two
+/// runs of a section out of each other's logs.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("modb-exp-w7-{}-{tag}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("modb-exp-w7-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
