@@ -1,4 +1,4 @@
-//! Benches for the durability layer: record encoding, batched append
+//! Benches for the durability layer: block encoding, batched append
 //! throughput under each fsync policy, and snapshot round trips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -8,7 +8,8 @@ use std::path::PathBuf;
 use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 use modb_sim::experiments::indexing::build_city_db;
 use modb_wal::{
-    read_snapshot, write_snapshot, FsyncPolicy, WalBatch, WalOptions, WalRecord, WalWriter,
+    encode_block, frame_block, read_snapshot, write_snapshot, FsyncPolicy, WalBatch, WalOptions,
+    WalRecord, WalWriter,
 };
 
 fn tmp(name: &str) -> PathBuf {
@@ -26,25 +27,19 @@ fn update(i: u64) -> WalRecord {
 
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("wal_encode");
-    group.bench_function("frame_update_record", |b| {
-        let rec = update(7);
-        let mut buf = Vec::with_capacity(256);
-        b.iter(|| {
-            buf.clear();
-            black_box(&rec).encode_frame(&mut buf);
-            black_box(buf.len())
-        })
-    });
-    group.bench_function("batch_100_updates", |b| {
-        let mut batch = WalBatch::new();
-        b.iter(|| {
-            batch.clear();
-            for i in 0..100u64 {
-                batch.push(black_box(&update(i)));
-            }
-            black_box(batch.bytes())
-        })
-    });
+    for (name, n) in [("block_1_update", 1u64), ("block_100_updates", 100)] {
+        group.bench_function(name, |b| {
+            let records: Vec<WalRecord> = (0..n).map(update).collect();
+            let (mut payload, mut frame) = (Vec::new(), Vec::new());
+            b.iter(|| {
+                payload.clear();
+                frame.clear();
+                encode_block(black_box(&records), true, &mut payload);
+                frame_block(&payload, &mut frame);
+                black_box(frame.len())
+            })
+        });
+    }
     group.finish();
 }
 
@@ -61,7 +56,6 @@ fn bench_append(c: &mut Criterion) {
             WalOptions {
                 fsync,
                 max_segment_bytes: 256 * 1024 * 1024,
-                ..WalOptions::default()
             },
         )
         .expect("fresh dir");

@@ -53,6 +53,7 @@
 
 pub mod cluster;
 mod durable;
+mod framed;
 mod ingest;
 mod net;
 mod query_engine;

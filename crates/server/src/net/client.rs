@@ -8,9 +8,10 @@ use std::time::{Duration, Instant};
 use modb_core::{ObjectId, UpdateMessage};
 use modb_wal::WalError;
 
+use crate::framed::{send, FrameReader, ReadEvent};
 use crate::net::protocol::{
-    send_message, FrameReader, Message, ReadEvent, RemoteUpdateVerdict, RemoteVerdict,
-    ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES, NET_PROTOCOL_VERSION,
+    Message, RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
+    NET_PROTOCOL_VERSION,
 };
 
 /// Tuning for [`QueryClient`].
@@ -19,7 +20,8 @@ pub struct QueryClientConfig {
     /// How long to wait for the complete response to one request
     /// (handshake, batch, or scrape).
     pub response_timeout: Duration,
-    /// Per-message payload ceiling on the receive side.
+    /// Per-message payload ceiling, both ways: a larger reply ends the
+    /// connection, a larger request is refused before it is written.
     pub max_frame_bytes: u32,
     /// Bound on the TCP connect itself (`None` = the OS default, which
     /// can be minutes against a black-holed address). Anything that
@@ -80,7 +82,7 @@ pub enum BatchOutcome {
 #[derive(Debug)]
 pub struct QueryClient {
     stream: TcpStream,
-    reader: FrameReader,
+    reader: FrameReader<Message>,
     config: QueryClientConfig,
     addr: SocketAddr,
     token: u64,
@@ -130,12 +132,9 @@ impl QueryClient {
             addr: peer,
             token: 0,
         };
-        send_message(
-            &mut client.stream,
-            &Message::Hello {
-                version: NET_PROTOCOL_VERSION,
-            },
-        )?;
+        client.request(&Message::Hello {
+            version: NET_PROTOCOL_VERSION,
+        })?;
         match client.next_message("handshake")? {
             Message::HelloAck { .. } => Ok(client),
             Message::Refused { reason } => Err(WalError::Io(std::io::Error::new(
@@ -198,13 +197,10 @@ impl QueryClient {
     ///
     /// Transport failures, protocol violations, or a response timeout.
     pub fn batch_attempt(&mut self, script: &str, min_lsn: u64) -> Result<BatchOutcome, WalError> {
-        send_message(
-            &mut self.stream,
-            &Message::Batch {
-                script: script.to_string(),
-                min_lsn,
-            },
-        )?;
+        self.request(&Message::Batch {
+            script: script.to_string(),
+            min_lsn,
+        })?;
         let mut verdicts: Vec<RemoteVerdict> = Vec::new();
         loop {
             match self.next_message("batch results")? {
@@ -243,7 +239,7 @@ impl QueryClient {
         id: ObjectId,
         msg: &UpdateMessage,
     ) -> Result<RemoteUpdateVerdict, WalError> {
-        send_message(&mut self.stream, &Message::Update { id, msg: *msg })?;
+        self.request(&Message::Update { id, msg: *msg })?;
         let (lsn, mut verdicts) = self.recv_update_ack(1)?;
         self.token = self.token.max(lsn);
         Ok(verdicts.remove(0))
@@ -259,12 +255,9 @@ impl QueryClient {
         &mut self,
         updates: &[(ObjectId, UpdateMessage)],
     ) -> Result<Vec<RemoteUpdateVerdict>, WalError> {
-        send_message(
-            &mut self.stream,
-            &Message::UpdateBatch {
-                updates: updates.to_vec(),
-            },
-        )?;
+        self.request(&Message::UpdateBatch {
+            updates: updates.to_vec(),
+        })?;
         let (lsn, verdicts) = self.recv_update_ack(updates.len())?;
         self.token = self.token.max(lsn);
         Ok(verdicts)
@@ -307,7 +300,7 @@ impl QueryClient {
     ///
     /// Transport failures, protocol violations, or a response timeout.
     pub fn stats(&mut self) -> Result<ServerStatsSnapshot, WalError> {
-        send_message(&mut self.stream, &Message::StatsRequest)?;
+        self.request(&Message::StatsRequest)?;
         match self.next_message("stats reply")? {
             Message::StatsReply(stats) => Ok(*stats),
             _ => Err(WalError::Decode("unexpected message in stats reply")),
@@ -317,6 +310,11 @@ impl QueryClient {
     /// Closes the connection (also happens on drop).
     pub fn close(self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Sends one message to the server under this client's frame ceiling.
+    fn request(&mut self, msg: &Message) -> Result<(), WalError> {
+        send(&mut self.stream, msg, self.config.max_frame_bytes)
     }
 
     fn next_message(&mut self, what: &str) -> Result<Message, WalError> {

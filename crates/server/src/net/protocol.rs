@@ -1,11 +1,8 @@
 //! The query front-end wire protocol.
 //!
-//! Same framing discipline as the WAL and the replication stream: every
-//! message travels as `[len: u32 LE][crc32(payload): u32 LE][payload]`,
-//! where the payload is a tag byte followed by the message body. The CRC
-//! is checked before a byte of the payload is interpreted, so a frame
-//! corrupted in flight is rejected whole and the connection ends — the
-//! stream cannot be re-synchronized after framing is lost.
+//! Messages travel in the CRC frames of [`crate::framed`] — the same
+//! framing discipline as the WAL and the replication stream; the payload
+//! is a tag byte followed by the message body.
 //!
 //! Messages:
 //!
@@ -47,8 +44,6 @@
 //! the local path would reject only after logging.
 
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use modb_core::{
@@ -58,8 +53,9 @@ use modb_geom::Point;
 use modb_index::SearchStats;
 use modb_query::QueryResult;
 use modb_wal::codec::{put_f64, put_string, put_u32, put_u64};
-use modb_wal::{crc32, ByteReader, WalCodec, WalError};
+use modb_wal::{ByteReader, WalCodec, WalError};
 
+use crate::framed::WireMessage;
 use crate::ingest::IngestStatsSnapshot;
 use crate::query_engine::QueryStatsSnapshot;
 
@@ -653,8 +649,8 @@ fn read_stats(r: &mut ByteReader<'_>) -> Result<ServerStatsSnapshot, WalError> {
     })
 }
 
-impl Message {
-    pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
+impl WireMessage for Message {
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { version } => {
                 out.push(1);
@@ -785,122 +781,10 @@ impl Message {
     }
 }
 
-/// Frames and sends one message (blocking, honoring the stream's write
-/// timeout).
-pub(crate) fn send_message(stream: &mut TcpStream, msg: &Message) -> Result<(), WalError> {
-    let mut payload = Vec::new();
-    msg.encode_payload(&mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
-    stream.write_all(&frame)?;
-    Ok(())
-}
-
-/// What one [`FrameReader::poll`] observed.
-// One short-lived value per poll; boxing `Message` would buy stack bytes
-// at the price of a heap allocation per frame.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub(crate) enum ReadEvent {
-    /// A whole, CRC-valid message.
-    Message(Message),
-    /// No complete frame yet (read timed out or a frame is partially
-    /// buffered).
-    Idle,
-    /// The peer closed the connection.
-    Closed,
-}
-
-/// Accumulating frame decoder over a socket, bounded by `max_frame_bytes`
-/// per message. Reads honor the stream's read timeout, so a poll returns
-/// [`ReadEvent::Idle`] rather than blocking forever; bytes of a partial
-/// frame are buffered across polls. A length or CRC violation is a hard
-/// [`WalError::Decode`].
-#[derive(Debug)]
-pub(crate) struct FrameReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    max_frame_bytes: u32,
-}
-
-impl FrameReader {
-    pub(crate) fn new(stream: TcpStream, max_frame_bytes: u32) -> Self {
-        FrameReader {
-            stream,
-            buf: Vec::new(),
-            max_frame_bytes,
-        }
-    }
-
-    /// `true` while bytes of an unfinished frame sit in the buffer — the
-    /// server's stalled-client deadline keys off this.
-    pub(crate) fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// Reads once and decodes if a whole frame is available.
-    pub(crate) fn poll(&mut self) -> Result<ReadEvent, WalError> {
-        if let Some(msg) = self.try_decode()? {
-            return Ok(ReadEvent::Message(msg));
-        }
-        let mut tmp = [0u8; 64 * 1024];
-        match self.stream.read(&mut tmp) {
-            Ok(0) => Ok(ReadEvent::Closed),
-            Ok(n) => {
-                self.buf.extend_from_slice(&tmp[..n]);
-                match self.try_decode()? {
-                    Some(msg) => Ok(ReadEvent::Message(msg)),
-                    None => Ok(ReadEvent::Idle),
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                Ok(ReadEvent::Idle)
-            }
-            Err(e) => Err(WalError::Io(e)),
-        }
-    }
-
-    fn try_decode(&mut self) -> Result<Option<Message>, WalError> {
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len == 0 || len > self.max_frame_bytes {
-            return Err(WalError::Decode("implausible front-end frame length"));
-        }
-        let crc = u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]);
-        let total = 8 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = &self.buf[8..total];
-        if crc32(payload) != crc {
-            return Err(WalError::Decode("front-end frame crc mismatch"));
-        }
-        let msg = Message::decode_payload(payload)?;
-        self.buf.drain(..total);
-        Ok(Some(msg))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
-    }
+    use crate::framed::{decode_frame, encode_frame};
 
     fn sample_stats() -> ServerStatsSnapshot {
         ServerStatsSnapshot {
@@ -1056,68 +940,26 @@ mod tests {
         ]
     }
 
+    /// The wire compatibility contract: `tests/golden/net.frames` holds
+    /// one framed instance of every message, written by the encoder of
+    /// commit dfa280f (see `tests/golden/README.md`). Each frame must
+    /// decode to its sample value and every sample must re-encode to the
+    /// identical bytes.
     #[test]
-    fn round_trips_every_message() {
-        let (mut tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut reader = FrameReader::new(rx, DEFAULT_MAX_FRAME_BYTES);
-        for msg in sample_messages() {
-            send_message(&mut tx, &msg).unwrap();
-            let got = loop {
-                match reader.poll().unwrap() {
-                    ReadEvent::Message(m) => break m,
-                    ReadEvent::Idle => continue,
-                    ReadEvent::Closed => panic!("peer closed"),
-                }
-            };
-            assert_eq!(got, msg);
+    fn golden_frames_decode_and_re_encode_bit_identically() {
+        let golden = include_bytes!("../../tests/golden/net.frames");
+        let mut rest: &[u8] = golden;
+        let mut re_encoded = Vec::new();
+        for expected in sample_messages() {
+            let (msg, consumed) = decode_frame::<Message>(rest, DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .expect("a whole frame per message");
+            assert_eq!(msg, expected);
+            re_encoded.extend(encode_frame(&expected, DEFAULT_MAX_FRAME_BYTES).unwrap());
+            rest = &rest[consumed..];
         }
-        drop(tx);
-        assert!(matches!(reader.poll().unwrap(), ReadEvent::Closed));
-    }
-
-    #[test]
-    fn oversized_frame_is_a_hard_error() {
-        let (mut tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut frame = Vec::new();
-        put_u32(&mut frame, 1024 + 1); // over this reader's ceiling
-        put_u32(&mut frame, 0);
-        tx.write_all(&frame).unwrap();
-        let mut reader = FrameReader::new(rx, 1024);
-        let err = loop {
-            match reader.poll() {
-                Ok(ReadEvent::Idle) => continue,
-                Ok(other) => panic!("{other:?}"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, WalError::Decode(_)), "{err}");
-    }
-
-    #[test]
-    fn corrupt_crc_is_a_hard_error() {
-        let (mut tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut payload = Vec::new();
-        Message::StatsRequest.encode_payload(&mut payload);
-        let mut frame = Vec::new();
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload) ^ 1); // flipped
-        frame.extend_from_slice(&payload);
-        tx.write_all(&frame).unwrap();
-        let mut reader = FrameReader::new(rx, DEFAULT_MAX_FRAME_BYTES);
-        let err = loop {
-            match reader.poll() {
-                Ok(ReadEvent::Idle) => continue,
-                Ok(other) => panic!("{other:?}"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, WalError::Decode(_)), "{err}");
+        assert!(rest.is_empty(), "a golden frame no sample accounts for");
+        assert_eq!(re_encoded, golden);
     }
 
     #[test]

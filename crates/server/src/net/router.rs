@@ -359,18 +359,17 @@ impl ReadRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
-    use std::thread::JoinHandle;
     use std::time::Duration;
 
     use modb_core::MAX_BANDS;
 
+    use crate::framed::{send, FrameReader, Listener, ReadEvent};
     use crate::ingest::IngestStatsSnapshot;
     use crate::net::protocol::{
-        send_message, FrameReader, Message, ReadEvent, ServerStatsSnapshot,
-        DEFAULT_MAX_FRAME_BYTES, NET_PROTOCOL_VERSION,
+        Message, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES, NET_PROTOCOL_VERSION,
     };
     use crate::query_engine::QueryStatsSnapshot;
 
@@ -426,46 +425,29 @@ mod tests {
         addr: String,
         applied: Arc<AtomicU64>,
         batches: Arc<AtomicU64>,
-        stop: Arc<AtomicBool>,
-        /// The accept loop; it returns every session it started so
-        /// `drop` can end them.
-        acceptor: Option<JoinHandle<Vec<Session>>>,
+        /// Dropping it ends the follower for good: the listener closes
+        /// and every session thread is joined — a connection a router
+        /// still holds is dead, with no session left that could answer
+        /// one more frame.
+        _listener: Listener,
     }
-
-    /// An accepted socket and the thread serving it.
-    type Session = (TcpStream, JoinHandle<()>);
 
     impl FakeFollower {
         fn spawn(applied_lsn: u64) -> Self {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
             let applied = Arc::new(AtomicU64::new(applied_lsn));
             let batches = Arc::new(AtomicU64::new(0));
-            let stop = Arc::new(AtomicBool::new(false));
-            let (a, b, s) = (
-                Arc::clone(&applied),
-                Arc::clone(&batches),
-                Arc::clone(&stop),
-            );
-            let acceptor = std::thread::spawn(move || {
-                let mut sessions = Vec::new();
-                while let Ok((stream, _)) = listener.accept() {
-                    if s.load(Ordering::Relaxed) {
-                        break; // drop()'s wake-up connection
-                    }
-                    let held = stream.try_clone().unwrap();
-                    let (a, b, s) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&s));
-                    let session = std::thread::spawn(move || Self::serve(stream, &a, &b, &s));
-                    sessions.push((held, session));
-                }
-                sessions
-            });
+            let (a, b) = (Arc::clone(&applied), Arc::clone(&batches));
+            let listener = Listener::spawn(
+                "127.0.0.1:0",
+                |_stream, _active| true,
+                move |stream, stop| Self::serve(stream, &a, &b, stop),
+            )
+            .unwrap();
             FakeFollower {
-                addr,
+                addr: listener.local_addr().to_string(),
                 applied,
                 batches,
-                stop,
-                acceptor: Some(acceptor),
+                _listener: listener,
             }
         }
 
@@ -478,7 +460,8 @@ mod tests {
             stream
                 .set_read_timeout(Some(Duration::from_millis(10)))
                 .unwrap();
-            let mut reader = FrameReader::new(stream.try_clone().unwrap(), DEFAULT_MAX_FRAME_BYTES);
+            let mut reader =
+                FrameReader::<Message>::new(stream.try_clone().unwrap(), DEFAULT_MAX_FRAME_BYTES);
             while !stop.load(Ordering::Relaxed) {
                 let msg = match reader.poll() {
                     Ok(ReadEvent::Message(m)) => m,
@@ -513,28 +496,10 @@ mod tests {
                     _ => return,
                 };
                 for m in &reply {
-                    if send_message(&mut stream, m).is_err() {
+                    if send(&mut stream, m, DEFAULT_MAX_FRAME_BYTES).is_err() {
                         return;
                     }
                 }
-            }
-        }
-    }
-
-    /// When `drop` returns the follower is gone for good: the listener
-    /// is closed, every accepted socket is shut down and every session
-    /// thread has exited — a connection a router still holds is dead,
-    /// with no session left that could answer one more frame.
-    impl Drop for FakeFollower {
-        fn drop(&mut self) {
-            self.stop.store(true, Ordering::Relaxed);
-            let _ = TcpStream::connect(&self.addr); // unblock accept()
-            let Some(acceptor) = self.acceptor.take() else {
-                return;
-            };
-            for (stream, session) in acceptor.join().unwrap_or_default() {
-                let _ = stream.shutdown(Shutdown::Both);
-                let _ = session.join();
             }
         }
     }

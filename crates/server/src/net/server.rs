@@ -1,10 +1,10 @@
 //! Server side of the query front-end: accept clients, run their
 //! `;`-batches on the [`QueryEngine`], and answer stats scrapes.
 //!
-//! One thread accepts connections (same shape as the replication
-//! leader); each client gets a session thread that handshakes, then
-//! loops over `Batch` / `StatsRequest` messages. Robustness is fail-fast
-//! per connection and fail-safe for the server:
+//! The accept loop is the shared [`crate::framed::Listener`] (the one
+//! the replication leader runs); each client gets a session thread that
+//! handshakes, then loops over `Batch` / `StatsRequest` messages.
+//! Robustness is fail-fast per connection and fail-safe for the server:
 //!
 //! - **Connection cap**: past [`QueryServerConfig::max_connections`]
 //!   live sessions, a new client is sent `Refused` and closed — the
@@ -22,10 +22,9 @@
 //!   and its results are written out before the session exits, so a
 //!   client never sees a half-answered batch from a clean shutdown.
 
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
@@ -33,10 +32,11 @@ use modb_query::QueryResult;
 use modb_wal::{SharedWal, WalError};
 
 use crate::durable::DurableDatabase;
+use crate::framed::{send, FrameReader, Listener, ReadEvent};
 use crate::ingest::{IngestFrontend, UpdateEnvelope};
 use crate::net::protocol::{
-    send_message, FrameReader, Message, ReadEvent, RemoteUpdateVerdict, ServerStatsSnapshot,
-    DEFAULT_MAX_FRAME_BYTES, NET_PROTOCOL_VERSION,
+    Message, RemoteUpdateVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
+    NET_PROTOCOL_VERSION,
 };
 use crate::query_engine::QueryEngine;
 use crate::replication::{ReplicaWatch, ShipHorizon};
@@ -46,7 +46,8 @@ use crate::replication::{ReplicaWatch, ShipHorizon};
 pub struct QueryServerConfig {
     /// Live sessions beyond this are refused at accept.
     pub max_connections: usize,
-    /// Per-message payload ceiling; a larger frame ends the session.
+    /// Per-message payload ceiling, both ways: a larger incoming frame
+    /// ends the session, a larger reply is refused before it is written.
     pub max_frame_bytes: u32,
     /// How long a partially received request may sit before the client
     /// is declared stalled and disconnected.
@@ -111,6 +112,11 @@ struct ServeContext {
 }
 
 impl ServeContext {
+    /// Sends one message to a client under this server's frame ceiling.
+    fn reply(&self, stream: &mut TcpStream, msg: &Message) -> Result<(), WalError> {
+        send(stream, msg, self.config.max_frame_bytes)
+    }
+
     /// One consistent scrape: every gauge and counter read back to back.
     fn scrape(&self) -> ServerStatsSnapshot {
         // Follower-served nodes report no WAL I/O here: their local log
@@ -352,42 +358,26 @@ fn apply_updates(
 /// session after its in-flight batch drains.
 #[derive(Debug)]
 pub struct QueryServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    active: Arc<AtomicUsize>,
+    listener: Listener,
 }
 
 impl QueryServer {
     /// The bound listen address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Sessions currently holding a connection slot. Drops back to 0
     /// once every client has disconnected — the fault tests use this to
     /// prove no slot leaks.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
+        self.listener.active()
     }
 
     /// Stops accepting and joins all sessions (draining their in-flight
     /// batches).
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for QueryServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
+        self.listener.shutdown();
     }
 }
 
@@ -454,11 +444,6 @@ fn serve_with_backend(
     addr: impl ToSocketAddrs,
     config: QueryServerConfig,
 ) -> Result<QueryServer, WalError> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
     let ctx = Arc::new(ServeContext {
         engine,
         backend,
@@ -467,61 +452,27 @@ fn serve_with_backend(
         config,
         published_frontier: AtomicU64::new(0),
     });
-    let accept = {
-        let stop = Arc::clone(&stop);
-        let active = Arc::clone(&active);
-        std::thread::spawn(move || accept_loop(listener, ctx, active, stop))
-    };
-    Ok(QueryServer {
-        addr: local,
-        stop,
-        accept: Some(accept),
-        active,
-    })
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    ctx: Arc<ServeContext>,
-    active: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                if active.load(Ordering::SeqCst) >= ctx.config.max_connections {
-                    // Refuse inline: a capacity rejection is one small
-                    // write and must not consume a thread or a slot.
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-                    let _ = send_message(
-                        &mut stream,
-                        &Message::Refused {
-                            reason: "server at connection capacity".into(),
-                        },
-                    );
-                    let _ = stream.shutdown(Shutdown::Both);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                let ctx = Arc::clone(&ctx);
-                let active = Arc::clone(&active);
-                let stop = Arc::clone(&stop);
-                sessions.push(std::thread::spawn(move || {
-                    handle_client(stream, &ctx, &stop);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }));
+    let door = Arc::clone(&ctx);
+    let listener = Listener::spawn(
+        addr,
+        move |stream, active| {
+            if active < door.config.max_connections {
+                return true;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-        sessions.retain(|h| !h.is_finished());
-    }
-    for h in sessions {
-        let _ = h.join();
-    }
+            // A capacity rejection is one small write, made inline.
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
+            let _ = door.reply(
+                stream,
+                &Message::Refused {
+                    reason: "server at connection capacity".into(),
+                },
+            );
+            let _ = stream.shutdown(Shutdown::Both);
+            false
+        },
+        move |stream, stop| handle_client(stream, &ctx, stop),
+    )?;
+    Ok(QueryServer { listener })
 }
 
 /// One client session: handshake, then serve batches and scrapes until
@@ -541,7 +492,7 @@ fn run_session(
     stop: &AtomicBool,
 ) -> Result<(), WalError> {
     let reader_stream = stream.try_clone()?;
-    let mut reader = FrameReader::new(reader_stream, ctx.config.max_frame_bytes);
+    let mut reader = FrameReader::<Message>::new(reader_stream, ctx.config.max_frame_bytes);
 
     // ---- Handshake: wait (bounded) for the client's Hello.
     let deadline = Instant::now() + ctx.config.request_deadline;
@@ -552,7 +503,7 @@ fn run_session(
         match reader.poll()? {
             ReadEvent::Message(Message::Hello { version }) => {
                 if version != NET_PROTOCOL_VERSION {
-                    let _ = send_message(
+                    let _ = ctx.reply(
                         stream,
                         &Message::Refused {
                             reason: format!(
@@ -563,7 +514,7 @@ fn run_session(
                     );
                     return Ok(());
                 }
-                send_message(
+                ctx.reply(
                     stream,
                     &Message::HelloAck {
                         version: NET_PROTOCOL_VERSION,
@@ -593,7 +544,7 @@ fn run_session(
                 // satisfy within the deadline gets a typed Stale, never
                 // a hang — and the session stays open for a retry.
                 if let Some((applied, required)) = ctx.await_floor(min_lsn) {
-                    send_message(stream, &Message::Stale { applied, required })?;
+                    ctx.reply(stream, &Message::Stale { applied, required })?;
                     continue;
                 }
                 // Read-your-writes: republish first if no published
@@ -612,7 +563,7 @@ fn run_session(
                 }
                 let count = verdicts.len() as u32;
                 for (index, verdict) in verdicts.into_iter().enumerate() {
-                    send_message(
+                    ctx.reply(
                         stream,
                         &Message::Statement {
                             index: index as u32,
@@ -620,21 +571,21 @@ fn run_session(
                         },
                     )?;
                 }
-                send_message(stream, &Message::BatchDone { count })?;
+                ctx.reply(stream, &Message::BatchDone { count })?;
             }
             ReadEvent::Message(Message::StatsRequest) => {
                 partial_since = None;
-                send_message(stream, &Message::StatsReply(Box::new(ctx.scrape())))?;
+                ctx.reply(stream, &Message::StatsReply(Box::new(ctx.scrape())))?;
             }
             ReadEvent::Message(Message::Update { id, msg }) => {
                 partial_since = None;
                 let (lsn, verdicts) = apply_updates(ctx, vec![(id, msg)]);
-                send_message(stream, &Message::UpdateAck { lsn, verdicts })?;
+                ctx.reply(stream, &Message::UpdateAck { lsn, verdicts })?;
             }
             ReadEvent::Message(Message::UpdateBatch { updates }) => {
                 partial_since = None;
                 let (lsn, verdicts) = apply_updates(ctx, updates);
-                send_message(stream, &Message::UpdateAck { lsn, verdicts })?;
+                ctx.reply(stream, &Message::UpdateAck { lsn, verdicts })?;
             }
             ReadEvent::Message(_) => {
                 // A server-only message from a client is a protocol

@@ -14,11 +14,11 @@
 //! ```
 //!
 //! Every hazard resolves to "reject and re-sync, never apply a torn
-//! record": a `Records` run is decoded with [`modb_wal::decode_frames`],
-//! a `Blocks` run (protocol v2: verbatim segment frames, decompressed
-//! here on apply) with the per-version path recovery uses, and either is
-//! applied only if it is clean, complete, and contiguous with the
-//! applied watermark; duplicates below the watermark are skipped
+//! record": a `Blocks` run (verbatim segment frames, decompressed here
+//! on apply) is decoded with the [`modb_wal::decode_block_frames`] path
+//! recovery uses and applied only if it names the one segment format,
+//! is clean, complete, and contiguous with the applied watermark;
+//! duplicates below the watermark are skipped
 //! (idempotent re-delivery); anything else ends the session and the next
 //! `Hello` renegotiates from the watermark.
 
@@ -33,19 +33,18 @@ use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
 use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
-    apply_record, decode_block_frames, decode_frames, list_segments, list_snapshots, read_snapshot,
+    apply_record, decode_block_frames, list_segments, list_snapshots, read_snapshot,
     write_snapshot, EpochHistory, FrameEnd, SharedWal, WalError, WalOptions, WalRecord, WalWriter,
-    DEFAULT_SNAPSHOT_RETENTION, SEGMENT_VERSION, SEGMENT_VERSION_V2,
+    DEFAULT_SNAPSHOT_RETENTION, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
+use crate::framed::{send, FrameReader, ReadEvent};
 use crate::net::{QueryServer, QueryServerConfig};
 use crate::query_engine::QueryEngine;
 use crate::replication::horizon::ShipHorizon;
 use crate::replication::leader::{serve_replication_from, Frontier, ReplicationServer};
-use crate::replication::protocol::{
-    send_message, FrameReader, Message, ReadEvent, PROTOCOL_VERSION,
-};
+use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
 use crate::replication::ReplicationConfig;
 use crate::shared::SharedDatabase;
 
@@ -627,7 +626,7 @@ impl StandbyReplica {
         let mut writer = WalWriter::resume(&self.dir, self.config.wal, applied)?;
         // Epoch first, then the seal record: a crash in between leaves
         // the sidecar authoritative and the log merely missing the
-        // in-stream announcement (re-sent to v3 followers at handshake).
+        // in-stream announcement (re-sent to followers at handshake).
         let epoch = {
             let mut epochs = self.shared.epochs.lock().unwrap_or_else(|e| e.into_inner());
             let epoch = epochs.begin(applied)?;
@@ -792,7 +791,7 @@ impl Worker {
                 .unwrap_or_else(|e| e.into_inner())
                 .current(),
         };
-        if send_message(&mut tx, &hello).is_err() {
+        if send(&mut tx, &hello, MAX_MESSAGE_BYTES).is_err() {
             return SessionEnd::Disconnected;
         }
         self.shared.set_phase(if self.wal.is_some() {
@@ -800,7 +799,7 @@ impl Worker {
         } else {
             ReplicaPhase::Bootstrapping
         });
-        let mut reader = FrameReader::new(stream);
+        let mut reader = FrameReader::<Message>::new(stream, MAX_MESSAGE_BYTES);
         loop {
             if self.shared.stop.load(Ordering::SeqCst) {
                 return SessionEnd::Shutdown;
@@ -830,11 +829,6 @@ impl Worker {
     ) -> Result<(), SessionEnd> {
         match msg {
             Message::Snapshot { lsn, bytes } => self.bootstrap(lsn, &bytes, tx, last_snapshot_lsn),
-            Message::Records {
-                start_lsn,
-                count,
-                frames,
-            } => self.apply_run(start_lsn, count, &frames, tx, last_snapshot_lsn),
             Message::Blocks {
                 start_lsn,
                 count,
@@ -903,7 +897,8 @@ impl Worker {
     }
 
     fn ack(&self, tx: &mut std::net::TcpStream, applied_lsn: u64) -> Result<(), SessionEnd> {
-        send_message(tx, &Message::Ack { applied_lsn }).map_err(|_| SessionEnd::Disconnected)
+        send(tx, &Message::Ack { applied_lsn }, MAX_MESSAGE_BYTES)
+            .map_err(|_| SessionEnd::Disconnected)
     }
 
     fn reject(&self) {
@@ -960,30 +955,12 @@ impl Worker {
         self.ack(tx, lsn)
     }
 
-    /// Applies one `Records` run: all-or-nothing validation, then
-    /// record-by-record apply-before-log, skipping the watermark overlap.
-    fn apply_run(
-        &mut self,
-        start_lsn: u64,
-        count: u32,
-        frames: &[u8],
-        tx: &mut std::net::TcpStream,
-        last_snapshot_lsn: &mut u64,
-    ) -> Result<(), SessionEnd> {
-        let (records, _clean, end) = decode_frames(frames);
-        if !matches!(end, FrameEnd::Clean) || records.len() != count as usize {
-            // A torn or short run is never applied, not even partially.
-            self.reject();
-            return Err(SessionEnd::Resync);
-        }
-        self.apply_records(start_lsn, records, tx, last_snapshot_lsn)
-    }
-
-    /// Applies one `Blocks` run: the frames are verbatim segment bytes,
-    /// so they decode through the same per-version path recovery uses
-    /// (v2 blocks decompress here, on apply). Wire chunks are whole
-    /// frames — a torn tail is not a crash artifact but corruption in
-    /// flight that slipped past the CRC, so it rejects the run.
+    /// Applies one `Blocks` run, all-or-nothing: the frames are verbatim
+    /// segment bytes, so they decode through the same path recovery uses
+    /// (blocks decompress here, on apply). Wire chunks are whole frames —
+    /// a torn tail is not a crash artifact but corruption in flight that
+    /// slipped past the CRC, so it rejects the run, as does a run cut
+    /// from a segment format this build does not read.
     fn apply_blocks(
         &mut self,
         start_lsn: u64,
@@ -993,24 +970,21 @@ impl Worker {
         tx: &mut std::net::TcpStream,
         last_snapshot_lsn: &mut u64,
     ) -> Result<(), SessionEnd> {
-        let (records, _clean, end) = match version {
-            SEGMENT_VERSION => decode_frames(frames),
-            SEGMENT_VERSION_V2 => decode_block_frames(frames),
-            _ => {
-                self.reject();
-                return Err(SessionEnd::Resync);
-            }
-        };
-        if !matches!(end, FrameEnd::Clean) || records.len() != count as usize {
+        let run = (version == SEGMENT_VERSION)
+            .then(|| decode_block_frames(frames))
+            .filter(|(records, _clean, end)| {
+                matches!(end, FrameEnd::Clean) && records.len() == count as usize
+            });
+        let Some((records, ..)) = run else {
+            // A torn or short run is never applied, not even partially.
             self.reject();
             return Err(SessionEnd::Resync);
-        }
+        };
         self.apply_records(start_lsn, records, tx, last_snapshot_lsn)
     }
 
-    /// The shared tail of both run shapes: contiguity check against the
-    /// watermark, then record-by-record apply-before-log with idempotent
-    /// overlap skipping.
+    /// Contiguity check against the watermark, then record-by-record
+    /// apply-before-log with idempotent overlap skipping.
     fn apply_records(
         &mut self,
         start_lsn: u64,
@@ -1113,5 +1087,113 @@ impl Worker {
             self.horizon.min(),
         )?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::framed::Listener;
+    use modb_wal::{encode_block, frame_block, EpochSpan, GENESIS_EPOCH};
+
+    /// An upstream that speaks the protocol by hand: admits the follower,
+    /// bootstraps it with an empty snapshot at LSN 0, then ships one
+    /// valid one-record block in a `Blocks` run that claims to come from
+    /// a segment of format `version`.
+    fn upstream_shipping(version: u32, name: &str) -> (Listener, PathBuf) {
+        let dir = std::env::temp_dir().join(format!(
+            "modb-follower-unit-{}-{name}-v{version}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snapshot =
+            std::fs::read(write_snapshot(&dir.join("up"), &placeholder_database(), 0).unwrap())
+                .unwrap();
+        let mut frames = Vec::new();
+        let mut payload = Vec::new();
+        encode_block(
+            &[WalRecord::RemoveMoving(modb_core::ObjectId(9))],
+            true,
+            &mut payload,
+        );
+        frame_block(&payload, &mut frames);
+        let listener = Listener::spawn(
+            "127.0.0.1:0",
+            |_stream, _active| true,
+            move |mut stream, stop| {
+                let script = [
+                    Message::Epochs {
+                        spans: vec![EpochSpan {
+                            epoch: GENESIS_EPOCH,
+                            start_lsn: 0,
+                        }],
+                    },
+                    Message::Snapshot {
+                        lsn: 0,
+                        bytes: snapshot.clone(),
+                    },
+                    Message::Blocks {
+                        start_lsn: 0,
+                        count: 1,
+                        version,
+                        frames: frames.clone(),
+                    },
+                ];
+                for msg in &script {
+                    if send(&mut stream, msg, MAX_MESSAGE_BYTES).is_err() {
+                        return;
+                    }
+                }
+                // Hold the socket until the follower hangs up.
+                let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
+                let mut reader = FrameReader::<Message>::new(stream, MAX_MESSAGE_BYTES);
+                while !stop.load(Ordering::SeqCst) {
+                    if !matches!(reader.poll(), Ok(ReadEvent::Idle | ReadEvent::Message(_))) {
+                        return;
+                    }
+                }
+            },
+        )
+        .unwrap();
+        (listener, dir)
+    }
+
+    fn follow(upstream: &Listener, dir: &std::path::Path) -> StandbyReplica {
+        StandbyReplica::open(
+            dir.join("replica"),
+            upstream.local_addr().to_string(),
+            ReplicaConfig::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn blocks_from_a_foreign_segment_version_are_rejected_unapplied() {
+        // Control: the same run under the current version applies.
+        let (upstream, dir) = upstream_shipping(SEGMENT_VERSION, "blocks");
+        let replica = follow(&upstream, &dir);
+        assert!(replica.wait_for_lsn(1, Duration::from_secs(30)));
+        assert_eq!(replica.shutdown().rejected_messages, 0);
+        drop(upstream);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        for foreign in [1, SEGMENT_VERSION + 1] {
+            let (upstream, dir) = upstream_shipping(foreign, "blocks");
+            let replica = follow(&upstream, &dir);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while replica.stats().rejected_messages == 0 {
+                assert!(Instant::now() < deadline, "run was never rejected");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let stats = replica.shutdown();
+            assert_eq!(
+                (stats.applied_lsn, stats.records_applied),
+                (0, 0),
+                "version {foreign}: {stats}"
+            );
+            assert!(stats.resyncs >= 1, "{stats}");
+            drop(upstream);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

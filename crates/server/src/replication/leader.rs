@@ -1,32 +1,32 @@
 //! Leader side of WAL shipping: accept followers, bootstrap them from a
 //! snapshot, then stream log segments as the writer grows them.
 //!
-//! One thread accepts connections; each follower gets a session thread
-//! pair — a **shipper** (tailing the log with [`SegmentTailer`] and
-//! writing `Snapshot` / `Records` / `Heartbeat` messages) and an
-//! **ack reader** (draining `Ack` messages into the acknowledged-LSN
-//! watermark). The watermark feeds the [`ShipHorizon`], which
+//! The accept loop is the shared [`crate::framed::Listener`]; each
+//! follower gets a session thread pair — a **shipper** (tailing the log
+//! with [`SegmentTailer`] and writing `Snapshot` / `Blocks` /
+//! `Heartbeat` messages) and an **ack reader** (draining `Ack` messages
+//! into the acknowledged-LSN watermark). The watermark feeds the
+//! [`ShipHorizon`], which
 //! [`crate::DurableDatabase::snapshot_with_retention`] passes to
 //! [`modb_wal::compact_with_barrier`] so compaction never deletes a
 //! segment a connected follower still has to read.
 
 use std::fmt;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use modb_wal::{
-    list_segments, list_snapshots, read_snapshot, EpochCheck, EpochHistory, SegmentTailer, WalError,
+    list_segments, list_snapshots, read_snapshot, EpochCheck, EpochHistory, SegmentTailer,
+    WalError, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
+use crate::framed::{send, FrameReader, Listener, ReadEvent};
 use crate::replication::horizon::ShipHorizon;
-use crate::replication::protocol::{
-    send_message, FrameReader, Message, ReadEvent, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
+use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
 
 /// Where the shipped log ends: a closure yielding the serving node's
 /// frontier LSN. On a leader that is the WAL's next LSN; on a chained
@@ -55,7 +55,7 @@ impl fmt::Debug for Frontier {
 /// Tuning for [`DurableDatabase::serve_replication`].
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
-    /// Records per `Records` message (bounds catch-up burst size).
+    /// Records per `Blocks` message (bounds catch-up burst size).
     pub chunk_records: usize,
     /// Sleep between tail polls when the follower is caught up.
     pub poll_interval: Duration,
@@ -84,6 +84,7 @@ struct ServerStats {
     connections: AtomicU64,
     snapshots_shipped: AtomicU64,
     records_shipped: AtomicU64,
+    session_errors: AtomicU64,
 }
 
 /// Point-in-time view of a replication server's activity.
@@ -105,6 +106,10 @@ pub struct ReplicationStatsSnapshot {
     pub snapshots_shipped: u64,
     /// Log records shipped (re-sends after a reconnect count again).
     pub records_shipped: u64,
+    /// Sessions that ended on an error: a protocol violation, a refused
+    /// handshake, an unreadable log, a stalled or vanished socket, or a
+    /// message over the frame ceiling (which no retry can deliver).
+    pub session_errors: u64,
 }
 
 impl fmt::Display for ReplicationStatsSnapshot {
@@ -128,32 +133,41 @@ impl fmt::Display for ReplicationStatsSnapshot {
 /// follower sessions.
 #[derive(Debug)]
 pub struct ReplicationServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    stats: Arc<ServerStats>,
-    horizon: Arc<ShipHorizon>,
+    listener: Listener,
+    ctx: Arc<ShipContext>,
+}
+
+/// Everything a follower session needs, shared across session threads.
+#[derive(Debug)]
+struct ShipContext {
+    dir: PathBuf,
     frontier: Frontier,
+    horizon: Arc<ShipHorizon>,
+    epochs: Arc<Mutex<EpochHistory>>,
+    stats: ServerStats,
+    config: ReplicationConfig,
 }
 
 impl ReplicationServer {
     /// The bound listen address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Current activity counters and lag.
     pub fn stats(&self) -> ReplicationStatsSnapshot {
-        let leader_next_lsn = self.frontier.now();
-        let min_acked_lsn = self.horizon.min();
+        let (horizon, stats) = (&self.ctx.horizon, &self.ctx.stats);
+        let leader_next_lsn = self.ctx.frontier.now();
+        let min_acked_lsn = horizon.min();
         ReplicationStatsSnapshot {
-            followers: self.horizon.followers(),
-            connections: self.stats.connections.load(Ordering::Relaxed),
+            followers: horizon.followers(),
+            connections: stats.connections.load(Ordering::Relaxed),
             leader_next_lsn,
             min_acked_lsn,
             max_lag_records: min_acked_lsn.map_or(0, |a| leader_next_lsn.saturating_sub(a)),
-            snapshots_shipped: self.stats.snapshots_shipped.load(Ordering::Relaxed),
-            records_shipped: self.stats.records_shipped.load(Ordering::Relaxed),
+            snapshots_shipped: stats.snapshots_shipped.load(Ordering::Relaxed),
+            records_shipped: stats.records_shipped.load(Ordering::Relaxed),
+            session_errors: stats.session_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -161,21 +175,8 @@ impl ReplicationServer {
     /// stats.
     pub fn shutdown(mut self) -> ReplicationStatsSnapshot {
         let stats = self.stats();
-        self.stop_and_join();
+        self.listener.shutdown();
         stats
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReplicationServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
     }
 }
 
@@ -219,124 +220,62 @@ pub(crate) fn serve_replication_from(
     addr: impl ToSocketAddrs,
     config: ReplicationConfig,
 ) -> Result<ReplicationServer, WalError> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ServerStats::default());
-    let accept = {
-        let stop = Arc::clone(&stop);
-        let stats = Arc::clone(&stats);
-        let horizon = Arc::clone(&horizon);
-        let frontier = frontier.clone();
-        let config = config.clone();
-        std::thread::spawn(move || {
-            accept_loop(
-                listener, dir, frontier, horizon, epochs, stats, config, stop,
-            )
-        })
-    };
-    Ok(ReplicationServer {
-        addr: local,
-        stop,
-        accept: Some(accept),
-        stats,
-        horizon,
+    let ctx = Arc::new(ShipContext {
+        dir,
         frontier,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    dir: PathBuf,
-    frontier: Frontier,
-    horizon: Arc<ShipHorizon>,
-    epochs: Arc<Mutex<EpochHistory>>,
-    stats: Arc<ServerStats>,
-    config: ReplicationConfig,
-    stop: Arc<AtomicBool>,
-) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                let dir = dir.clone();
-                let frontier = frontier.clone();
-                let horizon = Arc::clone(&horizon);
-                let epochs = Arc::clone(&epochs);
-                let stats = Arc::clone(&stats);
-                let config = config.clone();
-                let stop = Arc::clone(&stop);
-                sessions.push(std::thread::spawn(move || {
-                    handle_follower(stream, &dir, frontier, horizon, epochs, stats, config, stop)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-        sessions.retain(|h| !h.is_finished());
-    }
-    for h in sessions {
-        let _ = h.join();
-    }
+        horizon,
+        epochs,
+        stats: ServerStats::default(),
+        config,
+    });
+    let session_ctx = Arc::clone(&ctx);
+    let listener = Listener::spawn(
+        addr,
+        |_stream, _active| true,
+        move |stream, stop| handle_follower(stream, &session_ctx, stop),
+    )?;
+    Ok(ReplicationServer { listener, ctx })
 }
 
 /// One follower session: handshake, optional bootstrap, then ship until
 /// disconnect or shutdown. The horizon entry is registered at 0 (pinning
 /// the whole log) *before* the resume point is chosen, and released on
-/// the way out.
-#[allow(clippy::too_many_arguments)]
-fn handle_follower(
-    mut stream: TcpStream,
-    dir: &Path,
-    frontier: Frontier,
-    horizon: Arc<ShipHorizon>,
-    epochs: Arc<Mutex<EpochHistory>>,
-    stats: Arc<ServerStats>,
-    config: ReplicationConfig,
-    stop: Arc<AtomicBool>,
-) {
+/// the way out. A session that ends on an error is counted; the socket
+/// closes either way and the follower's reconnect backoff paces any
+/// retry.
+fn handle_follower(mut stream: TcpStream, ctx: &ShipContext, stop: &AtomicBool) {
+    ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let _ = stream.set_write_timeout(config.write_timeout);
-    let hid = horizon.register(0);
-    let _ = run_session(
-        &mut stream,
-        dir,
-        &frontier,
-        &horizon,
-        &epochs,
-        hid,
-        &stats,
-        &config,
-        &stop,
-    );
-    horizon.release(hid);
+    let _ = stream.set_write_timeout(ctx.config.write_timeout);
+    let hid = ctx.horizon.register(0);
+    if run_session(&mut stream, ctx, hid, stop).is_err() {
+        ctx.stats.session_errors.fetch_add(1, Ordering::Relaxed);
+    }
+    ctx.horizon.release(hid);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_session(
     stream: &mut TcpStream,
-    dir: &Path,
-    frontier: &Frontier,
-    horizon: &ShipHorizon,
-    epochs: &Mutex<EpochHistory>,
+    ctx: &ShipContext,
     hid: u64,
-    stats: &ServerStats,
-    config: &ReplicationConfig,
     stop: &AtomicBool,
 ) -> Result<(), WalError> {
+    let ShipContext {
+        dir,
+        frontier,
+        horizon,
+        epochs,
+        stats,
+        config,
+    } = ctx;
     // Read side runs on a clone so acks drain while the shipper blocks
     // in writes.
     let reader_stream = stream.try_clone()?;
 
     // ---- Handshake: wait (bounded) for the follower's Hello.
-    let mut reader = FrameReader::new(reader_stream);
+    let mut reader = FrameReader::<Message>::new(reader_stream, MAX_MESSAGE_BYTES);
     let deadline = Instant::now() + Duration::from_secs(5);
     let hello = loop {
         if stop.load(Ordering::SeqCst) || Instant::now() > deadline {
@@ -349,10 +288,10 @@ fn run_session(
                 have_state,
                 epoch,
             }) => {
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+                if version != PROTOCOL_VERSION {
                     return Err(WalError::Decode("replication protocol version mismatch"));
                 }
-                break (version, next_lsn, have_state, epoch);
+                break (next_lsn, have_state, epoch);
             }
             ReadEvent::Message(_) => {
                 return Err(WalError::Decode("expected Hello"));
@@ -366,10 +305,9 @@ fn run_session(
     // log frontier runs past the birth of an epoch it never lived under
     // holds forked history — a revived old leader tailing past the
     // promotion point. It gets a typed refusal, never a silent
-    // bootstrap-and-overwrite (pre-v3 peers hard-error on the unknown
-    // tag, which is still a refusal). A peer claiming a *newer* epoch
-    // means this server is the stale one: close without serving.
-    let (peer_version, follower_lsn, have_state, peer_epoch) = hello;
+    // bootstrap-and-overwrite. A peer claiming a *newer* epoch means
+    // this server is the stale one: close without serving.
+    let (follower_lsn, have_state, peer_epoch) = hello;
     if have_state {
         let check = epochs
             .lock()
@@ -379,12 +317,13 @@ fn run_session(
             EpochCheck::Clean => {}
             EpochCheck::Diverged { boundary_lsn } => {
                 let leader_epoch = epochs.lock().unwrap_or_else(|e| e.into_inner()).current();
-                let _ = send_message(
+                let _ = send(
                     stream,
                     &Message::Diverged {
                         leader_epoch,
                         boundary_lsn,
                     },
+                    MAX_MESSAGE_BYTES,
                 );
                 return Err(WalError::Decode("follower log diverges from this timeline"));
             }
@@ -393,17 +332,15 @@ fn run_session(
             }
         }
     }
-    // A v3 peer gets the full leadership history up front: in-stream
-    // LeaderEpoch records only cover epochs born inside the shipped
-    // stretch, and a bootstrap snapshot carries none at all.
-    if peer_version >= 3 {
-        let spans = epochs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .spans()
-            .to_vec();
-        send_message(stream, &Message::Epochs { spans })?;
-    }
+    // The admitted peer gets the full leadership history up front:
+    // in-stream LeaderEpoch records only cover epochs born inside the
+    // shipped stretch, and a bootstrap snapshot carries none at all.
+    let spans = epochs
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .spans()
+        .to_vec();
+    send(stream, &Message::Epochs { spans }, MAX_MESSAGE_BYTES)?;
 
     // ---- Resume or bootstrap. The horizon entry (still at 0) keeps
     // every segment alive while we decide.
@@ -430,7 +367,14 @@ fn run_session(
             return Err(WalError::NoSnapshot(dir.to_path_buf()));
         };
         let bytes = std::fs::read(path)?;
-        send_message(stream, &Message::Snapshot { lsn: *lsn, bytes })?;
+        // A snapshot over the frame ceiling fails here, typed, before a
+        // byte is written: the follower would have rejected the frame
+        // after receiving all of it and asked for it again.
+        send(
+            stream,
+            &Message::Snapshot { lsn: *lsn, bytes },
+            MAX_MESSAGE_BYTES,
+        )?;
         stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
         *lsn
     };
@@ -461,9 +405,8 @@ fn run_session(
         })
     };
 
-    // ---- Ship loop. A version-2 follower gets segment frames verbatim
-    // (`Blocks` — compressed blocks go out exactly as they sit on disk);
-    // a version-1 follower gets decoded records re-framed (`Records`).
+    // ---- Ship loop: segment frames go out verbatim (`Blocks` —
+    // compressed blocks exactly as they sit on disk).
     let mut tailer = SegmentTailer::new(dir, cursor);
     let mut last_heartbeat: Option<Instant> = None;
     let result = loop {
@@ -471,39 +414,16 @@ fn run_session(
             break Ok(());
         }
         horizon.advance(hid, acked.load(Ordering::SeqCst));
-        let next = if peer_version >= 2 {
-            tailer.poll_blocks(config.chunk_records).map(|opt| {
-                opt.map(|chunk| {
-                    let count = chunk.records;
-                    let msg = Message::Blocks {
-                        start_lsn: chunk.start_lsn,
-                        count: count as u32,
-                        version: chunk.segment_version,
-                        frames: chunk.frames,
-                    };
-                    (msg, count)
-                })
-            })
-        } else {
-            tailer.poll(config.chunk_records).map(|opt| {
-                opt.map(|chunk| {
-                    let mut frames = Vec::new();
-                    for rec in &chunk.records {
-                        rec.encode_frame(&mut frames);
-                    }
-                    let count = chunk.records.len() as u64;
-                    let msg = Message::Records {
-                        start_lsn: chunk.start_lsn,
-                        count: count as u32,
-                        frames,
-                    };
-                    (msg, count)
-                })
-            })
-        };
-        match next {
-            Ok(Some((msg, count))) => {
-                if let Err(e) = send_message(stream, &msg) {
+        match tailer.poll_blocks(config.chunk_records) {
+            Ok(Some(chunk)) => {
+                let count = chunk.records;
+                let msg = Message::Blocks {
+                    start_lsn: chunk.start_lsn,
+                    count: count as u32,
+                    version: SEGMENT_VERSION,
+                    frames: chunk.frames,
+                };
+                if let Err(e) = send(stream, &msg, MAX_MESSAGE_BYTES) {
                     break Err(e);
                 }
                 stats.records_shipped.fetch_add(count, Ordering::Relaxed);
@@ -514,7 +434,7 @@ fn run_session(
                     let hb = Message::Heartbeat {
                         leader_next_lsn: frontier.now(),
                     };
-                    if let Err(e) = send_message(stream, &hb) {
+                    if let Err(e) = send(stream, &hb, MAX_MESSAGE_BYTES) {
                         break Err(e);
                     }
                     last_heartbeat = Some(Instant::now());
@@ -535,9 +455,9 @@ fn run_session(
 
 #[cfg(test)]
 mod tests {
-    //! Wire-level version negotiation: these speak the protocol by hand
-    //! (the in-tree [`crate::StandbyReplica`] always negotiates v2, so
-    //! the v1 `Records` fallback is only reachable from here).
+    //! Wire-level handshake checks: these speak the protocol by hand
+    //! (the in-tree [`crate::StandbyReplica`] always says the current
+    //! version, so a refused `Hello` is only reachable from here).
 
     use super::*;
     use modb_core::{
@@ -547,10 +467,7 @@ mod tests {
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::{
-        decode_block_frames, decode_frames, FrameEnd, FsyncPolicy, WalOptions, SEGMENT_VERSION,
-        SEGMENT_VERSION_V2,
-    };
+    use modb_wal::{decode_block_frames, FrameEnd, FsyncPolicy, WalOptions};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("modb-leader-{}-{name}", std::process::id()));
@@ -594,7 +511,6 @@ mod tests {
         let opts = WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 512,
-            ..WalOptions::default()
         };
         let durable = DurableDatabase::create(tmp(name), db, opts).unwrap();
         durable.register_moving(vehicle(1)).unwrap();
@@ -613,13 +529,13 @@ mod tests {
         (durable, server)
     }
 
-    fn dial(server: &ReplicationServer, version: u32) -> (TcpStream, FrameReader) {
+    fn dial(server: &ReplicationServer, version: u32) -> (TcpStream, FrameReader<Message>) {
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_millis(10)))
             .unwrap();
         let mut tx = stream.try_clone().unwrap();
-        send_message(
+        send(
             &mut tx,
             &Message::Hello {
                 version,
@@ -627,12 +543,13 @@ mod tests {
                 have_state: false,
                 epoch: 0,
             },
+            MAX_MESSAGE_BYTES,
         )
         .unwrap();
-        (tx, FrameReader::new(stream))
+        (tx, FrameReader::new(stream, MAX_MESSAGE_BYTES))
     }
 
-    fn next_message(reader: &mut FrameReader) -> Option<Message> {
+    fn next_message(reader: &mut FrameReader<Message>) -> Option<Message> {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             match reader.poll() {
@@ -647,7 +564,7 @@ mod tests {
     /// Drains the stream until `expected` records arrived, returning the
     /// decoded records; `assert_shape` sees every data message.
     fn drain(
-        reader: &mut FrameReader,
+        reader: &mut FrameReader<Message>,
         expected: u64,
         mut assert_shape: impl FnMut(&Message) -> Vec<modb_wal::WalRecord>,
     ) -> Vec<modb_wal::WalRecord> {
@@ -665,32 +582,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_is_served_decoded_records() {
-        let (durable, server) = leader("v1-records", 38);
-        let total = 2 + 38;
-        let (_tx, mut reader) = dial(&server, 1);
-        let Some(Message::Snapshot { lsn: 0, .. }) = next_message(&mut reader) else {
-            panic!("expected the bootstrap snapshot at lsn 0");
-        };
-        let records = drain(&mut reader, total, |msg| {
-            let Message::Records { count, frames, .. } = msg else {
-                panic!("v1 follower must never see {msg:?}");
-            };
-            let (recs, _, end) = decode_frames(frames);
-            assert!(matches!(end, FrameEnd::Clean));
-            assert_eq!(recs.len(), *count as usize);
-            recs
-        });
-        assert_eq!(records.len() as u64, durable.wal().next_lsn());
-        server.shutdown();
-    }
-
-    #[test]
-    fn v2_hello_is_served_verbatim_blocks() {
-        let (durable, server) = leader("v2-blocks", 38);
+    fn hello_is_served_verbatim_blocks() {
+        let (durable, server) = leader("blocks", 38);
         let total = 2 + 38;
         let (_tx, mut reader) = dial(&server, PROTOCOL_VERSION);
-        // A v3 peer is told the leadership history before anything else.
+        // The peer is told the leadership history before anything else.
         let Some(Message::Epochs { spans }) = next_message(&mut reader) else {
             panic!("expected the epoch history first");
         };
@@ -706,13 +602,10 @@ mod tests {
                 ..
             } = msg
             else {
-                panic!("v2 follower must never see {msg:?}");
+                panic!("a follower must never see {msg:?}");
             };
-            let (recs, _, end) = match *version {
-                SEGMENT_VERSION => decode_frames(frames),
-                SEGMENT_VERSION_V2 => decode_block_frames(frames),
-                other => panic!("unknown segment version {other}"),
-            };
+            assert_eq!(*version, SEGMENT_VERSION);
+            let (recs, _, end) = decode_block_frames(frames);
             assert!(matches!(end, FrameEnd::Clean));
             assert_eq!(recs.len(), *count as usize);
             recs
@@ -723,14 +616,42 @@ mod tests {
 
     #[test]
     fn unknown_hello_version_is_rejected() {
-        let (_durable, server) = leader("v3-reject", 4);
-        for version in [0, PROTOCOL_VERSION + 1, u32::MAX] {
+        let (_durable, server) = leader("version-reject", 4);
+        let versions = [0, 1, 2, PROTOCOL_VERSION + 1, u32::MAX];
+        for version in versions {
             let (_tx, mut reader) = dial(&server, version);
             assert!(
                 next_message(&mut reader).is_none(),
                 "version {version} must be disconnected, not served"
             );
         }
-        server.shutdown();
+        let stats = server.shutdown();
+        assert_eq!(stats.session_errors, versions.len() as u64);
+        assert_eq!(stats.records_shipped, 0);
+    }
+
+    /// A `Hello` that stops before the epoch field (what a pre-epoch
+    /// peer sent) is not a message of this protocol: the session ends
+    /// without the leader shipping anything.
+    #[test]
+    fn epoch_less_hello_is_rejected() {
+        use std::io::Write as _;
+        let (_durable, server) = leader("short-hello", 4);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.push(0);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&modb_wal::crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        stream.write_all(&frame).unwrap();
+        let mut reader = FrameReader::<Message>::new(stream, MAX_MESSAGE_BYTES);
+        assert!(next_message(&mut reader).is_none());
+        let stats = server.shutdown();
+        assert_eq!((stats.session_errors, stats.records_shipped), (1, 0));
     }
 }

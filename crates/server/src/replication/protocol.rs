@@ -1,81 +1,66 @@
 //! The replication wire protocol.
 //!
-//! Same framing discipline as the log itself: every message travels as
-//! `[len: u32 LE][crc32(payload): u32 LE][payload]`, where the payload is
-//! a tag byte followed by the message body. The CRC is checked before a
-//! byte of the payload is interpreted, so a frame corrupted in flight is
-//! rejected whole — the session ends and the follower re-syncs, exactly
-//! like recovery refusing a damaged interior record.
+//! Messages travel in the CRC frames of [`crate::framed`]; the payload is
+//! a tag byte followed by the message body. A frame corrupted in flight
+//! is rejected whole — the session ends and the follower re-syncs,
+//! exactly like recovery refusing a damaged interior record.
 //!
 //! Messages:
 //!
 //! | tag | message     | direction          | body                                  |
 //! |-----|-------------|--------------------|---------------------------------------|
-//! | 1   | `Hello`     | follower → leader  | `version u32, next_lsn u64, have_state u8[, epoch u64]` |
+//! | 1   | `Hello`     | follower → leader  | `version u32, next_lsn u64, have_state u8, epoch u64` |
 //! | 2   | `Snapshot`  | leader → follower  | `lsn u64, bytes (raw snapshot file)`  |
-//! | 3   | `Records`   | leader → follower  | `start_lsn u64, count u32, frames`    |
 //! | 4   | `Heartbeat` | leader → follower  | `leader_next_lsn u64`                 |
 //! | 5   | `Ack`       | follower → leader  | `applied_lsn u64`                     |
 //! | 6   | `Blocks`    | leader → follower  | `start_lsn u64, count u32, version u32, frames` |
 //! | 7   | `Diverged`  | leader → follower  | `leader_epoch u64, boundary_lsn u64`  |
 //! | 8   | `Epochs`    | leader → follower  | `count u32, (epoch u64, start_lsn u64) * count` |
 //!
-//! `Records` carries a run of consecutive WAL frames *in their on-disk
-//! encoding* (inner length + CRC per record), so the follower validates
-//! each record a second time with the same [`modb_wal::decode_frames`]
-//! path recovery uses — a partially delivered or torn run can never be
-//! applied.
+//! (Tag 3 is retired and stays unassigned.)
 //!
-//! `Blocks` (protocol v2) is the same idea one layer up: a run of
-//! *segment* frames shipped verbatim off the leader's disk, each holding
-//! a v2 block (delta-coded, possibly LZ-compressed) or a single v1
-//! record, with `version` naming the segment format the frames came
-//! from. Compression paid once at append time is reused on the wire;
-//! the follower decompresses on apply. A v1 leader never sends it, and
-//! a v1 follower never negotiates it — the leader falls back to
-//! `Records` when a follower's `Hello` says version 1.
+//! `Blocks` carries a run of *segment* frames shipped verbatim off the
+//! leader's disk, each holding one delta-coded, possibly LZ-compressed
+//! block, with `version` naming the segment format the frames came from
+//! (always [`modb_wal::SEGMENT_VERSION`]; a follower refuses any other).
+//! Compression paid once at append time is reused on the wire, and the
+//! follower validates every frame's CRC a second time with the same
+//! [`modb_wal::decode_block_frames`] path recovery uses — a partially
+//! delivered or torn run can never be applied.
 //!
-//! `Diverged` (protocol v3) is the promotion-time divergence guard: a
-//! `Hello` carries the follower's leadership epoch (0 from a pre-v3
-//! peer), and a server whose [`modb_wal::EpochHistory`] shows the
-//! follower holding records past the birth of an epoch it never saw
-//! answers with this typed refusal — naming the server's epoch and the
-//! first forked LSN — instead of shipping onto a forked log or silently
-//! re-bootstrapping it away.
+//! `Hello` carries the follower's leadership epoch because of the
+//! promotion-time divergence guard: a server whose
+//! [`modb_wal::EpochHistory`] shows the follower holding records past
+//! the birth of an epoch it never saw answers `Diverged` — a typed
+//! refusal naming the server's epoch and the first forked LSN — instead
+//! of shipping onto a forked log or silently re-bootstrapping it away.
 //!
-//! `Epochs` (protocol v3) transfers the server's full leadership
-//! history to an admitted v3 follower, right after the handshake. The
-//! in-stream `LeaderEpoch` records only cover epochs born inside the
-//! shipped stretch; a follower bootstrapping from a snapshot taken
-//! after a promotion would otherwise never learn the older boundaries
-//! it needs to refuse (or be refused by) stale peers later.
-
-use std::io::{Read, Write};
-use std::net::TcpStream;
+//! `Epochs` transfers the server's full leadership history to an
+//! admitted follower, right after the handshake. The in-stream
+//! `LeaderEpoch` records only cover epochs born inside the shipped
+//! stretch; a follower bootstrapping from a snapshot taken after a
+//! promotion would otherwise never learn the older boundaries it needs
+//! to refuse (or be refused by) stale peers later.
 
 use modb_wal::codec::{put_u32, put_u64};
-use modb_wal::{crc32, ByteReader, WalError};
+use modb_wal::{ByteReader, WalError};
 
-/// Protocol version spoken by this build. Version 2 adds the `Blocks`
-/// message (verbatim segment-frame shipping); a leader still accepts a
-/// version-1 `Hello` and serves that follower decoded `Records`.
-/// Version 3 adds the leadership epoch to `Hello` and the typed
-/// `Diverged` refusal (the promotion divergence guard).
+use crate::framed::WireMessage;
+
+/// The protocol version this build speaks; a `Hello` naming any other is
+/// refused.
 pub(crate) const PROTOCOL_VERSION: u32 = 3;
 
-/// Oldest follower version the leader still serves (`Records` path).
-pub(crate) const MIN_PROTOCOL_VERSION: u32 = 1;
-
 /// Hard ceiling on one message's payload: a bootstrap snapshot plus
-/// headroom. Anything larger is treated as stream corruption.
+/// headroom. The sender refuses anything larger; a reader treats it as
+/// stream corruption.
 pub(crate) const MAX_MESSAGE_BYTES: u32 = 64 * 1024 * 1024;
 
 /// One protocol message (see the module table).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Message {
     /// Follower's opening line: who it is, where its log ends, and which
-    /// leadership epoch it last lived under (0 = pre-v3 peer, epoch
-    /// unknown).
+    /// leadership epoch it last lived under.
     Hello {
         version: u32,
         next_lsn: u64,
@@ -85,20 +70,14 @@ pub(crate) enum Message {
     /// A full bootstrap snapshot (the raw snapshot file, self-validating
     /// via its own magic/version/CRC).
     Snapshot { lsn: u64, bytes: Vec<u8> },
-    /// `count` consecutive WAL frames starting at `start_lsn`.
-    Records {
-        start_lsn: u64,
-        count: u32,
-        frames: Vec<u8>,
-    },
     /// Leader keepalive carrying its log frontier (lag = frontier −
     /// follower applied watermark).
     Heartbeat { leader_next_lsn: u64 },
     /// Follower's applied watermark; advances the leader's ship barrier.
     Ack { applied_lsn: u64 },
     /// `count` consecutive records starting at `start_lsn`, as verbatim
-    /// segment frames from a segment of format `version` (v2 frames hold
-    /// whole compressed blocks; protocol v2 only).
+    /// segment frames (whole, possibly compressed blocks) from a segment
+    /// of format `version`.
     Blocks {
         start_lsn: u64,
         count: u32,
@@ -109,19 +88,19 @@ pub(crate) enum Message {
     /// server's timeline: the follower holds records at or past
     /// `boundary_lsn` that were never written under `leader_epoch`'s
     /// history. The session closes after this; the follower must not
-    /// retry (protocol v3 only).
+    /// retry.
     Diverged {
         leader_epoch: u64,
         boundary_lsn: u64,
     },
     /// The server's full leadership history (oldest span first), sent to
-    /// an admitted v3 follower right after the handshake so it knows
-    /// every timeline boundary, including those older than its bootstrap
-    /// snapshot (protocol v3 only).
+    /// an admitted follower right after the handshake so it knows every
+    /// timeline boundary, including those older than its bootstrap
+    /// snapshot.
     Epochs { spans: Vec<modb_wal::EpochSpan> },
 }
 
-impl Message {
+impl WireMessage for Message {
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello {
@@ -140,16 +119,6 @@ impl Message {
                 out.push(2);
                 put_u64(out, *lsn);
                 out.extend_from_slice(bytes);
-            }
-            Message::Records {
-                start_lsn,
-                count,
-                frames,
-            } => {
-                out.push(3);
-                put_u64(out, *start_lsn);
-                put_u32(out, *count);
-                out.extend_from_slice(frames);
             }
             Message::Heartbeat { leader_next_lsn } => {
                 out.push(4);
@@ -197,14 +166,11 @@ impl Message {
                 let version = r.u32()?;
                 let next_lsn = r.u64()?;
                 let have_state = r.u8()? != 0;
-                // A pre-v3 Hello ends here; epoch 0 marks it unknown
-                // (the divergence check reads that as genesis).
-                let epoch = if r.is_empty() { 0 } else { r.u64()? };
                 Message::Hello {
                     version,
                     next_lsn,
                     have_state,
-                    epoch,
+                    epoch: r.u64()?,
                 }
             }
             2 => {
@@ -213,16 +179,6 @@ impl Message {
                 return Ok(Message::Snapshot {
                     lsn,
                     bytes: payload[payload.len() - r.remaining()..].to_vec(),
-                });
-            }
-            3 => {
-                let start_lsn = r.u64()?;
-                let count = r.u32()?;
-                // The rest of the payload is the concatenated WAL frames.
-                return Ok(Message::Records {
-                    start_lsn,
-                    count,
-                    frames: payload[payload.len() - r.remaining()..].to_vec(),
                 });
             }
             4 => Message::Heartbeat {
@@ -267,112 +223,10 @@ impl Message {
     }
 }
 
-/// Frames and sends one message (blocking, honoring the stream's write
-/// timeout).
-pub(crate) fn send_message(stream: &mut TcpStream, msg: &Message) -> Result<(), WalError> {
-    let mut payload = Vec::new();
-    msg.encode_payload(&mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
-    stream.write_all(&frame)?;
-    Ok(())
-}
-
-/// What one [`FrameReader::poll`] observed.
-#[derive(Debug)]
-pub(crate) enum ReadEvent {
-    /// A whole, CRC-valid message.
-    Message(Message),
-    /// No complete frame yet (read timed out or a frame is partially
-    /// buffered).
-    Idle,
-    /// The peer closed the connection.
-    Closed,
-}
-
-/// Accumulating frame decoder over a socket. Reads are bounded by the
-/// stream's read timeout, so a poll returns [`ReadEvent::Idle`] rather
-/// than blocking forever; bytes of a partial frame are buffered across
-/// polls. A length or CRC violation is a hard [`WalError::Decode`] — the
-/// stream cannot be re-synchronized after framing is lost.
-#[derive(Debug)]
-pub(crate) struct FrameReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl FrameReader {
-    pub(crate) fn new(stream: TcpStream) -> Self {
-        FrameReader {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Reads once and decodes if a whole frame is available.
-    pub(crate) fn poll(&mut self) -> Result<ReadEvent, WalError> {
-        if let Some(msg) = self.try_decode()? {
-            return Ok(ReadEvent::Message(msg));
-        }
-        let mut tmp = [0u8; 64 * 1024];
-        match self.stream.read(&mut tmp) {
-            Ok(0) => Ok(ReadEvent::Closed),
-            Ok(n) => {
-                self.buf.extend_from_slice(&tmp[..n]);
-                match self.try_decode()? {
-                    Some(msg) => Ok(ReadEvent::Message(msg)),
-                    None => Ok(ReadEvent::Idle),
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                Ok(ReadEvent::Idle)
-            }
-            Err(e) => Err(WalError::Io(e)),
-        }
-    }
-
-    fn try_decode(&mut self) -> Result<Option<Message>, WalError> {
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len == 0 || len > MAX_MESSAGE_BYTES {
-            return Err(WalError::Decode("implausible replication frame length"));
-        }
-        let crc = u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]);
-        let total = 8 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = &self.buf[8..total];
-        if crc32(payload) != crc {
-            return Err(WalError::Decode("replication frame crc mismatch"));
-        }
-        let msg = Message::decode_payload(payload)?;
-        self.buf.drain(..total);
-        Ok(Some(msg))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-    use std::time::Duration;
-
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        (client, server)
-    }
+    use crate::framed::{decode_frame, encode_frame};
 
     fn sample_messages() -> Vec<Message> {
         vec![
@@ -385,11 +239,6 @@ mod tests {
             Message::Snapshot {
                 lsn: 7,
                 bytes: vec![1, 2, 3, 4, 5],
-            },
-            Message::Records {
-                start_lsn: 9,
-                count: 2,
-                frames: vec![0xde, 0xad, 0xbe, 0xef],
             },
             Message::Heartbeat {
                 leader_next_lsn: 11,
@@ -420,125 +269,41 @@ mod tests {
         ]
     }
 
+    /// The wire compatibility contract: `tests/golden/replication.frames`
+    /// holds one framed instance of every message, written by the
+    /// encoder of commit dfa280f (see `tests/golden/README.md`). Each
+    /// frame must decode to its sample value and every sample must
+    /// re-encode to the identical bytes.
     #[test]
-    fn pre_v3_hello_decodes_with_unknown_epoch() {
-        // A v1/v2 peer's Hello stops after have_state; the decoder must
-        // read it as epoch 0 rather than rejecting the frame.
+    fn golden_frames_decode_and_re_encode_bit_identically() {
+        let golden = include_bytes!("../../tests/golden/replication.frames");
+        let mut rest: &[u8] = golden;
+        let mut re_encoded = Vec::new();
+        for expected in sample_messages() {
+            let (msg, consumed) = decode_frame::<Message>(rest, MAX_MESSAGE_BYTES)
+                .unwrap()
+                .expect("a whole frame per message");
+            assert_eq!(msg, expected);
+            re_encoded.extend(encode_frame(&expected, MAX_MESSAGE_BYTES).unwrap());
+            rest = &rest[consumed..];
+        }
+        assert!(rest.is_empty(), "a golden frame no sample accounts for");
+        assert_eq!(re_encoded, golden);
+    }
+
+    /// The retired shapes: a `Hello` that stops before the epoch (what a
+    /// pre-epoch peer sent) and the decoded-records message (tag 3) are
+    /// decode errors, not silently defaulted or skipped.
+    #[test]
+    fn epoch_less_hello_and_retired_records_tag_are_rejected() {
         let mut payload = vec![1u8];
         put_u32(&mut payload, 2);
         put_u64(&mut payload, 42);
         payload.push(1);
-        let msg = Message::decode_payload(&payload).unwrap();
-        assert_eq!(
-            msg,
-            Message::Hello {
-                version: 2,
-                next_lsn: 42,
-                have_state: true,
-                epoch: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn round_trips_every_message() {
-        let (mut tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut reader = FrameReader::new(rx);
-        for msg in sample_messages() {
-            send_message(&mut tx, &msg).unwrap();
-            let got = loop {
-                match reader.poll().unwrap() {
-                    ReadEvent::Message(m) => break m,
-                    ReadEvent::Idle => continue,
-                    ReadEvent::Closed => panic!("peer closed"),
-                }
-            };
-            assert_eq!(got, msg);
-        }
-        drop(tx);
-        assert!(matches!(reader.poll().unwrap(), ReadEvent::Closed));
-    }
-
-    #[test]
-    fn corrupt_crc_is_a_hard_error() {
-        let (mut tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut payload = Vec::new();
-        Message::Ack { applied_lsn: 3 }.encode_payload(&mut payload);
-        let mut frame = Vec::new();
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload) ^ 1); // flipped
-        frame.extend_from_slice(&payload);
-        tx.write_all(&frame).unwrap();
-        let mut reader = FrameReader::new(rx);
-        let err = loop {
-            match reader.poll() {
-                Ok(ReadEvent::Idle) => continue,
-                Ok(other) => panic!("{other:?}"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, WalError::Decode(_)), "{err}");
-    }
-
-    #[test]
-    fn implausible_length_is_a_hard_error() {
-        let (mut tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut frame = Vec::new();
-        put_u32(&mut frame, MAX_MESSAGE_BYTES + 1);
-        put_u32(&mut frame, 0);
-        tx.write_all(&frame).unwrap();
-        let mut reader = FrameReader::new(rx);
-        let err = loop {
-            match reader.poll() {
-                Ok(ReadEvent::Idle) => continue,
-                Ok(other) => panic!("{other:?}"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, WalError::Decode(_)), "{err}");
-    }
-
-    #[test]
-    fn partial_frames_accumulate_across_polls() {
-        let (mut tx, rx) = pair();
-        rx.set_read_timeout(Some(Duration::from_millis(20)))
-            .unwrap();
-        let msg = Message::Records {
-            start_lsn: 5,
-            count: 1,
-            frames: vec![9; 300],
-        };
-        let mut payload = Vec::new();
-        msg.encode_payload(&mut payload);
-        let mut frame = Vec::new();
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
-        let mut reader = FrameReader::new(rx);
-        // Send in three slices with idle polls in between.
-        let thirds = frame.len() / 3;
-        tx.write_all(&frame[..thirds]).unwrap();
-        tx.flush().unwrap();
-        match reader.poll().unwrap() {
-            ReadEvent::Idle => {}
-            ReadEvent::Message(_) => panic!("frame not complete yet"),
-            ReadEvent::Closed => panic!("closed"),
-        }
-        tx.write_all(&frame[thirds..2 * thirds]).unwrap();
-        tx.write_all(&frame[2 * thirds..]).unwrap();
-        let got = loop {
-            match reader.poll().unwrap() {
-                ReadEvent::Message(m) => break m,
-                ReadEvent::Idle => continue,
-                ReadEvent::Closed => panic!("closed"),
-            }
-        };
-        assert_eq!(got, msg);
+        assert!(Message::decode_payload(&payload).is_err());
+        let mut payload = vec![3u8];
+        put_u64(&mut payload, 9);
+        put_u32(&mut payload, 0);
+        assert!(Message::decode_payload(&payload).is_err());
     }
 }

@@ -68,7 +68,6 @@ pub fn test_wal_options() -> WalOptions {
     WalOptions {
         fsync: FsyncPolicy::Never,
         max_segment_bytes: 512,
-        ..WalOptions::default()
     }
 }
 

@@ -1,5 +1,5 @@
-//! W7: the v2 log format and group commit — bytes per update across
-//! segment formats, fsync collapse under concurrent acked ingest, and
+//! W7: the block log format and group commit — bytes per update across
+//! log encodings, fsync collapse under concurrent acked ingest, and
 //! replication wire bytes with a live standby convergence check.
 //!
 //! Usage: `exp_wal_throughput [n_objects] [rounds] [workers] [producers]

@@ -129,7 +129,6 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
     let wal = WalOptions {
         fsync: FsyncPolicy::Never,
         max_segment_bytes: 64 * 1024,
-        ..WalOptions::default()
     };
     let ldir = scratch_dir(&format!("t{trial}-leader"));
     let leader = DurableDatabase::create(&ldir, fresh_db(), wal).expect("leader");

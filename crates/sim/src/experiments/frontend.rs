@@ -130,7 +130,6 @@ pub fn run_frontend_overhead(
         WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 1024 * 1024,
-            ..WalOptions::default()
         },
     )
     .expect("create");

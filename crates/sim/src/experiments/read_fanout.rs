@@ -144,7 +144,6 @@ fn run_phase(n_objects: usize, fanout: usize, batches: u64, rounds: usize) -> Re
     let wal = WalOptions {
         fsync: FsyncPolicy::Never,
         max_segment_bytes: 64 * 1024,
-        ..WalOptions::default()
     };
     let ldir = scratch_dir(&format!("f{fanout}-leader"));
     let leader = DurableDatabase::create(&ldir, fresh_db(), wal).expect("leader");

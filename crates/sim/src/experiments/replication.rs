@@ -214,7 +214,6 @@ fn run_phase(n_objects: usize, rate: usize, batches: u64, v_max: f64) -> Replica
     let wal = WalOptions {
         fsync: FsyncPolicy::Never,
         max_segment_bytes: 64 * 1024,
-        ..WalOptions::default()
     };
     let leader = DurableDatabase::create(&ldir, fresh_db(), wal).expect("leader");
     for i in 0..n_objects as u64 {

@@ -236,7 +236,6 @@ fn wal_options() -> WalOptions {
     WalOptions {
         fsync: FsyncPolicy::Never,
         max_segment_bytes: 1024 * 1024,
-        ..WalOptions::default()
     }
 }
 

@@ -1,21 +1,23 @@
-//! W7: the v2 log format and group commit, measured.
+//! W7: the block log format and group commit, measured.
 //!
 //! Three questions, three sections:
 //!
-//! 1. **Bytes per update** — the same sharded ingest workload logged
-//!    under the v1 format, the v2 format without compression (delta
-//!    coding only), and the full v2 format (delta + LZ). The paper
-//!    prices every update message; this prices what each one costs on
-//!    disk.
+//! 1. **Bytes per update** — one sharded ingest run on the log format
+//!    (`v2-lz`: delta-coded blocks, LZ where it pays), measured live,
+//!    beside two *accountings* of the very blocks that run wrote: what
+//!    they would weigh with one CRC frame per record (`v1`, the retired
+//!    format) and as delta-coded blocks with the LZ stage off
+//!    (`v2-plain`). The paper prices every update message; this prices
+//!    what each one costs on disk.
 //! 2. **Fsync collapse** — concurrent producers on the *acknowledged*
 //!    ingest path, every envelope waiting for durability through the
 //!    shared group-commit ticket. `tickets / commits` is the number of
 //!    would-be fsyncs each real fsync absorbed.
-//! 3. **The wire** — the same v2 log shipped to a follower. Compressed
+//! 3. **The wire** — the same log shipped to a follower. Compressed
 //!    blocks travel verbatim (`Blocks`), so wire bytes are compared
-//!    against what the v1 protocol path (re-encoded `Records` frames)
-//!    would have sent, and a live [`modb_server::StandbyReplica`] is
-//!    timed to convergence.
+//!    against an accounting of what shipping the decoded records one
+//!    frame each (the retired `Records` message) would have sent, and a
+//!    live [`modb_server::StandbyReplica`] is timed to convergence.
 
 use std::time::Instant;
 
@@ -24,29 +26,36 @@ use modb_server::{
     DurableDatabase, IngestService, ReplicaConfig, ReplicationConfig, SharedDatabase,
     StandbyReplica, UpdateEnvelope,
 };
-use modb_wal::{FsyncPolicy, SegmentFormat, SegmentTailer, SharedWal, WalOptions, WalWriter};
+use modb_wal::segment::SEGMENT_HEADER_BYTES;
+use modb_wal::{
+    decode_block, decode_block_frames, encode_block, FsyncPolicy, SegmentTailer, SharedWal,
+    WalOptions, WalRecord, WalWriter,
+};
 
 use crate::experiments::indexing::build_city_db;
 use crate::report::{fmt, render_table};
 
-/// One log format's measured row (section 1).
+/// One log encoding's row (section 1). Only `v2-lz` is a live run; `v1`
+/// and `v2-plain` are size accountings of that run's blocks, so their
+/// timing and fsync fields are 0 — nothing was written, nothing timed.
 #[derive(Debug, Clone)]
 pub struct WalFormatRow {
     /// Format label: `v1`, `v2-plain`, or `v2-lz`.
     pub label: &'static str,
     /// Updates sent and drained.
     pub updates: usize,
-    /// Wall-clock seconds for the full drain.
+    /// Wall-clock seconds for the full drain (live row only).
     pub seconds: f64,
-    /// Updates per second.
+    /// Updates per second (live row only).
     pub per_sec: f64,
-    /// On-disk log footprint (all segments, headers included).
+    /// Log footprint (all segments, headers included): on disk for the
+    /// live row, summed from re-encoded blocks for an accounted one.
     pub log_bytes: u64,
     /// `log_bytes / updates`.
     pub bytes_per_update: f64,
-    /// Segment files produced.
+    /// Segment files the live run produced.
     pub segments: usize,
-    /// Fsyncs issued (policy `EveryN(256)` for every format).
+    /// Fsyncs issued under policy `EveryN(256)` (live row only).
     pub fsyncs: u64,
 }
 
@@ -80,9 +89,10 @@ pub struct GroupCommitRow {
 pub struct WireRow {
     /// Records in the shipped log (registrations + updates).
     pub records: u64,
-    /// Bytes a v2 session ships (verbatim segment frames).
+    /// Bytes a session ships (verbatim segment frames).
     pub blocks_bytes: u64,
-    /// Bytes a v1 session ships (decoded records re-framed).
+    /// Bytes the same records would take shipped decoded, one CRC frame
+    /// each (an accounting).
     pub records_bytes: u64,
     /// `records_bytes / blocks_bytes`.
     pub wire_ratio: f64,
@@ -95,7 +105,7 @@ pub struct WireRow {
 /// Everything W7 measured, one run.
 #[derive(Debug, Clone)]
 pub struct WalThroughputReport {
-    /// W7a rows, one per segment format.
+    /// W7a rows, one per log encoding.
     pub formats: Vec<WalFormatRow>,
     /// W7b: the group-commit collapse row.
     pub group_commit: GroupCommitRow,
@@ -117,13 +127,25 @@ impl WalThroughputReport {
     }
 }
 
-fn wal_options(format: SegmentFormat, compress: bool, fsync: FsyncPolicy) -> WalOptions {
+fn wal_options(fsync: FsyncPolicy) -> WalOptions {
     WalOptions {
         fsync,
-        format,
-        compress,
         ..WalOptions::default()
     }
+}
+
+/// What `records` weigh with one CRC frame (8 bytes of length + CRC)
+/// around each record's payload.
+fn framed_singly_bytes(records: &[WalRecord]) -> u64 {
+    let mut payload = Vec::new();
+    records
+        .iter()
+        .map(|rec| {
+            payload.clear();
+            rec.encode_payload(&mut payload);
+            8 + payload.len() as u64
+        })
+        .sum()
 }
 
 /// The W1 drive: `rounds` monotone updates per object from `producers`
@@ -180,30 +202,56 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Section 1: the same workload under each log format.
+/// Section 1: one live run on the log format, then the two accountings
+/// over the blocks it wrote.
 pub fn run_format_comparison(n_objects: usize, rounds: usize, workers: usize) -> Vec<WalFormatRow> {
-    let formats = [
-        ("v1", SegmentFormat::V1, false),
-        ("v2-plain", SegmentFormat::V2, false),
-        ("v2-lz", SegmentFormat::V2, true),
-    ];
-    let mut rows = Vec::with_capacity(formats.len());
-    for (label, format, compress) in formats {
-        let db = SharedDatabase::new(build_city_db(42, n_objects, 20));
-        let dir = scratch_dir(label);
-        let writer = WalWriter::create(
-            &dir,
-            wal_options(format, compress, FsyncPolicy::EveryN(256)),
-        )
-        .expect("fresh log dir");
-        let wal = SharedWal::new(writer);
-        let service = IngestService::spawn_with_wal(db, wal.clone(), workers, 4_096);
-        let seconds = drive(service, n_objects, rounds, 4);
-        let (log_bytes, segments) = log_footprint(&dir);
-        let (_, fsyncs) = wal.io_counters();
-        let updates = n_objects * rounds;
-        rows.push(WalFormatRow {
-            label,
+    let db = SharedDatabase::new(build_city_db(42, n_objects, 20));
+    let dir = scratch_dir("formats");
+    let writer =
+        WalWriter::create(&dir, wal_options(FsyncPolicy::EveryN(256))).expect("fresh log dir");
+    let wal = SharedWal::new(writer);
+    let service = IngestService::spawn_with_wal(db, wal.clone(), workers, 4_096);
+    let seconds = drive(service, n_objects, rounds, 4);
+    let (log_bytes, segments) = log_footprint(&dir);
+    let (_, fsyncs) = wal.io_counters();
+    let updates = n_objects * rounds;
+
+    // Walk the frames (`[len u32][crc u32][block]`) of the cleanly shut
+    // log, so each block is re-encoded with the batch boundaries the run
+    // chose.
+    let headers = segments as u64 * SEGMENT_HEADER_BYTES;
+    let (mut per_record_bytes, mut plain_bytes) = (headers, headers);
+    let mut payload = Vec::new();
+    for (_, path) in modb_wal::list_segments(&dir).expect("listable") {
+        let bytes = std::fs::read(path).expect("readable segment");
+        let mut body = &bytes[SEGMENT_HEADER_BYTES as usize..];
+        while !body.is_empty() {
+            let len = u32::from_le_bytes(body[..4].try_into().expect("frame header")) as usize;
+            let block = decode_block(&body[8..8 + len]).expect("clean log");
+            per_record_bytes += framed_singly_bytes(&block);
+            payload.clear();
+            encode_block(&block, false, &mut payload);
+            plain_bytes += 8 + payload.len() as u64;
+            body = &body[8 + len..];
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let accounted = |label, log_bytes: u64| WalFormatRow {
+        label,
+        updates,
+        seconds: 0.0,
+        per_sec: 0.0,
+        log_bytes,
+        bytes_per_update: log_bytes as f64 / updates as f64,
+        segments,
+        fsyncs: 0,
+    };
+    vec![
+        accounted("v1", per_record_bytes),
+        accounted("v2-plain", plain_bytes),
+        WalFormatRow {
+            label: "v2-lz",
             updates,
             seconds,
             per_sec: updates as f64 / seconds,
@@ -211,10 +259,8 @@ pub fn run_format_comparison(n_objects: usize, rounds: usize, workers: usize) ->
             bytes_per_update: log_bytes as f64 / updates as f64,
             segments,
             fsyncs,
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    rows
+        },
+    ]
 }
 
 /// Section 2: concurrent acked producers through the group committer.
@@ -228,11 +274,7 @@ pub fn run_group_commit(
 ) -> GroupCommitRow {
     let db = SharedDatabase::new(build_city_db(42, n_objects, 20));
     let dir = scratch_dir("group");
-    let writer = WalWriter::create(
-        &dir,
-        wal_options(SegmentFormat::V2, true, FsyncPolicy::Never),
-    )
-    .expect("fresh log dir");
+    let writer = WalWriter::create(&dir, wal_options(FsyncPolicy::Never)).expect("fresh log dir");
     let wal = SharedWal::new(writer);
     let service = IngestService::spawn_with_wal(db, wal.clone(), workers, 4_096);
     let handle = service.handle();
@@ -283,41 +325,33 @@ pub fn run_group_commit(
     }
 }
 
-/// Section 3: ship a v2 log. Wire bytes for both protocol paths are
-/// measured offline with the same [`SegmentTailer`] the leader uses,
-/// then a live standby follows the leader to convergence.
+/// Section 3: ship the log. Wire bytes are measured offline with the
+/// same [`SegmentTailer`] the leader uses (and the one-frame-per-record
+/// alternative accounted from its output), then a live standby follows
+/// the leader to convergence.
 pub fn run_wire_comparison(n_objects: usize, rounds: usize, workers: usize) -> WireRow {
     let leader_dir = scratch_dir("wire-leader");
     let follower_dir = scratch_dir("wire-follower");
     let durable = DurableDatabase::create(
         &leader_dir,
         build_city_db(42, n_objects, 20),
-        wal_options(SegmentFormat::V2, true, FsyncPolicy::EveryN(256)),
+        wal_options(FsyncPolicy::EveryN(256)),
     )
     .expect("fresh leader dir");
     let service = durable.ingest_service(workers, 4_096);
     drive(service, n_objects, rounds, 4);
     let frontier = durable.wal().next_lsn();
 
-    // Offline: what each protocol path puts on the wire for this log.
+    // Offline: what the ship path puts on the wire for this log, and
+    // what its records would weigh decoded and framed one by one.
     let mut blocks_bytes = 0u64;
+    let mut records_bytes = 0u64;
     let mut records = 0u64;
     let mut tailer = SegmentTailer::new(&leader_dir, 0);
     while let Some(chunk) = tailer.poll_blocks(4_096).expect("static log") {
         blocks_bytes += chunk.frames.len() as u64;
+        records_bytes += framed_singly_bytes(&decode_block_frames(&chunk.frames).0);
         records += chunk.records;
-        if chunk.end_lsn() >= frontier {
-            break;
-        }
-    }
-    let mut records_bytes = 0u64;
-    let mut tailer = SegmentTailer::new(&leader_dir, 0);
-    while let Some(chunk) = tailer.poll(4_096).expect("static log") {
-        let mut frames = Vec::new();
-        for rec in &chunk.records {
-            rec.encode_frame(&mut frames);
-        }
-        records_bytes += frames.len() as u64;
         if chunk.end_lsn() >= frontier {
             break;
         }
@@ -332,7 +366,7 @@ pub fn run_wire_comparison(n_objects: usize, rounds: usize, workers: usize) -> W
         &follower_dir,
         server.local_addr().to_string(),
         ReplicaConfig {
-            wal: wal_options(SegmentFormat::V2, true, FsyncPolicy::Never),
+            wal: wal_options(FsyncPolicy::Never),
             ..ReplicaConfig::default()
         },
     )
@@ -374,7 +408,8 @@ pub fn run_wal_throughput(
 /// Renders the W7 report tables.
 pub fn wal_throughput_tables(report: &WalThroughputReport) -> String {
     let mut out = render_table(
-        "W7a: log bytes per update by segment format (sharded ingest, fsync every 256)",
+        "W7a: log bytes per update by encoding (v2-lz measured live, fsync every 256; \
+         v1 and v2-plain accounted from its blocks)",
         &[
             "format",
             "updates",
@@ -432,7 +467,8 @@ pub fn wal_throughput_tables(report: &WalThroughputReport) -> String {
     out.push('\n');
     let w = &report.wire;
     out.push_str(&render_table(
-        "W7c: replication wire bytes, v2 Blocks vs v1 Records, plus live convergence",
+        "W7c: replication wire bytes, Blocks vs records framed singly (accounted), \
+         plus live convergence",
         &[
             "records",
             "blocks KiB",
@@ -529,10 +565,9 @@ mod tests {
         assert!(per("v2-lz") < per("v2-plain"), "{rows:?}");
         assert!(per("v1") / per("v2-lz") >= 2.0, "{rows:?}");
         for r in &rows {
-            assert!(
-                r.log_bytes > 0 && r.segments >= 1 && r.per_sec > 0.0,
-                "{r:?}"
-            );
+            assert!(r.log_bytes > 0 && r.segments >= 1, "{r:?}");
+            // Only the live row carries a throughput.
+            assert_eq!(r.per_sec > 0.0, r.label == "v2-lz", "{r:?}");
         }
     }
 

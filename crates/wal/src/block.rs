@@ -1,8 +1,7 @@
-//! v2 log blocks: delta-encoded, optionally LZ-compressed record groups.
+//! Log blocks: delta-encoded, optionally LZ-compressed record groups.
 //!
-//! A v2 segment stores **blocks** where a v1 segment stores records: each
-//! CRC frame's payload is one block holding `record_count` records. The
-//! block payload is
+//! A segment stores **blocks**: each CRC frame's payload is one block
+//! holding `record_count` records. The block payload is
 //!
 //! ```text
 //! [format: u8]                 0 = plain delta stream, 1 = LZ-compressed
@@ -24,7 +23,8 @@
 //! fallback is usually a near-zero delta too). Bit-pattern arithmetic
 //! makes the round trip exact, NaN payloads included. Everything else
 //! (registrations, route inserts, complex updates) is stored *verbatim*:
-//! a tag, a length varint, and the unchanged v1 payload.
+//! a tag, a length varint, and the record's own payload
+//! ([`WalRecord::encode_payload`]).
 //!
 //! **Restart points.** The encoder context lives and dies with the
 //! block: every block boundary is a restart point. Recovery, `compact`,
@@ -214,7 +214,7 @@ pub fn encode_block(records: &[WalRecord], compress: bool, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// [`WalError::Decode`] on any malformed byte — the caller treats a bad
-/// block exactly like a bad v1 frame payload (torn tail / corruption).
+/// block as a torn tail / corruption.
 pub fn decode_block(payload: &[u8]) -> Result<Vec<WalRecord>, WalError> {
     let mut r = ByteReader::new(payload);
     let format = r.u8()?;
@@ -251,19 +251,19 @@ pub fn peek_block_count(payload: &[u8]) -> Result<u64, WalError> {
     read_varint(&mut r)
 }
 
-/// Appends the CRC frame (`len + crc + payload`) for one block payload —
-/// the same framing v1 records use, so torn-tail detection is shared.
+/// Appends the CRC frame (`len + crc + payload`) for one block payload.
 pub fn frame_block(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
-/// v2 analogue of [`crate::decode_frames`]: decodes consecutive *block*
-/// frames from `buf`, returning the records of every whole valid block,
-/// the byte length of the valid prefix, and how decoding ended. A block
-/// that fails to decode behind a valid CRC still ends the valid prefix
-/// at its frame boundary — restart points make truncation safe there.
+/// Decodes consecutive block frames from `buf`, returning the records of
+/// every whole valid block, the byte length of the valid prefix, and how
+/// decoding ended. Never fails: any invalid frame terminates the scan. A
+/// block that fails to decode behind a valid CRC still ends the valid
+/// prefix at its frame boundary — restart points make truncation safe
+/// there.
 pub fn decode_block_frames(buf: &[u8]) -> (Vec<WalRecord>, usize, crate::record::FrameEnd) {
     use crate::record::{split_frame, FrameEnd};
     let mut records = Vec::new();
@@ -326,18 +326,19 @@ mod tests {
     fn fleet_round_blocks_shrink_hard() {
         // One W1-style round: many objects, identical time/arc/speed.
         let records: Vec<WalRecord> = (0..64).map(|i| update(i, 0.01, 0.5, 0.7)).collect();
-        let v1_bytes: usize = records
+        // What one CRC frame per record would cost.
+        let framed_singly: usize = records
             .iter()
             .map(|r| {
-                let mut f = Vec::new();
-                r.encode_frame(&mut f);
-                f.len()
+                let mut payload = Vec::new();
+                r.encode_payload(&mut payload);
+                8 + payload.len()
             })
             .sum();
-        let v2_bytes = round_trip(&records) + 8; // plus its one frame header
+        let block_bytes = round_trip(&records) + 8; // plus its one frame header
         assert!(
-            v2_bytes * 2 < v1_bytes,
-            "block must at least halve the bytes: {v2_bytes} vs {v1_bytes}"
+            block_bytes * 2 < framed_singly,
+            "block must at least halve the bytes: {block_bytes} vs {framed_singly}"
         );
     }
 
@@ -412,5 +413,73 @@ mod tests {
         assert!(decode_block(&[]).is_err());
         assert!(decode_block(&[9, 1]).is_err(), "unknown format");
         assert!(peek_block_count(&[9, 1]).is_err());
+    }
+
+    /// One framed block per record of a small mixed stream, plus the
+    /// frame boundaries.
+    fn framed_stream() -> (Vec<WalRecord>, Vec<u8>, Vec<usize>) {
+        let records = vec![
+            update(1, 1.0, 0.5, 0.7),
+            WalRecord::RemoveMoving(ObjectId(9)),
+            update(2, 2.0, 1.5, 0.7),
+            WalRecord::LeaderEpoch { epoch: 2 },
+        ];
+        let mut buf = Vec::new();
+        let mut boundaries = vec![0usize];
+        for rec in &records {
+            let mut payload = Vec::new();
+            encode_block(std::slice::from_ref(rec), true, &mut payload);
+            frame_block(&payload, &mut buf);
+            boundaries.push(buf.len());
+        }
+        (records, buf, boundaries)
+    }
+
+    #[test]
+    fn torn_tail_detected_at_every_truncation_point() {
+        use crate::record::FrameEnd;
+        let (records, buf, boundaries) = framed_stream();
+        for cut in 0..=buf.len() {
+            let (decoded, clean, end) = decode_block_frames(&buf[..cut]);
+            // The valid prefix is the largest frame boundary <= cut.
+            let expect_n = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+            assert_eq!(decoded, records[..expect_n], "cut at {cut}");
+            assert_eq!(clean, boundaries[expect_n], "cut at {cut}");
+            if cut == boundaries[expect_n] {
+                assert_eq!(end, FrameEnd::Clean);
+            } else {
+                assert!(matches!(end, FrameEnd::Torn { .. }), "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_byte_and_zero_filled_tail_end_the_valid_prefix() {
+        use crate::record::FrameEnd;
+        let (records, buf, boundaries) = framed_stream();
+        // Flip one payload byte in the third frame: decoding stops there.
+        let mut bad = buf.clone();
+        bad[boundaries[2] + 9] ^= 0x40;
+        let (decoded, clean, end) = decode_block_frames(&bad);
+        assert_eq!(decoded, records[..2]);
+        assert_eq!(clean, boundaries[2]);
+        assert_eq!(
+            end,
+            FrameEnd::Torn {
+                reason: "crc mismatch"
+            }
+        );
+        // A pre-allocated (zeroed) file tail reads as torn, not as data.
+        let mut padded = buf.clone();
+        padded.extend_from_slice(&[0u8; 64]);
+        let (decoded, clean, end) = decode_block_frames(&padded);
+        assert_eq!(decoded, records);
+        assert_eq!(clean, buf.len());
+        assert_eq!(
+            end,
+            FrameEnd::Torn {
+                reason: "implausible frame length"
+            }
+        );
     }
 }

@@ -104,7 +104,7 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Appends an LEB128 varint (7 bits per byte, little-endian groups,
-/// high bit = continuation). Small values — the common case for the v2
+/// high bit = continuation). Small values — the common case for the
 /// delta stream — cost one byte.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {

@@ -274,6 +274,16 @@ mod tests {
             recovered.database.moving(ObjectId(1)).unwrap(),
             expected.moving(ObjectId(1)).unwrap()
         );
+
+        // …and the log stays appendable-and-recoverable across the
+        // compaction point.
+        let next_lsn = recovered.report.next_lsn;
+        let mut wal = WalWriter::resume(&dir, small_segments(), next_lsn).unwrap();
+        wal.append(&WalRecord::RemoveMoving(ObjectId(1))).unwrap();
+        wal.sync().unwrap();
+        let recovered = crate::recover(&dir).unwrap();
+        assert_eq!(recovered.report.next_lsn, next_lsn + 1);
+        assert!(recovered.database.moving(ObjectId(1)).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -46,6 +46,14 @@ pub enum WalError {
     AlreadyExists(PathBuf),
     /// Rebuilding the database from a snapshot failed validation.
     Core(CoreError),
+    /// A message is larger than the frame ceiling its receiver enforces;
+    /// refused by the sender before a byte was written.
+    FrameTooLarge {
+        /// Payload length of the refused message.
+        len: u64,
+        /// The ceiling it exceeded.
+        max: u32,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -78,6 +86,10 @@ impl fmt::Display for WalError {
                 dir.display()
             ),
             WalError::Core(e) => write!(f, "snapshot restore error: {e}"),
+            WalError::FrameTooLarge { len, max } => write!(
+                f,
+                "message of {len} bytes exceeds the {max}-byte frame ceiling"
+            ),
         }
     }
 }

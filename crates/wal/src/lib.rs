@@ -6,12 +6,13 @@
 //!
 //! - **Write-ahead log** ([`WalWriter`] / [`SharedWal`]): every database
 //!   mutation — object registration, position update, removal, route
-//!   insertion — is appended as a length-prefixed, CRC32-checksummed
-//!   frame ([`WalRecord`]) *before* it is applied. Segment files rotate
-//!   at a size threshold; the fsync cadence is a [`FsyncPolicy`]
-//!   (`Always` / `EveryN` / `Never`) trading durability against ingest
-//!   throughput — the same cost/imprecision lever the paper pulls for
-//!   update policies, applied to persistence.
+//!   insertion — is a [`WalRecord`], appended *before* it is applied as
+//!   part of a length-prefixed, CRC32-checksummed frame holding one
+//!   delta-coded, LZ-compressed block of records ([`block`]). Segment
+//!   files rotate at a size threshold; the fsync cadence is a
+//!   [`FsyncPolicy`] (`Always` / `EveryN` / `Never`) trading durability
+//!   against ingest throughput — the same cost/imprecision lever the
+//!   paper pulls for update policies, applied to persistence.
 //! - **Snapshots** ([`write_snapshot`] / [`read_snapshot`]): atomic
 //!   (write-tmp-rename) point-in-time captures of full database state,
 //!   tagged with the log LSN they reflect, bounding replay work.
@@ -70,12 +71,9 @@ pub use compact::{compact, compact_with_barrier, CompactionReport, DEFAULT_SNAPS
 pub use crc32::crc32;
 pub use epoch::{EpochCheck, EpochHistory, EpochSpan, EPOCH_FILE_NAME, GENESIS_EPOCH};
 pub use error::WalError;
-pub use record::{decode_frames, FrameEnd, WalRecord, MAX_RECORD_BYTES};
+pub use record::{FrameEnd, WalRecord, MAX_RECORD_BYTES};
 pub use recovery::{apply_record, recover, Recovered, RecoveryReport};
-pub use segment::{
-    list_segments, read_segment_version, scan_segment, SegmentScan, SEGMENT_VERSION,
-    SEGMENT_VERSION_V2,
-};
-pub use ship::{RawChunk, SegmentTailer, TailChunk};
+pub use segment::{list_segments, scan_segment, SegmentScan, SEGMENT_VERSION};
+pub use ship::{RawChunk, SegmentTailer};
 pub use snapshot::{list_snapshots, read_snapshot, write_snapshot};
-pub use writer::{FsyncPolicy, SegmentFormat, SharedWal, WalBatch, WalOptions, WalWriter};
+pub use writer::{FsyncPolicy, SharedWal, WalBatch, WalOptions, WalWriter};

@@ -1,6 +1,6 @@
-//! A small, dependency-free LZ77 byte codec for the v2 block stage.
+//! A small, dependency-free LZ77 byte codec for the block stage.
 //!
-//! The delta stream inside a v2 block is already compact, but the
+//! The delta stream inside a block is already compact, but the
 //! workloads the paper cares about are *repetitive* — fleets sending the
 //! same speed, the same arc step, the same flag bytes — and an LZ pass
 //! squeezes out what delta coding leaves behind. The format is a plain

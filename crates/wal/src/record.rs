@@ -6,7 +6,8 @@
 //! the *entire* mutation stream affordable. A replayed record stream is
 //! also a complete workload trace for downstream indexing experiments.
 //!
-//! Framing: each record is stored as
+//! Records reach disk grouped into blocks ([`crate::block`]), one block
+//! per CRC frame:
 //!
 //! ```text
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
@@ -19,7 +20,7 @@
 use modb_core::{MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
 
-use crate::codec::{put_u32, put_u64, ByteReader, WalCodec};
+use crate::codec::{put_u64, ByteReader, WalCodec};
 use crate::crc32::crc32;
 use crate::error::WalError;
 
@@ -122,18 +123,6 @@ impl WalRecord {
         }
         Ok(rec)
     }
-
-    /// Appends the framed form (`len + crc + payload`) to `out`.
-    pub fn encode_frame(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        put_u32(out, 0); // len placeholder
-        put_u32(out, 0); // crc placeholder
-        self.encode_payload(out);
-        let payload_len = (out.len() - start - 8) as u32;
-        let crc = crc32(&out[start + 8..]);
-        out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
-        out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    }
 }
 
 /// Why frame decoding stopped at a given offset.
@@ -152,7 +141,7 @@ pub enum FrameEnd {
 /// Splits the first CRC frame off `buf`: `Ok(Some((payload, frame_len)))`
 /// for a whole valid frame, `Ok(None)` at end of input, `Err(reason)`
 /// when the prefix is not a complete valid frame (a torn tail). Shared by
-/// the v1 record scan, the v2 block scan, and the tailer.
+/// the segment scan and the tailer.
 pub(crate) fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, &'static str> {
     if buf.is_empty() {
         return Ok(None);
@@ -174,35 +163,6 @@ pub(crate) fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, &'static
         return Err("crc mismatch");
     }
     Ok(Some((payload, 8 + len)))
-}
-
-/// Decodes consecutive frames from `buf`, returning the records, the byte
-/// length of the valid prefix, and how decoding ended. Never fails: any
-/// invalid frame terminates the scan.
-pub fn decode_frames(buf: &[u8]) -> (Vec<WalRecord>, usize, FrameEnd) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        match split_frame(&buf[pos..]) {
-            Ok(None) => return (records, pos, FrameEnd::Clean),
-            Ok(Some((payload, frame_len))) => match WalRecord::decode_payload(payload) {
-                Ok(rec) => {
-                    records.push(rec);
-                    pos += frame_len;
-                }
-                Err(_) => {
-                    return (
-                        records,
-                        pos,
-                        FrameEnd::Torn {
-                            reason: "undecodable payload",
-                        },
-                    )
-                }
-            },
-            Err(reason) => return (records, pos, FrameEnd::Torn { reason }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,73 +212,12 @@ mod tests {
     }
 
     #[test]
-    fn frames_round_trip() {
-        let records = sample_records();
-        let mut buf = Vec::new();
-        for rec in &records {
-            rec.encode_frame(&mut buf);
+    fn payloads_round_trip() {
+        for rec in sample_records() {
+            let mut buf = Vec::new();
+            rec.encode_payload(&mut buf);
+            assert_eq!(WalRecord::decode_payload(&buf).unwrap(), rec);
         }
-        let (decoded, clean, end) = decode_frames(&buf);
-        assert_eq!(end, FrameEnd::Clean);
-        assert_eq!(clean, buf.len());
-        assert_eq!(decoded, records);
-    }
-
-    #[test]
-    fn torn_tail_detected_at_every_truncation_point() {
-        let records = sample_records();
-        let mut buf = Vec::new();
-        let mut boundaries = vec![0usize];
-        for rec in &records {
-            rec.encode_frame(&mut buf);
-            boundaries.push(buf.len());
-        }
-        for cut in 0..buf.len() {
-            let (decoded, clean, end) = decode_frames(&buf[..cut]);
-            // The valid prefix is the largest frame boundary <= cut.
-            let expect_n = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            assert_eq!(decoded.len(), expect_n, "cut at {cut}");
-            assert_eq!(clean, boundaries[expect_n], "cut at {cut}");
-            if cut == boundaries[expect_n] {
-                assert_eq!(end, FrameEnd::Clean);
-            } else {
-                assert!(matches!(end, FrameEnd::Torn { .. }), "cut at {cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_byte_detected() {
-        let records = sample_records();
-        let mut buf = Vec::new();
-        for rec in &records {
-            rec.encode_frame(&mut buf);
-        }
-        // Flip one payload byte in the middle record: decoding stops there.
-        let mut bad = buf.clone();
-        let mid = buf.len() / 2;
-        bad[mid] ^= 0x40;
-        let (decoded, clean, end) = decode_frames(&bad);
-        assert!(decoded.len() < records.len());
-        assert!(clean <= mid);
-        assert!(matches!(end, FrameEnd::Torn { .. }));
-    }
-
-    #[test]
-    fn zero_filled_tail_is_torn() {
-        let mut buf = Vec::new();
-        sample_records()[2].encode_frame(&mut buf);
-        let valid = buf.len();
-        buf.extend_from_slice(&[0u8; 64]); // pre-allocated file tail
-        let (decoded, clean, end) = decode_frames(&buf);
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(clean, valid);
-        assert_eq!(
-            end,
-            FrameEnd::Torn {
-                reason: "implausible frame length"
-            }
-        );
     }
 
     #[test]

@@ -423,7 +423,6 @@ mod tests {
         let opts = WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 200, // force many segments
-            ..WalOptions::default()
         };
         let reference = scripted(&dir, 4, opts);
         assert!(list_segments(&dir).unwrap().len() > 1);
@@ -466,7 +465,6 @@ mod tests {
         let opts = WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 200,
-            ..WalOptions::default()
         };
         scripted(&dir, usize::MAX, opts);
         let segments = list_segments(&dir).unwrap();
@@ -491,7 +489,6 @@ mod tests {
         let opts = WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 200,
-            ..WalOptions::default()
         };
         scripted(&dir, usize::MAX, opts);
         let segments = list_segments(&dir).unwrap();

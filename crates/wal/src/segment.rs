@@ -10,24 +10,24 @@
 //!
 //! ```text
 //! [magic: 8 bytes "MODBWAL1"] [version: u32 LE] [start_lsn: u64 LE]
-//! [frame]*                                  — see crate::record framing
+//! [frame]*                 — one CRC frame per block, see crate::block
 //! ```
 
 use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
+use crate::block::decode_block_frames;
 use crate::codec::{put_u32, put_u64, ByteReader};
 use crate::error::WalError;
-use crate::record::{decode_frames, FrameEnd, WalRecord};
+use crate::record::{FrameEnd, WalRecord};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"MODBWAL1";
-/// v1 segment format: one record per CRC frame.
-pub const SEGMENT_VERSION: u32 = 1;
-/// v2 segment format: one delta-encoded (optionally compressed) *block*
-/// of records per CRC frame — see [`crate::block`].
-pub const SEGMENT_VERSION_V2: u32 = 2;
+/// The segment format version: one delta-encoded (optionally compressed)
+/// *block* of records per CRC frame — see [`crate::block`]. A header
+/// naming any other version is refused, never guessed at.
+pub const SEGMENT_VERSION: u32 = 2;
 /// Segment header length in bytes.
 pub const SEGMENT_HEADER_BYTES: u64 = 20;
 
@@ -46,54 +46,50 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The encoded segment header for a given format version.
-pub fn encode_header(version: u32, start_lsn: u64) -> Vec<u8> {
+/// The encoded segment header.
+pub fn encode_header(start_lsn: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
     out.extend_from_slice(&SEGMENT_MAGIC);
-    put_u32(&mut out, version);
+    put_u32(&mut out, SEGMENT_VERSION);
     put_u64(&mut out, start_lsn);
     out
 }
 
-/// Reads just the format version from a segment's header — what
-/// [`crate::WalWriter::resume`] needs to keep appending to an existing
-/// tail segment in *its* format rather than the configured one.
+/// Validates the header at the front of `bytes` (length, magic, version)
+/// and returns its start LSN.
+fn parse_header(path: &Path, bytes: &[u8]) -> Result<u64, WalError> {
+    let corrupt = |offset, reason| WalError::CorruptSegment {
+        path: path.to_path_buf(),
+        offset,
+        reason,
+    };
+    if bytes.len() < SEGMENT_HEADER_BYTES as usize {
+        return Err(corrupt(0, "short header"));
+    }
+    if bytes[..8] != SEGMENT_MAGIC {
+        return Err(corrupt(0, "bad magic"));
+    }
+    let mut r = ByteReader::new(&bytes[8..SEGMENT_HEADER_BYTES as usize]);
+    if r.u32().expect("header length checked") != SEGMENT_VERSION {
+        return Err(corrupt(8, "unsupported version"));
+    }
+    Ok(r.u64().expect("header length checked"))
+}
+
+/// Reads and validates just a segment's header, returning its start LSN
+/// — what [`crate::WalWriter::resume`] needs before it appends to an
+/// existing tail segment.
 ///
 /// # Errors
 ///
 /// [`WalError::CorruptSegment`] for a short header, bad magic, or an
-/// unknown version; I/O failures.
-pub fn read_segment_version(path: &Path) -> Result<u32, WalError> {
-    let mut head = [0u8; SEGMENT_HEADER_BYTES as usize];
-    let mut file = fs::File::open(path)?;
-    let mut got = 0usize;
-    while got < head.len() {
-        let n = file.read(&mut head[got..])?;
-        if n == 0 {
-            return Err(WalError::CorruptSegment {
-                path: path.to_path_buf(),
-                offset: 0,
-                reason: "short header",
-            });
-        }
-        got += n;
-    }
-    if head[..8] != SEGMENT_MAGIC {
-        return Err(WalError::CorruptSegment {
-            path: path.to_path_buf(),
-            offset: 0,
-            reason: "bad magic",
-        });
-    }
-    let version = u32::from_le_bytes([head[8], head[9], head[10], head[11]]);
-    if version != SEGMENT_VERSION && version != SEGMENT_VERSION_V2 {
-        return Err(WalError::CorruptSegment {
-            path: path.to_path_buf(),
-            offset: 8,
-            reason: "unsupported version",
-        });
-    }
-    Ok(version)
+/// unsupported version; I/O failures.
+pub fn read_segment_header(path: &Path) -> Result<u64, WalError> {
+    let mut head = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
+    fs::File::open(path)?
+        .take(SEGMENT_HEADER_BYTES)
+        .read_to_end(&mut head)?;
+    parse_header(path, &head)
 }
 
 /// Lists the segment files in `dir`, sorted by start LSN. Non-segment
@@ -115,9 +111,6 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
 pub struct SegmentScan {
     /// Start LSN from the header.
     pub start_lsn: u64,
-    /// Format version from the header ([`SEGMENT_VERSION`] or
-    /// [`SEGMENT_VERSION_V2`]).
-    pub version: u32,
     /// Records decoded from the valid prefix, in order.
     pub records: Vec<WalRecord>,
     /// Byte length of the valid prefix (header + whole frames).
@@ -133,38 +126,10 @@ pub struct SegmentScan {
 pub fn scan_segment(path: &Path) -> Result<SegmentScan, WalError> {
     let mut bytes = Vec::new();
     fs::File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < SEGMENT_HEADER_BYTES as usize {
-        return Err(WalError::CorruptSegment {
-            path: path.to_path_buf(),
-            offset: 0,
-            reason: "short header",
-        });
-    }
-    if bytes[..8] != SEGMENT_MAGIC {
-        return Err(WalError::CorruptSegment {
-            path: path.to_path_buf(),
-            offset: 0,
-            reason: "bad magic",
-        });
-    }
-    let mut r = ByteReader::new(&bytes[8..SEGMENT_HEADER_BYTES as usize]);
-    let version = r.u32().expect("header length checked");
-    let start_lsn = r.u64().expect("header length checked");
-    let body = &bytes[SEGMENT_HEADER_BYTES as usize..];
-    let (records, clean, end) = match version {
-        SEGMENT_VERSION => decode_frames(body),
-        SEGMENT_VERSION_V2 => crate::block::decode_block_frames(body),
-        _ => {
-            return Err(WalError::CorruptSegment {
-                path: path.to_path_buf(),
-                offset: 8,
-                reason: "unsupported version",
-            })
-        }
-    };
+    let start_lsn = parse_header(path, &bytes)?;
+    let (records, clean, end) = decode_block_frames(&bytes[SEGMENT_HEADER_BYTES as usize..]);
     Ok(SegmentScan {
         start_lsn,
-        version,
         records,
         clean_bytes: SEGMENT_HEADER_BYTES + clean as u64,
         torn: match end {
@@ -191,38 +156,44 @@ mod tests {
 
     #[test]
     fn header_encodes_magic_version_lsn() {
-        for version in [SEGMENT_VERSION, SEGMENT_VERSION_V2] {
-            let h = encode_header(version, 77);
-            assert_eq!(h.len() as u64, SEGMENT_HEADER_BYTES);
-            assert_eq!(&h[..8], &SEGMENT_MAGIC);
-            let mut r = ByteReader::new(&h[8..]);
-            assert_eq!(r.u32().unwrap(), version);
-            assert_eq!(r.u64().unwrap(), 77);
-        }
+        let h = encode_header(77);
+        assert_eq!(h.len() as u64, SEGMENT_HEADER_BYTES);
+        assert_eq!(&h[..8], &SEGMENT_MAGIC);
+        let mut r = ByteReader::new(&h[8..]);
+        assert_eq!(r.u32().unwrap(), SEGMENT_VERSION);
+        assert_eq!(r.u64().unwrap(), 77);
     }
 
     #[test]
-    fn version_peek_matches_header() {
+    fn header_peek_matches_header() {
         let dir = std::env::temp_dir().join(format!("modb-wal-segver-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        for version in [SEGMENT_VERSION, SEGMENT_VERSION_V2] {
-            let path = dir.join(segment_file_name(u64::from(version)));
-            std::fs::write(&path, encode_header(version, 5)).unwrap();
-            assert_eq!(read_segment_version(&path).unwrap(), version);
+        let path = dir.join(segment_file_name(5));
+        std::fs::write(&path, encode_header(5)).unwrap();
+        assert_eq!(read_segment_header(&path).unwrap(), 5);
+        // Neither the retired per-record format (1) nor a future one is
+        // guessed at.
+        for foreign in [1u32, 3, 9] {
+            let mut header = encode_header(5);
+            header[8..12].copy_from_slice(&foreign.to_le_bytes());
+            std::fs::write(&path, &header).unwrap();
+            for result in [
+                read_segment_header(&path).map(|_| ()),
+                scan_segment(&path).map(|_| ()),
+            ] {
+                assert!(matches!(
+                    result,
+                    Err(WalError::CorruptSegment {
+                        reason: "unsupported version",
+                        ..
+                    })
+                ));
+            }
         }
-        let bad = dir.join(segment_file_name(99));
-        std::fs::write(&bad, encode_header(9, 5)).unwrap();
+        std::fs::write(&path, &encode_header(5)[..7]).unwrap();
         assert!(matches!(
-            read_segment_version(&bad),
-            Err(WalError::CorruptSegment {
-                reason: "unsupported version",
-                ..
-            })
-        ));
-        std::fs::write(&bad, &encode_header(1, 5)[..7]).unwrap();
-        assert!(matches!(
-            read_segment_version(&bad),
+            read_segment_header(&path),
             Err(WalError::CorruptSegment {
                 reason: "short header",
                 ..

@@ -2,7 +2,7 @@
 //! the log as the writer grows it.
 //!
 //! A [`SegmentTailer`] holds a cursor (the LSN of the next record to
-//! deliver) and, on each [`SegmentTailer::poll`], reads whatever whole
+//! deliver) and, on each [`SegmentTailer::poll_blocks`], reads whatever whole
 //! frames have appeared past it — including from the writer's **active
 //! tail segment**. The subtlety the tailer owns is distinguishing "not
 //! written yet" from "corrupt":
@@ -19,17 +19,11 @@
 //!   from a snapshot. Leaders prevent this for connected followers with
 //!   the ship barrier ([`crate::compact_with_barrier`]).
 //!
-//! The tailer is format-aware: v1 segments carry one record per frame,
-//! v2 segments one *block* per frame ([`crate::block`]). Two delivery
-//! shapes exist:
-//!
-//! - [`SegmentTailer::poll`] decodes — a [`TailChunk`] of records,
-//!   whatever the segment format. The local-apply path.
-//! - [`SegmentTailer::poll_blocks`] ships the on-disk frame bytes
-//!   **verbatim** as a [`RawChunk`], peeking only the per-frame record
-//!   counts for LSN accounting. Compressed blocks cross the replication
-//!   wire as-is and the follower decompresses on apply — the disk-format
-//!   savings are the wire-format savings.
+//! [`SegmentTailer::poll_blocks`] delivers the on-disk frame bytes
+//! **verbatim** as a [`RawChunk`], peeking only the per-frame record
+//! counts for LSN accounting. Compressed blocks cross the replication
+//! wire as-is and the follower decompresses on apply — the disk-format
+//! savings are the wire-format savings.
 //!
 //! Reads are incremental: the tailer remembers its byte offset in the
 //! current segment and only reads the suffix on each poll, so following
@@ -39,41 +33,20 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use crate::block::{decode_block, peek_block_count};
+use crate::block::peek_block_count;
 use crate::error::WalError;
-use crate::record::{split_frame, WalRecord};
-use crate::segment::{list_segments, scan_segment, SEGMENT_HEADER_BYTES, SEGMENT_VERSION_V2};
-
-/// A run of consecutive records delivered by one [`SegmentTailer::poll`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailChunk {
-    /// LSN of `records[0]`; the chunk covers
-    /// `[start_lsn, start_lsn + records.len())`.
-    pub start_lsn: u64,
-    /// The decoded records, in log order.
-    pub records: Vec<WalRecord>,
-}
-
-impl TailChunk {
-    /// LSN one past the last record in the chunk.
-    pub fn end_lsn(&self) -> u64 {
-        self.start_lsn + self.records.len() as u64
-    }
-}
+use crate::record::split_frame;
+use crate::segment::{list_segments, scan_segment, SEGMENT_HEADER_BYTES};
 
 /// A run of whole on-disk frames delivered by
 /// [`SegmentTailer::poll_blocks`] — CRC-validated but not decoded, ready
-/// to ship verbatim. A chunk never spans segments, so one format version
-/// describes all its frames.
+/// to ship verbatim. A chunk never spans segments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawChunk {
     /// LSN of the first record in the first frame.
     pub start_lsn: u64,
     /// Total records across the frames (peeked from block headers).
     pub records: u64,
-    /// Segment format version the frames were written in
-    /// ([`crate::SEGMENT_VERSION`] or [`crate::SEGMENT_VERSION_V2`]).
-    pub segment_version: u32,
     /// The frame bytes exactly as stored (`len + crc + payload`, …).
     pub frames: Vec<u8>,
 }
@@ -90,8 +63,6 @@ impl RawChunk {
 struct Position {
     start_lsn: u64,
     path: PathBuf,
-    /// The segment's format version, from its header.
-    version: u32,
     /// Offset of the next unread frame (≥ the header length); everything
     /// before it has been validated and delivered.
     offset: u64,
@@ -111,8 +82,8 @@ impl SegmentTailer {
     /// the directory is not touched until the first poll, so the cursor
     /// may point at log that does not exist yet.
     ///
-    /// On a v2 segment the cursor may land *inside* a block; blocks are
-    /// indivisible on the wire, so the tailer rewinds to the enclosing
+    /// The cursor may land *inside* a block; blocks are indivisible on
+    /// the wire, so the tailer rewinds to the enclosing
     /// block boundary and re-delivers the block's earlier records —
     /// consumers already skip below their applied watermark.
     pub fn new(dir: impl Into<PathBuf>, start_lsn: u64) -> Self {
@@ -128,20 +99,22 @@ impl SegmentTailer {
         self.next_lsn
     }
 
-    /// Reads and decodes up to `max_records` whole records at the cursor
-    /// (a v2 block is decoded whole, so the cap can overshoot by one
-    /// block). `Ok(None)` means caught up: nothing new is on disk yet
-    /// (including the in-flight-write case of a torn tail on the last
-    /// segment).
+    /// Reads up to `max_records` records' worth of whole frames at the
+    /// cursor and delivers their on-disk bytes verbatim (CRC-validated,
+    /// record counts peeked, payloads *not* decoded) for shipping; a
+    /// block is indivisible, so the cap can overshoot by one block.
+    /// `Ok(None)` means caught up: nothing new is on disk yet (including
+    /// the in-flight-write case of a torn tail on the last segment).
     ///
     /// # Errors
     ///
     /// - [`WalError::SegmentGap`] when the cursor's segment no longer
     ///   exists (compacted away) — re-bootstrap from a snapshot.
     /// - [`WalError::CorruptSegment`] for a torn frame in a non-final
-    ///   segment, or a cursor pointing past a finished segment's content.
+    ///   segment, a cursor pointing past a finished segment's content,
+    ///   or a segment header of an unsupported version.
     /// - I/O failures.
-    pub fn poll(&mut self, max_records: usize) -> Result<Option<TailChunk>, WalError> {
+    pub fn poll_blocks(&mut self, max_records: usize) -> Result<Option<RawChunk>, WalError> {
         if max_records == 0 {
             return Ok(None);
         }
@@ -153,47 +126,11 @@ impl SegmentTailer {
                 return Ok(None);
             }
             let pos = self.pos.as_ref().expect("located above");
-            let (records, consumed, torn) =
-                read_frames_from(&pos.path, pos.version, pos.offset, max_records)?;
-            if !records.is_empty() {
-                let chunk = TailChunk {
-                    start_lsn: self.next_lsn,
-                    records,
-                };
-                let pos = self.pos.as_mut().expect("located above");
-                pos.offset += consumed;
-                self.next_lsn = chunk.end_lsn();
-                return Ok(Some(chunk));
-            }
-            if !self.advance_past_empty(torn)? {
-                return Ok(None);
-            }
-        }
-        Ok(None)
-    }
-
-    /// Like [`SegmentTailer::poll`], but delivers the on-disk frame
-    /// bytes verbatim (CRC-validated, record counts peeked, payloads
-    /// *not* decoded) for shipping. Same torn-tail/gap semantics.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SegmentTailer::poll`].
-    pub fn poll_blocks(&mut self, max_records: usize) -> Result<Option<RawChunk>, WalError> {
-        if max_records == 0 {
-            return Ok(None);
-        }
-        for _ in 0..2 {
-            if self.pos.is_none() && !self.locate()? {
-                return Ok(None);
-            }
-            let pos = self.pos.as_ref().expect("located above");
-            let raw = read_raw_frames_from(&pos.path, pos.version, pos.offset, max_records)?;
+            let raw = read_raw_frames_from(&pos.path, pos.offset, max_records)?;
             if raw.records > 0 {
                 let chunk = RawChunk {
                     start_lsn: self.next_lsn,
                     records: raw.records,
-                    segment_version: pos.version,
                     frames: raw.frames,
                 };
                 let pos = self.pos.as_mut().expect("located above");
@@ -210,7 +147,7 @@ impl SegmentTailer {
 
     /// After a read that yielded no records: decides whether to retry on
     /// a successor segment (`Ok(true)`), report caught-up (`Ok(false)`),
-    /// or fail. Shared tail logic of both poll flavours.
+    /// or fail.
     fn advance_past_empty(&mut self, torn: Option<&'static str>) -> Result<bool, WalError> {
         let pos = self.pos.as_ref().expect("positioned");
         // Nothing whole at the cursor: either the segment is finished
@@ -247,8 +184,8 @@ impl SegmentTailer {
     }
 
     /// Finds the segment containing `next_lsn` and the byte offset of
-    /// that record within it (rounded down to a block boundary on v2
-    /// segments, rewinding `next_lsn` to match). Returns `false` when
+    /// that record within it (rounded down to a block boundary,
+    /// rewinding `next_lsn` to match). Returns `false` when
     /// the log has not grown to the cursor yet.
     fn locate(&mut self) -> Result<bool, WalError> {
         let segments = list_segments(&self.dir)?;
@@ -307,9 +244,9 @@ impl SegmentTailer {
                 reason: scan.torn.unwrap_or("segment ends before successor"),
             });
         }
-        let (frame_bytes, skipped) = skip_offset(path, scan.version, skip)?;
+        let (frame_bytes, skipped) = skip_offset(path, skip)?;
         if skipped < skip {
-            // v2 cursor inside a block: blocks are indivisible, so back
+            // Cursor inside a block: blocks are indivisible, so back
             // up to the boundary and re-deliver (consumers dedupe by
             // watermark).
             self.next_lsn = start_lsn + skipped;
@@ -317,7 +254,6 @@ impl SegmentTailer {
         self.pos = Some(Position {
             start_lsn,
             path: path.clone(),
-            version: scan.version,
             offset: SEGMENT_HEADER_BYTES + frame_bytes,
         });
         Ok(true)
@@ -327,10 +263,10 @@ impl SegmentTailer {
 /// Byte length and record count of the longest run of whole frames after
 /// the header of `path` that holds **at most** `skip` records. The
 /// frames were already validated by the caller's scan, so this only
-/// walks length prefixes and (for v2) block-header counts. Returns
+/// walks length prefixes and block-header counts. Returns
 /// `(byte_len, records_covered)`; `records_covered < skip` iff the skip
-/// target falls inside a v2 block.
-fn skip_offset(path: &Path, version: u32, skip: u64) -> Result<(u64, u64), WalError> {
+/// target falls inside a block.
+fn skip_offset(path: &Path, skip: u64) -> Result<(u64, u64), WalError> {
     if skip == 0 {
         return Ok((0, 0));
     }
@@ -343,13 +279,8 @@ fn skip_offset(path: &Path, version: u32, skip: u64) -> Result<(u64, u64), WalEr
         let Ok(Some((payload, frame_len))) = split_frame(&body[pos..]) else {
             break; // validated by the caller's scan; stop defensively
         };
-        let count = if version == SEGMENT_VERSION_V2 {
-            match peek_block_count(payload) {
-                Ok(n) => n,
-                Err(_) => break,
-            }
-        } else {
-            1
+        let Ok(count) = peek_block_count(payload) else {
+            break;
         };
         if skipped + count > skip {
             break; // the target LSN is inside this block
@@ -358,46 +289,6 @@ fn skip_offset(path: &Path, version: u32, skip: u64) -> Result<(u64, u64), WalEr
         skipped += count;
     }
     Ok((pos as u64, skipped))
-}
-
-/// Reads and decodes up to `max_records` records' worth of whole frames
-/// starting at `offset`, returning the records, bytes consumed, and the
-/// torn reason when the suffix ends mid-frame. A v2 block is decoded
-/// whole, so the cap can overshoot by one block.
-fn read_frames_from(
-    path: &Path,
-    version: u32,
-    offset: u64,
-    max_records: usize,
-) -> Result<(Vec<WalRecord>, u64, Option<&'static str>), WalError> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
-
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < buf.len() && records.len() < max_records {
-        match split_frame(&buf[pos..]) {
-            Ok(None) => break,
-            Ok(Some((payload, frame_len))) => {
-                if version == SEGMENT_VERSION_V2 {
-                    match decode_block(payload) {
-                        Ok(recs) => records.extend(recs),
-                        Err(_) => return Ok((records, pos as u64, Some("undecodable block"))),
-                    }
-                } else {
-                    match WalRecord::decode_payload(payload) {
-                        Ok(rec) => records.push(rec),
-                        Err(_) => return Ok((records, pos as u64, Some("undecodable payload"))),
-                    }
-                }
-                pos += frame_len;
-            }
-            Err(reason) => return Ok((records, pos as u64, Some(reason))),
-        }
-    }
-    Ok((records, pos as u64, None))
 }
 
 /// What [`read_raw_frames_from`] read: whole validated frames, verbatim.
@@ -412,11 +303,11 @@ struct RawFrames {
     torn: Option<&'static str>,
 }
 
-/// Raw twin of [`read_frames_from`]: validates CRCs and peeks record
-/// counts but keeps the frame bytes verbatim.
+/// Reads up to `max_records` records' worth of whole frames starting at
+/// `offset`: validates CRCs and peeks record counts but keeps the frame
+/// bytes verbatim.
 fn read_raw_frames_from(
     path: &Path,
-    version: u32,
     offset: u64,
     max_records: usize,
 ) -> Result<RawFrames, WalError> {
@@ -431,21 +322,16 @@ fn read_raw_frames_from(
     while pos < buf.len() && count < max_records as u64 {
         match split_frame(&buf[pos..]) {
             Ok(None) => break,
-            Ok(Some((payload, frame_len))) => {
-                let n = if version == SEGMENT_VERSION_V2 {
-                    match peek_block_count(payload) {
-                        Ok(n) => n,
-                        Err(_) => {
-                            torn = Some("undecodable block");
-                            break;
-                        }
-                    }
-                } else {
-                    1
-                };
-                count += n;
-                pos += frame_len;
-            }
+            Ok(Some((payload, frame_len))) => match peek_block_count(payload) {
+                Ok(n) => {
+                    count += n;
+                    pos += frame_len;
+                }
+                Err(_) => {
+                    torn = Some("undecodable block");
+                    break;
+                }
+            },
             Err(reason) => {
                 torn = Some(reason);
                 break;
@@ -464,9 +350,9 @@ fn read_raw_frames_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{encode_block, frame_block};
-    use crate::record::WalRecord;
-    use crate::writer::{FsyncPolicy, SegmentFormat, WalBatch, WalOptions, WalWriter};
+    use crate::block::{decode_block_frames, encode_block, frame_block};
+    use crate::record::{FrameEnd, WalRecord};
+    use crate::writer::{FsyncPolicy, WalBatch, WalOptions, WalWriter};
     use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
     fn tmp(name: &str) -> PathBuf {
@@ -486,12 +372,11 @@ mod tests {
         WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 256,
-            ..WalOptions::default()
         }
     }
 
-    /// A framed one-record v2 block, as the writer would produce it.
-    fn v2_frame(rec: &WalRecord) -> Vec<u8> {
+    /// A framed one-record block, as the writer would produce it.
+    fn block_frame(rec: &WalRecord) -> Vec<u8> {
         let mut payload = Vec::new();
         encode_block(std::slice::from_ref(rec), true, &mut payload);
         let mut frame = Vec::new();
@@ -499,15 +384,22 @@ mod tests {
         frame
     }
 
+    /// What a follower does with a shipped chunk: decode its frames,
+    /// all of which must be whole.
+    fn decode(chunk: &RawChunk) -> Vec<WalRecord> {
+        let (records, clean, end) = decode_block_frames(&chunk.frames);
+        assert_eq!(end, FrameEnd::Clean);
+        assert_eq!(clean, chunk.frames.len());
+        assert_eq!(records.len() as u64, chunk.records);
+        records
+    }
+
     /// Drains the tailer completely; asserts chunk LSNs are contiguous.
     fn drain(tailer: &mut SegmentTailer, max: usize) -> Vec<WalRecord> {
         let mut out = Vec::new();
-        while let Some(chunk) = tailer.poll(max).unwrap() {
-            assert_eq!(
-                chunk.start_lsn,
-                tailer.next_lsn() - chunk.records.len() as u64
-            );
-            out.extend(chunk.records);
+        while let Some(chunk) = tailer.poll_blocks(max).unwrap() {
+            assert_eq!(chunk.end_lsn(), tailer.next_lsn());
+            out.extend(decode(&chunk));
         }
         out
     }
@@ -517,7 +409,7 @@ mod tests {
         let dir = tmp("follow");
         let mut w = WalWriter::create(&dir, small()).unwrap();
         let mut tailer = SegmentTailer::new(&dir, 0);
-        assert!(tailer.poll(64).unwrap().is_none(), "nothing yet");
+        assert!(tailer.poll_blocks(64).unwrap().is_none(), "nothing yet");
         let mut shipped = Vec::new();
         for round in 0..6u64 {
             for i in 0..10u64 {
@@ -529,7 +421,7 @@ mod tests {
         let expected: Vec<WalRecord> = (0..60).map(update).collect();
         assert_eq!(shipped, expected);
         assert!(list_segments(&dir).unwrap().len() > 1, "rotation happened");
-        assert!(tailer.poll(64).unwrap().is_none(), "caught up");
+        assert!(tailer.poll_blocks(64).unwrap().is_none(), "caught up");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -565,14 +457,14 @@ mod tests {
         // A cursor at LSN 4 lands inside the block: the tailer rewinds
         // to 0 and re-delivers; the consumer's watermark dedupes.
         let mut tailer = SegmentTailer::new(&dir, 4);
-        let chunk = tailer.poll(1000).unwrap().unwrap();
+        let chunk = tailer.poll_blocks(1000).unwrap().unwrap();
         assert_eq!(chunk.start_lsn, 0);
-        assert_eq!(chunk.records.len(), 13);
+        assert_eq!(chunk.records, 13);
         // A cursor on the boundary does not rewind.
         let mut tailer = SegmentTailer::new(&dir, 10);
-        let chunk = tailer.poll(1000).unwrap().unwrap();
+        let chunk = tailer.poll_blocks(1000).unwrap().unwrap();
         assert_eq!(chunk.start_lsn, 10);
-        assert_eq!(chunk.records, (10..13).map(update).collect::<Vec<_>>());
+        assert_eq!(decode(&chunk), (10..13).map(update).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -586,20 +478,23 @@ mod tests {
         // Simulate a write in flight: half a frame at the end.
         let (_, last) = list_segments(&dir).unwrap().pop().unwrap();
         let mut bytes = std::fs::read(&last).unwrap();
-        let frame = v2_frame(&update(3));
+        let frame = block_frame(&update(3));
         bytes.extend_from_slice(&frame[..frame.len() / 2]);
         std::fs::write(&last, &bytes).unwrap();
 
         let mut tailer = SegmentTailer::new(&dir, 0);
-        let chunk = tailer.poll(64).unwrap().unwrap();
-        assert_eq!(chunk.records.len(), 3, "whole frames delivered");
-        assert!(tailer.poll(64).unwrap().is_none(), "torn tail = wait");
+        let chunk = tailer.poll_blocks(64).unwrap().unwrap();
+        assert_eq!(chunk.records, 3, "whole frames delivered");
+        assert!(
+            tailer.poll_blocks(64).unwrap().is_none(),
+            "torn tail = wait"
+        );
         // The rest of the frame arrives: the record is delivered.
         bytes.extend_from_slice(&frame[frame.len() / 2..]);
         std::fs::write(&last, &bytes).unwrap();
-        let chunk = tailer.poll(64).unwrap().unwrap();
+        let chunk = tailer.poll_blocks(64).unwrap().unwrap();
         assert_eq!(chunk.start_lsn, 3);
-        assert_eq!(chunk.records, vec![update(3)]);
+        assert_eq!(decode(&chunk), vec![update(3)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -622,26 +517,29 @@ mod tests {
 
         // Mid-rotation: the successor exists with only part of its
         // header written.
-        let header = encode_header(SEGMENT_VERSION_V2, 10);
+        let header = encode_header(10);
         let successor = dir.join(segment_file_name(10));
         std::fs::write(&successor, &header[..7]).unwrap();
         assert!(
-            tailer.poll(64).unwrap().is_none(),
+            tailer.poll_blocks(64).unwrap().is_none(),
             "header in flight = wait"
         );
         // An empty just-created file is the same case.
         std::fs::write(&successor, []).unwrap();
-        assert!(tailer.poll(64).unwrap().is_none(), "empty successor = wait");
+        assert!(
+            tailer.poll_blocks(64).unwrap().is_none(),
+            "empty successor = wait"
+        );
 
         // The rotation completes and records land: the tailer resumes.
         let mut bytes = header;
         for i in 10..13u64 {
-            bytes.extend_from_slice(&v2_frame(&update(i)));
+            bytes.extend_from_slice(&block_frame(&update(i)));
         }
         std::fs::write(&successor, &bytes).unwrap();
-        let chunk = tailer.poll(64).unwrap().unwrap();
+        let chunk = tailer.poll_blocks(64).unwrap().unwrap();
         assert_eq!(chunk.start_lsn, 10);
-        assert_eq!(chunk.records, (10..13).map(update).collect::<Vec<_>>());
+        assert_eq!(decode(&chunk), (10..13).map(update).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -661,7 +559,7 @@ mod tests {
         std::fs::write(mid, &bytes).unwrap();
         let mut tailer = SegmentTailer::new(&dir, 0);
         let err = loop {
-            match tailer.poll(4) {
+            match tailer.poll_blocks(4) {
                 Ok(Some(_)) => continue,
                 Ok(None) => panic!("interior corruption must not read as caught-up"),
                 Err(e) => break e,
@@ -683,7 +581,7 @@ mod tests {
         std::fs::remove_file(&segments[0].1).unwrap();
         let mut tailer = SegmentTailer::new(&dir, 0);
         assert!(matches!(
-            tailer.poll(64),
+            tailer.poll_blocks(64),
             Err(WalError::SegmentGap { expected: 0, .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -695,13 +593,13 @@ mod tests {
         // Empty directory: the log may simply not exist yet.
         std::fs::create_dir_all(&dir).unwrap();
         let mut tailer = SegmentTailer::new(&dir, 5);
-        assert!(tailer.poll(64).unwrap().is_none());
+        assert!(tailer.poll_blocks(64).unwrap().is_none());
         // A clean log shorter than the cursor is a different timeline.
         let mut w = WalWriter::create(&dir, small()).unwrap();
         w.append(&update(0)).unwrap();
         w.sync().unwrap();
         assert!(matches!(
-            tailer.poll(64),
+            tailer.poll_blocks(64),
             Err(WalError::SegmentGap {
                 expected: 5,
                 found: 1
@@ -718,55 +616,29 @@ mod tests {
             w.append(&update(i)).unwrap();
         }
         let mut tailer = SegmentTailer::new(&dir, 0);
-        let chunk = tailer.poll(4).unwrap().unwrap();
-        assert_eq!(chunk.records.len(), 4);
+        let chunk = tailer.poll_blocks(4).unwrap().unwrap();
+        assert_eq!(chunk.records, 4);
         assert_eq!(chunk.end_lsn(), 4);
-        assert!(tailer.poll(0).unwrap().is_none(), "zero cap reads nothing");
+        assert!(
+            tailer.poll_blocks(0).unwrap().is_none(),
+            "zero cap reads nothing"
+        );
         let rest = drain(&mut tailer, 4);
         assert_eq!(rest.len(), 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn mixed_version_log_is_followed_end_to_end() {
-        let dir = tmp("mixed");
-        let mut w = WalWriter::create(
-            &dir,
-            WalOptions {
-                format: SegmentFormat::V1,
-                ..small()
-            },
-        )
-        .unwrap();
-        for i in 0..10u64 {
-            w.append(&update(i)).unwrap();
-        }
-        drop(w);
-        // Upgrade: resume with v2 configured. The v1 tail segment keeps
-        // its format; rotation switches.
-        let mut w = WalWriter::resume(&dir, small(), 10).unwrap();
-        assert_eq!(w.segment_version(), 1, "tail segment stays v1");
-        for i in 10..40u64 {
-            w.append(&update(i)).unwrap();
-        }
-        assert_eq!(w.segment_version(), 2, "rotation switched to v2");
-        let mut tailer = SegmentTailer::new(&dir, 0);
-        let got = drain(&mut tailer, 9);
-        assert_eq!(got, (0..40).map(update).collect::<Vec<_>>());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn raw_blocks_match_decoded_records_and_stay_compressed() {
+    fn raw_blocks_decode_to_the_log_and_stay_compressed() {
         let dir = tmp("raw");
         let mut w = WalWriter::create(&dir, small()).unwrap();
         let mut batch = WalBatch::new();
-        let mut v1_bytes = 0usize;
+        let mut framed_singly = 0usize; // what one CRC frame per record costs
         for i in 0..50u64 {
             let rec = update(i);
-            let mut f = Vec::new();
-            rec.encode_frame(&mut f);
-            v1_bytes += f.len();
+            let mut payload = Vec::new();
+            rec.encode_payload(&mut payload);
+            framed_singly += 8 + payload.len();
             batch.push(&rec);
             if batch.records() == 10 {
                 w.append_batch(&mut batch).unwrap();
@@ -774,24 +646,16 @@ mod tests {
         }
         w.append_batch(&mut batch).unwrap();
         let mut raw = SegmentTailer::new(&dir, 0);
-        let mut decoded = SegmentTailer::new(&dir, 0);
         let mut shipped_bytes = 0usize;
         let mut records = Vec::new();
         while let Some(chunk) = raw.poll_blocks(8).unwrap() {
             shipped_bytes += chunk.frames.len();
-            assert_eq!(chunk.segment_version, 2);
-            // What a follower does: decode the shipped frames.
-            let (recs, clean, end) = crate::block::decode_block_frames(&chunk.frames);
-            assert_eq!(end, crate::record::FrameEnd::Clean);
-            assert_eq!(clean, chunk.frames.len());
-            assert_eq!(recs.len() as u64, chunk.records);
-            records.extend(recs);
+            records.extend(decode(&chunk));
         }
-        assert_eq!(records, drain(&mut decoded, 1000));
         assert_eq!(records, (0..50).map(update).collect::<Vec<_>>());
         assert!(
-            shipped_bytes * 2 < v1_bytes,
-            "wire bytes must at least halve: {shipped_bytes} vs {v1_bytes}"
+            shipped_bytes * 2 < framed_singly,
+            "wire bytes must at least halve: {shipped_bytes} vs {framed_singly}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

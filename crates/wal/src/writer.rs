@@ -2,11 +2,11 @@
 //! the lock-free-friendly [`WalBatch`] buffer.
 //!
 //! The intended concurrency shape (used by `modb-server`'s ingest
-//! workers): each worker owns a private [`WalBatch`] and encodes records
+//! workers): each worker owns a private [`WalBatch`] and collects records
 //! into it without any locking; the shared [`SharedWal`] mutex is taken
-//! only to hand over a whole batch of pre-framed bytes. Encoding and CRC
-//! work therefore happen outside the lock, and the critical section is a
-//! single `write_all`.
+//! only to hand over a whole batch, which is sealed as one block — the
+//! batch is the delta/LZ compression window — and written with a single
+//! `write_all`.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -17,8 +17,7 @@ use crate::block::{encode_block, frame_block};
 use crate::error::WalError;
 use crate::record::WalRecord;
 use crate::segment::{
-    encode_header, list_segments, read_segment_version, segment_file_name, SEGMENT_HEADER_BYTES,
-    SEGMENT_VERSION, SEGMENT_VERSION_V2,
+    encode_header, list_segments, read_segment_header, segment_file_name, SEGMENT_HEADER_BYTES,
 };
 
 /// When the writer calls `fsync` on the current segment.
@@ -36,31 +35,6 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// On-disk format for *newly created* segments. A resumed writer keeps
-/// appending to an existing tail segment in that segment's own format
-/// until rotation, so a log upgraded in place is a v1 prefix followed by
-/// v2 segments — exactly what recovery and the tailer expect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentFormat {
-    /// One record per CRC frame (the original format).
-    V1,
-    /// One delta-encoded, optionally LZ-compressed block of records per
-    /// CRC frame (see [`crate::block`]). An `append` seals a one-record
-    /// block; an `append_batch` seals the whole batch as one block, so
-    /// batch size is the compression window.
-    V2,
-}
-
-impl SegmentFormat {
-    /// The header version number for this format.
-    pub fn version(self) -> u32 {
-        match self {
-            SegmentFormat::V1 => SEGMENT_VERSION,
-            SegmentFormat::V2 => SEGMENT_VERSION_V2,
-        }
-    }
-}
-
 /// Writer tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalOptions {
@@ -69,11 +43,6 @@ pub struct WalOptions {
     /// Rotate to a new segment once the current one exceeds this many
     /// bytes (checked between appends; a batch never spans segments).
     pub max_segment_bytes: u64,
-    /// Format for newly created segments. Defaults to [`SegmentFormat::V2`].
-    pub format: SegmentFormat,
-    /// Attempt the LZ stage on v2 blocks (kept only when it shrinks the
-    /// block). Ignored for v1 segments.
-    pub compress: bool,
 }
 
 impl Default for WalOptions {
@@ -81,22 +50,16 @@ impl Default for WalOptions {
         WalOptions {
             fsync: FsyncPolicy::EveryN(256),
             max_segment_bytes: 16 * 1024 * 1024,
-            format: SegmentFormat::V2,
-            compress: true,
         }
     }
 }
 
 /// A private per-producer buffer of records. Cheap to fill (no locks, no
-/// I/O); handed to [`SharedWal::append_batch`] wholesale. The batch
-/// carries both the v1 framed bytes (encoded and CRC'd off-lock, the
-/// original design) and the records themselves, so a v2 writer can seal
-/// the whole batch as one compression block under its lock.
+/// I/O); handed to [`SharedWal::append_batch`] wholesale, which seals it
+/// as one block under the writer lock.
 #[derive(Debug, Default)]
 pub struct WalBatch {
-    buf: Vec<u8>,
     recs: Vec<WalRecord>,
-    records: u64,
 }
 
 impl WalBatch {
@@ -105,34 +68,35 @@ impl WalBatch {
         WalBatch::default()
     }
 
-    /// Frames and buffers one record.
+    /// Buffers one record.
     pub fn push(&mut self, rec: &WalRecord) {
-        rec.encode_frame(&mut self.buf);
         self.recs.push(rec.clone());
-        self.records += 1;
     }
 
     /// Buffered record count.
     pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Buffered byte count (v1 framed form).
-    pub fn bytes(&self) -> usize {
-        self.buf.len()
+        self.recs.len() as u64
     }
 
     /// `true` when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.records == 0
+        self.recs.is_empty()
     }
 
-    /// Drops the buffered content (keeps the allocations).
+    /// Drops the buffered content (keeps the allocation).
     pub fn clear(&mut self) {
-        self.buf.clear();
         self.recs.clear();
-        self.records = 0;
     }
+}
+
+/// `records` sealed as one framed block: one frame, one restart point,
+/// the LZ stage kept only when it shrinks the block.
+fn seal(records: &[WalRecord]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(128);
+    encode_block(records, true, &mut payload);
+    let mut frame = Vec::with_capacity(payload.len() + 8);
+    frame_block(&payload, &mut frame);
+    frame
 }
 
 fn sync_dir(dir: &Path) -> Result<(), WalError> {
@@ -155,10 +119,6 @@ pub struct WalWriter {
     file: File,
     segment_bytes: u64,
     segment_start_lsn: u64,
-    /// Format version of the segment currently being appended to — the
-    /// configured format for created segments, the on-disk header's for
-    /// a resumed one (mixed-version logs stay self-consistent).
-    segment_version: u32,
     next_lsn: u64,
     unsynced: u64,
     bytes_appended: u64,
@@ -178,15 +138,13 @@ impl WalWriter {
         if !list_segments(&dir)?.is_empty() {
             return Err(WalError::AlreadyExists(dir));
         }
-        let version = opts.format.version();
-        let (file, segment_bytes) = Self::open_segment(&dir, version, 0)?;
+        let (file, segment_bytes) = Self::open_segment(&dir, 0)?;
         Ok(WalWriter {
             dir,
             opts,
             file,
             segment_bytes,
             segment_start_lsn: 0,
-            segment_version: version,
             next_lsn: 0,
             unsynced: 0,
             bytes_appended: 0,
@@ -195,16 +153,15 @@ impl WalWriter {
     }
 
     /// Resumes appending after recovery: continues the last segment when
-    /// one exists (recovery has already truncated any torn tail) — in
-    /// *that segment's* format, whatever `opts.format` says, so a log
-    /// written before a format upgrade keeps its v1 tail consistent and
-    /// switches to v2 at the next rotation — or starts a new segment at
-    /// `next_lsn` in the configured format.
+    /// one exists (recovery has already truncated any torn tail), or
+    /// starts a new segment at `next_lsn`.
     ///
     /// # Errors
     ///
     /// [`WalError::SegmentGap`] when the last segment starts *after*
-    /// `next_lsn` (the directory does not match the recovered state).
+    /// `next_lsn` (the directory does not match the recovered state);
+    /// [`WalError::CorruptSegment`] when the last segment's header is not
+    /// a current-format header — it is left untouched.
     pub fn resume(
         dir: impl Into<PathBuf>,
         opts: WalOptions,
@@ -220,7 +177,7 @@ impl WalWriter {
                         found: start_lsn,
                     });
                 }
-                let segment_version = read_segment_version(path)?;
+                read_segment_header(path)?;
                 let file = OpenOptions::new().append(true).open(path)?;
                 let segment_bytes = file.metadata()?.len();
                 Ok(WalWriter {
@@ -229,7 +186,6 @@ impl WalWriter {
                     file,
                     segment_bytes,
                     segment_start_lsn: start_lsn,
-                    segment_version,
                     next_lsn,
                     unsynced: 0,
                     bytes_appended: 0,
@@ -237,15 +193,13 @@ impl WalWriter {
                 })
             }
             None => {
-                let version = opts.format.version();
-                let (file, segment_bytes) = Self::open_segment(&dir, version, next_lsn)?;
+                let (file, segment_bytes) = Self::open_segment(&dir, next_lsn)?;
                 Ok(WalWriter {
                     dir,
                     opts,
                     file,
                     segment_bytes,
                     segment_start_lsn: next_lsn,
-                    segment_version: version,
                     next_lsn,
                     unsynced: 0,
                     bytes_appended: 0,
@@ -255,13 +209,13 @@ impl WalWriter {
         }
     }
 
-    fn open_segment(dir: &Path, version: u32, start_lsn: u64) -> Result<(File, u64), WalError> {
+    fn open_segment(dir: &Path, start_lsn: u64) -> Result<(File, u64), WalError> {
         let path = dir.join(segment_file_name(start_lsn));
         let mut file = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(&path)?;
-        file.write_all(&encode_header(version, start_lsn))?;
+        file.write_all(&encode_header(start_lsn))?;
         // The header and the directory entry are synced unconditionally:
         // rotation is rare, and a segment whose header never reached disk
         // would strand every record behind it.
@@ -285,50 +239,26 @@ impl WalWriter {
         &self.opts
     }
 
-    /// The format version of the segment currently being appended.
-    pub fn segment_version(&self) -> u32 {
-        self.segment_version
-    }
-
-    /// Appends one record; returns its LSN. On a v2 segment this seals a
-    /// one-record block — still self-delimiting, just without a
-    /// compression window; batch appends are where v2 pays off.
+    /// Appends one record as a one-record block — still self-delimiting,
+    /// just without a compression window; batch appends are where the
+    /// block format pays off. Returns the record's LSN.
     ///
     /// # Errors
     ///
     /// I/O failures (the record must be assumed unlogged).
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, WalError> {
         let lsn = self.next_lsn;
-        let mut frame = self.encode_one(rec);
-        if self.maybe_rotate(frame.len())? {
-            // The rotation switched segment formats: re-encode for the
-            // new segment.
-            frame = self.encode_one(rec);
-        }
+        let frame = seal(std::slice::from_ref(rec));
+        self.maybe_rotate(frame.len())?;
         self.write_bytes(&frame, 1)?;
         Ok(lsn)
     }
 
-    /// One record, framed for the current segment's format.
-    fn encode_one(&self, rec: &WalRecord) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(128);
-        if self.segment_version == SEGMENT_VERSION_V2 {
-            let mut payload = Vec::with_capacity(128);
-            encode_block(std::slice::from_ref(rec), self.opts.compress, &mut payload);
-            frame_block(&payload, &mut frame);
-        } else {
-            rec.encode_frame(&mut frame);
-        }
-        frame
-    }
-
-    /// Appends a whole batch (see [`WalBatch`]) and clears it. On a v1
-    /// segment the pre-framed bytes are written as-is (a single
-    /// `write_all`; encoding and CRC happened off-lock); on a v2 segment
-    /// the batch is sealed as **one block** — one frame, one restart
-    /// point, the batch as the delta/LZ compression window. For fsync
-    /// purposes a batch counts record-by-record (so `EveryN` semantics
-    /// are unchanged) but is synced at most once.
+    /// Appends a whole batch (see [`WalBatch`]) as **one block** — one
+    /// frame, one restart point, the batch as the delta/LZ compression
+    /// window — and clears it. For fsync purposes a batch counts
+    /// record-by-record (so `EveryN` semantics are unchanged) but is
+    /// synced at most once.
     ///
     /// # Errors
     ///
@@ -338,46 +268,21 @@ impl WalWriter {
         if batch.is_empty() {
             return Ok(());
         }
-        let mut frame = self.seal_batch(batch);
-        let incoming = frame.as_ref().map_or(batch.buf.len(), Vec::len);
-        if self.maybe_rotate(incoming)? {
-            frame = self.seal_batch(batch);
-        }
-        let records = batch.records;
-        match &frame {
-            Some(frame) => self.write_bytes(frame, records)?,
-            None => self.write_bytes(&batch.buf, records)?,
-        }
+        let frame = seal(&batch.recs);
+        self.maybe_rotate(frame.len())?;
+        self.write_bytes(&frame, batch.records())?;
         batch.clear();
         Ok(())
     }
 
-    /// The batch sealed as one v2 block frame, or `None` when the
-    /// current segment is v1 (whose pre-framed `batch.buf` applies
-    /// as-is).
-    fn seal_batch(&self, batch: &WalBatch) -> Option<Vec<u8>> {
-        if self.segment_version != SEGMENT_VERSION_V2 {
-            return None;
-        }
-        let mut payload = Vec::with_capacity(batch.buf.len() / 2);
-        encode_block(&batch.recs, self.opts.compress, &mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame_block(&payload, &mut frame);
-        Some(frame)
-    }
-
     /// Rotates if `incoming` more bytes would overflow the segment.
-    /// Returns whether the rotation changed the segment format (the
-    /// caller must then re-encode).
-    fn maybe_rotate(&mut self, incoming: usize) -> Result<bool, WalError> {
+    fn maybe_rotate(&mut self, incoming: usize) -> Result<(), WalError> {
         if self.segment_bytes > SEGMENT_HEADER_BYTES
             && self.segment_bytes + incoming as u64 > self.opts.max_segment_bytes
         {
-            let before = self.segment_version;
             self.rotate()?;
-            return Ok(self.segment_version != before);
         }
-        Ok(false)
+        Ok(())
     }
 
     fn write_bytes(&mut self, bytes: &[u8], records: u64) -> Result<(), WalError> {
@@ -404,15 +309,10 @@ impl WalWriter {
         // not truncate them, so they must be durable before a successor
         // exists.
         self.sync()?;
-        // Rotation is where a resumed mixed-format log switches to the
-        // configured format: the old segment keeps its version, the new
-        // one gets `opts.format`.
-        let version = self.opts.format.version();
-        let (file, segment_bytes) = Self::open_segment(&self.dir, version, self.next_lsn)?;
+        let (file, segment_bytes) = Self::open_segment(&self.dir, self.next_lsn)?;
         self.file = file;
         self.segment_bytes = segment_bytes;
         self.segment_start_lsn = self.next_lsn;
-        self.segment_version = version;
         Ok(())
     }
 
@@ -555,7 +455,6 @@ mod tests {
         let opts = WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 256,
-            ..WalOptions::default()
         };
         let mut w = WalWriter::create(&dir, opts).unwrap();
         for i in 0..50 {
@@ -584,7 +483,6 @@ mod tests {
             batch.push(&update(i));
         }
         assert_eq!(batch.records(), 5);
-        assert!(batch.bytes() > 0);
         w.append_batch(&mut batch).unwrap();
         assert!(batch.is_empty(), "append consumes the batch");
         w.append(&update(5)).unwrap();
@@ -697,7 +595,6 @@ mod tests {
             WalOptions {
                 fsync: FsyncPolicy::Never,
                 max_segment_bytes: 128,
-                ..WalOptions::default()
             },
         )
         .unwrap();

@@ -1,0 +1,225 @@
+//! Golden-file decode tests: the on-disk compatibility contract.
+//!
+//! `tests/golden/` holds one log segment and one snapshot written by the
+//! encoders of commit dfa280f (the last one that also carried the
+//! per-record segment format). Each test decodes its file to the values
+//! it was built from and re-encodes those values to the identical bytes,
+//! so a change to any surviving byte of either format fails here first.
+//! See `tests/golden/README.md` for how the files were produced.
+
+use std::path::{Path, PathBuf};
+
+use modb_core::{
+    Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
+    StationaryObject, UpdateMessage, UpdatePosition,
+};
+use modb_geom::Point;
+use modb_policy::BoundKind;
+use modb_routes::{Direction, Route, RouteId, RouteNetwork};
+use modb_wal::{
+    list_segments, read_snapshot, scan_segment, write_snapshot, WalBatch, WalOptions, WalRecord,
+    WalWriter,
+};
+
+const SEGMENT: &str = "wal-00000000000000000000.log";
+const SNAPSHOT: &str = "snap-00000000000000000007.snap";
+
+fn golden(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("modb-wal-golden-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn network() -> RouteNetwork {
+    RouteNetwork::from_routes([
+        Route::from_vertices(
+            RouteId(1),
+            "main",
+            vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)],
+        )
+        .unwrap(),
+        Route::from_vertices(
+            RouteId(2),
+            "spur",
+            vec![
+                Point::new(0.0, 10.0),
+                Point::new(50.0, 10.0),
+                Point::new(50.0, 60.0),
+            ],
+        )
+        .unwrap(),
+    ])
+    .unwrap()
+}
+
+fn vehicle(id: u64, arc: f64) -> MovingObject {
+    MovingObject {
+        id: ObjectId(id),
+        name: format!("veh-{id}"),
+        attr: PositionAttribute {
+            start_time: 0.0,
+            route: RouteId(1),
+            start_position: Point::new(arc, 0.0),
+            start_arc: arc,
+            direction: Direction::Forward,
+            speed: 1.0,
+            policy: PolicyDescriptor::CostBased {
+                kind: BoundKind::Immediate,
+                update_cost: 5.0,
+            },
+        },
+        max_speed: 1.5,
+        trip_end: Some(90.0),
+    }
+}
+
+/// The segment's records, block by block. Block 0 is a 49-record batch
+/// (48 compact updates round-robined over six objects plus one route
+/// change stored verbatim) that the LZ stage shrinks; blocks 1–3 are
+/// single-record appends: a compact update (too small for LZ to pay, so
+/// it stays plain), a verbatim registration (long enough that LZ keeps
+/// it), and a `LeaderEpoch` (plain).
+fn segment_blocks() -> Vec<Vec<WalRecord>> {
+    let mut batch = Vec::new();
+    for round in 0..8u64 {
+        for id in 0..6u64 {
+            batch.push(WalRecord::Update {
+                id: ObjectId(id),
+                msg: UpdateMessage::basic(
+                    (round + 1) as f64,
+                    UpdatePosition::Arc(id as f64 * 10.0 + round as f64),
+                    1.0,
+                ),
+            });
+        }
+        if round == 3 {
+            batch.push(WalRecord::Update {
+                id: ObjectId(2),
+                msg: UpdateMessage::route_change(
+                    4.5,
+                    RouteId(2),
+                    UpdatePosition::Coordinates(Point::new(20.0, 10.0)),
+                    Direction::Backward,
+                    0.8,
+                ),
+            });
+        }
+    }
+    vec![
+        batch,
+        vec![WalRecord::Update {
+            id: ObjectId(5),
+            msg: UpdateMessage::basic(9.25, UpdatePosition::Arc(58.5), 1.25),
+        }],
+        vec![WalRecord::RegisterMoving(vehicle(6, 60.0))],
+        vec![WalRecord::LeaderEpoch { epoch: 2 }],
+    ]
+}
+
+/// The state the snapshot was taken from: two routes, a landmark, two
+/// vehicles — one with a superseded attribute version in its history.
+fn snapshot_state() -> Database {
+    let mut db = Database::new(network(), DatabaseConfig::default());
+    db.insert_stationary(StationaryObject::new(
+        ObjectId(100),
+        "depot",
+        Point::new(12.0, 0.0),
+    ))
+    .unwrap();
+    db.register_moving(vehicle(1, 10.0)).unwrap();
+    db.register_moving(vehicle(2, 40.0)).unwrap();
+    db.apply_update(
+        ObjectId(1),
+        &UpdateMessage::basic(5.0, UpdatePosition::Arc(14.0), 0.5),
+    )
+    .unwrap();
+    db
+}
+
+/// Splits a segment body into its frames' payloads by hand — the layout
+/// under contract, read without the crate's own frame reader.
+fn frame_payloads(body: &[u8]) -> Vec<&[u8]> {
+    let mut payloads = Vec::new();
+    let mut pos = 0;
+    while pos < body.len() {
+        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
+        payloads.push(&body[pos + 8..pos + 8 + len]);
+        pos += 8 + len;
+    }
+    payloads
+}
+
+#[test]
+fn segment_decodes_to_its_records_and_re_encodes_bit_identically() {
+    let bytes = std::fs::read(golden(SEGMENT)).unwrap();
+    let blocks = segment_blocks();
+
+    // Header: magic, version 2, start LSN 0 — nothing renumbered.
+    assert_eq!(&bytes[..8], b"MODBWAL1");
+    assert_eq!(bytes[8..12], 2u32.to_le_bytes());
+    assert_eq!(bytes[12..20], 0u64.to_le_bytes());
+    // One frame per block; the format byte says which went through LZ
+    // (1) and which stayed plain (0).
+    let formats: Vec<u8> = frame_payloads(&bytes[20..]).iter().map(|p| p[0]).collect();
+    assert_eq!(formats, [1, 0, 1, 0]);
+
+    let scan = scan_segment(&golden(SEGMENT)).unwrap();
+    assert_eq!(scan.start_lsn, 0);
+    assert_eq!(scan.torn, None);
+    assert_eq!(scan.clean_bytes, bytes.len() as u64);
+    assert_eq!(scan.records, blocks.concat());
+
+    let dir = tmp("segment");
+    let mut w = WalWriter::create(&dir, WalOptions::default()).unwrap();
+    let mut batch = WalBatch::new();
+    for rec in &blocks[0] {
+        batch.push(rec);
+    }
+    w.append_batch(&mut batch).unwrap();
+    for block in &blocks[1..] {
+        w.append(&block[0]).unwrap();
+    }
+    w.sync().unwrap();
+    drop(w);
+    let segments = list_segments(&dir).unwrap();
+    assert_eq!(segments.len(), 1);
+    assert_eq!(segments[0].1.file_name().unwrap(), SEGMENT);
+    assert_eq!(std::fs::read(&segments[0].1).unwrap(), bytes);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
+    let bytes = std::fs::read(golden(SNAPSHOT)).unwrap();
+    assert_eq!(&bytes[..8], b"MODBSNP1");
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+
+    let expected = snapshot_state();
+    let (db, lsn) = read_snapshot(&golden(SNAPSHOT)).unwrap();
+    assert_eq!(lsn, 7);
+    assert_eq!(db.config(), expected.config());
+    assert_eq!(db.network().route_ids().len(), 2);
+    assert_eq!(db.stationary_count(), 1);
+    assert_eq!(db.moving_count(), 2);
+    for id in [ObjectId(1), ObjectId(2)] {
+        assert_eq!(db.moving(id).unwrap(), expected.moving(id).unwrap());
+        assert_eq!(db.history_of(id), expected.history_of(id));
+    }
+    assert_eq!(db.history_of(ObjectId(1)).len(), 1);
+
+    // Both the decoded state and the independently rebuilt one encode to
+    // the golden bytes.
+    for (name, state) in [("decoded", &db), ("rebuilt", &expected)] {
+        let dir = tmp(&format!("snapshot-{name}"));
+        let path = write_snapshot(&dir, state, 7).unwrap();
+        assert_eq!(path.file_name().unwrap(), SNAPSHOT);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{name} state");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -1,12 +1,7 @@
-//! Integration tests for the v2 WAL format: mixed-version logs, the
-//! format boundary under compaction, the delta codec under adversarial
-//! record streams, and crash cuts landing inside compressed blocks.
-//!
-//! The upgrade contract under test: a log written by the v1 code, then
-//! continued by this code (v1 tail kept, v2 from the next rotation on),
-//! must recover to exactly the state an all-v1 or all-v2 log of the same
-//! records recovers to — and v1 segments must still be written
-//! byte-for-byte as the v1 code wrote them.
+//! Integration tests for the block WAL format: segments of any other
+//! header version refused without being touched, the delta codec under
+//! adversarial record streams, and crash cuts landing inside compressed
+//! blocks.
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -15,9 +10,8 @@ use modb_core::{
 use modb_geom::Point;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_wal::{
-    compact, decode_block, encode_block, list_segments, recover, scan_segment, write_snapshot,
-    FsyncPolicy, SegmentFormat, WalBatch, WalOptions, WalRecord, WalWriter, SEGMENT_VERSION,
-    SEGMENT_VERSION_V2,
+    decode_block, encode_block, list_segments, recover, scan_segment, write_snapshot, FsyncPolicy,
+    SegmentTailer, WalBatch, WalError, WalOptions, WalRecord, WalWriter,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -65,8 +59,7 @@ fn update(id: u64, time: f64, arc: f64) -> WalRecord {
     }
 }
 
-/// The record stream both halves of the mixed-version tests use:
-/// registrations, then interleaved updates across the fleet.
+/// Registrations, then interleaved updates across the fleet.
 fn workload(fleet: u64, rounds: u64) -> Vec<WalRecord> {
     let mut records: Vec<WalRecord> = (0..fleet)
         .map(|i| WalRecord::RegisterMoving(vehicle(i, i as f64 * 5.0)))
@@ -101,137 +94,56 @@ fn assert_same_state(a: &Database, b: &Database) {
     }
 }
 
-fn opts(format: SegmentFormat, max_segment_bytes: u64) -> WalOptions {
+fn opts(max_segment_bytes: u64) -> WalOptions {
     WalOptions {
         fsync: FsyncPolicy::Never,
         max_segment_bytes,
-        format,
-        ..WalOptions::default()
     }
 }
 
 #[test]
-fn v1_segments_are_written_byte_for_byte_as_before() {
-    // The v1 path must be bit-identical to the pre-v2 writer: header,
-    // then one `encode_frame` per record, nothing else.
-    let dir = tmp("v1-bytes");
-    let records = workload(3, 4);
-    let mut w = WalWriter::create(&dir, opts(SegmentFormat::V1, u64::MAX)).unwrap();
-    for rec in &records {
-        w.append(rec).unwrap();
-    }
-    w.sync().unwrap();
-    drop(w);
-    let segments = list_segments(&dir).unwrap();
-    assert_eq!(segments.len(), 1);
-    let on_disk = std::fs::read(&segments[0].1).unwrap();
-    let mut expected = modb_wal::segment::encode_header(SEGMENT_VERSION, 0);
-    for rec in &records {
-        rec.encode_frame(&mut expected);
-    }
-    assert_eq!(on_disk, expected, "v1 writer output changed");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn mixed_version_log_recovers_like_a_pure_one() {
-    // First half written v1, log resumed with v2 configured (v1 tail
-    // continues, rotations switch), second half lands in v2 segments.
-    let records = workload(4, 30);
-    let half = records.len() / 2;
-
-    let dir = tmp("mixed-replay");
-    let empty = Database::new(network(), DatabaseConfig::default());
-    let mut w = WalWriter::create(&dir, opts(SegmentFormat::V1, 512)).unwrap();
-    write_snapshot(&dir, &empty, 0).unwrap();
-    for rec in &records[..half] {
-        w.append(rec).unwrap();
-    }
-    w.sync().unwrap();
-    drop(w);
-
-    let mut w = WalWriter::resume(&dir, opts(SegmentFormat::V2, 512), half as u64).unwrap();
-    assert_eq!(w.segment_version(), SEGMENT_VERSION, "tail stays v1");
-    let mut batch = WalBatch::new();
-    for rec in &records[half..] {
-        batch.push(rec);
-        if batch.records() == 8 {
-            w.append_batch(&mut batch).unwrap();
+fn foreign_header_versions_are_refused_everywhere_and_left_on_disk() {
+    // Version 1 is the retired one-record-per-frame format, 3 a format
+    // this build has never heard of: both get the same typed refusal
+    // from every reader and the writer, and the file keeps every byte.
+    for foreign in [1u32, 3] {
+        let dir = tmp(&format!("foreign-v{foreign}"));
+        let empty = Database::new(network(), DatabaseConfig::default());
+        let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
+        write_snapshot(&dir, &empty, 0).unwrap();
+        for rec in &workload(2, 3) {
+            w.append(rec).unwrap();
         }
+        w.sync().unwrap();
+        let next_lsn = w.next_lsn();
+        drop(w);
+        let path = list_segments(&dir).unwrap().remove(0).1;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&foreign.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let refusals = [
+            scan_segment(&path).map(|_| ()),
+            recover(&dir).map(|_| ()),
+            WalWriter::resume(&dir, opts(u64::MAX), next_lsn).map(|_| ()),
+            SegmentTailer::new(&dir, 0).poll_blocks(64).map(|_| ()),
+        ];
+        for (i, refusal) in refusals.into_iter().enumerate() {
+            assert!(
+                matches!(
+                    refusal,
+                    Err(WalError::CorruptSegment {
+                        offset: 8,
+                        reason: "unsupported version",
+                        ..
+                    })
+                ),
+                "version {foreign}, reader {i}: {refusal:?}"
+            );
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "segment modified");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    w.append_batch(&mut batch).unwrap();
-    w.sync().unwrap();
-    assert_eq!(w.segment_version(), SEGMENT_VERSION_V2, "rotations switch");
-    drop(w);
-
-    // Both formats must be present on disk.
-    let versions: Vec<u32> = list_segments(&dir)
-        .unwrap()
-        .iter()
-        .map(|(_, p)| scan_segment(p).unwrap().version)
-        .collect();
-    assert!(versions.contains(&SEGMENT_VERSION));
-    assert!(versions.contains(&SEGMENT_VERSION_V2));
-
-    let recovered = recover(&dir).unwrap();
-    assert_eq!(recovered.report.next_lsn, records.len() as u64);
-    assert_same_state(&recovered.database, &reference_db(&records));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn compaction_across_the_version_boundary_keeps_snapshots_consistent() {
-    let records = workload(4, 40);
-    let half = records.len() / 2;
-
-    let dir = tmp("mixed-compact");
-    let empty = Database::new(network(), DatabaseConfig::default());
-    let mut w = WalWriter::create(&dir, opts(SegmentFormat::V1, 512)).unwrap();
-    write_snapshot(&dir, &empty, 0).unwrap();
-    for rec in &records[..half] {
-        w.append(rec).unwrap();
-    }
-    drop(w);
-    let mut w = WalWriter::resume(&dir, opts(SegmentFormat::V2, 512), half as u64).unwrap();
-    for rec in &records[half..] {
-        w.append(rec).unwrap();
-    }
-    w.sync().unwrap();
-
-    // Snapshot the current state mid-log (as DurableDatabase would),
-    // then compact with retention 1: every segment fully covered by the
-    // snapshot goes, v1 and v2 alike.
-    let state = reference_db(&records);
-    write_snapshot(&dir, &state, w.next_lsn()).unwrap();
-    let before = list_segments(&dir).unwrap().len();
-    let report = compact(&dir, 1).unwrap();
-    assert!(report.segments_removed > 0, "{report}");
-    assert!(list_segments(&dir).unwrap().len() < before);
-
-    // Post-compaction recovery must still reach the same state…
-    let recovered = recover(&dir).unwrap();
-    assert_eq!(recovered.report.next_lsn, records.len() as u64);
-    assert_same_state(&recovered.database, &state);
-
-    // …and the log must still be appendable-and-recoverable across the
-    // compaction point.
-    drop(w);
-    let mut w = WalWriter::resume(
-        &dir,
-        opts(SegmentFormat::V2, 512),
-        recovered.report.next_lsn,
-    )
-    .unwrap();
-    let tail_update = update(0, 1000.0, 50.0);
-    w.append(&tail_update).unwrap();
-    w.sync().unwrap();
-    drop(w);
-    let mut all = records.clone();
-    all.push(tail_update);
-    let recovered = recover(&dir).unwrap();
-    assert_eq!(recovered.report.next_lsn, all.len() as u64);
-    assert_same_state(&recovered.database, &reference_db(&all));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -244,7 +156,7 @@ fn crash_inside_a_compressed_block_truncates_to_the_block_boundary() {
     let empty = Database::new(network(), DatabaseConfig::default());
     let records = workload(4, 8);
     let half = records.len() / 2;
-    let mut w = WalWriter::create(&dir, opts(SegmentFormat::V2, u64::MAX)).unwrap();
+    let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
     write_snapshot(&dir, &empty, 0).unwrap();
     let mut batch = WalBatch::new();
     for rec in &records[..half] {
