@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
+use modb_core::{Database, ObjectId, UpdateMessage, UpdatePosition};
 use modb_server::{QueryEngineConfig, SharedDatabase};
 use modb_sim::experiments::indexing::{build_city_db, query_regions};
 
@@ -150,27 +150,39 @@ fn bench_parallel_refine_and_publish(c: &mut Criterion) {
 /// churn levels (0.1%, 1%, 10% of the fleet touched between epochs).
 /// Each iteration applies the churn batch and republishes; the churn
 /// cost is identical in both modes, so the spread between the `full`
-/// and `delta` rows is publication cost alone. This times the whole
-/// `publish_now` cycle — for delta mode that includes the post-swap
-/// shadow catch-up; the W3 experiment (`exp_epoch_publish`) splits out
-/// the pre-swap visibility latency.
+/// and `delta` rows is publication cost alone. The `delta` rows time
+/// the whole `publish_now` cycle, post-swap shadow catch-up included;
+/// the `full` rows time what the engine did before it had a change log
+/// (clone the database under the read lock, wrap it in an `Arc`, drop
+/// the snapshot it replaces). The W3 experiment (`exp_epoch_publish`)
+/// splits out the pre-swap visibility latency.
 fn bench_epoch_publish(c: &mut Criterion) {
     const FLEET: usize = 10_000;
     let mut group = c.benchmark_group("epoch_publish");
     group.sample_size(20);
     for churn in [FLEET / 1000, FLEET / 100, FLEET / 10] {
-        for incremental in [false, true] {
+        for mode in ["full", "delta"] {
             let (db, _) = fleet(FLEET);
-            let engine = db.query_engine(QueryEngineConfig {
-                epoch_interval: None,
-                incremental_publish: incremental,
-                ..QueryEngineConfig::default()
-            });
-            // Past the cold-buffer publish: the first incremental
-            // publish is a full clone.
-            engine.publish_now();
-            engine.publish_now();
-            let mode = if incremental { "delta" } else { "full" };
+            let mut publish: Box<dyn FnMut()> = if mode == "delta" {
+                let engine = db.query_engine(QueryEngineConfig {
+                    epoch_interval: None,
+                    ..QueryEngineConfig::default()
+                });
+                // Past the cold-buffer publish: the first publish into
+                // an empty shadow buffer is a full clone.
+                engine.publish_now();
+                engine.publish_now();
+                Box::new(move || {
+                    black_box(engine.publish_now());
+                })
+            } else {
+                let db = db.clone();
+                let mut published = Arc::new(db.with_read(Database::clone));
+                Box::new(move || {
+                    let next = Arc::new(db.with_read(Database::clone));
+                    drop(std::mem::replace(&mut published, black_box(next)));
+                })
+            };
             let mut round = 2u64;
             group.bench_function(format!("{mode}_10k_churn_{churn}"), |b| {
                 b.iter(|| {
@@ -182,7 +194,7 @@ fn bench_epoch_publish(c: &mut Criterion) {
                             &UpdateMessage::basic(t, UpdatePosition::Arc(0.5), 0.7),
                         );
                     }
-                    black_box(engine.publish_now())
+                    publish()
                 })
             });
         }

@@ -36,8 +36,9 @@ pub enum Change {
 /// An opaque position in a database's change log.
 ///
 /// Cursors are only meaningful against the database instance (or its
-/// full clones) they were taken from; [`ChangeLog::since`] answers `None`
-/// for a cursor it cannot serve, which subscribers treat as "resync".
+/// full clones) they were taken from;
+/// [`crate::Database::changes_since`] answers `None` for a cursor it
+/// cannot serve, which subscribers treat as "resync".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ChangeCursor {
     pub(crate) seq: u64,

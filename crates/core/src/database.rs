@@ -87,7 +87,7 @@ struct MovingRecord {
 /// objects with position attributes, and the 3-D time-space index.
 ///
 /// Cloning copies pointers, not payloads: the network, every
-/// [`MovingRecord`] and every index entry's slab boxes are shared with
+/// `MovingRecord` and every index entry's slab boxes are shared with
 /// the clone. Per copy are only the structures delta-sync mutates in
 /// place — the id maps, the band trees, `unindexed`, the change log.
 #[derive(Debug, Clone)]

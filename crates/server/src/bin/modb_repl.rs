@@ -95,6 +95,21 @@ fn print_band_summary(stats: &ServerStatsSnapshot) {
     );
 }
 
+/// `\stats` for one scraped node: every sample of the exposition (the
+/// metric table's rows, in its order — the `# TYPE` lines are for
+/// scrapers), then the derived lines.
+fn print_scrape(stats: &ServerStatsSnapshot) {
+    for sample in stats
+        .prometheus_text()
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+    {
+        println!("  {sample}");
+    }
+    print_wal_efficiency(stats);
+    print_band_summary(stats);
+}
+
 fn demo_fleet() -> SharedDatabase {
     let network = generators::grid_network(10, 10, 1.0, 0).expect("valid grid");
     let route_ids = network.route_ids();
@@ -495,13 +510,7 @@ fn main() {
                         Ok(snapshots) => {
                             for (shard, stats) in snapshots.iter().enumerate() {
                                 println!("  -- shard {shard}");
-                                for l in stats.prometheus_text().lines() {
-                                    if !l.starts_with('#') {
-                                        println!("  {l}");
-                                    }
-                                }
-                                print_wal_efficiency(stats);
-                                print_band_summary(stats);
+                                print_scrape(stats);
                             }
                         }
                         Err(e) => {
@@ -515,15 +524,7 @@ fn main() {
                 }
                 match &mut remote {
                     Some(client) => match client.stats() {
-                        Ok(stats) => {
-                            for l in stats.prometheus_text().lines() {
-                                if !l.starts_with('#') {
-                                    println!("  {l}");
-                                }
-                            }
-                            print_wal_efficiency(&stats);
-                            print_band_summary(&stats);
-                        }
+                        Ok(stats) => print_scrape(&stats),
                         Err(e) => {
                             println!("  connection lost: {e}");
                             remote = None;

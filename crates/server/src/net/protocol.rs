@@ -14,7 +14,7 @@
 //! | 4   | `HelloAck`     | server → client | `version u32`                      |
 //! | 5   | `Statement`    | server → client | `index u32, verdict`               |
 //! | 6   | `BatchDone`    | server → client | `count u32`                        |
-//! | 7   | `StatsReply`   | server → client | [`ServerStatsSnapshot`]            |
+//! | 7   | `StatsReply`   | server → client | `shard option, count u32, sample*` |
 //! | 8   | `Refused`      | server → client | `reason string`                    |
 //! | 9   | `Update`       | client → server | `id u64, msg UpdateMessage`        |
 //! | 10  | `UpdateBatch`  | client → server | `count u32, (id, msg)*`            |
@@ -29,6 +29,20 @@
 //! may/must sets, neighbour rankings); query *errors* travel as their
 //! display strings, which keeps every `modb-query` error representable
 //! without the server and client sharing an error-enum encoding.
+//!
+//! **The stats frame.** A `StatsReply` carries a [`ServerStatsSnapshot`]
+//! as self-describing samples: the node's shard number once (`flag u8`,
+//! then `u64` when set), a `u32` sample count, and per sample
+//! `name string, label count u8, (key string, value string)*, value u64`.
+//! One table in this module (`METRICS`: name, counter|gauge, snapshot
+//! field, how Prometheus shows the value) drives the encoder, the
+//! decoder and [`ServerStatsSnapshot::prometheus_text`]; its row order is
+//! the sample order. The decoder skips a series it has no row for and
+//! leaves a row it got no sample for at `Default`, so adding or dropping
+//! a gauge is one row and no protocol version. What it does not forgive
+//! is a frame that is wrong in itself — a duplicate series, a `band`
+//! label that is not a band number, a count over its ceiling, a short or
+//! over-long body: those are [`WalError::Decode`].
 //!
 //! **Remote ingest (v2).** `Update` / `UpdateBatch` push position
 //! updates through the server's ingest shards (per-object FIFO, WAL
@@ -59,16 +73,12 @@ use crate::framed::WireMessage;
 use crate::ingest::IngestStatsSnapshot;
 use crate::query_engine::QueryStatsSnapshot;
 
-/// Protocol version spoken by this build; a mismatched `Hello` is
-/// refused. v2 added remote ingest (`Update`/`UpdateBatch`/`UpdateAck`),
-/// the `min_lsn` read-your-writes floor on `Batch`, and the shard label
-/// in the stats frame. v3 widened the stats frame with the group-commit
-/// counters (tickets, commits, last batch size). v4 added the speed-band
-/// index gauges (per-band entry counts plus the migration counter). v5
-/// added follower-served reads: the typed `Stale` answer to a `Batch`
-/// whose `min_lsn` token outruns a follower's applied watermark, plus
-/// the replica watermark/lag gauges in the stats frame.
-pub(crate) const NET_PROTOCOL_VERSION: u32 = 5;
+/// Protocol version spoken by this build, and the only one: a `Hello`
+/// at any other version is `Refused`. v6 made the stats frame
+/// self-describing (see the module docs) — v3, v4 and v5 had each been
+/// cut only to add gauges to a positional one, which cannot happen
+/// again. Every other message is byte-for-byte what v5 sent.
+pub(crate) const NET_PROTOCOL_VERSION: u32 = 6;
 
 /// Default ceiling on one message's payload. Query scripts and result
 /// sets are small next to replication snapshots, so the front-end default
@@ -110,7 +120,11 @@ impl RemoteUpdateVerdict {
 /// counters, WAL I/O totals, the ingest queue depth, and the replication
 /// ship horizon. [`ServerStatsSnapshot::prometheus_text`] renders the
 /// standard text exposition for scrapers that speak it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// On the wire the snapshot is a list of self-describing samples, one
+/// per row of the metric table in this module (see the module docs):
+/// `Default` is what a field reads when the peer sent no sample for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStatsSnapshot {
     /// Query engine counters (epoch, totals, p50/p99 latency).
     pub query: QueryStatsSnapshot,
@@ -166,158 +180,287 @@ pub struct ServerStatsSnapshot {
     pub replica_lag: Option<Duration>,
 }
 
+/// One row of the metric table.
+struct Metric {
+    name: &'static str,
+    kind: Kind,
+    /// Renders the wire value for the exposition.
+    show: fn(u64) -> String,
+    source: Source,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// Where a row's samples come from and go to.
+#[derive(Clone, Copy)]
+enum Source {
+    /// One unlabelled sample for one snapshot field; a field reading
+    /// `None` sends no sample and is omitted from the exposition.
+    Field {
+        get: fn(&ServerStatsSnapshot) -> Option<u64>,
+        set: fn(&mut ServerStatsSnapshot, u64),
+    },
+    /// One sample per configured speed band, labelled `band="N"`:
+    /// `index_band_entries[..index_bands]` (the receiver takes the band
+    /// count from the highest band it was sent).
+    Bands,
+}
+
+fn raw(v: u64) -> String {
+    v.to_string()
+}
+
+/// Nanoseconds on the wire, whole microseconds in the text.
+fn micros(ns: u64) -> String {
+    (ns / 1_000).to_string()
+}
+
+/// Nanoseconds on the wire, seconds with six decimals in the text.
+fn seconds(ns: u64) -> String {
+    format!("{:.6}", Duration::from_nanos(ns).as_secs_f64())
+}
+
+/// A snapshot field as the frame carries it: every field type maps onto
+/// one `u64`.
+trait Slot {
+    fn load(&self) -> Option<u64>;
+    fn store(&mut self, v: u64);
+}
+
+impl Slot for u64 {
+    fn load(&self) -> Option<u64> {
+        Some(*self)
+    }
+    fn store(&mut self, v: u64) {
+        *self = v;
+    }
+}
+
+impl Slot for usize {
+    fn load(&self) -> Option<u64> {
+        Some(*self as u64)
+    }
+    fn store(&mut self, v: u64) {
+        *self = usize::try_from(v).unwrap_or(usize::MAX);
+    }
+}
+
+/// Durations travel as nanoseconds.
+impl Slot for Duration {
+    fn load(&self) -> Option<u64> {
+        Some(u64::try_from(self.as_nanos()).unwrap_or(u64::MAX))
+    }
+    fn store(&mut self, v: u64) {
+        *self = Duration::from_nanos(v);
+    }
+}
+
+impl<T: Slot + Default> Slot for Option<T> {
+    fn load(&self) -> Option<u64> {
+        self.as_ref().and_then(Slot::load)
+    }
+    fn store(&mut self, v: u64) {
+        self.get_or_insert_with(T::default).store(v);
+    }
+}
+
+/// Builds `METRICS` from rows of `"name" Kind show (source);` where the
+/// source is a [`ServerStatsSnapshot`] field path or `per band`.
+macro_rules! metrics {
+    (@source (per band)) => { Source::Bands };
+    (@source ($($field:tt)+)) => {
+        Source::Field {
+            get: |s| s.$($field)+.load(),
+            set: |s, v| s.$($field)+.store(v),
+        }
+    };
+    ($($name:literal $kind:ident $show:ident $source:tt;)+) => {
+        const METRICS: &[Metric] = &[$(Metric {
+            name: $name,
+            kind: Kind::$kind,
+            show: $show,
+            source: metrics!(@source $source),
+        }),+];
+    };
+}
+
+// The metric table: the one place a scrape metric is spelled. Row order
+// is sample order on the wire and in the exposition.
+metrics! {
+    "modb_query_epoch"                      Gauge   raw     (query.epoch);
+    "modb_queries_total"                    Counter raw     (query.queries);
+    "modb_query_epoch_queries"              Gauge   raw     (query.epoch_queries);
+    "modb_query_errors_total"               Counter raw     (query.errors);
+    "modb_query_candidates_total"           Counter raw     (query.candidates);
+    "modb_query_matches_total"              Counter raw     (query.matches);
+    "modb_query_parallel_refines_total"     Counter raw     (query.parallel_refines);
+    "modb_query_batches_total"              Counter raw     (query.batches);
+    "modb_query_delta_publishes_total"      Counter raw     (query.delta_publishes);
+    "modb_query_full_publishes_total"       Counter raw     (query.full_publishes);
+    "modb_query_publish_nanoseconds_total"  Counter raw     (query.publish_ns);
+    "modb_query_p50_microseconds"           Gauge   raw     (query.p50_us);
+    "modb_query_p99_microseconds"           Gauge   raw     (query.p99_us);
+    "modb_query_snapshot_age_microseconds"  Gauge   micros  (query.snapshot_age);
+    "modb_ingest_accepted_total"            Counter raw     (ingest.accepted);
+    "modb_ingest_stale_total"               Counter raw     (ingest.stale);
+    "modb_ingest_off_route_total"           Counter raw     (ingest.off_route);
+    "modb_ingest_unknown_object_total"      Counter raw     (ingest.unknown_object);
+    "modb_ingest_other_rejected_total"      Counter raw     (ingest.other_rejected);
+    "modb_ingest_wal_errors_total"          Counter raw     (ingest.wal_errors);
+    "modb_ingest_queue_depth"               Gauge   raw     (ingest_queue_depth);
+    "modb_wal_bytes_written_total"          Counter raw     (wal_bytes_written);
+    "modb_wal_fsyncs_total"                 Counter raw     (wal_fsyncs);
+    "modb_wal_group_commit_tickets_total"   Counter raw     (wal_group_tickets);
+    "modb_wal_group_commits_total"          Counter raw     (wal_group_commits);
+    "modb_wal_group_commit_batch_size"      Gauge   raw     (wal_group_last_batch);
+    "modb_wal_next_lsn"                     Gauge   raw     (wal_next_lsn);
+    "modb_replication_followers"            Gauge   raw     (followers);
+    "modb_replication_min_acked_lsn"        Gauge   raw     (min_acked_lsn);
+    "modb_index_band_migrations_total"      Counter raw     (index_band_migrations);
+    "modb_replica_applied_lsn"              Gauge   raw     (replica_applied_lsn);
+    "modb_replica_lag_seconds"              Gauge   seconds (replica_lag);
+    "modb_index_band_entries"               Gauge   raw     (per band);
+}
+
+/// The label a [`Source::Bands`] sample carries.
+const BAND_LABEL: &str = "band";
+
+/// Ceilings on what one `StatsReply` may claim: a frame over either is
+/// refused before anything is allocated for it. The table plus one
+/// sample per band fits many times over.
+const MAX_STATS_SAMPLES: usize = 1024;
+const MAX_SAMPLE_LABELS: usize = 4;
+
 impl ServerStatsSnapshot {
+    /// Every sample this snapshot carries, in table order: the row, the
+    /// band it is labelled with (band rows only) and the wire value.
+    fn samples(&self) -> Vec<(&'static Metric, Option<usize>, u64)> {
+        let mut samples = Vec::with_capacity(METRICS.len() + MAX_BANDS);
+        for row in METRICS {
+            match row.source {
+                Source::Field { get, .. } => samples.extend(get(self).map(|v| (row, None, v))),
+                Source::Bands => {
+                    let bands = (self.index_bands as usize).min(MAX_BANDS);
+                    let entries = self.index_band_entries[..bands].iter().enumerate();
+                    samples.extend(entries.map(|(band, v)| (row, Some(band), *v)));
+                }
+            }
+        }
+        samples
+    }
+
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (`# TYPE` lines plus one sample per metric). Gauges and counters
-    /// are labelled as such; `modb_replication_min_acked_lsn` is omitted
-    /// when no follower is connected rather than inventing a sentinel.
-    /// A cluster node (`shard` set) gets a `shard="N"` label on every
-    /// sample.
+    /// (a `# TYPE` line per metric, then its samples). Gauges and
+    /// counters are labelled as such; an `Option` gauge that is `None`
+    /// (`modb_replication_min_acked_lsn` with no follower connected, the
+    /// replica gauges on a leader) is omitted rather than given a
+    /// sentinel. A cluster node (`shard` set) gets a `shard="N"` label on
+    /// every sample, ahead of the sample's own `band` label.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        let labels = match self.shard {
-            Some(n) => format!("{{shard=\"{n}\"}}"),
-            None => String::new(),
-        };
-        let mut metric = |name: &str, kind: &str, value: u64| {
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-            let _ = writeln!(out, "{name}{labels} {value}");
-        };
-        metric("modb_query_epoch", "gauge", self.query.epoch);
-        metric("modb_queries_total", "counter", self.query.queries);
-        metric(
-            "modb_query_epoch_queries",
-            "gauge",
-            self.query.epoch_queries,
-        );
-        metric("modb_query_errors_total", "counter", self.query.errors);
-        metric(
-            "modb_query_candidates_total",
-            "counter",
-            self.query.candidates,
-        );
-        metric("modb_query_matches_total", "counter", self.query.matches);
-        metric(
-            "modb_query_parallel_refines_total",
-            "counter",
-            self.query.parallel_refines,
-        );
-        metric("modb_query_batches_total", "counter", self.query.batches);
-        metric(
-            "modb_query_delta_publishes_total",
-            "counter",
-            self.query.delta_publishes,
-        );
-        metric(
-            "modb_query_full_publishes_total",
-            "counter",
-            self.query.full_publishes,
-        );
-        metric(
-            "modb_query_publish_nanoseconds_total",
-            "counter",
-            self.query.publish_ns,
-        );
-        metric("modb_query_p50_microseconds", "gauge", self.query.p50_us);
-        metric("modb_query_p99_microseconds", "gauge", self.query.p99_us);
-        metric(
-            "modb_query_snapshot_age_microseconds",
-            "gauge",
-            self.query.snapshot_age.as_micros() as u64,
-        );
-        metric(
-            "modb_ingest_accepted_total",
-            "counter",
-            self.ingest.accepted as u64,
-        );
-        metric(
-            "modb_ingest_stale_total",
-            "counter",
-            self.ingest.stale as u64,
-        );
-        metric(
-            "modb_ingest_off_route_total",
-            "counter",
-            self.ingest.off_route as u64,
-        );
-        metric(
-            "modb_ingest_unknown_object_total",
-            "counter",
-            self.ingest.unknown_object as u64,
-        );
-        metric(
-            "modb_ingest_other_rejected_total",
-            "counter",
-            self.ingest.other_rejected as u64,
-        );
-        metric(
-            "modb_ingest_wal_errors_total",
-            "counter",
-            self.ingest.wal_errors as u64,
-        );
-        metric("modb_ingest_queue_depth", "gauge", self.ingest_queue_depth);
-        metric(
-            "modb_wal_bytes_written_total",
-            "counter",
-            self.wal_bytes_written,
-        );
-        metric("modb_wal_fsyncs_total", "counter", self.wal_fsyncs);
-        metric(
-            "modb_wal_group_commit_tickets_total",
-            "counter",
-            self.wal_group_tickets,
-        );
-        metric(
-            "modb_wal_group_commits_total",
-            "counter",
-            self.wal_group_commits,
-        );
-        metric(
-            "modb_wal_group_commit_batch_size",
-            "gauge",
-            self.wal_group_last_batch,
-        );
-        metric("modb_wal_next_lsn", "gauge", self.wal_next_lsn);
-        metric("modb_replication_followers", "gauge", self.followers);
-        if let Some(lsn) = self.min_acked_lsn {
-            metric("modb_replication_min_acked_lsn", "gauge", lsn);
-        }
-        metric(
-            "modb_index_band_migrations_total",
-            "counter",
-            self.index_band_migrations,
-        );
-        if let Some(lsn) = self.replica_applied_lsn {
-            metric("modb_replica_applied_lsn", "gauge", lsn);
-        }
-        // The lag gauge is fractional seconds, so it bypasses the u64
-        // `metric` closure; like the other replica gauges it is omitted
-        // entirely on a leader.
-        if let Some(lag) = self.replica_lag {
-            let _ = writeln!(out, "# TYPE modb_replica_lag_seconds gauge");
-            let _ = writeln!(
-                out,
-                "modb_replica_lag_seconds{labels} {:.6}",
-                lag.as_secs_f64()
-            );
-        }
-        // Per-band entry gauges carry their own `band` label, merged
-        // with the shard label when the node has one.
-        let _ = writeln!(out, "# TYPE modb_index_band_entries gauge");
-        for band in 0..(self.index_bands as usize).min(MAX_BANDS) {
-            let sample = match self.shard {
-                Some(n) => format!(
-                    "modb_index_band_entries{{shard=\"{n}\",band=\"{band}\"}} {}",
-                    self.index_band_entries[band]
-                ),
-                None => format!(
-                    "modb_index_band_entries{{band=\"{band}\"}} {}",
-                    self.index_band_entries[band]
-                ),
-            };
-            let _ = writeln!(out, "{sample}");
+        let shard = self.shard.map(|n| format!("shard=\"{n}\""));
+        let mut typed = None;
+        for (row, band, value) in self.samples() {
+            if typed != Some(row.name) {
+                let kind = match row.kind {
+                    Kind::Counter => "counter",
+                    Kind::Gauge => "gauge",
+                };
+                let _ = writeln!(out, "# TYPE {} {kind}", row.name);
+                typed = Some(row.name);
+            }
+            let band = band.map(|b| format!("{BAND_LABEL}=\"{b}\""));
+            let labels: Vec<&str> = shard.iter().chain(&band).map(String::as_str).collect();
+            out.push_str(row.name);
+            if !labels.is_empty() {
+                let _ = write!(out, "{{{}}}", labels.join(","));
+            }
+            let _ = writeln!(out, " {}", (row.show)(value));
         }
         out
+    }
+
+    /// The `StatsReply` body: the shard number once, then every sample
+    /// as `name, labels, value`.
+    fn encode_samples(&self, out: &mut Vec<u8>) {
+        match self.shard {
+            Some(n) => {
+                out.push(1);
+                put_u64(out, n);
+            }
+            None => out.push(0),
+        }
+        let samples = self.samples();
+        put_u32(out, samples.len() as u32);
+        for (row, band, value) in samples {
+            put_string(out, row.name);
+            match band {
+                Some(band) => {
+                    out.push(1);
+                    put_string(out, BAND_LABEL);
+                    put_string(out, &band.to_string());
+                }
+                None => out.push(0),
+            }
+            put_u64(out, value);
+        }
+    }
+
+    /// Decodes a `StatsReply` body. A series this build has no row for —
+    /// an unknown name, or a known name under labels its row does not
+    /// carry — is skipped; a row the peer sent no sample for stays at
+    /// its `Default`. Everything else that is off is a typed error.
+    fn decode_samples(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
+        let mut stats = ServerStatsSnapshot {
+            shard: if r.u8()? != 0 { Some(r.u64()?) } else { None },
+            ..ServerStatsSnapshot::default()
+        };
+        let count = r.u32()? as usize;
+        if count > MAX_STATS_SAMPLES {
+            return Err(WalError::Decode("too many samples in stats frame"));
+        }
+        let mut seen_rows = [false; METRICS.len()];
+        let mut seen_bands = [false; MAX_BANDS];
+        for _ in 0..count {
+            let name = r.string()?;
+            let label_count = r.u8()? as usize;
+            if label_count > MAX_SAMPLE_LABELS {
+                return Err(WalError::Decode("too many labels on a stats sample"));
+            }
+            let mut labels = Vec::with_capacity(label_count);
+            for _ in 0..label_count {
+                labels.push((r.string()?, r.string()?));
+            }
+            let value = r.u64()?;
+            let Some(index) = METRICS.iter().position(|row| row.name == name) else {
+                continue;
+            };
+            let seen = match (METRICS[index].source, labels.as_slice()) {
+                (Source::Field { set, .. }, []) => {
+                    set(&mut stats, value);
+                    &mut seen_rows[index]
+                }
+                (Source::Bands, [(key, band)]) if key == BAND_LABEL => {
+                    let band = band
+                        .parse::<usize>()
+                        .ok()
+                        .filter(|band| *band < MAX_BANDS)
+                        .ok_or(WalError::Decode("band label out of range in stats frame"))?;
+                    stats.index_band_entries[band] = value;
+                    stats.index_bands = stats.index_bands.max(band as u64 + 1);
+                    &mut seen_bands[band]
+                }
+                _ => continue,
+            };
+            if std::mem::replace(seen, true) {
+                return Err(WalError::Decode("duplicate sample in stats frame"));
+            }
+        }
+        Ok(stats)
     }
 }
 
@@ -513,142 +656,6 @@ fn read_update_verdict(r: &mut ByteReader<'_>) -> Result<RemoteUpdateVerdict, Wa
     })
 }
 
-fn put_stats(out: &mut Vec<u8>, s: &ServerStatsSnapshot) {
-    put_u64(out, s.query.epoch);
-    put_u64(out, s.query.queries);
-    put_u64(out, s.query.epoch_queries);
-    put_u64(out, s.query.errors);
-    put_u64(out, s.query.candidates);
-    put_u64(out, s.query.matches);
-    put_u64(out, s.query.parallel_refines);
-    put_u64(out, s.query.batches);
-    put_u64(out, s.query.delta_publishes);
-    put_u64(out, s.query.full_publishes);
-    put_u64(out, s.query.publish_ns);
-    put_u64(out, s.query.p50_us);
-    put_u64(out, s.query.p99_us);
-    put_u64(out, s.query.snapshot_age.as_nanos() as u64);
-    put_u64(out, s.ingest.accepted as u64);
-    put_u64(out, s.ingest.stale as u64);
-    put_u64(out, s.ingest.off_route as u64);
-    put_u64(out, s.ingest.unknown_object as u64);
-    put_u64(out, s.ingest.other_rejected as u64);
-    put_u64(out, s.ingest.wal_errors as u64);
-    put_u64(out, s.wal_bytes_written);
-    put_u64(out, s.wal_fsyncs);
-    put_u64(out, s.wal_group_tickets);
-    put_u64(out, s.wal_group_commits);
-    put_u64(out, s.wal_group_last_batch);
-    put_u64(out, s.wal_next_lsn);
-    put_u64(out, s.ingest_queue_depth);
-    put_u64(out, s.followers);
-    match s.min_acked_lsn {
-        Some(lsn) => {
-            out.push(1);
-            put_u64(out, lsn);
-        }
-        None => out.push(0),
-    }
-    match s.shard {
-        Some(n) => {
-            out.push(1);
-            put_u64(out, n);
-        }
-        None => out.push(0),
-    }
-    let bands = (s.index_bands as usize).min(MAX_BANDS);
-    put_u64(out, bands as u64);
-    for entries in &s.index_band_entries[..bands] {
-        put_u64(out, *entries);
-    }
-    put_u64(out, s.index_band_migrations);
-    match s.replica_applied_lsn {
-        Some(lsn) => {
-            out.push(1);
-            put_u64(out, lsn);
-        }
-        None => out.push(0),
-    }
-    match s.replica_lag {
-        Some(lag) => {
-            out.push(1);
-            put_u64(out, lag.as_nanos() as u64);
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_stats(r: &mut ByteReader<'_>) -> Result<ServerStatsSnapshot, WalError> {
-    let query = QueryStatsSnapshot {
-        epoch: r.u64()?,
-        queries: r.u64()?,
-        epoch_queries: r.u64()?,
-        errors: r.u64()?,
-        candidates: r.u64()?,
-        matches: r.u64()?,
-        parallel_refines: r.u64()?,
-        batches: r.u64()?,
-        delta_publishes: r.u64()?,
-        full_publishes: r.u64()?,
-        publish_ns: r.u64()?,
-        p50_us: r.u64()?,
-        p99_us: r.u64()?,
-        snapshot_age: Duration::from_nanos(r.u64()?),
-    };
-    let ingest = IngestStatsSnapshot {
-        accepted: r.u64()? as usize,
-        stale: r.u64()? as usize,
-        off_route: r.u64()? as usize,
-        unknown_object: r.u64()? as usize,
-        other_rejected: r.u64()? as usize,
-        wal_errors: r.u64()? as usize,
-    };
-    let wal_bytes_written = r.u64()?;
-    let wal_fsyncs = r.u64()?;
-    let wal_group_tickets = r.u64()?;
-    let wal_group_commits = r.u64()?;
-    let wal_group_last_batch = r.u64()?;
-    let wal_next_lsn = r.u64()?;
-    let ingest_queue_depth = r.u64()?;
-    let followers = r.u64()?;
-    let min_acked_lsn = if r.u8()? != 0 { Some(r.u64()?) } else { None };
-    let shard = if r.u8()? != 0 { Some(r.u64()?) } else { None };
-    let index_bands = r.u64()?;
-    if index_bands as usize > MAX_BANDS {
-        return Err(WalError::Decode("band count out of range in stats frame"));
-    }
-    let mut index_band_entries = [0u64; MAX_BANDS];
-    for slot in index_band_entries.iter_mut().take(index_bands as usize) {
-        *slot = r.u64()?;
-    }
-    let index_band_migrations = r.u64()?;
-    let replica_applied_lsn = if r.u8()? != 0 { Some(r.u64()?) } else { None };
-    let replica_lag = if r.u8()? != 0 {
-        Some(Duration::from_nanos(r.u64()?))
-    } else {
-        None
-    };
-    Ok(ServerStatsSnapshot {
-        query,
-        ingest,
-        wal_bytes_written,
-        wal_fsyncs,
-        wal_group_tickets,
-        wal_group_commits,
-        wal_group_last_batch,
-        wal_next_lsn,
-        ingest_queue_depth,
-        followers,
-        min_acked_lsn,
-        shard,
-        index_bands,
-        index_band_entries,
-        index_band_migrations,
-        replica_applied_lsn,
-        replica_lag,
-    })
-}
-
 impl WireMessage for Message {
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
@@ -686,7 +693,7 @@ impl WireMessage for Message {
             }
             Message::StatsReply(stats) => {
                 out.push(7);
-                put_stats(out, stats);
+                stats.encode_samples(out);
             }
             Message::Refused { reason } => {
                 out.push(8);
@@ -741,7 +748,7 @@ impl WireMessage for Message {
                 Message::Statement { index, verdict }
             }
             6 => Message::BatchDone { count: r.u32()? },
-            7 => Message::StatsReply(Box::new(read_stats(&mut r)?)),
+            7 => Message::StatsReply(Box::new(ServerStatsSnapshot::decode_samples(&mut r)?)),
             8 => Message::Refused {
                 reason: r.string()?,
             },
@@ -940,121 +947,236 @@ mod tests {
         ]
     }
 
-    /// The wire compatibility contract: `tests/golden/net.frames` holds
-    /// one framed instance of every message, written by the encoder of
-    /// commit dfa280f (see `tests/golden/README.md`). Each frame must
-    /// decode to its sample value and every sample must re-encode to the
-    /// identical bytes.
+    /// Cuts a concatenation of CRC frames at the length prefixes, without
+    /// decoding anything (the v5 stats frame no longer decodes).
+    fn split_frames(mut bytes: &[u8]) -> Vec<&[u8]> {
+        let mut frames = Vec::new();
+        while !bytes.is_empty() {
+            let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+            let (frame, rest) = bytes.split_at(8 + len);
+            frames.push(frame);
+            bytes = rest;
+        }
+        frames
+    }
+
+    /// The wire compatibility contract (see `tests/golden/README.md`):
+    /// `net-v6.frames` holds one framed instance of every message. Each
+    /// frame must decode to its sample value; every frame but
+    /// `StatsReply` must re-encode to the identical bytes; and every
+    /// frame but `Hello`, `HelloAck` (they carry the version number) and
+    /// `StatsReply` must equal the frame v5 sent, kept in `net.frames`.
+    /// `StatsReply` is a decode-only contract: a later build may send
+    /// more samples for the same snapshot, never read these differently.
     #[test]
-    fn golden_frames_decode_and_re_encode_bit_identically() {
-        let golden = include_bytes!("../../tests/golden/net.frames");
-        let mut rest: &[u8] = golden;
-        let mut re_encoded = Vec::new();
-        for expected in sample_messages() {
-            let (msg, consumed) = decode_frame::<Message>(rest, DEFAULT_MAX_FRAME_BYTES)
+    fn golden_frames_decode_and_match_v5_outside_the_stats_frame() {
+        let v6 = split_frames(include_bytes!("../../tests/golden/net-v6.frames"));
+        let v5 = split_frames(include_bytes!("../../tests/golden/net.frames"));
+        let samples = sample_messages();
+        assert_eq!(v6.len(), samples.len());
+        assert_eq!(v5.len(), samples.len());
+        for ((expected, v6), v5) in samples.iter().zip(v6).zip(v5) {
+            let (msg, consumed) = decode_frame::<Message>(v6, DEFAULT_MAX_FRAME_BYTES)
                 .unwrap()
                 .expect("a whole frame per message");
-            assert_eq!(msg, expected);
-            re_encoded.extend(encode_frame(&expected, DEFAULT_MAX_FRAME_BYTES).unwrap());
-            rest = &rest[consumed..];
+            assert_eq!(&msg, expected);
+            assert_eq!(consumed, v6.len());
+            if matches!(expected, Message::StatsReply(_)) {
+                continue;
+            }
+            let re_encoded = encode_frame(expected, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert_eq!(re_encoded, v6, "{expected:?}");
+            if !matches!(expected, Message::Hello { .. } | Message::HelloAck { .. }) {
+                assert_eq!(v6, v5, "{expected:?} changed since v5");
+            }
         }
-        assert!(rest.is_empty(), "a golden frame no sample accounts for");
-        assert_eq!(re_encoded, golden);
     }
 
+    /// `tests/golden/stats.prom` is what the last commit with a
+    /// hand-written exposition printed for `sample_stats()`: on a shard,
+    /// off one, and off one with every `Option` gauge `None`.
     #[test]
-    fn prometheus_text_carries_every_counter() {
-        let stats = ServerStatsSnapshot {
+    fn prometheus_text_matches_the_parent_commit_line_for_line() {
+        let on_shard = sample_stats();
+        let off_shard = ServerStatsSnapshot {
             shard: None,
-            ..sample_stats()
+            ..on_shard
         };
-        let text = stats.prometheus_text();
-        for (metric, value) in [
-            ("modb_query_epoch", 3),
-            ("modb_queries_total", 100),
-            ("modb_query_errors_total", 2),
-            ("modb_query_p50_microseconds", 64),
-            ("modb_query_p99_microseconds", 1024),
-            ("modb_ingest_accepted_total", 10),
-            ("modb_ingest_queue_depth", 5),
-            ("modb_wal_bytes_written_total", 4096),
-            ("modb_wal_fsyncs_total", 17),
-            ("modb_wal_group_commit_tickets_total", 96),
-            ("modb_wal_group_commits_total", 12),
-            ("modb_wal_group_commit_batch_size", 8),
-            ("modb_wal_next_lsn", 88),
-            ("modb_replication_followers", 2),
-            ("modb_replication_min_acked_lsn", 80),
-            ("modb_index_band_migrations_total", 6),
-            ("modb_replica_applied_lsn", 84),
-        ] {
-            assert!(
-                text.lines().any(|l| l == format!("{metric} {value}")),
-                "missing `{metric} {value}` in:\n{text}"
-            );
-            assert!(
-                text.lines()
-                    .any(|l| l.starts_with(&format!("# TYPE {metric} "))),
-                "missing TYPE line for {metric}"
-            );
-        }
-        // Per-band gauges: one sample per configured band, band-labelled.
-        assert!(
-            text.lines()
-                .any(|l| l == "modb_index_band_entries{band=\"0\"} 70"),
-            "{text}"
-        );
-        assert!(
-            text.lines()
-                .any(|l| l == "modb_index_band_entries{band=\"1\"} 30"),
-            "{text}"
-        );
-        assert!(!text.contains("band=\"2\""), "unconfigured band emitted");
-        // The fractional lag gauge: 250 ms renders as 0.250000 seconds.
-        assert!(
-            text.lines()
-                .any(|l| l == "modb_replica_lag_seconds 0.250000"),
-            "{text}"
-        );
-        // No follower connected: the barrier gauge disappears entirely.
-        let empty = ServerStatsSnapshot {
+        let bare = ServerStatsSnapshot {
             min_acked_lsn: None,
-            ..stats
-        };
-        assert!(!empty.prometheus_text().contains("min_acked_lsn"));
-        // A leader (no replica fields) emits no replica gauges at all.
-        let leader = ServerStatsSnapshot {
             replica_applied_lsn: None,
             replica_lag: None,
-            ..stats
+            ..off_shard
         };
-        assert!(!leader.prometheus_text().contains("modb_replica_"));
+        let text = [on_shard, off_shard, bare]
+            .map(|s| s.prometheus_text())
+            .concat();
+        let golden = include_str!("../../tests/golden/stats.prom");
+        for (n, (got, want)) in text.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "line {}", n + 1);
+        }
+        assert_eq!(text.lines().count(), golden.lines().count());
     }
 
     #[test]
-    fn prometheus_text_labels_every_sample_with_the_shard() {
-        let stats = sample_stats(); // shard = Some(3)
-        let text = stats.prometheus_text();
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
+    fn metric_table_is_well_formed() {
+        for (i, row) in METRICS.iter().enumerate() {
+            let body = row.name.strip_prefix("modb_").expect(row.name);
             assert!(
-                line.contains("shard=\"3\""),
-                "unlabelled sample on a cluster node: {line}"
+                !body.is_empty()
+                    && body
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),
+                "{} is not ^modb_[a-z0-9_]+$",
+                row.name
+            );
+            assert_eq!(
+                row.kind == Kind::Counter,
+                row.name.ends_with("_total"),
+                "{}: counters, and only counters, end in _total",
+                row.name
+            );
+            assert!(
+                METRICS[..i].iter().all(|earlier| earlier.name != row.name),
+                "{} is listed twice",
+                row.name
             );
         }
-        assert!(
-            text.lines()
-                .any(|l| l == "modb_queries_total{shard=\"3\"} 100"),
-            "{text}"
+        // The fullest frame this build can send is one it would accept.
+        assert!(METRICS.len() + MAX_BANDS <= MAX_STATS_SAMPLES);
+    }
+
+    type RawSample<'a> = (&'a str, &'a [(&'a str, &'a str)], u64);
+
+    /// A `StatsReply` payload spelled by hand, claiming `count` samples.
+    fn stats_payload(count: u32, samples: &[RawSample<'_>]) -> Vec<u8> {
+        let mut out = vec![7, 0];
+        put_u32(&mut out, count);
+        for (name, labels, value) in samples {
+            put_string(&mut out, name);
+            out.push(labels.len() as u8);
+            for (key, label) in *labels {
+                put_string(&mut out, key);
+                put_string(&mut out, label);
+            }
+            put_u64(&mut out, *value);
+        }
+        out
+    }
+
+    fn decode_stats(samples: &[RawSample<'_>]) -> Result<ServerStatsSnapshot, WalError> {
+        match Message::decode_payload(&stats_payload(samples.len() as u32, samples))? {
+            Message::StatsReply(stats) => Ok(*stats),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_series_are_skipped_and_absent_ones_default() {
+        let stats = decode_stats(&[
+            ("modb_from_a_later_build_total", &[], 7),
+            ("modb_wal_next_lsn", &[], 88),
+            // Known names under labels their rows do not carry are
+            // series of a later build too.
+            ("modb_queries_total", &[("kind", "range")], 5),
+            ("modb_index_band_entries", &[("tier", "0")], 5),
+            ("modb_index_band_entries", &[("band", "1")], 30),
+            ("modb_replica_lag_seconds", &[], 250_000_000),
+        ])
+        .unwrap();
+        let mut index_band_entries = [0; MAX_BANDS];
+        index_band_entries[1] = 30;
+        assert_eq!(
+            stats,
+            ServerStatsSnapshot {
+                wal_next_lsn: 88,
+                index_bands: 2,
+                index_band_entries,
+                replica_lag: Some(Duration::from_millis(250)),
+                ..ServerStatsSnapshot::default()
+            }
         );
-        // Band samples merge the shard label with their band label.
-        assert!(
-            text.lines()
-                .any(|l| l == "modb_index_band_entries{shard=\"3\",band=\"0\"} 70"),
-            "{text}"
+        assert_eq!(decode_stats(&[]).unwrap(), ServerStatsSnapshot::default());
+    }
+
+    #[test]
+    fn malformed_stats_frames_are_typed_errors() {
+        let decode_err = |payload: &[u8]| match Message::decode_payload(payload) {
+            Err(WalError::Decode(reason)) => reason,
+            other => panic!("expected a decode error, got {other:?}"),
+        };
+        let lsn: RawSample<'_> = ("modb_wal_next_lsn", &[], 1);
+        let past_the_last = MAX_BANDS.to_string();
+        let (one, x, past) = (
+            [("band", "1")],
+            [("band", "x")],
+            [("band", &*past_the_last)],
         );
-        // TYPE lines stay label-free (labels belong on samples).
-        for line in text.lines().filter(|l| l.starts_with("# TYPE")) {
-            assert!(!line.contains("shard="), "{line}");
+        let band = |labels| -> RawSample<'_> { ("modb_index_band_entries", labels, 1) };
+        for (samples, why) in [
+            (vec![lsn, lsn], "duplicate"),
+            (vec![band(&one), band(&one)], "duplicate"),
+            (vec![band(&x)], "band label"),
+            (vec![band(&past)], "band label"),
+            (
+                vec![("modb_wal_next_lsn", &[("a", "b"); 5][..], 1)],
+                "labels",
+            ),
+        ] {
+            let reason = decode_err(&stats_payload(samples.len() as u32, &samples));
+            assert!(reason.contains(why), "{reason}");
+        }
+        // A count over the ceiling is refused before any sample is read.
+        let reason = decode_err(&stats_payload(MAX_STATS_SAMPLES as u32 + 1, &[]));
+        assert!(reason.contains("too many samples"), "{reason}");
+        assert!(decode_err(&stats_payload(u32::MAX, &[])).contains("too many samples"));
+        // Fewer samples than claimed, a sample cut anywhere, bytes left
+        // over: all typed, none a panic.
+        let whole = stats_payload(1, &[lsn]);
+        decode_err(&stats_payload(2, &[lsn]));
+        for cut in 1..whole.len() {
+            decode_err(&whole[..cut]);
+        }
+        let mut trailing = whole.clone();
+        trailing.push(0);
+        assert!(decode_err(&trailing).contains("trailing"));
+        assert!(Message::decode_payload(&whole).is_ok());
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any snapshot survives encode → decode. Snapshots are drawn
+            /// through the table (each row's field set or left at its
+            /// default), so a new row joins the property by existing.
+            #[test]
+            fn stats_frame_round_trips(
+                fields in proptest::collection::vec(proptest::option::of(any::<u64>()), METRICS.len()),
+                bands in proptest::collection::vec(any::<u64>(), 0..MAX_BANDS + 1),
+                shard in proptest::option::of(any::<u64>()),
+            ) {
+                let mut stats = ServerStatsSnapshot {
+                    shard,
+                    index_bands: bands.len() as u64,
+                    ..ServerStatsSnapshot::default()
+                };
+                stats.index_band_entries[..bands.len()].copy_from_slice(&bands);
+                for (row, value) in METRICS.iter().zip(fields) {
+                    if let (Source::Field { set, .. }, Some(value)) = (row.source, value) {
+                        set(&mut stats, value);
+                    }
+                }
+                let msg = Message::StatsReply(Box::new(stats));
+                let frame = encode_frame(&msg, DEFAULT_MAX_FRAME_BYTES).unwrap();
+                let (decoded, _) = decode_frame::<Message>(&frame, DEFAULT_MAX_FRAME_BYTES)
+                    .unwrap()
+                    .expect("a whole frame");
+                prop_assert_eq!(decoded, msg);
+            }
         }
     }
 }

@@ -364,56 +364,18 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use modb_core::MAX_BANDS;
-
     use crate::framed::{send, FrameReader, Listener, ReadEvent};
-    use crate::ingest::IngestStatsSnapshot;
     use crate::net::protocol::{
         Message, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES, NET_PROTOCOL_VERSION,
     };
-    use crate::query_engine::QueryStatsSnapshot;
 
     fn zero_stats(applied: u64) -> ServerStatsSnapshot {
         ServerStatsSnapshot {
-            query: QueryStatsSnapshot {
-                epoch: 0,
-                queries: 0,
-                epoch_queries: 0,
-                errors: 0,
-                candidates: 0,
-                matches: 0,
-                parallel_refines: 0,
-                batches: 0,
-                delta_publishes: 0,
-                full_publishes: 0,
-                publish_ns: 0,
-                p50_us: 0,
-                p99_us: 0,
-                snapshot_age: Duration::ZERO,
-            },
-            ingest: IngestStatsSnapshot {
-                accepted: 0,
-                stale: 0,
-                off_route: 0,
-                unknown_object: 0,
-                other_rejected: 0,
-                wal_errors: 0,
-            },
-            wal_bytes_written: 0,
-            wal_fsyncs: 0,
-            wal_group_tickets: 0,
-            wal_group_commits: 0,
-            wal_group_last_batch: 0,
             wal_next_lsn: applied,
-            ingest_queue_depth: 0,
-            followers: 0,
-            min_acked_lsn: None,
-            shard: None,
             index_bands: 1,
-            index_band_entries: [0u64; MAX_BANDS],
-            index_band_migrations: 0,
             replica_applied_lsn: Some(applied),
             replica_lag: Some(Duration::ZERO),
+            ..ServerStatsSnapshot::default()
         }
     }
 

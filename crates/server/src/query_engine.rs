@@ -19,8 +19,6 @@
 //! operation, instead of rebuild-by-clone). A full clone happens only on
 //! the first publish, when the change log was truncated past the
 //! cursor, or when a straggling reader still pins the retired arc.
-//! [`QueryEngineConfig::incremental_publish`] turns the delta path off
-//! for A/B measurement (the `epoch_publish` bench).
 //!
 //! On top of the snapshot path sits a fixed worker pool:
 //!
@@ -57,9 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use modb_core::{
-    ChangeCursor, CoreError, Database, ObjectId, PositionAnswer, RangeAnswer, SyncReport,
-};
+use modb_core::{ChangeCursor, CoreError, Database, ObjectId, PositionAnswer, RangeAnswer};
 use modb_geom::Point;
 use modb_index::QueryRegion;
 use modb_query::{ExecError, QueryError, QueryResult};
@@ -122,19 +118,11 @@ pub struct QueryEngineConfig {
     /// [`EpochSnapshot::age`] keeps growing until the next manual
     /// publish).
     pub epoch_interval: Option<Duration>,
-    /// Interval for the periodic stats reporter (prints a
-    /// [`QueryStatsSnapshot`] line to stderr); `None` disables it.
-    pub report_interval: Option<Duration>,
     /// Candidate-set size at which a single range query splits its refine
     /// step across the pool instead of refining on the calling thread.
     pub parallel_threshold: usize,
     /// Per-worker job-queue depth (back-pressure bound, clamped to ≥ 1).
     pub queue_depth: usize,
-    /// Publish epochs by applying the change-log delta to a shadow copy
-    /// (`true`, the default) instead of deep-cloning the database every
-    /// time (`false` — kept for A/B benchmarking and as a belt-and-
-    /// braces escape hatch).
-    pub incremental_publish: bool,
 }
 
 impl Default for QueryEngineConfig {
@@ -142,10 +130,8 @@ impl Default for QueryEngineConfig {
         QueryEngineConfig {
             workers: 4,
             epoch_interval: Some(Duration::from_millis(50)),
-            report_interval: None,
             parallel_threshold: 512,
             queue_depth: 256,
-            incremental_publish: true,
         }
     }
 }
@@ -156,7 +142,7 @@ const LATENCY_BUCKETS: usize = 40;
 
 /// Counters published by the query engine, mirroring
 /// [`crate::IngestStats`] on the read side. All atomic; shared between
-/// the engine, its publisher/reporter threads, and any observer.
+/// the engine, its publisher thread, and any observer.
 pub struct QueryStats {
     epoch: AtomicU64,
     queries: AtomicU64,
@@ -246,7 +232,7 @@ impl QueryStats {
     /// the engine (it lives on the epoch cell, not in the counters).
     ///
     /// The copy is internally *consistent*: a scrape racing a
-    /// mid-flight [`record`](Self::record) can never report
+    /// mid-flight `record` can never report
     /// `epoch_queries > queries`, `errors > queries`, or
     /// `matches > candidates`. Dependent counters are loaded in the
     /// opposite order to the writer (so the subordinate value is never
@@ -281,7 +267,7 @@ impl QueryStats {
 
 /// A plain-value copy of [`QueryStats`], printable for operator logs —
 /// the read-side sibling of [`crate::IngestStatsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryStatsSnapshot {
     /// Current epoch number.
     pub epoch: u64,
@@ -301,10 +287,9 @@ pub struct QueryStatsSnapshot {
     pub batches: u64,
     /// Epoch publications that applied a change-log delta to the shadow.
     pub delta_publishes: u64,
-    /// Epoch publications that fell back to (or were configured for) a
-    /// full clone — epoch 0, a truncated change log, a delta past the
-    /// clone break-even point, or
-    /// [`QueryEngineConfig::incremental_publish`]` = false`.
+    /// Epoch publications that fell back to a full clone — epoch 0, a
+    /// cold shadow buffer, a truncated change log, or a delta past the
+    /// clone break-even point.
     pub full_publishes: u64,
     /// Total nanoseconds from publish start to snapshot swap, summed
     /// over every publication (epoch 0 included). This is the
@@ -452,11 +437,9 @@ pub struct QueryEngine {
     cell: Arc<RwLock<Arc<EpochSnapshot>>>,
     stats: Arc<QueryStats>,
     shadow: Arc<Mutex<ShadowBuffer>>,
-    incremental: bool,
     pool: WorkerPool,
     parallel_threshold: usize,
     publisher: Option<(Sender<()>, JoinHandle<()>)>,
-    reporter: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl fmt::Debug for WorkerPool {
@@ -467,12 +450,10 @@ impl fmt::Debug for WorkerPool {
     }
 }
 
-/// Publishes the next epoch's snapshot. On the incremental path the
-/// retired snapshot's arc is pulled forward by the change-log delta
-/// under a brief read lock ([`ShadowBuffer::refresh`]) and the newly
-/// retired one is stored back for the publish after that — O(changes)
-/// per publication. The non-incremental path takes a full clone every time
-/// (benchmark baseline).
+/// Publishes the next epoch's snapshot: the retired snapshot's arc is
+/// pulled forward by the change-log delta under a brief read lock
+/// ([`ShadowBuffer::refresh`]) and the newly retired one is stored back
+/// for the publish after that — O(changes) per publication.
 ///
 /// The swap is deliberately placed mid-function: everything before it
 /// is the *visibility* latency (recorded in [`QueryStats`]), and once
@@ -487,24 +468,12 @@ fn publish(
     cell: &RwLock<Arc<EpochSnapshot>>,
     stats: &QueryStats,
     shadow: &Mutex<ShadowBuffer>,
-    incremental: bool,
 ) -> u64 {
     // Serializes concurrent publishers (manual publish_now racing the
     // background thread); queries never touch this mutex.
     let mut buf = shadow.lock().unwrap_or_else(|e| e.into_inner());
     let t0 = Instant::now();
-    let (state, report) = if incremental {
-        db.with_read(|src| buf.refresh(src))
-    } else {
-        db.with_read(|src| {
-            let report = SyncReport {
-                cursor: src.change_cursor(),
-                full_resync: true,
-                applied: 0,
-            };
-            (Arc::new(src.clone()), report)
-        })
-    };
+    let (state, report) = db.with_read(|src| buf.refresh(src));
     if report.full_resync {
         stats.full_publishes.fetch_add(1, Ordering::Relaxed);
     } else {
@@ -522,22 +491,19 @@ fn publish(
     stats
         .publish_ns
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    if incremental {
-        buf.store(Arc::clone(&retired.db), retired.cursor);
-        // Dropping our handle on the retired snapshot first gives the
-        // buffer sole ownership whenever no query still reads that
-        // epoch — the condition for an in-place catch-up.
-        drop(retired);
-        buf.reap(); // outside any lock: O(fleet) drops land here
-        db.with_read(|src| buf.catch_up(src));
-    }
+    buf.store(Arc::clone(&retired.db), retired.cursor);
+    // Dropping our handle on the retired snapshot first gives the
+    // buffer sole ownership whenever no query still reads that epoch —
+    // the condition for an in-place catch-up.
+    drop(retired);
+    buf.reap(); // outside any lock: O(fleet) drops land here
+    db.with_read(|src| buf.catch_up(src));
     epoch
 }
 
 impl QueryEngine {
     /// Builds an engine over `db`: takes the epoch-0 snapshot, spawns the
-    /// worker pool, and (per `config`) the background epoch publisher and
-    /// stats reporter.
+    /// worker pool, and (per `config`) the background epoch publisher.
     pub fn new(db: SharedDatabase, config: QueryEngineConfig) -> Self {
         let stats = Arc::new(QueryStats::default());
         let shadow = Arc::new(Mutex::new(ShadowBuffer::new()));
@@ -555,7 +521,6 @@ impl QueryEngine {
             published_at: Instant::now(),
         });
         let cell = Arc::new(RwLock::new(initial));
-        let incremental = config.incremental_publish;
         // `Some(Duration::ZERO)` means "publisher off" just like `None`
         // (a 0 ms republish loop would only busy-spin).
         let publisher = config
@@ -569,23 +534,11 @@ impl QueryEngine {
                 let shadow = Arc::clone(&shadow);
                 let handle = std::thread::spawn(move || {
                     while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                        publish(&db, &cell, &stats, &shadow, incremental);
+                        publish(&db, &cell, &stats, &shadow);
                     }
                 });
                 (stop_tx, handle)
             });
-        let reporter = config.report_interval.map(|interval| {
-            let (stop_tx, stop_rx) = bounded::<()>(1);
-            let cell = Arc::clone(&cell);
-            let stats = Arc::clone(&stats);
-            let handle = std::thread::spawn(move || {
-                while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                    let age = cell.read().age();
-                    eprintln!("[query-engine] {}", stats.snapshot(age));
-                }
-            });
-            (stop_tx, handle)
-        });
         QueryEngine {
             pool: WorkerPool::spawn(config.workers, config.queue_depth),
             parallel_threshold: config.parallel_threshold.max(2),
@@ -593,9 +546,7 @@ impl QueryEngine {
             cell,
             stats,
             shadow,
-            incremental,
             publisher,
-            reporter,
         }
     }
 
@@ -614,13 +565,7 @@ impl QueryEngine {
     /// Publishes a fresh epoch immediately (read-your-writes barrier) and
     /// returns its number.
     pub fn publish_now(&self) -> u64 {
-        publish(
-            &self.db,
-            &self.cell,
-            &self.stats,
-            &self.shadow,
-            self.incremental,
-        )
+        publish(&self.db, &self.cell, &self.stats, &self.shadow)
     }
 
     /// Current counters plus the age of the published snapshot.
@@ -753,7 +698,7 @@ impl QueryEngine {
         }
     }
 
-    /// Stops the background threads and the pool, returning the final
+    /// Stops the publisher thread and the pool, returning the final
     /// counters.
     pub fn shutdown(mut self) -> QueryStatsSnapshot {
         let snapshot = self.stats();
@@ -762,12 +707,7 @@ impl QueryEngine {
     }
 
     fn stop_threads(&mut self) {
-        for (stop, handle) in self
-            .publisher
-            .take()
-            .into_iter()
-            .chain(self.reporter.take())
-        {
+        if let Some((stop, handle)) = self.publisher.take() {
             let _ = stop.send(());
             drop(stop);
             let _ = handle.join();
@@ -1347,41 +1287,17 @@ mod tests {
     }
 
     #[test]
-    fn full_clone_mode_never_takes_the_delta_path() {
-        let db = shared(20);
-        let engine = QueryEngine::new(
-            db.clone(),
-            QueryEngineConfig {
-                incremental_publish: false,
-                ..manual_config()
-            },
-        );
-        db.apply_update(
-            ObjectId(1),
-            &UpdateMessage::basic(1.0, UpdatePosition::Arc(700.0), 1.0),
-        )
-        .unwrap();
-        engine.publish_now();
-        engine.publish_now();
-        let stats = engine.stats();
-        assert_eq!(stats.delta_publishes, 0);
-        assert_eq!(stats.full_publishes, 3);
-        assert_eq!(engine.position_of(ObjectId(1), 1.0).unwrap().arc, 700.0);
-    }
-
-    #[test]
     fn drop_with_background_threads_does_not_hang() {
         let db = shared(5);
         let engine = QueryEngine::new(
             db,
             QueryEngineConfig {
                 epoch_interval: Some(Duration::from_millis(1)),
-                report_interval: Some(Duration::from_millis(1)),
                 ..QueryEngineConfig::default()
             },
         );
         std::thread::sleep(Duration::from_millis(5));
-        drop(engine); // must join publisher, reporter, and pool
+        drop(engine); // must join publisher and pool
     }
 
     #[test]

@@ -237,12 +237,35 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(applied: u64, addr: String, epochs: Arc<Mutex<EpochHistory>>) -> Self {
+        Shared {
+            applied: Mutex::new(applied),
+            applied_cv: Condvar::new(),
+            leader_lsn: AtomicU64::new(0),
+            phase: AtomicU8::new(ReplicaPhase::Connecting as u8),
+            stop: AtomicBool::new(false),
+            force_reconnect: AtomicUsize::new(0),
+            stats: ReplicaStats::default(),
+            behind_since: Mutex::new(None),
+            addr: Mutex::new(addr),
+            epochs,
+            promoted: Mutex::new(None),
+            diverged: Mutex::new(None),
+        }
+    }
+
+    /// Publishes a new watermark. The lag clock is settled first, inside
+    /// the watermark's critical section: a reader that sees
+    /// `applied ≥ floor` (under this lock, in `applied` or
+    /// `wait_for_lsn`) must also see the clock that goes with it, or a
+    /// caught-up follower widens one answer by a lag it no longer has.
+    /// Lock order is `applied` → `behind_since`; nothing takes them the
+    /// other way round.
     fn set_applied(&self, lsn: u64) {
         let mut g = self.applied.lock().unwrap_or_else(|e| e.into_inner());
+        self.note_progress(lsn);
         *g = lsn;
         self.applied_cv.notify_all();
-        drop(g);
-        self.note_progress(lsn);
     }
 
     fn promoted_wal(&self) -> Option<SharedWal> {
@@ -396,20 +419,7 @@ impl StandbyReplica {
         };
         let db = SharedDatabase::new(db);
         let epochs = Arc::new(Mutex::new(EpochHistory::load(&dir)?));
-        let shared = Arc::new(Shared {
-            applied: Mutex::new(applied),
-            applied_cv: Condvar::new(),
-            leader_lsn: AtomicU64::new(0),
-            phase: AtomicU8::new(ReplicaPhase::Connecting as u8),
-            stop: AtomicBool::new(false),
-            force_reconnect: AtomicUsize::new(0),
-            stats: ReplicaStats::default(),
-            behind_since: Mutex::new(None),
-            addr: Mutex::new(addr),
-            epochs,
-            promoted: Mutex::new(None),
-            diverged: Mutex::new(None),
-        });
+        let shared = Arc::new(Shared::new(applied, addr, epochs));
         let horizon = Arc::new(ShipHorizon::new());
         let worker = {
             let db = db.clone();
@@ -1165,6 +1175,53 @@ mod tests {
             ReplicaConfig::default(),
         )
         .unwrap()
+    }
+
+    /// The worker falls behind (a heartbeat raises the frontier), then
+    /// catches up (`set_applied`); a reader spinning on the watermark —
+    /// what a floored read does — must find the lag clock already
+    /// cleared the instant it sees the new watermark. With the clock
+    /// settled after the watermark was published, the reader could win
+    /// the race and price a lag the follower no longer had.
+    #[test]
+    fn lag_clock_is_settled_before_the_watermark_is_visible() {
+        const ROUNDS: u64 = 200_000;
+        /// Spins, giving the core away now and then so a single-core
+        /// machine still makes progress.
+        fn wait_until(cond: impl Fn() -> bool) {
+            let mut spins = 0u32;
+            while !cond() {
+                spins += 1;
+                if spins.is_multiple_of(128) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        }
+        let shared = Shared::new(0, String::new(), Arc::new(Mutex::new(EpochHistory::new())));
+        let seen = AtomicU64::new(0);
+        let stale_clocks = std::thread::scope(|s| {
+            s.spawn(|| {
+                for lsn in 1..=ROUNDS {
+                    shared.leader_lsn.store(lsn, Ordering::SeqCst);
+                    shared.note_progress(lsn - 1); // behind: the clock starts
+                    shared.set_applied(lsn); // caught up
+                    wait_until(|| seen.load(Ordering::SeqCst) == lsn);
+                }
+            });
+            let mut stale_clocks = 0u64;
+            for lsn in 1..=ROUNDS {
+                wait_until(|| shared.applied() == lsn);
+                stale_clocks += u64::from(shared.lag() != Duration::ZERO);
+                seen.store(lsn, Ordering::SeqCst);
+            }
+            stale_clocks
+        });
+        assert_eq!(
+            stale_clocks, 0,
+            "caught-up watermarks seen with the lag clock still running"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub const WAIT: Duration = Duration::from_secs(30);
 
 /// The query protocol version the raw-wire helpers handshake with (keep
 /// in sync with `NET_PROTOCOL_VERSION` — the handshake is exact-match).
-pub const RAW_NET_VERSION: u32 = 5;
+pub const RAW_NET_VERSION: u32 = 6;
 
 /// Polls `cond` until it holds or [`WAIT`] elapses.
 pub fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
@@ -395,7 +395,6 @@ pub fn serve(name: &str, config: QueryServerConfig) -> (DurableDatabase, QuerySe
     }
     let engine = Arc::new(durable.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        report_interval: None,
         ..QueryEngineConfig::default()
     }));
     engine.publish_now();

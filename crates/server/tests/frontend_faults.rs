@@ -11,12 +11,13 @@
 
 mod common;
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use common::replica_harness::{
     assert_closed, assert_healthy, batch_payload, frame, raw_handshake, serve, wait_until,
+    RAW_NET_VERSION,
 };
 use modb_server::{QueryClient, QueryServerConfig};
 
@@ -34,6 +35,44 @@ fn garbage_header_ends_the_session_without_leaking_a_slot() {
     vandal.write_all(&[0xffu8; 16]).unwrap();
     assert_closed(&mut vandal);
     wait_until("slot released", || server.active_connections() == 0);
+
+    assert_healthy(addr);
+    server.shutdown();
+}
+
+/// One version is spoken. A `Hello` at any other — the previous one
+/// included: nothing falls back to the v5 stats body — is answered with
+/// a typed `Refused` naming both versions, then the session ends.
+#[test]
+fn hello_at_any_other_version_is_refused() {
+    let (_durable, server) = serve("fault-version", QueryServerConfig::default());
+    let addr = server.local_addr();
+    assert_eq!(RAW_NET_VERSION, 6);
+
+    for version in [5u32, 4, 7] {
+        let mut old = TcpStream::connect(addr).unwrap();
+        old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut hello = vec![1u8]; // Hello tag
+        hello.extend_from_slice(&version.to_le_bytes());
+        old.write_all(&frame(&hello)).unwrap();
+        let mut header = [0u8; 8];
+        old.read_exact(&mut header).unwrap();
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let mut body = vec![0u8; len];
+        old.read_exact(&mut body).unwrap();
+        assert_eq!(
+            body[0], 8,
+            "v{version}: expected Refused, got tag {}",
+            body[0]
+        );
+        let reason = String::from_utf8_lossy(&body[5..]);
+        assert!(
+            reason.contains(&format!("client {version}, server 6")),
+            "v{version}: {reason}"
+        );
+        assert_closed(&mut old);
+    }
+    wait_until("slots released", || server.active_connections() == 0);
 
     assert_healthy(addr);
     server.shutdown();

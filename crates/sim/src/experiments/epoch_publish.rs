@@ -10,19 +10,21 @@
 //! This experiment measures exactly that: for a fixed fleet, it applies
 //! a churn batch (0.1%, 1%, 10% of the fleet by default), then times
 //! `publish_now()` alone — churn application is outside the timed
-//! window — in both publisher modes:
+//! window — against what publishing cost before the change log:
 //!
-//! - **full**: `incremental_publish = false`, every publish clones the
-//!   whole database under the read lock (the pre-PR-3 behaviour).
-//! - **delta**: the shadow-buffer path, O(changes) per publish.
+//! - **full**: clone the whole [`Database`] under the read lock and wrap
+//!   it in an `Arc` (the pre-PR-3 publisher, which the engine no longer
+//!   contains — the experiment takes the clone itself).
+//! - **delta**: the engine's `publish_now()`, O(changes) per publish.
 //!
 //! Two latencies are reported per cell. **visible us** is the
 //! publication latency proper: publish start → snapshot swap, i.e. how
 //! long a fresh epoch takes to become readable (the engine's
-//! `publish_ns` counter). **cycle us** is the whole `publish_now()`
-//! call, which in delta mode additionally catches the just-retired
-//! shadow buffer up *after* the swap — off the visibility path, but
-//! still per-publish work. The headline speedup compares visibility
+//! `publish_ns` counter; for the full leg, lock + clone + `Arc::new`).
+//! **cycle us** is the whole publish: the delta leg additionally catches
+//! the just-retired shadow buffer up *after* the swap, the full leg
+//! drops the snapshot it replaced — off the visibility path, but still
+//! per-publish work. The headline speedup compares visibility
 //! latencies; the cycle column keeps the total-cost comparison honest.
 //!
 //! The publish latency is also the paper's imprecision currency: the
@@ -30,9 +32,10 @@
 //! plus this latency, and §3.3 bounds the induced deviation by `D·Δt`.
 //! Cheaper publishes allow shorter intervals, i.e. tighter `Δt`.
 
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
+use modb_core::{Database, ObjectId, UpdateMessage, UpdatePosition};
 use modb_server::{QueryEngineConfig, SharedDatabase};
 
 use crate::experiments::indexing::build_city_db;
@@ -84,36 +87,49 @@ fn run_mode(
     incremental: bool,
 ) -> (u64, f64, f64) {
     let db = SharedDatabase::new(build_city_db(42, n_objects, grid));
-    let engine = db.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-        incremental_publish: incremental,
-        ..QueryEngineConfig::default()
-    });
-    // Warm up past the cold-buffer publish so the delta mode measures
-    // the steady state (the first incremental publish is a full clone).
-    for round in 0..2 {
+    // One publish, timed by the leg itself: `(visible, cycle)`.
+    let mut publish: Box<dyn FnMut() -> (Duration, Duration)> = if incremental {
+        let engine = db.query_engine(QueryEngineConfig {
+            epoch_interval: None,
+            ..QueryEngineConfig::default()
+        });
+        Box::new(move || {
+            let before = engine.stats().publish_ns;
+            let t0 = Instant::now();
+            engine.publish_now();
+            let cycle = t0.elapsed();
+            let visible = Duration::from_nanos(engine.stats().publish_ns - before);
+            (visible, cycle)
+        })
+    } else {
+        let db = db.clone();
+        let mut published = Arc::new(db.with_read(Database::clone));
+        Box::new(move || {
+            let t0 = Instant::now();
+            let next = Arc::new(db.with_read(Database::clone));
+            let visible = t0.elapsed();
+            drop(std::mem::replace(&mut published, next));
+            (visible, t0.elapsed())
+        })
+    };
+    // Untimed rounds first: the delta leg's first publish into a cold
+    // shadow buffer is a full clone, and both legs time the same states.
+    const WARM_UP: u64 = 2;
+    let (mut visible, mut cycle) = (Duration::ZERO, Duration::ZERO);
+    for round in 0..WARM_UP + rounds as u64 {
         apply_churn(&db, round, churn, n_objects);
-        engine.publish_now();
+        let (shown, whole) = publish();
+        if round >= WARM_UP {
+            visible += shown;
+            cycle += whole;
+        }
     }
-    let before = engine.stats();
-    let mut total = std::time::Duration::ZERO;
-    for round in 0..rounds as u64 {
-        apply_churn(&db, round + 2, churn, n_objects);
-        let t0 = Instant::now();
-        engine.publish_now();
-        total += t0.elapsed();
-    }
-    let after = engine.stats();
-    let visible_ns = after.publish_ns.saturating_sub(before.publish_ns);
-    (
-        rounds as u64,
-        visible_ns as f64 / 1e3 / rounds.max(1) as f64,
-        total.as_secs_f64() * 1e6 / rounds.max(1) as f64,
-    )
+    let mean_us = |total: Duration| total.as_secs_f64() * 1e6 / rounds.max(1) as f64;
+    (rounds as u64, mean_us(visible), mean_us(cycle))
 }
 
 /// Runs the experiment over the given churn levels; each level measures
-/// the full-clone and the delta publisher on identically seeded fleets.
+/// the full clone and the delta publisher on identically seeded fleets.
 pub fn run_epoch_publish(
     n_objects: usize,
     grid: usize,

@@ -3,7 +3,7 @@
 //!
 //! The format is little-endian, length-prefixed where variable-sized, and
 //! deliberately boring: no compression, no varints, no self-description.
-//! Integrity is the frame CRC's job ([`crate::crc32`]); versioning is the
+//! Integrity is the frame CRC's job ([`crate::crc32()`]); versioning is the
 //! container header's job (segment/snapshot magic + version). `f64`s are
 //! stored as raw IEEE-754 bits, so encode→decode round-trips are exact —
 //! including NaN payloads — which the property tests rely on.

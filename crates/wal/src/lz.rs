@@ -13,7 +13,7 @@
 //! ```
 //!
 //! repeated until the declared uncompressed length is produced. Matches
-//! are at least [`MIN_MATCH`] bytes and may overlap themselves
+//! are at least `MIN_MATCH` bytes and may overlap themselves
 //! (`distance < match_len` is the classic RLE trick). Compression is
 //! greedy with a 4-byte hash table; decompression validates every
 //! distance and the final length, so a corrupt stream that survived the
