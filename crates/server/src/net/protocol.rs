@@ -416,7 +416,11 @@ impl ServerStatsSnapshot {
     /// its `Default`. Everything else that is off is a typed error.
     fn decode_samples(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
         let mut stats = ServerStatsSnapshot {
-            shard: if r.u8()? != 0 { Some(r.u64()?) } else { None },
+            shard: match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                _ => return Err(WalError::Decode("bad shard flag in stats frame")),
+            },
             ..ServerStatsSnapshot::default()
         };
         let count = r.u32()? as usize;
@@ -1080,6 +1084,14 @@ mod tests {
             // series of a later build too.
             ("modb_queries_total", &[("kind", "range")], 5),
             ("modb_index_band_entries", &[("tier", "0")], 5),
+            // ... and so is the band family under `band` plus anything
+            // else: a deliberate skip, not a band read without its peer
+            // label (pinned here so it stays a choice).
+            (
+                "modb_index_band_entries",
+                &[("band", "0"), ("tier", "a")],
+                9,
+            ),
             ("modb_index_band_entries", &[("band", "1")], 30),
             ("modb_replica_lag_seconds", &[], 250_000_000),
         ])
@@ -1140,6 +1152,10 @@ mod tests {
         let mut trailing = whole.clone();
         trailing.push(0);
         assert!(decode_err(&trailing).contains("trailing"));
+        // The shard flag is 0 or 1, as the verdict flags are.
+        let mut flagged = whole.clone();
+        flagged[1] = 2;
+        assert!(decode_err(&flagged).contains("shard flag"));
         assert!(Message::decode_payload(&whole).is_ok());
     }
 

@@ -76,48 +76,23 @@ fn apply_churn(db: &SharedDatabase, round: u64, churn: usize, n_objects: usize) 
     }
 }
 
-/// Times `rounds` publishes in one mode: churn is applied *outside* the
-/// timed window so the measurement is publication cost alone. Returns
-/// `(publishes, visible_us, cycle_us)`.
-fn run_mode(
+/// Times `rounds` calls of `publish`, which reports its own `(visible,
+/// cycle)` latencies: churn is applied *outside* the timed window so the
+/// measurement is publication cost alone. Returns `(publishes,
+/// visible_us, cycle_us)`.
+fn time_publishes(
+    db: &SharedDatabase,
     n_objects: usize,
-    grid: usize,
     churn: usize,
     rounds: usize,
-    incremental: bool,
+    mut publish: impl FnMut() -> (Duration, Duration),
 ) -> (u64, f64, f64) {
-    let db = SharedDatabase::new(build_city_db(42, n_objects, grid));
-    // One publish, timed by the leg itself: `(visible, cycle)`.
-    let mut publish: Box<dyn FnMut() -> (Duration, Duration)> = if incremental {
-        let engine = db.query_engine(QueryEngineConfig {
-            epoch_interval: None,
-            ..QueryEngineConfig::default()
-        });
-        Box::new(move || {
-            let before = engine.stats().publish_ns;
-            let t0 = Instant::now();
-            engine.publish_now();
-            let cycle = t0.elapsed();
-            let visible = Duration::from_nanos(engine.stats().publish_ns - before);
-            (visible, cycle)
-        })
-    } else {
-        let db = db.clone();
-        let mut published = Arc::new(db.with_read(Database::clone));
-        Box::new(move || {
-            let t0 = Instant::now();
-            let next = Arc::new(db.with_read(Database::clone));
-            let visible = t0.elapsed();
-            drop(std::mem::replace(&mut published, next));
-            (visible, t0.elapsed())
-        })
-    };
     // Untimed rounds first: the delta leg's first publish into a cold
     // shadow buffer is a full clone, and both legs time the same states.
     const WARM_UP: u64 = 2;
     let (mut visible, mut cycle) = (Duration::ZERO, Duration::ZERO);
     for round in 0..WARM_UP + rounds as u64 {
-        apply_churn(&db, round, churn, n_objects);
+        apply_churn(db, round, churn, n_objects);
         let (shown, whole) = publish();
         if round >= WARM_UP {
             visible += shown;
@@ -126,6 +101,40 @@ fn run_mode(
     }
     let mean_us = |total: Duration| total.as_secs_f64() * 1e6 / rounds.max(1) as f64;
     (rounds as u64, mean_us(visible), mean_us(cycle))
+}
+
+/// One mode on a freshly seeded fleet; see [`time_publishes`].
+fn run_mode(
+    n_objects: usize,
+    grid: usize,
+    churn: usize,
+    rounds: usize,
+    incremental: bool,
+) -> (u64, f64, f64) {
+    let db = SharedDatabase::new(build_city_db(42, n_objects, grid));
+    if incremental {
+        let engine = db.query_engine(QueryEngineConfig {
+            epoch_interval: None,
+            ..QueryEngineConfig::default()
+        });
+        time_publishes(&db, n_objects, churn, rounds, || {
+            let before = engine.stats().publish_ns;
+            let t0 = Instant::now();
+            engine.publish_now();
+            let cycle = t0.elapsed();
+            let visible = Duration::from_nanos(engine.stats().publish_ns - before);
+            (visible, cycle)
+        })
+    } else {
+        let mut published = Arc::new(db.with_read(Database::clone));
+        time_publishes(&db, n_objects, churn, rounds, || {
+            let t0 = Instant::now();
+            let next = Arc::new(db.with_read(Database::clone));
+            let visible = t0.elapsed();
+            drop(std::mem::replace(&mut published, next));
+            (visible, t0.elapsed())
+        })
+    }
 }
 
 /// Runs the experiment over the given churn levels; each level measures

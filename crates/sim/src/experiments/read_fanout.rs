@@ -16,8 +16,7 @@
 //!   frontier, answered by each follower, must match the leader's local
 //!   verdicts statement for statement (the chain is quiescent, so the
 //!   lag clock is zero and no widening applies — answers are
-//!   bit-identical; a range answer's index-traversal diagnostics are
-//!   not part of the answer, see `answer`);
+//!   bit-identical);
 //! - **staleness is typed**: a floor the chain has never reached must
 //!   come back as the protocol's `Stale { applied, required }` refusal
 //!   within the server's wait deadline — never a hang, never a silently
@@ -39,9 +38,8 @@ use modb_core::{
     UpdateMessage, UpdatePosition,
 };
 use modb_geom::Point;
-use modb_index::SearchStats;
 use modb_policy::BoundKind;
-use modb_query::{QueryError, QueryResult};
+use modb_query::QueryError;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_server::{
     BatchOutcome, DurableDatabase, QueryClient, QueryEngineConfig, QueryServerConfig,
@@ -129,19 +127,6 @@ fn script(t: f64, n_objects: usize, salt: usize) -> String {
          RETRIEVE 5 NEAREST OBJECTS TO POINT ({}, 0) AT TIME {t}",
         (salt % 11) as f64 * 20.0
     )
-}
-
-/// A verdict without its index-traversal diagnostics. A follower's
-/// snapshot index is delta-maintained on its publisher's clock, so its
-/// tree shape — and with it `nodes_visited` — depends on timing; the
-/// answer (members, candidate count, bounds) does not, and is what
-/// parity is about.
-fn answer(verdict: &QueryResult) -> QueryResult {
-    let mut verdict = verdict.clone();
-    if let QueryResult::Range(range) = &mut verdict {
-        range.stats = SearchStats::default();
-    }
-    verdict
 }
 
 /// One follower in the chain: the standby, its re-shipping server (the
@@ -282,7 +267,7 @@ fn run_phase(n_objects: usize, fanout: usize, batches: u64, rounds: usize) -> Re
         {
             BatchOutcome::Done(remote) => {
                 let differs = |(r, l): &(&RemoteVerdict, &_)| match (r, l) {
-                    (Ok(r), Ok(l)) => answer(r) != answer(l),
+                    (Ok(r), Ok(l)) => r != l,
                     (Err(r), Err::<_, QueryError>(l)) => r != &l.to_string(),
                     _ => true,
                 };
