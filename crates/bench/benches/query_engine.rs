@@ -1,6 +1,6 @@
 //! Benches for the epoch-snapshot query engine: locked reads vs snapshot
-//! reads (quiet and under writer churn), serial vs pool-parallel refine,
-//! and the cost of publishing an epoch.
+//! reads (quiet and under writer churn) and the cost of publishing an
+//! epoch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -18,11 +18,9 @@ fn fleet(n: usize) -> (SharedDatabase, Vec<modb_index::QueryRegion>) {
     (SharedDatabase::new(raw), regions)
 }
 
-fn manual_engine(db: &SharedDatabase, parallel_threshold: usize) -> modb_server::QueryEngine {
+fn manual_engine(db: &SharedDatabase) -> modb_server::QueryEngine {
     db.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        parallel_threshold,
-        ..QueryEngineConfig::default()
     })
 }
 
@@ -30,7 +28,7 @@ fn manual_engine(db: &SharedDatabase, parallel_threshold: usize) -> modb_server:
 /// pure overhead/benefit of the snapshot hop with no contention.
 fn bench_quiet_reads(c: &mut Criterion) {
     let (db, regions) = fleet(5_000);
-    let engine = manual_engine(&db, usize::MAX);
+    let engine = manual_engine(&db);
     engine.publish_now();
     let mut group = c.benchmark_group("query_engine_quiet");
     let mut i = 0;
@@ -65,7 +63,6 @@ fn bench_contended_reads(c: &mut Criterion) {
     let (db, regions) = fleet(5_000);
     let engine = db.query_engine(QueryEngineConfig {
         epoch_interval: Some(Duration::from_millis(25)),
-        ..QueryEngineConfig::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
@@ -114,38 +111,6 @@ fn bench_contended_reads(c: &mut Criterion) {
     writer.join().expect("writer exits");
 }
 
-/// Serial vs pool-parallel refine on a region wide enough to pull a few
-/// thousand candidates, plus the publish (full clone) cost itself.
-fn bench_parallel_refine_and_publish(c: &mut Criterion) {
-    let (db, _) = fleet(10_000);
-    // A region covering most of the grid at a time when the whole fleet
-    // is still live: a worst-case candidate set.
-    let wide = query_regions(
-        &db.with_read(|inner| inner.network().clone()),
-        1,
-        18.0,
-        5.0,
-        11,
-    )
-    .remove(0);
-    let serial = manual_engine(&db, usize::MAX);
-    serial.publish_now();
-    let parallel = manual_engine(&db, 256);
-    parallel.publish_now();
-    let mut group = c.benchmark_group("query_engine_refine");
-    group.sample_size(20);
-    group.bench_function("wide_range_serial", |b| {
-        b.iter(|| black_box(serial.range_query(&wide).expect("ok").candidates))
-    });
-    group.bench_function("wide_range_parallel", |b| {
-        b.iter(|| black_box(parallel.range_query(&wide).expect("ok").candidates))
-    });
-    group.bench_function("publish_epoch_10k_fleet", |b| {
-        b.iter(|| black_box(serial.publish_now()))
-    });
-    group.finish();
-}
-
 /// Full-clone vs change-log delta publication at 10k objects across
 /// churn levels (0.1%, 1%, 10% of the fleet touched between epochs).
 /// Each iteration applies the churn batch and republishes; the churn
@@ -155,19 +120,25 @@ fn bench_parallel_refine_and_publish(c: &mut Criterion) {
 /// the `full` rows time what the engine did before it had a change log
 /// (clone the database under the read lock, wrap it in an `Arc`, drop
 /// the snapshot it replaces). The W3 experiment (`exp_epoch_publish`)
-/// splits out the pre-swap visibility latency.
+/// splits out the pre-swap visibility latency. `publish_epoch_10k_fleet`
+/// is the floor: a publish with nothing changed since the last one.
 fn bench_epoch_publish(c: &mut Criterion) {
     const FLEET: usize = 10_000;
     let mut group = c.benchmark_group("epoch_publish");
     group.sample_size(20);
+    {
+        let (db, _) = fleet(FLEET);
+        let engine = manual_engine(&db);
+        engine.publish_now();
+        group.bench_function("publish_epoch_10k_fleet", |b| {
+            b.iter(|| black_box(engine.publish_now()))
+        });
+    }
     for churn in [FLEET / 1000, FLEET / 100, FLEET / 10] {
         for mode in ["full", "delta"] {
             let (db, _) = fleet(FLEET);
             let mut publish: Box<dyn FnMut()> = if mode == "delta" {
-                let engine = db.query_engine(QueryEngineConfig {
-                    epoch_interval: None,
-                    ..QueryEngineConfig::default()
-                });
+                let engine = manual_engine(&db);
                 // Past the cold-buffer publish: the first publish into
                 // an empty shadow buffer is a full clone.
                 engine.publish_now();
@@ -206,7 +177,6 @@ criterion_group!(
     benches,
     bench_quiet_reads,
     bench_contended_reads,
-    bench_parallel_refine_and_publish,
     bench_epoch_publish
 );
 criterion_main!(benches);

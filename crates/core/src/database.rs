@@ -753,8 +753,8 @@ impl Database {
 
     /// The filter step alone: candidate ids the index proposes for
     /// `region` (plus the unindexed tail), with search statistics. Callers
-    /// that refine elsewhere — a parallel query engine splitting the
-    /// refine across workers — start here and feed slices to
+    /// that time or run the refine step separately (`modb_ledger`'s
+    /// per-layer peel) start here and feed slices to
     /// [`Database::refine_slice`].
     pub fn range_candidates(&self, region: &QueryRegion) -> (Vec<ObjectId>, SearchStats) {
         let mut candidates = Vec::new();
@@ -791,10 +791,8 @@ impl Database {
     }
 
     /// Refines a slice of pre-filtered candidates into `(must, may)` id
-    /// sets (unsorted — the caller merges and normalizes). This is the
-    /// unit of work a parallel refiner hands to each worker: `&self` only,
-    /// so workers refine disjoint slices of one immutable snapshot
-    /// concurrently.
+    /// sets (unsorted — the caller merges and normalizes): the refine
+    /// step of [`Database::range_query`] on its own, `&self` only.
     ///
     /// # Errors
     ///
@@ -1181,7 +1179,7 @@ mod tests {
             assert_eq!(candidates.len(), full.candidates);
             assert_eq!(stats, full.stats);
             // Split the candidates into two slices, refine each, merge:
-            // same answer the engine's parallel refiner must reproduce.
+            // the same answer `range_query` gave.
             let mid = candidates.len() / 2;
             let (mut must, mut may) = db.refine_slice(&candidates[..mid], &region).unwrap();
             let (m2, y2) = db.refine_slice(&candidates[mid..], &region).unwrap();

@@ -65,6 +65,16 @@ impl RangeAnswer {
         self.must.sort_unstable();
         self.may.sort_unstable();
     }
+
+    /// Answer equality: `must`, `may` and `candidates` agree. Unlike
+    /// `==` this leaves [`RangeAnswer::stats`] out — how many nodes a
+    /// traversal touched depends on the shape of the tree that served it
+    /// (a delta-maintained snapshot and a fresh clone of the same state
+    /// can differ by a node), which is a diagnostic, not part of the
+    /// answer.
+    pub fn same_answer(&self, other: &RangeAnswer) -> bool {
+        self.must == other.must && self.may == other.may && self.candidates == other.candidates
+    }
 }
 
 #[cfg(test)]
@@ -84,5 +94,26 @@ mod tests {
         let all = a.all();
         assert_eq!(all.len(), 3);
         assert!(all.contains(&ObjectId(2)));
+    }
+
+    #[test]
+    fn same_answer_ignores_traversal_stats_only() {
+        let a = RangeAnswer {
+            must: vec![ObjectId(1)],
+            may: vec![ObjectId(2)],
+            candidates: 3,
+            stats: SearchStats::default(),
+        };
+        let mut b = a.clone();
+        b.stats.nodes_visited += 1;
+        assert_ne!(a, b);
+        assert!(a.same_answer(&b));
+        let edits: [fn(&mut RangeAnswer); 3] =
+            [|r| r.must.clear(), |r| r.may.clear(), |r| r.candidates += 1];
+        for edit in edits {
+            let mut c = a.clone();
+            edit(&mut c);
+            assert!(!a.same_answer(&c), "{c:?}");
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! offset of the opening quote, like [`crate::lex`]) rather than a
 //! silent swallow of every later `;` into one statement.
 //!
-//! `modb-server`'s query engine uses the same split to fan a batch
-//! across its worker pool against one epoch snapshot.
+//! `modb-server`'s query engine uses the same split to run a batch
+//! against one epoch snapshot.
 
 use modb_core::Database;
 

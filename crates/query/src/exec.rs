@@ -78,6 +78,15 @@ impl QueryResult {
             _ => None,
         }
     }
+
+    /// Answer equality: `==`, except that two range answers are compared
+    /// by [`RangeAnswer::same_answer`] (traversal diagnostics left out).
+    pub fn same_answer(&self, other: &QueryResult) -> bool {
+        match (self, other) {
+            (QueryResult::Range(a), QueryResult::Range(b)) => a.same_answer(b),
+            _ => self == other,
+        }
+    }
 }
 
 fn resolve(db: &Database, obj: &ObjectRef) -> Result<ObjectId, ExecError> {

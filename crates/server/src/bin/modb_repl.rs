@@ -9,7 +9,7 @@
 //!
 //! Queries execute on a [`modb_server::QueryEngine`] — lock-free against
 //! the latest published epoch snapshot. Several statements separated by
-//! `;` on one line run as a batch fanned across the engine's worker pool.
+//! `;` on one line run as a batch, in order, against one snapshot.
 //! `\epoch` publishes a fresh snapshot and prints the engine's counters
 //! (per-epoch query counts, p50/p99 latency, candidate/refine ratio).
 //! `\connect <addr>` points the console at a remote query front-end
@@ -334,7 +334,6 @@ fn run_cluster(router: &mut ClusterRouter, script: &str) -> bool {
 fn console_engine(db: &SharedDatabase) -> QueryEngine {
     db.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     })
 }
 

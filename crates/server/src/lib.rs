@@ -21,12 +21,12 @@
 //!   whose mutations are write-ahead logged, with pause-free snapshots
 //!   (serialization holds no database lock) and crash recovery
 //!   ([`DurableDatabase::open`] / [`SharedDatabase::recover`]).
-//! - [`QueryEngine`]: epoch-based snapshot reads plus a parallel query
-//!   executor — queries run lock-free against a recently published
-//!   immutable snapshot, batches and large refines fan out across a fixed
-//!   worker pool, and [`QueryStats`] tracks per-epoch counts and latency
-//!   percentiles (see the `query_engine` module docs for the staleness /
-//!   imprecision argument).
+//! - [`QueryEngine`]: epoch-based snapshot reads — queries run lock-free
+//!   on their caller's thread against a recently published immutable
+//!   snapshot, a `;`-batch runs in order against one snapshot, and
+//!   [`QueryStats`] tracks per-epoch counts and latency percentiles (see
+//!   the `query_engine` module docs for the staleness / imprecision
+//!   argument).
 //! - **Replication** ([`DurableDatabase::serve_replication`] /
 //!   [`StandbyReplica`]): the leader ships its WAL (bootstrap snapshot +
 //!   streamed segments) over a CRC-framed socket protocol to warm standby
@@ -76,7 +76,7 @@ pub use net::{
     ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
 };
 pub use query_engine::{
-    BatchRequest, EpochSnapshot, QueryEngine, QueryEngineConfig, QueryStats, QueryStatsSnapshot,
+    EpochSnapshot, QueryEngine, QueryEngineConfig, QueryStats, QueryStatsSnapshot,
 };
 pub use replication::{
     DivergenceInfo, FailoverConfig, FailoverCoordinator, FailoverError, FailoverOutcome,

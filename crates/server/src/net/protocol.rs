@@ -297,7 +297,6 @@ metrics! {
     "modb_query_errors_total"               Counter raw     (query.errors);
     "modb_query_candidates_total"           Counter raw     (query.candidates);
     "modb_query_matches_total"              Counter raw     (query.matches);
-    "modb_query_parallel_refines_total"     Counter raw     (query.parallel_refines);
     "modb_query_batches_total"              Counter raw     (query.batches);
     "modb_query_delta_publishes_total"      Counter raw     (query.delta_publishes);
     "modb_query_full_publishes_total"       Counter raw     (query.full_publishes);
@@ -806,7 +805,6 @@ mod tests {
                 errors: 2,
                 candidates: 500,
                 matches: 123,
-                parallel_refines: 7,
                 batches: 9,
                 delta_publishes: 2,
                 full_publishes: 1,

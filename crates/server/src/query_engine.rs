@@ -1,4 +1,5 @@
-//! Epoch-based snapshot reads and a parallel query executor.
+//! Epoch-based snapshot reads: queries run lock-free on their caller's
+//! thread against the latest published snapshot.
 //!
 //! Every query on [`crate::SharedDatabase`] holds the global read lock
 //! for its whole filter + refine pass, so one writer stalls every reader
@@ -20,21 +21,13 @@
 //! the first publish, when the change log was truncated past the
 //! cursor, or when a straggling reader still pins the retired arc.
 //!
-//! On top of the snapshot path sits a fixed worker pool:
-//!
-//! - [`QueryEngine::execute_batch`] fans a batch of requests
-//!   ([`BatchRequest`]: typed `QueryRegion` / within-distance requests or
-//!   `modb-query` text) across the workers, all reading one consistent
-//!   snapshot.
-//! - For a single large range query, the refine step itself is split:
-//!   candidate slices go to the workers via [`Database::refine_slice`]
-//!   while the calling thread refines its own share
-//!   ([`QueryEngine::range_query`] with at least
-//!   [`QueryEngineConfig::parallel_threshold`] candidates).
-//!
-//! Batch jobs always refine serially — parallel refinement is only
-//! initiated from caller threads, never from inside a pool worker, so the
-//! pool cannot deadlock on itself.
+//! **A statement runs on the thread that received it.** The engine owns
+//! no query threads: [`QueryEngine::range_query`], [`QueryEngine::run_query`]
+//! and [`QueryEngine::run_batch`] grab the snapshot and do the filter +
+//! refine on the caller. Concurrency across queries comes from callers —
+//! one thread per connection in the wire front-end — all reading the same
+//! immutable snapshot; a `;`-separated batch takes **one** snapshot up
+//! front and runs its statements in order against it.
 //!
 //! **Staleness vs the paper's uncertainty bounds.** A snapshot is at most
 //! one epoch interval Δt old. The paper's §3.3 deviation bound for a
@@ -49,7 +42,7 @@
 //! query the locked [`crate::SharedDatabase`] directly.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,7 +51,7 @@ use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use modb_core::{ChangeCursor, CoreError, Database, ObjectId, PositionAnswer, RangeAnswer};
 use modb_geom::Point;
 use modb_index::QueryRegion;
-use modb_query::{ExecError, QueryError, QueryResult};
+use modb_query::{QueryError, QueryResult};
 use parking_lot::RwLock;
 
 use crate::shadow::ShadowBuffer;
@@ -83,12 +76,6 @@ impl EpochSnapshot {
         &self.db
     }
 
-    /// The shared handle to the snapshot state (for handing work to other
-    /// threads).
-    pub fn database_arc(&self) -> &Arc<Database> {
-        &self.db
-    }
-
     /// Monotone epoch number; 0 is the snapshot taken at engine start.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -107,31 +94,21 @@ impl EpochSnapshot {
     }
 }
 
-/// Tuning knobs for [`QueryEngine`].
+/// The one knob of [`QueryEngine`]: how often the snapshot is republished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryEngineConfig {
-    /// Worker threads in the query pool (clamped to ≥ 1).
-    pub workers: usize,
     /// Republish interval for the epoch snapshot; `None` **or**
     /// `Some(Duration::ZERO)` disables the background publisher
     /// (snapshots advance only via [`QueryEngine::publish_now`], and
     /// [`EpochSnapshot::age`] keeps growing until the next manual
     /// publish).
     pub epoch_interval: Option<Duration>,
-    /// Candidate-set size at which a single range query splits its refine
-    /// step across the pool instead of refining on the calling thread.
-    pub parallel_threshold: usize,
-    /// Per-worker job-queue depth (back-pressure bound, clamped to ≥ 1).
-    pub queue_depth: usize,
 }
 
 impl Default for QueryEngineConfig {
     fn default() -> Self {
         QueryEngineConfig {
-            workers: 4,
             epoch_interval: Some(Duration::from_millis(50)),
-            parallel_threshold: 512,
-            queue_depth: 256,
         }
     }
 }
@@ -150,7 +127,6 @@ pub struct QueryStats {
     errors: AtomicU64,
     candidates: AtomicU64,
     matches: AtomicU64,
-    parallel_refines: AtomicU64,
     batches: AtomicU64,
     delta_publishes: AtomicU64,
     full_publishes: AtomicU64,
@@ -167,7 +143,6 @@ impl Default for QueryStats {
             errors: AtomicU64::new(0),
             candidates: AtomicU64::new(0),
             matches: AtomicU64::new(0),
-            parallel_refines: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             delta_publishes: AtomicU64::new(0),
             full_publishes: AtomicU64::new(0),
@@ -253,7 +228,6 @@ impl QueryStats {
             errors: errors.min(queries),
             candidates,
             matches: matches.min(candidates),
-            parallel_refines: self.parallel_refines.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             delta_publishes: self.delta_publishes.load(Ordering::Relaxed),
             full_publishes: self.full_publishes.load(Ordering::Relaxed),
@@ -281,9 +255,7 @@ pub struct QueryStatsSnapshot {
     pub candidates: u64,
     /// Total refined matches (must + may) across all range queries.
     pub matches: u64,
-    /// Range queries whose refine step ran on the worker pool.
-    pub parallel_refines: u64,
-    /// Batches executed via [`QueryEngine::execute_batch`].
+    /// Batches executed via [`QueryEngine::run_batch`].
     pub batches: u64,
     /// Epoch publications that applied a change-log delta to the shadow.
     pub delta_publishes: u64,
@@ -334,7 +306,7 @@ impl fmt::Display for QueryStatsSnapshot {
         write!(
             f,
             "epoch {} (age {} ms): {} queries ({} this epoch), p50 {} us, p99 {} us, \
-             {} candidates -> {} matches ({:.2} ratio), {} parallel refines, {} batches, \
+             {} candidates -> {} matches ({:.2} ratio), {} batches, \
              {} delta / {} full publishes ({:.0} us mean), {} errors",
             self.epoch,
             self.snapshot_age.as_millis(),
@@ -345,87 +317,12 @@ impl fmt::Display for QueryStatsSnapshot {
             self.candidates,
             self.matches,
             self.match_ratio(),
-            self.parallel_refines,
             self.batches,
             self.delta_publishes,
             self.full_publishes,
             self.mean_publish_us(),
             self.errors,
         )
-    }
-}
-
-/// One request in a batch: a typed region query, the taxi-cab
-/// within-distance query, or a `modb-query` statement.
-#[derive(Debug, Clone)]
-pub enum BatchRequest {
-    /// A may/must range query over a region.
-    Region(QueryRegion),
-    /// "Objects within `radius` miles of `center` at time `t`".
-    WithinPoint {
-        /// Disc center.
-        center: Point,
-        /// Radius in miles.
-        radius: f64,
-        /// Query time.
-        t: f64,
-    },
-    /// A `modb-query` language statement.
-    Text(String),
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Fixed pool of query workers. Each worker owns a bounded queue; jobs
-/// are dispatched round-robin (the crossbeam receivers are single
-/// consumer, matching the sharded ingest workers). Jobs never spawn
-/// nested pool work.
-struct WorkerPool {
-    shards: Vec<Sender<Job>>,
-    next: AtomicUsize,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn spawn(workers: usize, queue_depth: usize) -> Self {
-        let workers = workers.max(1);
-        let mut shards = Vec::with_capacity(workers);
-        let mut threads = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = bounded::<Job>(queue_depth.max(1));
-            threads.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            }));
-            shards.push(tx);
-        }
-        WorkerPool {
-            shards,
-            next: AtomicUsize::new(0),
-            threads,
-        }
-    }
-
-    fn size(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Dispatches a job; on a shut-down pool the job is handed back so
-    /// the caller can run it inline.
-    fn execute(&self, job: Job) -> Result<(), Job> {
-        if self.shards.is_empty() {
-            return Err(job);
-        }
-        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[shard].send(job).map_err(|e| e.0)
-    }
-
-    fn shutdown(&mut self) {
-        self.shards.clear(); // closing the queues ends the workers
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
@@ -437,17 +334,7 @@ pub struct QueryEngine {
     cell: Arc<RwLock<Arc<EpochSnapshot>>>,
     stats: Arc<QueryStats>,
     shadow: Arc<Mutex<ShadowBuffer>>,
-    pool: WorkerPool,
-    parallel_threshold: usize,
     publisher: Option<(Sender<()>, JoinHandle<()>)>,
-}
-
-impl fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.threads.len())
-            .finish()
-    }
 }
 
 /// Publishes the next epoch's snapshot: the retired snapshot's arc is
@@ -502,8 +389,9 @@ fn publish(
 }
 
 impl QueryEngine {
-    /// Builds an engine over `db`: takes the epoch-0 snapshot, spawns the
-    /// worker pool, and (per `config`) the background epoch publisher.
+    /// Builds an engine over `db`: takes the epoch-0 snapshot and (per
+    /// `config`) spawns the background epoch publisher — the only thread
+    /// an engine ever owns.
     pub fn new(db: SharedDatabase, config: QueryEngineConfig) -> Self {
         let stats = Arc::new(QueryStats::default());
         let shadow = Arc::new(Mutex::new(ShadowBuffer::new()));
@@ -540,8 +428,6 @@ impl QueryEngine {
                 (stop_tx, handle)
             });
         QueryEngine {
-            pool: WorkerPool::spawn(config.workers, config.queue_depth),
-            parallel_threshold: config.parallel_threshold.max(2),
             db,
             cell,
             stats,
@@ -574,18 +460,15 @@ impl QueryEngine {
         self.stats.snapshot(age)
     }
 
-    /// May/must range query against the latest snapshot. Lock-free after
-    /// the snapshot grab; candidate sets of at least
-    /// [`QueryEngineConfig::parallel_threshold`] split their refine step
-    /// across the worker pool.
+    /// May/must range query against the latest snapshot, on the calling
+    /// thread; lock-free after the snapshot grab.
     ///
     /// # Errors
     ///
     /// See [`Database::range_query`].
     pub fn range_query(&self, region: &QueryRegion) -> Result<RangeAnswer, CoreError> {
         let t0 = Instant::now();
-        let snap = self.snapshot();
-        let result = self.range_on_snapshot(&snap, region);
+        let result = self.snapshot().database().range_query(region);
         self.record_range(t0.elapsed(), &result);
         result
     }
@@ -633,162 +516,43 @@ impl QueryEngine {
         result
     }
 
-    /// Fans a batch of requests across the worker pool, all against one
-    /// consistent snapshot. Results come back in request order, each with
-    /// its own verdict. Batch jobs refine serially on their worker (see
-    /// the module docs' deadlock note).
-    pub fn execute_batch(
-        &self,
-        requests: Vec<BatchRequest>,
-    ) -> Vec<Result<QueryResult, QueryError>> {
+    /// Splits a `;`-separated `modb-query` script and runs its
+    /// statements in order on the calling thread, all against the one
+    /// snapshot taken up front; each statement gets its own verdict and
+    /// its own latency sample. A script whose quoting never closes cannot
+    /// be split; that comes back as a single parse-error verdict for the
+    /// whole batch.
+    pub fn run_batch(&self, src: &str) -> Vec<Result<QueryResult, QueryError>> {
+        let statements = match modb_query::split_statements(src) {
+            Ok(statements) => statements,
+            Err(e) => return vec![Err(QueryError::Parse(modb_query::ParseError::Lex(e)))],
+        };
         let snap = self.snapshot();
-        let n = requests.len();
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded::<(usize, u64, Result<QueryResult, QueryError>)>(n.max(1));
-        for (idx, request) in requests.into_iter().enumerate() {
-            let db = Arc::clone(snap.database_arc());
-            let tx = tx.clone();
-            let job: Job = Box::new(move || {
-                let t0 = Instant::now();
-                let result = execute_request(&db, request);
-                let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                let _ = tx.send((idx, us, result));
-            });
-            if let Err(job) = self.pool.execute(job) {
-                job(); // pool shut down: run inline, the send still lands
-            }
-        }
-        drop(tx);
-        let mut results: Vec<Option<Result<QueryResult, QueryError>>> =
-            (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match rx.recv() {
-                Ok((idx, us, result)) => {
-                    self.record_result(Duration::from_micros(us), &result);
-                    results[idx] = Some(result);
-                }
-                Err(_) => break,
-            }
-        }
-        results
+        statements
             .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(QueryError::Exec(ExecError::InvalidRegion(
-                        "query worker dropped the request".into(),
-                    )))
-                })
+            .map(|statement| {
+                let t0 = Instant::now();
+                let result = modb_query::run(snap.database(), statement);
+                self.record_result(t0.elapsed(), &result);
+                result
             })
             .collect()
     }
 
-    /// Parses a `;`-separated `modb-query` script and executes the
-    /// statements as one batch (one snapshot, fanned across the pool).
-    /// A script whose quoting never closes cannot be split; that comes
-    /// back as a single parse-error verdict for the whole batch.
-    pub fn run_batch(&self, src: &str) -> Vec<Result<QueryResult, QueryError>> {
-        match modb_query::split_statements(src) {
-            Ok(statements) => self.execute_batch(
-                statements
-                    .into_iter()
-                    .map(|s| BatchRequest::Text(s.to_string()))
-                    .collect(),
-            ),
-            Err(e) => vec![Err(QueryError::Parse(modb_query::ParseError::Lex(e)))],
-        }
-    }
-
-    /// Stops the publisher thread and the pool, returning the final
-    /// counters.
+    /// Stops the publisher thread, returning the final counters.
     pub fn shutdown(mut self) -> QueryStatsSnapshot {
         let snapshot = self.stats();
-        self.stop_threads();
+        self.stop_publisher();
         snapshot
     }
 
-    fn stop_threads(&mut self) {
+    fn stop_publisher(&mut self) {
         if let Some((stop, handle)) = self.publisher.take() {
             let _ = stop.send(());
             drop(stop);
             let _ = handle.join();
         }
-        self.pool.shutdown();
-    }
-
-    fn range_on_snapshot(
-        &self,
-        snap: &EpochSnapshot,
-        region: &QueryRegion,
-    ) -> Result<RangeAnswer, CoreError> {
-        let db = snap.database_arc();
-        let (candidates, stats) = db.range_candidates(region);
-        if candidates.len() >= self.parallel_threshold && self.pool.size() > 1 {
-            self.stats.parallel_refines.fetch_add(1, Ordering::Relaxed);
-            self.refine_parallel(db, candidates, region, stats)
-        } else {
-            let (must, may) = db.refine_slice(&candidates, region)?;
-            let mut answer = RangeAnswer {
-                must,
-                may,
-                candidates: candidates.len(),
-                stats,
-            };
-            answer.normalize();
-            Ok(answer)
-        }
-    }
-
-    /// Splits the refine step across the pool: the candidate list is cut
-    /// into `workers + 1` slices, the workers refine all but the first,
-    /// and the calling thread refines its own share while they run.
-    fn refine_parallel(
-        &self,
-        db: &Arc<Database>,
-        candidates: Vec<ObjectId>,
-        region: &QueryRegion,
-        stats: modb_index::SearchStats,
-    ) -> Result<RangeAnswer, CoreError> {
-        type SliceResult = Result<(Vec<ObjectId>, Vec<ObjectId>), CoreError>;
-        let slices = self.pool.size() + 1;
-        let slice_len = candidates.len().div_ceil(slices).max(1);
-        let mut chunks = candidates.chunks(slice_len);
-        let own = chunks.next().unwrap_or(&[]);
-        let (tx, rx) = bounded::<SliceResult>(slices);
-        let mut dispatched = 0;
-        for chunk in chunks {
-            let db = Arc::clone(db);
-            let region = region.clone();
-            let tx = tx.clone();
-            let chunk = chunk.to_vec();
-            let job: Job = Box::new(move || {
-                let _ = tx.send(db.refine_slice(&chunk, &region));
-            });
-            if let Err(job) = self.pool.execute(job) {
-                job();
-            }
-            dispatched += 1;
-        }
-        drop(tx);
-        // Refine our own slice while the workers chew on theirs.
-        let mut outcomes: Vec<SliceResult> = vec![db.refine_slice(own, region)];
-        for _ in 0..dispatched {
-            match rx.recv() {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(_) => break,
-            }
-        }
-        let mut answer = RangeAnswer {
-            candidates: candidates.len(),
-            stats,
-            ..RangeAnswer::default()
-        };
-        for outcome in outcomes {
-            let (must, may) = outcome?;
-            answer.must.extend(must);
-            answer.may.extend(may);
-        }
-        answer.normalize();
-        Ok(answer)
     }
 
     fn record_range(&self, elapsed: Duration, result: &Result<RangeAnswer, CoreError>) {
@@ -819,24 +583,7 @@ impl QueryEngine {
 
 impl Drop for QueryEngine {
     fn drop(&mut self) {
-        self.stop_threads();
-    }
-}
-
-/// Evaluates one batch request against a snapshot database (serial
-/// refine; runs on a pool worker).
-fn execute_request(db: &Database, request: BatchRequest) -> Result<QueryResult, QueryError> {
-    let core = |e: CoreError| QueryError::Exec(ExecError::Core(e));
-    match request {
-        BatchRequest::Region(region) => db
-            .range_query(&region)
-            .map(QueryResult::Range)
-            .map_err(core),
-        BatchRequest::WithinPoint { center, radius, t } => db
-            .within_distance_of_point(center, radius, t)
-            .map(QueryResult::Range)
-            .map_err(core),
-        BatchRequest::Text(src) => modb_query::run(db, &src),
+        self.stop_publisher();
     }
 }
 
@@ -887,7 +634,6 @@ mod tests {
     fn manual_config() -> QueryEngineConfig {
         QueryEngineConfig {
             epoch_interval: None,
-            ..QueryEngineConfig::default()
         }
     }
 
@@ -920,36 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_refine_matches_serial() {
-        let db = shared(500);
-        let serial = QueryEngine::new(
-            db.clone(),
-            QueryEngineConfig {
-                parallel_threshold: usize::MAX,
-                ..manual_config()
-            },
-        );
-        let parallel = QueryEngine::new(
-            db.clone(),
-            QueryEngineConfig {
-                parallel_threshold: 2,
-                workers: 4,
-                ..manual_config()
-            },
-        );
-        for (x0, x1, t) in [(0.0, 1000.0, 0.0), (100.0, 700.0, 3.0), (0.0, 20.0, 1.0)] {
-            let r = region(x0, x1, t);
-            assert_eq!(
-                serial.range_query(&r).unwrap(),
-                parallel.range_query(&r).unwrap(),
-                "x=[{x0},{x1}] t={t}"
-            );
-        }
-        assert!(parallel.stats().parallel_refines >= 2);
-        assert_eq!(serial.stats().parallel_refines, 0);
-    }
-
-    #[test]
     fn staleness_is_bounded_by_publication() {
         let db = shared(10);
         let engine = QueryEngine::new(db.clone(), manual_config());
@@ -979,7 +695,6 @@ mod tests {
             db.clone(),
             QueryEngineConfig {
                 epoch_interval: Some(Duration::from_millis(2)),
-                ..QueryEngineConfig::default()
             },
         );
         db.apply_update(
@@ -1002,16 +717,12 @@ mod tests {
     fn batch_preserves_order_and_verdicts() {
         let db = shared(50);
         let engine = QueryEngine::new(db.clone(), manual_config());
-        let results = engine.execute_batch(vec![
-            BatchRequest::Region(region(0.0, 30.0, 0.0)),
-            BatchRequest::Text("RETRIEVE POSITION OF OBJECT 7 AT TIME 2".into()),
-            BatchRequest::Text("garbage".into()),
-            BatchRequest::WithinPoint {
-                center: Point::new(10.0, 0.0),
-                radius: 5.0,
-                t: 0.0,
-            },
-        ]);
+        let results = engine.run_batch(
+            "RETRIEVE OBJECTS INSIDE RECT (0, -1, 30, 1) AT TIME 0;\n\
+             RETRIEVE POSITION OF OBJECT 7 AT TIME 2;\n\
+             garbage;\n\
+             RETRIEVE OBJECTS WITHIN 5 OF POINT (10, 0) AT TIME 0",
+        );
         assert_eq!(results.len(), 4);
         let expected = db.range_query(&region(0.0, 30.0, 0.0)).unwrap();
         assert_eq!(results[0].as_ref().unwrap().as_range().unwrap(), &expected);
@@ -1155,7 +866,6 @@ mod tests {
             db.clone(),
             QueryEngineConfig {
                 epoch_interval: Some(Duration::ZERO),
-                ..QueryEngineConfig::default()
             },
         );
         // No background publisher: the epoch stays put…
@@ -1209,9 +919,7 @@ mod tests {
         let r = region(0.0, 1000.0, 2.0);
         let expected = db.range_query(&r).unwrap();
         let got = engine.range_query(&r).unwrap();
-        assert_eq!(got.must, expected.must);
-        assert_eq!(got.may, expected.may);
-        assert_eq!(got.candidates, expected.candidates);
+        assert!(got.same_answer(&expected), "{got:?} vs {expected:?}");
     }
 
     #[test]
@@ -1280,8 +988,7 @@ mod tests {
             let r = region(0.0, 1000.0, round as f64);
             let expected = db.range_query(&r).unwrap();
             let got = engine.range_query(&r).unwrap();
-            assert_eq!(got.must, expected.must);
-            assert_eq!(got.may, expected.may);
+            assert!(got.same_answer(&expected), "{got:?} vs {expected:?}");
         }
         assert!(engine.stats().delta_publishes >= 3, "delta path exercised");
     }
@@ -1293,11 +1000,71 @@ mod tests {
             db,
             QueryEngineConfig {
                 epoch_interval: Some(Duration::from_millis(1)),
-                ..QueryEngineConfig::default()
             },
         );
         std::thread::sleep(Duration::from_millis(5));
-        drop(engine); // must join publisher and pool
+        drop(engine); // must join the publisher
+    }
+
+    #[test]
+    fn a_batch_reads_one_snapshot_under_a_live_writer_and_publisher() {
+        use std::sync::atomic::AtomicBool;
+        let db = shared(200);
+        let engine = QueryEngine::new(
+            db.clone(),
+            QueryEngineConfig {
+                epoch_interval: Some(Duration::from_millis(1)),
+            },
+        );
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // The writer shuffles the whole fleet along the route, so
+            // consecutive epochs give different range answers.
+            s.spawn(|| {
+                let mut round = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    round += 1;
+                    for i in 0..200u64 {
+                        let arc = ((i * 5 + round * 7) % 1000) as f64;
+                        db.apply_update(
+                            ObjectId(i),
+                            &UpdateMessage::basic(
+                                round as f64 * 1e-5,
+                                UpdatePosition::Arc(arc),
+                                0.9,
+                            ),
+                        )
+                        .unwrap();
+                    }
+                }
+            });
+            // Same statement twice in one script: whatever epoch the
+            // batch lands on, both verdicts come from it. Keep going
+            // until the publisher has swapped snapshots under us several
+            // times (a condition wait on the publisher, not a sleep).
+            let stmt = "RETRIEVE OBJECTS INSIDE RECT (0, -1, 500, 1) AT TIME 5";
+            let script = format!("{stmt}; {stmt}");
+            let first_epoch = engine.snapshot().epoch();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut batches = 0;
+            // A failure is carried out of the loop so the writer is
+            // always told to stop before the scope joins it.
+            let mut failure = None;
+            while batches < 300 || engine.snapshot().epoch() < first_epoch + 5 {
+                if Instant::now() >= deadline {
+                    failure = Some("publisher stalled".to_string());
+                    break;
+                }
+                let verdicts = engine.run_batch(&script);
+                if verdicts.len() != 2 || verdicts[0].is_err() || verdicts[0] != verdicts[1] {
+                    failure = Some(format!("one batch saw two snapshots: {verdicts:?}"));
+                    break;
+                }
+                batches += 1;
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(failure, None);
+        });
     }
 
     #[test]
@@ -1307,8 +1074,6 @@ mod tests {
             db.clone(),
             QueryEngineConfig {
                 epoch_interval: Some(Duration::from_millis(1)),
-                parallel_threshold: 64,
-                ..QueryEngineConfig::default()
             },
         );
         std::thread::scope(|s| {

@@ -46,8 +46,7 @@ impl SharedDatabase {
     }
 
     /// Spawns a [`crate::QueryEngine`] over this handle: epoch-snapshot
-    /// reads that never contend with writers, with a worker pool for
-    /// batches and parallel refinement.
+    /// reads that never contend with writers.
     pub fn query_engine(&self, config: crate::QueryEngineConfig) -> crate::QueryEngine {
         crate::QueryEngine::new(self.clone(), config)
     }

@@ -33,7 +33,6 @@ impl Shard {
         let durable = DurableDatabase::create(tmp(name), fresh_db(), test_wal_options()).unwrap();
         let engine = Arc::new(durable.query_engine(QueryEngineConfig {
             epoch_interval: None,
-            ..QueryEngineConfig::default()
         }));
         let service = durable.ingest_service(2, 64);
         let server = durable
@@ -94,7 +93,6 @@ impl Fixture {
         .unwrap();
         let union_engine = Arc::new(union_durable.query_engine(QueryEngineConfig {
             epoch_interval: None,
-            ..QueryEngineConfig::default()
         }));
 
         for &(id, arc) in vehicles {

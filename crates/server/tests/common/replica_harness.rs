@@ -395,7 +395,6 @@ pub fn serve(name: &str, config: QueryServerConfig) -> (DurableDatabase, QuerySe
     }
     let engine = Arc::new(durable.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     }));
     engine.publish_now();
     let server = durable

@@ -98,9 +98,6 @@ fn epoch_publication_never_tears_under_concurrent_writes() {
     let db = shared();
     let engine = db.query_engine(QueryEngineConfig {
         epoch_interval: Some(Duration::from_millis(1)),
-        workers: 2,
-        parallel_threshold: 32,
-        ..QueryEngineConfig::default()
     });
     let stop = AtomicBool::new(false);
 
@@ -142,7 +139,7 @@ fn epoch_publication_never_tears_under_concurrent_writes() {
                     last_epoch = snap.epoch();
                     check_snapshot(snap.database());
                     // The engine's own query path sees the same snapshot
-                    // world: exercise the parallel refine under churn.
+                    // world: exercise it under churn.
                     let g = Polygon::rectangle(&Rect::new(
                         Point::new(0.0, -2.0),
                         Point::new(ROUTE_LEN, 2.0),

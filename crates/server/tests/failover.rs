@@ -303,7 +303,6 @@ fn coordinator_declares_death_and_election_errors_are_typed() {
     let s = Scenario::start("deadman", 4);
     let engine = Arc::new(s.leader.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     }));
     engine.publish_now();
     let qserver = s

@@ -40,7 +40,6 @@ const SCRIPT: &str = "RETRIEVE POSITION OF OBJECT 1 AT TIME 20; \
 fn manual_engine(db: &modb_server::SharedDatabase) -> Arc<QueryEngine> {
     Arc::new(db.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     }))
 }
 

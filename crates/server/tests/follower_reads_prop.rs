@@ -159,7 +159,6 @@ fn floored_read(
 fn manual_engine(db: &modb_server::SharedDatabase) -> std::sync::Arc<QueryEngine> {
     std::sync::Arc::new(db.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     }))
 }
 

@@ -43,7 +43,6 @@ fn serve(
     }
     let engine = Arc::new(durable.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     }));
     engine.publish_now();
     let server = durable

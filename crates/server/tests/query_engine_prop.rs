@@ -4,8 +4,7 @@
 //! the answer the locked [`SharedDatabase`] path would have given **at
 //! the moment the snapshot was published** — staleness-adjusted
 //! equivalence. Updates applied after a publish must not leak into
-//! snapshot answers until the next publish, and the parallel refine
-//! split must be answer-for-answer identical to the serial path.
+//! snapshot answers until the next publish.
 
 use std::sync::Arc;
 
@@ -251,20 +250,13 @@ proptest! {
     }
 
     /// Snapshot answers equal the locked answers as of publication time,
-    /// no matter what happens to the live database afterwards — and the
-    /// parallel refine split changes nothing about the answers.
+    /// no matter what happens to the live database afterwards.
     #[test]
-    fn snapshot_reads_equal_locked_reads_at_publication(
-        spec in spec(),
-        force_parallel in any::<bool>(),
-    ) {
+    fn snapshot_reads_equal_locked_reads_at_publication(spec in spec()) {
         let db = shared(spec.n_objects);
         apply_stream(&db, &spec.before);
         let engine = db.query_engine(QueryEngineConfig {
             epoch_interval: None,
-            workers: 3,
-            parallel_threshold: if force_parallel { 2 } else { usize::MAX },
-            ..QueryEngineConfig::default()
         });
         // The reference is the locked view frozen at publication time.
         let frozen = db.with_read(|inner| inner.clone());
@@ -302,9 +294,7 @@ proptest! {
             let r = region(x0, x1, t);
             let got = engine.range_query(&r).unwrap();
             let expected = db.range_query(&r).unwrap();
-            prop_assert_eq!(&got.must, &expected.must);
-            prop_assert_eq!(&got.may, &expected.may);
-            prop_assert_eq!(got.candidates, expected.candidates);
+            prop_assert!(got.same_answer(&expected), "{:?} vs {:?}", got, expected);
         }
     }
 
@@ -319,8 +309,6 @@ proptest! {
         apply_stream(&db, &spec.before);
         let engine = db.query_engine(QueryEngineConfig {
             epoch_interval: None,
-            workers: 3,
-            ..QueryEngineConfig::default()
         });
         let frozen = db.with_read(|inner| inner.clone());
         engine.publish_now();

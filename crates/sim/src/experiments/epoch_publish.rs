@@ -115,7 +115,6 @@ fn run_mode(
     if incremental {
         let engine = db.query_engine(QueryEngineConfig {
             epoch_interval: None,
-            ..QueryEngineConfig::default()
         });
         time_publishes(&db, n_objects, churn, rounds, || {
             let before = engine.stats().publish_ns;

@@ -178,7 +178,6 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
     // A query front-end on the leader for the deadman probe.
     let engine = Arc::new(leader.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     }));
     engine.publish_now();
     let qserver = leader

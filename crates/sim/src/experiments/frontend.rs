@@ -148,7 +148,6 @@ pub fn run_frontend_overhead(
     }
     let engine = Arc::new(durable.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     }));
     engine.publish_now();
     let server = durable

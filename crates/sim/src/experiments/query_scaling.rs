@@ -86,8 +86,6 @@ fn run_window(
         QueryMode::Locked => None,
         QueryMode::Snapshot => Some(db.query_engine(QueryEngineConfig {
             epoch_interval: Some(Duration::from_millis(EPOCH_INTERVAL_MS)),
-            workers: threads.clamp(1, 4),
-            ..QueryEngineConfig::default()
         })),
     };
     let stop = Arc::new(AtomicBool::new(false));

@@ -16,7 +16,10 @@
 //!   frontier, answered by each follower, must match the leader's local
 //!   verdicts statement for statement (the chain is quiescent, so the
 //!   lag clock is zero and no widening applies — answers are
-//!   bit-identical);
+//!   bit-identical: positions, bounds, intervals, `must`, `may` and
+//!   `candidates`; a range answer's `SearchStats` are traversal
+//!   diagnostics of whichever tree served it and are left out, see
+//!   `QueryResult::same_answer` and DESIGN.md §15);
 //! - **staleness is typed**: a floor the chain has never reached must
 //!   come back as the protocol's `Stale { applied, required }` refusal
 //!   within the server's wait deadline — never a hang, never a silently
@@ -248,7 +251,6 @@ fn run_phase(n_objects: usize, fanout: usize, batches: u64, rounds: usize) -> Re
     let parity_script = script(query_t, n_objects, 1);
     let leader_engine = leader.query_engine(QueryEngineConfig {
         epoch_interval: None,
-        ..QueryEngineConfig::default()
     });
     leader_engine.publish_now();
     let leader_verdicts = leader_engine.run_batch(&parity_script);
@@ -267,7 +269,7 @@ fn run_phase(n_objects: usize, fanout: usize, batches: u64, rounds: usize) -> Re
         {
             BatchOutcome::Done(remote) => {
                 let differs = |(r, l): &(&RemoteVerdict, &_)| match (r, l) {
-                    (Ok(r), Ok(l)) => r != l,
+                    (Ok(r), Ok(l)) => !r.same_answer(l),
                     (Err(r), Err::<_, QueryError>(l)) => r != &l.to_string(),
                     _ => true,
                 };

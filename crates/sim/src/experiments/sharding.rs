@@ -265,7 +265,6 @@ pub fn cluster_parity(n_objects: usize, n_shards: usize, spatial: bool) -> bool 
         let durable = DurableDatabase::create(&dir, fresh_db(), wal_options()).expect("create");
         let engine = Arc::new(durable.query_engine(QueryEngineConfig {
             epoch_interval: None,
-            ..QueryEngineConfig::default()
         }));
         let (service, server) = if serve {
             let service = durable.ingest_service(2, 64);
