@@ -3,14 +3,15 @@
 //!
 //! One `modb-server` node holds one fleet. Past that, the fleet is
 //! *partitioned*: each of N shard servers owns a subset of the moving
-//! objects (its own database, WAL, ingest shards, and query engine),
+//! objects (its own database, WAL, ingest service, and query engine),
 //! and three pieces make the partition look like one database:
 //!
 //! - [`ShardMap`] ([`ShardKey`]): who owns which object — hash of the
 //!   object id (uniform, id-routable, no spatial locality) or spatial
 //!   regions (local range queries stay local, but objects drift).
 //! - [`ClusterRouter`]: the data plane. Updates go to the owning shard
-//!   over the v2 remote-ingest protocol; `;`-batch queries are routed
+//!   over the remote-ingest frames, where the session thread that reads
+//!   one logs, applies and acks it; `;`-batch queries are routed
 //!   per statement and the per-shard verdicts merged so the cluster
 //!   answers exactly like a single node holding the union fleet (see
 //!   the `router` module docs for the merge rules and the one

@@ -221,7 +221,7 @@ impl ClusterRouter {
         updates: &[(ObjectId, UpdateMessage)],
     ) -> Result<Vec<RemoteUpdateVerdict>, ClusterError> {
         // Group input positions by shard, preserving input order within
-        // each group (the ingest shards keep per-object FIFO; the router
+        // each group (a shard's ingest keeps per-object order; the router
         // must not reorder one object's updates).
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.clients.len()];
         for (i, (id, _)) in updates.iter().enumerate() {

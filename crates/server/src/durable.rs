@@ -5,12 +5,13 @@
 //! database and the log, so the state in `dir` can always be rebuilt by
 //! [`DurableDatabase::open`] (or bare [`SharedDatabase::recover`]):
 //!
-//! - **Position updates** are applied first and logged immediately
+//! - **Position updates** are applied first and appended immediately
 //!   after, accepted or not — replay re-derives the same verdicts, and
-//!   the log doubles as a complete update-stream trace. Apply-before-log
-//!   is the **watermark invariant** that makes online snapshots sound:
-//!   under the writer lock, every record with an assigned LSN is already
-//!   reflected in the in-memory state.
+//!   the log doubles as a complete update-stream trace. This is the
+//!   write order DESIGN §7 states (*frame → apply → LSN → fsync → ack*),
+//!   and its **watermark invariant** is what makes online snapshots
+//!   sound: under the writer lock, every record with an assigned LSN is
+//!   already reflected in the in-memory state.
 //! - **Registrations, removals, and route insertions** are logged *after*
 //!   they succeed, so the log carries only mutations that actually
 //!   changed state.
@@ -170,10 +171,12 @@ impl DurableDatabase {
             .current()
     }
 
-    /// Spawns a WAL-backed ingest service over this database (see
-    /// [`IngestService::spawn_with_wal`]).
-    pub fn ingest_service(&self, n_workers: usize, queue_depth: usize) -> IngestService {
-        IngestService::spawn_with_wal(self.db.clone(), self.wal.clone(), n_workers, queue_depth)
+    /// A WAL-backed ingest service over this database with `stripes`
+    /// lock stripes (see [`IngestService::with_wal`]). The second
+    /// parameter is ignored — ingest has no queue; `modb_ledger/` still
+    /// passes one.
+    pub fn ingest_service(&self, stripes: usize, _queue_depth: usize) -> IngestService {
+        IngestService::with_wal(self.db.clone(), self.wal.clone(), stripes)
     }
 
     /// Spawns a [`crate::QueryEngine`] over the in-memory handle: queries
@@ -229,12 +232,13 @@ impl DurableDatabase {
 
     /// Applies a position update and logs the envelope immediately after
     /// (accepted or not — the log stays a complete update-stream trace,
-    /// and replay re-derives the same verdicts). Apply-before-log keeps
-    /// the watermark invariant the pause-free snapshot relies on: a
-    /// record with an assigned LSN is never ahead of the in-memory
-    /// state. For high-volume ingestion use
-    /// [`DurableDatabase::ingest_service`], which batches log writes per
-    /// worker instead of locking the writer per update.
+    /// and replay re-derives the same verdicts): the write order of
+    /// DESIGN §7 with a batch of one, so a record with an assigned LSN
+    /// is never ahead of the in-memory state. For high-volume ingestion
+    /// use [`DurableDatabase::ingest_service`], which batches log writes
+    /// per stripe instead of locking the writer per update — and is the
+    /// path to use when several threads update the same object: this
+    /// method does not hold a lock across its two steps.
     ///
     /// # Errors
     ///
@@ -258,8 +262,9 @@ impl DurableDatabase {
     /// segments every retained snapshot covers). Returns the snapshot
     /// path.
     ///
-    /// Safe while ingest is live: apply-before-log means every record
-    /// below the watermark is already in the state the shadow captures;
+    /// Safe while ingest is live: by the watermark invariant (DESIGN §7)
+    /// every record below the watermark is already in the state the
+    /// shadow captures;
     /// mutations racing past the watermark may also be captured, and
     /// replay re-applies that overlap idempotently.
     ///
@@ -283,8 +288,8 @@ impl DurableDatabase {
         // mutex.
         let mut shadow = self.shadow.lock().unwrap_or_else(|e| e.into_inner());
         // Watermark: under the writer lock every assigned LSN is already
-        // applied (apply-before-log everywhere), so state captured after
-        // this point reflects at least every record below `lsn`.
+        // applied (DESIGN §7), so state captured after this point
+        // reflects at least every record below `lsn`.
         let lsn = self.wal.with_writer(|w| -> Result<u64, WalError> {
             w.sync()?;
             Ok(w.next_lsn())
@@ -507,46 +512,106 @@ mod tests {
         std::fs::remove_dir_all(&empty).unwrap();
     }
 
+    /// The one thing the ingest stripes are for: with several threads
+    /// racing `send` and `send_acked` at the *same* objects, the log holds
+    /// each object's updates in the order they were applied — so a
+    /// replay (recovery, or a follower) re-derives every verdict and
+    /// ends in the same state.
     #[test]
     fn wal_backed_ingest_round_trips_through_recovery() {
+        use crate::replication::{ReplicaConfig, ReplicationConfig, StandbyReplica};
+        use crate::QueryEngineConfig;
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        const OBJECTS: u64 = 5;
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 60;
         let dir = tmp("ingest");
+        let follower_dir = tmp("ingest-follower");
         let durable = DurableDatabase::create(&dir, fresh_db(), WalOptions::default()).unwrap();
-        for i in 0..20u64 {
+        for i in 0..OBJECTS {
             durable.register_moving(vehicle(i, i as f64)).unwrap();
         }
-        let service = durable.ingest_service(4, 64);
-        let handle = service.handle();
-        for round in 1..=10u64 {
-            for i in 0..20u64 {
-                handle
-                    .send(crate::ingest::UpdateEnvelope {
-                        id: ObjectId(i),
-                        msg: UpdateMessage::basic(
-                            round as f64,
-                            UpdatePosition::Arc(i as f64 + round as f64 * 0.1),
-                            0.9,
-                        ),
-                    })
-                    .unwrap();
+        let shipper = durable
+            .serve_replication("127.0.0.1:0", ReplicationConfig::default())
+            .unwrap();
+        let replica = StandbyReplica::open(
+            &follower_dir,
+            shipper.local_addr().to_string(),
+            ReplicaConfig::default(),
+        )
+        .unwrap();
+
+        let service = durable.ingest_service(4, 0);
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for p in 0..THREADS {
+                let handle = service.handle();
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for k in 1..=PER_THREAD {
+                        // Every thread walks the same objects with
+                        // timestamps interleaved with the others', so
+                        // which update is stale is decided by the race.
+                        let envelope = crate::ingest::UpdateEnvelope {
+                            id: ObjectId(k % OBJECTS),
+                            msg: UpdateMessage::basic(
+                                (k * THREADS + p) as f64 * 0.25,
+                                UpdatePosition::Arc(k as f64 * 0.5),
+                                0.9,
+                            ),
+                        };
+                        if (k + p) % 2 == 0 {
+                            handle.send(envelope).unwrap();
+                        } else {
+                            let outcome = handle.send_acked(envelope).unwrap().recv().unwrap();
+                            assert!(outcome.lsn > OBJECTS, "an acked record has its LSN");
+                        }
+                    }
+                });
             }
-        }
-        drop(handle);
+        });
         let stats = service.shutdown();
-        assert_eq!(stats.accepted, 200);
+        assert_eq!(stats.total() as u64, THREADS * PER_THREAD);
+        assert_eq!(stats.rejected(), stats.stale, "only the race rejects");
         assert_eq!(stats.wal_errors, 0);
+
+        // The follower, fed the log the race wrote, answers as the leader.
+        assert!(replica.wait_for_lsn(durable.wal().next_lsn(), Duration::from_secs(30)));
+        let script = "RETRIEVE OBJECTS INSIDE RECT (0, -1, 100, 1) AT TIME 70; \
+                      RETRIEVE POSITION OF OBJECT 3 AT TIME 70; \
+                      RETRIEVE 3 NEAREST OBJECTS TO POINT (20, 0) AT TIME 70";
+        let answers = |db: &SharedDatabase| {
+            let engine = db.query_engine(QueryEngineConfig {
+                epoch_interval: None,
+            });
+            engine.publish_now();
+            engine.run_batch(script)
+        };
+        let (led, followed) = (answers(durable.database()), answers(replica.database()));
+        assert_eq!(led.len(), 3);
+        for (l, f) in led.iter().zip(&followed) {
+            assert!(l.as_ref().unwrap().same_answer(f.as_ref().unwrap()));
+        }
+        replica.shutdown();
+        shipper.shutdown();
+
         let expected = durable.database().with_read(|db| db.clone());
         drop(durable);
         let (reopened, report) = DurableDatabase::open(&dir, WalOptions::default()).unwrap();
-        assert_eq!(report.replayed, 220, "20 registrations + 200 updates");
+        // Replay re-derives the live verdicts, count for count.
+        assert_eq!(report.replayed, OBJECTS + stats.accepted as u64);
+        assert_eq!(report.rejected as usize, stats.rejected());
         reopened.database().with_read(|db| {
-            for i in 0..20u64 {
-                assert_eq!(
-                    db.moving(ObjectId(i)).unwrap(),
-                    expected.moving(ObjectId(i)).unwrap()
-                );
+            for i in (0..OBJECTS).map(ObjectId) {
+                assert_eq!(db.moving(i).unwrap(), expected.moving(i).unwrap());
+                assert_eq!(db.history_of(i), expected.history_of(i));
             }
         });
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&follower_dir).unwrap();
     }
 
     #[test]

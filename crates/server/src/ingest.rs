@@ -1,32 +1,37 @@
-//! Concurrent update ingestion: the server side of the wireless link.
+//! Update ingestion: the server side of the wireless link.
 //!
-//! Position updates from thousands of vehicles arrive asynchronously; the
-//! [`IngestService`] fans them across worker threads that apply them to a
-//! [`SharedDatabase`], counting accepted and rejected messages.
+//! Position updates from thousands of vehicles arrive asynchronously, on
+//! whatever thread received them — a session thread of the query
+//! front-end, a producer in an experiment. [`IngestHandle::send`] and
+//! [`IngestHandle::send_acked`] log and apply the update **on that
+//! thread**; the [`IngestService`] owns no thread and no queue, so a call
+//! that returned has been applied.
 //!
-//! **Ordering.** The DBMS rejects stale timestamps, so updates from one
-//! object must be applied in send order. The service therefore *shards*
-//! by object id: each worker owns its own queue, and the
-//! [`IngestHandle`] routes every envelope for a given object to the same
-//! worker — per-object FIFO with cross-object parallelism.
+//! **Ordering.** The DBMS rejects stale timestamps and replay re-derives
+//! every verdict, so one object's updates must enter the log in the order
+//! they were applied. The service is therefore *striped* by object id:
+//! `id % n` picks one of `n` mutexes, and the whole path below runs under
+//! it — per-object apply order = per-object log order, with cross-object
+//! parallelism up to the database's own write lock.
 //!
-//! **Durability.** A service spawned with
-//! [`IngestService::spawn_with_wal`] logs every envelope to the
-//! write-ahead log. Each worker frames the record into a private
-//! [`modb_wal::WalBatch`] (no lock, no I/O), applies the update, and
-//! hands the batch to the shared writer every [`WAL_BATCH_RECORDS`]
-//! envelopes and at drain, so the WAL mutex is touched once per batch,
-//! not once per update. Apply-before-flush means a record never receives
-//! an LSN ahead of the in-memory state — the watermark invariant behind
+//! **Durability.** A service built with [`IngestService::with_wal`] logs
+//! every envelope, in the order DESIGN §7 states once for the whole
+//! system: *frame → apply → LSN → fsync → ack*. The record is framed into
+//! the stripe's pending [`modb_wal::WalBatch`] (no I/O), the update is
+//! applied, and the batch is handed to the shared writer — where its
+//! records get their LSNs — every [`WAL_BATCH_RECORDS`] envelopes, on an
+//! acknowledged send, and at shutdown, so the WAL mutex is touched once
+//! per batch, not once per update. A record therefore never has an LSN
+//! ahead of the in-memory state — the watermark invariant behind
 //! [`crate::DurableDatabase`]'s pause-free snapshots. Rejected updates
 //! are logged too: replay re-derives the same verdicts, and the log
 //! doubles as a complete update-stream trace.
 //!
-//! Acknowledged applies additionally promise durability: before the ack
-//! is delivered, the worker waits on a shared
-//! [`modb_wal::GroupCommitter`], which collapses every concurrently
-//! waiting worker's fsync into one — the fsync rate stays pinned near
-//! the disk's flush rate no matter how many workers are acking.
+//! Acknowledged sends additionally promise durability:
+//! [`PendingAck::recv`] waits on the log's [`modb_wal::GroupCommitter`]
+//! *after* the stripe lock is released, so one fsync serves every thread
+//! acking concurrently and a stripe is never stalled behind a disk
+//! flush.
 //!
 //! Rejections (stale timestamps after a vehicle reboot, off-route fixes,
 //! unknown objects) are normal radio-network operation — counted by
@@ -34,50 +39,43 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crossbeam::channel::{bounded, Receiver, SendError, Sender};
 use modb_core::{CoreError, ObjectId, UpdateMessage};
-use modb_wal::{
-    GroupCommitHandle, GroupCommitStats, GroupCommitter, SharedWal, WalBatch, WalRecord,
-};
+use modb_wal::{GroupCommitStats, GroupCommitter, SharedWal, WalBatch, WalError, WalRecord};
 
-/// Envelopes a worker buffers in its private WAL batch before taking the
+use crate::shared::SharedDatabase;
+
+/// Envelopes a stripe buffers in its pending WAL batch before taking the
 /// shared writer lock once to flush them all.
 pub const WAL_BATCH_RECORDS: u64 = 32;
 
-/// What flows through a shard queue: an update to apply (fire-and-forget
-/// or acknowledged), or the stop sentinel that ends the worker. The
-/// sentinel (rather than relying on channel closure) makes
-/// [`IngestService::shutdown`] safe even while producer handles are
-/// still alive — without it, an outstanding [`IngestHandle`] clone would
-/// keep the channel open and deadlock the worker join.
-enum Job {
-    Apply(UpdateEnvelope),
-    /// Apply, flush the worker's WAL batch immediately, and reply with
-    /// the [`UpdateOutcome`] — the remote-ingest path, where the caller
-    /// is waiting to hand the client a read-your-writes token.
-    ApplyAcked(UpdateEnvelope, Sender<UpdateOutcome>),
-    Stop,
-}
-
-/// What an acknowledged apply reports back to the producer.
+/// What an acknowledged send reports back to the producer.
 #[derive(Debug, Clone)]
 pub struct UpdateOutcome {
-    /// The WAL frontier (next LSN) observed *after* this envelope's
-    /// record was flushed — every record of this update stream with an
-    /// LSN below `lsn` is already applied to the in-memory database
-    /// (apply-before-log), so a query snapshot published at frontier
-    /// ≥ `lsn` is guaranteed to cover this update. 0 when the service
-    /// has no WAL.
+    /// The WAL frontier (next LSN) right after this envelope's record
+    /// was appended — every record of the log below `lsn` is already
+    /// applied to the in-memory database (DESIGN §7), so a query
+    /// snapshot published at frontier ≥ `lsn` is guaranteed to cover
+    /// this update. 0 when the service has no WAL.
     pub lsn: u64,
     /// The DBMS verdict (rejected updates are applied-and-logged as
     /// rejections, same as the fire-and-forget path).
     pub verdict: Result<(), CoreError>,
 }
 
-use crate::shared::SharedDatabase;
+/// The service has shut down: the envelope, handed back, was neither
+/// applied nor logged.
+#[derive(Debug)]
+pub struct IngestClosed(pub UpdateEnvelope);
+
+impl fmt::Display for IngestClosed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ingest service shut down")
+    }
+}
+
+impl std::error::Error for IngestClosed {}
 
 /// A position update addressed to one object.
 #[derive(Debug, Clone)]
@@ -88,7 +86,7 @@ pub struct UpdateEnvelope {
     pub msg: UpdateMessage,
 }
 
-/// Counters published by the ingest workers. Rejections are broken down
+/// Counters of the ingest path. Rejections are broken down
 /// by the DBMS verdict so operators can tell a fleet of rebooting
 /// vehicles (stale timestamps) from a map-matching problem (off-route).
 #[derive(Debug, Default)]
@@ -137,8 +135,9 @@ impl IngestStats {
         self.other_rejected.load(Ordering::Relaxed)
     }
 
-    /// WAL append failures (the update was still applied; the log is
-    /// missing records and a recovery would replay a shorter prefix).
+    /// WAL append and commit failures (the update was still applied; the
+    /// durable log is missing records, a recovery would replay a shorter
+    /// prefix, and no acknowledged send was answered `Ok` for them).
     pub fn wal_errors(&self) -> usize {
         self.wal_errors.load(Ordering::Relaxed)
     }
@@ -182,7 +181,7 @@ pub struct IngestStatsSnapshot {
     pub unknown_object: usize,
     /// Rejected: everything else.
     pub other_rejected: usize,
-    /// WAL append failures.
+    /// WAL append and commit failures.
     pub wal_errors: usize,
 }
 
@@ -217,370 +216,275 @@ impl fmt::Display for IngestStatsSnapshot {
     }
 }
 
-/// Producer-side handle: routes envelopes to the worker owning the
-/// object's shard, preserving per-object order.
+/// One lock stripe: the records framed but not yet handed to the writer,
+/// and whether [`IngestService::shutdown`] has been through.
+#[derive(Default)]
+struct Stripe {
+    batch: WalBatch,
+    closed: bool,
+}
+
+/// What every handle and the service share.
+struct Shared {
+    db: SharedDatabase,
+    /// The log and its commit point; `None` for a WAL-less service.
+    wal: Option<(SharedWal, GroupCommitter)>,
+    stripes: Vec<Mutex<Stripe>>,
+    stats: IngestStats,
+}
+
+impl Shared {
+    fn stripe(&self, id: ObjectId) -> MutexGuard<'_, Stripe> {
+        self.stripes[(id.0 as usize) % self.stripes.len()]
+            .lock()
+            .expect("ingest stripe poisoned: a sender panicked mid-apply")
+    }
+
+    /// Hands a stripe's batch to the writer as one block; the frontier
+    /// right after it, i.e. one past its last record's LSN.
+    fn flush(&self, wal: &SharedWal, batch: &mut WalBatch) -> Result<u64, WalError> {
+        let flushed = wal.with_writer(|w| w.append_batch(batch).map(|()| w.next_lsn()));
+        if flushed.is_err() {
+            self.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+            batch.clear();
+        }
+        flushed
+    }
+
+    /// The write path for one envelope, on the calling thread under the
+    /// object's stripe lock: frame → apply → (on `acked` or a full
+    /// batch) append. Durability is the caller's to wait for, after the
+    /// lock is gone.
+    fn apply(&self, env: UpdateEnvelope, acked: bool) -> Result<Applied, IngestClosed> {
+        let mut stripe = self.stripe(env.id);
+        if stripe.closed {
+            return Err(IngestClosed(env));
+        }
+        if self.wal.is_some() {
+            // Frame first (no I/O) so the batch and the in-memory state
+            // stay in lockstep — a crash loses both together.
+            stripe.batch.push(&WalRecord::Update {
+                id: env.id,
+                msg: env.msg,
+            });
+        }
+        let verdict = self.db.apply_update(env.id, &env.msg);
+        self.stats.record(&verdict);
+        // Append only after applying: a record never gets an LSN before
+        // its update is in the database. An acknowledged send appends
+        // unconditionally — its LSN backs a read-your-writes token, so it
+        // cannot sit in the pending batch.
+        let appended = match &self.wal {
+            Some((wal, _)) if acked || stripe.batch.records() >= WAL_BATCH_RECORDS => {
+                self.flush(wal, &mut stripe.batch)
+            }
+            _ => Ok(0),
+        };
+        Ok(Applied { verdict, appended })
+    }
+}
+
+/// What [`Shared::apply`] did with one envelope.
+struct Applied {
+    verdict: Result<(), CoreError>,
+    /// The frontier after this call's append; `Ok(0)` when nothing was
+    /// appended (no WAL, or an unacknowledged send below the batch
+    /// threshold).
+    appended: Result<u64, WalError>,
+}
+
+/// An acknowledged send that has been applied and appended but not yet
+/// waited on for durability (see [`IngestHandle::send_acked`]).
+pub struct PendingAck {
+    shared: Arc<Shared>,
+    applied: Applied,
+}
+
+impl PendingAck {
+    /// Waits until the record is durable and returns the outcome. The
+    /// fsync is shared with every thread waiting at the same time, and
+    /// covers every record appended before it starts.
+    ///
+    /// # Errors
+    ///
+    /// The append or sync failure: the update is applied in memory but
+    /// **not** in the durable log, and must not be acknowledged.
+    pub fn recv(self) -> Result<UpdateOutcome, WalError> {
+        let lsn = self.applied.appended?;
+        if let Some((_, commit)) = &self.shared.wal {
+            if let Err(e) = commit.commit(lsn) {
+                self.shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+                return Err(e);
+            }
+        }
+        Ok(UpdateOutcome {
+            lsn,
+            verdict: self.applied.verdict,
+        })
+    }
+}
+
+/// Producer-side handle: logs and applies envelopes on the calling
+/// thread, under the owning object's stripe lock. Cloneable, and
+/// detached from the service's lifetime — after
+/// [`IngestService::shutdown`] every send is refused.
 #[derive(Clone)]
 pub struct IngestHandle {
-    shards: Vec<Sender<Job>>,
+    shared: Arc<Shared>,
 }
 
 impl fmt::Debug for IngestHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("IngestHandle")
-            .field("shards", &self.shards.len())
+            .field("stripes", &self.shared.stripes.len())
             .finish()
     }
 }
 
 impl IngestHandle {
-    /// Enqueues an update; blocks when the owning shard's queue is full
-    /// (back-pressure).
+    /// Applies an update and frames it for the log; when this returns the
+    /// database reflects it. The record reaches the writer with its
+    /// stripe's next batch and is durable once the service has shut down.
     ///
     /// # Errors
     ///
-    /// [`SendError`] when the service has shut down.
-    pub fn send(&self, envelope: UpdateEnvelope) -> Result<(), SendError<UpdateEnvelope>> {
-        let shard = (envelope.id.0 as usize) % self.shards.len();
-        self.shards[shard].send(Job::Apply(envelope)).map_err(|e| {
-            SendError(match e.0 {
-                Job::Apply(env) => env,
-                _ => unreachable!("send only enqueues Apply"),
-            })
+    /// [`IngestClosed`] when the service has shut down; the envelope was
+    /// neither applied nor logged.
+    pub fn send(&self, envelope: UpdateEnvelope) -> Result<(), IngestClosed> {
+        self.shared.apply(envelope, false).map(drop)
+    }
+
+    /// Applies an update for an *acknowledged* send: the stripe's batch
+    /// is appended at once (assigning the record an LSN), and the
+    /// returned [`PendingAck`] waits for the fsync. Per-object order with
+    /// concurrent `send` calls is preserved (same stripe lock).
+    ///
+    /// # Errors
+    ///
+    /// [`IngestClosed`] when the service has shut down.
+    pub fn send_acked(&self, envelope: UpdateEnvelope) -> Result<PendingAck, IngestClosed> {
+        let applied = self.shared.apply(envelope, true)?;
+        Ok(PendingAck {
+            shared: Arc::clone(&self.shared),
+            applied,
         })
     }
 
-    /// Enqueues an update for an *acknowledged* apply: the worker
-    /// applies it, flushes its WAL batch immediately (assigning the
-    /// record an LSN), and delivers an [`UpdateOutcome`] on the returned
-    /// receiver. Blocks when the owning shard's queue is full
-    /// (back-pressure), like [`IngestHandle::send`]; per-object FIFO
-    /// order with concurrent `send` calls is preserved (same shard
-    /// queue).
-    ///
-    /// The receiver yields exactly one outcome; it errors instead if the
-    /// service shuts down before the envelope is applied (only possible
-    /// for envelopes racing in behind the stop sentinel).
-    ///
-    /// # Errors
-    ///
-    /// [`SendError`] when the service has shut down.
-    pub fn send_acked(
-        &self,
-        envelope: UpdateEnvelope,
-    ) -> Result<Receiver<UpdateOutcome>, SendError<UpdateEnvelope>> {
-        let shard = (envelope.id.0 as usize) % self.shards.len();
-        let (tx, rx) = bounded(1);
-        self.shards[shard]
-            .send(Job::ApplyAcked(envelope, tx))
-            .map(|()| rx)
-            .map_err(|e| {
-                SendError(match e.0 {
-                    Job::ApplyAcked(env, _) => env,
-                    _ => unreachable!("send_acked only enqueues ApplyAcked"),
-                })
-            })
-    }
-}
-
-/// Read-only observer over a running [`IngestService`]: counters plus the
-/// instantaneous queue depth, detached from the service's lifetime (see
-/// [`IngestService::monitor`]).
-#[derive(Clone)]
-pub struct IngestMonitor {
-    stats: Arc<IngestStats>,
-    shards: Vec<Sender<Job>>,
-    commit: Option<GroupCommitHandle>,
-}
-
-impl fmt::Debug for IngestMonitor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("IngestMonitor")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
-impl IngestMonitor {
-    /// Plain-value copy of the accept/reject counters.
-    pub fn snapshot(&self) -> IngestStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Envelopes enqueued but not yet applied, summed across shards.
-    /// Reads 0 once the workers have drained after a shutdown.
-    pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+    /// Shared accept/reject counters.
+    pub fn stats(&self) -> &IngestStats {
+        &self.shared.stats
     }
 
     /// Group-commit coalescing counters (`None` for a WAL-less service).
     pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.commit.as_ref().map(GroupCommitHandle::stats)
+        self.shared.wal.as_ref().map(|(_, commit)| commit.stats())
     }
 }
 
-/// What the query front-end needs to accept remote `Update` frames: a
-/// producer [`IngestHandle`] for the acknowledged-apply path plus an
-/// [`IngestMonitor`] for the stats scrape. Cloneable and detached from
-/// the service's lifetime, like its parts.
-#[derive(Clone, Debug)]
-pub struct IngestFrontend {
-    /// Producer handle the server routes remote updates through.
-    pub handle: IngestHandle,
-    /// Observer for the scrape's ingest counters and queue depth.
-    pub monitor: IngestMonitor,
-}
-
-/// A pool of ingest workers draining sharded update queues into the
-/// database.
+/// The owner of an ingest path into the database: hands out
+/// [`IngestHandle`]s and, on [`IngestService::shutdown`] or drop, closes
+/// the stripes and makes the log durable. It owns no thread.
 pub struct IngestService {
-    handle: Option<IngestHandle>,
-    workers: Vec<JoinHandle<()>>,
-    stats: Arc<IngestStats>,
-    wal: Option<SharedWal>,
-    committer: Option<GroupCommitter>,
+    handle: IngestHandle,
 }
 
 impl IngestService {
-    /// Spawns `n_workers` sharded workers, each with a queue of capacity
-    /// `queue_depth` (both clamped to ≥ 1). No write-ahead logging.
-    pub fn spawn(db: SharedDatabase, n_workers: usize, queue_depth: usize) -> Self {
-        Self::spawn_inner(db, None, n_workers, queue_depth)
+    /// An ingest path over `db` with `stripes` lock stripes (clamped to
+    /// ≥ 1). No write-ahead logging.
+    pub fn new(db: SharedDatabase, stripes: usize) -> Self {
+        Self::build(db, None, stripes)
     }
 
-    /// Like [`IngestService::spawn`], but every envelope is appended to
-    /// `wal` (framed per worker before the update is applied, flushed to
-    /// the shared writer every [`WAL_BATCH_RECORDS`] envelopes and at
-    /// drain — always after application, preserving the snapshot
-    /// watermark invariant).
-    pub fn spawn_with_wal(
-        db: SharedDatabase,
-        wal: SharedWal,
-        n_workers: usize,
-        queue_depth: usize,
-    ) -> Self {
-        Self::spawn_inner(db, Some(wal), n_workers, queue_depth)
-    }
-
-    fn spawn_inner(
-        db: SharedDatabase,
-        wal: Option<SharedWal>,
-        n_workers: usize,
-        queue_depth: usize,
-    ) -> Self {
-        let stats = Arc::new(IngestStats::default());
-        // One committer serves every worker: concurrent acked applies
+    /// Like [`IngestService::new`], but every envelope is appended to
+    /// `wal` (see the module docs for the order).
+    pub fn with_wal(db: SharedDatabase, wal: SharedWal, stripes: usize) -> Self {
+        // One commit point serves every sender: concurrent acked sends
         // share fsyncs instead of issuing their own.
-        let committer = wal.as_ref().map(|w| GroupCommitter::spawn(w.clone()));
-        let mut shards = Vec::with_capacity(n_workers.max(1));
-        let mut workers = Vec::with_capacity(n_workers.max(1));
-        for _ in 0..n_workers.max(1) {
-            let (tx, rx) = bounded::<Job>(queue_depth.max(1));
-            let db = db.clone();
-            let stats = Arc::clone(&stats);
-            let wal = wal.clone();
-            let commit = committer.as_ref().map(GroupCommitter::handle);
-            workers.push(std::thread::spawn(move || {
-                let mut batch = WalBatch::new();
-                let mut apply = |env: UpdateEnvelope, ack: Option<Sender<UpdateOutcome>>| {
-                    if wal.is_some() {
-                        // Frame first (no lock, no I/O) so the batch and
-                        // the in-memory state stay in lockstep — a crash
-                        // loses both together.
-                        batch.push(&WalRecord::Update {
-                            id: env.id,
-                            msg: env.msg,
-                        });
-                    }
-                    let verdict = db.apply_update(env.id, &env.msg);
-                    stats.record(&verdict);
-                    // Flush only after applying: a record never gets an
-                    // LSN before its update is in the database, which is
-                    // the watermark invariant the pause-free snapshot
-                    // path relies on. An acknowledged apply flushes
-                    // unconditionally — its LSN backs a read-your-writes
-                    // token, so it cannot sit in the private batch.
-                    if let Some(wal) = &wal {
-                        if (ack.is_some() || batch.records() >= WAL_BATCH_RECORDS)
-                            && wal.append_batch(&mut batch).is_err()
-                        {
-                            stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-                            batch.clear();
-                        }
-                    }
-                    if let Some(ack) = ack {
-                        let lsn = wal.as_ref().map(|w| w.next_lsn()).unwrap_or(0);
-                        // The ack promises durability: wait on the shared
-                        // committer, whose one fsync covers every worker
-                        // acking concurrently (group commit). The token
-                        // itself is unchanged — still the WAL frontier.
-                        if let Some(commit) = &commit {
-                            if commit.commit(lsn).is_err() {
-                                stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        // A dropped receiver (caller gave up) is fine.
-                        let _ = ack.send(UpdateOutcome { lsn, verdict });
-                    }
-                };
-                for job in rx.iter() {
-                    match job {
-                        Job::Apply(env) => apply(env, None),
-                        Job::ApplyAcked(env, tx) => apply(env, Some(tx)),
-                        Job::Stop => {
-                            // Drain guarantee: everything enqueued before
-                            // the sentinel has already been applied
-                            // (FIFO); envelopes racing in behind it are
-                            // drained best-effort before the worker
-                            // exits, so a producer that saw `send` return
-                            // Ok before `shutdown` returned is not
-                            // silently dropped.
-                            while let Ok(job) = rx.try_recv() {
-                                match job {
-                                    Job::Apply(env) => apply(env, None),
-                                    Job::ApplyAcked(env, tx) => apply(env, Some(tx)),
-                                    Job::Stop => {}
-                                }
-                            }
-                            break;
-                        }
-                    }
-                }
-                if let Some(wal) = &wal {
-                    if wal.append_batch(&mut batch).is_err() {
-                        stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }));
-            shards.push(tx);
-        }
+        let commit = GroupCommitter::new(wal.clone());
+        Self::build(db, Some((wal, commit)), stripes)
+    }
+
+    fn build(db: SharedDatabase, wal: Option<(SharedWal, GroupCommitter)>, stripes: usize) -> Self {
+        let stripes = (0..stripes.max(1)).map(|_| Mutex::default()).collect();
         IngestService {
-            handle: Some(IngestHandle { shards }),
-            workers,
-            stats,
-            wal,
-            committer,
+            handle: IngestHandle {
+                shared: Arc::new(Shared {
+                    db,
+                    wal,
+                    stripes,
+                    stats: IngestStats::default(),
+                }),
+            },
         }
     }
 
     /// A producer handle (one per vehicle link, typically). Cloneable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`IngestService::shutdown`].
     pub fn handle(&self) -> IngestHandle {
-        self.handle
-            .as_ref()
-            .expect("ingest service already shut down")
-            .clone()
+        self.handle.clone()
+    }
+
+    /// What [`crate::DurableDatabase::serve_queries`] takes to accept
+    /// remote `Update` frames and fill the scrape's ingest rows: the same
+    /// handle as [`IngestService::handle`]. (Kept under this name because
+    /// `modb_ledger/` calls it.)
+    pub fn frontend(&self) -> IngestHandle {
+        self.handle()
     }
 
     /// Shared counters.
     pub fn stats(&self) -> &IngestStats {
-        &self.stats
+        self.handle.stats()
     }
 
-    /// Envelopes currently queued across all shards (enqueued but not
-    /// yet picked up by a worker). An instantaneous gauge for the stats
-    /// scrape: sustained non-zero depth means ingest is running behind
-    /// the offered load. Returns 0 after shutdown.
-    pub fn queue_depth(&self) -> usize {
-        self.handle
-            .as_ref()
-            .map(|h| h.shards.iter().map(|s| s.len()).sum())
-            .unwrap_or(0)
-    }
-
-    /// An observer handle for the stats scrape: owns clones of the
-    /// counters and shard senders, so the query front-end can read
-    /// accept/reject totals and the instantaneous queue depth without
-    /// borrowing the service. Holding a monitor does not keep the workers
-    /// alive — shutdown stops them via the stop sentinel, not channel
-    /// closure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`IngestService::shutdown`].
-    pub fn monitor(&self) -> IngestMonitor {
-        IngestMonitor {
-            stats: Arc::clone(&self.stats),
-            shards: self
-                .handle
-                .as_ref()
-                .expect("ingest service already shut down")
-                .shards
-                .clone(),
-            commit: self.committer.as_ref().map(GroupCommitter::handle),
-        }
-    }
-
-    /// Group-commit coalescing counters (`None` for a WAL-less service,
-    /// or after shutdown).
+    /// Group-commit coalescing counters (`None` for a WAL-less service).
     pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.committer.as_ref().map(GroupCommitter::stats)
+        self.handle.group_commit_stats()
     }
 
-    /// Bundles [`IngestService::handle`] and [`IngestService::monitor`]
-    /// for [`crate::DurableDatabase::serve_queries`], which needs both:
-    /// the handle to route remote `Update` frames through the shard
-    /// queues, the monitor for the stats scrape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`IngestService::shutdown`].
-    pub fn frontend(&self) -> IngestFrontend {
-        IngestFrontend {
-            handle: self.handle(),
-            monitor: self.monitor(),
+    /// Fails the log's commit point as a failed `fsync` would — the probe
+    /// the acks-never-lie tests assert on. No-op without a WAL.
+    #[doc(hidden)]
+    pub fn fail_commits_for_test(&self, msg: &str) {
+        if let Some((_, commit)) = &self.handle.shared.wal {
+            commit.fail_for_test(msg);
         }
     }
 
-    /// Drains the queues and stops the workers, even if producer handles
-    /// are still alive (a stop sentinel is enqueued behind any pending
-    /// updates). Returns the final counters.
+    /// Closes the service, even if producer handles are still alive, and
+    /// returns the final counters.
     ///
-    /// **Drain guarantee.** Every envelope whose [`IngestHandle::send`]
-    /// returned `Ok` before this call is applied to the database — and,
-    /// for a WAL-backed service, flushed from the per-worker batches and
-    /// fsynced — before the workers stop. Envelopes sent concurrently
-    /// with the shutdown are drained best-effort.
-    pub fn shutdown(mut self) -> IngestStatsSnapshot {
-        self.stop_workers();
-        self.stats.snapshot()
-    }
-
-    fn stop_workers(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            for shard in &handle.shards {
-                // Queued behind pending updates: the worker drains them
-                // first, then exits. A full queue blocks briefly; a
-                // disconnected one means the worker is already gone.
-                let _ = shard.send(Job::Stop);
-            }
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Workers are joined (none can be blocked in a commit wait
-        // anymore); now the committer can drain its last tickets and
-        // stop.
-        if let Some(committer) = self.committer.take() {
-            if committer.shutdown().is_err() {
-                self.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // Workers have flushed their batches into the writer; one final
-        // sync makes the drained log durable regardless of fsync policy.
-        if let Some(wal) = &self.wal {
-            if wal.sync().is_err() {
-                self.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    /// **Contract.** Every [`IngestHandle::send`] that returned `Ok` —
+    /// before this call or racing it — is applied to the database and,
+    /// for a WAL-backed service, in the log and fsynced when this
+    /// returns; every send that returned `Err` is in neither.
+    pub fn shutdown(self) -> IngestStatsSnapshot {
+        let handle = self.handle();
+        drop(self);
+        handle.stats().snapshot()
     }
 }
 
 impl Drop for IngestService {
     fn drop(&mut self) {
-        self.stop_workers();
+        let shared = &self.handle.shared;
+        for stripe in &shared.stripes {
+            // A sender mid-apply holds this lock: its record is framed
+            // before the flush below, and the next sender finds the
+            // stripe closed. (A poisoned stripe is flushed as it stands:
+            // `Drop` must not panic.)
+            let mut stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            stripe.closed = true;
+            if let Some((wal, _)) = &shared.wal {
+                let _ = shared.flush(wal, &mut stripe.batch);
+            }
+        }
+        // One final sync makes the flushed log durable regardless of
+        // fsync policy.
+        if let Some((wal, _)) = &shared.wal {
+            if wal.sync().is_err() {
+                shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -628,13 +532,26 @@ mod tests {
         db
     }
 
+    /// A fresh log under the temp dir whose only fsyncs are the ones ingest
+    /// asks for.
+    fn fresh_wal(name: &str) -> (std::path::PathBuf, SharedWal) {
+        let dir = std::env::temp_dir().join(format!("modb-ingest-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = WalOptions {
+            fsync: FsyncPolicy::Never,
+            ..WalOptions::default()
+        };
+        let wal = SharedWal::new(WalWriter::create(&dir, opts).unwrap());
+        (dir, wal)
+    }
+
     #[test]
     fn ingest_applies_all_valid_updates_in_order() {
         let db = shared(50);
-        let service = IngestService::spawn(db.clone(), 4, 64);
+        let service = IngestService::new(db.clone(), 4);
         let handle = service.handle();
         // 10 producers; each owns 5 objects and sends monotone updates.
-        // Sharding by id keeps per-object order even across workers.
+        // Striping by id keeps per-object order across senders.
         std::thread::scope(|s| {
             for p in 0..10u64 {
                 let handle = handle.clone();
@@ -673,7 +590,7 @@ mod tests {
     #[test]
     fn rejections_are_counted_by_reason() {
         let db = shared(2);
-        let service = IngestService::spawn(db.clone(), 2, 8);
+        let service = IngestService::new(db.clone(), 2);
         let handle = service.handle();
         let send = |id: u64, msg: UpdateMessage| {
             handle
@@ -714,7 +631,7 @@ mod tests {
     #[test]
     fn queries_run_while_ingesting() {
         let db = shared(100);
-        let service = IngestService::spawn(db.clone(), 4, 128);
+        let service = IngestService::new(db.clone(), 4);
         let handle = service.handle();
         let producer = std::thread::spawn(move || {
             for round in 1..=20u64 {
@@ -749,24 +666,9 @@ mod tests {
     }
 
     #[test]
-    fn drop_without_shutdown_joins_workers() {
-        let db = shared(1);
-        let service = IngestService::spawn(db, 2, 4);
-        let handle = service.handle();
-        handle
-            .send(UpdateEnvelope {
-                id: ObjectId(0),
-                msg: UpdateMessage::basic(1.0, UpdatePosition::Arc(1.0), 1.0),
-            })
-            .unwrap();
-        drop(handle);
-        drop(service); // must not hang or leak
-    }
-
-    #[test]
     fn send_after_shutdown_errors() {
         let db = shared(1);
-        let service = IngestService::spawn(db, 1, 4);
+        let service = IngestService::new(db, 1);
         let handle = service.handle();
         let stats = service.shutdown();
         assert_eq!(stats.total(), 0);
@@ -780,20 +682,9 @@ mod tests {
 
     #[test]
     fn acked_apply_flushes_immediately_and_reports_the_frontier() {
-        let dir = std::env::temp_dir().join(format!("modb-ingest-ack-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (dir, wal) = fresh_wal("ack");
         let db = shared(4);
-        let wal = SharedWal::new(
-            WalWriter::create(
-                &dir,
-                WalOptions {
-                    fsync: FsyncPolicy::Never,
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-        let service = IngestService::spawn_with_wal(db.clone(), wal.clone(), 2, 8);
+        let service = IngestService::with_wal(db.clone(), wal.clone(), 2);
         let handle = service.handle();
         let mut last_lsn = 0;
         for round in 1..=5u64 {
@@ -834,21 +725,9 @@ mod tests {
 
     #[test]
     fn concurrent_acked_ingest_group_commits() {
-        let dir = std::env::temp_dir().join(format!("modb-ingest-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (dir, wal) = fresh_wal("gc");
         let db = shared(16);
-        let wal = SharedWal::new(
-            WalWriter::create(
-                &dir,
-                WalOptions {
-                    // Every fsync in this test is the group committer's.
-                    fsync: FsyncPolicy::Never,
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-        let service = IngestService::spawn_with_wal(db, wal.clone(), 4, 32);
+        let service = IngestService::with_wal(db, wal.clone(), 4);
         let handle = service.handle();
         let per_producer = 20u64;
         std::thread::scope(|s| {
@@ -878,7 +757,7 @@ mod tests {
             gc.commits <= gc.tickets,
             "never more fsyncs than tickets: {gc:?}"
         );
-        assert_eq!(service.monitor().group_commit_stats(), Some(gc));
+        assert_eq!(handle.group_commit_stats(), Some(gc));
         let (_, fsyncs) = wal.io_counters();
         assert_eq!(
             fsyncs, gc.commits,
@@ -894,20 +773,9 @@ mod tests {
 
     #[test]
     fn wal_backed_ingest_logs_every_envelope_before_stopping() {
-        let dir = std::env::temp_dir().join(format!("modb-ingest-wal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let (dir, wal) = fresh_wal("wal");
         let db = shared(10);
-        let wal = SharedWal::new(
-            WalWriter::create(
-                &dir,
-                WalOptions {
-                    fsync: FsyncPolicy::Never,
-                    ..WalOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-        let service = IngestService::spawn_with_wal(db.clone(), wal.clone(), 4, 32);
+        let service = IngestService::with_wal(db.clone(), wal.clone(), 4);
         let handle = service.handle();
         std::thread::scope(|s| {
             for p in 0..4u64 {
@@ -940,7 +808,7 @@ mod tests {
         assert_eq!(stats.total(), 250);
         assert!(stats.stale > 0, "even-round updates are stale");
         assert_eq!(stats.wal_errors, 0);
-        // The drain flushed every worker batch: the log holds all 250
+        // Shutdown flushed every stripe batch: the log holds all 250
         // envelopes, accepted and rejected alike.
         assert_eq!(wal.next_lsn(), 250);
         let mut logged = 0;
@@ -950,6 +818,109 @@ mod tests {
             logged += scan.records.len();
         }
         assert_eq!(logged, 250);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_ack_does_not_lie_about_a_failed_commit() {
+        let (dir, wal) = fresh_wal("lie");
+        let db = shared(2);
+        let service = IngestService::with_wal(db.clone(), wal, 2);
+        let handle = service.handle();
+        let envelope = |t: f64| UpdateEnvelope {
+            id: ObjectId(1),
+            msg: UpdateMessage::basic(t, UpdatePosition::Arc(t), 1.0),
+        };
+        assert!(handle.send_acked(envelope(1.0)).unwrap().recv().is_ok());
+        service.fail_commits_for_test("disk on fire");
+        // Applied in memory, appended — and not acknowledged: the log
+        // cannot vouch for it.
+        let err = handle
+            .send_acked(envelope(2.0))
+            .unwrap()
+            .recv()
+            .unwrap_err();
+        assert!(err.to_string().contains("disk on fire"), "{err}");
+        db.with_read(|inner| assert_eq!(inner.moving(ObjectId(1)).unwrap().attr.start_time, 2.0));
+        let stats = service.shutdown();
+        assert_eq!(stats.accepted, 2);
+        assert_eq!(stats.wal_errors, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The shutdown contract, with senders racing the shutdown itself:
+    /// the log holds the sends that returned `Ok` and no others.
+    #[test]
+    fn sends_racing_shutdown_are_logged_iff_they_returned_ok() {
+        use std::sync::atomic::AtomicU64;
+        let (dir, wal) = fresh_wal("race");
+        let service = IngestService::with_wal(shared(8), wal, 4);
+        let handle = service.handle();
+        const SENDERS: u64 = 4;
+        let progress = AtomicU64::new(0);
+        // Each sender stamps its updates uniquely — (object, time) names
+        // one send — and keeps going until it is refused.
+        let mut sent: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|p| {
+                    let (handle, progress) = (handle.clone(), &progress);
+                    s.spawn(move || {
+                        let mut sent = Vec::new();
+                        for k in 1u64.. {
+                            let (id, time) = (k % 8, k * SENDERS + p);
+                            let envelope = UpdateEnvelope {
+                                id: ObjectId(id),
+                                msg: UpdateMessage::basic(
+                                    time as f64,
+                                    UpdatePosition::Arc(1.0),
+                                    1.0,
+                                ),
+                            };
+                            let outcome = if k % 3 == 0 {
+                                handle.send_acked(envelope).map(drop)
+                            } else {
+                                handle.send(envelope)
+                            };
+                            if outcome.is_err() {
+                                break;
+                            }
+                            sent.push((id, time));
+                            progress.fetch_add(1, Ordering::Relaxed);
+                        }
+                        sent
+                    })
+                })
+                .collect();
+            // Shut down only once every sender is demonstrably mid-stream.
+            while progress.load(Ordering::Relaxed) < 200 * SENDERS {
+                std::thread::yield_now();
+            }
+            let stats = service.shutdown();
+            let sent: Vec<_> = senders
+                .into_iter()
+                .flat_map(|s| s.join().unwrap())
+                .collect();
+            assert_eq!(stats.total(), sent.len(), "counted = returned Ok");
+            assert_eq!(stats.wal_errors, 0);
+            sent
+        });
+        let mut logged = Vec::new();
+        for (_, path) in modb_wal::list_segments(&dir).unwrap() {
+            let scan = modb_wal::scan_segment(&path).unwrap();
+            assert!(scan.torn.is_none());
+            for record in scan.records {
+                let WalRecord::Update { id, msg } = record else {
+                    panic!("only updates were sent");
+                };
+                logged.push((id.0, msg.time as u64));
+            }
+        }
+        sent.sort_unstable();
+        logged.sort_unstable();
+        assert_eq!(
+            logged, sent,
+            "the log holds exactly the sends that returned Ok"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,13 +7,17 @@
 //! - [`SharedDatabase`]: a cloneable, thread-safe handle (readers–writer
 //!   locking via `parking_lot`) exposing the full query API, including the
 //!   `modb-query` text language.
-//! - [`IngestService`]: a sharded crossbeam-channel worker pool draining an
-//!   asynchronous stream of [`UpdateEnvelope`]s into the database with
-//!   per-object FIFO ordering, plus per-reason accepted/rejected counters —
-//!   rejected messages (stale, off-route, unknown sender) are radio-network
-//!   business as usual. Spawned with a `modb-wal` writer, the workers log
-//!   every envelope (batched, flushed after application so the WAL
-//!   watermark never runs ahead of the state).
+//! - [`IngestService`]: the write path for an asynchronous stream of
+//!   [`UpdateEnvelope`]s. It owns no thread: [`IngestHandle::send`] logs
+//!   and applies an update on the thread that received it, under one of
+//!   `n` lock stripes (`id % n`) that keep each object's log order equal
+//!   to its apply order, with per-reason accepted/rejected counters —
+//!   rejected messages (stale, off-route, unknown sender) are
+//!   radio-network business as usual. Built over a `modb-wal` writer it
+//!   logs every envelope (batched per stripe, appended after application
+//!   so the WAL watermark never runs ahead of the state), and
+//!   [`IngestHandle::send_acked`] returns a [`PendingAck`] whose `recv`
+//!   waits for the group-commit fsync.
 //! - [`ShadowBuffer`]: a delta-maintained shadow copy of the database —
 //!   the consumer side of `modb-core`'s change-log subscription, reused
 //!   by the epoch publisher and the pause-free snapshot path.
@@ -67,7 +71,7 @@ pub use cluster::{
 };
 pub use durable::DurableDatabase;
 pub use ingest::{
-    IngestFrontend, IngestHandle, IngestMonitor, IngestService, IngestStats, IngestStatsSnapshot,
+    IngestClosed, IngestHandle, IngestService, IngestStats, IngestStatsSnapshot, PendingAck,
     UpdateEnvelope, UpdateOutcome, WAL_BATCH_RECORDS,
 };
 pub use net::{

@@ -71,7 +71,7 @@ pub enum BatchOutcome {
 /// runs at a time: [`QueryClient::batch`] sends a `;`-script and
 /// collects the per-statement verdicts, [`QueryClient::update`] /
 /// [`QueryClient::update_batch`] push position updates through the
-/// server's ingest shards, and [`QueryClient::stats`] scrapes the
+/// server's ingest path, and [`QueryClient::stats`] scrapes the
 /// server's counters.
 ///
 /// **Read your writes.** Every update ack carries the server's WAL
@@ -224,11 +224,11 @@ impl QueryClient {
         }
     }
 
-    /// Sends one position update through the server's ingest shards and
-    /// waits for the ack. The verdict distinguishes applied, rejected
-    /// by the DBMS (still logged), and refused at the protocol boundary
-    /// (non-finite fields — never logged); transport-level failures are
-    /// the `Err` side. On ack the client's read-your-writes token
+    /// Sends one position update to the server's ingest path and waits
+    /// for the ack. The verdict distinguishes applied, rejected by the
+    /// DBMS (still logged), and refused by the server (non-finite fields
+    /// — never logged — or a log that could not make the update
+    /// durable); transport-level failures are the `Err` side. On ack the client's read-your-writes token
     /// advances, so a following [`QueryClient::batch`] sees the write.
     ///
     /// # Errors

@@ -45,11 +45,11 @@
 //! over-long body: those are [`WalError::Decode`].
 //!
 //! **Remote ingest (v2).** `Update` / `UpdateBatch` push position
-//! updates through the server's ingest shards (per-object FIFO, WAL
-//! logging, the works — the same path local producers use). The
-//! `UpdateAck` carries one [`RemoteUpdateVerdict`] per envelope plus the
-//! WAL frontier observed after the batch flushed: a **read-your-writes
-//! token**. A later `Batch` carrying that token as `min_lsn` is
+//! updates through the server's ingest path (per-object order, WAL
+//! logging, the works — the same path local producers use, run on the
+//! session's own thread). The `UpdateAck` carries one
+//! [`RemoteUpdateVerdict`] per envelope plus the highest WAL frontier
+//! that became durable for the frame: a **read-your-writes token**. A later `Batch` carrying that token as `min_lsn` is
 //! guaranteed to run against a snapshot covering every acknowledged
 //! update (`min_lsn = 0` asks for no such floor). Envelopes with
 //! non-finite time/coordinates/speed are refused at this boundary with
@@ -101,9 +101,12 @@ pub enum RemoteUpdateVerdict {
     /// still logged, like the local ingest path. Carries the display
     /// string of the [`modb_core::CoreError`].
     Rejected(String),
-    /// Refused at the protocol boundary (non-finite time, coordinates,
-    /// or speed; or no ingest service attached): not applied, not
-    /// logged.
+    /// Refused by the server, not judged by the DBMS. At the protocol
+    /// boundary (non-finite time, coordinates, or speed; no ingest
+    /// service attached, or one shut down) the update was neither
+    /// applied nor logged. `not durable: …` is the log failing under an
+    /// applied update: it is in memory but not in the durable log, so it
+    /// is not acknowledged and carries no token.
     Invalid(String),
 }
 
@@ -117,8 +120,7 @@ impl RemoteUpdateVerdict {
 /// Everything a monitoring scrape wants from a serving node, gathered in
 /// one frame so the numbers are from (nearly) the same instant: query
 /// engine counters and latency percentiles, ingest accept/reject
-/// counters, WAL I/O totals, the ingest queue depth, and the replication
-/// ship horizon. [`ServerStatsSnapshot::prometheus_text`] renders the
+/// counters, WAL I/O totals, and the replication ship horizon. [`ServerStatsSnapshot::prometheus_text`] renders the
 /// standard text exposition for scrapers that speak it.
 ///
 /// On the wire the snapshot is a list of self-describing samples, one
@@ -147,8 +149,9 @@ pub struct ServerStatsSnapshot {
     pub wal_group_last_batch: u64,
     /// The log frontier (next LSN to be written).
     pub wal_next_lsn: u64,
-    /// Update envelopes enqueued but not yet applied across all ingest
-    /// shards (0 when no ingest service is attached).
+    /// Always 0, and not on the wire: ingest applies each update on the
+    /// thread that received it, so nothing queues. The field is there
+    /// because `modb_ledger/` reads it.
     pub ingest_queue_depth: u64,
     /// Replication followers currently registered on the ship horizon.
     pub followers: u64,
@@ -310,7 +313,6 @@ metrics! {
     "modb_ingest_unknown_object_total"      Counter raw     (ingest.unknown_object);
     "modb_ingest_other_rejected_total"      Counter raw     (ingest.other_rejected);
     "modb_ingest_wal_errors_total"          Counter raw     (ingest.wal_errors);
-    "modb_ingest_queue_depth"               Gauge   raw     (ingest_queue_depth);
     "modb_wal_bytes_written_total"          Counter raw     (wal_bytes_written);
     "modb_wal_fsyncs_total"                 Counter raw     (wal_fsyncs);
     "modb_wal_group_commit_tickets_total"   Counter raw     (wal_group_tickets);
@@ -827,7 +829,7 @@ mod tests {
             wal_group_commits: 12,
             wal_group_last_batch: 8,
             wal_next_lsn: 88,
-            ingest_queue_depth: 5,
+            ingest_queue_depth: 0,
             followers: 2,
             min_acked_lsn: Some(80),
             shard: Some(3),

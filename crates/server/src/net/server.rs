@@ -33,7 +33,7 @@ use modb_wal::{SharedWal, WalError};
 
 use crate::durable::DurableDatabase;
 use crate::framed::{send, FrameReader, Listener, ReadEvent};
-use crate::ingest::{IngestFrontend, UpdateEnvelope};
+use crate::ingest::{IngestHandle, UpdateEnvelope};
 use crate::net::protocol::{
     Message, RemoteUpdateVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
     NET_PROTOCOL_VERSION,
@@ -103,7 +103,7 @@ struct ServeContext {
     engine: Arc<QueryEngine>,
     backend: Backend,
     horizon: Arc<ShipHorizon>,
-    ingest: Option<IngestFrontend>,
+    ingest: Option<IngestHandle>,
     config: QueryServerConfig,
     /// Frontier known to be covered by a published engine snapshot —
     /// the server side of the read-your-writes token. Monotone;
@@ -133,7 +133,7 @@ impl ServeContext {
         let group = self
             .ingest
             .as_ref()
-            .and_then(|f| f.monitor.group_commit_stats())
+            .and_then(IngestHandle::group_commit_stats)
             .unwrap_or_default();
         // Band gauges come from the live database (one brief read lock)
         // so entry counts and the migration counter are from the same
@@ -152,7 +152,7 @@ impl ServeContext {
             ingest: self
                 .ingest
                 .as_ref()
-                .map(|f| f.monitor.snapshot())
+                .map(|h| h.stats().snapshot())
                 .unwrap_or_default(),
             wal_bytes_written,
             wal_fsyncs,
@@ -160,11 +160,8 @@ impl ServeContext {
             wal_group_commits: group.commits,
             wal_group_last_batch: group.last_batch,
             wal_next_lsn: self.backend.frontier_now(),
-            ingest_queue_depth: self
-                .ingest
-                .as_ref()
-                .map(|f| f.monitor.queue_depth() as u64)
-                .unwrap_or(0),
+            // Ingest has no queue; the field is there for `modb_ledger/`.
+            ingest_queue_depth: 0,
             followers: self.horizon.followers() as u64,
             min_acked_lsn: self.horizon.min(),
             shard: self.config.shard,
@@ -230,10 +227,10 @@ impl ServeContext {
 /// ordered so a racing reader can never observe a token above the
 /// snapshot it will read: the frontier is sampled **before** the epoch
 /// publish (the shadow swap), and the watermark advances only to that
-/// pre-publish sample. Apply-before-log makes the sample sound — every
-/// record below the frontier read here was applied to the in-memory
-/// database before it got its LSN, so the snapshot published after
-/// covers them all. Sampling *after* the publish instead would claim
+/// pre-publish sample. The write order (DESIGN §7) makes the sample
+/// sound — every record below the frontier read here was applied to the
+/// in-memory database before it got its LSN, so the snapshot published
+/// after covers them all. Sampling *after* the publish instead would claim
 /// coverage for records applied between the shadow swap and the sample —
 /// records the just-published snapshot does not contain (the regression
 /// test below pins the ordering).
@@ -281,10 +278,10 @@ fn widen_result(result: &mut QueryResult, slack: f64) {
     }
 }
 
-/// Refuses non-finite numeric fields at the protocol boundary. The local
-/// ingest path logs an envelope before the DBMS judges it; accepting a
-/// NaN here would poison the shard's WAL with a record replay can only
-/// reject — so it never reaches the ingest queue at all.
+/// Refuses non-finite numeric fields at the protocol boundary. The
+/// ingest path logs every envelope, whatever the DBMS makes of it;
+/// accepting a NaN here would poison the shard's WAL with a record
+/// replay can only reject — so it never reaches the ingest handle.
 fn validate_update(msg: &UpdateMessage) -> Result<(), String> {
     if !msg.time.is_finite() {
         return Err(format!("non-finite time {}", msg.time));
@@ -301,54 +298,38 @@ fn validate_update(msg: &UpdateMessage) -> Result<(), String> {
     }
 }
 
-/// Routes one frame's envelopes through the ingest shards and gathers
-/// the ack: every valid envelope is dispatched before any outcome is
-/// awaited (preserving per-object FIFO and letting the shard workers run
-/// in parallel), and the reported LSN is the highest flushed frontier —
-/// a token covering every accepted envelope of the frame.
+/// Applies one frame's envelopes on this session's thread, in order, and
+/// gathers the ack: the reported LSN is the highest durable frontier — a
+/// token covering every acknowledged envelope of the frame, and none
+/// that is not in the log.
+///
+/// Each envelope is waited on before the next is appended — one fsync
+/// per envelope. Appending the whole frame first would let one fsync
+/// cover it; that is ROADMAP's next write-path item, and it needs a
+/// longer `mixed_follower` trace in the benchmark before it can land.
 fn apply_updates(
     ctx: &ServeContext,
     updates: Vec<(ObjectId, UpdateMessage)>,
 ) -> (u64, Vec<RemoteUpdateVerdict>) {
-    let Some(frontend) = &ctx.ingest else {
-        let verdicts = updates
-            .iter()
-            .map(|_| RemoteUpdateVerdict::Invalid("no ingest service attached".into()))
-            .collect();
-        return (0, verdicts);
-    };
-    let mut verdicts: Vec<Option<RemoteUpdateVerdict>> = vec![None; updates.len()];
-    let mut pending = Vec::with_capacity(updates.len());
-    for (i, (id, msg)) in updates.into_iter().enumerate() {
-        if let Err(reason) = validate_update(&msg) {
-            verdicts[i] = Some(RemoteUpdateVerdict::Invalid(reason));
-            continue;
-        }
-        match frontend.handle.send_acked(UpdateEnvelope { id, msg }) {
-            Ok(rx) => pending.push((i, rx)),
-            Err(_) => {
-                verdicts[i] = Some(RemoteUpdateVerdict::Invalid(
-                    "ingest service shut down".into(),
-                ));
-            }
-        }
-    }
+    use RemoteUpdateVerdict::{Accepted, Invalid, Rejected};
     let mut lsn = 0;
-    for (i, rx) in pending {
-        verdicts[i] = Some(match rx.recv() {
-            Ok(outcome) => {
-                lsn = lsn.max(outcome.lsn);
-                match outcome.verdict {
-                    Ok(()) => RemoteUpdateVerdict::Accepted,
-                    Err(e) => RemoteUpdateVerdict::Rejected(e.to_string()),
-                }
-            }
-            Err(_) => RemoteUpdateVerdict::Invalid("ingest service shut down".into()),
-        });
-    }
-    let verdicts = verdicts
+    let verdicts = updates
         .into_iter()
-        .map(|v| v.expect("every envelope got a verdict"))
+        .map(|(id, msg)| {
+            let ingest = ctx.ingest.as_ref().ok_or("no ingest service attached")?;
+            validate_update(&msg)?;
+            let pending = ingest
+                .send_acked(UpdateEnvelope { id, msg })
+                .map_err(|closed| closed.to_string())?;
+            let outcome = pending.recv().map_err(|e| format!("not durable: {e}"))?;
+            lsn = lsn.max(outcome.lsn);
+            Ok(outcome.verdict)
+        })
+        .map(|applied: Result<_, String>| match applied {
+            Ok(Ok(())) => Accepted,
+            Ok(Err(rejected)) => Rejected(rejected.to_string()),
+            Err(refused) => Invalid(refused),
+        })
         .collect();
     (lsn, verdicts)
 }
@@ -385,11 +366,11 @@ impl DurableDatabase {
     /// Starts serving queries and stats scrapes on `addr` (use port 0
     /// for an ephemeral port, then [`QueryServer::local_addr`]). Batches
     /// run on `engine` exactly as a local
-    /// [`QueryEngine::run_batch`] call would; pass an
-    /// [`IngestFrontend`] to accept remote `Update` frames through the
-    /// ingest shards and to include ingest counters and queue depth in
-    /// the scrape (without one, updates are refused with a typed verdict
-    /// and the ingest counters read as zero).
+    /// [`QueryEngine::run_batch`] call would; pass an [`IngestHandle`]
+    /// to accept remote `Update` frames — each session thread applies
+    /// and logs its own — and to include the ingest counters in the
+    /// scrape (without one, updates are refused with a typed verdict and
+    /// the ingest counters read as zero).
     ///
     /// # Errors
     ///
@@ -397,7 +378,7 @@ impl DurableDatabase {
     pub fn serve_queries(
         &self,
         engine: Arc<QueryEngine>,
-        ingest: Option<IngestFrontend>,
+        ingest: Option<IngestHandle>,
         addr: impl ToSocketAddrs,
         config: QueryServerConfig,
     ) -> Result<QueryServer, WalError> {
@@ -440,7 +421,7 @@ fn serve_with_backend(
     engine: Arc<QueryEngine>,
     backend: Backend,
     horizon: Arc<ShipHorizon>,
-    ingest: Option<IngestFrontend>,
+    ingest: Option<IngestHandle>,
     addr: impl ToSocketAddrs,
     config: QueryServerConfig,
 ) -> Result<QueryServer, WalError> {

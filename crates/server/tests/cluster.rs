@@ -34,11 +34,11 @@ impl Shard {
         let engine = Arc::new(durable.query_engine(QueryEngineConfig {
             epoch_interval: None,
         }));
-        let service = durable.ingest_service(2, 64);
+        let service = durable.ingest_service(2, 0);
         let server = durable
             .serve_queries(
                 Arc::clone(&engine),
-                Some(service.frontend()),
+                Some(service.handle()),
                 "127.0.0.1:0",
                 QueryServerConfig {
                     shard: Some(shard_no),

@@ -2,7 +2,8 @@
 //! fsync policies — the measured price of durability.
 //!
 //! Usage: `exp_wal_overhead [n_objects] [rounds] [workers] [--json PATH]`
-//! (defaults: 2000 objects × 50 rounds, 4 workers; the `Always` policy
+//! (defaults: 2000 objects × 50 rounds, 4 workers — the ingest service's
+//! lock stripes; the `Always` policy
 //! automatically runs a reduced round count; `--json` writes the rows as
 //! a JSON document, the CI artifact `BENCH_wal_overhead.json`).
 

@@ -3,8 +3,8 @@
 //! replication wire bytes with a live standby convergence check.
 //!
 //! Usage: `exp_wal_throughput [n_objects] [rounds] [workers] [producers]
-//! [--json PATH]` (defaults: 2000 objects × 50 rounds, 4 workers,
-//! 8 acked producers; `--json` writes the report as a JSON document, the
+//! [--json PATH]` (defaults: 2000 objects × 50 rounds, 4 workers — the
+//! ingest service's lock stripes — and 8 acked producers; `--json` writes the report as a JSON document, the
 //! CI artifact `BENCH_wal_throughput.json`).
 //!
 //! Exits non-zero if the v2-lz format fails to at least halve the log's

@@ -267,11 +267,11 @@ pub fn cluster_parity(n_objects: usize, n_shards: usize, spatial: bool) -> bool 
             epoch_interval: None,
         }));
         let (service, server) = if serve {
-            let service = durable.ingest_service(2, 64);
+            let service = durable.ingest_service(2, 0);
             let server = durable
                 .serve_queries(
                     Arc::clone(&engine),
-                    Some(service.frontend()),
+                    Some(service.handle()),
                     "127.0.0.1:0",
                     QueryServerConfig::default(),
                 )

@@ -1,14 +1,14 @@
 //! W1: ingest throughput with and without the write-ahead log.
 //!
 //! The paper prices imprecision in update messages; durability has a
-//! price too. This experiment measures it: the same sharded ingest
+//! price too. This experiment measures it: the same striped ingest
 //! workload is driven through [`modb_server::IngestService`] four times —
 //! no WAL, then WAL-backed under each [`FsyncPolicy`] — and the wall
-//! clock for the full drain (spawn → send → shutdown, which flushes
-//! every per-worker batch and fsyncs) is compared against the no-WAL
-//! baseline.
+//! clock for the full run (send → shutdown, which flushes every
+//! stripe's pending batch and fsyncs) is compared against the no-WAL
+//! baseline. `workers` counts the service's lock stripes.
 //!
-//! `Always` fsyncs once per worker batch and is orders of magnitude
+//! `Always` fsyncs once per stripe batch and is orders of magnitude
 //! slower on real disks, so its round count is scaled down by
 //! [`ALWAYS_ROUNDS_DIVISOR`]; throughput numbers stay comparable because
 //! the metric is updates per second.
@@ -53,9 +53,9 @@ impl WalMode {
 pub struct WalOverheadRow {
     /// Mode label.
     pub label: &'static str,
-    /// Updates sent and drained.
+    /// Updates sent and applied.
     pub updates: usize,
-    /// Wall-clock seconds for the full drain.
+    /// Wall-clock seconds for the full run.
     pub seconds: f64,
     /// Updates per second.
     pub per_sec: f64,
@@ -102,7 +102,7 @@ fn drive(
     let seconds = t0.elapsed().as_secs_f64();
     assert_eq!(stats.rejected(), 0, "monotone stamps must all apply");
     assert_eq!(stats.wal_errors, 0, "log writes must succeed");
-    // Sanity: the drain really applied everything.
+    // Sanity: everything sent was applied.
     assert_eq!(stats.accepted, rounds * n_objects);
     (stats.accepted, seconds)
 }
@@ -142,7 +142,7 @@ pub fn run_wal_overhead(n_objects: usize, rounds: usize, workers: usize) -> Vec<
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let (service, wal_dir) = match mode {
-            WalMode::NoWal => (IngestService::spawn(db.clone(), workers, 4_096), None),
+            WalMode::NoWal => (IngestService::new(db.clone(), workers), None),
             WalMode::Wal(fsync) => {
                 let writer = WalWriter::create(
                     &dir,
@@ -153,12 +153,7 @@ pub fn run_wal_overhead(n_objects: usize, rounds: usize, workers: usize) -> Vec<
                 )
                 .expect("fresh log dir");
                 (
-                    IngestService::spawn_with_wal(
-                        db.clone(),
-                        SharedWal::new(writer),
-                        workers,
-                        4_096,
-                    ),
+                    IngestService::with_wal(db.clone(), SharedWal::new(writer), workers),
                     Some(dir.clone()),
                 )
             }
@@ -190,7 +185,7 @@ pub fn run_wal_overhead(n_objects: usize, rounds: usize, workers: usize) -> Vec<
 /// Renders the W1 report table.
 pub fn wal_overhead_table(rows: &[WalOverheadRow]) -> String {
     render_table(
-        "W1: ingest throughput vs durability (sharded ingest, monotone updates)",
+        "W1: ingest throughput vs durability (striped ingest, monotone updates)",
         &[
             "mode",
             "updates",

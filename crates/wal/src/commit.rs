@@ -4,49 +4,53 @@
 //! The ingest path's unit of durability is the fsync, and fsyncs are the
 //! expensive part of logging — §2.3 of DESIGN.md measures the `Always`
 //! policy at an order of magnitude below batched syncing. With many
-//! ingest workers each wanting an acknowledged update to be durable
-//! before the ack goes out, per-worker fsyncs serialize the whole ingest
-//! tier on the disk's flush latency.
+//! sessions each wanting an acknowledged update to be durable before the
+//! ack goes out, per-session fsyncs serialize the whole ingest tier on
+//! the disk's flush latency.
 //!
-//! A [`GroupCommitter`] replaces them with a *commit ticket* protocol:
+//! A [`GroupCommitter`] replaces them with a *commit ticket* protocol,
+//! run entirely by the threads that want durability:
 //!
-//! 1. A worker appends its records (taking the [`SharedWal`] lock only
+//! 1. A producer appends its records (taking the [`SharedWal`] lock only
 //!    for the buffered write), reads the log frontier, and calls
-//!    [`GroupCommitHandle::commit`] with it.
-//! 2. `commit` enqueues a ticket — the highest LSN the caller needs
-//!    durable — wakes the committer thread, and blocks on a condvar.
-//! 3. The committer coalesces every ticket present at wake-up into **one**
-//!    `fsync`, advances the shared durable-LSN watermark past all of
-//!    them, and broadcasts. Tickets that arrive while the disk is busy
-//!    simply ride the *next* sync — or discover on wake-up that the
-//!    frontier read inside the sync already covered them and return
-//!    without sleeping.
+//!    [`GroupCommitter::commit`] with it.
+//! 2. `commit` takes a ticket — the LSN the caller needs durable. When
+//!    no sync is in flight the caller becomes the **syncer**: it claims
+//!    every ticket taken so far, issues **one** `fsync`, advances the
+//!    shared durable-LSN watermark to the frontier it read just before,
+//!    and broadcasts. Otherwise it waits on the condvar.
+//! 3. A waiter woken by the broadcast either finds the watermark past
+//!    its LSN and returns, or — its record landed after the syncer's
+//!    frontier read — becomes the next syncer for everyone who queued
+//!    up during the last sync.
 //!
+//! The collapse needs no dedicated thread: the pile-up happens *while
+//! the disk is busy* — [`SharedWal::sync`] does not hold the writer lock
+//! across the fsync, so other producers keep appending and taking
+//! tickets — and whoever syncs next carries the whole pile.
 //! Under load the batch size grows with concurrency and the fsync rate
-//! stays pinned near the disk's flush rate regardless of worker count —
-//! the classic group-commit shape. Under a single slow producer every
-//! commit degenerates to one private fsync, which is exactly the old
-//! behaviour.
+//! stays pinned near the disk's flush rate regardless of producer
+//! count — the classic group-commit shape. Under a single slow producer
+//! every commit degenerates to one private fsync on the caller's own
+//! thread.
 //!
-//! A sync failure is sticky: the committer parks, every current and
-//! future waiter gets the error, and no ack can be issued for an LSN
-//! that never became durable.
+//! A sync failure is sticky: every current and future waiter gets the
+//! error, and no ack can be issued for an LSN that never became durable.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
 use crate::error::WalError;
 use crate::writer::SharedWal;
 
-/// Counters describing the committer's coalescing behaviour. Snapshot via
-/// [`GroupCommitHandle::stats`]; exported through the server stats scrape.
+/// Counters describing the coalescing behaviour. Snapshot via
+/// [`GroupCommitter::stats`]; exported through the server stats scrape.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitStats {
-    /// Commit tickets enqueued (one per [`GroupCommitHandle::commit`]
-    /// call that was not already durable on arrival).
+    /// Commit tickets taken (one per [`GroupCommitter::commit`] call
+    /// that was not already durable on arrival).
     pub tickets: u64,
-    /// Fsyncs the committer issued. `tickets / commits` is the mean
-    /// batch size; > 1 means collapsing is happening.
+    /// Fsyncs issued for them. `tickets / commits` is the mean batch
+    /// size; > 1 means collapsing is happening.
     pub commits: u64,
     /// Tickets credited to the most recent sync. Approximate under
     /// races (a ticket that arrives mid-sync is credited to the next
@@ -60,11 +64,11 @@ pub struct GroupCommitStats {
 struct State {
     /// Everything at or below this LSN frontier is known durable.
     durable_lsn: u64,
-    /// Highest LSN any ticket has asked for.
-    requested: u64,
-    /// Tickets enqueued since the last sync captured its batch.
+    /// Tickets taken since the last sync claimed its batch.
     pending: u64,
-    stop: bool,
+    /// A caller is inside `fsync` right now; everyone else waits for its
+    /// broadcast.
+    syncing: bool,
     /// A failed sync, verbatim; poisons all current and future commits.
     failed: Option<String>,
     stats: GroupCommitStats,
@@ -72,212 +76,125 @@ struct State {
 
 #[derive(Debug)]
 struct Inner {
+    wal: SharedWal,
     state: Mutex<State>,
-    /// Signalled by producers when a new ticket needs a sync.
-    work: Condvar,
-    /// Broadcast by the committer when `durable_lsn` advances (or the
-    /// committer fails/stops).
+    /// Broadcast by the syncer when its sync ends, either way.
     committed: Condvar,
 }
 
-impl Inner {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state
-            .lock()
-            .expect("group-commit state poisoned: a committer panicked")
-    }
-}
-
-/// Cheap cloneable handle producers use to request durability.
+/// The shared commit point of one log; see the module docs for the
+/// protocol. Cheap to clone — every clone requests durability against
+/// the same watermark.
 #[derive(Debug, Clone)]
-pub struct GroupCommitHandle {
+pub struct GroupCommitter {
     inner: Arc<Inner>,
 }
 
-impl GroupCommitHandle {
+impl GroupCommitter {
+    /// A commit point over `wal`. The `durable_lsn` watermark starts at
+    /// the current log frontier: a resumed log's existing records were
+    /// synced at shutdown (or survived recovery), so they are durable by
+    /// construction.
+    pub fn new(wal: SharedWal) -> GroupCommitter {
+        let durable_lsn = wal.next_lsn();
+        GroupCommitter {
+            inner: Arc::new(Inner {
+                wal,
+                state: Mutex::new(State {
+                    durable_lsn,
+                    pending: 0,
+                    syncing: false,
+                    failed: None,
+                    stats: GroupCommitStats::default(),
+                }),
+                committed: Condvar::new(),
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.inner
+            .state
+            .lock()
+            .expect("group-commit state poisoned: a committing thread panicked")
+    }
+
     /// Blocks until every record below `lsn` (a log frontier, i.e. a
     /// `next_lsn` value) is durable, sharing the fsync with every other
-    /// concurrent caller. Returns the durable frontier, which is ≥ `lsn`.
+    /// concurrent caller — by riding one in flight, or by issuing the
+    /// next one itself. Returns the durable frontier, which is ≥ `lsn`.
     ///
     /// # Errors
     ///
-    /// The sync error, for every waiter, once any sync fails (sticky);
-    /// an I/O error when the committer was shut down before `lsn`
-    /// became durable.
+    /// The sync error, for every waiter, once any sync fails (sticky).
     pub fn commit(&self, lsn: u64) -> Result<u64, WalError> {
-        let mut st = self.inner.lock();
-        if let Some(msg) = &st.failed {
-            return Err(sticky(msg));
-        }
-        if st.durable_lsn >= lsn {
-            return Ok(st.durable_lsn); // someone's sync already covered us
-        }
-        st.stats.tickets += 1;
-        st.pending += 1;
-        st.requested = st.requested.max(lsn);
-        self.inner.work.notify_one();
-        while st.durable_lsn < lsn {
+        let mut st = self.lock();
+        let mut ticketed = false;
+        loop {
             if let Some(msg) = &st.failed {
                 return Err(sticky(msg));
             }
-            if st.stop {
-                return Err(WalError::Io(std::io::Error::other(
-                    "group committer shut down before the commit became durable",
-                )));
+            if st.durable_lsn >= lsn {
+                return Ok(st.durable_lsn); // someone's sync already covered us
             }
-            st = self
-                .inner
-                .committed
-                .wait(st)
-                .expect("group-commit state poisoned: a committer panicked");
+            if !ticketed {
+                st.stats.tickets += 1;
+                st.pending += 1;
+                ticketed = true;
+            }
+            if st.syncing {
+                st = self
+                    .inner
+                    .committed
+                    .wait(st)
+                    .expect("group-commit state poisoned: a committing thread panicked");
+                continue;
+            }
+            // No sync in flight: this caller's fsync serves every ticket
+            // taken so far. The frontier is read first: fsync flushes
+            // everything appended before the call, so records appended
+            // between the frontier read and the sync are a bonus the
+            // *next* batch will re-claim harmlessly.
+            st.syncing = true;
+            let batch = std::mem::take(&mut st.pending);
+            drop(st);
+            let frontier = self.inner.wal.next_lsn();
+            let result = self.inner.wal.sync();
+            st = self.lock();
+            st.syncing = false;
+            match result {
+                Ok(()) => {
+                    st.durable_lsn = st.durable_lsn.max(frontier);
+                    st.stats.commits += 1;
+                    st.stats.last_batch = batch;
+                    st.stats.max_batch = st.stats.max_batch.max(batch);
+                }
+                Err(e) => st.failed = Some(e.to_string()),
+            }
+            self.inner.committed.notify_all();
         }
-        Ok(st.durable_lsn)
     }
 
     /// The durable-LSN watermark: every record below it is on disk.
     pub fn durable_lsn(&self) -> u64 {
-        self.inner.lock().durable_lsn
+        self.lock().durable_lsn
     }
 
     /// A snapshot of the coalescing counters.
     pub fn stats(&self) -> GroupCommitStats {
-        self.inner.lock().stats
-    }
-}
-
-/// Owns the committer thread; see the module docs for the protocol.
-/// Producers hold [`GroupCommitHandle`] clones; dropping or
-/// [`GroupCommitter::shutdown`]-ing the owner stops the thread after one
-/// final drain of outstanding tickets.
-#[derive(Debug)]
-pub struct GroupCommitter {
-    inner: Arc<Inner>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl GroupCommitter {
-    /// Spawns a committer thread over `wal`. The `durable_lsn` watermark
-    /// starts at the current log frontier: a resumed log's existing
-    /// records were synced at shutdown (or survived recovery), so they
-    /// are durable by construction.
-    pub fn spawn(wal: SharedWal) -> GroupCommitter {
-        let frontier = wal.next_lsn();
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                durable_lsn: frontier,
-                requested: frontier,
-                pending: 0,
-                stop: false,
-                failed: None,
-                stats: GroupCommitStats::default(),
-            }),
-            work: Condvar::new(),
-            committed: Condvar::new(),
-        });
-        let thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("wal-group-commit".into())
-                .spawn(move || committer_loop(&inner, &wal))
-                .expect("spawn wal-group-commit thread")
-        };
-        GroupCommitter {
-            inner,
-            thread: Some(thread),
-        }
+        self.lock().stats
     }
 
-    /// A cheap handle for producers.
-    pub fn handle(&self) -> GroupCommitHandle {
-        GroupCommitHandle {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// A snapshot of the coalescing counters.
-    pub fn stats(&self) -> GroupCommitStats {
-        self.inner.lock().stats
-    }
-
-    /// Stops the committer after one final drain of outstanding tickets.
-    /// Join producers *first*: a producer blocked in
-    /// [`GroupCommitHandle::commit`] at shutdown gets an error, not a
-    /// silent success.
-    ///
-    /// # Errors
-    ///
-    /// The sticky sync failure, if the committer ever hit one.
-    pub fn shutdown(mut self) -> Result<(), WalError> {
-        self.stop_and_join();
-        match &self.inner.lock().failed {
-            Some(msg) => Err(sticky(msg)),
-            None => Ok(()),
-        }
-    }
-
-    fn stop_and_join(&mut self) {
-        {
-            let mut st = self.inner.lock();
-            st.stop = true;
-            self.inner.work.notify_one();
-        }
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for GroupCommitter {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    /// Puts the commit point into the state a failed `fsync` leaves it
+    /// in — the probe the acks-never-lie tests assert on.
+    #[doc(hidden)]
+    pub fn fail_for_test(&self, msg: &str) {
+        self.lock().failed = Some(msg.to_owned());
     }
 }
 
 fn sticky(msg: &str) -> WalError {
     WalError::Io(std::io::Error::other(format!("group commit failed: {msg}")))
-}
-
-fn committer_loop(inner: &Inner, wal: &SharedWal) {
-    loop {
-        // Wait for a ticket beyond the durable watermark (or shutdown).
-        let batch = {
-            let mut st = inner.lock();
-            while !st.stop && st.requested <= st.durable_lsn {
-                st = inner
-                    .work
-                    .wait(st)
-                    .expect("group-commit state poisoned: a producer panicked");
-            }
-            if st.requested <= st.durable_lsn {
-                // stop requested and nothing outstanding: clean exit.
-                inner.committed.notify_all();
-                return;
-            }
-            std::mem::take(&mut st.pending)
-        };
-        // One fsync serves the whole batch. The frontier is read first:
-        // fsync flushes everything appended before the call, so records
-        // appended between the frontier read and the sync are a bonus
-        // the *next* batch will re-claim harmlessly.
-        let frontier = wal.next_lsn();
-        let result = wal.sync();
-        let mut st = inner.lock();
-        match result {
-            Ok(()) => {
-                st.durable_lsn = st.durable_lsn.max(frontier);
-                st.stats.commits += 1;
-                st.stats.last_batch = batch;
-                st.stats.max_batch = st.stats.max_batch.max(batch);
-                inner.committed.notify_all();
-            }
-            Err(e) => {
-                // Sticky failure: wake everyone with the bad news and park.
-                st.failed = Some(e.to_string());
-                inner.committed.notify_all();
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -320,25 +237,23 @@ mod tests {
     fn serial_commits_are_durable_and_idempotent() {
         let dir = tmp("serial");
         let wal = never_sync_wal(&dir);
-        let committer = GroupCommitter::spawn(wal.clone());
-        let handle = committer.handle();
+        let committer = GroupCommitter::new(wal.clone());
         for i in 0..5u64 {
             wal.append(&update(i)).unwrap();
-            let durable = handle.commit(wal.next_lsn()).unwrap();
+            let durable = committer.commit(wal.next_lsn()).unwrap();
             assert!(durable > i);
-            assert_eq!(handle.durable_lsn(), durable);
+            assert_eq!(committer.durable_lsn(), durable);
         }
         // Re-committing an already-durable frontier is free: no new ticket.
-        let before = handle.stats();
-        assert_eq!(handle.commit(3).unwrap(), 5);
-        assert_eq!(handle.stats().tickets, before.tickets);
+        let before = committer.stats();
+        assert_eq!(committer.commit(3).unwrap(), 5);
+        assert_eq!(committer.stats().tickets, before.tickets);
         let (_, fsyncs) = wal.io_counters();
         assert_eq!(
             fsyncs,
             committer.stats().commits,
-            "policy is Never: every fsync is the committer's"
+            "policy is Never: every fsync is a commit's"
         );
-        committer.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -346,24 +261,24 @@ mod tests {
     fn concurrent_commits_collapse_into_one_fsync() {
         let dir = tmp("collapse");
         let wal = never_sync_wal(&dir);
-        let committer = GroupCommitter::spawn(wal.clone());
+        let committer = GroupCommitter::new(wal.clone());
         let workers = 4u64;
         // Records are appended up front; durability is what's pending.
         for i in 0..workers {
             wal.append(&update(i)).unwrap();
         }
-        // Hold the WAL lock so the committer's frontier read stalls while
-        // every producer enqueues its ticket behind it — a deterministic
-        // pile-up.
+        // Hold the WAL lock so the first producer — the syncer — stalls on
+        // its frontier read while every other producer takes its ticket
+        // behind it: a deterministic pile-up.
         let producers = wal.with_writer(|_w| {
             let producers: Vec<_> = (1..=workers)
                 .map(|lsn| {
-                    let handle = committer.handle();
-                    std::thread::spawn(move || handle.commit(lsn).unwrap())
+                    let committer = committer.clone();
+                    std::thread::spawn(move || committer.commit(lsn).unwrap())
                 })
                 .collect();
-            // Tickets go through the committer's own state lock, not the
-            // WAL lock we are holding, so we can watch them line up.
+            // Tickets go through the commit point's own state lock, not
+            // the WAL lock we are holding, so we can watch them line up.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while committer.stats().tickets < workers {
                 assert!(std::time::Instant::now() < deadline, "tickets never queued");
@@ -384,7 +299,6 @@ mod tests {
         assert!(stats.max_batch >= 1);
         let (_, fsyncs) = wal.io_counters();
         assert_eq!(fsyncs, 1);
-        committer.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -392,17 +306,17 @@ mod tests {
     fn many_producers_all_get_durable_acks() {
         let dir = tmp("many");
         let wal = never_sync_wal(&dir);
-        let committer = GroupCommitter::spawn(wal.clone());
+        let committer = GroupCommitter::new(wal.clone());
         let per_thread = 25u64;
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let wal = wal.clone();
-                let handle = committer.handle();
+                let committer = committer.clone();
                 s.spawn(move || {
                     for i in 0..per_thread {
                         wal.append(&update(i)).unwrap();
                         let frontier = wal.next_lsn();
-                        let durable = handle.commit(frontier).unwrap();
+                        let durable = committer.commit(frontier).unwrap();
                         assert!(durable >= frontier);
                     }
                 });
@@ -411,28 +325,28 @@ mod tests {
         let stats = committer.stats();
         assert!(stats.tickets <= 100, "at most one ticket per commit call");
         assert!(stats.commits >= 1);
-        assert_eq!(committer.handle().durable_lsn(), 100);
+        assert_eq!(committer.durable_lsn(), 100);
         let (_, fsyncs) = wal.io_counters();
         assert_eq!(fsyncs, stats.commits);
-        committer.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn shutdown_drains_outstanding_tickets() {
-        let dir = tmp("drain");
+    fn a_failed_sync_is_sticky_for_every_later_commit() {
+        let dir = tmp("sticky");
         let wal = never_sync_wal(&dir);
-        let committer = GroupCommitter::spawn(wal.clone());
-        let handle = committer.handle();
+        let committer = GroupCommitter::new(wal.clone());
         wal.append(&update(0)).unwrap();
-        handle.commit(wal.next_lsn()).unwrap();
-        committer.shutdown().unwrap();
-        // After shutdown, new commits fail rather than hang…
+        assert_eq!(committer.commit(1).unwrap(), 1);
+        committer.fail_for_test("disk on fire");
         wal.append(&update(1)).unwrap();
-        let err = handle.commit(wal.next_lsn()).unwrap_err();
-        assert!(err.to_string().contains("shut down"), "{err}");
-        // …unless already durable, which stays a cheap success.
-        assert_eq!(handle.commit(1).unwrap(), 1);
+        let err = committer.clone().commit(2).unwrap_err();
+        assert!(err.to_string().contains("disk on fire"), "{err}");
+        // Even an LSN that was durable before the failure: the log can
+        // no longer vouch for anything it is asked about.
+        assert!(committer.commit(1).is_err());
+        let (_, fsyncs) = wal.io_counters();
+        assert_eq!(fsyncs, 1, "a failed commit point never syncs again");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,9 +6,10 @@
 //!
 //! - **Write-ahead log** ([`WalWriter`] / [`SharedWal`]): every database
 //!   mutation — object registration, position update, removal, route
-//!   insertion — is a [`WalRecord`], appended *before* it is applied as
-//!   part of a length-prefixed, CRC32-checksummed frame holding one
-//!   delta-coded, LZ-compressed block of records ([`block`]). Segment
+//!   insertion — is a [`WalRecord`], appended (right after it is
+//!   applied, and before it is acknowledged — DESIGN §7) as part of a
+//!   length-prefixed, CRC32-checksummed frame holding one delta-coded,
+//!   LZ-compressed block of records ([`block`]). Segment
 //!   files rotate at a size threshold; the fsync cadence is a
 //!   [`FsyncPolicy`] (`Always` / `EveryN` / `Never`) trading durability
 //!   against ingest throughput — the same cost/imprecision lever the
@@ -66,7 +67,7 @@ pub mod writer;
 
 pub use block::{decode_block, decode_block_frames, encode_block, frame_block, peek_block_count};
 pub use codec::{ByteReader, WalCodec};
-pub use commit::{GroupCommitHandle, GroupCommitStats, GroupCommitter};
+pub use commit::{GroupCommitStats, GroupCommitter};
 pub use compact::{compact, compact_with_barrier, CompactionReport, DEFAULT_SNAPSHOT_RETENTION};
 pub use crc32::crc32;
 pub use epoch::{EpochCheck, EpochHistory, EpochSpan, EPOCH_FILE_NAME, GENESIS_EPOCH};

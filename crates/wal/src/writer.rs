@@ -2,8 +2,8 @@
 //! the lock-free-friendly [`WalBatch`] buffer.
 //!
 //! The intended concurrency shape (used by `modb-server`'s ingest
-//! workers): each worker owns a private [`WalBatch`] and collects records
-//! into it without any locking; the shared [`SharedWal`] mutex is taken
+//! stripes): each stripe owns a [`WalBatch`] and collects records into it
+//! without touching the writer; the shared [`SharedWal`] mutex is taken
 //! only to hand over a whole batch, which is sealed as one block — the
 //! batch is the delta/LZ compression window — and written with a single
 //! `write_all`.
@@ -383,13 +383,22 @@ impl SharedWal {
         self.lock().append_batch(batch)
     }
 
-    /// Forces an fsync.
+    /// Forces an fsync of everything appended before the call. The writer
+    /// lock is not held while the disk works — the sync runs on a
+    /// duplicate of the open segment's handle — so appends proceed
+    /// meanwhile: they are what the next group commit collects
+    /// ([`crate::commit`]). A rotation that slips in between has synced
+    /// the segment it finished itself. The `EveryN` window is left alone
+    /// (it may sync a little early, never late).
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn sync(&self) -> Result<(), WalError> {
-        self.lock().sync()
+        let segment = self.lock().file.try_clone()?;
+        segment.sync_data()?;
+        self.lock().fsyncs += 1;
+        Ok(())
     }
 
     /// The LSN the next appended record will get.

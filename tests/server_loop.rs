@@ -78,7 +78,7 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
 
     // Drive the fleet; updates go through the ingest service while a
     // reader thread keeps querying.
-    let service = IngestService::spawn(db.clone(), 4, 256);
+    let service = IngestService::new(db.clone(), 4);
     let handle = service.handle();
     let reader_db = db.clone();
     let reader = std::thread::spawn(move || {
