@@ -87,9 +87,10 @@ struct MovingRecord {
 /// objects with position attributes, and the 3-D time-space index.
 ///
 /// Cloning copies pointers, not payloads: the network, every
-/// `MovingRecord` and every index entry's slab boxes are shared with
-/// the clone. Per copy are only the structures delta-sync mutates in
-/// place — the id maps, the band trees, `unindexed`, the change log.
+/// `MovingRecord` and every index entry (an object's o-plane and its
+/// union box) are shared with the clone. Per copy are only the
+/// structures delta-sync mutates in place — the id maps, the band trees,
+/// `unindexed`, the change log.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The road map, shared: routes are append-only and individually
@@ -758,7 +759,9 @@ impl Database {
     /// [`Database::refine_slice`].
     pub fn range_candidates(&self, region: &QueryRegion) -> (Vec<ObjectId>, SearchStats) {
         let mut candidates = Vec::new();
-        let stats = self.index.candidates_into(region, &mut candidates);
+        let stats = self
+            .index
+            .candidates_into(region, &self.network, &mut candidates);
         candidates.extend(self.unindexed.iter().copied());
         (candidates, stats)
     }

@@ -182,19 +182,17 @@ impl Polyline {
         (d1 - d0).abs()
     }
 
-    /// The path along the polyline between arc distances `d0 ≤ d1`:
-    /// the point at `d0`, all interior vertices, and the point at `d1`.
-    ///
-    /// This is the geometry of the paper's *uncertainty interval* — the
-    /// stretch of route between the lower bound `l(t)` and upper bound
-    /// `u(t)` positions. Degenerate intervals (`d0 == d1`) yield one point.
-    ///
-    /// # Errors
-    ///
-    /// [`GeomError::InvertedInterval`] when `d0 > d1`;
-    /// [`GeomError::DistanceOutOfRange`] when either endpoint is outside
-    /// `[0, length]` (with an EPS grace band).
-    pub fn interval_points(&self, d0: f64, d1: f64) -> Result<Vec<Point>, GeomError> {
+    /// Visits, in order, the points of the path between arc distances
+    /// `d0 ≤ d1`: the point at `d0`, the interior vertices, the point at
+    /// `d1` (one point for a degenerate interval). The single enumeration
+    /// behind [`Polyline::interval_points`] and
+    /// [`Polyline::interval_bbox`], so the two cannot disagree.
+    fn visit_interval(
+        &self,
+        d0: f64,
+        d1: f64,
+        mut visit: impl FnMut(Point),
+    ) -> Result<(), GeomError> {
         if d0 > d1 {
             return Err(GeomError::InvertedInterval { lo: d0, hi: d1 });
         }
@@ -209,25 +207,50 @@ impl Polyline {
         }
         let d0 = d0.clamp(0.0, len);
         let d1 = d1.clamp(0.0, len);
-        let mut pts = vec![self.point_at_distance_clamped(d0)];
+        let (i0, t0) = self.segment_at(d0);
+        visit(self.vertices[i0].lerp(self.vertices[i0 + 1], t0));
         if d1 - d0 >= EPS {
-            let (i0, _) = self.segment_at(d0);
-            let (i1, _) = self.segment_at(d1);
+            let (i1, t1) = self.segment_at(d1);
             for i in (i0 + 1)..=i1 {
-                let v = self.vertices[i];
                 // Skip vertices coincident with either endpoint.
                 if self.cum[i] - d0 > EPS && d1 - self.cum[i] > EPS {
-                    pts.push(v);
+                    visit(self.vertices[i]);
                 }
             }
-            pts.push(self.point_at_distance_clamped(d1));
+            visit(self.vertices[i1].lerp(self.vertices[i1 + 1], t1));
         }
+        Ok(())
+    }
+
+    /// The path along the polyline between arc distances `d0 ≤ d1`:
+    /// the point at `d0`, all interior vertices, and the point at `d1`.
+    ///
+    /// This is the geometry of the paper's *uncertainty interval* — the
+    /// stretch of route between the lower bound `l(t)` and upper bound
+    /// `u(t)` positions. Degenerate intervals (`d0 == d1`) yield one point.
+    ///
+    /// # Errors
+    ///
+    /// [`GeomError::InvertedInterval`] when `d0 > d1`;
+    /// [`GeomError::DistanceOutOfRange`] when either endpoint is outside
+    /// `[0, length]` (with an EPS grace band).
+    pub fn interval_points(&self, d0: f64, d1: f64) -> Result<Vec<Point>, GeomError> {
+        let mut pts = Vec::new();
+        self.visit_interval(d0, d1, |p| pts.push(p))?;
         Ok(pts)
     }
 
-    /// Bounding box of the path between arc distances `d0 ≤ d1` (clamped).
+    /// Bounding box of the path between arc distances `d0 ≤ d1` (clamped)
+    /// — `Rect::from_points(self.interval_points(d0, d1)?)` without the
+    /// vector: the index filter asks for one per tree hit.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Polyline::interval_points`].
     pub fn interval_bbox(&self, d0: f64, d1: f64) -> Result<Rect, GeomError> {
-        Ok(Rect::from_points(self.interval_points(d0, d1)?))
+        let mut rect = Rect::empty();
+        self.visit_interval(d0, d1, |p| rect = rect.union(&Rect::new(p, p)))?;
+        Ok(rect)
     }
 
     /// The same polyline traversed in the opposite direction.
@@ -372,6 +395,38 @@ mod tests {
         let r = p.interval_bbox(8.0, 12.0).unwrap();
         assert_eq!(r.min, Point::new(8.0, 0.0));
         assert_eq!(r.max, Point::new(10.0, 2.0));
+    }
+
+    /// The allocation-free fold is the reference fold, bit for bit:
+    /// multi-vertex spans, a reversed polyline, endpoints on vertices,
+    /// zero-length intervals, and the same errors.
+    #[test]
+    fn interval_bbox_equals_bbox_of_interval_points() {
+        let zigzag = Polyline::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(3.0, 4.0),
+            Point::new(6.0, -1.5),
+            Point::new(6.0, 7.25),
+            Point::new(-2.0, 7.25),
+        ])
+        .unwrap();
+        for p in [l_shape(), zigzag.clone(), zigzag.reversed()] {
+            let len = p.length();
+            let stops: Vec<f64> = (0..=40).map(|i| len * f64::from(i) / 40.0).collect();
+            for &d0 in stops.iter().chain(p.cumulative()) {
+                for &d1 in stops.iter().chain(p.cumulative()) {
+                    let reference = p.interval_points(d0, d1).map(Rect::from_points);
+                    assert_eq!(p.interval_bbox(d0, d1), reference, "[{d0}, {d1}]");
+                }
+            }
+            assert!(matches!(
+                p.interval_bbox(2.0, 1.0),
+                Err(GeomError::InvertedInterval { .. })
+            ));
+            assert!(p.interval_bbox(0.0, len + 1.0).is_err());
+            let r = p.interval_bbox(1.0, 1.0).unwrap();
+            assert_eq!(r.min, r.max, "zero-length interval is one point");
+        }
     }
 
     #[test]

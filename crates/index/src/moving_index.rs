@@ -7,16 +7,19 @@
 //! inserted in the 3-dimensional rectangles that intersect [the new
 //! o-plane] p2."
 //!
-//! Here each object's current o-plane is materialised as its slab boxes.
-//! Each tree holds **one entry per object** — the union box of its
-//! slabs — and the slab boxes themselves are kept aside and tested
-//! per-candidate during filtering. The candidate set is identical to
-//! indexing every slab box individually (an object qualifies iff some
-//! slab box intersects the query box), but the §4.2 position-update
-//! maintenance becomes a single delete+insert instead of one per slab:
-//! with a 60-minute horizon and 5-minute slabs that is a 12× cut in tree
-//! surgery, which is what keeps both live updates and delta-synced
-//! shadow copies O(changes) with a small constant.
+//! Here each object's current o-plane is kept as what it is — the seven
+//! sub-attributes of [`OPlane`] — beside the one box its band's tree
+//! files it under: the union of its §4.2 slab boxes. The slab boxes
+//! themselves are an approximation of the plane and are not stored: a
+//! tree hit (union box meets the query box) computes, from the plane, the
+//! band's knobs and the route, only the slab or two whose time span meets
+//! the query's, and becomes a candidate when one of those intersects it.
+//! The candidate set is identical to indexing every slab box individually
+//! (an object qualifies iff some slab box intersects the query box), but
+//! the §4.2 position-update maintenance is a single delete+insert instead
+//! of one per slab, and what an object costs in memory no longer grows
+//! with how far ahead its trip is declared (22 boxes ≈ 1 KiB for a
+//! 105-minute trip at 5-minute slabs; ≈ 136 B now, whatever the trip).
 //!
 //! **Speed bands.** A fast object's o-plane sweeps a long stretch of
 //! route, so its union box is enormous next to a slow neighbour's; in one
@@ -33,10 +36,18 @@
 //! cross-band dedup. [`BandConfig::single`] (one all-speeds band) is
 //! bit-identical to the pre-banding single-tree index.
 //!
-//! **Shared payloads.** An object's slab boxes are immutable once
-//! decomposed, so they live behind an `Arc<[Aabb3]>`: cloning the index
-//! and [`MovingObjectIndex::sync_entry_from`] copy the pointer, never the
-//! boxes. Only the per-band trees and the id → boxes map are per copy.
+//! **Shared payloads.** A plane and its union box are immutable once
+//! installed, so they live behind one `Arc`: cloning the index and
+//! [`MovingObjectIndex::sync_entry_from`] copy the pointer, never the
+//! entry. Only the per-band trees and the id → entry map are per copy.
+//!
+//! **Routes at query time.** Slab geometry needs the plane's route, so
+//! the `candidates*` probes take the `RouteNetwork`. Routes are
+//! append-only and individually immutable, so a slab box computed at
+//! query time is the box an upsert-time decomposition would have stored.
+//! A plane whose route the network cannot resolve, or whose slab box
+//! errors, **stays a candidate**: the filter may over-approximate, never
+//! drop, and exact refinement reports the route error.
 //!
 //! Filtering a [`QueryRegion`] returns candidate ids; exact may/must
 //! refinement against uncertainty intervals happens in `modb-core`,
@@ -47,7 +58,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use modb_geom::Aabb3;
-use modb_routes::Route;
+use modb_routes::{Route, RouteNetwork};
 
 use crate::error::IndexError;
 use crate::oplane::OPlane;
@@ -284,17 +295,36 @@ pub struct BandStats {
     pub height: usize,
 }
 
-/// One object's stored state: the slab boxes its o-plane decomposed
-/// into under its band's knobs — shared, never copied, between an index
-/// and its clones — and the band its union box is filed in. The slice
-/// sits directly behind the map's pointer, so the per-candidate slab
-/// filter pays the same loads as for an owned vector. `boxes` empty
-/// means *no tree entry anywhere* (a degenerate decomposition must not
-/// plant an `Aabb3::empty()` union box in a tree — see `upsert`).
-#[derive(Debug, Clone)]
+/// One object's stored state: its o-plane and the union of the slab
+/// boxes the plane decomposes into under its band's knobs — the box the
+/// band's tree files it under. Immutable, and shared (never copied)
+/// between an index and its clones. The same size for every plane: no
+/// per-slab heap behind it. The band is not stored; it is
+/// `config.band_for(plane.max_speed)`.
+#[derive(Debug)]
 struct Stored {
-    boxes: Arc<[Aabb3]>,
-    band: usize,
+    plane: OPlane,
+    union: Aabb3,
+}
+
+impl Stored {
+    /// The band whose tree files this entry.
+    fn band(&self, config: &BandConfig) -> usize {
+        config.band_for(self.plane.max_speed)
+    }
+
+    /// The per-hit slab filter: `true` when one of the plane's *slab*
+    /// boxes under `spec` intersects `query`. A route `network` cannot
+    /// resolve, or a slab box that errors, also answers `true`: the
+    /// filter must never drop what exact refinement would report, the
+    /// error included.
+    fn some_slab_intersects(&self, spec: &BandSpec, network: &RouteNetwork, query: &Aabb3) -> bool {
+        network.get(self.plane.route).map_or(true, |route| {
+            self.plane
+                .any_slab_intersects(route, spec.slab_minutes, spec.fine_horizon, query)
+                .unwrap_or(true)
+        })
+    }
 }
 
 /// A 3-D time-space index over the o-planes of a fleet of moving
@@ -304,15 +334,10 @@ pub struct MovingObjectIndex<K> {
     /// One tree per band; `trees[i]` holds the union boxes of the
     /// objects in band `i`.
     trees: Vec<RStarTree<K>>,
-    planes: HashMap<K, Stored>,
+    planes: HashMap<K, Arc<Stored>>,
     config: BandConfig,
     /// Upserts (and entry syncs) that moved an object between bands.
     migrations: u64,
-}
-
-/// Union box of a slab decomposition (empty for no boxes).
-fn union_of(boxes: &[Aabb3]) -> Aabb3 {
-    boxes.iter().fold(Aabb3::empty(), |a, b| a.union(b))
 }
 
 impl<K: Copy + Eq + Hash> Default for MovingObjectIndex<K> {
@@ -357,14 +382,9 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         self.planes.is_empty()
     }
 
-    /// The band `key`'s entry is filed in, if indexed. `None` for
-    /// unknown keys *and* for entries whose decomposition was empty
-    /// (no tree holds them).
+    /// The band `key`'s entry is filed in, if indexed.
     pub fn band_of(&self, key: &K) -> Option<usize> {
-        self.planes
-            .get(key)
-            .filter(|s| !s.boxes.is_empty())
-            .map(|s| s.band)
+        self.planes.get(key).map(|s| s.band(&self.config))
     }
 
     /// Upserts (and entry syncs) that moved an object from one band's
@@ -374,45 +394,29 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         self.migrations
     }
 
-    /// Deletes `key`'s union box from its band's tree, if it has one.
-    fn detach(trees: &mut [RStarTree<K>], key: &K, stored: &Stored) {
-        if !stored.boxes.is_empty() {
-            let removed = trees[stored.band].remove(&union_of(&stored.boxes), key);
-            debug_assert!(removed, "index out of sync: missing tree entry");
-        }
-    }
-
     /// Files `key` under `next`: tree surgery (update in place within a
-    /// band, delete+insert across bands, nothing for empty
-    /// decompositions) plus the side-table write.
-    fn install(&mut self, key: K, next: Stored) {
-        let tree = &mut self.trees[next.band];
+    /// band, delete+insert across bands) plus the side-table write.
+    fn install(&mut self, key: K, next: Arc<Stored>) {
+        let band = next.band(&self.config);
         match self.planes.entry(key) {
             Entry::Occupied(mut slot) => {
                 let stored = slot.get();
-                match (stored.boxes.is_empty(), next.boxes.is_empty()) {
-                    (false, false) if stored.band == next.band => {
-                        let updated =
-                            tree.update(&union_of(&stored.boxes), union_of(&next.boxes), &key);
-                        debug_assert!(updated, "index out of sync: missing old entry");
-                    }
-                    (false, false) => {
-                        // Band migration: the object's speed regime
-                        // changed, so its union box moves trees.
-                        tree.insert(union_of(&next.boxes), key);
-                        Self::detach(&mut self.trees, &key, stored);
-                        self.migrations += 1;
-                    }
-                    (false, true) => Self::detach(&mut self.trees, &key, stored),
-                    (true, false) => tree.insert(union_of(&next.boxes), key),
-                    (true, true) => {}
+                let old_band = stored.band(&self.config);
+                if old_band == band {
+                    let updated = self.trees[band].update(&stored.union, next.union, &key);
+                    debug_assert!(updated, "index out of sync: missing old entry");
+                } else {
+                    // Band migration: the object's speed regime
+                    // changed, so its union box moves trees.
+                    self.trees[band].insert(next.union, key);
+                    let removed = self.trees[old_band].remove(&stored.union, &key);
+                    debug_assert!(removed, "index out of sync: missing tree entry");
+                    self.migrations += 1;
                 }
                 slot.insert(next);
             }
             Entry::Vacant(slot) => {
-                if !next.boxes.is_empty() {
-                    tree.insert(union_of(&next.boxes), key);
-                }
+                self.trees[band].insert(next.union, key);
                 slot.insert(next);
             }
         }
@@ -421,38 +425,30 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     /// Installs (or replaces) the o-plane of object `key` — the §4.2
     /// position-update maintenance step. The plane's `max_speed` selects
     /// the band; an entry whose band changed is migrated (delete from
-    /// the old band's tree, insert into the new band's). A decomposition
-    /// with no boxes installs **no** tree entry — a degenerate
-    /// `Aabb3::empty()` union box must never pollute a tree.
+    /// the old band's tree, insert into the new band's).
     ///
     /// # Errors
     ///
     /// Propagates o-plane decomposition errors; on error the old plane (if
     /// any) is left untouched.
     pub fn upsert(&mut self, key: K, plane: OPlane, route: &Route) -> Result<(), IndexError> {
-        let band = self.config.band_for(plane.max_speed);
-        let spec = self.config.bands()[band];
-        let boxes = plane.to_boxes_with_horizon(route, spec.slab_minutes, spec.fine_horizon)?;
-        // Touch the old entry only after the new plane decomposed cleanly.
-        self.install(
-            key,
-            Stored {
-                boxes: boxes.into(),
-                band,
-            },
-        );
+        let spec = self.config.bands()[self.config.band_for(plane.max_speed)];
+        // Touch the old entry only after every slab of the new plane
+        // computed cleanly.
+        let union = plane.union_box(route, spec.slab_minutes, spec.fine_horizon)?;
+        self.install(key, Arc::new(Stored { plane, union }));
         Ok(())
     }
 
     /// Mirrors `src`'s entry for `key` into this index — the same §4.2
     /// delete+insert maintenance as [`MovingObjectIndex::upsert`], but
-    /// *sharing* `src`'s already-decomposed slab boxes instead of
-    /// re-decomposing the o-plane or copying them. **Band membership is
-    /// mirrored too**: the entry lands in the same band `src` filed it
-    /// under, so a delta-synced shadow copy partitions identically to
-    /// its source (the caller guarantees the configs match — shadows
-    /// are clones). Returns `true` when `src` holds an entry for `key`
-    /// (otherwise the local entry, if any, was removed).
+    /// *sharing* `src`'s plane and already-computed union box instead of
+    /// walking the slabs again or copying them. **Band membership is
+    /// mirrored too**: the band follows from the plane and the config,
+    /// so a delta-synced shadow copy partitions identically to its source
+    /// (the caller guarantees the configs match — shadows are clones).
+    /// Returns `true` when `src` holds an entry for `key` (otherwise the
+    /// local entry, if any, was removed).
     pub fn sync_entry_from(&mut self, src: &Self, key: &K) -> bool {
         debug_assert_eq!(
             self.config, src.config,
@@ -460,7 +456,7 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         );
         match src.planes.get(key) {
             Some(entry) => {
-                self.install(*key, entry.clone());
+                self.install(*key, Arc::clone(entry));
                 true
             }
             None => {
@@ -470,12 +466,12 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         }
     }
 
-    /// `true` when `key`'s slab boxes here and in `other` are one shared
+    /// `true` when `key`'s entry here and in `other` is one shared
     /// allocation — the probe the sharing tests assert on.
     #[doc(hidden)]
     pub fn shares_entry_with(&self, other: &Self, key: &K) -> bool {
         match (self.planes.get(key), other.planes.get(key)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(&a.boxes, &b.boxes),
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -485,7 +481,9 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     pub fn remove(&mut self, key: &K) -> bool {
         match self.planes.remove(key) {
             Some(stored) => {
-                Self::detach(&mut self.trees, key, &stored);
+                let band = stored.band(&self.config);
+                let removed = self.trees[band].remove(&stored.union, key);
+                debug_assert!(removed, "index out of sync: missing tree entry");
                 true
             }
             None => false,
@@ -494,15 +492,20 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
 
     /// Candidate object ids whose o-plane boxes intersect the query
     /// region's box — the sublinear filtering step. Deduplicated.
-    pub fn candidates(&self, region: &QueryRegion) -> Vec<K> {
-        self.candidates_with_stats(region).0
+    /// `network` resolves each hit's route for its slab geometry.
+    pub fn candidates(&self, region: &QueryRegion, network: &RouteNetwork) -> Vec<K> {
+        self.candidates_with_stats(region, network).0
     }
 
     /// Like [`MovingObjectIndex::candidates`], with R\*-tree search
     /// statistics (summed across bands) for the sublinearity experiments.
-    pub fn candidates_with_stats(&self, region: &QueryRegion) -> (Vec<K>, SearchStats) {
+    pub fn candidates_with_stats(
+        &self,
+        region: &QueryRegion,
+        network: &RouteNetwork,
+    ) -> (Vec<K>, SearchStats) {
         let mut hits = Vec::new();
-        let stats = self.candidates_into(region, &mut hits);
+        let stats = self.candidates_into(region, network, &mut hits);
         (hits, stats)
     }
 
@@ -516,42 +519,29 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     /// buffer, so a hot query loop filters without allocating a fresh
     /// vector per query; `&self` only, so any number of threads may
     /// filter one immutable index concurrently.
-    pub fn candidates_into(&self, region: &QueryRegion, out: &mut Vec<K>) -> SearchStats {
+    pub fn candidates_into(
+        &self,
+        region: &QueryRegion,
+        network: &RouteNetwork,
+        out: &mut Vec<K>,
+    ) -> SearchStats {
         let query = region.aabb();
         let mut stats = SearchStats::default();
-        for tree in &self.trees {
-            let s = tree.for_each_with_stats(&query, Self::slab_filter(&self.planes, &query, out));
+        for (tree, spec) in self.trees.iter().zip(self.config.bands()) {
+            // A tree hit (union box intersects) becomes a candidate when
+            // one of its slab boxes does.
+            let s = tree.for_each_with_stats(&query, |k| {
+                if let Some(stored) = self.planes.get(k) {
+                    if stored.some_slab_intersects(spec, network, &query) {
+                        out.push(*k);
+                    }
+                }
+            });
             stats.nodes_visited += s.nodes_visited;
             stats.entries_tested += s.entries_tested;
             stats.matches += s.matches;
         }
         stats
-    }
-
-    /// Candidates for a raw 3-D box (used by the benchmarks).
-    pub fn candidates_for_box(&self, query: &Aabb3) -> Vec<K> {
-        let mut hits = Vec::new();
-        for tree in &self.trees {
-            tree.for_each_intersecting(query, Self::slab_filter(&self.planes, query, &mut hits));
-        }
-        hits
-    }
-
-    /// The per-candidate slab filter shared by every probe path: a tree
-    /// hit (union box intersects) only becomes a candidate when one of
-    /// its *slab* boxes intersects the query box.
-    fn slab_filter<'a>(
-        planes: &'a HashMap<K, Stored>,
-        query: &'a Aabb3,
-        out: &'a mut Vec<K>,
-    ) -> impl FnMut(&K) + 'a {
-        move |k| {
-            if let Some(stored) = planes.get(k) {
-                if stored.boxes.iter().any(|b| b.intersects(query)) {
-                    out.push(*k);
-                }
-            }
-        }
     }
 
     /// Aggregate tree statistics across bands: `(entries, nodes,
@@ -575,21 +565,6 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
             })
             .collect()
     }
-
-    /// Test seam: installs a pre-decomposed entry directly, bypassing
-    /// o-plane decomposition — lets tests exercise the empty-boxes
-    /// degenerate path that `to_boxes` can never produce.
-    #[cfg(test)]
-    fn install_raw(&mut self, key: K, plane: OPlane, boxes: Vec<Aabb3>) {
-        let band = self.config.band_for(plane.max_speed);
-        self.install(
-            key,
-            Stored {
-                boxes: boxes.into(),
-                band,
-            },
-        );
-    }
 }
 
 #[cfg(test)]
@@ -608,6 +583,10 @@ mod tests {
             vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)],
         )
         .unwrap()
+    }
+
+    fn network() -> RouteNetwork {
+        RouteNetwork::from_routes([route()]).unwrap()
     }
 
     fn plane(start_arc: f64, t0: f64) -> OPlane {
@@ -637,32 +616,34 @@ mod tests {
     #[test]
     fn upsert_and_query() {
         let r = route();
+        let n = network();
         let mut idx = MovingObjectIndex::new(5.0);
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         idx.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
         assert_eq!(idx.len(), 2);
         // At t = 2 object 1 is near arc 2, object 2 near arc 52.
-        let c = idx.candidates(&region(0.0, 10.0, 2.0));
+        let c = idx.candidates(&region(0.0, 10.0, 2.0), &n);
         assert_eq!(c, vec![1]);
-        let c = idx.candidates(&region(45.0, 60.0, 2.0));
+        let c = idx.candidates(&region(45.0, 60.0, 2.0), &n);
         assert_eq!(c, vec![2]);
-        let mut c = idx.candidates(&region(0.0, 100.0, 2.0));
+        let mut c = idx.candidates(&region(0.0, 100.0, 2.0), &n);
         c.sort_unstable();
         assert_eq!(c, vec![1, 2]);
-        assert!(idx.candidates(&region(90.0, 100.0, 0.5)).is_empty());
+        assert!(idx.candidates(&region(90.0, 100.0, 0.5), &n).is_empty());
     }
 
     #[test]
     fn update_moves_object() {
         let r = route();
+        let n = network();
         let mut idx = MovingObjectIndex::new(5.0);
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
-        assert_eq!(idx.candidates(&region(0.0, 5.0, 1.0)), vec![1]);
+        assert_eq!(idx.candidates(&region(0.0, 5.0, 1.0), &n), vec![1]);
         // The object reports from arc 80 at t = 10: replace its plane.
         idx.upsert(1u64, plane(80.0, 10.0), &r).unwrap();
         assert_eq!(idx.len(), 1);
-        assert!(idx.candidates(&region(0.0, 5.0, 11.0)).is_empty());
-        assert_eq!(idx.candidates(&region(78.0, 85.0, 11.0)), vec![1]);
+        assert!(idx.candidates(&region(0.0, 5.0, 11.0), &n).is_empty());
+        assert_eq!(idx.candidates(&region(78.0, 85.0, 11.0), &n), vec![1]);
         // One tree entry per object, covering only the new plane.
         let (entries, _, _) = idx.tree_stats();
         assert_eq!(entries, 1);
@@ -673,13 +654,14 @@ mod tests {
     #[test]
     fn remove_object() {
         let r = route();
+        let n = network();
         let mut idx = MovingObjectIndex::new(5.0);
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         idx.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
         assert!(idx.remove(&1));
         assert!(!idx.remove(&1));
         assert_eq!(idx.len(), 1);
-        assert!(idx.candidates(&region(0.0, 10.0, 2.0)).is_empty());
+        assert!(idx.candidates(&region(0.0, 10.0, 2.0), &n).is_empty());
         let (entries, _, _) = idx.tree_stats();
         assert_eq!(entries, 1); // object 2's entry remains
     }
@@ -687,35 +669,37 @@ mod tests {
     #[test]
     fn candidates_deduplicated() {
         let r = route();
+        let n = network();
         // Tiny slabs → many boxes per plane; a wide query catches several.
         let mut idx = MovingObjectIndex::new(0.5);
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         let g =
             Polygon::rectangle(&Rect::new(Point::new(0.0, -1.0), Point::new(100.0, 1.0))).unwrap();
         let q = QueryRegion::during(g, 0.0, 30.0);
-        let c = idx.candidates(&q);
+        let c = idx.candidates(&q, &n);
         assert_eq!(c, vec![1], "one candidate even with many boxes hit");
     }
 
     #[test]
     fn candidates_into_reuses_buffer_and_matches_allocating_path() {
         let r = route();
+        let n = network();
         let mut idx = MovingObjectIndex::new(0.5);
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         idx.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
         let q = region(0.0, 100.0, 2.0);
-        let (alloc, alloc_stats) = idx.candidates_with_stats(&q);
+        let (alloc, alloc_stats) = idx.candidates_with_stats(&q, &n);
         let mut buf = Vec::new();
         for _ in 0..3 {
             buf.clear();
-            let stats = idx.candidates_into(&q, &mut buf);
+            let stats = idx.candidates_into(&q, &n, &mut buf);
             assert_eq!(buf, alloc);
             assert_eq!(stats, alloc_stats);
         }
         // Appends after existing content, deduplicating only the tail.
         buf.clear();
         buf.push(999);
-        idx.candidates_into(&q, &mut buf);
+        idx.candidates_into(&q, &n, &mut buf);
         assert_eq!(buf[0], 999);
         assert_eq!(&buf[1..], &alloc[..]);
     }
@@ -723,16 +707,18 @@ mod tests {
     #[test]
     fn future_time_query() {
         let r = route();
+        let n = network();
         let mut idx = MovingObjectIndex::new(5.0);
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         // "Where will it be at t = 30?" Nominal arc 30.
-        assert_eq!(idx.candidates(&region(25.0, 35.0, 30.0)), vec![1]);
-        assert!(idx.candidates(&region(0.0, 3.0, 30.0)).is_empty());
+        assert_eq!(idx.candidates(&region(25.0, 35.0, 30.0), &n), vec![1]);
+        assert!(idx.candidates(&region(0.0, 3.0, 30.0), &n).is_empty());
     }
 
     #[test]
     fn sync_entry_mirrors_source() {
         let r = route();
+        let n = network();
         let mut src = MovingObjectIndex::new(5.0);
         src.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         src.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
@@ -750,7 +736,7 @@ mod tests {
             region(0.0, 10.0, 2.0),
             region(45.0, 60.0, 2.0),
         ] {
-            assert_eq!(shadow.candidates(&q), src.candidates(&q));
+            assert_eq!(shadow.candidates(&q, &n), src.candidates(&q, &n));
         }
         // Syncing an id neither side holds is a no-op.
         assert!(!shadow.sync_entry_from(&src, &99));
@@ -815,6 +801,7 @@ mod tests {
     #[test]
     fn objects_partition_by_max_speed() {
         let r = route();
+        let n = network();
         let config = BandConfig::uniform(&[1.0], 5.0).unwrap();
         let mut idx = MovingObjectIndex::with_config(config);
         idx.upsert(1u64, plane_v(0.0, 0.0, 0.6), &r).unwrap(); // slow band
@@ -827,7 +814,7 @@ mod tests {
         assert_eq!(stats[1].entries, 1);
         assert_eq!(idx.tree_stats().0, 2);
         // Queries probe both bands and merge.
-        let mut c = idx.candidates(&region(0.0, 100.0, 1.0));
+        let mut c = idx.candidates(&region(0.0, 100.0, 1.0), &n);
         c.sort_unstable();
         assert_eq!(c, vec![1, 2]);
     }
@@ -835,6 +822,7 @@ mod tests {
     #[test]
     fn upsert_across_bands_migrates() {
         let r = route();
+        let n = network();
         let config = BandConfig::uniform(&[1.0], 5.0).unwrap();
         let mut idx = MovingObjectIndex::with_config(config);
         idx.upsert(1u64, plane_v(10.0, 0.0, 0.6), &r).unwrap();
@@ -848,7 +836,7 @@ mod tests {
         assert_eq!((stats[0].entries, stats[1].entries), (0, 1));
         // Still exactly one entry overall, findable where it now is.
         assert_eq!(idx.tree_stats().0, 1);
-        assert_eq!(idx.candidates(&region(10.0, 25.0, 6.0)), vec![1]);
+        assert_eq!(idx.candidates(&region(10.0, 25.0, 6.0), &n), vec![1]);
         // And back: stop-and-go again.
         idx.upsert(1u64, plane_v(14.0, 10.0, 0.5), &r).unwrap();
         assert_eq!(idx.band_of(&1), Some(0));
@@ -858,6 +846,7 @@ mod tests {
     #[test]
     fn sync_mirrors_band_membership_and_migrations() {
         let r = route();
+        let n = network();
         let config = BandConfig::uniform(&[1.0], 5.0).unwrap();
         let mut src = MovingObjectIndex::with_config(config);
         src.upsert(1u64, plane_v(0.0, 0.0, 0.6), &r).unwrap();
@@ -874,8 +863,8 @@ mod tests {
             assert_eq!(a.entries, b.entries);
         }
         for q in [region(0.0, 30.0, 6.0), region(40.0, 70.0, 2.0)] {
-            let mut cs = shadow.candidates(&q);
-            let mut ct = src.candidates(&q);
+            let mut cs = shadow.candidates(&q, &n);
+            let mut ct = src.candidates(&q, &n);
             cs.sort_unstable();
             ct.sort_unstable();
             assert_eq!(cs, ct);
@@ -885,6 +874,7 @@ mod tests {
     #[test]
     fn single_band_is_bit_identical_to_legacy_layout() {
         let r = route();
+        let n = network();
         let mut banded = MovingObjectIndex::with_config(BandConfig::single(5.0));
         let mut legacy = MovingObjectIndex::new(5.0);
         for (k, arc) in [(1u64, 0.0), (2, 30.0), (3, 60.0), (4, 90.0)] {
@@ -897,53 +887,17 @@ mod tests {
             region(25.0, 65.0, 4.0),
             region(0.0, 100.0, 9.0),
         ] {
-            let (ca, sa) = banded.candidates_with_stats(&q);
-            let (cb, sb) = legacy.candidates_with_stats(&q);
+            let (ca, sa) = banded.candidates_with_stats(&q, &n);
+            let (cb, sb) = legacy.candidates_with_stats(&q, &n);
             assert_eq!(ca, cb);
             assert_eq!(sa, sb);
         }
     }
 
-    /// The empty-decomposition degenerate path: no `Aabb3::empty()` union
-    /// box may reach a tree, and remove/sync must cope with entries that
-    /// have no tree presence.
-    #[test]
-    fn empty_boxes_skip_tree_entry() {
-        let r = route();
-        let mut idx = MovingObjectIndex::new(5.0);
-        idx.install_raw(1u64, plane(0.0, 0.0), Vec::new());
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.tree_stats().0, 0, "no tree entry for empty boxes");
-        assert_eq!(idx.band_of(&1), None);
-        assert!(idx.candidates(&region(0.0, 100.0, 1.0)).is_empty());
-        // Upserting a real plane over the degenerate entry inserts.
-        idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
-        assert_eq!(idx.tree_stats().0, 1);
-        assert_eq!(idx.candidates(&region(0.0, 10.0, 1.0)), vec![1]);
-        // And back to degenerate: the tree entry is deleted.
-        idx.install_raw(1u64, plane(0.0, 0.0), Vec::new());
-        assert_eq!(idx.tree_stats().0, 0);
-        // Remove of a degenerate entry succeeds without tree surgery.
-        assert!(idx.remove(&1));
-        assert_eq!(idx.len(), 0);
-
-        // Sync paths: a shadow mirrors degenerate entries as degenerate.
-        let mut src = MovingObjectIndex::new(5.0);
-        src.install_raw(7u64, plane(10.0, 0.0), Vec::new());
-        let mut shadow = MovingObjectIndex::new(5.0);
-        shadow.upsert(7u64, plane(10.0, 0.0), &r).unwrap();
-        assert!(shadow.sync_entry_from(&src, &7));
-        assert_eq!(shadow.tree_stats().0, 0, "sync dropped the tree entry");
-        assert_eq!(shadow.len(), 1);
-        // Degenerate → real on the source side re-inserts on sync.
-        src.upsert(7u64, plane(10.0, 0.0), &r).unwrap();
-        assert!(shadow.sync_entry_from(&src, &7));
-        assert_eq!(shadow.tree_stats().0, 1);
-    }
-
     #[test]
     fn per_band_horizon_bounds_fast_band_boxes() {
         let r = route();
+        let n = network();
         let config = BandConfig::uniform(&[1.0], 5.0)
             .unwrap()
             .with_band_horizon(1, 20.0);
@@ -951,6 +905,68 @@ mod tests {
         idx.upsert(1u64, plane_v(0.0, 0.0, 2.5), &r).unwrap();
         // 4 fine slabs + 1 coarse tail instead of 12 fine slabs —
         // but the far future is still covered (soundness).
-        assert_eq!(idx.candidates(&region(30.0, 60.0, 50.0)), vec![1]);
+        assert_eq!(idx.candidates(&region(30.0, 60.0, 50.0), &n), vec![1]);
+    }
+
+    /// What an object costs does not depend on how far ahead its trip is
+    /// declared: the entry is the plane and one box, nothing per slab.
+    #[test]
+    fn stored_entry_size_is_independent_of_trip_length() {
+        let r = route();
+        let n = network();
+        let trip = |minutes: f64| {
+            OPlane::new(
+                RouteId(1),
+                0.0,
+                Direction::Forward,
+                0.1,
+                0.15,
+                C,
+                BoundKind::Delayed,
+                0.0,
+                minutes,
+            )
+            .unwrap()
+        };
+        let mut idx = MovingObjectIndex::new(5.0);
+        idx.upsert(1u64, trip(6.0), &r).unwrap();
+        idx.upsert(2u64, trip(600.0), &r).unwrap();
+        assert_eq!(trip(600.0).to_boxes(&r, 5.0).unwrap().len(), 120);
+        // Both are a `Stored`, and a `Stored` is a plane and a box: no
+        // pointer in it means no heap behind it to grow with the trip.
+        assert_eq!(
+            std::mem::size_of::<Stored>(),
+            std::mem::size_of::<OPlane>() + std::mem::size_of::<Aabb3>()
+        );
+        assert!(std::mem::size_of::<Stored>() <= 128);
+        // Both answer from the plane alone, at either end of the trip.
+        assert_eq!(idx.candidates(&region(0.0, 5.0, 3.0), &n), vec![1, 2]);
+        assert_eq!(idx.candidates(&region(50.0, 70.0, 599.0), &n), vec![2]);
+    }
+
+    /// The one failure mode computing slab boxes at query time adds: the
+    /// filter cannot see the route. The hit stays a candidate — dropping
+    /// it would hide the object *and* the route error exact refinement
+    /// reports. (With the route resolved a slab box cannot fail: the
+    /// band's knobs were validated with the config and the arcs are
+    /// clamped to the route; `any_slab_intersects` refusing a wrong route
+    /// is tested in `oplane.rs`, and the filter keeps that hit too.)
+    #[test]
+    fn unresolvable_route_stays_a_candidate() {
+        let r = route();
+        let n = network();
+        let mut idx = MovingObjectIndex::new(5.0);
+        idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
+        // The union box spans the whole hour; at t = 50 the object is
+        // near arc 50, so a query at arc 0–5 is refused by its slab…
+        let q = region(0.0, 5.0, 50.0);
+        assert!(idx.candidates(&q, &n).is_empty());
+        // …unless the network has no such route: then it is kept.
+        assert_eq!(idx.candidates(&q, &RouteNetwork::new()), vec![1]);
+        // Outside the union box nothing is a tree hit, so nothing is kept
+        // that the parent would not have tested.
+        assert!(idx
+            .candidates(&region(0.0, 5.0, 500.0), &RouteNetwork::new())
+            .is_empty());
     }
 }

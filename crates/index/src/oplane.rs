@@ -154,6 +154,44 @@ impl OPlane {
         (l_min, u_max)
     }
 
+    /// Validates the decomposition knobs against this plane and lays out
+    /// its time slabs.
+    fn slab_layout(
+        &self,
+        route: &Route,
+        slab_duration: f64,
+        fine_horizon: f64,
+    ) -> Result<SlabLayout, IndexError> {
+        if route.id() != self.route {
+            return Err(IndexError::RouteMismatch);
+        }
+        if !slab_duration.is_finite() || slab_duration <= 0.0 {
+            return Err(IndexError::InvalidParameter("slab_duration", slab_duration));
+        }
+        if fine_horizon.is_nan() || fine_horizon <= 0.0 {
+            return Err(IndexError::InvalidParameter("fine_horizon", fine_horizon));
+        }
+        let span = self.end_time - self.start_time;
+        let fine_span = span.min(fine_horizon);
+        Ok(SlabLayout {
+            start: self.start_time,
+            slab: slab_duration,
+            n_fine: ((fine_span / slab_duration).ceil() as usize).max(1),
+            fine_end: self.start_time + fine_span,
+            end: self.end_time,
+            tail: fine_span < span,
+        })
+    }
+
+    /// The box of the slab `[t0, t1]`: the route sub-polyline its
+    /// uncertainty intervals sweep, over that time span.
+    fn slab_box(&self, route: &Route, (t0, t1): (f64, f64)) -> Result<Aabb3, IndexError> {
+        let (l, u) = self.slab_lu(t0, t1);
+        let (arc_lo, arc_hi) = self.arcs_from_lu(route.length(), l, u);
+        let rect = route.polyline().interval_bbox(arc_lo, arc_hi)?;
+        Ok(Aabb3::from_rect_time(&rect, t0, t1))
+    }
+
     /// Decomposes the o-plane into 3-D boxes covering it, one per time slab
     /// of at most `slab_duration` minutes.
     ///
@@ -179,6 +217,11 @@ impl OPlane {
     /// span) reproduces `to_boxes` exactly. A non-positive or NaN horizon
     /// is rejected.
     ///
+    /// The index never materialises this list — it keeps the plane and
+    /// asks [`OPlane::union_box`] and [`OPlane::any_slab_intersects`],
+    /// which walk the same slabs — so this is the reference the tests
+    /// compare those two against.
+    ///
     /// # Errors
     ///
     /// Same as [`OPlane::to_boxes`], plus
@@ -189,38 +232,55 @@ impl OPlane {
         slab_duration: f64,
         fine_horizon: f64,
     ) -> Result<Vec<Aabb3>, IndexError> {
-        if route.id() != self.route {
-            return Err(IndexError::RouteMismatch);
+        self.slab_layout(route, slab_duration, fine_horizon)?
+            .spans()
+            .map(|span| self.slab_box(route, span))
+            .collect()
+    }
+
+    /// The union of the boxes [`OPlane::to_boxes_with_horizon`] returns,
+    /// without building them — the one box per object the band trees
+    /// file.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`OPlane::to_boxes_with_horizon`].
+    pub fn union_box(
+        &self,
+        route: &Route,
+        slab_duration: f64,
+        fine_horizon: f64,
+    ) -> Result<Aabb3, IndexError> {
+        self.slab_layout(route, slab_duration, fine_horizon)?
+            .spans()
+            .try_fold(Aabb3::empty(), |union, span| {
+                Ok(union.union(&self.slab_box(route, span)?))
+            })
+    }
+
+    /// `true` when some box of [`OPlane::to_boxes_with_horizon`]
+    /// intersects `query` — the per-hit refinement of the index filter.
+    /// Only the slabs whose time span meets the query's are computed: one
+    /// for a query at an instant, two when it sits on a slab boundary.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`OPlane::to_boxes_with_horizon`], for the slabs computed.
+    pub fn any_slab_intersects(
+        &self,
+        route: &Route,
+        slab_duration: f64,
+        fine_horizon: f64,
+        query: &Aabb3,
+    ) -> Result<bool, IndexError> {
+        let layout = self.slab_layout(route, slab_duration, fine_horizon)?;
+        let (q0, q1) = query.time_span();
+        for span in layout.meeting(q0, q1) {
+            if self.slab_box(route, span)?.intersects(query) {
+                return Ok(true);
+            }
         }
-        if !slab_duration.is_finite() || slab_duration <= 0.0 {
-            return Err(IndexError::InvalidParameter("slab_duration", slab_duration));
-        }
-        if fine_horizon.is_nan() || fine_horizon <= 0.0 {
-            return Err(IndexError::InvalidParameter("fine_horizon", fine_horizon));
-        }
-        let span = self.end_time - self.start_time;
-        let fine_span = span.min(fine_horizon);
-        let n_fine = ((fine_span / slab_duration).ceil() as usize).max(1);
-        let tail = fine_span < span;
-        let route_len = route.length();
-        let mut boxes = Vec::with_capacity(n_fine + usize::from(tail));
-        let mut slab = |t0: f64, t1: f64| -> Result<(), IndexError> {
-            let (l, u) = self.slab_lu(t0, t1);
-            let (arc_lo, arc_hi) = self.arcs_from_lu(route_len, l, u);
-            let rect = route.polyline().interval_bbox(arc_lo, arc_hi)?;
-            boxes.push(Aabb3::from_rect_time(&rect, t0, t1));
-            Ok(())
-        };
-        let fine_end = self.start_time + fine_span;
-        for i in 0..n_fine {
-            let t0 = self.start_time + i as f64 * slab_duration;
-            let t1 = (t0 + slab_duration).min(fine_end);
-            slab(t0, t1)?;
-        }
-        if tail {
-            slab(fine_end, self.end_time)?;
-        }
-        Ok(boxes)
+        Ok(false)
     }
 
     /// The uncertainty interval at absolute time `t` as the route path
@@ -240,6 +300,56 @@ impl OPlane {
             .polyline()
             .interval_points(lo, hi)
             .map_err(|e: GeomError| e.into())
+    }
+}
+
+/// The time slabs of one o-plane under a band's decomposition knobs
+/// (§4.2): `n_fine` slabs of `slab` minutes from `start`, the last cut at
+/// `fine_end`, then — when the fine horizon stops short of the plane's
+/// span — one coarse tail slab `[fine_end, end]`. Every consumer of the
+/// decomposition takes its slab boundaries from here, so a box computed
+/// on demand is the box the full decomposition holds at that index.
+#[derive(Debug, Clone, Copy)]
+struct SlabLayout {
+    start: f64,
+    slab: f64,
+    n_fine: usize,
+    fine_end: f64,
+    end: f64,
+    tail: bool,
+}
+
+impl SlabLayout {
+    /// Time spans of all the slabs in order, the tail last.
+    fn spans(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        (0..self.n_fine + usize::from(self.tail)).map(|i| self.span(i))
+    }
+
+    /// Time span `(t0, t1)` of slab `i`; `i = n_fine` is the tail.
+    fn span(&self, i: usize) -> (f64, f64) {
+        if i < self.n_fine {
+            let t0 = self.start + i as f64 * self.slab;
+            (t0, (t0 + self.slab).min(self.fine_end))
+        } else {
+            (self.fine_end, self.end)
+        }
+    }
+
+    /// Spans of exactly the slabs whose box can meet a query over
+    /// `[q0, q1]` in time. The fine slabs are found by division, widened
+    /// by one slab each way so rounding in `start + i·slab` cannot lose
+    /// one, then each is tested the way [`Aabb3::intersects`] tests the
+    /// time axis of its box.
+    fn meeting(&self, q0: f64, q1: f64) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let last = (self.n_fine - 1) as f64;
+        // A NaN bound casts to slab 0, which the exact test then refuses.
+        let slab_of = |q: f64, widen: f64| {
+            (((q - self.start) / self.slab).floor() + widen).clamp(0.0, last) as usize
+        };
+        (slab_of(q0, -1.0)..=slab_of(q1, 1.0))
+            .chain(self.tail.then_some(self.n_fine))
+            .map(|i| self.span(i))
+            .filter(move |&(t0, t1)| t0.min(t1) <= q1 && q0 <= t0.max(t1))
     }
 }
 
@@ -438,6 +548,42 @@ mod tests {
         assert!(p.to_boxes_with_horizon(&route, 4.0, f64::NAN).is_err());
     }
 
+    /// The two on-demand readers walk the slabs `to_boxes_with_horizon`
+    /// lists: the union is the fold of the list, and a query meets some
+    /// slab exactly when it meets some box of the list — at instants,
+    /// on slab boundaries, across the tail, and outside the plane's span.
+    #[test]
+    fn on_demand_slabs_match_the_decomposition() {
+        let route = straight_route();
+        for kind in [BoundKind::Delayed, BoundKind::Immediate] {
+            for dir in [Direction::Forward, Direction::Backward] {
+                for horizon in [f64::INFINITY, 10.0, 7.0] {
+                    let p = plane(kind, dir, 50.0);
+                    let boxes = p.to_boxes_with_horizon(&route, 2.5, horizon).unwrap();
+                    let union = boxes.iter().fold(Aabb3::empty(), |a, b| a.union(b));
+                    assert_eq!(p.union_box(&route, 2.5, horizon).unwrap(), union);
+                    let mut t = -3.0;
+                    while t <= 23.0 {
+                        for dt in [0.0, 0.25, 4.0] {
+                            for x in [20.0, 45.0, 50.0, 58.0, 80.0] {
+                                let q = Aabb3::new([x, -1.0, t], [x + 4.0, 1.0, t + dt]);
+                                assert_eq!(
+                                    p.any_slab_intersects(&route, 2.5, horizon, &q).unwrap(),
+                                    boxes.iter().any(|b| b.intersects(&q)),
+                                    "{kind:?} {dir:?} horizon {horizon}: {q:?}"
+                                );
+                            }
+                        }
+                        t += 0.25;
+                    }
+                    assert!(!p
+                        .any_slab_intersects(&route, 2.5, horizon, &Aabb3::empty())
+                        .unwrap());
+                }
+            }
+        }
+    }
+
     #[test]
     fn to_boxes_rejects_wrong_route_and_bad_slab() {
         let wrong = Route::from_vertices(
@@ -451,8 +597,22 @@ mod tests {
             p.to_boxes(&wrong, 1.0),
             Err(IndexError::RouteMismatch)
         ));
+        // The on-demand readers validate the same way: the index filter
+        // keeps a hit whose slab test errors, so an error must not read
+        // as "no slab intersects".
+        let q = Aabb3::new([0.0, -1.0, 1.0], [5.0, 1.0, 1.0]);
+        assert_eq!(
+            p.any_slab_intersects(&wrong, 1.0, f64::INFINITY, &q),
+            Err(IndexError::RouteMismatch)
+        );
+        assert_eq!(
+            p.union_box(&wrong, 1.0, f64::INFINITY),
+            Err(IndexError::RouteMismatch)
+        );
         let route = straight_route();
         assert!(p.to_boxes(&route, 0.0).is_err());
+        assert!(p.union_box(&route, 0.0, f64::INFINITY).is_err());
+        assert!(p.any_slab_intersects(&route, 1.0, f64::NAN, &q).is_err());
     }
 
     #[test]

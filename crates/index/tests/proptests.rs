@@ -4,7 +4,7 @@
 use modb_geom::{Aabb3, Point, Polygon, Rect};
 use modb_index::{BandConfig, MovingObjectIndex, OPlane, QueryRegion, RStarTree};
 use modb_policy::BoundKind;
-use modb_routes::{Direction, Route, RouteId};
+use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use proptest::prelude::*;
 
 fn boxes(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(Aabb3, u64)>> {
@@ -145,8 +145,12 @@ fn rect_region() -> impl Strategy<Value = (QueryRegion, f64, f64)> {
         })
 }
 
-fn sorted_candidates(idx: &MovingObjectIndex<u64>, q: &QueryRegion) -> Vec<u64> {
-    let mut c = idx.candidates(q);
+fn sorted_candidates(
+    idx: &MovingObjectIndex<u64>,
+    q: &QueryRegion,
+    net: &RouteNetwork,
+) -> Vec<u64> {
+    let mut c = idx.candidates(q, net);
     c.sort_unstable();
     c
 }
@@ -270,6 +274,7 @@ proptest! {
         remove_mask in proptest::collection::vec(any::<bool>(), 40),
     ) {
         let route = band_route();
+        let net = RouteNetwork::from_routes([route.clone()]).unwrap();
         let len = route.length();
         let cfg = BandConfig::uniform(&edges, slab).unwrap();
         let mut single: MovingObjectIndex<u64> =
@@ -283,12 +288,12 @@ proptest! {
         prop_assert_eq!(banded.len(), single.len());
         let partitioned: usize = banded.band_stats().iter().map(|b| b.entries).sum();
         prop_assert_eq!(partitioned, movers.len());
-        prop_assert_eq!(sorted_candidates(&banded, &q), sorted_candidates(&single, &q));
+        prop_assert_eq!(sorted_candidates(&banded, &q, &net), sorted_candidates(&single, &q, &net));
 
         // The shadow starts as a clone and mirrors every later mutation
         // entry-by-entry, the way a replica applies a change log.
         let mut shadow = banded.clone();
-        let at_clone = sorted_candidates(&banded, &q);
+        let at_clone = sorted_candidates(&banded, &q, &net);
         let mut touched: Vec<u64> = Vec::new();
 
         // Max-speed revisions: re-upsert with a new top speed, which may
@@ -309,7 +314,7 @@ proptest! {
             touched.push(i as u64);
         }
         prop_assert_eq!(banded.migrations(), expect_migrations);
-        prop_assert_eq!(sorted_candidates(&banded, &q), sorted_candidates(&single, &q));
+        prop_assert_eq!(sorted_candidates(&banded, &q, &net), sorted_candidates(&single, &q, &net));
 
         // Removals of a random subset.
         for (i, _) in movers.iter().enumerate() {
@@ -320,12 +325,12 @@ proptest! {
             touched.push(i as u64);
         }
         prop_assert_eq!(banded.len(), single.len());
-        prop_assert_eq!(sorted_candidates(&banded, &q), sorted_candidates(&single, &q));
+        prop_assert_eq!(sorted_candidates(&banded, &q, &net), sorted_candidates(&single, &q, &net));
 
         // Isolation: the source's writes replaced its entries, they did
         // not write through the shared boxes — the unsynced shadow still
         // answers as of the clone, and shares exactly the untouched keys.
-        prop_assert_eq!(sorted_candidates(&shadow, &q), at_clone);
+        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), at_clone);
         for key in 0..movers.len() as u64 {
             prop_assert_eq!(
                 shadow.shares_entry_with(&banded, &key),
@@ -357,14 +362,14 @@ proptest! {
             }
             fresh.upsert(key, mover_plane(&current, len), &route).unwrap();
         }
-        prop_assert_eq!(sorted_candidates(&shadow, &q), sorted_candidates(&fresh, &q));
+        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), sorted_candidates(&fresh, &q, &net));
         for key in &touched {
             prop_assert_eq!(shadow.band_of(key), banded.band_of(key));
         }
         let shadow_bands: Vec<usize> = shadow.band_stats().iter().map(|b| b.entries).collect();
         let banded_bands: Vec<usize> = banded.band_stats().iter().map(|b| b.entries).collect();
         prop_assert_eq!(shadow_bands, banded_bands);
-        prop_assert_eq!(sorted_candidates(&shadow, &q), sorted_candidates(&banded, &q));
+        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), sorted_candidates(&banded, &q, &net));
     }
 
     /// Speed-scaled bands (coarser slabs and bounded fine horizons per
@@ -379,6 +384,7 @@ proptest! {
         horizon in 5.0f64..30.0,
     ) {
         let route = band_route();
+        let net = RouteNetwork::from_routes([route.clone()]).unwrap();
         let len = route.length();
         let cfg = BandConfig::speed_scaled(&edges, slab)
             .unwrap()
@@ -390,7 +396,7 @@ proptest! {
         let partitioned: usize = idx.band_stats().iter().map(|b| b.entries).sum();
         prop_assert_eq!(partitioned, movers.len());
 
-        let cands = sorted_candidates(&idx, &q);
+        let cands = sorted_candidates(&idx, &q, &net);
         let qbox = q.aabb();
         for (i, m) in movers.iter().enumerate() {
             if cands.binary_search(&(i as u64)).is_ok() {
@@ -410,6 +416,74 @@ proptest! {
                     );
                 }
                 t += 0.73;
+            }
+        }
+    }
+
+    /// The index keeps the plane, not its decomposition: what it reads
+    /// from the plane on demand must be what the decomposition holds.
+    /// `union_box` is the fold of `to_boxes_with_horizon`'s boxes, and
+    /// `any_slab_intersects(q)` is `any(|b| b.intersects(q))` over them —
+    /// for both bound families and directions on a multi-vertex route,
+    /// finite and infinite fine horizons, and query boxes that are
+    /// instants, intervals, wholly before `start_time`, wholly past
+    /// `end_time`, and exactly on a slab boundary `start + i·slab`.
+    #[test]
+    fn on_demand_slabs_equal_the_decomposition(
+        m in fleet(1..2),
+        slab in 0.3f64..9.0,
+        horizon in prop_oneof![Just(f64::INFINITY), 1.0f64..60.0],
+        x0 in -10.0f64..110.0,
+        y0 in -10.0f64..45.0,
+        w in 0.5f64..80.0,
+        h in 0.5f64..50.0,
+        at in -15.0f64..70.0,
+        dt in prop_oneof![Just(0.0), 0.0f64..25.0],
+        boundary in 0usize..140,
+    ) {
+        let route = band_route();
+        let plane = mover_plane(&m[0], route.length());
+        let boxes = plane.to_boxes_with_horizon(&route, slab, horizon).unwrap();
+        let union = boxes.iter().fold(Aabb3::empty(), |a, b| a.union(b));
+        prop_assert_eq!(plane.union_box(&route, slab, horizon).unwrap(), union);
+
+        // A slab of the decomposition, and the boundary `start + i·slab`
+        // it shares with its neighbour.
+        let i = boundary % boxes.len();
+        let on_boundary = plane.start_time + i as f64 * slab;
+        let (slab_t0, slab_t1) = boxes[i].time_span();
+        let spans = [
+            (at, at + dt),
+            (on_boundary, on_boundary),
+            (on_boundary, on_boundary + dt),
+            (on_boundary - dt, on_boundary),
+            (slab_t0, slab_t0),
+            (slab_t1, slab_t1),
+            (slab_t0, slab_t1),
+            (plane.start_time - 1.0 - dt, plane.start_time - 1.0),
+            (plane.start_time - dt, plane.start_time),
+            (plane.end_time, plane.end_time + dt),
+            (plane.end_time + 1.0, plane.end_time + 1.0 + dt),
+            (f64::NEG_INFINITY, f64::INFINITY),
+        ];
+        // The drawn rectangle; the whole map, so the time axis alone
+        // decides; and the two ends of slab `i`'s own box, which its
+        // neighbours in time need not reach — a filter that picks the
+        // wrong side of a boundary answers differently there.
+        let rects = [
+            ([x0, y0], [x0 + w, y0 + h]),
+            ([-1e3, -1e3], [1e3, 1e3]),
+            ([boxes[i].min[0], boxes[i].min[1]], [boxes[i].min[0], boxes[i].min[1]]),
+            ([boxes[i].max[0], boxes[i].max[1]], [boxes[i].max[0], boxes[i].max[1]]),
+        ];
+        for (t0, t1) in spans {
+            for (lo, hi) in rects {
+                let q = Aabb3::new([lo[0], lo[1], t0], [hi[0], hi[1], t1]);
+                prop_assert_eq!(
+                    plane.any_slab_intersects(&route, slab, horizon, &q).unwrap(),
+                    boxes.iter().any(|b| b.intersects(&q)),
+                    "query {:?} against {} boxes", q, boxes.len()
+                );
             }
         }
     }
