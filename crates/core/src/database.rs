@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use modb_geom::Point;
-use modb_index::{BandConfig, BandStats, MovingObjectIndex, OPlane, QueryRegion, SearchStats};
+use modb_index::{MovingObjectIndex, OPlane, QueryRegion, SearchStats, DEFAULT_SLAB_MINUTES};
 use modb_routes::{Route, RouteNetwork};
 
 use crate::attr::{PolicyDescriptor, PositionAttribute};
@@ -24,11 +24,11 @@ pub struct DatabaseConfig {
     /// Horizon (minutes) an o-plane extends past its update when the
     /// object has no known trip end — the `T` of §4.2's index time span.
     pub default_horizon: f64,
-    /// Speed-band layout of the time-space index: band edges plus
-    /// per-band slab duration / fine-horizon for o-plane decomposition.
-    /// [`BandConfig::single`] (the default) reproduces the historical
-    /// un-partitioned single-tree index exactly.
-    pub bands: BandConfig,
+    /// Slab duration (minutes) of the index's o-plane decomposition
+    /// (§4.2). The name is what is left of the speed-band layout this
+    /// field used to hold; it stays because `modb_ledger/` reads it and
+    /// may not be edited.
+    pub bands: f64,
     /// Sampling step (minutes) for exact refinement of time-interval
     /// queries.
     pub refinement_dt: f64,
@@ -47,7 +47,7 @@ impl Default for DatabaseConfig {
         DatabaseConfig {
             map_match_tolerance: 0.25,
             default_horizon: 60.0,
-            bands: BandConfig::default(),
+            bands: DEFAULT_SLAB_MINUTES,
             refinement_dt: 1.0,
             history_capacity: 256,
             change_log_capacity: 4096,
@@ -89,7 +89,7 @@ struct MovingRecord {
 /// Cloning copies pointers, not payloads: the network, every
 /// `MovingRecord` and every index entry (an object's o-plane and its
 /// union box) are shared with the clone. Per copy are only the
-/// structures delta-sync mutates in place — the id maps, the band trees,
+/// structures delta-sync mutates in place — the id maps, the index tree,
 /// `unindexed`, the change log.
 #[derive(Debug, Clone)]
 pub struct Database {
@@ -115,7 +115,7 @@ impl Database {
     /// shared — clones of an `Arc`'d network are free).
     pub fn new(network: impl Into<Arc<RouteNetwork>>, config: DatabaseConfig) -> Self {
         Database {
-            index: MovingObjectIndex::with_config(config.bands),
+            index: MovingObjectIndex::new(config.bands),
             network: network.into(),
             moving: HashMap::new(),
             stationary: HashMap::new(),
@@ -196,21 +196,7 @@ impl Database {
         self.stationary.len()
     }
 
-    /// Per-band tree statistics of the time-space index (slowest band
-    /// first) — the raw material for `modb_index_band_entries{band="N"}`.
-    pub fn index_band_stats(&self) -> Vec<BandStats> {
-        self.index.band_stats()
-    }
-
-    /// Upserts and entry syncs that moved an object between speed bands
-    /// since this database (or the clone lineage it came from) was
-    /// created — city↔highway regime changes.
-    pub fn index_band_migrations(&self) -> u64 {
-        self.index.migrations()
-    }
-
-    /// Aggregate `(entries, nodes, max height)` across the index's band
-    /// trees.
+    /// `(entries, nodes, height)` of the index's tree.
     pub fn index_tree_stats(&self) -> (usize, usize, usize) {
         self.index.tree_stats()
     }
@@ -323,31 +309,6 @@ impl Database {
         Ok(())
     }
 
-    /// Revises the DBMS-known maximum trip speed `V` of a moving object
-    /// (§3.3) — e.g. a fleet vehicle reclassified from city stop-and-go
-    /// to highway cruise. The index entry is rebuilt under the new
-    /// speed, which migrates it between speed bands when the new `V`
-    /// falls in a different band ([`BandConfig`]).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownObject`] when absent;
-    /// [`CoreError::InvalidField`] for a non-finite or non-positive
-    /// speed (the stored value is untouched).
-    pub fn set_max_speed(&mut self, id: ObjectId, max_speed: f64) -> Result<(), CoreError> {
-        if !max_speed.is_finite() || max_speed <= 0.0 {
-            return Err(CoreError::InvalidField("max_speed", max_speed));
-        }
-        let record = self
-            .moving
-            .get_mut(&id)
-            .ok_or(CoreError::UnknownObject(id))?;
-        Arc::make_mut(record).object.max_speed = max_speed;
-        self.changes.record(Change::Moving(id));
-        self.reindex(id)?;
-        Ok(())
-    }
-
     /// Removes a moving object (trip over).
     ///
     /// # Errors
@@ -404,7 +365,7 @@ impl Database {
 
     /// The number of change-log entries past which applying a delta
     /// loses to a full clone. A clone copies two pointers per object and
-    /// the band trees wholesale; re-syncing one changed object is R\*-tree
+    /// the index tree wholesale; re-syncing one changed object is R\*-tree
     /// surgery, ~80× the per-object cost of the bulk copy (W3 crossover:
     /// 1.2 % of the fleet at both 10 k and 100 k objects). The floor
     /// keeps small fleets on the delta path unconditionally.
@@ -1512,81 +1473,6 @@ mod tests {
     /// Observable equivalence: stored state, history, position answers,
     /// and index-backed range answers (checked against the scan baseline
     /// on both sides, so a desynced index cannot hide).
-    #[test]
-    fn set_max_speed_migrates_bands_and_syncs() {
-        let cfg = DatabaseConfig {
-            bands: BandConfig::uniform(&[1.0], 5.0).unwrap(),
-            ..DatabaseConfig::default()
-        };
-        let mut db = Database::new(network(), cfg);
-        let mut o = object(1, 10.0, 0.5);
-        o.max_speed = 0.8;
-        db.register_moving(o).unwrap();
-        let mut shadow = db.clone();
-        let cursor = db.change_cursor();
-        assert_eq!(db.index_band_stats()[0].entries, 1);
-
-        // Reclassified for highway duty: the entry migrates bands.
-        db.set_max_speed(ObjectId(1), 2.5).unwrap();
-        assert_eq!(db.index_band_migrations(), 1);
-        let stats = db.index_band_stats();
-        assert_eq!((stats[0].entries, stats[1].entries), (0, 1));
-        assert_eq!(db.moving(ObjectId(1)).unwrap().max_speed, 2.5);
-
-        // Bad inputs leave the stored value untouched.
-        assert!(db.set_max_speed(ObjectId(1), f64::NAN).is_err());
-        assert!(db.set_max_speed(ObjectId(1), -1.0).is_err());
-        assert!(db.set_max_speed(ObjectId(9), 1.0).is_err());
-        assert_eq!(db.moving(ObjectId(1)).unwrap().max_speed, 2.5);
-
-        // A delta-synced shadow mirrors the migration.
-        let report = shadow.sync_from(&db, cursor);
-        assert!(!report.full_resync);
-        let s = shadow.index_band_stats();
-        assert_eq!((s[0].entries, s[1].entries), (0, 1));
-        assert_same_view(&shadow, &db);
-    }
-
-    #[test]
-    fn banded_config_partitions_index_and_shadow_syncs() {
-        let cfg = DatabaseConfig {
-            bands: BandConfig::uniform(&[1.0], 5.0).unwrap(),
-            ..DatabaseConfig::default()
-        };
-        let mut db = Database::new(network(), cfg);
-        let mut slow = object(1, 10.0, 0.5);
-        slow.max_speed = 0.8;
-        let mut fast = object(2, 60.0, 1.2);
-        fast.max_speed = 2.5;
-        db.register_moving(slow).unwrap();
-        db.register_moving(fast).unwrap();
-        let stats = db.index_band_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!((stats[0].entries, stats[1].entries), (1, 1));
-        assert_eq!(db.index_band_migrations(), 0);
-        assert_eq!(db.index_tree_stats().0, 2);
-
-        // Banded index answers are identical to the exhaustive scan.
-        let mut shadow = db.clone();
-        let cursor = db.change_cursor();
-        assert_same_view(&db, &db.clone());
-
-        // Delta-sync mirrors band membership: the shadow's per-band
-        // entry counts track the source after updates flow through.
-        db.apply_update(
-            ObjectId(1),
-            &UpdateMessage::basic(5.0, UpdatePosition::Arc(12.0), 0.6),
-        )
-        .unwrap();
-        let report = shadow.sync_from(&db, cursor);
-        assert!(!report.full_resync);
-        let (a, b) = (shadow.index_band_stats(), db.index_band_stats());
-        for (sa, sb) in a.iter().zip(&b) {
-            assert_eq!(sa.entries, sb.entries);
-        }
-        assert_same_view(&shadow, &db);
-    }
-
     fn assert_same_view(a: &Database, b: &Database) {
         assert_eq!(a.moving_count(), b.moving_count());
         assert_eq!(a.stationary_count(), b.stationary_count());

@@ -39,11 +39,8 @@ mod update;
 pub use attr::{PolicyDescriptor, PositionAttribute};
 pub use changes::{Change, ChangeCursor, SyncReport};
 pub use database::{Database, DatabaseConfig, MovingObject};
-// Band types ride inside `DatabaseConfig`; re-exported so downstream
-// crates (wal codec, server stats) need not depend on modb-index.
 pub use error::CoreError;
 pub use history::AttributeHistory;
-pub use modb_index::{BandConfig, BandSpec, BandStats, MAX_BANDS};
 pub use nearest::{NearestAnswer, Neighbour};
 pub use object::{ObjectId, StationaryObject};
 pub use query::{Containment, PositionAnswer, RangeAnswer};

@@ -13,7 +13,7 @@
 //!   5–6), plus a time-interval extension.
 //! - [`MovingObjectIndex`]: o-plane maintenance (§4.2's delete-old /
 //!   insert-new on every position update) and candidate filtering, over
-//!   speed-banded per-band trees configured by a [`BandConfig`].
+//!   one R\*-tree of per-object union boxes.
 //!
 //! Exact may/must refinement lives in `modb-core`, which can resolve
 //! routes; the index layer guarantees no false negatives.
@@ -27,9 +27,7 @@ mod rtree;
 mod timespace;
 
 pub use error::IndexError;
-pub use moving_index::{
-    BandConfig, BandSpec, BandStats, MovingObjectIndex, DEFAULT_SLAB_MINUTES, MAX_BANDS,
-};
+pub use moving_index::{MovingObjectIndex, DEFAULT_SLAB_MINUTES};
 pub use oplane::OPlane;
 pub use rtree::{RStarTree, SearchStats};
 pub use timespace::{within_radius, QueryRegion};

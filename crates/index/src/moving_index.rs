@@ -1,5 +1,4 @@
-//! The moving-object index: o-plane maintenance over speed-banded
-//! R\*-trees (§4.2, extended with speed partitioning).
+//! The moving-object index: o-plane maintenance over one R\*-tree (§4.2).
 //!
 //! "The index is updated whenever a position-update is received from a
 //! moving object o. … the id of o is removed from the 3-dimensional
@@ -8,38 +7,23 @@
 //! o-plane] p2."
 //!
 //! Here each object's current o-plane is kept as what it is — the seven
-//! sub-attributes of [`OPlane`] — beside the one box its band's tree
-//! files it under: the union of its §4.2 slab boxes. The slab boxes
-//! themselves are an approximation of the plane and are not stored: a
-//! tree hit (union box meets the query box) computes, from the plane, the
-//! band's knobs and the route, only the slab or two whose time span meets
-//! the query's, and becomes a candidate when one of those intersects it.
-//! The candidate set is identical to indexing every slab box individually
-//! (an object qualifies iff some slab box intersects the query box), but
-//! the §4.2 position-update maintenance is a single delete+insert instead
-//! of one per slab, and what an object costs in memory no longer grows
-//! with how far ahead its trip is declared (22 boxes ≈ 1 KiB for a
-//! 105-minute trip at 5-minute slabs; ≈ 136 B now, whatever the trip).
-//!
-//! **Speed bands.** A fast object's o-plane sweeps a long stretch of
-//! route, so its union box is enormous next to a slow neighbour's; in one
-//! shared tree those boxes inflate every internal node they touch and
-//! smother the slow objects filed under them ("Speed Partitioning for
-//! Indexing Moving Objects", arXiv 1411.4940). The index is therefore a
-//! *partition-aware facade*: a [`BandConfig`] cuts the fleet into speed
-//! bands by the o-plane's `max_speed`, each band gets its own
-//! [`RStarTree`] (with a band-specific slab duration and fine-horizon),
-//! and an upsert that lands in a different band than the stored entry
-//! *migrates* the object — delete from the old band's tree, insert into
-//! the new band's. A query probes every band and merges; since an object
-//! lives in exactly one band, the merged candidate set needs no
-//! cross-band dedup. [`BandConfig::single`] (one all-speeds band) is
-//! bit-identical to the pre-banding single-tree index.
+//! sub-attributes of [`OPlane`] — beside the one box the tree files it
+//! under: the union of its §4.2 slab boxes. The slab boxes themselves are
+//! an approximation of the plane and are not stored: a tree hit (union
+//! box meets the query box) computes, from the plane, the slab duration
+//! and the route, only the slab or two whose time span meets the query's,
+//! and becomes a candidate when one of those intersects it. The candidate
+//! set is identical to indexing every slab box individually (an object
+//! qualifies iff some slab box intersects the query box), but the §4.2
+//! position-update maintenance is a single delete+insert instead of one
+//! per slab, and what an object costs in memory no longer grows with how
+//! far ahead its trip is declared (22 boxes ≈ 1 KiB for a 105-minute trip
+//! at 5-minute slabs; ≈ 136 B now, whatever the trip).
 //!
 //! **Shared payloads.** A plane and its union box are immutable once
 //! installed, so they live behind one `Arc`: cloning the index and
 //! [`MovingObjectIndex::sync_entry_from`] copy the pointer, never the
-//! entry. Only the per-band trees and the id → entry map are per copy.
+//! entry. Only the tree and the id → entry map are per copy.
 //!
 //! **Routes at query time.** Slab geometry needs the plane's route, so
 //! the `candidates*` probes take the `RouteNetwork`. Routes are
@@ -70,237 +54,10 @@ use crate::timespace::QueryRegion;
 /// plane is ~12 boxes.
 pub const DEFAULT_SLAB_MINUTES: f64 = 5.0;
 
-/// Hard cap on the number of speed bands. Keeps [`BandConfig`] `Copy`
-/// (it rides inside `DatabaseConfig`, WAL snapshots, and the stats
-/// frame) and matches practice — speed-partitioning studies use a
-/// handful of partitions, not dozens.
-pub const MAX_BANDS: usize = 8;
-
-/// One speed band: the objects whose o-plane `max_speed` falls at or
-/// below `max_speed` (and above the previous band's edge), indexed in
-/// their own R\*-tree with this band's decomposition knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BandSpec {
-    /// Upper speed edge (inclusive); `f64::INFINITY` on the last band.
-    pub max_speed: f64,
-    /// Slab duration (minutes) for o-plane decomposition in this band.
-    pub slab_minutes: f64,
-    /// Fine-decomposition horizon (minutes past an o-plane's update):
-    /// slabs beyond it collapse into one coarse tail box
-    /// ([`OPlane::to_boxes_with_horizon`]). `f64::INFINITY` = fine slabs
-    /// over the whole plane, exactly [`OPlane::to_boxes`].
-    pub fine_horizon: f64,
-}
-
-/// Speed-band layout of a [`MovingObjectIndex`]: ascending upper speed
-/// edges, each with a per-band slab duration and fine-horizon. The last
-/// band always has an infinite edge, so every `max_speed` maps to
-/// exactly one band.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BandConfig {
-    bands: [BandSpec; MAX_BANDS],
-    len: usize,
-}
-
-fn sane_slab(slab_minutes: f64) -> f64 {
-    if slab_minutes.is_finite() && slab_minutes > 0.0 {
-        slab_minutes
-    } else {
-        DEFAULT_SLAB_MINUTES
-    }
-}
-
-impl Default for BandConfig {
-    fn default() -> Self {
-        BandConfig::single(DEFAULT_SLAB_MINUTES)
-    }
-}
-
-impl BandConfig {
-    /// One all-speeds band — the pre-banding behavior, bit-identical to
-    /// the historical single-tree index. Non-positive or non-finite slab
-    /// durations fall back to [`DEFAULT_SLAB_MINUTES`].
-    pub fn single(slab_minutes: f64) -> Self {
-        let mut bands = [BandSpec {
-            max_speed: f64::INFINITY,
-            slab_minutes: sane_slab(slab_minutes),
-            fine_horizon: f64::INFINITY,
-        }; MAX_BANDS];
-        bands[0].max_speed = f64::INFINITY;
-        BandConfig { bands, len: 1 }
-    }
-
-    /// Bands cut at `edges` (ascending upper speed edges; an implicit
-    /// unbounded band is appended), every band using the same
-    /// `slab_minutes` and no fine-horizon. Candidate sets are **equal**
-    /// to [`BandConfig::single`]'s — only the tree partitioning changes —
-    /// which is what the banded≡single proptest pins down.
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::InvalidParameter`] when an edge is non-finite,
-    /// non-positive, or not strictly ascending, or when `edges` needs
-    /// more than [`MAX_BANDS`] bands.
-    pub fn uniform(edges: &[f64], slab_minutes: f64) -> Result<Self, IndexError> {
-        if edges.len() + 1 > MAX_BANDS {
-            return Err(IndexError::InvalidParameter(
-                "band_edges",
-                edges.len() as f64,
-            ));
-        }
-        let mut config = BandConfig::single(slab_minutes);
-        let mut prev = 0.0;
-        for (i, &edge) in edges.iter().enumerate() {
-            if !edge.is_finite() || edge <= prev {
-                return Err(IndexError::InvalidParameter("band_edge", edge));
-            }
-            prev = edge;
-            config.bands[i].max_speed = edge;
-            config.bands[i].slab_minutes = config.bands[0].slab_minutes;
-        }
-        config.len = edges.len() + 1;
-        config.bands[edges.len()] = BandSpec {
-            max_speed: f64::INFINITY,
-            slab_minutes: config.bands[0].slab_minutes,
-            fine_horizon: f64::INFINITY,
-        };
-        Ok(config)
-    }
-
-    /// Like [`BandConfig::uniform`], but each band's slab duration is
-    /// scaled so the route stretch swept per slab stays roughly constant:
-    /// band `i` gets `base_slab · e₀ / eᵢ` where `eᵢ` is its upper edge
-    /// (the unbounded last band uses twice its lower edge as a nominal
-    /// top). Faster bands therefore get finer slabs — tighter slab boxes,
-    /// fewer false-positive candidates — which is the banded index's
-    /// candidate-ratio win in W8. Slabs are floored at `base_slab / 16`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BandConfig::uniform`].
-    pub fn speed_scaled(edges: &[f64], base_slab: f64) -> Result<Self, IndexError> {
-        let mut config = BandConfig::uniform(edges, base_slab)?;
-        if edges.is_empty() {
-            return Ok(config);
-        }
-        let base = config.bands[0].slab_minutes;
-        let e0 = edges[0];
-        for i in 0..config.len {
-            let top = if config.bands[i].max_speed.is_finite() {
-                config.bands[i].max_speed
-            } else {
-                2.0 * edges[edges.len() - 1]
-            };
-            config.bands[i].slab_minutes = (base * e0 / top).max(base / 16.0);
-        }
-        Ok(config)
-    }
-
-    /// Reassembles a config from explicit band specs — the
-    /// deserialization path (WAL snapshots, the stats frame). Accepts
-    /// exactly what the builders produce: 1..=[`MAX_BANDS`] bands,
-    /// strictly ascending positive edges with the last infinite,
-    /// finite positive slab durations, positive (possibly infinite)
-    /// fine-horizons.
-    ///
-    /// # Errors
-    ///
-    /// [`IndexError::InvalidParameter`] on any violation.
-    pub fn from_bands(specs: &[BandSpec]) -> Result<Self, IndexError> {
-        if specs.is_empty() || specs.len() > MAX_BANDS {
-            return Err(IndexError::InvalidParameter(
-                "band_count",
-                specs.len() as f64,
-            ));
-        }
-        let mut prev = 0.0;
-        for (i, spec) in specs.iter().enumerate() {
-            let last = i == specs.len() - 1;
-            if last != spec.max_speed.is_infinite() || spec.max_speed <= prev {
-                return Err(IndexError::InvalidParameter("band_edge", spec.max_speed));
-            }
-            prev = spec.max_speed;
-            if !spec.slab_minutes.is_finite() || spec.slab_minutes <= 0.0 {
-                return Err(IndexError::InvalidParameter(
-                    "slab_minutes",
-                    spec.slab_minutes,
-                ));
-            }
-            if spec.fine_horizon.is_nan() || spec.fine_horizon <= 0.0 {
-                return Err(IndexError::InvalidParameter(
-                    "fine_horizon",
-                    spec.fine_horizon,
-                ));
-            }
-        }
-        let mut config = BandConfig::single(specs[0].slab_minutes);
-        config.bands[..specs.len()].copy_from_slice(specs);
-        config.len = specs.len();
-        Ok(config)
-    }
-
-    /// Returns `self` with band `band`'s slab duration replaced
-    /// (out-of-range bands and bad durations are ignored).
-    #[must_use]
-    pub fn with_band_slab(mut self, band: usize, slab_minutes: f64) -> Self {
-        if band < self.len && slab_minutes.is_finite() && slab_minutes > 0.0 {
-            self.bands[band].slab_minutes = slab_minutes;
-        }
-        self
-    }
-
-    /// Returns `self` with band `band`'s fine-horizon replaced
-    /// (out-of-range bands and non-positive/NaN horizons are ignored;
-    /// `f64::INFINITY` restores full fine decomposition).
-    #[must_use]
-    pub fn with_band_horizon(mut self, band: usize, fine_horizon: f64) -> Self {
-        if band < self.len && !fine_horizon.is_nan() && fine_horizon > 0.0 {
-            self.bands[band].fine_horizon = fine_horizon;
-        }
-        self
-    }
-
-    /// The configured bands, slowest first.
-    pub fn bands(&self) -> &[BandSpec] {
-        &self.bands[..self.len]
-    }
-
-    /// Number of bands (≥ 1).
-    pub fn band_count(&self) -> usize {
-        self.len
-    }
-
-    /// The band index for an o-plane with this `max_speed`: the first
-    /// band whose upper edge is at or above it. The last band's edge is
-    /// infinite, so every finite speed (and, defensively, NaN) lands
-    /// somewhere.
-    pub fn band_for(&self, max_speed: f64) -> usize {
-        self.bands[..self.len]
-            .iter()
-            .position(|b| max_speed <= b.max_speed)
-            .unwrap_or(self.len - 1)
-    }
-}
-
-/// Per-band tree statistics, for the stats frame and the W8 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BandStats {
-    /// Band index (0 = slowest).
-    pub band: usize,
-    /// Objects whose union box lives in this band's tree.
-    pub entries: usize,
-    /// Nodes in this band's tree.
-    pub nodes: usize,
-    /// Height of this band's tree.
-    pub height: usize,
-}
-
 /// One object's stored state: its o-plane and the union of the slab
-/// boxes the plane decomposes into under its band's knobs — the box the
-/// band's tree files it under. Immutable, and shared (never copied)
-/// between an index and its clones. The same size for every plane: no
-/// per-slab heap behind it. The band is not stored; it is
-/// `config.band_for(plane.max_speed)`.
+/// boxes the plane decomposes into — the box the tree files it under.
+/// Immutable, and shared (never copied) between an index and its clones.
+/// The same size for every plane: no per-slab heap behind it.
 #[derive(Debug)]
 struct Stored {
     plane: OPlane,
@@ -308,36 +65,32 @@ struct Stored {
 }
 
 impl Stored {
-    /// The band whose tree files this entry.
-    fn band(&self, config: &BandConfig) -> usize {
-        config.band_for(self.plane.max_speed)
-    }
-
     /// The per-hit slab filter: `true` when one of the plane's *slab*
-    /// boxes under `spec` intersects `query`. A route `network` cannot
-    /// resolve, or a slab box that errors, also answers `true`: the
-    /// filter must never drop what exact refinement would report, the
-    /// error included.
-    fn some_slab_intersects(&self, spec: &BandSpec, network: &RouteNetwork, query: &Aabb3) -> bool {
+    /// boxes intersects `query`. A route `network` cannot resolve, or a
+    /// slab box that errors, also answers `true`: the filter must never
+    /// drop what exact refinement would report, the error included.
+    fn some_slab_intersects(
+        &self,
+        slab_minutes: f64,
+        network: &RouteNetwork,
+        query: &Aabb3,
+    ) -> bool {
         network.get(self.plane.route).map_or(true, |route| {
             self.plane
-                .any_slab_intersects(route, spec.slab_minutes, spec.fine_horizon, query)
+                .any_slab_intersects(route, slab_minutes, query)
                 .unwrap_or(true)
         })
     }
 }
 
 /// A 3-D time-space index over the o-planes of a fleet of moving
-/// objects, partitioned into speed bands (one R\*-tree per band).
+/// objects: one R\*-tree of per-object union boxes.
 #[derive(Debug, Clone)]
 pub struct MovingObjectIndex<K> {
-    /// One tree per band; `trees[i]` holds the union boxes of the
-    /// objects in band `i`.
-    trees: Vec<RStarTree<K>>,
+    tree: RStarTree<K>,
     planes: HashMap<K, Arc<Stored>>,
-    config: BandConfig,
-    /// Upserts (and entry syncs) that moved an object between bands.
-    migrations: u64,
+    /// Slab duration (minutes) of the §4.2 decomposition.
+    slab_minutes: f64,
 }
 
 impl<K: Copy + Eq + Hash> Default for MovingObjectIndex<K> {
@@ -347,27 +100,25 @@ impl<K: Copy + Eq + Hash> Default for MovingObjectIndex<K> {
 }
 
 impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
-    /// Creates an empty single-band index with the given slab duration
-    /// (minutes); non-positive values fall back to
-    /// [`DEFAULT_SLAB_MINUTES`]. Identical to the historical
-    /// un-partitioned index.
+    /// Creates an empty index with the given slab duration (minutes);
+    /// non-positive or non-finite values fall back to
+    /// [`DEFAULT_SLAB_MINUTES`].
     pub fn new(slab_minutes: f64) -> Self {
-        MovingObjectIndex::with_config(BandConfig::single(slab_minutes))
-    }
-
-    /// Creates an empty index partitioned per `config`.
-    pub fn with_config(config: BandConfig) -> Self {
         MovingObjectIndex {
-            trees: (0..config.band_count()).map(|_| RStarTree::new()).collect(),
+            tree: RStarTree::new(),
             planes: HashMap::new(),
-            config,
-            migrations: 0,
+            slab_minutes: if slab_minutes.is_finite() && slab_minutes > 0.0 {
+                slab_minutes
+            } else {
+                DEFAULT_SLAB_MINUTES
+            },
         }
     }
 
-    /// The band layout.
-    pub fn config(&self) -> &BandConfig {
-        &self.config
+    /// Alias of [`MovingObjectIndex::new`], kept because `modb_ledger/`
+    /// calls it with `DatabaseConfig::bands` and may not be edited.
+    pub fn with_config(slab_minutes: f64) -> Self {
+        MovingObjectIndex::new(slab_minutes)
     }
 
     /// Number of indexed objects.
@@ -382,60 +133,33 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         self.planes.is_empty()
     }
 
-    /// The band `key`'s entry is filed in, if indexed.
-    pub fn band_of(&self, key: &K) -> Option<usize> {
-        self.planes.get(key).map(|s| s.band(&self.config))
-    }
-
-    /// Upserts (and entry syncs) that moved an object from one band's
-    /// tree to another — the city↔highway regime-change counter
-    /// surfaced as `modb_index_band_migrations_total`.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Files `key` under `next`: tree surgery (update in place within a
-    /// band, delete+insert across bands) plus the side-table write.
+    /// Files `key` under `next`: the tree update plus the side-table
+    /// write.
     fn install(&mut self, key: K, next: Arc<Stored>) {
-        let band = next.band(&self.config);
         match self.planes.entry(key) {
             Entry::Occupied(mut slot) => {
-                let stored = slot.get();
-                let old_band = stored.band(&self.config);
-                if old_band == band {
-                    let updated = self.trees[band].update(&stored.union, next.union, &key);
-                    debug_assert!(updated, "index out of sync: missing old entry");
-                } else {
-                    // Band migration: the object's speed regime
-                    // changed, so its union box moves trees.
-                    self.trees[band].insert(next.union, key);
-                    let removed = self.trees[old_band].remove(&stored.union, &key);
-                    debug_assert!(removed, "index out of sync: missing tree entry");
-                    self.migrations += 1;
-                }
+                let updated = self.tree.update(&slot.get().union, next.union, &key);
+                debug_assert!(updated, "index out of sync: missing old entry");
                 slot.insert(next);
             }
             Entry::Vacant(slot) => {
-                self.trees[band].insert(next.union, key);
+                self.tree.insert(next.union, key);
                 slot.insert(next);
             }
         }
     }
 
     /// Installs (or replaces) the o-plane of object `key` — the §4.2
-    /// position-update maintenance step. The plane's `max_speed` selects
-    /// the band; an entry whose band changed is migrated (delete from
-    /// the old band's tree, insert into the new band's).
+    /// position-update maintenance step.
     ///
     /// # Errors
     ///
     /// Propagates o-plane decomposition errors; on error the old plane (if
     /// any) is left untouched.
     pub fn upsert(&mut self, key: K, plane: OPlane, route: &Route) -> Result<(), IndexError> {
-        let spec = self.config.bands()[self.config.band_for(plane.max_speed)];
         // Touch the old entry only after every slab of the new plane
         // computed cleanly.
-        let union = plane.union_box(route, spec.slab_minutes, spec.fine_horizon)?;
+        let union = plane.union_box(route, self.slab_minutes)?;
         self.install(key, Arc::new(Stored { plane, union }));
         Ok(())
     }
@@ -443,16 +167,14 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     /// Mirrors `src`'s entry for `key` into this index — the same §4.2
     /// delete+insert maintenance as [`MovingObjectIndex::upsert`], but
     /// *sharing* `src`'s plane and already-computed union box instead of
-    /// walking the slabs again or copying them. **Band membership is
-    /// mirrored too**: the band follows from the plane and the config,
-    /// so a delta-synced shadow copy partitions identically to its source
-    /// (the caller guarantees the configs match — shadows are clones).
-    /// Returns `true` when `src` holds an entry for `key` (otherwise the
-    /// local entry, if any, was removed).
+    /// walking the slabs again or copying them (the caller guarantees the
+    /// slab durations match — shadows are clones). Returns `true` when
+    /// `src` holds an entry for `key` (otherwise the local entry, if any,
+    /// was removed).
     pub fn sync_entry_from(&mut self, src: &Self, key: &K) -> bool {
         debug_assert_eq!(
-            self.config, src.config,
-            "sync_entry_from across band configs"
+            self.slab_minutes, src.slab_minutes,
+            "sync_entry_from across slab durations"
         );
         match src.planes.get(key) {
             Some(entry) => {
@@ -481,8 +203,7 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     pub fn remove(&mut self, key: &K) -> bool {
         match self.planes.remove(key) {
             Some(stored) => {
-                let band = stored.band(&self.config);
-                let removed = self.trees[band].remove(&stored.union, key);
+                let removed = self.tree.remove(&stored.union, key);
                 debug_assert!(removed, "index out of sync: missing tree entry");
                 true
             }
@@ -498,7 +219,7 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     }
 
     /// Like [`MovingObjectIndex::candidates`], with R\*-tree search
-    /// statistics (summed across bands) for the sublinearity experiments.
+    /// statistics for the sublinearity experiments.
     pub fn candidates_with_stats(
         &self,
         region: &QueryRegion,
@@ -510,15 +231,14 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     }
 
     /// Appends the candidates for `region` to `out` and returns the
-    /// search statistics (summed across the band trees). Each tree
-    /// prefilters on per-object union boxes; an object only qualifies
-    /// when one of its slab boxes intersects the query box, so the
-    /// candidate set equals what per-slab indexing would produce
-    /// (already deduplicated — one tree entry per object, each object in
-    /// exactly one band). The caller owns (and typically reuses) the
-    /// buffer, so a hot query loop filters without allocating a fresh
-    /// vector per query; `&self` only, so any number of threads may
-    /// filter one immutable index concurrently.
+    /// search statistics. The tree prefilters on per-object union boxes;
+    /// an object only qualifies when one of its slab boxes intersects the
+    /// query box, so the candidate set equals what per-slab indexing
+    /// would produce (already deduplicated — one tree entry per object).
+    /// The caller owns (and typically reuses) the buffer, so a hot query
+    /// loop filters without allocating a fresh vector per query; `&self`
+    /// only, so any number of threads may filter one immutable index
+    /// concurrently.
     pub fn candidates_into(
         &self,
         region: &QueryRegion,
@@ -526,44 +246,20 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         out: &mut Vec<K>,
     ) -> SearchStats {
         let query = region.aabb();
-        let mut stats = SearchStats::default();
-        for (tree, spec) in self.trees.iter().zip(self.config.bands()) {
-            // A tree hit (union box intersects) becomes a candidate when
-            // one of its slab boxes does.
-            let s = tree.for_each_with_stats(&query, |k| {
-                if let Some(stored) = self.planes.get(k) {
-                    if stored.some_slab_intersects(spec, network, &query) {
-                        out.push(*k);
-                    }
+        // A tree hit (union box intersects) becomes a candidate when
+        // one of its slab boxes does.
+        self.tree.for_each_with_stats(&query, |k| {
+            if let Some(stored) = self.planes.get(k) {
+                if stored.some_slab_intersects(self.slab_minutes, network, &query) {
+                    out.push(*k);
                 }
-            });
-            stats.nodes_visited += s.nodes_visited;
-            stats.entries_tested += s.entries_tested;
-            stats.matches += s.matches;
-        }
-        stats
-    }
-
-    /// Aggregate tree statistics across bands: `(entries, nodes,
-    /// max height)`.
-    pub fn tree_stats(&self) -> (usize, usize, usize) {
-        self.trees.iter().fold((0, 0, 0), |(e, n, h), t| {
-            (e + t.len(), n + t.node_count(), h.max(t.height()))
+            }
         })
     }
 
-    /// Per-band tree statistics, slowest band first.
-    pub fn band_stats(&self) -> Vec<BandStats> {
-        self.trees
-            .iter()
-            .enumerate()
-            .map(|(band, t)| BandStats {
-                band,
-                entries: t.len(),
-                nodes: t.node_count(),
-                height: t.height(),
-            })
-            .collect()
+    /// Tree statistics: `(entries, nodes, height)`.
+    pub fn tree_stats(&self) -> (usize, usize, usize) {
+        (self.tree.len(), self.tree.node_count(), self.tree.height())
     }
 }
 
@@ -590,16 +286,12 @@ mod tests {
     }
 
     fn plane(start_arc: f64, t0: f64) -> OPlane {
-        plane_v(start_arc, t0, 1.5)
-    }
-
-    fn plane_v(start_arc: f64, t0: f64, max_speed: f64) -> OPlane {
         OPlane::new(
             RouteId(1),
             start_arc,
             Direction::Forward,
-            1.0_f64.min(max_speed),
-            max_speed,
+            1.0,
+            1.5,
             C,
             BoundKind::Immediate,
             t0,
@@ -647,8 +339,6 @@ mod tests {
         // One tree entry per object, covering only the new plane.
         let (entries, _, _) = idx.tree_stats();
         assert_eq!(entries, 1);
-        // Same band both times: no migration counted.
-        assert_eq!(idx.migrations(), 0);
     }
 
     #[test]
@@ -754,158 +444,29 @@ mod tests {
         assert_eq!(idx.len(), 1);
     }
 
-    // --- band-specific behavior -------------------------------------
-
+    /// `with_config` is the name `modb_ledger/` builds its index by: the
+    /// same index as `new`, tree shape and search statistics included.
     #[test]
-    fn band_config_layout_and_selection() {
-        let c = BandConfig::single(5.0);
-        assert_eq!(c.band_count(), 1);
-        assert_eq!(c.band_for(0.0), 0);
-        assert_eq!(c.band_for(1e9), 0);
-
-        let c = BandConfig::uniform(&[0.5, 1.5], 5.0).unwrap();
-        assert_eq!(c.band_count(), 3);
-        assert_eq!(c.band_for(0.3), 0);
-        assert_eq!(c.band_for(0.5), 0); // edge inclusive
-        assert_eq!(c.band_for(1.0), 1);
-        assert_eq!(c.band_for(7.0), 2);
-        assert_eq!(c.band_for(f64::NAN), 2); // defensively: last band
-        assert!(c.bands()[2].max_speed.is_infinite());
-
-        // Bad edges rejected.
-        assert!(BandConfig::uniform(&[1.0, 0.5], 5.0).is_err());
-        assert!(BandConfig::uniform(&[0.0], 5.0).is_err());
-        assert!(BandConfig::uniform(&[f64::NAN], 5.0).is_err());
-        assert!(BandConfig::uniform(&[1., 2., 3., 4., 5., 6., 7., 8.], 5.0).is_err());
-
-        // Scaled slabs shrink for faster bands; floored at base/16.
-        let c = BandConfig::speed_scaled(&[0.5, 2.0], 4.0).unwrap();
-        assert_eq!(c.bands()[0].slab_minutes, 4.0);
-        assert_eq!(c.bands()[1].slab_minutes, 1.0); // 4 · 0.5/2.0
-        assert_eq!(c.bands()[2].slab_minutes, 0.5); // 4 · 0.5/(2·2.0)
-        let c = BandConfig::speed_scaled(&[0.1, 100.0], 4.0).unwrap();
-        assert_eq!(c.bands()[2].slab_minutes, 0.25); // floored
-
-        // Builder overrides.
-        let c = BandConfig::uniform(&[1.0], 5.0)
-            .unwrap()
-            .with_band_slab(1, 2.5)
-            .with_band_horizon(1, 30.0);
-        assert_eq!(c.bands()[1].slab_minutes, 2.5);
-        assert_eq!(c.bands()[1].fine_horizon, 30.0);
-        // Out-of-range / bad values ignored.
-        let same = c.with_band_slab(9, 1.0).with_band_horizon(0, f64::NAN);
-        assert_eq!(same, c);
-    }
-
-    #[test]
-    fn objects_partition_by_max_speed() {
+    fn with_config_is_an_alias_of_new() {
         let r = route();
         let n = network();
-        let config = BandConfig::uniform(&[1.0], 5.0).unwrap();
-        let mut idx = MovingObjectIndex::with_config(config);
-        idx.upsert(1u64, plane_v(0.0, 0.0, 0.6), &r).unwrap(); // slow band
-        idx.upsert(2u64, plane_v(50.0, 0.0, 2.5), &r).unwrap(); // fast band
-        assert_eq!(idx.band_of(&1), Some(0));
-        assert_eq!(idx.band_of(&2), Some(1));
-        let stats = idx.band_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].entries, 1);
-        assert_eq!(stats[1].entries, 1);
-        assert_eq!(idx.tree_stats().0, 2);
-        // Queries probe both bands and merge.
-        let mut c = idx.candidates(&region(0.0, 100.0, 1.0), &n);
-        c.sort_unstable();
-        assert_eq!(c, vec![1, 2]);
-    }
-
-    #[test]
-    fn upsert_across_bands_migrates() {
-        let r = route();
-        let n = network();
-        let config = BandConfig::uniform(&[1.0], 5.0).unwrap();
-        let mut idx = MovingObjectIndex::with_config(config);
-        idx.upsert(1u64, plane_v(10.0, 0.0, 0.6), &r).unwrap();
-        assert_eq!(idx.band_of(&1), Some(0));
-        assert_eq!(idx.migrations(), 0);
-        // The DBMS learns a highway-grade top speed: the entry migrates.
-        idx.upsert(1u64, plane_v(12.0, 5.0, 2.0), &r).unwrap();
-        assert_eq!(idx.band_of(&1), Some(1));
-        assert_eq!(idx.migrations(), 1);
-        let stats = idx.band_stats();
-        assert_eq!((stats[0].entries, stats[1].entries), (0, 1));
-        // Still exactly one entry overall, findable where it now is.
-        assert_eq!(idx.tree_stats().0, 1);
-        assert_eq!(idx.candidates(&region(10.0, 25.0, 6.0), &n), vec![1]);
-        // And back: stop-and-go again.
-        idx.upsert(1u64, plane_v(14.0, 10.0, 0.5), &r).unwrap();
-        assert_eq!(idx.band_of(&1), Some(0));
-        assert_eq!(idx.migrations(), 2);
-    }
-
-    #[test]
-    fn sync_mirrors_band_membership_and_migrations() {
-        let r = route();
-        let n = network();
-        let config = BandConfig::uniform(&[1.0], 5.0).unwrap();
-        let mut src = MovingObjectIndex::with_config(config);
-        src.upsert(1u64, plane_v(0.0, 0.0, 0.6), &r).unwrap();
-        src.upsert(2u64, plane_v(50.0, 0.0, 2.5), &r).unwrap();
-        let mut shadow = src.clone();
-        // Source migrates object 1 to the fast band.
-        src.upsert(1u64, plane_v(5.0, 5.0, 3.0), &r).unwrap();
-        assert!(shadow.sync_entry_from(&src, &1));
-        assert_eq!(shadow.band_of(&1), src.band_of(&1));
-        assert_eq!(shadow.band_of(&1), Some(1));
-        // The shadow observed the band move as a migration of its own.
-        assert_eq!(shadow.migrations(), 1);
-        for (a, b) in shadow.band_stats().iter().zip(src.band_stats()) {
-            assert_eq!(a.entries, b.entries);
-        }
-        for q in [region(0.0, 30.0, 6.0), region(40.0, 70.0, 2.0)] {
-            let mut cs = shadow.candidates(&q, &n);
-            let mut ct = src.candidates(&q, &n);
-            cs.sort_unstable();
-            ct.sort_unstable();
-            assert_eq!(cs, ct);
-        }
-    }
-
-    #[test]
-    fn single_band_is_bit_identical_to_legacy_layout() {
-        let r = route();
-        let n = network();
-        let mut banded = MovingObjectIndex::with_config(BandConfig::single(5.0));
-        let mut legacy = MovingObjectIndex::new(5.0);
+        let mut aliased = MovingObjectIndex::with_config(5.0);
+        let mut plain = MovingObjectIndex::new(5.0);
         for (k, arc) in [(1u64, 0.0), (2, 30.0), (3, 60.0), (4, 90.0)] {
-            banded.upsert(k, plane(arc, 0.0), &r).unwrap();
-            legacy.upsert(k, plane(arc, 0.0), &r).unwrap();
+            aliased.upsert(k, plane(arc, 0.0), &r).unwrap();
+            plain.upsert(k, plane(arc, 0.0), &r).unwrap();
         }
-        assert_eq!(banded.tree_stats(), legacy.tree_stats());
+        assert_eq!(aliased.tree_stats(), plain.tree_stats());
         for q in [
             region(0.0, 10.0, 2.0),
             region(25.0, 65.0, 4.0),
             region(0.0, 100.0, 9.0),
         ] {
-            let (ca, sa) = banded.candidates_with_stats(&q, &n);
-            let (cb, sb) = legacy.candidates_with_stats(&q, &n);
-            assert_eq!(ca, cb);
-            assert_eq!(sa, sb);
+            assert_eq!(
+                aliased.candidates_with_stats(&q, &n),
+                plain.candidates_with_stats(&q, &n)
+            );
         }
-    }
-
-    #[test]
-    fn per_band_horizon_bounds_fast_band_boxes() {
-        let r = route();
-        let n = network();
-        let config = BandConfig::uniform(&[1.0], 5.0)
-            .unwrap()
-            .with_band_horizon(1, 20.0);
-        let mut idx = MovingObjectIndex::with_config(config);
-        idx.upsert(1u64, plane_v(0.0, 0.0, 2.5), &r).unwrap();
-        // 4 fine slabs + 1 coarse tail instead of 12 fine slabs —
-        // but the far future is still covered (soundness).
-        assert_eq!(idx.candidates(&region(30.0, 60.0, 50.0), &n), vec![1]);
     }
 
     /// What an object costs does not depend on how far ahead its trip is
@@ -948,8 +509,8 @@ mod tests {
     /// filter cannot see the route. The hit stays a candidate — dropping
     /// it would hide the object *and* the route error exact refinement
     /// reports. (With the route resolved a slab box cannot fail: the
-    /// band's knobs were validated with the config and the arcs are
-    /// clamped to the route; `any_slab_intersects` refusing a wrong route
+    /// slab duration was validated by `new` and the arcs are clamped to
+    /// the route; `any_slab_intersects` refusing a wrong route
     /// is tested in `oplane.rs`, and the filter keeps that hit too.)
     #[test]
     fn unresolvable_route_stays_a_candidate() {

@@ -154,32 +154,23 @@ impl OPlane {
         (l_min, u_max)
     }
 
-    /// Validates the decomposition knobs against this plane and lays out
-    /// its time slabs.
-    fn slab_layout(
-        &self,
-        route: &Route,
-        slab_duration: f64,
-        fine_horizon: f64,
-    ) -> Result<SlabLayout, IndexError> {
+    /// Validates the slab duration against this plane and lays out its
+    /// time slabs.
+    fn slab_layout(&self, route: &Route, slab_duration: f64) -> Result<SlabLayout, IndexError> {
         if route.id() != self.route {
             return Err(IndexError::RouteMismatch);
         }
         if !slab_duration.is_finite() || slab_duration <= 0.0 {
             return Err(IndexError::InvalidParameter("slab_duration", slab_duration));
         }
-        if fine_horizon.is_nan() || fine_horizon <= 0.0 {
-            return Err(IndexError::InvalidParameter("fine_horizon", fine_horizon));
-        }
         let span = self.end_time - self.start_time;
-        let fine_span = span.min(fine_horizon);
         Ok(SlabLayout {
             start: self.start_time,
             slab: slab_duration,
-            n_fine: ((fine_span / slab_duration).ceil() as usize).max(1),
-            fine_end: self.start_time + fine_span,
-            end: self.end_time,
-            tail: fine_span < span,
+            n: ((span / slab_duration).ceil() as usize).max(1),
+            // Not `end_time`: the two can differ in the last bit, and
+            // every stored box so far was cut at this one.
+            end: self.start_time + span,
         })
     }
 
@@ -195,28 +186,6 @@ impl OPlane {
     /// Decomposes the o-plane into 3-D boxes covering it, one per time slab
     /// of at most `slab_duration` minutes.
     ///
-    /// # Errors
-    ///
-    /// [`IndexError::RouteMismatch`] when `route` is not the plane's route;
-    /// [`IndexError::InvalidParameter`] for a bad slab duration; geometry
-    /// errors propagate.
-    pub fn to_boxes(&self, route: &Route, slab_duration: f64) -> Result<Vec<Aabb3>, IndexError> {
-        self.to_boxes_with_horizon(route, slab_duration, f64::INFINITY)
-    }
-
-    /// Like [`OPlane::to_boxes`], but fine slabs stop `fine_horizon`
-    /// minutes past `start_time`; the remainder of the plane's span (if
-    /// any) is covered by **one** coarse tail slab. Coverage is identical
-    /// to [`OPlane::to_boxes`] — every uncertainty interval stays inside
-    /// some box, so filtering stays sound — only the granularity of the
-    /// tail changes. A speed band with a short horizon uses this to keep
-    /// the slab count of fast objects bounded: fine boxes where queries
-    /// concentrate (near now), one conservative box for the far future.
-    ///
-    /// `fine_horizon = f64::INFINITY` (or anything at or past the plane's
-    /// span) reproduces `to_boxes` exactly. A non-positive or NaN horizon
-    /// is rejected.
-    ///
     /// The index never materialises this list — it keeps the plane and
     /// asks [`OPlane::union_box`] and [`OPlane::any_slab_intersects`],
     /// which walk the same slabs — so this is the reference the tests
@@ -224,56 +193,45 @@ impl OPlane {
     ///
     /// # Errors
     ///
-    /// Same as [`OPlane::to_boxes`], plus
-    /// [`IndexError::InvalidParameter`] for a bad `fine_horizon`.
-    pub fn to_boxes_with_horizon(
-        &self,
-        route: &Route,
-        slab_duration: f64,
-        fine_horizon: f64,
-    ) -> Result<Vec<Aabb3>, IndexError> {
-        self.slab_layout(route, slab_duration, fine_horizon)?
+    /// [`IndexError::RouteMismatch`] when `route` is not the plane's route;
+    /// [`IndexError::InvalidParameter`] for a bad slab duration; geometry
+    /// errors propagate.
+    pub fn to_boxes(&self, route: &Route, slab_duration: f64) -> Result<Vec<Aabb3>, IndexError> {
+        self.slab_layout(route, slab_duration)?
             .spans()
             .map(|span| self.slab_box(route, span))
             .collect()
     }
 
-    /// The union of the boxes [`OPlane::to_boxes_with_horizon`] returns,
-    /// without building them — the one box per object the band trees
-    /// file.
+    /// The union of the boxes [`OPlane::to_boxes`] returns, without
+    /// building them — the one box per object the index's tree files.
     ///
     /// # Errors
     ///
-    /// Same as [`OPlane::to_boxes_with_horizon`].
-    pub fn union_box(
-        &self,
-        route: &Route,
-        slab_duration: f64,
-        fine_horizon: f64,
-    ) -> Result<Aabb3, IndexError> {
-        self.slab_layout(route, slab_duration, fine_horizon)?
+    /// Same as [`OPlane::to_boxes`].
+    pub fn union_box(&self, route: &Route, slab_duration: f64) -> Result<Aabb3, IndexError> {
+        self.slab_layout(route, slab_duration)?
             .spans()
             .try_fold(Aabb3::empty(), |union, span| {
                 Ok(union.union(&self.slab_box(route, span)?))
             })
     }
 
-    /// `true` when some box of [`OPlane::to_boxes_with_horizon`]
-    /// intersects `query` — the per-hit refinement of the index filter.
-    /// Only the slabs whose time span meets the query's are computed: one
-    /// for a query at an instant, two when it sits on a slab boundary.
+    /// `true` when some box of [`OPlane::to_boxes`] intersects `query` —
+    /// the per-hit refinement of the index filter. Only the slabs whose
+    /// time span meets the query's are computed: one for a query at an
+    /// instant, two when it sits on a slab boundary.
     ///
     /// # Errors
     ///
-    /// Same as [`OPlane::to_boxes_with_horizon`], for the slabs computed.
+    /// Same as [`OPlane::to_boxes`], for the slabs computed.
     pub fn any_slab_intersects(
         &self,
         route: &Route,
         slab_duration: f64,
-        fine_horizon: f64,
         query: &Aabb3,
     ) -> Result<bool, IndexError> {
-        let layout = self.slab_layout(route, slab_duration, fine_horizon)?;
+        let layout = self.slab_layout(route, slab_duration)?;
         let (q0, q1) = query.time_span();
         for span in layout.meeting(q0, q1) {
             if self.slab_box(route, span)?.intersects(query) {
@@ -303,51 +261,42 @@ impl OPlane {
     }
 }
 
-/// The time slabs of one o-plane under a band's decomposition knobs
-/// (§4.2): `n_fine` slabs of `slab` minutes from `start`, the last cut at
-/// `fine_end`, then — when the fine horizon stops short of the plane's
-/// span — one coarse tail slab `[fine_end, end]`. Every consumer of the
+/// The time slabs of one o-plane (§4.2): `n` slabs of `slab` minutes
+/// from `start`, the last cut at `end`. Every consumer of the
 /// decomposition takes its slab boundaries from here, so a box computed
 /// on demand is the box the full decomposition holds at that index.
 #[derive(Debug, Clone, Copy)]
 struct SlabLayout {
     start: f64,
     slab: f64,
-    n_fine: usize,
-    fine_end: f64,
+    n: usize,
     end: f64,
-    tail: bool,
 }
 
 impl SlabLayout {
-    /// Time spans of all the slabs in order, the tail last.
+    /// Time spans of all the slabs in order.
     fn spans(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        (0..self.n_fine + usize::from(self.tail)).map(|i| self.span(i))
+        (0..self.n).map(|i| self.span(i))
     }
 
-    /// Time span `(t0, t1)` of slab `i`; `i = n_fine` is the tail.
+    /// Time span `(t0, t1)` of slab `i`.
     fn span(&self, i: usize) -> (f64, f64) {
-        if i < self.n_fine {
-            let t0 = self.start + i as f64 * self.slab;
-            (t0, (t0 + self.slab).min(self.fine_end))
-        } else {
-            (self.fine_end, self.end)
-        }
+        let t0 = self.start + i as f64 * self.slab;
+        (t0, (t0 + self.slab).min(self.end))
     }
 
     /// Spans of exactly the slabs whose box can meet a query over
-    /// `[q0, q1]` in time. The fine slabs are found by division, widened
-    /// by one slab each way so rounding in `start + i·slab` cannot lose
-    /// one, then each is tested the way [`Aabb3::intersects`] tests the
-    /// time axis of its box.
+    /// `[q0, q1]` in time. They are found by division, widened by one
+    /// slab each way so rounding in `start + i·slab` cannot lose one,
+    /// then each is tested the way [`Aabb3::intersects`] tests the time
+    /// axis of its box.
     fn meeting(&self, q0: f64, q1: f64) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let last = (self.n_fine - 1) as f64;
+        let last = (self.n - 1) as f64;
         // A NaN bound casts to slab 0, which the exact test then refuses.
         let slab_of = |q: f64, widen: f64| {
             (((q - self.start) / self.slab).floor() + widen).clamp(0.0, last) as usize
         };
         (slab_of(q0, -1.0)..=slab_of(q1, 1.0))
-            .chain(self.tail.then_some(self.n_fine))
             .map(|i| self.span(i))
             .filter(move |&(t0, t1)| t0.min(t1) <= q1 && q0 <= t0.max(t1))
     }
@@ -508,78 +457,34 @@ mod tests {
         assert!((t_min - 0.0).abs() < 1e-12);
     }
 
-    /// A finite fine-horizon keeps full coverage: fine slabs up to the
-    /// horizon, then exactly one coarse tail box to the cutoff.
-    #[test]
-    fn horizon_decomposition_covers_with_one_tail_box() {
-        let route = straight_route();
-        for kind in [BoundKind::Delayed, BoundKind::Immediate] {
-            for dir in [Direction::Forward, Direction::Backward] {
-                let p = plane(kind, dir, 50.0);
-                let boxes = p.to_boxes_with_horizon(&route, 2.5, 10.0).unwrap();
-                // 4 fine slabs over [0, 10], one tail over [10, 20].
-                assert_eq!(boxes.len(), 5);
-                let t_max = boxes.iter().map(|b| b.max[2]).fold(f64::MIN, f64::max);
-                assert!((t_max - 20.0).abs() < 1e-12);
-                let mut t = 0.0;
-                while t <= 20.0 {
-                    let (lo, hi) = p.arc_interval(route.length(), t);
-                    for arc in [lo, 0.5 * (lo + hi), hi] {
-                        let pt = route.point_at(arc);
-                        let covered = boxes.iter().any(|b| b.contains_point([pt.x, pt.y, t]));
-                        assert!(covered, "{kind:?} {dir:?}: arc {arc} at t={t} uncovered");
-                    }
-                    t += 0.25;
-                }
-            }
-        }
-        // An infinite (or span-covering) horizon reproduces to_boxes.
-        let p = plane(BoundKind::Delayed, Direction::Forward, 0.0);
-        assert_eq!(
-            p.to_boxes_with_horizon(&route, 4.0, f64::INFINITY).unwrap(),
-            p.to_boxes(&route, 4.0).unwrap()
-        );
-        assert_eq!(
-            p.to_boxes_with_horizon(&route, 4.0, 20.0).unwrap(),
-            p.to_boxes(&route, 4.0).unwrap()
-        );
-        // Bad horizons rejected.
-        assert!(p.to_boxes_with_horizon(&route, 4.0, 0.0).is_err());
-        assert!(p.to_boxes_with_horizon(&route, 4.0, f64::NAN).is_err());
-    }
-
-    /// The two on-demand readers walk the slabs `to_boxes_with_horizon`
-    /// lists: the union is the fold of the list, and a query meets some
-    /// slab exactly when it meets some box of the list — at instants,
-    /// on slab boundaries, across the tail, and outside the plane's span.
+    /// The two on-demand readers walk the slabs `to_boxes` lists: the
+    /// union is the fold of the list, and a query meets some slab exactly
+    /// when it meets some box of the list — at instants, on slab
+    /// boundaries, and outside the plane's span.
     #[test]
     fn on_demand_slabs_match_the_decomposition() {
         let route = straight_route();
         for kind in [BoundKind::Delayed, BoundKind::Immediate] {
             for dir in [Direction::Forward, Direction::Backward] {
-                for horizon in [f64::INFINITY, 10.0, 7.0] {
-                    let p = plane(kind, dir, 50.0);
-                    let boxes = p.to_boxes_with_horizon(&route, 2.5, horizon).unwrap();
-                    let union = boxes.iter().fold(Aabb3::empty(), |a, b| a.union(b));
-                    assert_eq!(p.union_box(&route, 2.5, horizon).unwrap(), union);
-                    let mut t = -3.0;
-                    while t <= 23.0 {
-                        for dt in [0.0, 0.25, 4.0] {
-                            for x in [20.0, 45.0, 50.0, 58.0, 80.0] {
-                                let q = Aabb3::new([x, -1.0, t], [x + 4.0, 1.0, t + dt]);
-                                assert_eq!(
-                                    p.any_slab_intersects(&route, 2.5, horizon, &q).unwrap(),
-                                    boxes.iter().any(|b| b.intersects(&q)),
-                                    "{kind:?} {dir:?} horizon {horizon}: {q:?}"
-                                );
-                            }
+                let p = plane(kind, dir, 50.0);
+                let boxes = p.to_boxes(&route, 2.5).unwrap();
+                let union = boxes.iter().fold(Aabb3::empty(), |a, b| a.union(b));
+                assert_eq!(p.union_box(&route, 2.5).unwrap(), union);
+                let mut t = -3.0;
+                while t <= 23.0 {
+                    for dt in [0.0, 0.25, 4.0] {
+                        for x in [20.0, 45.0, 50.0, 58.0, 80.0] {
+                            let q = Aabb3::new([x, -1.0, t], [x + 4.0, 1.0, t + dt]);
+                            assert_eq!(
+                                p.any_slab_intersects(&route, 2.5, &q).unwrap(),
+                                boxes.iter().any(|b| b.intersects(&q)),
+                                "{kind:?} {dir:?}: {q:?}"
+                            );
                         }
-                        t += 0.25;
                     }
-                    assert!(!p
-                        .any_slab_intersects(&route, 2.5, horizon, &Aabb3::empty())
-                        .unwrap());
+                    t += 0.25;
                 }
+                assert!(!p.any_slab_intersects(&route, 2.5, &Aabb3::empty()).unwrap());
             }
         }
     }
@@ -602,17 +507,14 @@ mod tests {
         // as "no slab intersects".
         let q = Aabb3::new([0.0, -1.0, 1.0], [5.0, 1.0, 1.0]);
         assert_eq!(
-            p.any_slab_intersects(&wrong, 1.0, f64::INFINITY, &q),
+            p.any_slab_intersects(&wrong, 1.0, &q),
             Err(IndexError::RouteMismatch)
         );
-        assert_eq!(
-            p.union_box(&wrong, 1.0, f64::INFINITY),
-            Err(IndexError::RouteMismatch)
-        );
+        assert_eq!(p.union_box(&wrong, 1.0), Err(IndexError::RouteMismatch));
         let route = straight_route();
         assert!(p.to_boxes(&route, 0.0).is_err());
-        assert!(p.union_box(&route, 0.0, f64::INFINITY).is_err());
-        assert!(p.any_slab_intersects(&route, 1.0, f64::NAN, &q).is_err());
+        assert!(p.union_box(&route, 0.0).is_err());
+        assert!(p.any_slab_intersects(&route, f64::NAN, &q).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! o-plane coverage under random parameters.
 
 use modb_geom::{Aabb3, Point, Polygon, Rect};
-use modb_index::{BandConfig, MovingObjectIndex, OPlane, QueryRegion, RStarTree};
+use modb_index::{MovingObjectIndex, OPlane, QueryRegion, RStarTree};
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use proptest::prelude::*;
@@ -52,7 +52,7 @@ struct Mover {
 
 const TRIP_MINUTES: f64 = 40.0;
 
-fn band_route() -> Route {
+fn bent_route() -> Route {
     Route::from_vertices(
         RouteId(1),
         "r",
@@ -112,19 +112,6 @@ fn fleet(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Mover>> {
                     immediate,
                 },
             )
-            .collect()
-    })
-}
-
-/// 1–3 strictly ascending positive band edges drawn from speed gaps.
-fn band_edges() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(0.1f64..1.2, 1..=3).prop_map(|gaps| {
-        let mut acc = 0.0;
-        gaps.into_iter()
-            .map(|g| {
-                acc += g;
-                acc
-            })
             .collect()
     })
 }
@@ -257,144 +244,124 @@ proptest! {
         }
     }
 
-    /// A banded index with uniform slab settings answers every query with
-    /// exactly the single-tree candidate set — through initial upserts,
-    /// max-speed revisions (band migrations), removals, and a shadow kept
-    /// current via `sync_entry_from`. The shadow *shares* its source's
-    /// slab boxes (clone and sync copy pointers), yet never sees a source
-    /// write it has not synced.
+    /// The index answers every query like the reference decomposition —
+    /// an object is a candidate iff some box of its plane's `to_boxes`
+    /// intersects the query box — through initial upserts, max-speed
+    /// revisions, removals, and a shadow kept current via
+    /// `sync_entry_from`. The shadow *shares* its source's entries (clone
+    /// and sync copy pointers), yet never sees a source write it has not
+    /// synced.
     #[test]
-    fn banded_uniform_matches_single_tree(
+    fn upserts_removals_and_shadow_sync_match_the_box_oracle(
         movers in fleet(1..40),
-        edges in band_edges(),
         (q, _, _) in rect_region(),
         slab in 1.0f64..8.0,
         revise_mask in proptest::collection::vec(any::<bool>(), 40),
         new_speeds in proptest::collection::vec(0.05f64..3.5, 40),
         remove_mask in proptest::collection::vec(any::<bool>(), 40),
     ) {
-        let route = band_route();
+        let route = bent_route();
         let net = RouteNetwork::from_routes([route.clone()]).unwrap();
         let len = route.length();
-        let cfg = BandConfig::uniform(&edges, slab).unwrap();
-        let mut single: MovingObjectIndex<u64> =
-            MovingObjectIndex::with_config(BandConfig::single(slab));
-        let mut banded: MovingObjectIndex<u64> = MovingObjectIndex::with_config(cfg);
-
-        for (i, m) in movers.iter().enumerate() {
-            single.upsert(i as u64, mover_plane(m, len), &route).unwrap();
-            banded.upsert(i as u64, mover_plane(m, len), &route).unwrap();
+        let qbox = q.aabb();
+        // The oracle: the planes currently installed, by key.
+        let oracle = |planes: &[Option<OPlane>]| -> Vec<u64> {
+            planes
+                .iter()
+                .enumerate()
+                .filter(|(_, plane)| {
+                    plane.as_ref().is_some_and(|p| {
+                        p.to_boxes(&route, slab).unwrap().iter().any(|b| b.intersects(&qbox))
+                    })
+                })
+                .map(|(i, _)| i as u64)
+                .collect()
+        };
+        let mut planes: Vec<Option<OPlane>> =
+            movers.iter().map(|m| Some(mover_plane(m, len))).collect();
+        let mut idx: MovingObjectIndex<u64> = MovingObjectIndex::new(slab);
+        for (i, plane) in planes.iter().enumerate() {
+            idx.upsert(i as u64, plane.clone().unwrap(), &route).unwrap();
         }
-        prop_assert_eq!(banded.len(), single.len());
-        let partitioned: usize = banded.band_stats().iter().map(|b| b.entries).sum();
-        prop_assert_eq!(partitioned, movers.len());
-        prop_assert_eq!(sorted_candidates(&banded, &q, &net), sorted_candidates(&single, &q, &net));
+        prop_assert_eq!(idx.len(), movers.len());
+        prop_assert_eq!(idx.tree_stats().0, movers.len());
+        prop_assert_eq!(sorted_candidates(&idx, &q, &net), oracle(&planes));
 
         // The shadow starts as a clone and mirrors every later mutation
         // entry-by-entry, the way a replica applies a change log.
-        let mut shadow = banded.clone();
-        let at_clone = sorted_candidates(&banded, &q, &net);
+        let mut shadow = idx.clone();
+        let at_clone = sorted_candidates(&idx, &q, &net);
         let mut touched: Vec<u64> = Vec::new();
 
-        // Max-speed revisions: re-upsert with a new top speed, which may
-        // move the object into a different band.
-        let mut expect_migrations = 0u64;
+        // Max-speed revisions: re-upsert with a new top speed.
         for (i, m) in movers.iter().enumerate() {
-            if !revise_mask.get(i).copied().unwrap_or(false) {
+            if !revise_mask[i] {
                 continue;
             }
             let mut revised = m.clone();
             revised.max_speed = new_speeds[i];
             revised.speed = m.speed.min(revised.max_speed);
-            if cfg.band_for(m.max_speed) != cfg.band_for(revised.max_speed) {
-                expect_migrations += 1;
-            }
-            single.upsert(i as u64, mover_plane(&revised, len), &route).unwrap();
-            banded.upsert(i as u64, mover_plane(&revised, len), &route).unwrap();
+            planes[i] = Some(mover_plane(&revised, len));
+            idx.upsert(i as u64, mover_plane(&revised, len), &route).unwrap();
             touched.push(i as u64);
         }
-        prop_assert_eq!(banded.migrations(), expect_migrations);
-        prop_assert_eq!(sorted_candidates(&banded, &q, &net), sorted_candidates(&single, &q, &net));
+        prop_assert_eq!(idx.tree_stats().0, movers.len());
+        prop_assert_eq!(sorted_candidates(&idx, &q, &net), oracle(&planes));
 
         // Removals of a random subset.
-        for (i, _) in movers.iter().enumerate() {
-            if !remove_mask.get(i).copied().unwrap_or(false) {
+        for i in 0..movers.len() {
+            if !remove_mask[i] {
                 continue;
             }
-            prop_assert_eq!(banded.remove(&(i as u64)), single.remove(&(i as u64)));
+            planes[i] = None;
+            prop_assert!(idx.remove(&(i as u64)));
+            prop_assert!(!idx.remove(&(i as u64)));
             touched.push(i as u64);
         }
-        prop_assert_eq!(banded.len(), single.len());
-        prop_assert_eq!(sorted_candidates(&banded, &q, &net), sorted_candidates(&single, &q, &net));
+        let live = planes.iter().flatten().count();
+        prop_assert_eq!((idx.len(), idx.tree_stats().0), (live, live));
+        prop_assert_eq!(sorted_candidates(&idx, &q, &net), oracle(&planes));
 
         // Isolation: the source's writes replaced its entries, they did
-        // not write through the shared boxes — the unsynced shadow still
+        // not write through the shared ones — the unsynced shadow still
         // answers as of the clone, and shares exactly the untouched keys.
         prop_assert_eq!(sorted_candidates(&shadow, &q, &net), at_clone);
         for key in 0..movers.len() as u64 {
             prop_assert_eq!(
-                shadow.shares_entry_with(&banded, &key),
+                shadow.shares_entry_with(&idx, &key),
                 !touched.contains(&key),
                 "key {} before sync", key
             );
         }
 
-        // Shadow catch-up must land every entry in the same band with the
-        // same answers as its source.
+        // Shadow catch-up: every surviving entry is now one allocation on
+        // both sides, and the shadow answers like the oracle.
         for key in &touched {
-            shadow.sync_entry_from(&banded, key);
+            prop_assert_eq!(shadow.sync_entry_from(&idx, key), planes[*key as usize].is_some());
         }
-        prop_assert_eq!(shadow.len(), banded.len());
-        // Every surviving entry is now one allocation on both sides, and
-        // the shadow equals an index built from scratch.
-        let mut fresh: MovingObjectIndex<u64> = MovingObjectIndex::with_config(cfg);
-        for (i, m) in movers.iter().enumerate() {
-            let key = i as u64;
-            let removed = remove_mask.get(i).copied().unwrap_or(false);
-            prop_assert_eq!(shadow.shares_entry_with(&banded, &key), !removed);
-            if removed {
-                continue;
-            }
-            let mut current = m.clone();
-            if revise_mask.get(i).copied().unwrap_or(false) {
-                current.max_speed = new_speeds[i];
-                current.speed = m.speed.min(current.max_speed);
-            }
-            fresh.upsert(key, mover_plane(&current, len), &route).unwrap();
+        prop_assert_eq!((shadow.len(), shadow.tree_stats().0), (live, live));
+        for (i, plane) in planes.iter().enumerate() {
+            prop_assert_eq!(shadow.shares_entry_with(&idx, &(i as u64)), plane.is_some());
         }
-        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), sorted_candidates(&fresh, &q, &net));
-        for key in &touched {
-            prop_assert_eq!(shadow.band_of(key), banded.band_of(key));
-        }
-        let shadow_bands: Vec<usize> = shadow.band_stats().iter().map(|b| b.entries).collect();
-        let banded_bands: Vec<usize> = banded.band_stats().iter().map(|b| b.entries).collect();
-        prop_assert_eq!(shadow_bands, banded_bands);
-        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), sorted_candidates(&banded, &q, &net));
+        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), oracle(&planes));
     }
 
-    /// Speed-scaled bands (coarser slabs and bounded fine horizons per
-    /// band) stay sound: every object whose true uncertainty region enters
-    /// the query box is reported as a candidate.
+    /// The filter is sound whatever the slab duration: every object whose
+    /// true uncertainty region enters the query box is reported as a
+    /// candidate.
     #[test]
-    fn scaled_bands_stay_sound(
+    fn filter_is_sound_for_any_slab_duration(
         movers in fleet(1..30),
-        edges in band_edges(),
         (q, qt0, qt1) in rect_region(),
-        slab in 1.0f64..8.0,
-        horizon in 5.0f64..30.0,
+        slab in 0.2f64..50.0,
     ) {
-        let route = band_route();
+        let route = bent_route();
         let net = RouteNetwork::from_routes([route.clone()]).unwrap();
         let len = route.length();
-        let cfg = BandConfig::speed_scaled(&edges, slab)
-            .unwrap()
-            .with_band_horizon(edges.len(), horizon);
-        let mut idx: MovingObjectIndex<u64> = MovingObjectIndex::with_config(cfg);
+        let mut idx: MovingObjectIndex<u64> = MovingObjectIndex::new(slab);
         for (i, m) in movers.iter().enumerate() {
             idx.upsert(i as u64, mover_plane(m, len), &route).unwrap();
         }
-        let partitioned: usize = idx.band_stats().iter().map(|b| b.entries).sum();
-        prop_assert_eq!(partitioned, movers.len());
 
         let cands = sorted_candidates(&idx, &q, &net);
         let qbox = q.aabb();
@@ -412,7 +379,7 @@ proptest! {
                     let p = route.point_at(lo + frac * (hi - lo));
                     prop_assert!(
                         !qbox.contains_point([p.x, p.y, t]),
-                        "object {i} missed by banded index but inside query at t={t}"
+                        "object {i} missed by the index but inside query at t={t}"
                     );
                 }
                 t += 0.73;
@@ -422,17 +389,16 @@ proptest! {
 
     /// The index keeps the plane, not its decomposition: what it reads
     /// from the plane on demand must be what the decomposition holds.
-    /// `union_box` is the fold of `to_boxes_with_horizon`'s boxes, and
+    /// `union_box` is the fold of `to_boxes`'s boxes, and
     /// `any_slab_intersects(q)` is `any(|b| b.intersects(q))` over them —
     /// for both bound families and directions on a multi-vertex route,
-    /// finite and infinite fine horizons, and query boxes that are
-    /// instants, intervals, wholly before `start_time`, wholly past
-    /// `end_time`, and exactly on a slab boundary `start + i·slab`.
+    /// and query boxes that are instants, intervals, wholly before
+    /// `start_time`, wholly past `end_time`, and exactly on a slab
+    /// boundary `start + i·slab`.
     #[test]
     fn on_demand_slabs_equal_the_decomposition(
         m in fleet(1..2),
         slab in 0.3f64..9.0,
-        horizon in prop_oneof![Just(f64::INFINITY), 1.0f64..60.0],
         x0 in -10.0f64..110.0,
         y0 in -10.0f64..45.0,
         w in 0.5f64..80.0,
@@ -441,11 +407,11 @@ proptest! {
         dt in prop_oneof![Just(0.0), 0.0f64..25.0],
         boundary in 0usize..140,
     ) {
-        let route = band_route();
+        let route = bent_route();
         let plane = mover_plane(&m[0], route.length());
-        let boxes = plane.to_boxes_with_horizon(&route, slab, horizon).unwrap();
+        let boxes = plane.to_boxes(&route, slab).unwrap();
         let union = boxes.iter().fold(Aabb3::empty(), |a, b| a.union(b));
-        prop_assert_eq!(plane.union_box(&route, slab, horizon).unwrap(), union);
+        prop_assert_eq!(plane.union_box(&route, slab).unwrap(), union);
 
         // A slab of the decomposition, and the boundary `start + i·slab`
         // it shares with its neighbour.
@@ -480,7 +446,7 @@ proptest! {
             for (lo, hi) in rects {
                 let q = Aabb3::new([lo[0], lo[1], t0], [hi[0], hi[1], t1]);
                 prop_assert_eq!(
-                    plane.any_slab_intersects(&route, slab, horizon, &q).unwrap(),
+                    plane.any_slab_intersects(&route, slab, &q).unwrap(),
                     boxes.iter().any(|b| b.intersects(&q)),
                     "query {:?} against {} boxes", q, boxes.len()
                 );

@@ -80,21 +80,6 @@ fn print_wal_efficiency(stats: &ServerStatsSnapshot) {
     }
 }
 
-/// Index band layout for `\stats`: entries per speed band (slowest
-/// first) plus the band-migration counter.
-fn print_band_summary(stats: &ServerStatsSnapshot) {
-    let bands = (stats.index_bands as usize).min(stats.index_band_entries.len());
-    let entries: Vec<String> = stats.index_band_entries[..bands]
-        .iter()
-        .map(|e| e.to_string())
-        .collect();
-    println!(
-        "  index bands: {bands} entries [{}] migrations: {}",
-        entries.join(", "),
-        stats.index_band_migrations
-    );
-}
-
 /// `\stats` for one scraped node: every sample of the exposition (the
 /// metric table's rows, in its order — the `# TYPE` lines are for
 /// scrapers), then the derived lines.
@@ -107,7 +92,6 @@ fn print_scrape(stats: &ServerStatsSnapshot) {
         println!("  {sample}");
     }
     print_wal_efficiency(stats);
-    print_band_summary(stats);
 }
 
 fn demo_fleet() -> SharedDatabase {
@@ -529,19 +513,7 @@ fn main() {
                             remote = None;
                         }
                     },
-                    None => {
-                        println!("  {}", engine.stats());
-                        let (bands, migrations) = engine
-                            .database()
-                            .with_read(|db| (db.index_band_stats(), db.index_band_migrations()));
-                        let entries: Vec<String> =
-                            bands.iter().map(|b| b.entries.to_string()).collect();
-                        println!(
-                            "  index bands: {} entries [{}] migrations: {migrations}",
-                            bands.len(),
-                            entries.join(", ")
-                        );
-                    }
+                    None => println!("  {}", engine.stats()),
                 }
                 continue;
             }

@@ -40,9 +40,10 @@
 //! the sample order. The decoder skips a series it has no row for and
 //! leaves a row it got no sample for at `Default`, so adding or dropping
 //! a gauge is one row and no protocol version. What it does not forgive
-//! is a frame that is wrong in itself — a duplicate series, a `band`
-//! label that is not a band number, a count over its ceiling, a short or
-//! over-long body: those are [`WalError::Decode`].
+//! is a frame that is wrong in itself — a duplicate series, a count or a
+//! label count over its ceiling, a short or over-long body: those are
+//! [`WalError::Decode`]. No row carries a label, so a labelled sample is
+//! some other build's series and is skipped like an unknown name.
 //!
 //! **Remote ingest (v2).** `Update` / `UpdateBatch` push position
 //! updates through the server's ingest path (per-object order, WAL
@@ -60,9 +61,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use modb_core::{
-    NearestAnswer, Neighbour, ObjectId, PositionAnswer, RangeAnswer, UpdateMessage, MAX_BANDS,
-};
+use modb_core::{NearestAnswer, Neighbour, ObjectId, PositionAnswer, RangeAnswer, UpdateMessage};
 use modb_geom::Point;
 use modb_index::SearchStats;
 use modb_query::QueryResult;
@@ -163,15 +162,9 @@ pub struct ServerStatsSnapshot {
     /// `shard="N"` label on every Prometheus sample so a scraped
     /// cluster's series stay distinguishable.
     pub shard: Option<u64>,
-    /// Speed bands configured on the time-space index (≥ 1; 1 = the
-    /// un-partitioned single-tree layout). Only the first `index_bands`
-    /// slots of `index_band_entries` are meaningful.
-    pub index_bands: u64,
-    /// Objects indexed per speed band, slowest band first — rendered as
-    /// `modb_index_band_entries{band="N"}`.
-    pub index_band_entries: [u64; MAX_BANDS],
-    /// Upserts/syncs that moved an object between bands since the
-    /// database was created (city↔highway regime changes).
+    /// Always 0, and not on the wire: the index is one tree, so nothing
+    /// migrates between speed bands. The field is there because
+    /// `modb_ledger/` reads it.
     pub index_band_migrations: u64,
     /// Applied-LSN watermark when the serving node is a standby replica
     /// (`None` on a leader) — rendered as `modb_replica_applied_lsn`.
@@ -189,28 +182,16 @@ struct Metric {
     kind: Kind,
     /// Renders the wire value for the exposition.
     show: fn(u64) -> String,
-    source: Source,
+    /// The snapshot field as one unlabelled sample; a field reading
+    /// `None` sends no sample and is omitted from the exposition.
+    get: fn(&ServerStatsSnapshot) -> Option<u64>,
+    set: fn(&mut ServerStatsSnapshot, u64),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Counter,
     Gauge,
-}
-
-/// Where a row's samples come from and go to.
-#[derive(Clone, Copy)]
-enum Source {
-    /// One unlabelled sample for one snapshot field; a field reading
-    /// `None` sends no sample and is omitted from the exposition.
-    Field {
-        get: fn(&ServerStatsSnapshot) -> Option<u64>,
-        set: fn(&mut ServerStatsSnapshot, u64),
-    },
-    /// One sample per configured speed band, labelled `band="N"`:
-    /// `index_band_entries[..index_bands]` (the receiver takes the band
-    /// count from the highest band it was sent).
-    Bands,
 }
 
 fn raw(v: u64) -> String {
@@ -271,22 +252,16 @@ impl<T: Slot + Default> Slot for Option<T> {
     }
 }
 
-/// Builds `METRICS` from rows of `"name" Kind show (source);` where the
-/// source is a [`ServerStatsSnapshot`] field path or `per band`.
+/// Builds `METRICS` from rows of `"name" Kind show (field);` where the
+/// field is a [`ServerStatsSnapshot`] field path.
 macro_rules! metrics {
-    (@source (per band)) => { Source::Bands };
-    (@source ($($field:tt)+)) => {
-        Source::Field {
-            get: |s| s.$($field)+.load(),
-            set: |s, v| s.$($field)+.store(v),
-        }
-    };
-    ($($name:literal $kind:ident $show:ident $source:tt;)+) => {
+    ($($name:literal $kind:ident $show:ident ($($field:tt)+);)+) => {
         const METRICS: &[Metric] = &[$(Metric {
             name: $name,
             kind: Kind::$kind,
             show: $show,
-            source: metrics!(@source $source),
+            get: |s| s.$($field)+.load(),
+            set: |s, v| s.$($field)+.store(v),
         }),+];
     };
 }
@@ -321,72 +296,50 @@ metrics! {
     "modb_wal_next_lsn"                     Gauge   raw     (wal_next_lsn);
     "modb_replication_followers"            Gauge   raw     (followers);
     "modb_replication_min_acked_lsn"        Gauge   raw     (min_acked_lsn);
-    "modb_index_band_migrations_total"      Counter raw     (index_band_migrations);
     "modb_replica_applied_lsn"              Gauge   raw     (replica_applied_lsn);
     "modb_replica_lag_seconds"              Gauge   seconds (replica_lag);
-    "modb_index_band_entries"               Gauge   raw     (per band);
 }
 
-/// The label a [`Source::Bands`] sample carries.
-const BAND_LABEL: &str = "band";
-
 /// Ceilings on what one `StatsReply` may claim: a frame over either is
-/// refused before anything is allocated for it. The table plus one
-/// sample per band fits many times over.
+/// refused before anything is allocated for it. The table fits many
+/// times over.
 const MAX_STATS_SAMPLES: usize = 1024;
 const MAX_SAMPLE_LABELS: usize = 4;
 
 impl ServerStatsSnapshot {
-    /// Every sample this snapshot carries, in table order: the row, the
-    /// band it is labelled with (band rows only) and the wire value.
-    fn samples(&self) -> Vec<(&'static Metric, Option<usize>, u64)> {
-        let mut samples = Vec::with_capacity(METRICS.len() + MAX_BANDS);
-        for row in METRICS {
-            match row.source {
-                Source::Field { get, .. } => samples.extend(get(self).map(|v| (row, None, v))),
-                Source::Bands => {
-                    let bands = (self.index_bands as usize).min(MAX_BANDS);
-                    let entries = self.index_band_entries[..bands].iter().enumerate();
-                    samples.extend(entries.map(|(band, v)| (row, Some(band), *v)));
-                }
-            }
-        }
-        samples
+    /// Every sample this snapshot carries, in table order: the row and
+    /// the wire value.
+    fn samples(&self) -> impl Iterator<Item = (&'static Metric, u64)> + '_ {
+        METRICS
+            .iter()
+            .filter_map(|row| Some((row, (row.get)(self)?)))
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (a `# TYPE` line per metric, then its samples). Gauges and
+    /// (a `# TYPE` line per metric, then its sample). Gauges and
     /// counters are labelled as such; an `Option` gauge that is `None`
     /// (`modb_replication_min_acked_lsn` with no follower connected, the
     /// replica gauges on a leader) is omitted rather than given a
     /// sentinel. A cluster node (`shard` set) gets a `shard="N"` label on
-    /// every sample, ahead of the sample's own `band` label.
+    /// every sample.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
-        let shard = self.shard.map(|n| format!("shard=\"{n}\""));
-        let mut typed = None;
-        for (row, band, value) in self.samples() {
-            if typed != Some(row.name) {
-                let kind = match row.kind {
-                    Kind::Counter => "counter",
-                    Kind::Gauge => "gauge",
-                };
-                let _ = writeln!(out, "# TYPE {} {kind}", row.name);
-                typed = Some(row.name);
-            }
-            let band = band.map(|b| format!("{BAND_LABEL}=\"{b}\""));
-            let labels: Vec<&str> = shard.iter().chain(&band).map(String::as_str).collect();
-            out.push_str(row.name);
-            if !labels.is_empty() {
-                let _ = write!(out, "{{{}}}", labels.join(","));
-            }
-            let _ = writeln!(out, " {}", (row.show)(value));
+        let shard = self
+            .shard
+            .map_or_else(String::new, |n| format!("{{shard=\"{n}\"}}"));
+        for (row, value) in self.samples() {
+            let kind = match row.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge => "gauge",
+            };
+            let _ = writeln!(out, "# TYPE {} {kind}", row.name);
+            let _ = writeln!(out, "{}{shard} {}", row.name, (row.show)(value));
         }
         out
     }
 
     /// The `StatsReply` body: the shard number once, then every sample
-    /// as `name, labels, value`.
+    /// as `name, labels, value` (no row carries a label).
     fn encode_samples(&self, out: &mut Vec<u8>) {
         match self.shard {
             Some(n) => {
@@ -395,26 +348,18 @@ impl ServerStatsSnapshot {
             }
             None => out.push(0),
         }
-        let samples = self.samples();
-        put_u32(out, samples.len() as u32);
-        for (row, band, value) in samples {
+        put_u32(out, self.samples().count() as u32);
+        for (row, value) in self.samples() {
             put_string(out, row.name);
-            match band {
-                Some(band) => {
-                    out.push(1);
-                    put_string(out, BAND_LABEL);
-                    put_string(out, &band.to_string());
-                }
-                None => out.push(0),
-            }
+            out.push(0);
             put_u64(out, value);
         }
     }
 
     /// Decodes a `StatsReply` body. A series this build has no row for —
-    /// an unknown name, or a known name under labels its row does not
-    /// carry — is skipped; a row the peer sent no sample for stays at
-    /// its `Default`. Everything else that is off is a typed error.
+    /// an unknown name, or any name under labels — is skipped; a row the
+    /// peer sent no sample for stays at its `Default`. Everything else
+    /// that is off is a typed error.
     fn decode_samples(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
         let mut stats = ServerStatsSnapshot {
             shard: match r.u8()? {
@@ -428,42 +373,28 @@ impl ServerStatsSnapshot {
         if count > MAX_STATS_SAMPLES {
             return Err(WalError::Decode("too many samples in stats frame"));
         }
-        let mut seen_rows = [false; METRICS.len()];
-        let mut seen_bands = [false; MAX_BANDS];
+        let mut seen = [false; METRICS.len()];
         for _ in 0..count {
             let name = r.string()?;
             let label_count = r.u8()? as usize;
             if label_count > MAX_SAMPLE_LABELS {
                 return Err(WalError::Decode("too many labels on a stats sample"));
             }
-            let mut labels = Vec::with_capacity(label_count);
-            for _ in 0..label_count {
-                labels.push((r.string()?, r.string()?));
+            // A key and a value each; no row of this build reads them.
+            for _ in 0..2 * label_count {
+                r.string()?;
             }
             let value = r.u64()?;
+            if label_count > 0 {
+                continue;
+            }
             let Some(index) = METRICS.iter().position(|row| row.name == name) else {
                 continue;
             };
-            let seen = match (METRICS[index].source, labels.as_slice()) {
-                (Source::Field { set, .. }, []) => {
-                    set(&mut stats, value);
-                    &mut seen_rows[index]
-                }
-                (Source::Bands, [(key, band)]) if key == BAND_LABEL => {
-                    let band = band
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|band| *band < MAX_BANDS)
-                        .ok_or(WalError::Decode("band label out of range in stats frame"))?;
-                    stats.index_band_entries[band] = value;
-                    stats.index_bands = stats.index_bands.max(band as u64 + 1);
-                    &mut seen_bands[band]
-                }
-                _ => continue,
-            };
-            if std::mem::replace(seen, true) {
+            if std::mem::replace(&mut seen[index], true) {
                 return Err(WalError::Decode("duplicate sample in stats frame"));
             }
+            (METRICS[index].set)(&mut stats, value);
         }
         Ok(stats)
     }
@@ -833,14 +764,7 @@ mod tests {
             followers: 2,
             min_acked_lsn: Some(80),
             shard: Some(3),
-            index_bands: 2,
-            index_band_entries: {
-                let mut entries = [0u64; MAX_BANDS];
-                entries[0] = 70;
-                entries[1] = 30;
-                entries
-            },
-            index_band_migrations: 6,
+            index_band_migrations: 0,
             replica_applied_lsn: Some(84),
             replica_lag: Some(Duration::from_millis(250)),
         }
@@ -1047,7 +971,7 @@ mod tests {
             );
         }
         // The fullest frame this build can send is one it would accept.
-        assert!(METRICS.len() + MAX_BANDS <= MAX_STATS_SAMPLES);
+        assert!(METRICS.len() <= MAX_STATS_SAMPLES);
     }
 
     type RawSample<'a> = (&'a str, &'a [(&'a str, &'a str)], u64);
@@ -1080,30 +1004,20 @@ mod tests {
         let stats = decode_stats(&[
             ("modb_from_a_later_build_total", &[], 7),
             ("modb_wal_next_lsn", &[], 88),
-            // Known names under labels their rows do not carry are
-            // series of a later build too.
+            // Known names under labels are series of another build too:
+            // no row of this one carries a label...
             ("modb_queries_total", &[("kind", "range")], 5),
-            ("modb_index_band_entries", &[("tier", "0")], 5),
-            // ... and so is the band family under `band` plus anything
-            // else: a deliberate skip, not a band read without its peer
-            // label (pinned here so it stays a choice).
-            (
-                "modb_index_band_entries",
-                &[("band", "0"), ("tier", "a")],
-                9,
-            ),
-            ("modb_index_band_entries", &[("band", "1")], 30),
+            // ... and twice over is still a skip, not a duplicate (the
+            // golden v6 frame holds the per-band gauges of the builds
+            // that had speed bands, two samples under one name).
+            ("modb_queries_total", &[("kind", "range")], 6),
             ("modb_replica_lag_seconds", &[], 250_000_000),
         ])
         .unwrap();
-        let mut index_band_entries = [0; MAX_BANDS];
-        index_band_entries[1] = 30;
         assert_eq!(
             stats,
             ServerStatsSnapshot {
                 wal_next_lsn: 88,
-                index_bands: 2,
-                index_band_entries,
                 replica_lag: Some(Duration::from_millis(250)),
                 ..ServerStatsSnapshot::default()
             }
@@ -1118,18 +1032,8 @@ mod tests {
             other => panic!("expected a decode error, got {other:?}"),
         };
         let lsn: RawSample<'_> = ("modb_wal_next_lsn", &[], 1);
-        let past_the_last = MAX_BANDS.to_string();
-        let (one, x, past) = (
-            [("band", "1")],
-            [("band", "x")],
-            [("band", &*past_the_last)],
-        );
-        let band = |labels| -> RawSample<'_> { ("modb_index_band_entries", labels, 1) };
         for (samples, why) in [
             (vec![lsn, lsn], "duplicate"),
-            (vec![band(&one), band(&one)], "duplicate"),
-            (vec![band(&x)], "band label"),
-            (vec![band(&past)], "band label"),
             (
                 vec![("modb_wal_next_lsn", &[("a", "b"); 5][..], 1)],
                 "labels",
@@ -1172,18 +1076,15 @@ mod tests {
             #[test]
             fn stats_frame_round_trips(
                 fields in proptest::collection::vec(proptest::option::of(any::<u64>()), METRICS.len()),
-                bands in proptest::collection::vec(any::<u64>(), 0..MAX_BANDS + 1),
                 shard in proptest::option::of(any::<u64>()),
             ) {
                 let mut stats = ServerStatsSnapshot {
                     shard,
-                    index_bands: bands.len() as u64,
                     ..ServerStatsSnapshot::default()
                 };
-                stats.index_band_entries[..bands.len()].copy_from_slice(&bands);
                 for (row, value) in METRICS.iter().zip(fields) {
-                    if let (Source::Field { set, .. }, Some(value)) = (row.source, value) {
-                        set(&mut stats, value);
+                    if let Some(value) = value {
+                        (row.set)(&mut stats, value);
                     }
                 }
                 let msg = Message::StatsReply(Box::new(stats));

@@ -372,7 +372,6 @@ mod tests {
     fn zero_stats(applied: u64) -> ServerStatsSnapshot {
         ServerStatsSnapshot {
             wal_next_lsn: applied,
-            index_bands: 1,
             replica_applied_lsn: Some(applied),
             replica_lag: Some(Duration::ZERO),
             ..ServerStatsSnapshot::default()

@@ -135,18 +135,6 @@ impl ServeContext {
             .as_ref()
             .and_then(IngestHandle::group_commit_stats)
             .unwrap_or_default();
-        // Band gauges come from the live database (one brief read lock)
-        // so entry counts and the migration counter are from the same
-        // instant; the published epoch snapshot may trail by a tick.
-        let (index_bands, index_band_entries, index_band_migrations) =
-            self.engine.database().with_read(|db| {
-                let stats = db.index_band_stats();
-                let mut entries = [0u64; modb_core::MAX_BANDS];
-                for (slot, band) in entries.iter_mut().zip(&stats) {
-                    *slot = band.entries as u64;
-                }
-                (stats.len() as u64, entries, db.index_band_migrations())
-            });
         ServerStatsSnapshot {
             query: self.engine.stats(),
             ingest: self
@@ -165,9 +153,8 @@ impl ServeContext {
             followers: self.horizon.followers() as u64,
             min_acked_lsn: self.horizon.min(),
             shard: self.config.shard,
-            index_bands,
-            index_band_entries,
-            index_band_migrations,
+            // One tree, no bands; the field is there for `modb_ledger/`.
+            index_band_migrations: 0,
             replica_applied_lsn,
             replica_lag,
         }

@@ -923,77 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_snapshots_preserve_band_partitions() {
-        use modb_core::BandConfig;
-        // Two speed bands; a mixed fleet of slow (city) and fast
-        // (highway-capable) vehicles on one route.
-        let route = Route::from_vertices(
-            RouteId(1),
-            "r",
-            vec![Point::new(0.0, 0.0), Point::new(1_000.0, 0.0)],
-        )
-        .unwrap();
-        let network = RouteNetwork::from_routes([route]).unwrap();
-        let cfg = DatabaseConfig {
-            bands: BandConfig::uniform(&[1.0], 5.0).unwrap(),
-            ..DatabaseConfig::default()
-        };
-        let db = SharedDatabase::new(Database::new(network, cfg));
-        for i in 0..40u64 {
-            let fast = i % 4 == 0;
-            db.register_moving(MovingObject {
-                id: ObjectId(i),
-                name: format!("veh-{i}"),
-                attr: PositionAttribute {
-                    start_time: 0.0,
-                    route: RouteId(1),
-                    start_position: Point::new(i as f64, 0.0),
-                    start_arc: i as f64,
-                    direction: Direction::Forward,
-                    speed: if fast { 1.8 } else { 0.5 },
-                    policy: PolicyDescriptor::CostBased {
-                        kind: BoundKind::Immediate,
-                        update_cost: 5.0,
-                    },
-                },
-                max_speed: if fast { 2.5 } else { 0.8 },
-                trip_end: None,
-            })
-            .unwrap();
-        }
-        let engine = QueryEngine::new(db.clone(), manual_config());
-        // Epoch 0 (full clone at engine start) already partitions.
-        let live = db.with_read(|d| d.index_band_stats());
-        assert_eq!(live.len(), 2);
-        assert_eq!((live[0].entries, live[1].entries), (30, 10));
-        let snap = engine.snapshot();
-        assert_eq!(snap.database().index_band_stats(), live);
-
-        // Delta publishes (shadow catch-up) keep partitions intact, and
-        // snapshot answers keep matching locked reads.
-        engine.publish_now();
-        for round in 1..=3u64 {
-            db.apply_update(
-                ObjectId(round),
-                &UpdateMessage::basic(round as f64, UpdatePosition::Arc(400.0 + round as f64), 0.5),
-            )
-            .unwrap();
-            engine.publish_now();
-            let snap = engine.snapshot();
-            assert_eq!(
-                snap.database().index_band_stats(),
-                db.with_read(|d| d.index_band_stats()),
-                "round {round}"
-            );
-            let r = region(0.0, 1000.0, round as f64);
-            let expected = db.range_query(&r).unwrap();
-            let got = engine.range_query(&r).unwrap();
-            assert!(got.same_answer(&expected), "{got:?} vs {expected:?}");
-        }
-        assert!(engine.stats().delta_publishes >= 3, "delta path exercised");
-    }
-
-    #[test]
     fn drop_with_background_threads_does_not_hang() {
         let db = shared(5);
         let engine = QueryEngine::new(

@@ -113,7 +113,6 @@ enum Op {
     Register(u64, f64),
     Update(u64, f64, f64, f64),
     Remove(u64),
-    SetMaxSpeed(u64, f64),
     /// Pull the shadow forward mid-stream (partial drains must compose).
     Sync,
 }
@@ -146,7 +145,6 @@ fn op() -> impl Strategy<Value = Op> {
         (0u64..48, 0.0f64..1.0).prop_map(|(id, frac)| Op::Register(id, frac)),
         update().prop_map(|(id, t, frac, speed)| Op::Update(id, t, frac, speed)),
         (0u64..48).prop_map(Op::Remove),
-        (0u64..48, 0.2f64..3.0).prop_map(|(id, v)| Op::SetMaxSpeed(id, v)),
         Just(Op::Sync),
     ]
 }
@@ -156,9 +154,8 @@ proptest! {
 
     /// A delta-applied shadow is observably identical to a fresh full
     /// clone after an arbitrary interleaving of register / update /
-    /// remove / max-speed revision, no matter where the intermediate
-    /// syncs landed — including with a tiny change log that forces full
-    /// resyncs. And a pinned epoch, which shares every object's payload
+    /// remove, no matter where the intermediate syncs landed — including
+    /// with a tiny change log that forces full resyncs. And a pinned epoch, which shares every object's payload
     /// with the live database, reads exactly as it did when pinned.
     #[test]
     fn shadow_after_deltas_equals_full_clone(
@@ -209,9 +206,6 @@ proptest! {
                 }
                 Op::Remove(id) => {
                     let _ = live.remove_moving(ObjectId(id));
-                }
-                Op::SetMaxSpeed(id, v) => {
-                    let _ = live.set_max_speed(ObjectId(id), v);
                 }
                 Op::Sync => {
                     cursor = shadow.sync_from(&live, cursor).cursor;

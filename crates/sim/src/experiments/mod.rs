@@ -15,6 +15,5 @@ pub mod read_fanout;
 pub mod replication;
 pub mod savings;
 pub mod sharding;
-pub mod speed_bands;
 pub mod wal_overhead;
 pub mod wal_throughput;

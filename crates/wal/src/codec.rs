@@ -9,8 +9,8 @@
 //! including NaN payloads — which the property tests rely on.
 
 use modb_core::{
-    BandConfig, BandSpec, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor,
-    PositionAttribute, StationaryObject, UpdateMessage, UpdatePosition, MAX_BANDS,
+    DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute, StationaryObject,
+    UpdateMessage, UpdatePosition,
 };
 use modb_geom::Point;
 use modb_policy::BoundKind;
@@ -438,51 +438,41 @@ impl WalCodec for RouteNetwork {
     }
 }
 
-impl WalCodec for BandConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let bands = self.bands();
-        put_u32(out, bands.len() as u32);
-        for band in bands {
-            put_f64(out, band.max_speed);
-            put_f64(out, band.slab_minutes);
-            put_f64(out, band.fine_horizon);
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
-        let n = r.u32()? as usize;
-        if n == 0 || n > MAX_BANDS {
-            return Err(WalError::Decode("band count out of range"));
-        }
-        let mut specs = [BandSpec {
-            max_speed: f64::INFINITY,
-            slab_minutes: 1.0,
-            fine_horizon: f64::INFINITY,
-        }; MAX_BANDS];
-        for spec in specs.iter_mut().take(n) {
-            spec.max_speed = r.f64()?;
-            spec.slab_minutes = r.f64()?;
-            spec.fine_horizon = r.f64()?;
-        }
-        BandConfig::from_bands(&specs[..n]).map_err(|_| WalError::Decode("invalid band config"))
-    }
-}
-
 impl WalCodec for DatabaseConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         put_f64(out, self.map_match_tolerance);
         put_f64(out, self.default_horizon);
-        self.bands.encode(out);
+        // Format v3 holds a speed-band list here. One tree is what it
+        // called one all-speeds band with no fine-horizon.
+        put_u32(out, 1);
+        put_f64(out, f64::INFINITY);
+        put_f64(out, self.bands);
+        put_f64(out, f64::INFINITY);
         put_f64(out, self.refinement_dt);
         put_u64(out, self.history_capacity as u64);
         put_u64(out, self.change_log_capacity as u64);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
+        let map_match_tolerance = r.f64()?;
+        let default_horizon = r.f64()?;
+        if r.u32()? != 1 {
+            return Err(WalError::Decode("snapshot of a speed-banded index"));
+        }
+        if r.f64()? != f64::INFINITY {
+            return Err(WalError::Decode("finite speed edge on the only band"));
+        }
+        let slab_minutes = r.f64()?;
+        if !slab_minutes.is_finite() || slab_minutes <= 0.0 {
+            return Err(WalError::Decode("invalid slab duration"));
+        }
+        if r.f64()? != f64::INFINITY {
+            return Err(WalError::Decode("finite fine-horizon on the only band"));
+        }
         Ok(DatabaseConfig {
-            map_match_tolerance: r.f64()?,
-            default_horizon: r.f64()?,
-            bands: BandConfig::decode(r)?,
+            map_match_tolerance,
+            default_horizon,
+            bands: slab_minutes,
             refinement_dt: r.f64()?,
             history_capacity: r.u64()? as usize,
             change_log_capacity: r.u64()? as usize,
@@ -625,47 +615,76 @@ mod tests {
         round_trip(DatabaseConfig {
             map_match_tolerance: 0.1,
             default_horizon: 90.0,
-            bands: BandConfig::single(2.0),
+            bands: 2.0,
             refinement_dt: 0.5,
             history_capacity: 7,
             change_log_capacity: 64,
         });
-        // Multi-band layouts (incl. per-band horizons) round-trip too.
-        round_trip(DatabaseConfig {
-            bands: BandConfig::speed_scaled(&[0.5, 1.5], 5.0)
-                .unwrap()
-                .with_band_horizon(2, 20.0),
-            ..DatabaseConfig::default()
-        });
+    }
+
+    /// The bytes v3 spells the index layout with, around a config's
+    /// other fields: `count, (speed edge, slab, fine-horizon)*`.
+    fn config_bytes(count: u32, layout: &[[f64; 3]]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_f64(&mut buf, 0.25);
+        put_f64(&mut buf, 60.0);
+        put_u32(&mut buf, count);
+        for value in layout.iter().flatten() {
+            put_f64(&mut buf, *value);
+        }
+        put_f64(&mut buf, 1.0);
+        put_u64(&mut buf, 256);
+        put_u64(&mut buf, 4096);
+        buf
+    }
+
+    fn config_decode_error(bytes: &[u8]) -> &'static str {
+        match DatabaseConfig::decode(&mut ByteReader::new(bytes)) {
+            Err(WalError::Decode(reason)) => reason,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    const INF: f64 = f64::INFINITY;
+
+    #[test]
+    fn config_is_the_one_tree_shape_v3_wrote() {
+        let bytes = config_bytes(1, &[[INF, 5.0, INF]]);
+        let mut encoded = Vec::new();
+        DatabaseConfig::default().encode(&mut encoded);
+        assert_eq!(encoded, bytes);
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(
+            DatabaseConfig::decode(&mut r).unwrap(),
+            DatabaseConfig::default()
+        );
+        assert!(r.is_empty());
+        for slab in [0.0, -5.0, f64::NAN, INF] {
+            let reason = config_decode_error(&config_bytes(1, &[[INF, slab, INF]]));
+            assert!(reason.contains("slab"), "{reason}");
+        }
     }
 
     #[test]
-    fn band_config_rejects_malformed_bytes() {
-        // Zero bands.
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 0);
-        assert!(BandConfig::decode(&mut ByteReader::new(&buf)).is_err());
-        // Too many bands.
-        let mut buf = Vec::new();
-        put_u32(&mut buf, MAX_BANDS as u32 + 1);
-        assert!(BandConfig::decode(&mut ByteReader::new(&buf)).is_err());
-        // Non-ascending edges.
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 2);
-        for edge in [2.0, f64::INFINITY] {
-            put_f64(&mut buf, edge);
-            put_f64(&mut buf, 5.0);
-            put_f64(&mut buf, f64::INFINITY);
-        }
-        assert!(BandConfig::decode(&mut ByteReader::new(&buf)).is_ok());
-        buf.clear();
-        put_u32(&mut buf, 2);
-        for edge in [2.0, 1.0] {
-            put_f64(&mut buf, edge);
-            put_f64(&mut buf, 5.0);
-            put_f64(&mut buf, f64::INFINITY);
-        }
-        assert!(BandConfig::decode(&mut ByteReader::new(&buf)).is_err());
+    fn config_refuses_a_layout_count_other_than_one() {
+        let two = config_bytes(2, &[[1.0, 5.0, INF], [INF, 5.0, INF]]);
+        assert!(config_decode_error(&two).contains("speed-banded"));
+        assert!(config_decode_error(&config_bytes(0, &[])).contains("speed-banded"));
+        assert!(config_decode_error(&config_bytes(u32::MAX, &[])).contains("speed-banded"));
+    }
+
+    #[test]
+    fn config_refuses_a_finite_speed_edge() {
+        let reason = config_decode_error(&config_bytes(1, &[[2.0, 5.0, INF]]));
+        assert!(reason.contains("speed edge"), "{reason}");
+        assert!(config_decode_error(&config_bytes(1, &[[f64::NAN, 5.0, INF]])).contains("edge"));
+    }
+
+    #[test]
+    fn config_refuses_a_finite_horizon() {
+        let reason = config_decode_error(&config_bytes(1, &[[INF, 5.0, 20.0]]));
+        assert!(reason.contains("fine-horizon"), "{reason}");
+        assert!(config_decode_error(&config_bytes(1, &[[INF, 5.0, f64::NAN]])).contains("horizon"));
     }
 
     #[test]

@@ -36,8 +36,9 @@ use crate::error::WalError;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MODBSNP1";
 /// Current snapshot format version. Version 2 added
 /// `DatabaseConfig::change_log_capacity` to the config codec; version 3
-/// replaced the scalar `slab_minutes` with the speed-band layout
-/// (`DatabaseConfig::bands`).
+/// replaced the scalar `slab_minutes` with a speed-band list. The bands
+/// are gone and the format is not: the config codec writes the slab
+/// duration as that list's one all-speeds entry and reads nothing else.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// File name for the snapshot taken at `lsn` (zero-padded so
