@@ -1,16 +1,17 @@
 //! Change tracking for the versioned store: an epoch-stamped log of
-//! which objects a [`Database`](crate::Database) mutated, drained by
-//! subscribers through a cursor.
+//! which objects a [`Database`](crate::Database) mutated, drained
+//! through a cursor.
 //!
-//! Every mutation appends one [`Change`] naming the touched object (not
-//! the mutation payload — subscribers copy the object's *current* state
+//! Every mutation appends one `Change` naming the touched object (not
+//! the mutation payload — the drain copies the object's *current* state
 //! from the source, so entries are idempotent and order-insensitive
-//! within a drain). A subscriber holds a [`ChangeCursor`] and
-//! periodically asks for everything recorded since; if it waited so long
-//! that the bounded log already evicted entries it needs, it gets `None`
-//! and falls back to a full copy. This one mechanism feeds the epoch
-//! publisher, the pause-free WAL snapshot path, and (by design) future
-//! replication followers.
+//! within a drain). The holder of a stale copy keeps a [`ChangeCursor`]
+//! and periodically pulls the copy forward with
+//! [`Database::sync_from`](crate::Database::sync_from); if it waited so
+//! long that the bounded log already evicted entries it needs, the sync
+//! falls back to a full copy. There is one such holder: the epoch
+//! publisher of `modb-server`'s query engine. A snapshot to disk is a
+//! plain clone.
 
 use std::collections::VecDeque;
 
@@ -21,10 +22,10 @@ use modb_routes::RouteId;
 ///
 /// A [`Change::Moving`] entry covers registration, position updates
 /// (including the history append they imply), and removal alike — the
-/// subscriber resolves it by copying the object's current state from the
+/// sync resolves it by copying the object's current state from the
 /// source (absence in the source means "remove").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Change {
+pub(crate) enum Change {
     /// A moving object was registered, updated, or removed.
     Moving(ObjectId),
     /// A stationary landmark was inserted.
@@ -37,8 +38,8 @@ pub enum Change {
 ///
 /// Cursors are only meaningful against the database instance (or its
 /// full clones) they were taken from;
-/// [`crate::Database::changes_since`] answers `None` for a cursor it
-/// cannot serve, which subscribers treat as "resync".
+/// [`Database::sync_from`](crate::Database::sync_from) answers a cursor
+/// it cannot serve with a full resync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ChangeCursor {
     pub(crate) seq: u64,

@@ -35,10 +35,10 @@ pub struct DatabaseConfig {
     /// Superseded position-attribute versions retained per object for
     /// as-of queries (0 disables history).
     pub history_capacity: usize,
-    /// Entries retained in the change log that feeds delta subscribers
-    /// ([`Database::changes_since`] / [`Database::sync_from`]). A
-    /// subscriber that falls further behind than this resyncs with a
-    /// full clone; 0 keeps nothing (subscribers always resync).
+    /// Entries retained in the change log that feeds
+    /// [`Database::sync_from`]. A copy that falls further behind than
+    /// this resyncs with a full clone; 0 keeps nothing (copies always
+    /// resync).
     pub change_log_capacity: usize,
 }
 
@@ -104,8 +104,8 @@ pub struct Database {
     /// they are appended to every candidate set (exact refinement still
     /// applies).
     unindexed: BTreeSet<ObjectId>,
-    /// Epoch-stamped record of which objects mutated, drained by delta
-    /// subscribers (see [`crate::Change`]).
+    /// Epoch-stamped record of which objects mutated, drained by
+    /// [`Database::sync_from`].
     changes: ChangeLog,
     config: DatabaseConfig,
 }
@@ -341,26 +341,17 @@ impl Database {
         expired
     }
 
-    // --- Versioned-store subscription API -----------------------------
+    // --- Versioned-store API ------------------------------------------
     //
-    // Consumers keep a (possibly stale) copy of this database and pull
-    // it forward in O(changes): the epoch publisher, the pause-free WAL
-    // snapshot path, and future replication followers all drain the same
-    // change log through these three methods.
+    // The epoch publisher (`modb-server`'s query engine) keeps a stale
+    // copy of this database and pulls it forward in O(changes) through
+    // these three methods. Everything else that needs a copy — a
+    // snapshot to disk, a test's reference — clones.
 
-    /// The cursor one past the newest recorded change — where a new
-    /// subscriber starts after taking its initial full copy.
+    /// The cursor one past the newest recorded change — where the
+    /// holder of a fresh full copy starts.
     pub fn change_cursor(&self) -> ChangeCursor {
         self.changes.cursor()
-    }
-
-    /// Changes recorded at or after `cursor`, oldest first, possibly
-    /// with repeats (subscribers dedup — each entry means "copy that
-    /// object's *current* state", so applying the set once suffices).
-    /// `None` when the bounded log evicted entries the cursor still
-    /// needs: the subscriber must fall back to a full copy.
-    pub fn changes_since(&self, cursor: ChangeCursor) -> Option<Vec<Change>> {
-        self.changes.since(cursor).map(Iterator::collect)
     }
 
     /// The number of change-log entries past which applying a delta
@@ -516,8 +507,8 @@ impl Database {
         // instant and stays deterministic under WAL replay.
         let coalesce = msg.time == obj.attr.start_time;
         // Copy-on-write: a record still shared with a clone (a pinned
-        // epoch, a snapshot shadow) is copied once here, and the copies
-        // adopt the new pointer on their next sync.
+        // epoch, a snapshot being written) is copied once here, and an
+        // epoch buffer adopts the new pointer on its next sync.
         let record = Arc::make_mut(self.moving.get_mut(&id).expect("checked above"));
         let superseded = std::mem::replace(&mut record.object.attr, next);
         if !coalesce {
@@ -1605,7 +1596,7 @@ mod tests {
     }
 
     #[test]
-    fn changes_since_reports_truncation() {
+    fn delta_affordable_reports_truncation() {
         let cfg = DatabaseConfig {
             change_log_capacity: 2,
             ..DatabaseConfig::default()
@@ -1614,10 +1605,10 @@ mod tests {
         let cursor = db.change_cursor();
         db.register_moving(object(1, 10.0, 1.0)).unwrap();
         db.register_moving(object(2, 20.0, 1.0)).unwrap();
-        assert_eq!(db.changes_since(cursor).unwrap().len(), 2);
+        assert!(db.delta_affordable(cursor));
         db.register_moving(object(3, 30.0, 1.0)).unwrap();
-        assert!(db.changes_since(cursor).is_none(), "evicted → resync");
-        assert_eq!(db.changes_since(db.change_cursor()).unwrap().len(), 0);
+        assert!(!db.delta_affordable(cursor), "evicted → resync");
+        assert!(db.delta_affordable(db.change_cursor()));
     }
 
     #[test]
@@ -1652,7 +1643,7 @@ mod tests {
         db.apply_update(ObjectId(1), &msg).unwrap();
         assert_eq!(db.history_of(ObjectId(1)).len(), 1);
         assert_eq!(db.moving(ObjectId(1)).unwrap().attr, attr);
-        assert_eq!(db.changes_since(cursor).unwrap().len(), 0);
+        assert_eq!(db.change_cursor(), cursor);
         // A same-time update with different content is a real change —
         // but it coalesces in place (no history push): two versions in
         // force at one instant would be an infinite-speed trajectory.
@@ -1663,7 +1654,7 @@ mod tests {
         .unwrap();
         assert_eq!(db.history_of(ObjectId(1)).len(), 1);
         assert_eq!(db.moving(ObjectId(1)).unwrap().attr.start_arc, 15.0);
-        assert_eq!(db.changes_since(cursor).unwrap().len(), 1);
+        assert_eq!(db.change_cursor().seq(), cursor.seq() + 1);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! identical answers; the benchmarks measure the sublinearity gap.
 //!
 //! The database is also a *versioned store*: every mutation is recorded
-//! in a bounded change log, and subscribers holding a [`ChangeCursor`]
-//! pull a stale copy forward in O(changes) with
-//! [`Database::sync_from`] — the mechanism behind the epoch publisher
-//! and pause-free snapshots in `modb-server`.
+//! in a bounded change log, and the holder of a [`ChangeCursor`] pulls
+//! a stale copy forward in O(changes) with [`Database::sync_from`] —
+//! the mechanism behind the epoch publisher in `modb-server`.
 
 #![warn(missing_docs)]
 
@@ -37,7 +36,7 @@ mod route_distance_query;
 mod update;
 
 pub use attr::{PolicyDescriptor, PositionAttribute};
-pub use changes::{Change, ChangeCursor, SyncReport};
+pub use changes::{ChangeCursor, SyncReport};
 pub use database::{Database, DatabaseConfig, MovingObject};
 pub use error::CoreError;
 pub use history::AttributeHistory;

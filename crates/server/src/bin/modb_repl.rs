@@ -195,7 +195,7 @@ fn save(db: &SharedDatabase, dir: &str) {
             Some(scan.start_lsn + scan.records.len() as u64)
         })
         .unwrap_or(0);
-    match db.with_read(|inner| modb_wal::write_snapshot(path, inner, lsn)) {
+    match db.write_snapshot(path, lsn) {
         Ok(file) => println!(
             "  saved {} objects to {}",
             db.moving_count(),

@@ -17,12 +17,14 @@
 //!   changed state.
 //! - **Snapshots** ([`DurableDatabase::snapshot`]) bound replay work and
 //!   are **pause-free**: the watermark LSN is read under the writer
-//!   lock, the state is delta-synced into a private [`ShadowBuffer`]
-//!   copy under a brief read lock (O(changes) since the last snapshot),
-//!   and serialization runs with *no* database lock held — ingest and
-//!   queries proceed throughout. Replay from the watermark re-applies
-//!   any overlap idempotently (re-deliveries of an already-applied
-//!   update are no-ops; duplicate registrations re-reject).
+//!   lock, the state is cloned under a brief read lock (pointer copies;
+//!   [`SharedDatabase::write_snapshot`]), and serialization runs with
+//!   *no* database lock held — ingest and queries proceed throughout.
+//!   The clone is dropped when the file is on disk: no copy of the
+//!   fleet stays resident between snapshots. Replay from the watermark
+//!   re-applies any overlap idempotently (re-deliveries of an
+//!   already-applied update are no-ops; duplicate registrations
+//!   re-reject).
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -30,13 +32,11 @@ use std::sync::{Arc, Mutex};
 use modb_core::{Database, MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
 use modb_wal::{
-    write_snapshot, EpochHistory, RecoveryReport, SharedWal, WalError, WalOptions, WalRecord,
-    WalWriter,
+    EpochHistory, RecoveryReport, SharedWal, WalError, WalOptions, WalRecord, WalWriter,
 };
 
 use crate::ingest::IngestService;
 use crate::replication::ShipHorizon;
-use crate::shadow::ShadowBuffer;
 use crate::shared::SharedDatabase;
 
 /// A shared database whose mutations are persisted to a directory of
@@ -46,9 +46,9 @@ pub struct DurableDatabase {
     db: SharedDatabase,
     wal: SharedWal,
     dir: PathBuf,
-    /// Delta-maintained copy reused across snapshots; the mutex also
-    /// serializes concurrent snapshot takers (clones share it).
-    shadow: Arc<Mutex<ShadowBuffer>>,
+    /// One snapshot at a time (clones share it): two takers at one
+    /// watermark would share a `.tmp` name.
+    snapshots: Arc<Mutex<()>>,
     /// Per-follower acknowledged LSNs; their minimum is the ship barrier
     /// the post-snapshot compaction pass respects.
     horizon: Arc<ShipHorizon>,
@@ -73,13 +73,14 @@ impl DurableDatabase {
     ) -> Result<Self, WalError> {
         let dir = dir.into();
         let writer = WalWriter::create(&dir, opts)?;
-        write_snapshot(&dir, &db, writer.next_lsn())?;
+        let db = SharedDatabase::new(db);
+        db.write_snapshot(&dir, writer.next_lsn())?;
         let epochs = EpochHistory::load(&dir)?;
         Ok(DurableDatabase {
-            db: SharedDatabase::new(db),
+            db,
             wal: SharedWal::new(writer),
             dir,
-            shadow: Arc::new(Mutex::new(ShadowBuffer::new())),
+            snapshots: Arc::default(),
             horizon: Arc::new(ShipHorizon::new()),
             epochs: Arc::new(Mutex::new(epochs)),
         })
@@ -105,7 +106,7 @@ impl DurableDatabase {
                 db: SharedDatabase::new(recovered.database),
                 wal: SharedWal::new(writer),
                 dir,
-                shadow: Arc::new(Mutex::new(ShadowBuffer::new())),
+                snapshots: Arc::default(),
                 horizon: Arc::new(ShipHorizon::new()),
                 epochs: Arc::new(Mutex::new(epochs)),
             },
@@ -128,7 +129,7 @@ impl DurableDatabase {
             db,
             wal,
             dir,
-            shadow: Arc::new(Mutex::new(ShadowBuffer::new())),
+            snapshots: Arc::default(),
             horizon,
             epochs,
         }
@@ -254,19 +255,17 @@ impl DurableDatabase {
     }
 
     /// Takes a pause-free point-in-time snapshot: fsyncs the log and
-    /// reads the watermark LSN under the writer lock, delta-syncs a
-    /// private shadow copy under a brief read lock (O(changes) since the
-    /// last snapshot), serializes it with **no database lock held**, then
+    /// reads the watermark LSN under the writer lock, clones the state
+    /// under a brief read lock and serializes the clone with **no
+    /// database lock held** ([`SharedDatabase::write_snapshot`]), then
     /// compacts the directory down to
     /// [`modb_wal::DEFAULT_SNAPSHOT_RETENTION`] snapshots (deleting log
     /// segments every retained snapshot covers). Returns the snapshot
     /// path.
     ///
     /// Safe while ingest is live: by the watermark invariant (DESIGN §7)
-    /// every record below the watermark is already in the state the
-    /// shadow captures;
-    /// mutations racing past the watermark may also be captured, and
-    /// replay re-applies that overlap idempotently.
+    /// the clone holds every record below the watermark, and replay
+    /// re-applies idempotently whatever it caught past it.
     ///
     /// # Errors
     ///
@@ -286,7 +285,7 @@ impl DurableDatabase {
     pub fn snapshot_with_retention(&self, retention: usize) -> Result<PathBuf, WalError> {
         // One snapshot at a time; queries and ingest never touch this
         // mutex.
-        let mut shadow = self.shadow.lock().unwrap_or_else(|e| e.into_inner());
+        let _one_taker = self.snapshots.lock().unwrap_or_else(|e| e.into_inner());
         // Watermark: under the writer lock every assigned LSN is already
         // applied (DESIGN §7), so state captured after this point
         // reflects at least every record below `lsn`.
@@ -294,13 +293,8 @@ impl DurableDatabase {
             w.sync()?;
             Ok(w.next_lsn())
         })?;
-        // Brief read lock: pull the shadow copy forward by the change
-        // log. Ingest blocks only for this O(changes) sync.
-        let (state, report) = self.db.with_read(|src| shadow.refresh(src));
-        shadow.reap(); // any buffer the refresh retired drops lock-free
-                       // Serialization runs unlocked — ingest and queries proceed.
-        let path = write_snapshot(&self.dir, &state, lsn)?;
-        shadow.store(state, report.cursor);
+        // Ingest blocks only for the clone; serialization runs unlocked.
+        let path = self.db.write_snapshot(&self.dir, lsn)?;
         // Compaction under the writer lock so it cannot race a segment
         // rotation. The ship barrier (minimum acknowledged LSN across
         // connected replication followers) caps segment deletion so a
@@ -492,6 +486,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every `Database` clone shares the route network, so its reference
+    /// count counts the copies of the fleet alive in the process.
+    #[test]
+    fn snapshot_leaves_no_resident_copy() {
+        let dir = tmp("no-resident-copy");
+        let durable = DurableDatabase::create(&dir, fresh_db(), WalOptions::default()).unwrap();
+        durable.register_moving(vehicle(1, 10.0)).unwrap();
+        let copies = || {
+            durable
+                .database()
+                .with_read(|db| Arc::strong_count(&db.network_arc()))
+        };
+        let before = copies();
+        durable.snapshot().unwrap();
+        assert_eq!(copies(), before, "a snapshot kept a copy of the database");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn create_refuses_existing_dir_and_open_needs_snapshot() {
         let dir = tmp("guards");
@@ -631,10 +643,6 @@ mod tests {
                 .register_moving(vehicle(i, (i % 90) as f64))
                 .unwrap();
         }
-        // Warm-up snapshot so the in-flight one below also exercises the
-        // delta-synced shadow path.
-        durable.snapshot().unwrap();
-
         // Serializing 4000 objects holds no database lock, so the writer
         // loop below must land updates strictly inside the snapshot
         // window. The outer loop re-takes the snapshot in the (unlikely)

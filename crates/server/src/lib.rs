@@ -18,13 +18,12 @@
 //!   so the WAL watermark never runs ahead of the state), and
 //!   [`IngestHandle::send_acked`] returns a [`PendingAck`] whose `recv`
 //!   waits for the group-commit fsync.
-//! - [`ShadowBuffer`]: a delta-maintained shadow copy of the database —
-//!   the consumer side of `modb-core`'s change-log subscription, reused
-//!   by the epoch publisher and the pause-free snapshot path.
 //! - [`DurableDatabase`]: the durable deployment shape — a shared database
 //!   whose mutations are write-ahead logged, with pause-free snapshots
-//!   (serialization holds no database lock) and crash recovery
-//!   ([`DurableDatabase::open`] / [`SharedDatabase::recover`]).
+//!   ([`SharedDatabase::write_snapshot`]: a clone taken under a brief
+//!   read lock, serialized with no database lock held, then dropped) and
+//!   crash recovery ([`DurableDatabase::open`] /
+//!   [`SharedDatabase::recover`]).
 //! - [`QueryEngine`]: epoch-based snapshot reads — queries run lock-free
 //!   on their caller's thread against a recently published immutable
 //!   snapshot, a `;`-batch runs in order against one snapshot, and
@@ -87,5 +86,4 @@ pub use replication::{
     FailoverPlan, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch,
     ReplicationConfig, ReplicationServer, ReplicationStatsSnapshot, ShipHorizon, StandbyReplica,
 };
-pub use shadow::ShadowBuffer;
 pub use shared::SharedDatabase;

@@ -260,8 +260,9 @@ pub struct QueryStatsSnapshot {
     /// Epoch publications that applied a change-log delta to the shadow.
     pub delta_publishes: u64,
     /// Epoch publications that fell back to a full clone — epoch 0, a
-    /// cold shadow buffer, a truncated change log, or a delta past the
-    /// clone break-even point.
+    /// cold shadow buffer, a truncated change log, a delta past the
+    /// clone break-even point, or a retired snapshot a straggling
+    /// reader still pins.
     pub full_publishes: u64,
     /// Total nanoseconds from publish start to snapshot swap, summed
     /// over every publication (epoch 0 included). This is the
@@ -394,7 +395,7 @@ impl QueryEngine {
     /// an engine ever owns.
     pub fn new(db: SharedDatabase, config: QueryEngineConfig) -> Self {
         let stats = Arc::new(QueryStats::default());
-        let shadow = Arc::new(Mutex::new(ShadowBuffer::new()));
+        let shadow: Arc<Mutex<ShadowBuffer>> = Arc::default();
         let t0 = Instant::now();
         let (state, cursor) =
             db.with_read(|inner| (Arc::new(inner.clone()), inner.change_cursor()));

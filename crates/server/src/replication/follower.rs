@@ -33,9 +33,9 @@ use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
 use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
-    apply_record, decode_block_frames, list_segments, list_snapshots, read_snapshot,
-    write_snapshot, EpochHistory, FrameEnd, SharedWal, WalError, WalOptions, WalRecord, WalWriter,
-    DEFAULT_SNAPSHOT_RETENTION, SEGMENT_VERSION,
+    apply_record, decode_block_frames, list_segments, list_snapshots, read_snapshot, EpochHistory,
+    FrameEnd, SharedWal, WalError, WalOptions, WalRecord, WalWriter, DEFAULT_SNAPSHOT_RETENTION,
+    SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
@@ -1085,8 +1085,7 @@ impl Worker {
     fn local_snapshot(&mut self, applied: u64) -> Result<(), WalError> {
         let wal = self.wal.as_mut().expect("snapshot only after bootstrap");
         wal.sync()?;
-        let state = self.db.with_read(|db| db.clone());
-        write_snapshot(&self.dir, &state, applied)?;
+        self.db.write_snapshot(&self.dir, applied)?;
         // Chained followers tail this replica's local log: their lowest
         // acknowledged LSN is a barrier here exactly as it is on the
         // leader, so local compaction never deletes a segment a
@@ -1104,7 +1103,7 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::framed::Listener;
-    use modb_wal::{encode_block, frame_block, EpochSpan, GENESIS_EPOCH};
+    use modb_wal::{encode_block, frame_block, write_snapshot, EpochSpan, GENESIS_EPOCH};
 
     /// An upstream that speaks the protocol by hand: admits the follower,
     /// bootstraps it with an empty snapshot at LSN 0, then ships one

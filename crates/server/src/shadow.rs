@@ -1,19 +1,20 @@
-//! Delta-maintained shadow copies of a [`Database`] — the consumer side
-//! of `modb-core`'s change-log subscription.
+//! The epoch publisher's delta-maintained copy of a [`Database`] — the
+//! consumer side of `modb-core`'s change log.
 //!
 //! A [`ShadowBuffer`] owns (at most) one `Arc<Database>` copy plus the
 //! [`ChangeCursor`] describing how far it lags the live database. On
 //! [`ShadowBuffer::refresh`] the copy is pulled forward in O(changes)
-//! via [`Database::sync_from`] and handed out; once the caller is done
-//! publishing/serializing it, [`ShadowBuffer::store`] returns an arc to
-//! the buffer so the *next* refresh can mutate it in place again
-//! (`Arc::make_mut` — a full clone happens only if some straggler still
-//! holds the arc, or the cursor fell out of the source's bounded log).
+//! via [`Database::sync_from`] and handed out; once the publisher has
+//! retired a snapshot, [`ShadowBuffer::store`] returns its arc to the
+//! buffer so the *next* refresh can mutate it in place again. A full
+//! clone of the source happens when the buffer is cold, when some
+//! straggler still holds the arc, or when the delta is unservable or
+//! outsized (`Database::delta_affordable`).
 //!
-//! Both the epoch publisher ([`QueryEngine`](crate::QueryEngine)) and
-//! the pause-free WAL snapshot path
-//! ([`DurableDatabase`](crate::DurableDatabase)) drive one of these; a
-//! replication follower would too.
+//! [`QueryEngine`](crate::QueryEngine)'s publisher is the only driver:
+//! a snapshot to disk is a plain clone
+//! ([`SharedDatabase::write_snapshot`](crate::SharedDatabase::write_snapshot))
+//! that is dropped once written.
 
 use std::sync::Arc;
 
@@ -22,58 +23,52 @@ use modb_core::{ChangeCursor, Database, SyncReport};
 /// A reusable delta-applied shadow of a live [`Database`].
 ///
 /// Not synchronized itself — callers serialize access (the engine's
-/// publisher holds it behind a mutex).
+/// publisher holds it behind a mutex). The default is an empty buffer:
+/// the first refresh takes a full clone.
 #[derive(Debug, Default)]
-pub struct ShadowBuffer {
+pub(crate) struct ShadowBuffer {
     slot: Option<(Arc<Database>, ChangeCursor)>,
     /// A buffer set aside by [`ShadowBuffer::refresh`]'s full-clone
     /// path. Dropping a whole database is itself O(fleet) and need not
     /// happen inside the caller's lock window, so the replaced copy is
-    /// parked here until [`ShadowBuffer::reap`] (or the next cutover,
-    /// for callers that never reap) frees it.
+    /// parked here until [`ShadowBuffer::reap`] frees it.
     discard: Option<Arc<Database>>,
 }
 
 impl ShadowBuffer {
-    /// An empty buffer; the first refresh takes a full clone.
-    pub fn new() -> Self {
-        ShadowBuffer::default()
-    }
-
     /// Brings the buffered copy up to date with `src` and hands it out
     /// together with the report describing the sync. The caller must
     /// hold whatever lock keeps `src` stable for the duration — the
     /// point of the mechanism is that this critical section costs
     /// O(changes since the last refresh), not O(fleet).
-    pub fn refresh(&mut self, src: &Database) -> (Arc<Database>, SyncReport) {
-        match self.slot.take() {
-            Some((mut arc, cursor)) if src.delta_affordable(cursor) => {
-                // If a straggler still pins the arc (a long query on a
-                // two-epochs-old snapshot), make_mut clones — slower,
-                // never wrong.
-                let report = Arc::make_mut(&mut arc).sync_from(src, cursor);
-                (arc, report)
-            }
-            stale => {
-                // Cold buffer, truncated log, or a delta past the clone
-                // break-even point: start over from a fresh clone and
-                // park the replaced copy for an out-of-lock drop.
-                self.discard = stale.map(|(arc, _)| arc);
-                let report = SyncReport {
-                    cursor: src.change_cursor(),
-                    full_resync: true,
-                    applied: 0,
-                };
-                (Arc::new(src.clone()), report)
+    pub(crate) fn refresh(&mut self, src: &Database) -> (Arc<Database>, SyncReport) {
+        if let Some((mut arc, cursor)) = self.slot.take() {
+            match Arc::get_mut(&mut arc) {
+                Some(copy) if src.delta_affordable(cursor) => {
+                    let report = copy.sync_from(src, cursor);
+                    return (arc, report);
+                }
+                // A straggler still pinning the arc (a long query on a
+                // two-epochs-old snapshot), a truncated log, or a delta
+                // past the clone break-even point: park the stale copy
+                // for an out-of-lock drop and start over below.
+                _ => self.discard = Some(arc),
             }
         }
+        // Cold or unusable buffer: a fresh clone of the source.
+        let report = SyncReport {
+            cursor: src.change_cursor(),
+            full_resync: true,
+            applied: 0,
+        };
+        (Arc::new(src.clone()), report)
     }
 
     /// Frees any buffer parked by [`ShadowBuffer::refresh`]'s
     /// full-clone path. Call it outside the critical section — the
     /// epoch publisher does so right after the snapshot swap — so the
     /// O(fleet) drop never extends a lock window.
-    pub fn reap(&mut self) {
+    pub(crate) fn reap(&mut self) {
         self.discard = None;
     }
 
@@ -81,7 +76,7 @@ impl ShadowBuffer {
     /// being retired) to the buffer, to be delta-advanced next time.
     /// `cursor` must be the [`SyncReport::cursor`] from the refresh that
     /// produced `db`.
-    pub fn store(&mut self, db: Arc<Database>, cursor: ChangeCursor) {
+    pub(crate) fn store(&mut self, db: Arc<Database>, cursor: ChangeCursor) {
         self.slot = Some((db, cursor));
     }
 
@@ -97,7 +92,7 @@ impl ShadowBuffer {
     /// would force a clone — the next refresh deals with it), or the
     /// pending delta is unservable/too large (the next refresh will
     /// full-resync anyway, superseding anything done here).
-    pub fn catch_up(&mut self, src: &Database) -> bool {
+    pub(crate) fn catch_up(&mut self, src: &Database) -> bool {
         let Some((arc, cursor)) = self.slot.as_mut() else {
             return false;
         };
@@ -159,7 +154,7 @@ mod tests {
     #[test]
     fn refresh_store_cycle_tracks_the_source() {
         let mut src = live();
-        let mut buf = ShadowBuffer::new();
+        let mut buf = ShadowBuffer::default();
         let (first, report) = buf.refresh(&src);
         assert!(report.full_resync, "first refresh is a full clone");
         assert_eq!(first.moving_count(), 5);
@@ -189,7 +184,7 @@ mod tests {
     #[test]
     fn catch_up_advances_the_stored_copy_unless_pinned() {
         let mut src = live();
-        let mut buf = ShadowBuffer::new();
+        let mut buf = ShadowBuffer::default();
         let (first, report) = buf.refresh(&src);
         buf.store(first, report.cursor);
 
@@ -214,10 +209,10 @@ mod tests {
         )
         .unwrap();
         assert!(!buf.catch_up(&src), "pinned arc skips the catch-up");
-        // The skipped work lands on the next refresh instead.
+        // The next refresh cannot mutate the pinned copy either: it
+        // starts over from a clone of the source.
         let (after, report) = buf.refresh(&src);
-        assert!(!report.full_resync);
-        assert_eq!(report.applied, 1);
+        assert!(report.full_resync);
         assert_eq!(after.moving(ObjectId(3)).unwrap().attr.start_arc, 44.0);
         assert_eq!(pin.moving(ObjectId(3)).unwrap().attr.start_arc, 30.0);
     }
@@ -225,7 +220,7 @@ mod tests {
     #[test]
     fn pinned_arc_forces_a_clone_but_stays_correct() {
         let mut src = live();
-        let mut buf = ShadowBuffer::new();
+        let mut buf = ShadowBuffer::default();
         let (first, report) = buf.refresh(&src);
         let pin = Arc::clone(&first); // straggler keeps the old epoch
         buf.store(first, report.cursor);
@@ -235,7 +230,19 @@ mod tests {
             &UpdateMessage::basic(2.0, UpdatePosition::Arc(12.0), 1.0),
         )
         .unwrap();
-        let (second, _) = buf.refresh(&src);
+        let (second, report) = buf.refresh(&src);
+        // One change, well inside the delta budget — but the only copy
+        // to apply it to is pinned, so this is a clone of the source and
+        // says so (the publisher counts it under `full_publishes`).
+        assert_eq!(
+            report,
+            SyncReport {
+                cursor: src.change_cursor(),
+                full_resync: true,
+                applied: 0,
+            }
+        );
+        assert!(!Arc::ptr_eq(&second, &pin));
         assert_eq!(second.moving(ObjectId(1)).unwrap().attr.start_arc, 12.0);
         // The pinned copy still shows the old state.
         assert_eq!(pin.moving(ObjectId(1)).unwrap().attr.start_arc, 10.0);

@@ -3,10 +3,9 @@
 //! Contract under test: a snapshot taken at watermark `L` bounds replay
 //! exactly — recovery loads it, replays only records with `lsn >= L`,
 //! and converges with the live (locked) state at crash time, whatever
-//! the workload and wherever the snapshots landed. The second snapshot
-//! in each case is delta-synced from the first through the shadow
-//! buffer, so the property also pins the incremental capture path
-//! against the full-clone baseline recovery compares to.
+//! the workload and wherever the snapshots landed. Each case takes two
+//! snapshots, so the property also covers a second capture over a
+//! directory that already holds one, and the compaction between them.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,10 +104,10 @@ proptest! {
                 .unwrap();
         }
         apply_stream(&durable, &pre);
-        durable.snapshot().unwrap(); // cold shadow: full capture
+        durable.snapshot().unwrap();
         apply_stream(&durable, &mid);
         let watermark = durable.wal().next_lsn();
-        durable.snapshot().unwrap(); // warm shadow: delta-synced capture
+        durable.snapshot().unwrap(); // the one recovery must start from
         apply_stream(&durable, &post);
 
         // "Crash": drop the handles with the log trailing the last
