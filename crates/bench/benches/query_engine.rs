@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use modb_core::{Database, ObjectId, UpdateMessage, UpdatePosition};
+use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 use modb_server::{QueryEngineConfig, SharedDatabase};
 use modb_sim::experiments::indexing::{build_city_db, query_regions};
 
@@ -111,17 +111,13 @@ fn bench_contended_reads(c: &mut Criterion) {
     writer.join().expect("writer exits");
 }
 
-/// Full-clone vs change-log delta publication at 10k objects across
-/// churn levels (0.1%, 1%, 10% of the fleet touched between epochs).
-/// Each iteration applies the churn batch and republishes; the churn
-/// cost is identical in both modes, so the spread between the `full`
-/// and `delta` rows is publication cost alone. The `delta` rows time
-/// the whole `publish_now` cycle, post-swap shadow catch-up included;
-/// the `full` rows time what the engine did before it had a change log
-/// (clone the database under the read lock, wrap it in an `Arc`, drop
-/// the snapshot it replaces). The W3 experiment (`exp_epoch_publish`)
-/// splits out the pre-swap visibility latency. `publish_epoch_10k_fleet`
-/// is the floor: a publish with nothing changed since the last one.
+/// Publication at 10k objects across churn levels (0.1%, 1%, 10% of
+/// the fleet touched between epochs). Each iteration applies the churn
+/// batch and republishes, so what grows with the churn is what the
+/// published clone costs the writes that follow it (each copies the
+/// path it changes) plus dropping the retired snapshot; the clone
+/// itself is O(1). `publish_epoch_10k_fleet` is the floor: a publish
+/// with nothing changed since the last one.
 fn bench_epoch_publish(c: &mut Criterion) {
     const FLEET: usize = 10_000;
     let mut group = c.benchmark_group("epoch_publish");
@@ -135,40 +131,22 @@ fn bench_epoch_publish(c: &mut Criterion) {
         });
     }
     for churn in [FLEET / 1000, FLEET / 100, FLEET / 10] {
-        for mode in ["full", "delta"] {
-            let (db, _) = fleet(FLEET);
-            let mut publish: Box<dyn FnMut()> = if mode == "delta" {
-                let engine = manual_engine(&db);
-                // Past the cold-buffer publish: the first publish into
-                // an empty shadow buffer is a full clone.
-                engine.publish_now();
-                engine.publish_now();
-                Box::new(move || {
-                    black_box(engine.publish_now());
-                })
-            } else {
-                let db = db.clone();
-                let mut published = Arc::new(db.with_read(Database::clone));
-                Box::new(move || {
-                    let next = Arc::new(db.with_read(Database::clone));
-                    drop(std::mem::replace(&mut published, black_box(next)));
-                })
-            };
-            let mut round = 2u64;
-            group.bench_function(format!("{mode}_10k_churn_{churn}"), |b| {
-                b.iter(|| {
-                    round += 1;
-                    let t = round as f64 * 1e-5;
-                    for i in 0..churn as u64 {
-                        let _ = db.apply_update(
-                            ObjectId((round * churn as u64 + i) % FLEET as u64),
-                            &UpdateMessage::basic(t, UpdatePosition::Arc(0.5), 0.7),
-                        );
-                    }
-                    publish()
-                })
-            });
-        }
+        let (db, _) = fleet(FLEET);
+        let engine = manual_engine(&db);
+        let mut round = 0u64;
+        group.bench_function(format!("publish_10k_churn_{churn}"), |b| {
+            b.iter(|| {
+                round += 1;
+                let t = round as f64 * 1e-5;
+                for i in 0..churn as u64 {
+                    let _ = db.apply_update(
+                        ObjectId((round * churn as u64 + i) % FLEET as u64),
+                        &UpdateMessage::basic(t, UpdatePosition::Arc(0.5), 0.7),
+                    );
+                }
+                black_box(engine.publish_now())
+            })
+        });
     }
     group.finish();
 }

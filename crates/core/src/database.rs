@@ -1,14 +1,15 @@
 //! The moving-objects database: update ingestion and query processing.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use modb_geom::Point;
-use modb_index::{MovingObjectIndex, OPlane, QueryRegion, SearchStats, DEFAULT_SLAB_MINUTES};
+use modb_index::{
+    CowMap, MovingObjectIndex, OPlane, QueryRegion, SearchStats, DEFAULT_SLAB_MINUTES,
+};
 use modb_routes::{Route, RouteNetwork};
 
 use crate::attr::{PolicyDescriptor, PositionAttribute};
-use crate::changes::{Change, ChangeCursor, ChangeLog, SyncReport};
 use crate::error::CoreError;
 use crate::history::AttributeHistory;
 use crate::object::{ObjectId, StationaryObject};
@@ -35,11 +36,6 @@ pub struct DatabaseConfig {
     /// Superseded position-attribute versions retained per object for
     /// as-of queries (0 disables history).
     pub history_capacity: usize,
-    /// Entries retained in the change log that feeds
-    /// [`Database::sync_from`]. A copy that falls further behind than
-    /// this resyncs with a full clone; 0 keeps nothing (copies always
-    /// resync).
-    pub change_log_capacity: usize,
 }
 
 impl Default for DatabaseConfig {
@@ -50,7 +46,6 @@ impl Default for DatabaseConfig {
             bands: DEFAULT_SLAB_MINUTES,
             refinement_dt: 1.0,
             history_capacity: 256,
-            change_log_capacity: 4096,
         }
     }
 }
@@ -75,7 +70,7 @@ pub struct MovingObject {
 /// attribute versions (transaction-time history; see
 /// [`crate::AttributeHistory`]). Immutable once published behind its
 /// `Arc` — a database and its clones share one record per object, and a
-/// mutator copies-on-write (`Arc::make_mut`), so a copy pinned by a
+/// mutator copies-on-write (`Arc::make_mut`), so a clone pinned by a
 /// reader never sees a later write.
 #[derive(Debug, Clone)]
 struct MovingRecord {
@@ -86,27 +81,30 @@ struct MovingRecord {
 /// The DBMS of the paper: a route database, stationary landmarks, moving
 /// objects with position attributes, and the 3-D time-space index.
 ///
-/// Cloning copies pointers, not payloads: the network, every
-/// `MovingRecord` and every index entry (an object's o-plane and its
-/// union box) are shared with the clone. Per copy are only the
-/// structures delta-sync mutates in place — the id maps, the index tree,
-/// `unindexed`, the change log.
+/// **A copy is a handful of roots.** Cloning is O(1) whatever the fleet:
+/// the network, the object table (a [`CowMap`]), the index (a
+/// path-copying tree and map), the stationary table and the unindexed
+/// set are each one `Arc` clone, and the clone shares every record, tree
+/// node and bucket with the original. A write copies the one path it
+/// changes, and only what a clone still holds; a database nobody has
+/// cloned mutates in place. That is what lets a served node publish an
+/// epoch, or capture a snapshot, by cloning under a read lock held for
+/// nanoseconds, and keep one resident copy of the fleet.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The road map, shared: routes are append-only and individually
     /// immutable, so clones of the database alias one network and
     /// [`Database::insert_route`] copies-on-write only when aliased.
     network: Arc<RouteNetwork>,
-    moving: HashMap<ObjectId, Arc<MovingRecord>>,
-    stationary: HashMap<ObjectId, StationaryObject>,
+    moving: CowMap<ObjectId, Arc<MovingRecord>>,
+    /// Landmarks: few and rarely written, so the table is shared whole
+    /// and copied on the first insert after a clone.
+    stationary: Arc<HashMap<ObjectId, StationaryObject>>,
     index: MovingObjectIndex<ObjectId>,
     /// Ids of moving objects whose policies cannot be o-plane-indexed;
     /// they are appended to every candidate set (exact refinement still
-    /// applies).
-    unindexed: BTreeSet<ObjectId>,
-    /// Epoch-stamped record of which objects mutated, drained by
-    /// [`Database::sync_from`].
-    changes: ChangeLog,
+    /// applies). Shared whole, like `stationary`.
+    unindexed: Arc<BTreeSet<ObjectId>>,
     config: DatabaseConfig,
 }
 
@@ -117,10 +115,9 @@ impl Database {
         Database {
             index: MovingObjectIndex::new(config.bands),
             network: network.into(),
-            moving: HashMap::new(),
-            stationary: HashMap::new(),
-            unindexed: BTreeSet::new(),
-            changes: ChangeLog::new(config.change_log_capacity),
+            moving: CowMap::new(),
+            stationary: Arc::default(),
+            unindexed: Arc::default(),
             config,
         }
     }
@@ -175,9 +172,7 @@ impl Database {
     ///
     /// [`CoreError::Route`] when the id is already taken.
     pub fn insert_route(&mut self, route: Route) -> Result<(), CoreError> {
-        let id = route.id();
         Arc::make_mut(&mut self.network).insert(route)?;
-        self.changes.record(Change::Route(id));
         Ok(())
     }
 
@@ -259,9 +254,7 @@ impl Database {
         if self.stationary.contains_key(&obj.id) || self.moving.contains_key(&obj.id) {
             return Err(CoreError::DuplicateObject(obj.id));
         }
-        let id = obj.id;
-        self.stationary.insert(id, obj);
-        self.changes.record(Change::Stationary(id));
+        Arc::make_mut(&mut self.stationary).insert(obj.id, obj);
         Ok(())
     }
 
@@ -304,7 +297,6 @@ impl Database {
             history,
         };
         self.moving.insert(id, Arc::new(record));
-        self.changes.record(Change::Moving(id));
         self.reindex(id)?;
         Ok(())
     }
@@ -320,8 +312,7 @@ impl Database {
             .remove(&id)
             .ok_or(CoreError::UnknownObject(id))?;
         self.index.remove(&id);
-        self.unindexed.remove(&id);
-        self.changes.record(Change::Moving(id));
+        self.set_unindexed(id, false);
         // Copies still holding the record keep it; take it when unshared.
         Ok(Arc::try_unwrap(record).map_or_else(|shared| shared.object.clone(), |r| r.object))
     }
@@ -341,117 +332,36 @@ impl Database {
         expired
     }
 
-    // --- Versioned-store API ------------------------------------------
-    //
-    // The epoch publisher (`modb-server`'s query engine) keeps a stale
-    // copy of this database and pulls it forward in O(changes) through
-    // these three methods. Everything else that needs a copy — a
-    // snapshot to disk, a test's reference — clones.
-
-    /// The cursor one past the newest recorded change — where the
-    /// holder of a fresh full copy starts.
-    pub fn change_cursor(&self) -> ChangeCursor {
-        self.changes.cursor()
-    }
-
-    /// The number of change-log entries past which applying a delta
-    /// loses to a full clone. A clone copies two pointers per object and
-    /// the index tree wholesale; re-syncing one changed object is R\*-tree
-    /// surgery, ~80× the per-object cost of the bulk copy (W3 crossover:
-    /// 1.2 % of the fleet at both 10 k and 100 k objects). The floor
-    /// keeps small fleets on the delta path unconditionally.
-    fn delta_budget(&self) -> usize {
-        (self.moving.len() / 80).max(64)
-    }
-
-    /// Whether pulling a stale copy forward from `cursor` is worthwhile:
-    /// the log still holds the delta *and* it is small enough to beat a
-    /// full clone. [`Database::sync_from`] applies the same cutover
-    /// itself; this predicate lets callers skip optional maintenance
-    /// syncs (e.g. the shadow buffer's post-publish catch-up) that a
-    /// later full resync would supersede anyway.
-    pub fn delta_affordable(&self, cursor: ChangeCursor) -> bool {
-        match self.changes.since(cursor) {
-            Some(delta) => delta.count() <= self.delta_budget(),
-            None => false,
-        }
-    }
-
-    /// Pulls this (stale copy) database forward to `src`'s state by
-    /// applying the changes recorded since `cursor` — copying each
-    /// touched object's current state (or removing it), maintaining the
-    /// time-space index entry-by-entry (the §4.2 delete+insert
-    /// maintenance) instead of rebuilding it. Falls back to a full clone
-    /// when the delta is unservable (log truncated past `cursor`) or no
-    /// longer cheaper than cloning (more distinct objects touched than
-    /// the break-even fraction of the fleet). Either way, afterwards
-    /// `self` answers every query identically to `src`.
-    ///
-    /// `self` must be a clone of `src` as of `cursor` (or of any state
-    /// the recorded changes bridge from); the caller guarantees `src` is
-    /// not mutated concurrently. The target's *own* change log is not
-    /// advanced — it describes mutations applied through the target's
-    /// mutators, and replicas hand out cursors against themselves only
-    /// after a full clone.
-    pub fn sync_from(&mut self, src: &Database, cursor: ChangeCursor) -> SyncReport {
-        let target = src.changes.cursor();
-        let Some(delta) = src.changes.since(cursor) else {
-            *self = src.clone();
-            return SyncReport {
-                cursor: target,
-                full_resync: true,
-                applied: 0,
-            };
-        };
-        let touched: HashSet<Change> = delta.collect();
-        // Past the break-even point a full clone is cheaper than
-        // per-object surgery (and the gap only widens): cut over.
-        if touched.len() > src.delta_budget() {
-            *self = src.clone();
-            return SyncReport {
-                cursor: target,
-                full_resync: true,
-                applied: 0,
-            };
-        }
-        if !Arc::ptr_eq(&self.network, &src.network) {
-            self.network = Arc::clone(&src.network);
-        }
-        self.config = src.config;
-        let applied = touched.len();
-        for change in touched {
-            match change {
-                Change::Moving(id) => self.sync_moving_from(src, id),
-                Change::Stationary(id) => {
-                    if let Some(obj) = src.stationary.get(&id) {
-                        self.stationary.insert(id, obj.clone());
-                    }
-                }
-                // Covered by the network handle adoption above.
-                Change::Route(_) => {}
+    /// Adds `id` to, or drops it from, the unindexed set — touching the
+    /// shared set only when its membership actually changes, so the
+    /// common update (a cost-based object staying indexed) copies nothing.
+    fn set_unindexed(&mut self, id: ObjectId, unindexed: bool) {
+        if self.unindexed.contains(&id) != unindexed {
+            let set = Arc::make_mut(&mut self.unindexed);
+            if unindexed {
+                set.insert(id);
+            } else {
+                set.remove(&id);
             }
         }
-        SyncReport {
-            cursor: target,
-            full_resync: false,
-            applied,
-        }
     }
 
-    /// Adopts `src`'s current state of one moving object — its shared
-    /// record and index entry, its unindexed membership — or erases the
-    /// object when `src` no longer holds it.
-    fn sync_moving_from(&mut self, src: &Database, id: ObjectId) {
-        match src.moving.get(&id) {
-            Some(record) => self.moving.insert(id, Arc::clone(record)),
-            None => self.moving.remove(&id),
-        };
-        self.index.sync_entry_from(&src.index, &id);
-        if src.unindexed.contains(&id) {
-            self.unindexed.insert(id);
-        } else {
-            self.unindexed.remove(&id);
-        }
+    /// `(shared, total)`: of the allocations this copy's per-fleet
+    /// structures are made of — index tree nodes, the directories, chunks
+    /// and buckets of the two id maps, the stationary table, the
+    /// unindexed set — how many `other` holds too. A fresh clone shares
+    /// all of them; each write un-shares the one path it copies. The
+    /// probe the sharing tests (and F6's write-side leg) count with.
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &Database) -> (usize, usize) {
+        let (index_shared, index_total) = self.index.shared_with(&other.index);
+        let (map_shared, map_total) = self.moving.shared_with(&other.moving);
+        let whole = usize::from(Arc::ptr_eq(&self.stationary, &other.stationary))
+            + usize::from(Arc::ptr_eq(&self.unindexed, &other.unindexed));
+        (
+            index_shared + map_shared + whole,
+            index_total + map_total + 2,
+        )
     }
 
     /// Applies a position-update message (§3.1), refreshing the position
@@ -507,14 +417,13 @@ impl Database {
         // instant and stays deterministic under WAL replay.
         let coalesce = msg.time == obj.attr.start_time;
         // Copy-on-write: a record still shared with a clone (a pinned
-        // epoch, a snapshot being written) is copied once here, and an
-        // epoch buffer adopts the new pointer on its next sync.
+        // epoch, a snapshot being written) is copied once here; the clone
+        // keeps the one it has.
         let record = Arc::make_mut(self.moving.get_mut(&id).expect("checked above"));
         let superseded = std::mem::replace(&mut record.object.attr, next);
         if !coalesce {
             record.history.push(superseded);
         }
-        self.changes.record(Change::Moving(id));
         self.reindex(id)
     }
 
@@ -568,11 +477,11 @@ impl Database {
                     end_time,
                 )?;
                 self.index.upsert(id, plane, route)?;
-                self.unindexed.remove(&id);
+                self.set_unindexed(id, false);
             }
             _ => {
                 self.index.remove(&id);
-                self.unindexed.insert(id);
+                self.set_unindexed(id, true);
             }
         }
         Ok(())
@@ -1461,86 +1370,13 @@ mod tests {
         assert_eq!(db.moving(ObjectId(1)).unwrap().attr.route, RouteId(7));
     }
 
-    /// Observable equivalence: stored state, history, position answers,
-    /// and index-backed range answers (checked against the scan baseline
-    /// on both sides, so a desynced index cannot hide).
-    fn assert_same_view(a: &Database, b: &Database) {
-        assert_eq!(a.moving_count(), b.moving_count());
-        assert_eq!(a.stationary_count(), b.stationary_count());
-        assert_eq!(a.network().len(), b.network().len());
-        let mut ids: Vec<ObjectId> = a.moving_ids().collect();
-        ids.sort_unstable();
-        let mut b_ids: Vec<ObjectId> = b.moving_ids().collect();
-        b_ids.sort_unstable();
-        assert_eq!(ids, b_ids);
-        for &id in &ids {
-            assert_eq!(a.moving(id).unwrap(), b.moving(id).unwrap());
-            assert_eq!(a.history_of(id), b.history_of(id));
-        }
-        for t in [0.0, 3.0, 8.0] {
-            let region = rect_region(0.0, 100.0, t);
-            let ra = a.range_query(&region).unwrap();
-            let rb = b.range_query(&region).unwrap();
-            assert_eq!(ra.must, rb.must, "t={t}");
-            assert_eq!(ra.may, rb.may, "t={t}");
-            let scan = a.range_query_scan(&region).unwrap();
-            assert_eq!(ra.must, scan.must, "index vs scan t={t}");
-            assert_eq!(ra.may, scan.may, "index vs scan t={t}");
-        }
-    }
-
+    /// The memory contract of one resident copy: an update copies the
+    /// object's record once (on the live side) while a clone pins the old
+    /// one, and when the pinned clones go — a retired epoch, a written
+    /// snapshot — the superseded record, full history and all, is freed
+    /// with nobody having had to sync anything.
     #[test]
-    fn sync_from_applies_deltas_incrementally() {
-        let mut db = db_with(vec![object(1, 10.0, 1.0), object(2, 30.0, 1.0)]);
-        let mut shadow = db.clone();
-        let cursor = db.change_cursor();
-        // One mutation of every kind.
-        db.apply_update(
-            ObjectId(1),
-            &UpdateMessage::basic(5.0, UpdatePosition::Arc(14.0), 0.5),
-        )
-        .unwrap();
-        db.remove_moving(ObjectId(2)).unwrap();
-        let mut fixed = object(3, 60.0, 1.0);
-        fixed.attr.policy = PolicyDescriptor::FixedBound { bound: 1.0 };
-        db.register_moving(fixed).unwrap();
-        db.insert_stationary(StationaryObject::new(
-            ObjectId(100),
-            "depot",
-            Point::new(12.0, 0.0),
-        ))
-        .unwrap();
-        db.insert_route(
-            Route::from_vertices(
-                RouteId(9),
-                "new",
-                vec![Point::new(0.0, 20.0), Point::new(100.0, 20.0)],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-
-        let report = shadow.sync_from(&db, cursor);
-        assert!(!report.full_resync);
-        assert!(
-            report.applied >= 4,
-            "moving x3 + stationary + route touched"
-        );
-        assert_eq!(report.cursor, db.change_cursor());
-        assert_same_view(&shadow, &db);
-        // A second sync from the returned cursor is a no-op.
-        let again = shadow.sync_from(&db, report.cursor);
-        assert!(!again.full_resync);
-        assert_eq!(again.applied, 0);
-        assert_same_view(&shadow, &db);
-    }
-
-    /// The memory contract of shared payloads: an update copies the
-    /// object's record once (on the live side), and once both shadows
-    /// have synced, the superseded record — full history and all — is
-    /// freed and all three copies hold the one new record.
-    #[test]
-    fn update_of_full_history_leaves_one_copy_once_shadows_sync() {
+    fn update_of_full_history_leaves_one_copy_once_clones_drop() {
         let cfg = DatabaseConfig {
             history_capacity: 4,
             ..DatabaseConfig::default()
@@ -1553,62 +1389,102 @@ mod tests {
             db.apply_update(id, &report(f64::from(t))).unwrap();
         }
         assert_eq!(db.history_of(id).len(), cfg.history_capacity);
-        let mut shadows = [db.clone(), db.clone()];
-        let cursor = db.change_cursor();
-        let superseded = Arc::downgrade(&db.moving[&id]);
-        assert_eq!(superseded.strong_count(), 3, "clones share the record");
+        let record = |db: &Database| Arc::clone(db.moving.get(&id).unwrap());
+        let superseded = Arc::downgrade(&record(&db));
+        assert_eq!(superseded.strong_count(), 1, "one resident copy");
+        let pinned = [db.clone(), db.clone()];
+        assert_eq!(superseded.strong_count(), 1, "clones share the table");
+        assert_eq!(db.shared_with(&pinned[0]), db.shared_with(&db));
 
         db.apply_update(id, &report(5.0)).unwrap();
-        assert_eq!(Arc::strong_count(&db.moving[&id]), 1, "copied on write");
-        assert_eq!(superseded.strong_count(), 2, "shadows keep the old one");
-        assert_eq!(shadows[0].moving(id).unwrap().attr.start_time, 4.0);
-
-        for shadow in &mut shadows {
-            assert!(!shadow.sync_from(&db, cursor).full_resync);
+        assert_eq!(Arc::strong_count(&record(&db)), 2, "ours and the table's");
+        assert_eq!(superseded.strong_count(), 1, "the clones keep the old one");
+        for clone in &pinned {
+            assert_eq!(clone.moving(id).unwrap().attr.start_time, 4.0);
+            assert_eq!(clone.history_of(id).len(), cfg.history_capacity);
         }
+        // A second update finds the record unshared and mutates in place.
+        let before = Arc::as_ptr(&record(&db));
+        db.apply_update(id, &report(6.0)).unwrap();
+        assert_eq!(Arc::as_ptr(&record(&db)), before, "no second copy");
+
+        drop(pinned);
         assert_eq!(superseded.strong_count(), 0, "old record freed");
-        assert_eq!(Arc::strong_count(&db.moving[&id]), 3);
-        for shadow in &shadows {
-            assert!(Arc::ptr_eq(&shadow.moving[&id], &db.moving[&id]));
-            assert!(shadow.index.shares_entry_with(&db.index, &id));
-            assert_eq!(shadow.history_of(id), db.history_of(id));
-        }
+        assert_eq!(db.moving(id).unwrap().attr.start_time, 6.0);
     }
 
+    /// `Database::clone` is O(1): a fresh clone shares every tree node
+    /// and bucket, a write un-shares only its own paths, a rejected write
+    /// un-shares nothing, and sharing does not decay over many
+    /// publish-then-update rounds.
     #[test]
-    fn sync_from_falls_back_to_full_clone_when_log_truncated() {
-        let cfg = DatabaseConfig {
-            change_log_capacity: 2,
-            ..DatabaseConfig::default()
-        };
-        let mut db = Database::new(network(), cfg);
-        db.register_moving(object(1, 10.0, 1.0)).unwrap();
-        let mut shadow = db.clone();
-        let cursor = db.change_cursor();
-        // More changes than the log retains: the cursor is evicted.
-        for i in 2..=5 {
-            db.register_moving(object(i, 10.0 * i as f64, 1.0)).unwrap();
+    fn a_clone_shares_everything_and_writes_copy_only_their_paths() {
+        let mut db = Database::new(network(), DatabaseConfig::default());
+        for i in 0..2_000u64 {
+            db.register_moving(object(i, (i % 100) as f64, 1.0))
+                .unwrap();
         }
-        let report = shadow.sync_from(&db, cursor);
-        assert!(report.full_resync);
-        assert_eq!(report.cursor, db.change_cursor());
-        assert_same_view(&shadow, &db);
-    }
+        let height = db.index_tree_stats().2;
+        // What one update copies when a clone pins everything: one tree
+        // path out (locate → remove) and one in (insert) with a split on
+        // the way, and in each of the two id maps a chunk and a bucket
+        // (each directory once per clone). An update that fits in place
+        // copies half of that; one whose leaf falls under the R\* minimum
+        // dissolves it and reinserts the orphans down paths of their own,
+        // so the bound is on the mean, with the worst case kept well
+        // short of "the tree".
+        let per_update = 2 * height + 2 + 4;
+        let pinned = db.clone();
+        let (shared, total) = db.shared_with(&pinned);
+        assert_eq!(shared, total, "a fresh clone shares all {total}");
 
-    #[test]
-    fn delta_affordable_reports_truncation() {
-        let cfg = DatabaseConfig {
-            change_log_capacity: 2,
-            ..DatabaseConfig::default()
-        };
-        let mut db = Database::new(network(), cfg);
-        let cursor = db.change_cursor();
-        db.register_moving(object(1, 10.0, 1.0)).unwrap();
-        db.register_moving(object(2, 20.0, 1.0)).unwrap();
-        assert!(db.delta_affordable(cursor));
-        db.register_moving(object(3, 30.0, 1.0)).unwrap();
-        assert!(!db.delta_affordable(cursor), "evicted → resync");
-        assert!(db.delta_affordable(db.change_cursor()));
+        // Rejected writes copy nothing.
+        let stale = UpdateMessage::basic(-1.0, UpdatePosition::Arc(1.0), 1.0);
+        assert!(db.apply_update(ObjectId(3), &stale).is_err());
+        assert!(db.apply_update(ObjectId(99_999), &stale).is_err());
+        assert!(db.remove_moving(ObjectId(99_999)).is_err());
+        assert_eq!(db.shared_with(&pinned), (total, total));
+
+        let k = 25;
+        for i in 0..k {
+            let msg = UpdateMessage::basic(1.0, UpdatePosition::Arc((i * 4) as f64), 0.7);
+            db.apply_update(ObjectId(i * 31), &msg).unwrap();
+        }
+        let (shared, now) = db.shared_with(&pinned);
+        assert!(
+            now - shared <= 2 + k as usize * per_update,
+            "{} of {now} copied by {k} updates (height {height})",
+            now - shared
+        );
+        assert_eq!(pinned.moving(ObjectId(31)).unwrap().attr.start_time, 0.0);
+        drop(pinned);
+
+        // 1 000 publish-then-update rounds: what a round copies does not
+        // grow (sharing does not decay), and no round comes near copying
+        // the structure wholesale.
+        let mut published = db.clone();
+        let (mut copied, mut worst) = (0, 0);
+        for round in 0..1_000u64 {
+            let id = ObjectId((round * 7) % 2_000);
+            let arc = ((round * 13) % 100) as f64;
+            let msg = UpdateMessage::basic(2.0 + round as f64, UpdatePosition::Arc(arc), 0.9);
+            db.apply_update(id, &msg).unwrap();
+            let (shared, total) = db.shared_with(&published);
+            copied += total - shared;
+            worst = worst.max(total - shared);
+            assert!(
+                total - shared <= total / 4,
+                "round {round}: {} of {total} unshared",
+                total - shared
+            );
+            published = db.clone();
+        }
+        assert!(
+            copied <= 1_000 * (2 + per_update),
+            "{copied} allocations copied by 1000 single-update rounds (worst {worst})"
+        );
+        let (shared, total) = db.shared_with(&published);
+        assert_eq!(shared, total);
     }
 
     #[test]
@@ -1637,13 +1513,14 @@ mod tests {
         let msg = UpdateMessage::basic(5.0, UpdatePosition::Arc(14.0), 0.5);
         db.apply_update(ObjectId(1), &msg).unwrap();
         let attr = db.moving(ObjectId(1)).unwrap().attr.clone();
-        let cursor = db.change_cursor();
+        let pinned = db.clone();
         // Re-delivering the exact same update (the WAL-replay case)
-        // succeeds without a duplicate history entry or a new change.
+        // succeeds without a duplicate history entry or a write: nothing
+        // the clone shares is copied.
         db.apply_update(ObjectId(1), &msg).unwrap();
         assert_eq!(db.history_of(ObjectId(1)).len(), 1);
         assert_eq!(db.moving(ObjectId(1)).unwrap().attr, attr);
-        assert_eq!(db.change_cursor(), cursor);
+        assert_eq!(db.shared_with(&pinned), pinned.shared_with(&pinned));
         // A same-time update with different content is a real change —
         // but it coalesces in place (no history push): two versions in
         // force at one instant would be an infinite-speed trajectory.
@@ -1654,7 +1531,8 @@ mod tests {
         .unwrap();
         assert_eq!(db.history_of(ObjectId(1)).len(), 1);
         assert_eq!(db.moving(ObjectId(1)).unwrap().attr.start_arc, 15.0);
-        assert_eq!(db.change_cursor().seq(), cursor.seq() + 1);
+        assert_ne!(db.shared_with(&pinned), pinned.shared_with(&pinned));
+        assert_eq!(pinned.moving(ObjectId(1)).unwrap().attr.start_arc, 14.0);
     }
 
     #[test]

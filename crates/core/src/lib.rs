@@ -17,15 +17,16 @@
 //! Index-backed range queries and exhaustive-scan range queries return
 //! identical answers; the benchmarks measure the sublinearity gap.
 //!
-//! The database is also a *versioned store*: every mutation is recorded
-//! in a bounded change log, and the holder of a [`ChangeCursor`] pulls
-//! a stale copy forward in O(changes) with [`Database::sync_from`] —
-//! the mechanism behind the epoch publisher in `modb-server`.
+//! The database is also a *persistent* store in the functional sense:
+//! its object table and its index are path-copying structures, so
+//! [`Database::clone`] is O(1) and a clone shares everything no write
+//! has touched since. `modb-server` publishes read epochs and captures
+//! snapshots by cloning; there is no change log and no second copy to
+//! keep in step.
 
 #![warn(missing_docs)]
 
 mod attr;
-mod changes;
 mod database;
 mod error;
 mod history;
@@ -36,7 +37,6 @@ mod route_distance_query;
 mod update;
 
 pub use attr::{PolicyDescriptor, PositionAttribute};
-pub use changes::{ChangeCursor, SyncReport};
 pub use database::{Database, DatabaseConfig, MovingObject};
 pub use error::CoreError;
 pub use history::AttributeHistory;

@@ -14,18 +14,24 @@
 //! - [`MovingObjectIndex`]: o-plane maintenance (§4.2's delete-old /
 //!   insert-new on every position update) and candidate filtering, over
 //!   one R\*-tree of per-object union boxes.
+//! - [`CowMap`]: the copy-on-write hash map the index (and `modb-core`'s
+//!   object table) keep their id → entry tables in. It and the tree are
+//!   path-copying, so a clone of either is O(1) and shares everything no
+//!   write has touched since.
 //!
 //! Exact may/must refinement lives in `modb-core`, which can resolve
 //! routes; the index layer guarantees no false negatives.
 
 #![warn(missing_docs)]
 
+mod cow_map;
 mod error;
 mod moving_index;
 mod oplane;
 mod rtree;
 mod timespace;
 
+pub use cow_map::CowMap;
 pub use error::IndexError;
 pub use moving_index::{MovingObjectIndex, DEFAULT_SLAB_MINUTES};
 pub use oplane::OPlane;

@@ -20,10 +20,14 @@
 //! far ahead its trip is declared (22 boxes ≈ 1 KiB for a 105-minute trip
 //! at 5-minute slabs; ≈ 136 B now, whatever the trip).
 //!
-//! **Shared payloads.** A plane and its union box are immutable once
-//! installed, so they live behind one `Arc`: cloning the index and
-//! [`MovingObjectIndex::sync_entry_from`] copy the pointer, never the
-//! entry. Only the tree and the id → entry map are per copy.
+//! **A copy is two roots.** A key, its plane and its union box are
+//! immutable once installed, so they live behind one `Arc` that both the
+//! tree's leaf entry and the id → entry map hold; the tree
+//! ([`RStarTree`]) and the map ([`CowMap`]) are themselves
+//! path-copying, so cloning the index copies two pointers and the clone
+//! shares every node, bucket and entry until one side writes. A tree
+//! hit reads its plane straight from the leaf: the filter performs no
+//! map lookup.
 //!
 //! **Routes at query time.** Slab geometry needs the plane's route, so
 //! the `candidates*` probes take the `RouteNetwork`. Routes are
@@ -37,13 +41,13 @@
 //! refinement against uncertainty intervals happens in `modb-core`,
 //! where routes are resolvable.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
 use modb_geom::Aabb3;
 use modb_routes::{Route, RouteNetwork};
 
+use crate::cow_map::CowMap;
 use crate::error::IndexError;
 use crate::oplane::OPlane;
 use crate::rtree::{RStarTree, SearchStats};
@@ -54,17 +58,37 @@ use crate::timespace::QueryRegion;
 /// plane is ~12 boxes.
 pub const DEFAULT_SLAB_MINUTES: f64 = 5.0;
 
-/// One object's stored state: its o-plane and the union of the slab
-/// boxes the plane decomposes into — the box the tree files it under.
-/// Immutable, and shared (never copied) between an index and its clones.
-/// The same size for every plane: no per-slab heap behind it.
+/// One object's stored state: its key, its o-plane and the union of the
+/// slab boxes the plane decomposes into — the box the tree files it
+/// under. Immutable, and shared (never copied) between the tree, the id
+/// map and every clone of the index. The same size for every plane: no
+/// per-slab heap behind it.
 #[derive(Debug)]
-struct Stored {
+struct Stored<K> {
+    key: K,
     plane: OPlane,
     union: Aabb3,
 }
 
-impl Stored {
+/// What a tree leaf holds: the shared entry itself, so a hit needs no
+/// lookup to reach its plane. Two hits are equal when they are the same
+/// allocation — how `remove` / `update` tell the tree which entry to find.
+#[derive(Debug)]
+struct Hit<K>(Arc<Stored<K>>);
+
+impl<K> Clone for Hit<K> {
+    fn clone(&self) -> Self {
+        Hit(Arc::clone(&self.0))
+    }
+}
+
+impl<K> PartialEq for Hit<K> {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl<K> Stored<K> {
     /// The per-hit slab filter: `true` when one of the plane's *slab*
     /// boxes intersects `query`. A route `network` cannot resolve, or a
     /// slab box that errors, also answers `true`: the filter must never
@@ -87,8 +111,8 @@ impl Stored {
 /// objects: one R\*-tree of per-object union boxes.
 #[derive(Debug, Clone)]
 pub struct MovingObjectIndex<K> {
-    tree: RStarTree<K>,
-    planes: HashMap<K, Arc<Stored>>,
+    tree: RStarTree<Hit<K>>,
+    planes: CowMap<K, Arc<Stored<K>>>,
     /// Slab duration (minutes) of the §4.2 decomposition.
     slab_minutes: f64,
 }
@@ -106,7 +130,7 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     pub fn new(slab_minutes: f64) -> Self {
         MovingObjectIndex {
             tree: RStarTree::new(),
-            planes: HashMap::new(),
+            planes: CowMap::new(),
             slab_minutes: if slab_minutes.is_finite() && slab_minutes > 0.0 {
                 slab_minutes
             } else {
@@ -133,19 +157,16 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         self.planes.is_empty()
     }
 
-    /// Files `key` under `next`: the tree update plus the side-table
-    /// write.
-    fn install(&mut self, key: K, next: Arc<Stored>) {
-        match self.planes.entry(key) {
-            Entry::Occupied(mut slot) => {
-                let updated = self.tree.update(&slot.get().union, next.union, &key);
+    /// Files `next` under its key: the side-table write plus the tree
+    /// update.
+    fn install(&mut self, next: Arc<Stored<K>>) {
+        match self.planes.insert(next.key, Arc::clone(&next)) {
+            Some(old) => {
+                let (from, to) = (old.union, next.union);
+                let updated = self.tree.update(&from, &Hit(old), to, Hit(next));
                 debug_assert!(updated, "index out of sync: missing old entry");
-                slot.insert(next);
             }
-            Entry::Vacant(slot) => {
-                self.tree.insert(next.union, key);
-                slot.insert(next);
-            }
+            None => self.tree.insert(next.union, Hit(next)),
         }
     }
 
@@ -160,42 +181,8 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
         // Touch the old entry only after every slab of the new plane
         // computed cleanly.
         let union = plane.union_box(route, self.slab_minutes)?;
-        self.install(key, Arc::new(Stored { plane, union }));
+        self.install(Arc::new(Stored { key, plane, union }));
         Ok(())
-    }
-
-    /// Mirrors `src`'s entry for `key` into this index — the same §4.2
-    /// delete+insert maintenance as [`MovingObjectIndex::upsert`], but
-    /// *sharing* `src`'s plane and already-computed union box instead of
-    /// walking the slabs again or copying them (the caller guarantees the
-    /// slab durations match — shadows are clones). Returns `true` when
-    /// `src` holds an entry for `key` (otherwise the local entry, if any,
-    /// was removed).
-    pub fn sync_entry_from(&mut self, src: &Self, key: &K) -> bool {
-        debug_assert_eq!(
-            self.slab_minutes, src.slab_minutes,
-            "sync_entry_from across slab durations"
-        );
-        match src.planes.get(key) {
-            Some(entry) => {
-                self.install(*key, Arc::clone(entry));
-                true
-            }
-            None => {
-                self.remove(key);
-                false
-            }
-        }
-    }
-
-    /// `true` when `key`'s entry here and in `other` is one shared
-    /// allocation — the probe the sharing tests assert on.
-    #[doc(hidden)]
-    pub fn shares_entry_with(&self, other: &Self, key: &K) -> bool {
-        match (self.planes.get(key), other.planes.get(key)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
     }
 
     /// Removes an object entirely (trip ended). Returns `true` when it was
@@ -203,7 +190,8 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     pub fn remove(&mut self, key: &K) -> bool {
         match self.planes.remove(key) {
             Some(stored) => {
-                let removed = self.tree.remove(&stored.union, key);
+                let union = stored.union;
+                let removed = self.tree.remove(&union, &Hit(stored));
                 debug_assert!(removed, "index out of sync: missing tree entry");
                 true
             }
@@ -247,14 +235,23 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     ) -> SearchStats {
         let query = region.aabb();
         // A tree hit (union box intersects) becomes a candidate when
-        // one of its slab boxes does.
-        self.tree.for_each_with_stats(&query, |k| {
-            if let Some(stored) = self.planes.get(k) {
-                if stored.some_slab_intersects(self.slab_minutes, network, &query) {
-                    out.push(*k);
-                }
+        // one of its slab boxes does; the leaf carries the plane.
+        self.tree.for_each_with_stats(&query, |Hit(stored)| {
+            if stored.some_slab_intersects(self.slab_minutes, network, &query) {
+                out.push(stored.key);
             }
         })
+    }
+
+    /// `(shared, total)`: how many of the allocations this copy is made
+    /// of (tree nodes; the id map's directory, chunks and buckets)
+    /// `other` holds too — the probe the sharing tests count with. A
+    /// fresh clone shares all of them.
+    #[doc(hidden)]
+    pub fn shared_with(&self, other: &Self) -> (usize, usize) {
+        let (tree_shared, tree_total) = self.tree.shared_nodes_with(&other.tree);
+        let (map_shared, map_total) = self.planes.shared_with(&other.planes);
+        (tree_shared + map_shared, tree_total + map_total)
     }
 
     /// Tree statistics: `(entries, nodes, height)`.
@@ -406,34 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_entry_mirrors_source() {
-        let r = route();
-        let n = network();
-        let mut src = MovingObjectIndex::new(5.0);
-        src.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
-        src.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
-        let mut shadow = src.clone();
-        // Source moves object 1 and drops object 2; the shadow mirrors
-        // entry-by-entry without re-decomposing.
-        src.upsert(1u64, plane(80.0, 10.0), &r).unwrap();
-        src.remove(&2);
-        assert!(shadow.sync_entry_from(&src, &1));
-        assert!(!shadow.sync_entry_from(&src, &2));
-        assert_eq!(shadow.len(), src.len());
-        assert_eq!(shadow.tree_stats().0, src.tree_stats().0);
-        for q in [
-            region(78.0, 85.0, 11.0),
-            region(0.0, 10.0, 2.0),
-            region(45.0, 60.0, 2.0),
-        ] {
-            assert_eq!(shadow.candidates(&q, &n), src.candidates(&q, &n));
-        }
-        // Syncing an id neither side holds is a no-op.
-        assert!(!shadow.sync_entry_from(&src, &99));
-        assert_eq!(shadow.len(), 1);
-    }
-
-    #[test]
     fn default_slab_fallback() {
         let idx: MovingObjectIndex<u64> = MovingObjectIndex::new(-3.0);
         assert!(idx.is_empty());
@@ -493,13 +462,16 @@ mod tests {
         idx.upsert(1u64, trip(6.0), &r).unwrap();
         idx.upsert(2u64, trip(600.0), &r).unwrap();
         assert_eq!(trip(600.0).to_boxes(&r, 5.0).unwrap().len(), 120);
-        // Both are a `Stored`, and a `Stored` is a plane and a box: no
-        // pointer in it means no heap behind it to grow with the trip.
+        // Both are a `Stored`, and a `Stored` is a key, a plane and a
+        // box: no pointer in it means no heap behind it to grow with the
+        // trip.
         assert_eq!(
-            std::mem::size_of::<Stored>(),
-            std::mem::size_of::<OPlane>() + std::mem::size_of::<Aabb3>()
+            std::mem::size_of::<Stored<u64>>(),
+            std::mem::size_of::<u64>()
+                + std::mem::size_of::<OPlane>()
+                + std::mem::size_of::<Aabb3>()
         );
-        assert!(std::mem::size_of::<Stored>() <= 128);
+        assert!(std::mem::size_of::<Stored<u64>>() <= 128);
         // Both answer from the plane alone, at either end of the trip.
         assert_eq!(idx.candidates(&region(0.0, 5.0, 3.0), &n), vec![1, 2]);
         assert_eq!(idx.candidates(&region(50.0, 70.0, 599.0), &n), vec![2]);

@@ -10,6 +10,17 @@
 //! The tree is deliberately self-contained (no external spatial crates)
 //! and instrumented: searches can report how many nodes they touched,
 //! which powers the paper's sublinearity experiment (F5 in DESIGN.md).
+//!
+//! **A copy is a root.** Nodes live behind `Arc`s, so cloning a tree
+//! copies one pointer and the clone shares every node. A write copies
+//! the nodes on the one path it changes, and only those a clone still
+//! holds (`Arc::make_mut`); a tree nobody else holds mutates in place.
+//! `remove` and `update` first *locate* their entry read-only and then
+//! descend that one path, so looking into a subtree that turns out not
+//! to hold the entry — or failing to find it at all — copies nothing.
+
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use modb_geom::Aabb3;
 
@@ -32,7 +43,7 @@ pub struct SearchStats {
 #[derive(Debug, Clone)]
 enum Node<T> {
     Leaf(Vec<(Aabb3, T)>),
-    Internal(Vec<(Aabb3, Box<Node<T>>)>),
+    Internal(Vec<(Aabb3, Arc<Node<T>>)>),
 }
 
 impl<T> Node<T> {
@@ -53,8 +64,9 @@ impl<T> Node<T> {
 
 /// An R\*-tree mapping 3-D boxes to values of type `T`.
 ///
-/// `T` is typically a small id (`u64`); duplicate values under different
-/// boxes are allowed (an o-plane is many boxes sharing one object id).
+/// `T` is typically a small id (`u64`) or a shared pointer; duplicate
+/// values under different boxes are allowed. Cloning is O(1): the clone
+/// shares every node until one side writes (see the module docs).
 ///
 /// ```
 /// use modb_geom::Aabb3;
@@ -67,7 +79,7 @@ impl<T> Node<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RStarTree<T> {
-    root: Node<T>,
+    root: Arc<Node<T>>,
     size: usize,
 }
 
@@ -81,7 +93,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// Creates an empty tree.
     pub fn new() -> Self {
         RStarTree {
-            root: Node::Leaf(Vec::new()),
+            root: Arc::new(Node::Leaf(Vec::new())),
             size: 0,
         }
     }
@@ -106,7 +118,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// Tree height (a single leaf level is height 1).
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node = &self.root;
+        let mut node = &*self.root;
         while let Node::Internal(cs) = node {
             h += 1;
             node = &cs[0].1;
@@ -129,19 +141,21 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// fine — a query region at a single time instant is one.
     pub fn insert(&mut self, bbox: Aabb3, value: T) {
         debug_assert!(!bbox.is_empty(), "cannot index an empty box");
-        if let Some((left_box, right)) = Self::insert_rec(&mut self.root, bbox, value) {
+        let split = Self::insert_rec(Arc::make_mut(&mut self.root), bbox, value);
+        if let Some((left_box, right)) = split {
             // Root split: grow the tree by one level.
-            let old_root = std::mem::replace(&mut self.root, Node::Leaf(Vec::new()));
-            self.root = Node::Internal(vec![
-                (left_box, Box::new(old_root)),
-                (right.bbox(), Box::new(right)),
-            ]);
+            let old_root = Arc::clone(&self.root);
+            self.root = Arc::new(Node::Internal(vec![
+                (left_box, old_root),
+                (right.bbox(), Arc::new(right)),
+            ]));
         }
         self.size += 1;
     }
 
-    /// Recursive insert; returns `Some((this_node_new_bbox, sibling))`
-    /// when this node split.
+    /// Recursive insert down the one chosen path (each node on it is
+    /// copied first if a clone shares it); returns
+    /// `Some((this_node_new_bbox, sibling))` when this node split.
     fn insert_rec(node: &mut Node<T>, bbox: Aabb3, value: T) -> Option<(Aabb3, Node<T>)> {
         match node {
             Node::Leaf(entries) => {
@@ -157,7 +171,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
             Node::Internal(children) => {
                 let at_leaf_level = matches!(&*children[0].1, Node::Leaf(_));
                 let idx = choose_subtree(children, &bbox, at_leaf_level);
-                let split = Self::insert_rec(&mut children[idx].1, bbox, value);
+                let split = Self::insert_rec(Arc::make_mut(&mut children[idx].1), bbox, value);
                 match split {
                     None => {
                         children[idx].0 = children[idx].0.union(&bbox);
@@ -165,7 +179,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
                     }
                     Some((new_child_box, sibling)) => {
                         children[idx].0 = new_child_box;
-                        children.push((sibling.bbox(), Box::new(sibling)));
+                        children.push((sibling.bbox(), Arc::new(sibling)));
                         if children.len() > MAX_ENTRIES {
                             let (left, right) = split_internal(std::mem::take(children));
                             *children = left;
@@ -181,123 +195,154 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     }
 
     /// Removes one entry matching `(bbox, value)` exactly. Returns `true`
-    /// when an entry was removed.
+    /// when an entry was removed; `false` leaves the tree — and every node
+    /// it shares with a clone — untouched.
     pub fn remove(&mut self, bbox: &Aabb3, value: &T) -> bool {
-        let mut orphans: Vec<(Aabb3, T)> = Vec::new();
-        let removed = Self::remove_rec(&mut self.root, bbox, value, &mut orphans);
-        if removed {
-            self.size -= 1;
-            // Collapse a root with a single internal child.
-            loop {
-                let replace = match &mut self.root {
-                    Node::Internal(cs) if cs.len() == 1 => Some(*cs.pop().unwrap().1),
-                    _ => None,
-                };
-                match replace {
-                    Some(child) => self.root = child,
-                    None => break,
-                }
-            }
-            // Reinsert entries from condensed nodes.
-            let n_orphans = orphans.len();
-            for (b, v) in orphans {
-                self.insert(b, v);
-            }
-            self.size -= n_orphans; // insert() counted them again
+        let mut path = Vec::with_capacity(8);
+        let found = Self::locate(&self.root, bbox, value, bbox, &mut path).is_some();
+        if found {
+            self.remove_located(&path);
         }
-        removed
+        found
     }
 
-    /// Recursive delete with condensation: underfull nodes dissolve into
-    /// `orphans`. Returns whether the entry was found.
-    fn remove_rec(
-        node: &mut Node<T>,
+    /// Finds one `(bbox, value)` entry without writing anything. On
+    /// success `path` holds the child index taken at each internal node,
+    /// root first, then the entry's position in its leaf, and the result
+    /// says whether every node box on that path contains `also` too.
+    fn locate(
+        node: &Node<T>,
         bbox: &Aabb3,
         value: &T,
-        orphans: &mut Vec<(Aabb3, T)>,
-    ) -> bool {
+        also: &Aabb3,
+        path: &mut Vec<usize>,
+    ) -> Option<bool> {
         match node {
             Node::Leaf(entries) => {
-                if let Some(pos) = entries.iter().position(|(b, v)| b == bbox && v == value) {
-                    entries.swap_remove(pos);
-                    true
-                } else {
-                    false
-                }
+                let pos = entries.iter().position(|(b, v)| b == bbox && v == value)?;
+                path.push(pos);
+                Some(true)
             }
             Node::Internal(children) => {
-                let mut found_at = None;
-                for (i, (cb, child)) in children.iter_mut().enumerate() {
+                for (i, (cb, child)) in children.iter().enumerate() {
                     // A node's box is the union of its descendants', so any
                     // ancestor of the exact entry *contains* its box —
                     // descending merely intersecting children would search
                     // every overlapping subtree.
-                    if cb.contains(bbox) && Self::remove_rec(child, bbox, value, orphans) {
-                        found_at = Some(i);
-                        break;
+                    if cb.contains(bbox) {
+                        path.push(i);
+                        if let Some(fits) = Self::locate(child, bbox, value, also, path) {
+                            return Some(fits && cb.contains(also));
+                        }
+                        path.pop();
                     }
                 }
-                let Some(i) = found_at else { return false };
-                if children[i].1.len() < MIN_ENTRIES {
-                    // Condense: dissolve the underfull child.
-                    let (_, child) = children.swap_remove(i);
-                    collect_entries(*child, orphans);
-                } else {
-                    children[i].0 = children[i].1.bbox();
-                }
-                true
+                None
             }
         }
     }
 
-    /// Replaces the box of one `(old, value)` entry with `new`. When `new`
-    /// fits inside every node box on the entry's path, the entry is
+    /// Removes the entry a [`RStarTree::locate`] path leads to, condenses
+    /// the tree and reinserts the orphans.
+    fn remove_located(&mut self, path: &[usize]) {
+        let mut orphans: Vec<(Aabb3, T)> = Vec::new();
+        Self::remove_rec(Arc::make_mut(&mut self.root), path, &mut orphans);
+        self.size -= 1;
+        // Collapse a root with a single internal child.
+        while let Node::Internal(cs) = &*self.root {
+            if cs.len() != 1 {
+                break;
+            }
+            self.root = Arc::clone(&cs[0].1);
+        }
+        // Reinsert entries from condensed nodes.
+        let n_orphans = orphans.len();
+        for (b, v) in orphans {
+            self.insert(b, v);
+        }
+        self.size -= n_orphans; // insert() counted them again
+    }
+
+    /// Recursive delete along `path` with condensation: underfull nodes
+    /// dissolve into `orphans`.
+    fn remove_rec(node: &mut Node<T>, path: &[usize], orphans: &mut Vec<(Aabb3, T)>) {
+        let (&i, rest) = path.split_first().expect("a located path ends in a leaf");
+        match node {
+            Node::Leaf(entries) => {
+                entries.swap_remove(i);
+            }
+            Node::Internal(children) => {
+                Self::remove_rec(Arc::make_mut(&mut children[i].1), rest, orphans);
+                if children[i].1.len() < MIN_ENTRIES {
+                    // Condense: dissolve the underfull child.
+                    let (_, child) = children.swap_remove(i);
+                    collect_entries(child, orphans);
+                } else {
+                    children[i].0 = children[i].1.bbox();
+                }
+            }
+        }
+    }
+
+    /// Replaces one `(old, value)` entry with `(new, replacement)`. When
+    /// `new` fits inside every node box on the entry's path, the entry is
     /// rewritten in place — a single descent with no condensation, no
     /// split, and no ancestor-box updates, which is the common case for
     /// the §4.2 maintenance step (an object's refreshed o-plane largely
-    /// overlaps its old one). Otherwise falls back to remove+insert.
-    /// Returns `false` (and changes nothing) when no `(old, value)` entry
-    /// exists.
+    /// overlaps its old one). Otherwise the entry is removed along that
+    /// same path and the replacement inserted. Returns `false` (and
+    /// changes and copies nothing) when no `(old, value)` entry exists.
     ///
     /// Node boxes are left as-is on the in-place path, so they may cover
     /// the removed `old` box a while longer — bounding boxes stay valid
     /// covers, queries just prune marginally less until the region is
     /// next restructured.
-    pub fn update(&mut self, old: &Aabb3, new: Aabb3, value: &T) -> bool {
-        if Self::update_rec(&mut self.root, old, &new, value) {
+    pub fn update(&mut self, old: &Aabb3, value: &T, new: Aabb3, replacement: T) -> bool {
+        let mut path = Vec::with_capacity(8);
+        let Some(fits) = Self::locate(&self.root, old, value, &new, &mut path) else {
+            return false;
+        };
+        if !fits {
+            self.remove_located(&path);
+            self.insert(new, replacement);
             return true;
         }
-        if self.remove(old, value) {
-            self.insert(new, value.clone());
-            return true;
+        let (&pos, descent) = path.split_last().expect("a located path ends in a leaf");
+        let mut node = Arc::make_mut(&mut self.root);
+        for &i in descent {
+            let Node::Internal(children) = node else {
+                unreachable!("a located path descends internal nodes")
+            };
+            node = Arc::make_mut(&mut children[i].1);
         }
-        false
+        let Node::Leaf(entries) = node else {
+            unreachable!("a located path ends in a leaf")
+        };
+        entries[pos] = (new, replacement);
+        true
     }
 
-    /// In-place box rewrite: succeeds only along paths whose node boxes
-    /// contain both the old and the new box.
-    fn update_rec(node: &mut Node<T>, old: &Aabb3, new: &Aabb3, value: &T) -> bool {
-        match node {
-            Node::Leaf(entries) => {
-                if let Some(pos) = entries.iter().position(|(b, v)| b == old && v == value) {
-                    entries[pos].0 = *new;
-                    true
-                } else {
-                    false
-                }
-            }
-            Node::Internal(children) => {
-                for (cb, child) in children.iter_mut() {
-                    if cb.contains(old)
-                        && cb.contains(new)
-                        && Self::update_rec(child, old, new, value)
-                    {
-                        return true;
-                    }
-                }
-                false
+    /// `(shared, total)`: how many of this tree's nodes `other` holds
+    /// too, out of how many it has — the probe the sharing tests count
+    /// with.
+    #[doc(hidden)]
+    pub fn shared_nodes_with(&self, other: &Self) -> (usize, usize) {
+        fn walk<T>(node: &Arc<Node<T>>, visit: &mut impl FnMut(*const Node<T>)) {
+            visit(Arc::as_ptr(node));
+            if let Node::Internal(children) = &**node {
+                children.iter().for_each(|(_, child)| walk(child, visit));
             }
         }
+        let mut theirs = HashSet::new();
+        walk(&other.root, &mut |node| {
+            theirs.insert(node);
+        });
+        let (mut shared, mut total) = (0, 0);
+        walk(&self.root, &mut |node| {
+            shared += usize::from(theirs.contains(&node));
+            total += 1;
+        });
+        (shared, total)
     }
 
     /// All values whose boxes intersect `query` (duplicates possible when
@@ -398,9 +443,9 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         let mut level = leaves;
         while level.len() > 1 {
             let mut next: Vec<Node<T>> = Vec::with_capacity(level.len().div_ceil(MAX_ENTRIES));
-            let mut batch: Vec<(Aabb3, Box<Node<T>>)> = Vec::with_capacity(MAX_ENTRIES);
+            let mut batch: Vec<(Aabb3, Arc<Node<T>>)> = Vec::with_capacity(MAX_ENTRIES);
             for node in level {
-                batch.push((node.bbox(), Box::new(node)));
+                batch.push((node.bbox(), Arc::new(node)));
                 if batch.len() == MAX_ENTRIES {
                     next.push(Node::Internal(std::mem::take(&mut batch)));
                 }
@@ -411,18 +456,20 @@ impl<T: Clone + PartialEq> RStarTree<T> {
             level = next;
         }
         RStarTree {
-            root: level.pop().expect("at least one node"),
+            root: Arc::new(level.pop().expect("at least one node")),
             size,
         }
     }
 }
 
-fn collect_entries<T>(node: Node<T>, out: &mut Vec<(Aabb3, T)>) {
-    match node {
+/// Moves a dissolved subtree's entries into `out`; a node a clone still
+/// holds is copied instead (the clone keeps its own).
+fn collect_entries<T: Clone>(node: Arc<Node<T>>, out: &mut Vec<(Aabb3, T)>) {
+    match Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone()) {
         Node::Leaf(es) => out.extend(es),
         Node::Internal(cs) => {
             for (_, c) in cs {
-                collect_entries(*c, out);
+                collect_entries(c, out);
             }
         }
     }
@@ -432,7 +479,7 @@ fn collect_entries<T>(node: Node<T>, out: &mut Vec<(Aabb3, T)>) {
 /// enlargement (ties: volume enlargement, then volume); higher up minimise
 /// volume enlargement (ties: volume).
 fn choose_subtree<T>(
-    children: &[(Aabb3, Box<Node<T>>)],
+    children: &[(Aabb3, Arc<Node<T>>)],
     bbox: &Aabb3,
     at_leaf_level: bool,
 ) -> usize {
@@ -531,13 +578,13 @@ fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Aabb3) -> (Vec<E>
 /// A leaf's entry list, split in two.
 type LeafSplit<T> = (Vec<(Aabb3, T)>, Vec<(Aabb3, T)>);
 /// An internal node's child list, split in two.
-type InternalSplit<T> = (Vec<(Aabb3, Box<Node<T>>)>, Vec<(Aabb3, Box<Node<T>>)>);
+type InternalSplit<T> = (Vec<(Aabb3, Arc<Node<T>>)>, Vec<(Aabb3, Arc<Node<T>>)>);
 
 fn split_leaf<T>(entries: Vec<(Aabb3, T)>) -> LeafSplit<T> {
     rstar_split(entries, |e| e.0)
 }
 
-fn split_internal<T>(children: Vec<(Aabb3, Box<Node<T>>)>) -> InternalSplit<T> {
+fn split_internal<T>(children: Vec<(Aabb3, Arc<Node<T>>)>) -> InternalSplit<T> {
     rstar_split(children, |e| e.0)
 }
 
@@ -739,6 +786,91 @@ mod tests {
             stats.nodes_visited,
             t.node_count()
         );
+    }
+
+    fn grid_box(i: u64) -> Aabb3 {
+        let f = i as f64;
+        cube(f % 40.0, (f / 40.0).floor() % 40.0, f / 1600.0, 0.5)
+    }
+
+    fn grid_tree(n: u64) -> RStarTree<u64> {
+        let mut t = RStarTree::new();
+        for i in 0..n {
+            t.insert(grid_box(i), i);
+        }
+        t
+    }
+
+    /// A clone shares every node; an update that fits in place copies
+    /// exactly its root-to-leaf path, a general one a bounded number of
+    /// paths; the clone keeps answering from what it held.
+    #[test]
+    fn a_write_copies_only_the_paths_it_changes() {
+        let mut t = grid_tree(3_000);
+        let pinned = t.clone();
+        let (shared, total) = t.shared_nodes_with(&pinned);
+        assert_eq!((shared, total), (t.node_count(), t.node_count()));
+        let height = t.height();
+
+        // Nudging an entry inside its own box fits every ancestor.
+        let k = 20;
+        for i in 0..k {
+            let old = grid_box(i * 131);
+            let new = Aabb3::new(old.min, [old.max[0] - 0.1, old.max[1] - 0.1, old.max[2]]);
+            assert!(t.update(&old, &(i * 131), new, i * 131));
+        }
+        let (shared, total) = t.shared_nodes_with(&pinned);
+        assert_eq!(
+            total,
+            pinned.node_count(),
+            "in-place updates keep the shape"
+        );
+        assert!(
+            total - shared <= k as usize * height,
+            "{} nodes copied by {k} in-place updates at height {height}",
+            total - shared
+        );
+        assert!(total - shared >= height, "and at least one path was");
+
+        // A far move is a removal along the located path and an insert.
+        let far = cube(39.0, 39.0, 1.8, 0.5);
+        let old = grid_box(45);
+        let before = t.shared_nodes_with(&pinned).0;
+        assert!(t.update(&old, &45, far, 45));
+        let after = t.shared_nodes_with(&pinned).0;
+        assert!(
+            before - after <= 3 * height,
+            "{} more copied",
+            before - after
+        );
+
+        // The clone still holds the tree as it was.
+        assert!(pinned.query_intersecting(&old).contains(&45));
+        assert!(!pinned.query_intersecting(&far).contains(&45));
+        assert!(t.query_intersecting(&far).contains(&45));
+        assert_eq!(pinned.len(), 3_000);
+    }
+
+    /// Looking for an entry that is not there — descending into every
+    /// subtree whose box contains it on the way — copies nothing.
+    #[test]
+    fn a_failed_remove_or_update_copies_no_node() {
+        let mut t = grid_tree(3_000);
+        let pinned = t.clone();
+        let total = t.node_count();
+        // Right box, wrong value; right value, wrong box; a box nothing
+        // holds but several nodes contain.
+        let held = grid_box(87);
+        let inside = Aabb3::new([7.1, 2.1, 0.06], [7.2, 2.2, 0.07]);
+        assert!(!t.remove(&held, &88));
+        assert!(!t.remove(&inside, &87));
+        assert!(!t.update(&held, &88, inside, 88));
+        assert!(!t.update(&inside, &87, held, 87));
+        assert_eq!(t.shared_nodes_with(&pinned), (total, total));
+        assert_eq!(t.len(), 3_000);
+        // The entry that is there still is.
+        assert!(t.remove(&held, &87));
+        assert!(t.shared_nodes_with(&pinned).0 < total);
     }
 
     #[test]

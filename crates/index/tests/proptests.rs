@@ -244,21 +244,98 @@ proptest! {
         }
     }
 
+    /// A tree clone is a frozen tree. Through a random stream of inserts,
+    /// removals (some of absent entries) and box updates (some in place,
+    /// some not), clones taken at random points keep answering exactly
+    /// like brute force over the entries they held when taken, whatever
+    /// the live tree goes on to do and after it is dropped.
+    #[test]
+    fn tree_clones_taken_mid_stream_stay_frozen(
+        entries in boxes(1..120),
+        steps in proptest::collection::vec((0usize..4, 0usize..120, -6.0f64..6.0), 1..160),
+        q in query_box(),
+    ) {
+        let mut tree = RStarTree::new();
+        // The model: each value's current box, `None` once removed.
+        let mut model: Vec<Option<Aabb3>> = Vec::new();
+        for (b, id) in &entries {
+            tree.insert(*b, *id);
+            model.push(Some(*b));
+        }
+        let survivors = |model: &[Option<Aabb3>]| -> Vec<(Aabb3, u64)> {
+            model.iter().enumerate().filter_map(|(i, b)| b.map(|b| (b, i as u64))).collect()
+        };
+        let mut pinned = vec![(tree.clone(), survivors(&model))];
+        for &(kind, pick, shift) in &steps {
+            let i = pick % model.len();
+            match (kind, model[i]) {
+                (0, _) => {
+                    let clone = tree.clone();
+                    let (shared, total) = tree.shared_nodes_with(&clone);
+                    prop_assert_eq!(shared, total, "a fresh clone shares every node");
+                    pinned.push((clone, survivors(&model)));
+                }
+                (1, Some(b)) => {
+                    prop_assert!(tree.remove(&b, &(i as u64)));
+                    model[i] = None;
+                }
+                (1, None) => {
+                    // Absent: nothing happens, and nothing is copied.
+                    let before = tree.shared_nodes_with(&pinned.last().unwrap().0);
+                    let gone = entries[i].0;
+                    prop_assert!(!tree.remove(&gone, &(i as u64)));
+                    prop_assert!(!tree.update(&gone, &(i as u64), gone, i as u64));
+                    prop_assert_eq!(tree.shared_nodes_with(&pinned.last().unwrap().0), before);
+                }
+                (_, Some(b)) => {
+                    // A small shift usually fits the leaf's box (in
+                    // place); a large one forces remove + insert.
+                    let d = if kind == 2 { shift * 0.05 } else { shift * 4.0 };
+                    let moved = Aabb3::new(
+                        [b.min[0] + d, b.min[1] + d, b.min[2]],
+                        [b.max[0] + d, b.max[1] + d, b.max[2]],
+                    );
+                    prop_assert!(tree.update(&b, &(i as u64), moved, i as u64));
+                    model[i] = Some(moved);
+                }
+                (_, None) => {
+                    tree.insert(entries[i].0, i as u64);
+                    model[i] = Some(entries[i].0);
+                }
+            }
+            prop_assert_eq!(tree.len(), model.iter().flatten().count());
+        }
+        let check = |tree: &RStarTree<u64>, held: &[(Aabb3, u64)]| {
+            let mut got = tree.query_intersecting(&q);
+            got.sort_unstable();
+            (tree.len() == held.len()).then_some(got) == Some(brute_force(held, &q))
+        };
+        prop_assert!(check(&tree, &survivors(&model)), "live tree");
+        for (i, (clone, held)) in pinned.iter().enumerate() {
+            prop_assert!(check(clone, held), "clone {} before the live tree dropped", i);
+        }
+        drop(tree);
+        for (i, (clone, held)) in pinned.iter().enumerate() {
+            prop_assert!(check(clone, held), "clone {} after the live tree dropped", i);
+        }
+    }
+
     /// The index answers every query like the reference decomposition —
     /// an object is a candidate iff some box of its plane's `to_boxes`
-    /// intersects the query box — through initial upserts, max-speed
-    /// revisions, removals, and a shadow kept current via
-    /// `sync_entry_from`. The shadow *shares* its source's entries (clone
-    /// and sync copy pointers), yet never sees a source write it has not
-    /// synced.
+    /// intersects the query box — through upserts, max-speed revisions
+    /// and removals, and so does every clone taken along the way: a
+    /// clone *shares* the live index's nodes, buckets and entries when
+    /// taken, yet answers from the planes installed at that instant
+    /// however the live index is written or dropped afterwards.
     #[test]
-    fn upserts_removals_and_shadow_sync_match_the_box_oracle(
+    fn upserts_removals_and_clones_match_the_box_oracle(
         movers in fleet(1..40),
         (q, _, _) in rect_region(),
         slab in 1.0f64..8.0,
         revise_mask in proptest::collection::vec(any::<bool>(), 40),
         new_speeds in proptest::collection::vec(0.05f64..3.5, 40),
         remove_mask in proptest::collection::vec(any::<bool>(), 40),
+        clone_mask in proptest::collection::vec(any::<bool>(), 80),
     ) {
         let route = bent_route();
         let net = RouteNetwork::from_routes([route.clone()]).unwrap();
@@ -287,14 +364,18 @@ proptest! {
         prop_assert_eq!(idx.tree_stats().0, movers.len());
         prop_assert_eq!(sorted_candidates(&idx, &q, &net), oracle(&planes));
 
-        // The shadow starts as a clone and mirrors every later mutation
-        // entry-by-entry, the way a replica applies a change log.
-        let mut shadow = idx.clone();
-        let at_clone = sorted_candidates(&idx, &q, &net);
-        let mut touched: Vec<u64> = Vec::new();
+        // Publish points: a clone beside the planes it must keep
+        // answering from. One before any further write, then wherever
+        // the mask says.
+        let mut pinned = vec![(idx.clone(), planes.clone())];
+        let (shared, total) = idx.shared_with(&pinned[0].0);
+        prop_assert_eq!(shared, total, "a fresh clone shares every node and bucket");
 
         // Max-speed revisions: re-upsert with a new top speed.
         for (i, m) in movers.iter().enumerate() {
+            if clone_mask[i] {
+                pinned.push((idx.clone(), planes.clone()));
+            }
             if !revise_mask[i] {
                 continue;
             }
@@ -303,47 +384,39 @@ proptest! {
             revised.speed = m.speed.min(revised.max_speed);
             planes[i] = Some(mover_plane(&revised, len));
             idx.upsert(i as u64, mover_plane(&revised, len), &route).unwrap();
-            touched.push(i as u64);
         }
         prop_assert_eq!(idx.tree_stats().0, movers.len());
         prop_assert_eq!(sorted_candidates(&idx, &q, &net), oracle(&planes));
 
         // Removals of a random subset.
         for i in 0..movers.len() {
+            if clone_mask[40 + i] {
+                pinned.push((idx.clone(), planes.clone()));
+            }
             if !remove_mask[i] {
                 continue;
             }
             planes[i] = None;
             prop_assert!(idx.remove(&(i as u64)));
             prop_assert!(!idx.remove(&(i as u64)));
-            touched.push(i as u64);
         }
         let live = planes.iter().flatten().count();
         prop_assert_eq!((idx.len(), idx.tree_stats().0), (live, live));
         prop_assert_eq!(sorted_candidates(&idx, &q, &net), oracle(&planes));
 
-        // Isolation: the source's writes replaced its entries, they did
-        // not write through the shared ones — the unsynced shadow still
-        // answers as of the clone, and shares exactly the untouched keys.
-        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), at_clone);
-        for key in 0..movers.len() as u64 {
-            prop_assert_eq!(
-                shadow.shares_entry_with(&idx, &key),
-                !touched.contains(&key),
-                "key {} before sync", key
-            );
-        }
-
-        // Shadow catch-up: every surviving entry is now one allocation on
-        // both sides, and the shadow answers like the oracle.
-        for key in &touched {
-            prop_assert_eq!(shadow.sync_entry_from(&idx, key), planes[*key as usize].is_some());
-        }
-        prop_assert_eq!((shadow.len(), shadow.tree_stats().0), (live, live));
-        for (i, plane) in planes.iter().enumerate() {
-            prop_assert_eq!(shadow.shares_entry_with(&idx, &(i as u64)), plane.is_some());
-        }
-        prop_assert_eq!(sorted_candidates(&shadow, &q, &net), oracle(&planes));
+        // Isolation: the live index's writes replaced its own paths, they
+        // did not write through the shared ones — before and after the
+        // live index is gone.
+        let frozen = |pinned: &[(MovingObjectIndex<u64>, Vec<Option<OPlane>>)]| {
+            pinned.iter().all(|(clone, held)| {
+                let n = held.iter().flatten().count();
+                (clone.len(), clone.tree_stats().0) == (n, n)
+                    && sorted_candidates(clone, &q, &net) == oracle(held)
+            })
+        };
+        prop_assert!(frozen(&pinned), "a clone saw a later write");
+        drop(idx);
+        prop_assert!(frozen(&pinned), "a clone lost something with the live index");
     }
 
     /// The filter is sound whatever the slab duration: every object whose

@@ -487,7 +487,9 @@ mod tests {
     }
 
     /// Every `Database` clone shares the route network, so its reference
-    /// count counts the copies of the fleet alive in the process.
+    /// count counts the handles on the fleet alive in the process: the
+    /// live database and the published epoch, and nothing else — a
+    /// snapshot keeps no copy once written, a publish keeps no spare.
     #[test]
     fn snapshot_leaves_no_resident_copy() {
         let dir = tmp("no-resident-copy");
@@ -498,9 +500,26 @@ mod tests {
                 .database()
                 .with_read(|db| Arc::strong_count(&db.network_arc()))
         };
-        let before = copies();
+        let live_only = copies();
         durable.snapshot().unwrap();
-        assert_eq!(copies(), before, "a snapshot kept a copy of the database");
+        assert_eq!(
+            copies(),
+            live_only,
+            "a snapshot kept a copy of the database"
+        );
+        let engine = durable.query_engine(crate::QueryEngineConfig {
+            epoch_interval: None,
+        });
+        assert_eq!(copies(), live_only + 1, "the live database and epoch 0");
+        for round in 1..=3 {
+            let moved = UpdateMessage::basic(f64::from(round), UpdatePosition::Arc(20.0), 1.0);
+            durable.apply_update(ObjectId(1), &moved).unwrap();
+            engine.publish_now();
+            durable.snapshot().unwrap();
+            assert_eq!(copies(), live_only + 1, "round {round} left a copy behind");
+        }
+        drop(engine);
+        assert_eq!(copies(), live_only);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

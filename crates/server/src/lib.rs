@@ -61,7 +61,6 @@ mod ingest;
 mod net;
 mod query_engine;
 mod replication;
-mod shadow;
 mod shared;
 
 pub use cluster::{

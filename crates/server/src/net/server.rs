@@ -213,12 +213,12 @@ impl ServeContext {
 /// The covered-frontier advance behind the read-your-writes token,
 /// ordered so a racing reader can never observe a token above the
 /// snapshot it will read: the frontier is sampled **before** the epoch
-/// publish (the shadow swap), and the watermark advances only to that
+/// publish (the snapshot swap), and the watermark advances only to that
 /// pre-publish sample. The write order (DESIGN §7) makes the sample
 /// sound — every record below the frontier read here was applied to the
 /// in-memory database before it got its LSN, so the snapshot published
 /// after covers them all. Sampling *after* the publish instead would claim
-/// coverage for records applied between the shadow swap and the sample —
+/// coverage for records applied between the snapshot swap and the sample —
 /// records the just-published snapshot does not contain (the regression
 /// test below pins the ordering).
 fn advance_covered(
@@ -588,7 +588,7 @@ mod tests {
     /// Regression (the applied-watermark / shadow-swap race): the
     /// covered watermark must advance only to a frontier sampled
     /// *before* the epoch publish. The injected publish simulates a
-    /// replication worker applying records while the shadow swap is in
+    /// replication worker applying records while the snapshot swap is in
     /// flight — the buggy order (publish, then sample) would claim
     /// coverage for LSN 50 with a snapshot that stopped at 10, and a
     /// session-token read at 11..50 would be served pre-write state.

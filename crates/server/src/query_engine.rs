@@ -11,15 +11,15 @@
 //! nanoseconds; after that the query never contends with ingest or with
 //! other readers.
 //!
-//! **Publication is O(changes), not O(fleet).** The publisher keeps a
-//! double-buffered [`ShadowBuffer`]: the snapshot being retired comes
-//! back as the next epoch's scratch copy, and under the brief read lock
-//! only the objects named by the database's change log since the
-//! previous publish are re-synced ([`modb_core::Database::sync_from`] —
-//! per-object o-plane delete+insert, the paper's §4.2 index maintenance
-//! operation, instead of rebuild-by-clone). A full clone happens only on
-//! the first publish, when the change log was truncated past the
-//! cursor, or when a straggling reader still pins the retired arc.
+//! **Publication is a clone, and a clone is O(1).** The database's
+//! object table and index are path-copying ([`Database`]'s docs), so the
+//! publisher takes the read lock for as long as it takes to copy a
+//! handful of pointers, wraps the clone in an `Arc` and swaps it in.
+//! The snapshot shares every record, tree node and bucket with the live
+//! database; what a published epoch costs is paid by the writes that
+//! follow it, each copying the one path it changes the first time it
+//! touches a node the snapshot still holds. A retired snapshot is simply
+//! dropped — there is no second copy to keep in step and no change log.
 //!
 //! **A statement runs on the thread that received it.** The engine owns
 //! no query threads: [`QueryEngine::range_query`], [`QueryEngine::run_query`]
@@ -48,23 +48,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
-use modb_core::{ChangeCursor, CoreError, Database, ObjectId, PositionAnswer, RangeAnswer};
+use modb_core::{CoreError, Database, ObjectId, PositionAnswer, RangeAnswer};
 use modb_geom::Point;
 use modb_index::QueryRegion;
 use modb_query::{QueryError, QueryResult};
 use parking_lot::RwLock;
 
-use crate::shadow::ShadowBuffer;
 use crate::shared::SharedDatabase;
 
 /// An immutable point-in-time view of the database, shared by every query
 /// running against the same epoch.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
-    db: Arc<Database>,
-    /// Change-log position the snapshot state corresponds to; when the
-    /// snapshot is retired its arc + cursor seed the next delta publish.
-    cursor: ChangeCursor,
+    db: Database,
     epoch: u64,
     published_at: Instant,
 }
@@ -79,12 +75,6 @@ impl EpochSnapshot {
     /// Monotone epoch number; 0 is the snapshot taken at engine start.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The source database's change-log cursor at publication time —
-    /// everything recorded before it is reflected in this snapshot.
-    pub fn cursor(&self) -> ChangeCursor {
-        self.cursor
     }
 
     /// Wall-clock age of this snapshot — the staleness bound Δt in the
@@ -257,18 +247,16 @@ pub struct QueryStatsSnapshot {
     pub matches: u64,
     /// Batches executed via [`QueryEngine::run_batch`].
     pub batches: u64,
-    /// Epoch publications that applied a change-log delta to the shadow.
+    /// Epoch publications after the first. Every publication is the same
+    /// O(1) clone; the two counters are what the scrape has always
+    /// carried (`delta` / `full` named the two publication paths there
+    /// used to be) and stay until the scrape table is next revised.
     pub delta_publishes: u64,
-    /// Epoch publications that fell back to a full clone — epoch 0, a
-    /// cold shadow buffer, a truncated change log, a delta past the
-    /// clone break-even point, or a retired snapshot a straggling
-    /// reader still pins.
+    /// Always 1: epoch 0, taken at engine start.
     pub full_publishes: u64,
     /// Total nanoseconds from publish start to snapshot swap, summed
     /// over every publication (epoch 0 included). This is the
-    /// *visibility* latency — the time a caller waits for a fresh epoch;
-    /// the shadow buffer's post-swap catch-up runs after the new epoch
-    /// is already live and is deliberately excluded.
+    /// *visibility* latency — the time a caller waits for a fresh epoch.
     pub publish_ns: u64,
     /// Median query latency (µs, bucketed upper bound).
     pub p50_us: u64,
@@ -334,44 +322,31 @@ pub struct QueryEngine {
     db: SharedDatabase,
     cell: Arc<RwLock<Arc<EpochSnapshot>>>,
     stats: Arc<QueryStats>,
-    shadow: Arc<Mutex<ShadowBuffer>>,
+    /// Serializes publishers (a manual `publish_now` racing the
+    /// background thread) so epochs swap in in the order they were
+    /// cloned; queries never touch it.
+    publishing: Arc<Mutex<()>>,
     publisher: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
-/// Publishes the next epoch's snapshot: the retired snapshot's arc is
-/// pulled forward by the change-log delta under a brief read lock
-/// ([`ShadowBuffer::refresh`]) and the newly retired one is stored back
-/// for the publish after that — O(changes) per publication.
-///
-/// The swap is deliberately placed mid-function: everything before it
-/// is the *visibility* latency (recorded in [`QueryStats`]), and once
-/// the new epoch is live the just-retired buffer is caught up to the
-/// source in a second, equally brief lock window
-/// ([`ShadowBuffer::catch_up`]). With the catch-up, each buffer of the
-/// double-buffered pair stays one inter-epoch round behind instead of
-/// two, so the pre-swap delta — the part readers wait on — is half the
-/// naive double-buffer cost.
+/// Publishes the next epoch's snapshot: clone the live database under a
+/// read lock held for the O(1) clone, swap it in, drop the retired
+/// snapshot (with no lock held — its last reader may be us, and then the
+/// nodes the live database has since replaced are freed here).
 fn publish(
     db: &SharedDatabase,
     cell: &RwLock<Arc<EpochSnapshot>>,
     stats: &QueryStats,
-    shadow: &Mutex<ShadowBuffer>,
+    publishing: &Mutex<()>,
 ) -> u64 {
-    // Serializes concurrent publishers (manual publish_now racing the
-    // background thread); queries never touch this mutex.
-    let mut buf = shadow.lock().unwrap_or_else(|e| e.into_inner());
+    let _one_at_a_time = publishing.lock().unwrap_or_else(|e| e.into_inner());
     let t0 = Instant::now();
-    let (state, report) = db.with_read(|src| buf.refresh(src));
-    if report.full_resync {
-        stats.full_publishes.fetch_add(1, Ordering::Relaxed);
-    } else {
-        stats.delta_publishes.fetch_add(1, Ordering::Relaxed);
-    }
+    let state = db.with_read(Database::clone);
+    stats.delta_publishes.fetch_add(1, Ordering::Relaxed);
     let epoch = stats.epoch.fetch_add(1, Ordering::Relaxed) + 1;
     stats.epoch_queries.store(0, Ordering::Relaxed);
     let snap = Arc::new(EpochSnapshot {
         db: state,
-        cursor: report.cursor,
         epoch,
         published_at: Instant::now(),
     });
@@ -379,13 +354,7 @@ fn publish(
     stats
         .publish_ns
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    buf.store(Arc::clone(&retired.db), retired.cursor);
-    // Dropping our handle on the retired snapshot first gives the
-    // buffer sole ownership whenever no query still reads that epoch —
-    // the condition for an in-place catch-up.
     drop(retired);
-    buf.reap(); // outside any lock: O(fleet) drops land here
-    db.with_read(|src| buf.catch_up(src));
     epoch
 }
 
@@ -395,17 +364,15 @@ impl QueryEngine {
     /// an engine ever owns.
     pub fn new(db: SharedDatabase, config: QueryEngineConfig) -> Self {
         let stats = Arc::new(QueryStats::default());
-        let shadow: Arc<Mutex<ShadowBuffer>> = Arc::default();
+        let publishing: Arc<Mutex<()>> = Arc::default();
         let t0 = Instant::now();
-        let (state, cursor) =
-            db.with_read(|inner| (Arc::new(inner.clone()), inner.change_cursor()));
+        let state = db.with_read(Database::clone);
         stats.full_publishes.fetch_add(1, Ordering::Relaxed);
         stats
             .publish_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let initial = Arc::new(EpochSnapshot {
             db: state,
-            cursor,
             epoch: 0,
             published_at: Instant::now(),
         });
@@ -420,10 +387,10 @@ impl QueryEngine {
                 let db = db.clone();
                 let cell = Arc::clone(&cell);
                 let stats = Arc::clone(&stats);
-                let shadow = Arc::clone(&shadow);
+                let publishing = Arc::clone(&publishing);
                 let handle = std::thread::spawn(move || {
                     while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                        publish(&db, &cell, &stats, &shadow);
+                        publish(&db, &cell, &stats, &publishing);
                     }
                 });
                 (stop_tx, handle)
@@ -432,7 +399,7 @@ impl QueryEngine {
             db,
             cell,
             stats,
-            shadow,
+            publishing,
             publisher,
         }
     }
@@ -452,7 +419,7 @@ impl QueryEngine {
     /// Publishes a fresh epoch immediately (read-your-writes barrier) and
     /// returns its number.
     pub fn publish_now(&self) -> u64 {
-        publish(&self.db, &self.cell, &self.stats, &self.shadow)
+        publish(&self.db, &self.cell, &self.stats, &self.publishing)
     }
 
     /// Current counters plus the age of the published snapshot.
@@ -890,12 +857,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_publish_applies_deltas_and_reuses_the_buffer() {
+    fn every_publish_is_the_same_clone_and_shares_the_live_structure() {
         let db = shared(50);
         let engine = QueryEngine::new(db.clone(), manual_config());
-        // Epoch 0 and the first publish are both full (cold buffer);
-        // afterwards every publish rides the change-log delta.
         engine.publish_now();
+        // A snapshot is a clone: with no write since, it shares every
+        // tree node and bucket with the live database.
+        let (shared, total) = db.with_read(|live| live.shared_with(engine.snapshot().database()));
+        assert_eq!(shared, total);
         for round in 1..=3u64 {
             db.apply_update(
                 ObjectId(round),
@@ -911,16 +880,44 @@ mod tests {
                 500.0 + round as f64
             );
         }
+        // Epoch 0 is the one publish the scrape calls full; the four
+        // since count as deltas.
         let stats = engine.stats();
-        assert_eq!(stats.full_publishes, 2);
-        assert_eq!(stats.delta_publishes, 3);
-        // The delta-published snapshot answers exactly like the locked DB
-        // (its incrementally maintained index may differ in traversal
-        // diagnostics, never in answers).
+        assert_eq!(stats.full_publishes, 1);
+        assert_eq!(stats.delta_publishes, 4);
+        // The snapshot is the live tree, so it answers exactly like the
+        // locked database, traversal statistics included.
         let r = region(0.0, 1000.0, 2.0);
-        let expected = db.range_query(&r).unwrap();
-        let got = engine.range_query(&r).unwrap();
-        assert!(got.same_answer(&expected), "{got:?} vs {expected:?}");
+        assert_eq!(engine.range_query(&r).unwrap(), db.range_query(&r).unwrap());
+    }
+
+    /// A reader that pinned an old epoch keeps reading it, and keeps it
+    /// alive, however many epochs are published and retired meanwhile.
+    #[test]
+    fn a_pinned_epoch_outlives_its_retirement_unchanged() {
+        let db = shared(50);
+        let engine = QueryEngine::new(db.clone(), manual_config());
+        let pinned = engine.snapshot();
+        let r = region(0.0, 1000.0, 2.0);
+        let at_pin = pinned.database().range_query(&r).unwrap();
+        for round in 1..=20u64 {
+            for i in 0..50u64 {
+                let arc = ((i * 13 + round * 29) % 1000) as f64;
+                db.apply_update(
+                    ObjectId(i),
+                    &UpdateMessage::basic(round as f64, UpdatePosition::Arc(arc), 0.8),
+                )
+                .unwrap();
+            }
+            engine.publish_now();
+        }
+        assert_eq!(pinned.epoch(), 0);
+        assert_eq!(pinned.database().range_query(&r).unwrap(), at_pin);
+        assert_eq!(
+            pinned.database().position_of(ObjectId(7), 0.0).unwrap().arc,
+            7.0
+        );
+        assert_ne!(engine.range_query(&r).unwrap(), at_pin);
     }
 
     #[test]

@@ -502,7 +502,7 @@ impl StandbyReplica {
     /// [`QueryServerConfig::stale_deadline`] and then gets a typed
     /// `Stale { applied, required }` instead of a hang; the coverage
     /// watermark advances only to an applied LSN read *before* the epoch
-    /// shadow swap (so a token never claims a snapshot it is not in);
+    /// snapshot swap (so a token never claims a snapshot it is not in);
     /// and every served answer is widened by the lag-derived
     /// `2·v_max·Δ` term, so a stale follower's imprecision is priced
     /// honestly (§3.3 of the paper). `engine` must be built on this

@@ -6,11 +6,9 @@
 //! equivalence. Updates applied after a publish must not leak into
 //! snapshot answers until the next publish.
 
-use std::sync::Arc;
-
 use modb_core::{
-    Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAnswer,
-    PositionAttribute, UpdateMessage, UpdatePosition,
+    Database, DatabaseConfig, MovingObject, NearestAnswer, ObjectId, PolicyDescriptor,
+    PositionAnswer, PositionAttribute, UpdateMessage, UpdatePosition,
 };
 use modb_geom::{Point, Polygon, Rect};
 use modb_index::QueryRegion;
@@ -104,63 +102,88 @@ fn spec() -> impl Strategy<Value = Spec> {
         })
 }
 
-/// One step of an interleaved workload for the shadow-equivalence
+/// One step of an interleaved workload for the clone-isolation
 /// property. Rejected operations (duplicate register, unknown remove,
-/// stale update) are part of the point: they must not desynchronize the
-/// shadow.
+/// stale update) are part of the point: they must not disturb a clone
+/// either.
 #[derive(Debug, Clone)]
 enum Op {
     Register(u64, f64),
     Update(u64, f64, f64, f64),
     Remove(u64),
-    /// Pull the shadow forward mid-stream (partial drains must compose).
-    Sync,
+    /// Publish mid-stream: clone the live database and pin the clone.
+    Clone,
 }
 
-/// Everything a reader can see of the ids the streams touch: position
-/// answers, retained history, and range answers (must and may sets).
+/// Everything a reader can see of the ids the streams touch: the stored
+/// objects, position answers, retained history, range answers (must and
+/// may sets, by index and by scan) and nearest-neighbour answers.
 type View = (
+    Vec<Option<MovingObject>>,
     Vec<Option<PositionAnswer>>,
     Vec<Vec<PositionAttribute>>,
     Vec<(Vec<ObjectId>, Vec<ObjectId>)>,
+    Vec<NearestAnswer>,
 );
 
 fn observe(db: &Database) -> View {
     let ids = || (0..48u64).map(ObjectId);
     let ranges = [(0.0, 50.0, 10.0), (20.0, 90.0, 5.0), (0.0, ROUTE_LEN, 25.0)]
         .iter()
-        .map(|&(x0, x1, t)| {
-            let answer = db.range_query(&region(x0, x1, t)).unwrap();
-            (answer.must, answer.may)
-        });
+        .flat_map(|&(x0, x1, t)| {
+            let r = region(x0, x1, t);
+            [
+                db.range_query(&r).unwrap(),
+                db.range_query_scan(&r).unwrap(),
+            ]
+        })
+        .map(|answer| (answer.must, answer.may));
     (
+        ids().map(|id| db.moving(id).ok().cloned()).collect(),
         ids().map(|id| db.position_of(id, 15.0).ok()).collect(),
         ids().map(|id| db.history_of(id).to_vec()).collect(),
         ranges.collect(),
+        [(10.0, 1, 5.0), (50.0, 3, 15.0), (90.0, 60, 30.0)]
+            .iter()
+            .map(|&(x, k, t)| db.nearest(Point::new(x, 0.0), k, t).unwrap())
+            .collect(),
     )
+}
+
+/// A copy of `db` that shares no structure with it: every object and
+/// its history re-registered into a fresh database, the way a snapshot
+/// restore builds one.
+fn deep_copy(db: &Database) -> Database {
+    let moving = db
+        .moving_objects()
+        .map(|o| (o.clone(), db.history_of(o.id).to_vec()))
+        .collect();
+    Database::from_parts(db.network().clone(), *db.config(), Vec::new(), moving).unwrap()
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..48, 0.0f64..1.0).prop_map(|(id, frac)| Op::Register(id, frac)),
         update().prop_map(|(id, t, frac, speed)| Op::Update(id, t, frac, speed)),
+        update().prop_map(|(id, t, frac, speed)| Op::Update(id, t, frac, speed)),
         (0u64..48).prop_map(Op::Remove),
-        Just(Op::Sync),
+        Just(Op::Clone),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A delta-applied shadow is observably identical to a fresh full
-    /// clone after an arbitrary interleaving of register / update /
-    /// remove, no matter where the intermediate syncs landed — including
-    /// with a tiny change log that forces full resyncs. And a pinned epoch, which shares every object's payload
-    /// with the live database, reads exactly as it did when pinned.
+    /// A clone is a frozen database. Clones taken at random points of a
+    /// register / update / remove stream — each sharing its whole
+    /// structure with the live copy at that instant — answer every
+    /// position, range and nearest query exactly as a deep copy made at
+    /// the same instant does, however the live copy is mutated
+    /// afterwards and after it is dropped: an epoch pinned mid-stream
+    /// reads what it read when pinned.
     #[test]
-    fn shadow_after_deltas_equals_full_clone(
+    fn clones_taken_mid_stream_equal_deep_copies_whatever_happens_next(
         ops in proptest::collection::vec(op(), 1..80),
-        small_log in any::<bool>(),
     ) {
         let network = RouteNetwork::from_routes([Route::from_vertices(
             RouteId(1),
@@ -169,27 +192,15 @@ proptest! {
         )
         .unwrap()])
         .unwrap();
-        let cfg = DatabaseConfig {
-            // The tiny log makes cursors fall off constantly, forcing
-            // the full-resync fallback to carry its weight too.
-            change_log_capacity: if small_log { 3 } else { 4096 },
-            ..DatabaseConfig::default()
-        };
-        let mut live = Database::new(network, cfg);
+        let mut live = Database::new(network, DatabaseConfig::default());
         for i in 0..8u64 {
             live.register_moving(vehicle(i, (i as f64 * 11.9) % ROUTE_LEN)).unwrap();
         }
-        let mut shadow = live.clone();
-        let mut cursor = live.change_cursor();
-        // The epoch a slow reader holds, pinned mid-stream so it shares
-        // histories the second half goes on to extend.
-        let mut pinned = None;
+        // (clone, deep copy) pairs, one per publish point; the first is
+        // taken before the stream starts.
+        let mut pinned = vec![(live.clone(), deep_copy(&live))];
 
-        for (step, op) in ops.iter().enumerate() {
-            if step == ops.len() / 2 {
-                let epoch = Arc::new(live.clone());
-                pinned = Some((observe(&epoch), epoch));
-            }
+        for op in &ops {
             match *op {
                 Op::Register(id, frac) => {
                     let _ = live.register_moving(vehicle(id, frac * ROUTE_LEN * 0.99));
@@ -207,39 +218,26 @@ proptest! {
                 Op::Remove(id) => {
                     let _ = live.remove_moving(ObjectId(id));
                 }
-                Op::Sync => {
-                    cursor = shadow.sync_from(&live, cursor).cursor;
+                Op::Clone => {
+                    let clone = live.clone();
+                    let (shared, total) = live.shared_with(&clone);
+                    prop_assert_eq!(shared, total, "a fresh clone shares everything");
+                    pinned.push((clone, deep_copy(&live)));
                 }
             }
         }
-        shadow.sync_from(&live, cursor);
-        let clone = live.clone();
-        // Copy-on-write isolation: no live write (nor any shadow sync)
-        // reached the pinned copy.
-        let (at_pin_time, epoch) = pinned.expect("ops is never empty");
-        prop_assert_eq!(observe(&epoch), at_pin_time);
-
-        // Observably identical: object state, history, and queries (the
-        // shadow's incrementally-maintained index must agree with both
-        // the cloned index and the exhaustive scan).
-        prop_assert_eq!(shadow.moving_count(), clone.moving_count());
-        for id in 0..48u64 {
-            prop_assert_eq!(shadow.moving(ObjectId(id)).ok(), clone.moving(ObjectId(id)).ok());
-            prop_assert_eq!(shadow.history_of(ObjectId(id)), clone.history_of(ObjectId(id)));
-            prop_assert_eq!(
-                shadow.position_of(ObjectId(id), 15.0).ok(),
-                clone.position_of(ObjectId(id), 15.0).ok()
-            );
+        // The live copy is itself consistent (index ≡ scan inside
+        // `observe`) and equal to a deep copy of its final state.
+        prop_assert_eq!(observe(&live), observe(&deep_copy(&live)));
+        for (i, (clone, reference)) in pinned.iter().enumerate() {
+            prop_assert_eq!(clone.moving_count(), reference.moving_count());
+            prop_assert_eq!(observe(clone), observe(reference), "clone {} of {}", i, pinned.len());
         }
-        for &(x0, x1, t) in &[(0.0, 50.0, 10.0), (20.0, 90.0, 5.0), (0.0, ROUTE_LEN, 25.0)] {
-            let r = region(x0, x1, t);
-            let via_shadow = shadow.range_query(&r).unwrap();
-            let via_clone = clone.range_query(&r).unwrap();
-            prop_assert_eq!(&via_shadow.must, &via_clone.must, "must x=[{},{}] t={}", x0, x1, t);
-            prop_assert_eq!(&via_shadow.may, &via_clone.may, "may x=[{},{}] t={}", x0, x1, t);
-            let scanned = shadow.range_query_scan(&r).unwrap();
-            prop_assert_eq!(&via_shadow.must, &scanned.must, "scan must x=[{},{}] t={}", x0, x1, t);
-            prop_assert_eq!(&via_shadow.may, &scanned.may, "scan may x=[{},{}] t={}", x0, x1, t);
+        // Dropping the live copy frees what only it held and nothing a
+        // clone reads.
+        drop(live);
+        for (clone, reference) in &pinned {
+            prop_assert_eq!(observe(clone), observe(reference));
         }
     }
 
@@ -278,17 +276,13 @@ proptest! {
                 frozen.position_of(ObjectId(id), 12.0).unwrap()
             );
         }
-        // Republishing catches the engine up to the live state. This
-        // publish rides the change-log delta, so the snapshot's index
-        // was maintained by per-object delete+insert rather than cloned
-        // — traversal diagnostics (SearchStats) may differ, but the
-        // answers must not.
+        // Republishing catches the engine up to the live state: the new
+        // snapshot is the live structure itself, so even the traversal
+        // statistics agree.
         engine.publish_now();
         for &(x0, x1, t) in &spec.regions {
             let r = region(x0, x1, t);
-            let got = engine.range_query(&r).unwrap();
-            let expected = db.range_query(&r).unwrap();
-            prop_assert!(got.same_answer(&expected), "{:?} vs {:?}", got, expected);
+            prop_assert_eq!(engine.range_query(&r).unwrap(), db.range_query(&r).unwrap());
         }
     }
 

@@ -5,9 +5,10 @@
 //! - **T3**: may/must answer quality — simulated ground-truth positions
 //!   must satisfy `must ⊆ actually-in-G ⊆ must ∪ may`.
 //! - **F6**: index-maintenance throughput for position updates (§4.2's
-//!   delete-old-plane / insert-new-plane step).
+//!   delete-old-plane / insert-new-plane step), with and without a
+//!   published clone pinning the structure the update writes to.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -271,27 +272,46 @@ pub fn may_must_table(r: &MayMustResult) -> String {
     )
 }
 
-/// F6 result: index-maintenance throughput.
+/// How often F6's write-side leg republishes — clones the database and
+/// pins the clone, as the epoch publisher does — in updates: `None` is
+/// never (nothing shares the live structure, every write is in place),
+/// 240 is a 50 ms epoch at the ledger's ≈ 4.8 k updates/s, 1 is the
+/// worst case (every write finds every node it touches shared).
+const F6_REPUBLISH_EVERY: [Option<usize>; 3] = [None, Some(240), Some(1)];
+
+/// F6 result: index-maintenance throughput, and what a published epoch
+/// adds to it.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexUpdateRow {
     /// Fleet size.
     pub n: usize,
+    /// Updates between republications (`None`: never republished).
+    pub republish_every: Option<usize>,
     /// Position updates applied.
     pub updates: usize,
     /// Mean microseconds per update (attribute write + plane delete +
-    /// plane insert).
+    /// plane insert, plus this row's share of cloning the database and
+    /// dropping the retired clone).
     pub us_per_update: f64,
+    /// Mean allocations (tree nodes, id-map directories, chunks and
+    /// buckets) an update copied because the pinned clone still held
+    /// them — `Database::shared_with` read before each republication.
+    pub copied_per_update: f64,
 }
 
-/// Runs F6: apply a position update to every object and time it.
+/// Runs F6: apply a position update to every object and time it, once
+/// with nothing pinned and once per republication interval.
 pub fn run_index_update(sizes: &[usize]) -> Vec<IndexUpdateRow> {
-    sizes
-        .iter()
-        .map(|&n| {
+    let mut rows = Vec::with_capacity(sizes.len() * F6_REPUBLISH_EVERY.len());
+    for &n in sizes {
+        for republish_every in F6_REPUBLISH_EVERY {
             let mut db = build_city_db(7, n, 20);
             let ids: Vec<ObjectId> = db.moving_ids().collect();
-            let t0 = Instant::now();
+            let mut published = republish_every.map(|every| (every, db.clone()));
+            let mut copied = 0;
+            let mut busy = Duration::ZERO;
             for (k, id) in ids.iter().enumerate() {
+                let t0 = Instant::now();
                 let obj = db.moving(*id).expect("known");
                 let route = db.network().get(obj.attr.route).expect("route");
                 let new_arc = (obj.attr.start_arc + 0.5).min(route.length());
@@ -301,25 +321,59 @@ pub fn run_index_update(sizes: &[usize]) -> Vec<IndexUpdateRow> {
                     0.8,
                 );
                 db.apply_update(*id, &msg).expect("valid update");
+                busy += t0.elapsed();
+                if let Some((every, pinned)) = &mut published {
+                    if (k + 1) % *every == 0 {
+                        // The count is the experiment's own cost; the clone
+                        // and the drop of the retired one are the publisher's.
+                        let (shared, total) = db.shared_with(pinned);
+                        copied += total - shared;
+                        let t0 = Instant::now();
+                        *pinned = db.clone();
+                        busy += t0.elapsed();
+                    }
+                }
             }
-            IndexUpdateRow {
+            if let Some((_, pinned)) = &published {
+                let (shared, total) = db.shared_with(pinned);
+                copied += total - shared;
+            }
+            rows.push(IndexUpdateRow {
                 n,
+                republish_every,
                 updates: ids.len(),
-                us_per_update: t0.elapsed().as_secs_f64() * 1e6 / ids.len() as f64,
-            }
-        })
-        .collect()
+                us_per_update: busy.as_secs_f64() * 1e6 / ids.len() as f64,
+                copied_per_update: copied as f64 / ids.len() as f64,
+            });
+        }
+    }
+    rows
 }
 
 /// Renders the F6 table.
 pub fn index_update_table(rows: &[IndexUpdateRow]) -> String {
     let table_rows: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| vec![r.n.to_string(), r.updates.to_string(), fmt(r.us_per_update)])
+        .map(|r| {
+            vec![
+                r.n.to_string(),
+                r.republish_every
+                    .map_or("never".to_string(), |every| every.to_string()),
+                r.updates.to_string(),
+                fmt(r.us_per_update),
+                fmt(r.copied_per_update),
+            ]
+        })
         .collect();
     render_table(
         "F6: index maintenance on position updates (delete old o-plane, insert new)",
-        &["fleet", "updates", "us/update"],
+        &[
+            "fleet",
+            "republish every",
+            "updates",
+            "us/update",
+            "copied/update",
+        ],
         &table_rows,
     )
 }
@@ -358,9 +412,21 @@ mod tests {
 
     #[test]
     fn index_update_runs() {
-        let rows = run_index_update(&[100]);
-        assert_eq!(rows[0].updates, 100);
-        assert!(rows[0].us_per_update > 0.0);
+        let rows = run_index_update(&[300]);
+        assert_eq!(rows.len(), 3);
+        for row in &rows {
+            assert_eq!(row.updates, 300);
+            assert!(row.us_per_update > 0.0);
+        }
+        // Nothing pinned, nothing copied; a clone pinned after every
+        // update makes each one copy its paths; republishing less often
+        // lets later writes reuse what earlier ones already copied.
+        let [never, sometimes, always] = [rows[0], rows[1], rows[2]];
+        assert_eq!(never.republish_every, None);
+        assert_eq!(never.copied_per_update, 0.0);
+        assert!(always.copied_per_update >= 4.0, "{always:?}");
+        assert!(sometimes.copied_per_update > 0.0);
+        assert!(sometimes.copied_per_update < always.copied_per_update);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 pub mod ablations;
 pub mod bound_shape;
 pub mod cost_rate_curve;
-pub mod epoch_publish;
 pub mod example1;
 pub mod failover;
 pub mod frontend;

@@ -450,7 +450,11 @@ impl WalCodec for DatabaseConfig {
         put_f64(out, f64::INFINITY);
         put_f64(out, self.refinement_dt);
         put_u64(out, self.history_capacity as u64);
-        put_u64(out, self.change_log_capacity as u64);
+        // Format v3 holds `change_log_capacity` here. The change log is
+        // gone and these eight bytes are not: its old default is written,
+        // whatever is read is discarded. They go with the band list in
+        // the v4 of ROADMAP's reachability item.
+        put_u64(out, 4096);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
@@ -469,14 +473,15 @@ impl WalCodec for DatabaseConfig {
         if r.f64()? != f64::INFINITY {
             return Err(WalError::Decode("finite fine-horizon on the only band"));
         }
-        Ok(DatabaseConfig {
+        let config = DatabaseConfig {
             map_match_tolerance,
             default_horizon,
             bands: slab_minutes,
             refinement_dt: r.f64()?,
             history_capacity: r.u64()? as usize,
-            change_log_capacity: r.u64()? as usize,
-        })
+        };
+        r.u64()?;
+        Ok(config)
     }
 }
 
@@ -618,7 +623,6 @@ mod tests {
             bands: 2.0,
             refinement_dt: 0.5,
             history_capacity: 7,
-            change_log_capacity: 64,
         });
     }
 
@@ -663,6 +667,24 @@ mod tests {
             let reason = config_decode_error(&config_bytes(1, &[[INF, slab, INF]]));
             assert!(reason.contains("slab"), "{reason}");
         }
+    }
+
+    /// The last eight bytes held the change log's capacity. A snapshot
+    /// written with any value there decodes to the same config, short
+    /// bytes are still refused, and re-encoding writes the old default.
+    #[test]
+    fn config_discards_the_retired_change_log_slot() {
+        let mut bytes = config_bytes(1, &[[INF, 5.0, INF]]);
+        let slot = bytes.len() - 8;
+        bytes[slot..].copy_from_slice(&64u64.to_le_bytes());
+        let mut r = ByteReader::new(&bytes);
+        let config = DatabaseConfig::decode(&mut r).unwrap();
+        assert_eq!(config, DatabaseConfig::default());
+        assert!(r.is_empty());
+        let mut encoded = Vec::new();
+        config.encode(&mut encoded);
+        assert_eq!(encoded, config_bytes(1, &[[INF, 5.0, INF]]));
+        assert!(DatabaseConfig::decode(&mut ByteReader::new(&bytes[..slot + 3])).is_err());
     }
 
     #[test]

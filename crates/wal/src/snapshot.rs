@@ -34,11 +34,12 @@ use crate::error::WalError;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MODBSNP1";
-/// Current snapshot format version. Version 2 added
-/// `DatabaseConfig::change_log_capacity` to the config codec; version 3
-/// replaced the scalar `slab_minutes` with a speed-band list. The bands
+/// Current snapshot format version. Version 2 added a change-log
+/// capacity to the config codec; version 3 replaced the scalar
+/// `slab_minutes` with a speed-band list. The bands and the change log
 /// are gone and the format is not: the config codec writes the slab
-/// duration as that list's one all-speeds entry and reads nothing else.
+/// duration as that list's one all-speeds entry and the capacity's old
+/// default, and reads nothing else from either.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// File name for the snapshot taken at `lsn` (zero-padded so
