@@ -397,8 +397,8 @@ proptest! {
                 continue;
             }
             planes[i] = None;
-            prop_assert!(idx.remove(&(i as u64)));
-            prop_assert!(!idx.remove(&(i as u64)));
+            prop_assert!(idx.remove(&(i as u64)).is_some());
+            prop_assert!(idx.remove(&(i as u64)).is_none());
         }
         let live = planes.iter().flatten().count();
         prop_assert_eq!((idx.len(), idx.tree_stats().0), (live, live));

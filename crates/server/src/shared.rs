@@ -124,15 +124,6 @@ impl SharedDatabase {
         self.inner.read().position_of(id, t)
     }
 
-    /// As-of position query.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::position_of_as_of`].
-    pub fn position_of_as_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
-        self.inner.read().position_of_as_of(id, t)
-    }
-
     /// May/must range query via the time-space index.
     ///
     /// # Errors
@@ -249,8 +240,6 @@ mod tests {
             .run_query("RETRIEVE OBJECTS WITHIN 5 OF POINT (13, 0) AT TIME 4")
             .unwrap();
         assert_eq!(r.as_range().unwrap().all(), vec![ObjectId(1)]);
-        let past = db.position_of_as_of(ObjectId(1), 1.0).unwrap();
-        assert_eq!(past.arc, 11.0);
         db.remove_moving(ObjectId(1)).unwrap();
         assert_eq!(db.moving_count(), 0);
     }
@@ -349,9 +338,8 @@ mod tests {
                 assert_eq!(back.moving_count(), live.moving_count());
                 for id in live.moving_ids() {
                     assert_eq!(back.moving(id).unwrap(), live.moving(id).unwrap());
-                    assert_eq!(back.history_of(id), live.history_of(id));
                 }
-                assert_eq!(back.history_of(ObjectId(1)).len(), 2);
+                assert_eq!(back.moving(ObjectId(1)).unwrap().attr.start_time, 4.0);
                 assert_eq!(
                     back.stationary(ObjectId(100)).unwrap(),
                     live.stationary(ObjectId(100)).unwrap()

@@ -93,7 +93,7 @@ pub fn test_replica_config() -> ReplicaConfig {
 }
 
 /// Full logical equality: same objects, same position attributes, same
-/// transaction-time history, same landmark set.
+/// landmark set.
 pub fn assert_converged(leader: &Database, follower: &Database) {
     assert_eq!(
         leader.moving_count(),
@@ -112,11 +112,6 @@ pub fn assert_converged(leader: &Database, follower: &Database) {
             leader.moving(id).unwrap(),
             follower.moving(id).unwrap(),
             "object {id:?}"
-        );
-        assert_eq!(
-            leader.history_of(id),
-            follower.history_of(id),
-            "history of {id:?}"
         );
     }
 }

@@ -131,7 +131,6 @@ proptest! {
         prop_assert_eq!(got.moving_count(), expected.moving_count());
         for id in 0..32u64 {
             prop_assert_eq!(got.moving(ObjectId(id)).ok(), expected.moving(ObjectId(id)).ok());
-            prop_assert_eq!(got.history_of(ObjectId(id)), expected.history_of(ObjectId(id)));
             prop_assert_eq!(
                 got.position_of(ObjectId(id), 20.0).ok(),
                 expected.position_of(ObjectId(id), 20.0).ok()

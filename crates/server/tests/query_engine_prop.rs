@@ -116,12 +116,11 @@ enum Op {
 }
 
 /// Everything a reader can see of the ids the streams touch: the stored
-/// objects, position answers, retained history, range answers (must and
+/// objects, position answers, range answers (must and
 /// may sets, by index and by scan) and nearest-neighbour answers.
 type View = (
     Vec<Option<MovingObject>>,
     Vec<Option<PositionAnswer>>,
-    Vec<Vec<PositionAttribute>>,
     Vec<(Vec<ObjectId>, Vec<ObjectId>)>,
     Vec<NearestAnswer>,
 );
@@ -141,7 +140,6 @@ fn observe(db: &Database) -> View {
     (
         ids().map(|id| db.moving(id).ok().cloned()).collect(),
         ids().map(|id| db.position_of(id, 15.0).ok()).collect(),
-        ids().map(|id| db.history_of(id).to_vec()).collect(),
         ranges.collect(),
         [(10.0, 1, 5.0), (50.0, 3, 15.0), (90.0, 60, 30.0)]
             .iter()
@@ -150,14 +148,11 @@ fn observe(db: &Database) -> View {
     )
 }
 
-/// A copy of `db` that shares no structure with it: every object and
-/// its history re-registered into a fresh database, the way a snapshot
-/// restore builds one.
+/// A copy of `db` that shares no structure with it: every object
+/// re-registered into a fresh database, the way a snapshot restore
+/// builds one.
 fn deep_copy(db: &Database) -> Database {
-    let moving = db
-        .moving_objects()
-        .map(|o| (o.clone(), db.history_of(o.id).to_vec()))
-        .collect();
+    let moving = db.moving_objects().cloned().collect();
     Database::from_parts(db.network().clone(), *db.config(), Vec::new(), moving).unwrap()
 }
 

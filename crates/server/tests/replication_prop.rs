@@ -3,8 +3,7 @@
 //! disconnects and leader-side snapshot+compaction passes thrown in —
 //! the follower's state at watermark W is logically identical to a
 //! leader clone taken at W. Checkpoints quiesce the leader, wait the
-//! follower to the frontier, and compare the full object state and
-//! transaction-time history.
+//! follower to the frontier, and compare the full object state.
 //!
 //! Setup rides on `common::replica_harness::Scenario` (the follower
 //! connects through the byte proxy, here always clean — the faulty

@@ -442,46 +442,23 @@ impl WalCodec for DatabaseConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         put_f64(out, self.map_match_tolerance);
         put_f64(out, self.default_horizon);
-        // Format v3 holds a speed-band list here. One tree is what it
-        // called one all-speeds band with no fine-horizon.
-        put_u32(out, 1);
-        put_f64(out, f64::INFINITY);
         put_f64(out, self.bands);
-        put_f64(out, f64::INFINITY);
         put_f64(out, self.refinement_dt);
-        put_u64(out, self.history_capacity as u64);
-        // Format v3 holds `change_log_capacity` here. The change log is
-        // gone and these eight bytes are not: its old default is written,
-        // whatever is read is discarded. They go with the band list in
-        // the v4 of ROADMAP's reachability item.
-        put_u64(out, 4096);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
         let map_match_tolerance = r.f64()?;
         let default_horizon = r.f64()?;
-        if r.u32()? != 1 {
-            return Err(WalError::Decode("snapshot of a speed-banded index"));
-        }
-        if r.f64()? != f64::INFINITY {
-            return Err(WalError::Decode("finite speed edge on the only band"));
-        }
         let slab_minutes = r.f64()?;
         if !slab_minutes.is_finite() || slab_minutes <= 0.0 {
             return Err(WalError::Decode("invalid slab duration"));
         }
-        if r.f64()? != f64::INFINITY {
-            return Err(WalError::Decode("finite fine-horizon on the only band"));
-        }
-        let config = DatabaseConfig {
+        Ok(DatabaseConfig {
             map_match_tolerance,
             default_horizon,
             bands: slab_minutes,
             refinement_dt: r.f64()?,
-            history_capacity: r.u64()? as usize,
-        };
-        r.u64()?;
-        Ok(config)
+        })
     }
 }
 
@@ -622,91 +599,35 @@ mod tests {
             default_horizon: 90.0,
             bands: 2.0,
             refinement_dt: 0.5,
-            history_capacity: 7,
         });
     }
 
-    /// The bytes v3 spells the index layout with, around a config's
-    /// other fields: `count, (speed edge, slab, fine-horizon)*`.
-    fn config_bytes(count: u32, layout: &[[f64; 3]]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_f64(&mut buf, 0.25);
-        put_f64(&mut buf, 60.0);
-        put_u32(&mut buf, count);
-        for value in layout.iter().flatten() {
-            put_f64(&mut buf, *value);
-        }
-        put_f64(&mut buf, 1.0);
-        put_u64(&mut buf, 256);
-        put_u64(&mut buf, 4096);
-        buf
-    }
-
-    fn config_decode_error(bytes: &[u8]) -> &'static str {
-        match DatabaseConfig::decode(&mut ByteReader::new(bytes)) {
-            Err(WalError::Decode(reason)) => reason,
-            other => panic!("expected a decode error, got {other:?}"),
-        }
-    }
-
-    const INF: f64 = f64::INFINITY;
-
+    /// A config is its four fields in order, and a slab duration no
+    /// index can use is refused.
     #[test]
-    fn config_is_the_one_tree_shape_v3_wrote() {
-        let bytes = config_bytes(1, &[[INF, 5.0, INF]]);
+    fn config_is_four_fields() {
+        let bytes = |slab: f64| -> Vec<u8> {
+            [0.25, 60.0, slab, 1.0]
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .collect()
+        };
         let mut encoded = Vec::new();
         DatabaseConfig::default().encode(&mut encoded);
-        assert_eq!(encoded, bytes);
-        let mut r = ByteReader::new(&bytes);
+        assert_eq!(encoded, bytes(5.0));
+        let mut r = ByteReader::new(&encoded);
         assert_eq!(
             DatabaseConfig::decode(&mut r).unwrap(),
             DatabaseConfig::default()
         );
         assert!(r.is_empty());
-        for slab in [0.0, -5.0, f64::NAN, INF] {
-            let reason = config_decode_error(&config_bytes(1, &[[INF, slab, INF]]));
-            assert!(reason.contains("slab"), "{reason}");
+        assert!(DatabaseConfig::decode(&mut ByteReader::new(&encoded[..31])).is_err());
+        for slab in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            match DatabaseConfig::decode(&mut ByteReader::new(&bytes(slab))) {
+                Err(WalError::Decode(reason)) => assert!(reason.contains("slab"), "{reason}"),
+                other => panic!("slab {slab}: expected a decode error, got {other:?}"),
+            }
         }
-    }
-
-    /// The last eight bytes held the change log's capacity. A snapshot
-    /// written with any value there decodes to the same config, short
-    /// bytes are still refused, and re-encoding writes the old default.
-    #[test]
-    fn config_discards_the_retired_change_log_slot() {
-        let mut bytes = config_bytes(1, &[[INF, 5.0, INF]]);
-        let slot = bytes.len() - 8;
-        bytes[slot..].copy_from_slice(&64u64.to_le_bytes());
-        let mut r = ByteReader::new(&bytes);
-        let config = DatabaseConfig::decode(&mut r).unwrap();
-        assert_eq!(config, DatabaseConfig::default());
-        assert!(r.is_empty());
-        let mut encoded = Vec::new();
-        config.encode(&mut encoded);
-        assert_eq!(encoded, config_bytes(1, &[[INF, 5.0, INF]]));
-        assert!(DatabaseConfig::decode(&mut ByteReader::new(&bytes[..slot + 3])).is_err());
-    }
-
-    #[test]
-    fn config_refuses_a_layout_count_other_than_one() {
-        let two = config_bytes(2, &[[1.0, 5.0, INF], [INF, 5.0, INF]]);
-        assert!(config_decode_error(&two).contains("speed-banded"));
-        assert!(config_decode_error(&config_bytes(0, &[])).contains("speed-banded"));
-        assert!(config_decode_error(&config_bytes(u32::MAX, &[])).contains("speed-banded"));
-    }
-
-    #[test]
-    fn config_refuses_a_finite_speed_edge() {
-        let reason = config_decode_error(&config_bytes(1, &[[2.0, 5.0, INF]]));
-        assert!(reason.contains("speed edge"), "{reason}");
-        assert!(config_decode_error(&config_bytes(1, &[[f64::NAN, 5.0, INF]])).contains("edge"));
-    }
-
-    #[test]
-    fn config_refuses_a_finite_horizon() {
-        let reason = config_decode_error(&config_bytes(1, &[[INF, 5.0, 20.0]]));
-        assert!(reason.contains("fine-horizon"), "{reason}");
-        assert!(config_decode_error(&config_bytes(1, &[[INF, 5.0, f64::NAN]])).contains("horizon"));
     }
 
     #[test]

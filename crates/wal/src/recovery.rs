@@ -29,8 +29,7 @@
 //! against state that already contains them. Re-delivering an applied
 //! update is a no-op in `Database::apply_update` (identical attribute),
 //! older ones re-reject as stale, and duplicate registrations / removals
-//! re-reject — state and history converge to the live outcome either
-//! way.
+//! re-reject — state converges to the live outcome either way.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -368,7 +367,6 @@ mod tests {
         assert_eq!(ids, b_ids);
         for &id in &ids {
             assert_eq!(a.moving(id).unwrap(), b.moving(id).unwrap());
-            assert_eq!(a.history_of(id), b.history_of(id));
             for t in [0.0, 5.0, 10.0] {
                 assert_eq!(a.position_of(id, t).unwrap(), b.position_of(id, t).unwrap());
             }

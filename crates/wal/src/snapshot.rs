@@ -15,8 +15,8 @@
 //!
 //! The payload holds the LSN high-water mark (every record with
 //! `lsn < snapshot_lsn` is already reflected in the snapshot), the
-//! config, the network, the stationary objects, and each moving object
-//! with its retained attribute history. Writes are atomic: the bytes go
+//! config, the network, the stationary objects and the moving objects —
+//! one record each, the attribute in force. Writes are atomic: the bytes go
 //! to a `.tmp` file which is fsynced, renamed over the final name, and
 //! the directory is fsynced — a crash mid-write leaves either the old
 //! state or the new, never a half-written snapshot under the real name.
@@ -25,7 +25,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use modb_core::{Database, DatabaseConfig, MovingObject, PositionAttribute, StationaryObject};
+use modb_core::{Database, DatabaseConfig, MovingObject, StationaryObject};
 use modb_routes::RouteNetwork;
 
 use crate::codec::{put_u32, put_u64, ByteReader, WalCodec};
@@ -34,13 +34,12 @@ use crate::error::WalError;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MODBSNP1";
-/// Current snapshot format version. Version 2 added a change-log
-/// capacity to the config codec; version 3 replaced the scalar
-/// `slab_minutes` with a speed-band list. The bands and the change log
-/// are gone and the format is not: the config codec writes the slab
-/// duration as that list's one all-speeds entry and the capacity's old
-/// default, and reads nothing else from either.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot format version, the only one read. Version 4 is
+/// version 3 with every retired slot spliced out: the config is four
+/// `f64`s (the speed-band list is one slab duration again, and the
+/// history-capacity and change-log-capacity words are gone), and a
+/// moving object is its record alone, with no attribute-history arm.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// File name for the snapshot taken at `lsn` (zero-padded so
 /// lexicographic order equals LSN order).
@@ -71,14 +70,14 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     Ok(snapshots)
 }
 
-/// Decoded snapshot payload: `(lsn, config, network, stationary, moving
-/// objects with their transaction-time history)`.
+/// Decoded snapshot payload: `(lsn, config, network, stationary,
+/// moving)`.
 type DecodedSnapshot = (
     u64,
     DatabaseConfig,
     RouteNetwork,
     Vec<StationaryObject>,
-    Vec<(MovingObject, Vec<PositionAttribute>)>,
+    Vec<MovingObject>,
 );
 
 fn encode_snapshot(db: &Database, lsn: u64) -> Vec<u8> {
@@ -101,11 +100,6 @@ fn encode_snapshot(db: &Database, lsn: u64) -> Vec<u8> {
     put_u64(&mut payload, moving.len() as u64);
     for obj in moving {
         obj.encode(&mut payload);
-        let history = db.history_of(obj.id);
-        put_u64(&mut payload, history.len() as u64);
-        for version in history {
-            version.encode(&mut payload);
-        }
     }
 
     let mut out = Vec::with_capacity(payload.len() + 24);
@@ -166,8 +160,9 @@ pub fn write_snapshot(dir: &Path, db: &Database, lsn: u64) -> Result<PathBuf, Wa
 /// # Errors
 ///
 /// [`WalError::BadSnapshot`] for magic/version/length/CRC/decode
-/// failures; [`WalError::Core`] when the decoded state fails database
-/// validation.
+/// failures — a snapshot of an older version is refused as
+/// `"unsupported version"` and the file left as it is; [`WalError::Core`]
+/// when the decoded state fails database validation.
 pub fn read_snapshot(path: &Path) -> Result<(Database, u64), WalError> {
     let bad = |reason: &'static str| WalError::BadSnapshot {
         path: path.to_path_buf(),
@@ -209,13 +204,7 @@ pub fn read_snapshot(path: &Path) -> Result<(Database, u64), WalError> {
         let n_moving = r.u64()? as usize;
         let mut moving = Vec::with_capacity(n_moving.min(4096));
         for _ in 0..n_moving {
-            let obj = MovingObject::decode(&mut r)?;
-            let n_versions = r.u64()? as usize;
-            let mut versions = Vec::with_capacity(n_versions.min(4096));
-            for _ in 0..n_versions {
-                versions.push(PositionAttribute::decode(&mut r)?);
-            }
-            moving.push((obj, versions));
+            moving.push(MovingObject::decode(&mut r)?);
         }
         if !r.is_empty() {
             return Err(WalError::Decode("trailing bytes in snapshot payload"));
@@ -312,19 +301,15 @@ mod tests {
         assert_eq!(lsn, 7);
         assert_eq!(restored.moving_count(), db.moving_count());
         assert_eq!(restored.stationary_count(), db.stationary_count());
-        assert_eq!(restored.history_of(ObjectId(1)), db.history_of(ObjectId(1)));
         for t in [0.0, 5.0, 9.0] {
             for id in 1..=3u64 {
+                assert_eq!(restored.moving(ObjectId(id)), db.moving(ObjectId(id)));
                 assert_eq!(
                     restored.position_of(ObjectId(id), t).unwrap(),
                     db.position_of(ObjectId(id), t).unwrap()
                 );
             }
         }
-        assert_eq!(
-            restored.position_of_as_of(ObjectId(1), 3.0).unwrap(),
-            db.position_of_as_of(ObjectId(1), 3.0).unwrap()
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -200,7 +200,6 @@ fn assert_equivalent(a: &Database, b: &Database) -> Result<(), TestCaseError> {
     prop_assert_eq!(&ids, &b_ids);
     for &id in &ids {
         prop_assert_eq!(a.moving(id).unwrap(), b.moving(id).unwrap());
-        prop_assert_eq!(a.history_of(id), b.history_of(id));
         for t in [0.0, 7.5, 20.0] {
             prop_assert_eq!(a.position_of(id, t).unwrap(), b.position_of(id, t).unwrap());
         }

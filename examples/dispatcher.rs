@@ -51,7 +51,8 @@ fn main() {
         })
         .expect("registered");
     }
-    // One mid-trip update so the as-of query has history to replay.
+    // One mid-trip update: the queries below see the attribute it
+    // installed, not the one it replaced.
     db.apply_update(
         ObjectId(4),
         &UpdateMessage::basic(6.0, UpdatePosition::Arc(8.0), 0.9),
@@ -108,15 +109,4 @@ fn main() {
     let bad = "RETRIEVE OBJECTS INSIDE CIRCLE (0,0,5) AT TIME 1";
     println!("modb> {bad}");
     println!("  error: {}\n", run(&db, bad).unwrap_err());
-
-    // As-of query (API-level): where did the DBMS believe ABT312 was at
-    // t = 3, before its t = 6 update rewrote the attribute?
-    let then = db
-        .position_of_as_of(ObjectId(4), 3.0)
-        .expect("history kept");
-    let now = db.position_of(ObjectId(4), 10.0).expect("known");
-    println!(
-        "as-of t=3 belief: ({:.2}, {:.2}) ± {:.2} | current t=10 belief: ({:.2}, {:.2}) ± {:.2}",
-        then.position.x, then.position.y, then.bound, now.position.x, now.position.y, now.bound
-    );
 }
