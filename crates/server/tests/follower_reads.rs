@@ -23,6 +23,7 @@ use common::replica_harness::{
     WAIT,
 };
 use common::*;
+use modb_core::ObjectId;
 use modb_server::{
     BatchOutcome, DurableDatabase, QueryClient, QueryEngine, QueryEngineConfig, QueryServer,
     QueryServerConfig, ReplicationServer, StandbyReplica,
@@ -101,6 +102,54 @@ fn follower_verdicts_are_bit_identical_at_equal_applied_lsn() {
         }
     };
     assert_bit_identical(&remote, &leader_verdicts(&s.leader, SCRIPT), "follower");
+
+    client.close();
+    server.shutdown();
+    s.finish(replica);
+}
+
+/// A name several vehicles share resolves to the same vehicle — the one
+/// with the smallest id — on the leader and on a follower bootstrapped
+/// from the leader's snapshot. The follower's object table hashes with a
+/// seed of its own, so a rule that followed iteration order would answer
+/// the same statement about different vehicles at the same LSN.
+#[test]
+fn a_shared_name_resolves_to_the_same_vehicle_on_leader_and_follower() {
+    let s = Scenario::start("reads-names", 0);
+    for id in (5..=20).rev() {
+        let mut dup = vehicle(id, 10.0 * id as f64);
+        dup.name = "dup".into();
+        s.leader.register_moving(dup).unwrap();
+    }
+    s.leader.snapshot().unwrap();
+    let replica = s.follower();
+    let frontier = s.leader.wal().next_lsn();
+    assert!(
+        replica.wait_for_lsn(frontier, WAIT),
+        "follower never drained"
+    );
+    assert_eq!(
+        replica.stats().bootstraps,
+        1,
+        "the follower started from a snapshot"
+    );
+
+    let script = "RETRIEVE POSITION OF OBJECT 'dup' AT TIME 20; \
+         RETRIEVE POSITION OF OBJECT 5 AT TIME 20; \
+         RETRIEVE OBJECTS WITHIN 25 OF OBJECT 'dup' AT TIME 20";
+    let server = follower_front_end(&replica, QueryServerConfig::default());
+    let mut client = QueryClient::connect(server.local_addr()).unwrap();
+    let remote = match client.batch_attempt(script, frontier).unwrap() {
+        BatchOutcome::Done(verdicts) => verdicts,
+        BatchOutcome::Stale { applied, required } => {
+            panic!("reachable floor refused: applied {applied}, required {required}")
+        }
+    };
+    let local = leader_verdicts(&s.leader, script);
+    assert_bit_identical(&remote, &local, "follower");
+    assert_eq!(local[0], local[1], "'dup' is object 5, the smallest id");
+    let near = local[2].as_ref().unwrap().as_range().unwrap().all();
+    assert!(near.contains(&ObjectId(6)) && !near.contains(&ObjectId(5)));
 
     client.close();
     server.shutdown();
