@@ -75,9 +75,9 @@ pub struct MovingObject {
 /// shares every entry, tree node and bucket with the original. A write
 /// copies the one path it changes, and only what a clone still holds; a
 /// database nobody has cloned mutates in place. That is what lets a
-/// served node publish an epoch, or capture a snapshot, by cloning under
-/// a read lock held for nanoseconds, and keep one resident copy of the
-/// fleet.
+/// served node give each statement, and each snapshot, a clone taken
+/// under a read lock held for nanoseconds, and keep one resident copy of
+/// the fleet.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The road map, shared: routes are append-only and individually

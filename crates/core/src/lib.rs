@@ -23,9 +23,9 @@
 //! attribute in force only, as the paper's does (§2); the past is not
 //! served. The table is a *persistent* store in the functional sense: a
 //! path-copying tree and map, so [`Database::clone`] is O(1) and a clone
-//! shares everything no write has touched since. `modb-server` publishes
-//! read epochs and captures snapshots by cloning; there is no change log
-//! and no second copy to keep in step.
+//! shares everything no write has touched since. `modb-server` gives each
+//! statement and each snapshot a clone; there is no change log and no
+//! second copy to keep in step.
 
 #![warn(missing_docs)]
 

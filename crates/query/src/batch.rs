@@ -12,7 +12,7 @@
 //! silent swallow of every later `;` into one statement.
 //!
 //! `modb-server`'s query engine uses the same split to run a batch
-//! against one epoch snapshot.
+//! against one clone of the database.
 
 use modb_core::Database;
 

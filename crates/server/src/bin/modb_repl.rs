@@ -8,14 +8,15 @@
 //! recovered from one (snapshot + any write-ahead-log segments).
 //!
 //! Queries execute on a [`modb_server::QueryEngine`] — lock-free against
-//! the latest published epoch snapshot. Several statements separated by
-//! `;` on one line run as a batch, in order, against one snapshot.
-//! `\epoch` publishes a fresh snapshot and prints the engine's counters
-//! (per-epoch query counts, p50/p99 latency, candidate/refine ratio).
+//! a clone of the database taken when each starts, so every query sees
+//! every write applied before it. Several statements separated by `;` on
+//! one line run as a batch, in order, against one clone.
 //! `\connect <addr>` points the console at a remote query front-end
 //! ([`modb_server::DurableDatabase::serve_queries`]): queries and batches
 //! then travel the wire, and `\stats` scrapes the server's combined
-//! metrics frame (query counters, ingest, WAL I/O, replication horizon).
+//! metrics frame (query counters, ingest, WAL I/O, replication horizon);
+//! unconnected, it prints the local engine's counters (query counts,
+//! p50/p99 latency, candidate/refine ratio).
 //!
 //! Run with: `cargo run --release -p modb-server --bin modb_repl`
 //! (pipe queries in for scripted use: `echo "..." | modb_repl`).
@@ -29,9 +30,8 @@ use modb_policy::BoundKind;
 use modb_query::QueryResult;
 use modb_routes::{generators, Direction};
 use modb_server::{
-    BatchOutcome, ClusterRouter, QueryClient, QueryEngine, QueryEngineConfig, QueryServer,
-    QueryServerConfig, ReplicaConfig, ServerStatsSnapshot, ShardMap, SharedDatabase,
-    StandbyReplica,
+    BatchOutcome, ClusterRouter, QueryClient, QueryEngine, QueryServer, QueryServerConfig,
+    ReplicaConfig, ServerStatsSnapshot, ShardMap, SharedDatabase, StandbyReplica,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +45,7 @@ queries:
   RETRIEVE OBJECTS WITHIN r OF OBJECT <id|'name'> AT TIME t
   RETRIEVE k NEAREST OBJECTS TO POINT (x, y) AT TIME t
   (separate several statements with `;` to run them as one batch)
-commands:  \\h help   \\q quit   \\epoch publish snapshot + stats
+commands:  \\h help   \\q quit
            \\save <dir> snapshot state   \\load <dir> recover state
            \\replica <addr> <dir> follow a leader (queries move to the replica)
            \\replica show lag/watermark stats   \\replica stop detach
@@ -313,17 +313,9 @@ fn run_cluster(router: &mut ClusterRouter, script: &str) -> bool {
     }
 }
 
-/// The console publishes snapshots explicitly (`\epoch`, and after
-/// `\load`), so no background publisher thread is needed.
-fn console_engine(db: &SharedDatabase) -> QueryEngine {
-    db.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    })
-}
-
 fn main() {
     let mut db = demo_fleet();
-    let mut engine = console_engine(&db);
+    let mut engine = QueryEngine::new(db.clone());
     let mut replica: Option<StandbyReplica> = None;
     // Holds a `\replica promote`d leader: keeps its WAL writer (and any
     // still-running replication/query servers) alive for the session.
@@ -352,12 +344,6 @@ fn main() {
             "\\q" | "quit" | "exit" => break,
             "\\h" | "help" => {
                 println!("{HELP}");
-                continue;
-            }
-            "\\epoch" => {
-                let epoch = engine.publish_now();
-                println!("  published epoch {epoch}");
-                println!("  {}", engine.stats());
                 continue;
             }
             cmd if cmd.starts_with("\\replica") => {
@@ -398,7 +384,7 @@ fn main() {
                                     leader.wal().next_lsn()
                                 );
                                 db = leader.database().clone();
-                                engine = console_engine(&db);
+                                engine = QueryEngine::new(db.clone());
                                 promoted = Some(leader);
                             }
                             // promote() consumed the replica; its state is
@@ -412,9 +398,8 @@ fn main() {
                             if let Some(server) = replica_server.take() {
                                 server.shutdown();
                             }
-                            let follower_engine = std::sync::Arc::new(
-                                r.database().query_engine(QueryEngineConfig::default()),
-                            );
+                            let follower_engine =
+                                std::sync::Arc::new(QueryEngine::new(r.database().clone()));
                             match r.serve_queries(
                                 follower_engine,
                                 *addr,
@@ -448,10 +433,10 @@ fn main() {
                         ) {
                             Ok(r) => {
                                 db = r.database().clone();
-                                engine = console_engine(&db);
+                                engine = QueryEngine::new(db.clone());
                                 println!(
                                     "  following {addr} into {dir}; queries now run on the \
-                                     replica (\\epoch publishes its latest applied state)"
+                                     replica's latest applied state"
                                 );
                                 replica = Some(r);
                             }
@@ -622,7 +607,7 @@ fn main() {
                 match cmd.strip_prefix("\\load").map(str::trim) {
                     Some(dir) if !dir.is_empty() => {
                         load(&mut db, dir);
-                        engine = console_engine(&db);
+                        engine = QueryEngine::new(db.clone());
                     }
                     _ => println!("  usage: \\load <dir>"),
                 }

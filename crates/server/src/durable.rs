@@ -180,11 +180,11 @@ impl DurableDatabase {
         IngestService::with_wal(self.db.clone(), self.wal.clone(), stripes)
     }
 
-    /// Spawns a [`crate::QueryEngine`] over the in-memory handle: queries
-    /// run against epoch snapshots (never touching the log) while ingest
-    /// proceeds on the live database.
-    pub fn query_engine(&self, config: crate::QueryEngineConfig) -> crate::QueryEngine {
-        crate::QueryEngine::new(self.db.clone(), config)
+    /// `QueryEngine::new(self.database().clone())`; the config is
+    /// ignored. Kept because `modb_ledger/` calls it.
+    #[doc(hidden)]
+    pub fn query_engine(&self, _config: crate::QueryEngineConfig) -> crate::QueryEngine {
+        crate::QueryEngine::new(self.db.clone())
     }
 
     /// Registers a moving object, logging it on success.
@@ -487,8 +487,8 @@ mod tests {
 
     /// Every `Database` clone shares the route network, so its reference
     /// count counts the handles on the fleet alive in the process: the
-    /// live database and the published epoch, and nothing else — a
-    /// snapshot keeps no copy once written, a publish keeps no spare.
+    /// live database, and nothing else — a snapshot keeps no copy once
+    /// written, and a query engine holds none between statements.
     #[test]
     fn snapshot_leaves_no_resident_copy() {
         let dir = tmp("no-resident-copy");
@@ -506,16 +506,16 @@ mod tests {
             live_only,
             "a snapshot kept a copy of the database"
         );
-        let engine = durable.query_engine(crate::QueryEngineConfig {
-            epoch_interval: None,
-        });
-        assert_eq!(copies(), live_only + 1, "the live database and epoch 0");
+        let engine = crate::QueryEngine::new(durable.database().clone());
+        assert_eq!(copies(), live_only, "an idle engine holds a copy");
         for round in 1..=3 {
             let moved = UpdateMessage::basic(f64::from(round), UpdatePosition::Arc(20.0), 1.0);
             durable.apply_update(ObjectId(1), &moved).unwrap();
-            engine.publish_now();
+            engine
+                .run_query("RETRIEVE POSITION OF OBJECT 1 AT TIME 5")
+                .unwrap();
             durable.snapshot().unwrap();
-            assert_eq!(copies(), live_only + 1, "round {round} left a copy behind");
+            assert_eq!(copies(), live_only, "round {round} left a copy behind");
         }
         drop(engine);
         assert_eq!(copies(), live_only);
@@ -550,7 +550,6 @@ mod tests {
     #[test]
     fn wal_backed_ingest_round_trips_through_recovery() {
         use crate::replication::{ReplicaConfig, ReplicationConfig, StandbyReplica};
-        use crate::QueryEngineConfig;
         use std::sync::Barrier;
         use std::time::Duration;
 
@@ -613,13 +612,7 @@ mod tests {
         let script = "RETRIEVE OBJECTS INSIDE RECT (0, -1, 100, 1) AT TIME 70; \
                       RETRIEVE POSITION OF OBJECT 3 AT TIME 70; \
                       RETRIEVE 3 NEAREST OBJECTS TO POINT (20, 0) AT TIME 70";
-        let answers = |db: &SharedDatabase| {
-            let engine = db.query_engine(QueryEngineConfig {
-                epoch_interval: None,
-            });
-            engine.publish_now();
-            engine.run_batch(script)
-        };
+        let answers = |db: &SharedDatabase| crate::QueryEngine::new(db.clone()).run_batch(script);
         let (led, followed) = (answers(durable.database()), answers(replica.database()));
         assert_eq!(led.len(), 3);
         for (l, f) in led.iter().zip(&followed) {

@@ -55,9 +55,9 @@ pub const WAL_BATCH_RECORDS: u64 = 32;
 pub struct UpdateOutcome {
     /// The WAL frontier (next LSN) right after this envelope's record
     /// was appended — every record of the log below `lsn` is already
-    /// applied to the in-memory database (DESIGN §7), so a query
-    /// snapshot published at frontier ≥ `lsn` is guaranteed to cover
-    /// this update. 0 when the service has no WAL.
+    /// applied to the in-memory database (DESIGN §7), so any statement
+    /// that starts after this outcome is returned reads this update.
+    /// 0 when the service has no WAL.
     pub lsn: u64,
     /// The DBMS verdict (rejected updates are applied-and-logged as
     /// rejections, same as the fire-and-forget path).

@@ -24,12 +24,11 @@
 //!   read lock, serialized with no database lock held, then dropped) and
 //!   crash recovery ([`DurableDatabase::open`] /
 //!   [`SharedDatabase::recover`]).
-//! - [`QueryEngine`]: epoch-based snapshot reads — queries run lock-free
-//!   on their caller's thread against a recently published immutable
-//!   snapshot, a `;`-batch runs in order against one snapshot, and
-//!   [`QueryStats`] tracks per-epoch counts and latency percentiles (see
-//!   the `query_engine` module docs for the staleness / imprecision
-//!   argument).
+//! - [`QueryEngine`]: statement reads — each statement runs lock-free on
+//!   its caller's thread against a clone of the database taken when it
+//!   starts (O(1), under a brief read lock), so it sees every write
+//!   applied before it began; a `;`-batch runs in order against one
+//!   clone, and [`QueryStats`] tracks counts and latency percentiles.
 //! - **Replication** ([`DurableDatabase::serve_replication`] /
 //!   [`StandbyReplica`]): the leader ships its WAL (bootstrap snapshot +
 //!   streamed segments) over a CRC-framed socket protocol to warm standby
@@ -77,9 +76,7 @@ pub use net::{
     ReadRouter, ReadRouterConfig, RemoteUpdateVerdict, RemoteVerdict, RouterError,
     ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
 };
-pub use query_engine::{
-    EpochSnapshot, QueryEngine, QueryEngineConfig, QueryStats, QueryStatsSnapshot,
-};
+pub use query_engine::{QueryEngine, QueryEngineConfig, QueryStats, QueryStatsSnapshot};
 pub use replication::{
     DivergenceInfo, FailoverConfig, FailoverCoordinator, FailoverError, FailoverOutcome,
     FailoverPlan, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch,

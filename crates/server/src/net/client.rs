@@ -164,11 +164,13 @@ impl QueryClient {
         self.batch_with_token(script, token)
     }
 
-    /// [`QueryClient::batch`] with an explicit read-your-writes floor:
-    /// the server republishes its query snapshot first if none published
-    /// so far covers WAL frontier `min_lsn` (0 = no floor). Use a token
-    /// from another connection's update ack to read *its* writes; plain
-    /// [`QueryClient::batch`] already covers this connection's own.
+    /// [`QueryClient::batch`] with an explicit read-your-writes floor,
+    /// WAL frontier `min_lsn` (0 = no floor). A leader covers every token
+    /// it acked by construction; a follower waits for its applied
+    /// watermark to reach the floor, or answers `Stale`. Use a token from
+    /// another connection's update ack to read *its* writes from a
+    /// follower; plain [`QueryClient::batch`] already covers this
+    /// connection's own.
     ///
     /// # Errors
     ///

@@ -127,7 +127,7 @@ impl RemoteUpdateVerdict {
 /// `Default` is what a field reads when the peer sent no sample for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStatsSnapshot {
-    /// Query engine counters (epoch, totals, p50/p99 latency).
+    /// Query engine counters (totals, p50/p99 latency).
     pub query: QueryStatsSnapshot,
     /// Ingest accept/reject counters (zeroed when no ingest service is
     /// attached to the server).
@@ -198,11 +198,6 @@ fn raw(v: u64) -> String {
     v.to_string()
 }
 
-/// Nanoseconds on the wire, whole microseconds in the text.
-fn micros(ns: u64) -> String {
-    (ns / 1_000).to_string()
-}
-
 /// Nanoseconds on the wire, seconds with six decimals in the text.
 fn seconds(ns: u64) -> String {
     format!("{:.6}", Duration::from_nanos(ns).as_secs_f64())
@@ -269,19 +264,13 @@ macro_rules! metrics {
 // The metric table: the one place a scrape metric is spelled. Row order
 // is sample order on the wire and in the exposition.
 metrics! {
-    "modb_query_epoch"                      Gauge   raw     (query.epoch);
     "modb_queries_total"                    Counter raw     (query.queries);
-    "modb_query_epoch_queries"              Gauge   raw     (query.epoch_queries);
     "modb_query_errors_total"               Counter raw     (query.errors);
     "modb_query_candidates_total"           Counter raw     (query.candidates);
     "modb_query_matches_total"              Counter raw     (query.matches);
     "modb_query_batches_total"              Counter raw     (query.batches);
-    "modb_query_delta_publishes_total"      Counter raw     (query.delta_publishes);
-    "modb_query_full_publishes_total"       Counter raw     (query.full_publishes);
-    "modb_query_publish_nanoseconds_total"  Counter raw     (query.publish_ns);
     "modb_query_p50_microseconds"           Gauge   raw     (query.p50_us);
     "modb_query_p99_microseconds"           Gauge   raw     (query.p99_us);
-    "modb_query_snapshot_age_microseconds"  Gauge   micros  (query.snapshot_age);
     "modb_ingest_accepted_total"            Counter raw     (ingest.accepted);
     "modb_ingest_stale_total"               Counter raw     (ingest.stale);
     "modb_ingest_off_route_total"           Counter raw     (ingest.off_route);
@@ -732,19 +721,14 @@ mod tests {
     fn sample_stats() -> ServerStatsSnapshot {
         ServerStatsSnapshot {
             query: QueryStatsSnapshot {
-                epoch: 3,
                 queries: 100,
-                epoch_queries: 40,
                 errors: 2,
                 candidates: 500,
                 matches: 123,
                 batches: 9,
-                delta_publishes: 2,
-                full_publishes: 1,
-                publish_ns: 12_345,
                 p50_us: 64,
                 p99_us: 1024,
-                snapshot_age: Duration::from_micros(873),
+                ..QueryStatsSnapshot::default()
             },
             ingest: IngestStatsSnapshot {
                 accepted: 10,

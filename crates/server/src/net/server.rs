@@ -23,7 +23,7 @@
 //!   client never sees a half-answered batch from a clean shutdown.
 
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,17 +79,16 @@ impl Default for QueryServerConfig {
     }
 }
 
-/// What the serving node's coverage frontier is anchored to: the leader
-/// reads its own WAL frontier, a standby replica reads its applied
-/// watermark (and prices its lag into every answer).
+/// What the serving node's frontier is read from: the leader reads its
+/// own WAL frontier, a standby replica reads its applied watermark (and
+/// prices its lag into every answer).
 enum Backend {
     Leader { wal: SharedWal },
     Follower { watch: ReplicaWatch },
 }
 
 impl Backend {
-    /// The LSN every record applied to the serving database is below —
-    /// what a snapshot published *after* reading this value covers.
+    /// The LSN every record applied to the serving database is below.
     fn frontier_now(&self) -> u64 {
         match self {
             Backend::Leader { wal } => wal.next_lsn(),
@@ -105,10 +104,6 @@ struct ServeContext {
     horizon: Arc<ShipHorizon>,
     ingest: Option<IngestHandle>,
     config: QueryServerConfig,
-    /// Frontier known to be covered by a published engine snapshot —
-    /// the server side of the read-your-writes token. Monotone;
-    /// sessions race it up with `fetch_max`.
-    published_frontier: AtomicU64,
 }
 
 impl ServeContext {
@@ -160,19 +155,6 @@ impl ServeContext {
         }
     }
 
-    /// Honors a batch's read-your-writes floor: when no published
-    /// snapshot is known to cover frontier `min_lsn`, publish one now.
-    fn ensure_covers(&self, min_lsn: u64) {
-        advance_covered(
-            &self.published_frontier,
-            min_lsn,
-            || self.backend.frontier_now(),
-            || {
-                self.engine.publish_now();
-            },
-        );
-    }
-
     /// Follower-only gate ahead of a batch: when the token outruns the
     /// applied watermark, wait up to the stale deadline for replication
     /// to deliver; `Some((applied, required))` means it didn't and the
@@ -193,7 +175,7 @@ impl ServeContext {
     /// answer (0.0 on a leader, and on a caught-up follower where the
     /// lag clock reads zero). `v_max` is the fleet-wide speed cap — the
     /// worst-case drift any object can accumulate while the answer's
-    /// snapshot trails the leader by wall-clock `Δ`.
+    /// clone trails the leader by wall-clock `Δ`.
     fn staleness_slack(&self) -> f64 {
         let Backend::Follower { watch } = &self.backend else {
             return 0.0;
@@ -208,31 +190,6 @@ impl ServeContext {
             .with_read(|db| db.moving_objects().map(|o| o.max_speed).fold(0.0, f64::max));
         2.0 * v_max * lag
     }
-}
-
-/// The covered-frontier advance behind the read-your-writes token,
-/// ordered so a racing reader can never observe a token above the
-/// snapshot it will read: the frontier is sampled **before** the epoch
-/// publish (the snapshot swap), and the watermark advances only to that
-/// pre-publish sample. The write order (DESIGN §7) makes the sample
-/// sound — every record below the frontier read here was applied to the
-/// in-memory database before it got its LSN, so the snapshot published
-/// after covers them all. Sampling *after* the publish instead would claim
-/// coverage for records applied between the snapshot swap and the sample —
-/// records the just-published snapshot does not contain (the regression
-/// test below pins the ordering).
-fn advance_covered(
-    covered: &AtomicU64,
-    min_lsn: u64,
-    frontier_now: impl Fn() -> u64,
-    publish: impl FnOnce(),
-) {
-    if min_lsn == 0 || covered.load(Ordering::Acquire) >= min_lsn {
-        return;
-    }
-    let frontier = frontier_now();
-    publish();
-    covered.fetch_max(frontier, Ordering::AcqRel);
 }
 
 /// Widens one served verdict by the staleness slack: position answers
@@ -418,7 +375,6 @@ fn serve_with_backend(
         horizon,
         ingest,
         config,
-        published_frontier: AtomicU64::new(0),
     });
     let door = Arc::clone(&ctx);
     let listener = Listener::spawn(
@@ -515,9 +471,10 @@ fn run_session(
                     ctx.reply(stream, &Message::Stale { applied, required })?;
                     continue;
                 }
-                // Read-your-writes: republish first if no published
-                // snapshot covers the client's token.
-                ctx.ensure_covers(min_lsn);
+                // The batch clones the database as it starts, so it reads
+                // every record applied below the token: on a leader each
+                // acked LSN was applied before its ack, on a follower the
+                // floor was applied before the watermark passed it.
                 // Synchronous execution: shutdown observed after this
                 // point still lets the full response stream out (the
                 // drain guarantee).
@@ -584,49 +541,6 @@ mod tests {
     use modb_core::{NearestAnswer, Neighbour, ObjectId, PositionAnswer, RangeAnswer};
     use modb_geom::Point;
     use modb_index::SearchStats;
-
-    /// Regression (the applied-watermark / shadow-swap race): the
-    /// covered watermark must advance only to a frontier sampled
-    /// *before* the epoch publish. The injected publish simulates a
-    /// replication worker applying records while the snapshot swap is in
-    /// flight — the buggy order (publish, then sample) would claim
-    /// coverage for LSN 50 with a snapshot that stopped at 10, and a
-    /// session-token read at 11..50 would be served pre-write state.
-    #[test]
-    fn covered_watermark_samples_frontier_before_the_shadow_swap() {
-        let applied = AtomicU64::new(10);
-        let covered = AtomicU64::new(0);
-        advance_covered(
-            &covered,
-            5,
-            || applied.load(Ordering::SeqCst),
-            || {
-                // Records land between the swap and any later sample.
-                applied.store(50, Ordering::SeqCst);
-            },
-        );
-        assert_eq!(
-            covered.load(Ordering::SeqCst),
-            10,
-            "watermark claimed records the published snapshot cannot contain"
-        );
-        // An already-covered floor publishes nothing (and samples
-        // nothing — the closures must not run).
-        advance_covered(
-            &covered,
-            10,
-            || panic!("needless sample"),
-            || panic!("needless publish"),
-        );
-        // min_lsn 0 is "no floor".
-        advance_covered(
-            &covered,
-            0,
-            || panic!("needless sample"),
-            || panic!("needless publish"),
-        );
-        assert_eq!(covered.load(Ordering::SeqCst), 10);
-    }
 
     fn sample_verdicts() -> Vec<QueryResult> {
         vec![

@@ -1,142 +1,79 @@
-//! Epoch-based snapshot reads: queries run lock-free on their caller's
-//! thread against the latest published snapshot.
+//! Statement reads: every statement runs lock-free on its caller's thread
+//! against a clone of the database taken when it starts.
 //!
 //! Every query on [`crate::SharedDatabase`] holds the global read lock
 //! for its whole filter + refine pass, so one writer stalls every reader
-//! and readers serialize on lock traffic. This module changes the read
-//! concurrency model: an **epoch publisher** maintains an immutable
-//! [`Arc<Database>`] snapshot, and queries execute against the latest
-//! published snapshot with **zero locks held during filter + refine**.
-//! Grabbing a snapshot is one `Arc` clone behind a cell lock held for
-//! nanoseconds; after that the query never contends with ingest or with
-//! other readers.
+//! and readers serialize on lock traffic. The engine instead takes the
+//! read lock only for as long as it takes to clone the [`Database`], and
+//! runs filter + refine on the clone with **no lock held**.
 //!
-//! **Publication is a clone, and a clone is O(1).** The database's
-//! object table and index are path-copying ([`Database`]'s docs), so the
-//! publisher takes the read lock for as long as it takes to copy a
-//! handful of pointers, wraps the clone in an `Arc` and swaps it in.
-//! The snapshot shares every record, tree node and bucket with the live
-//! database; what a published epoch costs is paid by the writes that
-//! follow it, each copying the one path it changes the first time it
-//! touches a node the snapshot still holds. A retired snapshot is simply
-//! dropped — there is no second copy to keep in step and no change log.
+//! **A clone is O(1).** The database's object table and index are
+//! path-copying ([`Database`]'s docs): a clone copies a handful of
+//! pointers and shares every record, tree node and bucket with the live
+//! database. What a clone costs is paid by the writes that overlap it,
+//! each copying the one path it changes the first time it touches a node
+//! the clone still holds; the clone is dropped when its statement ends,
+//! and with it every node the live database has since replaced.
 //!
 //! **A statement runs on the thread that received it.** The engine owns
-//! no query threads: [`QueryEngine::range_query`], [`QueryEngine::run_query`]
-//! and [`QueryEngine::run_batch`] grab the snapshot and do the filter +
-//! refine on the caller. Concurrency across queries comes from callers —
-//! one thread per connection in the wire front-end — all reading the same
-//! immutable snapshot; a `;`-separated batch takes **one** snapshot up
-//! front and runs its statements in order against it.
+//! no thread: [`QueryEngine::range_query`], [`QueryEngine::position_of`],
+//! [`QueryEngine::run_query`] and [`QueryEngine::run_batch`] take the
+//! clone and do the filter + refine on the caller. Concurrency across
+//! queries comes from callers — one thread per connection in the wire
+//! front-end; a `;`-separated batch takes **one** clone up front and runs
+//! its statements in order against it.
 //!
-//! **Staleness vs the paper's uncertainty bounds.** A snapshot is at most
-//! one epoch interval Δt old. The paper's §3.3 deviation bound for a
-//! position attribute grows at most linearly in elapsed time with slope
-//! `D` (the speed bound used by the policy), so answering from a snapshot
-//! taken Δt ago widens the deviation bound by at most `D·Δt` — the same
-//! currency the update policies already trade in. With the default 50 ms
-//! epoch interval and the paper's example figures (D ≈ 1 mile/minute),
-//! that is under a thousandth of a mile of extra imprecision, bought in
-//! exchange for reads that scale with cores. Callers that need
-//! read-your-writes semantics call [`QueryEngine::publish_now`] first or
-//! query the locked [`crate::SharedDatabase`] directly.
+//! **No staleness of its own.** A statement sees every write applied
+//! before it began. Since a write is applied before it gets its LSN
+//! (DESIGN §7), every acknowledged update is in the clone of any
+//! statement that starts after the ack — on a leader, a read-your-writes
+//! token is covered by construction. A follower's answers trail its
+//! leader by its replication lag, and the query front-end prices that lag
+//! into every answer it serves.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use modb_core::{CoreError, Database, ObjectId, PositionAnswer, RangeAnswer};
 use modb_geom::Point;
 use modb_index::QueryRegion;
 use modb_query::{QueryError, QueryResult};
-use parking_lot::RwLock;
 
 use crate::shared::SharedDatabase;
 
-/// An immutable point-in-time view of the database, shared by every query
-/// running against the same epoch.
-#[derive(Debug, Clone)]
-pub struct EpochSnapshot {
-    db: Database,
-    epoch: u64,
-    published_at: Instant,
-}
-
-impl EpochSnapshot {
-    /// The snapshot's database state. All of [`Database`]'s query API is
-    /// available; nothing here takes a lock.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// Monotone epoch number; 0 is the snapshot taken at engine start.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Wall-clock age of this snapshot — the staleness bound Δt in the
-    /// `D·Δt` imprecision argument.
-    pub fn age(&self) -> Duration {
-        self.published_at.elapsed()
-    }
-}
-
-/// The one knob of [`QueryEngine`]: how often the snapshot is republished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Read by nothing: the engine has no knob. Kept because `modb_ledger/`
+/// still builds one.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryEngineConfig {
-    /// Republish interval for the epoch snapshot; `None` **or**
-    /// `Some(Duration::ZERO)` disables the background publisher
-    /// (snapshots advance only via [`QueryEngine::publish_now`], and
-    /// [`EpochSnapshot::age`] keeps growing until the next manual
-    /// publish).
     pub epoch_interval: Option<Duration>,
-}
-
-impl Default for QueryEngineConfig {
-    fn default() -> Self {
-        QueryEngineConfig {
-            epoch_interval: Some(Duration::from_millis(50)),
-        }
-    }
 }
 
 /// Latency histogram buckets: bucket `b` counts queries whose latency in
 /// microseconds lies in `[2^(b-1), 2^b)`.
 const LATENCY_BUCKETS: usize = 40;
 
-/// Counters published by the query engine, mirroring
-/// [`crate::IngestStats`] on the read side. All atomic; shared between
-/// the engine, its publisher thread, and any observer.
+/// Counters kept by the query engine, mirroring [`crate::IngestStats`]
+/// on the read side. All atomic; shared between the statements running
+/// on the engine and any observer.
 pub struct QueryStats {
-    epoch: AtomicU64,
     queries: AtomicU64,
-    epoch_queries: AtomicU64,
     errors: AtomicU64,
     candidates: AtomicU64,
     matches: AtomicU64,
     batches: AtomicU64,
-    delta_publishes: AtomicU64,
-    full_publishes: AtomicU64,
-    publish_ns: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
 }
 
 impl Default for QueryStats {
     fn default() -> Self {
         QueryStats {
-            epoch: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            epoch_queries: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             candidates: AtomicU64::new(0),
             matches: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            delta_publishes: AtomicU64::new(0),
-            full_publishes: AtomicU64::new(0),
-            publish_ns: AtomicU64::new(0),
             latency: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -146,7 +83,6 @@ impl fmt::Debug for QueryStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QueryStats")
             .field("queries", &self.queries.load(Ordering::Relaxed))
-            .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -157,7 +93,6 @@ impl QueryStats {
         // pairing so `snapshot` (which reads in the opposite order) can
         // never observe a subordinate ahead of its ceiling.
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.epoch_queries.fetch_add(1, Ordering::Release);
         if error {
             self.errors.fetch_add(1, Ordering::Release);
         }
@@ -193,38 +128,29 @@ impl QueryStats {
         1u64 << (LATENCY_BUCKETS - 1)
     }
 
-    /// A plain-value copy of the counters; `snapshot_age` is supplied by
-    /// the engine (it lives on the epoch cell, not in the counters).
+    /// A plain-value copy of the counters.
     ///
     /// The copy is internally *consistent*: a scrape racing a
-    /// mid-flight `record` can never report
-    /// `epoch_queries > queries`, `errors > queries`, or
+    /// mid-flight `record` can never report `errors > queries` or
     /// `matches > candidates`. Dependent counters are loaded in the
     /// opposite order to the writer (so the subordinate value is never
-    /// newer than its ceiling) and clamped — the clamp also covers the
-    /// epoch-reset race, where `epoch_queries` flies back to 0.
-    pub fn snapshot(&self, snapshot_age: Duration) -> QueryStatsSnapshot {
-        // Writer order in `record` is queries → epoch_queries → errors →
-        // candidates → matches; read each subordinate before its ceiling.
-        let epoch_queries = self.epoch_queries.load(Ordering::Acquire);
+    /// newer than its ceiling) and clamped.
+    pub fn snapshot(&self) -> QueryStatsSnapshot {
+        // Writer order in `record` is queries → errors → candidates →
+        // matches; read each subordinate before its ceiling.
         let errors = self.errors.load(Ordering::Acquire);
         let matches = self.matches.load(Ordering::Acquire);
         let candidates = self.candidates.load(Ordering::Acquire);
         let queries = self.queries.load(Ordering::Acquire);
         QueryStatsSnapshot {
-            epoch: self.epoch.load(Ordering::Relaxed),
             queries,
-            epoch_queries: epoch_queries.min(queries),
             errors: errors.min(queries),
             candidates,
             matches: matches.min(candidates),
             batches: self.batches.load(Ordering::Relaxed),
-            delta_publishes: self.delta_publishes.load(Ordering::Relaxed),
-            full_publishes: self.full_publishes.load(Ordering::Relaxed),
-            publish_ns: self.publish_ns.load(Ordering::Relaxed),
             p50_us: self.percentile_us(0.50),
             p99_us: self.percentile_us(0.99),
-            snapshot_age,
+            ..QueryStatsSnapshot::default()
         }
     }
 }
@@ -233,12 +159,8 @@ impl QueryStats {
 /// the read-side sibling of [`crate::IngestStatsSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryStatsSnapshot {
-    /// Current epoch number.
-    pub epoch: u64,
     /// Queries answered since engine start.
     pub queries: u64,
-    /// Queries answered against the current epoch's snapshot.
-    pub epoch_queries: u64,
     /// Queries that returned an error.
     pub errors: u64,
     /// Total filter-step candidates across all range queries.
@@ -247,22 +169,22 @@ pub struct QueryStatsSnapshot {
     pub matches: u64,
     /// Batches executed via [`QueryEngine::run_batch`].
     pub batches: u64,
-    /// Epoch publications after the first. Every publication is the same
-    /// O(1) clone; the two counters are what the scrape has always
-    /// carried (`delta` / `full` named the two publication paths there
-    /// used to be) and stay until the scrape table is next revised.
-    pub delta_publishes: u64,
-    /// Always 1: epoch 0, taken at engine start.
-    pub full_publishes: u64,
-    /// Total nanoseconds from publish start to snapshot swap, summed
-    /// over every publication (epoch 0 included). This is the
-    /// *visibility* latency — the time a caller waits for a fresh epoch.
-    pub publish_ns: u64,
     /// Median query latency (µs, bucketed upper bound).
     pub p50_us: u64,
     /// 99th-percentile query latency (µs, bucketed upper bound).
     pub p99_us: u64,
-    /// Age of the currently published snapshot.
+    /// Always 0, and not on the wire: the engine publishes nothing. The
+    /// field is there because `modb_ledger/` reads it.
+    #[doc(hidden)]
+    pub delta_publishes: u64,
+    /// Always 0, and not on the wire; read by `modb_ledger/`.
+    #[doc(hidden)]
+    pub full_publishes: u64,
+    /// Always 0, and not on the wire; read by `modb_ledger/`.
+    #[doc(hidden)]
+    pub publish_ns: u64,
+    /// Always zero, and not on the wire; read by `modb_ledger/`.
+    #[doc(hidden)]
     pub snapshot_age: Duration,
 }
 
@@ -277,172 +199,83 @@ impl QueryStatsSnapshot {
             self.matches as f64 / self.candidates as f64
         }
     }
-
-    /// Mean time to make an epoch visible (publish start → snapshot
-    /// swap), in microseconds, across all publications so far.
-    pub fn mean_publish_us(&self) -> f64 {
-        let publishes = self.delta_publishes + self.full_publishes;
-        if publishes == 0 {
-            0.0
-        } else {
-            self.publish_ns as f64 / 1e3 / publishes as f64
-        }
-    }
 }
 
 impl fmt::Display for QueryStatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "epoch {} (age {} ms): {} queries ({} this epoch), p50 {} us, p99 {} us, \
-             {} candidates -> {} matches ({:.2} ratio), {} batches, \
-             {} delta / {} full publishes ({:.0} us mean), {} errors",
-            self.epoch,
-            self.snapshot_age.as_millis(),
+            "{} queries, p50 {} us, p99 {} us, \
+             {} candidates -> {} matches ({:.2} ratio), {} batches, {} errors",
             self.queries,
-            self.epoch_queries,
             self.p50_us,
             self.p99_us,
             self.candidates,
             self.matches,
             self.match_ratio(),
             self.batches,
-            self.delta_publishes,
-            self.full_publishes,
-            self.mean_publish_us(),
             self.errors,
         )
     }
 }
 
-/// The epoch/snapshot query engine over a [`SharedDatabase`]. See the
-/// module docs for the concurrency model and the staleness argument.
+/// The query engine over a [`SharedDatabase`]. See the module docs for
+/// the concurrency model.
 #[derive(Debug)]
 pub struct QueryEngine {
     db: SharedDatabase,
-    cell: Arc<RwLock<Arc<EpochSnapshot>>>,
-    stats: Arc<QueryStats>,
-    /// Serializes publishers (a manual `publish_now` racing the
-    /// background thread) so epochs swap in in the order they were
-    /// cloned; queries never touch it.
-    publishing: Arc<Mutex<()>>,
-    publisher: Option<(Sender<()>, JoinHandle<()>)>,
-}
-
-/// Publishes the next epoch's snapshot: clone the live database under a
-/// read lock held for the O(1) clone, swap it in, drop the retired
-/// snapshot (with no lock held — its last reader may be us, and then the
-/// nodes the live database has since replaced are freed here).
-fn publish(
-    db: &SharedDatabase,
-    cell: &RwLock<Arc<EpochSnapshot>>,
-    stats: &QueryStats,
-    publishing: &Mutex<()>,
-) -> u64 {
-    let _one_at_a_time = publishing.lock().unwrap_or_else(|e| e.into_inner());
-    let t0 = Instant::now();
-    let state = db.with_read(Database::clone);
-    stats.delta_publishes.fetch_add(1, Ordering::Relaxed);
-    let epoch = stats.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-    stats.epoch_queries.store(0, Ordering::Relaxed);
-    let snap = Arc::new(EpochSnapshot {
-        db: state,
-        epoch,
-        published_at: Instant::now(),
-    });
-    let retired = std::mem::replace(&mut *cell.write(), snap);
-    stats
-        .publish_ns
-        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    drop(retired);
-    epoch
+    stats: QueryStats,
 }
 
 impl QueryEngine {
-    /// Builds an engine over `db`: takes the epoch-0 snapshot and (per
-    /// `config`) spawns the background epoch publisher — the only thread
-    /// an engine ever owns.
-    pub fn new(db: SharedDatabase, config: QueryEngineConfig) -> Self {
-        let stats = Arc::new(QueryStats::default());
-        let publishing: Arc<Mutex<()>> = Arc::default();
-        let t0 = Instant::now();
-        let state = db.with_read(Database::clone);
-        stats.full_publishes.fetch_add(1, Ordering::Relaxed);
-        stats
-            .publish_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let initial = Arc::new(EpochSnapshot {
-            db: state,
-            epoch: 0,
-            published_at: Instant::now(),
-        });
-        let cell = Arc::new(RwLock::new(initial));
-        // `Some(Duration::ZERO)` means "publisher off" just like `None`
-        // (a 0 ms republish loop would only busy-spin).
-        let publisher = config
-            .epoch_interval
-            .filter(|interval| !interval.is_zero())
-            .map(|interval| {
-                let (stop_tx, stop_rx) = bounded::<()>(1);
-                let db = db.clone();
-                let cell = Arc::clone(&cell);
-                let stats = Arc::clone(&stats);
-                let publishing = Arc::clone(&publishing);
-                let handle = std::thread::spawn(move || {
-                    while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                        publish(&db, &cell, &stats, &publishing);
-                    }
-                });
-                (stop_tx, handle)
-            });
+    /// Builds an engine over `db`. It owns no thread and holds no clone:
+    /// each statement takes its own.
+    pub fn new(db: SharedDatabase) -> Self {
         QueryEngine {
             db,
-            cell,
-            stats,
-            publishing,
-            publisher,
+            stats: QueryStats::default(),
         }
     }
 
-    /// The underlying locked handle (for read-your-writes queries and for
-    /// mutations, which always go through the live database).
+    /// The underlying locked handle (for mutations, which always go
+    /// through the live database).
     pub fn database(&self) -> &SharedDatabase {
         &self.db
     }
 
-    /// The latest published snapshot: one `Arc` clone, no lock held
-    /// afterwards.
-    pub fn snapshot(&self) -> Arc<EpochSnapshot> {
-        self.cell.read().clone()
+    /// A clone of the database as it stands now, taken under the read
+    /// lock held for the O(1) clone; no lock is held afterwards.
+    pub fn snapshot(&self) -> Database {
+        self.db.with_read(Database::clone)
     }
 
-    /// Publishes a fresh epoch immediately (read-your-writes barrier) and
-    /// returns its number.
+    /// Does nothing and returns 0: every statement reads a fresh clone.
+    /// Kept because `modb_ledger/` calls it.
+    #[doc(hidden)]
     pub fn publish_now(&self) -> u64 {
-        publish(&self.db, &self.cell, &self.stats, &self.publishing)
+        0
     }
 
-    /// Current counters plus the age of the published snapshot.
+    /// Current counters.
     pub fn stats(&self) -> QueryStatsSnapshot {
-        let age = self.cell.read().age();
-        self.stats.snapshot(age)
+        self.stats.snapshot()
     }
 
-    /// May/must range query against the latest snapshot, on the calling
-    /// thread; lock-free after the snapshot grab.
+    /// May/must range query against a clone taken now, on the calling
+    /// thread.
     ///
     /// # Errors
     ///
     /// See [`Database::range_query`].
     pub fn range_query(&self, region: &QueryRegion) -> Result<RangeAnswer, CoreError> {
         let t0 = Instant::now();
-        let result = self.snapshot().database().range_query(region);
+        let result = self.snapshot().range_query(region);
         self.record_range(t0.elapsed(), &result);
         result
     }
 
-    /// "Objects within `radius` miles of `center` at time `t`" against
-    /// the latest snapshot.
+    /// "Objects within `radius` miles of `center` at time `t`" against a
+    /// clone taken now.
     ///
     /// # Errors
     ///
@@ -458,37 +291,35 @@ impl QueryEngine {
         self.range_query(&region)
     }
 
-    /// Position query against the latest snapshot (§3.3 bound included).
+    /// Position query against a clone taken now (§3.3 bound included).
     ///
     /// # Errors
     ///
     /// See [`Database::position_of`].
     pub fn position_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
         let t0 = Instant::now();
-        let snap = self.snapshot();
-        let result = snap.database().position_of(id, t);
+        let result = self.snapshot().position_of(id, t);
         self.stats.record(t0.elapsed(), 0, 0, result.is_err());
         result
     }
 
-    /// Executes one `modb-query` statement against the latest snapshot.
+    /// Executes one `modb-query` statement against a clone taken now.
     ///
     /// # Errors
     ///
     /// See [`modb_query::run`].
     pub fn run_query(&self, src: &str) -> Result<QueryResult, QueryError> {
         let t0 = Instant::now();
-        let snap = self.snapshot();
-        let result = modb_query::run(snap.database(), src);
+        let result = modb_query::run(&self.snapshot(), src);
         self.record_result(t0.elapsed(), &result);
         result
     }
 
     /// Splits a `;`-separated `modb-query` script and runs its
     /// statements in order on the calling thread, all against the one
-    /// snapshot taken up front; each statement gets its own verdict and
-    /// its own latency sample. A script whose quoting never closes cannot
-    /// be split; that comes back as a single parse-error verdict for the
+    /// clone taken up front; each statement gets its own verdict and its
+    /// own latency sample. A script whose quoting never closes cannot be
+    /// split; that comes back as a single parse-error verdict for the
     /// whole batch.
     pub fn run_batch(&self, src: &str) -> Vec<Result<QueryResult, QueryError>> {
         let statements = match modb_query::split_statements(src) {
@@ -501,26 +332,18 @@ impl QueryEngine {
             .into_iter()
             .map(|statement| {
                 let t0 = Instant::now();
-                let result = modb_query::run(snap.database(), statement);
+                let result = modb_query::run(&snap, statement);
                 self.record_result(t0.elapsed(), &result);
                 result
             })
             .collect()
     }
 
-    /// Stops the publisher thread, returning the final counters.
-    pub fn shutdown(mut self) -> QueryStatsSnapshot {
-        let snapshot = self.stats();
-        self.stop_publisher();
-        snapshot
-    }
-
-    fn stop_publisher(&mut self) {
-        if let Some((stop, handle)) = self.publisher.take() {
-            let _ = stop.send(());
-            drop(stop);
-            let _ = handle.join();
-        }
+    /// The final counters; the engine has nothing to stop. Kept because
+    /// `modb_ledger/` calls it.
+    #[doc(hidden)]
+    pub fn shutdown(self) -> QueryStatsSnapshot {
+        self.stats()
     }
 
     fn record_range(&self, elapsed: Duration, result: &Result<RangeAnswer, CoreError>) {
@@ -546,12 +369,6 @@ impl QueryEngine {
             Ok(_) => self.stats.record(elapsed, 0, 0, false),
             Err(_) => self.stats.record(elapsed, 0, 0, true),
         }
-    }
-}
-
-impl Drop for QueryEngine {
-    fn drop(&mut self) {
-        self.stop_publisher();
     }
 }
 
@@ -599,12 +416,6 @@ mod tests {
         db
     }
 
-    fn manual_config() -> QueryEngineConfig {
-        QueryEngineConfig {
-            epoch_interval: None,
-        }
-    }
-
     fn region(x0: f64, x1: f64, t: f64) -> QueryRegion {
         let g = Polygon::rectangle(&Rect::new(Point::new(x0, -1.0), Point::new(x1, 1.0))).unwrap();
         QueryRegion::at_instant(g, t)
@@ -613,7 +424,7 @@ mod tests {
     #[test]
     fn snapshot_matches_locked_reads() {
         let db = shared(100);
-        let engine = QueryEngine::new(db.clone(), manual_config());
+        let engine = QueryEngine::new(db.clone());
         for (x0, x1, t) in [(0.0, 50.0, 0.0), (10.0, 400.0, 5.0), (0.0, 1000.0, 2.0)] {
             let r = region(x0, x1, t);
             let locked = db.range_query(&r).unwrap();
@@ -633,58 +444,39 @@ mod tests {
         );
     }
 
+    /// No publication step stands between a write and the statements
+    /// that start after it: each one, on every entry point, answers from
+    /// the write just applied.
     #[test]
-    fn staleness_is_bounded_by_publication() {
+    fn a_statement_sees_every_write_applied_before_it_began() {
         let db = shared(10);
-        let engine = QueryEngine::new(db.clone(), manual_config());
-        let epoch0 = engine.snapshot().epoch();
-        db.apply_update(
-            ObjectId(0),
-            &UpdateMessage::basic(5.0, UpdatePosition::Arc(500.0), 1.0),
-        )
-        .unwrap();
-        // The snapshot still answers from the pre-update state…
-        assert_eq!(
-            engine.position_of(ObjectId(0), 5.0).unwrap().arc,
-            5.0,
-            "snapshot is stale until the next publish"
-        );
-        // …until a new epoch is published.
-        let epoch1 = engine.publish_now();
-        assert_eq!(epoch1, epoch0 + 1);
-        assert_eq!(engine.position_of(ObjectId(0), 5.0).unwrap().arc, 500.0);
-        assert_eq!(engine.snapshot().epoch(), epoch1);
-    }
-
-    #[test]
-    fn background_publisher_advances_epochs() {
-        let db = shared(5);
-        let engine = QueryEngine::new(
-            db.clone(),
-            QueryEngineConfig {
-                epoch_interval: Some(Duration::from_millis(2)),
-            },
-        );
-        db.apply_update(
-            ObjectId(0),
-            &UpdateMessage::basic(1.0, UpdatePosition::Arc(123.0), 1.0),
-        )
-        .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while engine.snapshot().epoch() < 2 {
-            assert!(Instant::now() < deadline, "publisher never fired");
-            std::thread::sleep(Duration::from_millis(1));
+        let engine = QueryEngine::new(db.clone());
+        for round in 1..=5u64 {
+            let (t, arc) = (round as f64, 100.0 * round as f64);
+            db.apply_update(
+                ObjectId(0),
+                &UpdateMessage::basic(t, UpdatePosition::Arc(arc), 1.0),
+            )
+            .unwrap();
+            assert_eq!(engine.position_of(ObjectId(0), t).unwrap().arc, arc);
+            let stmt = format!("RETRIEVE POSITION OF OBJECT 0 AT TIME {t}");
+            let single = engine.run_query(&stmt).unwrap();
+            assert_eq!(single.as_position().unwrap().arc, arc, "round {round}");
+            let batch = engine.run_batch(&format!("{stmt}; {stmt}"));
+            for verdict in &batch {
+                assert_eq!(verdict.as_ref().unwrap(), &single, "round {round}");
+            }
+            let near = engine
+                .range_query(&region(arc - 0.5, arc + 0.5, t))
+                .unwrap();
+            assert!(near.all().contains(&ObjectId(0)), "round {round}");
         }
-        // The update became visible without any manual publish.
-        assert_eq!(engine.position_of(ObjectId(0), 1.0).unwrap().arc, 123.0);
-        let stats = engine.shutdown();
-        assert!(stats.epoch >= 2);
     }
 
     #[test]
     fn batch_preserves_order_and_verdicts() {
         let db = shared(50);
-        let engine = QueryEngine::new(db.clone(), manual_config());
+        let engine = QueryEngine::new(db.clone());
         let results = engine.run_batch(
             "RETRIEVE OBJECTS INSIDE RECT (0, -1, 30, 1) AT TIME 0;\n\
              RETRIEVE POSITION OF OBJECT 7 AT TIME 2;\n\
@@ -709,7 +501,7 @@ mod tests {
     #[test]
     fn run_batch_splits_statements() {
         let db = shared(20);
-        let engine = QueryEngine::new(db, manual_config());
+        let engine = QueryEngine::new(db);
         let results = engine.run_batch(
             "RETRIEVE POSITION OF OBJECT 1 AT TIME 0;\n\
              RETRIEVE OBJECTS INSIDE RECT (0, -1, 10, 1) AT TIME 0;",
@@ -722,38 +514,32 @@ mod tests {
     #[test]
     fn stats_report_latency_and_ratio() {
         let db = shared(100);
-        let engine = QueryEngine::new(db, manual_config());
+        let engine = QueryEngine::new(db);
         for _ in 0..20 {
             engine.range_query(&region(0.0, 200.0, 0.0)).unwrap();
         }
         let stats = engine.stats();
         assert_eq!(stats.queries, 20);
-        assert_eq!(stats.epoch_queries, 20);
         assert!(stats.p50_us > 0);
         assert!(stats.p99_us >= stats.p50_us);
         assert!(stats.candidates > 0);
         assert!(stats.match_ratio() > 0.0 && stats.match_ratio() <= 1.0);
         let line = stats.to_string();
         assert!(line.contains("p99"), "{line}");
-        assert!(line.contains("epoch 0"), "{line}");
-        // Publishing resets the per-epoch counter but not totals.
-        engine.publish_now();
-        let stats = engine.stats();
-        assert_eq!(stats.queries, 20);
-        assert_eq!(stats.epoch_queries, 0);
+        assert!(line.starts_with("20 queries"), "{line}");
     }
 
     #[test]
     fn run_batch_rejects_unterminated_literal_as_one_verdict() {
         let db = shared(5);
-        let engine = QueryEngine::new(db, manual_config());
+        let engine = QueryEngine::new(db);
         let results = engine.run_batch(
             "RETRIEVE POSITION OF OBJECT 'veh-1 AT TIME 0; RETRIEVE POSITION OF OBJECT 2 AT TIME 0",
         );
         assert_eq!(results.len(), 1, "an unsplittable script is one verdict");
         assert!(matches!(results[0], Err(QueryError::Parse(_))));
         // Quoted `;` still splits correctly (two statements, not three).
-        let engine2 = QueryEngine::new(shared(5), manual_config());
+        let engine2 = QueryEngine::new(shared(5));
         let results = engine2.run_batch(
             "RETRIEVE POSITION OF OBJECT 'a;b' AT TIME 0; RETRIEVE POSITION OF OBJECT 1 AT TIME 0",
         );
@@ -801,13 +587,7 @@ mod tests {
             })
             .collect();
         for _ in 0..5_000 {
-            let snap = stats.snapshot(Duration::ZERO);
-            assert!(
-                snap.epoch_queries <= snap.queries,
-                "torn: epoch_queries {} > queries {}",
-                snap.epoch_queries,
-                snap.queries
-            );
+            let snap = stats.snapshot();
             assert!(
                 snap.errors <= snap.queries,
                 "torn: errors {} > queries {}",
@@ -828,42 +608,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_interval_disables_publisher_and_age_tracks_last_publication() {
-        let db = shared(5);
-        let engine = QueryEngine::new(
-            db.clone(),
-            QueryEngineConfig {
-                epoch_interval: Some(Duration::ZERO),
-            },
-        );
-        // No background publisher: the epoch stays put…
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(
-            engine.snapshot().epoch(),
-            0,
-            "a zero interval must not spawn a publisher"
-        );
-        // …and the reported age keeps accruing from the last *actual*
-        // publication (engine start), not from some phantom refresh.
-        let age = engine.stats().snapshot_age;
-        assert!(
-            age >= Duration::from_millis(30),
-            "age {age:?} should grow while no publishes happen"
-        );
-        // A manual publish is a real publication: the age resets.
-        engine.publish_now();
-        assert!(engine.stats().snapshot_age < age);
-        assert_eq!(engine.snapshot().epoch(), 1);
-    }
-
-    #[test]
     fn every_publish_is_the_same_clone_and_shares_the_live_structure() {
         let db = shared(50);
-        let engine = QueryEngine::new(db.clone(), manual_config());
-        engine.publish_now();
-        // A snapshot is a clone: with no write since, it shares every
-        // tree node and bucket with the live database.
-        let (shared, total) = db.with_read(|live| live.shared_with(engine.snapshot().database()));
+        let engine = QueryEngine::new(db.clone());
+        // A statement's clone, with no write since, shares every tree node
+        // and bucket with the live database.
+        let (shared, total) = db.with_read(|live| live.shared_with(&engine.snapshot()));
         assert_eq!(shared, total);
         for round in 1..=3u64 {
             db.apply_update(
@@ -871,7 +621,6 @@ mod tests {
                 &UpdateMessage::basic(round as f64, UpdatePosition::Arc(500.0 + round as f64), 1.0),
             )
             .unwrap();
-            engine.publish_now();
             assert_eq!(
                 engine
                     .position_of(ObjectId(round), round as f64)
@@ -880,26 +629,21 @@ mod tests {
                 500.0 + round as f64
             );
         }
-        // Epoch 0 is the one publish the scrape calls full; the four
-        // since count as deltas.
-        let stats = engine.stats();
-        assert_eq!(stats.full_publishes, 1);
-        assert_eq!(stats.delta_publishes, 4);
-        // The snapshot is the live tree, so it answers exactly like the
+        // The clone is the live tree, so it answers exactly like the
         // locked database, traversal statistics included.
         let r = region(0.0, 1000.0, 2.0);
         assert_eq!(engine.range_query(&r).unwrap(), db.range_query(&r).unwrap());
     }
 
-    /// A reader that pinned an old epoch keeps reading it, and keeps it
-    /// alive, however many epochs are published and retired meanwhile.
+    /// A reader that pinned a clone keeps reading it, and keeps it alive,
+    /// however many writes land meanwhile.
     #[test]
     fn a_pinned_epoch_outlives_its_retirement_unchanged() {
         let db = shared(50);
-        let engine = QueryEngine::new(db.clone(), manual_config());
+        let engine = QueryEngine::new(db.clone());
         let pinned = engine.snapshot();
         let r = region(0.0, 1000.0, 2.0);
-        let at_pin = pinned.database().range_query(&r).unwrap();
+        let at_pin = pinned.range_query(&r).unwrap();
         for round in 1..=20u64 {
             for i in 0..50u64 {
                 let arc = ((i * 13 + round * 29) % 1000) as f64;
@@ -909,44 +653,25 @@ mod tests {
                 )
                 .unwrap();
             }
-            engine.publish_now();
+            engine
+                .run_query("RETRIEVE POSITION OF OBJECT 7 AT TIME 0")
+                .unwrap();
         }
-        assert_eq!(pinned.epoch(), 0);
-        assert_eq!(pinned.database().range_query(&r).unwrap(), at_pin);
-        assert_eq!(
-            pinned.database().position_of(ObjectId(7), 0.0).unwrap().arc,
-            7.0
-        );
+        assert_eq!(pinned.range_query(&r).unwrap(), at_pin);
+        assert_eq!(pinned.position_of(ObjectId(7), 0.0).unwrap().arc, 7.0);
         assert_ne!(engine.range_query(&r).unwrap(), at_pin);
     }
 
     #[test]
-    fn drop_with_background_threads_does_not_hang() {
-        let db = shared(5);
-        let engine = QueryEngine::new(
-            db,
-            QueryEngineConfig {
-                epoch_interval: Some(Duration::from_millis(1)),
-            },
-        );
-        std::thread::sleep(Duration::from_millis(5));
-        drop(engine); // must join the publisher
-    }
-
-    #[test]
-    fn a_batch_reads_one_snapshot_under_a_live_writer_and_publisher() {
+    fn a_batch_reads_one_clone_under_a_live_writer() {
         use std::sync::atomic::AtomicBool;
         let db = shared(200);
-        let engine = QueryEngine::new(
-            db.clone(),
-            QueryEngineConfig {
-                epoch_interval: Some(Duration::from_millis(1)),
-            },
-        );
+        let engine = QueryEngine::new(db.clone());
         let stop = AtomicBool::new(false);
+        let rounds = AtomicU64::new(0);
         std::thread::scope(|s| {
             // The writer shuffles the whole fleet along the route, so
-            // consecutive epochs give different range answers.
+            // consecutive rounds give different range answers.
             s.spawn(|| {
                 let mut round = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -963,28 +688,29 @@ mod tests {
                         )
                         .unwrap();
                     }
+                    rounds.store(round, Ordering::Relaxed);
                 }
             });
-            // Same statement twice in one script: whatever epoch the
-            // batch lands on, both verdicts come from it. Keep going
-            // until the publisher has swapped snapshots under us several
-            // times (a condition wait on the publisher, not a sleep).
+            // Same statement twice in one script: whatever state the
+            // batch's clone caught, both verdicts come from it. Keep going
+            // until the writer has finished several rounds under us (a
+            // condition wait on the writer, not a sleep).
             let stmt = "RETRIEVE OBJECTS INSIDE RECT (0, -1, 500, 1) AT TIME 5";
             let script = format!("{stmt}; {stmt}");
-            let first_epoch = engine.snapshot().epoch();
+            let first_round = rounds.load(Ordering::Relaxed);
             let deadline = Instant::now() + Duration::from_secs(30);
             let mut batches = 0;
             // A failure is carried out of the loop so the writer is
             // always told to stop before the scope joins it.
             let mut failure = None;
-            while batches < 300 || engine.snapshot().epoch() < first_epoch + 5 {
+            while batches < 300 || rounds.load(Ordering::Relaxed) < first_round + 5 {
                 if Instant::now() >= deadline {
-                    failure = Some("publisher stalled".to_string());
+                    failure = Some("writer stalled".to_string());
                     break;
                 }
                 let verdicts = engine.run_batch(&script);
                 if verdicts.len() != 2 || verdicts[0].is_err() || verdicts[0] != verdicts[1] {
-                    failure = Some(format!("one batch saw two snapshots: {verdicts:?}"));
+                    failure = Some(format!("one batch saw two states: {verdicts:?}"));
                     break;
                 }
                 batches += 1;
@@ -997,12 +723,7 @@ mod tests {
     #[test]
     fn concurrent_snapshot_queries_with_live_writers() {
         let db = shared(200);
-        let engine = QueryEngine::new(
-            db.clone(),
-            QueryEngineConfig {
-                epoch_interval: Some(Duration::from_millis(1)),
-            },
-        );
+        let engine = QueryEngine::new(db.clone());
         std::thread::scope(|s| {
             for w in 0..2u64 {
                 let db = db.clone();
@@ -1028,24 +749,17 @@ mod tests {
                     for _ in 0..100 {
                         let r = engine.range_query(&region(0.0, 1000.0, 5.0)).unwrap();
                         assert!(r.candidates <= 200);
-                        // A snapshot is internally consistent: the scan
-                        // baseline over the same snapshot agrees.
+                        // A clone is internally consistent: the scan
+                        // baseline over the same clone agrees.
                         let snap = engine.snapshot();
-                        let a = snap
-                            .database()
-                            .range_query(&region(0.0, 400.0, 5.0))
-                            .unwrap();
-                        let b = snap
-                            .database()
-                            .range_query_scan(&region(0.0, 400.0, 5.0))
-                            .unwrap();
+                        let a = snap.range_query(&region(0.0, 400.0, 5.0)).unwrap();
+                        let b = snap.range_query_scan(&region(0.0, 400.0, 5.0)).unwrap();
                         assert_eq!(a.must, b.must);
                         assert_eq!(a.may, b.may);
                     }
                 });
             }
         });
-        let stats = engine.shutdown();
-        assert!(stats.queries >= 400);
+        assert!(engine.stats().queries >= 400);
     }
 }

@@ -500,9 +500,8 @@ impl StandbyReplica {
     /// twists (DESIGN.md §15). A `Batch` whose read-your-writes token
     /// outruns the applied watermark waits up to
     /// [`QueryServerConfig::stale_deadline`] and then gets a typed
-    /// `Stale { applied, required }` instead of a hang; the coverage
-    /// watermark advances only to an applied LSN read *before* the epoch
-    /// snapshot swap (so a token never claims a snapshot it is not in);
+    /// `Stale { applied, required }` instead of a hang (a statement's
+    /// clone, taken after the wait, holds every record below the floor);
     /// and every served answer is widened by the lag-derived
     /// `2·v_max·Δ` term, so a stale follower's imprecision is priced
     /// honestly (§3.3 of the paper). `engine` must be built on this
@@ -958,9 +957,11 @@ impl Worker {
             }
         };
         self.db.replace(db);
+        // Counted before the watermark moves: a reader woken by
+        // `set_applied` must find the bootstrap in the stats already.
+        self.shared.stats.bootstraps.fetch_add(1, Ordering::Relaxed);
         self.shared.set_applied(lsn);
         *last_snapshot_lsn = lsn;
-        self.shared.stats.bootstraps.fetch_add(1, Ordering::Relaxed);
         self.shared.set_phase(ReplicaPhase::CatchingUp);
         self.ack(tx, lsn)
     }

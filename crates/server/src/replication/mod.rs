@@ -21,9 +21,10 @@
 //! A lagging follower is not wrong, just stale in a *bounded* way: if it
 //! lags the leader by `dt` seconds of database time, a position answered
 //! from it deviates from the leader's answer by at most `D·dt` where `D`
-//! bounds the relative drift rate (§3.3 of the paper, widened the same
-//! way epoch snapshots widen it — see DESIGN.md §10 and the W4
-//! experiment).
+//! bounds the relative drift rate (§3.3 of the paper; see DESIGN.md §10
+//! and the W4 experiment). The lag is a follower's only staleness: each
+//! statement reads a clone of the follower's database taken when it
+//! starts.
 
 mod failover;
 mod follower;

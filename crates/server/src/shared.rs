@@ -64,10 +64,11 @@ impl SharedDatabase {
         modb_wal::write_snapshot(dir, &state, lsn)
     }
 
-    /// Spawns a [`crate::QueryEngine`] over this handle: epoch-snapshot
-    /// reads that never contend with writers.
-    pub fn query_engine(&self, config: crate::QueryEngineConfig) -> crate::QueryEngine {
-        crate::QueryEngine::new(self.clone(), config)
+    /// `QueryEngine::new(self.clone())`; the config is ignored. Kept
+    /// because `modb_ledger/` calls it.
+    #[doc(hidden)]
+    pub fn query_engine(&self, _config: crate::QueryEngineConfig) -> crate::QueryEngine {
+        crate::QueryEngine::new(self.clone())
     }
 
     /// Registers a moving object.

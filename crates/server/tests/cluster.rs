@@ -14,16 +14,15 @@ use modb_core::ObjectId;
 use modb_geom::{Point, Rect};
 use modb_query::QueryResult;
 use modb_server::{
-    ClusterError, ClusterRouter, DurableDatabase, IngestService, QueryEngine, QueryEngineConfig,
-    QueryServer, QueryServerConfig, RemoteUpdateVerdict, RemoteVerdict, ShardMap,
+    ClusterError, ClusterRouter, DurableDatabase, IngestService, QueryEngine, QueryServer,
+    QueryServerConfig, RemoteUpdateVerdict, RemoteVerdict, ShardMap,
 };
 use proptest::prelude::*;
 
-/// One shard server: durable database, manual-epoch query engine, ingest
-/// service, and a listening front-end.
+/// One shard server: durable database, query engine, ingest service, and
+/// a listening front-end.
 struct Shard {
     durable: DurableDatabase,
-    engine: Arc<QueryEngine>,
     service: IngestService,
     server: QueryServer,
 }
@@ -31,13 +30,10 @@ struct Shard {
 impl Shard {
     fn spawn(name: &str, shard_no: u64) -> Shard {
         let durable = DurableDatabase::create(tmp(name), fresh_db(), test_wal_options()).unwrap();
-        let engine = Arc::new(durable.query_engine(QueryEngineConfig {
-            epoch_interval: None,
-        }));
         let service = durable.ingest_service(2, 0);
         let server = durable
             .serve_queries(
-                Arc::clone(&engine),
+                Arc::new(QueryEngine::new(durable.database().clone())),
                 Some(service.handle()),
                 "127.0.0.1:0",
                 QueryServerConfig {
@@ -48,7 +44,6 @@ impl Shard {
             .unwrap();
         Shard {
             durable,
-            engine,
             service,
             server,
         }
@@ -91,9 +86,7 @@ impl Fixture {
             test_wal_options(),
         )
         .unwrap();
-        let union_engine = Arc::new(union_durable.query_engine(QueryEngineConfig {
-            epoch_interval: None,
-        }));
+        let union_engine = Arc::new(QueryEngine::new(union_durable.database().clone()));
 
         for &(id, arc) in vehicles {
             let v = vehicle(id, arc);
@@ -101,10 +94,6 @@ impl Fixture {
             shards[home].durable.register_moving(v.clone()).unwrap();
             union_durable.register_moving(v).unwrap();
         }
-        for shard in &shards {
-            shard.engine.publish_now();
-        }
-        union_engine.publish_now();
         Fixture {
             shards,
             router,
@@ -127,7 +116,6 @@ impl Fixture {
     /// equivalence.
     fn assert_script_equivalent(&mut self, script: &str) {
         let remote = self.router.run_batch(script).unwrap();
-        self.union_engine.publish_now();
         let local = self.union_engine.run_batch(script);
         assert_eq!(remote.len(), local.len(), "verdict count for {script:?}");
         for (i, (r, l)) in remote.iter().zip(&local).enumerate() {
@@ -254,10 +242,12 @@ fn update_batch_routes_verdicts_in_input_order() {
 
 #[test]
 fn read_your_writes_holds_through_the_router() {
-    // Engines never publish on their own (epoch_interval: None), so only
-    // the read-your-writes token can make an update visible: if the
-    // router's query sees the new position, the token machinery carried
-    // it there.
+    // The router acks an update on its owning shard, then queries: the
+    // write and the read must reach the same shard, and the read must
+    // start after the ack. A statement reads a clone taken when it
+    // starts, so each round's query sees the update it follows — and
+    // would not, were the router to answer from a shard the write missed
+    // or to run the read before the ack came back.
     let mut fx = Fixture::new("cluster-ryw", ShardMap::hash(3), &fleet());
     for round in 1..=5u64 {
         let t = 5.0 + round as f64;
@@ -299,9 +289,6 @@ fn dead_shard_is_a_typed_error_not_a_hang() {
         if per_shard_id.iter().all(Option::is_some) {
             break;
         }
-    }
-    for shard in &shards {
-        shard.engine.publish_now();
     }
 
     // Kill shard 1 and broadcast: the router must fail fast and name it.

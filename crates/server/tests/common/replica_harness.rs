@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use modb_core::ObjectId;
 use modb_server::{
-    DurableDatabase, QueryClient, QueryEngineConfig, QueryServer, QueryServerConfig, StandbyReplica,
+    DurableDatabase, QueryClient, QueryEngine, QueryServer, QueryServerConfig, StandbyReplica,
 };
 use modb_wal::crc32;
 
@@ -384,8 +384,8 @@ impl Scenario {
 // Query front-end plumbing: a serving leader and raw-wire helpers
 // ---------------------------------------------------------------------
 
-/// A leader with 4 vehicles (ids `0..4` at arcs `100·i`), a published
-/// engine, and a query front-end with the given config.
+/// A leader with 4 vehicles (ids `0..4` at arcs `100·i`), its engine,
+/// and a query front-end with the given config.
 pub fn serve(name: &str, config: QueryServerConfig) -> (DurableDatabase, QueryServer) {
     let durable = DurableDatabase::create(tmp(name), fresh_db(), test_wal_options()).unwrap();
     for i in 0..4u64 {
@@ -393,10 +393,7 @@ pub fn serve(name: &str, config: QueryServerConfig) -> (DurableDatabase, QuerySe
             .register_moving(vehicle(i, 100.0 * i as f64))
             .unwrap();
     }
-    let engine = Arc::new(durable.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    }));
-    engine.publish_now();
+    let engine = Arc::new(QueryEngine::new(durable.database().clone()));
     let server = durable
         .serve_queries(engine, None, "127.0.0.1:0", config)
         .unwrap();

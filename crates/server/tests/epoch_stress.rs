@@ -1,15 +1,16 @@
-//! Stress test: epoch publication never yields a torn snapshot.
+//! Stress test: the clone a statement reads is never torn.
 //!
-//! Writers mutate the live database continuously while the background
-//! publisher republishes every millisecond and reader threads hammer the
-//! snapshot path. Every writer maintains a per-object invariant — the
-//! reported arc is a fixed function of the report time — so a reader
-//! holding a half-published or half-cloned state would see an attribute
-//! violating the function, an index disagreeing with the attribute map,
-//! or the epoch counter running backwards. None of these may ever occur.
+//! Writers mutate the live database continuously while reader threads
+//! take a clone per statement. Every writer maintains a per-object
+//! invariant — the reported arc is a fixed function of the report time —
+//! and reports with rising times, so a reader holding a half-cloned
+//! state would see an attribute violating the function, an index
+//! disagreeing with the attribute map, or an object's report time
+//! running backwards from one of its clones to the next. None of these
+//! may ever occur, and once the writers are done the next statement
+//! reads their last writes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -19,7 +20,7 @@ use modb_geom::{Point, Polygon, Rect};
 use modb_index::QueryRegion;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_server::{QueryEngineConfig, SharedDatabase};
+use modb_server::{QueryEngine, SharedDatabase};
 
 const ROUTE_LEN: f64 = 1_000.0;
 const N_OBJECTS: u64 = 100;
@@ -66,7 +67,7 @@ fn shared() -> SharedDatabase {
     db
 }
 
-/// Checks a snapshot for tears: invariant on every attribute, index and
+/// Checks a clone for tears: invariant on every attribute, index and
 /// attribute map in agreement, and all objects present.
 fn check_snapshot(db: &Database) {
     assert_eq!(db.moving_count(), N_OBJECTS as usize, "object vanished");
@@ -96,9 +97,7 @@ fn check_snapshot(db: &Database) {
 #[test]
 fn epoch_publication_never_tears_under_concurrent_writes() {
     let db = shared();
-    let engine = db.query_engine(QueryEngineConfig {
-        epoch_interval: Some(Duration::from_millis(1)),
-    });
+    let engine = QueryEngine::new(db.clone());
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
@@ -123,23 +122,28 @@ fn epoch_publication_never_tears_under_concurrent_writes() {
             })
             .collect();
 
-        // Readers: snapshots must always be whole, and epochs monotone.
+        // Readers: clones must always be whole, and each object's report
+        // time monotone across one reader's successive clones.
         let stop = &stop;
         let engine = &engine;
         for _ in 0..3 {
             s.spawn(move || {
-                let mut last_epoch = 0;
-                while !stop.load(Ordering::Relaxed) {
+                let mut last_seen = vec![0.0f64; N_OBJECTS as usize];
+                // At least one pass each, however early the writers end.
+                loop {
+                    let done = stop.load(Ordering::Relaxed);
                     let snap = engine.snapshot();
-                    assert!(
-                        snap.epoch() >= last_epoch,
-                        "epoch went backwards: {} after {last_epoch}",
-                        snap.epoch()
-                    );
-                    last_epoch = snap.epoch();
-                    check_snapshot(snap.database());
-                    // The engine's own query path sees the same snapshot
-                    // world: exercise it under churn.
+                    for (i, last) in last_seen.iter_mut().enumerate() {
+                        let t = snap.moving(ObjectId(i as u64)).unwrap().attr.start_time;
+                        assert!(
+                            t >= *last,
+                            "object {i} went back in time: reported at {t} after {last}"
+                        );
+                        *last = t;
+                    }
+                    check_snapshot(&snap);
+                    // The engine's own query path reads the same kind of
+                    // clone: exercise it under churn.
                     let g = Polygon::rectangle(&Rect::new(
                         Point::new(0.0, -2.0),
                         Point::new(ROUTE_LEN, 2.0),
@@ -149,45 +153,32 @@ fn epoch_publication_never_tears_under_concurrent_writes() {
                         .range_query(&QueryRegion::at_instant(g, 8.0))
                         .unwrap();
                     assert!(answer.candidates <= N_OBJECTS as usize);
+                    if done {
+                        break;
+                    }
                 }
             });
         }
 
-        // Join the writers deterministically, then hold the readers
-        // until the publisher has sealed the post-write state into an
-        // epoch. Epochs advance unconditionally every interval, so
-        // waiting for the counter to move past its at-join value is a
-        // condition wait on the publisher itself — no wall-clock sleep
-        // to be too short on a slow or 1-core runner.
+        // Join the writers, then let the readers go.
         for h in writers {
             h.join().unwrap();
-        }
-        let sealed = engine.snapshot().epoch();
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while engine.snapshot().epoch() <= sealed {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "publisher stalled: epoch stuck at {sealed}"
-            );
-            std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
     });
 
-    // After the dust settles: a manual publish exposes the final state,
-    // unturn and exact.
-    engine.publish_now();
+    // The first statement after the writers are done reads their last
+    // writes: nothing has to be published first.
     let snap = engine.snapshot();
-    check_snapshot(snap.database());
+    check_snapshot(&snap);
     for i in 0..N_OBJECTS {
         let t = ROUNDS as f64 * 0.1;
         assert_eq!(
-            snap.database().moving(ObjectId(i)).unwrap().attr.start_arc,
+            snap.moving(ObjectId(i)).unwrap().attr.start_arc,
             arc_for(i, t)
         );
     }
-    let stats = engine.shutdown();
-    assert!(stats.epoch >= 1, "publisher never ran");
+    let stats = engine.stats();
     assert!(stats.queries > 0);
     assert_eq!(stats.errors, 0);
 }

@@ -28,7 +28,7 @@ use common::{
 use modb_core::ObjectId;
 use modb_server::{
     DurableDatabase, FailoverConfig, FailoverCoordinator, FailoverError, QueryClientConfig,
-    QueryEngineConfig, QueryServerConfig, ReplicaPhase, StandbyReplica,
+    QueryEngine, QueryServerConfig, ReplicaPhase, StandbyReplica,
 };
 
 /// Coordinator tuning tight enough for CI: a dead leader is declared
@@ -301,10 +301,7 @@ fn revived_divergent_leader_is_refused_and_never_truncated() {
 #[test]
 fn coordinator_declares_death_and_election_errors_are_typed() {
     let s = Scenario::start("deadman", 4);
-    let engine = Arc::new(s.leader.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    }));
-    engine.publish_now();
+    let engine = Arc::new(QueryEngine::new(s.leader.database().clone()));
     let qserver = s
         .leader
         .serve_queries(engine, None, "127.0.0.1:0", QueryServerConfig::default())

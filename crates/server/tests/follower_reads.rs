@@ -25,8 +25,8 @@ use common::replica_harness::{
 use common::*;
 use modb_core::ObjectId;
 use modb_server::{
-    BatchOutcome, DurableDatabase, QueryClient, QueryEngine, QueryEngineConfig, QueryServer,
-    QueryServerConfig, ReplicationServer, StandbyReplica,
+    BatchOutcome, DurableDatabase, QueryClient, QueryEngine, QueryServer, QueryServerConfig,
+    ReplicationServer, StandbyReplica,
 };
 
 /// A script touching every query kind plus an error statement (error
@@ -36,29 +36,23 @@ const SCRIPT: &str = "RETRIEVE POSITION OF OBJECT 1 AT TIME 20; \
      RETRIEVE 3 NEAREST OBJECTS TO POINT (30, 0) AT TIME 20; \
      RETRIEVE POSITION OF OBJECT 99 AT TIME 20";
 
-/// An engine without background publishing: the serve path republishes
-/// on demand when a floor requires it, so parity runs are deterministic.
-fn manual_engine(db: &modb_server::SharedDatabase) -> Arc<QueryEngine> {
-    Arc::new(db.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    }))
+fn engine(db: &modb_server::SharedDatabase) -> Arc<QueryEngine> {
+    Arc::new(QueryEngine::new(db.clone()))
 }
 
 /// Starts a query front-end on the replica with the given config.
 fn follower_front_end(replica: &StandbyReplica, config: QueryServerConfig) -> QueryServer {
     replica
-        .serve_queries(manual_engine(replica.database()), "127.0.0.1:0", config)
+        .serve_queries(engine(replica.database()), "127.0.0.1:0", config)
         .unwrap()
 }
 
-/// Leader-side reference verdicts for `script`, from a fresh snapshot.
+/// Leader-side reference verdicts for `script`, as of now.
 fn leader_verdicts(
     leader: &DurableDatabase,
     script: &str,
 ) -> Vec<Result<modb_query::QueryResult, String>> {
-    let engine = manual_engine(leader.database());
-    engine.publish_now();
-    engine
+    engine(leader.database())
         .run_batch(script)
         .into_iter()
         .map(|v| v.map_err(|e| e.to_string()))
@@ -91,10 +85,10 @@ fn follower_verdicts_are_bit_identical_at_equal_applied_lsn() {
 
     let server = follower_front_end(&replica, QueryServerConfig::default());
     let mut client = QueryClient::connect(server.local_addr()).unwrap();
-    // Floored at the frontier the follower has applied: the server must
-    // republish to cover it and answer; quiescent and caught up, the
-    // lag clock is zero, no widening applies, and every verdict — the
-    // error string included — is the leader's, bit for bit.
+    // Floored at the frontier the follower has applied: the server
+    // answers at once; quiescent and caught up, the lag clock is zero,
+    // no widening applies, and every verdict — the error string
+    // included — is the leader's, bit for bit.
     let remote = match client.batch_attempt(SCRIPT, frontier).unwrap() {
         BatchOutcome::Done(verdicts) => verdicts,
         BatchOutcome::Stale { applied, required } => {

@@ -27,8 +27,7 @@ use common::*;
 use modb_core::ObjectId;
 use modb_query::QueryResult;
 use modb_server::{
-    BatchOutcome, DurableDatabase, QueryClient, QueryEngine, QueryEngineConfig, QueryServerConfig,
-    StandbyReplica,
+    BatchOutcome, DurableDatabase, QueryClient, QueryEngine, QueryServerConfig, StandbyReplica,
 };
 use proptest::prelude::*;
 
@@ -156,10 +155,8 @@ fn floored_read(
     }
 }
 
-fn manual_engine(db: &modb_server::SharedDatabase) -> std::sync::Arc<QueryEngine> {
-    std::sync::Arc::new(db.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    }))
+fn engine(db: &modb_server::SharedDatabase) -> std::sync::Arc<QueryEngine> {
+    std::sync::Arc::new(QueryEngine::new(db.clone()))
 }
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -180,7 +177,7 @@ proptest! {
         for i in 1..=fleet {
             leader.register_moving(vehicle(i, 10.0 * i as f64)).unwrap();
         }
-        let leader_engine = manual_engine(leader.database());
+        let leader_engine = engine(leader.database());
 
         let server = leader
             .serve_replication("127.0.0.1:0", test_replication_config())
@@ -202,7 +199,7 @@ proptest! {
         .unwrap();
         let fronts = [
             f1.serve_queries(
-                manual_engine(f1.database()),
+                engine(f1.database()),
                 "127.0.0.1:0",
                 QueryServerConfig {
                     stale_deadline: Duration::from_millis(50),
@@ -211,7 +208,7 @@ proptest! {
             )
             .unwrap(),
             f2.serve_queries(
-                manual_engine(f2.database()),
+                engine(f2.database()),
                 "127.0.0.1:0",
                 QueryServerConfig {
                     stale_deadline: Duration::from_millis(50),
@@ -257,7 +254,6 @@ proptest! {
                     // The leader is quiescent between ops, so its local
                     // verdicts at this instant are what the writer's
                     // session must observe.
-                    leader_engine.publish_now();
                     let local: Vec<Result<QueryResult, String>> = leader_engine
                         .run_batch(&script)
                         .into_iter()

@@ -1,7 +1,8 @@
 //! End-to-end tests for the query front-end: remote batches must be
-//! byte-for-byte the verdicts a local `run_batch` produces, the stats
-//! scrape must round-trip every counter, capacity refusals must be
-//! clean, and a shutdown must drain an in-flight batch.
+//! byte-for-byte the verdicts a local `run_batch` produces, an acked
+//! update must be visible to every connection that reads after the ack,
+//! the stats scrape must round-trip every counter, capacity refusals
+//! must be clean, and a shutdown must drain an in-flight batch.
 
 mod common;
 
@@ -10,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use common::*;
 use modb_server::{
-    DurableDatabase, QueryClient, QueryEngineConfig, QueryServer, QueryServerConfig,
-    RemoteUpdateVerdict, UpdateEnvelope,
+    DurableDatabase, QueryClient, QueryEngine, QueryServer, QueryServerConfig, RemoteUpdateVerdict,
+    UpdateEnvelope,
 };
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -25,8 +26,7 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 /// A durable database with a handful of vehicles at known arcs, its
-/// engine (manual epoch publishing for determinism), and a running
-/// front-end.
+/// engine, and a running front-end.
 fn serve(
     name: &str,
     config: QueryServerConfig,
@@ -42,10 +42,7 @@ fn serve(
             .apply_update(modb_core::ObjectId(i), &update(5.0, 100.0 * i as f64 + 5.0))
             .unwrap();
     }
-    let engine = Arc::new(durable.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    }));
-    engine.publish_now();
+    let engine = Arc::new(QueryEngine::new(durable.database().clone()));
     let server = durable
         .serve_queries(Arc::clone(&engine), None, "127.0.0.1:0", config)
         .unwrap();
@@ -126,8 +123,6 @@ fn stats_scrape_round_trips_every_counter() {
     assert_eq!(stats.query.queries, 5);
     assert_eq!(stats.query.errors, 2);
     assert_eq!(stats.query.batches, 1);
-    assert!(stats.query.epoch >= 1);
-    assert!(stats.query.epoch_queries <= stats.query.queries);
     assert!(stats.query.matches <= stats.query.candidates);
 
     // Ingest side.
@@ -162,6 +157,48 @@ fn stats_scrape_round_trips_every_counter() {
     client.close();
     service.shutdown();
     server2.shutdown();
+    server.shutdown();
+}
+
+/// A leader needs no token to read an acked write: every acked LSN was
+/// applied before its ack (DESIGN §7), and every statement reads a clone
+/// taken when it starts. Connection A acks an update; connection B, which
+/// never wrote and so sends floor 0, must read it straight after — every
+/// round, with nothing published in between.
+#[test]
+fn an_acked_update_is_visible_to_another_connection_without_a_token() {
+    let (durable, engine, server) = serve("net-ack-visible", QueryServerConfig::default());
+    let service = durable.ingest_service(2, 0);
+    let ingesting = durable
+        .serve_queries(
+            engine,
+            Some(service.handle()),
+            "127.0.0.1:0",
+            QueryServerConfig::default(),
+        )
+        .unwrap();
+    let mut writer = QueryClient::connect(ingesting.local_addr()).unwrap();
+    let mut reader = QueryClient::connect(ingesting.local_addr()).unwrap();
+    for round in 1..=20u64 {
+        let (t, arc) = (5.0 + round as f64, 300.0 + round as f64);
+        let verdict = writer
+            .update(modb_core::ObjectId(3), &update(t, arc))
+            .unwrap();
+        assert!(verdict.is_accepted(), "round {round}: {verdict:?}");
+        let verdicts = reader
+            .batch_with_token(&format!("RETRIEVE POSITION OF OBJECT 3 AT TIME {t}"), 0)
+            .unwrap();
+        let position = verdicts[0].as_ref().unwrap().as_position().unwrap();
+        assert_eq!(
+            position.arc, arc,
+            "round {round}: the acked update is not visible"
+        );
+    }
+    assert_eq!(reader.token(), 0, "the reader never carried a floor");
+    writer.close();
+    reader.close();
+    service.shutdown();
+    ingesting.shutdown();
     server.shutdown();
 }
 

@@ -1,10 +1,10 @@
-//! Property tests for the epoch-snapshot query engine.
+//! Property tests for the query engine and the clone it reads.
 //!
 //! The contract under test: a query answered by [`QueryEngine`] equals
-//! the answer the locked [`SharedDatabase`] path would have given **at
-//! the moment the snapshot was published** — staleness-adjusted
-//! equivalence. Updates applied after a publish must not leak into
-//! snapshot answers until the next publish.
+//! the answer the locked [`SharedDatabase`] path gives **at the moment
+//! the statement starts** — every update applied before it is in its
+//! answer, with no publication step in between. And a clone, once
+//! taken, is frozen: nothing applied after it leaks in.
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, NearestAnswer, ObjectId, PolicyDescriptor,
@@ -14,7 +14,7 @@ use modb_geom::{Point, Polygon, Rect};
 use modb_index::QueryRegion;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_server::{QueryEngineConfig, SharedDatabase};
+use modb_server::{QueryEngine, SharedDatabase};
 use proptest::prelude::*;
 
 const ROUTE_LEN: f64 = 100.0;
@@ -111,7 +111,7 @@ enum Op {
     Register(u64, f64),
     Update(u64, f64, f64, f64),
     Remove(u64),
-    /// Publish mid-stream: clone the live database and pin the clone.
+    /// Clone the live database mid-stream and pin the clone.
     Clone,
 }
 
@@ -174,7 +174,7 @@ proptest! {
     /// structure with the live copy at that instant — answer every
     /// position, range and nearest query exactly as a deep copy made at
     /// the same instant does, however the live copy is mutated
-    /// afterwards and after it is dropped: an epoch pinned mid-stream
+    /// afterwards and after it is dropped: a clone pinned mid-stream
     /// reads what it read when pinned.
     #[test]
     fn clones_taken_mid_stream_equal_deep_copies_whatever_happens_next(
@@ -191,7 +191,7 @@ proptest! {
         for i in 0..8u64 {
             live.register_moving(vehicle(i, (i as f64 * 11.9) % ROUTE_LEN)).unwrap();
         }
-        // (clone, deep copy) pairs, one per publish point; the first is
+        // (clone, deep copy) pairs, one per clone point; the first is
         // taken before the stream starts.
         let mut pinned = vec![(live.clone(), deep_copy(&live))];
 
@@ -236,53 +236,42 @@ proptest! {
         }
     }
 
-    /// Snapshot answers equal the locked answers as of publication time,
-    /// no matter what happens to the live database afterwards.
+    /// Engine answers equal the locked answers of the live database,
+    /// whatever was applied since the engine was built: the clone a
+    /// statement reads is the live tree, so even the traversal
+    /// statistics agree.
     #[test]
     fn snapshot_reads_equal_locked_reads_at_publication(spec in spec()) {
         let db = shared(spec.n_objects);
         apply_stream(&db, &spec.before);
-        let engine = db.query_engine(QueryEngineConfig {
-            epoch_interval: None,
-        });
-        // The reference is the locked view frozen at publication time.
-        let frozen = db.with_read(|inner| inner.clone());
-        engine.publish_now();
-        // Updates after the publish must NOT appear in snapshot answers.
+        let engine = QueryEngine::new(db.clone());
+        // Updates after the engine exists must appear in its answers.
         apply_stream(&db, &spec.after);
 
         for &(x0, x1, t) in &spec.regions {
             let r = region(x0, x1, t);
-            let expected = frozen.range_query(&r).unwrap();
-            let got = engine.range_query(&r).unwrap();
-            prop_assert_eq!(&got, &expected, "region x=[{x0},{x1}] t={t}");
-
-            let expected = frozen
-                .within_distance_of_point(Point::new(x0, 0.0), 5.0, t)
-                .unwrap();
-            let got = engine
-                .within_distance_of_point(Point::new(x0, 0.0), 5.0, t)
-                .unwrap();
-            prop_assert_eq!(&got, &expected, "within x={x0} t={t}");
+            prop_assert_eq!(
+                engine.range_query(&r).unwrap(),
+                db.range_query(&r).unwrap(),
+                "region x=[{x0},{x1}] t={t}"
+            );
+            prop_assert_eq!(
+                engine.within_distance_of_point(Point::new(x0, 0.0), 5.0, t).unwrap(),
+                db.within_distance_of_point(Point::new(x0, 0.0), 5.0, t).unwrap(),
+                "within x={x0} t={t}"
+            );
         }
         for id in 0..spec.n_objects {
             prop_assert_eq!(
                 engine.position_of(ObjectId(id), 12.0).unwrap(),
-                frozen.position_of(ObjectId(id), 12.0).unwrap()
+                db.position_of(ObjectId(id), 12.0).unwrap()
             );
-        }
-        // Republishing catches the engine up to the live state: the new
-        // snapshot is the live structure itself, so even the traversal
-        // statistics agree.
-        engine.publish_now();
-        for &(x0, x1, t) in &spec.regions {
-            let r = region(x0, x1, t);
-            prop_assert_eq!(engine.range_query(&r).unwrap(), db.range_query(&r).unwrap());
         }
     }
 
     /// A text batch through the engine gives the same per-statement
-    /// verdicts as running each statement serially on the frozen view.
+    /// verdicts as running each statement serially on the locked live
+    /// database.
     #[test]
     fn batched_statements_match_serial_execution(
         spec in spec(),
@@ -290,11 +279,7 @@ proptest! {
     ) {
         let db = shared(spec.n_objects);
         apply_stream(&db, &spec.before);
-        let engine = db.query_engine(QueryEngineConfig {
-            epoch_interval: None,
-        });
-        let frozen = db.with_read(|inner| inner.clone());
-        engine.publish_now();
+        let engine = QueryEngine::new(db.clone());
         apply_stream(&db, &spec.after);
 
         let script = format!(
@@ -304,7 +289,7 @@ proptest! {
              RETRIEVE POSITION OF OBJECT 99999 AT TIME {t}"
         );
         let batched = engine.run_batch(&script);
-        let serial = modb_query::run_batch(&frozen, &script);
+        let serial = db.with_read(|live| modb_query::run_batch(live, &script));
         prop_assert_eq!(batched.len(), serial.len());
         for (i, (b, s)) in batched.iter().zip(serial.iter()).enumerate() {
             prop_assert_eq!(b, s, "statement {}", i + 1);

@@ -1,5 +1,5 @@
 //! W2: range-query throughput scaling — the global-lock read path vs the
-//! epoch-snapshot query engine, under concurrent ingest.
+//! query engine's clone per statement, under concurrent ingest.
 //!
 //! Usage: `exp_query_scaling [n_objects] [grid] [window_ms] [max_threads]`
 //! (defaults: 10000 objects on a 20x20 grid, 500 ms windows, thread

@@ -37,7 +37,7 @@ use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_server::{
-    DurableDatabase, FailoverConfig, FailoverCoordinator, QueryClientConfig, QueryEngineConfig,
+    DurableDatabase, FailoverConfig, FailoverCoordinator, QueryClientConfig, QueryEngine,
     QueryServerConfig, ReplicaConfig, ReplicationConfig, StandbyReplica,
 };
 use modb_wal::{FsyncPolicy, WalOptions};
@@ -174,10 +174,7 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
     ];
 
     // A query front-end on the leader for the deadman probe.
-    let engine = Arc::new(leader.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    }));
-    engine.publish_now();
+    let engine = Arc::new(QueryEngine::new(leader.database().clone()));
     let qserver = leader
         .serve_queries(engine, None, "127.0.0.1:0", QueryServerConfig::default())
         .expect("leader query front-end");

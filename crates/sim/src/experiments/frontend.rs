@@ -27,7 +27,7 @@ use modb_core::{
 use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_server::{DurableDatabase, QueryClient, QueryEngineConfig, QueryServerConfig};
+use modb_server::{DurableDatabase, QueryClient, QueryEngine, QueryServerConfig};
 use modb_wal::{FsyncPolicy, WalOptions};
 
 use crate::report::{fmt, render_table};
@@ -146,10 +146,7 @@ pub fn run_frontend_overhead(
             )
             .expect("update");
     }
-    let engine = Arc::new(durable.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    }));
-    engine.publish_now();
+    let engine = Arc::new(QueryEngine::new(durable.database().clone()));
     let server = durable
         .serve_queries(
             Arc::clone(&engine),
@@ -166,8 +163,8 @@ pub fn run_frontend_overhead(
         .map(|&size| {
             let size = size.max(1);
             let src = script(size, n_objects);
-            // Warm both paths (first batch pays publisher/allocator
-            // warm-up and, remotely, socket buffer growth).
+            // Warm both paths (first batch pays allocator warm-up and,
+            // remotely, socket buffer growth).
             let _ = engine.run_batch(&src);
             let _ = client.batch(&src).expect("warm-up batch");
 

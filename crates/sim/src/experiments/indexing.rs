@@ -6,7 +6,7 @@
 //!   must satisfy `must ⊆ actually-in-G ⊆ must ∪ may`.
 //! - **F6**: index-maintenance throughput for position updates (§4.2's
 //!   delete-old-plane / insert-new-plane step), with and without a
-//!   published clone pinning the structure the update writes to — and on
+//!   statement's clone pinning the structure the update writes to — and on
 //!   an *aged* fleet, every vehicle already updated many times, as a
 //!   long-running node's is.
 
@@ -275,14 +275,15 @@ pub fn may_must_table(r: &MayMustResult) -> String {
 }
 
 /// How often F6's write-side leg republishes — clones the database and
-/// pins the clone, as the epoch publisher does — in updates: `None` is
-/// never (nothing shares the live structure, every write is in place),
-/// 240 is a 50 ms epoch at the ledger's ≈ 4.8 k updates/s, 1 is the
-/// worst case (every write finds every node it touches shared).
+/// pins the clone, as a running statement does — in updates: `None` is
+/// never (no statement overlaps a write, every write is in place), 240
+/// is one clone per 50 ms at the ledger's ≈ 4.8 k updates/s, 1 is the
+/// worst case (a statement in flight across every write, so every write
+/// finds every node it touches shared).
 const F6_REPUBLISH_EVERY: [Option<usize>; 3] = [None, Some(240), Some(1)];
 
-/// F6 result: index-maintenance throughput, and what a published epoch
-/// adds to it.
+/// F6 result: index-maintenance throughput, and what a pinned clone adds
+/// to it.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexUpdateRow {
     /// Fleet size.
@@ -327,7 +328,7 @@ pub fn run_index_update(sizes: &[usize]) -> Vec<IndexUpdateRow> {
                 if let Some((every, pinned)) = &mut published {
                     if (k + 1) % *every == 0 {
                         // The count is the experiment's own cost; the clone
-                        // and the drop of the retired one are the publisher's.
+                        // and the drop of the retired one are the reader's.
                         let (shared, total) = db.shared_with(pinned);
                         copied += total - shared;
                         let t0 = Instant::now();

@@ -1,4 +1,5 @@
-//! W2: range-query throughput scaling — global lock vs epoch snapshots.
+//! W2: range-query throughput scaling — global lock vs a clone per
+//! statement.
 //!
 //! The paper's workload (§1) is read-heavy: many users pose range queries
 //! while vehicles stream position updates. This experiment measures how
@@ -6,17 +7,15 @@
 //!
 //! - **locked**: every query takes the [`SharedDatabase`] read lock for
 //!   its whole filter + refine pass, serializing against the writer.
-//! - **snapshot**: queries run on [`modb_server::QueryEngine`] against
-//!   the latest published epoch snapshot — zero locks held during filter
-//!   and refine; the writer only ever contends with the brief publisher
-//!   clone.
+//! - **snapshot**: queries run on [`QueryEngine`], each against a clone
+//!   of the database taken when it starts — the read lock is held for
+//!   the O(1) clone only, none during filter and refine; the writer pays
+//!   instead, copying the path it changes while a clone holds it.
 //!
 //! A background writer applies position updates as fast as it can for
 //! the whole measurement window, in both modes, so the numbers include
-//! the reader–writer interference the epoch design removes. Snapshot
-//! answers are at most one epoch interval stale — the paper's §3.3
-//! deviation bound grows by at most `D·Δt` for speed bound `D`, the same
-//! imprecision currency the update policies trade in.
+//! the reader–writer interference the clone removes. Both modes answer
+//! from every write applied before the query began.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,21 +23,17 @@ use std::time::{Duration, Instant};
 
 use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 use modb_index::QueryRegion;
-use modb_server::{QueryEngineConfig, SharedDatabase};
+use modb_server::{QueryEngine, SharedDatabase};
 
 use crate::experiments::indexing::{build_city_db, query_regions};
 use crate::report::{fmt, render_table};
-
-/// Epoch republish interval for the snapshot mode: the staleness bound
-/// Δt of the measurement.
-pub const EPOCH_INTERVAL_MS: u64 = 25;
 
 /// The read paths compared by the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
     /// Queries through the global readers–writer lock.
     Locked,
-    /// Queries through the epoch-snapshot engine.
+    /// Queries through the engine, a clone per statement.
     Snapshot,
 }
 
@@ -84,9 +79,7 @@ fn run_window(
 ) -> (u64, u64) {
     let engine = match mode {
         QueryMode::Locked => None,
-        QueryMode::Snapshot => Some(db.query_engine(QueryEngineConfig {
-            epoch_interval: Some(Duration::from_millis(EPOCH_INTERVAL_MS)),
-        })),
+        QueryMode::Snapshot => Some(QueryEngine::new(db.clone())),
     };
     let stop = Arc::new(AtomicBool::new(false));
     let queries = AtomicU64::new(0);
@@ -200,7 +193,7 @@ pub fn run_query_scaling(
 /// Renders the W2 report table.
 pub fn query_scaling_table(rows: &[QueryScalingRow]) -> String {
     render_table(
-        "W2: range-query scaling under concurrent ingest (locked vs epoch snapshots)",
+        "W2: range-query scaling under concurrent ingest (locked vs a clone per statement)",
         &[
             "mode",
             "threads",

@@ -45,8 +45,8 @@ use modb_policy::BoundKind;
 use modb_query::QueryError;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_server::{
-    BatchOutcome, DurableDatabase, QueryClient, QueryEngineConfig, QueryServerConfig,
-    RemoteVerdict, ReplicaConfig, ReplicationConfig, StandbyReplica,
+    BatchOutcome, DurableDatabase, QueryClient, QueryEngine, QueryServerConfig, RemoteVerdict,
+    ReplicaConfig, ReplicationConfig, StandbyReplica,
 };
 use modb_wal::{FsyncPolicy, WalOptions};
 
@@ -187,11 +187,7 @@ fn run_phase(n_objects: usize, fanout: usize, batches: u64, rounds: usize) -> Re
         let repl_server = replica
             .serve_replication("127.0.0.1:0", repl_config.clone())
             .expect("follower serve replication");
-        let engine = Arc::new(
-            replica
-                .database()
-                .query_engine(QueryEngineConfig::default()),
-        );
+        let engine = Arc::new(QueryEngine::new(replica.database().clone()));
         let query_server = replica
             .serve_queries(
                 engine,
@@ -249,11 +245,7 @@ fn run_phase(n_objects: usize, fanout: usize, batches: u64, rounds: usize) -> Re
     // Leader reference verdicts for the parity batch.
     let query_t = batches as f64 * BATCH_DT;
     let parity_script = script(query_t, n_objects, 1);
-    let leader_engine = leader.query_engine(QueryEngineConfig {
-        epoch_interval: None,
-    });
-    leader_engine.publish_now();
-    let leader_verdicts = leader_engine.run_batch(&parity_script);
+    let leader_verdicts = QueryEngine::new(leader.database().clone()).run_batch(&parity_script);
 
     let mut parity = true;
     let mut stale_typed = true;
@@ -261,8 +253,8 @@ fn run_phase(n_objects: usize, fanout: usize, batches: u64, rounds: usize) -> Re
         let mut client =
             QueryClient::connect(link.query_server.local_addr()).expect("connect follower");
         // Floored at the frontier the follower has applied: it must
-        // republish to cover it and answer, and — quiescent, lag clock
-        // zero — answer bit-identically to the leader.
+        // answer at once, and — quiescent, lag clock zero — answer
+        // bit-identically to the leader.
         match client
             .batch_attempt(&parity_script, frontier)
             .expect("parity batch")

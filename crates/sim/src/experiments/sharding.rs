@@ -34,8 +34,8 @@ use modb_geom::{Point, Rect};
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_server::{
-    ClusterRouter, CostModel, DurableDatabase, QueryEngineConfig, QueryServerConfig,
-    RecordedWorkload, ShardMap, WorkloadOp,
+    ClusterRouter, CostModel, DurableDatabase, QueryEngine, QueryServerConfig, RecordedWorkload,
+    ShardMap, WorkloadOp,
 };
 use modb_wal::{FsyncPolicy, WalOptions};
 
@@ -255,7 +255,7 @@ pub fn cluster_parity(n_objects: usize, n_shards: usize, spatial: bool) -> bool 
 
     struct Node {
         durable: DurableDatabase,
-        engine: Arc<modb_server::QueryEngine>,
+        engine: Arc<QueryEngine>,
         service: Option<modb_server::IngestService>,
         server: Option<modb_server::QueryServer>,
         dir: PathBuf,
@@ -263,9 +263,7 @@ pub fn cluster_parity(n_objects: usize, n_shards: usize, spatial: bool) -> bool 
     let node = |name: &str, serve: bool| {
         let dir = scratch_dir(name);
         let durable = DurableDatabase::create(&dir, fresh_db(), wal_options()).expect("create");
-        let engine = Arc::new(durable.query_engine(QueryEngineConfig {
-            epoch_interval: None,
-        }));
+        let engine = Arc::new(QueryEngine::new(durable.database().clone()));
         let (service, server) = if serve {
             let service = durable.ingest_service(2, 0);
             let server = durable
@@ -309,9 +307,6 @@ pub fn cluster_parity(n_objects: usize, n_shards: usize, spatial: bool) -> bool 
             .expect("register");
         union.durable.register_moving(v).expect("register");
     }
-    for n in shards.iter().chain(std::iter::once(&union)) {
-        n.engine.publish_now();
-    }
     // Move a third of the fleet over the remote-ingest path.
     for i in (0..n_objects as u64).step_by(3) {
         let arc = 8.0 + (i as f64 * 37.0) % (ROUTE_LEN - 10.0);
@@ -323,7 +318,6 @@ pub fn cluster_parity(n_objects: usize, n_shards: usize, spatial: bool) -> bool 
             .apply_update(ObjectId(i), &msg)
             .expect("union update");
     }
-    union.engine.publish_now();
 
     let script = (0..n_objects.min(8))
         .map(|i| {
