@@ -65,9 +65,11 @@ pub struct MovingObject {
 ///
 /// **One record per vehicle.** The object table *is* the time-space
 /// index: one [`MovingObjectIndex`] entry per object holds the object
-/// and its o-plane in one allocation, which the id map and the tree's
-/// leaf share. A range query refines the object its tree hit carries;
-/// only a lookup by id hashes.
+/// and the box it is filed under in one allocation, which the id map and
+/// the tree's leaf share. The o-plane is not stored: it is a function of
+/// the object's position attribute, derived when the object is filed
+/// and again, by the same function, for each tree hit. A range query
+/// refines the object its tree hit carries; only a lookup by id hashes.
 ///
 /// **A copy is a handful of roots.** Cloning is O(1) whatever the fleet:
 /// the network, the table (a path-copying tree and map), the stationary
@@ -85,9 +87,9 @@ pub struct Database {
     /// [`Database::insert_route`] copies-on-write only when aliased.
     network: Arc<RouteNetwork>,
     /// Moving objects, one immutable entry each: the object with its
-    /// current position attribute and — for a cost-based policy — its
-    /// o-plane, filed in the tree. A write replaces the entry whole, so a
-    /// clone pinned by a reader never sees it.
+    /// current position attribute and — for a cost-based policy — the
+    /// union box of its o-plane, filed in the tree. A write replaces the
+    /// entry whole, so a clone pinned by a reader never sees it.
     moving: MovingObjectIndex<ObjectId, MovingObject>,
     /// Landmarks: few and rarely written, so the table is shared whole
     /// and copied on the first insert after a clone.
@@ -424,37 +426,50 @@ impl Database {
         }
     }
 
+    /// The o-plane `obj`'s position attribute defines (§4.1.1), cut off at
+    /// its trip end `Z` or else `default_horizon` past its update (§4.2);
+    /// `None` when its policy is not cost-based. The one derivation of a
+    /// plane: [`Database::store`] files an object under the plane this
+    /// returns, and the range filter tests each tree hit against the plane
+    /// this returns for it, so the two are the same plane, bit for bit —
+    /// it reads only the object and the configuration, and neither changes
+    /// while the entry is filed.
+    fn plane_of(&self, obj: &MovingObject) -> Result<Option<OPlane>, CoreError> {
+        let PolicyDescriptor::CostBased { kind, update_cost } = obj.attr.policy else {
+            return Ok(None);
+        };
+        let end_time = obj
+            .trip_end
+            .unwrap_or(obj.attr.start_time + self.config.default_horizon)
+            .max(obj.attr.start_time + 1e-6);
+        let plane = OPlane::new(
+            obj.attr.route,
+            obj.attr.start_arc,
+            obj.attr.direction,
+            obj.attr.speed,
+            obj.max_speed,
+            update_cost,
+            kind,
+            obj.attr.start_time,
+            end_time,
+        )?;
+        Ok(Some(plane))
+    }
+
     /// Stores `obj` as its id's one entry, filed in the tree under the
     /// o-plane its attribute defines (§4.2) when its policy is
-    /// cost-based, in the unindexed set otherwise. The plane is built
-    /// before anything is written, so an error changes nothing.
+    /// cost-based, in the unindexed set otherwise. The plane's union box
+    /// is computed before anything is written, so an error changes
+    /// nothing; the plane itself is not kept.
     fn store(&mut self, obj: MovingObject) -> Result<(), CoreError> {
         let id = obj.id;
-        let plane = match obj.attr.policy {
-            PolicyDescriptor::CostBased { kind, update_cost } => {
-                let route = self.network.get(obj.attr.route)?;
-                let end_time = obj
-                    .trip_end
-                    .unwrap_or(obj.attr.start_time + self.config.default_horizon)
-                    .max(obj.attr.start_time + 1e-6);
-                let plane = OPlane::new(
-                    obj.attr.route,
-                    obj.attr.start_arc,
-                    obj.attr.direction,
-                    obj.attr.speed,
-                    obj.max_speed,
-                    update_cost,
-                    kind,
-                    obj.attr.start_time,
-                    end_time,
-                )?;
-                Some((plane, route))
-            }
-            _ => None,
+        let plane = self.plane_of(&obj)?;
+        let route = match &plane {
+            Some(plane) => Some(self.network.get(plane.route)?),
+            None => None,
         };
-        let indexed = plane.is_some();
-        self.moving.insert(id, obj, plane)?;
-        self.set_unindexed(id, !indexed);
+        self.moving.insert(id, obj, plane.as_ref().zip(route))?;
+        self.set_unindexed(id, plane.is_none());
         Ok(())
     }
 
@@ -535,19 +550,27 @@ impl Database {
     /// o-plane-indexable and join the candidate set directly, found by
     /// id).
     ///
+    /// A tree hit's slab test reads the plane derived again from the hit's
+    /// object by the function that filed it — the plane it was filed
+    /// under. One that cannot be derived (which filing would have
+    /// refused) reads as no plane, and the hit stays a candidate.
+    ///
     /// # Errors
     ///
     /// Route/geometry failures during refinement.
     pub fn range_query(&self, region: &QueryRegion) -> Result<RangeAnswer, CoreError> {
         let mut answer = RangeAnswer::default();
         let mut refined = Ok(());
-        let stats = self
-            .moving
-            .for_each_candidate(region, &self.network, |entry| {
+        let stats = self.moving.for_each_candidate(
+            region,
+            &self.network,
+            |obj| self.plane_of(obj).ok().flatten(),
+            |entry| {
                 if refined.is_ok() {
                     refined = self.tally(&mut answer, entry.value(), region);
                 }
-            });
+            },
+        );
         refined?;
         answer.stats = stats;
         for &id in self.unindexed.iter() {
@@ -564,9 +587,12 @@ impl Database {
     /// [`Database::refine_slice`].
     pub fn range_candidates(&self, region: &QueryRegion) -> (Vec<ObjectId>, SearchStats) {
         let mut candidates = Vec::new();
-        let stats = self
-            .moving
-            .candidates_into(region, &self.network, &mut candidates);
+        let stats = self.moving.candidates_into(
+            region,
+            &self.network,
+            |obj| self.plane_of(obj).ok().flatten(),
+            &mut candidates,
+        );
         candidates.extend(self.unindexed.iter().copied());
         (candidates, stats)
     }
@@ -717,6 +743,7 @@ mod tests {
     use modb_geom::{Polygon, Rect};
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId};
+    use proptest::prelude::*;
 
     const C: f64 = 5.0;
 
@@ -1257,12 +1284,22 @@ mod tests {
     /// entry — one allocation, which the id map and the tree's leaf
     /// share — however often it reports. An update builds a new entry
     /// and the old one is freed as soon as no clone pins it; while clones
-    /// do (a retired epoch, a snapshot being written) they keep exactly
-    /// the old entry, and dropping them frees it with nobody having had
-    /// to sync anything.
+    /// do (a snapshot being written, a statement's clone) they keep
+    /// exactly the old entry, and dropping them frees it with nobody
+    /// having had to sync anything.
     #[test]
     fn update_leaves_one_entry_once_clones_drop() {
-        assert!(std::mem::size_of::<Entry<ObjectId, MovingObject>>() <= 256);
+        // The entry is the id, the object and the box it is filed under:
+        // no copy of the o-plane the object determines, and an unfiled
+        // entry is the empty box, not an `Option` (which would add 8 B).
+        // 184 B, 200 B with the `Arc`'s counts: a 208-B allocator chunk,
+        // where an entry with the plane beside it took 272 B.
+        assert_eq!(
+            std::mem::size_of::<Entry<ObjectId, MovingObject>>(),
+            std::mem::size_of::<ObjectId>()
+                + std::mem::size_of::<MovingObject>()
+                + std::mem::size_of::<modb_geom::Aabb3>()
+        );
         let id = ObjectId(1);
         let mut db = db_with(vec![object(1, 10.0, 1.0), object(2, 50.0, 1.0)]);
         let report = |t: f64| UpdateMessage::basic(t, UpdatePosition::Arc(10.0 + t % 80.0), 1.0);
@@ -1428,6 +1465,84 @@ mod tests {
         assert_eq!(db.moving(ObjectId(1)).unwrap().attr.start_arc, 15.0);
         assert_ne!(db.shared_with(&pinned), pinned.shared_with(&pinned));
         assert_eq!(pinned.moving(ObjectId(1)).unwrap().attr.start_arc, 14.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The plane a tree hit is tested against is the plane its entry
+        /// was filed under. Through random registrations, updates (some
+        /// moving to another route, some naming a route that does not
+        /// exist and refused), policy switches that take an object out
+        /// of the tree and back, and removals — beside a fixed-bound
+        /// object that is never filed — every entry's box is the union
+        /// box of the plane derived from its object, and the index
+        /// answers every query exactly like the scan.
+        #[test]
+        fn a_hit_derives_the_plane_its_entry_was_filed_under(
+            steps in proptest::collection::vec(
+                (0usize..5, 0u64..8, 0.0f64..100.0, 0.0f64..1.4, 0.0f64..0.8),
+                1..60,
+            ),
+            (x0, w, t0, dt) in (-10.0f64..100.0, 1.0f64..60.0, 0.0f64..50.0, 0.0f64..10.0),
+        ) {
+            let policy = |id: u64| match id % 3 {
+                0 => PolicyDescriptor::FixedBound { bound: 1.0 },
+                1 => cost_based(),
+                _ => PolicyDescriptor::CostBased { kind: BoundKind::Delayed, update_cost: 2.0 },
+            };
+            let vehicle = |id: u64, arc: f64, speed: f64| MovingObject {
+                attr: PositionAttribute { policy: policy(id), ..object(id, arc, speed).attr },
+                trip_end: (id % 2 == 1).then_some(90.0),
+                ..object(id, arc, speed)
+            };
+            let mut db = db_with(vec![vehicle(0, 10.0, 1.0), vehicle(1, 20.0, 1.0)]);
+            let g = Polygon::rectangle(&Rect::new(
+                Point::new(x0, -60.0),
+                Point::new(x0 + w, 5.0),
+            ))
+            .unwrap();
+            let regions = [
+                QueryRegion::at_instant(g.clone(), t0),
+                QueryRegion::during(g, t0, t0 + dt),
+            ];
+            let mut clock = 0.0f64;
+            for (op, pick, arc, speed, tick) in steps {
+                clock = (clock + tick).min(50.0);
+                let id = ObjectId(pick);
+                let basic = UpdateMessage::basic(clock, UpdatePosition::Arc(arc), speed);
+                let _ = match op {
+                    0 => db.register_moving(vehicle(pick, arc, speed)),
+                    1 => db.apply_update(id, &basic),
+                    // Route 99 does not exist: refused, nothing changes.
+                    2 => db.apply_update(
+                        id,
+                        &UpdateMessage::route_change(
+                            clock,
+                            RouteId(if arc < 80.0 { 2 } else { 99 }),
+                            UpdatePosition::Arc(arc),
+                            Direction::Backward,
+                            speed,
+                        ),
+                    ),
+                    3 => db.apply_update(id, &basic.with_policy(policy(pick + (arc as u64)))),
+                    _ => db.remove_moving(id).map(drop),
+                };
+                for id in db.moving_ids() {
+                    let entry = db.moving.entry(&id).unwrap();
+                    let derived = db.plane_of(entry.value()).unwrap().map(|plane| {
+                        let route = db.network().get(plane.route).unwrap();
+                        plane.union_box(route, db.config().bands).unwrap()
+                    });
+                    prop_assert_eq!(entry.union(), derived, "object {:?}", id);
+                }
+                for region in &regions {
+                    let index = db.range_query(region).unwrap();
+                    let scan = db.range_query_scan(region).unwrap();
+                    prop_assert_eq!((index.must, index.may), (scan.must, scan.may));
+                }
+            }
+        }
     }
 
     #[test]

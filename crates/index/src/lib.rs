@@ -15,7 +15,8 @@
 //!   insert-new on every position update) and candidate filtering, over
 //!   one R\*-tree of per-object union boxes — and the fleet's keyed
 //!   table: one shared [`Entry`] per key carries a payload (`modb-core`'s
-//!   moving object) beside its plane, so a tree hit needs no lookup.
+//!   moving object) and the box it is filed under, so a tree hit needs no
+//!   lookup; the hit's plane is derived from the payload, not stored.
 //!   The table is a copy-on-write hash map (`CowMap`, private to this
 //!   crate); it and the tree are path-copying, so a clone of the index is
 //!   O(1) and shares everything no write has touched since.

@@ -6,41 +6,47 @@
 //! inserted in the 3-dimensional rectangles that intersect [the new
 //! o-plane] p2."
 //!
-//! Here each object's current o-plane is kept as what it is — the seven
-//! sub-attributes of [`OPlane`] — beside the one box the tree files it
-//! under: the union of its §4.2 slab boxes. The slab boxes themselves are
-//! an approximation of the plane and are not stored: a tree hit (union
-//! box meets the query box) computes, from the plane, the slab duration
-//! and the route, only the slab or two whose time span meets the query's,
-//! and becomes a candidate when one of those intersects it. The candidate
-//! set is identical to indexing every slab box individually (an object
-//! qualifies iff some slab box intersects the query box), but the §4.2
-//! position-update maintenance is a single delete+insert instead of one
-//! per slab, and what an object costs in memory no longer grows with how
-//! far ahead its trip is declared (22 boxes ≈ 1 KiB for a 105-minute trip
-//! at 5-minute slabs; one plane and one box now, whatever the trip).
+//! Each object is filed under one box: the union of its o-plane's §4.2
+//! slab boxes. The slab boxes themselves are an approximation of the
+//! plane and are not stored: a tree hit (union box meets the query box)
+//! computes, from the plane, the slab duration and the route, only the
+//! slab or two whose time span meets the query's, and becomes a candidate
+//! when one of those intersects it. The candidate set is identical to
+//! indexing every slab box individually (an object qualifies iff some
+//! slab box intersects the query box), but the §4.2 position-update
+//! maintenance is a single delete+insert instead of one per slab, and
+//! what an object costs in memory does not grow with how far ahead its
+//! trip is declared (22 boxes ≈ 1 KiB for a 105-minute trip at 5-minute
+//! slabs; one box, whatever the trip).
 //!
-//! **One record per key.** The index is also the keyed table: each key
-//! owns one immutable [`Entry`] — a payload `V` (`modb-core` keeps the
-//! whole moving object there; `()` when the caller only wants the
-//! filter) and, when the object can be indexed, its plane and union box.
-//! The entry lives behind one `Arc` that both the key → entry map and
-//! the tree's leaf hold, so a tree hit reaches the payload with no
-//! lookup, and a write builds one new entry and hands the old one to the
-//! tree to find and replace.
+//! **One record per key, one copy of each fact.** The index is also the
+//! keyed table: each key owns one immutable [`Entry`] — the key, a
+//! payload `V` and the union box. The plane is not stored beside the
+//! payload, because it is a function of it (§4.1.1: "the geometric
+//! representation of a position attribute"): the caller hands
+//! [`MovingObjectIndex::insert`] the plane to file under, and the
+//! `candidates*` probes a closure that derives it again from a hit's
+//! payload. `modb-core` keeps the whole moving object as the payload and
+//! derives the plane from its attribute; a filter-only index keeps the
+//! plane itself (`V = OPlane`, the default). The entry lives behind one
+//! `Arc` that both the key → entry map and the tree's leaf hold, so a
+//! tree hit reaches the payload with no lookup, and a write builds one
+//! new entry and hands the old one to the tree to find and replace.
 //!
 //! **A copy is two roots.** The tree ([`RStarTree`]) and the map
 //! (`CowMap`) are path-copying, so cloning the index copies two
 //! pointers and the clone shares every node, bucket and entry until one
 //! side writes.
 //!
-//! **Routes at query time.** Slab geometry needs the plane's route, so
-//! the `candidates*` probes take the `RouteNetwork`. Routes are
-//! append-only and individually immutable, so a slab box computed at
-//! query time is the box an upsert-time decomposition would have stored.
-//! A plane whose route the network cannot resolve, or whose slab box
-//! errors, **stays a candidate**: the filter may over-approximate, never
-//! drop, and exact refinement reports the route error.
+//! **Routes and planes at query time.** Slab geometry needs the plane's
+//! route, so the `candidates*` probes take the `RouteNetwork`. Routes
+//! are append-only and individually immutable, so a slab box computed at
+//! query time is the box an upsert-time decomposition would have stored
+//! — provided the closure derives the plane the entry was filed under,
+//! which is the caller's contract. A hit whose closure yields no plane,
+//! whose route the network cannot resolve, or whose slab box errors
+//! **stays a candidate**: the filter may over-approximate, never drop,
+//! and exact refinement reports the error.
 //!
 //! Filtering a [`QueryRegion`] yields candidate entries (or their keys);
 //! exact may/must refinement against uncertainty intervals happens in
@@ -63,22 +69,16 @@ use crate::timespace::QueryRegion;
 /// plane is ~12 boxes.
 pub const DEFAULT_SLAB_MINUTES: f64 = 5.0;
 
-/// One key's record: the key, its payload and — when the object can be
-/// indexed — its o-plane with the union of the slab boxes the plane
-/// decomposes into (the box the tree files it under). Immutable, and
-/// shared (never copied) between the tree, the map and every clone of
-/// the index. The same size for every plane: no per-slab heap behind it.
+/// One key's record: the key, its payload and the box the tree files it
+/// under — the union of the slab boxes of the o-plane it was inserted
+/// with, or the empty box when it is held in the map only. Immutable,
+/// and shared (never copied) between the tree, the map and every clone
+/// of the index. The same size for every plane: no per-slab heap behind
+/// it, and no copy of the plane, which the payload determines.
 #[derive(Debug)]
 pub struct Entry<K, V> {
     key: K,
     value: V,
-    filed: Option<Filed>,
-}
-
-/// The part of an [`Entry`] the tree reads.
-#[derive(Debug)]
-struct Filed {
-    plane: OPlane,
     union: Aabb3,
 }
 
@@ -94,28 +94,31 @@ impl<K, V> Entry<K, V> {
         self.value
     }
 
-    fn union(&self) -> Option<Aabb3> {
-        self.filed.as_ref().map(|f| f.union)
+    /// The box the tree files this entry under; `None` when the entry is
+    /// held in the map only — the probe the filing tests compare with.
+    #[doc(hidden)]
+    pub fn union(&self) -> Option<Aabb3> {
+        (!self.union.is_empty()).then_some(self.union)
     }
 }
 
-impl Filed {
-    /// The per-hit slab filter: `true` when one of the plane's *slab*
-    /// boxes intersects `query`. A route `network` cannot resolve, or a
-    /// slab box that errors, also answers `true`: the filter must never
-    /// drop what exact refinement would report, the error included.
-    fn some_slab_intersects(
-        &self,
-        slab_minutes: f64,
-        network: &RouteNetwork,
-        query: &Aabb3,
-    ) -> bool {
-        network.get(self.plane.route).map_or(true, |route| {
-            self.plane
+/// The per-hit slab filter: `true` when one of `plane`'s *slab* boxes
+/// intersects `query`. No plane, a route `network` cannot resolve, or a
+/// slab box that errors also answers `true`: the filter must never drop
+/// what exact refinement would report, the error included.
+fn some_slab_intersects(
+    plane: Option<OPlane>,
+    slab_minutes: f64,
+    network: &RouteNetwork,
+    query: &Aabb3,
+) -> bool {
+    plane.is_none_or(|plane| {
+        network.get(plane.route).map_or(true, |route| {
+            plane
                 .any_slab_intersects(route, slab_minutes, query)
                 .unwrap_or(true)
         })
-    }
+    })
 }
 
 /// What a tree leaf holds: the shared entry itself, so a hit needs no
@@ -139,9 +142,10 @@ impl<K, V> PartialEq for Hit<K, V> {
 
 /// A 3-D time-space index over the o-planes of a fleet of moving
 /// objects — one R\*-tree of per-object union boxes — that is also the
-/// fleet's keyed table: one [`Entry`] per key, carrying a payload `V`.
+/// fleet's keyed table: one [`Entry`] per key, carrying a payload `V`
+/// the plane is derived from (by default the plane itself).
 #[derive(Debug, Clone)]
-pub struct MovingObjectIndex<K, V = ()> {
+pub struct MovingObjectIndex<K, V = OPlane> {
     tree: RStarTree<Hit<K, V>>,
     entries: CowMap<K, Arc<Entry<K, V>>>,
     /// Slab duration (minutes) of the §4.2 decomposition.
@@ -214,7 +218,9 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
     /// Stores `value` under `key`, filed in the tree under `plane` (on
     /// its `route`) or, with `None`, held in the map only — the §4.2
     /// position-update maintenance step. One new entry is built; an entry
-    /// it replaces is handed to the tree to find and swap.
+    /// it replaces is handed to the tree to find and swap. `plane` must be
+    /// the plane the `candidates*` closures derive from `value`: only its
+    /// union box is kept.
     ///
     /// # Errors
     ///
@@ -223,18 +229,15 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
         &mut self,
         key: K,
         value: V,
-        plane: Option<(OPlane, &Route)>,
+        plane: Option<(&OPlane, &Route)>,
     ) -> Result<(), IndexError> {
         // Touch the old entry only after every slab of the new plane
         // computed cleanly.
-        let filed = match plane {
-            Some((plane, route)) => Some(Filed {
-                union: plane.union_box(route, self.slab_minutes)?,
-                plane,
-            }),
-            None => None,
+        let union = match plane {
+            Some((plane, route)) => plane.union_box(route, self.slab_minutes)?,
+            None => Aabb3::empty(),
         };
-        let next = Arc::new(Entry { key, value, filed });
+        let next = Arc::new(Entry { key, value, union });
         let old = self.entries.insert(key, Arc::clone(&next));
         let from = old.as_ref().and_then(|old| old.union());
         match (old, from, next.union()) {
@@ -262,36 +265,19 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
         Some(entry)
     }
 
-    /// Candidate keys whose o-plane boxes intersect the query region's
-    /// box — the sublinear filtering step. Deduplicated.
-    /// `network` resolves each hit's route for its slab geometry.
-    pub fn candidates(&self, region: &QueryRegion, network: &RouteNetwork) -> Vec<K> {
-        self.candidates_with_stats(region, network).0
-    }
-
-    /// Like [`MovingObjectIndex::candidates`], with R\*-tree search
-    /// statistics for the sublinearity experiments.
-    pub fn candidates_with_stats(
-        &self,
-        region: &QueryRegion,
-        network: &RouteNetwork,
-    ) -> (Vec<K>, SearchStats) {
-        let mut hits = Vec::new();
-        let stats = self.candidates_into(region, network, &mut hits);
-        (hits, stats)
-    }
-
     /// Appends the candidate keys for `region` to `out` and returns the
     /// search statistics. The caller owns (and typically reuses) the
     /// buffer, so a hot query loop filters without allocating a fresh
-    /// vector per query.
+    /// vector per query. `plane_of` is as for
+    /// [`MovingObjectIndex::for_each_candidate`].
     pub fn candidates_into(
         &self,
         region: &QueryRegion,
         network: &RouteNetwork,
+        plane_of: impl Fn(&V) -> Option<OPlane>,
         out: &mut Vec<K>,
     ) -> SearchStats {
-        self.for_each_candidate(region, network, |entry| out.push(entry.key))
+        self.for_each_candidate(region, network, plane_of, |entry| out.push(entry.key))
     }
 
     /// Visits every candidate entry for `region` and returns the search
@@ -299,6 +285,8 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
     /// object only qualifies when one of its slab boxes intersects the
     /// query box, so the candidate set equals what per-slab indexing
     /// would produce (already deduplicated — one tree entry per object).
+    /// `plane_of` derives a hit's plane from its payload — the plane it
+    /// was inserted with — and `network` resolves that plane's route.
     /// Entries with no plane are not in the tree and are never visited.
     /// `&self` only, so any number of threads may filter one immutable
     /// index concurrently.
@@ -306,15 +294,15 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
         &self,
         region: &QueryRegion,
         network: &RouteNetwork,
+        plane_of: impl Fn(&V) -> Option<OPlane>,
         mut visit: impl FnMut(&Entry<K, V>),
     ) -> SearchStats {
         let query = region.aabb();
         // A tree hit (union box intersects) becomes a candidate when
-        // one of its slab boxes does; the leaf carries the plane (every
-        // entry the tree holds has one).
+        // one of its slab boxes does.
         self.tree.for_each_with_stats(&query, |Hit(entry)| {
-            let filed = entry.filed.as_ref().expect("the tree holds filed entries");
-            if filed.some_slab_intersects(self.slab_minutes, network, &query) {
+            let plane = plane_of(&entry.value);
+            if some_slab_intersects(plane, self.slab_minutes, network, &query) {
                 visit(entry);
             }
         })
@@ -337,6 +325,7 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
     }
 }
 
+/// The filter-only index: each entry's payload is its plane.
 impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     /// Alias of [`MovingObjectIndex::new`] for a filter-only index, kept
     /// because `modb_ledger/` calls it with `DatabaseConfig::bands` and
@@ -353,7 +342,16 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     /// Propagates o-plane decomposition errors; on error the old plane (if
     /// any) is left untouched.
     pub fn upsert(&mut self, key: K, plane: OPlane, route: &Route) -> Result<(), IndexError> {
-        self.insert(key, (), Some((plane, route)))
+        self.insert(key, plane.clone(), Some((&plane, route)))
+    }
+
+    /// Candidate keys whose o-plane boxes intersect the query region's
+    /// box — the sublinear filtering step. Deduplicated.
+    /// `network` resolves each hit's route for its slab geometry.
+    pub fn candidates(&self, region: &QueryRegion, network: &RouteNetwork) -> Vec<K> {
+        let mut out = Vec::new();
+        self.candidates_into(region, network, |plane| Some(plane.clone()), &mut out);
+        out
     }
 }
 
@@ -397,6 +395,17 @@ mod tests {
     fn region(x0: f64, x1: f64, t: f64) -> QueryRegion {
         let g = Polygon::rectangle(&Rect::new(Point::new(x0, -1.0), Point::new(x1, 1.0))).unwrap();
         QueryRegion::at_instant(g, t)
+    }
+
+    /// A filter-only index's candidates with their search statistics.
+    fn candidates_with_stats(
+        idx: &MovingObjectIndex<u64>,
+        q: &QueryRegion,
+        n: &RouteNetwork,
+    ) -> (Vec<u64>, SearchStats) {
+        let mut out = Vec::new();
+        let stats = idx.candidates_into(q, n, |plane| Some(plane.clone()), &mut out);
+        (out, stats)
     }
 
     #[test]
@@ -451,43 +460,59 @@ mod tests {
     }
 
     /// A payload rides in the entry, filed or not: a hit hands over the
-    /// payload it carries, an entry without a plane stays in the table
-    /// but out of the tree, and moving an entry between the two keeps
-    /// one tree entry per filed key.
+    /// payload it carries and its plane is derived from that payload, an
+    /// entry without a plane stays in the table but out of the tree, and
+    /// moving an entry between the two keeps one tree entry per filed key.
     #[test]
     fn payloads_ride_in_the_entry_filed_or_not() {
+        type Named = (&'static str, Option<OPlane>);
+        fn put(
+            idx: &mut MovingObjectIndex<u64, Named>,
+            key: u64,
+            name: &'static str,
+            plane: Option<OPlane>,
+            route: &Route,
+        ) -> Result<(), IndexError> {
+            let filed = plane.clone();
+            idx.insert(key, (name, plane), filed.as_ref().map(|p| (p, route)))
+        }
         let r = route();
         let n = network();
-        let mut idx: MovingObjectIndex<u64, &str> = MovingObjectIndex::new(5.0);
-        idx.insert(1, "filed", Some((plane(0.0, 0.0), &r))).unwrap();
-        idx.insert(2, "held", None).unwrap();
+        let names = |idx: &MovingObjectIndex<u64, Named>| {
+            let mut seen = Vec::new();
+            idx.for_each_candidate(
+                &region(0.0, 100.0, 2.0),
+                &n,
+                |(_, plane)| plane.clone(),
+                |e| seen.push(e.value().0),
+            );
+            seen
+        };
+        let mut idx = MovingObjectIndex::new(5.0);
+        put(&mut idx, 1, "filed", Some(plane(0.0, 0.0)), &r).unwrap();
+        put(&mut idx, 2, "held", None, &r).unwrap();
         assert_eq!((idx.len(), idx.tree_stats().0), (2, 1));
-        assert_eq!(idx.get(&2), Some(&"held"));
-        let mut seen = Vec::new();
-        idx.for_each_candidate(&region(0.0, 100.0, 2.0), &n, |e| seen.push(*e.value()));
-        assert_eq!(seen, ["filed"]);
+        assert_eq!(idx.get(&2).map(|v| v.0), Some("held"));
+        assert_eq!(idx.entry(&2).unwrap().union(), None);
+        assert_eq!(names(&idx), ["filed"]);
 
         // Filed → held → filed again; the tree follows.
-        idx.insert(1, "unfiled", None).unwrap();
+        put(&mut idx, 1, "unfiled", None, &r).unwrap();
         assert_eq!((idx.len(), idx.tree_stats().0), (2, 0));
-        assert!(idx.candidates(&region(0.0, 100.0, 2.0), &n).is_empty());
-        idx.insert(2, "refiled", Some((plane(50.0, 0.0), &r)))
-            .unwrap();
-        assert_eq!(idx.candidates(&region(0.0, 100.0, 2.0), &n), vec![2]);
-        assert_eq!(idx.remove(&1).map(|e| *e.value()), Some("unfiled"));
-        assert_eq!((idx.len(), idx.tree_stats().0), (1, 1));
-        let mut values: Vec<_> = idx.values().copied().collect();
-        values.sort_unstable();
-        assert_eq!(values, ["refiled"]);
-
+        assert!(names(&idx).is_empty());
+        put(&mut idx, 2, "refiled", Some(plane(50.0, 0.0)), &r).unwrap();
         // A plane that cannot be decomposed changes nothing.
         let wrong =
             Route::from_vertices(RouteId(9), "w", vec![Point::ORIGIN, Point::new(1.0, 0.0)])
                 .unwrap();
-        assert!(idx
-            .insert(2, "bad", Some((plane(50.0, 0.0), &wrong)))
-            .is_err());
-        assert_eq!(idx.get(&2), Some(&"refiled"));
+        assert!(put(&mut idx, 2, "bad", Some(plane(50.0, 0.0)), &wrong).is_err());
+        assert_eq!(idx.get(&2).map(|v| v.0), Some("refiled"));
+        assert_eq!(names(&idx), ["refiled"]);
+        assert_eq!(idx.remove(&1).map(|e| e.value().0), Some("unfiled"));
+        assert_eq!((idx.len(), idx.tree_stats().0), (1, 1));
+        let values: Vec<_> = idx.values().map(|v| v.0).collect();
+        assert_eq!(values, ["refiled"]);
+        assert!(idx.entry(&2).unwrap().union().is_some());
     }
 
     #[test]
@@ -512,18 +537,19 @@ mod tests {
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         idx.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
         let q = region(0.0, 100.0, 2.0);
-        let (alloc, alloc_stats) = idx.candidates_with_stats(&q, &n);
+        let (alloc, alloc_stats) = candidates_with_stats(&idx, &q, &n);
+        assert_eq!(alloc, idx.candidates(&q, &n));
         let mut buf = Vec::new();
         for _ in 0..3 {
             buf.clear();
-            let stats = idx.candidates_into(&q, &n, &mut buf);
+            let stats = idx.candidates_into(&q, &n, |p| Some(p.clone()), &mut buf);
             assert_eq!(buf, alloc);
             assert_eq!(stats, alloc_stats);
         }
         // Appends after existing content, deduplicating only the tail.
         buf.clear();
         buf.push(999);
-        idx.candidates_into(&q, &n, &mut buf);
+        idx.candidates_into(&q, &n, |p| Some(p.clone()), &mut buf);
         assert_eq!(buf[0], 999);
         assert_eq!(&buf[1..], &alloc[..]);
     }
@@ -569,15 +595,16 @@ mod tests {
             region(0.0, 100.0, 9.0),
         ] {
             assert_eq!(
-                aliased.candidates_with_stats(&q, &n),
-                plain.candidates_with_stats(&q, &n)
+                candidates_with_stats(&aliased, &q, &n),
+                candidates_with_stats(&plain, &q, &n)
             );
         }
     }
 
     /// What an object costs does not depend on how far ahead its trip is
-    /// declared: the entry is the key, the payload, the plane and one
-    /// box, nothing per slab.
+    /// declared: the entry is the key, the payload and one box, nothing
+    /// per slab — and a filter-only entry, whose payload is the plane,
+    /// holds that plane once.
     #[test]
     fn stored_entry_size_is_independent_of_trip_length() {
         let r = route();
@@ -600,26 +627,26 @@ mod tests {
         idx.upsert(1u64, trip(6.0), &r).unwrap();
         idx.upsert(2u64, trip(600.0), &r).unwrap();
         assert_eq!(trip(600.0).to_boxes(&r, 5.0).unwrap().len(), 120);
-        // Both are an `Entry`, and a filter-only `Entry` is a key, a
-        // plane and a box (the "absent" plane costs nothing: it has a
-        // niche): no pointer in it means no heap behind it to grow with
-        // the trip.
+        // Both are an `Entry`, and a filter-only `Entry` is a key, the
+        // plane and a box (an unfiled entry is the empty box, not an
+        // `Option`): no pointer in it means no heap behind it to grow
+        // with the trip, and no second plane beside the payload.
         assert_eq!(
-            std::mem::size_of::<Entry<u64, ()>>(),
+            std::mem::size_of::<Entry<u64, OPlane>>(),
             std::mem::size_of::<u64>()
                 + std::mem::size_of::<OPlane>()
                 + std::mem::size_of::<Aabb3>()
         );
-        assert!(std::mem::size_of::<Entry<u64, ()>>() <= 128);
+        assert!(std::mem::size_of::<Entry<u64, OPlane>>() <= 128);
         // Both answer from the plane alone, at either end of the trip.
         assert_eq!(idx.candidates(&region(0.0, 5.0, 3.0), &n), vec![1, 2]);
         assert_eq!(idx.candidates(&region(50.0, 70.0, 599.0), &n), vec![2]);
     }
 
-    /// The one failure mode computing slab boxes at query time adds: the
-    /// filter cannot see the route. The hit stays a candidate — dropping
-    /// it would hide the object *and* the route error exact refinement
-    /// reports. (With the route resolved a slab box cannot fail: the
+    /// The failure modes computing slab boxes at query time adds: the
+    /// filter cannot see the route, or cannot derive the plane. The hit
+    /// stays a candidate — dropping it would hide the object *and* the
+    /// error exact refinement reports. (With the route resolved a slab box cannot fail: the
     /// slab duration was validated by `new` and the arcs are clamped to
     /// the route; `any_slab_intersects` refusing a wrong route
     /// is tested in `oplane.rs`, and the filter keeps that hit too.)
@@ -635,6 +662,10 @@ mod tests {
         assert!(idx.candidates(&q, &n).is_empty());
         // …unless the network has no such route: then it is kept.
         assert_eq!(idx.candidates(&q, &RouteNetwork::new()), vec![1]);
+        // So is a hit whose payload yields no plane.
+        let mut kept = Vec::new();
+        idx.candidates_into(&q, &n, |_| None, &mut kept);
+        assert_eq!(kept, vec![1]);
         // Outside the union box nothing is a tree hit, so nothing is kept
         // that the parent would not have tested.
         assert!(idx

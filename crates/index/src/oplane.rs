@@ -186,7 +186,7 @@ impl OPlane {
     /// Decomposes the o-plane into 3-D boxes covering it, one per time slab
     /// of at most `slab_duration` minutes.
     ///
-    /// The index never materialises this list — it keeps the plane and
+    /// The index never materialises this list — it files the plane and
     /// asks [`OPlane::union_box`] and [`OPlane::any_slab_intersects`],
     /// which walk the same slabs — so this is the reference the tests
     /// compare those two against.

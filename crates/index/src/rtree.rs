@@ -18,6 +18,12 @@
 //! `remove` and `update` first *locate* their entry read-only and then
 //! descend that one path, so looking into a subtree that turns out not
 //! to hold the entry — or failing to find it at all — copies nothing.
+//!
+//! **A node keeps at most one spare slot.** A node grows one slot at a
+//! time, and both halves of a split and a node that lost an entry give
+//! back what they no longer use, so the slots a fleet's tree allocates
+//! are its entries plus at most one per node — not the half-empty
+//! doubled buffers `Vec::push` would leave in every split leaf.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -159,7 +165,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     fn insert_rec(node: &mut Node<T>, bbox: Aabb3, value: T) -> Option<(Aabb3, Node<T>)> {
         match node {
             Node::Leaf(entries) => {
-                entries.push((bbox, value));
+                push_exact(entries, (bbox, value));
                 if entries.len() > MAX_ENTRIES {
                     let (left, right) = split_leaf(std::mem::take(entries));
                     *entries = left;
@@ -179,7 +185,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
                     }
                     Some((new_child_box, sibling)) => {
                         children[idx].0 = new_child_box;
-                        children.push((sibling.bbox(), Arc::new(sibling)));
+                        push_exact(children, (sibling.bbox(), Arc::new(sibling)));
                         if children.len() > MAX_ENTRIES {
                             let (left, right) = split_internal(std::mem::take(children));
                             *children = left;
@@ -270,12 +276,14 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         match node {
             Node::Leaf(entries) => {
                 entries.swap_remove(i);
+                trim(entries);
             }
             Node::Internal(children) => {
                 Self::remove_rec(Arc::make_mut(&mut children[i].1), rest, orphans);
                 if children[i].1.len() < MIN_ENTRIES {
                     // Condense: dissolve the underfull child.
                     let (_, child) = children.swap_remove(i);
+                    trim(children);
                     collect_entries(child, orphans);
                 } else {
                     children[i].0 = children[i].1.bbox();
@@ -343,6 +351,29 @@ impl<T: Clone + PartialEq> RStarTree<T> {
             total += 1;
         });
         (shared, total)
+    }
+
+    /// `(slots, used)`: how many entry slots the tree's nodes have
+    /// allocated, and how many of them hold an entry or a child — the
+    /// probe the footprint tests count with.
+    #[doc(hidden)]
+    pub fn node_slots(&self) -> (usize, usize) {
+        fn walk<T>(node: &Node<T>, slots: &mut (usize, usize)) {
+            match node {
+                Node::Leaf(es) => {
+                    slots.0 += es.capacity();
+                    slots.1 += es.len();
+                }
+                Node::Internal(cs) => {
+                    slots.0 += cs.capacity();
+                    slots.1 += cs.len();
+                    cs.iter().for_each(|(_, child)| walk(child, slots));
+                }
+            }
+        }
+        let mut slots = (0, 0);
+        walk(&self.root, &mut slots);
+        slots
     }
 
     /// All values whose boxes intersect `query` (duplicates possible when
@@ -451,6 +482,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
                 }
             }
             if !batch.is_empty() {
+                batch.shrink_to_fit();
                 next.push(Node::Internal(batch));
             }
             level = next;
@@ -571,8 +603,24 @@ fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Aabb3) -> (Vec<E>
             best_k = k;
         }
     }
-    let right = entries.split_off(best_k);
+    let mut right = entries.split_off(best_k);
+    entries.shrink_to_fit();
+    right.shrink_to_fit();
     (entries, right)
+}
+
+/// Appends `entry` to a node, growing it by exactly one slot when it is
+/// full (`Vec::push` would double it).
+fn push_exact<E>(slots: &mut Vec<E>, entry: E) {
+    slots.reserve_exact(1);
+    slots.push(entry);
+}
+
+/// Gives back all but one of the spare slots a node's removal left.
+fn trim<E>(slots: &mut Vec<E>) {
+    if slots.capacity() > slots.len() + 1 {
+        slots.shrink_to(slots.len() + 1);
+    }
 }
 
 /// A leaf's entry list, split in two.
@@ -871,6 +919,50 @@ mod tests {
         // The entry that is there still is.
         assert!(t.remove(&held, &87));
         assert!(t.shared_nodes_with(&pinned).0 < total);
+    }
+
+    /// A node keeps at most one spare slot — through 100 000 inserts and
+    /// their splits, a round of updates (in place and re-filed) and a
+    /// round of removals that condense leaves — so the tree's slots are
+    /// its entries and child links plus at most one per node.
+    #[test]
+    fn nodes_keep_at_most_one_spare_slot() {
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / (u32::MAX as f64) * 100.0
+        };
+        let n = 100_000;
+        let mut boxes: Vec<Aabb3> = (0..n).map(|_| cube(next(), next(), next(), 0.5)).collect();
+        let mut t = RStarTree::new();
+        for (i, b) in boxes.iter().enumerate() {
+            t.insert(*b, i);
+        }
+        let check = |t: &RStarTree<usize>, entries: usize| {
+            let (slots, used) = t.node_slots();
+            let nodes = t.node_count();
+            assert_eq!(used, entries + nodes - 1, "entries plus child links");
+            assert!(
+                slots <= used + nodes,
+                "{slots} slots for {used} entries and links in {nodes} nodes"
+            );
+        };
+        check(&t, n);
+        for i in (0..n).step_by(7) {
+            let old = boxes[i];
+            boxes[i] = if i % 2 == 0 {
+                Aabb3::new(old.min, [old.max[0] - 0.1, old.max[1], old.max[2]])
+            } else {
+                cube(next(), next(), next(), 0.5)
+            };
+            assert!(t.update(&old, &i, boxes[i], i));
+        }
+        for i in (0..n).step_by(5) {
+            assert!(t.remove(&boxes[i], &i));
+        }
+        check(&t, n - n / 5);
     }
 
     #[test]

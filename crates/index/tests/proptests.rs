@@ -460,7 +460,7 @@ proptest! {
         }
     }
 
-    /// The index keeps the plane, not its decomposition: what it reads
+    /// The index files the plane, not its decomposition: what it reads
     /// from the plane on demand must be what the decomposition holds.
     /// `union_box` is the fold of `to_boxes`'s boxes, and
     /// `any_slab_intersects(q)` is `any(|b| b.intersects(q))` over them —

@@ -9,10 +9,14 @@ use modb_sim::experiments::indexing::{
 };
 
 fn main() {
+    // The aged leg first: its resident-memory columns read the growth of
+    // a fresh heap, which a heap the larger fleets had already grown and
+    // freed would absorb.
+    eprintln!("running the aged leg: 5000 vehicles, 256 updates each");
+    let aged = run_aged_update(5_000, 256);
     let sizes = [1_000, 5_000, 20_000];
     eprintln!("running index-update experiment: fleets {sizes:?}");
     let rows = run_index_update(&sizes);
     println!("{}", index_update_table(&rows));
-    eprintln!("running the aged leg: 5000 vehicles, 256 updates each");
-    println!("{}", aged_update_table(&[run_aged_update(5_000, 256)]));
+    println!("{}", aged_update_table(&[aged]));
 }

@@ -361,6 +361,10 @@ pub struct AgedUpdateRow {
     pub n: usize,
     /// Updates applied to every vehicle before the aged round.
     pub rounds: usize,
+    /// What the fleet costs to hold: growth of the process's resident
+    /// memory across building the city database, per vehicle (`None`
+    /// where `/proc/self/statm` cannot be read).
+    pub loaded_bytes_per_vehicle: Option<f64>,
     /// Growth of the process's resident memory over those rounds, per
     /// vehicle (`None` where `/proc/self/statm` cannot be read).
     pub resident_bytes_per_vehicle: Option<f64>,
@@ -385,7 +389,9 @@ fn resident_bytes() -> Option<f64> {
 /// plane is a zero-length sliver, and a tree of slivers is another
 /// experiment).
 pub fn run_aged_update(n: usize, rounds: usize) -> AgedUpdateRow {
+    let empty = resident_bytes();
     let mut db = build_city_db(7, n, 20);
+    let loaded = resident_bytes();
     let mut ids: Vec<ObjectId> = db.moving_ids().collect();
     ids.sort_unstable();
     let round = |db: &mut Database, r: usize| -> Duration {
@@ -412,10 +418,13 @@ pub fn run_aged_update(n: usize, rounds: usize) -> AgedUpdateRow {
     let after = resident_bytes();
     let aged = round(&mut db, rounds);
     let per_update = |d: Duration| d.as_secs_f64() * 1e6 / n as f64;
+    let per_vehicle =
+        |from: Option<f64>, to: Option<f64>| from.zip(to).map(|(b, a)| (a - b) / n as f64);
     AgedUpdateRow {
         n,
         rounds,
-        resident_bytes_per_vehicle: before.zip(after).map(|(b, a)| (a - b) / n as f64),
+        loaded_bytes_per_vehicle: per_vehicle(empty, loaded),
+        resident_bytes_per_vehicle: per_vehicle(before, after),
         fresh_us_per_update: per_update(fresh),
         aged_us_per_update: per_update(aged),
     }
@@ -426,11 +435,12 @@ pub fn aged_update_table(rows: &[AgedUpdateRow]) -> String {
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
+            let bytes = |b: Option<f64>| b.map_or("n/a".to_string(), |b| format!("{b:.0}"));
             vec![
                 r.n.to_string(),
                 r.rounds.to_string(),
-                r.resident_bytes_per_vehicle
-                    .map_or("n/a".to_string(), |b| format!("{b:.0}")),
+                bytes(r.loaded_bytes_per_vehicle),
+                bytes(r.resident_bytes_per_vehicle),
                 fmt(r.fresh_us_per_update),
                 fmt(r.aged_us_per_update),
             ]
@@ -441,6 +451,7 @@ pub fn aged_update_table(rows: &[AgedUpdateRow]) -> String {
         &[
             "fleet",
             "updates",
+            "loaded B/vehicle",
             "resident B/vehicle",
             "us/update fresh",
             "us/update aged",
@@ -533,7 +544,8 @@ mod tests {
         let row = run_aged_update(200, 4);
         assert_eq!((row.n, row.rounds), (200, 4));
         assert!(row.fresh_us_per_update > 0.0 && row.aged_us_per_update > 0.0);
-        assert!(aged_update_table(&[row]).contains("resident B/vehicle"));
+        let table = aged_update_table(&[row]);
+        assert!(table.contains("loaded B/vehicle") && table.contains("resident B/vehicle"));
     }
 
     #[test]
