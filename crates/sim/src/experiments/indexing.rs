@@ -224,9 +224,12 @@ pub struct MayMustResult {
 pub fn run_may_must(n_objects: usize, n_queries: usize, t: f64) -> MayMustResult {
     let db = build_city_db(123, n_objects, 20);
     let mut rng = StdRng::seed_from_u64(321);
-    // Ground truth: a concrete arc for every object, inside its interval.
+    // Ground truth: a concrete arc for every object, inside its interval,
+    // drawn in id order (the id map iterates in a per-process hash order).
+    let mut ids: Vec<ObjectId> = db.moving_ids().collect();
+    ids.sort_unstable();
     let mut actual: Vec<(ObjectId, Point)> = Vec::with_capacity(n_objects);
-    for id in db.moving_ids() {
+    for id in ids {
         let ans = db.position_of(id, t).expect("known object");
         let (lo, hi) = ans.interval;
         let arc = if hi > lo { rng.gen_range(lo..hi) } else { lo };
@@ -309,7 +312,8 @@ pub fn run_index_update(sizes: &[usize]) -> Vec<IndexUpdateRow> {
     for &n in sizes {
         for republish_every in F6_REPUBLISH_EVERY {
             let mut db = build_city_db(7, n, 20);
-            let ids: Vec<ObjectId> = db.moving_ids().collect();
+            let mut ids: Vec<ObjectId> = db.moving_ids().collect();
+            ids.sort_unstable();
             let mut published = republish_every.map(|every| (every, db.clone()));
             let mut copied = 0;
             let mut busy = Duration::ZERO;
