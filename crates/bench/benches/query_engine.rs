@@ -28,7 +28,7 @@ fn bench_quiet_reads(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             black_box(
-                db.range_query(&regions[i % regions.len()])
+                db.with_read(|d| d.range_query(&regions[i % regions.len()]))
                     .expect("ok")
                     .candidates,
             )
@@ -78,7 +78,7 @@ fn bench_contended_reads(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             black_box(
-                db.range_query(&regions[i % regions.len()])
+                db.with_read(|d| d.range_query(&regions[i % regions.len()]))
                     .expect("ok")
                     .candidates,
             )

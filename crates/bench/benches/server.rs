@@ -51,7 +51,7 @@ fn bench_shared_queries(c: &mut Criterion) {
     group.bench_function("within_point_shared_handle", |b| {
         b.iter(|| {
             black_box(
-                db.within_distance_of_point(Point::new(10.0, 10.0), 2.0, 3.0)
+                db.with_read(|d| d.within_distance_of_point(Point::new(10.0, 10.0), 2.0, 3.0))
                     .expect("ok")
                     .candidates,
             )
@@ -76,8 +76,10 @@ fn bench_query_language(c: &mut Criterion) {
     group.bench_function("parse_and_execute_range", |b| {
         b.iter(|| {
             black_box(
-                db.run_query("RETRIEVE OBJECTS INSIDE RECT (5, 5, 9, 9) AT TIME 3")
-                    .expect("ok"),
+                db.with_read(|d| {
+                    modb_query::run(d, "RETRIEVE OBJECTS INSIDE RECT (5, 5, 9, 9) AT TIME 3")
+                })
+                .expect("ok"),
             )
         })
     });

@@ -65,12 +65,6 @@ impl PolicyDescriptor {
             PolicyDescriptor::Unbounded => (v * t, (v_max - v).max(0.0) * t),
         }
     }
-
-    /// `true` when the object can be indexed with an o-plane (cost-based
-    /// policies only; others are answered by exact scan).
-    pub fn is_cost_based(&self) -> bool {
-        matches!(self, PolicyDescriptor::CostBased { .. })
-    }
 }
 
 /// The position attribute of a mobile point object — the paper's seven
@@ -185,7 +179,6 @@ mod tests {
         let (bs, bf) = p.bounds_split(1.0, 1.5, 10.0);
         assert_eq!(bs, 2.0);
         assert_eq!(bf, 2.0);
-        assert!(!p.is_cost_based());
     }
 
     #[test]
@@ -193,8 +186,6 @@ mod tests {
         let p = PolicyDescriptor::Unbounded;
         assert_eq!(p.deviation_bound(1.0, 1.5, 3.0), 3.0);
         assert_eq!(p.deviation_bound(0.2, 1.5, 3.0), 1.3 * 3.0);
-        assert!(!p.is_cost_based());
-        assert!(CB.is_cost_based());
     }
 
     #[test]

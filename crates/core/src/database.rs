@@ -231,15 +231,6 @@ impl Database {
             .min_by_key(|o| o.id)
     }
 
-    /// Finds a stationary object by name; of several sharing one, the one
-    /// with the smallest id (see [`Database::find_moving_by_name`]).
-    pub fn find_stationary_by_name(&self, name: &str) -> Option<&StationaryObject> {
-        self.stationary
-            .values()
-            .filter(|o| o.name == name)
-            .min_by_key(|o| o.id)
-    }
-
     /// Registers a stationary landmark.
     ///
     /// # Errors
@@ -294,21 +285,6 @@ impl Database {
         self.set_unindexed(id, false);
         // Copies still holding the entry keep it; take it when unshared.
         Ok(Arc::try_unwrap(entry).map_or_else(|shared| shared.value().clone(), Entry::into_value))
-    }
-
-    /// Removes every moving object whose known trip end `Z` has passed
-    /// (§4.2's cutoff): returns the removed ids. Housekeeping to run
-    /// periodically so ended trips stop occupying the index.
-    pub fn expire_trips(&mut self, now: f64) -> Vec<ObjectId> {
-        let expired: Vec<ObjectId> = self
-            .moving_objects()
-            .filter(|o| o.trip_end.is_some_and(|z| z < now))
-            .map(|o| o.id)
-            .collect();
-        for id in &expired {
-            let _ = self.remove_moving(*id);
-        }
-        expired
     }
 
     /// Adds `id` to, or drops it from, the unindexed set — touching the
@@ -613,28 +589,13 @@ impl Database {
         Ok(answer)
     }
 
-    /// Exact refinement of one pre-filtered candidate: the object's
-    /// uncertainty interval against the region's polygon over its time
-    /// span (Theorems 5–6). `None` means certainly outside.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownObject`] and route/geometry failures.
-    pub fn classify_candidate(
-        &self,
-        id: ObjectId,
-        region: &QueryRegion,
-    ) -> Result<Option<Containment>, CoreError> {
-        self.classify(self.moving(id)?, region)
-    }
-
     /// Refines a slice of pre-filtered candidates into `(must, may)` id
     /// sets (unsorted — the caller merges and normalizes): the refine
     /// step of [`Database::range_query`] on its own, `&self` only.
     ///
     /// # Errors
     ///
-    /// Same as [`Database::classify_candidate`].
+    /// [`CoreError::UnknownObject`] and route/geometry failures.
     pub fn refine_slice(
         &self,
         candidates: &[ObjectId],
@@ -1016,15 +977,9 @@ mod tests {
             may.sort_unstable();
             assert_eq!(must, full.must, "x=[{x0},{x1}] t={t}");
             assert_eq!(may, full.may, "x=[{x0},{x1}] t={t}");
-            // Per-candidate classification agrees with set membership.
-            for &id in &candidates {
-                let c = db.classify_candidate(id, &region).unwrap();
-                assert_eq!(c == Some(Containment::Must), full.must.contains(&id));
-                assert_eq!(c == Some(Containment::May), full.may.contains(&id));
-            }
         }
         assert!(matches!(
-            db.classify_candidate(ObjectId(99), &rect_region(0.0, 1.0, 0.0)),
+            db.refine_slice(&[ObjectId(99)], &rect_region(0.0, 1.0, 0.0)),
             Err(CoreError::UnknownObject(_))
         ));
     }
@@ -1142,39 +1097,10 @@ mod tests {
     }
 
     #[test]
-    fn expire_trips_removes_ended_objects() {
-        let mut a = object(1, 10.0, 1.0);
-        a.trip_end = Some(5.0);
-        let mut b = object(2, 20.0, 1.0);
-        b.trip_end = Some(50.0);
-        let c = object(3, 30.0, 1.0); // no known end
-        let mut db = db_with(vec![a, b, c]);
-        let expired = db.expire_trips(10.0);
-        assert_eq!(expired, vec![ObjectId(1)]);
-        assert_eq!(db.moving_count(), 2);
-        // Queries no longer see the expired object.
-        let ans = db.range_query(&rect_region(0.0, 100.0, 10.0)).unwrap();
-        assert!(!ans.all().contains(&ObjectId(1)));
-        // Nothing else expires yet.
-        assert!(db.expire_trips(20.0).is_empty());
-    }
-
-    #[test]
     fn find_by_name() {
-        let mut db = db_with(vec![object(1, 10.0, 1.0)]);
-        db.insert_stationary(StationaryObject::new(
-            ObjectId(50),
-            "depot",
-            Point::new(0.0, 0.0),
-        ))
-        .unwrap();
+        let db = db_with(vec![object(1, 10.0, 1.0)]);
         assert_eq!(db.find_moving_by_name("veh-1").unwrap().id, ObjectId(1));
         assert!(db.find_moving_by_name("ghost").is_none());
-        assert_eq!(
-            db.find_stationary_by_name("depot").unwrap().id,
-            ObjectId(50)
-        );
-        assert!(db.find_stationary_by_name("nowhere").is_none());
     }
 
     /// A shared name resolves to the smallest id, in every copy of the
@@ -1189,22 +1115,12 @@ mod tests {
         };
         let mut db = db_with((10..26).rev().map(|id| named(id, "dup")).collect());
         db.register_moving(named(3, "solo")).unwrap();
-        for (id, name) in [(60, "depot"), (51, "depot"), (55, "depot")] {
-            db.insert_stationary(StationaryObject::new(ObjectId(id), name, Point::ORIGIN))
-                .unwrap();
-        }
-        let stationary: Vec<_> = db.stationary_objects().cloned().collect();
         for _ in 0..16 {
             let moving = db.moving_objects().cloned().collect();
             let copy =
-                Database::from_parts(db.network_arc(), *db.config(), stationary.clone(), moving)
-                    .unwrap();
+                Database::from_parts(db.network_arc(), *db.config(), Vec::new(), moving).unwrap();
             assert_eq!(copy.find_moving_by_name("dup").unwrap().id, ObjectId(10));
             assert_eq!(copy.find_moving_by_name("solo").unwrap().id, ObjectId(3));
-            assert_eq!(
-                copy.find_stationary_by_name("depot").unwrap().id,
-                ObjectId(51)
-            );
         }
         // The rule is the id, not registration order: object 10 was
         // registered last of the sixteen.

@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn conversions_and_display() {
         use std::error::Error;
-        let e: CoreError = RouteError::EmptyNetwork.into();
+        let e: CoreError = RouteError::UnknownRoute(modb_routes::RouteId(7)).into();
         assert!(e.source().is_some());
         assert!(e.to_string().contains("route error"));
         let e = CoreError::OffRoute {

@@ -18,10 +18,10 @@
 //! identical answers; the benchmarks measure the sublinearity gap.
 //!
 //! One record per vehicle: the object table *is* the time-space index —
-//! one entry per moving object, holding the object and its o-plane,
-//! shared by the id map and the tree's leaf — and the DBMS keeps the
-//! attribute in force only, as the paper's does (§2); the past is not
-//! served. The table is a *persistent* store in the functional sense: a
+//! one entry per moving object, holding the object (its o-plane is
+//! derived from it), shared by the id map and the tree's leaf — and the
+//! DBMS keeps the attribute in force only, as the paper's does (§2); the
+//! past is not served. The table is a *persistent* store in the functional sense: a
 //! path-copying tree and map, so [`Database::clone`] is O(1) and a clone
 //! shares everything no write has touched since. `modb-server` gives each
 //! statement and each snapshot a clone; there is no change log and no
@@ -35,7 +35,6 @@ mod error;
 mod nearest;
 mod object;
 mod query;
-mod route_distance_query;
 mod update;
 
 pub use attr::{PolicyDescriptor, PositionAttribute};

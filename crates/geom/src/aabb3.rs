@@ -146,13 +146,6 @@ impl Aabb3 {
             (self.min[2] + self.max[2]) * 0.5,
         ]
     }
-
-    /// Squared Euclidean distance between the centers of two boxes.
-    pub fn center_distance_sq(&self, other: &Aabb3) -> f64 {
-        let a = self.center();
-        let b = other.center();
-        (0..3).map(|i| (a[i] - b[i]) * (a[i] - b[i])).sum()
-    }
 }
 
 #[cfg(test)]
@@ -222,8 +215,6 @@ mod tests {
         let a = b([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]);
         assert_eq!(a.margin(), 6.0);
         assert_eq!(a.center(), [0.5, 1.0, 1.5]);
-        let c = b([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]);
-        assert_eq!(a.center_distance_sq(&c), 1.5 * 1.5 + 1.0 + 0.25);
     }
 
     #[test]

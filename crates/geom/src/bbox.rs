@@ -115,17 +115,6 @@ impl Rect {
             (self.min.y + self.max.y) * 0.5,
         )
     }
-
-    /// Rectangle grown by `margin` on every side.
-    pub fn inflate(&self, margin: f64) -> Rect {
-        if self.is_empty() {
-            return *self;
-        }
-        Rect {
-            min: Point::new(self.min.x - margin, self.min.y - margin),
-            max: Point::new(self.max.x + margin, self.max.y + margin),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -198,12 +187,5 @@ mod tests {
         assert_eq!(r.height(), 5.0);
         assert_eq!(r.area(), 30.0);
         assert_eq!(r.center(), Point::new(1.0, 2.5));
-    }
-
-    #[test]
-    fn inflate_grows_box() {
-        let r = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)).inflate(0.5);
-        assert_eq!(r.min, Point::new(-0.5, -0.5));
-        assert_eq!(r.max, Point::new(1.5, 1.5));
     }
 }

@@ -30,7 +30,6 @@ mod point;
 mod polygon;
 mod polyline;
 mod segment;
-mod simplify;
 
 pub use aabb3::Aabb3;
 pub use bbox::Rect;
@@ -39,4 +38,3 @@ pub use point::{Point, EPS};
 pub use polygon::Polygon;
 pub use polyline::Polyline;
 pub use segment::{intersection_params, orient, segments_intersect, Segment};
-pub use simplify::simplify;

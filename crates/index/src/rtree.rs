@@ -385,25 +385,8 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         out
     }
 
-    /// Like [`RStarTree::query_intersecting`] but also reports search
-    /// statistics.
-    pub fn query_with_stats(&self, query: &Aabb3) -> (Vec<T>, SearchStats) {
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        Self::search_rec(&self.root, query, &mut |v| out.push(v.clone()), &mut stats);
-        (out, stats)
-    }
-
     /// Visits every value whose box intersects `query` without allocating
-    /// a result vector.
-    pub fn for_each_intersecting<F: FnMut(&T)>(&self, query: &Aabb3, mut f: F) {
-        let mut stats = SearchStats::default();
-        Self::search_rec(&self.root, query, &mut f, &mut stats);
-    }
-
-    /// Like [`RStarTree::for_each_intersecting`], returning the search
-    /// statistics — the allocation-free analogue of
-    /// [`RStarTree::query_with_stats`].
+    /// a result vector, and returns the search statistics.
     pub fn for_each_with_stats<F: FnMut(&T)>(&self, query: &Aabb3, mut f: F) -> SearchStats {
         let mut stats = SearchStats::default();
         Self::search_rec(&self.root, query, &mut f, &mut stats);
@@ -826,8 +809,9 @@ mod tests {
             let f = i as f64;
             t.insert(cube(f % 71.0, (f * 0.61) % 67.0, (f * 0.37) % 59.0, 0.5), i);
         }
-        let (hits, stats) = t.query_with_stats(&cube(10.0, 10.0, 10.0, 2.0));
-        assert_eq!(stats.matches, hits.len());
+        let mut hits = 0;
+        let stats = t.for_each_with_stats(&cube(10.0, 10.0, 10.0, 2.0), |_| hits += 1);
+        assert_eq!(stats.matches, hits);
         assert!(
             stats.nodes_visited < t.node_count() / 4,
             "visited {} of {} nodes",
@@ -972,7 +956,8 @@ mod tests {
             t.insert(cube(i as f64, 0.0, 0.0, 0.5), i);
         }
         let mut n = 0;
-        t.for_each_intersecting(&Aabb3::new([0.0, 0.0, 0.0], [9.9, 1.0, 1.0]), |_| n += 1);
-        assert_eq!(n, 10);
+        let stats =
+            t.for_each_with_stats(&Aabb3::new([0.0, 0.0, 0.0], [9.9, 1.0, 1.0]), |_| n += 1);
+        assert_eq!((n, stats.matches), (10, 10));
     }
 }

@@ -67,23 +67,43 @@ impl QueryRegion {
         Aabb3::from_rect_time(&self.polygon.bbox(), self.t0, self.t1)
     }
 
+    /// How many instants [`QueryRegion::refinement_times`] evaluates at
+    /// most for `sample_dt`: one for an instant, else the two endpoints
+    /// and a sample every `sample_dt` minutes between them (endpoints
+    /// only for a step that is not a positive number). Saturates at
+    /// `usize::MAX`, so a caller can bound the work of a span before
+    /// asking for its samples.
+    pub fn refinement_samples(&self, sample_dt: f64) -> usize {
+        if self.is_instant() {
+            return 1;
+        }
+        let steps = if sample_dt.is_finite() && sample_dt > 0.0 {
+            ((self.t1 - self.t0) / sample_dt).ceil()
+        } else {
+            1.0
+        };
+        (steps as usize).saturating_add(1)
+    }
+
     /// Time instants at which exact refinement should evaluate uncertainty
     /// intervals: the endpoints plus interior samples every
-    /// `sample_dt` minutes for interval queries.
+    /// `sample_dt` minutes for interval queries. Sample `i` is
+    /// `t0 + i·sample_dt`, so the count is fixed by the span
+    /// ([`QueryRegion::refinement_samples`]) at any magnitude of `t0`;
+    /// samples that round to the same `f64` are returned once.
     pub fn refinement_times(&self, sample_dt: f64) -> Vec<f64> {
+        let mut ts = vec![self.t0];
         if self.is_instant() {
-            return vec![self.t0];
+            return ts;
         }
-        let dt = if sample_dt.is_finite() && sample_dt > 0.0 {
-            sample_dt
-        } else {
-            self.t1 - self.t0
-        };
-        let mut ts = Vec::new();
-        let mut t = self.t0;
-        while t < self.t1 {
-            ts.push(t);
-            t += dt;
+        for i in 1..self.refinement_samples(sample_dt) - 1 {
+            let t = self.t0 + i as f64 * sample_dt;
+            if t >= self.t1 {
+                break;
+            }
+            if t > ts[ts.len() - 1] {
+                ts.push(t);
+            }
         }
         ts.push(self.t1);
         ts
@@ -132,6 +152,28 @@ mod tests {
         // Degenerate sample step falls back to endpoints.
         let ts = q.refinement_times(0.0);
         assert_eq!(ts, vec![6.0, 8.0]);
+        assert_eq!(q.refinement_samples(0.0), 2);
+        // A span that is not a whole number of steps ends on t1.
+        let q = QueryRegion::during(square(), 6.0, 8.5);
+        assert_eq!(q.refinement_times(1.0), vec![6.0, 7.0, 8.0, 8.5]);
+        assert_eq!(q.refinement_samples(1.0), 4);
+    }
+
+    /// Near t = 1e17 adjacent floats are 16 apart, so a step of one
+    /// minute added to a running time never moves it; counting the
+    /// samples from the span ends, and those that round together are
+    /// kept once.
+    #[test]
+    fn sampling_terminates_at_any_magnitude() {
+        let q = QueryRegion::during(square(), 1e17, 1e17 + 16.0);
+        assert_eq!(q.refinement_samples(1.0), 17);
+        let ts = q.refinement_times(1.0);
+        assert!(ts.len() <= 18, "{} samples", ts.len());
+        assert_eq!((ts[0], ts[ts.len() - 1]), (1e17, 1e17 + 16.0));
+        assert!(ts.windows(2).all(|w| w[0] < w[1]), "{ts:?}");
+        // An unbounded span counts as too many to sample.
+        let q = QueryRegion::during(square(), 0.0, f64::INFINITY);
+        assert_eq!(q.refinement_samples(1.0), usize::MAX);
     }
 
     #[test]

@@ -7,6 +7,12 @@ use std::fmt;
 
 use crate::ast::{ObjectRef, Query, RegionSpec, TimeSpec};
 
+/// The most instants one range statement may refine each candidate at:
+/// about a week of `DURING` span at the default one-minute step. A
+/// longer span is refused rather than sampled for minutes or hours on
+/// the session thread that runs it.
+const MAX_REFINEMENT_SAMPLES: usize = 10_000;
+
 /// Evaluation failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
@@ -99,7 +105,14 @@ fn resolve(db: &Database, obj: &ObjectRef) -> Result<ObjectId, ExecError> {
     }
 }
 
-fn build_region(region: &RegionSpec, time: TimeSpec) -> Result<QueryRegion, ExecError> {
+/// The query region of a range statement: its polygon over its time
+/// span, which must be finite and need at most [`MAX_REFINEMENT_SAMPLES`]
+/// refinement instants at the database's step.
+fn build_region(
+    db: &Database,
+    region: &RegionSpec,
+    time: TimeSpec,
+) -> Result<QueryRegion, ExecError> {
     let polygon = match region {
         RegionSpec::Polygon(pts) => {
             Polygon::new(pts.clone()).map_err(|e| ExecError::InvalidRegion(e.to_string()))?
@@ -115,10 +128,27 @@ fn build_region(region: &RegionSpec, time: TimeSpec) -> Result<QueryRegion, Exec
             Polygon::rectangle(&r).map_err(|e| ExecError::InvalidRegion(e.to_string()))?
         }
     };
-    Ok(match time {
+    let region = match time {
         TimeSpec::At(t) => QueryRegion::at_instant(polygon, t),
         TimeSpec::During(t0, t1) => QueryRegion::during(polygon, t0, t1),
-    })
+    };
+    if !(region.t0().is_finite() && region.t1().is_finite()) {
+        return Err(ExecError::InvalidRegion(format!(
+            "time {} .. {} is not finite",
+            region.t0(),
+            region.t1()
+        )));
+    }
+    let step = db.config().refinement_dt;
+    if region.refinement_samples(step) > MAX_REFINEMENT_SAMPLES {
+        return Err(ExecError::InvalidRegion(format!(
+            "time span {} .. {} needs more than {MAX_REFINEMENT_SAMPLES} refinement \
+             samples at {step}-minute steps",
+            region.t0(),
+            region.t1()
+        )));
+    }
+    Ok(region)
 }
 
 /// Executes a parsed query against the database.
@@ -133,7 +163,7 @@ pub fn execute(db: &Database, query: &Query) -> Result<QueryResult, ExecError> {
             Ok(QueryResult::Position(db.position_of(id, *at)?))
         }
         Query::Range { region, time } => {
-            let region = build_region(region, *time)?;
+            let region = build_region(db, region, *time)?;
             Ok(QueryResult::Range(db.range_query(&region)?))
         }
         Query::WithinPoint { center, radius, at } => Ok(QueryResult::Range(
@@ -310,6 +340,28 @@ mod tests {
             run(&d, "garbage"),
             Err(crate::QueryError::Parse(_))
         ));
+    }
+
+    /// A time bound the lexer reads as infinite, or a span too long to
+    /// sample, is refused before any refinement runs; a week still runs.
+    #[test]
+    fn unsampleable_time_spans_are_refused() {
+        let d = db();
+        for stmt in [
+            "RETRIEVE OBJECTS INSIDE RECT (0, -1, 40, 1) DURING 0 TO 1e400",
+            "RETRIEVE OBJECTS INSIDE RECT (0, -1, 40, 1) AT TIME 1e400",
+            "RETRIEVE OBJECTS INSIDE RECT (0, -1, 40, 1) DURING 0 TO 200000000",
+        ] {
+            assert!(
+                matches!(
+                    run(&d, stmt),
+                    Err(crate::QueryError::Exec(ExecError::InvalidRegion(_)))
+                ),
+                "{stmt}"
+            );
+        }
+        let week = "RETRIEVE OBJECTS INSIDE RECT (0, -1, 40, 1) DURING 0 TO 9999";
+        assert!(run(&d, week).is_ok());
     }
 
     #[test]

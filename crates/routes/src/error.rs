@@ -12,9 +12,6 @@ pub enum RouteError {
     UnknownRoute(RouteId),
     /// A route with this id already exists in the network.
     DuplicateRoute(RouteId),
-    /// The network contains no routes, so nearest-route queries are
-    /// undefined.
-    EmptyNetwork,
     /// Underlying geometric failure (degenerate polyline etc.).
     Geom(GeomError),
     /// A generator was asked for an impossible configuration (e.g. a 0×0
@@ -27,7 +24,6 @@ impl fmt::Display for RouteError {
         match self {
             RouteError::UnknownRoute(id) => write!(f, "unknown route {id:?}"),
             RouteError::DuplicateRoute(id) => write!(f, "duplicate route {id:?}"),
-            RouteError::EmptyNetwork => write!(f, "route network is empty"),
             RouteError::Geom(e) => write!(f, "geometry error: {e}"),
             RouteError::InvalidGenerator(msg) => write!(f, "invalid generator config: {msg}"),
         }
@@ -60,6 +56,6 @@ mod tests {
         assert!(e.to_string().contains("unknown route"));
         let g: RouteError = GeomError::ZeroLength.into();
         assert!(g.source().is_some());
-        assert!(RouteError::EmptyNetwork.source().is_none());
+        assert!(RouteError::DuplicateRoute(RouteId(7)).source().is_none());
     }
 }

@@ -5,10 +5,11 @@
 //!
 //! - [`Route`]: a line spatial object with arc-length addressing and a
 //!   travel [`Direction`] (the paper's binary `P.direction`).
-//! - [`RouteNetwork`]: the route database, with id lookup, nearest-route
-//!   projection (map matching), and the paper's route-distance semantics —
-//!   including the infinite cross-route distance that forces an update on
-//!   route change (§3.1).
+//! - [`RouteNetwork`]: the route database, with id lookup and the paper's
+//!   route-distance semantics — including the infinite cross-route
+//!   distance that forces an update on route change (§3.1). Map matching
+//!   projects a reported point onto the object's own route
+//!   ([`Route::locate`]).
 //! - [`generators`]: synthetic grid / radial / winding networks standing in
 //!   for real map data (see DESIGN.md, substitution table).
 
@@ -16,11 +17,9 @@
 
 mod error;
 pub mod generators;
-mod junctions;
 mod network;
 mod route;
 
 pub use error::RouteError;
-pub use junctions::{find_junctions, Junction};
 pub use network::{RouteNetwork, RoutePosition};
 pub use route::{Direction, Route, RouteId};

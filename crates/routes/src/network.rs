@@ -111,24 +111,6 @@ impl RouteNetwork {
         Ok(self.get(a.route)?.route_distance(a.arc, b.arc))
     }
 
-    /// The route closest to a free (x, y) point, with the projection:
-    /// `(route id, arc distance, euclidean distance)`. Linear scan over
-    /// routes — map-matching is a preprocessing step, not a hot path.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::EmptyNetwork`] when there are no routes.
-    pub fn nearest_route(&self, p: Point) -> Result<(RouteId, f64, f64), RouteError> {
-        let mut best: Option<(RouteId, f64, f64)> = None;
-        for r in &self.routes {
-            let (arc, dist) = r.locate(p);
-            if best.is_none_or(|(_, _, bd)| dist < bd) {
-                best = Some((r.id(), arc, dist));
-            }
-        }
-        best.ok_or(RouteError::EmptyNetwork)
-    }
-
     /// Bounding box of the whole network (empty rect for no routes).
     pub fn bbox(&self) -> Rect {
         self.routes
@@ -229,26 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn nearest_route_projection() {
-        let n = two_route_network();
-        // Closer to the horizontal route.
-        let (id, arc, dist) = n.nearest_route(Point::new(3.0, 0.5)).unwrap();
-        assert_eq!(id, RouteId(1));
-        assert_eq!(arc, 3.0);
-        assert_eq!(dist, 0.5);
-        // Closer to the vertical route.
-        let (id, arc, dist) = n.nearest_route(Point::new(5.2, 6.0)).unwrap();
-        assert_eq!(id, RouteId(2));
-        assert_eq!(arc, 5.0);
-        assert!((dist - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_network_errors() {
         let n = RouteNetwork::new();
         assert!(matches!(
-            n.nearest_route(Point::new(0.0, 0.0)),
-            Err(RouteError::EmptyNetwork)
+            n.get(RouteId(1)),
+            Err(RouteError::UnknownRoute(RouteId(1)))
         ));
         assert!(n.bbox().is_empty());
     }

@@ -11,8 +11,8 @@
 //! - **Range / within-point** queries are broadcast and the per-shard
 //!   may/must sets merged. Placement is only a locality *hint* (objects
 //!   move after assignment), so the router never prunes the fan-out —
-//!   pruning is what the [`crate::cluster::CostModel`] prices, not what
-//!   the router risks correctness on.
+//!   pruning is what experiment W6 prices, not what the router risks
+//!   correctness on.
 //! - **k-nearest** is broadcast with the ranking widened to every
 //!   object, the per-shard neighbour pools concatenated, and the final
 //!   ranking recomputed router-side — bit-identical to a single node

@@ -2,8 +2,8 @@
 //!
 //! A cluster partitions the fleet across N `modb-server` processes. The
 //! *shard key* decides the home shard of each object — and thereby the
-//! network, disk, and skew profile of the whole deployment (scored by
-//! [`crate::cluster::CostModel`]). Two strategies, per the mongodb-d4
+//! network, disk, and skew profile of the whole deployment (experiment
+//! W6 scores both). Two strategies, per the mongodb-d4
 //! tradition of evaluating candidate designs rather than decreeing one:
 //!
 //! - **Hash of object id**: placement is uniform and queryable from the
@@ -115,9 +115,9 @@ impl ShardMap {
         }
     }
 
-    /// Shards whose region intersects `rect`, for the cost model's
-    /// fan-out estimate of a spatial range query (hash maps return all
-    /// shards — ids carry no spatial information). Placement is a
+    /// Shards whose region intersects `rect`, for W6's fan-out estimate
+    /// of a spatial range query (hash maps return all shards — ids carry
+    /// no spatial information). Placement is a
     /// locality *hint*, not an invariant (objects move after
     /// assignment), so a correctness-preserving router still broadcasts;
     /// this prices the fan-out a drift-aware pruning router could reach.

@@ -719,7 +719,7 @@ mod tests {
         let durable = DurableDatabase::create(&dir, fresh_db(), WalOptions::default()).unwrap();
         durable.register_moving(vehicle(1, 10.0)).unwrap();
         let db = durable.database().clone();
-        let p = db.position_of(ObjectId(1), 2.0).unwrap();
+        let p = db.with_read(|d| d.position_of(ObjectId(1), 2.0)).unwrap();
         assert_eq!(p.arc, 12.0);
         durable
             .insert_route(

@@ -651,7 +651,7 @@ mod tests {
         });
         for _ in 0..50 {
             let r = db
-                .within_distance_of_point(Point::new(50.0, 0.0), 25.0, 2.0)
+                .with_read(|d| d.within_distance_of_point(Point::new(50.0, 0.0), 25.0, 2.0))
                 .unwrap();
             assert!(r.candidates <= 100);
         }

@@ -5,8 +5,9 @@
 //! This crate provides that service shape on top of `modb-core`:
 //!
 //! - [`SharedDatabase`]: a cloneable, thread-safe handle (readers–writer
-//!   locking via `parking_lot`) exposing the full query API, including the
-//!   `modb-query` text language.
+//!   locking via `parking_lot`): the write operations, and
+//!   [`SharedDatabase::with_read`] for a read under the lock. Served
+//!   statements read through [`QueryEngine`] instead.
 //! - [`IngestService`]: the write path for an asynchronous stream of
 //!   [`UpdateEnvelope`]s. It owns no thread: [`IngestHandle::send`] logs
 //!   and applies an update on the thread that received it, under one of
@@ -47,9 +48,8 @@
 //!   such servers — [`ShardMap`] key strategies (hash-of-id, spatial
 //!   regions), a scatter-gather [`ClusterRouter`] whose merged verdicts
 //!   match a single node holding the union fleet, remote ingest routed
-//!   to the owning shard with per-shard read-your-writes tokens, and a
-//!   [`CostModel`] scoring candidate maps against recorded workloads
-//!   (see the `cluster` module docs).
+//!   to the owning shard with per-shard read-your-writes tokens (see the
+//!   `cluster` module docs).
 
 #![warn(missing_docs)]
 
@@ -62,10 +62,7 @@ mod query_engine;
 mod replication;
 mod shared;
 
-pub use cluster::{
-    ClusterError, ClusterRouter, CostBreakdown, CostModel, RecordedWorkload, ShardKey, ShardMap,
-    WorkloadOp,
-};
+pub use cluster::{ClusterError, ClusterRouter, ShardKey, ShardMap};
 pub use durable::DurableDatabase;
 pub use ingest::{
     IngestClosed, IngestHandle, IngestService, IngestStats, IngestStatsSnapshot, PendingAck,

@@ -427,12 +427,12 @@ mod tests {
         let engine = QueryEngine::new(db.clone());
         for (x0, x1, t) in [(0.0, 50.0, 0.0), (10.0, 400.0, 5.0), (0.0, 1000.0, 2.0)] {
             let r = region(x0, x1, t);
-            let locked = db.range_query(&r).unwrap();
+            let locked = db.with_read(|d| d.range_query(&r)).unwrap();
             let snap = engine.range_query(&r).unwrap();
             assert_eq!(locked, snap, "x=[{x0},{x1}] t={t}");
         }
         let locked = db
-            .within_distance_of_point(Point::new(50.0, 0.0), 20.0, 1.0)
+            .with_read(|d| d.within_distance_of_point(Point::new(50.0, 0.0), 20.0, 1.0))
             .unwrap();
         let snap = engine
             .within_distance_of_point(Point::new(50.0, 0.0), 20.0, 1.0)
@@ -440,7 +440,7 @@ mod tests {
         assert_eq!(locked, snap);
         assert_eq!(
             engine.position_of(ObjectId(3), 2.0).unwrap(),
-            db.position_of(ObjectId(3), 2.0).unwrap()
+            db.with_read(|d| d.position_of(ObjectId(3), 2.0)).unwrap()
         );
     }
 
@@ -484,12 +484,14 @@ mod tests {
              RETRIEVE OBJECTS WITHIN 5 OF POINT (10, 0) AT TIME 0",
         );
         assert_eq!(results.len(), 4);
-        let expected = db.range_query(&region(0.0, 30.0, 0.0)).unwrap();
+        let expected = db
+            .with_read(|d| d.range_query(&region(0.0, 30.0, 0.0)))
+            .unwrap();
         assert_eq!(results[0].as_ref().unwrap().as_range().unwrap(), &expected);
         assert_eq!(results[1].as_ref().unwrap().as_position().unwrap().arc, 9.0);
         assert!(matches!(results[2], Err(QueryError::Parse(_))));
         let expected = db
-            .within_distance_of_point(Point::new(10.0, 0.0), 5.0, 0.0)
+            .with_read(|d| d.within_distance_of_point(Point::new(10.0, 0.0), 5.0, 0.0))
             .unwrap();
         assert_eq!(results[3].as_ref().unwrap().as_range().unwrap(), &expected);
         let stats = engine.stats();
@@ -632,7 +634,8 @@ mod tests {
         // The clone is the live tree, so it answers exactly like the
         // locked database, traversal statistics included.
         let r = region(0.0, 1000.0, 2.0);
-        assert_eq!(engine.range_query(&r).unwrap(), db.range_query(&r).unwrap());
+        let locked = db.with_read(|d| d.range_query(&r)).unwrap();
+        assert_eq!(engine.range_query(&r).unwrap(), locked);
     }
 
     /// A reader that pinned a clone keeps reading it, and keeps it alive,

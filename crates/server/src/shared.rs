@@ -3,22 +3,17 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use modb_core::{
-    CoreError, Database, MovingObject, ObjectId, PositionAnswer, RangeAnswer, StationaryObject,
-    UpdateMessage,
-};
-use modb_geom::Point;
-use modb_index::QueryRegion;
-use modb_query::{QueryError, QueryResult};
+use modb_core::{CoreError, Database, MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
 use modb_wal::{RecoveryReport, WalError};
 use parking_lot::RwLock;
 
 /// A cloneable, thread-safe handle to one moving-objects database.
 ///
-/// Queries take a read lock (many concurrent readers); updates take a
-/// write lock. The lock is held only for the duration of one operation —
-/// the underlying [`Database`] operations are all short (no I/O).
+/// Writes take the write lock for one operation — the underlying
+/// [`Database`] operations are all short (no I/O). Reads go through
+/// [`SharedDatabase::with_read`]; a served statement takes the read lock
+/// only to clone the database ([`crate::QueryEngine`]).
 #[derive(Debug, Clone)]
 pub struct SharedDatabase {
     inner: Arc<RwLock<Database>>,
@@ -116,56 +111,13 @@ impl SharedDatabase {
         self.inner.write().remove_moving(id)
     }
 
-    /// Position query with deviation bound.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::position_of`].
-    pub fn position_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
-        self.inner.read().position_of(id, t)
-    }
-
-    /// May/must range query via the time-space index.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::range_query`].
-    pub fn range_query(&self, region: &QueryRegion) -> Result<RangeAnswer, CoreError> {
-        self.inner.read().range_query(region)
-    }
-
-    /// Within-distance-of-point query.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::within_distance_of_point`].
-    pub fn within_distance_of_point(
-        &self,
-        center: Point,
-        radius: f64,
-        t: f64,
-    ) -> Result<RangeAnswer, CoreError> {
-        self.inner
-            .read()
-            .within_distance_of_point(center, radius, t)
-    }
-
-    /// Executes a textual query (the `modb-query` language).
-    ///
-    /// # Errors
-    ///
-    /// See [`modb_query::run`].
-    pub fn run_query(&self, src: &str) -> Result<QueryResult, QueryError> {
-        modb_query::run(&self.inner.read(), src)
-    }
-
     /// Number of moving objects.
     pub fn moving_count(&self) -> usize {
         self.inner.read().moving_count()
     }
 
-    /// Runs an arbitrary read-only closure against the database (escape
-    /// hatch for operations not mirrored here).
+    /// Runs a read-only closure against the database under the read
+    /// lock.
     pub fn with_read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.inner.read())
     }
@@ -190,6 +142,7 @@ impl SharedDatabase {
 mod tests {
     use super::*;
     use modb_core::{DatabaseConfig, PolicyDescriptor, PositionAttribute, UpdatePosition};
+    use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 
@@ -235,10 +188,12 @@ mod tests {
             &UpdateMessage::basic(2.0, UpdatePosition::Arc(12.0), 0.5),
         )
         .unwrap();
-        let p = db.position_of(ObjectId(1), 4.0).unwrap();
+        let p = db.with_read(|d| d.position_of(ObjectId(1), 4.0)).unwrap();
         assert_eq!(p.arc, 13.0);
         let r = db
-            .run_query("RETRIEVE OBJECTS WITHIN 5 OF POINT (13, 0) AT TIME 4")
+            .with_read(|d| {
+                modb_query::run(d, "RETRIEVE OBJECTS WITHIN 5 OF POINT (13, 0) AT TIME 4")
+            })
             .unwrap();
         assert_eq!(r.as_range().unwrap().all(), vec![ObjectId(1)]);
         db.remove_moving(ObjectId(1)).unwrap();
@@ -288,7 +243,9 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..200 {
                         let r = handle
-                            .within_distance_of_point(Point::new(50.0, 0.0), 30.0, 5.0)
+                            .with_read(|d| {
+                                d.within_distance_of_point(Point::new(50.0, 0.0), 30.0, 5.0)
+                            })
                             .unwrap();
                         assert!(r.candidates <= 20);
                     }

@@ -2,7 +2,8 @@
 //! byte-for-byte the verdicts a local `run_batch` produces, an acked
 //! update must be visible to every connection that reads after the ack,
 //! the stats scrape must round-trip every counter, capacity refusals
-//! must be clean, and a shutdown must drain an in-flight batch.
+//! must be clean, a statement too long to refine must be refused without
+//! harming the session, and a shutdown must drain an in-flight batch.
 
 mod common;
 
@@ -79,6 +80,32 @@ fn remote_batch_matches_local_run_batch() {
         .unwrap();
     assert_eq!(again.len(), 1);
     assert!(again[0].is_ok());
+    client.close();
+    server.shutdown();
+}
+
+/// A `DURING` bound the lexer reads as infinite, or a span of millions of
+/// refinement samples, would run the session thread out of memory or
+/// time — and a failed allocation aborts the process, every other
+/// session with it. Each is an error verdict instead, and the same
+/// connection goes on answering.
+#[test]
+fn an_unsampleable_time_span_is_an_error_verdict_and_the_session_lives() {
+    let (_durable, _engine, server) = serve("net-span", QueryServerConfig::default());
+    let mut client = QueryClient::connect(server.local_addr()).unwrap();
+    for stmt in [
+        "RETRIEVE OBJECTS INSIDE RECT (0, -1, 450, 1) DURING 0 TO 1e400",
+        "RETRIEVE OBJECTS INSIDE RECT (0, -1, 450, 1) DURING 0 TO 200000000",
+    ] {
+        let verdicts = client.batch(stmt).unwrap();
+        assert_eq!(verdicts.len(), 1, "{stmt}");
+        let err = verdicts[0].as_ref().unwrap_err();
+        assert!(err.contains("invalid query region"), "{stmt}: {err}");
+    }
+    let verdicts = client
+        .batch("RETRIEVE OBJECTS INSIDE RECT (0, -1, 450, 1) DURING 5 TO 7")
+        .unwrap();
+    assert!(verdicts[0].as_ref().unwrap().as_range().is_some());
     client.close();
     server.shutdown();
 }

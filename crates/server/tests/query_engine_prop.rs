@@ -252,19 +252,19 @@ proptest! {
             let r = region(x0, x1, t);
             prop_assert_eq!(
                 engine.range_query(&r).unwrap(),
-                db.range_query(&r).unwrap(),
+                db.with_read(|d| d.range_query(&r)).unwrap(),
                 "region x=[{x0},{x1}] t={t}"
             );
             prop_assert_eq!(
                 engine.within_distance_of_point(Point::new(x0, 0.0), 5.0, t).unwrap(),
-                db.within_distance_of_point(Point::new(x0, 0.0), 5.0, t).unwrap(),
+                db.with_read(|d| d.within_distance_of_point(Point::new(x0, 0.0), 5.0, t)).unwrap(),
                 "within x={x0} t={t}"
             );
         }
         for id in 0..spec.n_objects {
             prop_assert_eq!(
                 engine.position_of(ObjectId(id), 12.0).unwrap(),
-                db.position_of(ObjectId(id), 12.0).unwrap()
+                db.with_read(|d| d.position_of(ObjectId(id), 12.0)).unwrap()
             );
         }
     }

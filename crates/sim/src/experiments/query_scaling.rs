@@ -125,7 +125,7 @@ fn run_window(
                     i += 1;
                     let answer = match engine {
                         Some(e) => e.range_query(region),
-                        None => db.range_query(region),
+                        None => db.with_read(|d| d.range_query(region)),
                     };
                     answer.expect("range query succeeds");
                     count += 1;

@@ -6,9 +6,9 @@
 //! spatial key keeps local queries local but inherits the fleet's
 //! geography, good and bad. Following the database-design-advisor
 //! tradition (mongodb-d4), the experiment scores candidate
-//! [`modb_server::ShardMap`]s against *recorded workloads* with the
-//! normalized [`modb_server::CostModel`] (network fan-out, WAL
-//! imbalance, temporal skew) instead of decreeing a winner:
+//! [`modb_server::ShardMap`]s against workload traces on three
+//! normalized axes (network fan-out, WAL imbalance, temporal skew)
+//! instead of decreeing a winner:
 //!
 //! - **corridor-dispatch**: a commuter fleet spread along lanes, with
 //!   cross-corridor dispatch rectangles chasing the rush front — range
@@ -33,10 +33,7 @@ use modb_core::{
 use modb_geom::{Point, Rect};
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_server::{
-    ClusterRouter, CostModel, DurableDatabase, QueryEngine, QueryServerConfig, RecordedWorkload,
-    ShardMap, WorkloadOp,
-};
+use modb_server::{ClusterRouter, DurableDatabase, QueryEngine, QueryServerConfig, ShardMap};
 use modb_wal::{FsyncPolicy, WalOptions};
 
 use crate::report::{fmt, render_table};
@@ -49,66 +46,153 @@ fn frame() -> Rect {
     Rect::new(Point::new(0.0, 0.0), Point::new(FRAME_W, FRAME_H))
 }
 
-/// One scored (workload, shard map) cell.
+/// Time slices of a trace's span the skew term is measured in.
+const SKEW_SEGMENTS: usize = 9;
+
+/// One scored (workload, shard map) cell. Each score is in `[0, 1]`,
+/// lower is better.
 #[derive(Debug, Clone)]
 pub struct ShardingRow {
     /// Workload name.
     pub workload: &'static str,
     /// Shard-map label.
     pub map: String,
-    /// Mean fan-out fraction.
+    /// Mean fraction of the cluster an operation touches: one shard for
+    /// an update or a position lookup, every shard whose region a range
+    /// rectangle meets (all of them under a hash key).
     pub network: f64,
-    /// WAL imbalance.
+    /// Imbalance of the logged updates across shards — a skewed key
+    /// makes one shard's WAL the cluster's write bottleneck.
     pub disk: f64,
-    /// Temporal load skew.
+    /// Imbalance of all operations within each of nine equal slices of
+    /// the trace's span (`SKEW_SEGMENTS`), weighted by the slice's load:
+    /// a fleet balanced on average can still overload one shard every
+    /// rush hour.
     pub skew: f64,
-    /// Weighted total.
+    /// Mean of the three.
     pub total: f64,
+}
+
+/// One operation of a workload trace.
+enum Op {
+    /// A position update, routed to the reporting object's home shard
+    /// and logged there.
+    Update(ObjectId),
+    /// A position lookup, routed to the object's home shard.
+    Position(ObjectId),
+    /// A range query, sent to every shard whose region meets the
+    /// rectangle.
+    Range(Rect),
+}
+
+/// A workload trace: object `i`'s start position (where a spatial key
+/// places it) at `starts[i]`, and time-stamped operations.
+#[derive(Default)]
+struct Workload {
+    starts: Vec<Point>,
+    ops: Vec<(f64, Op)>,
+}
+
+/// `(max − mean) / (total − mean)`: 0 when every shard carries the
+/// same load, 1 when one shard carries all of it. No load, or a single
+/// shard, is balanced by definition.
+fn imbalance(per_shard: &[f64]) -> f64 {
+    let total: f64 = per_shard.iter().sum();
+    if total <= 0.0 || per_shard.len() < 2 {
+        return 0.0;
+    }
+    let mean = total / per_shard.len() as f64;
+    let max = per_shard.iter().cloned().fold(0.0, f64::max);
+    ((max - mean) / (total - mean)).clamp(0.0, 1.0)
+}
+
+/// Scores `map` against the trace `w` (see [`ShardingRow`] for the
+/// three axes).
+fn score(workload: &'static str, label: &str, map: &ShardMap, w: &Workload) -> ShardingRow {
+    let shards = map.shards();
+    let (t0, t1) = w
+        .ops
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &(t, _)| {
+            (lo.min(t), hi.max(t))
+        });
+    let segment = |t: f64| -> usize {
+        if t1 <= t0 {
+            0
+        } else {
+            (((t - t0) / (t1 - t0) * SKEW_SEGMENTS as f64) as usize).min(SKEW_SEGMENTS - 1)
+        }
+    };
+    let home = |id: ObjectId| map.assign(id, w.starts[id.0 as usize]);
+
+    let mut fanout_sum = 0.0;
+    let mut wal_per_shard = vec![0.0; shards];
+    let mut segment_loads = vec![vec![0.0; shards]; SKEW_SEGMENTS];
+    for (t, op) in &w.ops {
+        let touched = match op {
+            Op::Update(id) => {
+                let shard = home(*id);
+                wal_per_shard[shard] += 1.0;
+                vec![shard]
+            }
+            Op::Position(id) => vec![home(*id)],
+            Op::Range(rect) => map.shards_for_rect(rect),
+        };
+        fanout_sum += touched.len() as f64 / shards as f64;
+        let loads = &mut segment_loads[segment(*t)];
+        for s in touched {
+            loads[s] += 1.0;
+        }
+    }
+
+    let network = fanout_sum / w.ops.len().max(1) as f64;
+    let disk = imbalance(&wal_per_shard);
+    let weighted: f64 = segment_loads
+        .iter()
+        .map(|loads| imbalance(loads) * loads.iter().sum::<f64>())
+        .sum();
+    let load: f64 = segment_loads.iter().map(|l| l.iter().sum::<f64>()).sum();
+    let skew = weighted / load.max(1.0);
+    ShardingRow {
+        workload,
+        map: label.to_string(),
+        network,
+        disk,
+        skew,
+        total: (network + disk + skew) / 3.0,
+    }
 }
 
 /// Commuters on `lanes` horizontal lanes, spread along x; each tick the
 /// whole fleet reports, a few are position-polled, and dispatch
 /// rectangles (narrow in x, full height) chase the rush front across
 /// the corridor.
-fn corridor_dispatch(n_objects: usize, lanes: usize, ticks: usize) -> RecordedWorkload {
-    let mut w = RecordedWorkload::new();
+fn corridor_dispatch(n_objects: usize, lanes: usize, ticks: usize) -> Workload {
+    let mut w = Workload::default();
     let lanes = lanes.max(1);
     for i in 0..n_objects {
         let lane = i % lanes;
         let y = (lane as f64 + 0.5) * FRAME_H / lanes as f64;
         let x = (i / lanes) as f64 * 17.0 % FRAME_W;
-        w.register(ObjectId(i as u64), Point::new(x, y));
+        w.starts.push(Point::new(x, y));
     }
     for t in 0..ticks {
         let at = t as f64;
         for i in 0..n_objects {
-            w.push(
-                at,
-                WorkloadOp::Update {
-                    id: ObjectId(i as u64),
-                },
-            );
+            w.ops.push((at, Op::Update(ObjectId(i as u64))));
         }
         for poll in 0..(n_objects / 10).max(1) {
-            w.push(
-                at,
-                WorkloadOp::Position {
-                    id: ObjectId(((poll * 7 + t) % n_objects) as u64),
-                },
-            );
+            let id = ObjectId(((poll * 7 + t) % n_objects) as u64);
+            w.ops.push((at, Op::Position(id)));
         }
         // The dispatch window follows the commute front.
         let front = FRAME_W * (t as f64 + 0.5) / ticks as f64;
+        let window = Rect::new(
+            Point::new((front - 40.0).max(0.0), 0.0),
+            Point::new((front + 40.0).min(FRAME_W), FRAME_H),
+        );
         for _ in 0..4 {
-            w.push(
-                at,
-                WorkloadOp::Range {
-                    rect: Rect::new(
-                        Point::new((front - 40.0).max(0.0), 0.0),
-                        Point::new((front + 40.0).min(FRAME_W), FRAME_H),
-                    ),
-                },
-            );
+            w.ops.push((at, Op::Range(window)));
         }
     }
     w
@@ -117,32 +201,23 @@ fn corridor_dispatch(n_objects: usize, lanes: usize, ticks: usize) -> RecordedWo
 /// The whole fleet packed into one district, with city-wide query
 /// rectangles: geography is exactly what a spatial key should not
 /// inherit here.
-fn district_rush(n_objects: usize, ticks: usize) -> RecordedWorkload {
-    let mut w = RecordedWorkload::new();
+fn district_rush(n_objects: usize, ticks: usize) -> Workload {
+    let mut w = Workload::default();
     for i in 0..n_objects {
         // A tight cluster in the south-west district.
         let x = 10.0 + (i as f64 * 13.0) % (FRAME_W / 6.0);
         let y = 5.0 + (i as f64 * 7.0) % (FRAME_H / 6.0);
-        w.register(ObjectId(i as u64), Point::new(x, y));
+        w.starts.push(Point::new(x, y));
     }
     for t in 0..ticks {
         let at = t as f64;
         for i in 0..n_objects {
-            w.push(
-                at,
-                WorkloadOp::Update {
-                    id: ObjectId(i as u64),
-                },
-            );
+            w.ops.push((at, Op::Update(ObjectId(i as u64))));
         }
         for q in 0..3 {
             let x0 = (q as f64) * FRAME_W / 4.0;
-            w.push(
-                at,
-                WorkloadOp::Range {
-                    rect: Rect::new(Point::new(x0, 0.0), Point::new(x0 + FRAME_W / 2.0, FRAME_H)),
-                },
-            );
+            let rect = Rect::new(Point::new(x0, 0.0), Point::new(x0 + FRAME_W / 2.0, FRAME_H));
+            w.ops.push((at, Op::Range(rect)));
         }
     }
     w
@@ -150,7 +225,6 @@ fn district_rush(n_objects: usize, ticks: usize) -> RecordedWorkload {
 
 /// Scores the three candidate maps against both workloads.
 pub fn score_shard_keys(n_objects: usize, n_shards: usize, ticks: usize) -> Vec<ShardingRow> {
-    let model = CostModel::default();
     let maps: Vec<(String, ShardMap)> = vec![
         (format!("hash({n_shards})"), ShardMap::hash(n_shards)),
         (
@@ -162,7 +236,7 @@ pub fn score_shard_keys(n_objects: usize, n_shards: usize, ticks: usize) -> Vec<
             ShardMap::horizontal_strips(frame(), n_shards),
         ),
     ];
-    let workloads: Vec<(&'static str, RecordedWorkload)> = vec![
+    let workloads: Vec<(&'static str, Workload)> = vec![
         (
             "corridor-dispatch",
             corridor_dispatch(n_objects, n_shards, ticks),
@@ -172,15 +246,7 @@ pub fn score_shard_keys(n_objects: usize, n_shards: usize, ticks: usize) -> Vec<
     let mut rows = Vec::new();
     for (wname, w) in &workloads {
         for (mname, map) in &maps {
-            let b = model.score(map, w);
-            rows.push(ShardingRow {
-                workload: wname,
-                map: mname.clone(),
-                network: b.network,
-                disk: b.disk,
-                skew: b.skew,
-                total: b.total,
-            });
+            rows.push(score(wname, mname, map, w));
         }
     }
     rows
@@ -442,6 +508,72 @@ mod tests {
                 assert!((0.0..=1.0).contains(&v), "{r:?}");
             }
         }
+    }
+
+    fn corridor() -> Rect {
+        Rect::new(Point::new(0.0, 0.0), Point::new(90.0, 30.0))
+    }
+
+    /// Fleet spread evenly over three vertical strips, each object
+    /// updating in place; local range queries in the left strip.
+    fn local_workload() -> Workload {
+        let mut w = Workload::default();
+        for i in 0..300 {
+            let x = (i % 3) as f64 * 30.0 + 15.0;
+            w.starts.push(Point::new(x, 15.0));
+        }
+        for t in 0..10 {
+            for i in 0..300 {
+                w.ops.push((t as f64, Op::Update(ObjectId(i))));
+            }
+            let rect = Rect::new(Point::new(1.0, 1.0), Point::new(20.0, 20.0));
+            w.ops.push((t as f64, Op::Range(rect)));
+        }
+        w
+    }
+
+    #[test]
+    fn spatial_key_beats_hash_on_local_range_queries() {
+        let w = local_workload();
+        let hash = score("local", "hash", &ShardMap::hash(3), &w);
+        let strips = ShardMap::vertical_strips(corridor(), 3);
+        let spatial = score("local", "vertical", &strips, &w);
+        // The spatial key answers the left-strip query from one shard.
+        assert!(spatial.network < hash.network, "{spatial:?} vs {hash:?}");
+        assert!(spatial.total < hash.total);
+        // Both keys spread this even fleet's WAL roughly evenly (hash
+        // placement is statistical, so its slack is wider).
+        assert!(spatial.disk < 0.1, "{spatial:?}");
+        assert!(hash.disk < 0.3, "{hash:?}");
+    }
+
+    #[test]
+    fn skew_term_catches_a_clustered_fleet() {
+        // Whole fleet in the left strip: a vertical spatial key piles
+        // every update on shard 0.
+        let mut w = Workload::default();
+        for i in 0..300 {
+            w.starts.push(Point::new(5.0, 15.0));
+            w.ops.push((0.0, Op::Update(ObjectId(i))));
+            w.ops.push((1.0, Op::Update(ObjectId(i))));
+        }
+        let strips = ShardMap::vertical_strips(corridor(), 3);
+        let spatial = score("clustered", "vertical", &strips, &w);
+        let hash = score("clustered", "hash", &ShardMap::hash(3), &w);
+        assert!(spatial.disk > 0.9, "{spatial:?}");
+        assert!(spatial.skew > 0.9, "{spatial:?}");
+        assert!(hash.disk < 0.3, "{hash:?}");
+        assert!(hash.total < spatial.total);
+    }
+
+    #[test]
+    fn imbalance_is_normalized() {
+        assert_eq!(imbalance(&[]), 0.0);
+        assert_eq!(imbalance(&[10.0]), 0.0);
+        assert_eq!(imbalance(&[5.0, 5.0, 5.0]), 0.0);
+        assert_eq!(imbalance(&[12.0, 0.0, 0.0]), 1.0);
+        let mid = imbalance(&[8.0, 4.0, 0.0]);
+        assert!(mid > 0.0 && mid < 1.0);
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
         let mut answered = 0usize;
         for _ in 0..100 {
             let r = reader_db
-                .within_distance_of_point(Point::new(80.0, 0.0), 30.0, 6.0)
+                .with_read(|d| d.within_distance_of_point(Point::new(80.0, 0.0), 30.0, 6.0))
                 .unwrap();
             answered += r.all().len();
             std::thread::yield_now();
@@ -122,7 +122,9 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
     // Post-drive: every DBMS answer is within its advertised bound of the
     // true position.
     for (i, trip) in trips.iter().enumerate().take(FLEET) {
-        let ans = db.position_of(ObjectId(i as u64), MINUTES).unwrap();
+        let ans = db
+            .with_read(|d| d.position_of(ObjectId(i as u64), MINUTES))
+            .unwrap();
         let true_arc = trip.arc_at(&route, MINUTES);
         let deviation = (true_arc - ans.arc).abs();
         let slack = trip.max_speed() * DT + 1e-9;
@@ -136,7 +138,12 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
     // Dispatch via the text language on the shared handle agrees with the
     // native API.
     let via_text = db
-        .run_query("RETRIEVE OBJECTS INSIDE RECT (50, -1, 120, 1) AT TIME 12")
+        .with_read(|d| {
+            modb::query::run(
+                d,
+                "RETRIEVE OBJECTS INSIDE RECT (50, -1, 120, 1) AT TIME 12",
+            )
+        })
         .unwrap();
     let region = modb::index::QueryRegion::at_instant(
         modb::geom::Polygon::rectangle(&modb::geom::Rect::new(
@@ -146,6 +153,6 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
         .unwrap(),
         12.0,
     );
-    let via_api = db.range_query(&region).unwrap();
+    let via_api = db.with_read(|d| d.range_query(&region)).unwrap();
     assert_eq!(via_text.as_range().unwrap(), &via_api);
 }
