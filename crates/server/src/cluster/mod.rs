@@ -18,7 +18,7 @@
 //!   [`ClusterError`]s, never as silently partial answers.
 //!
 //! Which key fits a fleet is a measurement, not a decree: experiment W6
-//! (`exp_sharding`) scores hash and spatial maps against generated
+//! (`modb-exp w6`) scores hash and spatial maps against generated
 //! workloads on network fan-out, per-shard WAL load and temporal skew.
 
 mod router;

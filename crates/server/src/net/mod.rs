@@ -17,7 +17,7 @@
 //! text exposition.
 //!
 //! Front-end overhead is part of the paper's cost story: the update-cost
-//! model in §5 prices communication, and experiment W5 (`exp_frontend`)
+//! model in §5 prices communication, and experiment W5 (`modb-exp w5`)
 //! measures what the wire adds per statement over the in-process path.
 
 mod client;

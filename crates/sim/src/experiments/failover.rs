@@ -347,34 +347,6 @@ pub fn failover_table(n_objects: usize, rows: &[FailoverRow]) -> String {
     )
 }
 
-/// Serializes the rows as a small JSON document (the CI perf artifact
-/// `BENCH_failover.json`).
-pub fn failover_json(rows: &[FailoverRow]) -> String {
-    let mut out = String::from("{\n  \"trials\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"trial\": {}, \"records\": {}, \"detect_ms\": {:.3}, \
-             \"promote_ms\": {:.3}, \"first_ack_ms\": {:.3}, \"acked_loss\": {}, \
-             \"parity\": {}, \"survivor_ok\": {}}}{}\n",
-            r.trial,
-            r.records,
-            r.detect_ms,
-            r.promote_ms,
-            r.first_ack_ms,
-            r.acked_loss,
-            r.parity,
-            r.survivor_ok,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"contract\": {}\n}}\n",
-        failover_contract(rows)
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +366,5 @@ mod tests {
         let table = failover_table(8, &rows);
         assert!(table.contains("W10"));
         assert!(table.contains("acked loss"));
-        let json = failover_json(&rows);
-        assert!(json.contains("\"contract\": true"));
     }
 }

@@ -1,7 +1,8 @@
 //! F5 / T3 / F6: the §4 indexing experiments.
 //!
 //! - **F5**: range-query latency and work, 3-D R\*-tree vs exhaustive
-//!   scan, as the fleet grows — the sublinearity claim.
+//!   scan, as the fleet grows — the sublinearity claim — on a fixed city
+//!   and on one that grows with the fleet at constant density.
 //! - **T3**: may/must answer quality — simulated ground-truth positions
 //!   must satisfy `must ⊆ actually-in-G ⊆ must ∪ may`.
 //! - **F6**: index-maintenance throughput for position updates (§4.2's
@@ -95,6 +96,8 @@ pub fn query_regions(
 pub struct SublinearRow {
     /// Fleet size.
     pub n: usize,
+    /// Streets each way of the city grid the fleet drives on.
+    pub grid: usize,
     /// Mean index-query latency (microseconds).
     pub index_us: f64,
     /// Mean scan-query latency (microseconds).
@@ -105,50 +108,79 @@ pub struct SublinearRow {
     pub nodes_visited: f64,
     /// Total nodes in the tree.
     pub tree_nodes: usize,
-    /// Mean candidates per query.
+    /// Mean candidates (tree hits) per query.
     pub candidates: f64,
+    /// Mean answer size (must + may) per query.
+    pub answer: f64,
+    /// Queries whose index answer differed from the scan's (expected 0).
+    pub mismatches: usize,
 }
 
-/// Runs F5 for the given fleet sizes.
+/// Vehicles per square of the streets each way at which F5's
+/// constant-density leg runs: the fixed leg's 20 000 on its 20 × 20 grid.
+const F5_DENSITY: f64 = 20_000.0 / (20.0 * 20.0);
+
+/// Runs F5 for the given fleet sizes on the fixed 20 × 20 city, so the
+/// answer grows with the fleet.
 pub fn run_sublinear(sizes: &[usize], queries_per_size: usize) -> Vec<SublinearRow> {
     sizes
         .iter()
+        .map(|&n| sublinear_row(n, 20, queries_per_size))
+        .collect()
+}
+
+/// Runs F5's constant-density leg: the grid grows with √n, so a 2-mile
+/// query's answer stays the same size however large the fleet.
+pub fn run_constant_density(sizes: &[usize], queries_per_size: usize) -> Vec<SublinearRow> {
+    sizes
+        .iter()
         .map(|&n| {
-            let db = build_city_db(99, n, 20);
-            let regions = query_regions(db.network(), queries_per_size, 2.0, 3.0, 7);
-            // Warm-up + correctness: index and scan must agree.
-            for r in &regions {
-                let a = db.range_query(r).expect("query ok");
-                let b = db.range_query_scan(r).expect("query ok");
-                assert_eq!(a.must, b.must, "index/scan must-set mismatch");
-                assert_eq!(a.may, b.may, "index/scan may-set mismatch");
-            }
-            let t0 = Instant::now();
-            let mut nodes = 0usize;
-            let mut cands = 0usize;
-            for r in &regions {
-                let a = db.range_query(r).expect("query ok");
-                nodes += a.stats.nodes_visited;
-                cands += a.candidates;
-            }
-            let index_us = t0.elapsed().as_secs_f64() * 1e6 / regions.len() as f64;
-            let t1 = Instant::now();
-            for r in &regions {
-                let _ = db.range_query_scan(r).expect("query ok");
-            }
-            let scan_us = t1.elapsed().as_secs_f64() * 1e6 / regions.len() as f64;
-            let (_, tree_nodes, _) = db.index_tree_stats();
-            SublinearRow {
-                n,
-                index_us,
-                scan_us,
-                speedup: scan_us / index_us.max(1e-9),
-                nodes_visited: nodes as f64 / regions.len() as f64,
-                tree_nodes,
-                candidates: cands as f64 / regions.len() as f64,
-            }
+            let grid = ((n as f64 / F5_DENSITY).sqrt().round() as usize).max(2);
+            sublinear_row(n, grid, queries_per_size)
         })
         .collect()
+}
+
+fn sublinear_row(n: usize, grid: usize, queries: usize) -> SublinearRow {
+    let db = build_city_db(99, n, grid);
+    let regions = query_regions(db.network(), queries, 2.0, 3.0, 7);
+    // Warm-up, and the correctness check: index and scan must agree.
+    let mismatches = regions
+        .iter()
+        .filter(|r| {
+            let a = db.range_query(r).expect("query ok");
+            let b = db.range_query_scan(r).expect("query ok");
+            (a.must, a.may) != (b.must, b.may)
+        })
+        .count();
+    let t0 = Instant::now();
+    let (mut nodes, mut cands, mut answer) = (0, 0, 0);
+    for r in &regions {
+        let a = db.range_query(r).expect("query ok");
+        nodes += a.stats.nodes_visited;
+        cands += a.candidates;
+        answer += a.must.len() + a.may.len();
+    }
+    let index_us = t0.elapsed().as_secs_f64() * 1e6 / regions.len() as f64;
+    let t1 = Instant::now();
+    for r in &regions {
+        let _ = db.range_query_scan(r).expect("query ok");
+    }
+    let scan_us = t1.elapsed().as_secs_f64() * 1e6 / regions.len() as f64;
+    let (_, tree_nodes, _) = db.index_tree_stats();
+    let per_query = |total: usize| total as f64 / regions.len() as f64;
+    SublinearRow {
+        n,
+        grid,
+        index_us,
+        scan_us,
+        speedup: scan_us / index_us.max(1e-9),
+        nodes_visited: per_query(nodes),
+        tree_nodes,
+        candidates: per_query(cands),
+        answer: per_query(answer),
+        mismatches,
+    }
 }
 
 /// Renders the F5 table.
@@ -162,6 +194,7 @@ pub fn sublinear_table(rows: &[SublinearRow]) -> String {
                 fmt(r.scan_us),
                 format!("{:.1}x", r.speedup),
                 fmt(r.nodes_visited),
+                r.tree_nodes.to_string(),
                 fmt(r.candidates),
             ]
         })
@@ -174,32 +207,42 @@ pub fn sublinear_table(rows: &[SublinearRow]) -> String {
             "scan us/q",
             "speedup",
             "nodes/q",
+            "tree nodes",
             "cands/q",
         ],
         &table_rows,
     )
 }
 
-/// Renders the F5 rows as the `BENCH_index_sublinear.json` document.
-pub fn sublinear_json(rows: &[SublinearRow]) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fleet\": {}, \"index_us\": {:.2}, \"scan_us\": {:.2}, \
-             \"speedup\": {:.2}, \"nodes_per_query\": {:.2}, \"tree_nodes\": {}, \
-             \"cands_per_query\": {:.2}}}{}\n",
-            r.n,
-            r.index_us,
-            r.scan_us,
-            r.speedup,
-            r.nodes_visited,
-            r.tree_nodes,
-            r.candidates,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Renders F5's constant-density table.
+pub fn constant_density_table(rows: &[SublinearRow]) -> String {
+    let table_rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.n.to_string(),
+                format!("{0}x{0}", r.grid),
+                fmt(r.answer),
+                fmt(r.nodes_visited),
+                r.tree_nodes.to_string(),
+                fmt(r.candidates),
+                fmt(r.index_us / r.answer.max(1e-9)),
+            ]
+        })
+        .collect();
+    render_table(
+        "F5 constant density: the grid grows with sqrt(fleet), the answer does not",
+        &[
+            "fleet",
+            "grid",
+            "answer/q",
+            "nodes/q",
+            "tree nodes",
+            "cands/q",
+            "index us/answer",
+        ],
+        &table_rows,
+    )
 }
 
 /// T3 result: answer-quality counts over simulated ground truth.
@@ -506,8 +549,9 @@ mod tests {
     fn sublinear_index_agrees_with_scan_and_wins() {
         let rows = run_sublinear(&[200, 800], 10);
         assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r.mismatches == 0), "{rows:?}");
         // The index visits far fewer entries than the fleet size at the
-        // larger scale; correctness is asserted inside run_sublinear.
+        // larger scale.
         let large = rows[1];
         assert!(
             large.candidates < large.n as f64 / 2.0,
@@ -553,12 +597,11 @@ mod tests {
     }
 
     #[test]
-    fn sublinear_json_renders() {
-        let rows = run_sublinear(&[100], 5);
-        let json = sublinear_json(&rows);
-        assert!(json.contains("\"fleet\": 100"));
-        assert!(json.contains("\"tree_nodes\""));
-        assert!(rows[0].tree_nodes > 0, "real tree-node count reported");
+    fn constant_density_grows_the_grid_with_the_fleet() {
+        let rows = run_constant_density(&[200, 800], 5);
+        assert_eq!((rows[0].grid, rows[1].grid), (2, 4));
+        assert!(rows.iter().all(|r| r.mismatches == 0 && r.tree_nodes > 0));
+        assert!(constant_density_table(&rows).contains("index us/answer"));
     }
 
     #[test]

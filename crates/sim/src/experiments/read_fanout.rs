@@ -408,30 +408,6 @@ pub fn read_fanout_table(n_objects: usize, rows: &[ReadFanoutRow]) -> String {
     )
 }
 
-/// Serializes the rows as a small JSON document (the CI perf artifact
-/// `BENCH_read_fanout.json`).
-pub fn read_fanout_json(rows: &[ReadFanoutRow]) -> String {
-    let mut out = String::from("{\n  \"fanout\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"followers\": {}, \"records\": {}, \"statements\": {}, \
-             \"elapsed_s\": {:.6}, \"qps\": {:.3}, \"parity\": {}, \"stale_typed\": {}}}{}\n",
-            r.fanout,
-            r.records,
-            r.statements,
-            r.elapsed_s,
-            r.qps,
-            r.parity,
-            r.stale_typed,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    let all_ok = rows.iter().all(|r| r.parity && r.stale_typed);
-    out.push_str(&format!("  \"contract\": {all_ok}\n}}\n"));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,7 +437,5 @@ mod tests {
         let table = read_fanout_table(12, &rows);
         assert!(table.contains("W9"));
         assert!(table.contains("stale typed"));
-        let json = read_fanout_json(&rows);
-        assert!(json.contains("\"contract\": true"));
     }
 }

@@ -35,6 +35,9 @@ pub struct SavingsRow {
     pub matched_tolerance: f64,
     /// The average deviation both methods achieve (miles).
     pub matched_deviation: f64,
+    /// Ticks where the policy's deviation exceeded its advertised bound
+    /// (Propositions 2–4; expected 0).
+    pub bound_violations: usize,
 }
 
 /// Runs the savings experiment at update cost `c`.
@@ -139,6 +142,7 @@ pub fn run_savings(seed: u64, workload_cfg: WorkloadConfig, c: f64) -> Vec<Savin
                 },
                 matched_tolerance: tolerance,
                 matched_deviation: m.avg_deviation,
+                bound_violations: m.bound_violations,
             }
         })
         .collect()
@@ -202,6 +206,7 @@ mod tests {
             );
             assert!(r.traditional_messages > r.messages);
             assert!(r.matched_tolerance > 0.0);
+            assert_eq!(r.bound_violations, 0);
         }
         let t = savings_table(&rows, 5.0);
         assert!(t.contains("traditional"));

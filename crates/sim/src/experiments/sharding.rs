@@ -454,29 +454,6 @@ pub fn sharding_table(n_objects: usize, n_shards: usize, rows: &[ShardingRow]) -
     )
 }
 
-/// Serializes the scores and parity bits as a small JSON document (the
-/// CI perf artifact `BENCH_sharding.json`).
-pub fn sharding_json(rows: &[ShardingRow], parity_hash: bool, parity_spatial: bool) -> String {
-    let mut out = String::from("{\n  \"scores\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"map\": \"{}\", \"network\": {:.6}, \
-             \"disk\": {:.6}, \"skew\": {:.6}, \"total\": {:.6}}}{}\n",
-            r.workload,
-            r.map,
-            r.network,
-            r.disk,
-            r.skew,
-            r.total,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"parity\": {{\"hash\": {parity_hash}, \"spatial\": {parity_spatial}}}\n}}\n"
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,14 +557,5 @@ mod tests {
     fn smoke_cluster_parity_both_keys() {
         assert!(cluster_parity(12, 3, false), "hash cluster diverged");
         assert!(cluster_parity(12, 3, true), "spatial cluster diverged");
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = score_shard_keys(30, 3, 4);
-        let json = sharding_json(&rows, true, true);
-        assert!(json.contains("\"scores\""));
-        assert!(json.contains("\"parity\""));
-        assert_eq!(json.matches("\"workload\"").count(), rows.len());
     }
 }

@@ -212,40 +212,9 @@ pub fn wal_overhead_table(rows: &[WalOverheadRow]) -> String {
     )
 }
 
-/// Serializes the rows as the CI perf artifact `BENCH_wal_overhead.json`.
-pub fn wal_overhead_json(rows: &[WalOverheadRow]) -> String {
-    let mut out = String::from("{\n  \"modes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"updates\": {}, \"seconds\": {:.6}, \
-             \"per_sec\": {:.1}, \"overhead_pct\": {:.2}, \"log_bytes\": {}, \
-             \"segments\": {}}}{}\n",
-            r.label,
-            r.updates,
-            r.seconds,
-            r.per_sec,
-            r.overhead_pct,
-            r.log_bytes,
-            r.segments,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let rows = run_wal_overhead(20, 2, 2);
-        let json = wal_overhead_json(&rows);
-        assert!(json.contains("\"modes\""));
-        assert_eq!(json.matches("\"mode\"").count(), rows.len());
-        assert!(json.contains("\"no-wal\""));
-    }
 
     #[test]
     fn small_run_produces_consistent_rows() {

@@ -494,58 +494,6 @@ pub fn wal_throughput_tables(report: &WalThroughputReport) -> String {
     out
 }
 
-/// Serializes the report as the CI perf artifact
-/// `BENCH_wal_throughput.json`.
-pub fn wal_throughput_json(report: &WalThroughputReport) -> String {
-    let mut out = String::from("{\n  \"formats\": [\n");
-    for (i, r) in report.formats.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"format\": \"{}\", \"updates\": {}, \"seconds\": {:.6}, \
-             \"per_sec\": {:.1}, \"log_bytes\": {}, \"bytes_per_update\": {:.2}, \
-             \"segments\": {}, \"fsyncs\": {}}}{}\n",
-            r.label,
-            r.updates,
-            r.seconds,
-            r.per_sec,
-            r.log_bytes,
-            r.bytes_per_update,
-            r.segments,
-            r.fsyncs,
-            if i + 1 == report.formats.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    let g = &report.group_commit;
-    out.push_str(&format!(
-        "  ],\n  \"group_commit\": {{\"updates\": {}, \"producers\": {}, \
-         \"seconds\": {:.6}, \"per_sec\": {:.1}, \"tickets\": {}, \"commits\": {}, \
-         \"mean_batch\": {:.2}, \"max_batch\": {}, \"fsyncs\": {}}},\n",
-        g.updates,
-        g.producers,
-        g.seconds,
-        g.per_sec,
-        g.tickets,
-        g.commits,
-        g.mean_batch,
-        g.max_batch,
-        g.fsyncs,
-    ));
-    let w = &report.wire;
-    out.push_str(&format!(
-        "  \"wire\": {{\"records\": {}, \"blocks_bytes\": {}, \"records_bytes\": {}, \
-         \"wire_ratio\": {:.2}, \"converge_seconds\": {:.6}, \"applied\": {}}},\n",
-        w.records, w.blocks_bytes, w.records_bytes, w.wire_ratio, w.converge_seconds, w.applied,
-    ));
-    out.push_str(&format!(
-        "  \"disk_ratio_v1_over_v2lz\": {:.2}\n}}\n",
-        report.disk_ratio()
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,16 +543,11 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_tables_and_json() {
+    fn report_renders_tables() {
         let report = run_wal_throughput(50, 4, 2, 4);
         let tables = wal_throughput_tables(&report);
         assert!(tables.contains("W7a"));
         assert!(tables.contains("W7b"));
         assert!(tables.contains("W7c"));
-        let json = wal_throughput_json(&report);
-        assert!(json.contains("\"formats\""));
-        assert!(json.contains("\"group_commit\""));
-        assert!(json.contains("\"wire\""));
-        assert_eq!(json.matches("\"format\"").count(), 3);
     }
 }

@@ -10,11 +10,11 @@
 //! - [`experiments`]: one module per table/figure — the policy sweep
 //!   (F1–F3), the 85 %-savings comparison (T1), Example 1 (T2), the
 //!   bound-shape curves (F4), and the indexing experiments (F5, T3, F6).
-//! - Experiment binaries (`exp_*`) print the tables; see EXPERIMENTS.md.
+//! - `modb-exp <name> [args…]` runs one experiment and prints its tables;
+//!   see EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 
-pub mod csv;
 pub mod experiments;
 mod metrics;
 mod report;

@@ -22,14 +22,14 @@ capture() {
     "$@" >"$out/$file" 2>/dev/null
 }
 
-capture f1_f2_f3.txt target/release/exp_policy_sweep
-capture f4.txt target/release/exp_f4_bound_shape
-capture f7.txt target/release/exp_f7_cost_rate
-capture t1.txt target/release/exp_t1_savings
-capture t2.txt target/release/exp_t2_example1
-capture t3.txt target/release/exp_t3_may_must
-capture ablations.txt target/release/exp_ablations
-capture w6.txt target/release/exp_sharding 60 8
+capture f1_f2_f3.txt target/release/modb-exp f1-f3
+capture f4.txt target/release/modb-exp f4
+capture f7.txt target/release/modb-exp f7
+capture t1.txt target/release/modb-exp t1
+capture t2.txt target/release/modb-exp t2
+capture t3.txt target/release/modb-exp t3
+capture ablations.txt target/release/modb-exp a1-a5
+capture w6.txt target/release/modb-exp w6 60 8
 for example in battlefield dispatcher quickstart taxi_fleet trucking; do
     capture "example_$example.txt" "target/release/examples/$example"
 done
