@@ -114,32 +114,6 @@ impl Database {
         }
     }
 
-    /// Rebuilds a database from externally held state — the
-    /// snapshot-restore path of `modb-wal`. Stationary objects are
-    /// re-inserted and moving objects re-registered (which re-validates
-    /// every field and rebuilds the time-space index entry from scratch,
-    /// so a restored database re-indexes identically to the original).
-    ///
-    /// # Errors
-    ///
-    /// Any error `insert_stationary` / `register_moving` would raise on
-    /// the same inputs.
-    pub fn from_parts(
-        network: impl Into<Arc<RouteNetwork>>,
-        config: DatabaseConfig,
-        stationary: Vec<StationaryObject>,
-        moving: Vec<MovingObject>,
-    ) -> Result<Self, CoreError> {
-        let mut db = Database::new(network, config);
-        for obj in stationary {
-            db.insert_stationary(obj)?;
-        }
-        for obj in moving {
-            db.register_moving(obj)?;
-        }
-        Ok(db)
-    }
-
     /// The route database.
     pub fn network(&self) -> &RouteNetwork {
         &self.network
@@ -1116,9 +1090,7 @@ mod tests {
         let mut db = db_with((10..26).rev().map(|id| named(id, "dup")).collect());
         db.register_moving(named(3, "solo")).unwrap();
         for _ in 0..16 {
-            let moving = db.moving_objects().cloned().collect();
-            let copy =
-                Database::from_parts(db.network_arc(), *db.config(), Vec::new(), moving).unwrap();
+            let copy = rebuilt(&db);
             assert_eq!(copy.find_moving_by_name("dup").unwrap().id, ObjectId(10));
             assert_eq!(copy.find_moving_by_name("solo").unwrap().id, ObjectId(3));
         }
@@ -1127,8 +1099,22 @@ mod tests {
         assert_eq!(db.find_moving_by_name("dup").unwrap().id, ObjectId(10));
     }
 
+    /// A copy of `db` built the way a snapshot restore builds one: every
+    /// landmark re-inserted and every vehicle re-registered into a fresh
+    /// database over the same network.
+    fn rebuilt(db: &Database) -> Database {
+        let mut copy = Database::new(db.network_arc(), *db.config());
+        for obj in db.stationary_objects() {
+            copy.insert_stationary(obj.clone()).unwrap();
+        }
+        for obj in db.moving_objects() {
+            copy.register_moving(obj.clone()).unwrap();
+        }
+        copy
+    }
+
     #[test]
-    fn from_parts_restores_state_and_reindexes() {
+    fn rebuilding_restores_state_and_reindexes() {
         let mut db = db_with(vec![object(1, 10.0, 1.0), object(2, 40.0, 0.5)]);
         db.insert_stationary(StationaryObject::new(
             ObjectId(100),
@@ -1142,10 +1128,7 @@ mod tests {
         )
         .unwrap();
         // Disassemble through the public accessors, as a snapshot would.
-        let moving: Vec<_> = db.moving_objects().cloned().collect();
-        let stationary: Vec<_> = db.stationary_objects().cloned().collect();
-        let rebuilt =
-            Database::from_parts(db.network().clone(), *db.config(), stationary, moving).unwrap();
+        let rebuilt = rebuilt(&db);
         assert_eq!(rebuilt.moving_count(), 2);
         assert_eq!(rebuilt.stationary_count(), 1);
         assert_eq!(rebuilt.moving(ObjectId(1)), db.moving(ObjectId(1)));

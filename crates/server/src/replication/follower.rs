@@ -33,9 +33,9 @@ use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
 use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
-    apply_record, decode_block_frames, list_segments, list_snapshots, read_snapshot, EpochHistory,
-    FrameEnd, SharedWal, WalError, WalOptions, WalRecord, WalWriter, DEFAULT_SNAPSHOT_RETENTION,
-    SEGMENT_VERSION,
+    apply_record, decode_block_frames, decode_snapshot, list_segments, list_snapshots,
+    EpochHistory, FrameEnd, SharedWal, WalError, WalOptions, WalRecord, WalWriter,
+    DEFAULT_SNAPSHOT_RETENTION, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
@@ -930,9 +930,10 @@ impl Worker {
         let tmp = self.dir.join("incoming.snap.tmp");
         let install = (|| -> Result<Database, WalError> {
             std::fs::write(&tmp, bytes)?;
-            // The snapshot file self-validates (magic, version, CRC,
-            // full decode) before anything local is disturbed.
-            let (db, embedded_lsn) = read_snapshot(&tmp)?;
+            // The snapshot self-validates (magic, version, CRC, full
+            // decode) before anything local is disturbed — checked on the
+            // received bytes, not on a second copy read back.
+            let (db, embedded_lsn) = decode_snapshot(&tmp, bytes)?;
             if embedded_lsn != lsn {
                 return Err(WalError::Decode("snapshot lsn does not match message"));
             }

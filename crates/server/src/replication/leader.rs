@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use modb_wal::{
-    list_segments, list_snapshots, read_snapshot, EpochCheck, EpochHistory, SegmentTailer,
+    decode_snapshot, list_segments, list_snapshots, EpochCheck, EpochHistory, SegmentTailer,
     WalError, SEGMENT_VERSION,
 };
 
@@ -357,26 +357,26 @@ fn run_session(
         follower_lsn
     } else {
         // Newest snapshot that actually reads back (same fallback ladder
-        // as recovery).
-        let snapshots = list_snapshots(dir)?;
-        let chosen = snapshots
-            .iter()
+        // as recovery). Each file is read once and the bytes checked are
+        // the bytes shipped: a compaction that removes a file after it
+        // was read does not touch them.
+        let chosen = list_snapshots(dir)?
+            .into_iter()
             .rev()
-            .find(|(_, path)| read_snapshot(path).is_ok());
-        let Some((lsn, path)) = chosen else {
+            .find_map(|(lsn, path)| {
+                let bytes = std::fs::read(&path).ok()?;
+                decode_snapshot(&path, &bytes).ok()?;
+                Some((lsn, bytes))
+            });
+        let Some((lsn, bytes)) = chosen else {
             return Err(WalError::NoSnapshot(dir.to_path_buf()));
         };
-        let bytes = std::fs::read(path)?;
         // A snapshot over the frame ceiling fails here, typed, before a
         // byte is written: the follower would have rejected the frame
         // after receiving all of it and asked for it again.
-        send(
-            stream,
-            &Message::Snapshot { lsn: *lsn, bytes },
-            MAX_MESSAGE_BYTES,
-        )?;
+        send(stream, &Message::Snapshot { lsn, bytes }, MAX_MESSAGE_BYTES)?;
         stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
-        *lsn
+        lsn
     };
     horizon.advance(hid, cursor);
 

@@ -152,8 +152,11 @@ fn observe(db: &Database) -> View {
 /// re-registered into a fresh database, the way a snapshot restore
 /// builds one.
 fn deep_copy(db: &Database) -> Database {
-    let moving = db.moving_objects().cloned().collect();
-    Database::from_parts(db.network().clone(), *db.config(), Vec::new(), moving).unwrap()
+    let mut copy = Database::new(db.network().clone(), *db.config());
+    for obj in db.moving_objects() {
+        copy.register_moving(obj.clone()).unwrap();
+    }
+    copy
 }
 
 fn op() -> impl Strategy<Value = Op> {

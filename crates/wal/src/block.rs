@@ -190,11 +190,21 @@ fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
 /// the LZ stage is applied and kept only when it actually shrinks the
 /// stream — the format byte is the pluggability seam.
 pub fn encode_block(records: &[WalRecord], compress: bool, out: &mut Vec<u8>) {
+    encode_block_with(records, compress.then(lz::Compressor::new).as_mut(), out);
+}
+
+/// [`encode_block`] with the LZ stage's table supplied by the caller, who
+/// keeps it from block to block (`None`: no LZ stage). Same bytes.
+pub(crate) fn encode_block_with(
+    records: &[WalRecord],
+    lz: Option<&mut lz::Compressor>,
+    out: &mut Vec<u8>,
+) {
     let mut stream = Vec::new();
     encode_stream(records, &mut stream);
-    if compress {
+    if let Some(lz) = lz {
         let mut packed = Vec::new();
-        lz::compress(&stream, &mut packed);
+        lz.compress(&stream, &mut packed);
         // Header overhead of format 1 is the uncompressed_len varint.
         if packed.len() + 10 < stream.len() {
             out.push(BLOCK_FORMAT_LZ);

@@ -46,10 +46,12 @@ pub enum WalError {
     AlreadyExists(PathBuf),
     /// Rebuilding the database from a snapshot failed validation.
     Core(CoreError),
-    /// A message is larger than the frame ceiling its receiver enforces;
-    /// refused by the sender before a byte was written.
+    /// A message is larger than the frame ceiling its receiver enforces,
+    /// refused by the sender before a byte was written; or a snapshot
+    /// payload is longer than its header's `u32` length field can state,
+    /// refused before the snapshot replaced anything.
     FrameTooLarge {
-        /// Payload length of the refused message.
+        /// Payload length of the refused message or snapshot.
         len: u64,
         /// The ceiling it exceeded.
         max: u32,

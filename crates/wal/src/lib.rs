@@ -16,7 +16,9 @@
 //!   paper pulls for update policies, applied to persistence.
 //! - **Snapshots** ([`write_snapshot`] / [`read_snapshot`]): atomic
 //!   (write-tmp-rename) point-in-time captures of full database state,
-//!   tagged with the log LSN they reflect, bounding replay work.
+//!   tagged with the log LSN they reflect, bounding replay work. The
+//!   write streams through a 64 KiB chunk and the read decodes from the
+//!   one file buffer, so neither holds a second copy of the fleet.
 //! - **Recovery** ([`recover`]): loads the newest readable snapshot,
 //!   replays newer log records through the ordinary mutation methods
 //!   (so restored state re-validates and re-indexes identically), and
@@ -69,12 +71,12 @@ pub use block::{decode_block, decode_block_frames, encode_block, frame_block, pe
 pub use codec::{ByteReader, WalCodec};
 pub use commit::{GroupCommitStats, GroupCommitter};
 pub use compact::{compact, compact_with_barrier, CompactionReport, DEFAULT_SNAPSHOT_RETENTION};
-pub use crc32::crc32;
+pub use crc32::{crc32, crc32_update};
 pub use epoch::{EpochCheck, EpochHistory, EpochSpan, EPOCH_FILE_NAME, GENESIS_EPOCH};
 pub use error::WalError;
 pub use record::{FrameEnd, WalRecord, MAX_RECORD_BYTES};
 pub use recovery::{apply_record, recover, Recovered, RecoveryReport};
 pub use segment::{list_segments, scan_segment, SegmentScan, SEGMENT_VERSION};
 pub use ship::{RawChunk, SegmentTailer};
-pub use snapshot::{list_snapshots, read_snapshot, write_snapshot};
+pub use snapshot::{decode_snapshot, list_snapshots, read_snapshot, write_snapshot};
 pub use writer::{FsyncPolicy, SharedWal, WalBatch, WalOptions, WalWriter};

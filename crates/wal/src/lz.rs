@@ -38,62 +38,109 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compresses `input`, appending the token stream to `out`. The caller
-/// records the uncompressed length separately (the block header does);
-/// an empty input produces an empty stream.
-pub fn compress(input: &[u8], out: &mut Vec<u8>) {
-    let mut heads = [usize::MAX; 1 << HASH_BITS];
-    let mut pos = 0usize;
-    let mut literal_start = 0usize;
-    while pos < input.len() {
-        if pos + MIN_MATCH > input.len() {
-            break; // tail too short to match; flushed as final literals
+/// The compressor: its hash table, kept between inputs so compressing a
+/// small block does not first fill 64 KiB of it.
+///
+/// Each input is a *generation*: a slot holds `base + pos` for the input
+/// that wrote it, and `base` moves past every position of an input once
+/// it is done, so a slot below `base` reads as empty without being
+/// cleared. An input's output therefore depends on that input alone —
+/// the same bytes from a fresh table or a reused one.
+pub struct Compressor {
+    heads: Vec<usize>,
+    base: usize,
+}
+
+impl Compressor {
+    /// A compressor whose table is empty.
+    pub fn new() -> Self {
+        Compressor {
+            heads: vec![0; 1 << HASH_BITS],
+            base: 1,
         }
-        let h = hash4(&input[pos..]);
-        let candidate = heads[h];
-        heads[h] = pos;
-        let found = candidate != usize::MAX
-            && pos - candidate <= MAX_DISTANCE
-            && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH];
-        if !found {
-            pos += 1;
-            continue;
-        }
-        // Extend the match as far as it goes (overlap allowed: compare
-        // against already-fixed positions only, byte by byte).
-        let distance = pos - candidate;
-        let mut len = MIN_MATCH;
-        while pos + len < input.len() && input[pos + len] == input[pos + len - distance] {
-            len += 1;
-        }
-        put_varint(out, (pos - literal_start) as u64);
-        out.extend_from_slice(&input[literal_start..pos]);
-        put_varint(out, len as u64);
-        put_varint(out, distance as u64);
-        // Index a few positions inside the match so back-to-back repeats
-        // keep matching without walking every byte.
-        let stop = (pos + len).min(input.len().saturating_sub(MIN_MATCH));
-        let mut p = pos + 1;
-        while p < stop {
-            heads[hash4(&input[p..])] = p;
-            p += 2;
-        }
-        pos += len;
-        literal_start = pos;
     }
-    if literal_start < input.len() || input.is_empty() {
-        put_varint(out, (input.len() - literal_start) as u64);
-        out.extend_from_slice(&input[literal_start..]);
-        put_varint(out, 0); // final group: no match
-    } else if literal_start == input.len() && !input.is_empty() {
-        // Stream ended exactly on a match: emit an empty terminal group
-        // so the decoder always sees the same shape.
-        put_varint(out, 0);
-        put_varint(out, 0);
+
+    /// Compresses `input`, appending the token stream to `out`. The
+    /// caller records the uncompressed length separately (the block
+    /// header does); an empty input produces an empty stream.
+    pub fn compress(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        if usize::MAX - self.base < input.len() {
+            // Generations ran out (never on 64-bit): empty the table.
+            self.heads.fill(0);
+            self.base = 1;
+        }
+        let base = self.base;
+        self.base += input.len();
+        let heads = &mut self.heads;
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
+        while pos < input.len() {
+            if pos + MIN_MATCH > input.len() {
+                break; // tail too short to match; flushed as final literals
+            }
+            let h = hash4(&input[pos..]);
+            let slot = heads[h];
+            heads[h] = base + pos;
+            // A slot below `base` belongs to an earlier input: empty.
+            let candidate = slot.wrapping_sub(base);
+            let found = slot >= base
+                && pos - candidate <= MAX_DISTANCE
+                && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH];
+            if !found {
+                pos += 1;
+                continue;
+            }
+            // Extend the match as far as it goes (overlap allowed: compare
+            // against already-fixed positions only, byte by byte).
+            let distance = pos - candidate;
+            let mut len = MIN_MATCH;
+            while pos + len < input.len() && input[pos + len] == input[pos + len - distance] {
+                len += 1;
+            }
+            put_varint(out, (pos - literal_start) as u64);
+            out.extend_from_slice(&input[literal_start..pos]);
+            put_varint(out, len as u64);
+            put_varint(out, distance as u64);
+            // Index a few positions inside the match so back-to-back repeats
+            // keep matching without walking every byte.
+            let stop = (pos + len).min(input.len().saturating_sub(MIN_MATCH));
+            let mut p = pos + 1;
+            while p < stop {
+                heads[hash4(&input[p..])] = base + p;
+                p += 2;
+            }
+            pos += len;
+            literal_start = pos;
+        }
+        if literal_start < input.len() || input.is_empty() {
+            put_varint(out, (input.len() - literal_start) as u64);
+            out.extend_from_slice(&input[literal_start..]);
+            put_varint(out, 0); // final group: no match
+        } else if literal_start == input.len() && !input.is_empty() {
+            // Stream ended exactly on a match: emit an empty terminal group
+            // so the decoder always sees the same shape.
+            put_varint(out, 0);
+            put_varint(out, 0);
+        }
     }
 }
 
-/// Decompresses a [`compress`] stream into exactly `expected_len` bytes.
+impl Default for Compressor {
+    fn default() -> Self {
+        Compressor::new()
+    }
+}
+
+impl std::fmt::Debug for Compressor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Compressor")
+            .field("base", &self.base)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Decompresses a [`Compressor::compress`] stream into exactly
+/// `expected_len` bytes.
 ///
 /// # Errors
 ///
@@ -141,7 +188,7 @@ mod tests {
 
     fn round_trip(input: &[u8]) -> usize {
         let mut packed = Vec::new();
-        compress(input, &mut packed);
+        Compressor::new().compress(input, &mut packed);
         let back = decompress(&packed, input.len()).unwrap();
         assert_eq!(back, input);
         packed.len()
@@ -193,11 +240,35 @@ mod tests {
         round_trip(&input);
     }
 
+    /// A table kept across inputs — including one whose generations run
+    /// out mid-sequence — emits exactly what a fresh table emits.
+    #[test]
+    fn a_reused_table_compresses_like_a_fresh_one() {
+        let inputs: Vec<Vec<u8>> = vec![
+            b"abcdabcdabcdabcdabcd".to_vec(),
+            b"abcd".to_vec(),
+            Vec::new(),
+            b"time=1;arc=0.5;speed=0.7;".repeat(40),
+            vec![7u8; 3_000],
+            b"xyzwxyzwabcdabcd".to_vec(),
+        ];
+        for start in [1, usize::MAX - 2_500] {
+            let mut reused = Compressor::new();
+            reused.base = start;
+            for input in inputs.iter().chain(&inputs) {
+                let (mut fresh, mut kept) = (Vec::new(), Vec::new());
+                Compressor::new().compress(input, &mut fresh);
+                reused.compress(input, &mut kept);
+                assert_eq!(kept, fresh, "base {start}, input of {} bytes", input.len());
+            }
+        }
+    }
+
     #[test]
     fn corrupt_streams_are_rejected_not_unsound() {
         let input: Vec<u8> = b"abcdabcdabcdabcdabcd".to_vec();
         let mut packed = Vec::new();
-        compress(&input, &mut packed);
+        Compressor::new().compress(&input, &mut packed);
         // Wrong expected length.
         assert!(decompress(&packed, input.len() + 1).is_err());
         assert!(decompress(&packed, input.len().saturating_sub(1)).is_err());

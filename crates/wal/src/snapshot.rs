@@ -20,16 +20,26 @@
 //! to a `.tmp` file which is fsynced, renamed over the final name, and
 //! the directory is fsynced — a crash mid-write leaves either the old
 //! state or the new, never a half-written snapshot under the real name.
+//!
+//! **Memory.** Neither direction holds a second copy of the fleet.
+//! [`write_snapshot`] streams: it writes a 20-byte placeholder, encodes
+//! the payload into one reusable 64 KiB chunk, writes each full chunk out
+//! and folds it into a running CRC-32 ([`crc32_update`]) and byte count,
+//! then writes the real header over the placeholder. Beside the chunk,
+//! its one transient is the id-sorted list of object references, 8 bytes
+//! a vehicle. [`read_snapshot`] holds the file's bytes once, runs its
+//! checks on them, and decodes from them straight into the database, one
+//! object at a time.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use modb_core::{Database, DatabaseConfig, MovingObject, StationaryObject};
 use modb_routes::RouteNetwork;
 
 use crate::codec::{put_u32, put_u64, ByteReader, WalCodec};
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_update};
 use crate::error::WalError;
 
 /// Magic bytes opening every snapshot file.
@@ -40,6 +50,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MODBSNP1";
 /// history-capacity and change-log-capacity words are gone), and a
 /// moving object is its record alone, with no attribute-history arm.
 pub const SNAPSHOT_VERSION: u32 = 4;
+
+/// Magic, version, payload length and payload CRC.
+const HEADER_BYTES: usize = 20;
+/// Payload bytes gathered before a write to the file.
+const CHUNK_BYTES: usize = 64 * 1024;
 
 /// File name for the snapshot taken at `lsn` (zero-padded so
 /// lexicographic order equals LSN order).
@@ -70,45 +85,82 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     Ok(snapshots)
 }
 
-/// Decoded snapshot payload: `(lsn, config, network, stationary,
-/// moving)`.
-type DecodedSnapshot = (
-    u64,
-    DatabaseConfig,
-    RouteNetwork,
-    Vec<StationaryObject>,
-    Vec<MovingObject>,
-);
+/// The payload on its way to the file: encoded into one chunk, each full
+/// chunk written out and folded into the running CRC and length.
+struct PayloadWriter {
+    file: File,
+    chunk: Vec<u8>,
+    crc: u32,
+    len: u64,
+}
 
-fn encode_snapshot(db: &Database, lsn: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(4096);
-    put_u64(&mut payload, lsn);
-    db.config().encode(&mut payload);
-    db.network().encode(&mut payload);
+impl PayloadWriter {
+    /// Encodes `value` into the chunk; writes the chunk out once full.
+    fn put(&mut self, value: &impl WalCodec) -> Result<(), WalError> {
+        value.encode(&mut self.chunk);
+        if self.chunk.len() >= CHUNK_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
 
-    // Sort by id so the same state always produces the same bytes
-    // (HashMap iteration order is seeded per process).
+    /// A `u64` count, then each object (the callers sort them by id, so
+    /// the same state always produces the same bytes whatever order its
+    /// tables iterate in).
+    fn put_all<T: WalCodec>(&mut self, objects: &[&T]) -> Result<(), WalError> {
+        put_u64(&mut self.chunk, objects.len() as u64);
+        for obj in objects {
+            self.put(*obj)?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), WalError> {
+        self.crc = crc32_update(self.crc, &self.chunk);
+        self.len += self.chunk.len() as u64;
+        self.file.write_all(&self.chunk)?;
+        self.chunk.clear();
+        Ok(())
+    }
+}
+
+/// The header's `u32` length field for a payload of `len` bytes, or the
+/// typed refusal of a payload too long for it.
+fn payload_len(len: u64) -> Result<u32, WalError> {
+    u32::try_from(len).map_err(|_| WalError::FrameTooLarge { len, max: u32::MAX })
+}
+
+/// Streams the snapshot of `db` at `lsn` into `file` — placeholder
+/// header, payload chunk by chunk, real header — and syncs it.
+fn stream_snapshot(file: File, db: &Database, lsn: u64) -> Result<(), WalError> {
+    let mut out = PayloadWriter {
+        file,
+        // Headroom for the value that crosses the mark.
+        chunk: Vec::with_capacity(CHUNK_BYTES + CHUNK_BYTES / 16),
+        crc: 0,
+        len: 0,
+    };
+    out.file.write_all(&[0; HEADER_BYTES])?;
+    put_u64(&mut out.chunk, lsn);
+    out.put(db.config())?;
+    out.put(db.network())?;
     let mut stationary: Vec<&StationaryObject> = db.stationary_objects().collect();
     stationary.sort_unstable_by_key(|o| o.id);
-    put_u64(&mut payload, stationary.len() as u64);
-    for obj in stationary {
-        obj.encode(&mut payload);
-    }
-
+    out.put_all(&stationary)?;
     let mut moving: Vec<&MovingObject> = db.moving_objects().collect();
     moving.sort_unstable_by_key(|o| o.id);
-    put_u64(&mut payload, moving.len() as u64);
-    for obj in moving {
-        obj.encode(&mut payload);
-    }
+    out.put_all(&moving)?;
+    out.flush()?;
 
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    put_u32(&mut out, SNAPSHOT_VERSION);
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    header.extend_from_slice(&SNAPSHOT_MAGIC);
+    put_u32(&mut header, SNAPSHOT_VERSION);
+    put_u32(&mut header, payload_len(out.len)?);
+    put_u32(&mut header, out.crc);
+    out.file.seek(SeekFrom::Start(0))?;
+    out.file.write_all(&header)?;
+    out.file.sync_data()?;
+    Ok(())
 }
 
 fn sync_dir(dir: &Path) -> Result<(), WalError> {
@@ -122,7 +174,9 @@ fn sync_dir(dir: &Path) -> Result<(), WalError> {
 /// Writes a snapshot of `db` into `dir` with `lsn` as its high-water
 /// mark, atomically (tmp + fsync + rename + dir fsync). Returns the final
 /// path. An existing snapshot at the same LSN is replaced — the content
-/// is necessarily identical.
+/// is necessarily identical. The bytes are streamed (see the module
+/// docs): the write holds a 64 KiB chunk and 8 bytes a vehicle, not the
+/// file.
 ///
 /// Watermark contract: `db` must reflect **at least** every record with
 /// `lsn < snapshot_lsn` — capturing later mutations too is fine, because
@@ -134,86 +188,93 @@ fn sync_dir(dir: &Path) -> Result<(), WalError> {
 ///
 /// # Errors
 ///
-/// I/O failures.
+/// I/O failures, and [`WalError::FrameTooLarge`] for a payload longer
+/// than the header's `u32` length field can state. Either way the `.tmp`
+/// file is removed and nothing is replaced.
 pub fn write_snapshot(dir: &Path, db: &Database, lsn: u64) -> Result<PathBuf, WalError> {
     fs::create_dir_all(dir)?;
-    let bytes = encode_snapshot(db, lsn);
     let final_path = dir.join(snapshot_file_name(lsn));
     let tmp_path = dir.join(format!("{}.tmp", snapshot_file_name(lsn)));
-    let mut file = OpenOptions::new()
+    let file = OpenOptions::new()
         .create(true)
         .write(true)
         .truncate(true)
         .open(&tmp_path)?;
-    file.write_all(&bytes)?;
-    file.sync_data()?;
-    drop(file);
+    if let Err(e) = stream_snapshot(file, db, lsn) {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e);
+    }
     fs::rename(&tmp_path, &final_path)?;
     sync_dir(dir)?;
     Ok(final_path)
 }
 
-/// Reads and validates a snapshot file, rebuilding the database through
-/// [`Database::from_parts`] (which re-validates and re-indexes every
-/// object). Returns the database and the snapshot's LSN high-water mark.
+/// Reads and validates a snapshot file, rebuilding the database object by
+/// object (every one re-validated and re-indexed, as on first insert).
+/// Returns the database and the snapshot's LSN high-water mark. The file
+/// is read once; [`decode_snapshot`] does the rest.
+///
+/// # Errors
+///
+/// I/O failures, and those of [`decode_snapshot`].
+pub fn read_snapshot(path: &Path) -> Result<(Database, u64), WalError> {
+    decode_snapshot(path, &fs::read(path)?)
+}
+
+/// Validates and decodes the bytes of a snapshot file, checking in this
+/// order: header length, magic, version, payload length, CRC — then
+/// decodes straight into [`Database::new`] through `insert_stationary` /
+/// `register_moving`, in file order. A caller that already holds the bytes
+/// (a leader about to ship them, a follower that received them) checks
+/// exactly those; `path` only names the file in errors.
 ///
 /// # Errors
 ///
 /// [`WalError::BadSnapshot`] for magic/version/length/CRC/decode
 /// failures — a snapshot of an older version is refused as
-/// `"unsupported version"` and the file left as it is; [`WalError::Core`]
-/// when the decoded state fails database validation.
-pub fn read_snapshot(path: &Path) -> Result<(Database, u64), WalError> {
+/// `"unsupported version"`; [`WalError::Core`] when the decoded state
+/// fails database validation.
+pub fn decode_snapshot(path: &Path, bytes: &[u8]) -> Result<(Database, u64), WalError> {
     let bad = |reason: &'static str| WalError::BadSnapshot {
         path: path.to_path_buf(),
         reason,
     };
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 20 {
+    if bytes.len() < HEADER_BYTES {
         return Err(bad("short header"));
     }
     if bytes[..8] != SNAPSHOT_MAGIC {
         return Err(bad("bad magic"));
     }
-    let mut r = ByteReader::new(&bytes[8..20]);
+    let mut r = ByteReader::new(&bytes[8..HEADER_BYTES]);
     let version = r.u32().expect("header length checked");
     let len = r.u32().expect("header length checked") as usize;
     let crc = r.u32().expect("header length checked");
     if version != SNAPSHOT_VERSION {
         return Err(bad("unsupported version"));
     }
-    if bytes.len() != 20 + len {
+    if bytes.len() != HEADER_BYTES + len {
         return Err(bad("length mismatch"));
     }
-    let payload = &bytes[20..];
+    let payload = &bytes[HEADER_BYTES..];
     if crc32(payload) != crc {
         return Err(bad("crc mismatch"));
     }
 
+    let undecodable = |_: WalError| bad("undecodable payload");
     let mut r = ByteReader::new(payload);
-    let parse = (|| -> Result<DecodedSnapshot, WalError> {
-        let lsn = r.u64()?;
-        let config = DatabaseConfig::decode(&mut r)?;
-        let network = RouteNetwork::decode(&mut r)?;
-        let n_stationary = r.u64()? as usize;
-        let mut stationary = Vec::with_capacity(n_stationary.min(4096));
-        for _ in 0..n_stationary {
-            stationary.push(StationaryObject::decode(&mut r)?);
-        }
-        let n_moving = r.u64()? as usize;
-        let mut moving = Vec::with_capacity(n_moving.min(4096));
-        for _ in 0..n_moving {
-            moving.push(MovingObject::decode(&mut r)?);
-        }
-        if !r.is_empty() {
-            return Err(WalError::Decode("trailing bytes in snapshot payload"));
-        }
-        Ok((lsn, config, network, stationary, moving))
-    })();
-    let (lsn, config, network, stationary, moving) =
-        parse.map_err(|_| bad("undecodable payload"))?;
-    let db = Database::from_parts(network, config, stationary, moving)?;
+    let lsn = r.u64().map_err(undecodable)?;
+    let config = DatabaseConfig::decode(&mut r).map_err(undecodable)?;
+    let network = RouteNetwork::decode(&mut r).map_err(undecodable)?;
+    let mut db = Database::new(network, config);
+    for _ in 0..r.u64().map_err(undecodable)? {
+        db.insert_stationary(StationaryObject::decode(&mut r).map_err(undecodable)?)?;
+    }
+    for _ in 0..r.u64().map_err(undecodable)? {
+        db.register_moving(MovingObject::decode(&mut r).map_err(undecodable)?)?;
+    }
+    if !r.is_empty() {
+        return Err(bad("undecodable payload"));
+    }
     Ok((db, lsn))
 }
 
@@ -381,6 +442,63 @@ mod tests {
     #[test]
     fn deterministic_bytes() {
         let db = sample_db();
-        assert_eq!(encode_snapshot(&db, 5), encode_snapshot(&db, 5));
+        let (a, b) = (tmp("deterministic-a"), tmp("deterministic-b"));
+        let first = std::fs::read(write_snapshot(&a, &db, 5).unwrap()).unwrap();
+        let second = std::fs::read(write_snapshot(&b, &db.clone(), 5).unwrap()).unwrap();
+        assert_eq!(first, second);
+        std::fs::remove_dir_all(&a).unwrap();
+        std::fs::remove_dir_all(&b).unwrap();
+    }
+
+    /// A payload spanning several chunks streams to the bytes a one-shot
+    /// encoding gives: header, length and CRC included.
+    #[test]
+    fn a_payload_of_many_chunks_is_the_one_shot_encoding() {
+        let mut db = sample_db();
+        let ids: Vec<u64> = (1..=3).chain(1_000..3_000).collect();
+        for &id in &ids[3..] {
+            let mut obj = db.moving(ObjectId(1)).unwrap().clone();
+            obj.id = ObjectId(id);
+            obj.name = format!("vehicle number {id}");
+            db.register_moving(obj).unwrap();
+        }
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 9);
+        db.config().encode(&mut payload);
+        db.network().encode(&mut payload);
+        put_u64(&mut payload, 1);
+        db.stationary(ObjectId(100)).unwrap().encode(&mut payload);
+        put_u64(&mut payload, ids.len() as u64);
+        for &id in &ids {
+            db.moving(ObjectId(id)).unwrap().encode(&mut payload);
+        }
+        assert!(payload.len() > 2 * CHUNK_BYTES, "{} bytes", payload.len());
+        let mut expected = SNAPSHOT_MAGIC.to_vec();
+        put_u32(&mut expected, SNAPSHOT_VERSION);
+        put_u32(&mut expected, payload.len() as u32);
+        put_u32(&mut expected, crc32(&payload));
+        expected.extend_from_slice(&payload);
+
+        let dir = tmp("many-chunks");
+        let path = write_snapshot(&dir, &db, 9).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(read_snapshot(&path).unwrap().0.moving_count(), ids.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The length field is a `u32`: a payload one byte longer is refused
+    /// typed instead of wrapping into a file recovery would reject.
+    #[test]
+    fn a_payload_over_the_length_field_is_refused() {
+        assert_eq!(payload_len(0).unwrap(), 0);
+        assert_eq!(payload_len(u64::from(u32::MAX)).unwrap(), u32::MAX);
+        for len in [u64::from(u32::MAX) + 1, u64::MAX] {
+            match payload_len(len) {
+                Err(WalError::FrameTooLarge { len: l, max }) => {
+                    assert_eq!((l, max), (len, u32::MAX));
+                }
+                other => panic!("{len}: expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 }

@@ -13,8 +13,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::block::{encode_block, frame_block};
+use crate::block::{encode_block_with, frame_block};
 use crate::error::WalError;
+use crate::lz::Compressor;
 use crate::record::WalRecord;
 use crate::segment::{
     encode_header, list_segments, read_segment_header, segment_file_name, SEGMENT_HEADER_BYTES,
@@ -90,10 +91,11 @@ impl WalBatch {
 }
 
 /// `records` sealed as one framed block: one frame, one restart point,
-/// the LZ stage kept only when it shrinks the block.
-fn seal(records: &[WalRecord]) -> Vec<u8> {
+/// the LZ stage kept only when it shrinks the block. `lz` is the
+/// writer's table, reused from block to block.
+fn seal(records: &[WalRecord], lz: &mut Compressor) -> Vec<u8> {
     let mut payload = Vec::with_capacity(128);
-    encode_block(records, true, &mut payload);
+    encode_block_with(records, Some(lz), &mut payload);
     let mut frame = Vec::with_capacity(payload.len() + 8);
     frame_block(&payload, &mut frame);
     frame
@@ -123,6 +125,8 @@ pub struct WalWriter {
     unsynced: u64,
     bytes_appended: u64,
     fsyncs: u64,
+    /// The LZ stage's hash table, kept from block to block.
+    lz: Compressor,
 }
 
 impl WalWriter {
@@ -149,6 +153,7 @@ impl WalWriter {
             unsynced: 0,
             bytes_appended: 0,
             fsyncs: 0,
+            lz: Compressor::new(),
         })
     }
 
@@ -190,6 +195,7 @@ impl WalWriter {
                     unsynced: 0,
                     bytes_appended: 0,
                     fsyncs: 0,
+                    lz: Compressor::new(),
                 })
             }
             None => {
@@ -204,6 +210,7 @@ impl WalWriter {
                     unsynced: 0,
                     bytes_appended: 0,
                     fsyncs: 0,
+                    lz: Compressor::new(),
                 })
             }
         }
@@ -248,7 +255,7 @@ impl WalWriter {
     /// I/O failures (the record must be assumed unlogged).
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, WalError> {
         let lsn = self.next_lsn;
-        let frame = seal(std::slice::from_ref(rec));
+        let frame = seal(std::slice::from_ref(rec), &mut self.lz);
         self.maybe_rotate(frame.len())?;
         self.write_bytes(&frame, 1)?;
         Ok(lsn)
@@ -268,7 +275,7 @@ impl WalWriter {
         if batch.is_empty() {
             return Ok(());
         }
-        let frame = seal(&batch.recs);
+        let frame = seal(&batch.recs, &mut self.lz);
         self.maybe_rotate(frame.len())?;
         self.write_bytes(&frame, batch.records())?;
         batch.clear();
