@@ -5,6 +5,8 @@ use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, RouteId};
 
+use crate::CoreError;
+
 /// What the DBMS knows about an object's update policy (`P.policy`) —
 /// enough to bound the deviation at any time (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +32,26 @@ pub enum PolicyDescriptor {
 }
 
 impl PolicyDescriptor {
+    /// Refuses parameters under which the bound is unsound: an update
+    /// cost `C` that is not finite and positive (Props 2–4 divide by and
+    /// take roots of it), or a fixed bound `B` that is not finite and
+    /// non-negative.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidField`] naming the parameter.
+    pub fn validate(&self) -> Result<(), CoreError> {
+        match *self {
+            PolicyDescriptor::CostBased { update_cost: c, .. } if !(c.is_finite() && c > 0.0) => {
+                Err(CoreError::InvalidField("update_cost", c))
+            }
+            PolicyDescriptor::FixedBound { bound } if !(bound.is_finite() && bound >= 0.0) => {
+                Err(CoreError::InvalidField("bound", bound))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The DBMS-side deviation bound at `t` minutes after the last update,
     /// for declared speed `v` and maximum speed `v_max`.
     pub fn deviation_bound(&self, v: f64, v_max: f64, t: f64) -> f64 {

@@ -237,6 +237,7 @@ impl Database {
         if !obj.max_speed.is_finite() || obj.max_speed <= 0.0 {
             return Err(CoreError::InvalidField("max_speed", obj.max_speed));
         }
+        obj.attr.policy.validate()?;
         if !obj.attr.start_arc.is_finite()
             || obj.attr.start_arc < 0.0
             || obj.attr.start_arc > route.length()
@@ -310,6 +311,9 @@ impl Database {
         }
         if !msg.speed.is_finite() || msg.speed < 0.0 {
             return Err(CoreError::InvalidField("speed", msg.speed));
+        }
+        if let Some(policy) = &msg.policy {
+            policy.validate()?;
         }
         let route_id = msg.route.unwrap_or(obj.attr.route);
         let route = self.network.get(route_id)?;
@@ -770,6 +774,46 @@ mod tests {
         let mut bad = object(4, 10.0, f64::NAN);
         bad.attr.speed = f64::NAN;
         assert!(db.register_moving(bad).is_err());
+        for policy in unsound_policies() {
+            let mut bad = object(5, 10.0, 1.0);
+            bad.attr.policy = policy;
+            assert!(
+                matches!(
+                    db.register_moving(bad),
+                    Err(CoreError::InvalidField("update_cost" | "bound", _))
+                ),
+                "{policy:?} registered"
+            );
+            assert_eq!(db.moving_count(), 1, "{policy:?} left a record");
+        }
+        // The edges that stay sound: a zero fixed bound, a tiny cost.
+        let mut edge = object(5, 10.0, 1.0);
+        edge.attr.policy = PolicyDescriptor::FixedBound { bound: 0.0 };
+        db.register_moving(edge).unwrap();
+        let mut edge = object(6, 10.0, 1.0);
+        edge.attr.policy = PolicyDescriptor::CostBased {
+            kind: BoundKind::Delayed,
+            update_cost: f64::MIN_POSITIVE,
+        };
+        db.register_moving(edge).unwrap();
+    }
+
+    /// Policy parameters under which the deviation bound is unsound:
+    /// a cost `C` that is not finite and positive, a fixed `B` that is
+    /// not finite and non-negative.
+    fn unsound_policies() -> Vec<PolicyDescriptor> {
+        let cost = |kind, update_cost| PolicyDescriptor::CostBased { kind, update_cost };
+        let mut bad = vec![
+            cost(BoundKind::Delayed, 0.0),
+            cost(BoundKind::Delayed, -1.0),
+        ];
+        for c in [0.0, -0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            bad.push(cost(BoundKind::Immediate, c));
+        }
+        for bound in [-1.0, -1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            bad.push(PolicyDescriptor::FixedBound { bound });
+        }
+        bad
     }
 
     #[test]
@@ -885,6 +929,19 @@ mod tests {
             ),
             Err(CoreError::UnknownObject(_))
         ));
+        let before = db.moving(ObjectId(1)).unwrap().clone();
+        for policy in unsound_policies() {
+            let mut msg = UpdateMessage::basic(6.0, UpdatePosition::Arc(13.0), 1.0);
+            msg.policy = Some(policy);
+            assert!(
+                matches!(
+                    db.apply_update(ObjectId(1), &msg),
+                    Err(CoreError::InvalidField("update_cost" | "bound", _))
+                ),
+                "{policy:?} applied"
+            );
+            assert_eq!(db.moving(ObjectId(1)).unwrap(), &before, "{policy:?}");
+        }
     }
 
     #[test]

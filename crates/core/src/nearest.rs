@@ -64,12 +64,8 @@ impl NearestAnswer {
     /// ignored (recomputed).
     ///
     /// This is the whole of [`Database::nearest`] after the position
-    /// scan — factored out so a scatter-gather router can pool every
-    /// shard's neighbours and re-run the selection globally: the
-    /// certain/contender classification needs the *minimum* optimistic
-    /// distance over all non-ranked objects, which no single shard's
-    /// top-k can supply.
-    pub fn from_neighbours(mut all: Vec<Neighbour>, k: usize) -> NearestAnswer {
+    /// scan.
+    fn from_neighbours(mut all: Vec<Neighbour>, k: usize) -> NearestAnswer {
         for n in &mut all {
             n.certain = false;
         }
@@ -237,8 +233,7 @@ mod tests {
     }
 
     /// The factored-out selection is insensitive to input order and to
-    /// stale incoming `certain` flags — the property a scatter-gather
-    /// router relies on when pooling per-shard neighbour sets.
+    /// stale incoming `certain` flags.
     #[test]
     fn from_neighbours_is_order_insensitive() {
         let mk = |id: u64, d: f64, b: f64, certain: bool| Neighbour {
@@ -256,7 +251,7 @@ mod tests {
         let mut b = a.clone();
         b.reverse();
         for n in &mut b {
-            n.certain = true; // stale per-shard flags must be recomputed
+            n.certain = true; // stale flags must be recomputed
         }
         let ans_a = NearestAnswer::from_neighbours(a, 2);
         let ans_b = NearestAnswer::from_neighbours(b, 2);

@@ -30,8 +30,8 @@ use modb_policy::BoundKind;
 use modb_query::QueryResult;
 use modb_routes::{generators, Direction};
 use modb_server::{
-    BatchOutcome, ClusterRouter, QueryClient, QueryEngine, QueryServer, QueryServerConfig,
-    ReplicaConfig, ServerStatsSnapshot, ShardMap, SharedDatabase, StandbyReplica,
+    BatchOutcome, QueryClient, QueryEngine, QueryServer, QueryServerConfig, ReplicaConfig,
+    ServerStatsSnapshot, SharedDatabase, StandbyReplica,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,12 +57,7 @@ commands:  \\h help   \\q quit
            \\session <lsn> raise it (use a writer's token to read its writes)
            \\connect <addr> send queries to a remote front-end
            \\connect show connection   \\connect stop go local again
-           \\cluster <addr> <addr> ... scatter-gather queries across shard
-           servers (hash-of-id shard map; takes precedence over \\connect)
-           \\cluster show shards   \\cluster stop disband
-           \\cluster failover <shard> <addr> repoint one shard's writes at
-           its promoted standby (read-your-writes token carries over)
-           \\stats scrape the remote server/cluster (local stats otherwise)";
+           \\stats scrape the remote server (local stats otherwise)";
 
 /// Derived WAL efficiency for `\stats`: how many log bytes each fsync
 /// paid for, and the mean group-commit collapse factor. Group commit
@@ -288,31 +283,6 @@ fn run_remote(client: &mut QueryClient, script: &str) -> bool {
     }
 }
 
-/// Runs a script through the scatter-gather router, printing merged
-/// per-statement verdicts. Returns `false` on a cluster-level failure
-/// (a dead shard); the caller then disbands the cluster.
-fn run_cluster(router: &mut ClusterRouter, script: &str) -> bool {
-    match router.run_batch(script) {
-        Ok(verdicts) => {
-            let many = verdicts.len() > 1;
-            for (i, verdict) in verdicts.iter().enumerate() {
-                if many {
-                    println!("  -- statement {}", i + 1);
-                }
-                match verdict {
-                    Ok(result) => print_remote(result),
-                    Err(e) => println!("  error: {e}"),
-                }
-            }
-            true
-        }
-        Err(e) => {
-            println!("  cluster failed: {e}");
-            false
-        }
-    }
-}
-
 fn main() {
     let mut db = demo_fleet();
     let mut engine = QueryEngine::new(db.clone());
@@ -322,7 +292,6 @@ fn main() {
     let mut promoted: Option<modb_server::DurableDatabase> = None;
     let mut replica_server: Option<QueryServer> = None;
     let mut remote: Option<QueryClient> = None;
-    let mut cluster: Option<ClusterRouter> = None;
     println!(
         "modb console — {} vehicles on a 10x10-mile grid. \\h for help.",
         db.moving_count()
@@ -473,23 +442,6 @@ fn main() {
                 continue;
             }
             "\\stats" => {
-                if let Some(router) = &mut cluster {
-                    match router.stats() {
-                        Ok(snapshots) => {
-                            for (shard, stats) in snapshots.iter().enumerate() {
-                                println!("  -- shard {shard}");
-                                print_scrape(stats);
-                            }
-                        }
-                        Err(e) => {
-                            println!("  cluster failed: {e}");
-                            if let Some(router) = cluster.take() {
-                                router.close();
-                            }
-                        }
-                    }
-                    continue;
-                }
                 match &mut remote {
                     Some(client) => match client.stats() {
                         Ok(stats) => print_scrape(&stats),
@@ -535,67 +487,6 @@ fn main() {
                 }
                 continue;
             }
-            cmd if cmd.starts_with("\\cluster") => {
-                let args: Vec<&str> = cmd
-                    .strip_prefix("\\cluster")
-                    .unwrap_or("")
-                    .split_whitespace()
-                    .collect();
-                match args.as_slice() {
-                    [] => match &cluster {
-                        Some(router) => {
-                            println!("  scatter-gather across {} shards", router.shards())
-                        }
-                        None => println!("  no cluster — \\cluster <addr> <addr> ..."),
-                    },
-                    ["stop"] => match cluster.take() {
-                        Some(router) => {
-                            println!("  disbanded {}-shard cluster", router.shards());
-                            router.close();
-                        }
-                        None => println!("  no cluster"),
-                    },
-                    ["failover", shard, addr] => match &mut cluster {
-                        Some(router) => match shard.parse::<usize>() {
-                            Ok(shard) => match router.fail_over_shard(shard, addr) {
-                                Ok(()) => println!(
-                                    "  shard {shard} writes now flow to {addr} \
-                                     (read-your-writes token carried over)"
-                                ),
-                                Err(e) => println!("  error: {e}"),
-                            },
-                            Err(_) => println!("  usage: \\cluster failover <shard> <addr>"),
-                        },
-                        None => println!("  no cluster — \\cluster <addr> <addr> ... first"),
-                    },
-                    addrs => {
-                        let parsed: Result<Vec<std::net::SocketAddr>, _> =
-                            addrs.iter().map(|a| a.parse()).collect();
-                        match parsed {
-                            Err(e) => println!("  error: bad address: {e}"),
-                            Ok(parsed) => {
-                                match ClusterRouter::connect(&parsed, ShardMap::hash(parsed.len()))
-                                {
-                                    Ok(router) => {
-                                        if let Some(old) = cluster.take() {
-                                            println!("  disbanded {}-shard cluster", old.shards());
-                                            old.close();
-                                        }
-                                        println!(
-                                            "  scatter-gather across {} shards \
-                                             (hash-of-id map; \\cluster stop to go local)",
-                                            router.shards()
-                                        );
-                                        cluster = Some(router);
-                                    }
-                                    Err(e) => println!("  error: {e}"),
-                                }
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
             cmd if cmd.starts_with("\\save") => {
                 match cmd.strip_prefix("\\save").map(str::trim) {
                     Some(dir) if !dir.is_empty() => save(&db, dir),
@@ -612,14 +503,6 @@ fn main() {
                     _ => println!("  usage: \\load <dir>"),
                 }
                 continue;
-            }
-            script if cluster.is_some() => {
-                let router = cluster.as_mut().expect("checked above");
-                if !run_cluster(router, script) {
-                    if let Some(router) = cluster.take() {
-                        router.close();
-                    }
-                }
             }
             script if remote.is_some() => {
                 let client = remote.as_mut().expect("checked above");

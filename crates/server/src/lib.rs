@@ -44,16 +44,9 @@
 //!   the same CRC-framed socket protocol, with connection caps, frame
 //!   caps, stalled-client deadlines, and drained shutdown (see the `net`
 //!   module docs).
-//! - **Sharded cluster** ([`cluster`]): partition the fleet across N
-//!   such servers — [`ShardMap`] key strategies (hash-of-id, spatial
-//!   regions), a scatter-gather [`ClusterRouter`] whose merged verdicts
-//!   match a single node holding the union fleet, remote ingest routed
-//!   to the owning shard with per-shard read-your-writes tokens (see the
-//!   `cluster` module docs).
 
 #![warn(missing_docs)]
 
-pub mod cluster;
 mod durable;
 mod framed;
 mod ingest;
@@ -62,7 +55,6 @@ mod query_engine;
 mod replication;
 mod shared;
 
-pub use cluster::{ClusterError, ClusterRouter, ShardKey, ShardMap};
 pub use durable::DurableDatabase;
 pub use ingest::{
     IngestClosed, IngestHandle, IngestService, IngestStats, IngestStatsSnapshot, PendingAck,

@@ -53,10 +53,11 @@
 //! that became durable for the frame: a **read-your-writes token**. A later `Batch` carrying that token as `min_lsn` is
 //! guaranteed to run against a snapshot covering every acknowledged
 //! update (`min_lsn = 0` asks for no such floor). Envelopes with
-//! non-finite time/coordinates/speed are refused at this boundary with
+//! non-finite time/coordinates/speed, or a policy whose parameters make
+//! the deviation bound unsound, are refused at this boundary with
 //! [`RemoteUpdateVerdict::Invalid`] — never applied, never logged — so a
-//! malicious or broken client cannot poison a shard's WAL with values
-//! the local path would reject only after logging.
+//! malicious or broken client cannot poison the WAL with values the
+//! local path would reject only after logging.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -157,10 +158,9 @@ pub struct ServerStatsSnapshot {
     /// Lowest acknowledged LSN across followers (the compaction barrier),
     /// when any are connected.
     pub min_acked_lsn: Option<u64>,
-    /// This node's shard number in a cluster, when it has one
-    /// ([`crate::QueryServerConfig::shard`]); rendered as a
-    /// `shard="N"` label on every Prometheus sample so a scraped
-    /// cluster's series stay distinguishable.
+    /// A shard number, rendered as a `shard="N"` label on every
+    /// Prometheus sample. No current server sets it; the field stays
+    /// because the v6 stats frame carries its flag byte.
     pub shard: Option<u64>,
     /// Always 0, and not on the wire: the index is one tree, so nothing
     /// migrates between speed bands. The field is there because
@@ -309,7 +309,7 @@ impl ServerStatsSnapshot {
     /// counters are labelled as such; an `Option` gauge that is `None`
     /// (`modb_replication_min_acked_lsn` with no follower connected, the
     /// replica gauges on a leader) is omitted rather than given a
-    /// sentinel. A cluster node (`shard` set) gets a `shard="N"` label on
+    /// sentinel. A snapshot with `shard` set gets a `shard="N"` label on
     /// every sample.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();

@@ -55,10 +55,6 @@ pub struct QueryServerConfig {
     /// Socket write timeout; a client not draining its results is
     /// disconnected.
     pub write_timeout: Option<Duration>,
-    /// This node's shard number when it serves as one cluster member;
-    /// stamped on every stats scrape (and thence every Prometheus
-    /// sample) so per-shard series stay distinguishable.
-    pub shard: Option<u64>,
     /// Follower-served reads only: how long a `Batch` whose
     /// read-your-writes token outruns the applied watermark may wait for
     /// replication to catch up before the typed `Stale` answer goes
@@ -73,7 +69,6 @@ impl Default for QueryServerConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             request_deadline: Duration::from_secs(10),
             write_timeout: Some(Duration::from_secs(10)),
-            shard: None,
             stale_deadline: Duration::from_secs(2),
         }
     }
@@ -147,7 +142,9 @@ impl ServeContext {
             ingest_queue_depth: 0,
             followers: self.horizon.followers() as u64,
             min_acked_lsn: self.horizon.min(),
-            shard: self.config.shard,
+            // No server sets a shard number; the field stays for the
+            // v6 stats frame (`tests/golden/`).
+            shard: None,
             // One tree, no bands; the field is there for `modb_ledger/`.
             index_band_migrations: 0,
             replica_applied_lsn,
@@ -222,16 +219,20 @@ fn widen_result(result: &mut QueryResult, slack: f64) {
     }
 }
 
-/// Refuses non-finite numeric fields at the protocol boundary. The
-/// ingest path logs every envelope, whatever the DBMS makes of it;
-/// accepting a NaN here would poison the shard's WAL with a record
-/// replay can only reject — so it never reaches the ingest handle.
+/// Refuses non-finite numeric fields, and policy parameters that make
+/// the deviation bound unsound, at the protocol boundary. The ingest
+/// path logs every envelope, whatever the DBMS makes of it; accepting
+/// a NaN here would poison the WAL with a record replay can only
+/// reject — so it never reaches the ingest handle.
 fn validate_update(msg: &UpdateMessage) -> Result<(), String> {
     if !msg.time.is_finite() {
         return Err(format!("non-finite time {}", msg.time));
     }
     if !msg.speed.is_finite() {
         return Err(format!("non-finite speed {}", msg.speed));
+    }
+    if let Some(policy) = &msg.policy {
+        policy.validate().map_err(|e| e.to_string())?;
     }
     match &msg.position {
         UpdatePosition::Arc(a) if !a.is_finite() => Err(format!("non-finite arc {a}")),

@@ -3,7 +3,9 @@
 //! update must be visible to every connection that reads after the ack,
 //! the stats scrape must round-trip every counter, capacity refusals
 //! must be clean, a statement too long to refine must be refused without
-//! harming the session, and a shutdown must drain an in-flight batch.
+//! harming the session, an update batch must answer in input order and
+//! log no envelope it refuses as invalid, and a shutdown must drain an
+//! in-flight batch.
 
 mod common;
 
@@ -11,6 +13,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::*;
+use modb_core::{ObjectId, PolicyDescriptor, UpdateMessage, UpdatePosition};
+use modb_geom::Point;
+use modb_policy::BoundKind;
 use modb_server::{
     DurableDatabase, QueryClient, QueryEngine, QueryServer, QueryServerConfig, RemoteUpdateVerdict,
     UpdateEnvelope,
@@ -267,6 +272,120 @@ fn an_update_the_log_cannot_vouch_for_is_not_acknowledged() {
     }
     assert_eq!(client.token(), token, "a refused frame raises no token");
     assert_eq!(client.stats().unwrap().ingest.wal_errors, 2);
+
+    client.close();
+    service.shutdown();
+    ingesting.shutdown();
+    server.shutdown();
+}
+
+/// One `UpdateBatch` frame carrying every verdict kind — accepted,
+/// stale, each non-finite field, and policy parameters that would make
+/// the deviation bound unsound — is answered in input order. An
+/// envelope refused `Invalid` at the protocol boundary is never logged:
+/// the WAL frontier advances by exactly the envelopes that reached
+/// ingest, and a refused policy leaves its object as it was.
+#[test]
+fn an_update_batch_answers_in_input_order_and_logs_no_invalid_envelope() {
+    let (durable, engine, server) = serve("net-update-batch", QueryServerConfig::default());
+    let service = durable.ingest_service(2, 0);
+    let ingesting = durable
+        .serve_queries(
+            engine,
+            Some(service.handle()),
+            "127.0.0.1:0",
+            QueryServerConfig::default(),
+        )
+        .unwrap();
+    let mut client = QueryClient::connect(ingesting.local_addr()).unwrap();
+
+    let basic = |t, position, speed| UpdateMessage::basic(t, position, speed);
+    let with_policy = |arc, policy| UpdateMessage {
+        policy: Some(policy),
+        ..update(10.0, arc)
+    };
+    let cost = |update_cost| PolicyDescriptor::CostBased {
+        kind: BoundKind::Immediate,
+        update_cost,
+    };
+    let fixed = |bound| PolicyDescriptor::FixedBound { bound };
+    // (object, message, "accepted" | "stale" | what the refusal names)
+    let frame = [
+        (1, update(10.0, 110.0), "accepted"),
+        // Earlier than the update every vehicle took at t = 5.
+        (2, update(1.0, 210.0), "stale"),
+        (
+            3,
+            basic(f64::NAN, UpdatePosition::Arc(310.0), 1.0),
+            "non-finite time",
+        ),
+        (
+            3,
+            basic(10.0, UpdatePosition::Arc(310.0), f64::INFINITY),
+            "non-finite speed",
+        ),
+        (
+            3,
+            basic(10.0, UpdatePosition::Arc(f64::NAN), 1.0),
+            "non-finite arc",
+        ),
+        (
+            3,
+            basic(
+                10.0,
+                UpdatePosition::Coordinates(Point::new(f64::NAN, 0.0)),
+                1.0,
+            ),
+            "non-finite coordinates",
+        ),
+        (4, with_policy(410.0, cost(0.0)), "`update_cost`"),
+        (4, with_policy(410.0, cost(-5.0)), "`update_cost`"),
+        (4, with_policy(410.0, cost(f64::NAN)), "`update_cost`"),
+        (4, with_policy(410.0, cost(f64::INFINITY)), "`update_cost`"),
+        (4, with_policy(410.0, fixed(-1.0)), "`bound`"),
+        (4, with_policy(410.0, fixed(f64::NAN)), "`bound`"),
+        (4, with_policy(410.0, fixed(f64::INFINITY)), "`bound`"),
+        (5, update(10.0, 510.0), "accepted"),
+        (6, with_policy(610.0, fixed(0.5)), "accepted"),
+    ];
+    let held = |id| {
+        durable
+            .database()
+            .with_read(|db| db.moving(ObjectId(id)).unwrap().clone())
+    };
+    let (object_3, object_4) = (held(3), held(4));
+    let lsn_before = durable.wal().next_lsn();
+
+    let updates: Vec<_> = frame
+        .iter()
+        .map(|(id, msg, _)| (ObjectId(*id), *msg))
+        .collect();
+    let verdicts = client.update_batch(&updates).unwrap();
+    assert_eq!(verdicts.len(), frame.len());
+    for (i, ((_, _, expect), verdict)) in frame.iter().zip(&verdicts).enumerate() {
+        let ok = match (*expect, verdict) {
+            ("accepted", RemoteUpdateVerdict::Accepted) => true,
+            ("stale", RemoteUpdateVerdict::Rejected(reason)) => reason.contains("stale"),
+            (named, RemoteUpdateVerdict::Invalid(reason)) => reason.contains(named),
+            _ => false,
+        };
+        assert!(ok, "envelope {i}: expected {expect}, got {verdict:?}");
+    }
+
+    // Three accepted and one stale reached ingest; the eleven refused did not.
+    let reached = frame
+        .iter()
+        .filter(|(_, _, e)| ["accepted", "stale"].contains(e));
+    let logged = durable.wal().next_lsn() - lsn_before;
+    assert_eq!(
+        logged,
+        reached.count() as u64,
+        "an invalid envelope was logged"
+    );
+    assert_eq!(client.token(), durable.wal().next_lsn());
+    assert_eq!(held(3), object_3);
+    assert_eq!(held(4), object_4);
+    assert_eq!(held(6).attr.policy, fixed(0.5));
 
     client.close();
     service.shutdown();

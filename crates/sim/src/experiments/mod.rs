@@ -13,6 +13,5 @@ pub mod query_scaling;
 pub mod read_fanout;
 pub mod replication;
 pub mod savings;
-pub mod sharding;
 pub mod wal_overhead;
 pub mod wal_throughput;

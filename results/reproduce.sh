@@ -1,8 +1,7 @@
 #!/bin/sh
 # Reruns every deterministic experiment and example and compares its
 # stdout byte for byte with the file of the same name in this directory.
-# F5, F6 and the W-experiments other than W6 print wall-clock timings and
-# are left out.
+# F5, F6 and the W-experiments print wall-clock timings and are left out.
 #
 #   results/reproduce.sh           # exit nonzero and print a diff on any change
 #   results/reproduce.sh --write   # overwrite the committed files instead
@@ -29,7 +28,6 @@ capture t1.txt target/release/modb-exp t1
 capture t2.txt target/release/modb-exp t2
 capture t3.txt target/release/modb-exp t3
 capture ablations.txt target/release/modb-exp a1-a5
-capture w6.txt target/release/modb-exp w6 60 8
 for example in battlefield dispatcher quickstart taxi_fleet trucking; do
     capture "example_$example.txt" "target/release/examples/$example"
 done
