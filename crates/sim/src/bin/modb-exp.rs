@@ -12,6 +12,7 @@
 use std::fmt::{self, Display};
 
 use modb_sim::experiments::ablations::{self, AblationRow};
+use modb_sim::experiments::indexing::SublinearRow;
 use modb_sim::experiments::policy_sweep::{self, MetricKind, SweepConfig, SweepResult};
 use modb_sim::experiments::savings::{self, SavingsRow};
 use modb_sim::experiments::{
@@ -121,6 +122,18 @@ fn ablations_report(tables: &[(&str, Vec<AblationRow>)]) -> Report {
     })
 }
 
+/// Runs both F5 legs, renders them with `tables` and fails any query
+/// whose index answer differs from the scan's.
+fn f5_report(a: &Args, tables: impl FnOnce(&[SublinearRow], &[SublinearRow]) -> Report) -> Report {
+    let fixed = indexing::run_sublinear(&a.sizes, a.n(0));
+    let dense = indexing::run_constant_density(&a.sizes, a.n(0));
+    let mismatches: usize = fixed.iter().chain(&dense).map(|r| r.mismatches).sum();
+    tables(&fixed, &dense).check(
+        mismatches == 0,
+        format!("F5: {mismatches} index answers unlike the scan's"),
+    )
+}
+
 type Run = fn(&Args) -> Report;
 
 /// The dispatch table: name, usage, run. A usage lists the positionals in
@@ -149,15 +162,16 @@ static EXPERIMENTS: &[(&str, &str, Run)] = &[
         Report::of(bound_shape::bound_shape_table(&rows, v, v_max, c))
     }),
     ("f5", "queries=50 sizes…=1000,5000,20000,50000", |a| {
-        let fixed = indexing::run_sublinear(&a.sizes, a.n(0));
-        let dense = indexing::run_constant_density(&a.sizes, a.n(0));
-        let mismatches: usize = fixed.iter().chain(&dense).map(|r| r.mismatches).sum();
-        Report::of(indexing::sublinear_table(&fixed))
-            .print(indexing::constant_density_table(&dense))
-            .check(
-                mismatches == 0,
-                format!("F5: {mismatches} index answers unlike the scan's"),
-            )
+        f5_report(a, |fixed, dense| {
+            Report::of(indexing::sublinear_table(fixed))
+                .print(indexing::constant_density_table(dense))
+        })
+    }),
+    ("f5-counts", "queries=20 sizes…=1000,4000,16000", |a| {
+        f5_report(a, |fixed, dense| {
+            Report::of(indexing::counts_table("F5 counts: fixed 20x20 city", fixed))
+                .print(indexing::counts_table("F5 counts: constant density", dense))
+        })
     }),
     ("f6", "", |_| {
         // The aged leg first: its resident-memory columns read the growth
@@ -412,7 +426,7 @@ mod tests {
 
     #[test]
     fn an_unknown_name_lists_the_experiments() {
-        assert_eq!(EXPERIMENTS.len(), 16);
+        assert_eq!(EXPERIMENTS.len(), 17);
         // W6 was retired with the sharded cluster; its name is unknown now.
         for line in ["", "f8", "savings", "w6"] {
             let usage = parse_line(line).expect_err("a usage error");

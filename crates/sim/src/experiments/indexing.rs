@@ -245,6 +245,38 @@ pub fn constant_density_table(rows: &[SublinearRow]) -> String {
     )
 }
 
+/// Renders one F5 leg's count columns alone. They are exact — the same
+/// fleet, queries and tree on every run — so unlike the timings beside
+/// them they can be pinned byte for byte, and a change that reshapes the
+/// tree or the filter shows as a diff.
+pub fn counts_table(title: &str, rows: &[SublinearRow]) -> String {
+    let table_rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.n.to_string(),
+                format!("{0}x{0}", r.grid),
+                fmt(r.answer),
+                fmt(r.nodes_visited),
+                r.tree_nodes.to_string(),
+                fmt(r.candidates),
+            ]
+        })
+        .collect();
+    render_table(
+        title,
+        &[
+            "fleet",
+            "grid",
+            "answer/q",
+            "nodes/q",
+            "tree nodes",
+            "cands/q",
+        ],
+        &table_rows,
+    )
+}
+
 /// T3 result: answer-quality counts over simulated ground truth.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MayMustResult {

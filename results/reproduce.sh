@@ -1,7 +1,8 @@
 #!/bin/sh
 # Reruns every deterministic experiment and example and compares its
 # stdout byte for byte with the file of the same name in this directory.
-# F5, F6 and the W-experiments print wall-clock timings and are left out.
+# F5's timed tables, F6 and the W-experiments print wall-clock timings and
+# are left out; `f5-counts` pins F5's exact counts instead.
 #
 #   results/reproduce.sh           # exit nonzero and print a diff on any change
 #   results/reproduce.sh --write   # overwrite the committed files instead
@@ -23,6 +24,7 @@ capture() {
 
 capture f1_f2_f3.txt target/release/modb-exp f1-f3
 capture f4.txt target/release/modb-exp f4
+capture f5_counts.txt target/release/modb-exp f5-counts
 capture f7.txt target/release/modb-exp f7
 capture t1.txt target/release/modb-exp t1
 capture t2.txt target/release/modb-exp t2
