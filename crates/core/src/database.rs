@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use modb_geom::Point;
 use modb_index::{
-    Entry, MovingObjectIndex, OPlane, QueryRegion, SearchStats, DEFAULT_SLAB_MINUTES,
+    Entry, Filing, MovingObjectIndex, OPlane, QueryRegion, SearchStats, DEFAULT_SLAB_MINUTES,
 };
 use modb_routes::{Route, RouteNetwork};
 
@@ -65,11 +65,13 @@ pub struct MovingObject {
 ///
 /// **One record per vehicle.** The object table *is* the time-space
 /// index: one [`MovingObjectIndex`] entry per object holds the object
-/// and the box it is filed under in one allocation, which the id map and
-/// the tree's leaf share. The o-plane is not stored: it is a function of
-/// the object's position attribute, derived when the object is filed
-/// and again, by the same function, for each tree hit. A range query
-/// refines the object its tree hit carries; only a lookup by id hashes.
+/// in one allocation, which the id map and the tree's leaf share; the
+/// leaf also keeps the one copy of the box the object is filed under.
+/// Neither the o-plane nor that box is stored in the entry: both are
+/// functions of the object's position attribute, derived when the
+/// object is filed, again by the same function when a later write looks
+/// for its leaf, and again for each tree hit. A range query refines the
+/// object its tree hit carries; only a lookup by id hashes.
 ///
 /// **A copy is a handful of roots.** Cloning is O(1) whatever the fleet:
 /// the network, the table (a path-copying tree and map), the stationary
@@ -87,8 +89,8 @@ pub struct Database {
     /// [`Database::insert_route`] copies-on-write only when aliased.
     network: Arc<RouteNetwork>,
     /// Moving objects, one immutable entry each: the object with its
-    /// current position attribute and — for a cost-based policy — the
-    /// union box of its o-plane, filed in the tree. A write replaces the
+    /// current position attribute, filed in the tree under the union box
+    /// of its o-plane when its policy is cost-based. A write replaces the
     /// entry whole, so a clone pinned by a reader never sees it.
     moving: MovingObjectIndex<ObjectId, MovingObject>,
     /// Landmarks: few and rarely written, so the table is shared whole
@@ -253,9 +255,10 @@ impl Database {
     ///
     /// [`CoreError::UnknownObject`] when absent.
     pub fn remove_moving(&mut self, id: ObjectId) -> Result<MovingObject, CoreError> {
+        let (network, config) = (&*self.network, &self.config);
         let entry = self
             .moving
-            .remove(&id)
+            .remove(&id, |obj| Self::filing(network, config, obj))?
             .ok_or(CoreError::UnknownObject(id))?;
         self.set_unindexed(id, false);
         // Copies still holding the entry keep it; take it when unshared.
@@ -383,18 +386,21 @@ impl Database {
     /// The o-plane `obj`'s position attribute defines (§4.1.1), cut off at
     /// its trip end `Z` or else `default_horizon` past its update (§4.2);
     /// `None` when its policy is not cost-based. The one derivation of a
-    /// plane: [`Database::store`] files an object under the plane this
-    /// returns, and the range filter tests each tree hit against the plane
-    /// this returns for it, so the two are the same plane, bit for bit —
-    /// it reads only the object and the configuration, and neither changes
-    /// while the entry is filed.
-    fn plane_of(&self, obj: &MovingObject) -> Result<Option<OPlane>, CoreError> {
+    /// plane: [`Database::store`] files an object under the union box of
+    /// the plane this returns, a later write finds that box again by
+    /// calling it on the superseded object, and the range filter tests
+    /// each tree hit against the plane this returns for it — so all three
+    /// are the same plane, bit for bit: it reads only the object and the
+    /// configuration, neither of which changes while the entry is filed,
+    /// and the box also reads the plane's route, which never changes
+    /// (the network is append-only).
+    fn plane_of(config: &DatabaseConfig, obj: &MovingObject) -> Result<Option<OPlane>, CoreError> {
         let PolicyDescriptor::CostBased { kind, update_cost } = obj.attr.policy else {
             return Ok(None);
         };
         let end_time = obj
             .trip_end
-            .unwrap_or(obj.attr.start_time + self.config.default_horizon)
+            .unwrap_or(obj.attr.start_time + config.default_horizon)
             .max(obj.attr.start_time + 1e-6);
         let plane = OPlane::new(
             obj.attr.route,
@@ -410,20 +416,36 @@ impl Database {
         Ok(Some(plane))
     }
 
+    /// Where `obj` is filed: [`Database::plane_of`]'s plane on its route.
+    /// An associated function over the two fields it reads, so a write can
+    /// hand it to the index while borrowing the index mutably.
+    fn filing<'n>(
+        network: &'n RouteNetwork,
+        config: &DatabaseConfig,
+        obj: &MovingObject,
+    ) -> Result<Filing<'n>, CoreError> {
+        match Self::plane_of(config, obj)? {
+            Some(plane) => {
+                let route = network.get(plane.route)?;
+                Ok(Some((plane, route)))
+            }
+            None => Ok(None),
+        }
+    }
+
     /// Stores `obj` as its id's one entry, filed in the tree under the
-    /// o-plane its attribute defines (§4.2) when its policy is
-    /// cost-based, in the unindexed set otherwise. The plane's union box
-    /// is computed before anything is written, so an error changes
-    /// nothing; the plane itself is not kept.
+    /// union box of the o-plane its attribute defines (§4.2) when its
+    /// policy is cost-based, in the unindexed set otherwise. The index
+    /// computes the new box and locates the superseded entry by its
+    /// derived box before writing anything, so an error changes nothing;
+    /// neither the plane nor the box is kept in the entry.
     fn store(&mut self, obj: MovingObject) -> Result<(), CoreError> {
         let id = obj.id;
-        let plane = self.plane_of(&obj)?;
-        let route = match &plane {
-            Some(plane) => Some(self.network.get(plane.route)?),
-            None => None,
-        };
-        self.moving.insert(id, obj, plane.as_ref().zip(route))?;
-        self.set_unindexed(id, plane.is_none());
+        let filed = matches!(obj.attr.policy, PolicyDescriptor::CostBased { .. });
+        let (network, config) = (&*self.network, &self.config);
+        self.moving
+            .insert(id, obj, |obj| Self::filing(network, config, obj))?;
+        self.set_unindexed(id, !filed);
         Ok(())
     }
 
@@ -518,7 +540,7 @@ impl Database {
         let stats = self.moving.for_each_candidate(
             region,
             &self.network,
-            |obj| self.plane_of(obj).ok().flatten(),
+            |obj| Self::plane_of(&self.config, obj).ok().flatten(),
             |entry| {
                 if refined.is_ok() {
                     refined = self.tally(&mut answer, entry.value(), region);
@@ -544,7 +566,7 @@ impl Database {
         let stats = self.moving.candidates_into(
             region,
             &self.network,
-            |obj| self.plane_of(obj).ok().flatten(),
+            |obj| Self::plane_of(&self.config, obj).ok().flatten(),
             &mut candidates,
         );
         candidates.extend(self.unindexed.iter().copied());
@@ -1245,17 +1267,16 @@ mod tests {
     /// having had to sync anything.
     #[test]
     fn update_leaves_one_entry_once_clones_drop() {
-        // The entry is the id, the object and the box it is filed under:
-        // no copy of the o-plane the object determines, and an unfiled
-        // entry is the empty box, not an `Option` (which would add 8 B).
-        // 184 B, 200 B with the `Arc`'s counts: a 208-B allocator chunk,
-        // where an entry with the plane beside it took 272 B.
+        // The entry is the id and the object: no copy of the o-plane the
+        // object determines, and no copy of the box it is filed under,
+        // which the tree's leaf keeps. 136 B, 152 B with the `Arc`'s
+        // counts: a 160-B allocator chunk, where an entry with the box
+        // beside it took 208 B, and one with the plane too 272 B.
         assert_eq!(
             std::mem::size_of::<Entry<ObjectId, MovingObject>>(),
-            std::mem::size_of::<ObjectId>()
-                + std::mem::size_of::<MovingObject>()
-                + std::mem::size_of::<modb_geom::Aabb3>()
+            std::mem::size_of::<ObjectId>() + std::mem::size_of::<MovingObject>()
         );
+        assert_eq!(std::mem::size_of::<Entry<ObjectId, MovingObject>>(), 136);
         let id = ObjectId(1);
         let mut db = db_with(vec![object(1, 10.0, 1.0), object(2, 50.0, 1.0)]);
         let report = |t: f64| UpdateMessage::basic(t, UpdatePosition::Arc(10.0 + t % 80.0), 1.0);
@@ -1423,21 +1444,58 @@ mod tests {
         assert_eq!(pinned.moving(ObjectId(1)).unwrap().attr.start_arc, 14.0);
     }
 
+    /// Where `db`'s tree and its objects disagree: a leaf whose box is
+    /// not the union box of the plane derived from its entry's object, a
+    /// leaf for an object that is not cost-based or held twice, and a
+    /// cost-based object with no leaf. Empty when every object is filed
+    /// exactly where a write will look for it.
+    fn misfilings(db: &Database) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut leaves = Vec::new();
+        db.moving.for_each_leaf(|union, entry| {
+            let obj = entry.value();
+            let derived = Database::filing(&db.network, &db.config, obj)
+                .unwrap()
+                .map(|(plane, route)| plane.union_box(route, db.config.bands).unwrap());
+            if derived != Some(*union) {
+                out.push(format!(
+                    "{:?} filed under {union:?}, derives {derived:?}",
+                    obj.id
+                ));
+            }
+            leaves.push(obj.id);
+        });
+        leaves.sort_unstable();
+        let mut cost_based: Vec<ObjectId> = db
+            .moving_objects()
+            .filter(|o| matches!(o.attr.policy, PolicyDescriptor::CostBased { .. }))
+            .map(|o| o.id)
+            .collect();
+        cost_based.sort_unstable();
+        if leaves != cost_based {
+            out.push(format!("leaves {leaves:?}, cost-based {cost_based:?}"));
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The plane a tree hit is tested against is the plane its entry
-        /// was filed under. Through random registrations, updates (some
-        /// moving to another route, some naming a route that does not
-        /// exist and refused), policy switches that take an object out
-        /// of the tree and back, and removals — beside a fixed-bound
-        /// object that is never filed — every entry's box is the union
-        /// box of the plane derived from its object, and the index
-        /// answers every query exactly like the scan.
+        /// The plane a tree hit is tested against, and the box a write
+        /// derives again to find its leaf, are the ones the entry was
+        /// filed under. Through random registrations, updates (some moving to another
+        /// route, some naming a route that does not exist and refused,
+        /// some turning round on their route), policy switches that take
+        /// an object out of the tree and back, and removals — beside a
+        /// fixed-bound object that is never filed, and with clones pinned
+        /// along the way — each leaf's box is the union box of the plane
+        /// derived from its object, the tree holds one leaf per cost-based
+        /// object, the index answers every query exactly like the scan,
+        /// and a pinned clone still answers what it answered when pinned.
         #[test]
         fn a_hit_derives_the_plane_its_entry_was_filed_under(
             steps in proptest::collection::vec(
-                (0usize..5, 0u64..8, 0.0f64..100.0, 0.0f64..1.4, 0.0f64..0.8),
+                (0usize..7, 0u64..8, 0.0f64..100.0, 0.0f64..1.4, 0.0f64..0.8),
                 1..60,
             ),
             (x0, w, t0, dt) in (-10.0f64..100.0, 1.0f64..60.0, 0.0f64..50.0, 0.0f64..10.0),
@@ -1462,6 +1520,17 @@ mod tests {
                 QueryRegion::at_instant(g.clone(), t0),
                 QueryRegion::during(g, t0, t0 + dt),
             ];
+            let answers = |db: &Database| -> Vec<_> {
+                regions
+                    .iter()
+                    .map(|region| {
+                        let index = db.range_query(region).unwrap();
+                        let scan = db.range_query_scan(region).unwrap();
+                        ((index.must, index.may), (scan.must, scan.may))
+                    })
+                    .collect()
+            };
+            let mut pinned = Vec::new();
             let mut clock = 0.0f64;
             for (op, pick, arc, speed, tick) in steps {
                 clock = (clock + tick).min(50.0);
@@ -1482,21 +1551,24 @@ mod tests {
                         ),
                     ),
                     3 => db.apply_update(id, &basic.with_policy(policy(pick + (arc as u64)))),
+                    4 => {
+                        let turn = if arc < 50.0 { Direction::Backward } else { Direction::Forward };
+                        db.apply_update(id, &UpdateMessage { direction: Some(turn), ..basic })
+                    }
+                    5 => {
+                        pinned.push((db.clone(), answers(&db)));
+                        Ok(())
+                    }
                     _ => db.remove_moving(id).map(drop),
                 };
-                for id in db.moving_ids() {
-                    let entry = db.moving.entry(&id).unwrap();
-                    let derived = db.plane_of(entry.value()).unwrap().map(|plane| {
-                        let route = db.network().get(plane.route).unwrap();
-                        plane.union_box(route, db.config().bands).unwrap()
-                    });
-                    prop_assert_eq!(entry.union(), derived, "object {:?}", id);
+                prop_assert_eq!(misfilings(&db), Vec::<String>::new());
+                for (index, scan) in answers(&db) {
+                    prop_assert_eq!(index, scan);
                 }
-                for region in &regions {
-                    let index = db.range_query(region).unwrap();
-                    let scan = db.range_query_scan(region).unwrap();
-                    prop_assert_eq!((index.must, index.may), (scan.must, scan.may));
-                }
+            }
+            for (clone, then) in &pinned {
+                prop_assert_eq!(misfilings(clone), Vec::<String>::new());
+                prop_assert_eq!(&answers(clone), then);
             }
         }
     }

@@ -17,6 +17,10 @@ pub enum IndexError {
     },
     /// The route passed for geometry resolution is not the plane's route.
     RouteMismatch,
+    /// An entry was not in the tree under the box derived from its
+    /// payload: the payload no longer derives the plane it was filed
+    /// under. The write that looked for it changed nothing.
+    Misfiled,
     /// Underlying geometry failure.
     Geom(GeomError),
 }
@@ -31,6 +35,9 @@ impl fmt::Display for IndexError {
                 write!(f, "o-plane time span empty: [{start}, {end}]")
             }
             IndexError::RouteMismatch => write!(f, "route does not match the o-plane's route id"),
+            IndexError::Misfiled => {
+                write!(f, "entry not found under the box derived from its payload")
+            }
             IndexError::Geom(e) => write!(f, "geometry error: {e}"),
         }
     }

@@ -15,8 +15,9 @@
 //!   insert-new on every position update) and candidate filtering, over
 //!   one R\*-tree of per-object union boxes — and the fleet's keyed
 //!   table: one shared [`Entry`] per key carries a payload (`modb-core`'s
-//!   moving object) and the box it is filed under, so a tree hit needs no
-//!   lookup; the hit's plane is derived from the payload, not stored.
+//!   moving object), so a tree hit needs no lookup. The plane is derived
+//!   from the payload, not stored, and so is the box a write looks the
+//!   superseded entry up by: the box is kept once, in the tree's leaf.
 //!   The table is a copy-on-write hash map (`CowMap`, private to this
 //!   crate); it and the tree are path-copying, so a clone of the index is
 //!   O(1) and shares everything no write has touched since.
@@ -34,7 +35,7 @@ mod rtree;
 mod timespace;
 
 pub use error::IndexError;
-pub use moving_index::{Entry, MovingObjectIndex, DEFAULT_SLAB_MINUTES};
+pub use moving_index::{Entry, Filing, MovingObjectIndex, DEFAULT_SLAB_MINUTES};
 pub use oplane::OPlane;
 pub use rtree::{RStarTree, SearchStats};
 pub use timespace::{within_radius, QueryRegion};

@@ -20,18 +20,29 @@
 //! slabs; one box, whatever the trip).
 //!
 //! **One record per key, one copy of each fact.** The index is also the
-//! keyed table: each key owns one immutable [`Entry`] — the key, a
-//! payload `V` and the union box. The plane is not stored beside the
-//! payload, because it is a function of it (§4.1.1: "the geometric
-//! representation of a position attribute"): the caller hands
-//! [`MovingObjectIndex::insert`] the plane to file under, and the
-//! `candidates*` probes a closure that derives it again from a hit's
-//! payload. `modb-core` keeps the whole moving object as the payload and
-//! derives the plane from its attribute; a filter-only index keeps the
-//! plane itself (`V = OPlane`, the default). The entry lives behind one
-//! `Arc` that both the key → entry map and the tree's leaf hold, so a
-//! tree hit reaches the payload with no lookup, and a write builds one
-//! new entry and hands the old one to the tree to find and replace.
+//! keyed table: each key owns one immutable [`Entry`] — the key and a
+//! payload `V`. Neither the plane nor its union box is stored beside the
+//! payload, because both are functions of it (§4.1.1: "the geometric
+//! representation of a position attribute"): the caller hands every
+//! write a closure that derives a payload's [`Filing`] — its plane and
+//! route — and the `candidates*` probes a closure that derives the plane
+//! again from a hit's payload. The union box lives in one place, the
+//! tree leaf that files the entry. `modb-core` keeps the whole moving
+//! object as the payload and derives the plane from its attribute; a
+//! filter-only index keeps the plane itself (`V = OPlane`, the default).
+//! The entry lives behind one `Arc` that both the key → entry map and
+//! the tree's leaf hold, so a tree hit reaches the payload with no
+//! lookup.
+//!
+//! **A write locates before it writes.** §4.2 removes an object "from
+//! the rectangles … that intersect [the old o-plane] p1": p1 is derived
+//! again from the superseded entry's payload, and its union box leads
+//! the tree to the leaf to replace or remove. The new box is computed
+//! first, the old entry is located second, the tree is written third and
+//! the map last, so an error at any step — a plane that cannot be
+//! decomposed, or a derived box that finds no leaf
+//! ([`IndexError::Misfiled`]) — leaves the map, the tree and `len()` as
+//! they were.
 //!
 //! **A copy is two roots.** The tree ([`RStarTree`]) and the map
 //! (`CowMap`) are path-copying, so cloning the index copies two
@@ -69,17 +80,21 @@ use crate::timespace::QueryRegion;
 /// plane is ~12 boxes.
 pub const DEFAULT_SLAB_MINUTES: f64 = 5.0;
 
-/// One key's record: the key, its payload and the box the tree files it
-/// under — the union of the slab boxes of the o-plane it was inserted
-/// with, or the empty box when it is held in the map only. Immutable,
-/// and shared (never copied) between the tree, the map and every clone
-/// of the index. The same size for every plane: no per-slab heap behind
-/// it, and no copy of the plane, which the payload determines.
+/// How a payload is filed: the o-plane whose union box the tree files it
+/// under, on that plane's route — or `None` for a payload held in the map
+/// only. Every write derives it, from the new payload and from the one it
+/// supersedes, with the closure its caller passes.
+pub type Filing<'r> = Option<(OPlane, &'r Route)>;
+
+/// One key's record: the key and its payload. Immutable, and shared
+/// (never copied) between the tree, the map and every clone of the index.
+/// The same size for every plane: no per-slab heap behind it, no copy of
+/// the plane and no copy of the box the tree files it under — the payload
+/// determines both, and the box is kept in the tree's leaf.
 #[derive(Debug)]
 pub struct Entry<K, V> {
     key: K,
     value: V,
-    union: Aabb3,
 }
 
 impl<K, V> Entry<K, V> {
@@ -92,13 +107,6 @@ impl<K, V> Entry<K, V> {
     /// The payload, by value.
     pub fn into_value(self) -> V {
         self.value
-    }
-
-    /// The box the tree files this entry under; `None` when the entry is
-    /// held in the map only — the probe the filing tests compare with.
-    #[doc(hidden)]
-    pub fn union(&self) -> Option<Aabb3> {
-        (!self.union.is_empty()).then_some(self.union)
     }
 }
 
@@ -215,54 +223,83 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
         self.entries.values().map(|entry| &entry.value)
     }
 
-    /// Stores `value` under `key`, filed in the tree under `plane` (on
-    /// its `route`) or, with `None`, held in the map only — the §4.2
-    /// position-update maintenance step. One new entry is built; an entry
-    /// it replaces is handed to the tree to find and swap. `plane` must be
-    /// the plane the `candidates*` closures derive from `value`: only its
-    /// union box is kept.
+    /// Stores `value` under `key`, filed in the tree under the union box
+    /// of the plane `filing_of` derives from it, or held in the map only
+    /// when that is `None` — the §4.2 position-update maintenance step.
+    /// The entry it supersedes is found in the tree by the box of the
+    /// plane `filing_of` derives from *its* payload, so `filing_of` must
+    /// derive, for every payload, the plane it was filed under — and it
+    /// must be the plane the `candidates*` closures derive.
     ///
     /// # Errors
     ///
-    /// Propagates o-plane decomposition errors; on error nothing changes.
-    pub fn insert(
+    /// Propagates `filing_of`'s errors and o-plane decomposition errors,
+    /// and answers [`IndexError::Misfiled`] when the superseded entry is
+    /// not in the tree under its derived box. On error nothing changes.
+    pub fn insert<'r, E: From<IndexError>>(
         &mut self,
         key: K,
         value: V,
-        plane: Option<(&OPlane, &Route)>,
-    ) -> Result<(), IndexError> {
-        // Touch the old entry only after every slab of the new plane
-        // computed cleanly.
-        let union = match plane {
-            Some((plane, route)) => plane.union_box(route, self.slab_minutes)?,
-            None => Aabb3::empty(),
+        filing_of: impl Fn(&V) -> Result<Filing<'r>, E>,
+    ) -> Result<(), E> {
+        let to = self.union_box(filing_of(&value)?)?;
+        let old = match self.entries.get(&key) {
+            Some(old) => Some((
+                Hit(Arc::clone(old)),
+                self.union_box(filing_of(&old.value)?)?,
+            )),
+            None => None,
         };
-        let next = Arc::new(Entry { key, value, union });
-        let old = self.entries.insert(key, Arc::clone(&next));
-        let from = old.as_ref().and_then(|old| old.union());
-        match (old, from, next.union()) {
-            (Some(old), Some(from), Some(to)) => {
-                let updated = self.tree.update(&from, &Hit(old), to, Hit(next));
-                debug_assert!(updated, "index out of sync: missing old entry");
+        let next = Arc::new(Entry { key, value });
+        let located = match (old, to) {
+            (Some((old, Some(from))), Some(to)) => {
+                self.tree.update(&from, &old, to, Hit(Arc::clone(&next)))
             }
-            (Some(old), Some(from), None) => {
-                let removed = self.tree.remove(&from, &Hit(old));
-                debug_assert!(removed, "index out of sync: missing old entry");
+            (Some((old, Some(from))), None) => self.tree.remove(&from, &old),
+            (_, Some(to)) => {
+                self.tree.insert(to, Hit(Arc::clone(&next)));
+                true
             }
-            (_, _, Some(to)) => self.tree.insert(to, Hit(next)),
-            (_, _, None) => {}
+            (_, None) => true,
+        };
+        if !located {
+            return Err(IndexError::Misfiled.into());
         }
+        self.entries.insert(key, next);
         Ok(())
     }
 
-    /// Removes `key`'s entry (trip ended) and returns it.
-    pub fn remove(&mut self, key: &K) -> Option<Arc<Entry<K, V>>> {
-        let entry = self.entries.remove(key)?;
-        if let Some(union) = entry.union() {
-            let removed = self.tree.remove(&union, &Hit(Arc::clone(&entry)));
-            debug_assert!(removed, "index out of sync: missing tree entry");
+    /// Removes `key`'s entry (trip ended) and returns it, or `None` when
+    /// there is none. The entry is found in the tree by the box of the
+    /// plane `filing_of` derives from its payload, as for
+    /// [`MovingObjectIndex::insert`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`MovingObjectIndex::insert`]; on error nothing changes.
+    pub fn remove<'r, E: From<IndexError>>(
+        &mut self,
+        key: &K,
+        filing_of: impl Fn(&V) -> Result<Filing<'r>, E>,
+    ) -> Result<Option<Arc<Entry<K, V>>>, E> {
+        let Some(entry) = self.entries.get(key) else {
+            return Ok(None);
+        };
+        if let Some(union) = self.union_box(filing_of(&entry.value)?)? {
+            let hit = Hit(Arc::clone(entry));
+            if !self.tree.remove(&union, &hit) {
+                return Err(IndexError::Misfiled.into());
+            }
         }
-        Some(entry)
+        Ok(self.entries.remove(key))
+    }
+
+    /// The box a [`Filing`] files its payload under: the union of its
+    /// plane's slab boxes.
+    fn union_box(&self, filing: Filing<'_>) -> Result<Option<Aabb3>, IndexError> {
+        filing
+            .map(|(plane, route)| plane.union_box(route, self.slab_minutes))
+            .transpose()
     }
 
     /// Appends the candidate keys for `region` to `out` and returns the
@@ -319,6 +356,15 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
         (tree_shared + map_shared, tree_total + map_total)
     }
 
+    /// Visits every tree leaf: the box it files and the entry it holds —
+    /// the probe the filing tests compare each box with the one derived
+    /// from the entry's payload.
+    #[doc(hidden)]
+    pub fn for_each_leaf(&self, mut visit: impl FnMut(&Aabb3, &Entry<K, V>)) {
+        self.tree
+            .for_each_entry(|union, Hit(entry)| visit(union, entry));
+    }
+
     /// Tree statistics: `(entries, nodes, height)`.
     pub fn tree_stats(&self) -> (usize, usize, usize) {
         (self.tree.len(), self.tree.node_count(), self.tree.height())
@@ -335,14 +381,17 @@ impl<K: Copy + Eq + Hash> MovingObjectIndex<K> {
     }
 
     /// Installs (or replaces) the o-plane of object `key` in a
-    /// filter-only index.
+    /// filter-only index. The plane it replaces is filed on `route` too:
+    /// an object's route cannot change through this call.
     ///
     /// # Errors
     ///
-    /// Propagates o-plane decomposition errors; on error the old plane (if
-    /// any) is left untouched.
+    /// Propagates o-plane decomposition errors —
+    /// [`IndexError::RouteMismatch`] when `plane`, or the plane it would
+    /// replace, is not on `route` — and [`IndexError::Misfiled`]; on error
+    /// the old plane (if any) is left untouched.
     pub fn upsert(&mut self, key: K, plane: OPlane, route: &Route) -> Result<(), IndexError> {
-        self.insert(key, plane.clone(), Some((&plane, route)))
+        self.insert(key, plane, |plane| Ok(Some((plane.clone(), route))))
     }
 
     /// Candidate keys whose o-plane boxes intersect the query region's
@@ -395,6 +444,28 @@ mod tests {
     fn region(x0: f64, x1: f64, t: f64) -> QueryRegion {
         let g = Polygon::rectangle(&Rect::new(Point::new(x0, -1.0), Point::new(x1, 1.0))).unwrap();
         QueryRegion::at_instant(g, t)
+    }
+
+    /// A filter-only payload's filing: its own plane, on `r`.
+    fn on<'r>(r: &'r Route) -> impl Fn(&OPlane) -> Result<Filing<'r>, IndexError> + 'r {
+        move |plane| Ok(Some((plane.clone(), r)))
+    }
+
+    /// The keys the tree's leaves hold, each checked against the box
+    /// `plane_of` derives from its payload on `r`.
+    fn filed_keys<V>(
+        idx: &MovingObjectIndex<u64, V>,
+        r: &Route,
+        plane_of: impl Fn(&V) -> Option<OPlane>,
+    ) -> Vec<u64> {
+        let mut keys = Vec::new();
+        idx.for_each_leaf(|union, entry| {
+            let plane = plane_of(&entry.value).expect("a filed payload derives a plane");
+            assert_eq!(*union, plane.union_box(r, idx.slab_minutes).unwrap());
+            keys.push(entry.key);
+        });
+        keys.sort_unstable();
+        keys
     }
 
     /// A filter-only index's candidates with their search statistics.
@@ -451,8 +522,8 @@ mod tests {
         let mut idx = MovingObjectIndex::new(5.0);
         idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
         idx.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
-        assert!(idx.remove(&1).is_some());
-        assert!(idx.remove(&1).is_none());
+        assert!(idx.remove(&1, on(&r)).unwrap().is_some());
+        assert!(idx.remove(&1, on(&r)).unwrap().is_none());
         assert_eq!(idx.len(), 1);
         assert!(idx.candidates(&region(0.0, 10.0, 2.0), &n).is_empty());
         let (entries, _, _) = idx.tree_stats();
@@ -462,10 +533,14 @@ mod tests {
     /// A payload rides in the entry, filed or not: a hit hands over the
     /// payload it carries and its plane is derived from that payload, an
     /// entry without a plane stays in the table but out of the tree, and
-    /// moving an entry between the two keeps one tree entry per filed key.
+    /// moving an entry between the two keeps one tree leaf per filed key,
+    /// under the box its payload derives.
     #[test]
     fn payloads_ride_in_the_entry_filed_or_not() {
         type Named = (&'static str, Option<OPlane>);
+        fn filing<'r>(route: &'r Route) -> impl Fn(&Named) -> Result<Filing<'r>, IndexError> + 'r {
+            move |(_, plane)| Ok(plane.clone().map(|plane| (plane, route)))
+        }
         fn put(
             idx: &mut MovingObjectIndex<u64, Named>,
             key: u64,
@@ -473,8 +548,7 @@ mod tests {
             plane: Option<OPlane>,
             route: &Route,
         ) -> Result<(), IndexError> {
-            let filed = plane.clone();
-            idx.insert(key, (name, plane), filed.as_ref().map(|p| (p, route)))
+            idx.insert(key, (name, plane), filing(route))
         }
         let r = route();
         let n = network();
@@ -488,12 +562,13 @@ mod tests {
             );
             seen
         };
+        let filed = |idx: &MovingObjectIndex<u64, Named>| filed_keys(idx, &r, |v| v.1.clone());
         let mut idx = MovingObjectIndex::new(5.0);
         put(&mut idx, 1, "filed", Some(plane(0.0, 0.0)), &r).unwrap();
         put(&mut idx, 2, "held", None, &r).unwrap();
         assert_eq!((idx.len(), idx.tree_stats().0), (2, 1));
         assert_eq!(idx.get(&2).map(|v| v.0), Some("held"));
-        assert_eq!(idx.entry(&2).unwrap().union(), None);
+        assert_eq!(filed(&idx), [1]);
         assert_eq!(names(&idx), ["filed"]);
 
         // Filed → held → filed again; the tree follows.
@@ -508,11 +583,105 @@ mod tests {
         assert!(put(&mut idx, 2, "bad", Some(plane(50.0, 0.0)), &wrong).is_err());
         assert_eq!(idx.get(&2).map(|v| v.0), Some("refiled"));
         assert_eq!(names(&idx), ["refiled"]);
-        assert_eq!(idx.remove(&1).map(|e| e.value().0), Some("unfiled"));
+        let removed = idx.remove(&1, filing(&r)).unwrap();
+        assert_eq!(removed.map(|e| e.value().0), Some("unfiled"));
         assert_eq!((idx.len(), idx.tree_stats().0), (1, 1));
         let values: Vec<_> = idx.values().map(|v| v.0).collect();
         assert_eq!(values, ["refiled"]);
-        assert!(idx.entry(&2).unwrap().union().is_some());
+        assert_eq!(filed(&idx), [2]);
+    }
+
+    /// Everything a refused write could have touched, to compare before
+    /// and after it.
+    fn state(
+        idx: &MovingObjectIndex<u64>,
+        r: &Route,
+        n: &RouteNetwork,
+    ) -> (usize, (usize, usize, usize), Vec<u64>, Vec<u64>) {
+        let mut wide = idx.candidates(&region(0.0, 100.0, 2.0), n);
+        wide.sort_unstable();
+        (
+            idx.len(),
+            idx.tree_stats(),
+            wide,
+            filed_keys(idx, r, |p| Some(p.clone())),
+        )
+    }
+
+    /// The filter-only `upsert` files the plane it replaces on the route
+    /// it is given, so moving an object to another route through it is
+    /// refused, typed, and the index is as it was.
+    #[test]
+    fn a_route_change_through_upsert_is_refused() {
+        let (r, n) = (route(), network());
+        let other = Route::from_vertices(
+            RouteId(2),
+            "other",
+            vec![Point::new(0.0, 5.0), Point::new(100.0, 5.0)],
+        )
+        .unwrap();
+        let mut idx = MovingObjectIndex::new(5.0);
+        idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
+        idx.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
+        let before = state(&idx, &r, &n);
+        let moved = OPlane {
+            route: RouteId(2),
+            ..plane(10.0, 1.0)
+        };
+        assert_eq!(idx.upsert(1, moved, &other), Err(IndexError::RouteMismatch));
+        assert_eq!(state(&idx, &r, &n), before);
+        assert_eq!(idx.get(&1), Some(&plane(0.0, 0.0)));
+    }
+
+    /// A write whose derivation of the superseded entry misses — it
+    /// derives a box the entry was not filed under — is refused with
+    /// [`IndexError::Misfiled`] before anything is written: no ghost leaf
+    /// beside a new map entry, no map entry without its leaf.
+    #[test]
+    fn a_write_that_cannot_locate_the_old_entry_is_refused() {
+        let (r, n) = (route(), network());
+        let mut idx = MovingObjectIndex::new(5.0);
+        idx.upsert(1u64, plane(0.0, 0.0), &r).unwrap();
+        idx.upsert(2u64, plane(50.0, 0.0), &r).unwrap();
+        let before = state(&idx, &r, &n);
+        // A derivation that is not the one the entries were filed by.
+        let astray = |p: &OPlane| {
+            Ok(Some((
+                OPlane {
+                    start_arc: p.start_arc + 30.0,
+                    ..p.clone()
+                },
+                &r,
+            )))
+        };
+        assert_eq!(
+            idx.remove(&1, astray).map(|e| e.is_some()),
+            Err(IndexError::Misfiled)
+        );
+        assert_eq!(state(&idx, &r, &n), before);
+        assert_eq!(
+            idx.insert(1, plane(80.0, 10.0), astray),
+            Err(IndexError::Misfiled)
+        );
+        assert_eq!(state(&idx, &r, &n), before);
+        assert_eq!(idx.get(&1), Some(&plane(0.0, 0.0)));
+        // Unfiling (the new payload derives no plane) must locate too.
+        let unfile = |p: &OPlane| match p.start_arc == 80.0 {
+            true => Ok(None),
+            false => astray(p),
+        };
+        assert_eq!(
+            idx.insert(1, plane(80.0, 10.0), unfile),
+            Err(IndexError::Misfiled)
+        );
+        assert_eq!(state(&idx, &r, &n), before);
+        // The right derivation still finds both.
+        assert!(idx.remove(&1, on(&r)).unwrap().is_some());
+        idx.upsert(2, plane(80.0, 10.0), &r).unwrap();
+        assert_eq!(
+            (idx.len(), filed_keys(&idx, &r, |p| Some(p.clone()))),
+            (1, vec![2])
+        );
     }
 
     #[test]
@@ -602,9 +771,10 @@ mod tests {
     }
 
     /// What an object costs does not depend on how far ahead its trip is
-    /// declared: the entry is the key, the payload and one box, nothing
-    /// per slab — and a filter-only entry, whose payload is the plane,
-    /// holds that plane once.
+    /// declared: the entry is the key and the payload, nothing per slab
+    /// and not even the one box, which the tree's leaf keeps — and a
+    /// filter-only entry, whose payload is the plane, holds that plane
+    /// once.
     #[test]
     fn stored_entry_size_is_independent_of_trip_length() {
         let r = route();
@@ -627,17 +797,14 @@ mod tests {
         idx.upsert(1u64, trip(6.0), &r).unwrap();
         idx.upsert(2u64, trip(600.0), &r).unwrap();
         assert_eq!(trip(600.0).to_boxes(&r, 5.0).unwrap().len(), 120);
-        // Both are an `Entry`, and a filter-only `Entry` is a key, the
-        // plane and a box (an unfiled entry is the empty box, not an
-        // `Option`): no pointer in it means no heap behind it to grow
-        // with the trip, and no second plane beside the payload.
+        // Both are an `Entry`, and a filter-only `Entry` is a key and the
+        // plane: no pointer in it means no heap behind it to grow with
+        // the trip, and no second plane or box beside the payload.
         assert_eq!(
             std::mem::size_of::<Entry<u64, OPlane>>(),
-            std::mem::size_of::<u64>()
-                + std::mem::size_of::<OPlane>()
-                + std::mem::size_of::<Aabb3>()
+            std::mem::size_of::<u64>() + std::mem::size_of::<OPlane>()
         );
-        assert!(std::mem::size_of::<Entry<u64, OPlane>>() <= 128);
+        assert!(std::mem::size_of::<Entry<u64, OPlane>>() <= 80);
         // Both answer from the plane alone, at either end of the trip.
         assert_eq!(idx.candidates(&region(0.0, 5.0, 3.0), &n), vec![1, 2]);
         assert_eq!(idx.candidates(&region(50.0, 70.0, 599.0), &n), vec![2]);

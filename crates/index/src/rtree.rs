@@ -376,6 +376,19 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         slots
     }
 
+    /// Visits every `(box, value)` entry in the leaves — the probe the
+    /// filing tests walk the tree with.
+    #[doc(hidden)]
+    pub fn for_each_entry(&self, mut f: impl FnMut(&Aabb3, &T)) {
+        fn walk<T>(node: &Node<T>, f: &mut impl FnMut(&Aabb3, &T)) {
+            match node {
+                Node::Leaf(es) => es.iter().for_each(|(b, v)| f(b, v)),
+                Node::Internal(cs) => cs.iter().for_each(|(_, child)| walk(child, f)),
+            }
+        }
+        walk(&self.root, &mut f);
+    }
+
     /// All values whose boxes intersect `query` (duplicates possible when
     /// one value was inserted under several intersecting boxes).
     pub fn query_intersecting(&self, query: &Aabb3) -> Vec<T> {

@@ -2,7 +2,7 @@
 //! o-plane coverage under random parameters.
 
 use modb_geom::{Aabb3, Point, Polygon, Rect};
-use modb_index::{MovingObjectIndex, OPlane, QueryRegion, RStarTree};
+use modb_index::{IndexError, MovingObjectIndex, OPlane, QueryRegion, RStarTree};
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use proptest::prelude::*;
@@ -388,7 +388,9 @@ proptest! {
         prop_assert_eq!(idx.tree_stats().0, movers.len());
         prop_assert_eq!(sorted_candidates(&idx, &q, &net), oracle(&planes));
 
-        // Removals of a random subset.
+        // Removals of a random subset, each found by the box of the plane
+        // its payload holds.
+        let on_route = |plane: &OPlane| Ok::<_, IndexError>(Some((plane.clone(), &route)));
         for i in 0..movers.len() {
             if clone_mask[40 + i] {
                 pinned.push((idx.clone(), planes.clone()));
@@ -397,8 +399,8 @@ proptest! {
                 continue;
             }
             planes[i] = None;
-            prop_assert!(idx.remove(&(i as u64)).is_some());
-            prop_assert!(idx.remove(&(i as u64)).is_none());
+            prop_assert!(idx.remove(&(i as u64), on_route).unwrap().is_some());
+            prop_assert!(idx.remove(&(i as u64), on_route).unwrap().is_none());
         }
         let live = planes.iter().flatten().count();
         prop_assert_eq!((idx.len(), idx.tree_stats().0), (live, live));
