@@ -100,6 +100,10 @@ pub struct Database {
     /// they are appended to every candidate set (exact refinement still
     /// applies). Shared whole, like `stationary`.
     unindexed: Arc<BTreeSet<ObjectId>>,
+    /// The largest `max_speed` any object ever stored here had: raised
+    /// by every write, never lowered by a removal (a cap above the
+    /// fleet's only widens what it bounds).
+    speed_cap: f64,
     config: DatabaseConfig,
 }
 
@@ -112,6 +116,7 @@ impl Database {
             moving: MovingObjectIndex::new(config.bands),
             stationary: Arc::default(),
             unindexed: Arc::default(),
+            speed_cap: 0.0,
             config,
         }
     }
@@ -149,6 +154,16 @@ impl Database {
     /// Number of moving objects.
     pub fn moving_count(&self) -> usize {
         self.moving.len()
+    }
+
+    /// An upper bound on every moving object's `max_speed`, read in
+    /// O(1): the largest one ever stored (0.0 for an empty database).
+    /// Registration, snapshot decode and replay all store through one
+    /// path, which raises it; a removal does not lower it, so after one
+    /// it may exceed the fleet's true maximum — sound for a bound, since
+    /// a larger cap only widens it.
+    pub fn speed_cap(&self) -> f64 {
+        self.speed_cap
     }
 
     /// Number of stationary objects.
@@ -438,14 +453,17 @@ impl Database {
     /// policy is cost-based, in the unindexed set otherwise. The index
     /// computes the new box and locates the superseded entry by its
     /// derived box before writing anything, so an error changes nothing;
-    /// neither the plane nor the box is kept in the entry.
+    /// neither the plane nor the box is kept in the entry. Raises the
+    /// [`Database::speed_cap`].
     fn store(&mut self, obj: MovingObject) -> Result<(), CoreError> {
         let id = obj.id;
         let filed = matches!(obj.attr.policy, PolicyDescriptor::CostBased { .. });
+        let max_speed = obj.max_speed;
         let (network, config) = (&*self.network, &self.config);
         self.moving
             .insert(id, obj, |obj| Self::filing(network, config, obj))?;
         self.set_unindexed(id, !filed);
+        self.speed_cap = self.speed_cap.max(max_speed);
         Ok(())
     }
 
@@ -775,6 +793,33 @@ mod tests {
         assert!((ans.bound - 2.0).abs() < 1e-12);
         assert!(ans.interval.0 <= 15.0 && ans.interval.1 >= 15.0);
         assert!(!ans.interval_path.is_empty());
+    }
+
+    #[test]
+    fn the_speed_cap_is_the_largest_max_speed_ever_stored() {
+        let fast = |id, max_speed| MovingObject {
+            max_speed,
+            ..object(id, 10.0, 1.0)
+        };
+        let mut db = Database::new(network(), DatabaseConfig::default());
+        assert_eq!(db.speed_cap(), 0.0);
+        db.register_moving(fast(1, 1.5)).unwrap();
+        db.register_moving(fast(2, 4.0)).unwrap();
+        db.register_moving(fast(3, 2.5)).unwrap();
+        assert_eq!(db.speed_cap(), 4.0, "the fleet's largest");
+        // A refused registration stores nothing and raises nothing.
+        assert!(db.register_moving(fast(1, 9.0)).is_err());
+        assert_eq!(db.speed_cap(), 4.0);
+        // An update keeps the object's max_speed, and a clone carries the cap.
+        db.apply_update(
+            ObjectId(2),
+            &UpdateMessage::basic(1.0, UpdatePosition::Arc(12.0), 1.0),
+        )
+        .unwrap();
+        assert_eq!(db.clone().speed_cap(), 4.0);
+        // A removal never lowers it: a cap above the fleet only widens.
+        db.remove_moving(ObjectId(2)).unwrap();
+        assert_eq!(db.speed_cap(), 4.0);
     }
 
     #[test]

@@ -170,7 +170,8 @@ impl ServeContext {
 
     /// The `2·v_max·Δ` staleness term priced into every follower-served
     /// answer (0.0 on a leader, and on a caught-up follower where the
-    /// lag clock reads zero). `v_max` is the fleet-wide speed cap — the
+    /// lag clock reads zero). `v_max` is the fleet's speed cap
+    /// ([`modb_core::Database::speed_cap`], read in O(1)) — the
     /// worst-case drift any object can accumulate while the answer's
     /// clone trails the leader by wall-clock `Δ`.
     fn staleness_slack(&self) -> f64 {
@@ -181,10 +182,7 @@ impl ServeContext {
         if lag == 0.0 {
             return 0.0;
         }
-        let v_max = self
-            .engine
-            .database()
-            .with_read(|db| db.moving_objects().map(|o| o.max_speed).fold(0.0, f64::max));
+        let v_max = self.engine.database().with_read(|db| db.speed_cap());
         2.0 * v_max * lag
     }
 }
@@ -248,10 +246,14 @@ fn validate_update(msg: &UpdateMessage) -> Result<(), String> {
 /// token covering every acknowledged envelope of the frame, and none
 /// that is not in the log.
 ///
-/// Each envelope is waited on before the next is appended — one fsync
-/// per envelope. Appending the whole frame first would let one fsync
-/// cover it; that is ROADMAP's next write-path item, and it needs a
-/// longer `mixed_follower` trace in the benchmark before it can land.
+/// Each envelope is appended as a block of its own and waited on before
+/// the next is appended: at most one fsync per envelope (the group
+/// commit lets one fsync cover envelopes of concurrent sessions).
+/// Appending a frame's envelopes as one block under one fsync was
+/// measured (EXPERIMENTS M13): `mixed_follower` then acks over 21 k
+/// updates/s against ≈ 4.5 k/s, and exhausts the benchmark's update
+/// trace inside its window. It waits for ROADMAP's ledger item, which
+/// has to size that trace to the faster rate first.
 fn apply_updates(
     ctx: &ServeContext,
     updates: Vec<(ObjectId, UpdateMessage)>,

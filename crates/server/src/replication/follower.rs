@@ -1235,7 +1235,9 @@ mod tests {
         drop(upstream);
         std::fs::remove_dir_all(&dir).unwrap();
 
-        for foreign in [1, SEGMENT_VERSION + 1] {
+        // The retired versions (the v2 frames a pre-v3 leader ships
+        // among them) and a future one.
+        for foreign in [1, SEGMENT_VERSION - 1, SEGMENT_VERSION + 1] {
             let (upstream, dir) = upstream_shipping(foreign, "blocks");
             let replica = follow(&upstream, &dir);
             let deadline = Instant::now() + Duration::from_secs(30);

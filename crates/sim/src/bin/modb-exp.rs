@@ -278,7 +278,7 @@ static EXPERIMENTS: &[(&str, &str, Run)] = &[
             Report::of(wal_throughput::wal_throughput_tables(&report))
                 .check(
                     ratio >= 2.0,
-                    format!("v2-lz bytes/update reduction {ratio:.2}x is below 2x"),
+                    format!("v3-lz bytes/update reduction {ratio:.2}x is below 2x"),
                 )
                 .check(
                     applied == records,

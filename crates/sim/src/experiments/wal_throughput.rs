@@ -3,12 +3,12 @@
 //! Three questions, three sections:
 //!
 //! 1. **Bytes per update** — one striped ingest run on the log format
-//!    (`v2-lz`: delta-coded blocks, LZ where it pays), measured live,
+//!    (`v3-lz`: delta-coded blocks, LZ where it pays), measured live,
 //!    beside two *accountings* of the very blocks that run wrote: what
 //!    they would weigh with one CRC frame per record (`v1`, the retired
-//!    format) and as delta-coded blocks with the LZ stage off
-//!    (`v2-plain`). The paper prices every update message; this prices
-//!    what each one costs on disk.
+//!    layout, framed as today) and as delta-coded blocks with the LZ
+//!    stage off (`v3-plain`). The paper prices every update message;
+//!    this prices what each one costs on disk.
 //! 2. **Fsync collapse** — concurrent producers on the *acknowledged*
 //!    ingest path, every envelope waiting for durability through the
 //!    shared group-commit ticket. `tickets / commits` is the number of
@@ -28,19 +28,19 @@ use modb_server::{
 };
 use modb_wal::segment::SEGMENT_HEADER_BYTES;
 use modb_wal::{
-    decode_block, decode_block_frames, encode_block, FsyncPolicy, SegmentTailer, SharedWal,
-    WalOptions, WalRecord, WalWriter,
+    decode_block, decode_block_frames, encode_block, frame_len, split_frame, FsyncPolicy,
+    SegmentTailer, SharedWal, WalOptions, WalRecord, WalWriter,
 };
 
 use crate::experiments::indexing::build_city_db;
 use crate::report::{fmt, render_table};
 
-/// One log encoding's row (section 1). Only `v2-lz` is a live run; `v1`
-/// and `v2-plain` are size accountings of that run's blocks, so their
+/// One log encoding's row (section 1). Only `v3-lz` is a live run; `v1`
+/// and `v3-plain` are size accountings of that run's blocks, so their
 /// timing and fsync fields are 0 — nothing was written, nothing timed.
 #[derive(Debug, Clone)]
 pub struct WalFormatRow {
-    /// Format label: `v1`, `v2-plain`, or `v2-lz`.
+    /// Format label: `v1`, `v3-plain`, or `v3-lz`.
     pub label: &'static str,
     /// Updates sent and applied.
     pub updates: usize,
@@ -114,7 +114,7 @@ pub struct WalThroughputReport {
 }
 
 impl WalThroughputReport {
-    /// `v1 bytes/update ÷ v2-lz bytes/update` — the headline reduction.
+    /// `v1 bytes/update ÷ v3-lz bytes/update` — the headline reduction.
     pub fn disk_ratio(&self) -> f64 {
         let per = |label: &str| {
             self.formats
@@ -123,7 +123,7 @@ impl WalThroughputReport {
                 .map(|r| r.bytes_per_update)
                 .unwrap_or(f64::NAN)
         };
-        per("v1") / per("v2-lz")
+        per("v1") / per("v3-lz")
     }
 }
 
@@ -134,7 +134,7 @@ fn wal_options(fsync: FsyncPolicy) -> WalOptions {
     }
 }
 
-/// What `records` weigh with one CRC frame (8 bytes of length + CRC)
+/// What `records` weigh with one CRC frame (a length varint and a CRC)
 /// around each record's payload.
 fn framed_singly_bytes(records: &[WalRecord]) -> u64 {
     let mut payload = Vec::new();
@@ -143,7 +143,7 @@ fn framed_singly_bytes(records: &[WalRecord]) -> u64 {
         .map(|rec| {
             payload.clear();
             rec.encode_payload(&mut payload);
-            8 + payload.len() as u64
+            frame_len(payload.len()) as u64
         })
         .sum()
 }
@@ -217,23 +217,21 @@ pub fn run_format_comparison(n_objects: usize, rounds: usize, workers: usize) ->
     let (_, fsyncs) = wal.io_counters();
     let updates = n_objects * rounds;
 
-    // Walk the frames (`[len u32][crc u32][block]`) of the cleanly shut
-    // log, so each block is re-encoded with the batch boundaries the run
-    // chose.
+    // Walk the frames of the cleanly shut log, so each block is
+    // re-encoded with the batch boundaries the run chose.
     let headers = segments as u64 * SEGMENT_HEADER_BYTES;
     let (mut per_record_bytes, mut plain_bytes) = (headers, headers);
     let mut payload = Vec::new();
     for (_, path) in modb_wal::list_segments(&dir).expect("listable") {
         let bytes = std::fs::read(path).expect("readable segment");
         let mut body = &bytes[SEGMENT_HEADER_BYTES as usize..];
-        while !body.is_empty() {
-            let len = u32::from_le_bytes(body[..4].try_into().expect("frame header")) as usize;
-            let block = decode_block(&body[8..8 + len]).expect("clean log");
+        while let Some((frame, len)) = split_frame(body).expect("clean log") {
+            let block = decode_block(frame).expect("clean log");
             per_record_bytes += framed_singly_bytes(&block);
             payload.clear();
             encode_block(&block, false, &mut payload);
-            plain_bytes += 8 + payload.len() as u64;
-            body = &body[8 + len..];
+            plain_bytes += frame_len(payload.len()) as u64;
+            body = &body[len..];
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -250,9 +248,9 @@ pub fn run_format_comparison(n_objects: usize, rounds: usize, workers: usize) ->
     };
     vec![
         accounted("v1", per_record_bytes),
-        accounted("v2-plain", plain_bytes),
+        accounted("v3-plain", plain_bytes),
         WalFormatRow {
-            label: "v2-lz",
+            label: "v3-lz",
             updates,
             seconds,
             per_sec: updates as f64 / seconds,
@@ -409,8 +407,8 @@ pub fn run_wal_throughput(
 /// Renders the W7 report tables.
 pub fn wal_throughput_tables(report: &WalThroughputReport) -> String {
     let mut out = render_table(
-        "W7a: log bytes per update by encoding (v2-lz measured live, fsync every 256; \
-         v1 and v2-plain accounted from its blocks)",
+        "W7a: log bytes per update by encoding (v3-lz measured live, fsync every 256; \
+         v1 and v3-plain accounted from its blocks)",
         &[
             "format",
             "updates",
@@ -488,7 +486,7 @@ pub fn wal_throughput_tables(report: &WalThroughputReport) -> String {
         ]],
     ));
     out.push_str(&format!(
-        "\ndisk bytes/update reduction, v1 over v2-lz: {:.2}x\n",
+        "\ndisk bytes/update reduction, v1 over v3-lz: {:.2}x\n",
         report.disk_ratio()
     ));
     out
@@ -510,13 +508,13 @@ mod tests {
         };
         // Delta coding alone shrinks the log; LZ shrinks it further, and
         // the combination clears the 2x acceptance bar even at this size.
-        assert!(per("v2-plain") < per("v1"), "{rows:?}");
-        assert!(per("v2-lz") < per("v2-plain"), "{rows:?}");
-        assert!(per("v1") / per("v2-lz") >= 2.0, "{rows:?}");
+        assert!(per("v3-plain") < per("v1"), "{rows:?}");
+        assert!(per("v3-lz") < per("v3-plain"), "{rows:?}");
+        assert!(per("v1") / per("v3-lz") >= 2.0, "{rows:?}");
         for r in &rows {
             assert!(r.log_bytes > 0 && r.segments >= 1, "{r:?}");
             // Only the live row carries a throughput.
-            assert_eq!(r.per_sec > 0.0, r.label == "v2-lz", "{r:?}");
+            assert_eq!(r.per_sec > 0.0, r.label == "v3-lz", "{r:?}");
         }
     }
 

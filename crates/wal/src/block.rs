@@ -20,8 +20,13 @@
 //! the last values seen *for that object* in this block, falling back to
 //! the last values in the stream for an object's first appearance (fleet
 //! updates are temporally correlated across objects, so the stream-level
-//! fallback is usually a near-zero delta too). Bit-pattern arithmetic
-//! makes the round trip exact, NaN payloads included. Everything else
+//! fallback is usually a near-zero delta too). The block's *first*
+//! compact record has no context to speak of (all zeros, and the varint
+//! of a positive `f64`'s bits is 9–10 bytes), so it stores each of those
+//! floats as its raw 8-byte little-endian bit pattern instead — what a
+//! one-update block, the common acked append, is mostly made of.
+//! Bit-pattern arithmetic makes the round trip exact, NaN payloads
+//! included. Everything else
 //! (registrations, route inserts, complex updates) is stored *verbatim*:
 //! a tag, a length varint, and the record's own payload
 //! ([`WalRecord::encode_payload`]).
@@ -70,12 +75,34 @@ fn undelta(d: u64, prev: u64) -> u64 {
     prev.wrapping_add(unzigzag(d) as u64)
 }
 
+/// Appends one float field: its raw 8-byte LE bit pattern in the block's
+/// first compact record (`raw`: the context is all zeros, and the varint
+/// of a delta against zero bits takes 9–10 bytes), a zigzag varint delta
+/// against `prev` in every later one.
+fn put_field(out: &mut Vec<u8>, raw: bool, cur: u64, prev: u64) {
+    if raw {
+        out.extend_from_slice(&cur.to_le_bytes());
+    } else {
+        put_varint(out, delta(cur, prev));
+    }
+}
+
+/// Reads one float field written by [`put_field`].
+fn read_field(r: &mut ByteReader<'_>, raw: bool, prev: u64) -> Result<u64, WalError> {
+    if raw {
+        r.u64()
+    } else {
+        Ok(undelta(read_varint(r)?, prev))
+    }
+}
+
 /// Appends the delta-stream form of `records` to `out`. The context
 /// starts empty: the stream is self-contained (a restart point).
 fn encode_stream(records: &[WalRecord], out: &mut Vec<u8>) {
     let mut last_id = 0u64;
     let mut last = Ctx::default();
     let mut per_object: HashMap<u64, Ctx> = HashMap::new();
+    let mut raw = true;
     let mut scratch = Vec::new();
     for rec in records {
         match rec {
@@ -91,12 +118,12 @@ fn encode_stream(records: &[WalRecord], out: &mut Vec<u8>) {
                 };
                 out.push(tag);
                 put_varint(out, delta(id.0, last_id));
-                put_varint(out, delta(msg.time.to_bits(), ctx.time));
-                put_varint(out, delta(p0, ctx.p0));
+                put_field(out, raw, msg.time.to_bits(), ctx.time);
+                put_field(out, raw, p0, ctx.p0);
                 if tag == REC_COMPACT_COORDS {
-                    put_varint(out, delta(p1, ctx.p1));
+                    put_field(out, raw, p1, ctx.p1);
                 }
-                put_varint(out, delta(msg.speed.to_bits(), ctx.speed));
+                put_field(out, raw, msg.speed.to_bits(), ctx.speed);
                 let cur = Ctx {
                     time: msg.time.to_bits(),
                     p0,
@@ -106,6 +133,7 @@ fn encode_stream(records: &[WalRecord], out: &mut Vec<u8>) {
                 per_object.insert(id.0, cur);
                 last = cur;
                 last_id = id.0;
+                raw = false;
             }
             _ => {
                 scratch.clear();
@@ -126,6 +154,7 @@ fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
     let mut last_id = 0u64;
     let mut last = Ctx::default();
     let mut per_object: HashMap<u64, Ctx> = HashMap::new();
+    let mut raw = true;
     for _ in 0..count {
         let tag = r.u8()?;
         match tag {
@@ -143,14 +172,14 @@ fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
             REC_COMPACT_ARC | REC_COMPACT_COORDS => {
                 let id = undelta(read_varint(&mut r)?, last_id);
                 let ctx = per_object.get(&id).copied().unwrap_or(last);
-                let time = undelta(read_varint(&mut r)?, ctx.time);
-                let p0 = undelta(read_varint(&mut r)?, ctx.p0);
+                let time = read_field(&mut r, raw, ctx.time)?;
+                let p0 = read_field(&mut r, raw, ctx.p0)?;
                 let p1 = if tag == REC_COMPACT_COORDS {
-                    undelta(read_varint(&mut r)?, ctx.p1)
+                    read_field(&mut r, raw, ctx.p1)?
                 } else {
                     ctx.p1
                 };
-                let speed = undelta(read_varint(&mut r)?, ctx.speed);
+                let speed = read_field(&mut r, raw, ctx.speed)?;
                 let position = if tag == REC_COMPACT_ARC {
                     UpdatePosition::Arc(f64::from_bits(p0))
                 } else {
@@ -176,6 +205,7 @@ fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
                 per_object.insert(id, cur);
                 last = cur;
                 last_id = id;
+                raw = false;
             }
             _ => return Err(WalError::Decode("unknown block record tag")),
         }
@@ -261,9 +291,10 @@ pub fn peek_block_count(payload: &[u8]) -> Result<u64, WalError> {
     read_varint(&mut r)
 }
 
-/// Appends the CRC frame (`len + crc + payload`) for one block payload.
+/// Appends the CRC frame (`len varint + crc + payload`, see
+/// [`crate::record`]) for one block payload — the one frame writer.
 pub fn frame_block(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_varint(out, payload.len() as u64);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
@@ -304,6 +335,7 @@ pub fn decode_block_frames(buf: &[u8]) -> (Vec<WalRecord>, usize, crate::record:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::frame_len;
     use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
     fn update(id: u64, time: f64, arc: f64, speed: f64) -> WalRecord {
@@ -342,10 +374,10 @@ mod tests {
             .map(|r| {
                 let mut payload = Vec::new();
                 r.encode_payload(&mut payload);
-                8 + payload.len()
+                frame_len(payload.len())
             })
             .sum();
-        let block_bytes = round_trip(&records) + 8; // plus its one frame header
+        let block_bytes = frame_len(round_trip(&records)); // plus its one frame header
         assert!(
             block_bytes * 2 < framed_singly,
             "block must at least halve the bytes: {block_bytes} vs {framed_singly}"

@@ -8,8 +8,8 @@
 //!   mutation — object registration, position update, removal, route
 //!   insertion — is a [`WalRecord`], appended (right after it is
 //!   applied, and before it is acknowledged — DESIGN §7) as part of a
-//!   length-prefixed, CRC32-checksummed frame holding one delta-coded,
-//!   LZ-compressed block of records ([`block`]). Segment
+//!   varint-length-prefixed, CRC32-checksummed frame holding one
+//!   delta-coded, LZ-compressed block of records ([`block`]). Segment
 //!   files rotate at a size threshold; the fsync cadence is a
 //!   [`FsyncPolicy`] (`Always` / `EveryN` / `Never`) trading durability
 //!   against ingest throughput — the same cost/imprecision lever the
@@ -74,7 +74,7 @@ pub use compact::{compact, compact_with_barrier, CompactionReport, DEFAULT_SNAPS
 pub use crc32::{crc32, crc32_update};
 pub use epoch::{EpochCheck, EpochHistory, EpochSpan, EPOCH_FILE_NAME, GENESIS_EPOCH};
 pub use error::WalError;
-pub use record::{FrameEnd, WalRecord, MAX_RECORD_BYTES};
+pub use record::{frame_len, split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 pub use recovery::{apply_record, recover, Recovered, RecoveryReport};
 pub use segment::{list_segments, scan_segment, SegmentScan, SEGMENT_VERSION};
 pub use ship::{RawChunk, SegmentTailer};

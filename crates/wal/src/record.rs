@@ -10,12 +10,15 @@
 //! per CRC frame:
 //!
 //! ```text
-//! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
+//! [len: varint] [crc32(payload): u32 LE] [payload: len bytes]
 //! ```
 //!
-//! The CRC makes torn tail writes detectable: a frame whose length runs
-//! past the file, whose CRC mismatches, or whose payload fails to decode
-//! marks the end of the valid prefix.
+//! The length is an LEB128 varint of at most 5 bytes (one for a payload
+//! under 128 bytes — the common one-update block). The CRC makes torn
+//! tail writes detectable: a frame whose length is zero, over
+//! [`MAX_RECORD_BYTES`], longer than 5 bytes or runs past the file,
+//! whose CRC mismatches, or whose payload fails to decode marks the end
+//! of the valid prefix.
 
 use modb_core::{MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
@@ -138,31 +141,67 @@ pub enum FrameEnd {
     },
 }
 
+/// The most bytes a frame's length varint may take: five hold any `u32`
+/// (and [`MAX_RECORD_BYTES`] needs four).
+const MAX_LEN_VARINT_BYTES: usize = 5;
+
+/// Bytes of the CRC that follows the length varint.
+const CRC_BYTES: usize = 4;
+
+/// What a frame around a `payload_len`-byte payload weighs on disk:
+/// the length varint, the CRC and the payload.
+pub fn frame_len(payload_len: usize) -> usize {
+    let bits = usize::BITS - payload_len.leading_zeros();
+    bits.max(1).div_ceil(7) as usize + CRC_BYTES + payload_len
+}
+
 /// Splits the first CRC frame off `buf`: `Ok(Some((payload, frame_len)))`
 /// for a whole valid frame, `Ok(None)` at end of input, `Err(reason)`
-/// when the prefix is not a complete valid frame (a torn tail). Shared by
-/// the segment scan and the tailer.
-pub(crate) fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, &'static str> {
+/// when the prefix is not a complete valid frame (a torn tail). The one
+/// frame parser: the segment scan, the tailer and the experiments that
+/// walk a log all read frames through it.
+///
+/// # Errors
+///
+/// `"truncated frame header"` when the input ends inside the length
+/// varint or the CRC, `"implausible frame length"` for a zero length,
+/// one over [`MAX_RECORD_BYTES`] or a varint longer than 5 bytes,
+/// `"truncated frame payload"` and `"crc mismatch"`.
+pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, &'static str> {
     if buf.is_empty() {
         return Ok(None);
     }
-    if buf.len() < 8 {
-        return Err("truncated frame header");
+    let mut len = 0u64;
+    let mut varint = 0;
+    loop {
+        if varint == MAX_LEN_VARINT_BYTES {
+            return Err("implausible frame length");
+        }
+        let Some(&b) = buf.get(varint) else {
+            return Err("truncated frame header");
+        };
+        len |= u64::from(b & 0x7f) << (7 * varint);
+        varint += 1;
+        if b & 0x80 == 0 {
+            break;
+        }
     }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    let crc = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    if len == 0 || len > MAX_RECORD_BYTES {
+    if len == 0 || len > u64::from(MAX_RECORD_BYTES) {
         return Err("implausible frame length");
     }
-    let len = len as usize;
-    if buf.len() < 8 + len {
+    let header = varint + CRC_BYTES;
+    let Some(crc) = buf.get(varint..header) else {
+        return Err("truncated frame header");
+    };
+    let crc = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
+    let total = header + len as usize;
+    let Some(payload) = buf.get(header..total) else {
         return Err("truncated frame payload");
-    }
-    let payload = &buf[8..8 + len];
+    };
     if crc32(payload) != crc {
         return Err("crc mismatch");
     }
-    Ok(Some((payload, 8 + len)))
+    Ok(Some((payload, total)))
 }
 
 #[cfg(test)]
@@ -218,6 +257,66 @@ mod tests {
             rec.encode_payload(&mut buf);
             assert_eq!(WalRecord::decode_payload(&buf).unwrap(), rec);
         }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::block::frame_block(payload, &mut out);
+        out
+    }
+
+    #[test]
+    fn frame_len_is_what_the_writer_writes() {
+        for len in [
+            1usize, 2, 127, 128, 129, 16_383, 16_384, 2_097_151, 2_097_152,
+        ] {
+            let frame = framed(&vec![7u8; len]);
+            assert_eq!(frame.len(), frame_len(len), "payload of {len}");
+            assert_eq!(
+                split_frame(&frame),
+                Ok(Some((&frame[frame.len() - len..], frame.len())))
+            );
+        }
+        assert_eq!(
+            frame_len(27),
+            1 + 4 + 27,
+            "a one-update block: 5 header bytes"
+        );
+        assert_eq!(
+            frame_len(MAX_RECORD_BYTES as usize),
+            4 + 4 + MAX_RECORD_BYTES as usize
+        );
+    }
+
+    #[test]
+    fn malformed_headers_are_torn() {
+        let frame = framed(b"block");
+        // Every cut inside the varint or the CRC is a truncated header.
+        for cut in 1..5 {
+            assert_eq!(split_frame(&frame[..cut]), Err("truncated frame header"));
+        }
+        assert_eq!(split_frame(&frame[..7]), Err("truncated frame payload"));
+        let mut bad = frame.clone();
+        bad[1] ^= 1;
+        assert_eq!(split_frame(&bad), Err("crc mismatch"));
+        // Zero, over the cap, and a varint running past five bytes.
+        assert_eq!(
+            split_frame(&[0, 0, 0, 0, 0]),
+            Err("implausible frame length")
+        );
+        let mut over = Vec::new();
+        crate::codec::put_varint(&mut over, u64::from(MAX_RECORD_BYTES) + 1);
+        over.extend_from_slice(&[0; 8]);
+        assert_eq!(split_frame(&over), Err("implausible frame length"));
+        assert_eq!(
+            split_frame(&[0x81, 0x80, 0x80, 0x80, 0x80, 0x00, 0, 0, 0, 0]),
+            Err("implausible frame length")
+        );
+        assert_eq!(
+            split_frame(&[0x81, 0x80, 0x80]),
+            Err("truncated frame header")
+        );
+        assert_eq!(split_frame(&[]), Ok(None));
     }
 
     #[test]

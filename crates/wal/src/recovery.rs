@@ -438,12 +438,14 @@ mod tests {
         let (_, last) = list_segments(&dir).unwrap().pop().unwrap();
         let clean_len = std::fs::metadata(&last).unwrap().len();
         let mut bytes = std::fs::read(&last).unwrap();
-        bytes.extend_from_slice(&[0x17, 0x00, 0x00, 0x00, 0xde, 0xad]);
+        // A two-byte length varint (151) and three of the four CRC bytes:
+        // the tear falls inside the frame header.
+        bytes.extend_from_slice(&[0x97, 0x01, 0xde, 0xad, 0xbe]);
         std::fs::write(&last, &bytes).unwrap();
 
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.report.torn, Some("truncated frame header"));
-        assert_eq!(rec.report.truncated_bytes, 6);
+        assert_eq!(rec.report.truncated_bytes, 5);
         assert_eq!(std::fs::metadata(&last).unwrap().len(), clean_len);
         assert_same_answers(&rec.database, &reference);
 

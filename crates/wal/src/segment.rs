@@ -10,7 +10,8 @@
 //!
 //! ```text
 //! [magic: 8 bytes "MODBWAL1"] [version: u32 LE] [start_lsn: u64 LE]
-//! [frame]*                 — one CRC frame per block, see crate::block
+//! [frame]*                 — [len varint][crc32 u32 LE][block], see
+//!                            crate::record and crate::block
 //! ```
 
 use std::fs;
@@ -25,9 +26,12 @@ use crate::record::{FrameEnd, WalRecord};
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"MODBWAL1";
 /// The segment format version: one delta-encoded (optionally compressed)
-/// *block* of records per CRC frame — see [`crate::block`]. A header
-/// naming any other version is refused, never guessed at.
-pub const SEGMENT_VERSION: u32 = 2;
+/// *block* of records per CRC frame — see [`crate::block`]. Version 3
+/// writes the frame length as a varint and the first compact record's
+/// floats raw; version 2 (a fixed `u32` length, every float a delta) and
+/// version 1 (one record per frame) are retired. A header naming any
+/// other version is refused, never guessed at.
+pub const SEGMENT_VERSION: u32 = 3;
 /// Segment header length in bytes.
 pub const SEGMENT_HEADER_BYTES: u64 = 20;
 
@@ -172,9 +176,9 @@ mod tests {
         let path = dir.join(segment_file_name(5));
         std::fs::write(&path, encode_header(5)).unwrap();
         assert_eq!(read_segment_header(&path).unwrap(), 5);
-        // Neither the retired per-record format (1) nor a future one is
-        // guessed at.
-        for foreign in [1u32, 3, 9] {
+        // Neither the retired per-record format (1), the retired
+        // fixed-length frames (2) nor a future one is guessed at.
+        for foreign in [1u32, 2, 9] {
             let mut header = encode_header(5);
             header[8..12].copy_from_slice(&foreign.to_le_bytes());
             std::fs::write(&path, &header).unwrap();

@@ -351,7 +351,7 @@ fn read_raw_frames_from(
 mod tests {
     use super::*;
     use crate::block::{decode_block_frames, encode_block, frame_block};
-    use crate::record::{FrameEnd, WalRecord};
+    use crate::record::{frame_len, FrameEnd, WalRecord};
     use crate::writer::{FsyncPolicy, WalBatch, WalOptions, WalWriter};
     use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
@@ -638,7 +638,7 @@ mod tests {
             let rec = update(i);
             let mut payload = Vec::new();
             rec.encode_payload(&mut payload);
-            framed_singly += 8 + payload.len();
+            framed_singly += frame_len(payload.len());
             batch.push(&rec);
             if batch.records() == 10 {
                 w.append_batch(&mut batch).unwrap();

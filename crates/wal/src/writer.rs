@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::block::{encode_block_with, frame_block};
 use crate::error::WalError;
 use crate::lz::Compressor;
-use crate::record::WalRecord;
+use crate::record::{frame_len, WalRecord};
 use crate::segment::{
     encode_header, list_segments, read_segment_header, segment_file_name, SEGMENT_HEADER_BYTES,
 };
@@ -96,7 +96,7 @@ impl WalBatch {
 fn seal(records: &[WalRecord], lz: &mut Compressor) -> Vec<u8> {
     let mut payload = Vec::with_capacity(128);
     encode_block_with(records, Some(lz), &mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
+    let mut frame = Vec::with_capacity(frame_len(payload.len()));
     frame_block(&payload, &mut frame);
     frame
 }

@@ -1,14 +1,16 @@
 //! Golden-file decode tests: the on-disk compatibility contract.
 //!
-//! `tests/golden/` holds one log segment and one version-3 snapshot
-//! written by the encoders of commit dfa280f (the last one that also
-//! carried the per-record segment format), and one version-4 snapshot of
-//! the same state (`tests/golden/v4/`). The segment and the v4 snapshot
+//! `tests/golden/` holds one version-2 log segment and one version-3
+//! snapshot written by the encoders of commit dfa280f (the last one that
+//! also carried the per-record segment format), a version-3 segment of
+//! the same blocks (`tests/golden/v3/`) and a version-4 snapshot of the
+//! same state (`tests/golden/v4/`). The v3 segment and the v4 snapshot
 //! decode to the values they were built from and re-encode to the
 //! identical bytes, so a change to any surviving byte of either format
-//! fails here first; the v3 snapshot is the fixture of its own refusal,
-//! and the bytes v4 is v3 without. See `tests/golden/README.md` for how
-//! the files were produced.
+//! fails here first; the v2 segment and the v3 snapshot are the fixtures
+//! of their own refusal, and the older file of each pair is walked by
+//! hand into the newer. See `tests/golden/README.md` for how the files
+//! were produced.
 
 use std::path::{Path, PathBuf};
 
@@ -24,7 +26,10 @@ use modb_wal::{
     WalRecord, WalWriter,
 };
 
-const SEGMENT: &str = "wal-00000000000000000000.log";
+/// The v2 segment, kept as the fixture of its own refusal.
+const SEGMENT_V2: &str = "wal-00000000000000000000.log";
+/// The v3 segment: the same file name, one directory down.
+const SEGMENT: &str = "v3/wal-00000000000000000000.log";
 const SNAPSHOT: &str = "snap-00000000000000000007.snap";
 /// The v4 snapshot: the same file name, one directory down.
 const SNAPSHOT_V4: &str = "v4/snap-00000000000000000007.snap";
@@ -148,9 +153,44 @@ fn snapshot_state() -> Database {
     db
 }
 
-/// Splits a segment body into its frames' payloads by hand — the layout
-/// under contract, read without the crate's own frame reader.
+/// Reads the LEB128 varint at `buf[*pos..]` and moves `pos` past it.
+fn varint(buf: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0u64;
+    for shift in (0..).step_by(7) {
+        let b = buf[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            break;
+        }
+    }
+    v
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Splits a v3 segment body into its frames' payloads by hand — the
+/// layout under contract (`[len varint][crc u32][payload]`), read
+/// without the crate's own frame reader.
 fn frame_payloads(body: &[u8]) -> Vec<&[u8]> {
+    let mut payloads = Vec::new();
+    let mut pos = 0;
+    while pos < body.len() {
+        let len = varint(body, &mut pos) as usize;
+        payloads.push(&body[pos + 4..pos + 4 + len]);
+        pos += 4 + len;
+    }
+    payloads
+}
+
+/// The same for a v2 body (`[len u32][crc u32][payload]`).
+fn v2_frame_payloads(body: &[u8]) -> Vec<&[u8]> {
     let mut payloads = Vec::new();
     let mut pos = 0;
     while pos < body.len() {
@@ -166,9 +206,9 @@ fn segment_decodes_to_its_records_and_re_encodes_bit_identically() {
     let bytes = std::fs::read(golden(SEGMENT)).unwrap();
     let blocks = segment_blocks();
 
-    // Header: magic, version 2, start LSN 0 — nothing renumbered.
+    // Header: magic, version 3, start LSN 0 — nothing renumbered.
     assert_eq!(&bytes[..8], b"MODBWAL1");
-    assert_eq!(bytes[8..12], 2u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes());
     assert_eq!(bytes[12..20], 0u64.to_le_bytes());
     // One frame per block; the format byte says which went through LZ
     // (1) and which stayed plain (0).
@@ -195,9 +235,121 @@ fn segment_decodes_to_its_records_and_re_encodes_bit_identically() {
     drop(w);
     let segments = list_segments(&dir).unwrap();
     assert_eq!(segments.len(), 1);
-    assert_eq!(segments[0].1.file_name().unwrap(), SEGMENT);
+    assert_eq!(segments[0].1.file_name().unwrap(), SEGMENT_V2);
     assert_eq!(std::fs::read(&segments[0].1).unwrap(), bytes);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Version 2 is refused typed, before anything is decoded, by the scan
+/// and by recovery, and the file is left exactly as it was.
+#[test]
+fn v2_segment_is_refused_typed_and_left_untouched() {
+    let before = std::fs::read(golden(SEGMENT_V2)).unwrap();
+    assert_eq!(before[8..12], 2u32.to_le_bytes());
+    let refused = |result: Result<(), WalError>| {
+        matches!(
+            result,
+            Err(WalError::CorruptSegment {
+                offset: 8,
+                reason: "unsupported version",
+                ..
+            })
+        )
+    };
+    assert!(refused(scan_segment(&golden(SEGMENT_V2)).map(|_| ())));
+
+    let dir = tmp("v2-refusal");
+    write_snapshot(
+        &dir,
+        &Database::new(network(), DatabaseConfig::default()),
+        0,
+    )
+    .unwrap();
+    std::fs::copy(golden(SEGMENT_V2), dir.join(SEGMENT_V2)).unwrap();
+    assert!(refused(modb_wal::recover(&dir).map(|_| ())));
+    assert_eq!(std::fs::read(dir.join(SEGMENT_V2)).unwrap(), before);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(std::fs::read(golden(SEGMENT_V2)).unwrap(), before);
+}
+
+/// A v2 block stream with its first compact record's floats (time,
+/// position, speed) written as raw 8-byte LE bit patterns: a v2 float
+/// is the zigzag varint of its bits minus the all-zero context, so the
+/// raw bits are that varint unzigzagged. Every other byte is copied.
+fn raw_first_floats(stream: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(stream.len());
+    let mut pos = 0;
+    while pos < stream.len() {
+        let start = pos;
+        let tag = stream[pos];
+        pos += 1;
+        match tag {
+            0 => {
+                // Verbatim: a length varint and that many bytes.
+                let len = varint(stream, &mut pos) as usize;
+                pos += len;
+                out.extend_from_slice(&stream[start..pos]);
+            }
+            1 | 2 => {
+                varint(stream, &mut pos); // the id delta stays a varint
+                out.extend_from_slice(&stream[start..pos]);
+                let floats = if tag == 2 { 4 } else { 3 };
+                for _ in 0..floats {
+                    let d = varint(stream, &mut pos);
+                    let bits = ((d >> 1) as i64 ^ -((d & 1) as i64)) as u64;
+                    out.extend_from_slice(&bits.to_le_bytes());
+                }
+                // Every later record is unchanged.
+                out.extend_from_slice(&stream[pos..]);
+                return out;
+            }
+            _ => panic!("bad record tag {tag}"),
+        }
+    }
+    out
+}
+
+/// The v3 segment is the v2 segment with exactly the two changes of
+/// version 3: each frame's `u32` length becomes a varint, and inside
+/// each block the first compact record's floats are written raw (an LZ
+/// block is inflated, rewritten and compressed again). The block
+/// formats, counts, later records and the LZ stage are untouched.
+#[test]
+fn v3_is_v2_reframed() {
+    let v2 = std::fs::read(golden(SEGMENT_V2)).unwrap();
+    let v3 = std::fs::read(golden(SEGMENT)).unwrap();
+    let mut reframed = v2[..20].to_vec();
+    reframed[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let mut formats = Vec::new();
+    for block in v2_frame_payloads(&v2[20..]) {
+        let mut pos = 1;
+        let count = varint(block, &mut pos);
+        let mut payload = vec![block[0]];
+        put_varint(&mut payload, count);
+        match block[0] {
+            0 => payload.extend(raw_first_floats(&block[pos..])),
+            1 => {
+                let len = varint(block, &mut pos) as usize;
+                let stream =
+                    raw_first_floats(&modb_wal::lz::decompress(&block[pos..], len).unwrap());
+                put_varint(&mut payload, stream.len() as u64);
+                modb_wal::lz::Compressor::new().compress(&stream, &mut payload);
+            }
+            format => panic!("bad block format {format}"),
+        }
+        formats.push(block[0]);
+        put_varint(&mut reframed, payload.len() as u64);
+        reframed.extend_from_slice(&modb_wal::crc32(&payload).to_le_bytes());
+        reframed.extend_from_slice(&payload);
+    }
+    assert_eq!(formats, [1, 0, 1, 0]);
+    assert_eq!(reframed, v3);
+    // The one-update block (time 9.25, arc 58.5, speed 1.25): its floats
+    // took 10 + 10 + 9 varint bytes and take 3 × 8 raw, and its frame
+    // header shrinks from 8 bytes to 5 — 41 bytes on disk become 33.
+    let one_update = |payloads: Vec<&[u8]>| payloads[1].len();
+    assert_eq!(one_update(v2_frame_payloads(&v2[20..])), 33);
+    assert_eq!(one_update(frame_payloads(&v3[20..])), 28);
 }
 
 #[test]

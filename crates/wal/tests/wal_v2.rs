@@ -1,7 +1,7 @@
 //! Integration tests for the block WAL format: segments of any other
 //! header version refused without being touched, the delta codec under
-//! adversarial record streams, and crash cuts landing inside compressed
-//! blocks.
+//! adversarial record streams, crash cuts landing inside compressed
+//! blocks, and the frame scan under every truncation and bit flip.
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -10,8 +10,9 @@ use modb_core::{
 use modb_geom::Point;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_wal::{
-    decode_block, encode_block, list_segments, recover, scan_segment, write_snapshot, FsyncPolicy,
-    SegmentTailer, WalBatch, WalError, WalOptions, WalRecord, WalWriter,
+    decode_block, decode_block_frames, encode_block, list_segments, recover, scan_segment,
+    write_snapshot, FrameEnd, FsyncPolicy, SegmentTailer, WalBatch, WalError, WalOptions,
+    WalRecord, WalWriter,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -102,10 +103,11 @@ fn opts(max_segment_bytes: u64) -> WalOptions {
 
 #[test]
 fn foreign_header_versions_are_refused_everywhere_and_left_on_disk() {
-    // Version 1 is the retired one-record-per-frame format, 3 a format
-    // this build has never heard of: both get the same typed refusal
-    // from every reader and the writer, and the file keeps every byte.
-    for foreign in [1u32, 3] {
+    // Version 1 is the retired one-record-per-frame format, 2 the
+    // retired fixed-length frames, 4 a format this build has never heard
+    // of: all get the same typed refusal from every reader and the
+    // writer, and the file keeps every byte.
+    for foreign in [1u32, 2, 4] {
         let dir = tmp(&format!("foreign-v{foreign}"));
         let empty = Database::new(network(), DatabaseConfig::default());
         let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
@@ -273,5 +275,87 @@ proptest! {
         for r in &records { r.encode_payload(&mut want); }
         for r in &decoded { r.encode_payload(&mut got); }
         prop_assert_eq!(want, got);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Framing property: every cut and every bit flip of a written segment
+// ---------------------------------------------------------------------
+
+/// The records' payload bytes, concatenated: `PartialEq` on `f64` says
+/// NaN ≠ NaN, and the codec promises bit-exact round trips anyway.
+fn payload_bytes(records: &[WalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in records {
+        r.encode_payload(&mut out);
+    }
+    out
+}
+
+/// A unique directory per case: proptest runs many in one process.
+fn case_dir() -> PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    tmp(&format!("framing-{n}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random batches (compact arc and coordinate updates, verbatim
+    /// records, NaN and infinite floats) appended through `WalWriter`,
+    /// one block each. The frame boundaries are where the file ended
+    /// after each append. Every byte-prefix of the segment body scans to
+    /// its longest whole-frame prefix, and every single-bit flip — in a
+    /// length varint, a CRC or a payload — ends the scan at the start of
+    /// the flipped frame, with exactly the records before it.
+    #[test]
+    fn every_cut_and_bit_flip_ends_the_scan_at_a_frame_boundary(
+        batches in proptest::collection::vec(proptest::collection::vec(arb_record(), 1..6), 1..6),
+    ) {
+        let dir = case_dir();
+        let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
+        let path = list_segments(&dir).unwrap().remove(0).1;
+        let header = std::fs::metadata(&path).unwrap().len() as usize;
+        // boundaries[k] / counts[k]: body bytes and records of the first
+        // k frames.
+        let (mut boundaries, mut counts) = (vec![0usize], vec![0usize]);
+        let mut batch = WalBatch::new();
+        for records in &batches {
+            for rec in records {
+                batch.push(rec);
+            }
+            w.append_batch(&mut batch).unwrap();
+            boundaries.push(std::fs::metadata(&path).unwrap().len() as usize - header);
+            counts.push(counts.last().unwrap() + records.len());
+        }
+        drop(w);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let body = &bytes[header..];
+        prop_assert_eq!(body.len(), *boundaries.last().unwrap());
+        let flat: Vec<WalRecord> = batches.concat();
+        let frame_of = |at: usize| boundaries.iter().rposition(|&b| b <= at).unwrap();
+
+        for cut in 0..=body.len() {
+            let (records, clean, end) = decode_block_frames(&body[..cut]);
+            let k = frame_of(cut);
+            prop_assert_eq!(clean, boundaries[k], "cut at {}", cut);
+            prop_assert_eq!(payload_bytes(&records), payload_bytes(&flat[..counts[k]]));
+            prop_assert_eq!(end == FrameEnd::Clean, cut == boundaries[k], "cut at {}", cut);
+        }
+
+        let mut flipped = body.to_vec();
+        for at in 0..body.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                let (records, clean, end) = decode_block_frames(&flipped);
+                flipped[at] ^= 1 << bit;
+                let k = frame_of(at);
+                prop_assert_eq!(clean, boundaries[k], "bit {} of byte {}", bit, at);
+                prop_assert!(matches!(end, FrameEnd::Torn { .. }), "bit {} of byte {}", bit, at);
+                prop_assert_eq!(payload_bytes(&records), payload_bytes(&flat[..counts[k]]));
+            }
+        }
     }
 }
