@@ -3,11 +3,15 @@
 //!
 //! Both wire protocols of this crate — the query front-end
 //! ([`crate::net`]) and the replication stream ([`crate::replication`])
-//! — move messages the same way the log stores blocks:
+//! — move messages in CRC frames with a fixed-width length:
 //!
 //! ```text
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
 //! ```
+//!
+//! The log frames its blocks the same way except for the length, which
+//! there is a varint ([`modb_wal::split_frame`]); a message frame keeps
+//! the fixed eight-byte header.
 //!
 //! The CRC is checked before a byte of the payload is interpreted, so a
 //! frame corrupted in flight is rejected whole and the connection ends —

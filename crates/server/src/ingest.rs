@@ -14,18 +14,18 @@
 //! it — per-object apply order = per-object log order, with cross-object
 //! parallelism up to the database's own write lock.
 //!
-//! **Durability.** A service built with [`IngestService::with_wal`] logs
-//! every envelope, in the order DESIGN §7 states once for the whole
-//! system: *frame → apply → LSN → fsync → ack*. The record is framed into
-//! the stripe's pending [`modb_wal::WalBatch`] (no I/O), the update is
-//! applied, and the batch is handed to the shared writer — where its
-//! records get their LSNs — every [`WAL_BATCH_RECORDS`] envelopes, on an
-//! acknowledged send, and at shutdown, so the WAL mutex is touched once
-//! per batch, not once per update. A record therefore never has an LSN
-//! ahead of the in-memory state — the watermark invariant behind
-//! [`crate::DurableDatabase`]'s pause-free snapshots. Rejected updates
-//! are logged too: replay re-derives the same verdicts, and the log
-//! doubles as a complete update-stream trace.
+//! **Durability.** The service logs every envelope, in the order DESIGN
+//! §7 states once for the whole system: *frame → apply → LSN → fsync →
+//! ack*. The record is framed into the stripe's pending
+//! [`modb_wal::WalBatch`] (no I/O), the update is applied, and the batch
+//! is handed to the shared writer — where its records get their LSNs —
+//! every [`WAL_BATCH_RECORDS`] envelopes, on an acknowledged send, and
+//! at shutdown, so the WAL mutex is touched once per batch, not once per
+//! update. A record therefore never has an LSN ahead of the in-memory
+//! state — the watermark invariant behind [`crate::DurableDatabase`]'s
+//! pause-free snapshots. Rejected updates are logged too: replay
+//! re-derives the same verdicts, and the log doubles as a complete
+//! update-stream trace.
 //!
 //! Acknowledged sends additionally promise durability:
 //! [`PendingAck::recv`] waits on the log's [`modb_wal::GroupCommitter`]
@@ -57,7 +57,6 @@ pub struct UpdateOutcome {
     /// was appended — every record of the log below `lsn` is already
     /// applied to the in-memory database (DESIGN §7), so any statement
     /// that starts after this outcome is returned reads this update.
-    /// 0 when the service has no WAL.
     pub lsn: u64,
     /// The DBMS verdict (rejected updates are applied-and-logged as
     /// rejections, same as the fire-and-forget path).
@@ -227,8 +226,10 @@ struct Stripe {
 /// What every handle and the service share.
 struct Shared {
     db: SharedDatabase,
-    /// The log and its commit point; `None` for a WAL-less service.
-    wal: Option<(SharedWal, GroupCommitter)>,
+    /// The log every envelope is appended to.
+    wal: SharedWal,
+    /// Its one commit point: concurrent acked sends share an fsync.
+    commit: GroupCommitter,
     stripes: Vec<Mutex<Stripe>>,
     stats: IngestStats,
 }
@@ -242,8 +243,10 @@ impl Shared {
 
     /// Hands a stripe's batch to the writer as one block; the frontier
     /// right after it, i.e. one past its last record's LSN.
-    fn flush(&self, wal: &SharedWal, batch: &mut WalBatch) -> Result<u64, WalError> {
-        let flushed = wal.with_writer(|w| w.append_batch(batch).map(|()| w.next_lsn()));
+    fn flush(&self, batch: &mut WalBatch) -> Result<u64, WalError> {
+        let flushed = self
+            .wal
+            .with_writer(|w| w.append_batch(batch).map(|()| w.next_lsn()));
         if flushed.is_err() {
             self.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
             batch.clear();
@@ -260,25 +263,22 @@ impl Shared {
         if stripe.closed {
             return Err(IngestClosed(env));
         }
-        if self.wal.is_some() {
-            // Frame first (no I/O) so the batch and the in-memory state
-            // stay in lockstep — a crash loses both together.
-            stripe.batch.push(&WalRecord::Update {
-                id: env.id,
-                msg: env.msg,
-            });
-        }
+        // Frame first (no I/O) so the batch and the in-memory state stay
+        // in lockstep — a crash loses both together.
+        stripe.batch.push(&WalRecord::Update {
+            id: env.id,
+            msg: env.msg,
+        });
         let verdict = self.db.apply_update(env.id, &env.msg);
         self.stats.record(&verdict);
         // Append only after applying: a record never gets an LSN before
         // its update is in the database. An acknowledged send appends
         // unconditionally — its LSN backs a read-your-writes token, so it
         // cannot sit in the pending batch.
-        let appended = match &self.wal {
-            Some((wal, _)) if acked || stripe.batch.records() >= WAL_BATCH_RECORDS => {
-                self.flush(wal, &mut stripe.batch)
-            }
-            _ => Ok(0),
+        let appended = if acked || stripe.batch.records() >= WAL_BATCH_RECORDS {
+            self.flush(&mut stripe.batch)
+        } else {
+            Ok(0)
         };
         Ok(Applied { verdict, appended })
     }
@@ -288,8 +288,7 @@ impl Shared {
 struct Applied {
     verdict: Result<(), CoreError>,
     /// The frontier after this call's append; `Ok(0)` when nothing was
-    /// appended (no WAL, or an unacknowledged send below the batch
-    /// threshold).
+    /// appended (an unacknowledged send below the batch threshold).
     appended: Result<u64, WalError>,
 }
 
@@ -311,11 +310,9 @@ impl PendingAck {
     /// **not** in the durable log, and must not be acknowledged.
     pub fn recv(self) -> Result<UpdateOutcome, WalError> {
         let lsn = self.applied.appended?;
-        if let Some((_, commit)) = &self.shared.wal {
-            if let Err(e) = commit.commit(lsn) {
-                self.shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
+        if let Err(e) = self.shared.commit.commit(lsn) {
+            self.shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
         }
         Ok(UpdateOutcome {
             lsn,
@@ -375,9 +372,9 @@ impl IngestHandle {
         &self.shared.stats
     }
 
-    /// Group-commit coalescing counters (`None` for a WAL-less service).
-    pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.shared.wal.as_ref().map(|(_, commit)| commit.stats())
+    /// Group-commit coalescing counters.
+    pub fn group_commit_stats(&self) -> GroupCommitStats {
+        self.shared.commit.stats()
     }
 }
 
@@ -390,27 +387,19 @@ pub struct IngestService {
 
 impl IngestService {
     /// An ingest path over `db` with `stripes` lock stripes (clamped to
-    /// ≥ 1). No write-ahead logging.
-    pub fn new(db: SharedDatabase, stripes: usize) -> Self {
-        Self::build(db, None, stripes)
-    }
-
-    /// Like [`IngestService::new`], but every envelope is appended to
-    /// `wal` (see the module docs for the order).
+    /// ≥ 1) that appends every envelope to `wal` (see the module docs for
+    /// the order).
     pub fn with_wal(db: SharedDatabase, wal: SharedWal, stripes: usize) -> Self {
         // One commit point serves every sender: concurrent acked sends
         // share fsyncs instead of issuing their own.
         let commit = GroupCommitter::new(wal.clone());
-        Self::build(db, Some((wal, commit)), stripes)
-    }
-
-    fn build(db: SharedDatabase, wal: Option<(SharedWal, GroupCommitter)>, stripes: usize) -> Self {
         let stripes = (0..stripes.max(1)).map(|_| Mutex::default()).collect();
         IngestService {
             handle: IngestHandle {
                 shared: Arc::new(Shared {
                     db,
                     wal,
+                    commit,
                     stripes,
                     stats: IngestStats::default(),
                 }),
@@ -436,27 +425,26 @@ impl IngestService {
         self.handle.stats()
     }
 
-    /// Group-commit coalescing counters (`None` for a WAL-less service).
+    /// Group-commit coalescing counters, always `Some`. (The `Option` is
+    /// kept because `modb_ledger/` reads it through `.and_then(..)`.)
     pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.handle.group_commit_stats()
+        Some(self.handle.group_commit_stats())
     }
 
     /// Fails the log's commit point as a failed `fsync` would — the probe
-    /// the acks-never-lie tests assert on. No-op without a WAL.
+    /// the acks-never-lie tests assert on.
     #[doc(hidden)]
     pub fn fail_commits_for_test(&self, msg: &str) {
-        if let Some((_, commit)) = &self.handle.shared.wal {
-            commit.fail_for_test(msg);
-        }
+        self.handle.shared.commit.fail_for_test(msg);
     }
 
     /// Closes the service, even if producer handles are still alive, and
     /// returns the final counters.
     ///
     /// **Contract.** Every [`IngestHandle::send`] that returned `Ok` —
-    /// before this call or racing it — is applied to the database and,
-    /// for a WAL-backed service, in the log and fsynced when this
-    /// returns; every send that returned `Err` is in neither.
+    /// before this call or racing it — is applied to the database, in the
+    /// log and fsynced when this returns; every send that returned `Err`
+    /// is in neither.
     pub fn shutdown(self) -> IngestStatsSnapshot {
         let handle = self.handle();
         drop(self);
@@ -474,16 +462,12 @@ impl Drop for IngestService {
             // `Drop` must not panic.)
             let mut stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
             stripe.closed = true;
-            if let Some((wal, _)) = &shared.wal {
-                let _ = shared.flush(wal, &mut stripe.batch);
-            }
+            let _ = shared.flush(&mut stripe.batch);
         }
         // One final sync makes the flushed log durable regardless of
         // fsync policy.
-        if let Some((wal, _)) = &shared.wal {
-            if wal.sync().is_err() {
-                shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        if shared.wal.sync().is_err() {
+            shared.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -547,8 +531,9 @@ mod tests {
 
     #[test]
     fn ingest_applies_all_valid_updates_in_order() {
+        let (dir, wal) = fresh_wal("order");
         let db = shared(50);
-        let service = IngestService::new(db.clone(), 4);
+        let service = IngestService::with_wal(db.clone(), wal, 4);
         let handle = service.handle();
         // 10 producers; each owns 5 objects and sends monotone updates.
         // Striping by id keeps per-object order across senders.
@@ -585,12 +570,13 @@ mod tests {
                 assert_eq!(inner.moving(ObjectId(i)).unwrap().attr.start_time, 5.0);
             }
         });
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rejections_are_counted_by_reason() {
-        let db = shared(2);
-        let service = IngestService::new(db.clone(), 2);
+        let (dir, wal) = fresh_wal("reasons");
+        let service = IngestService::with_wal(shared(2), wal, 2);
         let handle = service.handle();
         let send = |id: u64, msg: UpdateMessage| {
             handle
@@ -626,12 +612,14 @@ mod tests {
         assert!(line.contains("4 rejected"), "{line}");
         assert!(line.contains("1 stale"), "{line}");
         assert!(!line.contains("wal errors"), "{line}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn queries_run_while_ingesting() {
+        let (dir, wal) = fresh_wal("queries");
         let db = shared(100);
-        let service = IngestService::new(db.clone(), 4);
+        let service = IngestService::with_wal(db.clone(), wal, 4);
         let handle = service.handle();
         let producer = std::thread::spawn(move || {
             for round in 1..=20u64 {
@@ -663,12 +651,13 @@ mod tests {
             0,
             "sharded routing preserves per-object order"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn send_after_shutdown_errors() {
-        let db = shared(1);
-        let service = IngestService::new(db, 1);
+        let (dir, wal) = fresh_wal("closed");
+        let service = IngestService::with_wal(shared(1), wal, 1);
         let handle = service.handle();
         let stats = service.shutdown();
         assert_eq!(stats.total(), 0);
@@ -678,6 +667,7 @@ mod tests {
                 msg: UpdateMessage::basic(1.0, UpdatePosition::Arc(1.0), 1.0),
             })
             .is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -757,7 +747,7 @@ mod tests {
             gc.commits <= gc.tickets,
             "never more fsyncs than tickets: {gc:?}"
         );
-        assert_eq!(handle.group_commit_stats(), Some(gc));
+        assert_eq!(handle.group_commit_stats(), gc);
         let (_, fsyncs) = wal.io_counters();
         assert_eq!(
             fsyncs, gc.commits,
@@ -768,6 +758,8 @@ mod tests {
         assert_eq!(stats.total() as u64, 8 * per_producer);
         assert_eq!(stats.wal_errors, 0);
         assert_eq!(wal.next_lsn(), 8 * per_producer);
+        let (_, fsyncs) = wal.io_counters();
+        assert_eq!(fsyncs, gc.commits + 1, "shutdown adds its one sync");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

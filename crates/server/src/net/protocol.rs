@@ -420,7 +420,8 @@ pub(crate) enum Message {
     },
     /// Reply to `Update`/`UpdateBatch`: one verdict per envelope in
     /// frame order, plus the WAL frontier after the flush — the
-    /// read-your-writes token (0 when the serving node has no WAL).
+    /// read-your-writes token (0 when no envelope of the frame was
+    /// logged).
     UpdateAck {
         lsn: u64,
         verdicts: Vec<RemoteUpdateVerdict>,

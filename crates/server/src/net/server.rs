@@ -123,7 +123,7 @@ impl ServeContext {
         let group = self
             .ingest
             .as_ref()
-            .and_then(IngestHandle::group_commit_stats)
+            .map(IngestHandle::group_commit_stats)
             .unwrap_or_default();
         ServerStatsSnapshot {
             query: self.engine.stats(),

@@ -16,8 +16,8 @@ use modb_sim::experiments::indexing::SublinearRow;
 use modb_sim::experiments::policy_sweep::{self, MetricKind, SweepConfig, SweepResult};
 use modb_sim::experiments::savings::{self, SavingsRow};
 use modb_sim::experiments::{
-    bound_shape, cost_rate_curve, example1, failover, frontend, indexing, query_scaling,
-    read_fanout, replication, wal_overhead, wal_throughput,
+    bound_shape, cost_rate_curve, example1, failover, indexing, read_fanout, replication,
+    wal_throughput,
 };
 use modb_sim::WorkloadConfig;
 
@@ -239,20 +239,6 @@ static EXPERIMENTS: &[(&str, &str, Run)] = &[
             ),
         ])
     }),
-    ("w1", "n_objects=2000 rounds=50 workers=4", |a| {
-        let rows = wal_overhead::run_wal_overhead(a.n(0), a.n(1), a.n(2));
-        Report::of(wal_overhead::wal_overhead_table(&rows))
-    }),
-    (
-        "w2",
-        "n_objects=10000 grid=20 window_ms=500 max_threads=4>=1",
-        |a| {
-            let doubling = std::iter::successors(Some(1), |t| Some(t * 2));
-            let threads: Vec<usize> = doubling.take_while(|&t| t <= a.n(3)).collect();
-            let rows = query_scaling::run_query_scaling(a.n(0), a.n(1), &threads, a.n(2) as u64);
-            Report::of(query_scaling::query_scaling_table(&rows))
-        },
-    ),
     ("w4", "n_objects=500>=10 batches=120>=4", |a| {
         const V_MAX: f64 = 2.0;
         let n = a.n(0);
@@ -262,34 +248,20 @@ static EXPERIMENTS: &[(&str, &str, Run)] = &[
         Report::of(replication::replication_lag_table(n, V_MAX, &rows))
             .check(ok, "a measured deviation escaped its lag-widened bound")
     }),
-    ("w5", "n_objects=500>=4 reps=20>=1", |a| {
-        let rows = frontend::run_frontend_overhead(a.n(0), &[1, 4, 16, 64], a.n(1));
-        let ok = rows.iter().all(|r| r.parity);
-        Report::of(frontend::frontend_table(a.n(0), &rows))
-            .check(ok, "a remote batch diverged from the local engine")
+    ("w7", "n_objects=2000>=8 rounds=50>=1 workers=4>=1", |a| {
+        let report = wal_throughput::run_wal_throughput(a.n(0), a.n(1), a.n(2));
+        let (ratio, wire) = (report.disk_ratio(), &report.wire);
+        let (applied, records) = (wire.applied, wire.records);
+        Report::of(wal_throughput::wal_throughput_tables(&report))
+            .check(
+                ratio >= 2.0,
+                format!("v3-lz bytes/update reduction {ratio:.2}x is below 2x"),
+            )
+            .check(
+                applied == records,
+                format!("standby applied {applied} of {records} records"),
+            )
     }),
-    (
-        "w7",
-        "n_objects=2000>=8 rounds=50>=1 workers=4>=1 producers=8>=1",
-        |a| {
-            let report = wal_throughput::run_wal_throughput(a.n(0), a.n(1), a.n(2), a.n(3));
-            let (ratio, wire, group) = (report.disk_ratio(), &report.wire, &report.group_commit);
-            let (applied, records) = (wire.applied, wire.records);
-            Report::of(wal_throughput::wal_throughput_tables(&report))
-                .check(
-                    ratio >= 2.0,
-                    format!("v3-lz bytes/update reduction {ratio:.2}x is below 2x"),
-                )
-                .check(
-                    applied == records,
-                    format!("standby applied {applied} of {records} records"),
-                )
-                .check(
-                    group.commits <= group.tickets,
-                    "more fsyncs than tickets: no collapse",
-                )
-        },
-    ),
     ("w9", "n_objects=60>=4 max_followers=4>=1", |a| {
         let ladder = read_fanout::fanout_ladder(a.n(1));
         let rows = read_fanout::run_read_fanout(a.n(0), &ladder, 40, 40);
@@ -418,7 +390,7 @@ mod tests {
             "f4 1 x",
             "f5 10 --sizes 500",
             "f5 10 500 1e3",
-            "w2 -1",
+            "w4 -1",
         ] {
             assert!(parse_line(line).is_err(), "{line} parsed");
         }
@@ -426,9 +398,10 @@ mod tests {
 
     #[test]
     fn an_unknown_name_lists_the_experiments() {
-        assert_eq!(EXPERIMENTS.len(), 17);
-        // W6 was retired with the sharded cluster; its name is unknown now.
-        for line in ["", "f8", "savings", "w6"] {
+        assert_eq!(EXPERIMENTS.len(), 14);
+        // W6 was retired with the sharded cluster, and W1, W2 and W5 for
+        // the ledger rows that measure them; their names are unknown now.
+        for line in ["", "f8", "savings", "w1", "w2", "w5", "w6"] {
             let usage = parse_line(line).expect_err("a usage error");
             for (name, spec, _) in EXPERIMENTS {
                 let line = format!("modb-exp {name} {spec}");

@@ -6,12 +6,9 @@ pub mod bound_shape;
 pub mod cost_rate_curve;
 pub mod example1;
 pub mod failover;
-pub mod frontend;
 pub mod indexing;
 pub mod policy_sweep;
-pub mod query_scaling;
 pub mod read_fanout;
 pub mod replication;
 pub mod savings;
-pub mod wal_overhead;
 pub mod wal_throughput;

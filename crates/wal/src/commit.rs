@@ -2,8 +2,8 @@
 //! fsyncs.
 //!
 //! The ingest path's unit of durability is the fsync, and fsyncs are the
-//! expensive part of logging — §2.3 of DESIGN.md measures the `Always`
-//! policy at an order of magnitude below batched syncing. With many
+//! expensive part of logging (the cost ledger's `wal.fsync_us` row prices
+//! one). With many
 //! sessions each wanting an acknowledged update to be durable before the
 //! ack goes out, per-session fsyncs serialize the whole ingest tier on
 //! the disk's flush latency.

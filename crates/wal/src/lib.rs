@@ -11,7 +11,7 @@
 //!   varint-length-prefixed, CRC32-checksummed frame holding one
 //!   delta-coded, LZ-compressed block of records ([`block`]). Segment
 //!   files rotate at a size threshold; the fsync cadence is a
-//!   [`FsyncPolicy`] (`Always` / `EveryN` / `Never`) trading durability
+//!   [`FsyncPolicy`] (`EveryN` / `Never`) trading durability
 //!   against ingest throughput — the same cost/imprecision lever the
 //!   paper pulls for update policies, applied to persistence.
 //! - **Snapshots** ([`write_snapshot`] / [`read_snapshot`]): atomic

@@ -24,9 +24,6 @@ use crate::segment::{
 /// When the writer calls `fsync` on the current segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Sync after every append call (a batch counts as one call). Maximum
-    /// durability: an accepted record survives any crash.
-    Always,
     /// Sync once at least `n` records have accumulated since the last
     /// sync. A crash loses at most the unsynced window (`n` treated as 1
     /// when 0).
@@ -299,7 +296,6 @@ impl WalWriter {
         self.next_lsn += records;
         self.unsynced += records;
         match self.opts.fsync {
-            FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::EveryN(n) => {
                 if self.unsynced >= n.max(1) {
                     self.sync()?;
@@ -559,7 +555,6 @@ mod tests {
     #[test]
     fn fsync_policies_all_write_identically() {
         for (name, fsync) in [
-            ("always", FsyncPolicy::Always),
             ("every3", FsyncPolicy::EveryN(3)),
             ("every0", FsyncPolicy::EveryN(0)),
             ("never", FsyncPolicy::Never),

@@ -1,7 +1,7 @@
 //! Full production-shape integration: vehicles run policy engines, their
-//! updates flow through the sharded ingest service, and dispatch queries
-//! run concurrently against the shared handle — then answers are checked
-//! against ground truth.
+//! updates flow through the striped, logged ingest service, and dispatch
+//! queries run concurrently against the shared handle — then answers are
+//! checked against ground truth.
 
 use modb::core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -12,6 +12,7 @@ use modb::motion::{Trip, TripProfile};
 use modb::policy::{BoundKind, Policy, PolicyEngine, PositionUpdate, Quintuple};
 use modb::routes::{Direction, Route, RouteId, RouteNetwork};
 use modb::server::{IngestService, SharedDatabase, UpdateEnvelope};
+use modb::wal::{SharedWal, WalOptions, WalWriter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,9 +77,12 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
         trips.push(trip);
     }
 
-    // Drive the fleet; updates go through the ingest service while a
-    // reader thread keeps querying.
-    let service = IngestService::new(db.clone(), 4);
+    // Drive the fleet; updates go through the ingest service and its log
+    // while a reader thread keeps querying.
+    let dir = std::env::temp_dir().join(format!("modb-server-loop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = SharedWal::new(WalWriter::create(&dir, WalOptions::default()).unwrap());
+    let service = IngestService::with_wal(db.clone(), wal, 4);
     let handle = service.handle();
     let reader_db = db.clone();
     let reader = std::thread::spawn(move || {
@@ -118,6 +122,7 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
         0,
         "sharded ingest preserves per-object order"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
 
     // Post-drive: every DBMS answer is within its advertised bound of the
     // true position.
