@@ -7,7 +7,7 @@
 //! State machine (one worker thread):
 //!
 //! ```text
-//! Connecting ──connect──▶ Bootstrapping ──Snapshot──▶ CatchingUp
+//! Connecting ──connect──▶ Bootstrapping ──SnapshotBlocks──▶ CatchingUp
 //!     ▲                        │ (skipped when local state resumes)
 //!     │                        ▼
 //!     └──── disconnect ──── CatchingUp ◀──lag──▶ Steady
@@ -15,14 +15,22 @@
 //!
 //! Every hazard resolves to "reject and re-sync, never apply a torn
 //! record": a `Blocks` run (verbatim segment frames, decompressed here
-//! on apply) is decoded with the [`modb_wal::decode_block_frames`] path
+//! on apply) is decoded with the [`modb_wal::walk_blocks`] path
 //! recovery uses and applied only if it names the one segment format,
 //! is clean, complete, and contiguous with the applied watermark;
 //! duplicates below the watermark are skipped
 //! (idempotent re-delivery); anything else ends the session and the next
 //! `Hello` renegotiates from the watermark.
+//!
+//! A bootstrap snapshot arrives as `SnapshotBlocks` runs, each of which
+//! must continue the one before it; each is applied to a fresh database
+//! through a [`SnapshotLoad`] and appended to a temp file. The replica's
+//! previous state and files serve on untouched until the last record has
+//! validated; a session that ends first drops the half-built snapshot.
 
 use std::fmt;
+use std::fs::File;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -31,10 +39,11 @@ use std::time::{Duration, Instant};
 
 use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
+use modb_wal::segment::{encode_header, SEGMENT_HEADER_BYTES};
 use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
-    apply_record, decode_block_frames, decode_snapshot, list_segments, list_snapshots,
-    EpochHistory, FrameEnd, SharedWal, WalError, WalOptions, WalRecord, WalWriter,
+    apply_record, decode_block_frames, list_segments, list_snapshots, EpochHistory, FrameEnd,
+    SharedWal, SnapshotLoad, WalError, WalOptions, WalRecord, WalWriter,
     DEFAULT_SNAPSHOT_RETENTION, SEGMENT_VERSION,
 };
 
@@ -435,6 +444,7 @@ impl StandbyReplica {
                     shared,
                     horizon,
                     wal,
+                    incoming: None,
                 }
                 .run()
             })
@@ -737,6 +747,16 @@ struct Worker {
     /// is the barrier the local compaction pass must not cross.
     horizon: Arc<ShipHorizon>,
     wal: Option<WalWriter>,
+    /// The bootstrap snapshot arriving in this session, if any.
+    incoming: Option<Incoming>,
+}
+
+/// A bootstrap snapshot part-way through its runs: the load its frames
+/// are applied to, and the temp file they are written to.
+struct Incoming {
+    lsn: u64,
+    load: SnapshotLoad,
+    file: File,
 }
 
 impl Worker {
@@ -761,7 +781,12 @@ impl Worker {
                 }
             };
             self.shared.stats.connects.fetch_add(1, Ordering::Relaxed);
-            match self.session(stream, &mut last_snapshot_lsn) {
+            let end = self.session(stream, &mut last_snapshot_lsn);
+            // A bootstrap the session did not finish is dropped whole.
+            if self.incoming.take().is_some() {
+                let _ = std::fs::remove_file(self.incoming_path());
+            }
+            match end {
                 SessionEnd::Shutdown => break,
                 SessionEnd::Disconnected => self.backoff(),
                 SessionEnd::Resync => {
@@ -837,7 +862,11 @@ impl Worker {
         last_snapshot_lsn: &mut u64,
     ) -> Result<(), SessionEnd> {
         match msg {
-            Message::Snapshot { lsn, bytes } => self.bootstrap(lsn, &bytes, tx, last_snapshot_lsn),
+            Message::SnapshotBlocks {
+                lsn,
+                offset,
+                frames,
+            } => self.bootstrap(lsn, offset, &frames, tx, last_snapshot_lsn),
             Message::Blocks {
                 start_lsn,
                 count,
@@ -917,26 +946,54 @@ impl Worker {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Installs a bootstrap snapshot: validate, persist atomically, wipe
-    /// the stale local log, restart the local writer at the snapshot
-    /// LSN, and swap the in-memory database under the shared handle.
+    /// Where an incoming bootstrap snapshot is written.
+    fn incoming_path(&self) -> PathBuf {
+        self.dir.join("incoming.snap.tmp")
+    }
+
+    /// Takes one run of a bootstrap snapshot: checks that it continues
+    /// the runs before it (the first one opens the load and temp file),
+    /// applies it and appends it; after the last, installs the snapshot.
     fn bootstrap(
         &mut self,
         lsn: u64,
-        bytes: &[u8],
+        offset: u64,
+        frames: &[u8],
         tx: &mut std::net::TcpStream,
         last_snapshot_lsn: &mut u64,
     ) -> Result<(), SessionEnd> {
-        let tmp = self.dir.join("incoming.snap.tmp");
-        let install = (|| -> Result<Database, WalError> {
-            std::fs::write(&tmp, bytes)?;
-            // The snapshot self-validates (magic, version, CRC, full
-            // decode) before anything local is disturbed — checked on the
-            // received bytes, not on a second copy read back.
-            let (db, embedded_lsn) = decode_snapshot(&tmp, bytes)?;
-            if embedded_lsn != lsn {
-                return Err(WalError::Decode("snapshot lsn does not match message"));
+        let tmp = self.incoming_path();
+        let fed = (|| -> Result<Option<Database>, WalError> {
+            if self.incoming.is_none() && offset == SEGMENT_HEADER_BYTES {
+                let mut file = File::create(&tmp)?;
+                file.write_all(&encode_header(lsn))?;
+                let load = SnapshotLoad::new(&tmp);
+                self.incoming = Some(Incoming { lsn, load, file });
             }
+            // A duplicated, reordered or foreign run, or one with no
+            // first run before it, continues nothing.
+            let Some(incoming) = self
+                .incoming
+                .as_mut()
+                .filter(|incoming| incoming.lsn == lsn && incoming.load.offset() == offset)
+            else {
+                return Err(WalError::Decode("snapshot run out of order"));
+            };
+            let db = incoming.load.feed(frames)?;
+            incoming.file.write_all(frames)?;
+            Ok(db)
+        })();
+        let db = match fed {
+            Ok(None) => return Ok(()),
+            Ok(Some(db)) => db,
+            Err(_) => {
+                self.reject();
+                return Err(SessionEnd::Resync);
+            }
+        };
+        let Incoming { file, .. } = self.incoming.take().expect("fed above");
+        let install = (|| -> Result<(), WalError> {
+            file.sync_data()?;
             // Local log and snapshots describe a dead timeline now.
             self.wal = None;
             for (_, path) in list_segments(&self.dir)? {
@@ -947,16 +1004,13 @@ impl Worker {
             }
             std::fs::rename(&tmp, self.dir.join(snapshot_file_name(lsn)))?;
             self.wal = Some(WalWriter::resume(&self.dir, self.config.wal, lsn)?);
-            Ok(db)
+            Ok(())
         })();
-        let db = match install {
-            Ok(db) => db,
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-                self.reject();
-                return Err(SessionEnd::Resync);
-            }
-        };
+        if install.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+            self.reject();
+            return Err(SessionEnd::Resync);
+        }
         self.db.replace(db);
         // Counted before the watermark moves: a reader woken by
         // `set_applied` must find the bootstrap in the stats already.
@@ -1004,8 +1058,9 @@ impl Worker {
         tx: &mut std::net::TcpStream,
         last_snapshot_lsn: &mut u64,
     ) -> Result<(), SessionEnd> {
-        let Some(wal) = self.wal.as_mut() else {
-            // Records before a bootstrap snapshot: protocol desync.
+        let Some(wal) = self.wal.as_mut().filter(|_| self.incoming.is_none()) else {
+            // Records before (or in the middle of) a bootstrap snapshot:
+            // protocol desync.
             self.reject();
             return Err(SessionEnd::Resync);
         };
@@ -1139,9 +1194,10 @@ mod tests {
                             start_lsn: 0,
                         }],
                     },
-                    Message::Snapshot {
+                    Message::SnapshotBlocks {
                         lsn: 0,
-                        bytes: snapshot.clone(),
+                        offset: SEGMENT_HEADER_BYTES,
+                        frames: snapshot[SEGMENT_HEADER_BYTES as usize..].to_vec(),
                     },
                     Message::Blocks {
                         start_lsn: 0,

@@ -3,7 +3,7 @@
 //!
 //! The accept loop is the shared [`crate::framed::Listener`]; each
 //! follower gets a session thread pair — a **shipper** (tailing the log
-//! with [`SegmentTailer`] and writing `Snapshot` / `Blocks` /
+//! with [`SegmentTailer`] and writing `SnapshotBlocks` / `Blocks` /
 //! `Heartbeat` messages) and an **ack reader** (draining `Ack` messages
 //! into the acknowledged-LSN watermark). The watermark feeds the
 //! [`ShipHorizon`], which
@@ -13,14 +13,16 @@
 
 use std::fmt;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use modb_wal::segment::{read_segment_file, SEGMENT_HEADER_BYTES};
 use modb_wal::{
-    decode_snapshot, list_segments, list_snapshots, EpochCheck, EpochHistory, SegmentTailer,
-    WalError, SEGMENT_VERSION,
+    decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochCheck,
+    EpochHistory, SegmentTailer, WalError, WalRecord, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
@@ -356,25 +358,22 @@ fn run_session(
     let cursor = if resumable {
         follower_lsn
     } else {
-        // Newest snapshot that actually reads back (same fallback ladder
-        // as recovery). Each file is read once and the bytes checked are
-        // the bytes shipped: a compaction that removes a file after it
-        // was read does not touch them.
-        let chosen = list_snapshots(dir)?
-            .into_iter()
-            .rev()
-            .find_map(|(lsn, path)| {
-                let bytes = std::fs::read(&path).ok()?;
-                decode_snapshot(&path, &bytes).ok()?;
-                Some((lsn, bytes))
-            });
-        let Some((lsn, bytes)) = chosen else {
+        // Newest snapshot whose container checks out (same fallback
+        // ladder as recovery), read once: the bytes checked are the bytes
+        // shipped, and a compaction that removes the file after it was
+        // read does not touch them.
+        let Some(Shipment { lsn, bytes, runs }) = shippable_snapshot(dir, config.chunk_records)?
+        else {
             return Err(WalError::NoSnapshot(dir.to_path_buf()));
         };
-        // A snapshot over the frame ceiling fails here, typed, before a
-        // byte is written: the follower would have rejected the frame
-        // after receiving all of it and asked for it again.
-        send(stream, &Message::Snapshot { lsn, bytes }, MAX_MESSAGE_BYTES)?;
+        for run in runs {
+            let msg = Message::SnapshotBlocks {
+                lsn,
+                offset: run.start as u64,
+                frames: bytes[run].to_vec(),
+            };
+            send(stream, &msg, MAX_MESSAGE_BYTES)?;
+        }
         stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
         lsn
     };
@@ -451,6 +450,50 @@ fn run_session(
     let _ = stream.shutdown(Shutdown::Both);
     let _ = ack_thread.join();
     result
+}
+
+/// A bootstrap snapshot ready to ship: its LSN, its bytes, and the runs
+/// of whole frames they are cut into.
+struct Shipment {
+    lsn: u64,
+    bytes: Vec<u8>,
+    runs: Vec<Range<usize>>,
+}
+
+/// The newest snapshot in `dir` whose header names its file's LSN, whose
+/// frames all pass their CRC and whose head promises the records its
+/// blocks hold, with its bytes cut into runs of whole frames of
+/// `chunk_records` records or one block past them ([`take_frames`], as
+/// the log's tail is cut). Only the head is decoded: the follower decodes
+/// each run as it applies it.
+fn shippable_snapshot(dir: &Path, chunk_records: usize) -> Result<Option<Shipment>, WalError> {
+    for (lsn, path) in list_snapshots(dir)?.into_iter().rev() {
+        let Ok((start_lsn, bytes)) = read_segment_file(&path) else {
+            continue;
+        };
+        let (mut runs, mut records) = (Vec::new(), 0);
+        let mut pos = SEGMENT_HEADER_BYTES as usize;
+        let whole = loop {
+            let run = take_frames(&bytes[pos..], chunk_records.max(1));
+            if run.torn.is_some() || run.bytes == 0 {
+                break run.torn.is_none() && pos == bytes.len();
+            }
+            runs.push(pos..pos + run.bytes);
+            (pos, records) = (pos + run.bytes, records + run.records);
+        };
+        let head = split_frame(&bytes[SEGMENT_HEADER_BYTES as usize..])
+            .ok()
+            .flatten()
+            .and_then(|(payload, _)| decode_block(payload).ok());
+        let sealed = matches!(
+            head.as_deref(),
+            Some([WalRecord::SnapshotHead { records: promised, .. }]) if promised + 1 == records
+        );
+        if whole && sealed && start_lsn == lsn {
+            return Ok(Some(Shipment { lsn, bytes, runs }));
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -573,7 +616,7 @@ mod tests {
             let msg = next_message(reader).expect("leader closed before the stream caught up");
             match msg {
                 Message::Heartbeat { .. } | Message::Epochs { .. } => continue,
-                Message::Snapshot { .. } => panic!("second bootstrap"),
+                Message::SnapshotBlocks { .. } => panic!("second bootstrap"),
                 ref data => records.extend(assert_shape(data)),
             }
         }
@@ -591,7 +634,11 @@ mod tests {
             panic!("expected the epoch history first");
         };
         assert_eq!(spans.len(), 1, "a never-promoted leader is on genesis");
-        let Some(Message::Snapshot { lsn: 0, .. }) = next_message(&mut reader) else {
+        // The genesis snapshot (a head and one route) is one run.
+        let Some(Message::SnapshotBlocks {
+            lsn: 0, offset: 20, ..
+        }) = next_message(&mut reader)
+        else {
             panic!("expected the bootstrap snapshot at lsn 0");
         };
         let records = drain(&mut reader, total, |msg| {
@@ -617,7 +664,7 @@ mod tests {
     #[test]
     fn unknown_hello_version_is_rejected() {
         let (_durable, server) = leader("version-reject", 4);
-        let versions = [0, 1, 2, PROTOCOL_VERSION + 1, u32::MAX];
+        let versions = [0, 1, 2, 3, PROTOCOL_VERSION + 1, u32::MAX];
         for version in versions {
             let (_tx, mut reader) = dial(&server, version);
             assert!(

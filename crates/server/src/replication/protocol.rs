@@ -7,17 +7,19 @@
 //!
 //! Messages:
 //!
-//! | tag | message     | direction          | body                                  |
-//! |-----|-------------|--------------------|---------------------------------------|
-//! | 1   | `Hello`     | follower → leader  | `version u32, next_lsn u64, have_state u8, epoch u64` |
-//! | 2   | `Snapshot`  | leader → follower  | `lsn u64, bytes (raw snapshot file)`  |
-//! | 4   | `Heartbeat` | leader → follower  | `leader_next_lsn u64`                 |
-//! | 5   | `Ack`       | follower → leader  | `applied_lsn u64`                     |
-//! | 6   | `Blocks`    | leader → follower  | `start_lsn u64, count u32, version u32, frames` |
-//! | 7   | `Diverged`  | leader → follower  | `leader_epoch u64, boundary_lsn u64`  |
-//! | 8   | `Epochs`    | leader → follower  | `count u32, (epoch u64, start_lsn u64) * count` |
+//! | tag | message          | direction          | body                                  |
+//! |-----|------------------|--------------------|---------------------------------------|
+//! | 1   | `Hello`          | follower → leader  | `version u32, next_lsn u64, have_state u8, epoch u64` |
+//! | 4   | `Heartbeat`      | leader → follower  | `leader_next_lsn u64`                 |
+//! | 5   | `Ack`            | follower → leader  | `applied_lsn u64`                     |
+//! | 6   | `Blocks`         | leader → follower  | `start_lsn u64, count u32, version u32, frames` |
+//! | 7   | `Diverged`       | leader → follower  | `leader_epoch u64, boundary_lsn u64`  |
+//! | 8   | `Epochs`         | leader → follower  | `count u32, (epoch u64, start_lsn u64) * count` |
+//! | 9   | `SnapshotBlocks` | leader → follower  | `lsn u64, offset u64, frames`         |
 //!
-//! (Tag 3 is retired and stays unassigned.)
+//! (Tags 2 and 3 are retired and stay unassigned: tag 2 was the
+//! one-message bootstrap snapshot of protocol version 3, tag 3 the
+//! decoded-records message.)
 //!
 //! `Blocks` carries a run of *segment* frames shipped verbatim off the
 //! leader's disk, each holding one delta-coded, possibly LZ-compressed
@@ -25,8 +27,18 @@
 //! (always [`modb_wal::SEGMENT_VERSION`]; a follower refuses any other).
 //! Compression paid once at append time is reused on the wire, and the
 //! follower validates every frame's CRC a second time with the same
-//! [`modb_wal::decode_block_frames`] path recovery uses — a partially
-//! delivered or torn run can never be applied.
+//! [`modb_wal::walk_blocks`] path recovery uses — a partially delivered
+//! or torn run can never be applied.
+//!
+//! `SnapshotBlocks` bootstraps a follower the same way: a snapshot is a
+//! sealed file of the segment layout ([`modb_wal::snapshot`]), and the
+//! leader ships its frames verbatim in runs of at most `chunk_records`
+//! records, `offset` being where the run starts in the file (the first
+//! run starts right after the 20-byte header). The follower applies each
+//! run to a fresh database as it arrives and installs the snapshot only
+//! once its last record has validated; a run that does not continue the
+//! one before it — duplicated, reordered, from another snapshot — ends
+//! the session.
 //!
 //! `Hello` carries the follower's leadership epoch because of the
 //! promotion-time divergence guard: a server whose
@@ -49,12 +61,13 @@ use crate::framed::WireMessage;
 
 /// The protocol version this build speaks; a `Hello` naming any other is
 /// refused.
-pub(crate) const PROTOCOL_VERSION: u32 = 3;
+pub(crate) const PROTOCOL_VERSION: u32 = 4;
 
-/// Hard ceiling on one message's payload: a bootstrap snapshot plus
-/// headroom. The sender refuses anything larger; a reader treats it as
-/// stream corruption.
-pub(crate) const MAX_MESSAGE_BYTES: u32 = 64 * 1024 * 1024;
+/// Hard ceiling on one message's payload: four maximal block frames
+/// ([`modb_wal::MAX_RECORD_BYTES`]), far above a run of `chunk_records`
+/// records of log or snapshot. The sender refuses anything larger; a
+/// reader treats it as stream corruption.
+pub(crate) const MAX_MESSAGE_BYTES: u32 = 4 * modb_wal::MAX_RECORD_BYTES;
 
 /// One protocol message (see the module table).
 #[derive(Debug, Clone, PartialEq)]
@@ -67,9 +80,6 @@ pub(crate) enum Message {
         have_state: bool,
         epoch: u64,
     },
-    /// A full bootstrap snapshot (the raw snapshot file, self-validating
-    /// via its own magic/version/CRC).
-    Snapshot { lsn: u64, bytes: Vec<u8> },
     /// Leader keepalive carrying its log frontier (lag = frontier −
     /// follower applied watermark).
     Heartbeat { leader_next_lsn: u64 },
@@ -98,6 +108,13 @@ pub(crate) enum Message {
     /// timeline boundary, including those older than its bootstrap
     /// snapshot.
     Epochs { spans: Vec<modb_wal::EpochSpan> },
+    /// A run of whole frames of the bootstrap snapshot taken at `lsn`,
+    /// verbatim, starting `offset` bytes into the snapshot file.
+    SnapshotBlocks {
+        lsn: u64,
+        offset: u64,
+        frames: Vec<u8>,
+    },
 }
 
 impl WireMessage for Message {
@@ -114,11 +131,6 @@ impl WireMessage for Message {
                 put_u64(out, *next_lsn);
                 out.push(u8::from(*have_state));
                 put_u64(out, *epoch);
-            }
-            Message::Snapshot { lsn, bytes } => {
-                out.push(2);
-                put_u64(out, *lsn);
-                out.extend_from_slice(bytes);
             }
             Message::Heartbeat { leader_next_lsn } => {
                 out.push(4);
@@ -156,6 +168,16 @@ impl WireMessage for Message {
                     put_u64(out, span.start_lsn);
                 }
             }
+            Message::SnapshotBlocks {
+                lsn,
+                offset,
+                frames,
+            } => {
+                out.push(9);
+                put_u64(out, *lsn);
+                put_u64(out, *offset);
+                out.extend_from_slice(frames);
+            }
         }
     }
 
@@ -172,14 +194,6 @@ impl WireMessage for Message {
                     have_state,
                     epoch: r.u64()?,
                 }
-            }
-            2 => {
-                let lsn = r.u64()?;
-                // The rest of the payload is the raw snapshot file.
-                return Ok(Message::Snapshot {
-                    lsn,
-                    bytes: payload[payload.len() - r.remaining()..].to_vec(),
-                });
             }
             4 => Message::Heartbeat {
                 leader_next_lsn: r.u64()?,
@@ -214,6 +228,16 @@ impl WireMessage for Message {
                 }
                 Message::Epochs { spans }
             }
+            9 => {
+                let lsn = r.u64()?;
+                let offset = r.u64()?;
+                // The rest of the payload is the verbatim snapshot frames.
+                return Ok(Message::SnapshotBlocks {
+                    lsn,
+                    offset,
+                    frames: payload[payload.len() - r.remaining()..].to_vec(),
+                });
+            }
             _ => return Err(WalError::Decode("unknown replication message tag")),
         };
         if !r.is_empty() {
@@ -228,6 +252,8 @@ mod tests {
     use super::*;
     use crate::framed::{decode_frame, encode_frame};
 
+    /// One instance of every message, in the order of
+    /// `tests/golden/replication-v4.frames`.
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello {
@@ -235,10 +261,6 @@ mod tests {
                 next_lsn: 42,
                 have_state: true,
                 epoch: 3,
-            },
-            Message::Snapshot {
-                lsn: 7,
-                bytes: vec![1, 2, 3, 4, 5],
             },
             Message::Heartbeat {
                 leader_next_lsn: 11,
@@ -266,17 +288,24 @@ mod tests {
                     },
                 ],
             },
+            Message::SnapshotBlocks {
+                lsn: 7,
+                offset: 20,
+                frames: vec![1, 2, 3, 4, 5],
+            },
         ]
     }
 
-    /// The wire compatibility contract: `tests/golden/replication.frames`
-    /// holds one framed instance of every message, written by the
-    /// encoder of commit dfa280f (see `tests/golden/README.md`). Each
-    /// frame must decode to its sample value and every sample must
-    /// re-encode to the identical bytes.
+    /// The wire compatibility contract (see `tests/golden/README.md`):
+    /// `replication-v4.frames` holds one framed instance of every
+    /// message; each frame must decode to its sample value and every
+    /// sample must re-encode to the identical bytes. Against version 3's
+    /// `replication.frames` (commit dfa280f), the frames from `Heartbeat`
+    /// to `Epochs` are byte-identical and the retired one-message
+    /// `Snapshot` (tag 2, second in that file) is a decode error.
     #[test]
     fn golden_frames_decode_and_re_encode_bit_identically() {
-        let golden = include_bytes!("../../tests/golden/replication.frames");
+        let golden = include_bytes!("../../tests/golden/replication-v4.frames");
         let mut rest: &[u8] = golden;
         let mut re_encoded = Vec::new();
         for expected in sample_messages() {
@@ -289,11 +318,20 @@ mod tests {
         }
         assert!(rest.is_empty(), "a golden frame no sample accounts for");
         assert_eq!(re_encoded, golden);
+
+        let v3 = include_bytes!("../../tests/golden/replication.frames");
+        let frame_end =
+            |at: usize| at + 8 + u32::from_le_bytes(v3[at..at + 4].try_into().unwrap()) as usize;
+        let (hello, snapshot) = (frame_end(0), frame_end(frame_end(0)));
+        assert_eq!(v3[hello + 8], 2, "the retired Snapshot tag");
+        assert!(decode_frame::<Message>(&v3[hello..], MAX_MESSAGE_BYTES).is_err());
+        assert_eq!(v3[snapshot..], golden[hello..hello + v3.len() - snapshot]);
     }
 
     /// The retired shapes: a `Hello` that stops before the epoch (what a
     /// pre-epoch peer sent) and the decoded-records message (tag 3) are
-    /// decode errors, not silently defaulted or skipped.
+    /// decode errors, not silently defaulted or skipped (tag 2 is checked
+    /// against its golden frame above).
     #[test]
     fn epoch_less_hello_and_retired_records_tag_are_rejected() {
         let mut payload = vec![1u8];

@@ -63,6 +63,13 @@ pub enum Fault {
     /// Parse downstream framing and send every complete message twice —
     /// duplicate delivery the watermark must absorb.
     DuplicateMessages,
+    /// Pass everything through unchanged, noting each complete
+    /// downstream message as `(tag, frame length)` — how a test learns
+    /// where the message boundaries of a session fall.
+    Record(Arc<Mutex<Vec<(u8, usize)>>>),
+    /// Deliver downstream message `n` (0-based, whole frames) after
+    /// message `n + 1` — an out-of-order delivery.
+    SwapMessages(usize),
     /// Forward freely while `hold` is false; while true, stop moving
     /// bytes (backpressure reaches the upstream). Used to pin a live,
     /// silent receiver while the upstream compacts.
@@ -223,7 +230,9 @@ fn pump_faulty(
 ) {
     let mut buf = [0u8; 16 * 1024];
     let mut forwarded = 0usize; // downstream bytes already sent
-    let mut frame_buf: Vec<u8> = Vec::new(); // DuplicateMessages reassembly
+    let mut frame_buf: Vec<u8> = Vec::new(); // whole-message faults' reassembly
+    let mut held: Option<Vec<u8>> = None; // SwapMessages' postponed message
+    let mut messages = 0usize; // whole downstream messages seen
     while !stop.load(Ordering::SeqCst) && !dead.load(Ordering::SeqCst) {
         if let Fault::Stall { hold } = &fault {
             if hold.load(Ordering::SeqCst) {
@@ -266,29 +275,50 @@ fn pump_faulty(
                 frame_buf.extend_from_slice(chunk);
                 // Forward each complete outer frame twice; keep partial
                 // tails buffered so duplication is always frame-aligned.
-                loop {
-                    if frame_buf.len() < 8 {
-                        break;
-                    }
-                    let len = u32::from_le_bytes([
-                        frame_buf[0],
-                        frame_buf[1],
-                        frame_buf[2],
-                        frame_buf[3],
-                    ]) as usize;
-                    let total = 8 + len;
-                    if frame_buf.len() < total {
-                        break;
-                    }
-                    let frame: Vec<u8> = frame_buf.drain(..total).collect();
+                while let Some(frame) = next_frame(&mut frame_buf) {
                     if to.write_all(&frame).is_err() || to.write_all(&frame).is_err() {
                         return;
                     }
                 }
             }
+            Fault::SwapMessages(n) => {
+                frame_buf.extend_from_slice(chunk);
+                while let Some(frame) = next_frame(&mut frame_buf) {
+                    messages += 1;
+                    if messages - 1 == *n {
+                        held = Some(frame);
+                        continue;
+                    }
+                    if to.write_all(&frame).is_err() {
+                        return;
+                    }
+                    if let Some(frame) = held.take() {
+                        if to.write_all(&frame).is_err() {
+                            return;
+                        }
+                    }
+                }
+            }
+            Fault::Record(seen) => {
+                if to.write_all(chunk).is_err() {
+                    break;
+                }
+                frame_buf.extend_from_slice(chunk);
+                while let Some(frame) = next_frame(&mut frame_buf) {
+                    seen.lock().unwrap().push((frame[8], frame.len()));
+                }
+            }
         }
     }
     dead.store(true, Ordering::SeqCst);
+}
+
+/// Takes the first complete outer frame (`[len u32][crc u32][payload]`)
+/// off the front of `buf`, if one is there.
+fn next_frame(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
+    let len = u32::from_le_bytes(buf.get(..4)?.try_into().unwrap()) as usize;
+    let total = 8 + len;
+    (buf.len() >= total).then(|| buf.drain(..total).collect())
 }
 
 // ---------------------------------------------------------------------

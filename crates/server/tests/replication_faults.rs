@@ -11,11 +11,14 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use common::replica_harness::{Fault, Scenario};
+use common::replica_harness::{wait_until, Fault, Scenario};
+use common::{assert_converged, test_replica_config};
+use modb_server::StandbyReplica;
 
 #[test]
 fn truncated_frames_at_every_offset_never_apply_torn_records() {
@@ -174,5 +177,152 @@ fn stalled_follower_is_not_orphaned_by_compaction() {
     s.assert_converges(&replica);
     let stats = replica.stats();
     assert_eq!(stats.bootstraps, 1, "never re-bootstrapped: {stats}");
+    s.finish(replica);
+}
+
+/// Every file of a directory, by name.
+fn files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect()
+}
+
+/// A bootstrap snapshot of several messages, re-shipped to a follower
+/// that already has state of its own, under cuts between and inside
+/// the messages, a flipped byte, duplicated messages and two swapped. Until the last
+/// frame validates, the follower keeps its previous database, watermark
+/// and files (a half-received snapshot is dropped with its session); a
+/// duplicated or reordered run is refused, never appended; and the
+/// follower converges on the leader's snapshot, byte for byte.
+#[test]
+fn a_multi_message_bootstrap_leaves_the_previous_state_until_its_last_frame() {
+    let s = Scenario::start("multi", 5);
+    for id in 6..=2_000 {
+        let arc = (id % 900) as f64;
+        s.leader.register_moving(common::vehicle(id, arc)).unwrap();
+    }
+    s.leader.snapshot_with_retention(1).unwrap();
+    let replica = s.follower();
+    s.assert_converges(&replica);
+    let watermark = replica.applied_lsn();
+    replica.shutdown();
+
+    // While the follower is away the leader moves on and compacts the
+    // log it would resume from: its next session must re-bootstrap.
+    s.churn(1..=40, 5);
+    let snapshot = std::fs::read(s.leader.snapshot_with_retention(1).unwrap()).unwrap();
+    let oldest = modb_wal::list_segments(&s.ldir).unwrap()[0].0;
+    assert!(
+        oldest > watermark,
+        "log from {oldest}, follower at {watermark}"
+    );
+
+    // A stateless probe bootstraps from the same snapshot and shows
+    // where the messages of that session fall: the epoch history, then
+    // the snapshot's runs (tag 9).
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    s.proxy.push(Fault::Record(Arc::clone(&seen)));
+    let probe_dir = common::tmp("faults-multi-probe");
+    let probe = StandbyReplica::open(&probe_dir, s.proxy.addr(), test_replica_config()).unwrap();
+    s.assert_converges(&probe);
+    assert_eq!(probe.shutdown().bootstraps, 1);
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+    let seen = seen.lock().unwrap().clone();
+    let runs = seen.iter().filter(|&&(tag, _)| tag == 9).count();
+    assert!(runs >= 3, "{runs} snapshot runs");
+    assert_eq!(seen[0].0, 8, "the epoch history opens the session");
+    assert!(seen[1..=runs].iter().all(|&(tag, _)| tag == 9));
+    let largest = seen.iter().map(|&(_, len)| len).max().unwrap();
+    assert!(
+        snapshot.len() >= 3 * largest,
+        "a {}-byte snapshot, messages up to {largest} bytes",
+        snapshot.len()
+    );
+    // Where each of the first runs ends in the session's byte stream.
+    let ends: Vec<usize> = seen
+        .iter()
+        .scan(0, |at, &(_, len)| {
+            *at += len;
+            Some(*at)
+        })
+        .collect();
+
+    let before = files(&s.fdir);
+    let hold = Arc::new(AtomicBool::new(true));
+    s.proxy.push(Fault::CutAfterBytes(ends[1])); // between runs 1 and 2
+    s.proxy.push(Fault::CutAfterBytes((ends[1] + ends[2]) / 2)); // inside run 2
+    s.proxy.push(Fault::CorruptByteAt(ends[2] + 64)); // inside run 3
+    s.proxy.push(Fault::DuplicateMessages); // run 1 twice
+    s.proxy.push(Fault::SwapMessages(2)); // run 3 before run 2
+    s.proxy.push(Fault::Stall {
+        hold: Arc::clone(&hold),
+    });
+    let replica = s.follower();
+    let expected_before = replica.database().with_read(|db| db.clone());
+    wait_until("the five faulty sessions", || replica.stats().connects >= 6);
+    let stats = replica.stats();
+    assert_eq!(
+        (stats.applied_lsn, stats.bootstraps),
+        (watermark, 0),
+        "{stats}"
+    );
+    assert!(
+        stats.resyncs >= 3 && stats.rejected_messages >= 2,
+        "the flipped byte, the duplicated run and the reordered one: {stats}"
+    );
+    assert_eq!(files(&s.fdir), before, "the previous files are untouched");
+    replica
+        .database()
+        .with_read(|db| assert_converged(&expected_before, db));
+
+    // Let the last session through: the snapshot installs whole.
+    hold.store(false, Ordering::SeqCst);
+    s.assert_converges(&replica);
+    let stats = replica.stats();
+    assert_eq!(stats.bootstraps, 1, "{stats}");
+    let installed: Vec<Vec<u8>> = files(&s.fdir)
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(".snap"))
+        .map(|(_, bytes)| bytes)
+        .collect();
+    assert_eq!(installed, [snapshot], "the leader's snapshot, once");
+    s.finish(replica);
+}
+
+/// Snapshots the leader cannot ship whole are passed over for the next
+/// one down, as recovery passes over them: one with a flipped byte (a
+/// frame fails its CRC) and one cut at a block boundary (every frame
+/// whole, but fewer records than its head promises). The follower
+/// bootstraps from the older snapshot and catches up from there.
+#[test]
+fn a_damaged_newest_snapshot_ships_the_older_one() {
+    let s = Scenario::start("ladder", 5);
+    let older = std::fs::read(s.leader.snapshot_with_retention(3).unwrap()).unwrap();
+    let mut damaged = Vec::new();
+    for round in [1, 2] {
+        s.churn(round..=round, 5);
+        damaged.push(s.leader.snapshot_with_retention(3).unwrap());
+    }
+    let mut flipped = std::fs::read(&damaged[0]).unwrap();
+    let n = flipped.len();
+    flipped[n - 3] ^= 0x10;
+    std::fs::write(&damaged[0], flipped).unwrap();
+    let bytes = std::fs::read(&damaged[1]).unwrap();
+    let (_, head) = modb_wal::split_frame(&bytes[20..]).unwrap().unwrap();
+    std::fs::write(&damaged[1], &bytes[..20 + head]).unwrap();
+
+    let replica = s.follower();
+    s.assert_converges(&replica);
+    let installed: Vec<Vec<u8>> = files(&s.fdir)
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(".snap"))
+        .map(|(_, bytes)| bytes)
+        .collect();
+    assert_eq!(installed, [older]);
     s.finish(replica);
 }

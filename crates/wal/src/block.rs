@@ -36,9 +36,11 @@
 //! and the replication wire can therefore treat a block as a
 //! self-contained unit — decode it with zero history, truncate a torn
 //! tail at a frame (= block) boundary, or ship the frame bytes verbatim
-//! to a follower that decompresses on apply.
+//! to a follower that decompresses on apply. A snapshot is blocks too
+//! ([`crate::snapshot`]), so one walk ([`walk_blocks`]) replays both.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use modb_core::{UpdateMessage, UpdatePosition};
 
@@ -46,7 +48,7 @@ use crate::codec::{put_varint, read_varint, unzigzag, zigzag, ByteReader};
 use crate::crc32::crc32;
 use crate::error::WalError;
 use crate::lz;
-use crate::record::{WalRecord, MAX_RECORD_BYTES};
+use crate::record::{split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 
 /// Block body is a plain delta stream.
 pub const BLOCK_FORMAT_PLAIN: u8 = 0;
@@ -225,11 +227,12 @@ pub fn encode_block(records: &[WalRecord], compress: bool, out: &mut Vec<u8>) {
 
 /// [`encode_block`] with the LZ stage's table supplied by the caller, who
 /// keeps it from block to block (`None`: no LZ stage). Same bytes.
+/// Returns the length of the uncompressed delta stream.
 pub(crate) fn encode_block_with(
     records: &[WalRecord],
     lz: Option<&mut lz::Compressor>,
     out: &mut Vec<u8>,
-) {
+) -> usize {
     let mut stream = Vec::new();
     encode_stream(records, &mut stream);
     if let Some(lz) = lz {
@@ -241,12 +244,36 @@ pub(crate) fn encode_block_with(
             put_varint(out, records.len() as u64);
             put_varint(out, stream.len() as u64);
             out.extend_from_slice(&packed);
-            return;
+            return stream.len();
         }
     }
     out.push(BLOCK_FORMAT_PLAIN);
     put_varint(out, records.len() as u64);
     out.extend_from_slice(&stream);
+    stream.len()
+}
+
+/// `records` sealed as one framed block (one restart point, the LZ stage
+/// kept only when it shrinks the block), with the caller's LZ table: the
+/// one block sealer, for the log's appends and a snapshot's blocks.
+///
+/// # Errors
+///
+/// [`WalError::FrameTooLarge`] for a payload or delta stream over
+/// [`MAX_RECORD_BYTES`], which every reader would refuse as torn.
+pub(crate) fn seal(records: &[WalRecord], lz: &mut lz::Compressor) -> Result<Vec<u8>, WalError> {
+    let mut payload = Vec::with_capacity(128);
+    let stream = encode_block_with(records, Some(lz), &mut payload);
+    let len = stream.max(payload.len()) as u64;
+    if len > u64::from(MAX_RECORD_BYTES) {
+        return Err(WalError::FrameTooLarge {
+            len,
+            max: MAX_RECORD_BYTES,
+        });
+    }
+    let mut frame = Vec::with_capacity(crate::record::frame_len(payload.len()));
+    frame_block(&payload, &mut frame);
+    Ok(frame)
 }
 
 /// Decodes one block payload back into its records.
@@ -299,37 +326,49 @@ pub fn frame_block(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// Decodes consecutive block frames from `buf`, returning the records of
-/// every whole valid block, the byte length of the valid prefix, and how
-/// decoding ended. Never fails: any invalid frame terminates the scan. A
-/// block that fails to decode behind a valid CRC still ends the valid
-/// prefix at its frame boundary — restart points make truncation safe
-/// there.
-pub fn decode_block_frames(buf: &[u8]) -> (Vec<WalRecord>, usize, crate::record::FrameEnd) {
-    use crate::record::{split_frame, FrameEnd};
-    let mut records = Vec::new();
+/// The one replay loop: walks the block frames of `buf` ([`split_frame`]
+/// → [`decode_block`]) and hands each whole valid block's records to
+/// `apply`, with the byte offset of its frame — one block of records at
+/// a time, for recovery, a bootstrapping follower and
+/// [`decode_block_frames`] alike. Returns the byte length of the valid
+/// prefix and how the walk ended: an invalid frame, or a block that fails
+/// to decode behind a valid CRC, ends it as torn.
+///
+/// # Errors
+///
+/// Whatever `apply` returns; it stops the walk.
+pub fn walk_blocks<E>(
+    buf: &[u8],
+    mut apply: impl FnMut(Vec<WalRecord>, usize) -> Result<(), E>,
+) -> Result<(usize, FrameEnd), E> {
     let mut pos = 0usize;
     loop {
         match split_frame(&buf[pos..]) {
-            Ok(None) => return (records, pos, FrameEnd::Clean),
+            Ok(None) => return Ok((pos, FrameEnd::Clean)),
             Ok(Some((payload, frame_len))) => match decode_block(payload) {
-                Ok(recs) => {
-                    records.extend(recs);
+                Ok(records) => {
+                    apply(records, pos)?;
                     pos += frame_len;
                 }
                 Err(_) => {
-                    return (
-                        records,
-                        pos,
-                        FrameEnd::Torn {
-                            reason: "undecodable block",
-                        },
-                    )
+                    let reason = "undecodable block";
+                    return Ok((pos, FrameEnd::Torn { reason }));
                 }
             },
-            Err(reason) => return (records, pos, FrameEnd::Torn { reason }),
+            Err(reason) => return Ok((pos, FrameEnd::Torn { reason })),
         }
     }
+}
+
+/// [`walk_blocks`], collected: the records of every whole valid block,
+/// the byte length of the valid prefix, and how decoding ended.
+pub fn decode_block_frames(buf: &[u8]) -> (Vec<WalRecord>, usize, FrameEnd) {
+    let mut records = Vec::new();
+    let Ok((clean, end)) = walk_blocks(buf, |block, _| {
+        records.extend(block);
+        Ok::<(), Infallible>(())
+    });
+    (records, clean, end)
 }
 
 #[cfg(test)]
@@ -479,7 +518,6 @@ mod tests {
 
     #[test]
     fn torn_tail_detected_at_every_truncation_point() {
-        use crate::record::FrameEnd;
         let (records, buf, boundaries) = framed_stream();
         for cut in 0..=buf.len() {
             let (decoded, clean, end) = decode_block_frames(&buf[..cut]);
@@ -497,7 +535,6 @@ mod tests {
 
     #[test]
     fn corrupt_byte_and_zero_filled_tail_end_the_valid_prefix() {
-        use crate::record::FrameEnd;
         let (records, buf, boundaries) = framed_stream();
         // Flip one payload byte in the third frame: decoding stops there.
         let mut bad = buf.clone();

@@ -14,7 +14,7 @@ use modb_core::{
 };
 use modb_geom::Point;
 use modb_policy::BoundKind;
-use modb_routes::{Direction, Route, RouteId, RouteNetwork};
+use modb_routes::{Direction, Route, RouteId};
 
 use crate::error::WalError;
 
@@ -418,26 +418,6 @@ impl WalCodec for Route {
     }
 }
 
-impl WalCodec for RouteNetwork {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.len() as u32);
-        for route in self.iter() {
-            route.encode(out);
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
-        let n = r.u32()? as usize;
-        let mut network = RouteNetwork::new();
-        for _ in 0..n {
-            network
-                .insert(Route::decode(r)?)
-                .map_err(|_| WalError::Decode("duplicate route in network"))?;
-        }
-        Ok(network)
-    }
-}
-
 impl WalCodec for DatabaseConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         put_f64(out, self.map_match_tolerance);
@@ -558,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn route_and_network_round_trip() {
+    fn route_round_trip() {
         let route = Route::from_vertices(
             RouteId(3),
             "bent",
@@ -569,26 +549,7 @@ mod tests {
             ],
         )
         .unwrap();
-        round_trip(route.clone());
-        let network = RouteNetwork::from_routes([
-            route,
-            Route::from_vertices(
-                RouteId(4),
-                "straight",
-                vec![Point::new(0.0, 1.0), Point::new(9.0, 1.0)],
-            )
-            .unwrap(),
-        ])
-        .unwrap();
-        let mut buf = Vec::new();
-        network.encode(&mut buf);
-        let back = RouteNetwork::decode(&mut ByteReader::new(&buf)).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.route_ids(), network.route_ids());
-        assert_eq!(
-            back.get(RouteId(3)).unwrap(),
-            network.get(RouteId(3)).unwrap()
-        );
+        round_trip(route);
     }
 
     #[test]

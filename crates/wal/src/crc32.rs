@@ -1,5 +1,5 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-//! guarding every log frame and snapshot payload.
+//! guarding every frame of a log segment or snapshot.
 //!
 //! Hand-rolled (table-driven, one byte per step) so the crate stays
 //! dependency-free; throughput is far above what the log's I/O path needs.
@@ -29,15 +29,7 @@ static TABLE: [u32; 256] = make_table();
 /// CRC-32 of `bytes` (the common `crc32(b"123456789") == 0xCBF43926`
 /// parameterisation, matching zlib/PNG/Ethernet).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0, bytes)
-}
-
-/// Extends `crc`, the CRC-32 of some bytes, to the CRC-32 of those bytes
-/// followed by `bytes` — zlib's running form: `crc32_update(crc32(a), b)
-/// == crc32(a ++ b)`, and `crc32_update(0, b) == crc32(b)`. A payload
-/// written in chunks is checksummed chunk by chunk, never held whole.
-pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    let mut crc = !crc;
+    let mut crc = !0u32;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
@@ -68,22 +60,5 @@ mod tests {
             data[i / 8] ^= 1 << (i % 8);
         }
         assert_eq!(crc32(&data), clean);
-    }
-
-    #[test]
-    fn running_form_equals_one_shot_at_every_split_point() {
-        let data: Vec<u8> = (0..=255u8)
-            .chain(b"position update".iter().copied())
-            .collect();
-        let whole = crc32(&data);
-        for i in 0..=data.len() {
-            let (head, tail) = data.split_at(i);
-            assert_eq!(crc32_update(crc32(head), tail), whole, "split at {i}");
-            for j in i..=data.len() {
-                let three = crc32_update(crc32_update(crc32(head), &data[i..j]), &data[j..]);
-                assert_eq!(three, whole, "splits at {i}, {j}");
-            }
-        }
-        assert_eq!(crc32_update(0, b""), 0);
     }
 }

@@ -14,19 +14,13 @@ pub enum WalError {
     /// buffer, unknown tag, invalid geometry, …).
     Decode(&'static str),
     /// A log segment is damaged somewhere other than its tail — recovery
-    /// refuses to silently skip interior records.
+    /// refuses to silently skip interior records — or a snapshot (a file
+    /// of the same layout) is damaged anywhere.
     CorruptSegment {
-        /// The damaged segment file.
+        /// The damaged segment or snapshot file.
         path: PathBuf,
         /// Byte offset of the damage.
         offset: u64,
-        /// What was wrong.
-        reason: &'static str,
-    },
-    /// A snapshot file failed its magic/version/CRC/decode checks.
-    BadSnapshot {
-        /// The rejected snapshot file.
-        path: PathBuf,
         /// What was wrong.
         reason: &'static str,
     },
@@ -44,14 +38,15 @@ pub enum WalError {
     /// The directory already holds a log (`create` refuses to clobber it;
     /// use recovery + `resume` instead).
     AlreadyExists(PathBuf),
-    /// Rebuilding the database from a snapshot failed validation.
+    /// The database refused a mutation (a registration, removal or route
+    /// insert is logged only once it is accepted).
     Core(CoreError),
     /// A message is larger than the frame ceiling its receiver enforces,
-    /// refused by the sender before a byte was written; or a snapshot
-    /// payload is longer than its header's `u32` length field can state,
-    /// refused before the snapshot replaced anything.
+    /// refused by the sender before a byte was written; or a log or
+    /// snapshot block is over [`crate::MAX_RECORD_BYTES`], refused before
+    /// it was written.
     FrameTooLarge {
-        /// Payload length of the refused message or snapshot.
+        /// Payload length of the refused message or block.
         len: u64,
         /// The ceiling it exceeded.
         max: u32,
@@ -72,9 +67,6 @@ impl fmt::Display for WalError {
                 "corrupt wal segment {} at byte {offset}: {reason}",
                 path.display()
             ),
-            WalError::BadSnapshot { path, reason } => {
-                write!(f, "bad snapshot {}: {reason}", path.display())
-            }
             WalError::NoSnapshot(dir) => {
                 write!(f, "no usable snapshot in {}", dir.display())
             }
@@ -87,7 +79,7 @@ impl fmt::Display for WalError {
                 "wal already exists in {} (recover and resume instead of create)",
                 dir.display()
             ),
-            WalError::Core(e) => write!(f, "snapshot restore error: {e}"),
+            WalError::Core(e) => write!(f, "database error: {e}"),
             WalError::FrameTooLarge { len, max } => write!(
                 f,
                 "message of {len} bytes exceeds the {max}-byte frame ceiling"

@@ -16,14 +16,18 @@
 //!   paper pulls for update policies, applied to persistence.
 //! - **Snapshots** ([`write_snapshot`] / [`read_snapshot`]): atomic
 //!   (write-tmp-rename) point-in-time captures of full database state,
-//!   tagged with the log LSN they reflect, bounding replay work. The
-//!   write streams through a 64 KiB chunk and the read decodes from the
-//!   one file buffer, so neither holds a second copy of the fleet.
+//!   tagged with the log LSN they reflect, bounding replay work. A
+//!   snapshot is a log prefix: a sealed file of the segment layout
+//!   holding a head record (config, record count), then the routes,
+//!   landmarks and vehicles as registration records, written and read
+//!   one block at a time.
 //! - **Recovery** ([`recover`]): loads the newest readable snapshot,
 //!   replays newer log records through the ordinary mutation methods
 //!   (so restored state re-validates and re-indexes identically), and
 //!   truncates a torn tail left by a crash mid-append instead of
-//!   failing — while refusing to skip interior corruption.
+//!   failing — while refusing to skip interior corruption or a log that
+//!   does not continue the snapshot. Snapshot and segments go through
+//!   one replay loop ([`walk_blocks`]), block by block.
 //!
 //! Update records are logged whether or not the database accepts them;
 //! acceptance is re-derived deterministically on replay. The log is
@@ -31,24 +35,33 @@
 //! useful on its own for the indexing experiments of §4.
 //!
 //! ```
-//! use modb_wal::{recover, FsyncPolicy, WalOptions, WalRecord, WalWriter, write_snapshot};
-//! use modb_core::{Database, DatabaseConfig};
+//! use modb_wal::{recover, apply_record, WalOptions, WalRecord, WalWriter, write_snapshot};
+//! use modb_core::{Database, DatabaseConfig, ObjectId, StationaryObject};
 //! # use modb_geom::Point;
 //! # use modb_routes::{Route, RouteId, RouteNetwork};
 //! # let network = RouteNetwork::from_routes([Route::from_vertices(
 //! #     RouteId(1), "main", vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)]).unwrap()]).unwrap();
 //! let dir = std::env::temp_dir().join(format!("modb-wal-doc-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
-//! let db = Database::new(network, DatabaseConfig::default());
+//! let mut db = Database::new(network, DatabaseConfig::default());
 //!
-//! // Start a log and a genesis snapshot, append mutations…
+//! // Start a log and a genesis snapshot (a head and one `InsertRoute`)…
 //! let mut wal = WalWriter::create(&dir, WalOptions::default()).unwrap();
 //! write_snapshot(&dir, &db, wal.next_lsn()).unwrap();
+//!
+//! // …apply and log a mutation…
+//! let depot = WalRecord::InsertStationary(StationaryObject::new(
+//!     ObjectId(7), "depot", Point::new(2.0, 0.0)));
+//! assert!(apply_record(&mut db, depot.clone()));
+//! wal.append(&depot).unwrap();
+//! wal.sync().unwrap();
 //!
 //! // …crash…  then rebuild exactly what was logged:
 //! drop(wal);
 //! let recovered = recover(&dir).unwrap();
-//! assert_eq!(recovered.database.moving_count(), db.moving_count());
+//! assert_eq!(recovered.report.next_lsn, 1);
+//! assert_eq!(recovered.database.stationary_count(), db.stationary_count());
+//! assert_eq!(recovered.database.network().len(), 1);
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
@@ -67,16 +80,18 @@ pub mod ship;
 pub mod snapshot;
 pub mod writer;
 
-pub use block::{decode_block, decode_block_frames, encode_block, frame_block, peek_block_count};
+pub use block::{
+    decode_block, decode_block_frames, encode_block, frame_block, peek_block_count, walk_blocks,
+};
 pub use codec::{ByteReader, WalCodec};
 pub use commit::{GroupCommitStats, GroupCommitter};
 pub use compact::{compact, compact_with_barrier, CompactionReport, DEFAULT_SNAPSHOT_RETENTION};
-pub use crc32::{crc32, crc32_update};
+pub use crc32::crc32;
 pub use epoch::{EpochCheck, EpochHistory, EpochSpan, EPOCH_FILE_NAME, GENESIS_EPOCH};
 pub use error::WalError;
 pub use record::{frame_len, split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 pub use recovery::{apply_record, recover, Recovered, RecoveryReport};
 pub use segment::{list_segments, scan_segment, SegmentScan, SEGMENT_VERSION};
-pub use ship::{RawChunk, SegmentTailer};
-pub use snapshot::{decode_snapshot, list_snapshots, read_snapshot, write_snapshot};
+pub use ship::{take_frames, FrameRun, RawChunk, SegmentTailer};
+pub use snapshot::{list_snapshots, read_snapshot, write_snapshot, SnapshotLoad};
 pub use writer::{FsyncPolicy, SharedWal, WalBatch, WalOptions, WalWriter};

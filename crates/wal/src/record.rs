@@ -20,7 +20,7 @@
 //! whose CRC mismatches, or whose payload fails to decode marks the end
 //! of the valid prefix.
 
-use modb_core::{MovingObject, ObjectId, StationaryObject, UpdateMessage};
+use modb_core::{DatabaseConfig, MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
 
 use crate::codec::{put_u64, ByteReader, WalCodec};
@@ -64,6 +64,16 @@ pub enum WalRecord {
         /// starts at 1 for a freshly created log).
         epoch: u64,
     },
+    /// The first record of a snapshot ([`crate::snapshot`]), alone in its
+    /// block: the configuration its database is built with and how many
+    /// records follow (the count seals the file). In a log it changes
+    /// nothing and is counted as rejected.
+    SnapshotHead {
+        /// The snapshot's database configuration.
+        config: DatabaseConfig,
+        /// Records after this one in the snapshot.
+        records: u64,
+    },
 }
 
 const TAG_REGISTER_MOVING: u8 = 1;
@@ -72,6 +82,7 @@ const TAG_UPDATE: u8 = 3;
 const TAG_REMOVE_MOVING: u8 = 4;
 const TAG_INSERT_ROUTE: u8 = 5;
 const TAG_LEADER_EPOCH: u8 = 6;
+const TAG_SNAPSHOT_HEAD: u8 = 7;
 
 impl WalRecord {
     /// Encodes the record payload (tag + body, no framing).
@@ -102,6 +113,11 @@ impl WalRecord {
                 out.push(TAG_LEADER_EPOCH);
                 put_u64(out, *epoch);
             }
+            WalRecord::SnapshotHead { config, records } => {
+                out.push(TAG_SNAPSHOT_HEAD);
+                config.encode(out);
+                put_u64(out, *records);
+            }
         }
     }
 
@@ -119,6 +135,10 @@ impl WalRecord {
             TAG_REMOVE_MOVING => WalRecord::RemoveMoving(ObjectId::decode(&mut r)?),
             TAG_INSERT_ROUTE => WalRecord::InsertRoute(Route::decode(&mut r)?),
             TAG_LEADER_EPOCH => WalRecord::LeaderEpoch { epoch: r.u64()? },
+            TAG_SNAPSHOT_HEAD => WalRecord::SnapshotHead {
+                config: DatabaseConfig::decode(&mut r)?,
+                records: r.u64()?,
+            },
             _ => return Err(WalError::Decode("unknown record tag")),
         };
         if !r.is_empty() {
@@ -148,17 +168,18 @@ const MAX_LEN_VARINT_BYTES: usize = 5;
 /// Bytes of the CRC that follows the length varint.
 const CRC_BYTES: usize = 4;
 
-/// What a frame around a `payload_len`-byte payload weighs on disk:
+/// What a frame around a `payload_bytes`-byte payload weighs on disk:
 /// the length varint, the CRC and the payload.
-pub fn frame_len(payload_len: usize) -> usize {
-    let bits = usize::BITS - payload_len.leading_zeros();
-    bits.max(1).div_ceil(7) as usize + CRC_BYTES + payload_len
+pub fn frame_len(payload_bytes: usize) -> usize {
+    let bits = usize::BITS - payload_bytes.leading_zeros();
+    bits.max(1).div_ceil(7) as usize + CRC_BYTES + payload_bytes
 }
 
 /// Splits the first CRC frame off `buf`: `Ok(Some((payload, frame_len)))`
 /// for a whole valid frame, `Ok(None)` at end of input, `Err(reason)`
 /// when the prefix is not a complete valid frame (a torn tail). The one
-/// frame parser: the segment scan, the tailer and the experiments that
+/// frame parser: the block walk that replays segments and snapshots
+/// ([`crate::block::walk_blocks`]), the tailer and the experiments that
 /// walk a log all read frames through it.
 ///
 /// # Errors
@@ -247,6 +268,10 @@ mod tests {
             ),
             WalRecord::LeaderEpoch { epoch: 2 },
             WalRecord::RemoveMoving(ObjectId(1)),
+            WalRecord::SnapshotHead {
+                config: DatabaseConfig::default(),
+                records: 3,
+            },
         ]
     }
 

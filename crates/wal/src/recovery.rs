@@ -5,11 +5,18 @@
 //!
 //! 1. Load the newest readable snapshot (`snap-*.snap`); its LSN
 //!    high-water mark says which log prefix is already reflected in it.
-//! 2. Scan the segments in LSN order, skipping any that lie entirely
+//!    A snapshot is itself a log prefix in the segment layout, replayed
+//!    by the same walk as step 2 ([`crate::snapshot`]).
+//! 2. Walk the segments in LSN order, skipping any that lie entirely
 //!    below the snapshot, and replay every record with
 //!    `lsn ≥ snapshot_lsn` through the ordinary `Database` mutation
 //!    methods — so replayed state is re-validated and re-indexed exactly
-//!    like live state.
+//!    like live state. The walk ([`walk_blocks`]) decodes and applies
+//!    one block at a time; no file becomes a list of records. The
+//!    segments must continue the snapshot: a first segment that starts
+//!    past the snapshot LSN, a gap between segments, or a segment whose
+//!    header disagrees with its file name is refused, never replayed
+//!    around.
 //! 3. Repair the tail: a torn frame in the *last* segment is the
 //!    expected signature of a crash mid-append, so the file is truncated
 //!    back to its last whole frame and appending can resume. Damage
@@ -31,14 +38,16 @@
 //! older ones re-reject as stale, and duplicate registrations / removals
 //! re-reject — state converges to the live outcome either way.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use modb_core::Database;
 
+use crate::block::walk_blocks;
 use crate::error::WalError;
-use crate::record::WalRecord;
-use crate::segment::{list_segments, scan_segment};
+use crate::record::{FrameEnd, WalRecord};
+use crate::segment::{list_segments, read_segment_file, SEGMENT_HEADER_BYTES};
 use crate::snapshot::{list_snapshots, read_snapshot};
 
 /// What recovery did, for operator logs and tests.
@@ -121,6 +130,9 @@ pub fn apply_record(db: &mut Database, rec: WalRecord) -> bool {
         // divergence boundary, consumed by the epoch history, not the
         // database.
         WalRecord::LeaderEpoch { .. } => true,
+        // A snapshot's head founds the database a snapshot load builds
+        // (`crate::snapshot`); anywhere else it changes nothing.
+        WalRecord::SnapshotHead { .. } => false,
     }
 }
 
@@ -136,24 +148,19 @@ pub fn apply_record(db: &mut Database, rec: WalRecord) -> bool {
 /// - [`WalError::NoSnapshot`] when `dir` holds no readable snapshot (the
 ///   log alone cannot seed the route network and config).
 /// - [`WalError::CorruptSegment`] for damage outside the last segment's
-///   tail, or an unreadable segment header that is not itself a torn
-///   tail.
-/// - [`WalError::SegmentGap`] when consecutive segments do not join up.
+///   tail, an unreadable segment header that is not itself a torn tail,
+///   or a segment whose header names another start LSN than its file.
+/// - [`WalError::SegmentGap`] when the first segment replayed starts
+///   past the snapshot LSN, or consecutive segments do not join up.
 /// - I/O failures.
 pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
     // Newest readable snapshot wins; older ones are the fallback if the
-    // newest is damaged (its write was atomic, but disks rot).
-    let snapshots = list_snapshots(dir)?;
-    let mut chosen = None;
-    for (lsn, path) in snapshots.iter().rev() {
-        if let Ok((db, snap_lsn)) = read_snapshot(path) {
-            debug_assert_eq!(snap_lsn, *lsn, "file name must match payload lsn");
-            chosen = Some((db, snap_lsn, path.clone()));
-            break;
-        }
-    }
-    let (mut db, snapshot_lsn, snapshot_path) =
-        chosen.ok_or_else(|| WalError::NoSnapshot(dir.to_path_buf()))?;
+    // newest is damaged or misnamed (its write was atomic, but disks rot).
+    let (mut db, snapshot_lsn, snapshot_path) = list_snapshots(dir)?
+        .into_iter()
+        .rev()
+        .find_map(|(_, path)| read_snapshot(&path).ok().map(|(db, lsn)| (db, lsn, path)))
+        .ok_or_else(|| WalError::NoSnapshot(dir.to_path_buf()))?;
 
     let segments = list_segments(dir)?;
     let mut report = RecoveryReport {
@@ -178,11 +185,14 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
         .unwrap_or_else(|| segments.len().saturating_sub(1));
     report.skipped_segments = first_needed as u64;
 
-    let mut cursor: Option<u64> = None;
-    for (i, (start_lsn, path)) in segments.iter().enumerate().skip(first_needed) {
+    // The log must continue the snapshot: the first replayed segment
+    // starts at or below its LSN, and each later one where the previous
+    // ended.
+    let mut lsn = snapshot_lsn;
+    for (i, (named_lsn, path)) in segments.iter().enumerate().skip(first_needed) {
         let last = i + 1 == segments.len();
-        let scan = match scan_segment(path) {
-            Ok(scan) => scan,
+        let (start_lsn, bytes) = match read_segment_file(path) {
+            Ok(read) => read,
             // A crash between creating a segment file and syncing its
             // header leaves a short header in the *last* file: that is a
             // torn tail, not corruption. Anything else is.
@@ -196,44 +206,55 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
             }
             Err(e) => return Err(e),
         };
-        debug_assert_eq!(scan.start_lsn, *start_lsn, "file name must match header");
-        if let Some(expected) = cursor {
-            if scan.start_lsn != expected {
-                return Err(WalError::SegmentGap {
-                    expected,
-                    found: scan.start_lsn,
-                });
-            }
+        if start_lsn != *named_lsn {
+            return Err(WalError::CorruptSegment {
+                path: path.clone(),
+                offset: 12,
+                reason: "start lsn disagrees with the file name",
+            });
         }
-        if let Some(reason) = scan.torn {
+        let joins = if i == first_needed {
+            start_lsn <= snapshot_lsn
+        } else {
+            start_lsn == lsn
+        };
+        if !joins {
+            return Err(WalError::SegmentGap {
+                expected: lsn,
+                found: start_lsn,
+            });
+        }
+        lsn = start_lsn;
+        let Ok((clean, end)) = walk_blocks(&bytes[SEGMENT_HEADER_BYTES as usize..], |block, _| {
+            for rec in block {
+                if lsn < snapshot_lsn {
+                    report.skipped_records += 1;
+                } else if apply_record(&mut db, rec) {
+                    report.replayed += 1;
+                } else {
+                    report.rejected += 1;
+                }
+                lsn += 1;
+            }
+            Ok::<(), Infallible>(())
+        });
+        if let FrameEnd::Torn { reason } = end {
+            let clean_bytes = SEGMENT_HEADER_BYTES + clean as u64;
             if !last {
                 return Err(WalError::CorruptSegment {
                     path: path.clone(),
-                    offset: scan.clean_bytes,
+                    offset: clean_bytes,
                     reason,
                 });
             }
-            let file_len = std::fs::metadata(path)?.len();
-            report.truncated_bytes = file_len - scan.clean_bytes;
+            report.truncated_bytes = bytes.len() as u64 - clean_bytes;
             report.torn = Some(reason);
             let file = std::fs::OpenOptions::new().write(true).open(path)?;
-            file.set_len(scan.clean_bytes)?;
+            file.set_len(clean_bytes)?;
             file.sync_data()?;
         }
-        let mut lsn = scan.start_lsn;
-        for rec in scan.records {
-            if lsn < snapshot_lsn {
-                report.skipped_records += 1;
-            } else if apply_record(&mut db, rec) {
-                report.replayed += 1;
-            } else {
-                report.rejected += 1;
-            }
-            lsn += 1;
-        }
-        cursor = Some(lsn);
     }
-    report.next_lsn = cursor.unwrap_or(0).max(snapshot_lsn);
+    report.next_lsn = lsn.max(snapshot_lsn);
 
     Ok(Recovered {
         database: db,

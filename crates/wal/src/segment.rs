@@ -13,6 +13,10 @@
 //! [frame]*                 — [len varint][crc32 u32 LE][block], see
 //!                            crate::record and crate::block
 //! ```
+//!
+//! A snapshot (`snap-<lsn>.snap`, [`crate::snapshot`]) is a sealed file of
+//! the same layout whose start LSN is the snapshot's: both are read with
+//! [`read_segment_file`] and replayed with [`crate::block::walk_blocks`].
 
 use std::fs;
 use std::io::Read;
@@ -124,13 +128,23 @@ pub struct SegmentScan {
     pub torn: Option<&'static str>,
 }
 
+/// Reads a whole file of the segment layout (a log segment or a
+/// snapshot): its start LSN and its bytes, header included.
+///
+/// # Errors
+///
+/// [`WalError::CorruptSegment`] for a short header, bad magic, or an
+/// unsupported version; I/O failures.
+pub fn read_segment_file(path: &Path) -> Result<(u64, Vec<u8>), WalError> {
+    let bytes = fs::read(path)?;
+    Ok((parse_header(path, &bytes)?, bytes))
+}
+
 /// Reads and validates a whole segment file. Header failures are reported
 /// as errors (the caller decides whether the segment is the rewritable
 /// tail of the log); frame failures are reported as a torn tail.
 pub fn scan_segment(path: &Path) -> Result<SegmentScan, WalError> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let start_lsn = parse_header(path, &bytes)?;
+    let (start_lsn, bytes) = read_segment_file(path)?;
     let (records, clean, end) = decode_block_frames(&bytes[SEGMENT_HEADER_BYTES as usize..]);
     Ok(SegmentScan {
         start_lsn,

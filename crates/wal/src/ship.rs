@@ -31,12 +31,12 @@
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::block::peek_block_count;
 use crate::error::WalError;
 use crate::record::split_frame;
-use crate::segment::{list_segments, scan_segment, SEGMENT_HEADER_BYTES};
+use crate::segment::{list_segments, read_segment_file, SEGMENT_HEADER_BYTES};
 
 /// A run of whole on-disk frames delivered by
 /// [`SegmentTailer::poll_blocks`] — CRC-validated but not decoded, ready
@@ -125,20 +125,24 @@ impl SegmentTailer {
             if self.pos.is_none() && !self.locate()? {
                 return Ok(None);
             }
-            let pos = self.pos.as_ref().expect("located above");
-            let raw = read_raw_frames_from(&pos.path, pos.offset, max_records)?;
-            if raw.records > 0 {
+            let pos = self.pos.as_mut().expect("located above");
+            let mut file = File::open(&pos.path)?;
+            file.seek(SeekFrom::Start(pos.offset))?;
+            let mut frames = Vec::new();
+            file.read_to_end(&mut frames)?;
+            let run = take_frames(&frames, max_records);
+            if run.records > 0 {
+                frames.truncate(run.bytes);
+                pos.offset += run.bytes as u64;
                 let chunk = RawChunk {
                     start_lsn: self.next_lsn,
-                    records: raw.records,
-                    frames: raw.frames,
+                    records: run.records,
+                    frames,
                 };
-                let pos = self.pos.as_mut().expect("located above");
-                pos.offset += raw.consumed;
                 self.next_lsn = chunk.end_lsn();
                 return Ok(Some(chunk));
             }
-            if !self.advance_past_empty(raw.torn)? {
+            if !self.advance_past_empty(run.torn)? {
                 return Ok(None);
             }
         }
@@ -205,10 +209,10 @@ impl SegmentTailer {
         };
         let (start_lsn, ref path) = segments[idx];
         let last = idx + 1 == segments.len();
-        // One full validating scan to find the frame boundary of the
-        // cursor record; from then on reads are incremental.
-        let scan = match scan_segment(path) {
-            Ok(scan) => scan,
+        // One validating walk to find the frame boundary of the cursor
+        // record; from then on reads are incremental.
+        let bytes = match read_segment_file(path) {
+            Ok((_, bytes)) => bytes,
             // A rotating writer creates the successor file before its
             // header write lands on disk; a short header on the *last*
             // segment is that write in flight, not corruption — wait,
@@ -221,12 +225,13 @@ impl SegmentTailer {
             }) if last => return Ok(false),
             Err(e) => return Err(e),
         };
-        let have = scan.records.len() as u64;
+        let body = &bytes[SEGMENT_HEADER_BYTES as usize..];
+        let whole = take_frames(body, usize::MAX);
         let skip = self.next_lsn - start_lsn;
-        if skip > have {
+        if skip > whole.records {
             // The cursor points past this segment's content.
             if last {
-                if scan.torn.is_some() {
+                if whole.torn.is_some() {
                     // The missing records may be mid-write; wait.
                     return Ok(false);
                 }
@@ -235,116 +240,84 @@ impl SegmentTailer {
                 // ahead of a restored leader). Report it as a gap.
                 return Err(WalError::SegmentGap {
                     expected: self.next_lsn,
-                    found: start_lsn + have,
+                    found: start_lsn + whole.records,
                 });
             }
             return Err(WalError::CorruptSegment {
                 path: path.clone(),
-                offset: scan.clean_bytes,
-                reason: scan.torn.unwrap_or("segment ends before successor"),
+                offset: SEGMENT_HEADER_BYTES + whole.bytes as u64,
+                reason: whole.torn.unwrap_or("segment ends before successor"),
             });
         }
-        let (frame_bytes, skipped) = skip_offset(path, skip)?;
-        if skipped < skip {
-            // Cursor inside a block: blocks are indivisible, so back
-            // up to the boundary and re-deliver (consumers dedupe by
-            // watermark).
-            self.next_lsn = start_lsn + skipped;
+        // The whole frames below the cursor, one at a time, stopping
+        // short of a block that holds it.
+        let (mut offset, mut skipped) = (0, 0);
+        while skipped < skip {
+            let frame = take_frames(&body[offset..], 1);
+            if frame.bytes == 0 || skipped + frame.records > skip {
+                // Cursor inside a block: blocks are indivisible, so back
+                // up to the boundary and re-deliver (consumers dedupe by
+                // watermark).
+                self.next_lsn = start_lsn + skipped;
+                break;
+            }
+            offset += frame.bytes;
+            skipped += frame.records;
         }
         self.pos = Some(Position {
             start_lsn,
             path: path.clone(),
-            offset: SEGMENT_HEADER_BYTES + frame_bytes,
+            offset: SEGMENT_HEADER_BYTES + offset as u64,
         });
         Ok(true)
     }
 }
 
-/// Byte length and record count of the longest run of whole frames after
-/// the header of `path` that holds **at most** `skip` records. The
-/// frames were already validated by the caller's scan, so this only
-/// walks length prefixes and block-header counts. Returns
-/// `(byte_len, records_covered)`; `records_covered < skip` iff the skip
-/// target falls inside a block.
-fn skip_offset(path: &Path, skip: u64) -> Result<(u64, u64), WalError> {
-    if skip == 0 {
-        return Ok((0, 0));
-    }
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let body = &bytes[SEGMENT_HEADER_BYTES as usize..];
-    let mut pos = 0usize;
-    let mut skipped = 0u64;
-    while skipped < skip {
-        let Ok(Some((payload, frame_len))) = split_frame(&body[pos..]) else {
-            break; // validated by the caller's scan; stop defensively
-        };
-        let Ok(count) = peek_block_count(payload) else {
-            break;
-        };
-        if skipped + count > skip {
-            break; // the target LSN is inside this block
-        }
-        pos += frame_len;
-        skipped += count;
-    }
-    Ok((pos as u64, skipped))
+/// A run of whole frames at the front of a buffer, measured by
+/// [`take_frames`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRun {
+    /// Bytes of the run.
+    pub bytes: usize,
+    /// Records its blocks carry.
+    pub records: u64,
+    /// Why the run stopped short of the cap at an invalid frame, if it
+    /// did.
+    pub torn: Option<&'static str>,
 }
 
-/// What [`read_raw_frames_from`] read: whole validated frames, verbatim.
-struct RawFrames {
-    /// Records the frames carry (blocks count their contents).
-    records: u64,
-    /// Bytes consumed from the segment (equals `frames.len()`).
-    consumed: u64,
-    /// The frame bytes, CRC-validated and unmodified.
-    frames: Vec<u8>,
-    /// Why reading stopped early, if the tail was torn.
-    torn: Option<&'static str>,
-}
-
-/// Reads up to `max_records` records' worth of whole frames starting at
-/// `offset`: validates CRCs and peeks record counts but keeps the frame
-/// bytes verbatim.
-fn read_raw_frames_from(
-    path: &Path,
-    offset: u64,
-    max_records: usize,
-) -> Result<RawFrames, WalError> {
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
-
-    let mut count = 0u64;
-    let mut pos = 0usize;
-    let mut torn = None;
-    while pos < buf.len() && count < max_records as u64 {
-        match split_frame(&buf[pos..]) {
+/// The run of whole, CRC-valid frames at the front of `buf` that holds
+/// `max_records` records or the first block to reach past them (a block
+/// is indivisible), or everything valid when fewer are there. Frames are
+/// checked ([`split_frame`]) and their record counts peeked, never
+/// decoded: how a leader cuts both the log's tail and a bootstrap
+/// snapshot into messages.
+pub fn take_frames(buf: &[u8], max_records: usize) -> FrameRun {
+    let mut run = FrameRun {
+        bytes: 0,
+        records: 0,
+        torn: None,
+    };
+    while run.bytes < buf.len() && run.records < max_records as u64 {
+        match split_frame(&buf[run.bytes..]) {
             Ok(None) => break,
             Ok(Some((payload, frame_len))) => match peek_block_count(payload) {
                 Ok(n) => {
-                    count += n;
-                    pos += frame_len;
+                    run.records += n;
+                    run.bytes += frame_len;
                 }
                 Err(_) => {
-                    torn = Some("undecodable block");
+                    run.torn = Some("undecodable block");
                     break;
                 }
             },
             Err(reason) => {
-                torn = Some(reason);
+                run.torn = Some(reason);
                 break;
             }
         }
     }
-    buf.truncate(pos);
-    Ok(RawFrames {
-        records: count,
-        consumed: pos as u64,
-        frames: buf,
-        torn,
-    })
+    run
 }
 
 #[cfg(test)]

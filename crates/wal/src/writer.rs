@@ -13,10 +13,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::block::{encode_block_with, frame_block};
+use crate::block::seal;
 use crate::error::WalError;
 use crate::lz::Compressor;
-use crate::record::{frame_len, WalRecord};
+use crate::record::WalRecord;
 use crate::segment::{
     encode_header, list_segments, read_segment_header, segment_file_name, SEGMENT_HEADER_BYTES,
 };
@@ -87,18 +87,7 @@ impl WalBatch {
     }
 }
 
-/// `records` sealed as one framed block: one frame, one restart point,
-/// the LZ stage kept only when it shrinks the block. `lz` is the
-/// writer's table, reused from block to block.
-fn seal(records: &[WalRecord], lz: &mut Compressor) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(128);
-    encode_block_with(records, Some(lz), &mut payload);
-    let mut frame = Vec::with_capacity(frame_len(payload.len()));
-    frame_block(&payload, &mut frame);
-    frame
-}
-
-fn sync_dir(dir: &Path) -> Result<(), WalError> {
+pub(crate) fn sync_dir(dir: &Path) -> Result<(), WalError> {
     // Persist the directory entry of a newly created file. Directory
     // fsync is a unix concept; elsewhere rely on the file sync alone.
     #[cfg(unix)]
@@ -249,10 +238,11 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// I/O failures (the record must be assumed unlogged).
+    /// I/O failures (the record must be assumed unlogged), and
+    /// [`WalError::FrameTooLarge`] for a record no reader would accept.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, WalError> {
         let lsn = self.next_lsn;
-        let frame = seal(std::slice::from_ref(rec), &mut self.lz);
+        let frame = seal(std::slice::from_ref(rec), &mut self.lz)?;
         self.maybe_rotate(frame.len())?;
         self.write_bytes(&frame, 1)?;
         Ok(lsn)
@@ -266,13 +256,14 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// I/O failures; the batch is left unconsumed so the caller can retry
-    /// or count the loss.
+    /// I/O failures and [`WalError::FrameTooLarge`], as for
+    /// [`WalWriter::append`]; the batch is left unconsumed so the caller
+    /// can retry or count the loss.
     pub fn append_batch(&mut self, batch: &mut WalBatch) -> Result<(), WalError> {
         if batch.is_empty() {
             return Ok(());
         }
-        let frame = seal(&batch.recs, &mut self.lz);
+        let frame = seal(&batch.recs, &mut self.lz)?;
         self.maybe_rotate(frame.len())?;
         self.write_bytes(&frame, batch.records())?;
         batch.clear();

@@ -1,16 +1,12 @@
 //! Golden-file decode tests: the on-disk compatibility contract.
 //!
-//! `tests/golden/` holds one version-2 log segment and one version-3
-//! snapshot written by the encoders of commit dfa280f (the last one that
-//! also carried the per-record segment format), a version-3 segment of
-//! the same blocks (`tests/golden/v3/`) and a version-4 snapshot of the
-//! same state (`tests/golden/v4/`). The v3 segment and the v4 snapshot
-//! decode to the values they were built from and re-encode to the
-//! identical bytes, so a change to any surviving byte of either format
-//! fails here first; the v2 segment and the v3 snapshot are the fixtures
-//! of their own refusal, and the older file of each pair is walked by
-//! hand into the newer. See `tests/golden/README.md` for how the files
-//! were produced.
+//! `tests/golden/v3/` holds the one format: a version-3 log segment and a
+//! snapshot written in the same layout. Both decode to the values they
+//! were built from and re-encode to the identical bytes, so a change to
+//! any surviving byte fails here first. Beside them are the fixtures of
+//! refusal: a version-2 segment (walked by hand into the v3 one) and the
+//! retired `MODBSNP1` snapshots of versions 3 and 4. See
+//! `tests/golden/README.md` for how the files were produced.
 
 use std::path::{Path, PathBuf};
 
@@ -30,8 +26,14 @@ use modb_wal::{
 const SEGMENT_V2: &str = "wal-00000000000000000000.log";
 /// The v3 segment: the same file name, one directory down.
 const SEGMENT: &str = "v3/wal-00000000000000000000.log";
-const SNAPSHOT: &str = "snap-00000000000000000007.snap";
-/// The v4 snapshot: the same file name, one directory down.
+/// The snapshot's file name, in every directory.
+const SNAPSHOT_NAME: &str = "snap-00000000000000000007.snap";
+/// The snapshot: a sealed file of the v3 segment layout, beside the v3
+/// segment.
+const SNAPSHOT: &str = "v3/snap-00000000000000000007.snap";
+/// The retired `MODBSNP1` snapshots, version 3 and version 4, kept as
+/// the fixtures of their refusal.
+const SNAPSHOT_V3: &str = "snap-00000000000000000007.snap";
 const SNAPSHOT_V4: &str = "v4/snap-00000000000000000007.snap";
 
 fn golden(name: &str) -> PathBuf {
@@ -132,9 +134,10 @@ fn segment_blocks() -> Vec<Vec<WalRecord>> {
     ]
 }
 
-/// The state both snapshots were taken from: two routes, a landmark, two
-/// vehicles, one of them updated once (the v3 file kept the superseded
-/// attribute in a history arm; v4 keeps the attribute in force only).
+/// The state every snapshot fixture was taken from: two routes, a
+/// landmark, two vehicles, one of them updated once (the retired v3 file
+/// kept the superseded attribute in a history arm; the others keep the
+/// attribute in force only).
 fn snapshot_state() -> Database {
     let mut db = Database::new(network(), DatabaseConfig::default());
     db.insert_stationary(StationaryObject::new(
@@ -354,166 +357,97 @@ fn v3_is_v2_reframed() {
 
 #[test]
 fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
-    let bytes = std::fs::read(golden(SNAPSHOT_V4)).unwrap();
-    assert_eq!(&bytes[..8], b"MODBSNP1");
-    assert_eq!(bytes[8..12], 4u32.to_le_bytes());
-
+    let bytes = std::fs::read(golden(SNAPSHOT)).unwrap();
     let expected = snapshot_state();
-    let (db, lsn) = read_snapshot(&golden(SNAPSHOT_V4)).unwrap();
-    assert_eq!(lsn, 7);
+
+    // The segment header, with the snapshot's LSN as its start LSN.
+    assert_eq!(&bytes[..8], b"MODBWAL1");
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+    assert_eq!(bytes[12..20], 7u64.to_le_bytes());
+    // Two blocks, read by hand: the head alone (plain — too small for LZ
+    // to pay), then all five records of the state (LZ).
+    let payloads = frame_payloads(&bytes[20..]);
+    let shape: Vec<(u8, u64)> = payloads.iter().map(|p| (p[0], varint(p, &mut 1))).collect();
+    assert_eq!(shape, [(0, 1), (1, 5)]);
+    // The head block: a verbatim record (tag 0, its length), the head's
+    // tag 7, the four config floats and the count of records after it.
+    let head = payloads[0];
+    let mut config = Vec::new();
+    let c = expected.config();
+    for f in [
+        c.map_match_tolerance,
+        c.default_horizon,
+        c.bands,
+        c.refinement_dt,
+    ] {
+        config.extend_from_slice(&f.to_le_bytes());
+    }
+    assert_eq!(head[..5], [0, 1, 0, 41, 7]);
+    assert_eq!(head[5..37], config[..]);
+    assert_eq!(head[37..], 5u64.to_le_bytes());
+
+    // A directory holding only the snapshot recovers to the state.
+    let dir = tmp("snapshot-recover");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(golden(SNAPSHOT), dir.join(SNAPSHOT_NAME)).unwrap();
+    let recovered = modb_wal::recover(&dir).unwrap();
+    assert_eq!(
+        (recovered.report.snapshot_lsn, recovered.report.next_lsn),
+        (7, 7)
+    );
+    let db = recovered.database;
     assert_eq!(db.config(), expected.config());
-    assert_eq!(db.network().route_ids().len(), 2);
-    assert_eq!(db.stationary_count(), 1);
+    assert_eq!(db.network().route_ids(), [RouteId(1), RouteId(2)]);
+    assert_eq!(
+        db.stationary(ObjectId(100)).unwrap(),
+        expected.stationary(ObjectId(100)).unwrap()
+    );
     assert_eq!(db.moving_count(), 2);
     for id in [ObjectId(1), ObjectId(2)] {
         assert_eq!(db.moving(id).unwrap(), expected.moving(id).unwrap());
     }
     assert_eq!(db.moving(ObjectId(1)).unwrap().attr.start_time, 5.0);
+    std::fs::remove_dir_all(&dir).unwrap();
 
     // Both the decoded state and the independently rebuilt one encode to
     // the golden bytes.
     for (name, state) in [("decoded", &db), ("rebuilt", &expected)] {
         let dir = tmp(&format!("snapshot-{name}"));
         let path = write_snapshot(&dir, state, 7).unwrap();
-        assert_eq!(path.file_name().unwrap(), SNAPSHOT);
+        assert_eq!(path.file_name().unwrap(), SNAPSHOT_NAME);
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "{name} state");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
-/// Version 3 is refused typed, before anything is decoded, and the file
-/// is left exactly as it was.
+/// The retired `MODBSNP1` container, version 3 and version 4, is refused
+/// typed before anything is decoded — by the reader and by recovery,
+/// which finds no usable snapshot — and each file is left exactly as it
+/// was.
 #[test]
-fn v3_snapshot_is_refused_typed_and_left_untouched() {
-    let before = std::fs::read(golden(SNAPSHOT)).unwrap();
-    assert_eq!(before[8..12], 3u32.to_le_bytes());
-    match read_snapshot(&golden(SNAPSHOT)) {
-        Err(WalError::BadSnapshot { reason, .. }) => assert_eq!(reason, "unsupported version"),
-        other => panic!(
-            "expected a typed refusal, got {:?}",
-            other.map(|(_, lsn)| lsn)
-        ),
-    }
-    assert_eq!(std::fs::read(golden(SNAPSHOT)).unwrap(), before);
-}
-
-/// A cursor over a v3 payload that copies what v4 keeps into `kept` and
-/// counts what it drops — the layout walked by hand, without the crate's
-/// decoders.
-struct Walk<'a> {
-    v3: &'a [u8],
-    pos: usize,
-    kept: Vec<u8>,
-    dropped: usize,
-}
-
-impl Walk<'_> {
-    fn peek(&self, width: usize) -> u64 {
-        let mut le = [0u8; 8];
-        le[..width].copy_from_slice(&self.v3[self.pos..self.pos + width]);
-        u64::from_le_bytes(le)
-    }
-
-    fn keep(&mut self, n: usize) {
-        self.kept
-            .extend_from_slice(&self.v3[self.pos..self.pos + n]);
-        self.pos += n;
-    }
-
-    fn drop(&mut self, n: usize) {
-        self.pos += n;
-        self.dropped += n;
-    }
-
-    /// A `u32`-length-prefixed string, kept.
-    fn string(&mut self) {
-        let len = self.peek(4) as usize;
-        self.keep(4 + len);
-    }
-
-    /// A position attribute's length: start time, route, start point,
-    /// start arc, direction byte, speed, then the policy by its tag.
-    fn attribute_len(&self) -> usize {
-        let fixed = 8 + 8 + 16 + 8 + 1 + 8;
-        let tag = self.v3[self.pos + fixed];
-        fixed
-            + match tag {
-                0 => 1 + 1 + 8, // cost-based: tag, bound kind, update cost
-                1 => 1 + 8,     // fixed bound
-                2 => 1,         // unbounded
-                _ => panic!("bad policy tag {tag}"),
+fn retired_snapshots_are_refused_typed_and_left_untouched() {
+    for retired in [SNAPSHOT_V3, SNAPSHOT_V4] {
+        let before = std::fs::read(golden(retired)).unwrap();
+        assert_eq!(&before[..8], b"MODBSNP1");
+        match read_snapshot(&golden(retired)) {
+            Err(WalError::CorruptSegment { offset, reason, .. }) => {
+                assert_eq!((offset, reason), (0, "bad magic"), "{retired}");
             }
-    }
-}
-
-/// The v4 payload is the v3 payload with exactly the retired bytes
-/// spliced out: in the config the speed-band count and its two `+inf`
-/// sentinels around the slab duration, the history capacity and the
-/// change-log capacity (36 bytes); after each moving object its history
-/// arm, a count and that many attributes.
-#[test]
-fn v4_is_v3_with_the_retired_bytes_spliced_out() {
-    let v3 = std::fs::read(golden(SNAPSHOT)).unwrap();
-    let v4 = std::fs::read(golden(SNAPSHOT_V4)).unwrap();
-    let mut w = Walk {
-        v3: &v3[20..],
-        pos: 0,
-        kept: Vec::new(),
-        dropped: 0,
-    };
-    w.keep(8); // LSN
-    w.keep(16); // map-match tolerance, default horizon
-    assert_eq!(w.peek(4), 1, "one speed band");
-    w.drop(4);
-    assert_eq!(w.peek(8), f64::INFINITY.to_bits());
-    w.drop(8);
-    w.keep(8); // slab duration
-    assert_eq!(w.peek(8), f64::INFINITY.to_bits());
-    w.drop(8);
-    w.keep(8); // refinement step
-    assert_eq!(w.peek(8), 256, "the history capacity");
-    w.drop(8);
-    assert_eq!(w.peek(8), 4096, "the retired change-log capacity");
-    w.drop(8);
-    assert_eq!(w.dropped, 36);
-
-    let routes = w.peek(4);
-    w.keep(4);
-    for _ in 0..routes {
-        w.keep(8); // id
-        w.string();
-        let vertices = w.peek(4) as usize;
-        w.keep(4 + 16 * vertices);
-    }
-    let landmarks = w.peek(8);
-    w.keep(8);
-    for _ in 0..landmarks {
-        w.keep(8); // id
-        w.string();
-        w.keep(16); // position
-    }
-    let vehicles = w.peek(8);
-    w.keep(8);
-    let mut versions = Vec::new();
-    for _ in 0..vehicles {
-        w.keep(8); // id
-        w.string();
-        w.keep(w.attribute_len());
-        w.keep(8); // max speed
-        let trip_end = w.v3[w.pos];
-        w.keep(1 + if trip_end == 1 { 8 } else { 0 });
-        let n = w.peek(8);
-        w.drop(8);
-        for _ in 0..n {
-            w.drop(w.attribute_len());
+            other => panic!(
+                "{retired}: expected a typed refusal, got {:?}",
+                other.map(|(_, lsn)| lsn)
+            ),
         }
-        versions.push(n);
-    }
-    assert_eq!(w.pos, w.v3.len(), "the walk consumed the whole v3 payload");
-    assert_eq!(versions, [1, 0], "vehicle 1 had one superseded version");
 
-    assert_eq!(v4[20..], w.kept[..]);
-    assert_eq!(v3.len() - v4.len(), w.dropped);
-    assert_eq!(v4[..8], v3[..8]);
-    assert_eq!(v4[12..16], (w.kept.len() as u32).to_le_bytes());
+        let dir = tmp("retired-snapshot");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(golden(retired), dir.join(SNAPSHOT_NAME)).unwrap();
+        assert!(matches!(
+            modb_wal::recover(&dir),
+            Err(WalError::NoSnapshot(_))
+        ));
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_NAME)).unwrap(), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(std::fs::read(golden(retired)).unwrap(), before);
+    }
 }

@@ -187,7 +187,7 @@ fn apply(db: &mut Database, rec: &WalRecord) {
         WalRecord::InsertRoute(route) => {
             let _ = db.insert_route(route.clone());
         }
-        WalRecord::LeaderEpoch { .. } => {}
+        WalRecord::LeaderEpoch { .. } | WalRecord::SnapshotHead { .. } => {}
     }
 }
 

@@ -1,10 +1,10 @@
 //! The memory a snapshot costs, measured by a counting global allocator.
 //!
-//! Writing a snapshot streams it: the live heap rises by a 64 KiB chunk
-//! and the id-sorted list of object references (8 B a vehicle), never by
-//! the file's size. Reading one holds the file's bytes once and decodes
-//! from them straight into the database, with no list of decoded objects
-//! beside it.
+//! Writing a snapshot streams it: the live heap rises by one block of
+//! records, its frame and the id-sorted list of object references (8 B a
+//! vehicle), never by the file's size. Recovering from one holds the
+//! file's bytes once and applies them one block at a time, straight into
+//! the database, with no list of decoded objects beside it.
 //!
 //! One test function only: the counters are process-wide, so a second
 //! test running on another thread would be counted too.
@@ -17,7 +17,7 @@ use modb_core::{PositionAttribute, StationaryObject};
 use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_wal::{read_snapshot, write_snapshot};
+use modb_wal::{recover, write_snapshot};
 
 struct Counting;
 
@@ -69,7 +69,9 @@ fn peak_above_start<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (result, PEAK.load(Ordering::Relaxed) - start)
 }
 
-const VEHICLES: u64 = 20_000;
+/// Enough vehicles that the LZ-compressed file stays over the floor
+/// below, which is what makes the bounds mean something.
+const VEHICLES: u64 = 85_000;
 const MIB: usize = 1 << 20;
 
 fn fleet() -> Database {
@@ -125,17 +127,27 @@ fn a_snapshot_is_streamed_out_and_decoded_without_staging() {
         file_len > 1_800_000,
         "a {VEHICLES}-vehicle file is ≈ 1.9 MB, got {file_len} B"
     );
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        1,
+        "the snapshot alone"
+    );
     assert!(
         write_peak < MIB,
         "writing a {file_len}-byte snapshot raised the live heap by {write_peak} B"
     );
 
-    // The restored database is what the read is for; beyond it, the read
-    // holds the file once and whatever the index's own growth frees again.
+    // The restored database is what recovery is for; beyond it, recovery
+    // holds the file once, one block of records, and whatever the index's
+    // own growth frees again.
     let before = LIVE.load(Ordering::Relaxed);
-    let ((restored, lsn), read_peak) = peak_above_start(|| read_snapshot(&path).unwrap());
+    let (recovered, read_peak) = peak_above_start(|| recover(&dir).unwrap());
     let kept = LIVE.load(Ordering::Relaxed) - before;
-    assert_eq!((restored.moving_count(), lsn), (VEHICLES as usize, 1));
+    let restored = &recovered.database;
+    assert_eq!(
+        (restored.moving_count(), recovered.report.next_lsn),
+        (VEHICLES as usize, 1)
+    );
     assert!(
         read_peak - kept < file_len + MIB,
         "reading a {file_len}-byte snapshot peaked {} B above the {kept} B database it built",

@@ -1,7 +1,8 @@
 //! Integration tests for the block WAL format: segments of any other
 //! header version refused without being touched, the delta codec under
 //! adversarial record streams, crash cuts landing inside compressed
-//! blocks, and the frame scan under every truncation and bit flip.
+//! blocks, the frame scan under every truncation and bit flip, and a log
+//! that does not continue its snapshot refused.
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -358,4 +359,71 @@ proptest! {
             }
         }
     }
+}
+
+/// A log of 40 registrations over many small segments after a genesis
+/// snapshot.
+fn small_segment_log(name: &str) -> (PathBuf, Vec<(u64, PathBuf)>) {
+    let dir = tmp(name);
+    let opts = WalOptions {
+        fsync: FsyncPolicy::Never,
+        max_segment_bytes: 200,
+    };
+    let mut w = WalWriter::create(&dir, opts).unwrap();
+    write_snapshot(
+        &dir,
+        &Database::new(network(), DatabaseConfig::default()),
+        0,
+    )
+    .unwrap();
+    for rec in workload(40, 0) {
+        w.append(&rec).unwrap();
+    }
+    w.sync().unwrap();
+    let segments = list_segments(&dir).unwrap();
+    assert!(segments.len() > 10, "{} segments", segments.len());
+    (dir, segments)
+}
+
+/// The first segment after a snapshot at LSN 0 gone: the records it
+/// held are in neither file, so recovery refuses instead of replaying
+/// from the second.
+#[test]
+fn missing_first_segment_after_the_snapshot_is_a_gap() {
+    let (dir, segments) = small_segment_log("first-gap");
+    std::fs::remove_file(&segments[0].1).unwrap();
+    match recover(&dir) {
+        Err(WalError::SegmentGap { expected, found }) => {
+            assert_eq!((expected, found), (0, segments[1].0));
+        }
+        other => panic!("expected a gap, got {:?}", other.map(|r| r.report)),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A snapshot whose header names another LSN than its file is passed
+/// over for the next one down the ladder; a segment that does is refused
+/// typed.
+#[test]
+fn names_that_disagree_with_headers_are_refused() {
+    let (dir, segments) = small_segment_log("misnamed");
+    let snap = |lsn| dir.join(modb_wal::snapshot::snapshot_file_name(lsn));
+    std::fs::copy(snap(0), snap(10)).unwrap();
+    let rec = recover(&dir).unwrap();
+    assert_eq!((rec.report.snapshot_lsn, rec.report.next_lsn), (0, 40));
+
+    let (start, last) = segments.last().unwrap();
+    let renamed = dir.join(modb_wal::segment::segment_file_name(start + 1));
+    std::fs::rename(last, &renamed).unwrap();
+    match recover(&dir) {
+        Err(WalError::CorruptSegment { path, reason, .. }) => {
+            assert_eq!(path, renamed);
+            assert_eq!(reason, "start lsn disagrees with the file name");
+        }
+        other => panic!(
+            "expected a typed refusal, got {:?}",
+            other.map(|r| r.report)
+        ),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
