@@ -179,7 +179,7 @@ fn print_result(db: &SharedDatabase, result: &QueryResult) {
 /// Snapshots the whole session state into `dir`. The REPL has no live
 /// log, so the snapshot's LSN high-water mark is whatever the directory's
 /// log already reached (0 for a fresh directory) — recovery will replay
-/// nothing on top of it.
+/// nothing on top of it — and its leadership history is genesis.
 fn save(db: &SharedDatabase, dir: &str) {
     let path = std::path::Path::new(dir);
     let lsn = modb_wal::list_segments(path)
@@ -190,7 +190,7 @@ fn save(db: &SharedDatabase, dir: &str) {
             Some(scan.start_lsn + scan.records.len() as u64)
         })
         .unwrap_or(0);
-    match db.write_snapshot(path, lsn) {
+    match db.write_snapshot(path, &modb_wal::EpochHistory::new(), lsn) {
         Ok(file) => println!(
             "  saved {} objects to {}",
             db.moving_count(),

@@ -52,8 +52,9 @@ pub struct DurableDatabase {
     /// Per-follower acknowledged LSNs; their minimum is the ship barrier
     /// the post-snapshot compaction pass respects.
     horizon: Arc<ShipHorizon>,
-    /// Leadership epochs of this log (the promotion divergence guard);
-    /// shared with the replication listener's handshake gate.
+    /// Leadership epochs of this log (the promotion divergence guard), as
+    /// recovered from it; shared with the replication listener's
+    /// handshake gate and written into every snapshot's head.
     epochs: Arc<Mutex<EpochHistory>>,
 }
 
@@ -74,8 +75,8 @@ impl DurableDatabase {
         let dir = dir.into();
         let writer = WalWriter::create(&dir, opts)?;
         let db = SharedDatabase::new(db);
-        db.write_snapshot(&dir, writer.next_lsn())?;
-        let epochs = EpochHistory::load(&dir)?;
+        let epochs = EpochHistory::new();
+        db.write_snapshot(&dir, &epochs, writer.next_lsn())?;
         Ok(DurableDatabase {
             db,
             wal: SharedWal::new(writer),
@@ -100,7 +101,6 @@ impl DurableDatabase {
         let dir = dir.into();
         let recovered = modb_wal::recover(&dir)?;
         let writer = WalWriter::resume(&dir, opts, recovered.report.next_lsn)?;
-        let epochs = EpochHistory::load(&dir)?;
         Ok((
             DurableDatabase {
                 db: SharedDatabase::new(recovered.database),
@@ -108,7 +108,7 @@ impl DurableDatabase {
                 dir,
                 snapshots: Arc::default(),
                 horizon: Arc::new(ShipHorizon::new()),
-                epochs: Arc::new(Mutex::new(epochs)),
+                epochs: Arc::new(Mutex::new(recovered.epochs)),
             },
             recovered.report,
         ))
@@ -293,8 +293,15 @@ impl DurableDatabase {
             w.sync()?;
             Ok(w.next_lsn())
         })?;
+        // A leader's history only changes before it leads (promotion),
+        // so it holds every epoch begun below `lsn`.
+        let epochs = self
+            .epochs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
         // Ingest blocks only for the clone; serialization runs unlocked.
-        let path = self.db.write_snapshot(&self.dir, lsn)?;
+        let path = self.db.write_snapshot(&self.dir, &epochs, lsn)?;
         // Compaction under the writer lock so it cannot race a segment
         // rotation. The ship barrier (minimum acknowledged LSN across
         // connected replication followers) caps segment deletion so a

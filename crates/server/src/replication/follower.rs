@@ -27,13 +27,17 @@
 //! through a [`SnapshotLoad`] and appended to a temp file. The replica's
 //! previous state and files serve on untouched until the last record has
 //! validated; a session that ends first drops the half-built snapshot.
+//! The leadership history comes with it: the snapshot's head carries
+//! every epoch begun below its LSN, adopted in the same swap as the
+//! database, and each `LeaderEpoch` seal shipped afterwards is folded in
+//! as it is applied. Nothing but the log records it.
 
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -230,9 +234,9 @@ struct Shared {
     /// swaps it so a surviving follower can chase a promoted standby
     /// without re-bootstrapping.
     addr: Mutex<String>,
-    /// The leadership-epoch history of the local log, shared with the
-    /// re-shipping server so a post-promotion handshake sees the new
-    /// epoch.
+    /// The leadership-epoch history of the local log (as recovered, then
+    /// as bootstrapped and applied), shared with the re-shipping server
+    /// so a post-promotion handshake sees the new epoch.
     epochs: Arc<Mutex<EpochHistory>>,
     /// Set by [`StandbyReplica::promote`]: the local WAL this node now
     /// leads. Once set, the watermark, lag, and frontier views all
@@ -246,7 +250,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(applied: u64, addr: String, epochs: Arc<Mutex<EpochHistory>>) -> Self {
+    fn new(applied: u64, addr: String, epochs: EpochHistory) -> Self {
         Shared {
             applied: Mutex::new(applied),
             applied_cv: Condvar::new(),
@@ -257,10 +261,15 @@ impl Shared {
             stats: ReplicaStats::default(),
             behind_since: Mutex::new(None),
             addr: Mutex::new(addr),
-            epochs,
+            epochs: Arc::new(Mutex::new(epochs)),
             promoted: Mutex::new(None),
             diverged: Mutex::new(None),
         }
+    }
+
+    /// The local leadership history, locked.
+    fn epochs(&self) -> MutexGuard<'_, EpochHistory> {
+        self.epochs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Publishes a new watermark. The lag clock is settled first, inside
@@ -419,15 +428,15 @@ impl StandbyReplica {
         let addr = addr.into();
         std::fs::create_dir_all(&dir)?;
         let have_state = !list_snapshots(&dir)?.is_empty();
-        let (db, wal, applied) = if have_state {
+        let (db, epochs, wal, applied) = if have_state {
             let recovered = modb_wal::recover(&dir)?;
-            let writer = WalWriter::resume(&dir, config.wal, recovered.report.next_lsn)?;
-            (recovered.database, Some(writer), recovered.report.next_lsn)
+            let applied = recovered.report.next_lsn;
+            let writer = WalWriter::resume(&dir, config.wal, applied)?;
+            (recovered.database, recovered.epochs, Some(writer), applied)
         } else {
-            (placeholder_database(), None, 0)
+            (placeholder_database(), EpochHistory::new(), None, 0)
         };
         let db = SharedDatabase::new(db);
-        let epochs = Arc::new(Mutex::new(EpochHistory::load(&dir)?));
         let shared = Arc::new(Shared::new(applied, addr, epochs));
         let horizon = Arc::new(ShipHorizon::new());
         let worker = {
@@ -598,11 +607,7 @@ impl StandbyReplica {
     /// The leadership epoch of the local log (1 until a promotion
     /// somewhere upstream has been observed).
     pub fn epoch(&self) -> u64 {
-        self.shared
-            .epochs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .current()
+        self.shared.epochs().current()
     }
 
     /// Promotes this standby to a full leader — the failover tentpole.
@@ -610,10 +615,11 @@ impl StandbyReplica {
     /// The apply loop is stopped at the applied watermark (applies are
     /// atomic per shipped run, so the watermark lands on a run
     /// boundary), a new leadership epoch starting at that watermark is
-    /// persisted to the epoch sidecar and sealed into the local WAL as a
-    /// [`modb_wal::WalRecord::LeaderEpoch`] record, and the replica's
-    /// database, log, and ship horizon are rewrapped as a
-    /// [`DurableDatabase`] that accepts acked ingest.
+    /// sealed into the local WAL as a
+    /// [`modb_wal::WalRecord::LeaderEpoch`] record — its sync is the
+    /// commit point of the promotion — and the replica's database, log,
+    /// and ship horizon are rewrapped as a [`DurableDatabase`] that
+    /// accepts acked ingest.
     ///
     /// Everything chained off this replica keeps working across the
     /// switch: a running [`StandbyReplica::serve_replication`] keeps
@@ -630,8 +636,8 @@ impl StandbyReplica {
     /// # Errors
     ///
     /// [`WalError::NoSnapshot`] when the replica never completed a
-    /// bootstrap (there is no state to lead from); I/O failures
-    /// persisting the epoch or sealing the log.
+    /// bootstrap (there is no state to lead from); I/O failures sealing
+    /// the log.
     pub fn promote(mut self) -> Result<DurableDatabase, WalError> {
         // Stop the apply loop first: the watermark is final after this.
         self.stop_and_join();
@@ -643,17 +649,14 @@ impl StandbyReplica {
         // the log at the watermark (recovery already ran at open, and
         // the worker never logs past what it applies).
         let mut writer = WalWriter::resume(&self.dir, self.config.wal, applied)?;
-        // Epoch first, then the seal record: a crash in between leaves
-        // the sidecar authoritative and the log merely missing the
-        // in-stream announcement (re-sent to followers at handshake).
-        let epoch = {
-            let mut epochs = self.shared.epochs.lock().unwrap_or_else(|e| e.into_inner());
-            let epoch = epochs.begin(applied)?;
-            epochs.save(&self.dir)?;
-            epoch
-        };
+        // The seal record's sync is the commit point: a crash before it
+        // reopens on the old epoch at the same frontier, and nothing can
+        // have been acked under the new one. Memory follows the disk.
+        let mut sealed = self.shared.epochs().clone();
+        let epoch = sealed.begin(applied)?;
         writer.append(&WalRecord::LeaderEpoch { epoch })?;
         writer.sync()?;
+        *self.shared.epochs() = sealed;
         let wal = SharedWal::new(writer);
         // Flip every live view of this replica over to the new log: the
         // watermark, lag clock, and re-ship frontier all delegate to the
@@ -818,12 +821,7 @@ impl Worker {
             version: PROTOCOL_VERSION,
             next_lsn: self.shared.applied(),
             have_state: self.wal.is_some(),
-            epoch: self
-                .shared
-                .epochs
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .current(),
+            epoch: self.shared.epochs().current(),
         };
         if send(&mut tx, &hello, MAX_MESSAGE_BYTES).is_err() {
             return SessionEnd::Disconnected;
@@ -908,24 +906,6 @@ impl Worker {
                 self.shared.set_phase(ReplicaPhase::Diverged);
                 Err(SessionEnd::Diverged)
             }
-            Message::Epochs { spans } => {
-                // The upstream's full epoch history, sent right after
-                // the handshake admitted us — which already proved our
-                // log is a prefix of the upstream's, so adopting its
-                // history wholesale is safe (and the only way a
-                // bootstrap learns epochs older than its snapshot).
-                let Ok(history) = EpochHistory::from_spans(spans) else {
-                    self.reject();
-                    return Err(SessionEnd::Resync);
-                };
-                let mut epochs = self.shared.epochs.lock().unwrap_or_else(|e| e.into_inner());
-                *epochs = history;
-                if epochs.save(&self.dir).is_err() {
-                    self.reject();
-                    return Err(SessionEnd::Resync);
-                }
-                Ok(())
-            }
             // Leaders never send Hello or Ack.
             Message::Hello { .. } | Message::Ack { .. } => {
                 self.reject();
@@ -953,7 +933,8 @@ impl Worker {
 
     /// Takes one run of a bootstrap snapshot: checks that it continues
     /// the runs before it (the first one opens the load and temp file),
-    /// applies it and appends it; after the last, installs the snapshot.
+    /// applies it and appends it; after the last, installs the snapshot
+    /// and adopts the leadership history its head carries.
     fn bootstrap(
         &mut self,
         lsn: u64,
@@ -963,7 +944,7 @@ impl Worker {
         last_snapshot_lsn: &mut u64,
     ) -> Result<(), SessionEnd> {
         let tmp = self.incoming_path();
-        let fed = (|| -> Result<Option<Database>, WalError> {
+        let fed = (|| -> Result<Option<(Database, EpochHistory)>, WalError> {
             if self.incoming.is_none() && offset == SEGMENT_HEADER_BYTES {
                 let mut file = File::create(&tmp)?;
                 file.write_all(&encode_header(lsn))?;
@@ -983,9 +964,9 @@ impl Worker {
             incoming.file.write_all(frames)?;
             Ok(db)
         })();
-        let db = match fed {
+        let (db, epochs) = match fed {
             Ok(None) => return Ok(()),
-            Ok(Some(db)) => db,
+            Ok(Some(state)) => state,
             Err(_) => {
                 self.reject();
                 return Err(SessionEnd::Resync);
@@ -1012,6 +993,7 @@ impl Worker {
             return Err(SessionEnd::Resync);
         }
         self.db.replace(db);
+        *self.shared.epochs() = epochs;
         // Counted before the watermark moves: a reader woken by
         // `set_applied` must find the bootstrap in the stats already.
         self.shared.stats.bootstraps.fetch_add(1, Ordering::Relaxed);
@@ -1081,27 +1063,15 @@ impl Worker {
                     .fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            // An in-stream leadership change: fold it into the local
-            // epoch history *before* logging, so a restart can never
-            // present a stale epoch alongside an advanced frontier.
+            // An in-stream leadership change joins the local history;
+            // the record logged below is what a restart reads it from.
             if let WalRecord::LeaderEpoch { epoch } = &rec {
-                let mut epochs = self.shared.epochs.lock().unwrap_or_else(|e| e.into_inner());
-                match epochs.observe(*epoch, lsn) {
-                    Ok(true) => {
-                        if epochs.save(&self.dir).is_err() {
-                            self.shared.set_applied(applied);
-                            return Err(SessionEnd::Resync);
-                        }
-                    }
-                    Ok(false) => {}
-                    Err(_) => {
-                        // A conflicting epoch claim in an admitted
-                        // stream is a protocol violation.
-                        drop(epochs);
-                        self.shared.set_applied(applied);
-                        self.reject();
-                        return Err(SessionEnd::Resync);
-                    }
+                if self.shared.epochs().observe(*epoch, lsn).is_err() {
+                    // A conflicting epoch claim in an admitted stream is
+                    // a protocol violation.
+                    self.shared.set_applied(applied);
+                    self.reject();
+                    return Err(SessionEnd::Resync);
                 }
             }
             // Apply-before-log, the same watermark invariant the leader
@@ -1142,7 +1112,8 @@ impl Worker {
     fn local_snapshot(&mut self, applied: u64) -> Result<(), WalError> {
         let wal = self.wal.as_mut().expect("snapshot only after bootstrap");
         wal.sync()?;
-        self.db.write_snapshot(&self.dir, applied)?;
+        let epochs = self.shared.epochs().clone();
+        self.db.write_snapshot(&self.dir, &epochs, applied)?;
         // Chained followers tail this replica's local log: their lowest
         // acknowledged LSN is a barrier here exactly as it is on the
         // leader, so local compaction never deletes a segment a
@@ -1160,7 +1131,7 @@ impl Worker {
 mod tests {
     use super::*;
     use crate::framed::Listener;
-    use modb_wal::{encode_block, frame_block, write_snapshot, EpochSpan, GENESIS_EPOCH};
+    use modb_wal::{encode_block, frame_block, write_snapshot};
 
     /// An upstream that speaks the protocol by hand: admits the follower,
     /// bootstraps it with an empty snapshot at LSN 0, then ships one
@@ -1172,9 +1143,16 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let snapshot =
-            std::fs::read(write_snapshot(&dir.join("up"), &placeholder_database(), 0).unwrap())
-                .unwrap();
+        let snapshot = std::fs::read(
+            write_snapshot(
+                &dir.join("up"),
+                &placeholder_database(),
+                &EpochHistory::new(),
+                0,
+            )
+            .unwrap(),
+        )
+        .unwrap();
         let mut frames = Vec::new();
         let mut payload = Vec::new();
         encode_block(
@@ -1188,12 +1166,6 @@ mod tests {
             |_stream, _active| true,
             move |mut stream, stop| {
                 let script = [
-                    Message::Epochs {
-                        spans: vec![EpochSpan {
-                            epoch: GENESIS_EPOCH,
-                            start_lsn: 0,
-                        }],
-                    },
                     Message::SnapshotBlocks {
                         lsn: 0,
                         offset: SEGMENT_HEADER_BYTES,
@@ -1256,7 +1228,7 @@ mod tests {
                 }
             }
         }
-        let shared = Shared::new(0, String::new(), Arc::new(Mutex::new(EpochHistory::new())));
+        let shared = Shared::new(0, String::new(), EpochHistory::new());
         let seen = AtomicU64::new(0);
         let stale_clocks = std::thread::scope(|s| {
             s.spawn(|| {

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use modb_wal::segment::{read_segment_file, SEGMENT_HEADER_BYTES};
 use modb_wal::{
     decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochCheck,
-    EpochHistory, SegmentTailer, WalError, WalRecord, SEGMENT_VERSION,
+    EpochHistory, SegmentTailer, WalError, WalRecord, GENESIS_EPOCH, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
@@ -293,6 +293,10 @@ fn run_session(
                 if version != PROTOCOL_VERSION {
                     return Err(WalError::Decode("replication protocol version mismatch"));
                 }
+                // Every log starts on genesis: epoch 0 names no timeline.
+                if epoch < GENESIS_EPOCH {
+                    return Err(WalError::Decode("hello names epoch 0"));
+                }
                 break (next_lsn, have_state, epoch);
             }
             ReadEvent::Message(_) => {
@@ -334,15 +338,10 @@ fn run_session(
             }
         }
     }
-    // The admitted peer gets the full leadership history up front:
-    // in-stream LeaderEpoch records only cover epochs born inside the
-    // shipped stretch, and a bootstrap snapshot carries none at all.
-    let spans = epochs
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .spans()
-        .to_vec();
-    send(stream, &Message::Epochs { spans }, MAX_MESSAGE_BYTES)?;
+    // The peer learns the history from what it is shipped: a bootstrap
+    // snapshot's head carries every epoch begun below its LSN, and a
+    // `Clean` resume means every epoch the peer lacks begins at or past
+    // its frontier, so its seal record is in the shipped stretch.
 
     // ---- Resume or bootstrap. The horizon entry (still at 0) keeps
     // every segment alive while we decide.
@@ -572,7 +571,11 @@ mod tests {
         (durable, server)
     }
 
-    fn dial(server: &ReplicationServer, version: u32) -> (TcpStream, FrameReader<Message>) {
+    fn dial(
+        server: &ReplicationServer,
+        version: u32,
+        epoch: u64,
+    ) -> (TcpStream, FrameReader<Message>) {
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_millis(10)))
@@ -584,7 +587,7 @@ mod tests {
                 version,
                 next_lsn: 0,
                 have_state: false,
-                epoch: 0,
+                epoch,
             },
             MAX_MESSAGE_BYTES,
         )
@@ -615,7 +618,7 @@ mod tests {
         while (records.len() as u64) < expected {
             let msg = next_message(reader).expect("leader closed before the stream caught up");
             match msg {
-                Message::Heartbeat { .. } | Message::Epochs { .. } => continue,
+                Message::Heartbeat { .. } => continue,
                 Message::SnapshotBlocks { .. } => panic!("second bootstrap"),
                 ref data => records.extend(assert_shape(data)),
             }
@@ -628,12 +631,7 @@ mod tests {
     fn hello_is_served_verbatim_blocks() {
         let (durable, server) = leader("blocks", 38);
         let total = 2 + 38;
-        let (_tx, mut reader) = dial(&server, PROTOCOL_VERSION);
-        // The peer is told the leadership history before anything else.
-        let Some(Message::Epochs { spans }) = next_message(&mut reader) else {
-            panic!("expected the epoch history first");
-        };
-        assert_eq!(spans.len(), 1, "a never-promoted leader is on genesis");
+        let (_tx, mut reader) = dial(&server, PROTOCOL_VERSION, GENESIS_EPOCH);
         // The genesis snapshot (a head and one route) is one run.
         let Some(Message::SnapshotBlocks {
             lsn: 0, offset: 20, ..
@@ -664,16 +662,20 @@ mod tests {
     #[test]
     fn unknown_hello_version_is_rejected() {
         let (_durable, server) = leader("version-reject", 4);
-        let versions = [0, 1, 2, 3, PROTOCOL_VERSION + 1, u32::MAX];
-        for version in versions {
-            let (_tx, mut reader) = dial(&server, version);
+        let mut hellos = [0, 1, 2, 3, 4, PROTOCOL_VERSION + 1, u32::MAX]
+            .map(|version| (version, GENESIS_EPOCH))
+            .to_vec();
+        // The current version naming epoch 0, a timeline no log is on.
+        hellos.push((PROTOCOL_VERSION, 0));
+        for &(version, epoch) in &hellos {
+            let (_tx, mut reader) = dial(&server, version, epoch);
             assert!(
                 next_message(&mut reader).is_none(),
-                "version {version} must be disconnected, not served"
+                "version {version}, epoch {epoch} must be disconnected, not served"
             );
         }
         let stats = server.shutdown();
-        assert_eq!(stats.session_errors, versions.len() as u64);
+        assert_eq!(stats.session_errors, hellos.len() as u64);
         assert_eq!(stats.records_shipped, 0);
     }
 

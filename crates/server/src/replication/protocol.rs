@@ -14,12 +14,12 @@
 //! | 5   | `Ack`            | follower → leader  | `applied_lsn u64`                     |
 //! | 6   | `Blocks`         | leader → follower  | `start_lsn u64, count u32, version u32, frames` |
 //! | 7   | `Diverged`       | leader → follower  | `leader_epoch u64, boundary_lsn u64`  |
-//! | 8   | `Epochs`         | leader → follower  | `count u32, (epoch u64, start_lsn u64) * count` |
 //! | 9   | `SnapshotBlocks` | leader → follower  | `lsn u64, offset u64, frames`         |
 //!
-//! (Tags 2 and 3 are retired and stay unassigned: tag 2 was the
+//! (Tags 2, 3 and 8 are retired and stay unassigned: tag 2 was the
 //! one-message bootstrap snapshot of protocol version 3, tag 3 the
-//! decoded-records message.)
+//! decoded-records message, tag 8 the leadership-history message of
+//! version 4.)
 //!
 //! `Blocks` carries a run of *segment* frames shipped verbatim off the
 //! leader's disk, each holding one delta-coded, possibly LZ-compressed
@@ -46,13 +46,14 @@
 //! the birth of an epoch it never saw answers `Diverged` — a typed
 //! refusal naming the server's epoch and the first forked LSN — instead
 //! of shipping onto a forked log or silently re-bootstrapping it away.
+//! Every log starts on epoch 1, so a `Hello` naming epoch 0 is refused
+//! as malformed.
 //!
-//! `Epochs` transfers the server's full leadership history to an
-//! admitted follower, right after the handshake. The in-stream
-//! `LeaderEpoch` records only cover epochs born inside the shipped
-//! stretch; a follower bootstrapping from a snapshot taken after a
-//! promotion would otherwise never learn the older boundaries it needs
-//! to refuse (or be refused by) stale peers later.
+//! No message carries the history itself: a follower reads it from what
+//! it is shipped. A bootstrap snapshot's head holds every epoch begun
+//! below its LSN, and an admitted resume lacks only epochs that begin at
+//! or past its frontier, whose `LeaderEpoch` seal records are in the
+//! shipped stretch.
 
 use modb_wal::codec::{put_u32, put_u64};
 use modb_wal::{ByteReader, WalError};
@@ -61,7 +62,7 @@ use crate::framed::WireMessage;
 
 /// The protocol version this build speaks; a `Hello` naming any other is
 /// refused.
-pub(crate) const PROTOCOL_VERSION: u32 = 4;
+pub(crate) const PROTOCOL_VERSION: u32 = 5;
 
 /// Hard ceiling on one message's payload: four maximal block frames
 /// ([`modb_wal::MAX_RECORD_BYTES`]), far above a run of `chunk_records`
@@ -103,11 +104,6 @@ pub(crate) enum Message {
         leader_epoch: u64,
         boundary_lsn: u64,
     },
-    /// The server's full leadership history (oldest span first), sent to
-    /// an admitted follower right after the handshake so it knows every
-    /// timeline boundary, including those older than its bootstrap
-    /// snapshot.
-    Epochs { spans: Vec<modb_wal::EpochSpan> },
     /// A run of whole frames of the bootstrap snapshot taken at `lsn`,
     /// verbatim, starting `offset` bytes into the snapshot file.
     SnapshotBlocks {
@@ -160,14 +156,6 @@ impl WireMessage for Message {
                 put_u64(out, *leader_epoch);
                 put_u64(out, *boundary_lsn);
             }
-            Message::Epochs { spans } => {
-                out.push(8);
-                put_u32(out, spans.len() as u32);
-                for span in spans {
-                    put_u64(out, span.epoch);
-                    put_u64(out, span.start_lsn);
-                }
-            }
             Message::SnapshotBlocks {
                 lsn,
                 offset,
@@ -217,17 +205,6 @@ impl WireMessage for Message {
                 leader_epoch: r.u64()?,
                 boundary_lsn: r.u64()?,
             },
-            8 => {
-                let count = r.u32()? as usize;
-                let mut spans = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    spans.push(modb_wal::EpochSpan {
-                        epoch: r.u64()?,
-                        start_lsn: r.u64()?,
-                    });
-                }
-                Message::Epochs { spans }
-            }
             9 => {
                 let lsn = r.u64()?;
                 let offset = r.u64()?;
@@ -253,7 +230,7 @@ mod tests {
     use crate::framed::{decode_frame, encode_frame};
 
     /// One instance of every message, in the order of
-    /// `tests/golden/replication-v4.frames`.
+    /// `tests/golden/replication-v5.frames`.
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Hello {
@@ -276,18 +253,6 @@ mod tests {
                 leader_epoch: 4,
                 boundary_lsn: 120,
             },
-            Message::Epochs {
-                spans: vec![
-                    modb_wal::EpochSpan {
-                        epoch: 1,
-                        start_lsn: 0,
-                    },
-                    modb_wal::EpochSpan {
-                        epoch: 2,
-                        start_lsn: 57,
-                    },
-                ],
-            },
             Message::SnapshotBlocks {
                 lsn: 7,
                 offset: 20,
@@ -296,42 +261,63 @@ mod tests {
         ]
     }
 
+    /// A golden file cut into its frames (`[len u32][crc u32][payload]`).
+    fn frames(mut file: &[u8]) -> Vec<&[u8]> {
+        let mut frames = Vec::new();
+        while !file.is_empty() {
+            let len = 8 + u32::from_le_bytes(file[..4].try_into().unwrap()) as usize;
+            frames.push(&file[..len]);
+            file = &file[len..];
+        }
+        frames
+    }
+
     /// The wire compatibility contract (see `tests/golden/README.md`):
-    /// `replication-v4.frames` holds one framed instance of every
+    /// `replication-v5.frames` holds one framed instance of every
     /// message; each frame must decode to its sample value and every
-    /// sample must re-encode to the identical bytes. Against version 3's
-    /// `replication.frames` (commit dfa280f), the frames from `Heartbeat`
-    /// to `Epochs` are byte-identical and the retired one-message
-    /// `Snapshot` (tag 2, second in that file) is a decode error.
+    /// sample must re-encode to the identical bytes. The retired
+    /// versions are the fixtures of their refusal: v4's `Hello` decodes
+    /// (the handshake refuses version 4, not the decoder), its `Epochs`
+    /// frame (tag 8) is a decode error, and every other v4 frame is
+    /// byte-identical to v5's; v3's `Snapshot` (tag 2) and `Epochs` are
+    /// decode errors and its frames between them are v5's.
     #[test]
     fn golden_frames_decode_and_re_encode_bit_identically() {
-        let golden = include_bytes!("../../tests/golden/replication-v4.frames");
-        let mut rest: &[u8] = golden;
+        let golden = include_bytes!("../../tests/golden/replication-v5.frames");
+        let v5 = frames(golden);
         let mut re_encoded = Vec::new();
-        for expected in sample_messages() {
-            let (msg, consumed) = decode_frame::<Message>(rest, MAX_MESSAGE_BYTES)
-                .unwrap()
-                .expect("a whole frame per message");
-            assert_eq!(msg, expected);
+        assert_eq!(v5.len(), sample_messages().len());
+        for (frame, expected) in v5.iter().zip(sample_messages()) {
+            let decoded = decode_frame::<Message>(frame, MAX_MESSAGE_BYTES).unwrap();
+            assert_eq!(decoded, Some((expected.clone(), frame.len())));
             re_encoded.extend(encode_frame(&expected, MAX_MESSAGE_BYTES).unwrap());
-            rest = &rest[consumed..];
         }
-        assert!(rest.is_empty(), "a golden frame no sample accounts for");
         assert_eq!(re_encoded, golden);
 
-        let v3 = include_bytes!("../../tests/golden/replication.frames");
-        let frame_end =
-            |at: usize| at + 8 + u32::from_le_bytes(v3[at..at + 4].try_into().unwrap()) as usize;
-        let (hello, snapshot) = (frame_end(0), frame_end(frame_end(0)));
-        assert_eq!(v3[hello + 8], 2, "the retired Snapshot tag");
-        assert!(decode_frame::<Message>(&v3[hello..], MAX_MESSAGE_BYTES).is_err());
-        assert_eq!(v3[snapshot..], golden[hello..hello + v3.len() - snapshot]);
+        let decodes = |frame: &[u8]| decode_frame::<Message>(frame, MAX_MESSAGE_BYTES).is_ok();
+        let v4 = frames(include_bytes!("../../tests/golden/replication-v4.frames"));
+        assert!(matches!(
+            decode_frame::<Message>(v4[0], MAX_MESSAGE_BYTES),
+            Ok(Some((Message::Hello { version: 4, .. }, _)))
+        ));
+        assert_eq!(v4[5][8], 8, "the retired Epochs tag");
+        assert!(!decodes(v4[5]));
+        assert_eq!([&v4[1..5], &v4[6..]].concat(), v5[1..]);
+
+        let v3 = frames(include_bytes!("../../tests/golden/replication.frames"));
+        assert_eq!(
+            (v3[1][8], v3[6][8]),
+            (2, 8),
+            "the retired Snapshot and Epochs tags"
+        );
+        assert!(!decodes(v3[1]) && !decodes(v3[6]));
+        assert_eq!(v3[2..6], v5[1..5]);
     }
 
     /// The retired shapes: a `Hello` that stops before the epoch (what a
     /// pre-epoch peer sent) and the decoded-records message (tag 3) are
-    /// decode errors, not silently defaulted or skipped (tag 2 is checked
-    /// against its golden frame above).
+    /// decode errors, not silently defaulted or skipped (tags 2 and 8 are
+    /// checked against their golden frames above).
     #[test]
     fn epoch_less_hello_and_retired_records_tag_are_rejected() {
         let mut payload = vec![1u8];

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use modb_core::{CoreError, Database, MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
-use modb_wal::{RecoveryReport, WalError};
+use modb_wal::{EpochHistory, RecoveryReport, WalError};
 use parking_lot::RwLock;
 
 /// A cloneable, thread-safe handle to one moving-objects database.
@@ -41,7 +41,8 @@ impl SharedDatabase {
     }
 
     /// Writes a point-in-time snapshot into `dir` with `lsn` as the log
-    /// high-water mark it covers — the inverse of
+    /// high-water mark it covers and `epochs` as the leadership history
+    /// below it — the inverse of
     /// [`SharedDatabase::recover`], and the one capture path of the
     /// leader ([`crate::DurableDatabase::snapshot`]), a follower's local
     /// snapshot and the REPL's `\save`. The state is cloned under a
@@ -54,9 +55,14 @@ impl SharedDatabase {
     /// # Errors
     ///
     /// I/O failures.
-    pub fn write_snapshot(&self, dir: &Path, lsn: u64) -> Result<PathBuf, WalError> {
+    pub fn write_snapshot(
+        &self,
+        dir: &Path,
+        epochs: &EpochHistory,
+        lsn: u64,
+    ) -> Result<PathBuf, WalError> {
         let state = self.inner.read().clone();
-        modb_wal::write_snapshot(dir, &state, lsn)
+        modb_wal::write_snapshot(dir, &state, epochs, lsn)
     }
 
     /// `QueryEngine::new(self.clone())`; the config is ignored. Kept
@@ -286,7 +292,7 @@ mod tests {
             )
             .unwrap();
         }
-        let path = db.write_snapshot(&dir, 7).unwrap();
+        let path = db.write_snapshot(&dir, &EpochHistory::new(), 7).unwrap();
         assert!(path.exists());
 
         let (recovered, report) = SharedDatabase::recover(&dir).unwrap();
@@ -328,7 +334,7 @@ mod tests {
             std::thread::scope(|s| {
                 let snapper = s.spawn(|| {
                     in_flight.store(true, Ordering::SeqCst);
-                    let path = db.write_snapshot(&dir, attempt);
+                    let path = db.write_snapshot(&dir, &EpochHistory::new(), attempt);
                     in_flight.store(false, Ordering::SeqCst);
                     path
                 });

@@ -13,10 +13,15 @@
 //!   applied watermark instead of re-bootstrapping;
 //! - a revived old leader whose log tail passed the promotion point is
 //!   refused with a typed `Diverged` answer and its local log is left
-//!   intact — never silently truncated or overwritten.
+//!   intact — never silently truncated or overwritten;
+//! - the leadership history lives in the log and nowhere else: a data
+//!   directory holds segments and snapshots only, a snapshot's head
+//!   keeps every epoch whose seal record compaction deleted, and a torn
+//!   seal record means the promotion never happened.
 
 mod common;
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,6 +47,77 @@ fn test_failover_config() -> FailoverConfig {
             connect_timeout: Some(Duration::from_millis(250)),
             ..QueryClientConfig::default()
         },
+    }
+}
+
+/// The history has no file of its own: a data directory holds log
+/// segments and snapshots, nothing else.
+fn assert_log_files_only(dir: &Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let log = name.starts_with("wal-") && name.ends_with(".log");
+        let snap = name.starts_with("snap-") && name.ends_with(".snap");
+        assert!(log || snap, "{} holds {name}", dir.display());
+    }
+}
+
+/// A leader on epoch 1 whose last shipped record is `shipped`, with an
+/// unshipped tail past it up to `old_frontier`; and the follower that
+/// applied exactly the shipped prefix.
+struct Fork {
+    ldir: std::path::PathBuf,
+    fdir: std::path::PathBuf,
+    follower: StandbyReplica,
+    shipped: u64,
+    old_frontier: u64,
+}
+
+/// Builds a [`Fork`]: the leader ships three rounds of updates, then
+/// stops shipping and logs `tail` more updates nobody else has.
+fn fork(name: &str, tail: u64) -> Fork {
+    let ldir = tmp(&format!("{name}-leader"));
+    let fdir = tmp(&format!("{name}-follower"));
+    let leader = DurableDatabase::create(&ldir, fresh_db(), test_wal_options()).unwrap();
+    for i in 1..=4u64 {
+        leader.register_moving(vehicle(i, 10.0 * i as f64)).unwrap();
+    }
+    let server = leader
+        .serve_replication("127.0.0.1:0", test_replication_config())
+        .unwrap();
+    let follower = StandbyReplica::open(
+        &fdir,
+        server.local_addr().to_string(),
+        test_replica_config(),
+    )
+    .unwrap();
+    for round in 1..=3u64 {
+        for i in 1..=4u64 {
+            leader
+                .apply_update(
+                    ObjectId(i),
+                    &update(round as f64, 10.0 * i as f64 + round as f64),
+                )
+                .unwrap();
+        }
+    }
+    let shipped = leader.wal().next_lsn();
+    assert!(
+        follower.wait_for_lsn(shipped, WAIT),
+        "follower never caught up"
+    );
+    server.shutdown();
+    for n in 0..tail {
+        leader
+            .apply_update(ObjectId(1 + n % 4), &update(100.0 + n as f64, 500.0))
+            .unwrap();
+    }
+    let old_frontier = leader.wal().next_lsn();
+    Fork {
+        ldir,
+        fdir,
+        follower,
+        shipped,
+        old_frontier,
     }
 }
 
@@ -94,8 +170,10 @@ fn promotion_seals_an_epoch_and_accepts_acked_writes() {
     assert_eq!(report.next_lsn, frontier + 2);
     assert_eq!(reopened.wal().next_lsn(), frontier + 2);
     drop(reopened);
-    std::fs::remove_dir_all(&ldir).unwrap();
-    std::fs::remove_dir_all(&fdir).unwrap();
+    for dir in [&ldir, &fdir] {
+        assert_log_files_only(dir);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// A standby that never completed a bootstrap has no state to lead from:
@@ -109,6 +187,7 @@ fn promoting_an_empty_replica_is_refused() {
         Err(modb_wal::WalError::NoSnapshot(_)) => {}
         other => panic!("expected NoSnapshot, got {other:?}"),
     }
+    assert_log_files_only(&dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -210,9 +289,10 @@ fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
     f2_ship.shutdown();
     f1_ship.shutdown();
     drop(promoted);
-    std::fs::remove_dir_all(&ldir).unwrap();
-    std::fs::remove_dir_all(&fdir).unwrap();
-    std::fs::remove_dir_all(&f2dir).unwrap();
+    for dir in [&ldir, &fdir, &f2dir] {
+        assert_log_files_only(dir);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// The divergence guard: a revived old leader whose log ran past the
@@ -221,45 +301,16 @@ fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
 /// untouched for forensics.
 #[test]
 fn revived_divergent_leader_is_refused_and_never_truncated() {
-    let ldir = tmp("diverge-leader");
-    let fdir = tmp("diverge-follower");
-    let leader = DurableDatabase::create(&ldir, fresh_db(), test_wal_options()).unwrap();
-    for i in 1..=4u64 {
-        leader.register_moving(vehicle(i, 10.0 * i as f64)).unwrap();
-    }
-    let server = leader
-        .serve_replication("127.0.0.1:0", test_replication_config())
-        .unwrap();
-    let f1 = StandbyReplica::open(
-        &fdir,
-        server.local_addr().to_string(),
-        test_replica_config(),
-    )
-    .unwrap();
-    for round in 1..=3u64 {
-        for i in 1..=4u64 {
-            leader
-                .apply_update(
-                    ObjectId(i),
-                    &update(round as f64, 10.0 * i as f64 + round as f64),
-                )
-                .unwrap();
-        }
-    }
-    let shipped = leader.wal().next_lsn();
-    assert!(f1.wait_for_lsn(shipped, WAIT), "f1 never caught up");
-
-    // Cut shipping, then keep acking writes on the doomed leader: its
+    // The doomed leader keeps acking writes after shipping stopped: its
     // log grows a tail nobody else has.
-    server.shutdown();
-    for i in 1..=4u64 {
-        leader
-            .apply_update(ObjectId(i), &update(9.0, 500.0 + i as f64))
-            .unwrap();
-    }
-    let old_frontier = leader.wal().next_lsn();
+    let Fork {
+        ldir,
+        fdir,
+        follower: f1,
+        shipped,
+        old_frontier,
+    } = fork("diverge", 4);
     assert!(old_frontier > shipped);
-    drop(leader);
 
     // Promote the follower (its re-ship server stays up across the
     // switch) and seal epoch 2 at the shipped watermark.
@@ -291,8 +342,10 @@ fn revived_divergent_leader_is_refused_and_never_truncated() {
 
     f1_ship.shutdown();
     drop(promoted);
-    std::fs::remove_dir_all(&ldir).unwrap();
-    std::fs::remove_dir_all(&fdir).unwrap();
+    for dir in [&ldir, &fdir] {
+        assert_log_files_only(dir);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// The deadman coordinator end to end: probes the leader's query
@@ -347,6 +400,161 @@ fn coordinator_declares_death_and_election_errors_are_typed() {
         }) => {}
         other => panic!("expected AddrCountMismatch, got {other:?}"),
     }
-    std::fs::remove_dir_all(&ldir).unwrap();
-    std::fs::remove_dir_all(&fdir).unwrap();
+    for dir in [&ldir, &fdir] {
+        assert_log_files_only(dir);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// Compaction does not lose a seal: once the segment holding the
+/// `LeaderEpoch` record is deleted, the snapshot past it is the only
+/// place epoch 2's start is written — in its head. Reopening still
+/// reports epoch 2, and a follower bootstrapped from that snapshot holds
+/// the boundary: a revived epoch-1 peer past it is refused `Diverged`.
+#[test]
+fn compaction_past_the_seal_keeps_the_epoch_in_the_snapshot_head() {
+    let Fork {
+        ldir,
+        fdir,
+        follower,
+        shipped,
+        old_frontier,
+    } = fork("compact-seal", 4);
+    let promoted = follower.promote().unwrap();
+    assert_eq!(promoted.epoch(), 2);
+    // Enough new-epoch writes to rotate well past the seal's segment,
+    // then a snapshot and a compaction down to it.
+    for round in 10..40u64 {
+        for i in 1..=4u64 {
+            promoted
+                .apply_update(ObjectId(i), &update(round as f64, 10.0 * i as f64))
+                .unwrap();
+        }
+    }
+    promoted.snapshot_with_retention(1).unwrap();
+    let segments = modb_wal::list_segments(&fdir).unwrap();
+    assert!(
+        segments[0].0 > shipped,
+        "the seal at lsn {shipped} must be compacted away: log from {}",
+        segments[0].0
+    );
+    let frontier = promoted.wal().next_lsn();
+    drop(promoted);
+    assert_log_files_only(&fdir);
+
+    let (reopened, report) = DurableDatabase::open(&fdir, test_wal_options()).unwrap();
+    assert_eq!(
+        reopened.epoch(),
+        2,
+        "the history came from the snapshot head"
+    );
+    assert_eq!(report.next_lsn, frontier);
+
+    // A follower bootstrapped from the reopened leader (the only snapshot
+    // is past the seal) learns epoch 2 from the head, and re-ships.
+    let server = reopened
+        .serve_replication("127.0.0.1:0", test_replication_config())
+        .unwrap();
+    let f3dir = tmp("compact-seal-f3");
+    let f3 = StandbyReplica::open(
+        &f3dir,
+        server.local_addr().to_string(),
+        test_replica_config(),
+    )
+    .unwrap();
+    assert!(f3.wait_for_lsn(frontier, WAIT), "f3 never caught up");
+    assert_eq!((f3.stats().bootstraps, f3.epoch()), (1, 2));
+    let f3_ship = f3
+        .serve_replication("127.0.0.1:0", test_replication_config())
+        .unwrap();
+
+    // The revived epoch-1 leader, past the boundary, follows f3.
+    let old = StandbyReplica::open(
+        &ldir,
+        f3_ship.local_addr().to_string(),
+        test_replica_config(),
+    )
+    .unwrap();
+    wait_until("typed divergence refusal", || {
+        old.phase() == ReplicaPhase::Diverged
+    });
+    let info = old.divergence().expect("refusal coordinates recorded");
+    assert_eq!(
+        (info.leader_epoch, info.boundary_lsn, info.local_next_lsn),
+        (2, shipped, old_frontier)
+    );
+    old.shutdown();
+    f3_ship.shutdown();
+    f3.shutdown();
+    server.shutdown();
+    drop(reopened);
+    for dir in [&ldir, &fdir, &f3dir] {
+        assert_log_files_only(dir);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// The seal record's sync is the promotion's commit point. Tear it — cut
+/// the promotee's last frame, which is the seal — and the node reopens
+/// on epoch 1 at the pre-seal frontier, as if never promoted: the old
+/// leader, on epoch 1 at that same frontier, resumes from it cleanly.
+#[test]
+fn a_torn_seal_reopens_on_the_old_epoch() {
+    let Fork {
+        ldir,
+        fdir,
+        follower,
+        shipped,
+        old_frontier,
+    } = fork("torn-seal", 0);
+    assert_eq!(old_frontier, shipped);
+    let promoted = follower.promote().unwrap();
+    assert_eq!(
+        (promoted.epoch(), promoted.wal().next_lsn()),
+        (2, shipped + 1)
+    );
+    drop(promoted);
+
+    // Crash mid-append: the seal's frame loses its last byte.
+    let (_, last) = modb_wal::list_segments(&fdir).unwrap().pop().unwrap();
+    let bytes = std::fs::read(&last).unwrap();
+    let scan = modb_wal::scan_segment(&last).unwrap();
+    assert_eq!(
+        scan.records.last(),
+        Some(&modb_wal::WalRecord::LeaderEpoch { epoch: 2 })
+    );
+    std::fs::write(&last, &bytes[..bytes.len() - 1]).unwrap();
+
+    let (reopened, report) = DurableDatabase::open(&fdir, test_wal_options()).unwrap();
+    assert!(report.torn.is_some(), "{report}");
+    assert_eq!((reopened.epoch(), report.next_lsn), (1, shipped));
+
+    // The epoch-1 peer at that frontier is clean: it resumes, no
+    // refusal, no bootstrap, and follows a new write.
+    let server = reopened
+        .serve_replication("127.0.0.1:0", test_replication_config())
+        .unwrap();
+    let old = StandbyReplica::open(
+        &ldir,
+        server.local_addr().to_string(),
+        test_replica_config(),
+    )
+    .unwrap();
+    reopened
+        .apply_update(ObjectId(1), &update(50.0, 20.0))
+        .unwrap();
+    assert!(old.wait_for_lsn(shipped + 1, WAIT), "{}", old.stats());
+    let stats = old.shutdown();
+    assert_eq!(
+        (stats.bootstraps, stats.rejected_messages),
+        (0, 0),
+        "{stats}"
+    );
+    assert_ne!(stats.phase, ReplicaPhase::Diverged);
+    server.shutdown();
+    drop(reopened);
+    for dir in [&ldir, &fdir] {
+        assert_log_files_only(dir);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }

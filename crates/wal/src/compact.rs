@@ -132,6 +132,7 @@ mod tests {
     use crate::segment::segment_file_name;
     use crate::snapshot::write_snapshot;
     use crate::writer::{WalOptions, WalWriter};
+    use crate::EpochHistory;
     use modb_core::{
         Database, DatabaseConfig, MovingObject, ObjectId, UpdateMessage, UpdatePosition,
     };
@@ -194,7 +195,7 @@ mod tests {
     fn populate(dir: &Path, rounds: u64, snapshot_every: u64) -> Database {
         let mut db = fresh_db();
         let mut wal = WalWriter::create(dir, small_segments()).unwrap();
-        write_snapshot(dir, &db, wal.next_lsn()).unwrap();
+        write_snapshot(dir, &db, &EpochHistory::new(), wal.next_lsn()).unwrap();
         db.register_moving(vehicle(1, 10.0)).unwrap();
         wal.append(&WalRecord::RegisterMoving(vehicle(1, 10.0)))
             .unwrap();
@@ -212,7 +213,7 @@ mod tests {
             db.apply_update(ObjectId(1), &msg).unwrap();
             if round % snapshot_every == 0 {
                 wal.sync().unwrap();
-                write_snapshot(dir, &db, wal.next_lsn()).unwrap();
+                write_snapshot(dir, &db, &EpochHistory::new(), wal.next_lsn()).unwrap();
             }
         }
         wal.sync().unwrap();

@@ -1,41 +1,29 @@
-//! The leadership-epoch history sidecar — the divergence guard of
-//! promotion.
+//! Leadership epochs — the divergence guard of promotion.
 //!
-//! A log directory carries, next to its segments and snapshots, a small
-//! `epochs` file listing every leadership epoch the log has lived under
-//! and the LSN at which each began (PostgreSQL's timeline-history file,
-//! reduced to the essentials). A freshly created log is implicitly on
-//! epoch 1 from LSN 0; the file only materializes at the first
-//! promotion.
+//! Every log lives under a sequence of leadership epochs: epoch 1
+//! ([`GENESIS_EPOCH`]) from LSN 0, then one more per promotion, each
+//! beginning at the LSN of the [`crate::WalRecord::LeaderEpoch`] record
+//! the promotee sealed into its log (PostgreSQL's timeline history,
+//! reduced to the essentials). The history is not kept anywhere but the
+//! log: a snapshot's head carries the spans of every epoch begun below
+//! its LSN ([`crate::snapshot`]), because compaction may delete the
+//! segments that held their seal records, and recovery
+//! ([`crate::recover`]) folds in each `LeaderEpoch` it replays past the
+//! snapshot with [`EpochHistory::observe`].
 //!
-//! The file is what lets a new leader refuse a revived old one: a peer
-//! that connects claiming epoch `e` with a log frontier past the start
-//! LSN of any epoch newer than `e` has written records the new timeline
-//! never saw — its tail is *divergent*, and shipping it more records
-//! would silently fork history. The check is
+//! The history is what lets a new leader refuse a revived old one: a
+//! peer that connects claiming epoch `e` with a log frontier past the
+//! start LSN of any epoch newer than `e` has written records the new
+//! timeline never saw — its tail is *divergent*, and shipping it more
+//! records would silently fork history. The check is
 //! [`EpochHistory::check_follower`]; the refusal travels as a typed
 //! replication message, never a bootstrap-and-overwrite.
 //!
-//! On-disk format (atomic tmp + fsync + rename, like snapshots):
-//!
-//! ```text
-//! [magic: 8 bytes "MODBEPO1"] [len: u32 LE] [crc32(payload): u32 LE]
-//! [payload: count u32 LE, then (epoch u64 LE, start_lsn u64 LE) * count]
-//! ```
+//! In a snapshot head the history is `count u32 LE`, then
+//! `(epoch u64 LE, start_lsn u64 LE) * count`, oldest first.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-
-use crate::codec::{put_u32, put_u64, ByteReader};
-use crate::crc32::crc32;
+use crate::codec::{put_u32, put_u64, ByteReader, WalCodec};
 use crate::error::WalError;
-
-/// File identification prefix.
-pub const EPOCH_MAGIC: [u8; 8] = *b"MODBEPO1";
-
-/// The sidecar's file name inside a log directory.
-pub const EPOCH_FILE_NAME: &str = "epochs";
 
 /// The epoch every log starts on before any promotion.
 pub const GENESIS_EPOCH: u64 = 1;
@@ -94,16 +82,21 @@ impl EpochHistory {
         }
     }
 
-    /// Builds a history from spans received over the wire (an upstream
-    /// transferring its full history after admitting a follower).
+    /// Builds a history from the spans a snapshot head carries — the one
+    /// validator of a history read from outside.
     ///
     /// # Errors
     ///
-    /// [`WalError::Decode`] when the list is empty or not strictly
-    /// monotonic in both epoch and start LSN.
+    /// [`WalError::Decode`] when the list does not open with genesis
+    /// (epoch 1 from LSN 0) or is not strictly monotonic in epoch and
+    /// monotonic in start LSN.
     pub fn from_spans(spans: Vec<EpochSpan>) -> Result<Self, WalError> {
-        if spans.is_empty() {
-            return Err(WalError::Decode("empty epoch history"));
+        let genesis = EpochSpan {
+            epoch: GENESIS_EPOCH,
+            start_lsn: 0,
+        };
+        if spans.first() != Some(&genesis) {
+            return Err(WalError::Decode("epoch history does not open with genesis"));
         }
         for pair in spans.windows(2) {
             if pair[1].epoch <= pair[0].epoch || pair[1].start_lsn < pair[0].start_lsn {
@@ -111,87 +104,6 @@ impl EpochHistory {
             }
         }
         Ok(EpochHistory { entries: spans })
-    }
-
-    /// Loads the sidecar from `dir`, or the genesis history when the
-    /// file does not exist (a log that never lived through a promotion).
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Decode`] for a present-but-corrupt file — corruption
-    /// in the divergence guard must not be mistaken for genesis.
-    pub fn load(dir: impl AsRef<Path>) -> Result<Self, WalError> {
-        let path = dir.as_ref().join(EPOCH_FILE_NAME);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(EpochHistory::new());
-            }
-            Err(e) => return Err(WalError::Io(e)),
-        };
-        if bytes.len() < 16 || bytes[..8] != EPOCH_MAGIC {
-            return Err(WalError::Decode("bad epoch-history magic"));
-        }
-        let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-        let crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-        let payload = bytes
-            .get(16..16 + len)
-            .ok_or(WalError::Decode("truncated epoch-history payload"))?;
-        if crc32(payload) != crc {
-            return Err(WalError::Decode("epoch-history crc mismatch"));
-        }
-        let mut r = ByteReader::new(payload);
-        let count = r.u32()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            entries.push(EpochSpan {
-                epoch: r.u64()?,
-                start_lsn: r.u64()?,
-            });
-        }
-        if entries.is_empty() {
-            return Err(WalError::Decode("empty epoch history"));
-        }
-        for pair in entries.windows(2) {
-            if pair[1].epoch <= pair[0].epoch || pair[1].start_lsn < pair[0].start_lsn {
-                return Err(WalError::Decode("non-monotonic epoch history"));
-            }
-        }
-        Ok(EpochHistory { entries })
-    }
-
-    /// Persists the history atomically (tmp + fsync + rename + dir
-    /// fsync), so a crash mid-write leaves the previous file intact.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), WalError> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let mut payload = Vec::with_capacity(4 + self.entries.len() * 16);
-        put_u32(&mut payload, self.entries.len() as u32);
-        for span in &self.entries {
-            put_u64(&mut payload, span.epoch);
-            put_u64(&mut payload, span.start_lsn);
-        }
-        let mut out = Vec::with_capacity(16 + payload.len());
-        out.extend_from_slice(&EPOCH_MAGIC);
-        put_u32(&mut out, payload.len() as u32);
-        put_u32(&mut out, crc32(&payload));
-        out.extend_from_slice(&payload);
-        let tmp_path = tmp_file_path(dir);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        file.write_all(&out)?;
-        file.sync_all()?;
-        fs::rename(&tmp_path, dir.join(EPOCH_FILE_NAME))?;
-        #[cfg(unix)]
-        File::open(dir)?.sync_all()?;
-        Ok(())
     }
 
     /// The current (newest) epoch.
@@ -202,11 +114,6 @@ impl EpochHistory {
     /// The LSN at which the current epoch began.
     pub fn current_start_lsn(&self) -> u64 {
         self.entries.last().map_or(0, |s| s.start_lsn)
-    }
-
-    /// All spans, oldest first.
-    pub fn spans(&self) -> &[EpochSpan] {
-        &self.entries
     }
 
     /// Opens a new epoch at `start_lsn` (a promotion). Returns the new
@@ -225,38 +132,33 @@ impl EpochHistory {
         Ok(epoch)
     }
 
-    /// Merges an epoch observed in the replication stream (a
-    /// [`crate::WalRecord::LeaderEpoch`] applied at `lsn`). Idempotent;
-    /// older epochs are ignored, gaps are recorded as announced.
+    /// Merges an epoch read from the log: a
+    /// [`crate::WalRecord::LeaderEpoch`] replayed or shipped at
+    /// `start_lsn`. Idempotent (a seal a snapshot head already carries
+    /// is replayed again past its LSN); gaps are recorded as announced.
     ///
     /// # Errors
     ///
     /// [`WalError::Decode`] when the observation contradicts recorded
     /// history (same epoch at a different start LSN).
-    pub fn observe(&mut self, epoch: u64, start_lsn: u64) -> Result<bool, WalError> {
+    pub fn observe(&mut self, epoch: u64, start_lsn: u64) -> Result<(), WalError> {
         if let Some(span) = self.entries.iter().find(|s| s.epoch == epoch) {
             if span.start_lsn != start_lsn {
                 return Err(WalError::Decode("conflicting epoch start in stream"));
             }
-            return Ok(false);
+            return Ok(());
         }
         if epoch < self.current() || start_lsn < self.current_start_lsn() {
             return Err(WalError::Decode("epoch observation runs backwards"));
         }
         self.entries.push(EpochSpan { epoch, start_lsn });
-        Ok(true)
+        Ok(())
     }
 
     /// The divergence check run at replication handshake: may a peer on
     /// `peer_epoch` whose log frontier is `peer_next_lsn` resume from
     /// this node's log?
-    ///
-    /// A `peer_epoch` of 0 means the peer predates epoch tracking
-    /// (protocol v2 and older); it is treated as genesis, which makes
-    /// any tail past the first promotion boundary divergent — the
-    /// conservative reading.
     pub fn check_follower(&self, peer_epoch: u64, peer_next_lsn: u64) -> EpochCheck {
-        let peer_epoch = peer_epoch.max(GENESIS_EPOCH);
         if peer_epoch > self.current() {
             return EpochCheck::PeerAhead { peer_epoch };
         }
@@ -272,42 +174,45 @@ impl EpochHistory {
     }
 }
 
-fn tmp_file_path(dir: &Path) -> PathBuf {
-    dir.join(format!("{EPOCH_FILE_NAME}.tmp"))
+impl WalCodec for EpochHistory {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.entries.len() as u32);
+        for span in &self.entries {
+            put_u64(out, span.epoch);
+            put_u64(out, span.start_lsn);
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
+        let count = r.u32()?;
+        let spans = (0..count)
+            .map(|_| {
+                Ok(EpochSpan {
+                    epoch: r.u64()?,
+                    start_lsn: r.u64()?,
+                })
+            })
+            .collect::<Result<_, WalError>>()?;
+        EpochHistory::from_spans(spans)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("modb-wal-epoch-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
-    fn missing_file_is_genesis() {
-        let dir = tmp("genesis");
-        let h = EpochHistory::load(&dir).unwrap();
-        assert_eq!(h.current(), GENESIS_EPOCH);
-        assert_eq!(h.current_start_lsn(), 0);
-        assert_eq!(h.spans().len(), 1);
-    }
-
-    #[test]
-    fn begin_save_load_round_trip() {
-        let dir = tmp("round-trip");
+    fn begin_encode_decode_round_trip() {
         let mut h = EpochHistory::new();
+        assert_eq!((h.current(), h.current_start_lsn()), (GENESIS_EPOCH, 0));
         assert_eq!(h.begin(40).unwrap(), 2);
         assert_eq!(h.begin(90).unwrap(), 3);
-        h.save(&dir).unwrap();
-        let loaded = EpochHistory::load(&dir).unwrap();
-        assert_eq!(loaded, h);
-        assert_eq!(loaded.current(), 3);
-        assert_eq!(loaded.current_start_lsn(), 90);
-        std::fs::remove_dir_all(&dir).unwrap();
+        let mut bytes = Vec::new();
+        h.encode(&mut bytes);
+        assert_eq!(bytes.len(), 4 + 3 * 16);
+        let decoded = EpochHistory::decode(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(decoded, h);
+        assert_eq!((decoded.current(), decoded.current_start_lsn()), (3, 90));
     }
 
     #[test]
@@ -317,29 +222,44 @@ mod tests {
         assert!(h.begin(49).is_err());
     }
 
+    /// A history read from outside must open with genesis and run
+    /// forwards: a damaged head is refused, never read as genesis.
     #[test]
-    fn corrupt_file_is_an_error_not_genesis() {
-        let dir = tmp("corrupt");
-        let mut h = EpochHistory::new();
-        h.begin(10).unwrap();
-        h.save(&dir).unwrap();
-        let path = dir.join(EPOCH_FILE_NAME);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(EpochHistory::load(&dir), Err(WalError::Decode(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn corrupt_history_is_an_error_not_genesis() {
+        let span = |epoch, start_lsn| EpochSpan { epoch, start_lsn };
+        assert!(EpochHistory::from_spans(vec![span(1, 0), span(2, 40)]).is_ok());
+        for bad in [
+            vec![],
+            vec![span(0, 0)],
+            vec![span(1, 5)],
+            vec![span(2, 40)],
+            vec![span(1, 0), span(1, 40)],
+            vec![span(1, 0), span(3, 40), span(2, 50)],
+            vec![span(1, 0), span(2, 40), span(3, 39)],
+        ] {
+            assert!(
+                matches!(
+                    EpochHistory::from_spans(bad.clone()),
+                    Err(WalError::Decode(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 0);
+        assert!(EpochHistory::decode(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]
     fn observe_is_idempotent_and_checks_conflicts() {
         let mut h = EpochHistory::new();
-        assert!(h.observe(2, 40).unwrap());
-        assert!(!h.observe(2, 40).unwrap(), "re-delivery is a no-op");
+        h.observe(2, 40).unwrap();
+        let once = h.clone();
+        h.observe(2, 40).unwrap();
+        assert_eq!(h, once, "re-delivery is a no-op");
         assert!(h.observe(2, 41).is_err(), "conflicting start refused");
-        assert!(h.observe(4, 60).unwrap(), "gaps recorded as announced");
-        assert_eq!(h.current(), 4);
+        h.observe(4, 60).unwrap();
+        assert_eq!(h.current(), 4, "gaps recorded as announced");
     }
 
     #[test]
@@ -362,12 +282,6 @@ mod tests {
             h.check_follower(2, 91),
             EpochCheck::Diverged { boundary_lsn: 90 }
         );
-        // Epoch 0 = epoch-unaware peer: treated as genesis.
-        assert_eq!(
-            h.check_follower(0, 50),
-            EpochCheck::Diverged { boundary_lsn: 40 }
-        );
-        assert_eq!(h.check_follower(0, 12), EpochCheck::Clean);
         // A peer from the future outranks this node.
         assert_eq!(
             h.check_follower(4, 10),

@@ -2,7 +2,8 @@
 //!
 //! The paper's DBMS ([Wolfson, Chamberlain, Dao, Jiang, Mendez; ICDE
 //! 1998]) keeps every position attribute in memory; this crate makes that
-//! state survive a crash. Three pieces:
+//! state survive a crash. A log directory holds `wal-<lsn>.log` segments
+//! and `snap-<lsn>.snap` snapshots and nothing else. Three pieces:
 //!
 //! - **Write-ahead log** ([`WalWriter`] / [`SharedWal`]): every database
 //!   mutation — object registration, position update, removal, route
@@ -18,16 +19,19 @@
 //!   (write-tmp-rename) point-in-time captures of full database state,
 //!   tagged with the log LSN they reflect, bounding replay work. A
 //!   snapshot is a log prefix: a sealed file of the segment layout
-//!   holding a head record (config, record count), then the routes,
-//!   landmarks and vehicles as registration records, written and read
-//!   one block at a time.
+//!   holding a head record (config, record count, leadership history),
+//!   then the routes, landmarks and vehicles as registration records,
+//!   written and read one block at a time.
 //! - **Recovery** ([`recover`]): loads the newest readable snapshot,
 //!   replays newer log records through the ordinary mutation methods
 //!   (so restored state re-validates and re-indexes identically), and
 //!   truncates a torn tail left by a crash mid-append instead of
 //!   failing — while refusing to skip interior corruption or a log that
 //!   does not continue the snapshot. Snapshot and segments go through
-//!   one replay loop ([`walk_blocks`]), block by block.
+//!   one replay loop ([`walk_blocks`]), block by block. The leadership
+//!   history ([`EpochHistory`]) is read from the log the same way: the
+//!   snapshot head's spans plus every `LeaderEpoch` seal replayed after
+//!   it.
 //!
 //! Update records are logged whether or not the database accepts them;
 //! acceptance is re-derived deterministically on replay. The log is
@@ -35,7 +39,7 @@
 //! useful on its own for the indexing experiments of §4.
 //!
 //! ```
-//! use modb_wal::{recover, apply_record, WalOptions, WalRecord, WalWriter, write_snapshot};
+//! use modb_wal::{recover, apply_record, EpochHistory, WalOptions, WalRecord, WalWriter, write_snapshot};
 //! use modb_core::{Database, DatabaseConfig, ObjectId, StationaryObject};
 //! # use modb_geom::Point;
 //! # use modb_routes::{Route, RouteId, RouteNetwork};
@@ -47,7 +51,7 @@
 //!
 //! // Start a log and a genesis snapshot (a head and one `InsertRoute`)…
 //! let mut wal = WalWriter::create(&dir, WalOptions::default()).unwrap();
-//! write_snapshot(&dir, &db, wal.next_lsn()).unwrap();
+//! write_snapshot(&dir, &db, &EpochHistory::new(), wal.next_lsn()).unwrap();
 //!
 //! // …apply and log a mutation…
 //! let depot = WalRecord::InsertStationary(StationaryObject::new(
@@ -62,6 +66,7 @@
 //! assert_eq!(recovered.report.next_lsn, 1);
 //! assert_eq!(recovered.database.stationary_count(), db.stationary_count());
 //! assert_eq!(recovered.database.network().len(), 1);
+//! assert_eq!(recovered.epochs, EpochHistory::new());
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
@@ -87,7 +92,7 @@ pub use codec::{ByteReader, WalCodec};
 pub use commit::{GroupCommitStats, GroupCommitter};
 pub use compact::{compact, compact_with_barrier, CompactionReport, DEFAULT_SNAPSHOT_RETENTION};
 pub use crc32::crc32;
-pub use epoch::{EpochCheck, EpochHistory, EpochSpan, EPOCH_FILE_NAME, GENESIS_EPOCH};
+pub use epoch::{EpochCheck, EpochHistory, EpochSpan, GENESIS_EPOCH};
 pub use error::WalError;
 pub use record::{frame_len, split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 pub use recovery::{apply_record, recover, Recovered, RecoveryReport};

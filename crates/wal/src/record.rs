@@ -25,6 +25,7 @@ use modb_routes::Route;
 
 use crate::codec::{put_u64, ByteReader, WalCodec};
 use crate::crc32::crc32;
+use crate::epoch::EpochHistory;
 use crate::error::WalError;
 
 /// Upper bound on one record's payload; a corrupt length field beyond this
@@ -65,14 +66,18 @@ pub enum WalRecord {
         epoch: u64,
     },
     /// The first record of a snapshot ([`crate::snapshot`]), alone in its
-    /// block: the configuration its database is built with and how many
-    /// records follow (the count seals the file). In a log it changes
-    /// nothing and is counted as rejected.
+    /// block: the configuration its database is built with, how many
+    /// records follow (the count seals the file) and the leadership
+    /// history below the snapshot's LSN. In a log it changes nothing and
+    /// is counted as rejected.
     SnapshotHead {
         /// The snapshot's database configuration.
         config: DatabaseConfig,
         /// Records after this one in the snapshot.
         records: u64,
+        /// Every leadership epoch begun below the snapshot's LSN: the
+        /// seal records that announced them may be compacted away.
+        epochs: EpochHistory,
     },
 }
 
@@ -82,7 +87,9 @@ const TAG_UPDATE: u8 = 3;
 const TAG_REMOVE_MOVING: u8 = 4;
 const TAG_INSERT_ROUTE: u8 = 5;
 const TAG_LEADER_EPOCH: u8 = 6;
-const TAG_SNAPSHOT_HEAD: u8 = 7;
+// Tag 7 was the head without a leadership history. It stays unassigned:
+// a snapshot that opens with it is an undecodable block, refused.
+const TAG_SNAPSHOT_HEAD: u8 = 8;
 
 impl WalRecord {
     /// Encodes the record payload (tag + body, no framing).
@@ -113,10 +120,15 @@ impl WalRecord {
                 out.push(TAG_LEADER_EPOCH);
                 put_u64(out, *epoch);
             }
-            WalRecord::SnapshotHead { config, records } => {
+            WalRecord::SnapshotHead {
+                config,
+                records,
+                epochs,
+            } => {
                 out.push(TAG_SNAPSHOT_HEAD);
                 config.encode(out);
                 put_u64(out, *records);
+                epochs.encode(out);
             }
         }
     }
@@ -138,6 +150,7 @@ impl WalRecord {
             TAG_SNAPSHOT_HEAD => WalRecord::SnapshotHead {
                 config: DatabaseConfig::decode(&mut r)?,
                 records: r.u64()?,
+                epochs: EpochHistory::decode(&mut r)?,
             },
             _ => return Err(WalError::Decode("unknown record tag")),
         };
@@ -271,6 +284,7 @@ mod tests {
             WalRecord::SnapshotHead {
                 config: DatabaseConfig::default(),
                 records: 3,
+                epochs: EpochHistory::new(),
             },
         ]
     }

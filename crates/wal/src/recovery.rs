@@ -6,12 +6,15 @@
 //! 1. Load the newest readable snapshot (`snap-*.snap`); its LSN
 //!    high-water mark says which log prefix is already reflected in it.
 //!    A snapshot is itself a log prefix in the segment layout, replayed
-//!    by the same walk as step 2 ([`crate::snapshot`]).
+//!    by the same walk as step 2 ([`crate::snapshot`]). Its head carries
+//!    the leadership history below that LSN ([`EpochHistory`]).
 //! 2. Walk the segments in LSN order, skipping any that lie entirely
 //!    below the snapshot, and replay every record with
 //!    `lsn ≥ snapshot_lsn` through the ordinary `Database` mutation
 //!    methods — so replayed state is re-validated and re-indexed exactly
-//!    like live state. The walk ([`walk_blocks`]) decodes and applies
+//!    like live state; each replayed `LeaderEpoch` seal extends the
+//!    history at its own LSN, and one that contradicts it is refused as
+//!    corruption. The walk ([`walk_blocks`]) decodes and applies
 //!    one block at a time; no file becomes a list of records. The
 //!    segments must continue the snapshot: a first segment that starts
 //!    past the snapshot LSN, a gap between segments, or a segment whose
@@ -38,13 +41,13 @@
 //! older ones re-reject as stale, and duplicate registrations / removals
 //! re-reject — state converges to the live outcome either way.
 
-use std::convert::Infallible;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use modb_core::Database;
 
 use crate::block::walk_blocks;
+use crate::epoch::EpochHistory;
 use crate::error::WalError;
 use crate::record::{FrameEnd, WalRecord};
 use crate::segment::{list_segments, read_segment_file, SEGMENT_HEADER_BYTES};
@@ -98,11 +101,15 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// A recovered database plus the report describing how it was rebuilt.
+/// A recovered database, its leadership history, and the report
+/// describing how they were rebuilt.
 #[derive(Debug)]
 pub struct Recovered {
     /// The rebuilt database.
     pub database: Database,
+    /// The snapshot head's leadership history plus every `LeaderEpoch`
+    /// seal replayed after it.
+    pub epochs: EpochHistory,
     /// What recovery did.
     pub report: RecoveryReport,
 }
@@ -127,8 +134,8 @@ pub fn apply_record(db: &mut Database, rec: WalRecord) -> bool {
         WalRecord::RemoveMoving(id) => db.remove_moving(id).is_ok(),
         WalRecord::InsertRoute(route) => db.insert_route(route).is_ok(),
         // A leadership change carries no state mutation — its LSN is the
-        // divergence boundary, consumed by the epoch history, not the
-        // database.
+        // divergence boundary, which the log's reader folds into its
+        // epoch history, not the database.
         WalRecord::LeaderEpoch { .. } => true,
         // A snapshot's head founds the database a snapshot load builds
         // (`crate::snapshot`); anywhere else it changes nothing.
@@ -149,17 +156,21 @@ pub fn apply_record(db: &mut Database, rec: WalRecord) -> bool {
 ///   log alone cannot seed the route network and config).
 /// - [`WalError::CorruptSegment`] for damage outside the last segment's
 ///   tail, an unreadable segment header that is not itself a torn tail,
-///   or a segment whose header names another start LSN than its file.
+///   a segment whose header names another start LSN than its file, or a
+///   `LeaderEpoch` record that contradicts the history.
 /// - [`WalError::SegmentGap`] when the first segment replayed starts
 ///   past the snapshot LSN, or consecutive segments do not join up.
 /// - I/O failures.
 pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
     // Newest readable snapshot wins; older ones are the fallback if the
     // newest is damaged or misnamed (its write was atomic, but disks rot).
-    let (mut db, snapshot_lsn, snapshot_path) = list_snapshots(dir)?
+    let (mut db, mut epochs, snapshot_lsn, snapshot_path) = list_snapshots(dir)?
         .into_iter()
         .rev()
-        .find_map(|(_, path)| read_snapshot(&path).ok().map(|(db, lsn)| (db, lsn, path)))
+        .find_map(|(_, path)| {
+            let (db, epochs, lsn) = read_snapshot(&path).ok()?;
+            Some((db, epochs, lsn, path))
+        })
         .ok_or_else(|| WalError::NoSnapshot(dir.to_path_buf()))?;
 
     let segments = list_segments(dir)?;
@@ -225,19 +236,30 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
             });
         }
         lsn = start_lsn;
-        let Ok((clean, end)) = walk_blocks(&bytes[SEGMENT_HEADER_BYTES as usize..], |block, _| {
+        let walked = walk_blocks(&bytes[SEGMENT_HEADER_BYTES as usize..], |block, at| {
             for rec in block {
                 if lsn < snapshot_lsn {
                     report.skipped_records += 1;
-                } else if apply_record(&mut db, rec) {
+                    lsn += 1;
+                    continue;
+                }
+                if let WalRecord::LeaderEpoch { epoch } = rec {
+                    epochs.observe(epoch, lsn).map_err(|_| at)?;
+                }
+                if apply_record(&mut db, rec) {
                     report.replayed += 1;
                 } else {
                     report.rejected += 1;
                 }
                 lsn += 1;
             }
-            Ok::<(), Infallible>(())
+            Ok(())
         });
+        let (clean, end) = walked.map_err(|at: usize| WalError::CorruptSegment {
+            path: path.clone(),
+            offset: SEGMENT_HEADER_BYTES + at as u64,
+            reason: "leader epoch contradicts the history",
+        })?;
         if let FrameEnd::Torn { reason } = end {
             let clean_bytes = SEGMENT_HEADER_BYTES + clean as u64;
             if !last {
@@ -258,6 +280,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
 
     Ok(Recovered {
         database: db,
+        epochs,
         report,
     })
 }
@@ -324,7 +347,7 @@ mod tests {
     fn scripted(dir: &Path, snapshot_after: usize, opts: WalOptions) -> Database {
         let mut db = Database::new(network(), DatabaseConfig::default());
         let mut w = WalWriter::create(dir, opts).unwrap();
-        write_snapshot(dir, &db, 0).unwrap(); // genesis snapshot
+        write_snapshot(dir, &db, &EpochHistory::new(), 0).unwrap(); // genesis snapshot
         let records: Vec<WalRecord> = vec![
             WalRecord::RegisterMoving(vehicle(1, 10.0)),
             WalRecord::RegisterMoving(vehicle(2, 40.0)),
@@ -371,7 +394,7 @@ mod tests {
             apply_and_log(&mut db, &mut w, rec);
             if i + 1 == snapshot_after {
                 w.sync().unwrap();
-                write_snapshot(dir, &db, w.next_lsn()).unwrap();
+                write_snapshot(dir, &db, &EpochHistory::new(), w.next_lsn()).unwrap();
             }
         }
         w.sync().unwrap();
@@ -548,7 +571,7 @@ mod tests {
         let dir = tmp("fallback");
         let reference = scripted(&dir, usize::MAX, WalOptions::default());
         let w_next = 10;
-        write_snapshot(&dir, &reference, w_next).unwrap();
+        write_snapshot(&dir, &reference, &EpochHistory::new(), w_next).unwrap();
         // Damage the newest snapshot; the genesis one still works.
         let snaps = list_snapshots(&dir).unwrap();
         let newest = &snaps.last().unwrap().1;

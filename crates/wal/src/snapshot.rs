@@ -3,7 +3,9 @@
 //! A snapshot bounds recovery time: recovery loads the latest valid
 //! snapshot and replays only the records logged after it. It also carries
 //! what the log alone cannot reconstruct — the route network seeded at
-//! construction and the [`modb_core::DatabaseConfig`].
+//! construction, the [`modb_core::DatabaseConfig`], and the leadership
+//! history ([`EpochHistory`]) of every epoch begun below its LSN, whose
+//! seal records compaction may have deleted.
 //!
 //! **A snapshot is a log prefix**: `snap-<lsn>.snap` is a sealed file of
 //! the segment layout ([`crate::segment`]) whose records rebuild the state
@@ -12,7 +14,8 @@
 //!
 //! ```text
 //! [segment header: "MODBWAL1", SEGMENT_VERSION, start_lsn = snapshot lsn]
-//! [frame: one block holding the SnapshotHead record — config, record count]
+//! [frame: one block holding the SnapshotHead record — config, record
+//!        count, epoch spans]
 //! [frame]*  blocks of SNAPSHOT_BLOCK_RECORDS records: InsertRoute (network
 //!           order), InsertStationary, RegisterMoving (each in id order)
 //! ```
@@ -38,6 +41,7 @@ use modb_core::{Database, MovingObject, StationaryObject};
 use modb_routes::RouteNetwork;
 
 use crate::block::{seal, walk_blocks};
+use crate::epoch::EpochHistory;
 use crate::error::WalError;
 use crate::lz::Compressor;
 use crate::record::{FrameEnd, WalRecord};
@@ -81,10 +85,15 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     Ok(snapshots)
 }
 
-/// Streams the snapshot of `db` at `lsn` into `file` — header, head
-/// block, then one sealed block per [`SNAPSHOT_BLOCK_RECORDS`] records —
-/// and syncs it.
-fn stream_snapshot(mut file: File, db: &Database, lsn: u64) -> Result<(), WalError> {
+/// Streams the snapshot of `db` and `epochs` at `lsn` into `file` —
+/// header, head block, then one sealed block per
+/// [`SNAPSHOT_BLOCK_RECORDS`] records — and syncs it.
+fn stream_snapshot(
+    mut file: File,
+    db: &Database,
+    epochs: &EpochHistory,
+    lsn: u64,
+) -> Result<(), WalError> {
     // Sorted by id, so the same state always produces the same bytes
     // whatever order its tables iterate in.
     let mut stationary = Vec::with_capacity(db.stationary_count());
@@ -96,6 +105,7 @@ fn stream_snapshot(mut file: File, db: &Database, lsn: u64) -> Result<(), WalErr
     let head = WalRecord::SnapshotHead {
         config: *db.config(),
         records: (db.network().len() + stationary.len() + moving.len()) as u64,
+        epochs: epochs.clone(),
     };
     let mut body = db
         .network()
@@ -128,10 +138,10 @@ fn stream_snapshot(mut file: File, db: &Database, lsn: u64) -> Result<(), WalErr
     Ok(())
 }
 
-/// Writes a snapshot of `db` into `dir` with `lsn` as its high-water
-/// mark, atomically and streamed (see the module docs). Returns the final
-/// path. An existing snapshot at the same LSN is replaced — the content
-/// is necessarily identical.
+/// Writes a snapshot of `db`, under the leadership history `epochs`, into
+/// `dir` with `lsn` as its high-water mark, atomically and streamed (see
+/// the module docs). Returns the final path. An existing snapshot at the
+/// same LSN is replaced — the content is necessarily identical.
 ///
 /// Watermark contract: `db` must reflect **at least** every record with
 /// `lsn < snapshot_lsn` — capturing later mutations too is fine, because
@@ -139,14 +149,21 @@ fn stream_snapshot(mut file: File, db: &Database, lsn: u64) -> Result<(), WalErr
 /// (re-delivered updates are no-ops, duplicate registrations re-reject).
 /// `DurableDatabase::snapshot` in `modb-server` establishes this by
 /// applying mutations before logging them and reading `next_lsn` under
-/// the writer lock before capturing state.
+/// the writer lock before capturing state. The same holds for `epochs`:
+/// it must hold every epoch begun below `lsn`, and one begun at or past
+/// it is observed again, idempotently, when its seal is replayed.
 ///
 /// # Errors
 ///
 /// I/O failures, and [`WalError::FrameTooLarge`] for a block no reader
 /// would accept. Either way the `.tmp` file is removed and nothing is
 /// replaced.
-pub fn write_snapshot(dir: &Path, db: &Database, lsn: u64) -> Result<PathBuf, WalError> {
+pub fn write_snapshot(
+    dir: &Path,
+    db: &Database,
+    epochs: &EpochHistory,
+    lsn: u64,
+) -> Result<PathBuf, WalError> {
     fs::create_dir_all(dir)?;
     let final_path = dir.join(snapshot_file_name(lsn));
     let tmp_path = dir.join(format!("{}.tmp", snapshot_file_name(lsn)));
@@ -155,7 +172,7 @@ pub fn write_snapshot(dir: &Path, db: &Database, lsn: u64) -> Result<PathBuf, Wa
         .write(true)
         .truncate(true)
         .open(&tmp_path)?;
-    if let Err(e) = stream_snapshot(file, db, lsn) {
+    if let Err(e) = stream_snapshot(file, db, epochs, lsn) {
         let _ = fs::remove_file(&tmp_path);
         return Err(e);
     }
@@ -167,14 +184,16 @@ pub fn write_snapshot(dir: &Path, db: &Database, lsn: u64) -> Result<PathBuf, Wa
 /// A snapshot being replayed, fed its frames in order — a whole file by
 /// [`read_snapshot`], one replication message at a time by a
 /// bootstrapping follower — and applied block by block: the head founds
-/// the database, every later record must be accepted.
+/// the database and names the history, every later record must be
+/// accepted.
 #[derive(Debug)]
 pub struct SnapshotLoad {
     /// Names the file in errors.
     path: PathBuf,
     /// Bytes of the file validated so far, header included.
     offset: u64,
-    db: Option<Database>,
+    /// The database the head founded and the history it carried.
+    state: Option<(Database, EpochHistory)>,
     /// Records the head promised that have not been applied yet.
     remaining: u64,
 }
@@ -186,7 +205,7 @@ impl SnapshotLoad {
         SnapshotLoad {
             path: path.into(),
             offset: SEGMENT_HEADER_BYTES,
-            db: None,
+            state: None,
             remaining: 0,
         }
     }
@@ -196,24 +215,25 @@ impl SnapshotLoad {
         self.offset
     }
 
-    /// Applies the next run of whole frames. Returns the database once
-    /// the head and every record it promised have been applied (the load
-    /// is spent then), `None` while records are still to come.
+    /// Applies the next run of whole frames. Returns the database and
+    /// the head's leadership history once the head and every record it
+    /// promised have been applied (the load is spent then), `None` while
+    /// records are still to come.
     ///
     /// # Errors
     ///
     /// [`WalError::CorruptSegment`] at the offending frame: a torn or
     /// undecodable frame, a first block that is not the head alone, a
     /// record past the head's count, or a record the database rejects.
-    pub fn feed(&mut self, frames: &[u8]) -> Result<Option<Database>, WalError> {
+    pub fn feed(&mut self, frames: &[u8]) -> Result<Option<(Database, EpochHistory)>, WalError> {
         let walked = walk_blocks(frames, |block, at| {
             self.apply(block).map_err(|reason| (at, reason))
         });
         let (at, reason) = match walked {
             Ok((clean, FrameEnd::Clean)) => {
                 self.offset += clean as u64;
-                let done = self.db.is_some() && self.remaining == 0;
-                return Ok(if done { self.db.take() } else { None });
+                let done = self.state.is_some() && self.remaining == 0;
+                return Ok(if done { self.state.take() } else { None });
             }
             Ok((clean, FrameEnd::Torn { reason })) => (clean, reason),
             Err(broken) => broken,
@@ -222,11 +242,18 @@ impl SnapshotLoad {
     }
 
     fn apply(&mut self, block: Vec<WalRecord>) -> Result<(), &'static str> {
-        let Some(db) = self.db.as_mut() else {
-            let [WalRecord::SnapshotHead { config, records }] = block[..] else {
+        let Some((db, _)) = self.state.as_mut() else {
+            let Ok(
+                [WalRecord::SnapshotHead {
+                    config,
+                    records,
+                    epochs,
+                }],
+            ) = <[WalRecord; 1]>::try_from(block)
+            else {
                 return Err("snapshot does not open with its head");
             };
-            self.db = Some(Database::new(RouteNetwork::new(), config));
+            self.state = Some((Database::new(RouteNetwork::new(), config), epochs));
             self.remaining = records;
             return Ok(());
         };
@@ -252,7 +279,8 @@ impl SnapshotLoad {
 
 /// Reads and validates a snapshot file, rebuilding the database record
 /// by record (every one re-validated and re-indexed, as on first insert).
-/// Returns the database and the snapshot's LSN high-water mark.
+/// Returns the database, the leadership history its head carries and the
+/// snapshot's LSN high-water mark.
 ///
 /// # Errors
 ///
@@ -260,8 +288,10 @@ impl SnapshotLoad {
 /// the current segment header (a snapshot of the retired container
 /// format reads as `"bad magic"`), a start LSN other than the file
 /// name's, a file that ends before the head's count is met, and whatever
-/// [`SnapshotLoad::feed`] refuses.
-pub fn read_snapshot(path: &Path) -> Result<(Database, u64), WalError> {
+/// [`SnapshotLoad::feed`] refuses — a head of the retired layout without
+/// a leadership history among it, as an `"undecodable block"` at byte
+/// 20.
+pub fn read_snapshot(path: &Path) -> Result<(Database, EpochHistory, u64), WalError> {
     let (lsn, bytes) = read_segment_file(path)?;
     let mut load = SnapshotLoad::new(path);
     let named = path
@@ -278,7 +308,7 @@ pub fn read_snapshot(path: &Path) -> Result<(Database, u64), WalError> {
         });
     }
     match load.feed(&bytes[SEGMENT_HEADER_BYTES as usize..])? {
-        Some(db) => Ok((db, lsn)),
+        Some((db, epochs)) => Ok((db, epochs, lsn)),
         None => Err(load.corrupt(0, "snapshot ends early")),
     }
 }
@@ -374,13 +404,15 @@ mod tests {
     fn snapshot_round_trip_preserves_queries() {
         let dir = tmp("round-trip");
         let db = sample_db();
-        let path = write_snapshot(&dir, &db, 7).unwrap();
+        let mut epochs = EpochHistory::new();
+        epochs.begin(4).unwrap();
+        let path = write_snapshot(&dir, &db, &epochs, 7).unwrap();
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
             snapshot_file_name(7)
         );
-        let (restored, lsn) = read_snapshot(&path).unwrap();
-        assert_eq!(lsn, 7);
+        let (restored, restored_epochs, lsn) = read_snapshot(&path).unwrap();
+        assert_eq!((lsn, restored_epochs), (7, epochs));
         assert_eq!(restored.config(), db.config());
         assert_eq!(restored.network().route_ids(), db.network().route_ids());
         assert_eq!(restored.moving_count(), db.moving_count());
@@ -401,8 +433,8 @@ mod tests {
     fn list_finds_latest() {
         let dir = tmp("list");
         let db = sample_db();
-        write_snapshot(&dir, &db, 3).unwrap();
-        write_snapshot(&dir, &db, 11).unwrap();
+        write_snapshot(&dir, &db, &EpochHistory::new(), 3).unwrap();
+        write_snapshot(&dir, &db, &EpochHistory::new(), 11).unwrap();
         // A stray tmp file (simulated crash mid-write) is ignored.
         std::fs::write(dir.join("snap-00000000000000000099.snap.tmp"), b"junk").unwrap();
         let listed = list_snapshots(&dir).unwrap();
@@ -417,7 +449,7 @@ mod tests {
     #[test]
     fn corruption_detected() {
         let dir = tmp("corrupt");
-        let path = write_snapshot(&dir, &many_blocks_db().0, 0).unwrap();
+        let path = write_snapshot(&dir, &many_blocks_db().0, &EpochHistory::new(), 0).unwrap();
         let good = std::fs::read(&path).unwrap();
         let mut ends = vec![SEGMENT_HEADER_BYTES as usize];
         while let Some((_, len)) = split_frame(&good[*ends.last().unwrap()..]).unwrap() {
@@ -467,7 +499,7 @@ mod tests {
                 }) => {
                     assert_eq!((o, r), (offset, reason));
                 }
-                other => panic!("{reason}: got {:?}", other.map(|(_, lsn)| lsn)),
+                other => panic!("{reason}: got {:?}", other.map(|(.., lsn)| lsn)),
             }
         }
         // Whole and valid, but under another LSN's name.
@@ -487,8 +519,11 @@ mod tests {
     fn deterministic_bytes() {
         let db = sample_db();
         let (a, b) = (tmp("deterministic-a"), tmp("deterministic-b"));
-        let first = std::fs::read(write_snapshot(&a, &db, 5).unwrap()).unwrap();
-        let second = std::fs::read(write_snapshot(&b, &db.clone(), 5).unwrap()).unwrap();
+        let first =
+            std::fs::read(write_snapshot(&a, &db, &EpochHistory::new(), 5).unwrap()).unwrap();
+        let second =
+            std::fs::read(write_snapshot(&b, &db.clone(), &EpochHistory::new(), 5).unwrap())
+                .unwrap();
         assert_eq!(first, second);
         std::fs::remove_dir_all(&a).unwrap();
         std::fs::remove_dir_all(&b).unwrap();
@@ -514,6 +549,7 @@ mod tests {
         let head = [WalRecord::SnapshotHead {
             config: *db.config(),
             records: records.len() as u64,
+            epochs: EpochHistory::new(),
         }];
         let mut expected = encode_header(9);
         for block in std::iter::once(&head[..]).chain(records.chunks(SNAPSHOT_BLOCK_RECORDS)) {
@@ -523,7 +559,7 @@ mod tests {
         }
 
         let dir = tmp("many-chunks");
-        let path = write_snapshot(&dir, &db, 9).unwrap();
+        let path = write_snapshot(&dir, &db, &EpochHistory::new(), 9).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), expected);
         assert_eq!(read_snapshot(&path).unwrap().0.moving_count(), ids.len());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -539,7 +575,7 @@ mod tests {
         obj.id = ObjectId(4);
         obj.name = "x".repeat(crate::MAX_RECORD_BYTES as usize);
         db.register_moving(obj).unwrap();
-        match write_snapshot(&dir, &db, 1) {
+        match write_snapshot(&dir, &db, &EpochHistory::new(), 1) {
             Err(WalError::FrameTooLarge { len, max }) => {
                 assert!(len > u64::from(max) && max == crate::MAX_RECORD_BYTES);
             }

@@ -1,11 +1,13 @@
 //! Golden-file decode tests: the on-disk compatibility contract.
 //!
-//! `tests/golden/v3/` holds the one format: a version-3 log segment and a
-//! snapshot written in the same layout. Both decode to the values they
+//! The one format is a version-3 log segment (`tests/golden/v3/`) and a
+//! snapshot written in the same layout whose head carries the leadership
+//! history (`tests/golden/v3/epochs/`). Both decode to the values they
 //! were built from and re-encode to the identical bytes, so a change to
 //! any surviving byte fails here first. Beside them are the fixtures of
-//! refusal: a version-2 segment (walked by hand into the v3 one) and the
-//! retired `MODBSNP1` snapshots of versions 3 and 4. See
+//! refusal: a version-2 segment (walked by hand into the v3 one), the
+//! snapshot whose head had no history (walked by hand into the current
+//! one) and the retired `MODBSNP1` snapshots of versions 3 and 4. See
 //! `tests/golden/README.md` for how the files were produced.
 
 use std::path::{Path, PathBuf};
@@ -18,8 +20,8 @@ use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_wal::{
-    list_segments, read_snapshot, scan_segment, write_snapshot, WalBatch, WalError, WalOptions,
-    WalRecord, WalWriter,
+    list_segments, read_snapshot, scan_segment, write_snapshot, EpochHistory, WalBatch, WalError,
+    WalOptions, WalRecord, WalWriter,
 };
 
 /// The v2 segment, kept as the fixture of its own refusal.
@@ -28,9 +30,12 @@ const SEGMENT_V2: &str = "wal-00000000000000000000.log";
 const SEGMENT: &str = "v3/wal-00000000000000000000.log";
 /// The snapshot's file name, in every directory.
 const SNAPSHOT_NAME: &str = "snap-00000000000000000007.snap";
-/// The snapshot: a sealed file of the v3 segment layout, beside the v3
-/// segment.
-const SNAPSHOT: &str = "v3/snap-00000000000000000007.snap";
+/// The snapshot: a sealed file of the v3 segment layout whose head
+/// carries the leadership history.
+const SNAPSHOT: &str = "v3/epochs/snap-00000000000000000007.snap";
+/// The same layout with a head of record tag 7, which had no history,
+/// kept as the fixture of its refusal.
+const SNAPSHOT_NO_EPOCHS: &str = "v3/snap-00000000000000000007.snap";
 /// The retired `MODBSNP1` snapshots, version 3 and version 4, kept as
 /// the fixtures of their refusal.
 const SNAPSHOT_V3: &str = "snap-00000000000000000007.snap";
@@ -156,6 +161,14 @@ fn snapshot_state() -> Database {
     db
 }
 
+/// The leadership history the snapshot was taken under: genesis, then
+/// epoch 2 from LSN 4.
+fn snapshot_epochs() -> EpochHistory {
+    let mut epochs = EpochHistory::new();
+    epochs.begin(4).unwrap();
+    epochs
+}
+
 /// Reads the LEB128 varint at `buf[*pos..]` and moves `pos` past it.
 fn varint(buf: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
@@ -190,6 +203,16 @@ fn frame_payloads(body: &[u8]) -> Vec<&[u8]> {
         pos += 4 + len;
     }
     payloads
+}
+
+/// The record stream of an LZ block payload (`[1][count varint][stream
+/// length varint][LZ bytes]`), inflated.
+fn inflate(block: &[u8]) -> Vec<u8> {
+    assert_eq!(block[0], 1, "an LZ block");
+    let mut pos = 1;
+    varint(block, &mut pos); // the record count
+    let len = varint(block, &mut pos) as usize;
+    modb_wal::lz::decompress(&block[pos..], len).unwrap()
 }
 
 /// The same for a v2 body (`[len u32][crc u32][payload]`).
@@ -265,6 +288,7 @@ fn v2_segment_is_refused_typed_and_left_untouched() {
     write_snapshot(
         &dir,
         &Database::new(network(), DatabaseConfig::default()),
+        &EpochHistory::new(),
         0,
     )
     .unwrap();
@@ -364,14 +388,15 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
     assert_eq!(&bytes[..8], b"MODBWAL1");
     assert_eq!(bytes[8..12], 3u32.to_le_bytes());
     assert_eq!(bytes[12..20], 7u64.to_le_bytes());
-    // Two blocks, read by hand: the head alone (plain — too small for LZ
-    // to pay), then all five records of the state (LZ).
+    // Two LZ blocks, read by hand: the head alone, then all five records
+    // of the state.
     let payloads = frame_payloads(&bytes[20..]);
     let shape: Vec<(u8, u64)> = payloads.iter().map(|p| (p[0], varint(p, &mut 1))).collect();
-    assert_eq!(shape, [(0, 1), (1, 5)]);
-    // The head block: a verbatim record (tag 0, its length), the head's
-    // tag 7, the four config floats and the count of records after it.
-    let head = payloads[0];
+    assert_eq!(shape, [(1, 1), (1, 5)]);
+    // The head block, inflated: a verbatim record (tag 0, its length),
+    // the head's tag 8, the four config floats, the count of records
+    // after it, and the history: two spans, (1, 0) and (2, 4).
+    let head = inflate(payloads[0]);
     let mut config = Vec::new();
     let c = expected.config();
     for f in [
@@ -382,9 +407,15 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
     ] {
         config.extend_from_slice(&f.to_le_bytes());
     }
-    assert_eq!(head[..5], [0, 1, 0, 41, 7]);
-    assert_eq!(head[5..37], config[..]);
-    assert_eq!(head[37..], 5u64.to_le_bytes());
+    assert_eq!(head[..3], [0, 77, 8]);
+    assert_eq!(head[3..35], config[..]);
+    assert_eq!(head[35..43], 5u64.to_le_bytes());
+    assert_eq!(head[43..47], 2u32.to_le_bytes());
+    let spans: Vec<u64> = head[47..]
+        .chunks(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    assert_eq!(spans, [1, 0, 2, 4]);
 
     // A directory holding only the snapshot recovers to the state.
     let dir = tmp("snapshot-recover");
@@ -395,6 +426,7 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
         (recovered.report.snapshot_lsn, recovered.report.next_lsn),
         (7, 7)
     );
+    assert_eq!(recovered.epochs, snapshot_epochs());
     let db = recovered.database;
     assert_eq!(db.config(), expected.config());
     assert_eq!(db.network().route_ids(), [RouteId(1), RouteId(2)]);
@@ -413,29 +445,68 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
     // the golden bytes.
     for (name, state) in [("decoded", &db), ("rebuilt", &expected)] {
         let dir = tmp(&format!("snapshot-{name}"));
-        let path = write_snapshot(&dir, state, 7).unwrap();
+        let path = write_snapshot(&dir, state, &snapshot_epochs(), 7).unwrap();
         assert_eq!(path.file_name().unwrap(), SNAPSHOT_NAME);
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "{name} state");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
-/// The retired `MODBSNP1` container, version 3 and version 4, is refused
-/// typed before anything is decoded — by the reader and by recovery,
-/// which finds no usable snapshot — and each file is left exactly as it
-/// was.
+/// The current snapshot is the one whose head had no history with
+/// exactly that change: the head record's tag 7 becomes 8 and the
+/// history's spans follow the record count. Its head block, plain
+/// before, now goes through the LZ stage (the spans' zero bytes make it
+/// pay); the header and every body frame are byte-identical.
+#[test]
+fn snapshot_is_the_historyless_one_with_the_history_in_its_head() {
+    let old = std::fs::read(golden(SNAPSHOT_NO_EPOCHS)).unwrap();
+    let new = std::fs::read(golden(SNAPSHOT)).unwrap();
+    let (old_frames, new_frames) = (frame_payloads(&old[20..]), frame_payloads(&new[20..]));
+    assert_eq!(old[..20], new[..20]);
+    assert_eq!(old_frames[1..], new_frames[1..]);
+    // The old head block: plain, one verbatim record of 41 bytes.
+    assert_eq!(old_frames[0][..5], [0, 1, 0, 41, 7]);
+    let mut record = old_frames[0][4..].to_vec();
+    record[0] = 8;
+    record.extend_from_slice(&2u32.to_le_bytes());
+    for word in [1u64, 0, 2, 4] {
+        record.extend_from_slice(&word.to_le_bytes());
+    }
+    let mut stream = vec![0];
+    put_varint(&mut stream, record.len() as u64);
+    stream.extend(record);
+    assert_eq!(inflate(new_frames[0]), stream);
+    let mut head = vec![1, 1];
+    put_varint(&mut head, stream.len() as u64);
+    modb_wal::lz::Compressor::new().compress(&stream, &mut head);
+    assert_eq!(head, new_frames[0]);
+}
+
+/// The snapshots of retired layouts are refused typed and left exactly
+/// as they were — by the reader and by recovery, which finds no usable
+/// snapshot and never falls back to a genesis history. The `MODBSNP1`
+/// container, version 3 and version 4, is refused before anything is
+/// decoded; a head without a history (record tag 7) is an undecodable
+/// first block.
 #[test]
 fn retired_snapshots_are_refused_typed_and_left_untouched() {
-    for retired in [SNAPSHOT_V3, SNAPSHOT_V4] {
+    for (retired, offset, reason) in [
+        (SNAPSHOT_V3, 0, "bad magic"),
+        (SNAPSHOT_V4, 0, "bad magic"),
+        (SNAPSHOT_NO_EPOCHS, 20, "undecodable block"),
+    ] {
         let before = std::fs::read(golden(retired)).unwrap();
-        assert_eq!(&before[..8], b"MODBSNP1");
         match read_snapshot(&golden(retired)) {
-            Err(WalError::CorruptSegment { offset, reason, .. }) => {
-                assert_eq!((offset, reason), (0, "bad magic"), "{retired}");
+            Err(WalError::CorruptSegment {
+                offset: o,
+                reason: r,
+                ..
+            }) => {
+                assert_eq!((o, r), (offset, reason), "{retired}");
             }
             other => panic!(
                 "{retired}: expected a typed refusal, got {:?}",
-                other.map(|(_, lsn)| lsn)
+                other.map(|(.., lsn)| lsn)
             ),
         }
 

@@ -16,8 +16,8 @@ use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_wal::{
-    decode_block_frames, list_segments, recover, write_snapshot, ByteReader, WalCodec, WalOptions,
-    WalRecord, WalWriter,
+    decode_block_frames, list_segments, recover, write_snapshot, ByteReader, EpochHistory,
+    WalCodec, WalOptions, WalRecord, WalWriter,
 };
 use proptest::prelude::*;
 
@@ -264,7 +264,7 @@ proptest! {
         let config = DatabaseConfig::default();
         let empty = Database::new(network(), config);
         let mut writer = WalWriter::create(&dir, WalOptions::default()).unwrap();
-        write_snapshot(&dir, &empty, 0).unwrap();
+        write_snapshot(&dir, &empty, &EpochHistory::new(), 0).unwrap();
         let mut records: Vec<WalRecord> = (0..spec.n_objects)
             .map(|i| WalRecord::RegisterMoving(vehicle(i, i as f64 * 10.0)))
             .collect();

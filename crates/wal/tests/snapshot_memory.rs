@@ -17,7 +17,7 @@ use modb_core::{PositionAttribute, StationaryObject};
 use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_wal::{recover, write_snapshot};
+use modb_wal::{recover, write_snapshot, EpochHistory};
 
 struct Counting;
 
@@ -121,7 +121,8 @@ fn a_snapshot_is_streamed_out_and_decoded_without_staging() {
     std::fs::create_dir_all(&dir).unwrap();
     let db = fleet();
 
-    let (path, write_peak) = peak_above_start(|| write_snapshot(&dir, &db, 1).unwrap());
+    let (path, write_peak) =
+        peak_above_start(|| write_snapshot(&dir, &db, &EpochHistory::new(), 1).unwrap());
     let file_len = std::fs::metadata(&path).unwrap().len() as usize;
     assert!(
         file_len > 1_800_000,

@@ -12,8 +12,8 @@ use modb_geom::Point;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_wal::{
     decode_block, decode_block_frames, encode_block, list_segments, recover, scan_segment,
-    write_snapshot, FrameEnd, FsyncPolicy, SegmentTailer, WalBatch, WalError, WalOptions,
-    WalRecord, WalWriter,
+    write_snapshot, EpochHistory, FrameEnd, FsyncPolicy, SegmentTailer, WalBatch, WalError,
+    WalOptions, WalRecord, WalWriter,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -112,7 +112,7 @@ fn foreign_header_versions_are_refused_everywhere_and_left_on_disk() {
         let dir = tmp(&format!("foreign-v{foreign}"));
         let empty = Database::new(network(), DatabaseConfig::default());
         let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
-        write_snapshot(&dir, &empty, 0).unwrap();
+        write_snapshot(&dir, &empty, &EpochHistory::new(), 0).unwrap();
         for rec in &workload(2, 3) {
             w.append(rec).unwrap();
         }
@@ -159,7 +159,7 @@ fn crash_inside_a_compressed_block_truncates_to_the_block_boundary() {
     let records = workload(4, 8);
     let half = records.len() / 2;
     let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
-    write_snapshot(&dir, &empty, 0).unwrap();
+    write_snapshot(&dir, &empty, &EpochHistory::new(), 0).unwrap();
     let mut batch = WalBatch::new();
     for rec in &records[..half] {
         batch.push(rec);
@@ -373,6 +373,7 @@ fn small_segment_log(name: &str) -> (PathBuf, Vec<(u64, PathBuf)>) {
     write_snapshot(
         &dir,
         &Database::new(network(), DatabaseConfig::default()),
+        &EpochHistory::new(),
         0,
     )
     .unwrap();
