@@ -1322,6 +1322,12 @@ mod tests {
             std::mem::size_of::<ObjectId>() + std::mem::size_of::<MovingObject>()
         );
         assert_eq!(std::mem::size_of::<Entry<ObjectId, MovingObject>>(), 136);
+        // The leaf that files it, and each link above, is a 32-B slot: the
+        // box rounded outward to six `f32`s, and one pointer.
+        assert_eq!(
+            MovingObjectIndex::<ObjectId, MovingObject>::slot_bytes(),
+            (32, 32)
+        );
         let id = ObjectId(1);
         let mut db = db_with(vec![object(1, 10.0, 1.0), object(2, 50.0, 1.0)]);
         let report = |t: f64| UpdateMessage::basic(t, UpdatePosition::Arc(10.0 + t % 80.0), 1.0);
@@ -1490,7 +1496,8 @@ mod tests {
     }
 
     /// Where `db`'s tree and its objects disagree: a leaf whose box is
-    /// not the union box of the plane derived from its entry's object, a
+    /// not the union box of the plane derived from its entry's object
+    /// (rounded as the tree stores it, exactly), a
     /// leaf for an object that is not cost-based or held twice, and a
     /// cost-based object with no leaf. Empty when every object is filed
     /// exactly where a write will look for it.
@@ -1501,7 +1508,8 @@ mod tests {
             let obj = entry.value();
             let derived = Database::filing(&db.network, &db.config, obj)
                 .unwrap()
-                .map(|(plane, route)| plane.union_box(route, db.config.bands).unwrap());
+                .map(|(plane, route)| plane.union_box(route, db.config.bands).unwrap())
+                .map(|union| modb_index::stored_box(&union));
             if derived != Some(*union) {
                 out.push(format!(
                     "{:?} filed under {union:?}, derives {derived:?}",

@@ -5,7 +5,8 @@
 //! updating a spatial index.
 //!
 //! - [`RStarTree`]: a from-scratch 3-D R\*-tree over (x, y, t) boxes, with
-//!   STR bulk loading and instrumented searches.
+//!   STR bulk loading and instrumented searches. Its slots store each box
+//!   rounded outward to `f32` — a cover, which is all a filter needs.
 //! - [`OPlane`]: the geometric body of one position-attribute value — the
 //!   ruled surface between `l(t) = vt − BS(t)` and `u(t) = vt + BF(t)`
 //!   along the route, decomposable into index boxes per time slab.
@@ -37,5 +38,5 @@ mod timespace;
 pub use error::IndexError;
 pub use moving_index::{Entry, Filing, MovingObjectIndex, DEFAULT_SLAB_MINUTES};
 pub use oplane::OPlane;
-pub use rtree::{RStarTree, SearchStats};
+pub use rtree::{stored_box, RStarTree, SearchStats};
 pub use timespace::{within_radius, QueryRegion};

@@ -37,7 +37,11 @@
 //! **A write locates before it writes.** §4.2 removes an object "from
 //! the rectangles … that intersect [the old o-plane] p1": p1 is derived
 //! again from the superseded entry's payload, and its union box leads
-//! the tree to the leaf to replace or remove. The new box is computed
+//! the tree to the leaf to replace or remove. The leaf stores that box
+//! rounded outward to `f32` (a cover: the tree only filters, and the slab
+//! test and refinement stay exact `f64`); rounding is a function of the
+//! box, so the box derived again rounds to the stored one exactly and
+//! the leaf is found by equality. The new box is computed
 //! first, the old entry is located second, the tree is written third and
 //! the map last, so an error at any step — a plane that cannot be
 //! decomposed, or a derived box that finds no leaf
@@ -358,11 +362,19 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
 
     /// Visits every tree leaf: the box it files and the entry it holds —
     /// the probe the filing tests compare each box with the one derived
-    /// from the entry's payload.
+    /// from the entry's payload, rounded as the tree stores it
+    /// ([`crate::stored_box`]).
     #[doc(hidden)]
     pub fn for_each_leaf(&self, mut visit: impl FnMut(&Aabb3, &Entry<K, V>)) {
         self.tree
             .for_each_entry(|union, Hit(entry)| visit(union, entry));
+    }
+
+    /// `(leaf slot, internal slot)` sizes in bytes of this index's tree —
+    /// the probe the footprint tests pin.
+    #[doc(hidden)]
+    pub fn slot_bytes() -> (usize, usize) {
+        RStarTree::<Hit<K, V>>::slot_bytes()
     }
 
     /// Tree statistics: `(entries, nodes, height)`.
@@ -452,7 +464,8 @@ mod tests {
     }
 
     /// The keys the tree's leaves hold, each checked against the box
-    /// `plane_of` derives from its payload on `r`.
+    /// `plane_of` derives from its payload on `r`, rounded as the tree
+    /// stores it.
     fn filed_keys<V>(
         idx: &MovingObjectIndex<u64, V>,
         r: &Route,
@@ -461,7 +474,8 @@ mod tests {
         let mut keys = Vec::new();
         idx.for_each_leaf(|union, entry| {
             let plane = plane_of(&entry.value).expect("a filed payload derives a plane");
-            assert_eq!(*union, plane.union_box(r, idx.slab_minutes).unwrap());
+            let derived = plane.union_box(r, idx.slab_minutes).unwrap();
+            assert_eq!(*union, crate::stored_box(&derived));
             keys.push(entry.key);
         });
         keys.sort_unstable();

@@ -24,6 +24,25 @@
 //! back what they no longer use, so the slots a fleet's tree allocates
 //! are its entries plus at most one per node — not the half-empty
 //! doubled buffers `Vec::push` would leave in every split leaf.
+//!
+//! **A slot holds an `f32` cover.** The tree only filters (§4.2: the
+//! o-plane index hands candidates to exact refinement), so a stored box
+//! has to *contain* the box it was given, not equal it. Every entry point
+//! — [`RStarTree::insert`], [`RStarTree::remove`], [`RStarTree::update`],
+//! [`RStarTree::bulk_load`] and the searches — rounds its [`Aabb3`]
+//! outward to `f32` once (each `min` down, each `max` up, to the nearest
+//! `f32` on that side: −∞ or +∞ past the `f32` range), and leaves and
+//! nodes store only those rounded boxes: a slot is 24 B of box and one
+//! pointer, 32 B. The union of rounded boxes is exact in `f32`, so a
+//! node's box is still the exact cover of its slots. The stored box
+//! contains the given one and the rounded query contains the query, so
+//! a search returns every value an `f64` comparison would, plus at most
+//! those whose box lies within one `f32` step of the query's
+//! (≈ 1.5·10⁻⁵ mi at 128 mi). Rounding is a function of the box, so a
+//! write that derives the same box again finds its entry by exact
+//! equality. [`RStarTree::bbox`] and [`RStarTree::for_each_entry`] hand
+//! out the stored box widened back to `f64` — [`stored_box`] of what
+//! was given.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -46,17 +65,93 @@ pub struct SearchStats {
     pub matches: usize,
 }
 
+/// The box an [`RStarTree`] stores for an entry inserted under `b`: `b`
+/// rounded outward to `f32` (each `min` down, each `max` up) and widened
+/// back to `f64`, so it contains `b`.
+pub fn stored_box(b: &Aabb3) -> Aabb3 {
+    Bounds::round_out(b).widen()
+}
+
+/// A stored box: the smallest `f32` box containing an [`Aabb3`] (see the
+/// module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Bounds {
+    min: [f32; 3],
+    max: [f32; 3],
+}
+
+impl Bounds {
+    /// The union identity.
+    const EMPTY: Bounds = Bounds {
+        min: [f32::INFINITY; 3],
+        max: [f32::NEG_INFINITY; 3],
+    };
+
+    /// `b` with each `min` rounded down and each `max` rounded up to `f32`.
+    fn round_out(b: &Aabb3) -> Bounds {
+        Bounds {
+            min: b.min.map(|lo| {
+                let f = lo as f32;
+                if f64::from(f) > lo {
+                    f.next_down()
+                } else {
+                    f
+                }
+            }),
+            max: b.max.map(|hi| {
+                let f = hi as f32;
+                if f64::from(f) < hi {
+                    f.next_up()
+                } else {
+                    f
+                }
+            }),
+        }
+    }
+
+    /// The same box in `f64`, exactly.
+    fn widen(&self) -> Aabb3 {
+        Aabb3 {
+            min: self.min.map(f64::from),
+            max: self.max.map(f64::from),
+        }
+    }
+
+    /// Smallest box covering both — exact, as `f32` min and max are.
+    fn union(&self, other: &Bounds) -> Bounds {
+        Bounds {
+            min: std::array::from_fn(|i| self.min[i].min(other.min[i])),
+            max: std::array::from_fn(|i| self.max[i].max(other.max[i])),
+        }
+    }
+
+    /// `true` when the boxes overlap (shared boundary counts).
+    fn intersects(&self, other: &Bounds) -> bool {
+        (0..3).all(|i| self.min[i] <= other.max[i] && other.min[i] <= self.max[i])
+    }
+
+    /// `true` when `other` lies entirely inside `self`.
+    fn contains(&self, other: &Bounds) -> bool {
+        (0..3).all(|i| self.min[i] <= other.min[i] && self.max[i] >= other.max[i])
+    }
+
+    /// Center along `axis`, in `f64`.
+    fn center(&self, axis: usize) -> f64 {
+        (f64::from(self.min[axis]) + f64::from(self.max[axis])) * 0.5
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Node<T> {
-    Leaf(Vec<(Aabb3, T)>),
-    Internal(Vec<(Aabb3, Arc<Node<T>>)>),
+    Leaf(Vec<(Bounds, T)>),
+    Internal(Vec<(Bounds, Arc<Node<T>>)>),
 }
 
 impl<T> Node<T> {
-    fn bbox(&self) -> Aabb3 {
+    fn bbox(&self) -> Bounds {
         match self {
-            Node::Leaf(es) => es.iter().fold(Aabb3::empty(), |a, (b, _)| a.union(b)),
-            Node::Internal(cs) => cs.iter().fold(Aabb3::empty(), |a, (b, _)| a.union(b)),
+            Node::Leaf(es) => union_of(es),
+            Node::Internal(cs) => union_of(cs),
         }
     }
 
@@ -116,9 +211,10 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         self.size == 0
     }
 
-    /// Bounding box of everything in the tree (empty box when empty).
+    /// Bounding box of everything in the tree (empty box when empty): the
+    /// union of the stored boxes, so it contains every box inserted.
     pub fn bbox(&self) -> Aabb3 {
-        self.root.bbox()
+        self.root.bbox().widen()
     }
 
     /// Tree height (a single leaf level is height 1).
@@ -143,10 +239,16 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         count(&self.root)
     }
 
-    /// Inserts a (box, value) entry. Degenerate (zero-volume) boxes are
-    /// fine — a query region at a single time instant is one.
+    /// Inserts a (box, value) entry, filed under [`stored_box`]`(&bbox)`.
+    /// Degenerate (zero-volume) boxes are fine — a query region at a
+    /// single time instant is one.
     pub fn insert(&mut self, bbox: Aabb3, value: T) {
         debug_assert!(!bbox.is_empty(), "cannot index an empty box");
+        self.insert_stored(Bounds::round_out(&bbox), value);
+    }
+
+    /// Inserts an entry under a box already rounded.
+    fn insert_stored(&mut self, bbox: Bounds, value: T) {
         let split = Self::insert_rec(Arc::make_mut(&mut self.root), bbox, value);
         if let Some((left_box, right)) = split {
             // Root split: grow the tree by one level.
@@ -162,15 +264,14 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// Recursive insert down the one chosen path (each node on it is
     /// copied first if a clone shares it); returns
     /// `Some((this_node_new_bbox, sibling))` when this node split.
-    fn insert_rec(node: &mut Node<T>, bbox: Aabb3, value: T) -> Option<(Aabb3, Node<T>)> {
+    fn insert_rec(node: &mut Node<T>, bbox: Bounds, value: T) -> Option<(Bounds, Node<T>)> {
         match node {
             Node::Leaf(entries) => {
                 push_exact(entries, (bbox, value));
                 if entries.len() > MAX_ENTRIES {
                     let (left, right) = split_leaf(std::mem::take(entries));
                     *entries = left;
-                    let this_box = entries.iter().fold(Aabb3::empty(), |a, (b, _)| a.union(b));
-                    return Some((this_box, Node::Leaf(right)));
+                    return Some((union_of(entries), Node::Leaf(right)));
                 }
                 None
             }
@@ -189,9 +290,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
                         if children.len() > MAX_ENTRIES {
                             let (left, right) = split_internal(std::mem::take(children));
                             *children = left;
-                            let this_box =
-                                children.iter().fold(Aabb3::empty(), |a, (b, _)| a.union(b));
-                            return Some((this_box, Node::Internal(right)));
+                            return Some((union_of(children), Node::Internal(right)));
                         }
                         None
                     }
@@ -200,12 +299,14 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         }
     }
 
-    /// Removes one entry matching `(bbox, value)` exactly. Returns `true`
+    /// Removes one entry inserted as `(bbox, value)` — one whose stored box
+    /// is `bbox`'s rounding and whose value equals `value`. Returns `true`
     /// when an entry was removed; `false` leaves the tree — and every node
     /// it shares with a clone — untouched.
     pub fn remove(&mut self, bbox: &Aabb3, value: &T) -> bool {
+        let bbox = Bounds::round_out(bbox);
         let mut path = Vec::with_capacity(8);
-        let found = Self::locate(&self.root, bbox, value, bbox, &mut path).is_some();
+        let found = Self::locate(&self.root, &bbox, value, &bbox, &mut path).is_some();
         if found {
             self.remove_located(&path);
         }
@@ -218,9 +319,9 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// says whether every node box on that path contains `also` too.
     fn locate(
         node: &Node<T>,
-        bbox: &Aabb3,
+        bbox: &Bounds,
         value: &T,
-        also: &Aabb3,
+        also: &Bounds,
         path: &mut Vec<usize>,
     ) -> Option<bool> {
         match node {
@@ -251,7 +352,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// Removes the entry a [`RStarTree::locate`] path leads to, condenses
     /// the tree and reinserts the orphans.
     fn remove_located(&mut self, path: &[usize]) {
-        let mut orphans: Vec<(Aabb3, T)> = Vec::new();
+        let mut orphans: Vec<(Bounds, T)> = Vec::new();
         Self::remove_rec(Arc::make_mut(&mut self.root), path, &mut orphans);
         self.size -= 1;
         // Collapse a root with a single internal child.
@@ -264,14 +365,14 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         // Reinsert entries from condensed nodes.
         let n_orphans = orphans.len();
         for (b, v) in orphans {
-            self.insert(b, v);
+            self.insert_stored(b, v);
         }
-        self.size -= n_orphans; // insert() counted them again
+        self.size -= n_orphans; // insert_stored() counted them again
     }
 
     /// Recursive delete along `path` with condensation: underfull nodes
     /// dissolve into `orphans`.
-    fn remove_rec(node: &mut Node<T>, path: &[usize], orphans: &mut Vec<(Aabb3, T)>) {
+    fn remove_rec(node: &mut Node<T>, path: &[usize], orphans: &mut Vec<(Bounds, T)>) {
         let (&i, rest) = path.split_first().expect("a located path ends in a leaf");
         match node {
             Node::Leaf(entries) => {
@@ -306,13 +407,14 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// covers, queries just prune marginally less until the region is
     /// next restructured.
     pub fn update(&mut self, old: &Aabb3, value: &T, new: Aabb3, replacement: T) -> bool {
+        let (old, new) = (Bounds::round_out(old), Bounds::round_out(&new));
         let mut path = Vec::with_capacity(8);
-        let Some(fits) = Self::locate(&self.root, old, value, &new, &mut path) else {
+        let Some(fits) = Self::locate(&self.root, &old, value, &new, &mut path) else {
             return false;
         };
         if !fits {
             self.remove_located(&path);
-            self.insert(new, replacement);
+            self.insert_stored(new, replacement);
             return true;
         }
         let (&pos, descent) = path.split_last().expect("a located path ends in a leaf");
@@ -353,6 +455,16 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         (shared, total)
     }
 
+    /// `(leaf slot, internal slot)` sizes in bytes — the probe the
+    /// footprint tests pin.
+    #[doc(hidden)]
+    pub fn slot_bytes() -> (usize, usize) {
+        (
+            std::mem::size_of::<(Bounds, T)>(),
+            std::mem::size_of::<(Bounds, Arc<Node<T>>)>(),
+        )
+    }
+
     /// `(slots, used)`: how many entry slots the tree's nodes have
     /// allocated, and how many of them hold an entry or a child — the
     /// probe the footprint tests count with.
@@ -376,37 +488,44 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         slots
     }
 
-    /// Visits every `(box, value)` entry in the leaves — the probe the
-    /// filing tests walk the tree with.
+    /// Visits every `(box, value)` entry in the leaves, each with its
+    /// stored box widened back to `f64` — the probe the filing tests walk
+    /// the tree with.
     #[doc(hidden)]
     pub fn for_each_entry(&self, mut f: impl FnMut(&Aabb3, &T)) {
         fn walk<T>(node: &Node<T>, f: &mut impl FnMut(&Aabb3, &T)) {
             match node {
-                Node::Leaf(es) => es.iter().for_each(|(b, v)| f(b, v)),
+                Node::Leaf(es) => es.iter().for_each(|(b, v)| f(&b.widen(), v)),
                 Node::Internal(cs) => cs.iter().for_each(|(_, child)| walk(child, f)),
             }
         }
         walk(&self.root, &mut f);
     }
 
-    /// All values whose boxes intersect `query` (duplicates possible when
-    /// one value was inserted under several intersecting boxes).
+    /// All values whose stored boxes intersect `query` rounded outward —
+    /// every value whose box intersects `query`, and at most those within
+    /// one `f32` step of it besides (duplicates possible when one value
+    /// was inserted under several intersecting boxes).
     pub fn query_intersecting(&self, query: &Aabb3) -> Vec<T> {
         let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        Self::search_rec(&self.root, query, &mut |v| out.push(v.clone()), &mut stats);
+        self.for_each_with_stats(query, |v| out.push(v.clone()));
         out
     }
 
-    /// Visits every value whose box intersects `query` without allocating
-    /// a result vector, and returns the search statistics.
+    /// Visits every value [`RStarTree::query_intersecting`] returns without
+    /// allocating a result vector, and returns the search statistics.
     pub fn for_each_with_stats<F: FnMut(&T)>(&self, query: &Aabb3, mut f: F) -> SearchStats {
         let mut stats = SearchStats::default();
-        Self::search_rec(&self.root, query, &mut f, &mut stats);
+        Self::search_rec(&self.root, &Bounds::round_out(query), &mut f, &mut stats);
         stats
     }
 
-    fn search_rec<F: FnMut(&T)>(node: &Node<T>, query: &Aabb3, f: &mut F, stats: &mut SearchStats) {
+    fn search_rec<F: FnMut(&T)>(
+        node: &Node<T>,
+        query: &Bounds,
+        f: &mut F,
+        stats: &mut SearchStats,
+    ) {
         stats.nodes_visited += 1;
         match node {
             Node::Leaf(entries) => {
@@ -430,12 +549,17 @@ impl<T: Clone + PartialEq> RStarTree<T> {
 
     /// Bulk-loads entries with the Sort-Tile-Recursive (STR) packing
     /// algorithm — much faster and better-packed than repeated inserts for
-    /// an initial fleet load.
-    pub fn bulk_load(mut entries: Vec<(Aabb3, T)>) -> Self {
+    /// an initial fleet load. Each box is stored as by
+    /// [`RStarTree::insert`].
+    pub fn bulk_load(entries: Vec<(Aabb3, T)>) -> Self {
         let size = entries.len();
         if size == 0 {
             return RStarTree::new();
         }
+        let mut entries: Vec<(Bounds, T)> = entries
+            .into_iter()
+            .map(|(b, v)| (Bounds::round_out(&b), v))
+            .collect();
         // STR: sort by x-center, slice into vertical slabs; within each,
         // sort by y-center, slice; within each, sort by t-center and pack
         // leaves of MAX_ENTRIES.
@@ -444,21 +568,21 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         let slab_x = s * s * MAX_ENTRIES;
         let slab_y = s * MAX_ENTRIES;
         entries.sort_by(|a, b| {
-            a.0.center()[0]
-                .partial_cmp(&b.0.center()[0])
+            a.0.center(0)
+                .partial_cmp(&b.0.center(0))
                 .expect("finite centers")
         });
         let mut leaves: Vec<Node<T>> = Vec::with_capacity(n_leaves);
         for xs in entries.chunks_mut(slab_x.max(1)) {
             xs.sort_by(|a, b| {
-                a.0.center()[1]
-                    .partial_cmp(&b.0.center()[1])
+                a.0.center(1)
+                    .partial_cmp(&b.0.center(1))
                     .expect("finite centers")
             });
             for ys in xs.chunks_mut(slab_y.max(1)) {
                 ys.sort_by(|a, b| {
-                    a.0.center()[2]
-                        .partial_cmp(&b.0.center()[2])
+                    a.0.center(2)
+                        .partial_cmp(&b.0.center(2))
                         .expect("finite centers")
                 });
                 for chunk in ys.chunks(MAX_ENTRIES) {
@@ -470,7 +594,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         let mut level = leaves;
         while level.len() > 1 {
             let mut next: Vec<Node<T>> = Vec::with_capacity(level.len().div_ceil(MAX_ENTRIES));
-            let mut batch: Vec<(Aabb3, Arc<Node<T>>)> = Vec::with_capacity(MAX_ENTRIES);
+            let mut batch: Vec<(Bounds, Arc<Node<T>>)> = Vec::with_capacity(MAX_ENTRIES);
             for node in level {
                 batch.push((node.bbox(), Arc::new(node)));
                 if batch.len() == MAX_ENTRIES {
@@ -492,7 +616,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
 
 /// Moves a dissolved subtree's entries into `out`; a node a clone still
 /// holds is copied instead (the clone keeps its own).
-fn collect_entries<T: Clone>(node: Arc<Node<T>>, out: &mut Vec<(Aabb3, T)>) {
+fn collect_entries<T: Clone>(node: Arc<Node<T>>, out: &mut Vec<(Bounds, T)>) {
     match Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone()) {
         Node::Leaf(es) => out.extend(es),
         Node::Internal(cs) => {
@@ -505,29 +629,37 @@ fn collect_entries<T: Clone>(node: Arc<Node<T>>, out: &mut Vec<(Aabb3, T)>) {
 
 /// R\* choose-subtree: at the level above leaves minimise overlap
 /// enlargement (ties: volume enlargement, then volume); higher up minimise
-/// volume enlargement (ties: volume).
+/// volume enlargement (ties: volume). Each child's box is widened to
+/// `f64` once, before the O(M²) overlap sums.
 fn choose_subtree<T>(
-    children: &[(Aabb3, Arc<Node<T>>)],
-    bbox: &Aabb3,
+    children: &[(Bounds, Arc<Node<T>>)],
+    bbox: &Bounds,
     at_leaf_level: bool,
 ) -> usize {
+    debug_assert!(children.len() <= MAX_ENTRIES);
+    let mut wide = [Aabb3::empty(); MAX_ENTRIES];
+    for (w, (cb, _)) in wide.iter_mut().zip(children) {
+        *w = cb.widen();
+    }
+    let wide = &wide[..children.len()];
+    let bbox = bbox.widen();
     let mut best = 0;
     let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for (i, (cb, _)) in children.iter().enumerate() {
-        let enlarged = cb.union(bbox);
+    for (i, cb) in wide.iter().enumerate() {
+        let enlarged = cb.union(&bbox);
         let vol_enl = enlarged.volume() - cb.volume();
         let key = if at_leaf_level {
-            let overlap_before: f64 = children
+            let overlap_before: f64 = wide
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, (ob, _))| cb.intersection_volume(ob))
+                .map(|(_, ob)| cb.intersection_volume(ob))
                 .sum();
-            let overlap_after: f64 = children
+            let overlap_after: f64 = wide
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, (ob, _))| enlarged.intersection_volume(ob))
+                .map(|(_, ob)| enlarged.intersection_volume(ob))
                 .sum();
             (overlap_after - overlap_before, vol_enl, cb.volume())
         } else {
@@ -541,8 +673,10 @@ fn choose_subtree<T>(
     best
 }
 
-/// R\* split over generic entries with a bbox accessor.
-fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Aabb3) -> (Vec<E>, Vec<E>) {
+/// R\* split over generic entries with a bbox accessor. Sorting compares
+/// the `f32` bounds and the groups are unions in `f32`, both exact, so
+/// only a group's union is widened to `f64` for its margin or volume.
+fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Bounds) -> (Vec<E>, Vec<E>) {
     debug_assert!(entries.len() > MAX_ENTRIES);
     // 1. Choose the split axis: for each axis, sort by (min, max) and sum
     //    the margins of every legal distribution; pick the axis with the
@@ -559,12 +693,7 @@ fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Aabb3) -> (Vec<E>
         });
         let mut margin_sum = 0.0;
         for k in MIN_ENTRIES..=(entries.len() - MIN_ENTRIES) {
-            let left = entries[..k]
-                .iter()
-                .fold(Aabb3::empty(), |a, e| a.union(&bbox_of(e)));
-            let right = entries[k..]
-                .iter()
-                .fold(Aabb3::empty(), |a, e| a.union(&bbox_of(e)));
+            let (left, right) = groups(&entries, k, &bbox_of);
             margin_sum += left.margin() + right.margin();
         }
         if margin_sum < best_margin {
@@ -584,12 +713,7 @@ fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Aabb3) -> (Vec<E>
     let mut best_k = MIN_ENTRIES;
     let mut best_key = (f64::INFINITY, f64::INFINITY);
     for k in MIN_ENTRIES..=(entries.len() - MIN_ENTRIES) {
-        let left = entries[..k]
-            .iter()
-            .fold(Aabb3::empty(), |a, e| a.union(&bbox_of(e)));
-        let right = entries[k..]
-            .iter()
-            .fold(Aabb3::empty(), |a, e| a.union(&bbox_of(e)));
+        let (left, right) = groups(&entries, k, &bbox_of);
         let key = (
             left.intersection_volume(&right),
             left.volume() + right.volume(),
@@ -603,6 +727,21 @@ fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Aabb3) -> (Vec<E>
     entries.shrink_to_fit();
     right.shrink_to_fit();
     (entries, right)
+}
+
+/// The boxes of the two groups a split at `k` makes, widened.
+fn groups<E>(entries: &[E], k: usize, bbox_of: impl Fn(&E) -> Bounds) -> (Aabb3, Aabb3) {
+    let union = |es: &[E]| {
+        es.iter()
+            .fold(Bounds::EMPTY, |a, e| a.union(&bbox_of(e)))
+            .widen()
+    };
+    (union(&entries[..k]), union(&entries[k..]))
+}
+
+/// The union of a node's slot boxes.
+fn union_of<E>(slots: &[(Bounds, E)]) -> Bounds {
+    slots.iter().fold(Bounds::EMPTY, |a, (b, _)| a.union(b))
 }
 
 /// Appends `entry` to a node, growing it by exactly one slot when it is
@@ -620,21 +759,22 @@ fn trim<E>(slots: &mut Vec<E>) {
 }
 
 /// A leaf's entry list, split in two.
-type LeafSplit<T> = (Vec<(Aabb3, T)>, Vec<(Aabb3, T)>);
+type LeafSplit<T> = (Vec<(Bounds, T)>, Vec<(Bounds, T)>);
 /// An internal node's child list, split in two.
-type InternalSplit<T> = (Vec<(Aabb3, Arc<Node<T>>)>, Vec<(Aabb3, Arc<Node<T>>)>);
+type InternalSplit<T> = (Vec<(Bounds, Arc<Node<T>>)>, Vec<(Bounds, Arc<Node<T>>)>);
 
-fn split_leaf<T>(entries: Vec<(Aabb3, T)>) -> LeafSplit<T> {
+fn split_leaf<T>(entries: Vec<(Bounds, T)>) -> LeafSplit<T> {
     rstar_split(entries, |e| e.0)
 }
 
-fn split_internal<T>(children: Vec<(Aabb3, Arc<Node<T>>)>) -> InternalSplit<T> {
+fn split_internal<T>(children: Vec<(Bounds, Arc<Node<T>>)>) -> InternalSplit<T> {
     rstar_split(children, |e| e.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cube(x: f64, y: f64, t: f64, s: f64) -> Aabb3 {
         Aabb3::new([x, y, t], [x + s, y + s, t + s])
@@ -960,6 +1100,166 @@ mod tests {
             assert!(t.remove(&boxes[i], &i));
         }
         check(&t, n - n / 5);
+    }
+
+    /// A slot is a box of six `f32`s and one pointer — 32 B, leaf or
+    /// internal.
+    #[test]
+    fn slots_are_32_bytes() {
+        assert_eq!(RStarTree::<Arc<u64>>::slot_bytes(), (32, 32));
+        assert_eq!(RStarTree::<u64>::slot_bytes(), (32, 32));
+    }
+
+    /// The `f32` grid's step just above `x`.
+    fn step(x: f64) -> f64 {
+        let f = x as f32;
+        f64::from(f.next_up()) - f64::from(f)
+    }
+
+    /// A query box and boxes around it, magnitudes up to 1e7: some free,
+    /// some with a face within a few `f32` steps of the query's on one
+    /// axis (inside or out), some zero-width, and some the *twin* of the
+    /// box before them — a different `f64` box with the same rounding.
+    fn rounding_case() -> impl Strategy<Value = (Aabb3, Vec<Aabb3>)> {
+        (
+            (
+                -1e7f64..1e7,
+                -1e7f64..1e7,
+                -1e7f64..1e7,
+                0.0f64..1e3,
+                any::<bool>(),
+            ),
+            proptest::collection::vec(
+                (
+                    0usize..4,
+                    0usize..3,
+                    -2.0f64..3.0,
+                    (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
+                    0.0f64..1.0,
+                ),
+                1..150,
+            ),
+        )
+            .prop_map(|((x, y, t, w, flat), raw)| {
+                let q = Aabb3::new(
+                    [x - w, y - w, t - if flat { 0.0 } else { w }],
+                    [x + w, y + w, t + if flat { 0.0 } else { w }],
+                );
+                let c = q.center();
+                let mut boxes: Vec<Aabb3> = Vec::with_capacity(raw.len());
+                for (kind, axis, gap, (fx, fy, ft), size) in raw {
+                    let f = [fx, fy, ft];
+                    let half = if kind == 2 { 0.0 } else { size * w };
+                    let spread = if kind == 0 { 3.0 * w + 1.0 } else { 0.9 * w };
+                    let mut min: [f64; 3] = std::array::from_fn(|i| c[i] + f[i] * spread - half);
+                    let mut max: [f64; 3] = std::array::from_fn(|i| c[i] + f[i] * spread + half);
+                    if kind > 0 {
+                        // Against one of the query's faces, `gap` steps out.
+                        let extent = max[axis] - min[axis];
+                        if f[axis] < 0.0 {
+                            max[axis] = q.min[axis] - gap * step(q.min[axis]);
+                            min[axis] = max[axis] - extent;
+                        } else {
+                            min[axis] = q.max[axis] + gap * step(q.max[axis]);
+                            max[axis] = min[axis] + extent;
+                        }
+                    }
+                    let b = match (kind, boxes.last()) {
+                        // Each bound moved half-way to its rounding: a
+                        // different box, the same `Bounds`.
+                        (3, Some(prev)) => {
+                            let r = Bounds::round_out(prev).widen();
+                            Aabb3 {
+                                min: std::array::from_fn(|i| (prev.min[i] + r.min[i]) / 2.0),
+                                max: std::array::from_fn(|i| (prev.max[i] + r.max[i]) / 2.0),
+                            }
+                        }
+                        _ => Aabb3::new(min, max),
+                    };
+                    boxes.push(b);
+                }
+                (q, boxes)
+            })
+    }
+
+    /// The sorted values `tree` files, each with the box it hands out.
+    fn filed(tree: &RStarTree<usize>) -> Vec<(usize, Aabb3)> {
+        let mut out = Vec::new();
+        tree.for_each_entry(|b, &v| out.push((v, *b)));
+        out.sort_by_key(|&(v, _)| v);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rounding outward keeps the tree a sound filter that files
+        /// exactly. Each slot holds the tightest `f32` box containing its
+        /// `f64` box; a search returns every value whose `f64` box meets
+        /// the query, and exactly those whose rounded box meets the
+        /// rounded query; and of two values under one rounded box, a
+        /// `remove` or `update` — even named by the other's `f64` box —
+        /// acts on the value it names and leaves the other filed.
+        #[test]
+        fn rounded_boxes_cover_and_refind_exactly((q, boxes) in rounding_case()) {
+            let mut tree = RStarTree::new();
+            for (i, b) in boxes.iter().enumerate() {
+                tree.insert(*b, i);
+            }
+            for (i, stored) in filed(&tree) {
+                let b = boxes[i];
+                prop_assert!(stored.contains(&b), "{stored:?} does not cover {b:?}");
+                for k in 0..3 {
+                    let (lo, hi) = (stored.min[k] as f32, stored.max[k] as f32);
+                    prop_assert!(f64::from(lo) == stored.min[k] && f64::from(hi) == stored.max[k]);
+                    prop_assert!(f64::from(lo.next_up()) > b.min[k], "{stored:?} is not tight on {b:?}");
+                    prop_assert!(f64::from(hi.next_down()) < b.max[k], "{stored:?} is not tight on {b:?}");
+                }
+            }
+            let mut got = tree.query_intersecting(&q);
+            got.sort_unstable();
+            for (i, b) in boxes.iter().enumerate() {
+                prop_assert!(!b.intersects(&q) || got.binary_search(&i).is_ok(), "lost {i}");
+            }
+            let rounded = |held: &[(usize, Aabb3)]| -> Vec<usize> {
+                held.iter()
+                    .filter(|(_, b)| stored_box(b).intersects(&stored_box(&q)))
+                    .map(|&(i, _)| i)
+                    .collect()
+            };
+            let mut model: Vec<(usize, Aabb3)> = boxes.iter().copied().enumerate().collect();
+            prop_assert_eq!(&got, &rounded(&model));
+
+            // Twins: the second of each pair is removed by its own box,
+            // or the first moved far away by the second's box.
+            let far = Aabb3::new([3e7, 3e7, 3e7], [3e7 + 1.0; 3]);
+            for j in 1..boxes.len() {
+                if stored_box(&boxes[j]) != stored_box(&boxes[j - 1]) {
+                    continue;
+                }
+                let i = j - 1;
+                let (Some(ai), Some(aj)) = (
+                    model.iter().position(|&(v, b)| v == i && b == boxes[i]),
+                    model.iter().position(|&(v, _)| v == j),
+                ) else {
+                    continue;
+                };
+                if j % 2 == 0 {
+                    prop_assert!(tree.remove(&boxes[j], &j));
+                    model.remove(aj);
+                } else {
+                    prop_assert!(tree.update(&boxes[j], &i, far, i));
+                    model[ai].1 = far;
+                }
+                prop_assert!(!tree.remove(&boxes[j], &usize::MAX));
+            }
+            let want: Vec<(usize, Aabb3)> =
+                model.iter().map(|&(v, b)| (v, stored_box(&b))).collect();
+            prop_assert_eq!(filed(&tree), want);
+            let mut got = tree.query_intersecting(&q);
+            got.sort_unstable();
+            prop_assert_eq!(got, rounded(&model));
+        }
     }
 
     #[test]

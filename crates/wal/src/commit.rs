@@ -257,6 +257,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A group commit's fsync closes the `EveryN` window too: under the
+    /// default `EveryN(256)`, 512 single-record appends each committed
+    /// cost exactly their 512 commits — no policy fsync inside `append`,
+    /// under the writer lock, for records already durable — and appends
+    /// with no commit still get the policy's fsync every 256 records.
+    #[test]
+    fn a_group_commit_closes_the_every_n_window() {
+        let dir = tmp("every-n");
+        let wal = SharedWal::new(WalWriter::create(&dir, WalOptions::default()).unwrap());
+        assert_eq!(
+            wal.with_writer(|w| w.options().fsync),
+            FsyncPolicy::EveryN(256)
+        );
+        let committer = GroupCommitter::new(wal.clone());
+        for i in 0..512 {
+            wal.append(&update(i)).unwrap();
+            committer.commit(wal.next_lsn()).unwrap();
+        }
+        assert_eq!(wal.io_counters().1, 512);
+        assert_eq!(committer.stats().commits, 512);
+        for i in 512..1024 {
+            wal.append(&update(i)).unwrap();
+        }
+        assert_eq!(wal.io_counters().1, 514, "one policy fsync per 256 records");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn concurrent_commits_collapse_into_one_fsync() {
         let dir = tmp("collapse");

@@ -382,16 +382,23 @@ impl SharedWal {
     /// duplicate of the open segment's handle — so appends proceed
     /// meanwhile: they are what the next group commit collects
     /// ([`crate::commit`]). A rotation that slips in between has synced
-    /// the segment it finished itself. The `EveryN` window is left alone
-    /// (it may sync a little early, never late).
+    /// the segment it finished itself. The `EveryN` window shrinks to the
+    /// records appended since the frontier this sync covered, so a record
+    /// a group commit already made durable never counts towards a policy
+    /// fsync under the writer lock.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn sync(&self) -> Result<(), WalError> {
-        let segment = self.lock().file.try_clone()?;
+        let (segment, frontier) = {
+            let w = self.lock();
+            (w.file.try_clone()?, w.next_lsn)
+        };
         segment.sync_data()?;
-        self.lock().fsyncs += 1;
+        let mut w = self.lock();
+        w.fsyncs += 1;
+        w.unsynced = w.unsynced.min(w.next_lsn - frontier);
         Ok(())
     }
 
