@@ -61,14 +61,12 @@ pub use ingest::{
     UpdateEnvelope, UpdateOutcome, WAL_BATCH_RECORDS,
 };
 pub use net::{
-    BatchOutcome, FollowerStatus, QueryClient, QueryClientConfig, QueryServer, QueryServerConfig,
-    ReadRouter, ReadRouterConfig, RemoteUpdateVerdict, RemoteVerdict, RouterError,
+    BatchOutcome, QueryClient, QueryServer, QueryServerConfig, RemoteUpdateVerdict, RemoteVerdict,
     ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
 };
 pub use query_engine::{QueryEngine, QueryEngineConfig, QueryStats, QueryStatsSnapshot};
 pub use replication::{
-    DivergenceInfo, FailoverConfig, FailoverCoordinator, FailoverError, FailoverOutcome,
-    FailoverPlan, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch,
+    DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch,
     ReplicationConfig, ReplicationServer, ReplicationStatsSnapshot, ShipHorizon, StandbyReplica,
 };
 pub use shared::SharedDatabase;

@@ -14,31 +14,9 @@ use crate::net::protocol::{
     NET_PROTOCOL_VERSION,
 };
 
-/// Tuning for [`QueryClient`].
-#[derive(Debug, Clone)]
-pub struct QueryClientConfig {
-    /// How long to wait for the complete response to one request
-    /// (handshake, batch, or scrape).
-    pub response_timeout: Duration,
-    /// Per-message payload ceiling, both ways: a larger reply ends the
-    /// connection, a larger request is refused before it is written.
-    pub max_frame_bytes: u32,
-    /// Bound on the TCP connect itself (`None` = the OS default, which
-    /// can be minutes against a black-holed address). Anything that
-    /// dials on a latency-sensitive path — the [`crate::ReadRouter`]'s
-    /// refresh, a failover probe — should set this.
-    pub connect_timeout: Option<Duration>,
-}
-
-impl Default for QueryClientConfig {
-    fn default() -> Self {
-        QueryClientConfig {
-            response_timeout: Duration::from_secs(30),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            connect_timeout: None,
-        }
-    }
-}
+/// How long the client waits for the complete response to one request
+/// (handshake, batch, or scrape), and the bound on writing one.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn timeout_error(what: &str) -> WalError {
     WalError::Io(std::io::Error::new(
@@ -50,9 +28,8 @@ fn timeout_error(what: &str) -> WalError {
 /// How a server answered one `Batch` request: the verdict vector, or a
 /// follower's typed staleness refusal (its applied watermark had not
 /// reached the batch's read-your-writes floor within the server's wait
-/// deadline). `Stale` leaves the session usable — retry here later, or
-/// route to a fresher follower ([`crate::ReadRouter`] does exactly
-/// that).
+/// deadline). `Stale` leaves the session usable: retry here later, or
+/// send the batch to another endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchOutcome {
     /// The batch ran; one verdict per statement in script order.
@@ -83,52 +60,29 @@ pub enum BatchOutcome {
 pub struct QueryClient {
     stream: TcpStream,
     reader: FrameReader<Message>,
-    config: QueryClientConfig,
     addr: SocketAddr,
     token: u64,
 }
 
 impl QueryClient {
-    /// Connects and handshakes with default tuning.
+    /// Connects and handshakes. Frames are capped at
+    /// [`DEFAULT_MAX_FRAME_BYTES`] both ways: a larger reply ends the
+    /// connection, a larger request is refused before it is written.
     ///
     /// # Errors
     ///
     /// Connection failures, a `Refused` server (capacity or version),
     /// or a handshake timeout.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WalError> {
-        Self::connect_with(addr, QueryClientConfig::default())
-    }
-
-    /// [`QueryClient::connect`] with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryClient::connect`].
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        config: QueryClientConfig,
-    ) -> Result<Self, WalError> {
-        let stream = match config.connect_timeout {
-            Some(timeout) => {
-                let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    WalError::Io(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "address resolved to nothing",
-                    ))
-                })?;
-                TcpStream::connect_timeout(&addr, timeout)?
-            }
-            None => TcpStream::connect(addr)?,
-        };
+        let stream = TcpStream::connect(addr)?;
         let peer = stream.peer_addr()?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_millis(10)))?;
-        stream.set_write_timeout(Some(config.response_timeout))?;
-        let reader = FrameReader::new(stream.try_clone()?, config.max_frame_bytes);
+        stream.set_write_timeout(Some(RESPONSE_TIMEOUT))?;
+        let reader = FrameReader::new(stream.try_clone()?, DEFAULT_MAX_FRAME_BYTES);
         let mut client = QueryClient {
             stream,
             reader,
-            config,
             addr: peer,
             token: 0,
         };
@@ -314,13 +268,13 @@ impl QueryClient {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
-    /// Sends one message to the server under this client's frame ceiling.
+    /// Sends one message to the server under the frame ceiling.
     fn request(&mut self, msg: &Message) -> Result<(), WalError> {
-        send(&mut self.stream, msg, self.config.max_frame_bytes)
+        send(&mut self.stream, msg, DEFAULT_MAX_FRAME_BYTES)
     }
 
     fn next_message(&mut self, what: &str) -> Result<Message, WalError> {
-        let deadline = Instant::now() + self.config.response_timeout;
+        let deadline = Instant::now() + RESPONSE_TIMEOUT;
         loop {
             match self.reader.poll()? {
                 ReadEvent::Message(msg) => return Ok(msg),

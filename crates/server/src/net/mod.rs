@@ -17,18 +17,17 @@
 //! text exposition.
 //!
 //! Front-end overhead is part of the paper's cost story: the update-cost
-//! model in §5 prices communication, and experiment W5 (`modb-exp w5`)
-//! measures what the wire adds per statement over the in-process path.
+//! model in §5 prices communication, and the benchmark ledger's
+//! `net.query_self_us` row (`modb_ledger`, traced run) measures what the
+//! wire adds per statement over the in-process path.
 
 mod client;
 mod protocol;
-mod router;
 mod server;
 
-pub use client::{BatchOutcome, QueryClient, QueryClientConfig};
+pub use client::{BatchOutcome, QueryClient};
 pub use protocol::{
     RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
 };
-pub use router::{FollowerStatus, ReadRouter, ReadRouterConfig, RouterError};
 pub(crate) use server::serve_follower_queries;
 pub use server::{QueryServer, QueryServerConfig};

@@ -142,8 +142,9 @@ impl fmt::Display for ReplicaPhase {
 }
 
 /// Why an upstream refused this replica: the typed payload of the
-/// `Diverged` handshake answer, kept for the operator (and the failover
-/// coordinator) to inspect.
+/// `Diverged` handshake answer, kept for the operator to inspect (and
+/// named by the refusal [`StandbyReplica::promote`] gives such a
+/// replica).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DivergenceInfo {
     /// The refusing upstream's leadership epoch.
@@ -610,7 +611,11 @@ impl StandbyReplica {
         self.shared.epochs().current()
     }
 
-    /// Promotes this standby to a full leader — the failover tentpole.
+    /// Promotes this standby to a full leader. The operator picks the
+    /// standby with the highest [`StandbyReplica::applied_lsn`] and
+    /// [`StandbyReplica::repoint`]s the others at its re-ship address:
+    /// a fresher peer repointed at a staler promotee is refused
+    /// `Diverged`, never silently rewound.
     ///
     /// The apply loop is stopped at the applied watermark (applies are
     /// atomic per shipped run, so the watermark lands on a run
@@ -635,12 +640,24 @@ impl StandbyReplica {
     ///
     /// # Errors
     ///
+    /// An I/O error naming the refusing epoch and boundary LSN when the
+    /// replica is [`ReplicaPhase::Diverged`]: its tail past the boundary
+    /// is a second timeline, and sealing `current() + 1` on it would
+    /// reuse the refusing leader's epoch number, which the epoch check
+    /// then takes for the same history. Nothing is written.
     /// [`WalError::NoSnapshot`] when the replica never completed a
     /// bootstrap (there is no state to lead from); I/O failures sealing
     /// the log.
     pub fn promote(mut self) -> Result<DurableDatabase, WalError> {
         // Stop the apply loop first: the watermark is final after this.
         self.stop_and_join();
+        if let Some(d) = self.divergence() {
+            return Err(WalError::Io(std::io::Error::other(format!(
+                "replica diverged: epoch {} refused its log past lsn {} (local frontier {}); \
+                 promote a standby on the refusing timeline instead",
+                d.leader_epoch, d.boundary_lsn, d.local_next_lsn
+            ))));
+        }
         if list_snapshots(&self.dir)?.is_empty() {
             return Err(WalError::NoSnapshot(self.dir.clone()));
         }

@@ -26,15 +26,11 @@
 //! statement reads a clone of the follower's database taken when it
 //! starts.
 
-mod failover;
 mod follower;
 mod horizon;
 mod leader;
 mod protocol;
 
-pub use failover::{
-    FailoverConfig, FailoverCoordinator, FailoverError, FailoverOutcome, FailoverPlan,
-};
 pub use follower::{
     DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch, StandbyReplica,
 };

@@ -1,5 +1,6 @@
-//! Leader failover: follower promotion, chain repoint, divergence
-//! refusal, and the deadman coordinator (DESIGN.md §16).
+//! Leader failover: follower promotion, chain repoint and divergence
+//! refusal (DESIGN.md §16). The operator promotes the standby with the
+//! highest applied LSN and repoints the others at it.
 //!
 //! The invariants under test:
 //!
@@ -11,9 +12,10 @@
 //!   server streams the sealed `LeaderEpoch` record and the new epoch's
 //!   writes to survivors repointed at it, which resume from their
 //!   applied watermark instead of re-bootstrapping;
-//! - a revived old leader whose log tail passed the promotion point is
-//!   refused with a typed `Diverged` answer and its local log is left
-//!   intact — never silently truncated or overwritten;
+//! - a revived old leader whose log tail passed the promotion point, or
+//!   a fresher survivor repointed at a staler promotee, is refused with
+//!   a typed `Diverged` answer and its local log is left intact — never
+//!   silently truncated or overwritten; nor can it be promoted itself;
 //! - the leadership history lives in the log and nowhere else: a data
 //!   directory holds segments and snapshots only, a snapshot's head
 //!   keeps every epoch whose seal record compaction deleted, and a torn
@@ -21,9 +23,8 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Duration;
 
 use common::replica_harness::{wait_until, Fault, Scenario, WAIT};
 use common::{
@@ -31,24 +32,7 @@ use common::{
     tmp, update, vehicle,
 };
 use modb_core::ObjectId;
-use modb_server::{
-    DurableDatabase, FailoverConfig, FailoverCoordinator, FailoverError, QueryClientConfig,
-    QueryEngine, QueryServerConfig, ReplicaPhase, StandbyReplica,
-};
-
-/// Coordinator tuning tight enough for CI: a dead leader is declared
-/// within ~half a second.
-fn test_failover_config() -> FailoverConfig {
-    FailoverConfig {
-        probe_interval: Duration::from_millis(5),
-        probe_failures: 2,
-        client: QueryClientConfig {
-            response_timeout: Duration::from_millis(250),
-            connect_timeout: Some(Duration::from_millis(250)),
-            ..QueryClientConfig::default()
-        },
-    }
-}
+use modb_server::{DurableDatabase, ReplicaPhase, StandbyReplica};
 
 /// The history has no file of its own: a data directory holds log
 /// segments and snapshots, nothing else.
@@ -59,6 +43,18 @@ fn assert_log_files_only(dir: &Path) {
         let snap = name.starts_with("snap-") && name.ends_with(".snap");
         assert!(log || snap, "{} holds {name}", dir.display());
     }
+}
+
+/// Every file of a data directory, by name, byte for byte.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect()
 }
 
 /// A leader on epoch 1 whose last shipped record is `shipped`, with an
@@ -191,11 +187,11 @@ fn promoting_an_empty_replica_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The full story under a byte fault: leader killed with its last
-/// session severed mid-frame, the freshest of two chained followers
-/// promoted, the (deliberately frozen, staler) other repointed at the
-/// promotee, and the chain converges on the new epoch with every
-/// acked-and-shipped write intact.
+/// The full story under a byte fault: leader killed after its session
+/// to f1 was severed mid-frame and resumed, the freshest of two chained
+/// followers promoted, the (deliberately frozen, staler) other repointed
+/// at the promotee, and the chain converges on the new epoch with every
+/// acked write intact.
 #[test]
 fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
     let s = Scenario::start("failover-chain", 4);
@@ -206,24 +202,31 @@ fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
     let f1_ship_addr = f1_ship.local_addr().to_string();
     let f2dir = tmp("failover-chain-f2");
     let f2 = StandbyReplica::open(&f2dir, &f1_ship_addr, test_replica_config()).unwrap();
-    let f2_ship = f2
-        .serve_replication("127.0.0.1:0", test_replication_config())
-        .unwrap();
-    let f2_ship_addr = f2_ship.local_addr().to_string();
 
     s.churn(1..=4, 4);
     let acked = s.leader.wal().next_lsn();
     assert!(f1.wait_for_lsn(acked, WAIT), "f1 never converged");
     assert!(f2.wait_for_lsn(acked, WAIT), "f2 never converged");
 
-    // Freeze f2 behind a dead upstream so the election has a strict
-    // freshness order to respect, then keep writing: f1 advances alone.
+    // Freeze f2 behind a dead upstream so the two standbys have a strict
+    // freshness order, then keep writing: f1 advances alone. The
+    // leader's next session to f1 is severed mid-byte; f1 re-dials and
+    // catches up to every acked write.
     f2.repoint("127.0.0.1:1");
-    // The leader's final session to f1 is severed mid-byte…
+    wait_until("f2 to drop its session", || {
+        f2.phase() == ReplicaPhase::Connecting
+    });
     s.proxy.push(Fault::CutAfterBytes(200));
     f1.force_reconnect();
     s.churn(5..=6, 4);
-    // …and the leader dies.
+    let frontier = s.leader.wal().next_lsn();
+    assert!(
+        f1.wait_for_lsn(frontier, WAIT),
+        "f1 never recovered from the cut: {}",
+        f1.stats()
+    );
+    let expected = s.leader.database().with_read(|db| db.clone());
+    // The leader dies.
     let Scenario {
         leader,
         server,
@@ -235,25 +238,25 @@ fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
     server.shutdown();
     drop(leader);
 
-    wait_until("f1 to pass f2", || f1.applied_lsn() >= acked);
-    let candidates = vec![f1, f2];
-    let plan = FailoverCoordinator::plan(&candidates).unwrap();
-    assert_eq!(plan.winner, 0, "f1 is the freshest candidate: {plan:?}");
-    assert!(plan.winner_applied >= acked);
-
-    let outcome =
-        FailoverCoordinator::fail_over(candidates, &[f1_ship_addr.clone(), f2_ship_addr.clone()])
-            .unwrap();
-    assert_eq!(outcome.winner, 0);
-    assert_eq!(outcome.epoch, 2);
+    // The operator's rule: promote the highest applied LSN, repoint the
+    // rest at its re-ship address.
     assert!(
-        outcome.promoted_next_lsn > acked,
-        "the applied prefix (≥ every acked-and-shipped write) plus the seal"
+        f1.applied_lsn() > f2.applied_lsn(),
+        "f1 ({}) must be fresher than f2 ({})",
+        f1.applied_lsn(),
+        f2.applied_lsn()
     );
-    let promoted = outcome.promoted;
-    let mut survivors = outcome.survivors;
-    assert_eq!(survivors.len(), 1);
-    let f2 = survivors.remove(0);
+    let promoted = f1.promote().unwrap();
+    assert_eq!(promoted.epoch(), 2);
+    assert_eq!(
+        promoted.wal().next_lsn(),
+        frontier + 1,
+        "every acked write plus the seal"
+    );
+    promoted
+        .database()
+        .with_read(|db| assert_converged(&expected, db));
+    f2.repoint(&f1_ship_addr);
 
     // New-epoch writes flow: the promotee acks them, the repointed
     // survivor streams them (seal record included) from its applied
@@ -286,8 +289,73 @@ fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
         .with_read(|db| assert_converged(&expected, db));
 
     f2.shutdown();
-    f2_ship.shutdown();
     f1_ship.shutdown();
+    drop(promoted);
+    for dir in [&ldir, &fdir, &f2dir] {
+        assert_log_files_only(dir);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// What the operator's rule prevents: promote the *staler* standby and
+/// repoint the fresher one at it. The fresher one holds acked writes
+/// past the promotee's seal — a second timeline — so it is refused
+/// `Diverged` at exactly the seal LSN, and its log stays on disk whole.
+#[test]
+fn a_fresher_survivor_repointed_at_a_staler_promotee_is_refused() {
+    let s = Scenario::start("stale-promotee", 4);
+    let f1 = s.follower();
+    let f2dir = tmp("stale-promotee-f2");
+    let f2 = StandbyReplica::open(&f2dir, s.proxy.addr(), test_replica_config()).unwrap();
+    let f2_ship = f2
+        .serve_replication("127.0.0.1:0", test_replication_config())
+        .unwrap();
+
+    s.churn(1..=3, 4);
+    let acked = s.leader.wal().next_lsn();
+    assert!(f1.wait_for_lsn(acked, WAIT), "f1 never converged");
+    assert!(f2.wait_for_lsn(acked, WAIT), "f2 never converged");
+    f2.repoint("127.0.0.1:1");
+    wait_until("f2 to drop its session", || {
+        f2.phase() == ReplicaPhase::Connecting
+    });
+    s.churn(4..=5, 4);
+    let frontier = s.leader.wal().next_lsn();
+    assert!(f1.wait_for_lsn(frontier, WAIT), "f1 never caught up");
+    let Scenario {
+        leader,
+        server,
+        proxy,
+        ldir,
+        fdir,
+    } = s;
+    drop(proxy);
+    server.shutdown();
+    drop(leader);
+    assert_eq!((f2.applied_lsn(), f1.applied_lsn()), (acked, frontier));
+
+    let promoted = f2.promote().unwrap();
+    let seal_lsn = promoted.wal().next_lsn() - 1;
+    assert_eq!((promoted.epoch(), seal_lsn), (2, acked));
+    f1.repoint(f2_ship.local_addr().to_string());
+    wait_until("typed divergence refusal", || {
+        f1.phase() == ReplicaPhase::Diverged
+    });
+    let info = f1.divergence().expect("refusal coordinates recorded");
+    assert_eq!(
+        (info.leader_epoch, info.boundary_lsn, info.local_next_lsn),
+        (2, seal_lsn, frontier)
+    );
+    assert_eq!(f1.applied_lsn(), frontier);
+    f1.shutdown();
+    let recovered = modb_wal::recover(&fdir).unwrap();
+    assert_eq!(
+        (recovered.report.next_lsn, recovered.epochs.current()),
+        (frontier, 1),
+        "the acked writes past the seal are still on disk"
+    );
+
+    f2_ship.shutdown();
     drop(promoted);
     for dir in [&ldir, &fdir, &f2dir] {
         assert_log_files_only(dir);
@@ -348,58 +416,52 @@ fn revived_divergent_leader_is_refused_and_never_truncated() {
     }
 }
 
-/// The deadman coordinator end to end: probes the leader's query
-/// front-end, declares death after the configured streak, and the
-/// election errors are typed.
+/// A diverged replica cannot lead. Sealing `current() + 1` on the
+/// revived old leader's own history would be epoch 2 on a second
+/// timeline — the number its successor already holds, which the epoch
+/// check takes for the same history. `promote` refuses, naming the
+/// refusing epoch and the boundary, and writes nothing.
 #[test]
-fn coordinator_declares_death_and_election_errors_are_typed() {
-    let s = Scenario::start("deadman", 4);
-    let engine = Arc::new(QueryEngine::new(s.leader.database().clone()));
-    let qserver = s
-        .leader
-        .serve_queries(engine, None, "127.0.0.1:0", QueryServerConfig::default())
-        .unwrap();
-    let qaddr = qserver.local_addr().to_string();
-
-    let mut coordinator = FailoverCoordinator::new(&qaddr, test_failover_config());
-    assert!(coordinator.probe(), "live leader answers the stats probe");
-    assert!(!coordinator.leader_dead());
-
-    let replica = s.follower();
-    s.churn(1..=2, 4);
-    s.assert_converges(&replica);
-
-    // Kill the whole serving stack; the probe streak crosses the
-    // threshold.
-    let Scenario {
-        leader,
-        server,
-        proxy,
+fn promoting_a_diverged_replica_is_refused_and_writes_nothing() {
+    let Fork {
         ldir,
         fdir,
-    } = s;
-    qserver.shutdown();
-    drop(proxy);
-    server.shutdown();
-    drop(leader);
+        follower: f1,
+        shipped,
+        old_frontier,
+    } = fork("diverged-promote", 4);
+    let f1_ship = f1
+        .serve_replication("127.0.0.1:0", test_replication_config())
+        .unwrap();
+    let promoted = f1.promote().unwrap();
+    let old = StandbyReplica::open(
+        &ldir,
+        f1_ship.local_addr().to_string(),
+        test_replica_config(),
+    )
+    .unwrap();
+    wait_until("typed divergence refusal", || {
+        old.phase() == ReplicaPhase::Diverged
+    });
+    let before = dir_bytes(&ldir);
+
+    let err = match old.promote() {
+        Ok(_) => panic!("a diverged replica was promoted"),
+        Err(e) => e.to_string(),
+    };
     assert!(
-        coordinator.await_death(WAIT),
-        "deadman never fired: {} failures",
-        coordinator.failures()
+        err.contains("epoch 2") && err.contains(&format!("lsn {shipped}")),
+        "{err}"
+    );
+    assert_eq!(dir_bytes(&ldir), before, "the refusal wrote to the log");
+    let recovered = modb_wal::recover(&ldir).unwrap();
+    assert_eq!(
+        (recovered.report.next_lsn, recovered.epochs.current()),
+        (old_frontier, 1)
     );
 
-    // Election error surface: no candidates, mismatched addresses.
-    match FailoverCoordinator::fail_over(Vec::new(), &[]) {
-        Err(FailoverError::NoCandidates) => {}
-        other => panic!("expected NoCandidates, got {other:?}"),
-    }
-    match FailoverCoordinator::fail_over(vec![replica], &[]) {
-        Err(FailoverError::AddrCountMismatch {
-            replicas: 1,
-            addrs: 0,
-        }) => {}
-        other => panic!("expected AddrCountMismatch, got {other:?}"),
-    }
+    f1_ship.shutdown();
+    drop(promoted);
     for dir in [&ldir, &fdir] {
         assert_log_files_only(dir);
         std::fs::remove_dir_all(dir).unwrap();

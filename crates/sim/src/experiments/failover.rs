@@ -1,32 +1,32 @@
 //! W10: leader failover — the write-availability gap across kill →
-//! detect → elect → promote → repoint, with a zero-acked-loss contract.
+//! promote → first ack, with a zero-acked-loss contract.
 //!
 //! The paper's cost model prices the update stream; a deployment also
 //! has to price the moments the update stream has nowhere to go. This
-//! experiment builds the replication chain from DESIGN.md §16 — leader,
-//! two chained standbys, a deadman coordinator probing the leader's
-//! query front-end — then kills the leader and clocks every leg of the
-//! recovery:
+//! experiment builds the replication chain from DESIGN.md §16 — leader
+//! and two chained standbys — then kills the leader and clocks the
+//! operator's recovery, as the REPL's `\replica promote` runs it:
 //!
-//! - **detect**: kill → the probe streak crosses the threshold and the
-//!   coordinator declares death;
-//! - **elect + promote**: death declared → the freshest standby has
-//!   sealed a new epoch and the survivor is repointed at it;
+//! - **promote**: kill → the standby with the highest applied LSN
+//!   (`f1`) has sealed a new epoch and the other (`f2`) is repointed at
+//!   it;
 //! - **first ack**: kill → the first post-failover position update is
 //!   acknowledged by the new leader. This is the write-availability gap
-//!   a vehicle fleet actually experiences.
+//!   a vehicle fleet actually experiences, less the time it takes to
+//!   notice the leader is gone — a deadman probe's
+//!   `probe_failures × probe_interval`, a setting rather than a cost of
+//!   the mechanism.
 //!
 //! The correctness columns are the contract and must hold everywhere:
 //! **acked loss** is the count of leader-acknowledged WAL records
-//! missing from the promotee's applied prefix (must be 0 — the election
-//! picked a standby that had every shipped write), **parity** means the
-//! promotee's object state equals the leader's state at the kill point
-//! bit for bit, and **survivor** means the repointed standby converged
-//! on the new epoch without re-bootstrapping. The millisecond columns
-//! are the headline; CI asserts only the contract.
+//! missing from the promotee's applied prefix (must be 0 — the promotee
+//! had every shipped write), **parity** means the promotee's object
+//! state equals the leader's state at the kill point bit for bit, and
+//! **survivor** means the repointed standby converged on the new epoch
+//! without re-bootstrapping. The millisecond columns are the headline;
+//! CI asserts only the contract.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use modb_core::{
@@ -36,10 +36,7 @@ use modb_core::{
 use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_server::{
-    DurableDatabase, FailoverConfig, FailoverCoordinator, QueryClientConfig, QueryEngine,
-    QueryServerConfig, ReplicaConfig, ReplicationConfig, StandbyReplica,
-};
+use modb_server::{DurableDatabase, ReplicaConfig, ReplicationConfig, StandbyReplica};
 use modb_wal::{FsyncPolicy, WalOptions};
 
 use crate::report::{fmt, render_table};
@@ -58,9 +55,7 @@ pub struct FailoverRow {
     pub trial: usize,
     /// Leader WAL frontier at the kill (acked records).
     pub records: u64,
-    /// Kill → the deadman coordinator declares the leader dead.
-    pub detect_ms: f64,
-    /// Death declared → freshest standby promoted + survivor repointed.
+    /// Kill → freshest standby promoted + survivor repointed.
     pub promote_ms: f64,
     /// Kill → first acked write on the new leader (the availability gap).
     pub first_ack_ms: f64,
@@ -144,8 +139,8 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
         .serve_replication("127.0.0.1:0", repl_config.clone())
         .expect("serve replication");
 
-    // The chain: f1 follows the leader, f2 follows f1. Both re-ship, so
-    // either can be an upstream after the election.
+    // The chain: f1 follows the leader, f2 follows f1; f1 re-ships, so
+    // it can be f2's upstream after the promotion.
     let replica_config = ReplicaConfig {
         wal,
         reconnect_backoff: Duration::from_millis(5),
@@ -163,34 +158,8 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
         .serve_replication("127.0.0.1:0", repl_config.clone())
         .expect("f1 ship");
     let f2dir = scratch_dir(&format!("t{trial}-f2"));
-    let f2 =
-        StandbyReplica::open(&f2dir, f1_ship.local_addr().to_string(), replica_config).expect("f2");
-    let f2_ship = f2
-        .serve_replication("127.0.0.1:0", repl_config)
-        .expect("f2 ship");
-    let ship_addrs = vec![
-        f1_ship.local_addr().to_string(),
-        f2_ship.local_addr().to_string(),
-    ];
-
-    // A query front-end on the leader for the deadman probe.
-    let engine = Arc::new(QueryEngine::new(leader.database().clone()));
-    let qserver = leader
-        .serve_queries(engine, None, "127.0.0.1:0", QueryServerConfig::default())
-        .expect("leader query front-end");
-    let mut coordinator = FailoverCoordinator::new(
-        qserver.local_addr().to_string(),
-        FailoverConfig {
-            probe_interval: Duration::from_millis(2),
-            probe_failures: 3,
-            client: QueryClientConfig {
-                response_timeout: Duration::from_millis(100),
-                connect_timeout: Some(Duration::from_millis(100)),
-                ..QueryClientConfig::default()
-            },
-        },
-    );
-    assert!(coordinator.probe(), "live leader answers the probe");
+    let f1_ship_addr = f1_ship.local_addr().to_string();
+    let f2 = StandbyReplica::open(&f2dir, &f1_ship_addr, replica_config).expect("f2");
 
     // Churn: truthful variable-speed updates through the leader.
     let mut arcs: Vec<f64> = (0..n_objects).map(|i| 10.0 + i as f64 * 3.0).collect();
@@ -229,26 +198,25 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
     );
     let f2_bootstraps = f2.stats().bootstraps;
 
-    // Kill the leader: front-end, ship server, handle — all gone.
+    // Kill the leader: ship server and handle both gone.
     let t_kill = Instant::now();
-    qserver.shutdown();
     leader_server.shutdown();
     drop(leader);
-    assert!(
-        coordinator.await_death(DRAIN),
-        "deadman never fired ({} failures)",
-        coordinator.failures()
-    );
-    let detect_ms = t_kill.elapsed().as_secs_f64() * 1e3;
 
-    // Elect the freshest standby, promote it, repoint the survivor.
-    let t_elect = Instant::now();
-    let outcome = FailoverCoordinator::fail_over(vec![f1, f2], &ship_addrs).expect("failover");
-    let promote_ms = t_elect.elapsed().as_secs_f64() * 1e3;
+    // Promote the freshest standby (both drained to `acked`; f1 is the
+    // chain's head) and repoint the survivor at its re-ship address —
+    // the address f2 already follows, so the repoint is a reconnect that
+    // resumes from f2's watermark.
+    assert!(
+        f1.applied_lsn() >= f2.applied_lsn(),
+        "f1 must be the freshest standby"
+    );
+    let promoted = f1.promote().expect("promote f1");
+    f2.repoint(f1_ship_addr);
+    let promote_ms = t_kill.elapsed().as_secs_f64() * 1e3;
     // Applied prefix = everything below the epoch seal.
-    let applied_prefix = outcome.promoted_next_lsn.saturating_sub(1);
+    let applied_prefix = promoted.wal().next_lsn().saturating_sub(1);
     let acked_loss = acked.saturating_sub(applied_prefix);
-    let promoted = outcome.promoted;
     let parity = promoted
         .database()
         .with_read(|db| same_state(&expected, db));
@@ -268,18 +236,15 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
 
     // The survivor follows the promotee into the new epoch — streamed
     // from its watermark, not re-bootstrapped.
-    let mut survivors = outcome.survivors;
-    let survivor = survivors.pop().expect("one survivor");
     let frontier = promoted.wal().next_lsn();
-    let survivor_ok = survivor.wait_for_lsn(frontier, DRAIN)
-        && survivor.epoch() == promoted.epoch()
-        && survivor.stats().bootstraps == f2_bootstraps
+    let survivor_ok = f2.wait_for_lsn(frontier, DRAIN)
+        && f2.epoch() == promoted.epoch()
+        && f2.stats().bootstraps == f2_bootstraps
         && promoted
             .database()
-            .with_read(|a| survivor.database().with_read(|b| same_state(a, b)));
+            .with_read(|a| f2.database().with_read(|b| same_state(a, b)));
 
-    survivor.shutdown();
-    f2_ship.shutdown();
+    f2.shutdown();
     f1_ship.shutdown();
     drop(promoted);
     for dir in [&ldir, &f1dir, &f2dir] {
@@ -289,7 +254,6 @@ fn run_trial(trial: usize, n_objects: usize, batches: u64) -> FailoverRow {
     FailoverRow {
         trial,
         records: acked,
-        detect_ms,
         promote_ms,
         first_ack_ms,
         acked_loss,
@@ -317,12 +281,11 @@ pub fn failover_table(n_objects: usize, rows: &[FailoverRow]) -> String {
     render_table(
         &format!(
             "W10: leader failover at {n_objects} objects \
-             (kill → detect → promote → first ack; zero acked loss is the contract)"
+             (kill → promote → first ack; zero acked loss is the contract)"
         ),
         &[
             "trial",
             "records",
-            "detect ms",
             "promote ms",
             "first ack ms",
             "acked loss",
@@ -335,7 +298,6 @@ pub fn failover_table(n_objects: usize, rows: &[FailoverRow]) -> String {
                 vec![
                     r.trial.to_string(),
                     r.records.to_string(),
-                    fmt(r.detect_ms),
                     fmt(r.promote_ms),
                     fmt(r.first_ack_ms),
                     r.acked_loss.to_string(),
@@ -361,7 +323,7 @@ mod tests {
         assert_eq!(r.acked_loss, 0, "an acked write went missing");
         assert!(r.parity, "promotee state diverged from the dead leader");
         assert!(r.survivor_ok, "survivor never converged on the new epoch");
-        assert!(r.detect_ms > 0.0 && r.first_ack_ms >= r.detect_ms);
+        assert!(r.promote_ms > 0.0 && r.first_ack_ms >= r.promote_ms);
         assert!(failover_contract(&rows));
         let table = failover_table(8, &rows);
         assert!(table.contains("W10"));
