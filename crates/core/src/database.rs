@@ -3,9 +3,9 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use modb_geom::Point;
+use modb_geom::{Point, Polygon, Rect};
 use modb_index::{
-    Entry, Filing, MovingObjectIndex, OPlane, QueryRegion, SearchStats, DEFAULT_SLAB_MINUTES,
+    Filing, MovingObjectIndex, OPlane, QueryRegion, SearchStats, DEFAULT_SLAB_MINUTES,
 };
 use modb_routes::{Route, RouteNetwork};
 
@@ -13,6 +13,7 @@ use crate::attr::{PolicyDescriptor, PositionAttribute};
 use crate::error::CoreError;
 use crate::object::{ObjectId, StationaryObject};
 use crate::query::{Containment, PositionAnswer, RangeAnswer};
+use crate::resident::Resident;
 use crate::update::{UpdateMessage, UpdatePosition};
 
 /// Tuning knobs for the DBMS.
@@ -45,7 +46,10 @@ impl Default for DatabaseConfig {
     }
 }
 
-/// A mobile point object (§2) as stored by the DBMS.
+/// A mobile point object (§2): what registration takes and what a
+/// lookup returns. The table keeps each one in a compact form of its own
+/// (the id as the entry's key, the name inline when short), built once
+/// at registration, and builds this form again for each answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MovingObject {
     /// Identifier.
@@ -65,7 +69,8 @@ pub struct MovingObject {
 ///
 /// **One record per vehicle.** The object table *is* the time-space
 /// index: one [`MovingObjectIndex`] entry per object holds the object
-/// in one allocation, which the id map and the tree's leaf share; the
+/// in one allocation — a 144-B malloc chunk with the name inline when it
+/// fits 22 bytes — which the id map and the tree's leaf share; the
 /// leaf also keeps the one copy of the box the object is filed under.
 /// Neither the o-plane nor that box is stored in the entry: both are
 /// functions of the object's position attribute, derived when the
@@ -88,11 +93,11 @@ pub struct Database {
     /// immutable, so clones of the database alias one network and
     /// [`Database::insert_route`] copies-on-write only when aliased.
     network: Arc<RouteNetwork>,
-    /// Moving objects, one immutable entry each: the object with its
-    /// current position attribute, filed in the tree under the union box
-    /// of its o-plane when its policy is cost-based. A write replaces the
-    /// entry whole, so a clone pinned by a reader never sees it.
-    moving: MovingObjectIndex<ObjectId, MovingObject>,
+    /// Moving objects, one immutable entry each: the object's resident
+    /// record under its id, filed in the tree under the union box of its
+    /// o-plane when its policy is cost-based. A write replaces the entry
+    /// whole, so a clone pinned by a reader never sees it.
+    moving: MovingObjectIndex<ObjectId, Resident>,
     /// Landmarks: few and rarely written, so the table is shared whole
     /// and copied on the first insert after a clone.
     stationary: Arc<HashMap<ObjectId, StationaryObject>>,
@@ -181,9 +186,27 @@ impl Database {
         self.moving.keys().copied()
     }
 
-    /// Iterator over all moving objects (arbitrary order).
-    pub fn moving_objects(&self) -> impl Iterator<Item = &MovingObject> {
-        self.moving.values()
+    /// Every moving object, in id order, each built from its resident
+    /// record as the iterator reaches it: the iterator holds one
+    /// reference per vehicle (8 B, sized exactly), never the fleet's
+    /// objects at once, and the same state always yields the same
+    /// sequence — a snapshot of it writes the same bytes.
+    pub fn moving_objects(&self) -> impl Iterator<Item = MovingObject> + '_ {
+        let mut entries = Vec::with_capacity(self.moving.len());
+        entries.extend(self.moving.entries());
+        entries.sort_unstable_by_key(|entry| *entry.key());
+        entries
+            .into_iter()
+            .map(|entry| entry.value().to_object(*entry.key()))
+    }
+
+    /// Every resident record with its id, in arbitrary order: what the
+    /// scans read, borrowed, where [`Database::moving_objects`] builds
+    /// objects.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = (ObjectId, &Resident)> {
+        self.moving
+            .entries()
+            .map(|entry| (*entry.key(), entry.value()))
     }
 
     /// Iterator over all stationary objects (arbitrary order).
@@ -191,12 +214,17 @@ impl Database {
         self.stationary.values()
     }
 
-    /// Looks up a moving object.
+    /// Looks up a moving object, built from its resident record.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnknownObject`] when absent.
-    pub fn moving(&self, id: ObjectId) -> Result<&MovingObject, CoreError> {
+    pub fn moving(&self, id: ObjectId) -> Result<MovingObject, CoreError> {
+        Ok(self.resident(id)?.to_object(id))
+    }
+
+    /// The resident record of `id`, borrowed.
+    fn resident(&self, id: ObjectId) -> Result<&Resident, CoreError> {
         self.moving.get(&id).ok_or(CoreError::UnknownObject(id))
     }
 
@@ -216,10 +244,11 @@ impl Database {
     /// resolves a name to the same object. A linear scan: names are a UI
     /// convenience, not a hot path, and a name index would cost memory
     /// per vehicle.
-    pub fn find_moving_by_name(&self, name: &str) -> Option<&MovingObject> {
-        self.moving_objects()
-            .filter(|o| o.name == name)
-            .min_by_key(|o| o.id)
+    pub fn find_moving_by_name(&self, name: &str) -> Option<MovingObject> {
+        self.residents()
+            .filter(|(_, r)| r.name() == name)
+            .min_by_key(|&(id, _)| id)
+            .map(|(id, r)| r.to_object(id))
     }
 
     /// Registers a stationary landmark.
@@ -254,6 +283,9 @@ impl Database {
         if !obj.max_speed.is_finite() || obj.max_speed <= 0.0 {
             return Err(CoreError::InvalidField("max_speed", obj.max_speed));
         }
+        if let Some(end) = obj.trip_end.filter(|end| !end.is_finite()) {
+            return Err(CoreError::InvalidField("trip_end", end));
+        }
         obj.attr.policy.validate()?;
         if !obj.attr.start_arc.is_finite()
             || obj.attr.start_arc < 0.0
@@ -261,7 +293,8 @@ impl Database {
         {
             return Err(CoreError::InvalidField("start_arc", obj.attr.start_arc));
         }
-        self.store(obj)
+        let (id, resident) = Resident::new(obj);
+        self.store(id, resident)
     }
 
     /// Removes a moving object (trip over).
@@ -273,11 +306,10 @@ impl Database {
         let (network, config) = (&*self.network, &self.config);
         let entry = self
             .moving
-            .remove(&id, |obj| Self::filing(network, config, obj))?
+            .remove(&id, |resident| Self::filing(network, config, resident))?
             .ok_or(CoreError::UnknownObject(id))?;
         self.set_unindexed(id, false);
-        // Copies still holding the entry keep it; take it when unshared.
-        Ok(Arc::try_unwrap(entry).map_or_else(|shared| shared.value().clone(), Entry::into_value))
+        Ok(entry.value().to_object(id))
     }
 
     /// Adds `id` to, or drops it from, the unindexed set — touching the
@@ -317,7 +349,7 @@ impl Database {
     /// and invalid fields are rejected; on error the stored state is
     /// unchanged.
     pub fn apply_update(&mut self, id: ObjectId, msg: &UpdateMessage) -> Result<(), CoreError> {
-        let obj = self.moving(id)?;
+        let obj = self.resident(id)?;
         if !msg.time.is_finite() {
             return Err(CoreError::InvalidField("time", msg.time));
         }
@@ -360,14 +392,8 @@ impl Database {
         // per object (§2), and the past is not served. One new entry
         // replaces the old; a clone (a pinned epoch, a snapshot being
         // written) keeps the one it has.
-        let updated = MovingObject {
-            id,
-            name: obj.name.clone(),
-            attr: next,
-            max_speed: obj.max_speed,
-            trip_end: obj.trip_end,
-        };
-        self.store(updated)
+        let updated = obj.with_attr(next);
+        self.store(id, updated)
     }
 
     fn resolve_position(
@@ -409,12 +435,12 @@ impl Database {
     /// configuration, neither of which changes while the entry is filed,
     /// and the box also reads the plane's route, which never changes
     /// (the network is append-only).
-    fn plane_of(config: &DatabaseConfig, obj: &MovingObject) -> Result<Option<OPlane>, CoreError> {
+    fn plane_of(config: &DatabaseConfig, obj: &Resident) -> Result<Option<OPlane>, CoreError> {
         let PolicyDescriptor::CostBased { kind, update_cost } = obj.attr.policy else {
             return Ok(None);
         };
         let end_time = obj
-            .trip_end
+            .trip_end()
             .unwrap_or(obj.attr.start_time + config.default_horizon)
             .max(obj.attr.start_time + 1e-6);
         let plane = OPlane::new(
@@ -437,7 +463,7 @@ impl Database {
     fn filing<'n>(
         network: &'n RouteNetwork,
         config: &DatabaseConfig,
-        obj: &MovingObject,
+        obj: &Resident,
     ) -> Result<Filing<'n>, CoreError> {
         match Self::plane_of(config, obj)? {
             Some(plane) => {
@@ -448,15 +474,14 @@ impl Database {
         }
     }
 
-    /// Stores `obj` as its id's one entry, filed in the tree under the
+    /// Stores `obj` as `id`'s one entry, filed in the tree under the
     /// union box of the o-plane its attribute defines (§4.2) when its
     /// policy is cost-based, in the unindexed set otherwise. The index
     /// computes the new box and locates the superseded entry by its
     /// derived box before writing anything, so an error changes nothing;
     /// neither the plane nor the box is kept in the entry. Raises the
     /// [`Database::speed_cap`].
-    fn store(&mut self, obj: MovingObject) -> Result<(), CoreError> {
-        let id = obj.id;
+    fn store(&mut self, id: ObjectId, obj: Resident) -> Result<(), CoreError> {
         let filed = matches!(obj.attr.policy, PolicyDescriptor::CostBased { .. });
         let max_speed = obj.max_speed;
         let (network, config) = (&*self.network, &self.config);
@@ -474,7 +499,7 @@ impl Database {
     ///
     /// [`CoreError::UnknownObject`] and route/geometry failures.
     pub fn position_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
-        let obj = self.moving(id)?;
+        let obj = self.resident(id)?;
         let (route, arc, bound) = self.locate(obj, t)?;
         let interval = obj.attr.uncertainty_arcs(route.length(), obj.max_speed, t);
         let interval_path = route.polyline().interval_points(interval.0, interval.1)?;
@@ -491,11 +516,7 @@ impl Database {
     /// arc the attribute extrapolates to at `t`, and the §3.3 deviation
     /// bound. All a fleet scan (k-nearest, route distance) needs per
     /// object — no lookup, no interval geometry.
-    pub(crate) fn locate(
-        &self,
-        obj: &MovingObject,
-        t: f64,
-    ) -> Result<(&Route, f64, f64), CoreError> {
+    pub(crate) fn locate(&self, obj: &Resident, t: f64) -> Result<(&Route, f64, f64), CoreError> {
         let route = self.network.get(obj.attr.route)?;
         let arc = obj.attr.database_arc(route.length(), t);
         let elapsed = (t - obj.attr.start_time).max(0.0);
@@ -510,16 +531,24 @@ impl Database {
     /// uncertainty-interval geometry (Theorems 5–6). `None` means the
     /// object is certainly outside G over the region's time span.
     ///
+    /// `slack` widens the interval to every point within `slack` miles
+    /// of it — where the object can be on a copy that trails the truth
+    /// (see [`Database::range_query_lagging`]). The object *may* be in G
+    /// when that widened set meets G, and *must* be when it lies inside
+    /// G. At `slack == 0` the tests are Theorems 5–6's own.
+    ///
     /// Range queries are defined for the present and future ("t₀ may be
     /// the current time, or some time in the future", §4.2): times before
     /// the object's `P.starttime` are skipped — the DBMS had no position
     /// knowledge for the object then, and the past is not served.
     fn classify(
         &self,
-        obj: &MovingObject,
+        obj: &Resident,
         region: &QueryRegion,
+        slack: f64,
     ) -> Result<Option<Containment>, CoreError> {
         let route = self.network.get(obj.attr.route)?;
+        let polygon = region.polygon();
         let mut best: Option<Containment> = None;
         for t in region.refinement_times(self.config.refinement_dt) {
             if t < obj.attr.start_time {
@@ -527,10 +556,17 @@ impl Database {
             }
             let (lo, hi) = obj.attr.uncertainty_arcs(route.length(), obj.max_speed, t);
             let path = route.polyline().interval_points(lo, hi)?;
-            if region.polygon().contains_path(&path) {
+            let (must, may) = if slack == 0.0 {
+                (polygon.contains_path(&path), polygon.intersects_path(&path))
+            } else {
+                let inside = polygon.contains_path(&path);
+                let clearance = polygon.boundary_distance(&path);
+                (inside && clearance > slack, inside || clearance <= slack)
+            };
+            if must {
                 return Ok(Some(Containment::Must));
             }
-            if region.polygon().intersects_path(&path) {
+            if may {
                 best = Some(Containment::May);
             }
         }
@@ -553,22 +589,51 @@ impl Database {
     ///
     /// Route/geometry failures during refinement.
     pub fn range_query(&self, region: &QueryRegion) -> Result<RangeAnswer, CoreError> {
+        self.range_query_lagging(region, 0.0)
+    }
+
+    /// [`Database::range_query`] answered by a copy that may trail the
+    /// truth by `lag` minutes — a follower whose last contact with a
+    /// caught-up leader is that old. In that time an object may have
+    /// reported and moved off the attribute this copy holds, by at most
+    /// `2·max_speed·lag` (DESIGN §15), so each candidate is refined
+    /// against its interval widened by its own such slack: it *may* be in
+    /// G when the widened interval meets G, and *must* be only while the
+    /// widened interval stays inside. The filter runs on the query box
+    /// dilated by the fleet's slack, `2·speed_cap·lag`, so no object
+    /// whose widened interval reaches G is missed. `lag == 0` is
+    /// [`Database::range_query`], bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidField`] for a negative or non-finite `lag`;
+    /// route/geometry failures during refinement.
+    pub fn range_query_lagging(
+        &self,
+        region: &QueryRegion,
+        lag: f64,
+    ) -> Result<RangeAnswer, CoreError> {
+        if !(lag.is_finite() && lag >= 0.0) {
+            return Err(CoreError::InvalidField("lag", lag));
+        }
+        let dilated = dilate(region, 2.0 * self.speed_cap * lag)?;
+        let filter = dilated.as_ref().unwrap_or(region);
         let mut answer = RangeAnswer::default();
         let mut refined = Ok(());
         let stats = self.moving.for_each_candidate(
-            region,
+            filter,
             &self.network,
             |obj| Self::plane_of(&self.config, obj).ok().flatten(),
             |entry| {
                 if refined.is_ok() {
-                    refined = self.tally(&mut answer, entry.value(), region);
+                    refined = self.tally(&mut answer, *entry.key(), entry.value(), region, lag);
                 }
             },
         );
         refined?;
         answer.stats = stats;
         for &id in self.unindexed.iter() {
-            self.tally(&mut answer, self.moving(id)?, region)?;
+            self.tally(&mut answer, id, self.resident(id)?, region, lag)?;
         }
         answer.normalize();
         Ok(answer)
@@ -600,8 +665,8 @@ impl Database {
     /// Route/geometry failures during refinement.
     pub fn range_query_scan(&self, region: &QueryRegion) -> Result<RangeAnswer, CoreError> {
         let mut answer = RangeAnswer::default();
-        for obj in self.moving_objects() {
-            self.tally(&mut answer, obj, region)?;
+        for (id, obj) in self.residents() {
+            self.tally(&mut answer, id, obj, region, 0.0)?;
         }
         answer.normalize();
         Ok(answer)
@@ -621,23 +686,26 @@ impl Database {
     ) -> Result<(Vec<ObjectId>, Vec<ObjectId>), CoreError> {
         let mut answer = RangeAnswer::default();
         for &id in candidates {
-            self.tally(&mut answer, self.moving(id)?, region)?;
+            self.tally(&mut answer, id, self.resident(id)?, region, 0.0)?;
         }
         Ok((answer.must, answer.may))
     }
 
-    /// Refines one candidate into `answer`: counts it and files its id
-    /// under must or may (unsorted — the caller normalizes).
+    /// Refines one candidate into `answer` as seen `lag` minutes behind
+    /// the truth: counts it and files `id` under must or may (unsorted —
+    /// the caller normalizes).
     fn tally(
         &self,
         answer: &mut RangeAnswer,
-        obj: &MovingObject,
+        id: ObjectId,
+        obj: &Resident,
         region: &QueryRegion,
+        lag: f64,
     ) -> Result<(), CoreError> {
         answer.candidates += 1;
-        match self.classify(obj, region)? {
-            Some(Containment::Must) => answer.must.push(obj.id),
-            Some(Containment::May) => answer.may.push(obj.id),
+        match self.classify(obj, region, 2.0 * obj.max_speed * lag)? {
+            Some(Containment::Must) => answer.must.push(id),
+            Some(Containment::May) => answer.may.push(id),
             None => {}
         }
         Ok(())
@@ -677,23 +745,43 @@ impl Database {
         radius: f64,
         t: f64,
     ) -> Result<RangeAnswer, CoreError> {
+        self.within_distance_of_object_lagging(target, radius, t, 0.0)
+    }
+
+    /// [`Database::within_distance_of_object`] answered by a copy that
+    /// may trail the truth by `lag` minutes: the target's bound grows by
+    /// its own `2·max_speed·lag`, and both range queries are
+    /// [`Database::range_query_lagging`]. `lag == 0` is the plain query.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Database::within_distance_of_object`] and
+    /// [`Database::range_query_lagging`].
+    pub fn within_distance_of_object_lagging(
+        &self,
+        target: ObjectId,
+        radius: f64,
+        t: f64,
+        lag: f64,
+    ) -> Result<RangeAnswer, CoreError> {
         if !radius.is_finite() || radius <= 0.0 {
             return Err(CoreError::InvalidField("radius", radius));
         }
         let target_pos = self.position_of(target, t)?;
         let center = target_pos.position;
+        let bound = target_pos.bound + 2.0 * self.resident(target)?.max_speed * lag;
         // may: the object could be anywhere within its bound of the db
         // position, so anything within radius + bound may qualify.
-        let may_region = modb_index::within_radius(center, radius + target_pos.bound, t)
+        let may_region = modb_index::within_radius(center, radius + bound, t)
             .ok_or(CoreError::InvalidField("radius", radius))?;
-        let mut may_side = self.range_query(&may_region)?;
+        let mut may_side = self.range_query_lagging(&may_region, lag)?;
         // must: only objects certainly within radius − bound qualify
         // regardless of where the target actually is.
-        let must_radius = radius - target_pos.bound;
+        let must_radius = radius - bound;
         let must_ids = if must_radius > 0.0 {
             let must_region = modb_index::within_radius(center, must_radius, t)
                 .ok_or(CoreError::InvalidField("radius", radius))?;
-            self.range_query(&must_region)?.must
+            self.range_query_lagging(&must_region, lag)?.must
         } else {
             Vec::new()
         };
@@ -716,10 +804,27 @@ impl Database {
     }
 }
 
+/// The filter region of a query answered with up to `slack` miles of
+/// widening: the query polygon's bounding rectangle grown by `slack` on
+/// every side, over the same time span. `None` at `slack == 0`, where the
+/// query's own region filters.
+fn dilate(region: &QueryRegion, slack: f64) -> Result<Option<QueryRegion>, CoreError> {
+    if slack == 0.0 {
+        return Ok(None);
+    }
+    let b = region.polygon().bbox();
+    let grown = Rect::new(
+        Point::new(b.min.x - slack, b.min.y - slack),
+        Point::new(b.max.x + slack, b.max.y + slack),
+    );
+    let polygon = Polygon::rectangle(&grown)?;
+    Ok(Some(QueryRegion::during(polygon, region.t0(), region.t1())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modb_geom::{Polygon, Rect};
+    use modb_index::Entry;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId};
     use proptest::prelude::*;
@@ -865,6 +970,48 @@ mod tests {
         db.register_moving(edge).unwrap();
     }
 
+    /// A trip end that is not a number or infinite is refused under
+    /// every policy and stores nothing: accepted, NaN would file a plane
+    /// 1e-6 minutes long (`NaN.max(start + 1e-6)`), and the table uses
+    /// NaN for "no trip end".
+    #[test]
+    fn a_non_finite_trip_end_is_refused_for_every_policy() {
+        let policies = [
+            cost_based(),
+            PolicyDescriptor::CostBased {
+                kind: BoundKind::Delayed,
+                update_cost: 2.0,
+            },
+            PolicyDescriptor::FixedBound { bound: 1.0 },
+            PolicyDescriptor::Unbounded,
+        ];
+        let mut db = db_with(vec![]);
+        for policy in policies {
+            for end in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bad = object(1, 10.0, 1.0);
+                bad.attr.policy = policy;
+                bad.trip_end = Some(end);
+                match db.register_moving(bad) {
+                    Err(CoreError::InvalidField("trip_end", got)) => {
+                        assert!(got.is_nan() == end.is_nan() && (got.is_nan() || got == end));
+                    }
+                    other => panic!("{policy:?} with trip end {end}: {other:?}"),
+                }
+                assert_eq!(db.moving_count(), 0);
+                assert_eq!(db.index_tree_stats().0, 0);
+            }
+            // A finite one, even before the update, and none, register.
+            for end in [Some(-5.0), Some(90.0), None] {
+                let mut good = object(1, 10.0, 1.0);
+                good.attr.policy = policy;
+                good.trip_end = end;
+                db.register_moving(good.clone()).unwrap();
+                assert_eq!(db.moving(ObjectId(1)).unwrap(), good);
+                db.remove_moving(ObjectId(1)).unwrap();
+            }
+        }
+    }
+
     /// Policy parameters under which the deviation bound is unsound:
     /// a cost `C` that is not finite and positive, a fixed `B` that is
     /// not finite and non-negative.
@@ -996,7 +1143,7 @@ mod tests {
             ),
             Err(CoreError::UnknownObject(_))
         ));
-        let before = db.moving(ObjectId(1)).unwrap().clone();
+        let before = db.moving(ObjectId(1)).unwrap();
         for policy in unsound_policies() {
             let mut msg = UpdateMessage::basic(6.0, UpdatePosition::Arc(13.0), 1.0);
             msg.policy = Some(policy);
@@ -1007,7 +1154,7 @@ mod tests {
                 ),
                 "{policy:?} applied"
             );
-            assert_eq!(db.moving(ObjectId(1)).unwrap(), &before, "{policy:?}");
+            assert_eq!(db.moving(ObjectId(1)).unwrap(), before, "{policy:?}");
         }
     }
 
@@ -1232,7 +1379,7 @@ mod tests {
             copy.insert_stationary(obj.clone()).unwrap();
         }
         for obj in db.moving_objects() {
-            copy.register_moving(obj.clone()).unwrap();
+            copy.register_moving(obj).unwrap();
         }
         copy
     }
@@ -1312,20 +1459,16 @@ mod tests {
     /// having had to sync anything.
     #[test]
     fn update_leaves_one_entry_once_clones_drop() {
-        // The entry is the id and the object: no copy of the o-plane the
-        // object determines, and no copy of the box it is filed under,
-        // which the tree's leaf keeps. 136 B, 152 B with the `Arc`'s
-        // counts: a 160-B allocator chunk, where an entry with the box
-        // beside it took 208 B, and one with the plane too 272 B.
-        assert_eq!(
-            std::mem::size_of::<Entry<ObjectId, MovingObject>>(),
-            std::mem::size_of::<ObjectId>() + std::mem::size_of::<MovingObject>()
-        );
-        assert_eq!(std::mem::size_of::<Entry<ObjectId, MovingObject>>(), 136);
+        // The entry is the id and the resident record: the id once, the
+        // trip end unboxed, a name of up to 22 bytes inline; no copy of
+        // the o-plane the record determines, and no copy of the box it
+        // is filed under, which the tree's leaf keeps. At most 120 B,
+        // 136 B with the `Arc`'s counts: the 144-B malloc chunk.
+        assert!(std::mem::size_of::<Entry<ObjectId, Resident>>() <= 120);
         // The leaf that files it, and each link above, is a 32-B slot: the
         // box rounded outward to six `f32`s, and one pointer.
         assert_eq!(
-            MovingObjectIndex::<ObjectId, MovingObject>::slot_bytes(),
+            MovingObjectIndex::<ObjectId, Resident>::slot_bytes(),
             (32, 32)
         );
         let id = ObjectId(1);
@@ -1505,18 +1648,15 @@ mod tests {
         let mut out = Vec::new();
         let mut leaves = Vec::new();
         db.moving.for_each_leaf(|union, entry| {
-            let obj = entry.value();
+            let (id, obj) = (*entry.key(), entry.value());
             let derived = Database::filing(&db.network, &db.config, obj)
                 .unwrap()
                 .map(|(plane, route)| plane.union_box(route, db.config.bands).unwrap())
                 .map(|union| modb_index::stored_box(&union));
             if derived != Some(*union) {
-                out.push(format!(
-                    "{:?} filed under {union:?}, derives {derived:?}",
-                    obj.id
-                ));
+                out.push(format!("{id:?} filed under {union:?}, derives {derived:?}"));
             }
-            leaves.push(obj.id);
+            leaves.push(id);
         });
         leaves.sort_unstable();
         let mut cost_based: Vec<ObjectId> = db
@@ -1624,6 +1764,77 @@ mod tests {
                 prop_assert_eq!(&answers(clone), then);
             }
         }
+    }
+
+    /// A copy `lag` behind widens each candidate by its own
+    /// `2·max_speed·lag` in both directions, and the dilated filter
+    /// misses none: the index answer equals refining every object, `may`
+    /// only grows and `must` only shrinks as the lag does, and a lag of
+    /// zero is the plain query. A bad lag is refused.
+    #[test]
+    fn a_lagging_answer_widens_each_candidate_by_its_own_slack() {
+        let mut db = Database::new(network(), DatabaseConfig::default());
+        for i in 0..60u64 {
+            let mut obj = object(i, (i * 13 % 100) as f64, 0.2 + (i % 5) as f64 * 0.2);
+            obj.max_speed = 1.0 + (i % 4) as f64;
+            if i % 7 == 0 {
+                obj.attr.policy = PolicyDescriptor::FixedBound { bound: 0.5 };
+            }
+            if i % 3 == 0 {
+                obj.attr.route = RouteId(2);
+                obj.attr.start_position = Point::new(50.0, obj.attr.start_arc - 50.0);
+            }
+            db.register_moving(obj).unwrap();
+        }
+        let regions = [
+            rect_region(10.0, 30.0, 2.0),
+            rect_region(45.0, 55.0, 5.0),
+            QueryRegion::during(
+                Polygon::regular(Point::new(50.0, 10.0), 8.0, 32).unwrap(),
+                1.0,
+                4.0,
+            ),
+        ];
+        for region in &regions {
+            assert_eq!(
+                db.range_query_lagging(region, 0.0).unwrap(),
+                db.range_query(region).unwrap()
+            );
+            let mut previous = db.range_query(region).unwrap();
+            for lag in [0.25, 1.0, 4.0] {
+                let answer = db.range_query_lagging(region, lag).unwrap();
+                let mut every = RangeAnswer::default();
+                for (id, obj) in db.residents() {
+                    db.tally(&mut every, id, obj, region, lag).unwrap();
+                }
+                every.normalize();
+                assert_eq!((&answer.must, &answer.may), (&every.must, &every.may));
+                assert!(answer.must.iter().all(|id| previous.must.contains(id)));
+                let all = answer.all();
+                assert!(previous.all().iter().all(|id| all.contains(id)));
+                previous = answer;
+            }
+            assert!(previous.all().len() > db.range_query(region).unwrap().all().len());
+        }
+        for lag in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                db.range_query_lagging(&regions[0], lag),
+                Err(CoreError::InvalidField("lag", _))
+            ));
+        }
+        // The trucking query: the target's own bound grows too.
+        let plain = db.within_distance_of_object(ObjectId(1), 6.0, 2.0).unwrap();
+        assert_eq!(
+            db.within_distance_of_object_lagging(ObjectId(1), 6.0, 2.0, 0.0)
+                .unwrap(),
+            plain
+        );
+        let lagging = db
+            .within_distance_of_object_lagging(ObjectId(1), 6.0, 2.0, 0.5)
+            .unwrap();
+        assert!(lagging.must.iter().all(|id| plain.must.contains(id)));
+        assert!(plain.all().iter().all(|id| lagging.all().contains(id)));
+        assert!(!lagging.all().contains(&ObjectId(1)));
     }
 
     #[test]

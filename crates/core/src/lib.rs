@@ -35,6 +35,7 @@ mod error;
 mod nearest;
 mod object;
 mod query;
+mod resident;
 mod update;
 
 pub use attr::{PolicyDescriptor, PositionAttribute};

@@ -133,10 +133,10 @@ impl Database {
             return Err(CoreError::InvalidField("k", 0.0));
         }
         let mut all: Vec<Neighbour> = Vec::with_capacity(self.moving_count());
-        for obj in self.moving_objects() {
+        for (id, obj) in self.residents() {
             let (route, arc, bound) = self.locate(obj, t)?;
             all.push(Neighbour {
-                id: obj.id,
+                id,
                 distance: route.point_at(arc).distance(center),
                 bound,
                 certain: false,

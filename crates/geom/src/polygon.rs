@@ -197,6 +197,33 @@ impl Polygon {
         true
     }
 
+    /// The least distance from a polyline path (its vertex sequence) to
+    /// the polygon's boundary: 0 when the path touches or crosses an
+    /// edge, `+∞` for an empty path. With [`Polygon::contains_path`] it
+    /// decides whether every point within `d` of the path lies inside
+    /// (contained and farther than `d` from the boundary) and whether any
+    /// does (contained, or within `d` of the boundary).
+    pub fn boundary_distance(&self, path: &[Point]) -> f64 {
+        let pieces: Vec<Segment> = match path {
+            [p] => vec![Segment::new(*p, *p)],
+            _ => path.windows(2).map(|w| Segment::new(w[0], w[1])).collect(),
+        };
+        let mut least = f64::INFINITY;
+        for s in &pieces {
+            for e in self.edges() {
+                if s.intersects(&e) {
+                    return 0.0;
+                }
+                least = least
+                    .min(e.distance_to_point(s.a))
+                    .min(e.distance_to_point(s.b))
+                    .min(s.distance_to_point(e.a))
+                    .min(s.distance_to_point(e.b));
+            }
+        }
+        least
+    }
+
     /// Convenience: does the polygon's interior intersect a rectangle.
     pub fn intersects_rect(&self, r: &Rect) -> bool {
         if !self.bbox.intersects(r) {
@@ -252,6 +279,21 @@ mod tests {
             Point::new(0.0, 2.0),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn boundary_distance_of_paths() {
+        let sq = unit_square();
+        let p = |x, y| Point::new(x, y);
+        // Inside, 0.25 from the nearest edge; outside, 1.0 away; a single
+        // point; a path crossing an edge; a path wholly around a corner.
+        assert!((sq.boundary_distance(&[p(0.25, 0.5), p(0.5, 0.5)]) - 0.25).abs() < 1e-12);
+        assert!((sq.boundary_distance(&[p(2.0, 0.0), p(2.0, 1.0)]) - 1.0).abs() < 1e-12);
+        assert!((sq.boundary_distance(&[p(0.5, 0.6)]) - 0.4).abs() < 1e-12);
+        assert_eq!(sq.boundary_distance(&[p(0.5, 0.5), p(1.5, 0.5)]), 0.0);
+        let corner = sq.boundary_distance(&[p(2.0, 1.5), p(1.5, 2.0)]);
+        assert!((corner - 0.5f64.hypot(1.0).min(0.75f64.hypot(0.75))).abs() < 1e-12);
+        assert_eq!(sq.boundary_distance(&[]), f64::INFINITY);
     }
 
     #[test]

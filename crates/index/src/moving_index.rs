@@ -102,15 +102,16 @@ pub struct Entry<K, V> {
 }
 
 impl<K, V> Entry<K, V> {
+    /// The key the entry is stored under.
+    #[inline]
+    pub fn key(&self) -> &K {
+        &self.key
+    }
+
     /// The payload.
     #[inline]
     pub fn value(&self) -> &V {
         &self.value
-    }
-
-    /// The payload, by value.
-    pub fn into_value(self) -> V {
-        self.value
     }
 }
 
@@ -222,9 +223,9 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
         self.entries.keys()
     }
 
-    /// Every payload, in arbitrary order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.values().map(|entry| &entry.value)
+    /// Every entry, in arbitrary order.
+    pub fn entries(&self) -> impl Iterator<Item = &Entry<K, V>> {
+        self.entries.values().map(|entry| &**entry)
     }
 
     /// Stores `value` under `key`, filed in the tree under the union box
@@ -600,7 +601,7 @@ mod tests {
         let removed = idx.remove(&1, filing(&r)).unwrap();
         assert_eq!(removed.map(|e| e.value().0), Some("unfiled"));
         assert_eq!((idx.len(), idx.tree_stats().0), (1, 1));
-        let values: Vec<_> = idx.values().map(|v| v.0).collect();
+        let values: Vec<_> = idx.entries().map(|e| e.value().0).collect();
         assert_eq!(values, ["refiled"]);
         assert_eq!(filed(&idx), [2]);
     }

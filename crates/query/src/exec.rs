@@ -157,6 +157,12 @@ fn build_region(
 ///
 /// [`ExecError`] for unknown names, invalid regions, or DBMS failures.
 pub fn execute(db: &Database, query: &Query) -> Result<QueryResult, ExecError> {
+    execute_lagging(db, query, 0.0)
+}
+
+/// [`execute`] against a copy `lag` minutes behind the truth (see
+/// [`run_lagging`]).
+fn execute_lagging(db: &Database, query: &Query, lag: f64) -> Result<QueryResult, ExecError> {
     match query {
         Query::Position { object, at } => {
             let id = resolve(db, object)?;
@@ -164,11 +170,13 @@ pub fn execute(db: &Database, query: &Query) -> Result<QueryResult, ExecError> {
         }
         Query::Range { region, time } => {
             let region = build_region(db, region, *time)?;
-            Ok(QueryResult::Range(db.range_query(&region)?))
+            Ok(QueryResult::Range(db.range_query_lagging(&region, lag)?))
         }
-        Query::WithinPoint { center, radius, at } => Ok(QueryResult::Range(
-            db.within_distance_of_point(Point::new(center.x, center.y), *radius, *at)?,
-        )),
+        Query::WithinPoint { center, radius, at } => {
+            let region = modb_index::within_radius(Point::new(center.x, center.y), *radius, *at)
+                .ok_or(CoreError::InvalidField("radius", *radius))?;
+            Ok(QueryResult::Range(db.range_query_lagging(&region, lag)?))
+        }
         Query::Nearest { k, center, at } => Ok(QueryResult::Nearest(db.nearest(
             Point::new(center.x, center.y),
             *k,
@@ -176,9 +184,9 @@ pub fn execute(db: &Database, query: &Query) -> Result<QueryResult, ExecError> {
         )?)),
         Query::WithinObject { object, radius, at } => {
             let id = resolve(db, object)?;
-            Ok(QueryResult::Range(
-                db.within_distance_of_object(id, *radius, *at)?,
-            ))
+            Ok(QueryResult::Range(db.within_distance_of_object_lagging(
+                id, *radius, *at, lag,
+            )?))
         }
     }
 }
@@ -190,8 +198,24 @@ pub fn execute(db: &Database, query: &Query) -> Result<QueryResult, ExecError> {
 /// [`crate::QueryError::Parse`] for text that does not parse,
 /// [`crate::QueryError::Exec`] for evaluation failures.
 pub fn run(db: &Database, src: &str) -> Result<QueryResult, crate::QueryError> {
+    run_lagging(db, src, 0.0)
+}
+
+/// [`run`] against a copy that may trail the truth by `lag` minutes (a
+/// follower's lag clock): range statements — `INSIDE`, `WITHIN … OF
+/// POINT`, `WITHIN … OF OBJECT` — refine each candidate against its
+/// uncertainty widened by its own `2·max_speed·lag`
+/// ([`Database::range_query_lagging`]), so their `may` set can grow and
+/// their `must` set shrink. Position and nearest answers come back as at
+/// `lag == 0`; their bounds are a server's to widen. `lag == 0` is
+/// [`run`].
+///
+/// # Errors
+///
+/// As for [`run`], and a negative or non-finite `lag`.
+pub fn run_lagging(db: &Database, src: &str, lag: f64) -> Result<QueryResult, crate::QueryError> {
     let query = crate::parse(src).map_err(crate::QueryError::Parse)?;
-    execute(db, &query).map_err(crate::QueryError::Exec)
+    execute_lagging(db, &query, lag).map_err(crate::QueryError::Exec)
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ pub use net::{
 };
 pub use query_engine::{QueryEngine, QueryEngineConfig, QueryStats, QueryStatsSnapshot};
 pub use replication::{
-    DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch,
+    DivergenceInfo, LagClock, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch,
     ReplicationConfig, ReplicationServer, ReplicationStatsSnapshot, ShipHorizon, StandbyReplica,
 };
 pub use shared::SharedDatabase;

@@ -168,32 +168,35 @@ impl ServeContext {
         Some((watch.applied_lsn(), min_lsn))
     }
 
-    /// The `2·v_max·Δ` staleness term priced into every follower-served
-    /// answer (0.0 on a leader, and on a caught-up follower where the
-    /// lag clock reads zero). `v_max` is the fleet's speed cap
-    /// ([`modb_core::Database::speed_cap`], read in O(1)) — the
-    /// worst-case drift any object can accumulate while the answer's
-    /// clone trails the leader by wall-clock `Δ`.
-    fn staleness_slack(&self) -> f64 {
+    /// The staleness priced into follower-served answers: `(Δ, slack)`,
+    /// the lag clock read as the batch starts (one wall-clock second is
+    /// one unit of database time) and the fleet's `2·v_max·Δ`, with
+    /// `v_max` the speed cap ([`modb_core::Database::speed_cap`], read
+    /// in O(1)) — the worst-case drift any object can accumulate while
+    /// the answer's clone trails the leader by `Δ`. Both are 0.0 on a
+    /// leader, and on a follower within its contact window of a
+    /// caught-up contact.
+    fn staleness(&self) -> (f64, f64) {
         let Backend::Follower { watch } = &self.backend else {
-            return 0.0;
+            return (0.0, 0.0);
         };
         let lag = watch.lag().as_secs_f64();
         if lag == 0.0 {
-            return 0.0;
+            return (0.0, 0.0);
         }
         let v_max = self.engine.database().with_read(|db| db.speed_cap());
-        2.0 * v_max * lag
+        (lag, 2.0 * v_max * lag)
     }
 }
 
-/// Widens one served verdict by the staleness slack: position answers
-/// grow their deviation bound and uncertainty interval, range answers
-/// demote every certain member to possible (a `2·v_max·Δ` halo around
-/// the query region could move any of them across the boundary), and
-/// nearest answers grow each neighbour's bound and drop certainty.
-/// `slack == 0` (a leader, or a caught-up follower) leaves the verdict
-/// bit-identical.
+/// Widens one served position or nearest verdict by the fleet's
+/// staleness slack: a position answer grows its deviation bound and
+/// uncertainty interval, and a nearest answer grows each neighbour's
+/// bound and drops certainty. A range verdict passes through: its
+/// members change, not just its bounds, so it was widened as it ran
+/// ([`QueryEngine::run_batch_lagging`] — each candidate against its own
+/// slack, in both directions). `slack == 0` (a leader, or a caught-up
+/// follower) leaves the verdict bit-identical.
 fn widen_result(result: &mut QueryResult, slack: f64) {
     if slack <= 0.0 {
         return;
@@ -204,10 +207,7 @@ fn widen_result(result: &mut QueryResult, slack: f64) {
             p.interval.0 -= slack;
             p.interval.1 += slack;
         }
-        QueryResult::Range(a) => {
-            let must = std::mem::take(&mut a.must);
-            a.may.extend(must);
-        }
+        QueryResult::Range(_) => {}
         QueryResult::Nearest(a) => {
             for n in a.ranked.iter_mut().chain(a.contenders.iter_mut()) {
                 n.bound += slack;
@@ -480,12 +480,13 @@ fn run_session(
                 // floor was applied before the watermark passed it.
                 // Synchronous execution: shutdown observed after this
                 // point still lets the full response stream out (the
-                // drain guarantee).
-                let mut verdicts = ctx.engine.run_batch(&script);
-                // Price the staleness of a lagging follower's snapshot
-                // into every answer (no-op on a leader or when caught
-                // up — served verdicts are then bit-identical to local).
-                let slack = ctx.staleness_slack();
+                // drain guarantee). A lagging follower's staleness is
+                // priced into every answer: range statements as they
+                // run, position and nearest bounds after (no-op on a
+                // leader or when caught up — served verdicts are then
+                // bit-identical to local).
+                let (lag, slack) = ctx.staleness();
+                let mut verdicts = ctx.engine.run_batch_lagging(&script, lag);
                 for result in verdicts.iter_mut().flatten() {
                     widen_result(result, slack);
                 }
@@ -593,11 +594,9 @@ mod tests {
                     assert!(w.interval.1 >= b.interval.1 + slack);
                 }
                 (QueryResult::Range(w), QueryResult::Range(b)) => {
-                    // Every certain member is demoted, none is dropped.
-                    assert!(w.must.is_empty());
-                    for id in b.must.iter().chain(&b.may) {
-                        assert!(w.may.contains(id), "{id:?} lost in widening");
-                    }
+                    // Widened as it ran, against each member's own slack:
+                    // nothing left to do here.
+                    assert_eq!(w, b);
                 }
                 (QueryResult::Nearest(w), QueryResult::Nearest(b)) => {
                     assert_eq!(w.ranked[0].id, b.ranked[0].id);

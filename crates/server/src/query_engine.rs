@@ -322,6 +322,14 @@ impl QueryEngine {
     /// split; that comes back as a single parse-error verdict for the
     /// whole batch.
     pub fn run_batch(&self, src: &str) -> Vec<Result<QueryResult, QueryError>> {
+        self.run_batch_lagging(src, 0.0)
+    }
+
+    /// [`QueryEngine::run_batch`] on a copy that may trail the truth by
+    /// `lag` minutes — a follower's lag clock as the batch starts: range
+    /// statements refine each candidate against its own staleness slack
+    /// ([`modb_query::run_lagging`]). `lag == 0` is `run_batch`.
+    pub fn run_batch_lagging(&self, src: &str, lag: f64) -> Vec<Result<QueryResult, QueryError>> {
         let statements = match modb_query::split_statements(src) {
             Ok(statements) => statements,
             Err(e) => return vec![Err(QueryError::Parse(modb_query::ParseError::Lex(e)))],
@@ -332,7 +340,7 @@ impl QueryEngine {
             .into_iter()
             .map(|statement| {
                 let t0 = Instant::now();
-                let result = modb_query::run(&snap, statement);
+                let result = modb_query::run_lagging(&snap, statement, lag);
                 self.record_result(t0.elapsed(), &result);
                 result
             })

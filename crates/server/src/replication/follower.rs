@@ -56,6 +56,7 @@ use crate::framed::{send, FrameReader, ReadEvent};
 use crate::net::{QueryServer, QueryServerConfig};
 use crate::query_engine::QueryEngine;
 use crate::replication::horizon::ShipHorizon;
+use crate::replication::lag::LagClock;
 use crate::replication::leader::{serve_replication_from, Frontier, ReplicationServer};
 use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
 use crate::replication::ReplicationConfig;
@@ -226,11 +227,10 @@ struct Shared {
     stop: AtomicBool,
     force_reconnect: AtomicUsize,
     stats: ReplicaStats,
-    /// When the replica first observed itself behind the upstream
-    /// frontier and has stayed behind since; `None` while caught up.
-    /// `behind_since.elapsed()` is the `Δ` of the `2·v_max·Δ` staleness
-    /// widening on follower-served answers.
-    behind_since: Mutex<Option<Instant>>,
+    /// The `Δ` of the `2·v_max·Δ` widening on follower-served answers:
+    /// the age of the last contact that found the watermark at the
+    /// upstream frontier.
+    clock: Mutex<LagClock>,
     /// Which upstream the worker dials; [`StandbyReplica::repoint`]
     /// swaps it so a surviving follower can chase a promoted standby
     /// without re-bootstrapping.
@@ -260,7 +260,7 @@ impl Shared {
             stop: AtomicBool::new(false),
             force_reconnect: AtomicUsize::new(0),
             stats: ReplicaStats::default(),
-            behind_since: Mutex::new(None),
+            clock: Mutex::new(LagClock::new(Instant::now())),
             addr: Mutex::new(addr),
             epochs: Arc::new(Mutex::new(epochs)),
             promoted: Mutex::new(None),
@@ -278,8 +278,8 @@ impl Shared {
     /// `applied ≥ floor` (under this lock, in `applied` or
     /// `wait_for_lsn`) must also see the clock that goes with it, or a
     /// caught-up follower widens one answer by a lag it no longer has.
-    /// Lock order is `applied` → `behind_since`; nothing takes them the
-    /// other way round.
+    /// Lock order is `applied` → `clock`; nothing takes them the other
+    /// way round.
     fn set_applied(&self, lsn: u64) {
         let mut g = self.applied.lock().unwrap_or_else(|e| e.into_inner());
         self.note_progress(lsn);
@@ -305,17 +305,15 @@ impl Shared {
         self.phase.store(phase as u8, Ordering::SeqCst);
     }
 
-    /// Re-evaluates the lag clock against the last known upstream
-    /// frontier: caught up clears it, falling behind starts it (once —
-    /// the clock measures *continuous* trailing, not per-record lag).
+    /// Records a contact with the upstream (an applied run or a
+    /// heartbeat) that leaves the watermark at `applied`, against the
+    /// last known upstream frontier.
     fn note_progress(&self, applied: u64) {
         let frontier = self.leader_lsn.load(Ordering::SeqCst);
-        let mut g = self.behind_since.lock().unwrap_or_else(|e| e.into_inner());
-        if applied >= frontier {
-            *g = None;
-        } else if g.is_none() {
-            *g = Some(Instant::now());
-        }
+        self.clock
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contact(applied, frontier, Instant::now());
     }
 
     fn lag(&self) -> Duration {
@@ -324,11 +322,10 @@ impl Shared {
         if self.promoted_wal().is_some() {
             return Duration::ZERO;
         }
-        self.behind_since
+        self.clock
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .map(|t| t.elapsed())
-            .unwrap_or(Duration::ZERO)
+            .lag_at(Instant::now())
     }
 
     fn wait_for_lsn(&self, lsn: u64, timeout: Duration) -> bool {
@@ -382,8 +379,9 @@ impl ReplicaWatch {
         self.shared.leader_lsn.load(Ordering::SeqCst)
     }
 
-    /// How long the replica has continuously trailed the upstream
-    /// frontier (zero while caught up) — the `Δ` that widens served
+    /// The age of the replica's last contact with a caught-up upstream
+    /// — zero within [`LagClock::CONTACT_WINDOW`] of it, unless a later
+    /// contact found the replica behind — the `Δ` that widens served
     /// answers by `2·v_max·Δ`.
     pub fn lag(&self) -> Duration {
         self.shared.lag()

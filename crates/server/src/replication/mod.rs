@@ -28,6 +28,7 @@
 
 mod follower;
 mod horizon;
+mod lag;
 mod leader;
 mod protocol;
 
@@ -35,4 +36,5 @@ pub use follower::{
     DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch, StandbyReplica,
 };
 pub use horizon::ShipHorizon;
+pub use lag::LagClock;
 pub use leader::{ReplicationConfig, ReplicationServer, ReplicationStatsSnapshot};

@@ -356,7 +356,7 @@ mod tests {
             // while the snapshot was in flight.
             let (recovered, _) = SharedDatabase::recover(&dir).unwrap();
             assert_eq!(recovered.moving_count(), 4000);
-            let captured = recovered.with_read(|back| back.moving(ObjectId(1)).unwrap().clone());
+            let captured = recovered.with_read(|back| back.moving(ObjectId(1)).unwrap());
             assert!(
                 (before..=t).contains(&captured.attr.start_time),
                 "captured t = {} outside [{before}, {t}]",

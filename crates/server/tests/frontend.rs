@@ -351,7 +351,7 @@ fn an_update_batch_answers_in_input_order_and_logs_no_invalid_envelope() {
     let held = |id| {
         durable
             .database()
-            .with_read(|db| db.moving(ObjectId(id)).unwrap().clone())
+            .with_read(|db| db.moving(ObjectId(id)).unwrap())
     };
     let (object_3, object_4) = (held(3), held(4));
     let lsn_before = durable.wal().next_lsn();

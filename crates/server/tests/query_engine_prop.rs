@@ -138,7 +138,7 @@ fn observe(db: &Database) -> View {
         })
         .map(|answer| (answer.must, answer.may));
     (
-        ids().map(|id| db.moving(id).ok().cloned()).collect(),
+        ids().map(|id| db.moving(id).ok()).collect(),
         ids().map(|id| db.position_of(id, 15.0).ok()).collect(),
         ranges.collect(),
         [(10.0, 1, 5.0), (50.0, 3, 15.0), (90.0, 60, 30.0)]
@@ -154,7 +154,7 @@ fn observe(db: &Database) -> View {
 fn deep_copy(db: &Database) -> Database {
     let mut copy = Database::new(db.network().clone(), *db.config());
     for obj in db.moving_objects() {
-        copy.register_moving(obj.clone()).unwrap();
+        copy.register_moving(obj).unwrap();
     }
     copy
 }

@@ -27,8 +27,9 @@
 //! rename, dir fsync): a crash leaves the old state or the new, never a
 //! half-written snapshot under the real name.
 //!
-//! **Memory.** [`write_snapshot`] holds the id-sorted object references
-//! (8 bytes a vehicle) and one block of records at a time;
+//! **Memory.** [`write_snapshot`] holds the id-sorted entry references
+//! [`Database::moving_objects`] iterates by (8 bytes a vehicle) and one
+//! block of records at a time;
 //! [`read_snapshot`] holds the file's bytes once and applies them block
 //! by block; a bootstrapping follower feeds each run it receives to a
 //! [`SnapshotLoad`]. Neither direction holds a second copy of the fleet.
@@ -37,7 +38,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use modb_core::{Database, MovingObject, StationaryObject};
+use modb_core::{Database, StationaryObject};
 use modb_routes::RouteNetwork;
 
 use crate::block::{seal, walk_blocks};
@@ -95,16 +96,14 @@ fn stream_snapshot(
     lsn: u64,
 ) -> Result<(), WalError> {
     // Sorted by id, so the same state always produces the same bytes
-    // whatever order its tables iterate in.
+    // whatever order its tables iterate in (`moving_objects` yields id
+    // order).
     let mut stationary = Vec::with_capacity(db.stationary_count());
     stationary.extend(db.stationary_objects());
     stationary.sort_unstable_by_key(|o: &&StationaryObject| o.id);
-    let mut moving = Vec::with_capacity(db.moving_count());
-    moving.extend(db.moving_objects());
-    moving.sort_unstable_by_key(|o: &&MovingObject| o.id);
     let head = WalRecord::SnapshotHead {
         config: *db.config(),
-        records: (db.network().len() + stationary.len() + moving.len()) as u64,
+        records: (db.network().len() + stationary.len() + db.moving_count()) as u64,
         epochs: epochs.clone(),
     };
     let mut body = db
@@ -116,11 +115,7 @@ fn stream_snapshot(
                 .into_iter()
                 .map(|o| WalRecord::InsertStationary(o.clone())),
         )
-        .chain(
-            moving
-                .into_iter()
-                .map(|o| WalRecord::RegisterMoving(o.clone())),
-        );
+        .chain(db.moving_objects().map(WalRecord::RegisterMoving));
 
     let mut lz = Compressor::new();
     file.write_all(&encode_header(lsn))?;
@@ -318,7 +313,9 @@ mod tests {
     use super::*;
     use crate::block::{encode_block, frame_block};
     use crate::record::split_frame;
-    use modb_core::{DatabaseConfig, ObjectId, PolicyDescriptor, UpdateMessage, UpdatePosition};
+    use modb_core::{
+        DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, UpdateMessage, UpdatePosition,
+    };
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId};
@@ -380,7 +377,7 @@ mod tests {
         let mut db = sample_db();
         let ids: Vec<u64> = (1..=3).chain(1_000..3_000).collect();
         for &id in &ids[3..] {
-            let mut obj = db.moving(ObjectId(1)).unwrap().clone();
+            let mut obj = db.moving(ObjectId(1)).unwrap();
             obj.id = ObjectId(id);
             obj.name = format!("vehicle number {id}");
             db.register_moving(obj).unwrap();
@@ -426,6 +423,48 @@ mod tests {
                 );
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A name is kept inline up to 22 bytes and boxed past that; either
+    /// way it comes back byte for byte from a lookup, from a snapshot of
+    /// the state and from recovery of that snapshot — an empty name, 22
+    /// and 23 bytes, and a multi-byte name whose 23rd byte is the middle
+    /// of a character.
+    #[test]
+    fn names_of_every_length_round_trip_through_a_snapshot() {
+        let dir = tmp("name-lengths");
+        let mut db = sample_db();
+        let names = [
+            String::new(),
+            "n".repeat(22),
+            "n".repeat(23),
+            "n".repeat(21) + "é",
+            "ü".repeat(11),
+            "🚕 cab 4711 · Zürich Hauptbahnhof".to_owned(),
+        ];
+        let template = db.moving(ObjectId(1)).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            let id = ObjectId(10 + i as u64);
+            let obj = MovingObject {
+                id,
+                name: name.clone(),
+                ..template.clone()
+            };
+            db.register_moving(obj.clone()).unwrap();
+            assert_eq!(db.moving(id).unwrap(), obj, "{name:?}");
+        }
+        write_snapshot(&dir, &db, &EpochHistory::new(), 7).unwrap();
+        let recovered = crate::recover(&dir).unwrap().database;
+        for (i, name) in names.iter().enumerate() {
+            let id = ObjectId(10 + i as u64);
+            assert_eq!(recovered.moving(id).unwrap().name, *name);
+            assert_eq!(recovered.moving(id), db.moving(id));
+        }
+        assert_eq!(
+            recovered.find_moving_by_name(&names[5]).map(|o| o.id),
+            Some(ObjectId(15))
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -542,7 +581,7 @@ mod tests {
             WalRecord::InsertStationary(landmark),
         ];
         for &id in &ids {
-            let obj = db.moving(ObjectId(id)).unwrap().clone();
+            let obj = db.moving(ObjectId(id)).unwrap();
             records.push(WalRecord::RegisterMoving(obj));
         }
         assert!(records.len() > 3 * SNAPSHOT_BLOCK_RECORDS);
@@ -571,7 +610,7 @@ mod tests {
     fn a_payload_over_the_length_field_is_refused() {
         let dir = tmp("too-large");
         let mut db = sample_db();
-        let mut obj = db.moving(ObjectId(1)).unwrap().clone();
+        let mut obj = db.moving(ObjectId(1)).unwrap();
         obj.id = ObjectId(4);
         obj.name = "x".repeat(crate::MAX_RECORD_BYTES as usize);
         db.register_moving(obj).unwrap();
