@@ -3,7 +3,7 @@
 
 use modb_geom::Point;
 use modb_policy::BoundKind;
-use modb_routes::{Direction, RouteId};
+use modb_routes::{Direction, Route, RouteId};
 
 use crate::CoreError;
 
@@ -100,8 +100,9 @@ pub struct PositionAttribute {
     /// `P.x.startposition`, `P.y.startposition` — the position at
     /// `start_time`.
     pub start_position: Point,
-    /// The same start position in arc coordinates on `route` (derived at
-    /// update time; stored to avoid re-projection on every query).
+    /// The same start position in arc coordinates on `route`: what the
+    /// database keeps, and answers with `start_position` rebuilt as
+    /// `route.point_at(start_arc)`.
     pub start_arc: f64,
     /// `P.direction` — travel direction along the route.
     pub direction: Direction,
@@ -111,12 +112,111 @@ pub struct PositionAttribute {
     pub policy: PolicyDescriptor,
 }
 
-impl PositionAttribute {
+/// The policy descriptor's variant, with the bound family of a
+/// cost-based one: one byte of a [`CompactAttribute`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PolicyKind {
+    Delayed,
+    Immediate,
+    Fixed,
+    Unbounded,
+}
+
+/// The position attribute as the object table keeps it: every
+/// sub-attribute but the start point, in 48 bytes. The start position is
+/// kept once, as `route` + `start_arc`; the point is
+/// `route.point_at(start_arc)` — registration refuses one farther from
+/// it than the map-matching tolerance, and an update writes it so — and
+/// is built only when a [`PositionAttribute`] is (an answer, a snapshot
+/// record). No query, refinement, plane or bound reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CompactAttribute {
+    /// `P.starttime`.
+    pub(crate) start_time: f64,
+    /// `P.route`.
+    pub(crate) route: RouteId,
+    /// The start position, in arc coordinates on `route`.
+    pub(crate) start_arc: f64,
+    /// `P.speed`.
+    pub(crate) speed: f64,
+    /// The policy's one parameter: `C` of a cost-based policy, `B` of a
+    /// fixed bound, 0 for none.
+    policy_param: f64,
+    policy_kind: PolicyKind,
+    /// `P.direction`.
+    pub(crate) direction: Direction,
+}
+
+impl CompactAttribute {
+    /// `attr` without its start point.
+    pub(crate) fn new(attr: &PositionAttribute) -> Self {
+        let mut compact = CompactAttribute {
+            start_time: attr.start_time,
+            route: attr.route,
+            start_arc: attr.start_arc,
+            speed: attr.speed,
+            policy_param: 0.0,
+            policy_kind: PolicyKind::Unbounded,
+            direction: attr.direction,
+        };
+        compact.set_policy(attr.policy);
+        compact
+    }
+
+    /// The whole attribute, its start point built on `route` (the one
+    /// this attribute names).
+    pub(crate) fn to_attribute(self, route: &Route) -> PositionAttribute {
+        debug_assert_eq!(route.id(), self.route);
+        PositionAttribute {
+            start_time: self.start_time,
+            route: self.route,
+            start_position: route.point_at(self.start_arc),
+            start_arc: self.start_arc,
+            direction: self.direction,
+            speed: self.speed,
+            policy: self.policy(),
+        }
+    }
+
+    /// `P.policy`.
+    pub(crate) fn policy(&self) -> PolicyDescriptor {
+        let param = self.policy_param;
+        match self.policy_kind {
+            PolicyKind::Delayed => PolicyDescriptor::CostBased {
+                kind: BoundKind::Delayed,
+                update_cost: param,
+            },
+            PolicyKind::Immediate => PolicyDescriptor::CostBased {
+                kind: BoundKind::Immediate,
+                update_cost: param,
+            },
+            PolicyKind::Fixed => PolicyDescriptor::FixedBound { bound: param },
+            PolicyKind::Unbounded => PolicyDescriptor::Unbounded,
+        }
+    }
+
+    /// Replaces `P.policy` (§3.1: "each position update may change the
+    /// policy").
+    pub(crate) fn set_policy(&mut self, policy: PolicyDescriptor) {
+        (self.policy_kind, self.policy_param) = match policy {
+            PolicyDescriptor::CostBased {
+                kind: BoundKind::Delayed,
+                update_cost,
+            } => (PolicyKind::Delayed, update_cost),
+            PolicyDescriptor::CostBased {
+                kind: BoundKind::Immediate,
+                update_cost,
+            } => (PolicyKind::Immediate, update_cost),
+            PolicyDescriptor::FixedBound { bound } => (PolicyKind::Fixed, bound),
+            PolicyDescriptor::Unbounded => (PolicyKind::Unbounded, 0.0),
+        };
+    }
+
     /// The database position in arc coordinates at time `t` (§2): the
     /// point at route-distance `speed · (t − start_time)` from the start
     /// position, clamped into the route. Queries before `start_time`
     /// answer at `start_time` (the update is the earliest knowledge).
-    pub fn database_arc(&self, route_len: f64, t: f64) -> f64 {
+    pub(crate) fn database_arc(&self, route_len: f64, t: f64) -> f64 {
         let elapsed = (t - self.start_time).max(0.0);
         let delta = self.direction.sign() * self.speed * elapsed;
         (self.start_arc + delta).clamp(0.0, route_len)
@@ -125,9 +225,9 @@ impl PositionAttribute {
     /// The DBMS-side uncertainty interval in arc coordinates at time `t`:
     /// the stretch of route the object can possibly be on (§4.1.1),
     /// clamped into the route.
-    pub fn uncertainty_arcs(&self, route_len: f64, v_max: f64, t: f64) -> (f64, f64) {
+    pub(crate) fn uncertainty_arcs(&self, route_len: f64, v_max: f64, t: f64) -> (f64, f64) {
         let elapsed = (t - self.start_time).max(0.0);
-        let (bs, bf) = self.policy.bounds_split(self.speed, v_max, elapsed);
+        let (bs, bf) = self.policy().bounds_split(self.speed, v_max, elapsed);
         let nominal = self.speed * elapsed;
         let l = (nominal - bs).max(0.0);
         let u = nominal + bf;
@@ -148,8 +248,8 @@ impl PositionAttribute {
 mod tests {
     use super::*;
 
-    fn attr(policy: PolicyDescriptor) -> PositionAttribute {
-        PositionAttribute {
+    fn attr(policy: PolicyDescriptor) -> CompactAttribute {
+        CompactAttribute::new(&PositionAttribute {
             start_time: 10.0,
             route: RouteId(1),
             start_position: Point::new(0.0, 0.0),
@@ -157,13 +257,48 @@ mod tests {
             direction: Direction::Forward,
             speed: 1.0,
             policy,
-        }
+        })
     }
 
     const CB: PolicyDescriptor = PolicyDescriptor::CostBased {
         kind: BoundKind::Delayed,
         update_cost: 5.0,
     };
+
+    /// The compact form is 48 bytes and gives back every policy bit for
+    /// bit, with the start point rebuilt on its route.
+    #[test]
+    fn the_compact_form_is_48_bytes_and_loses_only_the_point() {
+        assert_eq!(std::mem::size_of::<CompactAttribute>(), 48);
+        let route = Route::from_vertices(
+            RouteId(1),
+            "diagonal",
+            vec![Point::new(0.0, 0.0), Point::new(30.0, 40.0)],
+        )
+        .unwrap();
+        let param_bits = |policy| match policy {
+            PolicyDescriptor::CostBased { update_cost, .. } => update_cost.to_bits(),
+            PolicyDescriptor::FixedBound { bound } => bound.to_bits(),
+            PolicyDescriptor::Unbounded => 0,
+        };
+        for policy in [
+            CB,
+            PolicyDescriptor::CostBased {
+                kind: BoundKind::Immediate,
+                update_cost: f64::MIN_POSITIVE,
+            },
+            PolicyDescriptor::FixedBound { bound: -0.0 },
+            PolicyDescriptor::FixedBound { bound: 2.5 },
+            PolicyDescriptor::Unbounded,
+        ] {
+            let compact = attr(policy);
+            let whole = compact.to_attribute(&route);
+            assert_eq!(whole.policy, policy);
+            assert_eq!(param_bits(whole.policy), param_bits(policy), "{policy:?}");
+            assert_eq!(whole.start_position, Point::new(12.0, 16.0));
+            assert_eq!(CompactAttribute::new(&whole), compact);
+        }
+    }
 
     #[test]
     fn database_arc_extrapolates_and_clamps() {
@@ -185,7 +320,7 @@ mod tests {
         let a = attr(CB);
         let t = 14.0; // 4 minutes after the update
         let expected = modb_policy::combined_bound(BoundKind::Delayed, 1.0, 1.5, 5.0, 4.0);
-        assert_eq!(a.policy.deviation_bound(1.0, 1.5, 4.0), expected);
+        assert_eq!(a.policy().deviation_bound(1.0, 1.5, 4.0), expected);
         let (lo, hi) = a.uncertainty_arcs(100.0, 1.5, t);
         assert!(lo <= a.database_arc(100.0, t));
         assert!(hi >= a.database_arc(100.0, t));

@@ -48,8 +48,10 @@ impl Default for DatabaseConfig {
 
 /// A mobile point object (§2): what registration takes and what a
 /// lookup returns. The table keeps each one in a compact form of its own
-/// (the id as the entry's key, the name inline when short), built once
-/// at registration, and builds this form again for each answer.
+/// (the id as the entry's key, the start position as route + arc only,
+/// the name inline when short), built once at registration, and builds
+/// this form again for each answer, its start point as
+/// `route.point_at(start_arc)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MovingObject {
     /// Identifier.
@@ -69,8 +71,8 @@ pub struct MovingObject {
 ///
 /// **One record per vehicle.** The object table *is* the time-space
 /// index: one [`MovingObjectIndex`] entry per object holds the object
-/// in one allocation — a 144-B malloc chunk with the name inline when it
-/// fits 22 bytes — which the id map and the tree's leaf share; the
+/// in one allocation — a 112-B malloc chunk with the name inline when it
+/// fits 14 bytes — which the id map and the tree's leaf share; the
 /// leaf also keeps the one copy of the box the object is filed under.
 /// Neither the o-plane nor that box is stored in the entry: both are
 /// functions of the object's position attribute, derived when the
@@ -197,7 +199,7 @@ impl Database {
         entries.sort_unstable_by_key(|entry| *entry.key());
         entries
             .into_iter()
-            .map(|entry| entry.value().to_object(*entry.key()))
+            .map(|entry| self.object(*entry.key(), entry.value()))
     }
 
     /// Every resident record with its id, in arbitrary order: what the
@@ -220,7 +222,15 @@ impl Database {
     ///
     /// [`CoreError::UnknownObject`] when absent.
     pub fn moving(&self, id: ObjectId) -> Result<MovingObject, CoreError> {
-        Ok(self.resident(id)?.to_object(id))
+        Ok(self.object(id, self.resident(id)?))
+    }
+
+    /// The API's form of `resident`, stored under `id`.
+    fn object(&self, id: ObjectId, resident: &Resident) -> MovingObject {
+        let route = self.network.get(resident.attr.route).expect(
+            "a stored route is in the network: writes check it, and routes are never removed",
+        );
+        resident.to_object(id, route)
     }
 
     /// The resident record of `id`, borrowed.
@@ -248,7 +258,7 @@ impl Database {
         self.residents()
             .filter(|(_, r)| r.name() == name)
             .min_by_key(|&(id, _)| id)
-            .map(|(id, r)| r.to_object(id))
+            .map(|(id, r)| self.object(id, r))
     }
 
     /// Registers a stationary landmark.
@@ -266,12 +276,16 @@ impl Database {
 
     /// Registers a moving object — "at the beginning of the trip the
     /// moving object writes all the sub-attributes of the position
-    /// attribute" (§3.1).
+    /// attribute" (§3.1). The start position is kept as route + arc:
+    /// `start_position` must lie within the map-matching tolerance of
+    /// `route.point_at(start_arc)`, the point every answer reports.
     ///
     /// # Errors
     ///
     /// Duplicate ids, unknown routes, and invalid numeric fields are
-    /// rejected; index failures propagate. On error nothing is stored.
+    /// rejected, and a start position off its arc is
+    /// [`CoreError::OffRoute`]; index failures propagate. On error
+    /// nothing is stored.
     pub fn register_moving(&mut self, obj: MovingObject) -> Result<(), CoreError> {
         if self.moving.contains_key(&obj.id) || self.stationary.contains_key(&obj.id) {
             return Err(CoreError::DuplicateObject(obj.id));
@@ -293,6 +307,22 @@ impl Database {
         {
             return Err(CoreError::InvalidField("start_arc", obj.attr.start_arc));
         }
+        let start = obj.attr.start_position;
+        if !start.is_finite() {
+            let bad = if start.x.is_finite() {
+                start.y
+            } else {
+                start.x
+            };
+            return Err(CoreError::InvalidField("start_position", bad));
+        }
+        let distance = start.distance(route.point_at(obj.attr.start_arc));
+        if distance > self.config.map_match_tolerance {
+            return Err(CoreError::OffRoute {
+                distance,
+                tolerance: self.config.map_match_tolerance,
+            });
+        }
         let (id, resident) = Resident::new(obj);
         self.store(id, resident)
     }
@@ -309,7 +339,7 @@ impl Database {
             .remove(&id, |resident| Self::filing(network, config, resident))?
             .ok_or(CoreError::UnknownObject(id))?;
         self.set_unindexed(id, false);
-        Ok(entry.value().to_object(id))
+        Ok(self.object(id, entry.value()))
     }
 
     /// Adds `id` to, or drops it from, the unindexed set — touching the
@@ -367,19 +397,18 @@ impl Database {
         }
         let route_id = msg.route.unwrap_or(obj.attr.route);
         let route = self.network.get(route_id)?;
-        let (arc, point) = self.resolve_position(route, msg.position)?;
+        let arc = self.resolve_arc(route, msg.position)?;
 
-        let mut next = obj.attr.clone();
+        let mut next = obj.attr;
         next.start_time = msg.time;
         next.route = route_id;
         next.start_arc = arc;
-        next.start_position = point;
         next.speed = msg.speed;
         if let Some(dir) = msg.direction {
             next.direction = dir;
         }
         if let Some(policy) = msg.policy {
-            next.policy = policy;
+            next.set_policy(policy);
         }
         if next == obj.attr {
             // Exact re-delivery of the attribute already in force (e.g.
@@ -396,17 +425,15 @@ impl Database {
         self.store(id, updated)
     }
 
-    fn resolve_position(
-        &self,
-        route: &Route,
-        pos: UpdatePosition,
-    ) -> Result<(f64, Point), CoreError> {
+    /// The arc on `route` an update's position names: an arc as is, a
+    /// coordinate map-matched.
+    fn resolve_arc(&self, route: &Route, pos: UpdatePosition) -> Result<f64, CoreError> {
         match pos {
             UpdatePosition::Arc(a) => {
                 if !a.is_finite() || a < 0.0 || a > route.length() {
                     return Err(CoreError::InvalidField("arc", a));
                 }
-                Ok((a, route.point_at(a)))
+                Ok(a)
             }
             UpdatePosition::Coordinates(p) => {
                 if !p.is_finite() {
@@ -419,7 +446,7 @@ impl Database {
                         tolerance: self.config.map_match_tolerance,
                     });
                 }
-                Ok((arc, route.point_at(arc)))
+                Ok(arc)
             }
         }
     }
@@ -436,7 +463,7 @@ impl Database {
     /// and the box also reads the plane's route, which never changes
     /// (the network is append-only).
     fn plane_of(config: &DatabaseConfig, obj: &Resident) -> Result<Option<OPlane>, CoreError> {
-        let PolicyDescriptor::CostBased { kind, update_cost } = obj.attr.policy else {
+        let PolicyDescriptor::CostBased { kind, update_cost } = obj.attr.policy() else {
             return Ok(None);
         };
         let end_time = obj
@@ -482,7 +509,7 @@ impl Database {
     /// neither the plane nor the box is kept in the entry. Raises the
     /// [`Database::speed_cap`].
     fn store(&mut self, id: ObjectId, obj: Resident) -> Result<(), CoreError> {
-        let filed = matches!(obj.attr.policy, PolicyDescriptor::CostBased { .. });
+        let filed = matches!(obj.attr.policy(), PolicyDescriptor::CostBased { .. });
         let max_speed = obj.max_speed;
         let (network, config) = (&*self.network, &self.config);
         self.moving
@@ -522,7 +549,7 @@ impl Database {
         let elapsed = (t - obj.attr.start_time).max(0.0);
         let bound = obj
             .attr
-            .policy
+            .policy()
             .deviation_bound(obj.attr.speed, obj.max_speed, elapsed);
         Ok((route, arc, bound))
     }
@@ -946,6 +973,37 @@ mod tests {
         let mut bad = object(4, 10.0, f64::NAN);
         bad.attr.speed = f64::NAN;
         assert!(db.register_moving(bad).is_err());
+        // The start point must be where its arc is, within the
+        // map-matching tolerance (0.25 mi), as a coordinate update's
+        // must: 0.3 mi beside it, or on the route 50 mi along, is off.
+        for sent in [Point::new(10.0, 0.3), Point::new(60.0, 0.0)] {
+            let mut bad = object(4, 10.0, 1.0);
+            bad.attr.start_position = sent;
+            match db.register_moving(bad) {
+                Err(CoreError::OffRoute {
+                    distance,
+                    tolerance,
+                }) => assert_eq!(
+                    (distance, tolerance),
+                    (sent.distance(Point::new(10.0, 0.0)), 0.25)
+                ),
+                other => panic!("start point {sent:?} for arc 10: {other:?}"),
+            }
+        }
+        let mut bad = object(4, 10.0, 1.0);
+        bad.attr.start_position = Point::new(10.0, f64::NAN);
+        assert!(matches!(
+            db.register_moving(bad),
+            Err(CoreError::InvalidField("start_position", y)) if y.is_nan()
+        ));
+        assert_eq!(db.moving_count(), 1, "a refused start point left a record");
+        // Within the tolerance it registers, and the point reported is the
+        // one its arc names, not the one sent.
+        let mut near = object(4, 10.0, 1.0);
+        near.attr.start_position = Point::new(10.0, 0.2);
+        db.register_moving(near).unwrap();
+        let reported = db.remove_moving(ObjectId(4)).unwrap().attr.start_position;
+        assert_eq!(reported, Point::new(10.0, 0.0));
         for policy in unsound_policies() {
             let mut bad = object(5, 10.0, 1.0);
             bad.attr.policy = policy;
@@ -1006,6 +1064,8 @@ mod tests {
                 good.attr.policy = policy;
                 good.trip_end = end;
                 db.register_moving(good.clone()).unwrap();
+                // Reported as the point its arc names, not the point sent.
+                good.attr.start_position = network().get(RouteId(1)).unwrap().point_at(10.0);
                 assert_eq!(db.moving(ObjectId(1)).unwrap(), good);
                 db.remove_moving(ObjectId(1)).unwrap();
             }
@@ -1460,11 +1520,13 @@ mod tests {
     #[test]
     fn update_leaves_one_entry_once_clones_drop() {
         // The entry is the id and the resident record: the id once, the
-        // trip end unboxed, a name of up to 22 bytes inline; no copy of
-        // the o-plane the record determines, and no copy of the box it
-        // is filed under, which the tree's leaf keeps. At most 120 B,
-        // 136 B with the `Arc`'s counts: the 144-B malloc chunk.
-        assert!(std::mem::size_of::<Entry<ObjectId, Resident>>() <= 120);
+        // start position once (as route + arc, no point), the trip end
+        // unboxed, a name of up to 14 bytes inline; no copy of the
+        // o-plane the record determines, and no copy of the box it is
+        // filed under, which the tree's leaf keeps. 80 + 8 = 88 B, 104 B
+        // with the `Arc`'s counts: the 112-B malloc chunk.
+        assert_eq!(std::mem::size_of::<Resident>(), 80);
+        assert_eq!(std::mem::size_of::<Entry<ObjectId, Resident>>(), 88);
         // The leaf that files it, and each link above, is a 32-B slot: the
         // box rounded outward to six `f32`s, and one pointer.
         assert_eq!(

@@ -3,9 +3,10 @@
 //! Ties the workspace together into the database system of Wolfson et al.
 //! (ICDE 1998):
 //!
-//! - [`PositionAttribute`]: the seven sub-attributes of §2, with the
-//!   database-position semantics (extrapolation along the route at the
-//!   declared speed).
+//! - [`PositionAttribute`]: the seven sub-attributes of §2. The database
+//!   keeps each in a compact form, the start position as route + arc
+//!   only, and extrapolates it along the route at the declared speed
+//!   (the database position).
 //! - [`PolicyDescriptor`]: what `P.policy` tells the DBMS — enough to
 //!   bound the deviation at any time (§3.3).
 //! - [`Database`]: update ingestion (§3.1 position updates, route

@@ -150,6 +150,83 @@ fn a_shared_name_resolves_to_the_same_vehicle_on_leader_and_follower() {
     s.finish(replica);
 }
 
+/// The start position a lookup reports is the point its arc names,
+/// `route.point_at(start_arc)`, bit for bit — whatever point the
+/// registration sent within the map-matching tolerance, after an `Arc`
+/// update and after a map-matched `Coordinates` update — on the leader,
+/// on a follower bootstrapped from the leader's snapshot, and on a copy
+/// recovered from that snapshot. The arcs are ones whose point is not
+/// `(arc, 0)` on this route, and the registered point is 0.1 mi off it.
+#[test]
+fn the_reported_start_position_is_the_point_its_arc_names() {
+    let s = Scenario::start("reads-start-point", 0);
+    let network = fresh_db().network_arc();
+    let route = network.get(modb_routes::RouteId(1)).unwrap();
+    assert_ne!(route.point_at(63.7).x, 63.7);
+    let mut off = vehicle(1, 63.7);
+    off.attr.start_position = modb_geom::Point::new(63.7, 0.1);
+    s.leader.register_moving(off.clone()).unwrap();
+    s.leader.register_moving(vehicle(2, 10.0)).unwrap();
+    s.leader.register_moving(vehicle(3, 20.0)).unwrap();
+    s.leader
+        .apply_update(ObjectId(2), &update(1.0, 127.4))
+        .unwrap();
+    let fix = modb_core::UpdatePosition::Coordinates(modb_geom::Point::new(254.3, 0.2));
+    s.leader
+        .apply_update(ObjectId(3), &modb_core::UpdateMessage::basic(1.0, fix, 1.0))
+        .unwrap();
+    let check = |db: &modb_core::Database, who: &str| {
+        for (id, arc) in [(1, Some(63.7)), (2, Some(127.4)), (3, None)] {
+            let attr = db.moving(ObjectId(id)).unwrap().attr;
+            if let Some(arc) = arc {
+                assert_eq!(attr.start_arc, arc, "{who}: vehicle {id}");
+            }
+            assert_eq!(
+                attr.start_position,
+                route.point_at(attr.start_arc),
+                "{who}: vehicle {id}"
+            );
+        }
+        assert_ne!(
+            db.moving(ObjectId(1)).unwrap(),
+            off,
+            "{who}: echoed the sent point"
+        );
+    };
+    s.leader.database().with_read(|db| check(db, "leader"));
+
+    s.leader.snapshot().unwrap();
+    let replica = s.follower();
+    assert!(
+        replica.wait_for_lsn(s.leader.wal().next_lsn(), WAIT),
+        "follower never drained"
+    );
+    assert_eq!(
+        replica.stats().bootstraps,
+        1,
+        "bootstrapped from the snapshot"
+    );
+    replica.database().with_read(|db| check(db, "follower"));
+    s.assert_converges(&replica);
+
+    replica.shutdown();
+    let Scenario {
+        leader,
+        server,
+        proxy,
+        ldir,
+        fdir,
+    } = s;
+    drop(proxy);
+    server.shutdown();
+    drop(leader);
+    let recovered = modb_wal::recover(&ldir).unwrap();
+    assert_eq!(recovered.report.replayed, 0, "all of it from the snapshot");
+    check(&recovered.database, "recovered");
+    std::fs::remove_dir_all(&ldir).unwrap();
+    std::fs::remove_dir_all(&fdir).unwrap();
+}
+
 #[test]
 fn unreachable_floor_is_a_typed_stale_refusal_not_a_hang() {
     let s = Scenario::start("reads-stale", 4);

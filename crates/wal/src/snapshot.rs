@@ -426,21 +426,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A name is kept inline up to 22 bytes and boxed past that; either
+    /// A name is kept inline up to 14 bytes and boxed past that; either
     /// way it comes back byte for byte from a lookup, from a snapshot of
-    /// the state and from recovery of that snapshot — an empty name, 22
-    /// and 23 bytes, and a multi-byte name whose 23rd byte is the middle
-    /// of a character.
+    /// the state and from recovery of that snapshot — an empty name, 14
+    /// and 15 bytes, a 15-byte name that 14 bytes would cut in the middle
+    /// of a character, and longer ones.
     #[test]
     fn names_of_every_length_round_trip_through_a_snapshot() {
         let dir = tmp("name-lengths");
         let mut db = sample_db();
         let names = [
             String::new(),
-            "n".repeat(22),
+            "n".repeat(14),
+            "n".repeat(15),
+            "n".repeat(13) + "é",
+            "ü".repeat(7),
             "n".repeat(23),
-            "n".repeat(21) + "é",
-            "ü".repeat(11),
             "🚕 cab 4711 · Zürich Hauptbahnhof".to_owned(),
         ];
         let template = db.moving(ObjectId(1)).unwrap();
@@ -462,8 +463,8 @@ mod tests {
             assert_eq!(recovered.moving(id), db.moving(id));
         }
         assert_eq!(
-            recovered.find_moving_by_name(&names[5]).map(|o| o.id),
-            Some(ObjectId(15))
+            recovered.find_moving_by_name(&names[6]).map(|o| o.id),
+            Some(ObjectId(16))
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
