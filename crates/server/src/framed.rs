@@ -34,6 +34,10 @@ use std::time::Duration;
 
 use modb_wal::{crc32, WalError};
 
+/// How long a send may block on a peer that does not drain its socket
+/// before the session gives up on it (both protocols' write timeout).
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A protocol's message set: a tag byte followed by the message body.
 pub(crate) trait WireMessage: Sized {
     /// Appends the payload form (no framing).
@@ -167,6 +171,17 @@ impl<M: WireMessage> FrameReader<M> {
             }
             Err(e) => Err(WalError::Io(e)),
         }
+    }
+
+    /// [`FrameReader::poll`] without waiting: reads only bytes already
+    /// received. The stream is nonblocking for the one read, which every
+    /// clone of it shares, so the caller must not write from another
+    /// thread meanwhile.
+    pub(crate) fn poll_nowait(&mut self) -> Result<ReadEvent<M>, WalError> {
+        self.stream.set_nonblocking(true)?;
+        let event = self.poll();
+        self.stream.set_nonblocking(false)?;
+        event
     }
 
     fn try_decode(&mut self) -> Result<Option<M>, WalError> {

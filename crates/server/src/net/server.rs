@@ -32,7 +32,7 @@ use modb_query::QueryResult;
 use modb_wal::{SharedWal, WalError};
 
 use crate::durable::DurableDatabase;
-use crate::framed::{send, FrameReader, Listener, ReadEvent};
+use crate::framed::{send, FrameReader, Listener, ReadEvent, WRITE_TIMEOUT};
 use crate::ingest::{IngestHandle, UpdateEnvelope};
 use crate::net::protocol::{
     Message, RemoteUpdateVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
@@ -50,11 +50,9 @@ pub struct QueryServerConfig {
     /// ends the session, a larger reply is refused before it is written.
     pub max_frame_bytes: u32,
     /// How long a partially received request may sit before the client
-    /// is declared stalled and disconnected.
+    /// is declared stalled and disconnected. (A client not draining its
+    /// results for 10 s is disconnected too.)
     pub request_deadline: Duration,
-    /// Socket write timeout; a client not draining its results is
-    /// disconnected.
-    pub write_timeout: Option<Duration>,
     /// Follower-served reads only: how long a `Batch` whose
     /// read-your-writes token outruns the applied watermark may wait for
     /// replication to catch up before the typed `Stale` answer goes
@@ -68,7 +66,6 @@ impl Default for QueryServerConfig {
             max_connections: 64,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             request_deadline: Duration::from_secs(10),
-            write_timeout: Some(Duration::from_secs(10)),
             stale_deadline: Duration::from_secs(2),
         }
     }
@@ -408,7 +405,7 @@ fn serve_with_backend(
 fn handle_client(mut stream: TcpStream, ctx: &ServeContext, stop: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
-    let _ = stream.set_write_timeout(ctx.config.write_timeout);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = run_session(&mut stream, ctx, stop);
     let _ = stream.shutdown(Shutdown::Both);
 }

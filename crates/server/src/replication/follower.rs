@@ -4,51 +4,43 @@
 //! applies to its own durability directory so a restart resumes from the
 //! local snapshot + cursor instead of re-bootstrapping.
 //!
-//! State machine (one worker thread):
-//!
-//! ```text
-//! Connecting ──connect──▶ Bootstrapping ──SnapshotBlocks──▶ CatchingUp
-//!     ▲                        │ (skipped when local state resumes)
-//!     │                        ▼
-//!     └──── disconnect ──── CatchingUp ◀──lag──▶ Steady
-//! ```
-//!
-//! Every hazard resolves to "reject and re-sync, never apply a torn
-//! record": a `Blocks` run (verbatim segment frames, decompressed here
-//! on apply) is decoded with the [`modb_wal::walk_blocks`] path
-//! recovery uses and applied only if it names the one segment format,
-//! is clean, complete, and contiguous with the applied watermark;
-//! duplicates below the watermark are skipped
-//! (idempotent re-delivery); anything else ends the session and the next
-//! `Hello` renegotiates from the watermark.
-//!
-//! A bootstrap snapshot arrives as `SnapshotBlocks` runs, each of which
-//! must continue the one before it; each is applied to a fresh database
-//! through a [`SnapshotLoad`] and appended to a temp file. The replica's
-//! previous state and files serve on untouched until the last record has
-//! validated; a session that ends first drops the half-built snapshot.
-//! The leadership history comes with it: the snapshot's head carries
-//! every epoch begun below its LSN, adopted in the same swap as the
-//! database, and each `LeaderEpoch` seal shipped afterwards is folded in
-//! as it is applied. Nothing but the log records it.
+//! One worker thread runs the replica's sessions, one after another:
+//! `Connecting → Bootstrapping | CatchingUp ⇄ Steady`, back to
+//! `Connecting` on a disconnect. It is a shell around a
+//! [`FollowerSession`], the I/O-free machine that writes the `Hello`,
+//! checks every run (one segment format, clean, complete, contiguous with
+//! the applied watermark, duplicates below it skipped, each snapshot run
+//! continuing the one before), keeps the lag clock and decides the phase,
+//! the acks and the local snapshot cadence. Every hazard resolves to
+//! "reject and re-sync, never apply a torn record". The shell does the
+//! I/O: it reads the socket, applies each record through
+//! [`modb_wal::apply_record`] before logging it, and builds a bootstrap
+//! snapshot through a [`SnapshotLoad`] and a temp file. The replica's
+//! previous state and files serve on untouched until the snapshot's last
+//! record has validated; a session that ends first drops the half-built
+//! snapshot. The leadership history comes with it: the snapshot's head
+//! carries every epoch begun below its LSN, adopted in the same swap as
+//! the database, and each `LeaderEpoch` seal shipped afterwards is folded
+//! in as it is applied. Nothing but the log records it.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
-use modb_wal::segment::{encode_header, SEGMENT_HEADER_BYTES};
+use modb_wal::segment::encode_header;
 use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
-    apply_record, decode_block_frames, list_segments, list_snapshots, EpochHistory, FrameEnd,
-    SharedWal, SnapshotLoad, WalError, WalOptions, WalRecord, WalWriter,
-    DEFAULT_SNAPSHOT_RETENTION, SEGMENT_VERSION,
+    apply_record, list_segments, list_snapshots, EpochHistory, SharedWal, SnapshotLoad, WalError,
+    WalOptions, WalRecord, WalWriter, DEFAULT_SNAPSHOT_RETENTION,
 };
 
 use crate::durable::DurableDatabase;
@@ -56,9 +48,11 @@ use crate::framed::{send, FrameReader, ReadEvent};
 use crate::net::{QueryServer, QueryServerConfig};
 use crate::query_engine::QueryEngine;
 use crate::replication::horizon::ShipHorizon;
-use crate::replication::lag::LagClock;
-use crate::replication::leader::{serve_replication_from, Frontier, ReplicationServer};
-use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
+use crate::replication::leader::{serve_replication_from, ReplicationServer};
+use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES};
+use crate::replication::session::{
+    FollowerAction, FollowerEvent, FollowerSession, Published, SessionEnd,
+};
 use crate::replication::ReplicationConfig;
 use crate::shared::SharedDatabase;
 
@@ -93,9 +87,10 @@ impl Default for ReplicaConfig {
 }
 
 /// Where a replica is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplicaPhase {
     /// Not connected; dialing the leader.
+    #[default]
     Connecting,
     /// Connected without local state; waiting for a bootstrap snapshot.
     Bootstrapping,
@@ -113,19 +108,6 @@ pub enum ReplicaPhase {
     /// ([`StandbyReplica::promote`]); the watermark now tracks the local
     /// WAL frontier.
     Promoted,
-}
-
-impl ReplicaPhase {
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => ReplicaPhase::Connecting,
-            1 => ReplicaPhase::Bootstrapping,
-            2 => ReplicaPhase::CatchingUp,
-            4 => ReplicaPhase::Diverged,
-            5 => ReplicaPhase::Promoted,
-            _ => ReplicaPhase::Steady,
-        }
-    }
 }
 
 impl fmt::Display for ReplicaPhase {
@@ -158,19 +140,8 @@ pub struct DivergenceInfo {
     pub local_next_lsn: u64,
 }
 
-#[derive(Debug, Default)]
-struct ReplicaStats {
-    connects: AtomicU64,
-    bootstraps: AtomicU64,
-    resyncs: AtomicU64,
-    rejected_messages: AtomicU64,
-    records_applied: AtomicU64,
-    records_skipped: AtomicU64,
-    snapshots_taken: AtomicU64,
-}
-
 /// Point-in-time view of a replica's progress.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaStatsSnapshot {
     /// The applied watermark: every record with `lsn <` this is in the
     /// local database (and local log).
@@ -220,17 +191,16 @@ impl fmt::Display for ReplicaStatsSnapshot {
 
 #[derive(Debug)]
 struct Shared {
-    applied: Mutex<u64>,
-    applied_cv: Condvar,
-    leader_lsn: AtomicU64,
-    phase: AtomicU8,
+    /// What the worker's session machine last published. The watermark
+    /// in it is what reads floor against, and the lag clock and stats
+    /// that go with it change under the same lock: a reader that sees
+    /// `applied ≥ floor` also sees the clock of that contact, or a
+    /// caught-up follower would widen one answer by a lag it no longer
+    /// has.
+    published: Mutex<Published>,
+    published_cv: Condvar,
     stop: AtomicBool,
     force_reconnect: AtomicUsize,
-    stats: ReplicaStats,
-    /// The `Δ` of the `2·v_max·Δ` widening on follower-served answers:
-    /// the age of the last contact that found the watermark at the
-    /// upstream frontier.
-    clock: Mutex<LagClock>,
     /// Which upstream the worker dials; [`StandbyReplica::repoint`]
     /// swaps it so a surviving follower can chase a promoted standby
     /// without re-bootstrapping.
@@ -245,26 +215,18 @@ struct Shared {
     /// follower query front-end, the re-shipping `Frontier`, watches)
     /// tracks the new leader's log without restarting.
     promoted: Mutex<Option<SharedWal>>,
-    /// The typed refusal that ended the worker, when the upstream
-    /// declared this replica's tail forked.
-    diverged: Mutex<Option<DivergenceInfo>>,
 }
 
 impl Shared {
-    fn new(applied: u64, addr: String, epochs: EpochHistory) -> Self {
+    fn new(published: Published, addr: String, epochs: EpochHistory) -> Self {
         Shared {
-            applied: Mutex::new(applied),
-            applied_cv: Condvar::new(),
-            leader_lsn: AtomicU64::new(0),
-            phase: AtomicU8::new(ReplicaPhase::Connecting as u8),
+            published: Mutex::new(published),
+            published_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             force_reconnect: AtomicUsize::new(0),
-            stats: ReplicaStats::default(),
-            clock: Mutex::new(LagClock::new(Instant::now())),
             addr: Mutex::new(addr),
             epochs: Arc::new(Mutex::new(epochs)),
             promoted: Mutex::new(None),
-            diverged: Mutex::new(None),
         }
     }
 
@@ -273,18 +235,15 @@ impl Shared {
         self.epochs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Publishes a new watermark. The lag clock is settled first, inside
-    /// the watermark's critical section: a reader that sees
-    /// `applied ≥ floor` (under this lock, in `applied` or
-    /// `wait_for_lsn`) must also see the clock that goes with it, or a
-    /// caught-up follower widens one answer by a lag it no longer has.
-    /// Lock order is `applied` → `clock`; nothing takes them the other
-    /// way round.
-    fn set_applied(&self, lsn: u64) {
-        let mut g = self.applied.lock().unwrap_or_else(|e| e.into_inner());
-        self.note_progress(lsn);
-        *g = lsn;
-        self.applied_cv.notify_all();
+    fn published(&self) -> MutexGuard<'_, Published> {
+        self.published.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Swaps in what the session machine published and wakes the
+    /// watermark's waiters.
+    fn publish(&self, published: Published) {
+        *self.published() = published;
+        self.published_cv.notify_all();
     }
 
     fn promoted_wal(&self) -> Option<SharedWal> {
@@ -298,22 +257,7 @@ impl Shared {
         if let Some(wal) = self.promoted_wal() {
             return wal.next_lsn();
         }
-        *self.applied.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn set_phase(&self, phase: ReplicaPhase) {
-        self.phase.store(phase as u8, Ordering::SeqCst);
-    }
-
-    /// Records a contact with the upstream (an applied run or a
-    /// heartbeat) that leaves the watermark at `applied`, against the
-    /// last known upstream frontier.
-    fn note_progress(&self, applied: u64) {
-        let frontier = self.leader_lsn.load(Ordering::SeqCst);
-        self.clock
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contact(applied, frontier, Instant::now());
+        self.published().stats.applied_lsn
     }
 
     fn lag(&self) -> Duration {
@@ -322,10 +266,7 @@ impl Shared {
         if self.promoted_wal().is_some() {
             return Duration::ZERO;
         }
-        self.clock
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lag_at(Instant::now())
+        self.published().clock.lag_at(Instant::now())
     }
 
     fn wait_for_lsn(&self, lsn: u64, timeout: Duration) -> bool {
@@ -343,13 +284,13 @@ impl Shared {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let mut g = self.applied.lock().unwrap_or_else(|e| e.into_inner());
-        while *g < lsn {
+        let mut g = self.published();
+        while g.stats.applied_lsn < lsn {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
             };
             let (ng, _timeout) = self
-                .applied_cv
+                .published_cv
                 .wait_timeout(g, left)
                 .unwrap_or_else(|e| e.into_inner());
             g = ng;
@@ -376,13 +317,13 @@ impl ReplicaWatch {
     /// The upstream frontier from the last heartbeat (0 before the
     /// first).
     pub fn leader_lsn(&self) -> u64 {
-        self.shared.leader_lsn.load(Ordering::SeqCst)
+        self.shared.published().stats.leader_lsn
     }
 
     /// The age of the replica's last contact with a caught-up upstream
-    /// — zero within [`LagClock::CONTACT_WINDOW`] of it, unless a later
-    /// contact found the replica behind — the `Δ` that widens served
-    /// answers by `2·v_max·Δ`.
+    /// — zero within [`crate::LagClock::CONTACT_WINDOW`] of it, unless a
+    /// later contact found the replica behind — the `Δ` that widens
+    /// served answers by `2·v_max·Δ`.
     pub fn lag(&self) -> Duration {
         self.shared.lag()
     }
@@ -436,27 +377,25 @@ impl StandbyReplica {
             (placeholder_database(), EpochHistory::new(), None, 0)
         };
         let db = SharedDatabase::new(db);
-        let shared = Arc::new(Shared::new(applied, addr, epochs));
+        let session = FollowerSession::new(
+            applied,
+            epochs.clone(),
+            config.snapshot_every,
+            Instant::now(),
+        );
+        let shared = Arc::new(Shared::new(session.published(), addr, epochs));
         let horizon = Arc::new(ShipHorizon::new());
-        let worker = {
-            let db = db.clone();
-            let shared = Arc::clone(&shared);
-            let dir = dir.clone();
-            let horizon = Arc::clone(&horizon);
-            let config = config.clone();
-            std::thread::spawn(move || {
-                Worker {
-                    dir,
-                    config,
-                    db,
-                    shared,
-                    horizon,
-                    wal,
-                    incoming: None,
-                }
-                .run()
-            })
+        let worker = Worker {
+            dir: dir.clone(),
+            config: config.clone(),
+            db: db.clone(),
+            shared: Arc::clone(&shared),
+            horizon: Arc::clone(&horizon),
+            wal,
+            incoming: None,
+            session,
         };
+        let worker = std::thread::spawn(move || worker.run());
         Ok(StandbyReplica {
             db,
             dir,
@@ -483,7 +422,7 @@ impl StandbyReplica {
 
     /// Current lifecycle phase.
     pub fn phase(&self) -> ReplicaPhase {
-        ReplicaPhase::from_u8(self.shared.phase.load(Ordering::SeqCst))
+        self.shared.published().stats.phase
     }
 
     /// Blocks until the applied watermark reaches `lsn` or the timeout
@@ -563,10 +502,9 @@ impl StandbyReplica {
         config: ReplicationConfig,
     ) -> Result<ReplicationServer, WalError> {
         let shared = Arc::clone(&self.shared);
-        let frontier = Frontier::new(move || shared.applied());
         serve_replication_from(
             self.dir.clone(),
-            frontier,
+            Box::new(move || shared.applied()),
             Arc::clone(&self.horizon),
             Arc::clone(&self.shared.epochs),
             addr,
@@ -596,11 +534,7 @@ impl StandbyReplica {
     /// declared this replica's log tail forked history (phase
     /// [`ReplicaPhase::Diverged`]).
     pub fn divergence(&self) -> Option<DivergenceInfo> {
-        *self
-            .shared
-            .diverged
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        self.shared.published().diverged
     }
 
     /// The leadership epoch of the local log (1 until a promotion
@@ -681,8 +615,10 @@ impl StandbyReplica {
             .promoted
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(wal.clone());
-        self.shared.set_applied(wal.next_lsn()); // wake condvar waiters
-        self.shared.set_phase(ReplicaPhase::Promoted);
+        let mut published = *self.shared.published();
+        published.stats.applied_lsn = wal.next_lsn();
+        published.stats.phase = ReplicaPhase::Promoted;
+        self.shared.publish(published); // wakes the watermark's waiters
         Ok(DurableDatabase::from_parts(
             self.db.clone(),
             wal,
@@ -694,22 +630,10 @@ impl StandbyReplica {
 
     /// Current progress counters.
     pub fn stats(&self) -> ReplicaStatsSnapshot {
-        let applied_lsn = self.shared.applied();
-        let leader_lsn = self.shared.leader_lsn.load(Ordering::SeqCst);
-        let s = &self.shared.stats;
-        ReplicaStatsSnapshot {
-            applied_lsn,
-            leader_lsn,
-            lag_records: leader_lsn.saturating_sub(applied_lsn),
-            phase: self.phase(),
-            connects: s.connects.load(Ordering::Relaxed),
-            bootstraps: s.bootstraps.load(Ordering::Relaxed),
-            resyncs: s.resyncs.load(Ordering::Relaxed),
-            rejected_messages: s.rejected_messages.load(Ordering::Relaxed),
-            records_applied: s.records_applied.load(Ordering::Relaxed),
-            records_skipped: s.records_skipped.load(Ordering::Relaxed),
-            snapshots_taken: s.snapshots_taken.load(Ordering::Relaxed),
-        }
+        let mut stats = self.shared.published().stats;
+        stats.applied_lsn = self.shared.applied();
+        stats.lag_records = stats.leader_lsn.saturating_sub(stats.applied_lsn);
+        stats
     }
 
     /// Stops the worker, closes the session, and returns the final
@@ -741,21 +665,6 @@ fn placeholder_database() -> Database {
     Database::new(network, DatabaseConfig::default())
 }
 
-/// Why a session ended (all roads lead back to Connecting — except
-/// divergence, which is terminal).
-enum SessionEnd {
-    /// Stop flag observed — unwind the worker.
-    Shutdown,
-    /// Connection closed or forced; reconnect and resume.
-    Disconnected,
-    /// Protocol violation, torn run, or local apply/log failure —
-    /// reconnect and renegotiate (counted as a resync).
-    Resync,
-    /// The upstream refused this replica's log tail as forked history.
-    /// Reconnecting would get the same answer, so the worker exits.
-    Diverged,
-}
-
 struct Worker {
     dir: PathBuf,
     config: ReplicaConfig,
@@ -765,23 +674,15 @@ struct Worker {
     /// is the barrier the local compaction pass must not cross.
     horizon: Arc<ShipHorizon>,
     wal: Option<WalWriter>,
-    /// The bootstrap snapshot arriving in this session, if any.
-    incoming: Option<Incoming>,
-}
-
-/// A bootstrap snapshot part-way through its runs: the load its frames
-/// are applied to, and the temp file they are written to.
-struct Incoming {
-    lsn: u64,
-    load: SnapshotLoad,
-    file: File,
+    /// The bootstrap snapshot arriving in this session, if any: the load
+    /// its frames are applied to, and the temp file they are written to.
+    incoming: Option<(SnapshotLoad, File)>,
+    session: FollowerSession,
 }
 
 impl Worker {
     fn run(mut self) {
-        let mut last_snapshot_lsn = self.shared.applied();
         while !self.shared.stop.load(Ordering::SeqCst) {
-            self.shared.set_phase(ReplicaPhase::Connecting);
             // Re-read the dial target every attempt: a repoint swaps it
             // while the worker runs, and the next connect chases the new
             // upstream (the promoted standby) from the applied watermark.
@@ -791,154 +692,94 @@ impl Worker {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .clone();
-            let stream = match std::net::TcpStream::connect(&addr) {
-                Ok(s) => s,
-                Err(_) => {
-                    self.backoff();
-                    continue;
-                }
-            };
-            self.shared.stats.connects.fetch_add(1, Ordering::Relaxed);
-            let end = self.session(stream, &mut last_snapshot_lsn);
-            // A bootstrap the session did not finish is dropped whole.
-            if self.incoming.take().is_some() {
+            if let Ok(stream) = TcpStream::connect(&addr) {
+                let end = self.session(stream);
+                // A bootstrap the session did not finish is dropped whole.
+                self.incoming = None;
                 let _ = std::fs::remove_file(self.incoming_path());
-            }
-            match end {
-                SessionEnd::Shutdown => break,
-                SessionEnd::Disconnected => self.backoff(),
-                SessionEnd::Resync => {
-                    self.shared.stats.resyncs.fetch_add(1, Ordering::Relaxed);
-                    self.backoff();
+                if matches!(end, SessionEnd::Shutdown | SessionEnd::Diverged(_)) {
+                    break;
                 }
-                SessionEnd::Diverged => break,
+            }
+            // Sliced sleep so shutdown is prompt even with long backoffs.
+            let deadline = Instant::now() + self.config.reconnect_backoff;
+            while Instant::now() < deadline && !self.shared.stop.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
     }
 
-    fn backoff(&self) {
-        // Sliced sleep so shutdown is prompt even with long backoffs.
-        let deadline = Instant::now() + self.config.reconnect_backoff;
-        while Instant::now() < deadline && !self.shared.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    fn session(&mut self, stream: std::net::TcpStream, last_snapshot_lsn: &mut u64) -> SessionEnd {
+    /// One session: each message read becomes an event for the session
+    /// machine, until it, the socket or the replica's handle ends the
+    /// session, which the machine then takes note of.
+    fn session(&mut self, stream: TcpStream) -> SessionEnd {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.config.read_timeout));
-        let mut tx = match stream.try_clone() {
-            Ok(tx) => tx,
-            Err(_) => return SessionEnd::Disconnected,
+        let Ok(mut tx) = stream.try_clone() else {
+            return SessionEnd::Disconnected;
         };
         let reconnect_epoch = self.shared.force_reconnect.load(Ordering::SeqCst);
-        let hello = Message::Hello {
-            version: PROTOCOL_VERSION,
-            next_lsn: self.shared.applied(),
-            have_state: self.wal.is_some(),
-            epoch: self.shared.epochs().current(),
-        };
-        if send(&mut tx, &hello, MAX_MESSAGE_BYTES).is_err() {
-            return SessionEnd::Disconnected;
-        }
-        self.shared.set_phase(if self.wal.is_some() {
-            ReplicaPhase::CatchingUp
-        } else {
-            ReplicaPhase::Bootstrapping
-        });
         let mut reader = FrameReader::<Message>::new(stream, MAX_MESSAGE_BYTES);
-        loop {
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return SessionEnd::Shutdown;
+        let mut event = FollowerEvent::Connected {
+            have_state: self.wal.is_some(),
+        };
+        let end = 'session: loop {
+            if let Err(end) = self.feed(&mut tx, event) {
+                break end;
             }
-            if self.shared.force_reconnect.load(Ordering::SeqCst) != reconnect_epoch {
-                return SessionEnd::Disconnected;
-            }
-            match reader.poll() {
-                Ok(ReadEvent::Message(msg)) => match self.handle(msg, &mut tx, last_snapshot_lsn) {
-                    Ok(()) => {}
-                    Err(end) => return end,
-                },
-                Ok(ReadEvent::Idle) => continue,
-                Ok(ReadEvent::Closed) => return SessionEnd::Disconnected,
-                // Framing lost (bad length / CRC / undecodable message):
-                // drop the connection and renegotiate.
-                Err(_) => return SessionEnd::Resync,
-            }
-        }
-    }
-
-    fn handle(
-        &mut self,
-        msg: Message,
-        tx: &mut std::net::TcpStream,
-        last_snapshot_lsn: &mut u64,
-    ) -> Result<(), SessionEnd> {
-        match msg {
-            Message::SnapshotBlocks {
-                lsn,
-                offset,
-                frames,
-            } => self.bootstrap(lsn, offset, &frames, tx, last_snapshot_lsn),
-            Message::Blocks {
-                start_lsn,
-                count,
-                version,
-                frames,
-            } => self.apply_blocks(start_lsn, count, version, &frames, tx, last_snapshot_lsn),
-            Message::Heartbeat { leader_next_lsn } => {
-                self.shared
-                    .leader_lsn
-                    .store(leader_next_lsn, Ordering::SeqCst);
-                let applied = self.shared.applied();
-                self.shared.note_progress(applied);
-                if self.wal.is_some() {
-                    self.shared.set_phase(if applied >= leader_next_lsn {
-                        ReplicaPhase::Steady
-                    } else {
-                        ReplicaPhase::CatchingUp
-                    });
+            event = loop {
+                if self.shared.stop.load(Ordering::SeqCst) {
+                    break 'session SessionEnd::Shutdown;
                 }
-                self.ack(tx, applied)
-            }
-            Message::Diverged {
-                leader_epoch,
-                boundary_lsn,
-            } => {
-                // The upstream proved this replica's tail belongs to a
-                // dead timeline. Record the typed refusal and stop: the
-                // local state is preserved for inspection, never
-                // silently overwritten.
-                *self
-                    .shared
-                    .diverged
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner()) = Some(DivergenceInfo {
-                    leader_epoch,
-                    boundary_lsn,
-                    local_next_lsn: self.shared.applied(),
-                });
-                self.shared.set_phase(ReplicaPhase::Diverged);
-                Err(SessionEnd::Diverged)
-            }
-            // Leaders never send Hello or Ack.
-            Message::Hello { .. } | Message::Ack { .. } => {
-                self.reject();
-                Err(SessionEnd::Resync)
-            }
+                if self.shared.force_reconnect.load(Ordering::SeqCst) != reconnect_epoch {
+                    break 'session SessionEnd::Disconnected;
+                }
+                match reader.poll() {
+                    Ok(ReadEvent::Message(msg)) => break FollowerEvent::Message(msg),
+                    Ok(ReadEvent::Idle) => {}
+                    Ok(ReadEvent::Closed) => break 'session SessionEnd::Disconnected,
+                    // Framing lost (bad length / CRC / undecodable
+                    // message): drop the connection and renegotiate.
+                    Err(_) => break 'session SessionEnd::Resync,
+                }
+            };
+        };
+        let _ = self.feed(&mut tx, FollowerEvent::Ended(end));
+        end
+    }
+
+    /// Hands one event to the session machine and carries out its
+    /// actions, feeding what they did back as events.
+    fn feed(&mut self, tx: &mut TcpStream, event: FollowerEvent) -> Result<(), SessionEnd> {
+        let mut actions = VecDeque::from(self.session.on(event, Instant::now()));
+        while let Some(action) = actions.pop_front() {
+            let done = match action {
+                FollowerAction::Send(msg) => {
+                    send(tx, &msg, MAX_MESSAGE_BYTES).map_err(|_| SessionEnd::Disconnected)?;
+                    continue;
+                }
+                FollowerAction::SnapshotRun { lsn, first, frames } => {
+                    let run = self.snapshot_run(lsn, first, &frames);
+                    FollowerEvent::SnapshotRun(run.map_err(|_| ()))
+                }
+                FollowerAction::Append { lsn, records } => self.append(lsn, records),
+                FollowerAction::Sync(lsn) => {
+                    let ok = self.local_snapshot(lsn).is_ok();
+                    FollowerEvent::Synced { lsn, ok }
+                }
+                FollowerAction::Epochs(history) => {
+                    *self.shared.epochs() = history;
+                    continue;
+                }
+                FollowerAction::Publish(published) => {
+                    self.shared.publish(published);
+                    continue;
+                }
+                FollowerAction::End(end) => return Err(end),
+            };
+            actions.extend(self.session.on(done, Instant::now()));
         }
-    }
-
-    fn ack(&self, tx: &mut std::net::TcpStream, applied_lsn: u64) -> Result<(), SessionEnd> {
-        send(tx, &Message::Ack { applied_lsn }, MAX_MESSAGE_BYTES)
-            .map_err(|_| SessionEnd::Disconnected)
-    }
-
-    fn reject(&self) {
-        self.shared
-            .stats
-            .rejected_messages
-            .fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Where an incoming bootstrap snapshot is written.
@@ -946,180 +787,77 @@ impl Worker {
         self.dir.join("incoming.snap.tmp")
     }
 
-    /// Takes one run of a bootstrap snapshot: checks that it continues
-    /// the runs before it (the first one opens the load and temp file),
-    /// applies it and appends it; after the last, installs the snapshot
-    /// and adopts the leadership history its head carries.
-    fn bootstrap(
+    /// Takes one run of a bootstrap snapshot (the first opens the load
+    /// and the temp file): applies it and appends it; after the last,
+    /// installs the snapshot and returns the leadership history its head
+    /// carries.
+    fn snapshot_run(
         &mut self,
         lsn: u64,
-        offset: u64,
+        first: bool,
         frames: &[u8],
-        tx: &mut std::net::TcpStream,
-        last_snapshot_lsn: &mut u64,
-    ) -> Result<(), SessionEnd> {
+    ) -> Result<Option<EpochHistory>, WalError> {
         let tmp = self.incoming_path();
-        let fed = (|| -> Result<Option<(Database, EpochHistory)>, WalError> {
-            if self.incoming.is_none() && offset == SEGMENT_HEADER_BYTES {
-                let mut file = File::create(&tmp)?;
-                file.write_all(&encode_header(lsn))?;
-                let load = SnapshotLoad::new(&tmp);
-                self.incoming = Some(Incoming { lsn, load, file });
-            }
-            // A duplicated, reordered or foreign run, or one with no
-            // first run before it, continues nothing.
-            let Some(incoming) = self
-                .incoming
-                .as_mut()
-                .filter(|incoming| incoming.lsn == lsn && incoming.load.offset() == offset)
-            else {
-                return Err(WalError::Decode("snapshot run out of order"));
-            };
-            let db = incoming.load.feed(frames)?;
-            incoming.file.write_all(frames)?;
-            Ok(db)
-        })();
-        let (db, epochs) = match fed {
-            Ok(None) => return Ok(()),
-            Ok(Some(state)) => state,
-            Err(_) => {
-                self.reject();
-                return Err(SessionEnd::Resync);
-            }
-        };
-        let Incoming { file, .. } = self.incoming.take().expect("fed above");
-        let install = (|| -> Result<(), WalError> {
-            file.sync_data()?;
-            // Local log and snapshots describe a dead timeline now.
-            self.wal = None;
-            for (_, path) in list_segments(&self.dir)? {
-                std::fs::remove_file(path)?;
-            }
-            for (_, path) in list_snapshots(&self.dir)? {
-                std::fs::remove_file(path)?;
-            }
-            std::fs::rename(&tmp, self.dir.join(snapshot_file_name(lsn)))?;
-            self.wal = Some(WalWriter::resume(&self.dir, self.config.wal, lsn)?);
-            Ok(())
-        })();
-        if install.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            self.reject();
-            return Err(SessionEnd::Resync);
+        if first {
+            let mut file = File::create(&tmp)?;
+            file.write_all(&encode_header(lsn))?;
+            self.incoming = Some((SnapshotLoad::new(&tmp), file));
         }
+        let (load, file) = self
+            .incoming
+            .as_mut()
+            .ok_or(WalError::Decode("snapshot run with no snapshot open"))?;
+        let fed = load.feed(frames)?;
+        file.write_all(frames)?;
+        let Some((db, epochs)) = fed else {
+            return Ok(None);
+        };
+        let (_, file) = self.incoming.take().expect("opened above");
+        file.sync_data()?;
+        // Local log and snapshots describe a dead timeline now.
+        self.wal = None;
+        for (_, path) in list_segments(&self.dir)?
+            .into_iter()
+            .chain(list_snapshots(&self.dir)?)
+        {
+            std::fs::remove_file(path)?;
+        }
+        std::fs::rename(&tmp, self.dir.join(snapshot_file_name(lsn)))?;
+        self.wal = Some(WalWriter::resume(&self.dir, self.config.wal, lsn)?);
         self.db.replace(db);
-        *self.shared.epochs() = epochs;
-        // Counted before the watermark moves: a reader woken by
-        // `set_applied` must find the bootstrap in the stats already.
-        self.shared.stats.bootstraps.fetch_add(1, Ordering::Relaxed);
-        self.shared.set_applied(lsn);
-        *last_snapshot_lsn = lsn;
-        self.shared.set_phase(ReplicaPhase::CatchingUp);
-        self.ack(tx, lsn)
+        Ok(Some(epochs))
     }
 
-    /// Applies one `Blocks` run, all-or-nothing: the frames are verbatim
-    /// segment bytes, so they decode through the same path recovery uses
-    /// (blocks decompress here, on apply). Wire chunks are whole frames —
-    /// a torn tail is not a crash artifact but corruption in flight that
-    /// slipped past the CRC, so it rejects the run, as does a run cut
-    /// from a segment format this build does not read.
-    fn apply_blocks(
-        &mut self,
-        start_lsn: u64,
-        count: u32,
-        version: u32,
-        frames: &[u8],
-        tx: &mut std::net::TcpStream,
-        last_snapshot_lsn: &mut u64,
-    ) -> Result<(), SessionEnd> {
-        let run = (version == SEGMENT_VERSION)
-            .then(|| decode_block_frames(frames))
-            .filter(|(records, _clean, end)| {
-                matches!(end, FrameEnd::Clean) && records.len() == count as usize
-            });
-        let Some((records, ..)) = run else {
-            // A torn or short run is never applied, not even partially.
-            self.reject();
-            return Err(SessionEnd::Resync);
+    /// Applies and logs `records` from `lsn` on, each applied before it
+    /// is logged — the leader's watermark invariant; acceptance verdicts
+    /// are re-derived locally.
+    fn append(&mut self, lsn: u64, records: Vec<WalRecord>) -> FollowerEvent {
+        let mut next_lsn = lsn;
+        let Some(wal) = self.wal.as_mut() else {
+            return FollowerEvent::Applied {
+                next_lsn,
+                complete: false,
+            };
         };
-        self.apply_records(start_lsn, records, tx, last_snapshot_lsn)
-    }
-
-    /// Contiguity check against the watermark, then record-by-record
-    /// apply-before-log with idempotent overlap skipping.
-    fn apply_records(
-        &mut self,
-        start_lsn: u64,
-        records: Vec<WalRecord>,
-        tx: &mut std::net::TcpStream,
-        last_snapshot_lsn: &mut u64,
-    ) -> Result<(), SessionEnd> {
-        let Some(wal) = self.wal.as_mut().filter(|_| self.incoming.is_none()) else {
-            // Records before (or in the middle of) a bootstrap snapshot:
-            // protocol desync.
-            self.reject();
-            return Err(SessionEnd::Resync);
-        };
-        let mut applied = self.shared.applied();
-        if start_lsn > applied {
-            // A gap would desynchronize the watermark from the stream.
-            self.reject();
-            return Err(SessionEnd::Resync);
-        }
-        for (i, rec) in records.into_iter().enumerate() {
-            let lsn = start_lsn + i as u64;
-            if lsn < applied {
-                // Watermark overlap (duplicate delivery): already
-                // applied and logged; skipping is the idempotent path.
-                self.shared
-                    .stats
-                    .records_skipped
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // An in-stream leadership change joins the local history;
-            // the record logged below is what a restart reads it from.
-            if let WalRecord::LeaderEpoch { epoch } = &rec {
-                if self.shared.epochs().observe(*epoch, lsn).is_err() {
-                    // A conflicting epoch claim in an admitted stream is
-                    // a protocol violation.
-                    self.shared.set_applied(applied);
-                    self.reject();
-                    return Err(SessionEnd::Resync);
-                }
-            }
-            // Apply-before-log, the same watermark invariant the leader
-            // maintains: acceptance verdicts are re-derived locally.
+        for rec in records {
             self.db.with_write(|db| {
                 let _accepted = apply_record(db, rec.clone());
             });
+            // A record applied but not logged puts the in-memory state
+            // ahead of the local log, which a restart would silently
+            // lose: the session resyncs from the last logged record.
             if wal.append(&rec).is_err() {
-                // The record is applied but not logged: the in-memory
-                // state is ahead of the local log, which a restart would
-                // silently lose. Fall back to a re-sync (the leader
-                // re-ships from the last durable watermark).
-                self.shared.set_applied(applied);
-                return Err(SessionEnd::Resync);
+                return FollowerEvent::Applied {
+                    next_lsn,
+                    complete: false,
+                };
             }
-            applied = lsn + 1;
-            self.shared
-                .stats
-                .records_applied
-                .fetch_add(1, Ordering::Relaxed);
+            next_lsn += 1;
         }
-        self.shared.set_applied(applied);
-        if self.config.snapshot_every > 0
-            && applied.saturating_sub(*last_snapshot_lsn) >= self.config.snapshot_every
-            && self.local_snapshot(applied).is_ok()
-        {
-            *last_snapshot_lsn = applied;
-            self.shared
-                .stats
-                .snapshots_taken
-                .fetch_add(1, Ordering::Relaxed);
+        FollowerEvent::Applied {
+            next_lsn,
+            complete: true,
         }
-        self.ack(tx, applied)
     }
 
     /// A local snapshot at the applied watermark: the worker is the only
@@ -1145,84 +883,10 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framed::Listener;
-    use modb_wal::{encode_block, frame_block, write_snapshot};
-
-    /// An upstream that speaks the protocol by hand: admits the follower,
-    /// bootstraps it with an empty snapshot at LSN 0, then ships one
-    /// valid one-record block in a `Blocks` run that claims to come from
-    /// a segment of format `version`.
-    fn upstream_shipping(version: u32, name: &str) -> (Listener, PathBuf) {
-        let dir = std::env::temp_dir().join(format!(
-            "modb-follower-unit-{}-{name}-v{version}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let snapshot = std::fs::read(
-            write_snapshot(
-                &dir.join("up"),
-                &placeholder_database(),
-                &EpochHistory::new(),
-                0,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let mut frames = Vec::new();
-        let mut payload = Vec::new();
-        encode_block(
-            &[WalRecord::RemoveMoving(modb_core::ObjectId(9))],
-            true,
-            &mut payload,
-        );
-        frame_block(&payload, &mut frames);
-        let listener = Listener::spawn(
-            "127.0.0.1:0",
-            |_stream, _active| true,
-            move |mut stream, stop| {
-                let script = [
-                    Message::SnapshotBlocks {
-                        lsn: 0,
-                        offset: SEGMENT_HEADER_BYTES,
-                        frames: snapshot[SEGMENT_HEADER_BYTES as usize..].to_vec(),
-                    },
-                    Message::Blocks {
-                        start_lsn: 0,
-                        count: 1,
-                        version,
-                        frames: frames.clone(),
-                    },
-                ];
-                for msg in &script {
-                    if send(&mut stream, msg, MAX_MESSAGE_BYTES).is_err() {
-                        return;
-                    }
-                }
-                // Hold the socket until the follower hangs up.
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
-                let mut reader = FrameReader::<Message>::new(stream, MAX_MESSAGE_BYTES);
-                while !stop.load(Ordering::SeqCst) {
-                    if !matches!(reader.poll(), Ok(ReadEvent::Idle | ReadEvent::Message(_))) {
-                        return;
-                    }
-                }
-            },
-        )
-        .unwrap();
-        (listener, dir)
-    }
-
-    fn follow(upstream: &Listener, dir: &std::path::Path) -> StandbyReplica {
-        StandbyReplica::open(
-            dir.join("replica"),
-            upstream.local_addr().to_string(),
-            ReplicaConfig::default(),
-        )
-        .unwrap()
-    }
+    use std::sync::atomic::AtomicU64;
 
     /// The worker falls behind (a heartbeat raises the frontier), then
-    /// catches up (`set_applied`); a reader spinning on the watermark —
+    /// catches up (a run applied); a reader spinning on the watermark —
     /// what a floored read does — must find the lag clock already
     /// cleared the instant it sees the new watermark. With the clock
     /// settled after the watermark was published, the reader could win
@@ -1243,14 +907,21 @@ mod tests {
                 }
             }
         }
-        let shared = Shared::new(0, String::new(), EpochHistory::new());
+        let t0 = Instant::now();
+        let published = FollowerSession::new(0, EpochHistory::new(), 0, t0).published();
+        let shared = Shared::new(published, String::new(), EpochHistory::new());
         let seen = AtomicU64::new(0);
         let stale_clocks = std::thread::scope(|s| {
             s.spawn(|| {
+                let mut p = published;
                 for lsn in 1..=ROUNDS {
-                    shared.leader_lsn.store(lsn, Ordering::SeqCst);
-                    shared.note_progress(lsn - 1); // behind: the clock starts
-                    shared.set_applied(lsn); // caught up
+                    let now = Instant::now();
+                    (p.stats.applied_lsn, p.stats.leader_lsn) = (lsn - 1, lsn);
+                    p.clock.contact(lsn - 1, lsn, now); // behind: the clock starts
+                    shared.publish(p);
+                    p.stats.applied_lsn = lsn;
+                    p.clock.contact(lsn, lsn, now); // caught up
+                    shared.publish(p);
                     wait_until(|| seen.load(Ordering::SeqCst) == lsn);
                 }
             });
@@ -1266,37 +937,5 @@ mod tests {
             stale_clocks, 0,
             "caught-up watermarks seen with the lag clock still running"
         );
-    }
-
-    #[test]
-    fn blocks_from_a_foreign_segment_version_are_rejected_unapplied() {
-        // Control: the same run under the current version applies.
-        let (upstream, dir) = upstream_shipping(SEGMENT_VERSION, "blocks");
-        let replica = follow(&upstream, &dir);
-        assert!(replica.wait_for_lsn(1, Duration::from_secs(30)));
-        assert_eq!(replica.shutdown().rejected_messages, 0);
-        drop(upstream);
-        std::fs::remove_dir_all(&dir).unwrap();
-
-        // The retired versions (the v2 frames a pre-v3 leader ships
-        // among them) and a future one.
-        for foreign in [1, SEGMENT_VERSION - 1, SEGMENT_VERSION + 1] {
-            let (upstream, dir) = upstream_shipping(foreign, "blocks");
-            let replica = follow(&upstream, &dir);
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while replica.stats().rejected_messages == 0 {
-                assert!(Instant::now() < deadline, "run was never rejected");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            let stats = replica.shutdown();
-            assert_eq!(
-                (stats.applied_lsn, stats.records_applied),
-                (0, 0),
-                "version {foreign}: {stats}"
-            );
-            assert!(stats.resyncs >= 1, "{stats}");
-            drop(upstream);
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
     }
 }

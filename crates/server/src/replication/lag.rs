@@ -19,7 +19,7 @@
 use std::time::{Duration, Instant};
 
 /// A replica's lag clock (see the module docs).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LagClock {
     /// The last contact that found the watermark at the upstream
     /// frontier; the replica's opening before the first.

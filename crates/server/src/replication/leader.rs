@@ -1,16 +1,21 @@
 //! Leader side of WAL shipping: accept followers, bootstrap them from a
 //! snapshot, then stream log segments as the writer grows them.
 //!
-//! The accept loop is the shared [`crate::framed::Listener`]; each
-//! follower gets a session thread pair — a **shipper** (tailing the log
-//! with [`SegmentTailer`] and writing `SnapshotBlocks` / `Blocks` /
-//! `Heartbeat` messages) and an **ack reader** (draining `Ack` messages
-//! into the acknowledged-LSN watermark). The watermark feeds the
-//! [`ShipHorizon`], which
+//! The accept loop is the shared [`crate::framed::Listener`], and each
+//! follower gets one session thread. The thread is a shell around a
+//! [`LeaderSession`], the I/O-free machine that judges the `Hello`,
+//! chooses resume or bootstrap, decides when a heartbeat is due and checks
+//! every `Ack`. The shell reads the socket, tails the log with
+//! [`SegmentTailer`], ships snapshots and writes `SnapshotBlocks` /
+//! `Blocks` / `Heartbeat` messages. It reads the follower's messages
+//! without waiting — between sends, so acks drain as they arrive — and
+//! sleeps the poll interval when there is nothing to ship or read. Acks
+//! move the session's entry in the [`ShipHorizon`], which
 //! [`crate::DurableDatabase::snapshot_with_retention`] passes to
-//! [`modb_wal::compact_with_barrier`] so compaction never deletes a
+//! [`modb_wal::compact_with_barrier`], so compaction never deletes a
 //! segment a connected follower still has to read.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
@@ -21,53 +26,35 @@ use std::time::{Duration, Instant};
 
 use modb_wal::segment::{read_segment_file, SEGMENT_HEADER_BYTES};
 use modb_wal::{
-    decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochCheck,
-    EpochHistory, SegmentTailer, WalError, WalRecord, GENESIS_EPOCH, SEGMENT_VERSION,
+    decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochHistory,
+    SegmentTailer, WalError, WalRecord,
 };
 
 use crate::durable::DurableDatabase;
-use crate::framed::{send, FrameReader, Listener, ReadEvent};
+use crate::framed::{send, FrameReader, Listener, ReadEvent, WRITE_TIMEOUT};
 use crate::replication::horizon::ShipHorizon;
-use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
+use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES};
+use crate::replication::session::{LeaderAction, LeaderEvent, LeaderSession, LogState};
 
 /// Where the shipped log ends: a closure yielding the serving node's
 /// frontier LSN. On a leader that is the WAL's next LSN; on a chained
 /// follower ([`crate::StandbyReplica::serve_replication`]) it is the
 /// applied watermark — the ship machinery itself is identical, which is
 /// what lets one leader feed a tree of followers through the same seam.
-#[derive(Clone)]
-pub(crate) struct Frontier(Arc<dyn Fn() -> u64 + Send + Sync>);
-
-impl Frontier {
-    pub(crate) fn new(f: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
-        Frontier(Arc::new(f))
-    }
-
-    fn now(&self) -> u64 {
-        (self.0)()
-    }
-}
-
-impl fmt::Debug for Frontier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Frontier({})", self.now())
-    }
-}
+pub(crate) type Frontier = Box<dyn Fn() -> u64 + Send + Sync>;
 
 /// Tuning for [`DurableDatabase::serve_replication`].
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
     /// Records per `Blocks` message (bounds catch-up burst size).
     pub chunk_records: usize,
-    /// Sleep between tail polls when the follower is caught up.
+    /// Sleep between log polls when the follower is caught up. A follower
+    /// that does not drain its socket for 10 s is disconnected, and its
+    /// horizon entry released.
     pub poll_interval: Duration,
     /// Cadence of `Heartbeat` messages while idle (carries the leader's
     /// log frontier, so the follower can report lag).
     pub heartbeat_interval: Duration,
-    /// Socket write timeout; a follower stalled longer than this is
-    /// disconnected (its horizon entry is then released, letting
-    /// compaction proceed).
-    pub write_timeout: Option<Duration>,
 }
 
 impl Default for ReplicationConfig {
@@ -76,7 +63,6 @@ impl Default for ReplicationConfig {
             chunk_records: 512,
             poll_interval: Duration::from_millis(2),
             heartbeat_interval: Duration::from_millis(100),
-            write_timeout: Some(Duration::from_secs(10)),
         }
     }
 }
@@ -133,14 +119,18 @@ impl fmt::Display for ReplicationStatsSnapshot {
 /// Handle to a running leader-side replication listener. Dropping (or
 /// [`ReplicationServer::shutdown`]) stops the accept loop and all
 /// follower sessions.
-#[derive(Debug)]
 pub struct ReplicationServer {
     listener: Listener,
     ctx: Arc<ShipContext>,
 }
 
+impl fmt::Debug for ReplicationServer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ReplicationServer({})", self.local_addr())
+    }
+}
+
 /// Everything a follower session needs, shared across session threads.
-#[derive(Debug)]
 struct ShipContext {
     dir: PathBuf,
     frontier: Frontier,
@@ -159,7 +149,7 @@ impl ReplicationServer {
     /// Current activity counters and lag.
     pub fn stats(&self) -> ReplicationStatsSnapshot {
         let (horizon, stats) = (&self.ctx.horizon, &self.ctx.stats);
-        let leader_next_lsn = self.ctx.frontier.now();
+        let leader_next_lsn = (self.ctx.frontier)();
         let min_acked_lsn = horizon.min();
         ReplicationStatsSnapshot {
             followers: horizon.followers(),
@@ -202,7 +192,7 @@ impl DurableDatabase {
         let wal = self.wal().clone();
         serve_replication_from(
             self.dir().to_path_buf(),
-            Frontier::new(move || wal.next_lsn()),
+            Box::new(move || wal.next_lsn()),
             Arc::clone(self.ship_horizon()),
             Arc::clone(self.epochs()),
             addr,
@@ -239,216 +229,110 @@ pub(crate) fn serve_replication_from(
     Ok(ReplicationServer { listener, ctx })
 }
 
-/// One follower session: handshake, optional bootstrap, then ship until
-/// disconnect or shutdown. The horizon entry is registered at 0 (pinning
-/// the whole log) *before* the resume point is chosen, and released on
-/// the way out. A session that ends on an error is counted; the socket
-/// closes either way and the follower's reconnect backoff paces any
-/// retry.
-fn handle_follower(mut stream: TcpStream, ctx: &ShipContext, stop: &AtomicBool) {
+/// One follower session, on its own thread: the horizon entry is
+/// registered at 0 (pinning the whole log) *before* the log is read for
+/// the handshake, and released on the way out. A session that ends on an
+/// error is counted; the socket closes either way and the follower's
+/// reconnect backoff paces any retry.
+fn handle_follower(stream: TcpStream, ctx: &ShipContext, stop: &AtomicBool) {
     ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-    let _ = stream.set_write_timeout(ctx.config.write_timeout);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let hid = ctx.horizon.register(0);
-    if run_session(&mut stream, ctx, hid, stop).is_err() {
+    if run_session(&stream, ctx, hid, stop).is_err() {
         ctx.stats.session_errors.fetch_add(1, Ordering::Relaxed);
     }
     ctx.horizon.release(hid);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// The shell: turns what the socket and the tailer show into events for
+/// the session machine and carries out its actions.
 fn run_session(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     ctx: &ShipContext,
     hid: u64,
     stop: &AtomicBool,
 ) -> Result<(), WalError> {
-    let ShipContext {
-        dir,
-        frontier,
-        horizon,
-        epochs,
-        stats,
-        config,
-    } = ctx;
-    // Read side runs on a clone so acks drain while the shipper blocks
-    // in writes.
-    let reader_stream = stream.try_clone()?;
-
-    // ---- Handshake: wait (bounded) for the follower's Hello.
-    let mut reader = FrameReader::<Message>::new(reader_stream, MAX_MESSAGE_BYTES);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let hello = loop {
-        if stop.load(Ordering::SeqCst) || Instant::now() > deadline {
-            return Ok(());
-        }
-        match reader.poll()? {
-            ReadEvent::Message(Message::Hello {
-                version,
-                next_lsn,
-                have_state,
-                epoch,
-            }) => {
-                if version != PROTOCOL_VERSION {
-                    return Err(WalError::Decode("replication protocol version mismatch"));
-                }
-                // Every log starts on genesis: epoch 0 names no timeline.
-                if epoch < GENESIS_EPOCH {
-                    return Err(WalError::Decode("hello names epoch 0"));
-                }
-                break (next_lsn, have_state, epoch);
-            }
-            ReadEvent::Message(_) => {
-                return Err(WalError::Decode("expected Hello"));
-            }
-            ReadEvent::Idle => continue,
-            ReadEvent::Closed => return Ok(()),
-        }
+    let mut tx = stream.try_clone()?;
+    let mut reader = FrameReader::<Message>::new(stream.try_clone()?, MAX_MESSAGE_BYTES);
+    let log = LogState {
+        frontier: (ctx.frontier)(),
+        oldest_segment: list_segments(&ctx.dir)?.first().map(|&(start, _)| start),
+        epochs: ctx.epochs.lock().unwrap_or_else(|e| e.into_inner()).clone(),
     };
-
-    // ---- Divergence gate (the promotion guard). A stateful peer whose
-    // log frontier runs past the birth of an epoch it never lived under
-    // holds forked history — a revived old leader tailing past the
-    // promotion point. It gets a typed refusal, never a silent
-    // bootstrap-and-overwrite. A peer claiming a *newer* epoch means
-    // this server is the stale one: close without serving.
-    let (follower_lsn, have_state, peer_epoch) = hello;
-    if have_state {
-        let check = epochs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .check_follower(peer_epoch, follower_lsn);
-        match check {
-            EpochCheck::Clean => {}
-            EpochCheck::Diverged { boundary_lsn } => {
-                let leader_epoch = epochs.lock().unwrap_or_else(|e| e.into_inner()).current();
-                let _ = send(
-                    stream,
-                    &Message::Diverged {
-                        leader_epoch,
-                        boundary_lsn,
-                    },
-                    MAX_MESSAGE_BYTES,
-                );
-                return Err(WalError::Decode("follower log diverges from this timeline"));
+    let mut session = LeaderSession::new(log, ctx.config.heartbeat_interval, Instant::now());
+    let mut tailer: Option<SegmentTailer> = None;
+    while !stop.load(Ordering::SeqCst) {
+        // What the follower sent comes first, taken without waiting: its
+        // `Hello`, then its acks between sends.
+        let read = reader.poll_nowait()?;
+        let chunk = match (&read, tailer.as_mut()) {
+            // A gap or interior corruption under a live session ends it:
+            // the follower reconnects and re-bootstraps from a snapshot.
+            (ReadEvent::Idle, Some(tailer)) => tailer.poll_blocks(ctx.config.chunk_records)?,
+            _ => None,
+        };
+        let event = match (read, chunk) {
+            (ReadEvent::Message(msg), _) => LeaderEvent::Message(msg),
+            (ReadEvent::Closed, _) => return Ok(()),
+            (ReadEvent::Idle, Some(chunk)) => LeaderEvent::Chunk(chunk),
+            (ReadEvent::Idle, None) => LeaderEvent::Idle {
+                frontier: (ctx.frontier)(),
+            },
+        };
+        let idle = matches!(event, LeaderEvent::Idle { .. });
+        let mut actions = VecDeque::from(session.on(event, Instant::now()));
+        while let Some(action) = actions.pop_front() {
+            match action {
+                LeaderAction::Send(msg) => {
+                    send(&mut tx, &msg, MAX_MESSAGE_BYTES)?;
+                    if let Message::Blocks { count, .. } = msg {
+                        let shipped = &ctx.stats.records_shipped;
+                        shipped.fetch_add(u64::from(count), Ordering::Relaxed);
+                    }
+                }
+                LeaderAction::Bootstrap => {
+                    let lsn = ship_snapshot(&mut tx, ctx)?;
+                    actions.extend(session.on(LeaderEvent::Bootstrapped(lsn), Instant::now()));
+                }
+                LeaderAction::Tail(cursor) => tailer = Some(SegmentTailer::new(&ctx.dir, cursor)),
+                LeaderAction::Advance(lsn) => ctx.horizon.advance(hid, lsn),
+                LeaderAction::End(None) => return Ok(()),
+                LeaderAction::End(Some(reason)) => return Err(WalError::Decode(reason)),
             }
-            EpochCheck::PeerAhead { .. } => {
-                return Err(WalError::Decode("follower is on a newer epoch"));
-            }
+        }
+        // Nothing to ship or read: wait out the poll interval. A socket
+        // read timeout would wait in whole scheduler ticks (a 2 ms one
+        // measured ≈ 8 ms on a 2-vCPU Linux VM) and slow every record's
+        // way to the follower.
+        if idle {
+            std::thread::sleep(ctx.config.poll_interval);
         }
     }
-    // The peer learns the history from what it is shipped: a bootstrap
-    // snapshot's head carries every epoch begun below its LSN, and a
-    // `Clean` resume means every epoch the peer lacks begins at or past
-    // its frontier, so its seal record is in the shipped stretch.
+    Ok(())
+}
 
-    // ---- Resume or bootstrap. The horizon entry (still at 0) keeps
-    // every segment alive while we decide.
-    let leader_next = frontier.now();
-    let resumable = have_state && follower_lsn <= leader_next && {
-        let segments = list_segments(dir)?;
-        // The follower's next record must still be on disk — either
-        // inside a surviving segment or exactly at the frontier.
-        segments
-            .first()
-            .is_some_and(|&(start, _)| start <= follower_lsn)
+/// Ships the newest whole snapshot in `SnapshotBlocks` runs and returns
+/// its LSN. The snapshot is read once: the bytes checked are the bytes
+/// shipped, and a compaction that removes the file after it was read does
+/// not touch them.
+fn ship_snapshot(tx: &mut TcpStream, ctx: &ShipContext) -> Result<u64, WalError> {
+    let Some(Shipment { lsn, bytes, runs }) =
+        shippable_snapshot(&ctx.dir, ctx.config.chunk_records)?
+    else {
+        return Err(WalError::NoSnapshot(ctx.dir.clone()));
     };
-    let cursor = if resumable {
-        follower_lsn
-    } else {
-        // Newest snapshot whose container checks out (same fallback
-        // ladder as recovery), read once: the bytes checked are the bytes
-        // shipped, and a compaction that removes the file after it was
-        // read does not touch them.
-        let Some(Shipment { lsn, bytes, runs }) = shippable_snapshot(dir, config.chunk_records)?
-        else {
-            return Err(WalError::NoSnapshot(dir.to_path_buf()));
+    for run in runs {
+        let msg = Message::SnapshotBlocks {
+            lsn,
+            offset: run.start as u64,
+            frames: bytes[run].to_vec(),
         };
-        for run in runs {
-            let msg = Message::SnapshotBlocks {
-                lsn,
-                offset: run.start as u64,
-                frames: bytes[run].to_vec(),
-            };
-            send(stream, &msg, MAX_MESSAGE_BYTES)?;
-        }
-        stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
-        lsn
-    };
-    horizon.advance(hid, cursor);
-
-    // ---- Ack reader: drains the follower's watermark into `acked`.
-    let acked = Arc::new(AtomicU64::new(cursor));
-    let done = Arc::new(AtomicBool::new(false));
-    let ack_thread = {
-        let acked = Arc::clone(&acked);
-        let done = Arc::clone(&done);
-        std::thread::spawn(move || {
-            loop {
-                if done.load(Ordering::SeqCst) {
-                    break;
-                }
-                match reader.poll() {
-                    Ok(ReadEvent::Message(Message::Ack { applied_lsn })) => {
-                        acked.fetch_max(applied_lsn, Ordering::SeqCst);
-                    }
-                    Ok(ReadEvent::Idle) => continue,
-                    // Anything else — close, garbage, a second Hello —
-                    // ends the session.
-                    Ok(_) | Err(_) => break,
-                }
-            }
-            done.store(true, Ordering::SeqCst);
-        })
-    };
-
-    // ---- Ship loop: segment frames go out verbatim (`Blocks` —
-    // compressed blocks exactly as they sit on disk).
-    let mut tailer = SegmentTailer::new(dir, cursor);
-    let mut last_heartbeat: Option<Instant> = None;
-    let result = loop {
-        if stop.load(Ordering::SeqCst) || done.load(Ordering::SeqCst) {
-            break Ok(());
-        }
-        horizon.advance(hid, acked.load(Ordering::SeqCst));
-        match tailer.poll_blocks(config.chunk_records) {
-            Ok(Some(chunk)) => {
-                let count = chunk.records;
-                let msg = Message::Blocks {
-                    start_lsn: chunk.start_lsn,
-                    count: count as u32,
-                    version: SEGMENT_VERSION,
-                    frames: chunk.frames,
-                };
-                if let Err(e) = send(stream, &msg, MAX_MESSAGE_BYTES) {
-                    break Err(e);
-                }
-                stats.records_shipped.fetch_add(count, Ordering::Relaxed);
-            }
-            Ok(None) => {
-                let due = last_heartbeat.is_none_or(|t| t.elapsed() >= config.heartbeat_interval);
-                if due {
-                    let hb = Message::Heartbeat {
-                        leader_next_lsn: frontier.now(),
-                    };
-                    if let Err(e) = send(stream, &hb, MAX_MESSAGE_BYTES) {
-                        break Err(e);
-                    }
-                    last_heartbeat = Some(Instant::now());
-                }
-                std::thread::sleep(config.poll_interval);
-            }
-            // A gap or interior corruption under a live session: give up
-            // on this connection; the follower reconnects and
-            // re-bootstraps from a snapshot.
-            Err(e) => break Err(e),
-        }
-    };
-    done.store(true, Ordering::SeqCst);
-    let _ = stream.shutdown(Shutdown::Both);
-    let _ = ack_thread.join();
-    result
+        send(tx, &msg, MAX_MESSAGE_BYTES)?;
+    }
+    ctx.stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
+    Ok(lsn)
 }
 
 /// A bootstrap snapshot ready to ship: its LSN, its bytes, and the runs
@@ -502,6 +386,7 @@ mod tests {
     //! version, so a refused `Hello` is only reachable from here).
 
     use super::*;
+    use crate::replication::protocol::PROTOCOL_VERSION;
     use modb_core::{
         Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
         UpdateMessage, UpdatePosition,
@@ -509,7 +394,9 @@ mod tests {
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::{decode_block_frames, FrameEnd, FsyncPolicy, WalOptions};
+    use modb_wal::{
+        decode_block_frames, FrameEnd, FsyncPolicy, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION,
+    };
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("modb-leader-{}-{name}", std::process::id()));
@@ -677,6 +564,26 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.session_errors, hellos.len() as u64);
         assert_eq!(stats.records_shipped, 0);
+    }
+
+    /// An ack naming records the session never shipped ends the session
+    /// as an error: the compaction barrier must not move past what the
+    /// follower was sent.
+    #[test]
+    fn an_ack_past_the_shipped_log_ends_the_session() {
+        let (_durable, server) = leader("ack-past", 4);
+        let (mut tx, mut reader) = dial(&server, PROTOCOL_VERSION, GENESIS_EPOCH);
+        while !matches!(next_message(&mut reader), Some(Message::Heartbeat { .. })) {}
+        let bogus = Message::Ack {
+            applied_lsn: u64::MAX,
+        };
+        send(&mut tx, &bogus, MAX_MESSAGE_BYTES).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while next_message(&mut reader).is_some() {
+            assert!(Instant::now() < deadline, "the session outlived the ack");
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.session_errors, stats.followers), (1, 0));
     }
 
     /// A `Hello` that stops before the epoch field (what a pre-epoch

@@ -16,7 +16,9 @@
 //!   [`modb_wal::apply_record`] — the exact seam recovery uses — into
 //!   its own database, persists what it applies to a local log, and
 //!   tracks an applied watermark so a reconnect (or restart) resumes
-//!   incrementally instead of re-bootstrapping.
+//!   incrementally instead of re-bootstrapping;
+//! - each side's decisions are an I/O-free state machine (`session.rs`),
+//!   driven by the socket thread around it and tested without one.
 //!
 //! A lagging follower is not wrong, just stale in a *bounded* way: if it
 //! lags the leader by `dt` seconds of database time, a position answered
@@ -31,6 +33,7 @@ mod horizon;
 mod lag;
 mod leader;
 mod protocol;
+mod session;
 
 pub use follower::{
     DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch, StandbyReplica,

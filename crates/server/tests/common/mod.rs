@@ -77,7 +77,6 @@ pub fn test_replication_config() -> ReplicationConfig {
         chunk_records: 64,
         poll_interval: Duration::from_millis(1),
         heartbeat_interval: Duration::from_millis(20),
-        write_timeout: Some(Duration::from_secs(10)),
     }
 }
 

@@ -1,7 +1,9 @@
-//! Follower crash-restart: a standby that goes down mid-replay restarts
-//! from its *local* snapshot + cursor and resumes incrementally — no
-//! re-bootstrap, idempotent watermark-overlap replay. The follower-side
-//! mirror of `durable_snapshot_prop.rs`.
+//! Follower crash-restart: a standby that goes down restarts from its
+//! *local* snapshot + cursor and resumes incrementally — no
+//! re-bootstrap. The follower-side mirror of `durable_snapshot_prop.rs`.
+//! The decisions behind the resume (resume at the watermark, duplicates
+//! below it skipped) are unit tests of the session machines, in
+//! `replication/session.rs`.
 
 mod common;
 
@@ -81,66 +83,6 @@ fn restart_resumes_from_local_snapshot_without_rebootstrap() {
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    let expected = leader.database().with_read(|db| db.clone());
-    replica
-        .database()
-        .with_read(|db| assert_converged(&expected, db));
-    replica.shutdown();
-    server.shutdown();
-    std::fs::remove_dir_all(&ldir).unwrap();
-    std::fs::remove_dir_all(&fdir).unwrap();
-}
-
-#[test]
-fn restart_mid_catchup_replays_watermark_overlap_idempotently() {
-    let ldir = tmp("overlap-leader");
-    let fdir = tmp("overlap-follower");
-    let leader = DurableDatabase::create(&ldir, fresh_db(), test_wal_options()).unwrap();
-    for i in 1..=5u64 {
-        leader.register_moving(vehicle(i, 50.0 * i as f64)).unwrap();
-    }
-    let server = leader
-        .serve_replication("127.0.0.1:0", test_replication_config())
-        .unwrap();
-    let addr = server.local_addr().to_string();
-
-    let mut config = test_replica_config();
-    config.snapshot_every = 8;
-    let replica = StandbyReplica::open(&fdir, &addr, config.clone()).unwrap();
-    for round in 1..=40u64 {
-        for i in 1..=5u64 {
-            leader
-                .apply_update(
-                    ObjectId(i),
-                    &update(round as f64, 50.0 * i as f64 + round as f64 * 0.5),
-                )
-                .unwrap();
-        }
-    }
-    // Cut the session somewhere mid-catch-up: wait only for a prefix,
-    // then go down immediately. The local log ends at an arbitrary
-    // watermark W strictly between snapshot and frontier.
-    assert!(replica.wait_for_lsn(20, WAIT), "prefix timed out");
-    let stats = replica.shutdown();
-    let w = stats.applied_lsn;
-    assert!(w >= 20, "follower applied a prefix");
-
-    // Restart: local recovery replays [local snapshot, W), the leader
-    // re-ships from W. Every record is applied exactly once in effect —
-    // re-deliveries of already-applied updates are no-ops.
-    let replica = StandbyReplica::open(&fdir, &addr, config).unwrap();
-    let frontier = leader.wal().next_lsn();
-    assert!(replica.wait_for_lsn(frontier, WAIT), "resume timed out");
-    assert_eq!(replica.stats().bootstraps, 0, "no re-bootstrap");
-    let expected = leader.database().with_read(|db| db.clone());
-    replica
-        .database()
-        .with_read(|db| assert_converged(&expected, db));
-
-    // A third open with nothing new to fetch is also clean.
-    replica.shutdown();
-    let replica = StandbyReplica::open(&fdir, &addr, test_replica_config()).unwrap();
-    assert!(replica.wait_for_lsn(frontier, WAIT));
     let expected = leader.database().with_read(|db| db.clone());
     replica
         .database()
