@@ -163,10 +163,20 @@ pub fn execute(db: &Database, query: &Query) -> Result<QueryResult, ExecError> {
 /// [`execute`] against a copy `lag` minutes behind the truth (see
 /// [`run_lagging`]).
 fn execute_lagging(db: &Database, query: &Query, lag: f64) -> Result<QueryResult, ExecError> {
+    if !(lag.is_finite() && lag >= 0.0) {
+        return Err(CoreError::InvalidField("lag", lag).into());
+    }
+    let slack = 2.0 * db.speed_cap() * lag;
     match query {
         Query::Position { object, at } => {
             let id = resolve(db, object)?;
-            Ok(QueryResult::Position(db.position_of(id, *at)?))
+            let mut answer = db.position_of(id, *at)?;
+            if slack > 0.0 {
+                answer.bound += slack;
+                answer.interval.0 -= slack;
+                answer.interval.1 += slack;
+            }
+            Ok(QueryResult::Position(answer))
         }
         Query::Range { region, time } => {
             let region = build_region(db, region, *time)?;
@@ -177,11 +187,16 @@ fn execute_lagging(db: &Database, query: &Query, lag: f64) -> Result<QueryResult
                 .ok_or(CoreError::InvalidField("radius", *radius))?;
             Ok(QueryResult::Range(db.range_query_lagging(&region, lag)?))
         }
-        Query::Nearest { k, center, at } => Ok(QueryResult::Nearest(db.nearest(
-            Point::new(center.x, center.y),
-            *k,
-            *at,
-        )?)),
+        Query::Nearest { k, center, at } => {
+            let mut answer = db.nearest(Point::new(center.x, center.y), *k, *at)?;
+            if slack > 0.0 {
+                for n in answer.ranked.iter_mut().chain(&mut answer.contenders) {
+                    n.bound += slack;
+                    n.certain = false;
+                }
+            }
+            Ok(QueryResult::Nearest(answer))
+        }
         Query::WithinObject { object, radius, at } => {
             let id = resolve(db, object)?;
             Ok(QueryResult::Range(db.within_distance_of_object_lagging(
@@ -202,13 +217,19 @@ pub fn run(db: &Database, src: &str) -> Result<QueryResult, crate::QueryError> {
 }
 
 /// [`run`] against a copy that may trail the truth by `lag` minutes (a
-/// follower's lag clock): range statements — `INSIDE`, `WITHIN … OF
-/// POINT`, `WITHIN … OF OBJECT` — refine each candidate against its
-/// uncertainty widened by its own `2·max_speed·lag`
-/// ([`Database::range_query_lagging`]), so their `may` set can grow and
-/// their `must` set shrink. Position and nearest answers come back as at
-/// `lag == 0`; their bounds are a server's to widen. `lag == 0` is
-/// [`run`].
+/// follower's lag clock), every answer widened by what the objects may
+/// have moved since (DESIGN §15):
+///
+/// - range statements — `INSIDE`, `WITHIN … OF POINT`, `WITHIN … OF
+///   OBJECT` — refine each candidate against its uncertainty widened by
+///   its own `2·max_speed·lag` ([`Database::range_query_lagging`]), so
+///   their `may` set can grow and their `must` set shrink;
+/// - a position answer grows its deviation bound and both ends of its
+///   uncertainty interval by the fleet's `2·speed_cap·lag`
+///   ([`Database::speed_cap`] of this copy), and a nearest answer grows
+///   each neighbour's bound by it and drops certainty.
+///
+/// `lag == 0` is [`run`], bit for bit.
 ///
 /// # Errors
 ///
@@ -386,6 +407,54 @@ mod tests {
         }
         let week = "RETRIEVE OBJECTS INSIDE RECT (0, -1, 40, 1) DURING 0 TO 9999";
         assert!(run(&d, week).is_ok());
+    }
+
+    /// Zero lag leaves every answer bit-identical to `run` (the
+    /// equal-LSN parity guarantee); a positive lag only ever enlarges
+    /// uncertainty — position and nearest bounds by the copy's
+    /// `2·speed_cap·lag`.
+    #[test]
+    fn widening_is_identity_at_zero_and_containment_above() {
+        let d = db();
+        let (lag, slack) = (0.5, 2.0 * 1.5 * 0.5);
+        for stmt in [
+            "RETRIEVE POSITION OF OBJECT 1 AT TIME 5",
+            "RETRIEVE OBJECTS INSIDE RECT (0, -1, 40, 1) AT TIME 5",
+            "RETRIEVE 2 NEAREST OBJECTS TO POINT (0, 0) AT TIME 0",
+        ] {
+            let before = run(&d, stmt).unwrap();
+            assert_eq!(run_lagging(&d, stmt, 0.0).unwrap(), before);
+            match (run_lagging(&d, stmt, lag).unwrap(), before) {
+                (QueryResult::Position(w), QueryResult::Position(b)) => {
+                    assert_eq!((w.position, w.arc), (b.position, b.arc));
+                    assert_eq!(w.bound, b.bound + slack);
+                    assert_eq!(w.interval, (b.interval.0 - slack, b.interval.1 + slack));
+                }
+                (QueryResult::Range(w), QueryResult::Range(b)) => {
+                    assert!(w.must.iter().all(|id| b.must.contains(id)));
+                    assert!(b.all().iter().all(|id| w.all().contains(id)));
+                }
+                (QueryResult::Nearest(w), QueryResult::Nearest(b)) => {
+                    assert_eq!(w.ranked.len(), 2);
+                    assert_eq!(w.contenders.len(), b.contenders.len());
+                    let pairs = w.ranked.iter().zip(&b.ranked);
+                    for (w, b) in pairs.chain(w.contenders.iter().zip(&b.contenders)) {
+                        assert_eq!((w.id, w.distance), (b.id, b.distance));
+                        assert_eq!(w.bound, b.bound + slack);
+                        assert!(!w.certain);
+                    }
+                }
+                _ => panic!("verdict kind changed under widening"),
+            }
+        }
+        for lag in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                run_lagging(&d, "RETRIEVE POSITION OF OBJECT 1 AT TIME 5", lag),
+                Err(crate::QueryError::Exec(ExecError::Core(
+                    CoreError::InvalidField("lag", _)
+                )))
+            ));
+        }
     }
 
     #[test]

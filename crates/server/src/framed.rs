@@ -38,6 +38,13 @@ use modb_wal::{crc32, WalError};
 /// before the session gives up on it (both protocols' write timeout).
 pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How long a session's blocking read waits before it looks at its stop
+/// flag, deadlines and forced reconnects again (the query client and
+/// server, and a replica's session). A shorter one buys nothing: on a
+/// 2-vCPU Linux host a 0.5–3 ms socket read timeout waited ≈ 8 ms
+/// whatever it was set to (measured on a socketpair).
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_millis(10);
+
 /// A protocol's message set: a tag byte followed by the message body.
 pub(crate) trait WireMessage: Sized {
     /// Appends the payload form (no framing).

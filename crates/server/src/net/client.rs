@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use modb_core::{ObjectId, UpdateMessage};
 use modb_wal::WalError;
 
-use crate::framed::{send, FrameReader, ReadEvent};
+use crate::framed::{send, FrameReader, ReadEvent, READ_TIMEOUT};
 use crate::net::protocol::{
     Message, RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
     NET_PROTOCOL_VERSION,
@@ -77,7 +77,7 @@ impl QueryClient {
         let stream = TcpStream::connect(addr)?;
         let peer = stream.peer_addr()?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(10)))?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
         stream.set_write_timeout(Some(RESPONSE_TIMEOUT))?;
         let reader = FrameReader::new(stream.try_clone()?, DEFAULT_MAX_FRAME_BYTES);
         let mut client = QueryClient {

@@ -28,11 +28,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
-use modb_query::QueryResult;
 use modb_wal::{SharedWal, WalError};
 
 use crate::durable::DurableDatabase;
-use crate::framed::{send, FrameReader, Listener, ReadEvent, WRITE_TIMEOUT};
+use crate::framed::{send, FrameReader, Listener, ReadEvent, READ_TIMEOUT, WRITE_TIMEOUT};
 use crate::ingest::{IngestHandle, UpdateEnvelope};
 use crate::net::protocol::{
     Message, RemoteUpdateVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
@@ -165,51 +164,14 @@ impl ServeContext {
         Some((watch.applied_lsn(), min_lsn))
     }
 
-    /// The staleness priced into follower-served answers: `(Δ, slack)`,
-    /// the lag clock read as the batch starts (one wall-clock second is
-    /// one unit of database time) and the fleet's `2·v_max·Δ`, with
-    /// `v_max` the speed cap ([`modb_core::Database::speed_cap`], read
-    /// in O(1)) — the worst-case drift any object can accumulate while
-    /// the answer's clone trails the leader by `Δ`. Both are 0.0 on a
-    /// leader, and on a follower within its contact window of a
-    /// caught-up contact.
-    fn staleness(&self) -> (f64, f64) {
-        let Backend::Follower { watch } = &self.backend else {
-            return (0.0, 0.0);
-        };
-        let lag = watch.lag().as_secs_f64();
-        if lag == 0.0 {
-            return (0.0, 0.0);
-        }
-        let v_max = self.engine.database().with_read(|db| db.speed_cap());
-        (lag, 2.0 * v_max * lag)
-    }
-}
-
-/// Widens one served position or nearest verdict by the fleet's
-/// staleness slack: a position answer grows its deviation bound and
-/// uncertainty interval, and a nearest answer grows each neighbour's
-/// bound and drops certainty. A range verdict passes through: its
-/// members change, not just its bounds, so it was widened as it ran
-/// ([`QueryEngine::run_batch_lagging`] — each candidate against its own
-/// slack, in both directions). `slack == 0` (a leader, or a caught-up
-/// follower) leaves the verdict bit-identical.
-fn widen_result(result: &mut QueryResult, slack: f64) {
-    if slack <= 0.0 {
-        return;
-    }
-    match result {
-        QueryResult::Position(p) => {
-            p.bound += slack;
-            p.interval.0 -= slack;
-            p.interval.1 += slack;
-        }
-        QueryResult::Range(_) => {}
-        QueryResult::Nearest(a) => {
-            for n in a.ranked.iter_mut().chain(a.contenders.iter_mut()) {
-                n.bound += slack;
-                n.certain = false;
-            }
+    /// The staleness `Δ` priced into follower-served answers: the lag
+    /// clock read as the batch starts (one wall-clock second is one unit
+    /// of database time). 0.0 on a leader, and on a follower within its
+    /// contact window of a caught-up contact.
+    fn staleness(&self) -> f64 {
+        match &self.backend {
+            Backend::Leader { .. } => 0.0,
+            Backend::Follower { watch } => watch.lag().as_secs_f64(),
         }
     }
 }
@@ -404,7 +366,7 @@ fn serve_with_backend(
 /// the server shuts down.
 fn handle_client(mut stream: TcpStream, ctx: &ServeContext, stop: &AtomicBool) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = run_session(&mut stream, ctx, stop);
     let _ = stream.shutdown(Shutdown::Both);
@@ -478,15 +440,10 @@ fn run_session(
                 // Synchronous execution: shutdown observed after this
                 // point still lets the full response stream out (the
                 // drain guarantee). A lagging follower's staleness is
-                // priced into every answer: range statements as they
-                // run, position and nearest bounds after (no-op on a
-                // leader or when caught up — served verdicts are then
+                // priced into every answer as it runs (no-op on a leader
+                // or when caught up — served verdicts are then
                 // bit-identical to local).
-                let (lag, slack) = ctx.staleness();
-                let mut verdicts = ctx.engine.run_batch_lagging(&script, lag);
-                for result in verdicts.iter_mut().flatten() {
-                    widen_result(result, slack);
-                }
+                let verdicts = ctx.engine.run_batch_lagging(&script, ctx.staleness());
                 let count = verdicts.len() as u32;
                 for (index, verdict) in verdicts.into_iter().enumerate() {
                     ctx.reply(
@@ -532,76 +489,6 @@ fn run_session(
                 }
             }
             ReadEvent::Closed => return Ok(()),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use modb_core::{NearestAnswer, Neighbour, ObjectId, PositionAnswer, RangeAnswer};
-    use modb_geom::Point;
-    use modb_index::SearchStats;
-
-    fn sample_verdicts() -> Vec<QueryResult> {
-        vec![
-            QueryResult::Position(PositionAnswer {
-                position: Point::new(3.0, 4.0),
-                arc: 12.0,
-                bound: 0.5,
-                interval: (11.0, 13.0),
-                interval_path: vec![Point::new(11.0, 0.0)],
-            }),
-            QueryResult::Range(RangeAnswer {
-                must: vec![ObjectId(1), ObjectId(2)],
-                may: vec![ObjectId(3)],
-                candidates: 3,
-                stats: SearchStats::default(),
-            }),
-            QueryResult::Nearest(NearestAnswer {
-                ranked: vec![Neighbour {
-                    id: ObjectId(1),
-                    distance: 2.0,
-                    bound: 0.25,
-                    certain: true,
-                }],
-                contenders: vec![],
-            }),
-        ]
-    }
-
-    /// Zero slack must leave verdicts bit-identical (the equal-LSN parity
-    /// guarantee); positive slack must only ever enlarge uncertainty.
-    #[test]
-    fn widening_is_identity_at_zero_and_containment_above() {
-        for mut v in sample_verdicts() {
-            let before = v.clone();
-            widen_result(&mut v, 0.0);
-            assert_eq!(v, before);
-        }
-        let slack = 1.5;
-        for (mut v, before) in sample_verdicts().into_iter().zip(sample_verdicts()) {
-            widen_result(&mut v, slack);
-            match (&v, &before) {
-                (QueryResult::Position(w), QueryResult::Position(b)) => {
-                    assert_eq!(w.position, b.position);
-                    assert_eq!(w.arc, b.arc);
-                    assert!(w.bound >= b.bound + slack);
-                    assert!(w.interval.0 <= b.interval.0 - slack);
-                    assert!(w.interval.1 >= b.interval.1 + slack);
-                }
-                (QueryResult::Range(w), QueryResult::Range(b)) => {
-                    // Widened as it ran, against each member's own slack:
-                    // nothing left to do here.
-                    assert_eq!(w, b);
-                }
-                (QueryResult::Nearest(w), QueryResult::Nearest(b)) => {
-                    assert_eq!(w.ranked[0].id, b.ranked[0].id);
-                    assert!(w.ranked[0].bound >= b.ranked[0].bound + slack);
-                    assert!(!w.ranked[0].certain);
-                }
-                _ => panic!("verdict kind changed under widening"),
-            }
         }
     }
 }

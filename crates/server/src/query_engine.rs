@@ -326,9 +326,10 @@ impl QueryEngine {
     }
 
     /// [`QueryEngine::run_batch`] on a copy that may trail the truth by
-    /// `lag` minutes — a follower's lag clock as the batch starts: range
-    /// statements refine each candidate against its own staleness slack
-    /// ([`modb_query::run_lagging`]). `lag == 0` is `run_batch`.
+    /// `lag` minutes — a follower's lag clock as the batch starts: every
+    /// answer is widened by what the objects may have moved since
+    /// ([`modb_query::run_lagging`]), so this is exactly what a follower
+    /// serves. `lag == 0` is `run_batch`.
     pub fn run_batch_lagging(&self, src: &str, lag: f64) -> Vec<Result<QueryResult, QueryError>> {
         let statements = match modb_query::split_statements(src) {
             Ok(statements) => statements,

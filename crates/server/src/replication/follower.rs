@@ -44,7 +44,7 @@ use modb_wal::{
 };
 
 use crate::durable::DurableDatabase;
-use crate::framed::{send, FrameReader, ReadEvent};
+use crate::framed::{send, FrameReader, ReadEvent, READ_TIMEOUT};
 use crate::net::{QueryServer, QueryServerConfig};
 use crate::query_engine::QueryEngine;
 use crate::replication::horizon::ShipHorizon;
@@ -63,9 +63,6 @@ pub struct ReplicaConfig {
     pub wal: WalOptions,
     /// Pause between reconnect attempts.
     pub reconnect_backoff: Duration,
-    /// Socket read timeout (the granularity at which shutdown and
-    /// forced reconnects are noticed).
-    pub read_timeout: Duration,
     /// Take a local snapshot every this many applied records (0 = only
     /// the bootstrap snapshot). Local snapshots bound restart replay and
     /// feed the local compaction pass.
@@ -79,7 +76,6 @@ impl Default for ReplicaConfig {
         ReplicaConfig {
             wal: WalOptions::default(),
             reconnect_backoff: Duration::from_millis(25),
-            read_timeout: Duration::from_millis(10),
             snapshot_every: 0,
             snapshot_retention: DEFAULT_SNAPSHOT_RETENTION,
         }
@@ -714,7 +710,7 @@ impl Worker {
     /// session, which the machine then takes note of.
     fn session(&mut self, stream: TcpStream) -> SessionEnd {
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.config.read_timeout));
+        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
         let Ok(mut tx) = stream.try_clone() else {
             return SessionEnd::Disconnected;
         };

@@ -23,8 +23,9 @@
 //! A lagging follower is not wrong, just stale in a *bounded* way: if it
 //! lags the leader by `dt` seconds of database time, a position answered
 //! from it deviates from the leader's answer by at most `D·dt` where `D`
-//! bounds the relative drift rate (§3.3 of the paper; see DESIGN.md §10
-//! and the W4 experiment). The lag is a follower's only staleness: each
+//! bounds the relative drift rate (§3.3 of the paper; see DESIGN.md §10,
+//! and `tests/follower_truth.rs` for the served answers checked against
+//! ground truth). The lag is a follower's only staleness: each
 //! statement reads a clone of the follower's database taken when it
 //! starts.
 

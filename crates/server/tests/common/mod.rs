@@ -85,7 +85,6 @@ pub fn test_replica_config() -> ReplicaConfig {
     ReplicaConfig {
         wal: test_wal_options(),
         reconnect_backoff: Duration::from_millis(5),
-        read_timeout: Duration::from_millis(5),
         snapshot_every: 0,
         snapshot_retention: 2,
     }

@@ -1,13 +1,11 @@
 //! `modb-exp <name> [args…]` runs one experiment of EXPERIMENTS.md and
 //! prints its tables on stdout; `modb-exp` alone lists the experiments.
 //!
-//! Arguments are numbers in the order the usage lists them. One left out
-//! takes its default; one below the experiment's minimum is raised to it.
-//! F1–F3 also take `--baselines`, and F5 takes its fleet sizes as trailing
-//! numbers. Anything else is a usage error and exits 2. A broken contract
-//! (a deviation bound exceeded, an index answer unlike the scan's, a
-//! replica unlike its leader, an acked write lost) is printed to stderr
-//! and exits 1.
+//! Arguments are numbers in the order the usage lists them; one left out
+//! takes its default. F1–F3 also take `--baselines`, and F5 takes its
+//! fleet sizes as trailing numbers. Anything else is a usage error and
+//! exits 2. A broken contract (a deviation bound exceeded, an index
+//! answer unlike the scan's) is printed to stderr and exits 1.
 
 use std::fmt::{self, Display};
 
@@ -15,10 +13,7 @@ use modb_sim::experiments::ablations::{self, AblationRow};
 use modb_sim::experiments::indexing::SublinearRow;
 use modb_sim::experiments::policy_sweep::{self, MetricKind, SweepConfig, SweepResult};
 use modb_sim::experiments::savings::{self, SavingsRow};
-use modb_sim::experiments::{
-    bound_shape, cost_rate_curve, example1, failover, indexing, read_fanout, replication,
-    wal_throughput,
-};
+use modb_sim::experiments::{bound_shape, cost_rate_curve, example1, indexing};
 use modb_sim::WorkloadConfig;
 
 /// What an experiment printed, and the contracts it broke.
@@ -137,10 +132,10 @@ fn f5_report(a: &Args, tables: impl FnOnce(&[SublinearRow], &[SublinearRow]) -> 
 type Run = fn(&Args) -> Report;
 
 /// The dispatch table: name, usage, run. A usage lists the positionals in
-/// order as `name=default`, with `>=min` where a smaller value is raised
-/// to `min`; a default written with a `.` takes any number, one without a
-/// whole number. `--flag` is an optional flag, and `name…=a,b,…` takes the
-/// trailing whole numbers, `a,b,…` when there are none.
+/// order as `name=default`; a default written with a `.` takes any
+/// number, one without a whole number. `--flag` is an optional flag,
+/// and `name…=a,b,…` takes the trailing whole numbers, `a,b,…` when
+/// there are none.
 static EXPERIMENTS: &[(&str, &str, Run)] = &[
     (
         "f1-f3",
@@ -239,46 +234,6 @@ static EXPERIMENTS: &[(&str, &str, Run)] = &[
             ),
         ])
     }),
-    ("w4", "n_objects=500>=10 batches=120>=4", |a| {
-        const V_MAX: f64 = 2.0;
-        let n = a.n(0);
-        let rates = [(n / 4).max(1), n, n * 4];
-        let rows = replication::run_replication_lag(n, &rates, a.n(1) as u64, V_MAX);
-        let ok = rows.iter().all(|r| r.within_bound);
-        Report::of(replication::replication_lag_table(n, V_MAX, &rows))
-            .check(ok, "a measured deviation escaped its lag-widened bound")
-    }),
-    ("w7", "n_objects=2000>=8 rounds=50>=1 workers=4>=1", |a| {
-        let report = wal_throughput::run_wal_throughput(a.n(0), a.n(1), a.n(2));
-        let (ratio, wire) = (report.disk_ratio(), &report.wire);
-        let (applied, records) = (wire.applied, wire.records);
-        Report::of(wal_throughput::wal_throughput_tables(&report))
-            .check(
-                ratio >= 2.0,
-                format!("v3-lz bytes/update reduction {ratio:.2}x is below 2x"),
-            )
-            .check(
-                applied == records,
-                format!("standby applied {applied} of {records} records"),
-            )
-    }),
-    ("w9", "n_objects=60>=4 max_followers=4>=1", |a| {
-        let ladder = read_fanout::fanout_ladder(a.n(1));
-        let rows = read_fanout::run_read_fanout(a.n(0), &ladder, 40, 40);
-        let ok = rows.iter().all(|r| r.parity && r.stale_typed);
-        Report::of(read_fanout::read_fanout_table(a.n(0), &rows)).check(
-            ok,
-            "a follower diverged from the leader or hung on a stale floor",
-        )
-    }),
-    ("w10", "n_objects=40>=4 trials=3>=1", |a| {
-        let rows = failover::run_failover(a.n(0), a.n(1), 20);
-        let ok = failover::failover_contract(&rows);
-        Report::of(failover::failover_table(a.n(0), &rows)).check(
-            ok,
-            "an acked write was lost, state diverged, or the survivor stranded",
-        )
-    }),
 ];
 
 /// Resolves `argv` (the arguments after the program name) to an
@@ -290,7 +245,7 @@ fn parse(argv: &[String]) -> Result<(Run, Args), String> {
             .map(|(name, usage, _)| format!("  modb-exp {name} {usage}").trim_end().to_string())
             .collect();
         let head = "usage: modb-exp <name> [numbers…], the numbers positional, each shown \
-                    as name=default (>=min: a smaller one is raised to min):";
+                    as name=default:";
         format!("{head}\n{}", lines.join("\n"))
     };
     let (name, rest) = argv.split_first().ok_or_else(list)?;
@@ -311,10 +266,9 @@ fn parse(argv: &[String]) -> Result<(Run, Args), String> {
         match token.split_once('=') {
             None => flag = Some(token),
             Some((_, list)) if token.contains('…') => sizes = list,
-            Some((name, spec)) => {
-                let (default, min) = spec.split_once(">=").unwrap_or((spec, "-inf"));
-                let value = |text: &str| text.parse::<f64>().expect("a usage number");
-                params.push((name, value(default), value(min), !default.contains('.')));
+            Some((name, default)) => {
+                let value = default.parse::<f64>().expect("a usage number");
+                params.push((name, value, !default.contains('.')));
             }
         }
     }
@@ -329,11 +283,11 @@ fn parse(argv: &[String]) -> Result<(Run, Args), String> {
                 return Err(bad(format!("unknown flag {arg}")));
             }
             args.flag = flag;
-        } else if let Some(&(name, _, min, int)) = params.get(args.values.len()) {
+        } else if let Some(&(name, _, int)) = params.get(args.values.len()) {
             let want = if int { "a whole number" } else { "a number" };
             let value =
                 number(arg, int).ok_or_else(|| bad(format!("{name} wants {want}, got {arg:?}")))?;
-            args.values.push((name, value.max(min)));
+            args.values.push((name, value));
         } else if let (false, Ok(size)) = (sizes.is_empty(), arg.parse()) {
             args.sizes.push(size);
         } else {
@@ -342,7 +296,7 @@ fn parse(argv: &[String]) -> Result<(Run, Args), String> {
     }
     let omitted = params[args.values.len()..].iter();
     args.values
-        .extend(omitted.map(|&(name, default, _, _)| (name, default)));
+        .extend(omitted.map(|&(name, default, _)| (name, default)));
     if args.sizes.is_empty() && !sizes.is_empty() {
         args.sizes = sizes
             .split(',')
@@ -390,7 +344,7 @@ mod tests {
             "f4 1 x",
             "f5 10 --sizes 500",
             "f5 10 500 1e3",
-            "w4 -1",
+            "t3 -1",
         ] {
             assert!(parse_line(line).is_err(), "{line} parsed");
         }
@@ -398,10 +352,14 @@ mod tests {
 
     #[test]
     fn an_unknown_name_lists_the_experiments() {
-        assert_eq!(EXPERIMENTS.len(), 14);
-        // W6 was retired with the sharded cluster, and W1, W2 and W5 for
-        // the ledger rows that measure them; their names are unknown now.
-        for line in ["", "f8", "savings", "w1", "w2", "w5", "w6"] {
+        assert_eq!(EXPERIMENTS.len(), 10);
+        // W6 was retired with the sharded cluster, W1, W2 and W5 for the
+        // ledger rows that measure them, and W4, W7, W9 and W10 for the
+        // ledger rows and tier-1 tests that hold them; their names are
+        // unknown now.
+        for line in [
+            "", "f8", "savings", "w1", "w2", "w4", "w5", "w6", "w7", "w9", "w10",
+        ] {
             let usage = parse_line(line).expect_err("a usage error");
             for (name, spec, _) in EXPERIMENTS {
                 let line = format!("modb-exp {name} {spec}");
@@ -423,8 +381,6 @@ mod tests {
 
     #[test]
     fn clamps_flags_and_sizes_resolve() {
-        let args = parse_line("w4 3").expect("parses");
-        assert_eq!((args.n(0), args.n(1)), (10, 120));
         let args = parse_line("f1-f3 5 --baselines").expect("parses");
         assert_eq!(
             (args.n(0), args.x(1), args.flag),

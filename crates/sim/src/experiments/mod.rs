@@ -5,10 +5,6 @@ pub mod ablations;
 pub mod bound_shape;
 pub mod cost_rate_curve;
 pub mod example1;
-pub mod failover;
 pub mod indexing;
 pub mod policy_sweep;
-pub mod read_fanout;
-pub mod replication;
 pub mod savings;
-pub mod wal_throughput;

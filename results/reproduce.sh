@@ -1,8 +1,8 @@
 #!/bin/sh
 # Reruns every deterministic experiment and example and compares its
 # stdout byte for byte with the file of the same name in this directory.
-# F5's timed tables, F6 and the W-experiments print wall-clock timings and
-# are left out; `f5-counts` pins F5's exact counts instead.
+# F5's timed tables and F6 print wall-clock timings and are left out;
+# `f5-counts` pins F5's exact counts instead.
 #
 #   results/reproduce.sh           # exit nonzero and print a diff on any change
 #   results/reproduce.sh --write   # overwrite the committed files instead

@@ -1,12 +1,14 @@
-//! A lagging follower's range answers against ground truth.
+//! A lagging follower's range and position answers against ground truth.
 //!
 //! A fleet of simulated vehicles reports to a leader through onboard
 //! policy engines. A follower holds a copy of the leader's database as it
-//! stood some minutes earlier and answers range statements through the
-//! query engine at its lag. Every answer is checked, vehicle by vehicle
-//! with none skipped, against where the simulator says the vehicles truly
-//! are: may ∪ must ⊇ {truly inside} ⊇ must (Theorems 5–6 with the
-//! `2·max_speed·Δ` staleness slack of DESIGN §15).
+//! stood some minutes earlier and answers range and position statements
+//! through the query engine at its lag. Every answer is checked, vehicle
+//! by vehicle with none skipped, against where the simulator says the
+//! vehicles truly are: may ∪ must ⊇ {truly inside} ⊇ must (Theorems 5–6),
+//! and each vehicle truly within its answer's deviation bound of its
+//! answered position and inside its uncertainty interval (§3.3), both
+//! with the `2·max_speed·Δ` staleness slack of DESIGN §15.
 //!
 //! Two ways of being behind:
 //!
@@ -16,15 +18,16 @@
 //!   must age with the silence.
 //!
 //! Each scenario also checks that it has teeth: answered as if the
-//! follower were current (no widening), or widened only by demoting
-//! every `must` to `may`, some answer misses a vehicle that is truly
-//! inside.
+//! follower were current (no widening), some range answer misses a
+//! vehicle that is truly inside and some position answer misses its
+//! vehicle; and widened only by demoting every `must` to `may`, some
+//! range answer still misses one.
 
 use std::time::{Duration, Instant};
 
 use modb::core::{
-    Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
-    RangeAnswer, UpdateMessage, UpdatePosition,
+    Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAnswer,
+    PositionAttribute, RangeAnswer, UpdateMessage, UpdatePosition,
 };
 use modb::geom::{Point, Polygon, Rect};
 use modb::motion::{Trip, TripProfile};
@@ -127,8 +130,12 @@ impl World {
         self.now = t;
     }
 
+    fn true_arc(&self, id: usize, t: f64) -> f64 {
+        self.trips[id].arc_at(&self.route, t)
+    }
+
     fn true_position(&self, id: usize, t: f64) -> Point {
-        self.route.point_at(self.trips[id].arc_at(&self.route, t))
+        self.route.point_at(self.true_arc(id, t))
     }
 }
 
@@ -178,14 +185,59 @@ fn misses(world: &World, polygon: &Polygon, t: f64, answer: &RangeAnswer) -> Vec
     out
 }
 
+/// What the answer for vehicle `id` gets wrong at `t`: the vehicle
+/// truly further from the answered position than the bound, or outside
+/// the uncertainty interval (arc coordinates, as the policies measure
+/// deviation).
+fn position_misses(world: &World, id: usize, t: f64, answer: &PositionAnswer) -> Vec<String> {
+    let truth = world.true_arc(id, t);
+    let mut out = Vec::new();
+    if (truth - answer.arc).abs() > answer.bound {
+        out.push(format!(
+            "veh-{id} at arc {truth}, answered {} ± {}",
+            answer.arc, answer.bound
+        ));
+    }
+    if !(answer.interval.0 <= truth && truth <= answer.interval.1) {
+        out.push(format!(
+            "veh-{id} at arc {truth}, outside {:?}",
+            answer.interval
+        ));
+    }
+    out
+}
+
+/// Answers the copy gets wrong when not widened, by kind of statement.
+#[derive(Default)]
+struct Unwidened {
+    /// Range answers answered as if current.
+    ranges: usize,
+    /// Range answers widened only by demoting every `must` to `may`,
+    /// which admits no vehicle whose stale interval lies outside the
+    /// region.
+    demoted: usize,
+    /// Position answers answered as if current.
+    positions: usize,
+}
+
 /// What the follower `stale` serves at lag `lag` for every statement at
-/// time `t`, checked against the truth; returns how many answers the
-/// same copy gets wrong when it does not widen (`lag` 0) and when it
-/// widens only by demoting every `must` to `may`, which admits no
-/// vehicle whose stale interval lies outside the region.
-fn check_follower(world: &World, stale: &Database, lag: f64, t: f64) -> (usize, usize) {
+/// time `t`, checked against the truth; adds to `unwidened` how many
+/// answers the same copy gets wrong when it does not widen.
+fn check_follower(world: &World, stale: &Database, lag: f64, t: f64, unwidened: &mut Unwidened) {
     let engine = QueryEngine::new(SharedDatabase::new(stale.clone()));
-    let (mut unwidened, mut demoted) = (0, 0);
+    for id in 0..N {
+        let statement = format!("RETRIEVE POSITION OF OBJECT 'veh-{id}' AT TIME {t}");
+        let served = engine.run_batch_lagging(&statement, lag).remove(0).unwrap();
+        let missed = position_misses(world, id, t, served.as_position().unwrap());
+        assert!(
+            missed.is_empty(),
+            "lag {lag} at t={t}: {statement}: {missed:?}"
+        );
+
+        let current = engine.run_batch(&statement).remove(0).unwrap();
+        let missed = position_misses(world, id, t, current.as_position().unwrap());
+        unwidened.positions += usize::from(!missed.is_empty());
+    }
     for (statement, polygon) in statements(t) {
         let served = engine.run_batch_lagging(&statement, lag).remove(0).unwrap();
         let served = served.as_range().unwrap();
@@ -197,17 +249,30 @@ fn check_follower(world: &World, stale: &Database, lag: f64, t: f64) -> (usize, 
 
         let current = engine.run_batch(&statement).remove(0).unwrap();
         let mut current = current.as_range().unwrap().clone();
-        unwidened += usize::from(!misses(world, &polygon, t, &current).is_empty());
+        unwidened.ranges += usize::from(!misses(world, &polygon, t, &current).is_empty());
         current.may.append(&mut current.must);
-        demoted += usize::from(!misses(world, &polygon, t, &current).is_empty());
+        unwidened.demoted += usize::from(!misses(world, &polygon, t, &current).is_empty());
     }
-    (unwidened, demoted)
+}
+
+/// Every kind of unwidened answer got something wrong in the scenario.
+fn assert_teeth(wrong: &Unwidened) {
+    let Unwidened {
+        ranges,
+        demoted,
+        positions,
+    } = *wrong;
+    assert!(
+        ranges > 0 && demoted > 0 && positions > 0,
+        "an answer kind never needed the slack \
+         ({ranges} ranges unwidened, {demoted} demoted, {positions} positions unwidened)"
+    );
 }
 
 /// A follower `Δ` behind the leader, its lag clock reading `Δ`.
 #[test]
 fn a_lagging_follower_answers_contain_the_truth() {
-    let (mut wrong_unwidened, mut wrong_demoted) = (0, 0);
+    let mut wrong = Unwidened::default();
     for (seed, t, lag) in [
         (1, 12.0, 1.0),
         (2, 20.0, 3.0),
@@ -218,14 +283,9 @@ fn a_lagging_follower_answers_contain_the_truth() {
         world.drive_until(t - lag);
         let stale = world.leader.clone();
         world.drive_until(t);
-        let (unwidened, demoted) = check_follower(&world, &stale, lag, t);
-        wrong_unwidened += unwidened;
-        wrong_demoted += demoted;
+        check_follower(&world, &stale, lag, t, &mut wrong);
     }
-    assert!(
-        wrong_unwidened > 0 && wrong_demoted > 0,
-        "no answer needed the slack ({wrong_unwidened} unwidened, {wrong_demoted} demoted)"
-    );
+    assert_teeth(&wrong);
 }
 
 /// A follower that was current at its last contact, then heard nothing
@@ -233,7 +293,7 @@ fn a_lagging_follower_answers_contain_the_truth() {
 /// one minute of simulated time here.
 #[test]
 fn a_caught_up_then_silent_follower_answers_contain_the_truth() {
-    let (mut wrong_unwidened, mut wrong_demoted) = (0, 0);
+    let mut wrong = Unwidened::default();
     for (seed, contact, silence) in [(5, 10.0, 2.0), (6, 25.0, 4.0), (7, 40.0, 1.5)] {
         let mut world = World::new(seed);
         world.drive_until(contact);
@@ -246,12 +306,7 @@ fn a_caught_up_then_silent_follower_answers_contain_the_truth() {
             .lag_at(opened + Duration::from_secs_f64(silence))
             .as_secs_f64();
         assert_eq!(lag, silence, "the clock ages with the silence");
-        let (unwidened, demoted) = check_follower(&world, &stale, lag, contact + silence);
-        wrong_unwidened += unwidened;
-        wrong_demoted += demoted;
+        check_follower(&world, &stale, lag, contact + silence, &mut wrong);
     }
-    assert!(
-        wrong_unwidened > 0 && wrong_demoted > 0,
-        "no answer needed the slack ({wrong_unwidened} unwidened, {wrong_demoted} demoted)"
-    );
+    assert_teeth(&wrong);
 }
