@@ -72,8 +72,10 @@ pub struct MovingObject {
 /// **One record per vehicle.** The object table *is* the time-space
 /// index: one [`MovingObjectIndex`] entry per object holds the object
 /// in one allocation — a 112-B malloc chunk with the name inline when it
-/// fits 14 bytes — which the id map and the tree's leaf share; the
-/// leaf also keeps the one copy of the box the object is filed under.
+/// fits 14 bytes — which the id map and the tree's leaf share. The id
+/// map keeps one 8-B pointer to it and reads the id through it; the
+/// leaf, a 32-B slot, also keeps the one copy of the box the object is
+/// filed under.
 /// Neither the o-plane nor that box is stored in the entry: both are
 /// functions of the object's position attribute, derived when the
 /// object is filed, again by the same function when a later write looks
@@ -526,9 +528,39 @@ impl Database {
     ///
     /// [`CoreError::UnknownObject`] and route/geometry failures.
     pub fn position_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
+        self.position_of_lagging(id, t, 0.0)
+    }
+
+    /// [`Database::position_of`] answered by a copy that may trail the
+    /// truth by `lag` minutes: the deviation bound and both ends of the
+    /// uncertainty interval grow by the fleet's `2·speed_cap·lag` (DESIGN
+    /// §15), the interval stays on the route (`[0, length]`), and its path
+    /// is the widened interval's. `lag == 0` is the plain query.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Database::position_of`], and
+    /// [`CoreError::InvalidField`] for a negative or non-finite `lag`.
+    pub fn position_of_lagging(
+        &self,
+        id: ObjectId,
+        t: f64,
+        lag: f64,
+    ) -> Result<PositionAnswer, CoreError> {
+        if !(lag.is_finite() && lag >= 0.0) {
+            return Err(CoreError::InvalidField("lag", lag));
+        }
         let obj = self.resident(id)?;
-        let (route, arc, bound) = self.locate(obj, t)?;
-        let interval = obj.attr.uncertainty_arcs(route.length(), obj.max_speed, t);
+        let (route, arc, mut bound) = self.locate(obj, t)?;
+        let mut interval = obj.attr.uncertainty_arcs(route.length(), obj.max_speed, t);
+        let slack = 2.0 * self.speed_cap * lag;
+        if slack > 0.0 {
+            bound += slack;
+            interval = (
+                (interval.0 - slack).max(0.0),
+                (interval.1 + slack).min(route.length()),
+            );
+        }
         let interval_path = route.polyline().interval_points(interval.0, interval.1)?;
         Ok(PositionAnswer {
             position: route.point_at(arc),
@@ -1527,11 +1559,14 @@ mod tests {
         // with the `Arc`'s counts: the 112-B malloc chunk.
         assert_eq!(std::mem::size_of::<Resident>(), 80);
         assert_eq!(std::mem::size_of::<Entry<ObjectId, Resident>>(), 88);
-        // The leaf that files it, and each link above, is a 32-B slot: the
-        // box rounded outward to six `f32`s, and one pointer.
+        // The leaf that files it is a 32-B slot: the box rounded outward
+        // to six `f32`s, and one pointer. Each link above is a 48-B slot:
+        // the box and the child node, which is its one allocation (a tag
+        // and the slice's pointer and length). The id map keeps the one
+        // 8-B pointer and reads the id through it.
         assert_eq!(
             MovingObjectIndex::<ObjectId, Resident>::slot_bytes(),
-            (32, 32)
+            (32, 48, 8)
         );
         let id = ObjectId(1);
         let mut db = db_with(vec![object(1, 10.0, 1.0), object(2, 50.0, 1.0)]);

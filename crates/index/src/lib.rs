@@ -20,8 +20,10 @@
 //!   from the payload, not stored, and so is the box a write looks the
 //!   superseded entry up by: the box is kept once, in the tree's leaf.
 //!   The table is a copy-on-write hash map (`CowMap`, private to this
-//!   crate); it and the tree are path-copying, so a clone of the index is
-//!   O(1) and shares everything no write has touched since.
+//!   crate) whose buckets hold only the entry pointers and read each key
+//!   through its entry; it and the tree, whose every node is one
+//!   allocation, are path-copying, so a clone of the index is O(1) and
+//!   shares everything no write has touched since.
 //!
 //! Exact may/must refinement lives in `modb-core`, which can resolve
 //! routes; the index layer guarantees no false negatives.

@@ -32,7 +32,8 @@
 //! filter-only index keeps the plane itself (`V = OPlane`, the default).
 //! The entry lives behind one `Arc` that both the key → entry map and
 //! the tree's leaf hold, so a tree hit reaches the payload with no
-//! lookup.
+//! lookup, and the key is kept once, in the entry: the map's bucket holds
+//! only the pointer and reads the key through it.
 //!
 //! **A write locates before it writes.** §4.2 removes an object "from
 //! the rectangles … that intersect [the old o-plane] p1": p1 is derived
@@ -48,10 +49,10 @@
 //! ([`IndexError::Misfiled`]) — leaves the map, the tree and `len()` as
 //! they were.
 //!
-//! **A copy is two roots.** The tree ([`RStarTree`]) and the map
-//! (`CowMap`) are path-copying, so cloning the index copies two
-//! pointers and the clone shares every node, bucket and entry until one
-//! side writes.
+//! **A copy is two roots.** The tree ([`RStarTree`], each node one
+//! allocation) and the map (`CowMap`) are path-copying, so cloning the
+//! index copies two roots and the clone shares every node, bucket and
+//! entry until one side writes.
 //!
 //! **Routes and planes at query time.** Slab geometry needs the plane's
 //! route, so the `candidates*` probes take the `RouteNetwork`. Routes
@@ -73,7 +74,7 @@ use std::sync::Arc;
 use modb_geom::Aabb3;
 use modb_routes::{Route, RouteNetwork};
 
-use crate::cow_map::CowMap;
+use crate::cow_map::{CowMap, Keyed};
 use crate::error::IndexError;
 use crate::oplane::OPlane;
 use crate::rtree::{RStarTree, SearchStats};
@@ -134,6 +135,16 @@ fn some_slab_intersects(
     })
 }
 
+/// The id map reads an entry's key through the entry, so a bucket holds
+/// one pointer per key.
+impl<K: Eq + Hash, V> Keyed for Arc<Entry<K, V>> {
+    type Key = K;
+
+    fn key(&self) -> &K {
+        &self.key
+    }
+}
+
 /// What a tree leaf holds: the shared entry itself, so a hit needs no
 /// lookup to reach its plane or payload. Two hits are equal when they are
 /// the same allocation — how `remove` / `update` tell the tree which
@@ -160,7 +171,7 @@ impl<K, V> PartialEq for Hit<K, V> {
 #[derive(Debug, Clone)]
 pub struct MovingObjectIndex<K, V = OPlane> {
     tree: RStarTree<Hit<K, V>>,
-    entries: CowMap<K, Arc<Entry<K, V>>>,
+    entries: CowMap<Arc<Entry<K, V>>>,
     /// Slab duration (minutes) of the §4.2 decomposition.
     slab_minutes: f64,
 }
@@ -220,12 +231,12 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
 
     /// Every key, in arbitrary order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.keys()
+        self.entries.iter().map(|entry| &entry.key)
     }
 
     /// Every entry, in arbitrary order.
     pub fn entries(&self) -> impl Iterator<Item = &Entry<K, V>> {
-        self.entries.values().map(|entry| &**entry)
+        self.entries.iter().map(|entry| &**entry)
     }
 
     /// Stores `value` under `key`, filed in the tree under the union box
@@ -270,7 +281,7 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
         if !located {
             return Err(IndexError::Misfiled.into());
         }
-        self.entries.insert(key, next);
+        self.entries.insert(next);
         Ok(())
     }
 
@@ -371,11 +382,12 @@ impl<K: Copy + Eq + Hash, V> MovingObjectIndex<K, V> {
             .for_each_entry(|union, Hit(entry)| visit(union, entry));
     }
 
-    /// `(leaf slot, internal slot)` sizes in bytes of this index's tree —
-    /// the probe the footprint tests pin.
+    /// `(leaf slot, internal slot, id-map slot)` sizes in bytes of this
+    /// index's tree and map — the probe the footprint tests pin.
     #[doc(hidden)]
-    pub fn slot_bytes() -> (usize, usize) {
-        RStarTree::<Hit<K, V>>::slot_bytes()
+    pub fn slot_bytes() -> (usize, usize, usize) {
+        let (leaf, internal) = RStarTree::<Hit<K, V>>::slot_bytes();
+        (leaf, internal, CowMap::<Arc<Entry<K, V>>>::slot_bytes())
     }
 
     /// Tree statistics: `(entries, nodes, height)`.

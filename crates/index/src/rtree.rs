@@ -11,19 +11,21 @@
 //! and instrumented: searches can report how many nodes they touched,
 //! which powers the paper's sublinearity experiment (F5 in DESIGN.md).
 //!
-//! **A copy is a root.** Nodes live behind `Arc`s, so cloning a tree
-//! copies one pointer and the clone shares every node. A write copies
-//! the nodes on the one path it changes, and only those a clone still
-//! holds (`Arc::make_mut`); a tree nobody else holds mutates in place.
-//! `remove` and `update` first *locate* their entry read-only and then
-//! descend that one path, so looking into a subtree that turns out not
-//! to hold the entry — or failing to find it at all — copies nothing.
+//! **A node is one allocation.** A node is its slots — an exact-sized
+//! `Arc` slice of `(box, entry)` in a leaf, `(box, child node)` above —
+//! held by value in its parent's slot (the root by the tree). There is no
+//! separate node header and no spare capacity: a write that changes a
+//! node's length rebuilds its slice one longer or shorter, moving the
+//! slots across when nobody else holds the node, and a search follows one
+//! pointer per node.
 //!
-//! **A node keeps at most one spare slot.** A node grows one slot at a
-//! time, and both halves of a split and a node that lost an entry give
-//! back what they no longer use, so the slots a fleet's tree allocates
-//! are its entries plus at most one per node — not the half-empty
-//! doubled buffers `Vec::push` would leave in every split leaf.
+//! **A copy is a root.** Cloning a tree copies the root's pointer and the
+//! clone shares every node. A write copies the nodes on the one path it
+//! changes, and only those a clone still holds (`Arc::make_mut`); a tree
+//! nobody else holds mutates in place. `remove` and `update` first
+//! *locate* their entry read-only and then descend that one path, so
+//! looking into a subtree that turns out not to hold the entry — or
+//! failing to find it at all — copies nothing.
 //!
 //! **A slot holds an `f32` cover.** The tree only filters (§4.2: the
 //! o-plane index hands candidates to exact refinement), so a stored box
@@ -32,12 +34,13 @@
 //! [`RStarTree::bulk_load`] and the searches — rounds its [`Aabb3`]
 //! outward to `f32` once (each `min` down, each `max` up, to the nearest
 //! `f32` on that side: −∞ or +∞ past the `f32` range), and leaves and
-//! nodes store only those rounded boxes: a slot is 24 B of box and one
-//! pointer, 32 B. The union of rounded boxes is exact in `f32`, so a
-//! node's box is still the exact cover of its slots. The stored box
-//! contains the given one and the rounded query contains the query, so
-//! a search returns every value an `f64` comparison would, plus at most
-//! those whose box lies within one `f32` step of the query's
+//! nodes store only those rounded boxes: a leaf slot is 24 B of box and
+//! one pointer, 32 B, and an internal slot 24 B of box and the child
+//! node's tag and slice pointer, 48 B. The union of rounded boxes is
+//! exact in `f32`, so a node's box is still the exact cover of its slots.
+//! The stored box contains the given one and the rounded query contains
+//! the query, so a search returns every value an `f64` comparison would,
+//! plus at most those whose box lies within one `f32` step of the query's
 //! (≈ 1.5·10⁻⁵ mi at 128 mi). Rounding is a function of the box, so a
 //! write that derives the same box again finds its entry by exact
 //! equality. [`RStarTree::bbox`] and [`RStarTree::for_each_entry`] hand
@@ -141,10 +144,21 @@ impl Bounds {
     }
 }
 
+/// A node's slots, exactly as many as it holds. A slot is `Some` whenever
+/// anyone can look at it; it is an `Option` so that a node nobody shares
+/// can hand its slots on by `take` when it is rebuilt one longer or
+/// shorter, where the slots of a plain `Arc<[(Bounds, E)]>` could only be
+/// cloned — one reference-count write per shared entry or child, twice
+/// (the clone, then the drop of the original). The pointer in a leaf's
+/// entry and the tag of a child node are niches, so the `Option` costs no
+/// space there.
+type Slots<E> = Arc<[Option<(Bounds, E)>]>;
+
+/// A node: one allocation, its slots (see the module docs).
 #[derive(Debug, Clone)]
 enum Node<T> {
-    Leaf(Vec<(Bounds, T)>),
-    Internal(Vec<(Bounds, Arc<Node<T>>)>),
+    Leaf(Slots<T>),
+    Internal(Slots<Node<T>>),
 }
 
 impl<T> Node<T> {
@@ -161,6 +175,24 @@ impl<T> Node<T> {
             Node::Internal(cs) => cs.len(),
         }
     }
+
+    /// The allocation the node is — what the sharing probe compares.
+    fn as_ptr(&self) -> *const () {
+        match self {
+            Node::Leaf(es) => Arc::as_ptr(es).cast(),
+            Node::Internal(cs) => Arc::as_ptr(cs).cast(),
+        }
+    }
+}
+
+/// A slot anyone can look at, which is full.
+fn full<E>(slot: &Option<(Bounds, E)>) -> &(Bounds, E) {
+    slot.as_ref().expect("a visible slot is full")
+}
+
+/// [`full`], mutably.
+fn full_mut<E>(slot: &mut Option<(Bounds, E)>) -> &mut (Bounds, E) {
+    slot.as_mut().expect("a visible slot is full")
 }
 
 /// An R\*-tree mapping 3-D boxes to values of type `T`.
@@ -180,7 +212,7 @@ impl<T> Node<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RStarTree<T> {
-    root: Arc<Node<T>>,
+    root: Node<T>,
     size: usize,
 }
 
@@ -194,7 +226,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// Creates an empty tree.
     pub fn new() -> Self {
         RStarTree {
-            root: Arc::new(Node::Leaf(Vec::new())),
+            root: Node::Leaf(Arc::new([])),
             size: 0,
         }
     }
@@ -220,10 +252,10 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// Tree height (a single leaf level is height 1).
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node = &*self.root;
+        let mut node = &self.root;
         while let Node::Internal(cs) = node {
             h += 1;
-            node = &cs[0].1;
+            node = &full(&cs[0]).1;
         }
         h
     }
@@ -233,7 +265,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         fn count<T>(n: &Node<T>) -> usize {
             match n {
                 Node::Leaf(_) => 1,
-                Node::Internal(cs) => 1 + cs.iter().map(|(_, c)| count(c)).sum::<usize>(),
+                Node::Internal(cs) => 1 + cs.iter().flatten().map(|(_, c)| count(c)).sum::<usize>(),
             }
         }
         count(&self.root)
@@ -249,13 +281,12 @@ impl<T: Clone + PartialEq> RStarTree<T> {
 
     /// Inserts an entry under a box already rounded.
     fn insert_stored(&mut self, bbox: Bounds, value: T) {
-        let split = Self::insert_rec(Arc::make_mut(&mut self.root), bbox, value);
-        if let Some((left_box, right)) = split {
+        if let Some((left_box, right)) = Self::insert_rec(&mut self.root, bbox, value) {
             // Root split: grow the tree by one level.
-            let old_root = Arc::clone(&self.root);
-            self.root = Arc::new(Node::Internal(vec![
-                (left_box, old_root),
-                (right.bbox(), Arc::new(right)),
+            let left = std::mem::replace(&mut self.root, Node::Leaf(Arc::new([])));
+            self.root = Node::Internal(Arc::new([
+                Some((left_box, left)),
+                Some((right.bbox(), right)),
             ]));
         }
         self.size += 1;
@@ -267,32 +298,21 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     fn insert_rec(node: &mut Node<T>, bbox: Bounds, value: T) -> Option<(Bounds, Node<T>)> {
         match node {
             Node::Leaf(entries) => {
-                push_exact(entries, (bbox, value));
-                if entries.len() > MAX_ENTRIES {
-                    let (left, right) = split_leaf(std::mem::take(entries));
-                    *entries = left;
-                    return Some((union_of(entries), Node::Leaf(right)));
-                }
-                None
+                let right = push_or_split(entries, (bbox, value))?;
+                Some((union_of(entries), Node::Leaf(right)))
             }
             Node::Internal(children) => {
-                let at_leaf_level = matches!(&*children[0].1, Node::Leaf(_));
-                let idx = choose_subtree(children, &bbox, at_leaf_level);
-                let split = Self::insert_rec(Arc::make_mut(&mut children[idx].1), bbox, value);
-                match split {
+                let idx = choose_subtree(children, &bbox);
+                let (child_box, child) = full_mut(&mut Arc::make_mut(children)[idx]);
+                match Self::insert_rec(child, bbox, value) {
                     None => {
-                        children[idx].0 = children[idx].0.union(&bbox);
+                        *child_box = child_box.union(&bbox);
                         None
                     }
                     Some((new_child_box, sibling)) => {
-                        children[idx].0 = new_child_box;
-                        push_exact(children, (sibling.bbox(), Arc::new(sibling)));
-                        if children.len() > MAX_ENTRIES {
-                            let (left, right) = split_internal(std::mem::take(children));
-                            *children = left;
-                            return Some((union_of(children), Node::Internal(right)));
-                        }
-                        None
+                        *child_box = new_child_box;
+                        let right = push_or_split(children, (sibling.bbox(), sibling))?;
+                        Some((union_of(children), Node::Internal(right)))
                     }
                 }
             }
@@ -326,12 +346,15 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     ) -> Option<bool> {
         match node {
             Node::Leaf(entries) => {
-                let pos = entries.iter().position(|(b, v)| b == bbox && v == value)?;
+                let pos = entries
+                    .iter()
+                    .position(|slot| matches!(slot, Some((b, v)) if b == bbox && v == value))?;
                 path.push(pos);
                 Some(true)
             }
             Node::Internal(children) => {
-                for (i, (cb, child)) in children.iter().enumerate() {
+                for (i, slot) in children.iter().enumerate() {
+                    let (cb, child) = full(slot);
                     // A node's box is the union of its descendants', so any
                     // ancestor of the exact entry *contains* its box —
                     // descending merely intersecting children would search
@@ -353,14 +376,14 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// the tree and reinserts the orphans.
     fn remove_located(&mut self, path: &[usize]) {
         let mut orphans: Vec<(Bounds, T)> = Vec::new();
-        Self::remove_rec(Arc::make_mut(&mut self.root), path, &mut orphans);
+        Self::remove_rec(&mut self.root, path, &mut orphans);
         self.size -= 1;
         // Collapse a root with a single internal child.
-        while let Node::Internal(cs) = &*self.root {
+        while let Node::Internal(cs) = &self.root {
             if cs.len() != 1 {
                 break;
             }
-            self.root = Arc::clone(&cs[0].1);
+            self.root = full(&cs[0]).1.clone();
         }
         // Reinsert entries from condensed nodes.
         let n_orphans = orphans.len();
@@ -376,18 +399,17 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         let (&i, rest) = path.split_first().expect("a located path ends in a leaf");
         match node {
             Node::Leaf(entries) => {
-                entries.swap_remove(i);
-                trim(entries);
+                swap_out(entries, i);
             }
             Node::Internal(children) => {
-                Self::remove_rec(Arc::make_mut(&mut children[i].1), rest, orphans);
-                if children[i].1.len() < MIN_ENTRIES {
+                let (child_box, child) = full_mut(&mut Arc::make_mut(children)[i]);
+                Self::remove_rec(child, rest, orphans);
+                if child.len() < MIN_ENTRIES {
                     // Condense: dissolve the underfull child.
-                    let (_, child) = children.swap_remove(i);
-                    trim(children);
+                    let (_, child) = swap_out(children, i);
                     collect_entries(child, orphans);
                 } else {
-                    children[i].0 = children[i].1.bbox();
+                    *child_box = child.bbox();
                 }
             }
         }
@@ -418,17 +440,17 @@ impl<T: Clone + PartialEq> RStarTree<T> {
             return true;
         }
         let (&pos, descent) = path.split_last().expect("a located path ends in a leaf");
-        let mut node = Arc::make_mut(&mut self.root);
+        let mut node = &mut self.root;
         for &i in descent {
             let Node::Internal(children) = node else {
                 unreachable!("a located path descends internal nodes")
             };
-            node = Arc::make_mut(&mut children[i].1);
+            node = &mut full_mut(&mut Arc::make_mut(children)[i]).1;
         }
         let Node::Leaf(entries) = node else {
             unreachable!("a located path ends in a leaf")
         };
-        entries[pos] = (new, replacement);
+        Arc::make_mut(entries)[pos] = Some((new, replacement));
         true
     }
 
@@ -437,10 +459,13 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     /// with.
     #[doc(hidden)]
     pub fn shared_nodes_with(&self, other: &Self) -> (usize, usize) {
-        fn walk<T>(node: &Arc<Node<T>>, visit: &mut impl FnMut(*const Node<T>)) {
-            visit(Arc::as_ptr(node));
-            if let Node::Internal(children) = &**node {
-                children.iter().for_each(|(_, child)| walk(child, visit));
+        fn walk<T>(node: &Node<T>, visit: &mut impl FnMut(*const ())) {
+            visit(node.as_ptr());
+            if let Node::Internal(children) = node {
+                children
+                    .iter()
+                    .flatten()
+                    .for_each(|(_, child)| walk(child, visit));
             }
         }
         let mut theirs = HashSet::new();
@@ -460,8 +485,8 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     #[doc(hidden)]
     pub fn slot_bytes() -> (usize, usize) {
         (
-            std::mem::size_of::<(Bounds, T)>(),
-            std::mem::size_of::<(Bounds, Arc<Node<T>>)>(),
+            std::mem::size_of::<Option<(Bounds, T)>>(),
+            std::mem::size_of::<Option<(Bounds, Node<T>)>>(),
         )
     }
 
@@ -473,13 +498,15 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         fn walk<T>(node: &Node<T>, slots: &mut (usize, usize)) {
             match node {
                 Node::Leaf(es) => {
-                    slots.0 += es.capacity();
-                    slots.1 += es.len();
+                    slots.0 += es.len();
+                    slots.1 += es.iter().flatten().count();
                 }
                 Node::Internal(cs) => {
-                    slots.0 += cs.capacity();
-                    slots.1 += cs.len();
-                    cs.iter().for_each(|(_, child)| walk(child, slots));
+                    slots.0 += cs.len();
+                    slots.1 += cs.iter().flatten().count();
+                    cs.iter()
+                        .flatten()
+                        .for_each(|(_, child)| walk(child, slots));
                 }
             }
         }
@@ -495,8 +522,8 @@ impl<T: Clone + PartialEq> RStarTree<T> {
     pub fn for_each_entry(&self, mut f: impl FnMut(&Aabb3, &T)) {
         fn walk<T>(node: &Node<T>, f: &mut impl FnMut(&Aabb3, &T)) {
             match node {
-                Node::Leaf(es) => es.iter().for_each(|(b, v)| f(&b.widen(), v)),
-                Node::Internal(cs) => cs.iter().for_each(|(_, child)| walk(child, f)),
+                Node::Leaf(es) => es.iter().flatten().for_each(|(b, v)| f(&b.widen(), v)),
+                Node::Internal(cs) => cs.iter().flatten().for_each(|(_, child)| walk(child, f)),
             }
         }
         walk(&self.root, &mut f);
@@ -529,7 +556,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
         stats.nodes_visited += 1;
         match node {
             Node::Leaf(entries) => {
-                for (b, v) in entries {
+                for (b, v) in entries.iter().flatten() {
                     stats.entries_tested += 1;
                     if b.intersects(query) {
                         stats.matches += 1;
@@ -538,7 +565,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
                 }
             }
             Node::Internal(children) => {
-                for (b, child) in children {
+                for (b, child) in children.iter().flatten() {
                     if b.intersects(query) {
                         Self::search_rec(child, query, f, stats);
                     }
@@ -572,7 +599,7 @@ impl<T: Clone + PartialEq> RStarTree<T> {
                 .partial_cmp(&b.0.center(0))
                 .expect("finite centers")
         });
-        let mut leaves: Vec<Node<T>> = Vec::with_capacity(n_leaves);
+        let mut level: Vec<Node<T>> = Vec::with_capacity(n_leaves);
         for xs in entries.chunks_mut(slab_x.max(1)) {
             xs.sort_by(|a, b| {
                 a.0.center(1)
@@ -586,41 +613,68 @@ impl<T: Clone + PartialEq> RStarTree<T> {
                         .expect("finite centers")
                 });
                 for chunk in ys.chunks(MAX_ENTRIES) {
-                    leaves.push(Node::Leaf(chunk.to_vec()));
+                    level.push(Node::Leaf(chunk.iter().cloned().map(Some).collect()));
                 }
             }
         }
         // Pack upper levels until a single root remains.
-        let mut level = leaves;
         while level.len() > 1 {
-            let mut next: Vec<Node<T>> = Vec::with_capacity(level.len().div_ceil(MAX_ENTRIES));
-            let mut batch: Vec<(Bounds, Arc<Node<T>>)> = Vec::with_capacity(MAX_ENTRIES);
-            for node in level {
-                batch.push((node.bbox(), Arc::new(node)));
-                if batch.len() == MAX_ENTRIES {
-                    next.push(Node::Internal(std::mem::take(&mut batch)));
-                }
+            let mut nodes = level.into_iter();
+            level = Vec::with_capacity(nodes.len().div_ceil(MAX_ENTRIES));
+            while nodes.len() > 0 {
+                let batch = nodes.by_ref().take(MAX_ENTRIES);
+                level.push(Node::Internal(
+                    batch.map(|node| Some((node.bbox(), node))).collect(),
+                ));
             }
-            if !batch.is_empty() {
-                batch.shrink_to_fit();
-                next.push(Node::Internal(batch));
-            }
-            level = next;
         }
         RStarTree {
-            root: Arc::new(level.pop().expect("at least one node")),
+            root: level.pop().expect("at least one node"),
             size,
         }
     }
 }
 
+/// Every slot of `slots`, moved out when nobody else holds the node,
+/// cloned when somebody does (who then keeps the originals).
+fn drain<E: Clone>(slots: &mut Slots<E>) -> impl Iterator<Item = (Bounds, E)> + '_ {
+    Arc::make_mut(slots)
+        .iter_mut()
+        .map(|slot| slot.take().expect("a visible slot is full"))
+}
+
+/// Appends `slot` to a node, rebuilt one longer. A node that would pass
+/// [`MAX_ENTRIES`] splits instead: it keeps one group and the other is
+/// returned.
+fn push_or_split<E: Clone>(slots: &mut Slots<E>, slot: (Bounds, E)) -> Option<Slots<E>> {
+    if slots.len() < MAX_ENTRIES {
+        *slots = drain(slots).chain([slot]).map(Some).collect();
+        return None;
+    }
+    let (left, right) = rstar_split(drain(slots).chain([slot]).collect());
+    *slots = left.into_iter().map(Some).collect();
+    Some(right.into_iter().map(Some).collect())
+}
+
+/// Takes the slot at `i` out of a node, rebuilt one shorter with its last
+/// slot moved into the gap (as `Vec::swap_remove` does).
+fn swap_out<E: Clone>(slots: &mut Slots<E>, i: usize) -> (Bounds, E) {
+    let all = Arc::make_mut(slots);
+    let last = all.len() - 1;
+    all.swap(i, last);
+    let out = all[last].take().expect("a visible slot is full");
+    let rest: Slots<E> = all[..last].iter_mut().map(Option::take).collect();
+    *slots = rest;
+    out
+}
+
 /// Moves a dissolved subtree's entries into `out`; a node a clone still
 /// holds is copied instead (the clone keeps its own).
-fn collect_entries<T: Clone>(node: Arc<Node<T>>, out: &mut Vec<(Bounds, T)>) {
-    match Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone()) {
-        Node::Leaf(es) => out.extend(es),
-        Node::Internal(cs) => {
-            for (_, c) in cs {
+fn collect_entries<T: Clone>(node: Node<T>, out: &mut Vec<(Bounds, T)>) {
+    match node {
+        Node::Leaf(mut es) => out.extend(drain(&mut es)),
+        Node::Internal(mut cs) => {
+            for (_, c) in drain(&mut cs) {
                 collect_entries(c, out);
             }
         }
@@ -630,38 +684,34 @@ fn collect_entries<T: Clone>(node: Arc<Node<T>>, out: &mut Vec<(Bounds, T)>) {
 /// R\* choose-subtree: at the level above leaves minimise overlap
 /// enlargement (ties: volume enlargement, then volume); higher up minimise
 /// volume enlargement (ties: volume). Each child's box is widened to
-/// `f64` once, before the O(M²) overlap sums.
-fn choose_subtree<T>(
-    children: &[(Bounds, Arc<Node<T>>)],
-    bbox: &Bounds,
-    at_leaf_level: bool,
-) -> usize {
+/// `f64` once, before the O(M²) overlap sums — which the leaf level skips
+/// when a child takes the box with no growth at all
+/// ([`choose_without_growth`]).
+fn choose_subtree<T>(children: &[Option<(Bounds, Node<T>)>], bbox: &Bounds) -> usize {
     debug_assert!(children.len() <= MAX_ENTRIES);
     let mut wide = [Aabb3::empty(); MAX_ENTRIES];
-    for (w, (cb, _)) in wide.iter_mut().zip(children) {
+    for (w, (cb, _)) in wide.iter_mut().zip(children.iter().flatten()) {
         *w = cb.widen();
     }
     let wide = &wide[..children.len()];
     let bbox = bbox.widen();
+    if matches!(full(&children[0]).1, Node::Leaf(_)) {
+        choose_without_growth(wide, &bbox).unwrap_or_else(|| choose_by_keys(wide, &bbox, true))
+    } else {
+        choose_by_keys(wide, &bbox, false)
+    }
+}
+
+/// The R\* key loop over the children's widened boxes: the first child
+/// with the least key wins.
+fn choose_by_keys(wide: &[Aabb3], bbox: &Aabb3, at_leaf_level: bool) -> usize {
     let mut best = 0;
     let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for (i, cb) in wide.iter().enumerate() {
-        let enlarged = cb.union(&bbox);
+        let enlarged = cb.union(bbox);
         let vol_enl = enlarged.volume() - cb.volume();
         let key = if at_leaf_level {
-            let overlap_before: f64 = wide
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, ob)| cb.intersection_volume(ob))
-                .sum();
-            let overlap_after: f64 = wide
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, ob)| enlarged.intersection_volume(ob))
-                .sum();
-            (overlap_after - overlap_before, vol_enl, cb.volume())
+            (overlap_growth(wide, i, &enlarged), vol_enl, cb.volume())
         } else {
             (vol_enl, cb.volume(), 0.0)
         };
@@ -673,27 +723,75 @@ fn choose_subtree<T>(
     best
 }
 
-/// R\* split over generic entries with a bbox accessor. Sorting compares
-/// the `f32` bounds and the groups are unions in `f32`, both exact, so
-/// only a group's union is widened to `f64` for its margin or volume.
-fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Bounds) -> (Vec<E>, Vec<E>) {
+/// How much child `i`'s overlap with its siblings grows when its box
+/// becomes `enlarged`.
+fn overlap_growth(wide: &[Aabb3], i: usize, enlarged: &Aabb3) -> f64 {
+    let overlap = |b: &Aabb3| -> f64 {
+        wide.iter()
+            .enumerate()
+            .filter(|(j, _)| *j != i)
+            .map(|(_, ob)| b.intersection_volume(ob))
+            .sum()
+    };
+    overlap(enlarged) - overlap(&wide[i])
+}
+
+/// [`choose_by_keys`] at the leaf level, exactly, for the common case:
+/// some child takes the box with a key of exactly `(0, 0, volume)` — a
+/// child that contains it always does. Neither enlargement is ever
+/// negative in floating point (a union's extents are at least the
+/// child's, and rounding, products and sums in the same order are
+/// monotone), so such a child beats every child that grows, and only the
+/// children whose volume does not grow need the O(M²) overlap sums; the
+/// least volume wins, the first index on a tie. `None` — run the full
+/// loop — when no child qualifies or a volume or volume enlargement is
+/// not finite (a NaN key compares as neither less nor more).
+fn choose_without_growth(wide: &[Aabb3], bbox: &Aabb3) -> Option<usize> {
+    let mut vol_enl = [0.0; MAX_ENTRIES];
+    for (e, cb) in vol_enl.iter_mut().zip(wide) {
+        let volume = cb.volume();
+        *e = cb.union(bbox).volume() - volume;
+        if !volume.is_finite() || !e.is_finite() {
+            return None;
+        }
+    }
+    let mut best: Option<(usize, f64)> = None;
+    for (i, cb) in wide.iter().enumerate() {
+        if vol_enl[i] == 0.0 && overlap_growth(wide, i, &cb.union(bbox)) == 0.0 {
+            let volume = cb.volume();
+            if best.is_none_or(|(_, least)| volume < least) {
+                best = Some((i, volume));
+            }
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
+/// A node's slots, split in two groups.
+type Split<E> = (Vec<(Bounds, E)>, Vec<(Bounds, E)>);
+
+/// R\* split of a node's slots. Sorting compares the `f32` bounds and the
+/// groups are unions in `f32`, both exact, so only a group's union is
+/// widened to `f64` for its margin or volume.
+fn rstar_split<E>(mut entries: Vec<(Bounds, E)>) -> Split<E> {
     debug_assert!(entries.len() > MAX_ENTRIES);
+    let by_axis = |axis: usize| {
+        move |a: &(Bounds, E), b: &(Bounds, E)| {
+            (a.0.min[axis], a.0.max[axis])
+                .partial_cmp(&(b.0.min[axis], b.0.max[axis]))
+                .expect("finite boxes")
+        }
+    };
     // 1. Choose the split axis: for each axis, sort by (min, max) and sum
     //    the margins of every legal distribution; pick the axis with the
     //    smallest total margin.
     let mut best_axis = 0;
     let mut best_margin = f64::INFINITY;
     for axis in 0..3 {
-        entries.sort_by(|a, b| {
-            let ba = bbox_of(a);
-            let bb = bbox_of(b);
-            (ba.min[axis], ba.max[axis])
-                .partial_cmp(&(bb.min[axis], bb.max[axis]))
-                .expect("finite boxes")
-        });
+        entries.sort_by(by_axis(axis));
         let mut margin_sum = 0.0;
         for k in MIN_ENTRIES..=(entries.len() - MIN_ENTRIES) {
-            let (left, right) = groups(&entries, k, &bbox_of);
+            let (left, right) = groups(&entries, k);
             margin_sum += left.margin() + right.margin();
         }
         if margin_sum < best_margin {
@@ -703,17 +801,11 @@ fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Bounds) -> (Vec<E
     }
     // 2. Along the chosen axis, pick the distribution with minimum
     //    overlap (ties: minimum total volume).
-    entries.sort_by(|a, b| {
-        let ba = bbox_of(a);
-        let bb = bbox_of(b);
-        (ba.min[best_axis], ba.max[best_axis])
-            .partial_cmp(&(bb.min[best_axis], bb.max[best_axis]))
-            .expect("finite boxes")
-    });
+    entries.sort_by(by_axis(best_axis));
     let mut best_k = MIN_ENTRIES;
     let mut best_key = (f64::INFINITY, f64::INFINITY);
     for k in MIN_ENTRIES..=(entries.len() - MIN_ENTRIES) {
-        let (left, right) = groups(&entries, k, &bbox_of);
+        let (left, right) = groups(&entries, k);
         let key = (
             left.intersection_volume(&right),
             left.volume() + right.volume(),
@@ -723,52 +815,26 @@ fn rstar_split<E>(mut entries: Vec<E>, bbox_of: impl Fn(&E) -> Bounds) -> (Vec<E
             best_k = k;
         }
     }
-    let mut right = entries.split_off(best_k);
-    entries.shrink_to_fit();
-    right.shrink_to_fit();
+    let right = entries.split_off(best_k);
     (entries, right)
 }
 
 /// The boxes of the two groups a split at `k` makes, widened.
-fn groups<E>(entries: &[E], k: usize, bbox_of: impl Fn(&E) -> Bounds) -> (Aabb3, Aabb3) {
-    let union = |es: &[E]| {
+fn groups<E>(entries: &[(Bounds, E)], k: usize) -> (Aabb3, Aabb3) {
+    let union = |es: &[(Bounds, E)]| {
         es.iter()
-            .fold(Bounds::EMPTY, |a, e| a.union(&bbox_of(e)))
+            .fold(Bounds::EMPTY, |a, (b, _)| a.union(b))
             .widen()
     };
     (union(&entries[..k]), union(&entries[k..]))
 }
 
 /// The union of a node's slot boxes.
-fn union_of<E>(slots: &[(Bounds, E)]) -> Bounds {
-    slots.iter().fold(Bounds::EMPTY, |a, (b, _)| a.union(b))
-}
-
-/// Appends `entry` to a node, growing it by exactly one slot when it is
-/// full (`Vec::push` would double it).
-fn push_exact<E>(slots: &mut Vec<E>, entry: E) {
-    slots.reserve_exact(1);
-    slots.push(entry);
-}
-
-/// Gives back all but one of the spare slots a node's removal left.
-fn trim<E>(slots: &mut Vec<E>) {
-    if slots.capacity() > slots.len() + 1 {
-        slots.shrink_to(slots.len() + 1);
-    }
-}
-
-/// A leaf's entry list, split in two.
-type LeafSplit<T> = (Vec<(Bounds, T)>, Vec<(Bounds, T)>);
-/// An internal node's child list, split in two.
-type InternalSplit<T> = (Vec<(Bounds, Arc<Node<T>>)>, Vec<(Bounds, Arc<Node<T>>)>);
-
-fn split_leaf<T>(entries: Vec<(Bounds, T)>) -> LeafSplit<T> {
-    rstar_split(entries, |e| e.0)
-}
-
-fn split_internal<T>(children: Vec<(Bounds, Arc<Node<T>>)>) -> InternalSplit<T> {
-    rstar_split(children, |e| e.0)
+fn union_of<E>(slots: &[Option<(Bounds, E)>]) -> Bounds {
+    slots
+        .iter()
+        .flatten()
+        .fold(Bounds::EMPTY, |a, (b, _)| a.union(b))
 }
 
 #[cfg(test)]
@@ -1058,10 +1124,10 @@ mod tests {
         assert!(t.shared_nodes_with(&pinned).0 < total);
     }
 
-    /// A node keeps at most one spare slot — through 100 000 inserts and
-    /// their splits, a round of updates (in place and re-filed) and a
-    /// round of removals that condense leaves — so the tree's slots are
-    /// its entries and child links plus at most one per node.
+    /// A node keeps no spare slot — through 100 000 inserts and their
+    /// splits, a round of updates (in place and re-filed) and a round of
+    /// removals that condense leaves — so the tree's slots are exactly
+    /// its entries and child links.
     #[test]
     fn nodes_keep_at_most_one_spare_slot() {
         let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -1081,8 +1147,8 @@ mod tests {
             let (slots, used) = t.node_slots();
             let nodes = t.node_count();
             assert_eq!(used, entries + nodes - 1, "entries plus child links");
-            assert!(
-                slots <= used + nodes,
+            assert_eq!(
+                slots, used,
                 "{slots} slots for {used} entries and links in {nodes} nodes"
             );
         };
@@ -1102,12 +1168,89 @@ mod tests {
         check(&t, n - n / 5);
     }
 
-    /// A slot is a box of six `f32`s and one pointer — 32 B, leaf or
-    /// internal.
+    /// A leaf slot is a box of six `f32`s and one pointer, 32 B; an
+    /// internal slot is the box and the child node — its tag and its
+    /// slice's pointer and length — 48 B. A value with no niche (`u64`)
+    /// pays 8 B for the slot's `Option` tag.
     #[test]
     fn slots_are_32_bytes() {
-        assert_eq!(RStarTree::<Arc<u64>>::slot_bytes(), (32, 32));
-        assert_eq!(RStarTree::<u64>::slot_bytes(), (32, 32));
+        assert_eq!(RStarTree::<Arc<u64>>::slot_bytes(), (32, 48));
+        assert_eq!(RStarTree::<u64>::slot_bytes(), (40, 48));
+    }
+
+    /// A box on a coarse grid, so that children nest, repeat and tie
+    /// exactly; a `flat` axis has zero extent.
+    fn grid_box_case() -> impl Strategy<Value = Aabb3> {
+        let axis = || (0u8..6, 0u8..4, any::<bool>());
+        (axis(), axis(), axis()).prop_map(|(x, y, t)| {
+            let (lo, hi): (Vec<f64>, Vec<f64>) = [x, y, t]
+                .into_iter()
+                .map(|(lo, size, flat)| {
+                    let lo = f64::from(lo) * 0.5;
+                    (lo, lo + if flat { 0.0 } else { f64::from(size) + 0.5 })
+                })
+                .unzip();
+            Aabb3::new([lo[0], lo[1], lo[2]], [hi[0], hi[1], hi[2]])
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The leaf-level fast path picks exactly the child the full R\*
+        /// key loop picks, ties included: over children with zero-volume,
+        /// nested and duplicate boxes, a box one of them contains (a copy
+        /// of a child's box, a sub-box of it or one of its corners) or one
+        /// drawn freely, and now and then an infinite bound.
+        #[test]
+        fn choose_subtree_fast_path_matches_the_key_loop(
+            children in proptest::collection::vec(grid_box_case(), 1..=MAX_ENTRIES),
+            (pick, kind, infinite) in (0usize..MAX_ENTRIES, 0u8..4, 0u8..16),
+            free in grid_box_case(),
+            shrink in (0.0f64..0.4, 0.0f64..0.4, 0.0f64..0.4),
+        ) {
+            let mut children = children;
+            if infinite == 0 {
+                children[0].max[2] = f64::INFINITY;
+            }
+            let host = children[pick % children.len()];
+            let shrink = [shrink.0, shrink.1, shrink.2];
+            let bbox = match kind {
+                0 => host,
+                1 => Aabb3::new(
+                    std::array::from_fn(|i| host.min[i] + shrink[i] * (host.max[i] - host.min[i])),
+                    std::array::from_fn(|i| host.max[i] - shrink[i] * (host.max[i] - host.min[i])),
+                ),
+                2 => Aabb3::new(host.min, host.min),
+                _ => free,
+            };
+            let fast = choose_without_growth(&children, &bbox);
+            let full = choose_by_keys(&children, &bbox, true);
+            prop_assert_eq!(fast.unwrap_or(full), full, "children {:?}, box {:?}", children, bbox);
+            if kind < 3 && infinite != 0 {
+                prop_assert!(fast.is_some(), "a containing child takes the fast path");
+            }
+        }
+    }
+
+    /// A box one step past a child's face: that child's volume
+    /// enlargement rounds to zero, but its overlap with the neighbour
+    /// behind the face grows, so the full loop takes the child that
+    /// contains the box — and so does the fast path, which sums the
+    /// overlaps of every child whose volume does not grow.
+    #[test]
+    fn choose_subtree_fast_path_keeps_the_overlap_test() {
+        let (ex, ey, ez) = (1.9014274576114836, 1.0305899830335536, 1.025445860993461);
+        let children = [
+            Aabb3::new([0.0; 3], [ex, ey, ez]),
+            Aabb3::new([0.0; 3], [4.0; 3]),
+            Aabb3::new([ex, 0.0, 0.0], [ex + 1.0, ey, ez]),
+        ];
+        let bbox = Aabb3::new([0.0; 3], [ex.next_up(), ey, ez]);
+        assert_eq!(children[0].union(&bbox).volume(), children[0].volume());
+        assert!(overlap_growth(&children, 0, &children[0].union(&bbox)) > 0.0);
+        assert_eq!(choose_by_keys(&children, &bbox, true), 1);
+        assert_eq!(choose_without_growth(&children, &bbox), Some(1));
     }
 
     /// The `f32` grid's step just above `x`.

@@ -166,17 +166,10 @@ fn execute_lagging(db: &Database, query: &Query, lag: f64) -> Result<QueryResult
     if !(lag.is_finite() && lag >= 0.0) {
         return Err(CoreError::InvalidField("lag", lag).into());
     }
-    let slack = 2.0 * db.speed_cap() * lag;
     match query {
         Query::Position { object, at } => {
             let id = resolve(db, object)?;
-            let mut answer = db.position_of(id, *at)?;
-            if slack > 0.0 {
-                answer.bound += slack;
-                answer.interval.0 -= slack;
-                answer.interval.1 += slack;
-            }
-            Ok(QueryResult::Position(answer))
+            Ok(QueryResult::Position(db.position_of_lagging(id, *at, lag)?))
         }
         Query::Range { region, time } => {
             let region = build_region(db, region, *time)?;
@@ -189,6 +182,7 @@ fn execute_lagging(db: &Database, query: &Query, lag: f64) -> Result<QueryResult
         }
         Query::Nearest { k, center, at } => {
             let mut answer = db.nearest(Point::new(center.x, center.y), *k, *at)?;
+            let slack = 2.0 * db.speed_cap() * lag;
             if slack > 0.0 {
                 for n in answer.ranked.iter_mut().chain(&mut answer.contenders) {
                     n.bound += slack;
@@ -225,9 +219,10 @@ pub fn run(db: &Database, src: &str) -> Result<QueryResult, crate::QueryError> {
 ///   its own `2·max_speed·lag` ([`Database::range_query_lagging`]), so
 ///   their `may` set can grow and their `must` set shrink;
 /// - a position answer grows its deviation bound and both ends of its
-///   uncertainty interval by the fleet's `2·speed_cap·lag`
-///   ([`Database::speed_cap`] of this copy), and a nearest answer grows
-///   each neighbour's bound by it and drops certainty.
+///   uncertainty interval, kept on the route, by the fleet's
+///   `2·speed_cap·lag` ([`Database::speed_cap`] of this copy;
+///   [`Database::position_of_lagging`]), and a nearest answer grows each
+///   neighbour's bound by it and drops certainty.
 ///
 /// `lag == 0` is [`run`], bit for bit.
 ///
@@ -454,6 +449,32 @@ mod tests {
                     CoreError::InvalidField("lag", _)
                 )))
             ));
+        }
+    }
+
+    /// A lagging position answer near either end of its route keeps its
+    /// widened interval on the route, and its path is that interval's:
+    /// it runs from `point_at` of one end to `point_at` of the other.
+    #[test]
+    fn a_lagging_position_stays_on_its_route() {
+        let d = db();
+        let route = d.network().get(RouteId(1)).unwrap();
+        let slack = 2.0 * 1.5 * 4.0;
+        // Object 1 starts at arc 10 and object 3 reaches arc 98 at t = 38.
+        for stmt in [
+            "RETRIEVE POSITION OF OBJECT 1 AT TIME 0",
+            "RETRIEVE POSITION OF OBJECT 3 AT TIME 38",
+        ] {
+            let plain = run(&d, stmt).unwrap();
+            let plain = plain.as_position().unwrap();
+            let answer = run_lagging(&d, stmt, 4.0).unwrap();
+            let w = answer.as_position().unwrap();
+            assert_eq!(w.bound, plain.bound + slack);
+            let (lo, hi) = (plain.interval.0 - slack, plain.interval.1 + slack);
+            assert!(lo < 0.0 || hi > route.length(), "{stmt}: passes an end");
+            assert_eq!(w.interval, (lo.max(0.0), hi.min(route.length())));
+            assert_eq!(w.interval_path.first(), Some(&route.point_at(w.interval.0)));
+            assert_eq!(w.interval_path.last(), Some(&route.point_at(w.interval.1)));
         }
     }
 
