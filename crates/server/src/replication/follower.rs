@@ -6,14 +6,19 @@
 //!
 //! One worker thread runs the replica's sessions, one after another:
 //! `Connecting → Bootstrapping | CatchingUp ⇄ Steady`, back to
-//! `Connecting` on a disconnect. It is a shell around a
+//! `Connecting` on a disconnect. It dials with a bound
+//! ([`TcpLink::dial`]), so a dead upstream host cannot hold up
+//! [`StandbyReplica::promote`], and waits [`RECONNECT_BACKOFF`] between
+//! sessions. The worker is a shell around a
 //! [`FollowerSession`], the I/O-free machine that writes the `Hello`,
 //! checks every run (one segment format, clean, complete, contiguous with
 //! the applied watermark, duplicates below it skipped, each snapshot run
 //! continuing the one before), keeps the lag clock and decides the phase,
 //! the acks and the local snapshot cadence. Every hazard resolves to
 //! "reject and re-sync, never apply a torn record". The shell does the
-//! I/O: it reads the socket, applies each record through
+//! I/O, in step functions over a [`Link`] and a [`Clock`]
+//! ([`Worker::connect`], [`Worker::step`], [`Worker::end`]): it reads
+//! the link, applies each record through
 //! [`modb_wal::apply_record`] before logging it, and builds a bootstrap
 //! snapshot through a [`SnapshotLoad`] and a temp file. The replica's
 //! previous state and files serve on untouched until the snapshot's last
@@ -27,7 +32,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -44,25 +48,26 @@ use modb_wal::{
 };
 
 use crate::durable::DurableDatabase;
-use crate::framed::{send, FrameReader, ReadEvent, READ_TIMEOUT};
+use crate::framed::{ReadEvent, READ_TIMEOUT};
 use crate::net::{QueryServer, QueryServerConfig};
 use crate::query_engine::QueryEngine;
 use crate::replication::horizon::ShipHorizon;
-use crate::replication::leader::{serve_replication_from, ReplicationServer};
-use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES};
+use crate::replication::leader::{serve_replication_from, ReplicationServer, ShipContext};
+use crate::replication::link::{Clock, Link, TcpLink, WallClock};
 use crate::replication::session::{
     FollowerAction, FollowerEvent, FollowerSession, Published, SessionEnd,
 };
 use crate::replication::ReplicationConfig;
 use crate::shared::SharedDatabase;
 
+/// Pause between a replica's reconnect attempts.
+pub(crate) const RECONNECT_BACKOFF: Duration = Duration::from_millis(25);
+
 /// Tuning for a [`StandbyReplica`].
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Options for the replica's own log (what it applies, it persists).
     pub wal: WalOptions,
-    /// Pause between reconnect attempts.
-    pub reconnect_backoff: Duration,
     /// Take a local snapshot every this many applied records (0 = only
     /// the bootstrap snapshot). Local snapshots bound restart replay and
     /// feed the local compaction pass.
@@ -75,7 +80,6 @@ impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
             wal: WalOptions::default(),
-            reconnect_backoff: Duration::from_millis(25),
             snapshot_every: 0,
             snapshot_retention: DEFAULT_SNAPSHOT_RETENTION,
         }
@@ -196,7 +200,9 @@ struct Shared {
     published: Mutex<Published>,
     published_cv: Condvar,
     stop: AtomicBool,
-    force_reconnect: AtomicUsize,
+    /// Raised by [`StandbyReplica::repoint`]: the live session ends and
+    /// the worker re-dials.
+    reconnects: AtomicUsize,
     /// Which upstream the worker dials; [`StandbyReplica::repoint`]
     /// swaps it so a surviving follower can chase a promoted standby
     /// without re-bootstrapping.
@@ -211,18 +217,27 @@ struct Shared {
     /// follower query front-end, the re-shipping `Frontier`, watches)
     /// tracks the new leader's log without restarting.
     promoted: Mutex<Option<SharedWal>>,
+    /// What the lag, the watermark waits and the worker read the time
+    /// from.
+    clock: Arc<dyn Clock>,
 }
 
 impl Shared {
-    fn new(published: Published, addr: String, epochs: EpochHistory) -> Self {
+    fn new(
+        published: Published,
+        addr: String,
+        epochs: EpochHistory,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
         Shared {
             published: Mutex::new(published),
             published_cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            force_reconnect: AtomicUsize::new(0),
+            reconnects: AtomicUsize::new(0),
             addr: Mutex::new(addr),
             epochs: Arc::new(Mutex::new(epochs)),
             promoted: Mutex::new(None),
+            clock,
         }
     }
 
@@ -262,11 +277,11 @@ impl Shared {
         if self.promoted_wal().is_some() {
             return Duration::ZERO;
         }
-        self.published().clock.lag_at(Instant::now())
+        self.published().clock.lag_at(self.clock.now())
     }
 
     fn wait_for_lsn(&self, lsn: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let deadline = self.clock.now() + timeout;
         // Post-promotion the watermark is the WAL frontier, which no
         // condvar tracks — poll it in short slices instead.
         if let Some(wal) = self.promoted_wal() {
@@ -274,22 +289,29 @@ impl Shared {
                 if wal.next_lsn() >= lsn {
                     return true;
                 }
-                if Instant::now() >= deadline {
+                let now = self.clock.now();
+                if now >= deadline {
                     return false;
                 }
-                std::thread::sleep(Duration::from_millis(1));
+                self.clock.sleep_until(now + Duration::from_millis(1));
             }
         }
         let mut g = self.published();
         while g.stats.applied_lsn < lsn {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+            let now = self.clock.now();
+            if now >= deadline {
                 return false;
-            };
-            let (ng, _timeout) = self
+            }
+            let (ng, waited) = self
                 .published_cv
-                .wait_timeout(g, left)
+                .wait_timeout(g, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
             g = ng;
+            if waited.timed_out() {
+                // The wall clock is past the deadline already; a virtual
+                // one is moved there.
+                self.clock.sleep_until(deadline);
+            }
         }
         true
     }
@@ -360,6 +382,19 @@ impl StandbyReplica {
         addr: impl Into<String>,
         config: ReplicaConfig,
     ) -> Result<Self, WalError> {
+        let (mut replica, worker) = Self::open_with(dir, addr, config, Arc::new(WallClock))?;
+        replica.worker = Some(std::thread::spawn(move || worker.run(TcpLink::dial)));
+        Ok(replica)
+    }
+
+    /// [`StandbyReplica::open`] on `clock`, with the worker handed back
+    /// instead of started on a thread of its own.
+    pub(crate) fn open_with(
+        dir: impl Into<PathBuf>,
+        addr: impl Into<String>,
+        config: ReplicaConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Result<(Self, Worker), WalError> {
         let dir = dir.into();
         let addr = addr.into();
         std::fs::create_dir_all(&dir)?;
@@ -373,13 +408,9 @@ impl StandbyReplica {
             (placeholder_database(), EpochHistory::new(), None, 0)
         };
         let db = SharedDatabase::new(db);
-        let session = FollowerSession::new(
-            applied,
-            epochs.clone(),
-            config.snapshot_every,
-            Instant::now(),
-        );
-        let shared = Arc::new(Shared::new(session.published(), addr, epochs));
+        let session =
+            FollowerSession::new(applied, epochs.clone(), config.snapshot_every, clock.now());
+        let shared = Arc::new(Shared::new(session.published(), addr, epochs, clock));
         let horizon = Arc::new(ShipHorizon::new());
         let worker = Worker {
             dir: dir.clone(),
@@ -390,16 +421,17 @@ impl StandbyReplica {
             wal,
             incoming: None,
             session,
+            reconnects: 0,
         };
-        let worker = std::thread::spawn(move || worker.run());
-        Ok(StandbyReplica {
+        let replica = StandbyReplica {
             db,
             dir,
             config,
             shared,
             horizon,
-            worker: Some(worker),
-        })
+            worker: None,
+        };
+        Ok((replica, worker))
     }
 
     /// The replica's queryable database handle. Reads here see the
@@ -497,22 +529,20 @@ impl StandbyReplica {
         addr: impl std::net::ToSocketAddrs,
         config: ReplicationConfig,
     ) -> Result<ReplicationServer, WalError> {
+        serve_replication_from(self.ship_context(config), addr)
+    }
+
+    /// What a session re-shipping this replica's log works from.
+    pub(crate) fn ship_context(&self, config: ReplicationConfig) -> ShipContext {
         let shared = Arc::clone(&self.shared);
-        serve_replication_from(
+        ShipContext::new(
             self.dir.clone(),
             Box::new(move || shared.applied()),
             Arc::clone(&self.horizon),
             Arc::clone(&self.shared.epochs),
-            addr,
             config,
+            Arc::clone(&self.shared.clock),
         )
-    }
-
-    /// Drops the current session (if any); the worker reconnects and
-    /// renegotiates from the applied watermark. Test hook for
-    /// disconnect-fault injection, harmless in production.
-    pub fn force_reconnect(&self) {
-        self.shared.force_reconnect.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Swaps the upstream this replica follows and drops the current
@@ -520,10 +550,11 @@ impl StandbyReplica {
     /// applied watermark (the promotee's log is a byte-identical copy of
     /// the stretch this replica already applied, so the handshake
     /// resumes instead of re-bootstrapping). The repoint half of a
-    /// failover: survivors chase the promoted standby.
+    /// failover: survivors chase the promoted standby. Repointing at the
+    /// same address just renegotiates.
     pub fn repoint(&self, new_addr: impl Into<String>) {
         *self.shared.addr.lock().unwrap_or_else(|e| e.into_inner()) = new_addr.into();
-        self.force_reconnect();
+        self.shared.reconnects.fetch_add(1, Ordering::SeqCst);
     }
 
     /// The typed refusal that ended replication, when the upstream
@@ -661,7 +692,9 @@ fn placeholder_database() -> Database {
     Database::new(network, DatabaseConfig::default())
 }
 
-struct Worker {
+/// The replica's shell: the session machine, the database, the local
+/// log and the bootstrap under way, stepped over one link at a time.
+pub(crate) struct Worker {
     dir: PathBuf,
     config: ReplicaConfig,
     db: SharedDatabase,
@@ -674,84 +707,95 @@ struct Worker {
     /// its frames are applied to, and the temp file they are written to.
     incoming: Option<(SnapshotLoad, File)>,
     session: FollowerSession,
+    /// The repoint count the live session opened under.
+    reconnects: usize,
 }
 
 impl Worker {
-    fn run(mut self) {
+    /// The worker thread: `dial` the current upstream, step a session on
+    /// it to its end, back off, and again — until the replica stops or a
+    /// session ends for good.
+    pub(crate) fn run<L: Link>(mut self, mut dial: impl FnMut(&str) -> Result<L, WalError>) {
+        let clock = Arc::clone(&self.shared.clock);
         while !self.shared.stop.load(Ordering::SeqCst) {
             // Re-read the dial target every attempt: a repoint swaps it
             // while the worker runs, and the next connect chases the new
             // upstream (the promoted standby) from the applied watermark.
-            let addr = self
-                .shared
-                .addr
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone();
-            if let Ok(stream) = TcpStream::connect(&addr) {
-                let end = self.session(stream);
-                // A bootstrap the session did not finish is dropped whole.
-                self.incoming = None;
-                let _ = std::fs::remove_file(self.incoming_path());
-                if matches!(end, SessionEnd::Shutdown | SessionEnd::Diverged(_)) {
-                    break;
+            if let Ok(mut link) = dial(&self.upstream()) {
+                let mut live = self.connect(&mut link);
+                while live.is_ok() {
+                    live = self.step(&mut link, clock.now() + READ_TIMEOUT).map(drop);
+                }
+                if let Err(end) = live {
+                    if self.end(&mut link, end) {
+                        break;
+                    }
                 }
             }
-            // Sliced sleep so shutdown is prompt even with long backoffs.
-            let deadline = Instant::now() + self.config.reconnect_backoff;
-            while Instant::now() < deadline && !self.shared.stop.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            clock.sleep_until(clock.now() + RECONNECT_BACKOFF);
         }
     }
 
-    /// One session: each message read becomes an event for the session
-    /// machine, until it, the socket or the replica's handle ends the
-    /// session, which the machine then takes note of.
-    fn session(&mut self, stream: TcpStream) -> SessionEnd {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let Ok(mut tx) = stream.try_clone() else {
-            return SessionEnd::Disconnected;
-        };
-        let reconnect_epoch = self.shared.force_reconnect.load(Ordering::SeqCst);
-        let mut reader = FrameReader::<Message>::new(stream, MAX_MESSAGE_BYTES);
-        let mut event = FollowerEvent::Connected {
-            have_state: self.wal.is_some(),
-        };
-        let end = 'session: loop {
-            if let Err(end) = self.feed(&mut tx, event) {
-                break end;
+    /// The upstream this worker dials next.
+    pub(crate) fn upstream(&self) -> String {
+        let addr = self.shared.addr.lock();
+        addr.unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Opens a session on a fresh `link`: the machine writes its `Hello`.
+    pub(crate) fn connect(&mut self, link: &mut impl Link) -> Result<(), SessionEnd> {
+        self.reconnects = self.shared.reconnects.load(Ordering::SeqCst);
+        let have_state = self.wal.is_some();
+        self.feed(link, FollowerEvent::Connected { have_state })
+    }
+
+    /// One step of a live session: the replica's handle first (a stop or
+    /// a repoint ends the session), then at most one message, waited for
+    /// until `deadline`, for the machine. `Ok(false)` when nothing
+    /// arrived; `Err` once the session is over.
+    pub(crate) fn step(
+        &mut self,
+        link: &mut impl Link,
+        deadline: Instant,
+    ) -> Result<bool, SessionEnd> {
+        if self.shared.stop.load(Ordering::SeqCst) {
+            return Err(SessionEnd::Shutdown);
+        }
+        if self.shared.reconnects.load(Ordering::SeqCst) != self.reconnects {
+            return Err(SessionEnd::Disconnected);
+        }
+        match link.poll(deadline) {
+            Ok(ReadEvent::Message(msg)) => {
+                self.feed(link, FollowerEvent::Message(msg)).map(|()| true)
             }
-            event = loop {
-                if self.shared.stop.load(Ordering::SeqCst) {
-                    break 'session SessionEnd::Shutdown;
-                }
-                if self.shared.force_reconnect.load(Ordering::SeqCst) != reconnect_epoch {
-                    break 'session SessionEnd::Disconnected;
-                }
-                match reader.poll() {
-                    Ok(ReadEvent::Message(msg)) => break FollowerEvent::Message(msg),
-                    Ok(ReadEvent::Idle) => {}
-                    Ok(ReadEvent::Closed) => break 'session SessionEnd::Disconnected,
-                    // Framing lost (bad length / CRC / undecodable
-                    // message): drop the connection and renegotiate.
-                    Err(_) => break 'session SessionEnd::Resync,
-                }
-            };
-        };
-        let _ = self.feed(&mut tx, FollowerEvent::Ended(end));
-        end
+            Ok(ReadEvent::Idle) => Ok(false),
+            Ok(ReadEvent::Closed) => Err(SessionEnd::Disconnected),
+            // Framing lost (bad length / CRC / undecodable message): drop
+            // the connection and renegotiate.
+            Err(_) => Err(SessionEnd::Resync),
+        }
+    }
+
+    /// Closes a session that ended with `end`: the machine takes note, a
+    /// bootstrap the session did not finish is dropped whole, and the
+    /// link is shut. `true` when the replica must not reconnect.
+    pub(crate) fn end(&mut self, link: &mut impl Link, end: SessionEnd) -> bool {
+        let _ = self.feed(link, FollowerEvent::Ended(end));
+        self.incoming = None;
+        let _ = std::fs::remove_file(self.incoming_path());
+        link.shutdown();
+        matches!(end, SessionEnd::Shutdown | SessionEnd::Diverged(_))
     }
 
     /// Hands one event to the session machine and carries out its
     /// actions, feeding what they did back as events.
-    fn feed(&mut self, tx: &mut TcpStream, event: FollowerEvent) -> Result<(), SessionEnd> {
-        let mut actions = VecDeque::from(self.session.on(event, Instant::now()));
+    fn feed(&mut self, link: &mut impl Link, event: FollowerEvent) -> Result<(), SessionEnd> {
+        let clock = Arc::clone(&self.shared.clock);
+        let mut actions = VecDeque::from(self.session.on(event, clock.now()));
         while let Some(action) = actions.pop_front() {
             let done = match action {
                 FollowerAction::Send(msg) => {
-                    send(tx, &msg, MAX_MESSAGE_BYTES).map_err(|_| SessionEnd::Disconnected)?;
+                    link.send(&msg).map_err(|_| SessionEnd::Disconnected)?;
                     continue;
                 }
                 FollowerAction::SnapshotRun { lsn, first, frames } => {
@@ -773,7 +817,7 @@ impl Worker {
                 }
                 FollowerAction::End(end) => return Err(end),
             };
-            actions.extend(self.session.on(done, Instant::now()));
+            actions.extend(self.session.on(done, clock.now()));
         }
         Ok(())
     }
@@ -879,7 +923,46 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::link::mem::MemLink;
+    use crate::replication::link::DIAL_TIMEOUT;
+    use crate::replication::sim::Cluster;
+    use std::cell::Cell;
     use std::sync::atomic::AtomicU64;
+
+    /// A dial that never answers holds `promote` up for one bounded dial
+    /// and one backoff at most. The upstream's host dies without a reset;
+    /// the operator asks for the promotion while the worker's next dial
+    /// waits on it, and the worker stops once that dial gives up — it
+    /// does not dial again.
+    #[test]
+    fn promote_waits_out_at_most_one_bounded_dial() {
+        let mut c = Cluster::new("dial", 1);
+        let leader = c.leader(2);
+        c.serve("leader", &leader);
+        let f = c.follow("f", "leader");
+        let frontier = leader.wal().next_lsn();
+        c.run_until("the bootstrap", |c| c.replica(f).applied_lsn() >= frontier);
+        c.kill("leader");
+        let (replica, worker) = c.take(f);
+        let clock = c.clock();
+        let asked = Cell::new(None);
+        worker.run(|_upstream: &str| -> Result<MemLink, WalError> {
+            asked.set(Some(clock.now()));
+            replica.shared.stop.store(true, Ordering::SeqCst);
+            clock.sleep_until(clock.now() + DIAL_TIMEOUT);
+            Err(WalError::Io(std::io::ErrorKind::TimedOut.into()))
+        });
+        let promoted = replica.promote().unwrap();
+        let waited = clock.now() - asked.get().expect("the worker dialed");
+        assert!(
+            waited <= DIAL_TIMEOUT + RECONNECT_BACKOFF,
+            "promote waited {waited:?}"
+        );
+        assert_eq!(
+            (promoted.epoch(), promoted.wal().next_lsn()),
+            (2, frontier + 1)
+        );
+    }
 
     /// The worker falls behind (a heartbeat raises the frontier), then
     /// catches up (a run applied); a reader spinning on the watermark —
@@ -905,7 +988,12 @@ mod tests {
         }
         let t0 = Instant::now();
         let published = FollowerSession::new(0, EpochHistory::new(), 0, t0).published();
-        let shared = Shared::new(published, String::new(), EpochHistory::new());
+        let shared = Shared::new(
+            published,
+            String::new(),
+            EpochHistory::new(),
+            Arc::new(WallClock),
+        );
         let seen = AtomicU64::new(0);
         let stale_clocks = std::thread::scope(|s| {
             s.spawn(|| {

@@ -31,10 +31,9 @@ pub struct LagClock {
 
 impl LagClock {
     /// How long after a contact that found it caught up a replica counts
-    /// as current: five heartbeats at the leader's default cadence
-    /// (`ReplicationConfig::heartbeat_interval`, 100 ms). Every cadence
-    /// in use is at most that, so a quiet follower of a live leader never
-    /// widens between heartbeats.
+    /// as current: five heartbeats at the leader's fixed 100 ms cadence,
+    /// so a quiet follower of a live leader never widens between
+    /// heartbeats.
     pub const CONTACT_WINDOW: Duration = Duration::from_millis(500);
 
     /// The clock of a replica opened at `now` that nothing has contacted

@@ -1,28 +1,31 @@
 //! Leader side of WAL shipping: accept followers, bootstrap them from a
 //! snapshot, then stream log segments as the writer grows them.
 //!
-//! The accept loop is the shared [`crate::framed::Listener`], and each
-//! follower gets one session thread. The thread is a shell around a
-//! [`LeaderSession`], the I/O-free machine that judges the `Hello`,
-//! chooses resume or bootstrap, decides when a heartbeat is due and checks
-//! every `Ack`. The shell reads the socket, tails the log with
-//! [`SegmentTailer`], ships snapshots and writes `SnapshotBlocks` /
-//! `Blocks` / `Heartbeat` messages. It reads the follower's messages
-//! without waiting — between sends, so acks drain as they arrive — and
-//! sleeps the poll interval when there is nothing to ship or read. Acks
-//! move the session's entry in the [`ShipHorizon`], which
+//! Each follower session is a [`LeaderShell`] around a [`LeaderSession`],
+//! the I/O-free machine that judges the `Hello`, chooses resume or
+//! bootstrap, decides when a heartbeat is due and checks every `Ack`. The
+//! shell is a step function over a [`Link`] and a [`Clock`]: one
+//! [`LeaderShell::step`] reads what the follower sent without waiting —
+//! between sends, so acks drain as they arrive — or else tails the log
+//! with [`SegmentTailer`], and carries out what the machine decides
+//! (ship a snapshot, send `SnapshotBlocks` / `Blocks` / `Heartbeat`,
+//! move the horizon). In production the shared
+//! [`crate::framed::Listener`] gives each accepted connection a thread
+//! that steps its session and sleeps [`POLL_INTERVAL`] whenever a step
+//! found nothing to ship or read. Acks move the session's entry in the
+//! [`ShipHorizon`], which
 //! [`crate::DurableDatabase::snapshot_with_retention`] passes to
 //! [`modb_wal::compact_with_barrier`], so compaction never deletes a
 //! segment a connected follower still has to read.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use modb_wal::segment::{read_segment_file, SEGMENT_HEADER_BYTES};
 use modb_wal::{
@@ -31,10 +34,23 @@ use modb_wal::{
 };
 
 use crate::durable::DurableDatabase;
-use crate::framed::{send, FrameReader, Listener, ReadEvent, WRITE_TIMEOUT};
+use crate::framed::{Listener, ReadEvent};
 use crate::replication::horizon::ShipHorizon;
-use crate::replication::protocol::{Message, MAX_MESSAGE_BYTES};
+use crate::replication::link::{self, Clock, Link, TcpLink, WallClock};
+use crate::replication::protocol::Message;
 use crate::replication::session::{LeaderAction, LeaderEvent, LeaderSession, LogState};
+
+/// How long a caught-up session waits before it looks at the log and
+/// the follower again. It is a sleep, not a socket read timeout: a
+/// receive timeout waits in whole scheduler ticks (a 2 ms one measured
+/// ≈ 8 ms on a 2-vCPU Linux VM) and would slow every record's way to the
+/// follower.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Cadence of `Heartbeat` messages while idle. A heartbeat carries the
+/// leader's log frontier, so the follower can report lag and keep its lag
+/// clock at zero while it is caught up.
+pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Where the shipped log ends: a closure yielding the serving node's
 /// frontier LSN. On a leader that is the WAL's next LSN; on a chained
@@ -48,22 +64,11 @@ pub(crate) type Frontier = Box<dyn Fn() -> u64 + Send + Sync>;
 pub struct ReplicationConfig {
     /// Records per `Blocks` message (bounds catch-up burst size).
     pub chunk_records: usize,
-    /// Sleep between log polls when the follower is caught up. A follower
-    /// that does not drain its socket for 10 s is disconnected, and its
-    /// horizon entry released.
-    pub poll_interval: Duration,
-    /// Cadence of `Heartbeat` messages while idle (carries the leader's
-    /// log frontier, so the follower can report lag).
-    pub heartbeat_interval: Duration,
 }
 
 impl Default for ReplicationConfig {
     fn default() -> Self {
-        ReplicationConfig {
-            chunk_records: 512,
-            poll_interval: Duration::from_millis(2),
-            heartbeat_interval: Duration::from_millis(100),
-        }
+        ReplicationConfig { chunk_records: 512 }
     }
 }
 
@@ -131,25 +136,43 @@ impl fmt::Debug for ReplicationServer {
 }
 
 /// Everything a follower session needs, shared across session threads.
-struct ShipContext {
+pub(crate) struct ShipContext {
     dir: PathBuf,
     frontier: Frontier,
     horizon: Arc<ShipHorizon>,
     epochs: Arc<Mutex<EpochHistory>>,
     stats: ServerStats,
     config: ReplicationConfig,
+    clock: Arc<dyn Clock>,
 }
 
-impl ReplicationServer {
-    /// The bound listen address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr()
+impl ShipContext {
+    /// Ships the segments in `dir` up to `frontier`, feeding
+    /// acknowledgements into `horizon`. The leader and a chained follower
+    /// differ only in these inputs.
+    pub(crate) fn new(
+        dir: PathBuf,
+        frontier: Frontier,
+        horizon: Arc<ShipHorizon>,
+        epochs: Arc<Mutex<EpochHistory>>,
+        config: ReplicationConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        ShipContext {
+            dir,
+            frontier,
+            horizon,
+            epochs,
+            stats: ServerStats::default(),
+            config,
+            clock,
+        }
     }
 
     /// Current activity counters and lag.
-    pub fn stats(&self) -> ReplicationStatsSnapshot {
-        let (horizon, stats) = (&self.ctx.horizon, &self.ctx.stats);
-        let leader_next_lsn = (self.ctx.frontier)();
+    pub(crate) fn stats(&self) -> ReplicationStatsSnapshot {
+        let (horizon, stats) = (&self.horizon, &self.stats);
+        let leader_next_lsn = (self.frontier)();
         let min_acked_lsn = horizon.min();
         ReplicationStatsSnapshot {
             followers: horizon.followers(),
@@ -161,6 +184,18 @@ impl ReplicationServer {
             records_shipped: stats.records_shipped.load(Ordering::Relaxed),
             session_errors: stats.session_errors.load(Ordering::Relaxed),
         }
+    }
+}
+
+impl ReplicationServer {
+    /// The bound listen address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr()
+    }
+
+    /// Current activity counters and lag.
+    pub fn stats(&self) -> ReplicationStatsSnapshot {
+        self.ctx.stats()
     }
 
     /// Stops accepting, disconnects followers, and returns the final
@@ -189,85 +224,111 @@ impl DurableDatabase {
         addr: impl ToSocketAddrs,
         config: ReplicationConfig,
     ) -> Result<ReplicationServer, WalError> {
+        serve_replication_from(self.ship_context(config, Arc::new(WallClock)), addr)
+    }
+
+    /// What a session shipping this database's log works from.
+    pub(crate) fn ship_context(
+        &self,
+        config: ReplicationConfig,
+        clock: Arc<dyn Clock>,
+    ) -> ShipContext {
         let wal = self.wal().clone();
-        serve_replication_from(
+        ShipContext::new(
             self.dir().to_path_buf(),
             Box::new(move || wal.next_lsn()),
             Arc::clone(self.ship_horizon()),
             Arc::clone(self.epochs()),
-            addr,
             config,
+            clock,
         )
     }
 }
 
-/// Shared ship-server constructor: tails the segments in `dir` up to
-/// `frontier`, feeding acknowledgements into `horizon`. The leader and a
-/// chained follower differ only in these three inputs.
+/// Serves `ctx`'s log to followers that connect to `addr`.
 pub(crate) fn serve_replication_from(
-    dir: PathBuf,
-    frontier: Frontier,
-    horizon: Arc<ShipHorizon>,
-    epochs: Arc<Mutex<EpochHistory>>,
+    ctx: ShipContext,
     addr: impl ToSocketAddrs,
-    config: ReplicationConfig,
 ) -> Result<ReplicationServer, WalError> {
-    let ctx = Arc::new(ShipContext {
-        dir,
-        frontier,
-        horizon,
-        epochs,
-        stats: ServerStats::default(),
-        config,
-    });
+    let ctx = Arc::new(ctx);
     let session_ctx = Arc::clone(&ctx);
-    let listener = Listener::spawn(
-        addr,
-        |_stream, _active| true,
-        move |stream, stop| handle_follower(stream, &session_ctx, stop),
-    )?;
+    let listener = link::listen(addr, move |link, stop| {
+        handle_follower(link, &session_ctx, stop)
+    })?;
     Ok(ReplicationServer { listener, ctx })
 }
 
-/// One follower session, on its own thread: the horizon entry is
-/// registered at 0 (pinning the whole log) *before* the log is read for
-/// the handshake, and released on the way out. A session that ends on an
-/// error is counted; the socket closes either way and the follower's
-/// reconnect backoff paces any retry.
-fn handle_follower(stream: TcpStream, ctx: &ShipContext, stop: &AtomicBool) {
-    ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let hid = ctx.horizon.register(0);
-    if run_session(&stream, ctx, hid, stop).is_err() {
-        ctx.stats.session_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    ctx.horizon.release(hid);
-    let _ = stream.shutdown(Shutdown::Both);
+/// One follower session on its own thread: steps the shell until the
+/// session ends or the listener stops, sleeping [`POLL_INTERVAL`] after
+/// a step that found nothing to do.
+fn handle_follower(link: TcpLink, ctx: &ShipContext, stop: &AtomicBool) {
+    let mut shell = LeaderShell::open(link, ctx);
+    let result = loop {
+        if stop.load(Ordering::SeqCst) {
+            break Ok(());
+        }
+        match shell.step(ctx) {
+            Ok(Step::Busy) => {}
+            Ok(Step::Idle) => ctx.clock.sleep_until(ctx.clock.now() + POLL_INTERVAL),
+            Ok(Step::Ended) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    shell.close(ctx, result.is_err());
 }
 
-/// The shell: turns what the socket and the tailer show into events for
-/// the session machine and carries out its actions.
-fn run_session(
-    stream: &TcpStream,
-    ctx: &ShipContext,
+/// What one [`LeaderShell::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// It read or shipped something: step again at once.
+    Busy,
+    /// Nothing to read or ship.
+    Idle,
+    /// The session is over.
+    Ended,
+}
+
+/// The shell of one follower session: it turns what the link and the
+/// tailer show into events for the session machine and carries out its
+/// actions.
+pub(crate) struct LeaderShell<L> {
+    link: L,
+    /// The session's horizon entry.
     hid: u64,
-    stop: &AtomicBool,
-) -> Result<(), WalError> {
-    let mut tx = stream.try_clone()?;
-    let mut reader = FrameReader::<Message>::new(stream.try_clone()?, MAX_MESSAGE_BYTES);
-    let log = LogState {
-        frontier: (ctx.frontier)(),
-        oldest_segment: list_segments(&ctx.dir)?.first().map(|&(start, _)| start),
-        epochs: ctx.epochs.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-    };
-    let mut session = LeaderSession::new(log, ctx.config.heartbeat_interval, Instant::now());
-    let mut tailer: Option<SegmentTailer> = None;
-    while !stop.load(Ordering::SeqCst) {
-        // What the follower sent comes first, taken without waiting: its
-        // `Hello`, then its acks between sends.
-        let read = reader.poll_nowait()?;
-        let chunk = match (&read, tailer.as_mut()) {
+    /// Opened at the first step, once the horizon entry pins the log.
+    session: Option<LeaderSession>,
+    tailer: Option<SegmentTailer>,
+}
+
+impl<L: Link> LeaderShell<L> {
+    /// Takes a new connection. Its horizon entry is registered at 0,
+    /// pinning the whole log, *before* the log is read for the handshake.
+    pub(crate) fn open(link: L, ctx: &ShipContext) -> Self {
+        ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
+        LeaderShell {
+            link,
+            hid: ctx.horizon.register(0),
+            session: None,
+            tailer: None,
+        }
+    }
+
+    /// One step: what the follower sent comes first, taken without
+    /// waiting (its `Hello`, then its acks between sends); else the next
+    /// run of the log, or an idle tick.
+    pub(crate) fn step(&mut self, ctx: &ShipContext) -> Result<Step, WalError> {
+        let now = ctx.clock.now();
+        if self.session.is_none() {
+            let log = LogState {
+                frontier: (ctx.frontier)(),
+                oldest_segment: list_segments(&ctx.dir)?.first().map(|&(start, _)| start),
+                epochs: ctx.epochs.lock().unwrap_or_else(|e| e.into_inner()).clone(),
+            };
+            self.session = Some(LeaderSession::new(log, HEARTBEAT_INTERVAL, now));
+        }
+        let session = self.session.as_mut().expect("opened above");
+        let read = self.link.poll(now)?;
+        let chunk = match (&read, self.tailer.as_mut()) {
             // A gap or interior corruption under a live session ends it:
             // the follower reconnects and re-bootstraps from a snapshot.
             (ReadEvent::Idle, Some(tailer)) => tailer.poll_blocks(ctx.config.chunk_records)?,
@@ -275,49 +336,55 @@ fn run_session(
         };
         let event = match (read, chunk) {
             (ReadEvent::Message(msg), _) => LeaderEvent::Message(msg),
-            (ReadEvent::Closed, _) => return Ok(()),
+            (ReadEvent::Closed, _) => return Ok(Step::Ended),
             (ReadEvent::Idle, Some(chunk)) => LeaderEvent::Chunk(chunk),
             (ReadEvent::Idle, None) => LeaderEvent::Idle {
                 frontier: (ctx.frontier)(),
             },
         };
         let idle = matches!(event, LeaderEvent::Idle { .. });
-        let mut actions = VecDeque::from(session.on(event, Instant::now()));
+        let mut actions = VecDeque::from(session.on(event, now));
         while let Some(action) = actions.pop_front() {
             match action {
                 LeaderAction::Send(msg) => {
-                    send(&mut tx, &msg, MAX_MESSAGE_BYTES)?;
+                    self.link.send(&msg)?;
                     if let Message::Blocks { count, .. } = msg {
                         let shipped = &ctx.stats.records_shipped;
                         shipped.fetch_add(u64::from(count), Ordering::Relaxed);
                     }
                 }
                 LeaderAction::Bootstrap => {
-                    let lsn = ship_snapshot(&mut tx, ctx)?;
-                    actions.extend(session.on(LeaderEvent::Bootstrapped(lsn), Instant::now()));
+                    let lsn = ship_snapshot(&mut self.link, ctx)?;
+                    actions.extend(session.on(LeaderEvent::Bootstrapped(lsn), ctx.clock.now()));
                 }
-                LeaderAction::Tail(cursor) => tailer = Some(SegmentTailer::new(&ctx.dir, cursor)),
-                LeaderAction::Advance(lsn) => ctx.horizon.advance(hid, lsn),
-                LeaderAction::End(None) => return Ok(()),
+                LeaderAction::Tail(cursor) => {
+                    self.tailer = Some(SegmentTailer::new(&ctx.dir, cursor));
+                }
+                LeaderAction::Advance(lsn) => ctx.horizon.advance(self.hid, lsn),
+                LeaderAction::End(None) => return Ok(Step::Ended),
                 LeaderAction::End(Some(reason)) => return Err(WalError::Decode(reason)),
             }
         }
-        // Nothing to ship or read: wait out the poll interval. A socket
-        // read timeout would wait in whole scheduler ticks (a 2 ms one
-        // measured ≈ 8 ms on a 2-vCPU Linux VM) and slow every record's
-        // way to the follower.
-        if idle {
-            std::thread::sleep(ctx.config.poll_interval);
-        }
+        Ok(if idle { Step::Idle } else { Step::Busy })
     }
-    Ok(())
+
+    /// Ends the session: its horizon entry is released and the link
+    /// closed. A session that `failed` is counted; the follower's
+    /// reconnect backoff paces any retry.
+    pub(crate) fn close(mut self, ctx: &ShipContext, failed: bool) {
+        if failed {
+            ctx.stats.session_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        ctx.horizon.release(self.hid);
+        self.link.shutdown();
+    }
 }
 
 /// Ships the newest whole snapshot in `SnapshotBlocks` runs and returns
 /// its LSN. The snapshot is read once: the bytes checked are the bytes
 /// shipped, and a compaction that removes the file after it was read does
 /// not touch them.
-fn ship_snapshot(tx: &mut TcpStream, ctx: &ShipContext) -> Result<u64, WalError> {
+fn ship_snapshot(link: &mut impl Link, ctx: &ShipContext) -> Result<u64, WalError> {
     let Some(Shipment { lsn, bytes, runs }) =
         shippable_snapshot(&ctx.dir, ctx.config.chunk_records)?
     else {
@@ -329,7 +396,7 @@ fn ship_snapshot(tx: &mut TcpStream, ctx: &ShipContext) -> Result<u64, WalError>
             offset: run.start as u64,
             frames: bytes[run].to_vec(),
         };
-        send(tx, &msg, MAX_MESSAGE_BYTES)?;
+        link.send(&msg)?;
     }
     ctx.stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
     Ok(lsn)
@@ -337,10 +404,10 @@ fn ship_snapshot(tx: &mut TcpStream, ctx: &ShipContext) -> Result<u64, WalError>
 
 /// A bootstrap snapshot ready to ship: its LSN, its bytes, and the runs
 /// of whole frames they are cut into.
-struct Shipment {
-    lsn: u64,
-    bytes: Vec<u8>,
-    runs: Vec<Range<usize>>,
+pub(crate) struct Shipment {
+    pub(crate) lsn: u64,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) runs: Vec<Range<usize>>,
 }
 
 /// The newest snapshot in `dir` whose header names its file's LSN, whose
@@ -349,7 +416,10 @@ struct Shipment {
 /// `chunk_records` records or one block past them ([`take_frames`], as
 /// the log's tail is cut). Only the head is decoded: the follower decodes
 /// each run as it applies it.
-fn shippable_snapshot(dir: &Path, chunk_records: usize) -> Result<Option<Shipment>, WalError> {
+pub(crate) fn shippable_snapshot(
+    dir: &Path,
+    chunk_records: usize,
+) -> Result<Option<Shipment>, WalError> {
     for (lsn, path) in list_snapshots(dir)?.into_iter().rev() {
         let Ok((start_lsn, bytes)) = read_segment_file(&path) else {
             continue;
@@ -386,7 +456,8 @@ mod tests {
     //! version, so a refused `Hello` is only reachable from here).
 
     use super::*;
-    use crate::replication::protocol::PROTOCOL_VERSION;
+    use crate::framed::{send, FrameReader};
+    use crate::replication::protocol::{MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
     use modb_core::{
         Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
         UpdateMessage, UpdatePosition,
@@ -397,6 +468,8 @@ mod tests {
     use modb_wal::{
         decode_block_frames, FrameEnd, FsyncPolicy, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION,
     };
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("modb-leader-{}-{name}", std::process::id()));
@@ -449,12 +522,9 @@ mod tests {
             let msg = UpdateMessage::basic(i as f64, UpdatePosition::Arc((i % 100) as f64), 1.0);
             durable.apply_update(id, &msg).unwrap();
         }
-        let config = ReplicationConfig {
-            poll_interval: Duration::from_millis(1),
-            heartbeat_interval: Duration::from_millis(20),
-            ..ReplicationConfig::default()
-        };
-        let server = durable.serve_replication("127.0.0.1:0", config).unwrap();
+        let server = durable
+            .serve_replication("127.0.0.1:0", ReplicationConfig::default())
+            .unwrap();
         (durable, server)
     }
 

@@ -4,7 +4,6 @@
 pub mod replica_harness;
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -71,20 +70,15 @@ pub fn test_wal_options() -> WalOptions {
     }
 }
 
-/// Leader tuning with tight intervals for 1-core CI runners.
+/// Leader tuning: small runs, so a catch-up crosses several messages.
 pub fn test_replication_config() -> ReplicationConfig {
-    ReplicationConfig {
-        chunk_records: 64,
-        poll_interval: Duration::from_millis(1),
-        heartbeat_interval: Duration::from_millis(20),
-    }
+    ReplicationConfig { chunk_records: 64 }
 }
 
 /// Follower tuning to match.
 pub fn test_replica_config() -> ReplicaConfig {
     ReplicaConfig {
         wal: test_wal_options(),
-        reconnect_backoff: Duration::from_millis(5),
         snapshot_every: 0,
         snapshot_retention: 2,
     }

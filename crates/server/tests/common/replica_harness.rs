@@ -60,24 +60,6 @@ pub enum Fault {
     /// Flip one bit of downstream byte `n` (0-based), then keep going —
     /// a CRC mismatch the receiver must reject.
     CorruptByteAt(usize),
-    /// Parse downstream framing and send every complete message twice —
-    /// duplicate delivery the watermark must absorb.
-    DuplicateMessages,
-    /// Pass everything through unchanged, noting each complete
-    /// downstream message as `(tag, frame length)` — how a test learns
-    /// where the message boundaries of a session fall.
-    Record(Arc<Mutex<Vec<(u8, usize)>>>),
-    /// Deliver downstream message `n` (0-based, whole frames) after
-    /// message `n + 1` — an out-of-order delivery.
-    SwapMessages(usize),
-    /// Forward freely while `hold` is false; while true, stop moving
-    /// bytes (backpressure reaches the upstream). Used to pin a live,
-    /// silent receiver while the upstream compacts.
-    Stall {
-        /// Flip to `true` to freeze the stream, back to `false` to
-        /// resume it.
-        hold: Arc<AtomicBool>,
-    },
 }
 
 /// TCP proxy that pops one [`Fault`] per accepted connection (empty
@@ -230,16 +212,7 @@ fn pump_faulty(
 ) {
     let mut buf = [0u8; 16 * 1024];
     let mut forwarded = 0usize; // downstream bytes already sent
-    let mut frame_buf: Vec<u8> = Vec::new(); // whole-message faults' reassembly
-    let mut held: Option<Vec<u8>> = None; // SwapMessages' postponed message
-    let mut messages = 0usize; // whole downstream messages seen
     while !stop.load(Ordering::SeqCst) && !dead.load(Ordering::SeqCst) {
-        if let Fault::Stall { hold } = &fault {
-            if hold.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-                continue; // no reads: backpressure reaches the upstream
-            }
-        }
         let n = match read_some(from, &mut buf) {
             Some(0) => continue,
             Some(n) => n,
@@ -247,7 +220,7 @@ fn pump_faulty(
         };
         let chunk = &mut buf[..n];
         match &fault {
-            Fault::None | Fault::Stall { .. } => {
+            Fault::None => {
                 if to.write_all(chunk).is_err() {
                     break;
                 }
@@ -271,54 +244,9 @@ fn pump_faulty(
                     break;
                 }
             }
-            Fault::DuplicateMessages => {
-                frame_buf.extend_from_slice(chunk);
-                // Forward each complete outer frame twice; keep partial
-                // tails buffered so duplication is always frame-aligned.
-                while let Some(frame) = next_frame(&mut frame_buf) {
-                    if to.write_all(&frame).is_err() || to.write_all(&frame).is_err() {
-                        return;
-                    }
-                }
-            }
-            Fault::SwapMessages(n) => {
-                frame_buf.extend_from_slice(chunk);
-                while let Some(frame) = next_frame(&mut frame_buf) {
-                    messages += 1;
-                    if messages - 1 == *n {
-                        held = Some(frame);
-                        continue;
-                    }
-                    if to.write_all(&frame).is_err() {
-                        return;
-                    }
-                    if let Some(frame) = held.take() {
-                        if to.write_all(&frame).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-            Fault::Record(seen) => {
-                if to.write_all(chunk).is_err() {
-                    break;
-                }
-                frame_buf.extend_from_slice(chunk);
-                while let Some(frame) = next_frame(&mut frame_buf) {
-                    seen.lock().unwrap().push((frame[8], frame.len()));
-                }
-            }
         }
     }
     dead.store(true, Ordering::SeqCst);
-}
-
-/// Takes the first complete outer frame (`[len u32][crc u32][payload]`)
-/// off the front of `buf`, if one is there.
-fn next_frame(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
-    let len = u32::from_le_bytes(buf.get(..4)?.try_into().unwrap()) as usize;
-    let total = 8 + len;
-    (buf.len() >= total).then(|| buf.drain(..total).collect())
 }
 
 // ---------------------------------------------------------------------

@@ -6,12 +6,14 @@
 //!
 //! - a promoted standby becomes a full acked-write leader whose state is
 //!   exactly the applied prefix it acknowledged — zero acked-write loss
-//!   across the kill → promote → repoint sequence, even when the dying
-//!   leader's last session was severed mid-byte;
+//!   across the kill → promote → repoint sequence (with the dying
+//!   leader's last session severed mid-byte on the driver);
 //! - everything chained off the promotee keeps working: its re-ship
 //!   server streams the sealed `LeaderEpoch` record and the new epoch's
 //!   writes to survivors repointed at it, which resume from their
-//!   applied watermark instead of re-bootstrapping;
+//!   applied watermark instead of re-bootstrapping (checked here over
+//!   sockets, and with a severed session and a seeded interleaving on
+//!   the crate's deterministic driver, `replication::sim`);
 //! - a revived old leader whose log tail passed the promotion point is
 //!   refused with a typed `Diverged` answer and its local log is left
 //!   intact — never silently truncated or overwritten; nor can it be
@@ -28,7 +30,7 @@ mod common;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use common::replica_harness::{wait_until, Fault, Scenario, WAIT};
+use common::replica_harness::{wait_until, Scenario, WAIT};
 use common::{
     assert_converged, fresh_db, test_replica_config, test_replication_config, test_wal_options,
     tmp, update, vehicle,
@@ -189,11 +191,13 @@ fn promoting_an_empty_replica_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The full story under a byte fault: leader killed after its session
-/// to f1 was severed mid-frame and resumed, the freshest of two chained
-/// followers promoted, the (deliberately frozen, staler) other repointed
-/// at the promotee, and the chain converges on the new epoch with every
-/// acked write intact.
+/// The full story over real sockets: the leader killed, the freshest of
+/// two chained followers promoted, the (deliberately frozen, staler)
+/// other repointed at the promotee, and the chain converges on the new
+/// epoch with every acked write intact. The same story with the
+/// leader's last session to f1 cut mid-frame, stepped deterministically
+/// in one thread, is `replication::sim`'s test of this name in the
+/// crate.
 #[test]
 fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
     let s = Scenario::start("failover-chain", 4);
@@ -211,22 +215,14 @@ fn failover_promotes_freshest_and_repoints_survivor_with_zero_acked_loss() {
     assert!(f2.wait_for_lsn(acked, WAIT), "f2 never converged");
 
     // Freeze f2 behind a dead upstream so the two standbys have a strict
-    // freshness order, then keep writing: f1 advances alone. The
-    // leader's next session to f1 is severed mid-byte; f1 re-dials and
-    // catches up to every acked write.
+    // freshness order, then keep writing: f1 advances alone.
     f2.repoint("127.0.0.1:1");
     wait_until("f2 to drop its session", || {
         f2.phase() == ReplicaPhase::Connecting
     });
-    s.proxy.push(Fault::CutAfterBytes(200));
-    f1.force_reconnect();
     s.churn(5..=6, 4);
     let frontier = s.leader.wal().next_lsn();
-    assert!(
-        f1.wait_for_lsn(frontier, WAIT),
-        "f1 never recovered from the cut: {}",
-        f1.stats()
-    );
+    assert!(f1.wait_for_lsn(frontier, WAIT), "{}", f1.stats());
     let expected = s.leader.database().with_read(|db| db.clone());
     // The leader dies.
     let Scenario {

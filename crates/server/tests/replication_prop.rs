@@ -81,7 +81,7 @@ proptest! {
                 Op::Remove(id) => {
                     let _ = s.leader.remove_moving(ObjectId(id));
                 }
-                Op::Disconnect => replica.force_reconnect(),
+                Op::Disconnect => replica.repoint(s.proxy.addr()),
                 Op::Compact => {
                     s.leader.snapshot_with_retention(2).unwrap();
                 }

@@ -33,6 +33,7 @@ capture ablations.txt target/release/modb-exp a1-a5
 for example in battlefield dispatcher quickstart taxi_fleet trucking; do
     capture "example_$example.txt" "target/release/examples/$example"
 done
+printf '%s\n' 'RETRIEVE POSITION OF OBJECT 3 AT TIME 5' 'RETRIEVE OBJECTS INSIDE RECT (0, 0, 3, 3) AT TIME 5' 'RETRIEVE 3 NEAREST OBJECTS TO POINT (5, 5) AT TIME 5' "RETRIEVE POSITION OF OBJECT 'veh-07' AT TIME 2; RETRIEVE OBJECTS WITHIN 1 OF POINT (4, 4) AT TIME 2; RETRIEVE POSITION OF OBJECT 99 AT TIME 2" '\h' '\q' | capture repl.txt target/release/modb_repl
 
 if $write; then
     cp "$out"/*.txt results/
