@@ -704,28 +704,43 @@ mod tests {
                 }
             });
             // Same statement twice in one script: whatever state the
-            // batch's clone caught, both verdicts come from it. Keep going
-            // until the writer has finished several rounds under us (a
-            // condition wait on the writer, not a sleep).
+            // batch's clone caught, both verdicts come from it. The test
+            // needs batches that a writer round overlapped (the round
+            // count moved while the batch ran): it keeps going until it
+            // has had enough of them — a condition on both threads, not
+            // a sleep.
+            const OVERLAPPED: u32 = 5;
             let stmt = "RETRIEVE OBJECTS INSIDE RECT (0, -1, 500, 1) AT TIME 5";
             let script = format!("{stmt}; {stmt}");
-            let first_round = rounds.load(Ordering::Relaxed);
             let deadline = Instant::now() + Duration::from_secs(30);
-            let mut batches = 0;
+            let (mut batches, mut overlapped) = (0u32, 0u32);
             // A failure is carried out of the loop so the writer is
             // always told to stop before the scope joins it.
             let mut failure = None;
-            while batches < 300 || rounds.load(Ordering::Relaxed) < first_round + 5 {
+            while overlapped < OVERLAPPED {
                 if Instant::now() >= deadline {
-                    failure = Some("writer stalled".to_string());
+                    let rounds = rounds.load(Ordering::Relaxed);
+                    // Each overlap needs a batch and a round: the side
+                    // that finished fewer is the one holding the test up.
+                    let slow = if u64::from(batches) < rounds {
+                        "the reader"
+                    } else {
+                        "the writer"
+                    };
+                    failure = Some(format!(
+                        "{slow} stalled: {overlapped} of {batches} batches overlapped \
+                         one of {rounds} writer rounds in 30 s"
+                    ));
                     break;
                 }
+                let before = rounds.load(Ordering::Relaxed);
                 let verdicts = engine.run_batch(&script);
                 if verdicts.len() != 2 || verdicts[0].is_err() || verdicts[0] != verdicts[1] {
                     failure = Some(format!("one batch saw two states: {verdicts:?}"));
                     break;
                 }
                 batches += 1;
+                overlapped += u32::from(rounds.load(Ordering::Relaxed) != before);
             }
             stop.store(true, Ordering::Relaxed);
             assert_eq!(failure, None);

@@ -9,26 +9,25 @@
 //! `Connecting` on a disconnect. It dials with a bound
 //! ([`TcpLink::dial`]), so a dead upstream host cannot hold up
 //! [`StandbyReplica::promote`], and waits [`RECONNECT_BACKOFF`] between
-//! sessions. The worker is a shell around a
-//! [`FollowerSession`], the I/O-free machine that writes the `Hello`,
+//! sessions. The [`Worker`] is a step function over a [`Link`] and a
+//! [`Clock`] ([`Worker::connect`], [`Worker::step`], [`Worker::end`]) that
+//! makes every decision of the session itself: it writes the `Hello`,
 //! checks every run (one segment format, clean, complete, contiguous with
 //! the applied watermark, duplicates below it skipped, each snapshot run
-//! continuing the one before), keeps the lag clock and decides the phase,
-//! the acks and the local snapshot cadence. Every hazard resolves to
-//! "reject and re-sync, never apply a torn record". The shell does the
-//! I/O, in step functions over a [`Link`] and a [`Clock`]
-//! ([`Worker::connect`], [`Worker::step`], [`Worker::end`]): it reads
-//! the link, applies each record through
-//! [`modb_wal::apply_record`] before logging it, and builds a bootstrap
-//! snapshot through a [`SnapshotLoad`] and a temp file. The replica's
-//! previous state and files serve on untouched until the snapshot's last
-//! record has validated; a session that ends first drops the half-built
-//! snapshot. The leadership history comes with it: the snapshot's head
-//! carries every epoch begun below its LSN, adopted in the same swap as
-//! the database, and each `LeaderEpoch` seal shipped afterwards is folded
-//! in as it is applied. Nothing but the log records it.
+//! continuing the one before), keeps the lag clock, decides the phase,
+//! the acks and the local snapshot cadence, and ends a session whose
+//! upstream has sent nothing for [`SESSION_DEADLINE`]. Every hazard
+//! resolves to "reject and re-sync, never apply a torn record". It
+//! applies each record through [`modb_wal::apply_record`] before logging
+//! it, and builds a bootstrap snapshot through a [`SnapshotLoad`] and a
+//! temp file. The replica's previous state and files serve on untouched
+//! until the snapshot's last record has validated; a session that ends
+//! first drops the half-built snapshot. The leadership history comes with
+//! it: the snapshot's head carries every epoch begun below its LSN,
+//! adopted in the same swap as the database, and each `LeaderEpoch` seal
+//! shipped afterwards is folded in as it is applied. Nothing but the log
+//! records it.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
@@ -40,11 +39,12 @@ use std::time::{Duration, Instant};
 
 use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
-use modb_wal::segment::encode_header;
+use modb_wal::segment::{encode_header, SEGMENT_HEADER_BYTES};
 use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
-    apply_record, list_segments, list_snapshots, EpochHistory, SharedWal, SnapshotLoad, WalError,
-    WalOptions, WalRecord, WalWriter, DEFAULT_SNAPSHOT_RETENTION,
+    apply_record, decode_block_frames, list_segments, list_snapshots, EpochHistory, FrameEnd,
+    SharedWal, SnapshotLoad, WalError, WalOptions, WalRecord, WalWriter,
+    DEFAULT_SNAPSHOT_RETENTION, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
@@ -52,11 +52,10 @@ use crate::framed::{ReadEvent, READ_TIMEOUT};
 use crate::net::{QueryServer, QueryServerConfig};
 use crate::query_engine::QueryEngine;
 use crate::replication::horizon::ShipHorizon;
+use crate::replication::lag::LagClock;
 use crate::replication::leader::{serve_replication_from, ReplicationServer, ShipContext};
 use crate::replication::link::{Clock, Link, TcpLink, WallClock};
-use crate::replication::session::{
-    FollowerAction, FollowerEvent, FollowerSession, Published, SessionEnd,
-};
+use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
 use crate::replication::ReplicationConfig;
 use crate::shared::SharedDatabase;
 
@@ -189,9 +188,54 @@ impl fmt::Display for ReplicaStatsSnapshot {
     }
 }
 
+/// Everything a replica publishes, settled together: its stats (the
+/// applied watermark, the upstream frontier, the phase, the counters),
+/// its lag clock and, once refused, the divergence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Published {
+    pub(crate) stats: ReplicaStatsSnapshot,
+    pub(crate) clock: LagClock,
+    pub(crate) diverged: Option<DivergenceInfo>,
+}
+
+impl Published {
+    /// A replica whose log ends at `applied`, opened at `now`.
+    fn new(applied: u64, now: Instant) -> Self {
+        let stats = ReplicaStatsSnapshot {
+            applied_lsn: applied,
+            ..ReplicaStatsSnapshot::default()
+        };
+        Published {
+            stats,
+            clock: LagClock::new(now),
+            diverged: None,
+        }
+    }
+}
+
+/// Why a follower session ended. Every end but divergence leads back to
+/// connecting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SessionEnd {
+    /// The replica is stopping.
+    Shutdown,
+    /// The connection closed, went silent past [`SESSION_DEADLINE`] or
+    /// was dropped on purpose.
+    Disconnected,
+    /// Framing was lost or a record could not be logged: renegotiate
+    /// from the watermark (counted as a resync).
+    Resync,
+    /// A message was refused unapplied — a torn, foreign, out-of-order or
+    /// unexpected one (counted as a rejected message and a resync).
+    Reject,
+    /// The upstream refused this replica's log tail as forked history.
+    /// Reconnecting would get the same answer: terminal.
+    Diverged(DivergenceInfo),
+}
+
 #[derive(Debug)]
 struct Shared {
-    /// What the worker's session machine last published. The watermark
+    /// What the worker last published. The watermark
     /// in it is what reads floor against, and the lag clock and stats
     /// that go with it change under the same lock: a reader that sees
     /// `applied ≥ floor` also sees the clock of that contact, or a
@@ -250,8 +294,8 @@ impl Shared {
         self.published.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Swaps in what the session machine published and wakes the
-    /// watermark's waiters.
+    /// Swaps in what the worker published and wakes the watermark's
+    /// waiters.
     fn publish(&self, published: Published) {
         *self.published() = published;
         self.published_cv.notify_all();
@@ -408,9 +452,9 @@ impl StandbyReplica {
             (placeholder_database(), EpochHistory::new(), None, 0)
         };
         let db = SharedDatabase::new(db);
-        let session =
-            FollowerSession::new(applied, epochs.clone(), config.snapshot_every, clock.now());
-        let shared = Arc::new(Shared::new(session.published(), addr, epochs, clock));
+        let now = clock.now();
+        let out = Published::new(applied, now);
+        let shared = Arc::new(Shared::new(out, addr, epochs, clock));
         let horizon = Arc::new(ShipHorizon::new());
         let worker = Worker {
             dir: dir.clone(),
@@ -420,8 +464,10 @@ impl StandbyReplica {
             horizon: Arc::clone(&horizon),
             wal,
             incoming: None,
-            session,
+            out,
+            last_snapshot: applied,
             reconnects: 0,
+            heard: now,
         };
         let replica = StandbyReplica {
             db,
@@ -692,8 +738,9 @@ fn placeholder_database() -> Database {
     Database::new(network, DatabaseConfig::default())
 }
 
-/// The replica's shell: the session machine, the database, the local
-/// log and the bootstrap under way, stepped over one link at a time.
+/// The replica's side of its sessions, one after another: the database,
+/// the local log and the bootstrap under way, stepped over one link at a
+/// time.
 pub(crate) struct Worker {
     dir: PathBuf,
     config: ReplicaConfig,
@@ -702,13 +749,29 @@ pub(crate) struct Worker {
     /// Downstream followers chained off this replica; their lowest ack
     /// is the barrier the local compaction pass must not cross.
     horizon: Arc<ShipHorizon>,
+    /// The local log; `None` while the replica has no state to resume.
     wal: Option<WalWriter>,
-    /// The bootstrap snapshot arriving in this session, if any: the load
-    /// its frames are applied to, and the temp file they are written to.
-    incoming: Option<(SnapshotLoad, File)>,
-    session: FollowerSession,
+    /// The bootstrap snapshot arriving in this session, if any.
+    incoming: Option<Incoming>,
+    /// What the worker last published; its `stats.applied_lsn` is the
+    /// watermark.
+    out: Published,
+    /// The LSN of the last local snapshot (or of the state opened).
+    last_snapshot: u64,
     /// The repoint count the live session opened under.
     reconnects: usize,
+    /// When the live session last heard from its upstream.
+    heard: Instant,
+}
+
+/// A bootstrap snapshot arriving run by run: the load its frames are
+/// applied to and the temp file they are written to.
+struct Incoming {
+    lsn: u64,
+    /// Where in the snapshot file the next run must start.
+    offset: u64,
+    load: SnapshotLoad,
+    file: File,
 }
 
 impl Worker {
@@ -742,17 +805,37 @@ impl Worker {
         addr.unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Opens a session on a fresh `link`: the machine writes its `Hello`.
+    /// Opens a session on a fresh `link` with a `Hello` naming the
+    /// watermark, whether there is state to resume and the current epoch.
     pub(crate) fn connect(&mut self, link: &mut impl Link) -> Result<(), SessionEnd> {
         self.reconnects = self.shared.reconnects.load(Ordering::SeqCst);
+        self.heard = self.shared.clock.now();
         let have_state = self.wal.is_some();
-        self.feed(link, FollowerEvent::Connected { have_state })
+        let stats = &mut self.out.stats;
+        stats.connects += 1;
+        stats.phase = if have_state {
+            ReplicaPhase::CatchingUp
+        } else {
+            ReplicaPhase::Bootstrapping
+        };
+        let hello = Message::Hello {
+            version: PROTOCOL_VERSION,
+            next_lsn: stats.applied_lsn,
+            have_state,
+            epoch: self.shared.epochs().current(),
+        };
+        send(link, &hello)?;
+        self.publish();
+        Ok(())
     }
 
     /// One step of a live session: the replica's handle first (a stop or
     /// a repoint ends the session), then at most one message, waited for
-    /// until `deadline`, for the machine. `Ok(false)` when nothing
-    /// arrived; `Err` once the session is over.
+    /// until `deadline`. `Ok(false)` when nothing arrived; `Err` once the
+    /// session is over — also when nothing has arrived for
+    /// [`SESSION_DEADLINE`], counted from the last message taken, so a
+    /// long local apply or snapshot does not trip it: what the upstream
+    /// sent meanwhile is waiting on the link.
     pub(crate) fn step(
         &mut self,
         link: &mut impl Link,
@@ -766,9 +849,17 @@ impl Worker {
         }
         match link.poll(deadline) {
             Ok(ReadEvent::Message(msg)) => {
-                self.feed(link, FollowerEvent::Message(msg)).map(|()| true)
+                self.heard = self.shared.clock.now();
+                self.take(link, msg).map(|()| true)
             }
-            Ok(ReadEvent::Idle) => Ok(false),
+            Ok(ReadEvent::Idle) => {
+                let now = self.shared.clock.now();
+                if now.saturating_duration_since(self.heard) > SESSION_DEADLINE {
+                    Err(SessionEnd::Disconnected)
+                } else {
+                    Ok(false)
+                }
+            }
             Ok(ReadEvent::Closed) => Err(SessionEnd::Disconnected),
             // Framing lost (bad length / CRC / undecodable message): drop
             // the connection and renegotiate.
@@ -776,50 +867,75 @@ impl Worker {
         }
     }
 
-    /// Closes a session that ended with `end`: the machine takes note, a
-    /// bootstrap the session did not finish is dropped whole, and the
-    /// link is shut. `true` when the replica must not reconnect.
+    /// Closes a session that ended with `end`: the phase and counters
+    /// take note, a bootstrap the session did not finish is dropped
+    /// whole, and the link is shut. `true` when the replica must not
+    /// reconnect.
     pub(crate) fn end(&mut self, link: &mut impl Link, end: SessionEnd) -> bool {
-        let _ = self.feed(link, FollowerEvent::Ended(end));
+        if end != SessionEnd::Shutdown {
+            let stats = &mut self.out.stats;
+            stats.phase = ReplicaPhase::Connecting;
+            match end {
+                SessionEnd::Shutdown | SessionEnd::Disconnected => {}
+                SessionEnd::Resync => stats.resyncs += 1,
+                SessionEnd::Reject => {
+                    stats.rejected_messages += 1;
+                    stats.resyncs += 1;
+                }
+                SessionEnd::Diverged(info) => {
+                    stats.phase = ReplicaPhase::Diverged;
+                    self.out.diverged = Some(info);
+                }
+            }
+            self.publish();
+        }
         self.incoming = None;
         let _ = std::fs::remove_file(self.incoming_path());
         link.shutdown();
         matches!(end, SessionEnd::Shutdown | SessionEnd::Diverged(_))
     }
 
-    /// Hands one event to the session machine and carries out its
-    /// actions, feeding what they did back as events.
-    fn feed(&mut self, link: &mut impl Link, event: FollowerEvent) -> Result<(), SessionEnd> {
-        let clock = Arc::clone(&self.shared.clock);
-        let mut actions = VecDeque::from(self.session.on(event, clock.now()));
-        while let Some(action) = actions.pop_front() {
-            let done = match action {
-                FollowerAction::Send(msg) => {
-                    link.send(&msg).map_err(|_| SessionEnd::Disconnected)?;
-                    continue;
+    /// Takes one message from the upstream.
+    fn take(&mut self, link: &mut impl Link, msg: Message) -> Result<(), SessionEnd> {
+        match msg {
+            Message::SnapshotBlocks {
+                lsn,
+                offset,
+                frames,
+            } => self.snapshot_run(link, lsn, offset, &frames),
+            Message::Blocks {
+                start_lsn,
+                count,
+                version,
+                frames,
+            } => self.blocks(link, start_lsn, count, version, &frames),
+            Message::Heartbeat { leader_next_lsn } => {
+                let stats = &mut self.out.stats;
+                stats.leader_lsn = leader_next_lsn;
+                let applied_lsn = stats.applied_lsn;
+                if self.wal.is_some() {
+                    stats.phase = if applied_lsn >= leader_next_lsn {
+                        ReplicaPhase::Steady
+                    } else {
+                        ReplicaPhase::CatchingUp
+                    };
                 }
-                FollowerAction::SnapshotRun { lsn, first, frames } => {
-                    let run = self.snapshot_run(lsn, first, &frames);
-                    FollowerEvent::SnapshotRun(run.map_err(|_| ()))
-                }
-                FollowerAction::Append { lsn, records } => self.append(lsn, records),
-                FollowerAction::Sync(lsn) => {
-                    let ok = self.local_snapshot(lsn).is_ok();
-                    FollowerEvent::Synced { lsn, ok }
-                }
-                FollowerAction::Epochs(history) => {
-                    *self.shared.epochs() = history;
-                    continue;
-                }
-                FollowerAction::Publish(published) => {
-                    self.shared.publish(published);
-                    continue;
-                }
-                FollowerAction::End(end) => return Err(end),
-            };
-            actions.extend(self.session.on(done, clock.now()));
+                self.contact();
+                send(link, &Message::Ack { applied_lsn })
+            }
+            // The upstream proved this replica's tail belongs to a dead
+            // timeline: stop, keeping the local state for inspection.
+            Message::Diverged {
+                leader_epoch,
+                boundary_lsn,
+            } => Err(SessionEnd::Diverged(DivergenceInfo {
+                leader_epoch,
+                boundary_lsn,
+                local_next_lsn: self.out.stats.applied_lsn,
+            })),
+            // Leaders never send Hello or Ack.
+            Message::Hello { .. } | Message::Ack { .. } => Err(SessionEnd::Reject),
         }
-        Ok(())
     }
 
     /// Where an incoming bootstrap snapshot is written.
@@ -827,32 +943,67 @@ impl Worker {
         self.dir.join("incoming.snap.tmp")
     }
 
-    /// Takes one run of a bootstrap snapshot (the first opens the load
-    /// and the temp file): applies it and appends it; after the last,
-    /// installs the snapshot and returns the leadership history its head
-    /// carries.
+    /// Takes one run of a bootstrap snapshot: it must continue the run
+    /// before it (the first opens the load and the temp file). Once the
+    /// last run validates the snapshot is installed, adopted with the
+    /// leadership history its head carries and acked.
     fn snapshot_run(
         &mut self,
+        link: &mut impl Link,
         lsn: u64,
-        first: bool,
+        offset: u64,
         frames: &[u8],
-    ) -> Result<Option<EpochHistory>, WalError> {
-        let tmp = self.incoming_path();
-        if first {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&encode_header(lsn))?;
-            self.incoming = Some((SnapshotLoad::new(&tmp), file));
+    ) -> Result<(), SessionEnd> {
+        if self.incoming.is_none() && offset == SEGMENT_HEADER_BYTES {
+            let tmp = self.incoming_path();
+            let open = || -> Result<Incoming, WalError> {
+                let mut file = File::create(&tmp)?;
+                file.write_all(&encode_header(lsn))?;
+                let load = SnapshotLoad::new(&tmp);
+                Ok(Incoming {
+                    lsn,
+                    offset,
+                    load,
+                    file,
+                })
+            };
+            self.incoming = Some(open().map_err(|_| SessionEnd::Reject)?);
         }
-        let (load, file) = self
+        // A duplicated, reordered or foreign run, or one with no first run
+        // before it, continues nothing.
+        let Some(incoming) = self.incoming.as_mut() else {
+            return Err(SessionEnd::Reject);
+        };
+        if (incoming.lsn, incoming.offset) != (lsn, offset) {
+            return Err(SessionEnd::Reject);
+        }
+        incoming.offset += frames.len() as u64;
+        let Some(epochs) = self.install(frames).map_err(|_| SessionEnd::Reject)? else {
+            return Ok(());
+        };
+        *self.shared.epochs() = epochs;
+        self.last_snapshot = lsn;
+        let stats = &mut self.out.stats;
+        (stats.applied_lsn, stats.phase) = (lsn, ReplicaPhase::CatchingUp);
+        stats.bootstraps += 1;
+        self.contact();
+        send(link, &Message::Ack { applied_lsn: lsn })
+    }
+
+    /// Feeds one run to the bootstrap under way and appends it to the
+    /// temp file; after the last, installs the snapshot and returns the
+    /// leadership history its head carries.
+    fn install(&mut self, frames: &[u8]) -> Result<Option<EpochHistory>, WalError> {
+        let incoming = self
             .incoming
             .as_mut()
-            .ok_or(WalError::Decode("snapshot run with no snapshot open"))?;
-        let fed = load.feed(frames)?;
-        file.write_all(frames)?;
+            .expect("a run continues the bootstrap");
+        let fed = incoming.load.feed(frames)?;
+        incoming.file.write_all(frames)?;
         let Some((db, epochs)) = fed else {
             return Ok(None);
         };
-        let (_, file) = self.incoming.take().expect("opened above");
+        let Incoming { lsn, file, .. } = self.incoming.take().expect("checked above");
         file.sync_data()?;
         // Local log and snapshots describe a dead timeline now.
         self.wal = None;
@@ -862,22 +1013,92 @@ impl Worker {
         {
             std::fs::remove_file(path)?;
         }
-        std::fs::rename(&tmp, self.dir.join(snapshot_file_name(lsn)))?;
+        std::fs::rename(self.incoming_path(), self.dir.join(snapshot_file_name(lsn)))?;
         self.wal = Some(WalWriter::resume(&self.dir, self.config.wal, lsn)?);
         self.db.replace(db);
         Ok(Some(epochs))
     }
 
+    /// A `Blocks` run applies whole or not at all. It must name the one
+    /// segment format, decode clean and complete (wire chunks are whole
+    /// frames, so a torn tail is corruption in flight), arrive with state
+    /// and no bootstrap under way, and continue the watermark — a gap
+    /// would desynchronize the watermark from the stream. Once applied
+    /// and logged it is acked, and a local snapshot taken when one is
+    /// due.
+    fn blocks(
+        &mut self,
+        link: &mut impl Link,
+        start: u64,
+        count: u32,
+        version: u32,
+        frames: &[u8],
+    ) -> Result<(), SessionEnd> {
+        let lsn = self.out.stats.applied_lsn;
+        let run = (version == SEGMENT_VERSION)
+            .then(|| decode_block_frames(frames))
+            .filter(|(records, _, end)| {
+                matches!(end, FrameEnd::Clean) && records.len() == count as usize
+            })
+            .filter(|_| self.wal.is_some() && self.incoming.is_none() && start <= lsn);
+        let Some((records, ..)) = run else {
+            return Err(SessionEnd::Reject);
+        };
+        // Overlap below the watermark is a duplicate delivery, already
+        // applied and logged: skipping it is the idempotent path.
+        let skipped = (lsn - start).min(records.len() as u64);
+        self.out.stats.records_skipped += skipped;
+        let mut records: Vec<WalRecord> = records.into_iter().skip(skipped as usize).collect();
+        // An in-stream leadership change joins the history as it is
+        // shipped; a conflicting claim in an admitted stream is a protocol
+        // violation, so the run applies up to it and the session ends.
+        let cut = {
+            let mut epochs = self.shared.epochs();
+            records.iter().enumerate().position(|(i, rec)| {
+                matches!(rec, WalRecord::LeaderEpoch { epoch }
+                    if epochs.observe(*epoch, lsn + i as u64).is_err())
+            })
+        };
+        if let Some(cut) = cut {
+            records.truncate(cut);
+        }
+        let (next_lsn, complete) = self.append(lsn, records);
+        let stats = &mut self.out.stats;
+        stats.records_applied += next_lsn - lsn;
+        stats.applied_lsn = next_lsn;
+        self.contact();
+        if !complete {
+            return Err(SessionEnd::Resync);
+        }
+        if cut.is_some() {
+            return Err(SessionEnd::Reject);
+        }
+        // A failed local snapshot is tried again after the next run.
+        let every = self.config.snapshot_every;
+        if every > 0
+            && next_lsn.saturating_sub(self.last_snapshot) >= every
+            && self.local_snapshot(next_lsn).is_ok()
+        {
+            self.last_snapshot = next_lsn;
+            self.out.stats.snapshots_taken += 1;
+            self.publish();
+        }
+        send(
+            link,
+            &Message::Ack {
+                applied_lsn: next_lsn,
+            },
+        )
+    }
+
     /// Applies and logs `records` from `lsn` on, each applied before it
     /// is logged — the leader's watermark invariant; acceptance verdicts
-    /// are re-derived locally.
-    fn append(&mut self, lsn: u64, records: Vec<WalRecord>) -> FollowerEvent {
+    /// are re-derived locally. Returns where the log ends and whether
+    /// every record was logged.
+    fn append(&mut self, lsn: u64, records: Vec<WalRecord>) -> (u64, bool) {
         let mut next_lsn = lsn;
         let Some(wal) = self.wal.as_mut() else {
-            return FollowerEvent::Applied {
-                next_lsn,
-                complete: false,
-            };
+            return (next_lsn, false);
         };
         for rec in records {
             self.db.with_write(|db| {
@@ -887,17 +1108,11 @@ impl Worker {
             // ahead of the local log, which a restart would silently
             // lose: the session resyncs from the last logged record.
             if wal.append(&rec).is_err() {
-                return FollowerEvent::Applied {
-                    next_lsn,
-                    complete: false,
-                };
+                return (next_lsn, false);
             }
             next_lsn += 1;
         }
-        FollowerEvent::Applied {
-            next_lsn,
-            complete: true,
-        }
+        (next_lsn, true)
     }
 
     /// A local snapshot at the applied watermark: the worker is the only
@@ -918,16 +1133,506 @@ impl Worker {
         )?;
         Ok(())
     }
+
+    /// A contact with the upstream, leaving the watermark where it
+    /// stands: the lag clock is settled and everything published.
+    fn contact(&mut self) {
+        let stats = &self.out.stats;
+        let now = self.shared.clock.now();
+        (self.out.clock).contact(stats.applied_lsn, stats.leader_lsn, now);
+        self.publish();
+    }
+
+    /// Publishes what the worker holds, in one swap under one lock.
+    fn publish(&mut self) {
+        let stats = &mut self.out.stats;
+        stats.lag_records = stats.leader_lsn.saturating_sub(stats.applied_lsn);
+        self.shared.publish(self.out);
+    }
+}
+
+/// Sends `msg`; a link that refuses it has disconnected.
+fn send(link: &mut impl Link, msg: &Message) -> Result<(), SessionEnd> {
+    link.send(msg).map_err(|_| SessionEnd::Disconnected)
 }
 
 #[cfg(test)]
 mod tests {
+    //! The worker driven from the other end of an in-memory link on a
+    //! virtual clock: the test plays the upstream, sends crafted messages
+    //! and reads the replies, one step at a time, against a real local
+    //! log and database. No socket, no sleep, no thread (but in the last
+    //! test, which races a reader against the publication).
+
     use super::*;
-    use crate::replication::link::mem::MemLink;
+    use crate::replication::leader::shippable_snapshot;
+    use crate::replication::link::mem::{pair, Fault, MemLink, VirtualClock};
     use crate::replication::link::DIAL_TIMEOUT;
-    use crate::replication::sim::Cluster;
+    use crate::replication::sim::{fresh_db, replica_config, vehicle, wal_options, Cluster};
+    use modb_core::ObjectId;
+    use modb_wal::segment::segment_file_name;
+    use modb_wal::{encode_block, frame_block};
     use std::cell::Cell;
+    use std::path::Path;
     use std::sync::atomic::AtomicU64;
+    use ReplicaPhase::{Bootstrapping, CatchingUp, Steady};
+
+    const REJECT: Result<bool, SessionEnd> = Err(SessionEnd::Reject);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A scratch directory, empty.
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("modb-worker-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A durability directory at `dir` whose log holds `records`
+    /// registrations.
+    fn logged(dir: &Path, records: u64) {
+        let durable = DurableDatabase::create(dir, fresh_db(), wal_options()).unwrap();
+        for id in 1..=records {
+            durable.register_moving(vehicle(id, id as f64)).unwrap();
+        }
+    }
+
+    /// Appends the seal of `epoch` to the log in `dir`, which ends at
+    /// `next_lsn`.
+    fn seal(dir: &Path, next_lsn: u64, epoch: u64) {
+        let mut writer = WalWriter::resume(dir, wal_options(), next_lsn).unwrap();
+        writer.append(&WalRecord::LeaderEpoch { epoch }).unwrap();
+        writer.sync().unwrap();
+    }
+
+    /// A replica on a virtual clock whose worker holds a live session
+    /// over an in-memory link; the test is the upstream.
+    struct Upstream {
+        dir: PathBuf,
+        replica: StandbyReplica,
+        worker: Worker,
+        clock: Arc<VirtualClock>,
+        /// The worker's end of the link.
+        link: MemLink,
+        /// The test's end.
+        up: MemLink,
+    }
+
+    impl Upstream {
+        /// A replica in a fresh directory holding `records` logged
+        /// registrations (`None`: no state at all), taking a local
+        /// snapshot every `snapshot_every` records, connected.
+        fn new(name: &str, records: Option<u64>, snapshot_every: u64) -> Self {
+            let dir = scratch(name);
+            if let Some(records) = records {
+                logged(&dir, records);
+            }
+            Upstream::open(dir, snapshot_every)
+        }
+
+        /// The replica of `dir`, connected.
+        fn open(dir: PathBuf, snapshot_every: u64) -> Self {
+            let clock = Arc::new(VirtualClock::new());
+            let config = ReplicaConfig {
+                snapshot_every,
+                ..replica_config()
+            };
+            let (replica, mut worker) =
+                StandbyReplica::open_with(&dir, "upstream", config, clock.clone()).unwrap();
+            let (mut link, up) = pair(Fault::None);
+            worker.connect(&mut link).unwrap();
+            Upstream {
+                dir,
+                replica,
+                worker,
+                clock,
+                link,
+                up,
+            }
+        }
+
+        /// The upstream sends `msg`; the worker steps once.
+        fn send(&mut self, msg: Message) -> Result<bool, SessionEnd> {
+            self.up.send(&msg).unwrap();
+            self.step()
+        }
+
+        fn step(&mut self) -> Result<bool, SessionEnd> {
+            self.worker.step(&mut self.link, self.clock.now())
+        }
+
+        /// What the worker sent since last asked.
+        fn received(&mut self) -> Vec<Message> {
+            let mut got = Vec::new();
+            while let Ok(ReadEvent::Message(msg)) = self.up.poll(self.clock.now()) {
+                got.push(msg);
+            }
+            got
+        }
+
+        /// Ends the live session with `end` and opens the next on a fresh
+        /// link, its `Hello` read off.
+        fn reconnect(&mut self, end: SessionEnd) {
+            self.worker.end(&mut self.link, end);
+            (self.link, self.up) = pair(Fault::None);
+            self.worker.connect(&mut self.link).unwrap();
+            self.received();
+        }
+
+        fn stats(&self) -> ReplicaStatsSnapshot {
+            self.replica.stats()
+        }
+    }
+
+    impl Drop for Upstream {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn remove(id: u64) -> WalRecord {
+        WalRecord::RemoveMoving(ObjectId(id))
+    }
+
+    fn removals(n: u64) -> Vec<WalRecord> {
+        (0..n).map(remove).collect()
+    }
+
+    /// Segment frames of one one-record block per record.
+    fn frames_of(records: &[WalRecord]) -> Vec<u8> {
+        let mut frames = Vec::new();
+        for record in records {
+            let mut payload = Vec::new();
+            encode_block(std::slice::from_ref(record), true, &mut payload);
+            frame_block(&payload, &mut frames);
+        }
+        frames
+    }
+
+    /// A `Blocks` message carrying `records` from `start_lsn` on.
+    fn run(start_lsn: u64, records: &[WalRecord]) -> Message {
+        Message::Blocks {
+            start_lsn,
+            count: records.len() as u32,
+            version: SEGMENT_VERSION,
+            frames: frames_of(records),
+        }
+    }
+
+    fn heartbeat(leader_next_lsn: u64) -> Message {
+        Message::Heartbeat { leader_next_lsn }
+    }
+
+    fn ack(applied_lsn: u64) -> Message {
+        Message::Ack { applied_lsn }
+    }
+
+    fn hello(next_lsn: u64, have_state: bool, epoch: u64) -> Message {
+        let version = PROTOCOL_VERSION;
+        Message::Hello {
+            version,
+            next_lsn,
+            have_state,
+            epoch,
+        }
+    }
+
+    /// A replica with state resumes at its watermark, and a run delivered
+    /// again, whole or overlapping the watermark, is skipped record by
+    /// record instead of applied twice; each run is acked.
+    #[test]
+    fn a_follower_with_state_resumes_at_its_watermark_and_skips_redelivery() {
+        let mut u = Upstream::new("resume", Some(6), 0);
+        assert_eq!(u.received(), [hello(6, true, 1)]);
+        for (start, records, applied) in [(6, 6, 12), (6, 6, 12), (10, 4, 14)] {
+            assert_eq!(u.send(run(start, &removals(records))), Ok(true));
+            assert_eq!(u.received(), [ack(applied)], "{start}");
+        }
+        let stats = u.stats();
+        assert_eq!(
+            (
+                stats.applied_lsn,
+                stats.records_applied,
+                stats.records_skipped
+            ),
+            (14, 8, 8)
+        );
+    }
+
+    /// The `Hello` names the watermark, whether there is state and the
+    /// current epoch. A heartbeat sets the phase of a replica with state
+    /// and is acked; leaders send no `Hello` or `Ack`.
+    #[test]
+    fn hello_and_heartbeats_report_the_watermark() {
+        let dir = scratch("hello");
+        logged(&dir, 3);
+        seal(&dir, 3, 2);
+        let mut u = Upstream::open(dir, 0);
+        assert_eq!(u.received(), [hello(4, true, 2)]);
+        assert_eq!(u.stats().phase, CatchingUp);
+        for (frontier, phase) in [(9, CatchingUp), (4, Steady)] {
+            assert_eq!(u.send(heartbeat(frontier)), Ok(true));
+            assert_eq!(u.received(), [ack(4)]);
+            assert_eq!(u.stats().phase, phase, "{frontier}");
+        }
+
+        let mut fresh = Upstream::new("hello-fresh", None, 0);
+        assert_eq!(fresh.received(), [hello(0, false, 1)]);
+        assert_eq!(fresh.stats().phase, Bootstrapping);
+        assert_eq!(fresh.send(heartbeat(5)), Ok(true));
+        assert_eq!(fresh.received(), [ack(0)]);
+        assert_eq!(fresh.stats().phase, Bootstrapping);
+        for wrong in [ack(0), hello(0, false, 1)] {
+            assert_eq!(fresh.send(wrong), REJECT);
+            fresh.reconnect(SessionEnd::Reject);
+        }
+    }
+
+    /// The lag clock after a caught-up heartbeat, by the clock alone:
+    /// zero for the contact window, then the whole silence; a heartbeat
+    /// that finds the replica behind leaves it counting from the last
+    /// caught-up contact.
+    #[test]
+    fn a_caught_up_heartbeat_holds_the_lag_at_zero_for_the_contact_window() {
+        let mut u = Upstream::new("lag", Some(8), 0);
+        let (clock, watch) = (Arc::clone(&u.clock), u.replica.watch());
+        let lag_at = |when| {
+            clock.sleep_until(when);
+            watch.lag()
+        };
+        let at = clock.now() + ms(40);
+        clock.sleep_until(at);
+        assert_eq!(u.send(heartbeat(8)), Ok(true));
+        assert_eq!(u.received(), [hello(8, true, 1), ack(8)]);
+        assert_eq!(u.stats().phase, Steady);
+        let window = LagClock::CONTACT_WINDOW;
+        assert_eq!(lag_at(at + window), Duration::ZERO);
+        assert_eq!(lag_at(at + window + ms(1)), window + ms(1));
+
+        clock.sleep_until(at + ms(1_000));
+        assert_eq!(u.send(heartbeat(10)), Ok(true));
+        let behind = u.stats();
+        assert_eq!((behind.leader_lsn, behind.lag_records), (10, 2));
+        assert_eq!(behind.phase, CatchingUp);
+        assert_eq!(lag_at(at + ms(1_100)), ms(1_100));
+        assert_eq!(lag_at(at + ms(60_000)), ms(60_000));
+    }
+
+    /// A session whose upstream has sent nothing for [`SESSION_DEADLINE`]
+    /// ends as a disconnect — to the nanosecond, counted from the last
+    /// message taken. A message that arrived while the worker was busy
+    /// elsewhere is taken before the deadline is judged, so a long local
+    /// apply does not trip it.
+    #[test]
+    fn a_silent_upstream_ends_the_session_at_the_deadline() {
+        let mut u = Upstream::new("silent", Some(2), 0);
+        let t0 = u.clock.now();
+        u.clock.sleep_until(t0 + SESSION_DEADLINE);
+        assert_eq!(u.step(), Ok(false));
+        assert_eq!(u.send(heartbeat(2)), Ok(true));
+        let heard = t0 + SESSION_DEADLINE;
+
+        u.up.send(&heartbeat(2)).unwrap();
+        let busy = heard + SESSION_DEADLINE + ms(1);
+        u.clock.sleep_until(busy);
+        assert_eq!(u.step(), Ok(true), "the waiting heartbeat counts");
+        u.clock.sleep_until(busy + SESSION_DEADLINE);
+        assert_eq!(u.step(), Ok(false));
+        u.clock
+            .sleep_until(busy + SESSION_DEADLINE + Duration::from_nanos(1));
+        assert_eq!(u.step(), Err(SessionEnd::Disconnected));
+        assert!(!u.worker.end(&mut u.link, SessionEnd::Disconnected));
+        let stats = u.stats();
+        assert_eq!((stats.phase, stats.resyncs), (ReplicaPhase::Connecting, 0));
+    }
+
+    /// A leader's newest snapshot of `vehicles` registrations sealed
+    /// under epoch 2, cut into one-block `SnapshotBlocks` runs: its LSN
+    /// and the runs.
+    fn snapshot_runs(name: &str, vehicles: u64) -> (u64, Vec<Message>) {
+        let dir = scratch(name);
+        logged(&dir, vehicles);
+        seal(&dir, vehicles, 2);
+        let (leader, _) = DurableDatabase::open(&dir, wal_options()).unwrap();
+        leader.snapshot_with_retention(1).unwrap();
+        let shipment = shippable_snapshot(&dir, 1).unwrap().unwrap();
+        let runs = (shipment.runs.iter())
+            .map(|run| Message::SnapshotBlocks {
+                lsn: shipment.lsn,
+                offset: run.start as u64,
+                frames: shipment.bytes[run.clone()].to_vec(),
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (shipment.lsn, runs)
+    }
+
+    /// Bootstrap runs must continue each other. A run that is not first
+    /// with no snapshot open is refused; with one open, its first run
+    /// again, a run past a missing one, a run of another snapshot, a log
+    /// run and a run that does not load are each refused. The last run
+    /// installs the snapshot with its head's history and is acked; a run
+    /// of it after that is refused too.
+    #[test]
+    fn snapshot_runs_continue_each_other_or_are_refused() {
+        let (lsn, runs) = snapshot_runs("runs-leader", 300);
+        assert!(runs.len() >= 3, "{} runs", runs.len());
+        let Message::SnapshotBlocks {
+            offset, ref frames, ..
+        } = runs[1]
+        else {
+            unreachable!()
+        };
+        let foreign = Message::SnapshotBlocks {
+            lsn: lsn + 1,
+            offset,
+            frames: frames.clone(),
+        };
+        let mut flipped = frames.clone();
+        flipped[frames.len() / 2] ^= 0x40;
+        let torn = Message::SnapshotBlocks {
+            lsn,
+            offset,
+            frames: flipped,
+        };
+
+        let mut u = Upstream::new("runs", Some(9), 0);
+        assert_eq!(u.send(runs[1].clone()), REJECT);
+        for stray in [
+            runs[0].clone(),
+            runs[2].clone(),
+            foreign,
+            run(9, &removals(1)),
+            torn,
+        ] {
+            u.reconnect(SessionEnd::Reject);
+            assert_eq!(u.send(runs[0].clone()), Ok(true));
+            assert_eq!(u.send(stray.clone()), REJECT, "{stray:?}");
+        }
+        u.reconnect(SessionEnd::Reject);
+        for run in &runs {
+            assert_eq!(u.send(run.clone()), Ok(true));
+        }
+        assert_eq!(u.received(), [ack(lsn)]);
+        let stats = u.stats();
+        assert_eq!(
+            (stats.applied_lsn, stats.bootstraps, stats.phase),
+            (lsn, 1, CatchingUp)
+        );
+        assert_eq!(u.replica.epoch(), 2, "the head's history is adopted");
+        assert_eq!(u.send(runs[1].clone()), REJECT, "the snapshot is spent");
+    }
+
+    /// A log run applies whole or not at all: one cut from another
+    /// segment format, a short or torn one, one past a gap in the
+    /// watermark and one before any state are refused, and none of their
+    /// records is applied. Each refusal counts as a rejected message and
+    /// a resync.
+    #[test]
+    fn a_log_run_is_refused_whole_unless_clean_complete_and_contiguous() {
+        let records = removals(2);
+        let mut good = Upstream::new("run-good", Some(4), 0);
+        assert_eq!(good.send(run(4, &records)), Ok(true));
+        assert_eq!(good.received(), [hello(4, true, 1), ack(6)]);
+        let frames = frames_of(&records);
+        let torn = frames[..frames.len() - 1].to_vec();
+        let v = SEGMENT_VERSION;
+        for (i, (count, version, frames, applied)) in [
+            (2, 1, frames.clone(), 4),
+            (2, v - 1, frames.clone(), 4),
+            (2, v + 1, frames.clone(), 4),
+            (3, v, frames.clone(), 4),
+            (2, v, torn, 4),
+            (2, v, frames.clone(), 3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut u = Upstream::new(&format!("run-bad-{i}"), Some(applied), 0);
+            let start_lsn = 4;
+            let blocks = Message::Blocks {
+                start_lsn,
+                count,
+                version,
+                frames,
+            };
+            let case = format!("count {count}, version {version}, applied {applied}");
+            assert_eq!(u.send(blocks), REJECT, "{case}");
+            u.worker.end(&mut u.link, SessionEnd::Reject);
+            let out = u.stats();
+            assert_eq!((out.rejected_messages, out.resyncs), (1, 1), "{case}");
+            assert_eq!(
+                (out.records_applied, out.applied_lsn),
+                (0, applied),
+                "{case}"
+            );
+        }
+        let mut fresh = Upstream::new("run-fresh", None, 0);
+        assert_eq!(fresh.send(run(0, &records)), REJECT);
+    }
+
+    /// A `LeaderEpoch` record joins the history as it applies. One that
+    /// contradicts the history ends the session once the records before
+    /// it are applied, with no ack.
+    #[test]
+    fn a_conflicting_epoch_claim_applies_the_run_up_to_it_then_resyncs() {
+        let mut u = Upstream::new("conflict", Some(4), 0);
+        let seal = WalRecord::LeaderEpoch { epoch: 2 };
+        assert_eq!(u.send(run(4, &[remove(1), seal.clone()])), Ok(true));
+        assert_eq!(u.received(), [hello(4, true, 1), ack(6)]);
+        let mut sealed = EpochHistory::new();
+        sealed.observe(2, 5).unwrap();
+        assert_eq!(*u.replica.shared.epochs(), sealed);
+
+        assert_eq!(u.send(run(6, &[remove(2), seal, remove(3)])), REJECT);
+        assert_eq!(u.received(), [], "no ack");
+        assert_eq!(u.stats().applied_lsn, 7);
+        assert_eq!(*u.replica.shared.epochs(), sealed);
+    }
+
+    /// A local snapshot is due every `snapshot_every` records past the
+    /// last one taken, and a failed one is tried again after the next
+    /// run; every run is acked either way. An append that fails partway
+    /// publishes what was logged and resyncs, with no ack and no
+    /// snapshot.
+    #[test]
+    fn local_snapshots_follow_the_cadence_and_retry_a_failure() {
+        let mut u = Upstream::new("cadence", Some(0), 4);
+        let dir = u.dir.clone();
+        // A directory where the snapshot at 4 would be staged fails it.
+        let blocked = dir.join(format!("{}.tmp", snapshot_file_name(4)));
+        std::fs::create_dir(&blocked).unwrap();
+        let mut taken = |start, records, lsn| {
+            assert_eq!(u.send(run(start, &removals(records))), Ok(true));
+            assert_eq!(u.received().last(), Some(&ack(lsn)));
+            u.stats().snapshots_taken
+        };
+        assert_eq!(taken(0, 3, 3), 0);
+        assert_eq!(taken(3, 1, 4), 0, "the snapshot at 4 failed");
+        std::fs::remove_dir(&blocked).unwrap();
+        assert_eq!(taken(4, 1, 5), 1, "it is taken at 5");
+        assert_eq!(taken(5, 3, 8), 1);
+        assert_eq!(taken(8, 1, 9), 2);
+        let lsns: Vec<u64> = list_snapshots(&dir).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(lsns, [5, 9], "retention 2");
+
+        // Directories under every name the next segment could take: the
+        // log's rotation fails partway through the run.
+        for lsn in 10..200 {
+            std::fs::create_dir(dir.join(segment_file_name(lsn))).unwrap();
+        }
+        assert_eq!(u.send(run(9, &removals(150))), Err(SessionEnd::Resync));
+        assert_eq!(u.received(), [], "no ack");
+        let stats = u.stats();
+        assert!(
+            (10..159).contains(&stats.applied_lsn),
+            "published what was logged: {stats}"
+        );
+        assert_eq!(stats.records_applied, stats.applied_lsn);
+        assert_eq!(stats.snapshots_taken, 2);
+    }
 
     /// A dial that never answers holds `promote` up for one bounded dial
     /// and one backoff at most. The upstream's host dies without a reset;
@@ -987,7 +1692,7 @@ mod tests {
             }
         }
         let t0 = Instant::now();
-        let published = FollowerSession::new(0, EpochHistory::new(), 0, t0).published();
+        let published = Published::new(0, t0);
         let shared = Shared::new(
             published,
             String::new(),

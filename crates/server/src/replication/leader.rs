@@ -1,44 +1,41 @@
 //! Leader side of WAL shipping: accept followers, bootstrap them from a
 //! snapshot, then stream log segments as the writer grows them.
 //!
-//! Each follower session is a [`LeaderShell`] around a [`LeaderSession`],
-//! the I/O-free machine that judges the `Hello`, chooses resume or
-//! bootstrap, decides when a heartbeat is due and checks every `Ack`. The
-//! shell is a step function over a [`Link`] and a [`Clock`]: one
+//! Each follower session is a [`LeaderShell`], a step function over a
+//! [`Link`] and a [`Clock`] that makes every decision of the session
+//! itself: it judges the `Hello` (version, epoch 0, the divergence check),
+//! chooses resume or bootstrap, ends a session whose `Hello` is late,
+//! heartbeats an idle tail and refuses an `Ack` past what it shipped. One
 //! [`LeaderShell::step`] reads what the follower sent without waiting —
-//! between sends, so acks drain as they arrive — or else tails the log
-//! with [`SegmentTailer`], and carries out what the machine decides
-//! (ship a snapshot, send `SnapshotBlocks` / `Blocks` / `Heartbeat`,
-//! move the horizon). In production the shared
-//! [`crate::framed::Listener`] gives each accepted connection a thread
-//! that steps its session and sleeps [`POLL_INTERVAL`] whenever a step
-//! found nothing to ship or read. Acks move the session's entry in the
-//! [`ShipHorizon`], which
+//! between sends, so acks drain as they arrive — or else ships the next
+//! run of the log from its [`SegmentTailer`], or a heartbeat when one is
+//! due. In production the shared [`crate::framed::Listener`] gives each
+//! accepted connection a thread that steps its session and sleeps
+//! [`POLL_INTERVAL`] whenever a step found nothing to ship or read. Acks
+//! move the session's entry in the [`ShipHorizon`], which
 //! [`crate::DurableDatabase::snapshot_with_retention`] passes to
 //! [`modb_wal::compact_with_barrier`], so compaction never deletes a
 //! segment a connected follower still has to read.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use modb_wal::segment::{read_segment_file, SEGMENT_HEADER_BYTES};
 use modb_wal::{
-    decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochHistory,
-    SegmentTailer, WalError, WalRecord,
+    decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochCheck,
+    EpochHistory, SegmentTailer, WalError, WalRecord, GENESIS_EPOCH, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
 use crate::framed::{Listener, ReadEvent};
 use crate::replication::horizon::ShipHorizon;
 use crate::replication::link::{self, Clock, Link, TcpLink, WallClock};
-use crate::replication::protocol::Message;
-use crate::replication::session::{LeaderAction, LeaderEvent, LeaderSession, LogState};
+use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
 
 /// How long a caught-up session waits before it looks at the log and
 /// the follower again. It is a sleep, not a socket read timeout: a
@@ -288,16 +285,21 @@ pub(crate) enum Step {
     Ended,
 }
 
-/// The shell of one follower session: it turns what the link and the
-/// tailer show into events for the session machine and carries out its
-/// actions.
+/// One follower session: its link, its horizon entry and, once the
+/// `Hello` is admitted, the tail it ships from.
 pub(crate) struct LeaderShell<L> {
     link: L,
     /// The session's horizon entry.
     hid: u64,
-    /// Opened at the first step, once the horizon entry pins the log.
-    session: Option<LeaderSession>,
+    /// When the connection was taken: the `Hello` is due within
+    /// [`SESSION_DEADLINE`] of it.
+    opened: Instant,
+    /// The log from the session's cursor on; `None` until the `Hello` is
+    /// admitted.
     tailer: Option<SegmentTailer>,
+    /// Everything this session shipped lies below this LSN.
+    shipped_end: u64,
+    last_heartbeat: Option<Instant>,
 }
 
 impl<L: Link> LeaderShell<L> {
@@ -308,64 +310,141 @@ impl<L: Link> LeaderShell<L> {
         LeaderShell {
             link,
             hid: ctx.horizon.register(0),
-            session: None,
+            opened: ctx.clock.now(),
             tailer: None,
+            shipped_end: 0,
+            last_heartbeat: None,
         }
     }
 
     /// One step: what the follower sent comes first, taken without
     /// waiting (its `Hello`, then its acks between sends); else the next
-    /// run of the log, or an idle tick.
+    /// run of the log, or a heartbeat when one is due. An `Err` ends the
+    /// session as an error.
     pub(crate) fn step(&mut self, ctx: &ShipContext) -> Result<Step, WalError> {
         let now = ctx.clock.now();
-        if self.session.is_none() {
-            let log = LogState {
-                frontier: (ctx.frontier)(),
-                oldest_segment: list_segments(&ctx.dir)?.first().map(|&(start, _)| start),
-                epochs: ctx.epochs.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-            };
-            self.session = Some(LeaderSession::new(log, HEARTBEAT_INTERVAL, now));
+        let msg = match self.link.poll(now)? {
+            ReadEvent::Message(msg) => msg,
+            ReadEvent::Closed => return Ok(Step::Ended),
+            ReadEvent::Idle => return self.ship(ctx, now),
+        };
+        if self.tailer.is_none() {
+            return self.hello(ctx, msg).map(|()| Step::Busy);
         }
-        let session = self.session.as_mut().expect("opened above");
-        let read = self.link.poll(now)?;
-        let chunk = match (&read, self.tailer.as_mut()) {
-            // A gap or interior corruption under a live session ends it:
-            // the follower reconnects and re-bootstraps from a snapshot.
-            (ReadEvent::Idle, Some(tailer)) => tailer.poll_blocks(ctx.config.chunk_records)?,
-            _ => None,
+        match msg {
+            // An ack past what this session shipped names log the
+            // follower never saw: taking it would move the compaction
+            // barrier over records the follower still needs.
+            Message::Ack { applied_lsn } if applied_lsn > self.shipped_end => {
+                Err(WalError::Decode("ack past the shipped log"))
+            }
+            Message::Ack { applied_lsn } => {
+                ctx.horizon.advance(self.hid, applied_lsn);
+                Ok(Step::Busy)
+            }
+            _ => Err(WalError::Decode("unexpected message from a follower")),
+        }
+    }
+
+    /// Judges the first message, which must be a current `Hello`, and
+    /// starts the session: resumed at the follower's cursor, or
+    /// bootstrapped from the newest whole snapshot.
+    fn hello(&mut self, ctx: &ShipContext, msg: Message) -> Result<(), WalError> {
+        let Message::Hello {
+            version,
+            next_lsn,
+            have_state,
+            epoch,
+        } = msg
+        else {
+            return Err(WalError::Decode("expected Hello"));
         };
-        let event = match (read, chunk) {
-            (ReadEvent::Message(msg), _) => LeaderEvent::Message(msg),
-            (ReadEvent::Closed, _) => return Ok(Step::Ended),
-            (ReadEvent::Idle, Some(chunk)) => LeaderEvent::Chunk(chunk),
-            (ReadEvent::Idle, None) => LeaderEvent::Idle {
-                frontier: (ctx.frontier)(),
-            },
-        };
-        let idle = matches!(event, LeaderEvent::Idle { .. });
-        let mut actions = VecDeque::from(session.on(event, now));
-        while let Some(action) = actions.pop_front() {
-            match action {
-                LeaderAction::Send(msg) => {
-                    self.link.send(&msg)?;
-                    if let Message::Blocks { count, .. } = msg {
-                        let shipped = &ctx.stats.records_shipped;
-                        shipped.fetch_add(u64::from(count), Ordering::Relaxed);
-                    }
+        if version != PROTOCOL_VERSION {
+            return Err(WalError::Decode("replication protocol version mismatch"));
+        }
+        // Every log starts on genesis: epoch 0 names no timeline.
+        if epoch < GENESIS_EPOCH {
+            return Err(WalError::Decode("hello names epoch 0"));
+        }
+        // The divergence gate (the promotion guard). A stateful peer whose
+        // log runs past the birth of an epoch it never lived under holds
+        // forked history — a revived old leader tailing past the
+        // promotion point. It gets a typed refusal, never a silent
+        // bootstrap-and-overwrite. A peer on a *newer* epoch means this
+        // node is the stale one: close without serving.
+        if have_state {
+            let (check, leader_epoch) = {
+                let epochs = ctx.epochs.lock().unwrap_or_else(|e| e.into_inner());
+                (epochs.check_follower(epoch, next_lsn), epochs.current())
+            };
+            match check {
+                EpochCheck::Clean => {}
+                EpochCheck::Diverged { boundary_lsn } => {
+                    self.link.send(&Message::Diverged {
+                        leader_epoch,
+                        boundary_lsn,
+                    })?;
+                    return Err(WalError::Decode("follower log diverges from this timeline"));
                 }
-                LeaderAction::Bootstrap => {
-                    let lsn = ship_snapshot(&mut self.link, ctx)?;
-                    actions.extend(session.on(LeaderEvent::Bootstrapped(lsn), ctx.clock.now()));
+                EpochCheck::PeerAhead { .. } => {
+                    return Err(WalError::Decode("follower is on a newer epoch"));
                 }
-                LeaderAction::Tail(cursor) => {
-                    self.tailer = Some(SegmentTailer::new(&ctx.dir, cursor));
-                }
-                LeaderAction::Advance(lsn) => ctx.horizon.advance(self.hid, lsn),
-                LeaderAction::End(None) => return Ok(Step::Ended),
-                LeaderAction::End(Some(reason)) => return Err(WalError::Decode(reason)),
             }
         }
-        Ok(if idle { Step::Idle } else { Step::Busy })
+        // The peer learns the history from what it is shipped: a
+        // bootstrap snapshot's head carries every epoch begun below its
+        // LSN, and a `Clean` resume lacks only epochs begun at or past its
+        // frontier, whose seal records are in the shipped stretch. It
+        // resumes when its next record is still in a surviving segment
+        // (read now that the session's horizon entry pins the log).
+        let oldest_segment = list_segments(&ctx.dir)?.first().map(|&(start, _)| start);
+        let resumable = have_state
+            && next_lsn <= (ctx.frontier)()
+            && oldest_segment.is_some_and(|start| start <= next_lsn);
+        let cursor = if resumable {
+            next_lsn
+        } else {
+            ship_snapshot(&mut self.link, ctx)?
+        };
+        self.shipped_end = cursor;
+        ctx.horizon.advance(self.hid, cursor);
+        self.tailer = Some(SegmentTailer::new(&ctx.dir, cursor));
+        Ok(())
+    }
+
+    /// Nothing was read: ship the next run of the log, or a heartbeat
+    /// when one is due — or, before the `Hello`, wait out its deadline.
+    fn ship(&mut self, ctx: &ShipContext, now: Instant) -> Result<Step, WalError> {
+        let Some(tailer) = self.tailer.as_mut() else {
+            let late = now.saturating_duration_since(self.opened) > SESSION_DEADLINE;
+            return Ok(if late { Step::Ended } else { Step::Idle });
+        };
+        // A gap or interior corruption under a live session ends it: the
+        // follower reconnects and re-bootstraps from a snapshot. Segment
+        // frames go out verbatim: compressed blocks exactly as they sit
+        // on disk.
+        if let Some(chunk) = tailer.poll_blocks(ctx.config.chunk_records)? {
+            self.shipped_end = chunk.end_lsn();
+            let count = chunk.records as u32;
+            self.link.send(&Message::Blocks {
+                start_lsn: chunk.start_lsn,
+                count,
+                version: SEGMENT_VERSION,
+                frames: chunk.frames,
+            })?;
+            let shipped = &ctx.stats.records_shipped;
+            shipped.fetch_add(u64::from(count), Ordering::Relaxed);
+            return Ok(Step::Busy);
+        }
+        let due = self
+            .last_heartbeat
+            .is_none_or(|at| now.saturating_duration_since(at) >= HEARTBEAT_INTERVAL);
+        if due {
+            self.last_heartbeat = Some(now);
+            let leader_next_lsn = (ctx.frontier)();
+            self.link.send(&Message::Heartbeat { leader_next_lsn })?;
+        }
+        Ok(Step::Idle)
     }
 
     /// Ends the session: its horizon entry is released and the link
@@ -451,13 +530,16 @@ pub(crate) fn shippable_snapshot(
 
 #[cfg(test)]
 mod tests {
-    //! Wire-level handshake checks: these speak the protocol by hand
-    //! (the in-tree [`crate::StandbyReplica`] always says the current
-    //! version, so a refused `Hello` is only reachable from here).
+    //! Handshake and shipping checks that speak the protocol by hand (the
+    //! in-tree [`crate::StandbyReplica`] always says the current version,
+    //! so a refused `Hello` is only reachable from here): over a socket,
+    //! and over an in-memory link on a virtual clock, where a test plays
+    //! the follower and every timing is exact.
 
     use super::*;
     use crate::framed::{send, FrameReader};
-    use crate::replication::protocol::{MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
+    use crate::replication::link::mem::{pair, Fault, MemLink, VirtualClock};
+    use crate::replication::protocol::MAX_MESSAGE_BYTES;
     use modb_core::{
         Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
         UpdateMessage, UpdatePosition,
@@ -469,7 +551,6 @@ mod tests {
         decode_block_frames, FrameEnd, FsyncPolicy, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION,
     };
     use std::net::TcpStream;
-    use std::time::Instant;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("modb-leader-{}-{name}", std::process::id()));
@@ -500,6 +581,16 @@ mod tests {
 
     /// A leader with `updates` logged records past the two registrations.
     fn leader(name: &str, updates: u64) -> (DurableDatabase, ReplicationServer) {
+        let durable = logged(name, updates);
+        let server = durable
+            .serve_replication("127.0.0.1:0", ReplicationConfig::default())
+            .unwrap();
+        (durable, server)
+    }
+
+    /// A leader's database with `updates` logged records past the two
+    /// registrations, in 512-byte segments.
+    fn logged(name: &str, updates: u64) -> DurableDatabase {
         let route = Route::from_vertices(
             RouteId(1),
             "main",
@@ -522,10 +613,7 @@ mod tests {
             let msg = UpdateMessage::basic(i as f64, UpdatePosition::Arc((i % 100) as f64), 1.0);
             durable.apply_update(id, &msg).unwrap();
         }
-        let server = durable
-            .serve_replication("127.0.0.1:0", ReplicationConfig::default())
-            .unwrap();
-        (durable, server)
+        durable
     }
 
     fn dial(
@@ -679,5 +767,239 @@ mod tests {
         assert!(next_message(&mut reader).is_none());
         let stats = server.shutdown();
         assert_eq!((stats.session_errors, stats.records_shipped), (1, 0));
+    }
+
+    /// A session over an in-memory link on a virtual clock: the shell
+    /// taking the connection, and the follower's end for the test to
+    /// speak through.
+    struct Session {
+        ctx: ShipContext,
+        clock: Arc<VirtualClock>,
+        follower: MemLink,
+        shell: LeaderShell<MemLink>,
+    }
+
+    impl Session {
+        fn open(ctx: ShipContext, clock: Arc<VirtualClock>) -> Self {
+            let (follower, acceptor) = pair(Fault::None);
+            let shell = LeaderShell::open(acceptor, &ctx);
+            Session {
+                ctx,
+                clock,
+                follower,
+                shell,
+            }
+        }
+
+        /// A session shipping `durable`'s log in runs of 4 records.
+        fn on(durable: &DurableDatabase) -> Self {
+            let clock = Arc::new(VirtualClock::new());
+            let config = ReplicationConfig { chunk_records: 4 };
+            Session::open(durable.ship_context(config, clock.clone()), clock)
+        }
+
+        /// The follower sends `msg`, then the shell steps once.
+        fn answer(&mut self, msg: Message) -> Result<Step, WalError> {
+            self.follower.send(&msg).unwrap();
+            self.shell.step(&self.ctx)
+        }
+
+        /// One step at `at` past the session's start.
+        fn step_at(&mut self, t0: Instant, at: u64) -> Step {
+            self.clock.sleep_until(t0 + Duration::from_millis(at));
+            self.shell.step(&self.ctx).unwrap()
+        }
+
+        /// What the shell sent since last asked.
+        fn received(&mut self) -> Vec<Message> {
+            let mut got = Vec::new();
+            while let ReadEvent::Message(msg) = self.follower.poll(self.clock.now()).unwrap() {
+                got.push(msg);
+            }
+            got
+        }
+
+        /// The lowest horizon entry of the shipped log.
+        fn horizon(&self) -> Option<u64> {
+            self.ctx.horizon.min()
+        }
+
+        /// Ends the session, releasing its horizon entry.
+        fn close(self) {
+            self.shell.close(&self.ctx, false);
+        }
+    }
+
+    fn hello(next_lsn: u64, have_state: bool, epoch: u64) -> Message {
+        let version = PROTOCOL_VERSION;
+        Message::Hello {
+            version,
+            next_lsn,
+            have_state,
+            epoch,
+        }
+    }
+
+    fn ack(applied_lsn: u64) -> Message {
+        Message::Ack { applied_lsn }
+    }
+
+    /// Why a step ended the session as an error.
+    fn refusal(step: Result<Step, WalError>) -> &'static str {
+        match step {
+            Err(WalError::Decode(reason)) => reason,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// A foreign version, epoch 0, a peer on a newer epoch, or anything
+    /// but a `Hello` first ends the session as an error before anything
+    /// ships; no `Hello` within the deadline ends it quietly, to the
+    /// nanosecond; a second `Hello` is an error.
+    #[test]
+    fn a_session_opens_only_on_a_current_hello_in_time() {
+        let durable = logged("hello-shell", 6);
+        let refused = |first: Message| {
+            let mut session = Session::on(&durable);
+            let reason = refusal(session.answer(first));
+            assert_eq!(session.received(), [], "nothing ships");
+            reason
+        };
+        for version in [0, 1, 4, PROTOCOL_VERSION + 1, u32::MAX] {
+            let msg = Message::Hello {
+                version,
+                next_lsn: 0,
+                have_state: false,
+                epoch: 1,
+            };
+            let mismatch = "replication protocol version mismatch";
+            assert_eq!(refused(msg), mismatch, "{version}");
+        }
+        assert_eq!(refused(hello(0, false, 0)), "hello names epoch 0");
+        let ahead = "follower is on a newer epoch";
+        assert_eq!(refused(hello(4, true, 2)), ahead);
+        assert_eq!(refused(ack(0)), "expected Hello");
+
+        let mut session = Session::on(&durable);
+        let t0 = session.clock.now();
+        session.clock.sleep_until(t0 + SESSION_DEADLINE);
+        assert_eq!(session.shell.step(&session.ctx).unwrap(), Step::Idle);
+        let late = t0 + SESSION_DEADLINE + Duration::from_nanos(1);
+        session.clock.sleep_until(late);
+        assert_eq!(session.shell.step(&session.ctx).unwrap(), Step::Ended);
+
+        let mut session = Session::on(&durable);
+        assert_eq!(session.answer(hello(4, true, 1)).unwrap(), Step::Busy);
+        let again = refusal(session.answer(hello(4, true, 1)));
+        assert_eq!(again, "unexpected message from a follower");
+    }
+
+    /// A replica resumes only with state whose next record is still on
+    /// disk: in a surviving segment, and at most at the frontier. Every
+    /// other `Hello` is answered with the newest snapshot, and the
+    /// session's horizon entry starts at the cursor it ships from.
+    #[test]
+    fn resume_needs_state_and_a_surviving_next_record() {
+        let durable = logged("resume-shell", 60);
+        let snapshot = durable.wal().next_lsn();
+        durable.snapshot_with_retention(1).unwrap();
+        let oldest = list_segments(durable.dir()).unwrap()[0].0;
+        let frontier = durable.wal().next_lsn();
+        assert!(0 < oldest && oldest < frontier, "{oldest}, {frontier}");
+        for (next, have_state, resumes) in [
+            (oldest, true, true),
+            (frontier - 1, true, true),
+            (frontier, true, true),
+            (oldest, false, false),
+            (oldest - 1, true, false),
+            (frontier + 1, true, false),
+        ] {
+            let mut session = Session::on(&durable);
+            assert_eq!(
+                session.answer(hello(next, have_state, 1)).unwrap(),
+                Step::Busy
+            );
+            let (cursor, shipped) = if resumes { (next, 0) } else { (snapshot, 1) };
+            let case = format!("{next}, {have_state}");
+            assert_eq!(session.horizon(), Some(cursor), "{case}");
+            assert_eq!(session.ctx.stats().snapshots_shipped, shipped, "{case}");
+            let bootstrapped = session
+                .received()
+                .iter()
+                .any(|msg| matches!(msg, Message::SnapshotBlocks { .. }));
+            assert_eq!(bootstrapped, !resumes, "{case}");
+            session.close();
+        }
+    }
+
+    /// An ack is the follower's watermark, never past what this session
+    /// shipped — a resume's cursor, a bootstrap's snapshot, the end of
+    /// the last run. The barrier follows acks up to there; one past it
+    /// ends the session as an error.
+    #[test]
+    fn an_ack_past_the_shipped_end_ends_the_session() {
+        let durable = logged("ack-shell", 8);
+        let past = "ack past the shipped log";
+        for bogus in [1, u64::MAX] {
+            let mut session = Session::on(&durable);
+            session.answer(hello(4, true, 1)).unwrap();
+            assert_eq!(session.answer(ack(4)).unwrap(), Step::Busy);
+            assert_eq!(session.horizon(), Some(4));
+            assert_eq!(session.shell.step(&session.ctx).unwrap(), Step::Busy);
+            let [Message::Blocks {
+                start_lsn: 4,
+                count,
+                ..
+            }] = session.received()[..]
+            else {
+                panic!("expected one run from 4");
+            };
+            let end = 4 + u64::from(count);
+            assert_eq!(session.answer(ack(end)).unwrap(), Step::Busy);
+            assert_eq!(session.horizon(), Some(end));
+            assert_eq!(
+                refusal(session.answer(ack(end.saturating_add(bogus)))),
+                past
+            );
+            session.close();
+        }
+        let mut session = Session::on(&durable);
+        session.answer(hello(0, false, 1)).unwrap();
+        assert_eq!(session.horizon(), Some(0), "the genesis snapshot");
+        assert_eq!(refusal(session.answer(ack(1))), past);
+    }
+
+    /// Heartbeats go out while the tail is idle, at most one per
+    /// interval, each carrying the frontier of its moment.
+    #[test]
+    fn an_idle_tail_heartbeats_once_per_interval() {
+        let durable = logged("beat-shell", 2);
+        let clock = Arc::new(VirtualClock::new());
+        let frontier = Arc::new(AtomicU64::new(durable.wal().next_lsn()));
+        let shown = Arc::clone(&frontier);
+        let ctx = ShipContext::new(
+            durable.dir().to_path_buf(),
+            Box::new(move || shown.load(Ordering::SeqCst)),
+            Arc::clone(durable.ship_horizon()),
+            Arc::clone(durable.epochs()),
+            ReplicationConfig::default(),
+            clock.clone(),
+        );
+        let mut session = Session::open(ctx, clock);
+        let t0 = session.clock.now();
+        session.answer(hello(4, true, 1)).unwrap();
+        let beat = |leader_next_lsn| [Message::Heartbeat { leader_next_lsn }];
+        for (at, shows, beats) in [
+            (0, 4, true),
+            (99, 4, false),
+            (100, 5, true),
+            (150, 5, false),
+            (250, 6, true),
+        ] {
+            frontier.store(shows, Ordering::SeqCst);
+            assert_eq!(session.step_at(t0, at), Step::Idle);
+            let expected = if beats { beat(shows).to_vec() } else { vec![] };
+            assert_eq!(session.received(), expected, "at {at} ms");
+        }
     }
 }

@@ -17,11 +17,13 @@
 //!   its own database, persists what it applies to a local log, and
 //!   tracks an applied watermark so a reconnect (or restart) resumes
 //!   incrementally instead of re-bootstrapping;
-//! - each side's decisions are an I/O-free state machine (`session.rs`);
-//!   its shell is a step function over a `Link` and a `Clock`
-//!   (`link.rs`: a TCP stream and the wall clock in production), so the
-//!   tests step a whole cluster in one thread on in-memory links and a
-//!   virtual clock (the `sim` module below).
+//! - each side of a session is a step function over a `Link` and a
+//!   `Clock` (`link.rs`: a TCP stream and the wall clock in production)
+//!   that makes the session's decisions itself — `LeaderShell` in
+//!   `leader.rs`, the follower's `Worker` in `follower.rs` — so the tests
+//!   drive one side from the other end of an in-memory link, or step a
+//!   whole cluster in one thread, on a virtual clock (the `sim` module
+//!   below).
 //!
 //! A lagging follower is not wrong, just stale in a *bounded* way: if it
 //! lags the leader by `dt` seconds of database time, a position answered
@@ -38,7 +40,6 @@ mod lag;
 mod leader;
 mod link;
 mod protocol;
-mod session;
 
 pub use follower::{
     DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch, StandbyReplica,
@@ -75,14 +76,15 @@ mod sim {
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
     use modb_wal::{FsyncPolicy, WalOptions};
 
-    use super::follower::{Worker, RECONNECT_BACKOFF};
-    use super::leader::{shippable_snapshot, LeaderShell, ShipContext, Step, POLL_INTERVAL};
+    use super::follower::{SessionEnd, Worker, RECONNECT_BACKOFF};
+    use super::leader::{
+        shippable_snapshot, LeaderShell, ShipContext, Step, HEARTBEAT_INTERVAL, POLL_INTERVAL,
+    };
     use super::link::mem::{pair, Fault, MemLink, VirtualClock};
     use super::link::Clock;
-    use super::protocol::{Message, MAX_MESSAGE_BYTES};
-    use super::session::SessionEnd;
+    use super::protocol::{Message, MAX_MESSAGE_BYTES, SESSION_DEADLINE};
     use super::{
-        ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicationConfig,
+        DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicationConfig,
         ReplicationStatsSnapshot, StandbyReplica,
     };
     use crate::durable::DurableDatabase;
@@ -208,9 +210,18 @@ mod sim {
 
         /// Opens standby `name` in `dir(name)`, following `upstream`.
         pub(crate) fn follow(&mut self, name: &str, upstream: &str) -> usize {
+            self.follow_with(name, upstream, replica_config())
+        }
+
+        /// [`Cluster::follow`] with `config`.
+        pub(crate) fn follow_with(
+            &mut self,
+            name: &str,
+            upstream: &str,
+            config: ReplicaConfig,
+        ) -> usize {
             let (replica, worker) =
-                StandbyReplica::open_with(self.dir(name), upstream, replica_config(), self.clock())
-                    .unwrap();
+                StandbyReplica::open_with(self.dir(name), upstream, config, self.clock()).unwrap();
             self.standbys.push(Some(Standby {
                 name: name.to_string(),
                 noted: (replica.applied_lsn(), replica.phase()),
@@ -400,7 +411,7 @@ mod sim {
     }
 
     /// One long straight route, so arcs are easy to reason about.
-    fn fresh_db() -> Database {
+    pub(crate) fn fresh_db() -> Database {
         let route = Route::from_vertices(
             RouteId(1),
             "main",
@@ -413,7 +424,7 @@ mod sim {
         )
     }
 
-    fn vehicle(id: u64, arc: f64) -> MovingObject {
+    pub(crate) fn vehicle(id: u64, arc: f64) -> MovingObject {
         MovingObject {
             id: ObjectId(id),
             name: format!("veh-{id}"),
@@ -435,7 +446,7 @@ mod sim {
     }
 
     /// Small segments and no fsync: logs rotate often and runs are quick.
-    fn wal_options() -> WalOptions {
+    pub(crate) fn wal_options() -> WalOptions {
         WalOptions {
             fsync: FsyncPolicy::Never,
             max_segment_bytes: 512,
@@ -447,7 +458,7 @@ mod sim {
         ReplicationConfig { chunk_records: 64 }
     }
 
-    fn replica_config() -> ReplicaConfig {
+    pub(crate) fn replica_config() -> ReplicaConfig {
         ReplicaConfig {
             wal: wal_options(),
             snapshot_every: 0,
@@ -742,6 +753,138 @@ mod sim {
         converge(&mut c, &leader, f);
         let stats = c.replica(f).stats();
         assert_eq!((stats.connects, stats.bootstraps), (1, 1), "{stats}");
+    }
+
+    /// A leader host that dies without a reset: after the bootstrap the
+    /// stream stalls for good, the session still open at both ends. The
+    /// follower ends the session once nothing has arrived for
+    /// [`SESSION_DEADLINE`] (50 missed heartbeats), dials again, resumes
+    /// from its watermark and converges; the leader releases the silent
+    /// session's horizon entry as the link closes.
+    #[test]
+    fn a_silent_upstream_ends_the_session_and_the_follower_redials() {
+        let hold = Rc::new(Cell::new(false));
+        let (mut c, leader, f) = faulty("silent", 5, vec![Fault::Stall(Rc::clone(&hold))]);
+        churn(&leader, 1..=10, 5);
+        converge(&mut c, &leader, f);
+        hold.set(true);
+        let stalled = c.clock.now();
+        churn(&leader, 11..=20, 5);
+        c.run_for(SESSION_DEADLINE - HEARTBEAT_INTERVAL);
+        let stats = c.replica(f).stats();
+        assert_eq!(stats.connects, 1, "{stats}");
+        assert_ne!(stats.phase, ReplicaPhase::Connecting, "{stats}");
+        c.run_until("the follower to dial again", |c| {
+            c.replica(f).stats().connects == 2
+        });
+        let waited = c.clock.now() - stalled;
+        assert!(
+            waited <= SESSION_DEADLINE + HEARTBEAT_INTERVAL + RECONNECT_BACKOFF,
+            "{waited:?}"
+        );
+        converge(&mut c, &leader, f);
+        let stats = c.replica(f).stats();
+        assert_eq!((stats.connects, stats.bootstraps), (2, 1), "{stats}");
+        let served = c.server_stats("leader");
+        assert_eq!((served.connections, served.followers), (2, 1));
+    }
+
+    /// The operator's mistake, promoting the staler standby: f2 and f3
+    /// stop following at one watermark, the leader moves on with f1 and
+    /// dies, and f2 is promoted, its seal at that watermark. The fresher
+    /// f1, repointed at f2, is refused `Diverged` at exactly the seal,
+    /// applies nothing and stops for good; f3, no further than the seal,
+    /// resumes.
+    #[test]
+    fn a_fresher_follower_of_a_staler_promotee_is_refused_at_the_seal() {
+        let mut c = Cluster::new("staler", 11);
+        let leader = c.leader(4);
+        c.serve("leader", &leader);
+        let [f1, f2, f3] = ["f1", "f2", "f3"].map(|name| c.follow(name, "leader"));
+        churn(&leader, 1..=4, 4);
+        let sealed_at = leader.wal().next_lsn();
+        c.run_until("the standbys to converge", |c| {
+            [f1, f2, f3].map(|f| c.replica(f).applied_lsn()) == [sealed_at; 3]
+        });
+        for f in [f2, f3] {
+            c.replica(f).repoint("nowhere");
+        }
+        c.run_until("f2 and f3 to drop their sessions", |c| {
+            [f2, f3].map(|f| c.replica(f).phase()) == [ReplicaPhase::Connecting; 2]
+        });
+        churn(&leader, 5..=6, 4);
+        let fresher = leader.wal().next_lsn();
+        c.run_until("f1 to move on", |c| c.replica(f1).applied_lsn() >= fresher);
+        c.kill("leader");
+        drop(leader);
+
+        let promoted = c.promote(f2);
+        assert_eq!(promoted.wal().next_lsn(), sealed_at + 1);
+        c.serve("f2", &promoted);
+        let applied = c.replica(f1).stats().records_applied;
+        for f in [f1, f3] {
+            c.replica(f).repoint("f2");
+        }
+        c.run_until("f1 to be refused", |c| {
+            c.replica(f1).phase() == ReplicaPhase::Diverged
+        });
+        let info = DivergenceInfo {
+            leader_epoch: 2,
+            boundary_lsn: sealed_at,
+            local_next_lsn: fresher,
+        };
+        assert_eq!(c.replica(f1).divergence(), Some(info));
+        let stats = c.replica(f1).stats();
+        assert_eq!(
+            (stats.applied_lsn, stats.records_applied),
+            (fresher, applied)
+        );
+        assert!(c.server_stats("f2").session_errors >= 1);
+
+        c.run_until("f3 to resume on the promotee", |c| {
+            c.replica(f3).applied_lsn() > sealed_at
+        });
+        assert_eq!(c.replica(f3).stats().bootstraps, 1, "resumed");
+        assert_eq!(c.replica(f3).epoch(), 2, "the seal is applied");
+    }
+
+    /// Follower crash-restart: a standby taking local snapshots goes
+    /// down, the leader moves on, and the standby reopened on the same
+    /// directory resumes from its local snapshot and log — no
+    /// re-bootstrap — goes steady and converges.
+    #[test]
+    fn restart_resumes_from_local_snapshot_without_rebootstrap() {
+        let mut c = Cluster::new("restart", 13);
+        let leader = c.leader(10);
+        c.serve("leader", &leader);
+        let config = ReplicaConfig {
+            snapshot_every: 16,
+            ..replica_config()
+        };
+        let f = c.follow_with("f", "leader", config.clone());
+        churn(&leader, 1..=60, 10);
+        converge(&mut c, &leader, f);
+        let stats = c.shutdown(f);
+        assert_eq!(stats.bootstraps, 1, "first contact bootstraps: {stats}");
+        assert!(stats.snapshots_taken >= 1, "local snapshots: {stats}");
+        assert_eq!(stats.applied_lsn, leader.wal().next_lsn());
+
+        churn(&leader, 61..=90, 10);
+        let f = c.follow_with("f", "leader", config);
+        assert_eq!(
+            c.replica(f).applied_lsn(),
+            stats.applied_lsn,
+            "local recovery restored the watermark"
+        );
+        converge(&mut c, &leader, f);
+        c.run_until("the follower to go steady", |c| {
+            c.replica(f).phase() == ReplicaPhase::Steady
+        });
+        let stats = c.replica(f).stats();
+        assert_eq!(
+            stats.bootstraps, 0,
+            "restart must not re-bootstrap: {stats}"
+        );
     }
 
     /// A bootstrap snapshot of several messages, re-shipped to a follower

@@ -55,6 +55,8 @@
 //! or past its frontier, whose `LeaderEpoch` seal records are in the
 //! shipped stretch.
 
+use std::time::Duration;
+
 use modb_wal::codec::{put_u32, put_u64};
 use modb_wal::{ByteReader, WalError};
 
@@ -69,6 +71,12 @@ pub(crate) const PROTOCOL_VERSION: u32 = 5;
 /// records of log or snapshot. The sender refuses anything larger; a
 /// reader treats it as stream corruption.
 pub(crate) const MAX_MESSAGE_BYTES: u32 = 4 * modb_wal::MAX_RECORD_BYTES;
+
+/// How long either side of a session waits on a silent peer before it
+/// ends the session: a leader for the follower's `Hello`, a follower for
+/// any message at all (an idle leader heartbeats every 100 ms, so this
+/// is 50 missed heartbeats — a leader host that died without a reset).
+pub(crate) const SESSION_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One protocol message (see the module table).
 #[derive(Debug, Clone, PartialEq)]

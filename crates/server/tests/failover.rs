@@ -18,8 +18,8 @@
 //!   refused with a typed `Diverged` answer and its local log is left
 //!   intact — never silently truncated or overwritten; nor can it be
 //!   promoted itself (a fresher survivor repointed at a staler promotee
-//!   is the same refusal, checked on the session machines in
-//!   `replication/session.rs`);
+//!   is the same refusal, checked on the deterministic driver,
+//!   `replication::sim::a_fresher_follower_of_a_staler_promotee_is_refused_at_the_seal`);
 //! - the leadership history lives in the log and nowhere else: a data
 //!   directory holds segments and snapshots only, a snapshot's head
 //!   keeps every epoch whose seal record compaction deleted, and a torn
