@@ -8,19 +8,19 @@
 //!   locking via `parking_lot`): the write operations, and
 //!   [`SharedDatabase::with_read`] for a read under the lock. Served
 //!   statements read through [`QueryEngine`] instead.
-//! - [`IngestService`]: the write path for an asynchronous stream of
-//!   [`UpdateEnvelope`]s. It owns no thread: [`IngestHandle::send`] logs
-//!   and applies an update on the thread that received it, under one of
-//!   `n` lock stripes (`id % n`) that keep each object's log order equal
-//!   to its apply order, with per-reason accepted/rejected counters —
-//!   rejected messages (stale, off-route, unknown sender) are
-//!   radio-network business as usual. Built over a `modb-wal` writer it
-//!   logs every envelope (batched per stripe, appended after application
-//!   so the WAL watermark never runs ahead of the state), and
+//! - [`IngestService`]: an asynchronous stream of [`UpdateEnvelope`]s
+//!   into a [`DurableDatabase`]. It owns no thread:
+//!   [`IngestHandle::send`] logs and applies an update on the thread that
+//!   received it, through the database's one write path, with per-reason
+//!   accepted/rejected counters — rejected messages (stale, off-route,
+//!   unknown sender) are radio-network business as usual — and
 //!   [`IngestHandle::send_acked`] returns a [`PendingAck`] whose `recv`
-//!   waits for the group-commit fsync.
+//!   waits for the log's group-commit fsync.
 //! - [`DurableDatabase`]: the durable deployment shape — a shared database
-//!   whose mutations are write-ahead logged, with pause-free snapshots
+//!   whose mutations are write-ahead logged through one write path (each
+//!   applied and framed under one lock, so the log replays them in the
+//!   order they were applied, and appended after application so the WAL
+//!   watermark never runs ahead of the state), with pause-free snapshots
 //!   ([`SharedDatabase::write_snapshot`]: a clone taken under a brief
 //!   read lock, serialized with no database lock held, then dropped) and
 //!   crash recovery ([`DurableDatabase::open`] /

@@ -138,10 +138,10 @@ pub struct ServerStatsSnapshot {
     pub wal_bytes_written: u64,
     /// `fsync` calls issued by the WAL writer since open.
     pub wal_fsyncs: u64,
-    /// Group-commit tickets enqueued (acked updates that waited for a
-    /// shared fsync); 0 when no group committer is running.
+    /// Group-commit tickets taken on the log (acked updates that waited
+    /// for a shared fsync); 0 on a follower-served node.
     pub wal_group_tickets: u64,
-    /// Fsyncs the group committer issued; `tickets / commits` is the
+    /// Fsyncs the log's group commit issued; `tickets / commits` is the
     /// mean collapse factor.
     pub wal_group_commits: u64,
     /// Tickets satisfied by the most recent group fsync (> 1 means

@@ -108,19 +108,14 @@ impl ServeContext {
         // Follower-served nodes report no WAL I/O here: their local log
         // is the replication worker's (its counters live in the replica
         // stats), and what a reader cares about is the watermark + lag.
-        let (wal_bytes_written, wal_fsyncs) = match &self.backend {
-            Backend::Leader { wal } => wal.io_counters(),
-            Backend::Follower { .. } => (0, 0),
+        let ((wal_bytes_written, wal_fsyncs), group) = match &self.backend {
+            Backend::Leader { wal } => (wal.io_counters(), wal.commit_stats()),
+            Backend::Follower { .. } => Default::default(),
         };
         let (replica_applied_lsn, replica_lag) = match &self.backend {
             Backend::Leader { .. } => (None, None),
             Backend::Follower { watch } => (Some(watch.applied_lsn()), Some(watch.lag())),
         };
-        let group = self
-            .ingest
-            .as_ref()
-            .map(IngestHandle::group_commit_stats)
-            .unwrap_or_default();
         ServerStatsSnapshot {
             query: self.engine.stats(),
             ingest: self

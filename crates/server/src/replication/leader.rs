@@ -547,9 +547,7 @@ mod tests {
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::{
-        decode_block_frames, FrameEnd, FsyncPolicy, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION,
-    };
+    use modb_wal::{decode_block_frames, FrameEnd, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION};
     use std::net::TcpStream;
 
     fn tmp(name: &str) -> PathBuf {
@@ -602,7 +600,6 @@ mod tests {
             DatabaseConfig::default(),
         );
         let opts = WalOptions {
-            fsync: FsyncPolicy::Never,
             max_segment_bytes: 512,
         };
         let durable = DurableDatabase::create(tmp(name), db, opts).unwrap();

@@ -74,7 +74,7 @@ mod sim {
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::{FsyncPolicy, WalOptions};
+    use modb_wal::WalOptions;
 
     use super::follower::{SessionEnd, Worker, RECONNECT_BACKOFF};
     use super::leader::{
@@ -445,10 +445,9 @@ mod sim {
         }
     }
 
-    /// Small segments and no fsync: logs rotate often and runs are quick.
+    /// Small segments: logs rotate often.
     pub(crate) fn wal_options() -> WalOptions {
         WalOptions {
-            fsync: FsyncPolicy::Never,
             max_segment_bytes: 512,
         }
     }

@@ -13,7 +13,7 @@ use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_server::{ReplicaConfig, ReplicationConfig};
-use modb_wal::{FsyncPolicy, WalOptions};
+use modb_wal::WalOptions;
 
 /// A unique scratch directory (removed up front, not on exit — kept for
 /// post-mortem when a test fails).
@@ -62,10 +62,9 @@ pub fn update(t: f64, arc: f64) -> UpdateMessage {
     UpdateMessage::basic(t, UpdatePosition::Arc(arc), 1.0)
 }
 
-/// Small segments + no fsync: tests rotate often and run fast.
+/// Small segments: tests rotate often.
 pub fn test_wal_options() -> WalOptions {
     WalOptions {
-        fsync: FsyncPolicy::Never,
         max_segment_bytes: 512,
     }
 }

@@ -18,7 +18,7 @@ use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_server::DurableDatabase;
-use modb_wal::{FsyncPolicy, WalOptions};
+use modb_wal::WalOptions;
 use proptest::prelude::*;
 
 const ROUTE_LEN: f64 = 100.0;
@@ -93,11 +93,7 @@ proptest! {
         post in proptest::collection::vec(update(), 0..40),
     ) {
         let dir = tmp();
-        let opts = WalOptions {
-            fsync: FsyncPolicy::Never,
-            ..WalOptions::default()
-        };
-        let durable = DurableDatabase::create(&dir, fresh_db(), opts).unwrap();
+        let durable = DurableDatabase::create(&dir, fresh_db(), WalOptions::default()).unwrap();
         for i in 0..n_objects {
             durable
                 .register_moving(vehicle(i, (i as f64 * 7.3) % ROUTE_LEN))

@@ -257,7 +257,7 @@ fn an_update_the_log_cannot_vouch_for_is_not_acknowledged() {
     let token = client.token();
     assert_eq!(token, durable.wal().next_lsn());
 
-    service.fail_commits_for_test("disk on fire");
+    durable.wal().fail_for_test("disk on fire");
     let verdicts = client
         .update_batch(&[(id(2), update(10.0, 210.0)), (id(3), update(10.0, 310.0))])
         .unwrap();

@@ -289,7 +289,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
 mod tests {
     use super::*;
     use crate::snapshot::write_snapshot;
-    use crate::writer::{FsyncPolicy, WalOptions, WalWriter};
+    use crate::writer::{WalOptions, WalWriter};
     use modb_core::{
         DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, StationaryObject, UpdateMessage,
         UpdatePosition,
@@ -463,7 +463,6 @@ mod tests {
     fn rotated_segments_replay_in_order() {
         let dir = tmp("rotated");
         let opts = WalOptions {
-            fsync: FsyncPolicy::Never,
             max_segment_bytes: 200, // force many segments
         };
         let reference = scripted(&dir, 4, opts);
@@ -507,7 +506,6 @@ mod tests {
     fn interior_corruption_refused() {
         let dir = tmp("interior");
         let opts = WalOptions {
-            fsync: FsyncPolicy::Never,
             max_segment_bytes: 200,
         };
         scripted(&dir, usize::MAX, opts);
@@ -531,7 +529,6 @@ mod tests {
     fn missing_segment_is_a_gap() {
         let dir = tmp("gap");
         let opts = WalOptions {
-            fsync: FsyncPolicy::Never,
             max_segment_bytes: 200,
         };
         scripted(&dir, usize::MAX, opts);

@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use crate::block::{decode_block_frames, encode_block, frame_block};
     use crate::record::{frame_len, FrameEnd, WalRecord};
-    use crate::writer::{FsyncPolicy, WalBatch, WalOptions, WalWriter};
+    use crate::writer::{WalBatch, WalOptions, WalWriter};
     use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
     fn tmp(name: &str) -> PathBuf {
@@ -343,7 +343,6 @@ mod tests {
 
     fn small() -> WalOptions {
         WalOptions {
-            fsync: FsyncPolicy::Never,
             max_segment_bytes: 256,
         }
     }

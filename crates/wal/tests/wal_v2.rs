@@ -12,8 +12,8 @@ use modb_geom::Point;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
 use modb_wal::{
     decode_block, decode_block_frames, encode_block, list_segments, recover, scan_segment,
-    write_snapshot, EpochHistory, FrameEnd, FsyncPolicy, SegmentTailer, WalBatch, WalError,
-    WalOptions, WalRecord, WalWriter,
+    write_snapshot, EpochHistory, FrameEnd, SegmentTailer, WalBatch, WalError, WalOptions,
+    WalRecord, WalWriter,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -96,10 +96,7 @@ fn assert_same_state(a: &Database, b: &Database) {
 }
 
 fn opts(max_segment_bytes: u64) -> WalOptions {
-    WalOptions {
-        fsync: FsyncPolicy::Never,
-        max_segment_bytes,
-    }
+    WalOptions { max_segment_bytes }
 }
 
 #[test]
@@ -366,7 +363,6 @@ proptest! {
 fn small_segment_log(name: &str) -> (PathBuf, Vec<(u64, PathBuf)>) {
     let dir = tmp(name);
     let opts = WalOptions {
-        fsync: FsyncPolicy::Never,
         max_segment_bytes: 200,
     };
     let mut w = WalWriter::create(&dir, opts).unwrap();

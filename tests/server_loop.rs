@@ -1,7 +1,8 @@
 //! Full production-shape integration: vehicles run policy engines, their
-//! updates flow through the striped, logged ingest service, and dispatch
-//! queries run concurrently against the shared handle — then answers are
-//! checked against ground truth.
+//! updates flow through the logged ingest service of a durable database,
+//! and dispatch queries run concurrently against the shared handle — then
+//! answers are checked against ground truth, and the log reopens as the
+//! live state.
 
 use modb::core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -11,8 +12,8 @@ use modb::geom::Point;
 use modb::motion::{Trip, TripProfile};
 use modb::policy::{BoundKind, Policy, PolicyEngine, PositionUpdate, Quintuple};
 use modb::routes::{Direction, Route, RouteId, RouteNetwork};
-use modb::server::{IngestService, SharedDatabase, UpdateEnvelope};
-use modb::wal::{SharedWal, WalOptions, WalWriter};
+use modb::server::{DurableDatabase, UpdateEnvelope};
+use modb::wal::WalOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +31,7 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
     )
     .unwrap();
     let network = RouteNetwork::from_routes([route.clone()]).unwrap();
-    let db = SharedDatabase::new(Database::new(network, DatabaseConfig::default()));
+    let mut fleet = Database::new(network, DatabaseConfig::default());
 
     let mut rng = StdRng::seed_from_u64(77);
     let mut engines = Vec::new();
@@ -42,25 +43,26 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
             .unwrap();
         let trip = Trip::new(RouteId(1), Direction::Forward, start_arc, 0.0, curve).unwrap();
         let v0 = trip.speed_at(DT);
-        db.register_moving(MovingObject {
-            id: ObjectId(i as u64),
-            name: format!("veh-{i}"),
-            attr: PositionAttribute {
-                start_time: 0.0,
-                route: RouteId(1),
-                start_position: route.point_at(start_arc),
-                start_arc,
-                direction: Direction::Forward,
-                speed: v0,
-                policy: PolicyDescriptor::CostBased {
-                    kind: BoundKind::Immediate,
-                    update_cost: C,
+        fleet
+            .register_moving(MovingObject {
+                id: ObjectId(i as u64),
+                name: format!("veh-{i}"),
+                attr: PositionAttribute {
+                    start_time: 0.0,
+                    route: RouteId(1),
+                    start_position: route.point_at(start_arc),
+                    start_arc,
+                    direction: Direction::Forward,
+                    speed: v0,
+                    policy: PolicyDescriptor::CostBased {
+                        kind: BoundKind::Immediate,
+                        update_cost: C,
+                    },
                 },
-            },
-            max_speed: trip.max_speed().max(0.1),
-            trip_end: Some(MINUTES),
-        })
-        .unwrap();
+                max_speed: trip.max_speed().max(0.1),
+                trip_end: Some(MINUTES),
+            })
+            .unwrap();
         engines.push(
             PolicyEngine::new(
                 Quintuple::ail(C),
@@ -81,8 +83,9 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
     // while a reader thread keeps querying.
     let dir = std::env::temp_dir().join(format!("modb-server-loop-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let wal = SharedWal::new(WalWriter::create(&dir, WalOptions::default()).unwrap());
-    let service = IngestService::with_wal(db.clone(), wal, 4);
+    let durable = DurableDatabase::create(&dir, fleet, WalOptions::default()).unwrap();
+    let db = durable.database().clone();
+    let service = durable.ingest_service(4, 0);
     let handle = service.handle();
     let reader_db = db.clone();
     let reader = std::thread::spawn(move || {
@@ -117,11 +120,19 @@ fn vehicles_ingest_and_queries_agree_with_truth() {
     drop(handle);
     let stats = service.shutdown();
     assert_eq!(stats.accepted, sent, "all policy updates must be applied");
-    assert_eq!(
-        stats.rejected(),
-        0,
-        "sharded ingest preserves per-object order"
-    );
+    assert_eq!(stats.rejected(), 0, "ingest preserves per-object order");
+
+    // The log reopens as the live state, object by object.
+    let live = db.with_read(Database::clone);
+    drop(durable);
+    let (reopened, _) = DurableDatabase::open(&dir, WalOptions::default()).unwrap();
+    reopened.database().with_read(|d| {
+        assert_eq!(d.moving_count(), live.moving_count());
+        for id in (0..FLEET as u64).map(ObjectId) {
+            assert_eq!(d.moving(id).unwrap(), live.moving(id).unwrap());
+        }
+    });
+    drop(reopened);
     std::fs::remove_dir_all(&dir).unwrap();
 
     // Post-drive: every DBMS answer is within its advertised bound of the
