@@ -32,7 +32,7 @@
 //! ([`WalRecord::encode_payload`]).
 //!
 //! **Restart points.** The encoder context lives and dies with the
-//! block: every block boundary is a restart point. Recovery, `compact`,
+//! block: every block boundary is a restart point. Recovery, compaction,
 //! and the replication wire can therefore treat a block as a
 //! self-contained unit — decode it with zero history, truncate a torn
 //! tail at a frame (= block) boundary, or ship the frame bytes verbatim
@@ -264,16 +264,47 @@ pub(crate) fn encode_block_with(
 pub(crate) fn seal(records: &[WalRecord], lz: &mut lz::Compressor) -> Result<Vec<u8>, WalError> {
     let mut payload = Vec::with_capacity(128);
     let stream = encode_block_with(records, Some(lz), &mut payload);
-    let len = stream.max(payload.len()) as u64;
-    if len > u64::from(MAX_RECORD_BYTES) {
-        return Err(WalError::FrameTooLarge {
-            len,
-            max: MAX_RECORD_BYTES,
-        });
-    }
+    fits(stream.max(payload.len()))?;
     let mut frame = Vec::with_capacity(crate::record::frame_len(payload.len()));
     frame_block(&payload, &mut frame);
     Ok(frame)
+}
+
+/// Refuses, writing nothing, a record an append could not seal as a
+/// block of its own: the check for a caller that must know a record can
+/// be logged before it applies the mutation. A record whose names and
+/// vertices encode to under half the limit passes unmeasured (the rest
+/// of any record is a few hundred bytes); a larger one is measured as a
+/// plain block, never smaller than what sealing measures.
+///
+/// # Errors
+///
+/// [`WalError::FrameTooLarge`].
+pub fn check_frame(record: &WalRecord) -> Result<(), WalError> {
+    let bulk = match record {
+        WalRecord::RegisterMoving(obj) => obj.name.len(),
+        WalRecord::InsertStationary(obj) => obj.name.len(),
+        WalRecord::InsertRoute(route) => {
+            route.name().len() + 16 * route.polyline().vertices().len()
+        }
+        _ => 0,
+    };
+    if bulk < MAX_RECORD_BYTES as usize / 2 {
+        return Ok(());
+    }
+    let mut payload = Vec::new();
+    encode_block_with(std::slice::from_ref(record), None, &mut payload);
+    fits(payload.len())
+}
+
+/// [`WalError::FrameTooLarge`] for a block measuring over
+/// [`MAX_RECORD_BYTES`].
+fn fits(len: usize) -> Result<(), WalError> {
+    let (len, max) = (len as u64, MAX_RECORD_BYTES);
+    if len > u64::from(max) {
+        return Err(WalError::FrameTooLarge { len, max });
+    }
+    Ok(())
 }
 
 /// Decodes one block payload back into its records.
@@ -479,6 +510,37 @@ mod tests {
             update(1, 3.0, 2.0, 1.0),
         ];
         round_trip(&records);
+    }
+
+    /// A record far below the limit passes unmeasured, one near it is
+    /// measured — it passes when it fits and sealing it succeeds — and
+    /// one over it is refused exactly as sealing refuses it.
+    #[test]
+    fn check_frame_agrees_with_sealing() {
+        let landmark = |len: usize| {
+            WalRecord::InsertStationary(modb_core::StationaryObject::new(
+                ObjectId(1),
+                "x".repeat(len),
+                modb_geom::Point::new(0.0, 0.0),
+            ))
+        };
+        let max = MAX_RECORD_BYTES as usize;
+        let mut lz = lz::Compressor::new();
+        for (len, fits) in [
+            (8, true),
+            (max / 2 + 64, true),
+            (max - 64, true),
+            (max, false),
+        ] {
+            let rec = landmark(len);
+            let sealed = seal(std::slice::from_ref(&rec), &mut lz);
+            assert_eq!(check_frame(&rec).is_ok(), fits, "name of {len} bytes");
+            assert_eq!(sealed.is_ok(), fits, "name of {len} bytes");
+        }
+        assert!(matches!(
+            check_frame(&landmark(max)),
+            Err(WalError::FrameTooLarge { .. })
+        ));
     }
 
     #[test]
