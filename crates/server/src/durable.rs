@@ -854,6 +854,74 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The tail lock spans apply and append, checked without a race on
+    /// the outcome: one thread is parked inside the write path's apply
+    /// closure, holding the tail lock, before another (ordered by two
+    /// channels) sends an acknowledged update of the same object at the
+    /// same instant. The parked thread watches the database for the send
+    /// for 500 ms; it must not see it, and then applies and logs its own
+    /// update. So the log holds the two in the order they were applied,
+    /// and replay ends where the live database did. A write path that
+    /// applies before it takes the lock lets the send apply at once
+    /// while the other is parked, and fails both checks.
+    #[test]
+    fn a_send_waits_for_a_write_parked_under_the_tail_lock() {
+        use std::time::{Duration, Instant};
+        let dir = tmp("parked");
+        let durable = DurableDatabase::create(&dir, fresh_db(), WalOptions::default()).unwrap();
+        durable.register_moving(vehicle(1, 10.0)).unwrap();
+        let service = durable.ingest_service(2, 0);
+        let handle = service.handle();
+        let at = |arc: f64| UpdateMessage::basic(1.0, UpdatePosition::Arc(arc), 1.0);
+        let arc_of_1 =
+            |db: &SharedDatabase| db.with_read(|db| db.moving(ObjectId(1)).unwrap().attr.start_arc);
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (sending, about_to_send) = std::sync::mpsc::channel();
+        let seen_while_parked = std::thread::scope(|s| {
+            let durable = &durable;
+            let parked = s.spawn(move || {
+                let (seen, appended) = durable.write(true, |db| {
+                    parked_tx.send(()).unwrap();
+                    about_to_send.recv().unwrap();
+                    let deadline = Instant::now() + Duration::from_millis(500);
+                    let mut seen = arc_of_1(db);
+                    while seen == 10.0 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                        seen = arc_of_1(db);
+                    }
+                    db.apply_update(ObjectId(1), &at(12.0)).unwrap();
+                    let record = WalRecord::Update {
+                        id: ObjectId(1),
+                        msg: at(12.0),
+                    };
+                    (seen, Some(record))
+                });
+                appended.unwrap();
+                seen
+            });
+            s.spawn(move || {
+                parked_rx.recv().unwrap();
+                sending.send(()).unwrap();
+                let envelope = crate::ingest::UpdateEnvelope {
+                    id: ObjectId(1),
+                    msg: at(20.0),
+                };
+                handle.send_acked(envelope).unwrap().recv().unwrap();
+            });
+            parked.join().unwrap()
+        });
+        assert_eq!(
+            seen_while_parked, 10.0,
+            "the send applied while a write held the tail lock"
+        );
+        service.shutdown();
+        let live = durable.database().with_read(Database::clone);
+        assert_eq!(live.moving(ObjectId(1)).unwrap().attr.start_arc, 20.0);
+        drop(durable);
+        assert_reopens_as(&dir, &live, [1]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A send the leader rejected for an unknown object stays rejected on
     /// replay: the registration that followed it is logged after it.
     #[test]

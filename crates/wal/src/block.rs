@@ -1,19 +1,27 @@
 //! Log blocks: delta-encoded, optionally LZ-compressed record groups.
 //!
-//! A segment stores **blocks**: each CRC frame's payload is one block
-//! holding `record_count` records. The block payload is
+//! A segment stores **blocks**: each CRC frame's payload is one block,
+//! and its first byte is the block's format:
 //!
 //! ```text
-//! [format: u8]                 0 = plain delta stream, 1 = LZ-compressed
-//! [record_count: varint]
-//! [uncompressed_len: varint]   — format 1 only
-//! [body]                       — the (possibly compressed) delta stream
+//! [0][record_count: varint][body]                      plain delta stream
+//! [1][record_count: varint][uncompressed_len: varint]
+//!    [body]                                            LZ-compressed stream
+//! [2][object id: varint][time][arc][speed]             one update, arc
+//! [3][object id: varint][time][x][y][speed]            one update, coords
 //! ```
+//!
+//! **One-update blocks.** A block of exactly one basic `Update` (no
+//! route / direction / policy change) — every acknowledged single
+//! update, the paper's unit of cost (§3) — is written as formats 2 and
+//! 3: the record itself, its object id as a plain varint and each float
+//! as its raw 8-byte little-endian bit pattern, with no record count, no
+//! record tag and no LZ pass. Every other block is format 0 or 1.
 //!
 //! **Delta stream.** Position updates dominate the log and are highly
 //! repetitive — the same object ids, nearby floats, monotone timestamps
-//! (W1 measured ~45 payload bytes each). A basic `Update` (no route /
-//! direction / policy change) is therefore stored as a *compact* record:
+//! (W1 measured ~45 payload bytes each). A basic `Update` is therefore
+//! stored as a *compact* record:
 //! the object id as a zigzag varint delta against the previous record's
 //! id, and `time` / position / `speed` as zigzag varints of the wrapping
 //! difference of IEEE-754 **bit patterns** against the encoder context —
@@ -23,8 +31,7 @@
 //! fallback is usually a near-zero delta too). The block's *first*
 //! compact record has no context to speak of (all zeros, and the varint
 //! of a positive `f64`'s bits is 9–10 bytes), so it stores each of those
-//! floats as its raw 8-byte little-endian bit pattern instead — what a
-//! one-update block, the common acked append, is mostly made of.
+//! floats as its raw 8-byte little-endian bit pattern instead.
 //! Bit-pattern arithmetic makes the round trip exact, NaN payloads
 //! included. Everything else
 //! (registrations, route inserts, complex updates) is stored *verbatim*:
@@ -38,11 +45,17 @@
 //! tail at a frame (= block) boundary, or ship the frame bytes verbatim
 //! to a follower that decompresses on apply. A snapshot is blocks too
 //! ([`crate::snapshot`]), so one walk ([`walk_blocks`]) replays both.
+//!
+//! **Sealing.** A log's writer owns one `Sealer`: the LZ table, the
+//! per-object context map (cleared per block) and the scratch buffers
+//! the stream, payload and frame are built in, all kept from block to
+//! block — so once they have grown, sealing a block allocates nothing.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use modb_core::{UpdateMessage, UpdatePosition};
+use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
 use crate::codec::{put_varint, read_varint, unzigzag, zigzag, ByteReader};
 use crate::crc32::crc32;
@@ -54,10 +67,20 @@ use crate::record::{split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 pub const BLOCK_FORMAT_PLAIN: u8 = 0;
 /// Block body is an LZ-compressed delta stream (see [`crate::lz`]).
 pub const BLOCK_FORMAT_LZ: u8 = 1;
+/// Block is one basic update whose position is an arc.
+pub const BLOCK_FORMAT_ONE_ARC: u8 = 2;
+/// Block is one basic update whose position is coordinates.
+pub const BLOCK_FORMAT_ONE_COORDS: u8 = 3;
 
 const REC_VERBATIM: u8 = 0;
 const REC_COMPACT_ARC: u8 = 1;
 const REC_COMPACT_COORDS: u8 = 2;
+
+/// Scratch bytes (per buffer) and context-map entries a [`Sealer`]
+/// keeps between blocks; a larger block's are given back when the next
+/// one is sealed.
+const KEEP_BYTES: usize = 1 << 16;
+const KEEP_OBJECTS: usize = 1 << 10;
 
 /// Per-object (and stream-fallback) delta context: the raw bit patterns
 /// of the last time / position / speed values.
@@ -67,6 +90,76 @@ struct Ctx {
     p0: u64,
     p1: u64,
     speed: u64,
+}
+
+/// Hashes an object id with one multiply, for the sealer's context map.
+/// The map holds one block's records (a database's tail is appended at
+/// 32), so ids chosen to collide cost a seal at most a scan of its own
+/// block, and SipHash's defence buys nothing there.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The per-object delta contexts of one block being sealed.
+type Contexts = HashMap<u64, Ctx, BuildHasherDefault<IdHasher>>;
+
+/// A basic update (no route, direction or policy change) as its object
+/// id, whether its position is coordinates, and its floats' bit patterns
+/// (`p1` is 0 for an arc) — what a compact record and a one-update block
+/// store. `None` for every other record.
+fn basic(record: &WalRecord) -> Option<(u64, bool, Ctx)> {
+    let WalRecord::Update { id, msg } = record else {
+        return None;
+    };
+    if msg.route.is_some() || msg.direction.is_some() || msg.policy.is_some() {
+        return None;
+    }
+    let (coords, p0, p1) = match msg.position {
+        UpdatePosition::Arc(arc) => (false, arc.to_bits(), 0),
+        UpdatePosition::Coordinates(p) => (true, p.x.to_bits(), p.y.to_bits()),
+    };
+    let floats = Ctx {
+        time: msg.time.to_bits(),
+        p0,
+        p1,
+        speed: msg.speed.to_bits(),
+    };
+    Some((id.0, coords, floats))
+}
+
+/// The record [`basic`] took apart.
+fn basic_record(id: u64, coords: bool, floats: Ctx) -> WalRecord {
+    let position = if coords {
+        UpdatePosition::Coordinates(modb_geom::Point::new(
+            f64::from_bits(floats.p0),
+            f64::from_bits(floats.p1),
+        ))
+    } else {
+        UpdatePosition::Arc(f64::from_bits(floats.p0))
+    };
+    WalRecord::Update {
+        id: ObjectId(id),
+        msg: UpdateMessage::basic(
+            f64::from_bits(floats.time),
+            position,
+            f64::from_bits(floats.speed),
+        ),
+    }
 }
 
 fn delta(cur: u64, prev: u64) -> u64 {
@@ -98,53 +191,50 @@ fn read_field(r: &mut ByteReader<'_>, raw: bool, prev: u64) -> Result<u64, WalEr
     }
 }
 
-/// Appends the delta-stream form of `records` to `out`. The context
-/// starts empty: the stream is self-contained (a restart point).
-fn encode_stream(records: &[WalRecord], out: &mut Vec<u8>) {
+/// Appends the delta-stream form of `records` to `out`, with `contexts`
+/// empty on entry and `verbatim` as scratch. The context starts empty:
+/// the stream is self-contained (a restart point).
+fn encode_stream(
+    records: &[WalRecord],
+    contexts: &mut Contexts,
+    verbatim: &mut Vec<u8>,
+    out: &mut Vec<u8>,
+) {
     let mut last_id = 0u64;
     let mut last = Ctx::default();
-    let mut per_object: HashMap<u64, Ctx> = HashMap::new();
     let mut raw = true;
-    let mut scratch = Vec::new();
     for rec in records {
-        match rec {
-            WalRecord::Update { id, msg }
-                if msg.route.is_none() && msg.direction.is_none() && msg.policy.is_none() =>
-            {
-                let ctx = per_object.get(&id.0).copied().unwrap_or(last);
-                let (tag, p0, p1) = match msg.position {
-                    UpdatePosition::Arc(arc) => (REC_COMPACT_ARC, arc.to_bits(), ctx.p1),
-                    UpdatePosition::Coordinates(p) => {
-                        (REC_COMPACT_COORDS, p.x.to_bits(), p.y.to_bits())
-                    }
-                };
-                out.push(tag);
-                put_varint(out, delta(id.0, last_id));
-                put_field(out, raw, msg.time.to_bits(), ctx.time);
-                put_field(out, raw, p0, ctx.p0);
-                if tag == REC_COMPACT_COORDS {
-                    put_field(out, raw, p1, ctx.p1);
-                }
-                put_field(out, raw, msg.speed.to_bits(), ctx.speed);
-                let cur = Ctx {
-                    time: msg.time.to_bits(),
-                    p0,
-                    p1,
-                    speed: msg.speed.to_bits(),
-                };
-                per_object.insert(id.0, cur);
-                last = cur;
-                last_id = id.0;
-                raw = false;
-            }
-            _ => {
-                scratch.clear();
-                rec.encode_payload(&mut scratch);
-                out.push(REC_VERBATIM);
-                put_varint(out, scratch.len() as u64);
-                out.extend_from_slice(&scratch);
-            }
+        let Some((id, coords, cur)) = basic(rec) else {
+            verbatim.clear();
+            rec.encode_payload(verbatim);
+            out.push(REC_VERBATIM);
+            put_varint(out, verbatim.len() as u64);
+            out.extend_from_slice(verbatim);
+            continue;
+        };
+        let ctx = contexts.get(&id).copied().unwrap_or(last);
+        // An arc leaves the context's second coordinate as it was.
+        let cur = if coords {
+            cur
+        } else {
+            Ctx { p1: ctx.p1, ..cur }
+        };
+        out.push(if coords {
+            REC_COMPACT_COORDS
+        } else {
+            REC_COMPACT_ARC
+        });
+        put_varint(out, delta(id, last_id));
+        put_field(out, raw, cur.time, ctx.time);
+        put_field(out, raw, cur.p0, ctx.p0);
+        if coords {
+            put_field(out, raw, cur.p1, ctx.p1);
         }
+        put_field(out, raw, cur.speed, ctx.speed);
+        contexts.insert(id, cur);
+        last = cur;
+        last_id = id;
+        raw = false;
     }
 }
 
@@ -155,7 +245,9 @@ fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
     let mut r = ByteReader::new(body);
     let mut last_id = 0u64;
     let mut last = Ctx::default();
-    let mut per_object: HashMap<u64, Ctx> = HashMap::new();
+    // Keyed by ids read from outside (a follower decodes its leader's
+    // blocks), so this map keeps the default hasher.
+    let mut contexts: HashMap<u64, Ctx> = HashMap::new();
     let mut raw = true;
     for _ in 0..count {
         let tag = r.u8()?;
@@ -172,39 +264,25 @@ fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
                 records.push(WalRecord::decode_payload(&payload)?);
             }
             REC_COMPACT_ARC | REC_COMPACT_COORDS => {
+                let coords = tag == REC_COMPACT_COORDS;
                 let id = undelta(read_varint(&mut r)?, last_id);
-                let ctx = per_object.get(&id).copied().unwrap_or(last);
+                let ctx = contexts.get(&id).copied().unwrap_or(last);
                 let time = read_field(&mut r, raw, ctx.time)?;
                 let p0 = read_field(&mut r, raw, ctx.p0)?;
-                let p1 = if tag == REC_COMPACT_COORDS {
+                let p1 = if coords {
                     read_field(&mut r, raw, ctx.p1)?
                 } else {
                     ctx.p1
                 };
                 let speed = read_field(&mut r, raw, ctx.speed)?;
-                let position = if tag == REC_COMPACT_ARC {
-                    UpdatePosition::Arc(f64::from_bits(p0))
-                } else {
-                    UpdatePosition::Coordinates(modb_geom::Point::new(
-                        f64::from_bits(p0),
-                        f64::from_bits(p1),
-                    ))
-                };
-                records.push(WalRecord::Update {
-                    id: modb_core::ObjectId(id),
-                    msg: UpdateMessage::basic(
-                        f64::from_bits(time),
-                        position,
-                        f64::from_bits(speed),
-                    ),
-                });
                 let cur = Ctx {
                     time,
                     p0,
                     p1,
                     speed,
                 };
-                per_object.insert(id, cur);
+                records.push(basic_record(id, coords, cur));
+                contexts.insert(id, cur);
                 last = cur;
                 last_id = id;
                 raw = false;
@@ -218,64 +296,135 @@ fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
     Ok(records)
 }
 
-/// Encodes `records` as one block payload (no framing). With `compress`,
-/// the LZ stage is applied and kept only when it actually shrinks the
-/// stream — the format byte is the pluggability seam.
-pub fn encode_block(records: &[WalRecord], compress: bool, out: &mut Vec<u8>) {
-    encode_block_with(records, compress.then(lz::Compressor::new).as_mut(), out);
-}
-
-/// [`encode_block`] with the LZ stage's table supplied by the caller, who
-/// keeps it from block to block (`None`: no LZ stage). Same bytes.
-/// Returns the length of the uncompressed delta stream.
-pub(crate) fn encode_block_with(
-    records: &[WalRecord],
-    lz: Option<&mut lz::Compressor>,
-    out: &mut Vec<u8>,
-) -> usize {
-    let mut stream = Vec::new();
-    encode_stream(records, &mut stream);
-    if let Some(lz) = lz {
-        let mut packed = Vec::new();
-        lz.compress(&stream, &mut packed);
-        // Header overhead of format 1 is the uncompressed_len varint.
-        if packed.len() + 10 < stream.len() {
-            out.push(BLOCK_FORMAT_LZ);
-            put_varint(out, records.len() as u64);
-            put_varint(out, stream.len() as u64);
-            out.extend_from_slice(&packed);
-            return stream.len();
-        }
+/// Decodes the body of a one-update block (formats 2 and 3).
+fn decode_one_update(r: &mut ByteReader<'_>, coords: bool) -> Result<Vec<WalRecord>, WalError> {
+    let id = read_varint(r)?;
+    let time = r.u64()?;
+    let p0 = r.u64()?;
+    let p1 = if coords { r.u64()? } else { 0 };
+    let floats = Ctx {
+        time,
+        p0,
+        p1,
+        speed: r.u64()?,
+    };
+    if !r.is_empty() {
+        return Err(WalError::Decode("trailing bytes in block body"));
     }
-    out.push(BLOCK_FORMAT_PLAIN);
-    put_varint(out, records.len() as u64);
-    out.extend_from_slice(&stream);
-    stream.len()
+    Ok(vec![basic_record(id, coords, floats)])
 }
 
-/// `records` sealed as one framed block (one restart point, the LZ stage
-/// kept only when it shrinks the block), with the caller's LZ table: the
-/// one block sealer, for the log's appends and a snapshot's blocks.
-///
-/// # Errors
-///
-/// [`WalError::FrameTooLarge`] for a payload or delta stream over
-/// [`MAX_RECORD_BYTES`], which every reader would refuse as torn.
-pub(crate) fn seal(records: &[WalRecord], lz: &mut lz::Compressor) -> Result<Vec<u8>, WalError> {
-    let mut payload = Vec::with_capacity(128);
-    let stream = encode_block_with(records, Some(lz), &mut payload);
-    fits(stream.max(payload.len()))?;
-    let mut frame = Vec::with_capacity(crate::record::frame_len(payload.len()));
-    frame_block(&payload, &mut frame);
-    Ok(frame)
+/// Clears a scratch buffer, giving back what a large block grew it to.
+fn reset(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(KEEP_BYTES);
+}
+
+/// The one block sealer, for the log's appends and a snapshot's blocks:
+/// the LZ table, the per-object context map and the scratch buffers,
+/// kept from block to block (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Sealer {
+    lz: lz::Compressor,
+    contexts: Contexts,
+    /// A verbatim record's payload, before its length is written.
+    verbatim: Vec<u8>,
+    stream: Vec<u8>,
+    payload: Vec<u8>,
+    frame: Vec<u8>,
+}
+
+impl Sealer {
+    /// Encodes `records` as one block payload into `self.payload` and
+    /// returns the size the limit is checked against: the block's plain
+    /// form (a one-update block is its own). With `compress`, the LZ
+    /// stage is applied and kept only when it actually shrinks the
+    /// stream — the format byte is the pluggability seam.
+    fn encode(&mut self, records: &[WalRecord], compress: bool) -> usize {
+        for buf in [&mut self.verbatim, &mut self.stream, &mut self.payload] {
+            reset(buf);
+        }
+        if let [record] = records {
+            if let Some((id, coords, floats)) = basic(record) {
+                let payload = &mut self.payload;
+                payload.push(if coords {
+                    BLOCK_FORMAT_ONE_COORDS
+                } else {
+                    BLOCK_FORMAT_ONE_ARC
+                });
+                put_varint(payload, id);
+                payload.extend_from_slice(&floats.time.to_le_bytes());
+                payload.extend_from_slice(&floats.p0.to_le_bytes());
+                if coords {
+                    payload.extend_from_slice(&floats.p1.to_le_bytes());
+                }
+                payload.extend_from_slice(&floats.speed.to_le_bytes());
+                return payload.len();
+            }
+        }
+        self.contexts.clear();
+        self.contexts.shrink_to(KEEP_OBJECTS);
+        encode_stream(
+            records,
+            &mut self.contexts,
+            &mut self.verbatim,
+            &mut self.stream,
+        );
+        let count = records.len() as u64;
+        if compress {
+            self.payload.push(BLOCK_FORMAT_LZ);
+            put_varint(&mut self.payload, count);
+            let plain = self.payload.len() + self.stream.len();
+            put_varint(&mut self.payload, self.stream.len() as u64);
+            let header = self.payload.len();
+            self.lz.compress(&self.stream, &mut self.payload);
+            // Header overhead of format 1 is the uncompressed_len varint.
+            if self.payload.len() - header + 10 < self.stream.len() {
+                return plain;
+            }
+            self.payload.clear();
+        }
+        self.payload.push(BLOCK_FORMAT_PLAIN);
+        put_varint(&mut self.payload, count);
+        self.payload.extend_from_slice(&self.stream);
+        self.payload.len()
+    }
+
+    /// `records` sealed as one framed block (one restart point, the LZ
+    /// stage kept only when it shrinks the block), built in the sealer's
+    /// own buffer, which the next seal reuses.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::FrameTooLarge`] for a block whose plain form is over
+    /// [`MAX_RECORD_BYTES`], which every reader would refuse as torn.
+    pub(crate) fn seal(&mut self, records: &[WalRecord]) -> Result<&[u8], WalError> {
+        fits(self.encode(records, true))?;
+        reset(&mut self.frame);
+        frame_block(&self.payload, &mut self.frame);
+        Ok(&self.frame)
+    }
+
+    /// The frame the last [`Sealer::seal`] built.
+    pub(crate) fn frame(&self) -> &[u8] {
+        &self.frame
+    }
+}
+
+/// Encodes `records` as one block payload (no framing), as a log's
+/// writer seals it; with `compress`, the LZ stage is tried.
+pub fn encode_block(records: &[WalRecord], compress: bool, out: &mut Vec<u8>) {
+    let mut sealer = Sealer::default();
+    sealer.encode(records, compress);
+    out.extend_from_slice(&sealer.payload);
 }
 
 /// Refuses, writing nothing, a record an append could not seal as a
 /// block of its own: the check for a caller that must know a record can
 /// be logged before it applies the mutation. A record whose names and
 /// vertices encode to under half the limit passes unmeasured (the rest
-/// of any record is a few hundred bytes); a larger one is measured as a
-/// plain block, never smaller than what sealing measures.
+/// of any record is a few hundred bytes); a larger one is measured as
+/// sealing measures it, by its plain block.
 ///
 /// # Errors
 ///
@@ -292,9 +441,7 @@ pub fn check_frame(record: &WalRecord) -> Result<(), WalError> {
     if bulk < MAX_RECORD_BYTES as usize / 2 {
         return Ok(());
     }
-    let mut payload = Vec::new();
-    encode_block_with(std::slice::from_ref(record), None, &mut payload);
-    fits(payload.len())
+    fits(Sealer::default().encode(std::slice::from_ref(record), false))
 }
 
 /// [`WalError::FrameTooLarge`] for a block measuring over
@@ -316,11 +463,16 @@ fn fits(len: usize) -> Result<(), WalError> {
 pub fn decode_block(payload: &[u8]) -> Result<Vec<WalRecord>, WalError> {
     let mut r = ByteReader::new(payload);
     let format = r.u8()?;
-    let count = read_varint(&mut r)?;
-    let body = &payload[payload.len() - r.remaining()..];
     match format {
-        BLOCK_FORMAT_PLAIN => decode_stream(body, count),
-        BLOCK_FORMAT_LZ => {
+        BLOCK_FORMAT_ONE_ARC | BLOCK_FORMAT_ONE_COORDS => {
+            decode_one_update(&mut r, format == BLOCK_FORMAT_ONE_COORDS)
+        }
+        BLOCK_FORMAT_PLAIN | BLOCK_FORMAT_LZ => {
+            let count = read_varint(&mut r)?;
+            let body = &payload[payload.len() - r.remaining()..];
+            if format == BLOCK_FORMAT_PLAIN {
+                return decode_stream(body, count);
+            }
             let mut r = ByteReader::new(body);
             let uncompressed = read_varint(&mut r)? as usize;
             if uncompressed > MAX_RECORD_BYTES as usize {
@@ -335,18 +487,19 @@ pub fn decode_block(payload: &[u8]) -> Result<Vec<WalRecord>, WalError> {
 }
 
 /// Reads the record count from a block payload without decompressing it
-/// — what the tailer needs to account LSNs while shipping raw frames.
+/// — what the tailer needs to account LSNs while shipping raw frames. A
+/// one-update block counts 1.
 ///
 /// # Errors
 ///
 /// [`WalError::Decode`] when the header bytes are malformed.
 pub fn peek_block_count(payload: &[u8]) -> Result<u64, WalError> {
     let mut r = ByteReader::new(payload);
-    let format = r.u8()?;
-    if format != BLOCK_FORMAT_PLAIN && format != BLOCK_FORMAT_LZ {
-        return Err(WalError::Decode("unknown block format"));
+    match r.u8()? {
+        BLOCK_FORMAT_ONE_ARC | BLOCK_FORMAT_ONE_COORDS => Ok(1),
+        BLOCK_FORMAT_PLAIN | BLOCK_FORMAT_LZ => read_varint(&mut r),
+        _ => Err(WalError::Decode("unknown block format")),
     }
-    read_varint(&mut r)
 }
 
 /// Appends the CRC frame (`len varint + crc + payload`, see
@@ -512,9 +665,10 @@ mod tests {
         round_trip(&records);
     }
 
-    /// A record far below the limit passes unmeasured, one near it is
-    /// measured — it passes when it fits and sealing it succeeds — and
-    /// one over it is refused exactly as sealing refuses it.
+    /// A record far below the limit passes unmeasured; a larger one is
+    /// measured as sealing measures it, by its plain block, so the two
+    /// agree to the byte: a name whose plain block is exactly the limit
+    /// passes both, one byte longer is refused by both.
     #[test]
     fn check_frame_agrees_with_sealing() {
         let landmark = |len: usize| {
@@ -524,23 +678,136 @@ mod tests {
                 modb_geom::Point::new(0.0, 0.0),
             ))
         };
+        let plain = |len: usize| {
+            let mut payload = Vec::new();
+            encode_block(&[landmark(len)], false, &mut payload);
+            payload.len()
+        };
         let max = MAX_RECORD_BYTES as usize;
-        let mut lz = lz::Compressor::new();
+        // Near the limit every length varint takes four bytes, so the
+        // plain block's overhead over the name is constant there.
+        let half = max / 2 + 64;
+        let longest = max - (plain(half) - half);
+        assert_eq!(plain(longest), max);
+        let mut sealer = Sealer::default();
         for (len, fits) in [
             (8, true),
-            (max / 2 + 64, true),
-            (max - 64, true),
-            (max, false),
+            (half, true),
+            (longest, true),
+            (longest + 1, false),
         ] {
             let rec = landmark(len);
-            let sealed = seal(std::slice::from_ref(&rec), &mut lz);
+            let sealed = sealer.seal(std::slice::from_ref(&rec)).map(|_| ());
             assert_eq!(check_frame(&rec).is_ok(), fits, "name of {len} bytes");
             assert_eq!(sealed.is_ok(), fits, "name of {len} bytes");
         }
+        let over = u64::from(MAX_RECORD_BYTES) + 1;
         assert!(matches!(
-            check_frame(&landmark(max)),
-            Err(WalError::FrameTooLarge { .. })
+            check_frame(&landmark(longest + 1)),
+            Err(WalError::FrameTooLarge { len, .. }) if len == over
         ));
+    }
+
+    /// A block of one basic update is the record itself: format 2 (arc)
+    /// or 3 (coordinates), the id as a plain varint and the floats' raw
+    /// bits, framed in `5 + 1 + varint(id) + 24` bytes on an arc (8 more
+    /// with a second coordinate). It counts 1, round-trips bit-exactly,
+    /// and a cut or a trailing byte fails to decode.
+    #[test]
+    fn a_one_update_block_is_its_record() {
+        let coords = |id: u64| WalRecord::Update {
+            id: ObjectId(id),
+            msg: UpdateMessage::basic(
+                2.5,
+                UpdatePosition::Coordinates(modb_geom::Point::new(-1.0, f64::NAN)),
+                0.0,
+            ),
+        };
+        for (id, id_bytes) in [(0, 1), (127, 1), (128, 2), (300, 2), (u64::MAX, 10)] {
+            for (rec, format, floats) in [
+                (update(id, 9.25, 58.5, 1.25), BLOCK_FORMAT_ONE_ARC, 3),
+                (coords(id), BLOCK_FORMAT_ONE_COORDS, 4),
+            ] {
+                let mut payload = Vec::new();
+                encode_block(std::slice::from_ref(&rec), true, &mut payload);
+                let (_, _, bits) = basic(&rec).unwrap();
+                let raw = [bits.time, bits.p0, bits.p1, bits.speed];
+                let mut expected = vec![format];
+                put_varint(&mut expected, id);
+                for (i, field) in raw.iter().enumerate() {
+                    if i != 2 || floats == 4 {
+                        expected.extend_from_slice(&field.to_le_bytes());
+                    }
+                }
+                assert_eq!(payload, expected, "id {id}");
+                let mut frame = Vec::new();
+                frame_block(&payload, &mut frame);
+                assert_eq!(frame.len(), 5 + 1 + id_bytes + 8 * floats, "id {id}");
+                assert_eq!(
+                    Sealer::default().seal(std::slice::from_ref(&rec)).unwrap(),
+                    frame
+                );
+
+                assert_eq!(peek_block_count(&payload).unwrap(), 1);
+                let (back_id, back_coords, back) =
+                    basic(&decode_block(&payload).unwrap()[0]).unwrap();
+                let back = [back.time, back.p0, back.p1, back.speed];
+                assert_eq!((back_id, back_coords, back), (id, floats == 4, raw));
+                for cut in 0..payload.len() {
+                    assert!(decode_block(&payload[..cut]).is_err(), "id {id}, cut {cut}");
+                }
+                payload.push(0);
+                assert!(decode_block(&payload).is_err(), "id {id}, trailing byte");
+            }
+        }
+        // Any other single record is a one-record delta stream, as in v3
+        // (plain here; the LZ stage may shrink it).
+        let route_change = WalRecord::Update {
+            id: ObjectId(1),
+            msg: UpdateMessage {
+                route: Some(modb_routes::RouteId(4)),
+                ..UpdateMessage::basic(2.0, UpdatePosition::Arc(0.0), 1.0)
+            },
+        };
+        for rec in [route_change, WalRecord::RemoveMoving(ObjectId(9))] {
+            let mut payload = Vec::new();
+            encode_block(std::slice::from_ref(&rec), false, &mut payload);
+            assert_eq!(payload[..3], [BLOCK_FORMAT_PLAIN, 1, REC_VERBATIM]);
+        }
+    }
+
+    /// One sealer kept across blocks — the writer's — seals every block
+    /// exactly as a fresh one would: no context, LZ generation or scratch
+    /// byte of one block reaches the next, a block larger than the
+    /// scratch it keeps included.
+    #[test]
+    fn a_reused_sealer_seals_as_a_fresh_one() {
+        let long = WalRecord::InsertStationary(modb_core::StationaryObject::new(
+            ObjectId(4),
+            "depot ".repeat(KEEP_BYTES / 4),
+            modb_geom::Point::new(0.0, 0.0),
+        ));
+        let fleet = |t: f64| -> Vec<WalRecord> {
+            (0..40).map(|i| update(i % 9, t, i as f64, 0.7)).collect()
+        };
+        let blocks = [
+            fleet(1.0),
+            vec![update(3, 2.0, 4.0, 0.7)],
+            vec![long.clone(), update(3, 3.0, 5.0, 0.7)],
+            fleet(2.0),
+            vec![long],
+            vec![update(3, 4.0, 6.0, 0.7)],
+            fleet(3.0),
+        ];
+        let mut sealer = Sealer::default();
+        for block in &blocks {
+            let mut payload = Vec::new();
+            encode_block(block, true, &mut payload);
+            let mut fresh = Vec::new();
+            frame_block(&payload, &mut fresh);
+            assert_eq!(sealer.seal(block).unwrap(), fresh);
+            assert_eq!(decode_block(&payload).unwrap(), *block);
+        }
     }
 
     #[test]
@@ -558,34 +825,48 @@ mod tests {
         assert!(peek_block_count(&[9, 1]).is_err());
     }
 
-    /// One framed block per record of a small mixed stream, plus the
-    /// frame boundaries.
-    fn framed_stream() -> (Vec<WalRecord>, Vec<u8>, Vec<usize>) {
-        let records = vec![
-            update(1, 1.0, 0.5, 0.7),
-            WalRecord::RemoveMoving(ObjectId(9)),
-            update(2, 2.0, 1.5, 0.7),
-            WalRecord::LeaderEpoch { epoch: 2 },
+    /// A small framed stream holding every block format — a one-update
+    /// block on an arc (2), a verbatim record (0), a one-update block on
+    /// coordinates (3), a fleet round the LZ stage shrinks (1) and a
+    /// `LeaderEpoch` (0) — with each block's records and the frame
+    /// boundaries.
+    fn framed_stream() -> (Vec<Vec<WalRecord>>, Vec<u8>, Vec<usize>) {
+        let blocks = vec![
+            vec![update(1, 1.0, 0.5, 0.7)],
+            vec![WalRecord::RemoveMoving(ObjectId(9))],
+            vec![WalRecord::Update {
+                id: ObjectId(2),
+                msg: UpdateMessage::basic(
+                    2.0,
+                    UpdatePosition::Coordinates(modb_geom::Point::new(1.5, -2.5)),
+                    0.7,
+                ),
+            }],
+            (0..12).map(|i| update(i, 3.0, 1.5, 0.7)).collect(),
+            vec![WalRecord::LeaderEpoch { epoch: 2 }],
         ];
         let mut buf = Vec::new();
         let mut boundaries = vec![0usize];
-        for rec in &records {
+        let mut formats = Vec::new();
+        for block in &blocks {
             let mut payload = Vec::new();
-            encode_block(std::slice::from_ref(rec), true, &mut payload);
+            encode_block(block, true, &mut payload);
+            formats.push(payload[0]);
             frame_block(&payload, &mut buf);
             boundaries.push(buf.len());
         }
-        (records, buf, boundaries)
+        assert_eq!(formats, [2, 0, 3, 1, 0]);
+        (blocks, buf, boundaries)
     }
 
     #[test]
     fn torn_tail_detected_at_every_truncation_point() {
-        let (records, buf, boundaries) = framed_stream();
+        let (blocks, buf, boundaries) = framed_stream();
         for cut in 0..=buf.len() {
             let (decoded, clean, end) = decode_block_frames(&buf[..cut]);
             // The valid prefix is the largest frame boundary <= cut.
             let expect_n = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            assert_eq!(decoded, records[..expect_n], "cut at {cut}");
+            assert_eq!(decoded, blocks[..expect_n].concat(), "cut at {cut}");
             assert_eq!(clean, boundaries[expect_n], "cut at {cut}");
             if cut == boundaries[expect_n] {
                 assert_eq!(end, FrameEnd::Clean);
@@ -597,12 +878,12 @@ mod tests {
 
     #[test]
     fn corrupt_byte_and_zero_filled_tail_end_the_valid_prefix() {
-        let (records, buf, boundaries) = framed_stream();
+        let (blocks, buf, boundaries) = framed_stream();
         // Flip one payload byte in the third frame: decoding stops there.
         let mut bad = buf.clone();
         bad[boundaries[2] + 9] ^= 0x40;
         let (decoded, clean, end) = decode_block_frames(&bad);
-        assert_eq!(decoded, records[..2]);
+        assert_eq!(decoded, blocks[..2].concat());
         assert_eq!(clean, boundaries[2]);
         assert_eq!(
             end,
@@ -614,7 +895,7 @@ mod tests {
         let mut padded = buf.clone();
         padded.extend_from_slice(&[0u8; 64]);
         let (decoded, clean, end) = decode_block_frames(&padded);
-        assert_eq!(decoded, records);
+        assert_eq!(decoded, blocks.concat());
         assert_eq!(clean, buf.len());
         assert_eq!(
             end,

@@ -440,6 +440,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A log of one-update blocks — what acknowledged single updates
+    /// write — ships one record per frame: the tailer counts each frame
+    /// (format 2 or 3) as 1, every chunk holds exactly the cap's records
+    /// from exactly where the last one ended, and a cursor on any record
+    /// starts there, with no block to rewind into.
+    #[test]
+    fn one_update_blocks_ship_one_record_per_frame() {
+        let dir = tmp("one-update");
+        let mut w = WalWriter::create(&dir, WalOptions::default()).unwrap();
+        let records: Vec<WalRecord> = (0..23u64)
+            .map(|i| match i % 3 {
+                0 => WalRecord::Update {
+                    id: ObjectId(i),
+                    msg: UpdateMessage::basic(
+                        i as f64,
+                        UpdatePosition::Coordinates(modb_geom::Point::new(1.0, i as f64)),
+                        1.0,
+                    ),
+                },
+                _ => update(i),
+            })
+            .collect();
+        for rec in &records {
+            w.append(rec).unwrap();
+        }
+        let mut tailer = SegmentTailer::new(&dir, 0);
+        let (mut shipped, mut next) = (Vec::new(), 0u64);
+        while let Some(chunk) = tailer.poll_blocks(5).unwrap() {
+            assert_eq!((chunk.start_lsn, chunk.records), (next, 5.min(23 - next)));
+            let (mut rest, mut frames) = (&chunk.frames[..], 0u64);
+            while let Some((payload, len)) = split_frame(rest).unwrap() {
+                assert!(matches!(payload[0], 2 | 3), "a one-update block");
+                assert_eq!(peek_block_count(payload).unwrap(), 1);
+                rest = &rest[len..];
+                frames += 1;
+            }
+            assert_eq!(frames, chunk.records);
+            next = chunk.end_lsn();
+            shipped.extend(decode(&chunk));
+        }
+        assert_eq!((next, tailer.next_lsn()), (23, 23));
+        assert_eq!(shipped, records);
+        for start in [1u64, 7, 22] {
+            let chunk = SegmentTailer::new(&dir, start)
+                .poll_blocks(3)
+                .unwrap()
+                .unwrap();
+            assert_eq!((chunk.start_lsn, chunk.records), (start, 3.min(23 - start)));
+            assert_eq!(
+                decode(&chunk),
+                records[start as usize..][..chunk.records as usize]
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn torn_tail_of_last_segment_means_wait() {
         let dir = tmp("torn-wait");

@@ -41,10 +41,9 @@ use std::path::{Path, PathBuf};
 use modb_core::{Database, StationaryObject};
 use modb_routes::RouteNetwork;
 
-use crate::block::{seal, walk_blocks};
+use crate::block::{walk_blocks, Sealer};
 use crate::epoch::EpochHistory;
 use crate::error::WalError;
-use crate::lz::Compressor;
 use crate::record::{FrameEnd, WalRecord};
 use crate::recovery::apply_record;
 use crate::segment::{encode_header, read_segment_file, SEGMENT_HEADER_BYTES};
@@ -117,9 +116,9 @@ fn stream_snapshot(
         )
         .chain(db.moving_objects().map(WalRecord::RegisterMoving));
 
-    let mut lz = Compressor::new();
+    let mut sealer = Sealer::default();
     file.write_all(&encode_header(lsn))?;
-    file.write_all(&seal(&[head], &mut lz)?)?;
+    file.write_all(sealer.seal(&[head])?)?;
     let mut block = Vec::with_capacity(SNAPSHOT_BLOCK_RECORDS);
     loop {
         block.clear();
@@ -127,7 +126,7 @@ fn stream_snapshot(
         if block.is_empty() {
             break;
         }
-        file.write_all(&seal(&block, &mut lz)?)?;
+        file.write_all(sealer.seal(&block)?)?;
     }
     file.sync_data()?;
     Ok(())

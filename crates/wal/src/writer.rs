@@ -14,11 +14,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::block::seal;
+use crate::block::Sealer;
 use crate::commit::{CommitPoint, GroupCommitStats};
 use crate::compact::CompactionReport;
 use crate::error::WalError;
-use crate::lz::Compressor;
 use crate::record::WalRecord;
 use crate::segment::{
     encode_header, list_segments, read_segment_header, segment_file_name, SEGMENT_HEADER_BYTES,
@@ -107,8 +106,9 @@ pub struct WalWriter {
     /// Data fsyncs since this writer was opened: periodic, rotation and
     /// forced syncs (not segment-header syncs).
     fsyncs: u64,
-    /// The LZ stage's hash table, kept from block to block.
-    lz: Compressor,
+    /// Seals each append's block, with the LZ table and scratch
+    /// buffers it keeps from block to block.
+    sealer: Sealer,
 }
 
 impl WalWriter {
@@ -168,7 +168,7 @@ impl WalWriter {
             unsynced: 0,
             bytes_appended: 0,
             fsyncs: 0,
-            lz: Compressor::new(),
+            sealer: Sealer::default(),
         })
     }
 
@@ -198,8 +198,9 @@ impl WalWriter {
     }
 
     /// Appends one record as a one-record block — still self-delimiting,
-    /// just without a compression window; batch appends are where the
-    /// block format pays off. Returns the record's LSN.
+    /// just without a compression window (a basic update is its own
+    /// block format, [`crate::block`]); batch appends are where the
+    /// delta stream pays off. Returns the record's LSN.
     ///
     /// # Errors
     ///
@@ -207,9 +208,7 @@ impl WalWriter {
     /// [`WalError::FrameTooLarge`] for a record no reader would accept.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, WalError> {
         let lsn = self.next_lsn;
-        let frame = seal(std::slice::from_ref(rec), &mut self.lz)?;
-        self.maybe_rotate(frame.len())?;
-        self.write_bytes(&frame, 1)?;
+        self.append_block(std::slice::from_ref(rec))?;
         Ok(lsn)
     }
 
@@ -228,25 +227,35 @@ impl WalWriter {
         if batch.is_empty() {
             return Ok(());
         }
-        match seal(&batch.recs, &mut self.lz) {
-            Ok(frame) => {
-                self.maybe_rotate(frame.len())?;
-                self.write_bytes(&frame, batch.records())?;
-            }
+        match self.append_block(&batch.recs) {
             Err(WalError::FrameTooLarge { .. }) if batch.recs.len() > 1 => {
-                let frames = batch
-                    .recs
-                    .iter()
-                    .map(|rec| seal(std::slice::from_ref(rec), &mut self.lz))
-                    .collect::<Result<Vec<_>, _>>()?;
-                for frame in frames {
-                    self.maybe_rotate(frame.len())?;
-                    self.write_bytes(&frame, 1)?;
+                // Every record must fit before any is written.
+                for rec in &batch.recs {
+                    self.sealer.seal(std::slice::from_ref(rec))?;
+                }
+                for rec in &batch.recs {
+                    self.append_block(std::slice::from_ref(rec))?;
                 }
             }
-            Err(e) => return Err(e),
+            result => result?,
         }
         batch.clear();
+        Ok(())
+    }
+
+    /// Seals `records` as one block and writes its frame, rotating first
+    /// when it would overflow the segment.
+    fn append_block(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
+        let len = self.sealer.seal(records)?.len();
+        self.maybe_rotate(len)?;
+        self.file.write_all(self.sealer.frame())?;
+        self.segment_bytes += len as u64;
+        self.bytes_appended += len as u64;
+        self.next_lsn += records.len() as u64;
+        self.unsynced += records.len() as u64;
+        if self.unsynced >= SYNC_EVERY_RECORDS {
+            self.sync()?;
+        }
         Ok(())
     }
 
@@ -256,18 +265,6 @@ impl WalWriter {
             && self.segment_bytes + incoming as u64 > self.opts.max_segment_bytes
         {
             self.rotate()?;
-        }
-        Ok(())
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8], records: u64) -> Result<(), WalError> {
-        self.file.write_all(bytes)?;
-        self.segment_bytes += bytes.len() as u64;
-        self.bytes_appended += bytes.len() as u64;
-        self.next_lsn += records;
-        self.unsynced += records;
-        if self.unsynced >= SYNC_EVERY_RECORDS {
-            self.sync()?;
         }
         Ok(())
     }

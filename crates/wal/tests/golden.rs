@@ -1,14 +1,16 @@
 //! Golden-file decode tests: the on-disk compatibility contract.
 //!
-//! The one format is a version-3 log segment (`tests/golden/v3/`) and a
-//! snapshot written in the same layout whose head carries the leadership
-//! history (`tests/golden/v3/epochs/`). Both decode to the values they
-//! were built from and re-encode to the identical bytes, so a change to
-//! any surviving byte fails here first. Beside them are the fixtures of
-//! refusal: a version-2 segment (walked by hand into the v3 one), the
-//! snapshot whose head had no history (walked by hand into the current
-//! one) and the retired `MODBSNP1` snapshots of versions 3 and 4. See
-//! `tests/golden/README.md` for how the files were produced.
+//! The one format is a version-4 log segment (`tests/golden/segment-v4/`)
+//! and a snapshot written in the same layout beside it, whose head
+//! carries the leadership history. Both decode to the values they were
+//! built from and re-encode to the identical bytes, so a change to any
+//! surviving byte fails here first. Beside them are the fixtures of
+//! refusal: the version-3 segment and snapshots (the segment walked by
+//! hand into the v4 one), the version-2 segment (walked by hand into the
+//! v3 one), the v3 snapshot whose head had no history (walked by hand
+//! into the v3 one with it) and the retired `MODBSNP1` snapshots of
+//! versions 3 and 4. See `tests/golden/README.md` for how the files were
+//! produced.
 
 use std::path::{Path, PathBuf};
 
@@ -24,22 +26,29 @@ use modb_wal::{
     WalOptions, WalRecord, WalWriter,
 };
 
-/// The v2 segment, kept as the fixture of its own refusal.
-const SEGMENT_V2: &str = "wal-00000000000000000000.log";
-/// The v3 segment: the same file name, one directory down.
-const SEGMENT: &str = "v3/wal-00000000000000000000.log";
+/// The segment's file name, in every directory.
+const SEGMENT_NAME: &str = "wal-00000000000000000000.log";
+/// The v4 segment.
+const SEGMENT: &str = "segment-v4/wal-00000000000000000000.log";
+/// The v3 segment, kept as the fixture of its refusal.
+const SEGMENT_V3: &str = "v3/wal-00000000000000000000.log";
+/// The v2 segment, kept as the fixture of its refusal.
+const SEGMENT_V2: &str = SEGMENT_NAME;
 /// The snapshot's file name, in every directory.
 const SNAPSHOT_NAME: &str = "snap-00000000000000000007.snap";
-/// The snapshot: a sealed file of the v3 segment layout whose head
+/// The snapshot: a sealed file of the v4 segment layout whose head
 /// carries the leadership history.
-const SNAPSHOT: &str = "v3/epochs/snap-00000000000000000007.snap";
-/// The same layout with a head of record tag 7, which had no history,
+const SNAPSHOT: &str = "segment-v4/snap-00000000000000000007.snap";
+/// The same snapshot in the v3 layout, kept as the fixture of its
+/// refusal.
+const SNAPSHOT_V3: &str = "v3/epochs/snap-00000000000000000007.snap";
+/// The v3 layout with a head of record tag 7, which had no history,
 /// kept as the fixture of its refusal.
 const SNAPSHOT_NO_EPOCHS: &str = "v3/snap-00000000000000000007.snap";
 /// The retired `MODBSNP1` snapshots, version 3 and version 4, kept as
 /// the fixtures of their refusal.
-const SNAPSHOT_V3: &str = "snap-00000000000000000007.snap";
-const SNAPSHOT_V4: &str = "v4/snap-00000000000000000007.snap";
+const SNAPSHOT_SNP1_V3: &str = "snap-00000000000000000007.snap";
+const SNAPSHOT_SNP1_V4: &str = "v4/snap-00000000000000000007.snap";
 
 fn golden(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -99,9 +108,9 @@ fn vehicle(id: u64, arc: f64) -> MovingObject {
 /// The segment's records, block by block. Block 0 is a 49-record batch
 /// (48 compact updates round-robined over six objects plus one route
 /// change stored verbatim) that the LZ stage shrinks; blocks 1–3 are
-/// single-record appends: a compact update (too small for LZ to pay, so
-/// it stays plain), a verbatim registration (long enough that LZ keeps
-/// it), and a `LeaderEpoch` (plain).
+/// single-record appends: a basic update (a one-update block since
+/// version 4, plain before it), a verbatim registration (long enough
+/// that LZ keeps it), and a `LeaderEpoch` (plain).
 fn segment_blocks() -> Vec<Vec<WalRecord>> {
     let mut batch = Vec::new();
     for round in 0..8u64 {
@@ -191,7 +200,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Splits a v3 segment body into its frames' payloads by hand — the
+/// Splits a v3 or v4 segment body into its frames' payloads by hand — the
 /// layout under contract (`[len varint][crc u32][payload]`), read
 /// without the crate's own frame reader.
 fn frame_payloads(body: &[u8]) -> Vec<&[u8]> {
@@ -232,14 +241,14 @@ fn segment_decodes_to_its_records_and_re_encodes_bit_identically() {
     let bytes = std::fs::read(golden(SEGMENT)).unwrap();
     let blocks = segment_blocks();
 
-    // Header: magic, version 3, start LSN 0 — nothing renumbered.
+    // Header: magic, version 4, start LSN 0 — nothing renumbered.
     assert_eq!(&bytes[..8], b"MODBWAL1");
-    assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 4u32.to_le_bytes());
     assert_eq!(bytes[12..20], 0u64.to_le_bytes());
     // One frame per block; the format byte says which went through LZ
-    // (1) and which stayed plain (0).
+    // (1), which stayed plain (0) and which is one update on an arc (2).
     let formats: Vec<u8> = frame_payloads(&bytes[20..]).iter().map(|p| p[0]).collect();
-    assert_eq!(formats, [1, 0, 1, 0]);
+    assert_eq!(formats, [1, 2, 1, 0]);
 
     let scan = scan_segment(&golden(SEGMENT)).unwrap();
     assert_eq!(scan.start_lsn, 0);
@@ -261,17 +270,17 @@ fn segment_decodes_to_its_records_and_re_encodes_bit_identically() {
     drop(w);
     let segments = list_segments(&dir).unwrap();
     assert_eq!(segments.len(), 1);
-    assert_eq!(segments[0].1.file_name().unwrap(), SEGMENT_V2);
+    assert_eq!(segments[0].1.file_name().unwrap(), SEGMENT_NAME);
     assert_eq!(std::fs::read(&segments[0].1).unwrap(), bytes);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Version 2 is refused typed, before anything is decoded, by the scan
-/// and by recovery, and the file is left exactly as it was.
-#[test]
-fn v2_segment_is_refused_typed_and_left_untouched() {
-    let before = std::fs::read(golden(SEGMENT_V2)).unwrap();
-    assert_eq!(before[8..12], 2u32.to_le_bytes());
+/// A segment of a retired `version` is refused typed, before anything is
+/// decoded, by the scan and by recovery, and the file is left exactly
+/// as it was.
+fn assert_segment_refused(retired: &str, version: u32) {
+    let before = std::fs::read(golden(retired)).unwrap();
+    assert_eq!(before[8..12], version.to_le_bytes());
     let refused = |result: Result<(), WalError>| {
         matches!(
             result,
@@ -282,9 +291,9 @@ fn v2_segment_is_refused_typed_and_left_untouched() {
             })
         )
     };
-    assert!(refused(scan_segment(&golden(SEGMENT_V2)).map(|_| ())));
+    assert!(refused(scan_segment(&golden(retired)).map(|_| ())));
 
-    let dir = tmp("v2-refusal");
+    let dir = tmp(&format!("v{version}-refusal"));
     write_snapshot(
         &dir,
         &Database::new(network(), DatabaseConfig::default()),
@@ -292,11 +301,21 @@ fn v2_segment_is_refused_typed_and_left_untouched() {
         0,
     )
     .unwrap();
-    std::fs::copy(golden(SEGMENT_V2), dir.join(SEGMENT_V2)).unwrap();
+    std::fs::copy(golden(retired), dir.join(SEGMENT_NAME)).unwrap();
     assert!(refused(modb_wal::recover(&dir).map(|_| ())));
-    assert_eq!(std::fs::read(dir.join(SEGMENT_V2)).unwrap(), before);
+    assert_eq!(std::fs::read(dir.join(SEGMENT_NAME)).unwrap(), before);
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(std::fs::read(golden(SEGMENT_V2)).unwrap(), before);
+    assert_eq!(std::fs::read(golden(retired)).unwrap(), before);
+}
+
+#[test]
+fn v2_segment_is_refused_typed_and_left_untouched() {
+    assert_segment_refused(SEGMENT_V2, 2);
+}
+
+#[test]
+fn v3_segment_is_refused_typed_and_left_untouched() {
+    assert_segment_refused(SEGMENT_V3, 3);
 }
 
 /// A v2 block stream with its first compact record's floats (time,
@@ -344,7 +363,7 @@ fn raw_first_floats(stream: &[u8]) -> Vec<u8> {
 #[test]
 fn v3_is_v2_reframed() {
     let v2 = std::fs::read(golden(SEGMENT_V2)).unwrap();
-    let v3 = std::fs::read(golden(SEGMENT)).unwrap();
+    let v3 = std::fs::read(golden(SEGMENT_V3)).unwrap();
     let mut reframed = v2[..20].to_vec();
     reframed[8..12].copy_from_slice(&3u32.to_le_bytes());
     let mut formats = Vec::new();
@@ -379,6 +398,63 @@ fn v3_is_v2_reframed() {
     assert_eq!(one_update(frame_payloads(&v3[20..])), 28);
 }
 
+/// The v4 segment is the v3 segment with exactly the change of version
+/// 4: the block of one basic update is rewritten as format 2 (an arc;
+/// 3 would be coordinates) — the block's count and the record's tag go,
+/// the id is written as a plain varint where v3 wrote its zigzag delta
+/// against 0, and the raw floats are copied. Every other frame — the
+/// 49-record LZ batch, the verbatim registration (a one-record LZ
+/// block), the `LeaderEpoch` — is byte-identical. The v4 snapshot holds
+/// no update, so it is the v3 one with only its version changed.
+#[test]
+fn v4_is_v3_with_its_one_update_blocks_rewritten() {
+    let v3 = std::fs::read(golden(SEGMENT_V3)).unwrap();
+    let v4 = std::fs::read(golden(SEGMENT)).unwrap();
+    let mut rewritten = v3[..20].to_vec();
+    rewritten[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let mut frames = Vec::new();
+    for block in frame_payloads(&v3[20..]) {
+        let mut pos = 1;
+        let count = varint(block, &mut pos);
+        let payload = match (block[0], count, block[pos]) {
+            (0, 1, tag @ (1 | 2)) => {
+                pos += 1;
+                let delta = varint(block, &mut pos);
+                let id = (delta >> 1) ^ (delta & 1).wrapping_neg();
+                let mut payload = vec![if tag == 1 { 2 } else { 3 }];
+                put_varint(&mut payload, id);
+                assert_eq!(block.len() - pos, if tag == 1 { 24 } else { 32 });
+                payload.extend_from_slice(&block[pos..]);
+                payload
+            }
+            (1, 1, _) => {
+                assert_eq!(inflate(block)[0], 0, "a one-record LZ block is verbatim");
+                block.to_vec()
+            }
+            _ => block.to_vec(),
+        };
+        frames.push((block.len(), payload.len()));
+        put_varint(&mut rewritten, payload.len() as u64);
+        rewritten.extend_from_slice(&modb_wal::crc32(&payload).to_le_bytes());
+        rewritten.extend_from_slice(&payload);
+    }
+    assert_eq!(rewritten, v4);
+    // The one-update block (object 5, time 9.25, arc 58.5, speed 1.25):
+    // its payload was format, count, tag, id and 24 raw bytes, 28 in
+    // all, and is 1 + 1 + 24, so its frame falls from 33 bytes to
+    // 5 + 1 + varint(5) + 24 = 31.
+    assert_eq!(frames[1], (28, 26));
+    assert_eq!((v3.len(), v4.len()), (393, 391));
+
+    let (snap_v3, snap) = (
+        std::fs::read(golden(SNAPSHOT_V3)).unwrap(),
+        std::fs::read(golden(SNAPSHOT)).unwrap(),
+    );
+    assert_eq!(snap_v3[8..12], 3u32.to_le_bytes());
+    assert_eq!(snap[8..12], 4u32.to_le_bytes());
+    assert_eq!((&snap_v3[..8], &snap_v3[12..]), (&snap[..8], &snap[12..]));
+}
+
 #[test]
 fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
     let bytes = std::fs::read(golden(SNAPSHOT)).unwrap();
@@ -386,7 +462,7 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
 
     // The segment header, with the snapshot's LSN as its start LSN.
     assert_eq!(&bytes[..8], b"MODBWAL1");
-    assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 4u32.to_le_bytes());
     assert_eq!(bytes[12..20], 7u64.to_le_bytes());
     // Two LZ blocks, read by hand: the head alone, then all five records
     // of the state.
@@ -452,15 +528,17 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
     }
 }
 
-/// The current snapshot is the one whose head had no history with
+/// The v3 snapshot with a history is the one whose head had none with
 /// exactly that change: the head record's tag 7 becomes 8 and the
 /// history's spans follow the record count. Its head block, plain
 /// before, now goes through the LZ stage (the spans' zero bytes make it
-/// pay); the header and every body frame are byte-identical.
+/// pay); the header and every body frame are byte-identical. Both files
+/// are retired since version 4; the v4 snapshot is the later one with
+/// its version changed (`v4_is_v3_with_its_one_update_blocks_rewritten`).
 #[test]
 fn snapshot_is_the_historyless_one_with_the_history_in_its_head() {
     let old = std::fs::read(golden(SNAPSHOT_NO_EPOCHS)).unwrap();
-    let new = std::fs::read(golden(SNAPSHOT)).unwrap();
+    let new = std::fs::read(golden(SNAPSHOT_V3)).unwrap();
     let (old_frames, new_frames) = (frame_payloads(&old[20..]), frame_payloads(&new[20..]));
     assert_eq!(old[..20], new[..20]);
     assert_eq!(old_frames[1..], new_frames[1..]);
@@ -485,15 +563,16 @@ fn snapshot_is_the_historyless_one_with_the_history_in_its_head() {
 /// The snapshots of retired layouts are refused typed and left exactly
 /// as they were — by the reader and by recovery, which finds no usable
 /// snapshot and never falls back to a genesis history. The `MODBSNP1`
-/// container, version 3 and version 4, is refused before anything is
-/// decoded; a head without a history (record tag 7) is an undecodable
-/// first block.
+/// container, version 3 and version 4, is refused by its magic and the
+/// two v3 segment-layout snapshots (with and without a history in the
+/// head) by their version, before anything is decoded.
 #[test]
 fn retired_snapshots_are_refused_typed_and_left_untouched() {
     for (retired, offset, reason) in [
-        (SNAPSHOT_V3, 0, "bad magic"),
-        (SNAPSHOT_V4, 0, "bad magic"),
-        (SNAPSHOT_NO_EPOCHS, 20, "undecodable block"),
+        (SNAPSHOT_SNP1_V3, 0, "bad magic"),
+        (SNAPSHOT_SNP1_V4, 0, "bad magic"),
+        (SNAPSHOT_V3, 8, "unsupported version"),
+        (SNAPSHOT_NO_EPOCHS, 8, "unsupported version"),
     ] {
         let before = std::fs::read(golden(retired)).unwrap();
         match read_snapshot(&golden(retired)) {

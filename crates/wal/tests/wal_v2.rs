@@ -102,10 +102,11 @@ fn opts(max_segment_bytes: u64) -> WalOptions {
 #[test]
 fn foreign_header_versions_are_refused_everywhere_and_left_on_disk() {
     // Version 1 is the retired one-record-per-frame format, 2 the
-    // retired fixed-length frames, 4 a format this build has never heard
-    // of: all get the same typed refusal from every reader and the
-    // writer, and the file keeps every byte.
-    for foreign in [1u32, 2, 4] {
+    // retired fixed-length frames, 3 the retired one-update blocks in the
+    // delta-stream layout, 5 a format this build has never heard of: all
+    // get the same typed refusal from every reader and the writer, and
+    // the file keeps every byte.
+    for foreign in [1u32, 2, 3, 5] {
         let dir = tmp(&format!("foreign-v{foreign}"));
         let empty = Database::new(network(), DatabaseConfig::default());
         let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
