@@ -112,41 +112,40 @@ impl DurableDatabase {
     ) -> Result<(Self, RecoveryReport), WalError> {
         let dir = dir.into();
         let recovered = modb_wal::recover(&dir)?;
-        let writer = WalWriter::resume(&dir, opts, recovered.report.next_lsn)?;
-        Ok((
-            DurableDatabase {
-                db: SharedDatabase::new(recovered.database),
-                wal: SharedWal::new(writer),
-                tail: Arc::default(),
-                dir,
-                snapshots: Arc::default(),
-                horizon: Arc::new(ShipHorizon::new()),
-                epochs: Arc::new(Mutex::new(recovered.epochs)),
-            },
-            recovered.report,
-        ))
+        let durable = DurableDatabase::from_parts(
+            SharedDatabase::new(recovered.database),
+            dir,
+            opts,
+            recovered.report.next_lsn,
+            Arc::new(ShipHorizon::new()),
+            Arc::new(Mutex::new(recovered.epochs)),
+        )?;
+        Ok((durable, recovered.report))
     }
 
-    /// Wraps state a promotion produced: the standby's database, its
-    /// sealed log, and — crucially — its live ship horizon and epoch
-    /// history, so downstream acks registered before the switch keep
-    /// pinning compaction and the replication gate sees the new epoch.
+    /// Resumes the log in `dir` at `next_lsn` over a database holding
+    /// every record below it, with the ship horizon and epoch history of
+    /// `dir` — a standby's, kept across its promotion, so downstream acks
+    /// keep pinning compaction and the replication gate sees the new
+    /// epoch. Fails as [`WalWriter::resume`] does.
     pub(crate) fn from_parts(
         db: SharedDatabase,
-        wal: SharedWal,
         dir: PathBuf,
+        opts: WalOptions,
+        next_lsn: u64,
         horizon: Arc<ShipHorizon>,
         epochs: Arc<Mutex<EpochHistory>>,
-    ) -> Self {
-        DurableDatabase {
+    ) -> Result<Self, WalError> {
+        let writer = WalWriter::resume(&dir, opts, next_lsn)?;
+        Ok(DurableDatabase {
             db,
-            wal,
+            wal: SharedWal::new(writer),
             tail: Arc::default(),
             dir,
             snapshots: Arc::default(),
             horizon,
             epochs,
-        }
+        })
     }
 
     /// The in-memory handle (queries go here; they never touch the log).
@@ -358,8 +357,9 @@ impl DurableDatabase {
         // so state captured after this point reflects at least every
         // record below `lsn`.
         let lsn = self.wal.sync()?;
-        // A leader's history only changes before it leads (promotion),
-        // so it holds every epoch begun below `lsn`.
+        // A leader's history changes only when it is promoted, and a
+        // standby's as it logs the seals it is shipped: either way it
+        // holds every epoch begun below `lsn`.
         let epochs = self
             .epochs
             .lock()

@@ -4,7 +4,7 @@
 //! Every connected follower registers an entry holding the LSN it has
 //! acknowledged; [`ShipHorizon::min`] is the lowest such LSN across all
 //! of them, and the leader passes it to
-//! [`modb_wal::compact_with_barrier`] so no segment a live follower
+//! [`modb_wal::SharedWal::compact`] so no segment a live follower
 //! still has to read is ever garbage-collected. A follower that
 //! disconnects releases its entry — its log may then be compacted away,
 //! and on reconnect it re-bootstraps from a snapshot if its cursor fell

@@ -14,7 +14,7 @@
 //! [`POLL_INTERVAL`] whenever a step found nothing to ship or read. Acks
 //! move the session's entry in the [`ShipHorizon`], which
 //! [`crate::DurableDatabase::snapshot_with_retention`] passes to
-//! [`modb_wal::compact_with_barrier`], so compaction never deletes a
+//! [`modb_wal::SharedWal::compact`], so compaction never deletes a
 //! segment a connected follower still has to read.
 
 use std::fmt;

@@ -79,7 +79,6 @@ pub fn test_replica_config() -> ReplicaConfig {
     ReplicaConfig {
         wal: test_wal_options(),
         snapshot_every: 0,
-        snapshot_retention: 2,
     }
 }
 

@@ -11,11 +11,10 @@
 //! deleted — it is the writer's active tail (and after a rotation the
 //! next segment's header is the only record of the current LSN).
 //!
-//! [`compact_with_barrier`] is safe to call while a
-//! [`crate::WalWriter`] holds the directory open *if* the caller
-//! serialises with rotation — a leader's runs as
-//! [`crate::SharedWal::compact`], right after a snapshot is written (see
-//! `DurableDatabase::snapshot`).
+//! A pass is safe while a [`crate::WalWriter`] holds the directory open
+//! only if it is serialised with rotation, so its one entry point is
+//! [`crate::SharedWal::compact`], which runs it under the writer lock —
+//! right after a snapshot is written (see `DurableDatabase::snapshot`).
 
 use std::fmt;
 use std::fs;
@@ -30,7 +29,7 @@ use crate::snapshot::list_snapshots;
 /// ones as the corruption-fallback ladder.
 pub const DEFAULT_SNAPSHOT_RETENTION: usize = 3;
 
-/// What one [`compact_with_barrier`] call removed.
+/// What one compaction pass ([`crate::SharedWal::compact`]) removed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Snapshot files deleted (oldest-first beyond the retention count).
@@ -76,7 +75,7 @@ impl fmt::Display for CompactionReport {
 /// I/O failures listing or deleting files; a partially applied pass
 /// leaves the directory recoverable (deletion order is oldest-first, and
 /// nothing recovery needs is ever deleted).
-pub fn compact_with_barrier(
+pub(crate) fn compact_with_barrier(
     dir: &Path,
     retention: usize,
     barrier: Option<u64>,

@@ -98,7 +98,7 @@ pub use block::{
 };
 pub use codec::{ByteReader, WalCodec};
 pub use commit::GroupCommitStats;
-pub use compact::{compact_with_barrier, CompactionReport, DEFAULT_SNAPSHOT_RETENTION};
+pub use compact::{CompactionReport, DEFAULT_SNAPSHOT_RETENTION};
 pub use crc32::crc32;
 pub use epoch::{EpochCheck, EpochHistory, EpochSpan, GENESIS_EPOCH};
 pub use error::WalError;

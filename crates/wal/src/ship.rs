@@ -17,7 +17,7 @@
 //! - A cursor below the oldest segment on disk means compaction got there
 //!   first ([`WalError::SegmentGap`]); the consumer must re-bootstrap
 //!   from a snapshot. Leaders prevent this for connected followers with
-//!   the ship barrier ([`crate::compact_with_barrier`]).
+//!   the ship barrier ([`crate::SharedWal::compact`]).
 //!
 //! [`SegmentTailer::poll_blocks`] delivers the on-disk frame bytes
 //! **verbatim** as a [`RawChunk`], peeking only the per-frame record

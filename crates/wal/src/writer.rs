@@ -428,8 +428,9 @@ impl SharedWal {
         f(&mut self.lock())
     }
 
-    /// [`crate::compact_with_barrier`] on this log's directory, under the
-    /// writer lock so it cannot race a segment rotation.
+    /// Compacts this log's directory ([`crate::compact`]) under the
+    /// writer lock, so it cannot race a segment rotation: compaction's
+    /// one entry point.
     ///
     /// # Errors
     ///
