@@ -331,6 +331,12 @@ impl Scenario {
     /// Tears everything down and removes the scratch directories.
     pub fn finish(self, replica: StandbyReplica) {
         replica.shutdown();
+        self.cleanup();
+    }
+
+    /// Tears down the leader's side once the follower has been shut down,
+    /// and removes the scratch directories.
+    pub fn cleanup(self) {
         drop(self.proxy);
         self.server.shutdown();
         std::fs::remove_dir_all(&self.ldir).unwrap();
