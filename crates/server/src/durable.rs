@@ -208,14 +208,21 @@ impl DurableDatabase {
     /// its records get their LSNs — when `append` is set or it holds
     /// [`WAL_BATCH_RECORDS`] records. So the log holds every mutation in
     /// the order it was applied, and no record has an LSN before its
-    /// mutation is in memory. Returns the frontier right after the
-    /// append, `Ok(0)` when nothing was appended.
+    /// mutation is in memory. Returns `apply`'s result and the frontier
+    /// right after the append, `Ok(0)` when nothing was appended.
+    ///
+    /// # Errors
+    ///
+    /// The log's sticky failure, once it has failed, with `apply` never
+    /// run: a write to a failed log applies nothing (checked under the
+    /// tail lock, so no write applies behind a failed append).
     pub(crate) fn write<T>(
         &self,
         append: bool,
         apply: impl FnOnce(&SharedDatabase) -> (T, Option<WalRecord>),
-    ) -> (T, Result<u64, WalError>) {
+    ) -> Result<(T, Result<u64, WalError>), WalError> {
         let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
+        self.wal.commit(0)?;
         let (applied, record) = apply(&self.db);
         if let Some(record) = &record {
             tail.push(record);
@@ -231,7 +238,7 @@ impl DurableDatabase {
         } else {
             Ok(0)
         };
-        (applied, appended)
+        Ok((applied, appended))
     }
 
     /// [`DurableDatabase::write`] for a mutation that is logged as
@@ -247,7 +254,7 @@ impl DurableDatabase {
         let (applied, appended) = self.write(true, |db| match apply(db) {
             Ok(out) => (Ok(out), Some(record)),
             Err(e) => (Err(e), None),
-        });
+        })?;
         let out = applied?;
         appended?;
         Ok(out)
@@ -315,7 +322,7 @@ impl DurableDatabase {
         let (verdict, appended) = self.write(true, |db| {
             let record = WalRecord::Update { id, msg: *msg };
             (db.apply_update(id, msg), Some(record))
-        });
+        })?;
         appended?;
         verdict?;
         Ok(())
@@ -880,22 +887,24 @@ mod tests {
         let seen_while_parked = std::thread::scope(|s| {
             let durable = &durable;
             let parked = s.spawn(move || {
-                let (seen, appended) = durable.write(true, |db| {
-                    parked_tx.send(()).unwrap();
-                    about_to_send.recv().unwrap();
-                    let deadline = Instant::now() + Duration::from_millis(500);
-                    let mut seen = arc_of_1(db);
-                    while seen == 10.0 && Instant::now() < deadline {
-                        std::thread::sleep(Duration::from_millis(1));
-                        seen = arc_of_1(db);
-                    }
-                    db.apply_update(ObjectId(1), &at(12.0)).unwrap();
-                    let record = WalRecord::Update {
-                        id: ObjectId(1),
-                        msg: at(12.0),
-                    };
-                    (seen, Some(record))
-                });
+                let (seen, appended) = durable
+                    .write(true, |db| {
+                        parked_tx.send(()).unwrap();
+                        about_to_send.recv().unwrap();
+                        let deadline = Instant::now() + Duration::from_millis(500);
+                        let mut seen = arc_of_1(db);
+                        while seen == 10.0 && Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                            seen = arc_of_1(db);
+                        }
+                        db.apply_update(ObjectId(1), &at(12.0)).unwrap();
+                        let record = WalRecord::Update {
+                            id: ObjectId(1),
+                            msg: at(12.0),
+                        };
+                        (seen, Some(record))
+                    })
+                    .unwrap();
                 appended.unwrap();
                 seen
             });
@@ -990,6 +999,72 @@ mod tests {
         assert_reopens_as(&dir, &live, [1]);
         let (reopened, _) = DurableDatabase::open(&dir, WalOptions::default()).unwrap();
         assert_eq!(reopened.database().with_read(|db| db.stationary_count()), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed log stays failed until the database is reopened: the
+    /// write whose append failed is not logged, and every later write — an
+    /// update, a registration, a landmark, a removal — is refused with
+    /// the log's error before it is applied. Reopened, the database holds
+    /// exactly the logged prefix, and its next write lands at the next
+    /// LSN.
+    #[test]
+    fn a_failed_log_stays_failed_until_the_database_is_reopened() {
+        let dir = tmp("sticky");
+        let small = WalOptions {
+            max_segment_bytes: 64,
+        };
+        let durable = DurableDatabase::create(&dir, fresh_db(), small).unwrap();
+        durable.register_moving(vehicle(1, 10.0)).unwrap();
+        let logged = durable.database().with_read(Database::clone);
+        // The segment is past its size, so the next append rotates, onto
+        // a name a directory squats.
+        let squatter = dir.join(modb_wal::segment::segment_file_name(1));
+        std::fs::create_dir(&squatter).unwrap();
+        assert!(matches!(
+            durable.register_moving(vehicle(2, 40.0)),
+            Err(WalError::Io(_))
+        ));
+        std::fs::remove_dir(&squatter).unwrap();
+        let failed = durable.database().with_read(Database::clone);
+
+        let at = UpdateMessage::basic(5.0, UpdatePosition::Arc(14.0), 0.5);
+        let depot = StationaryObject::new(ObjectId(100), "depot", Point::new(12.0, 0.0));
+        for refused in [
+            durable.apply_update(ObjectId(1), &at),
+            durable.register_moving(vehicle(3, 70.0)),
+            durable.insert_stationary(depot),
+            durable.remove_moving(ObjectId(1)).map(drop),
+        ] {
+            let err = refused.unwrap_err();
+            assert!(err.to_string().contains("failed earlier"), "{err}");
+        }
+        durable.database().with_read(|db| {
+            assert_eq!(db.moving(ObjectId(1)).unwrap().attr.start_time, 0.0);
+            assert_eq!(db.moving_count(), failed.moving_count());
+            assert_eq!(db.stationary_count(), 0);
+        });
+        assert_eq!(durable.wal().next_lsn(), 1, "a failed log takes no record");
+        drop(durable);
+
+        let (reopened, report) = DurableDatabase::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(report.next_lsn, 1);
+        reopened.database().with_read(|db| {
+            assert_eq!(db.moving_count(), logged.moving_count());
+            assert_eq!(db.moving(ObjectId(1)).ok(), logged.moving(ObjectId(1)).ok());
+        });
+        reopened.apply_update(ObjectId(1), &at).unwrap();
+        assert_eq!(reopened.wal().next_lsn(), 2);
+        drop(reopened);
+        assert_reopens_as(
+            &dir,
+            &{
+                let mut db = logged;
+                db.apply_update(ObjectId(1), &at).unwrap();
+                db
+            },
+            [1],
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

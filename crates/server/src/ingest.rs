@@ -212,9 +212,9 @@ impl fmt::Display for IngestStatsSnapshot {
 pub struct PendingAck {
     wal: SharedWal,
     stats: Arc<IngestStats>,
-    verdict: Result<(), CoreError>,
-    /// The frontier right after this send's append.
-    appended: Result<u64, WalError>,
+    /// The send's verdict and the frontier right after its append, or
+    /// why it was not logged.
+    logged: Result<(Result<(), CoreError>, u64), WalError>,
 }
 
 impl PendingAck {
@@ -225,17 +225,16 @@ impl PendingAck {
     /// # Errors
     ///
     /// The append or sync failure: the update is applied in memory but
-    /// **not** in the durable log, and must not be acknowledged.
+    /// **not** in the durable log, and must not be acknowledged; or the
+    /// sticky failure of a log that had failed before the send, which
+    /// applied nothing.
     pub fn recv(self) -> Result<UpdateOutcome, WalError> {
-        let lsn = self.appended?;
+        let (verdict, lsn) = self.logged?;
         if let Err(e) = self.wal.commit(lsn) {
             self.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
-        Ok(UpdateOutcome {
-            lsn,
-            verdict: self.verdict,
-        })
+        Ok(UpdateOutcome { lsn, verdict })
     }
 }
 
@@ -266,7 +265,7 @@ impl IngestHandle {
     /// lock, and append on `acked` or a full tail. Durability is the
     /// caller's to wait for, after the lock is gone.
     fn apply(&self, env: UpdateEnvelope, acked: bool) -> Result<PendingAck, IngestClosed> {
-        let (verdict, appended) = self.durable.write(acked, |db| {
+        let written = self.durable.write(acked, |db| {
             if self.closed.load(Ordering::Relaxed) {
                 return (None, None);
             }
@@ -280,23 +279,25 @@ impl IngestHandle {
             };
             (Some(verdict), Some(record))
         });
-        let Some(verdict) = verdict else {
-            return Err(IngestClosed(env));
+        let logged = match written {
+            Ok((None, _)) => return Err(IngestClosed(env)),
+            Ok((Some(verdict), appended)) => appended.map(|lsn| (verdict, lsn)),
+            Err(refused) => Err(refused),
         };
-        if appended.is_err() {
+        if logged.is_err() {
             self.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
         }
         Ok(PendingAck {
             wal: self.durable.wal().clone(),
             stats: Arc::clone(&self.stats),
-            verdict,
-            appended,
+            logged,
         })
     }
 
     /// Applies an update and frames it for the log; when this returns the
     /// database reflects it. The record reaches the writer with the next
     /// append of the tail, and is durable once the service has shut down.
+    /// A log that has failed refuses it unapplied, counted as a WAL error.
     ///
     /// # Errors
     ///
@@ -386,10 +387,19 @@ impl Drop for IngestService {
         let handle = &self.handle;
         // A sender holding the tail lock has framed its record before the
         // append below; the next one finds the service closed.
-        let ((), appended) = handle.durable.write(true, |_| {
+        let closing = handle.durable.write(true, |_| {
             handle.closed.store(true, Ordering::Relaxed);
             ((), None)
         });
+        let appended = match closing {
+            Ok(((), appended)) => appended,
+            // A failed log refuses every send unapplied from here on, and
+            // the final sync below reports it.
+            Err(_) => {
+                handle.closed.store(true, Ordering::Relaxed);
+                Ok(0)
+            }
+        };
         let synced = handle.durable.wal().sync();
         let failures = usize::from(appended.is_err()) + usize::from(synced.is_err());
         handle
@@ -748,19 +758,19 @@ mod tests {
         assert!(err.to_string().contains("disk on fire"), "{err}");
         assert_eq!(handle.stats().wal_errors(), 1, "the failed commit");
         assert_eq!(durable.wal().durable_lsn(), 1);
-        // The failure is sticky: the next acked send is applied, its
-        // append refused, and it is not acknowledged either.
+        // The failure is sticky: the next acked send is refused before
+        // it is applied, and it is not acknowledged either.
         let err = handle
             .send_acked(envelope(3.0))
             .unwrap()
             .recv()
             .unwrap_err();
         assert!(err.to_string().contains("disk on fire"), "{err}");
-        assert_eq!(handle.stats().wal_errors(), 2, "the refused append");
-        db.with_read(|inner| assert_eq!(inner.moving(ObjectId(1)).unwrap().attr.start_time, 3.0));
+        assert_eq!(handle.stats().wal_errors(), 2, "the refused send");
+        db.with_read(|inner| assert_eq!(inner.moving(ObjectId(1)).unwrap().attr.start_time, 2.0));
         assert_eq!(durable.wal().next_lsn(), 2, "a failed log takes no record");
         let stats = service.shutdown();
-        assert_eq!(stats.accepted, 3);
+        assert_eq!(stats.accepted, 2, "the refused send was never applied");
         assert_eq!(stats.wal_errors, 3, "and the final sync on the failed log");
         std::fs::remove_dir_all(&dir).unwrap();
     }

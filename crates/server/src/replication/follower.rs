@@ -685,7 +685,7 @@ impl StandbyReplica {
         let mut sealed = self.shared.epochs().clone();
         let epoch = sealed.begin(log.wal().next_lsn())?;
         let seal = WalRecord::LeaderEpoch { epoch };
-        log.write(true, |_| ((), Some(seal))).1?;
+        log.write(true, |_| ((), Some(seal)))?.1?;
         log.wal().sync()?;
         *self.shared.epochs() = sealed;
         // Flip every live view of this replica over to the new log: the
@@ -1056,7 +1056,8 @@ impl Worker {
     /// desynchronize the watermark from the stream. Once applied and
     /// logged it is acked, and a local snapshot taken when one is due. A
     /// failed write publishes what was logged before it and ends the
-    /// session for good, as a log that failed earlier does at once.
+    /// session for good; on a log that failed earlier that is the run's
+    /// first write, which [`DurableDatabase::write`] refuses unapplied.
     fn blocks(
         &mut self,
         link: &mut impl Link,
@@ -1066,10 +1067,6 @@ impl Worker {
         frames: &[u8],
     ) -> Result<(), SessionEnd> {
         let lsn = self.out.stats.applied_lsn;
-        // A failed log's sticky error answers even a commit of nothing.
-        if (self.log.as_ref()).is_some_and(|log| log.wal().commit(0).is_err()) {
-            return Err(SessionEnd::LogFailed);
-        }
         let run = (version == SEGMENT_VERSION)
             .then(|| decode_block_frames(frames))
             .filter(|(records, _, end)| {
@@ -1101,12 +1098,12 @@ impl Worker {
         // tail (`Ok(0)`) until it is full or the run ends.
         let (mut applied_lsn, last) = (lsn, records.len());
         let logged = records.into_iter().enumerate().all(|(i, rec)| {
-            let (_accepted, appended) = log.write(i + 1 == last, |db| {
+            log.write(i + 1 == last, |db| {
                 (db.with_write(|db| apply_record(db, rec.clone())), Some(rec))
-            });
-            appended
-                .map(|frontier| applied_lsn = applied_lsn.max(frontier))
-                .is_ok()
+            })
+            .and_then(|(_accepted, appended)| appended)
+            .map(|frontier| applied_lsn = applied_lsn.max(frontier))
+            .is_ok()
         });
         let stats = &mut self.out.stats;
         stats.records_applied += applied_lsn - lsn;

@@ -22,9 +22,9 @@
 //! version 4.)
 //!
 //! `Blocks` carries a run of *segment* frames shipped verbatim off the
-//! leader's disk, each holding one delta-coded, possibly LZ-compressed
-//! block, with `version` naming the segment format the frames came from
-//! (always [`modb_wal::SEGMENT_VERSION`]; a follower refuses any other).
+//! leader's disk, each holding one possibly LZ-compressed block, with
+//! `version` naming the segment format the frames came from (always
+//! [`modb_wal::SEGMENT_VERSION`]; a follower refuses any other).
 //! Compression paid once at append time is reused on the wire, and the
 //! follower validates every frame's CRC a second time with the same
 //! [`modb_wal::walk_blocks`] path recovery uses — a partially delivered

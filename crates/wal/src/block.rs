@@ -1,12 +1,12 @@
-//! Log blocks: delta-encoded, optionally LZ-compressed record groups.
+//! Log blocks: record groups stored as columns, optionally LZ-compressed.
 //!
 //! A segment stores **blocks**: each CRC frame's payload is one block,
 //! and its first byte is the block's format:
 //!
 //! ```text
-//! [0][record_count: varint][body]                      plain delta stream
+//! [0][record_count: varint][stream]                    plain stream
 //! [1][record_count: varint][uncompressed_len: varint]
-//!    [body]                                            LZ-compressed stream
+//!    [stream]                                          LZ-compressed stream
 //! [2][object id: varint][time][arc][speed]             one update, arc
 //! [3][object id: varint][time][x][y][speed]            one update, coords
 //! ```
@@ -18,42 +18,50 @@
 //! as its raw 8-byte little-endian bit pattern, with no record count, no
 //! record tag and no LZ pass. Every other block is format 0 or 1.
 //!
-//! **Delta stream.** Position updates dominate the log and are highly
-//! repetitive — the same object ids, nearby floats, monotone timestamps
-//! (W1 measured ~45 payload bytes each). A basic `Update` is therefore
-//! stored as a *compact* record:
-//! the object id as a zigzag varint delta against the previous record's
-//! id, and `time` / position / `speed` as zigzag varints of the wrapping
-//! difference of IEEE-754 **bit patterns** against the encoder context —
-//! the last values seen *for that object* in this block, falling back to
-//! the last values in the stream for an object's first appearance (fleet
-//! updates are temporally correlated across objects, so the stream-level
-//! fallback is usually a near-zero delta too). The block's *first*
-//! compact record has no context to speak of (all zeros, and the varint
-//! of a positive `f64`'s bits is 9–10 bytes), so it stores each of those
-//! floats as its raw 8-byte little-endian bit pattern instead.
-//! Bit-pattern arithmetic makes the round trip exact, NaN payloads
-//! included. Everything else
-//! (registrations, route inserts, complex updates) is stored *verbatim*:
-//! a tag, a length varint, and the record's own payload
-//! ([`WalRecord::encode_payload`]).
+//! **The stream.** A basic `Update` is stored as a *compact* record,
+//! every other record (registrations, route inserts, complex updates)
+//! *verbatim*: its record's own payload ([`WalRecord::encode_payload`]).
+//! The stream is a record section, then — only when the block holds a
+//! compact record — a column section over its `n` compact records:
 //!
-//! **Restart points.** The encoder context lives and dies with the
-//! block: every block boundary is a restart point. Recovery, compaction,
+//! ```text
+//! record section  one tag per record, in order:
+//!                 [0][len: varint][payload]   verbatim
+//!                 [1]                         compact, arc
+//!                 [2]                         compact, coordinates
+//! column section  [w][object ids: n × w bytes]
+//!                 [first time: 8 bytes][w][time deltas: (n − 1) × w bytes]
+//!                 [p0: n × 8 bytes][p1: 8 bytes per coordinate record]
+//!                 [speed: n × 8 bytes]
+//! ```
+//!
+//! A width byte `w` (0–8) is the fewest bytes that hold every value of
+//! its column. A time delta is the zigzag of the wrapping difference of
+//! two consecutive times' IEEE-754 **bit patterns**, and every other
+//! float is its raw bit pattern, so the round trip is exact — NaN
+//! payloads and out-of-order times included. Every column is stored as
+//! byte planes, least significant first: plane `k` holds byte `k` of
+//! every value (Parquet's `BYTE_STREAM_SPLIT`, Blosc's shuffle). A
+//! fleet's consecutive records belong to different vehicles, so no float
+//! is a small delta from the one before it, but the floats of one column
+//! share their sign-and-exponent bytes, and in planes those bytes sit
+//! side by side, where the LZ stage finds them. A block with no compact
+//! record (every snapshot block) is its record section alone.
+//!
+//! **Restart points.** A block is decoded with nothing from an earlier
+//! one: every block boundary is a restart point. Recovery, compaction,
 //! and the replication wire can therefore treat a block as a
 //! self-contained unit — decode it with zero history, truncate a torn
 //! tail at a frame (= block) boundary, or ship the frame bytes verbatim
 //! to a follower that decompresses on apply. A snapshot is blocks too
 //! ([`crate::snapshot`]), so one walk ([`walk_blocks`]) replays both.
 //!
-//! **Sealing.** A log's writer owns one `Sealer`: the LZ table, the
-//! per-object context map (cleared per block) and the scratch buffers
-//! the stream, payload and frame are built in, all kept from block to
-//! block — so once they have grown, sealing a block allocates nothing.
+//! **Sealing.** A log's writer owns one `Sealer`: the LZ table and the
+//! scratch buffers the compact records, stream, payload and frame are
+//! built in, all kept from block to block — so once they have grown,
+//! sealing a block allocates nothing.
 
-use std::collections::HashMap;
 use std::convert::Infallible;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
@@ -63,9 +71,9 @@ use crate::error::WalError;
 use crate::lz;
 use crate::record::{split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 
-/// Block body is a plain delta stream.
+/// Block body is a plain stream.
 pub const BLOCK_FORMAT_PLAIN: u8 = 0;
-/// Block body is an LZ-compressed delta stream (see [`crate::lz`]).
+/// Block body is an LZ-compressed stream (see [`crate::lz`]).
 pub const BLOCK_FORMAT_LZ: u8 = 1;
 /// Block is one basic update whose position is an arc.
 pub const BLOCK_FORMAT_ONE_ARC: u8 = 2;
@@ -76,53 +84,28 @@ const REC_VERBATIM: u8 = 0;
 const REC_COMPACT_ARC: u8 = 1;
 const REC_COMPACT_COORDS: u8 = 2;
 
-/// Scratch bytes (per buffer) and context-map entries a [`Sealer`]
-/// keeps between blocks; a larger block's are given back when the next
-/// one is sealed.
+/// Scratch bytes (per buffer) and compact records a [`Sealer`] keeps
+/// between blocks; a larger block's are given back when the next one is
+/// sealed.
 const KEEP_BYTES: usize = 1 << 16;
-const KEEP_OBJECTS: usize = 1 << 10;
+const KEEP_RECORDS: usize = 1 << 10;
 
-/// Per-object (and stream-fallback) delta context: the raw bit patterns
-/// of the last time / position / speed values.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ctx {
+/// A basic update (no route, direction or policy change): what a compact
+/// record and a one-update block store, its floats as bit patterns.
+#[derive(Debug, Clone, Copy)]
+struct Basic {
+    id: u64,
+    /// The position is coordinates `(p0, p1)`, not an arc `p0`.
+    coords: bool,
     time: u64,
     p0: u64,
+    /// 0 for an arc.
     p1: u64,
     speed: u64,
 }
 
-/// Hashes an object id with one multiply, for the sealer's context map.
-/// The map holds one block's records (a database's tail is appended at
-/// 32), so ids chosen to collide cost a seal at most a scan of its own
-/// block, and SipHash's defence buys nothing there.
-#[derive(Debug, Clone, Copy, Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-/// The per-object delta contexts of one block being sealed.
-type Contexts = HashMap<u64, Ctx, BuildHasherDefault<IdHasher>>;
-
-/// A basic update (no route, direction or policy change) as its object
-/// id, whether its position is coordinates, and its floats' bit patterns
-/// (`p1` is 0 for an arc) — what a compact record and a one-update block
-/// store. `None` for every other record.
-fn basic(record: &WalRecord) -> Option<(u64, bool, Ctx)> {
+/// `record` as a [`Basic`]; `None` for every other record.
+fn basic(record: &WalRecord) -> Option<Basic> {
     let WalRecord::Update { id, msg } = record else {
         return None;
     };
@@ -133,165 +116,219 @@ fn basic(record: &WalRecord) -> Option<(u64, bool, Ctx)> {
         UpdatePosition::Arc(arc) => (false, arc.to_bits(), 0),
         UpdatePosition::Coordinates(p) => (true, p.x.to_bits(), p.y.to_bits()),
     };
-    let floats = Ctx {
+    Some(Basic {
+        id: id.0,
+        coords,
         time: msg.time.to_bits(),
         p0,
         p1,
         speed: msg.speed.to_bits(),
-    };
-    Some((id.0, coords, floats))
+    })
 }
 
 /// The record [`basic`] took apart.
-fn basic_record(id: u64, coords: bool, floats: Ctx) -> WalRecord {
-    let position = if coords {
+fn basic_record(b: Basic) -> WalRecord {
+    let position = if b.coords {
         UpdatePosition::Coordinates(modb_geom::Point::new(
-            f64::from_bits(floats.p0),
-            f64::from_bits(floats.p1),
+            f64::from_bits(b.p0),
+            f64::from_bits(b.p1),
         ))
     } else {
-        UpdatePosition::Arc(f64::from_bits(floats.p0))
+        UpdatePosition::Arc(f64::from_bits(b.p0))
     };
     WalRecord::Update {
-        id: ObjectId(id),
-        msg: UpdateMessage::basic(
-            f64::from_bits(floats.time),
-            position,
-            f64::from_bits(floats.speed),
-        ),
+        id: ObjectId(b.id),
+        msg: UpdateMessage::basic(f64::from_bits(b.time), position, f64::from_bits(b.speed)),
     }
 }
 
-fn delta(cur: u64, prev: u64) -> u64 {
-    zigzag(cur.wrapping_sub(prev) as i64)
-}
-
-fn undelta(d: u64, prev: u64) -> u64 {
-    prev.wrapping_add(unzigzag(d) as u64)
-}
-
-/// Appends one float field: its raw 8-byte LE bit pattern in the block's
-/// first compact record (`raw`: the context is all zeros, and the varint
-/// of a delta against zero bits takes 9–10 bytes), a zigzag varint delta
-/// against `prev` in every later one.
-fn put_field(out: &mut Vec<u8>, raw: bool, cur: u64, prev: u64) {
-    if raw {
-        out.extend_from_slice(&cur.to_le_bytes());
-    } else {
-        put_varint(out, delta(cur, prev));
+/// Appends `values` as `width` byte planes, least significant first.
+fn put_planes(out: &mut Vec<u8>, values: impl Iterator<Item = u64> + Clone, width: u32) {
+    for k in 0..width {
+        out.extend(values.clone().map(|v| (v >> (8 * k)) as u8));
     }
 }
 
-/// Reads one float field written by [`put_field`].
-fn read_field(r: &mut ByteReader<'_>, raw: bool, prev: u64) -> Result<u64, WalError> {
-    if raw {
-        r.u64()
-    } else {
-        Ok(undelta(read_varint(r)?, prev))
+/// Appends a width byte, the fewest bytes that hold every one of
+/// `values`, and `values` at that width as byte planes.
+fn put_narrow(out: &mut Vec<u8>, values: impl Iterator<Item = u64> + Clone) {
+    let bits = values.clone().fold(0, |all, v| all | v);
+    let width = (u64::BITS - bits.leading_zeros()).div_ceil(8);
+    out.push(width as u8);
+    put_planes(out, values, width);
+}
+
+/// Appends the column section over `compact`, the block's compact
+/// records in order; nothing when there is none.
+fn put_columns(compact: &[Basic], out: &mut Vec<u8>) {
+    let Some(first) = compact.first() else {
+        return;
+    };
+    let column = |field: fn(&Basic) -> u64| compact.iter().map(field);
+    put_narrow(out, column(|b| b.id));
+    out.extend_from_slice(&first.time.to_le_bytes());
+    let deltas = compact
+        .windows(2)
+        .map(|t| t[1].time.wrapping_sub(t[0].time));
+    put_narrow(out, deltas.map(|d| zigzag(d as i64)));
+    put_planes(out, column(|b| b.p0), 8);
+    put_planes(out, compact.iter().filter(|b| b.coords).map(|b| b.p1), 8);
+    put_planes(out, column(|b| b.speed), 8);
+}
+
+/// One column read back: `n` values of `width` bytes, as byte planes.
+struct Planes<'a> {
+    bytes: &'a [u8],
+    n: usize,
+    width: usize,
+}
+
+impl<'a> Planes<'a> {
+    /// Reads `n` values at `width` bytes, or at the width its width byte
+    /// gives (a column written by [`put_narrow`]).
+    fn read(r: &mut ByteReader<'a>, n: usize, width: Option<usize>) -> Result<Self, WalError> {
+        let width = match width {
+            Some(width) => width,
+            None => usize::from(r.u8()?),
+        };
+        if width > 8 {
+            return Err(WalError::Decode("column wider than 8 bytes"));
+        }
+        let bytes = r.bytes(n * width)?;
+        Ok(Planes { bytes, n, width })
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        (0..self.width).fold(0, |v, k| {
+            v | u64::from(self.bytes[k * self.n + i]) << (8 * k)
+        })
     }
 }
 
-/// Appends the delta-stream form of `records` to `out`, with `contexts`
-/// empty on entry and `verbatim` as scratch. The context starts empty:
-/// the stream is self-contained (a restart point).
+/// The column section read back, handing out the compact records in
+/// order.
+struct ColumnReader<'a> {
+    ids: Planes<'a>,
+    time: u64,
+    deltas: Planes<'a>,
+    p0: Planes<'a>,
+    p1: Planes<'a>,
+    speeds: Planes<'a>,
+    /// Compact records and coordinate records handed out so far.
+    next: usize,
+    next_coords: usize,
+}
+
+impl<'a> ColumnReader<'a> {
+    /// Reads the columns of `n ≥ 1` compact records, `coords` of them on
+    /// coordinates.
+    fn read(r: &mut ByteReader<'a>, n: usize, coords: usize) -> Result<Self, WalError> {
+        Ok(ColumnReader {
+            ids: Planes::read(r, n, None)?,
+            time: r.u64()?,
+            deltas: Planes::read(r, n - 1, None)?,
+            p0: Planes::read(r, n, Some(8))?,
+            p1: Planes::read(r, coords, Some(8))?,
+            speeds: Planes::read(r, n, Some(8))?,
+            next: 0,
+            next_coords: 0,
+        })
+    }
+
+    /// The next compact record, whose tag says `coords`.
+    fn next(&mut self, coords: bool) -> Basic {
+        let i = self.next;
+        if i > 0 {
+            let delta = unzigzag(self.deltas.get(i - 1)) as u64;
+            self.time = self.time.wrapping_add(delta);
+        }
+        let p1 = if coords {
+            self.next_coords += 1;
+            self.p1.get(self.next_coords - 1)
+        } else {
+            0
+        };
+        self.next += 1;
+        Basic {
+            id: self.ids.get(i),
+            coords,
+            time: self.time,
+            p0: self.p0.get(i),
+            p1,
+            speed: self.speeds.get(i),
+        }
+    }
+}
+
+/// Appends the stream form of `records` to `out` (see the module docs),
+/// with `compact` and `verbatim` as scratch.
 fn encode_stream(
     records: &[WalRecord],
-    contexts: &mut Contexts,
+    compact: &mut Vec<Basic>,
     verbatim: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) {
-    let mut last_id = 0u64;
-    let mut last = Ctx::default();
-    let mut raw = true;
+    compact.clear();
+    compact.shrink_to(KEEP_RECORDS);
     for rec in records {
-        let Some((id, coords, cur)) = basic(rec) else {
+        if let Some(b) = basic(rec) {
+            out.push(if b.coords {
+                REC_COMPACT_COORDS
+            } else {
+                REC_COMPACT_ARC
+            });
+            compact.push(b);
+        } else {
             verbatim.clear();
             rec.encode_payload(verbatim);
             out.push(REC_VERBATIM);
             put_varint(out, verbatim.len() as u64);
             out.extend_from_slice(verbatim);
-            continue;
-        };
-        let ctx = contexts.get(&id).copied().unwrap_or(last);
-        // An arc leaves the context's second coordinate as it was.
-        let cur = if coords {
-            cur
-        } else {
-            Ctx { p1: ctx.p1, ..cur }
-        };
-        out.push(if coords {
-            REC_COMPACT_COORDS
-        } else {
-            REC_COMPACT_ARC
-        });
-        put_varint(out, delta(id, last_id));
-        put_field(out, raw, cur.time, ctx.time);
-        put_field(out, raw, cur.p0, ctx.p0);
-        if coords {
-            put_field(out, raw, cur.p1, ctx.p1);
         }
-        put_field(out, raw, cur.speed, ctx.speed);
-        contexts.insert(id, cur);
-        last = cur;
-        last_id = id;
-        raw = false;
     }
+    put_columns(compact, out);
 }
 
-/// Decodes a delta stream of exactly `count` records; mirrors
-/// [`encode_stream`]'s context rules.
+/// A verbatim record's payload: its length varint and that many bytes.
+fn verbatim<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], WalError> {
+    let len = read_varint(r)?;
+    r.bytes(usize::try_from(len).unwrap_or(usize::MAX))
+}
+
+/// Decodes a stream of exactly `count` records.
 fn decode_stream(body: &[u8], count: u64) -> Result<Vec<WalRecord>, WalError> {
-    let mut records = Vec::with_capacity((count as usize).min(body.len()));
+    // The record section, once to find the columns: every tag checked,
+    // every verbatim payload skipped. A record takes a byte at least, so
+    // a count the body cannot hold fails here, before it sizes anything.
     let mut r = ByteReader::new(body);
-    let mut last_id = 0u64;
-    let mut last = Ctx::default();
-    // Keyed by ids read from outside (a follower decodes its leader's
-    // blocks), so this map keeps the default hasher.
-    let mut contexts: HashMap<u64, Ctx> = HashMap::new();
-    let mut raw = true;
+    let (mut compact, mut coords) = (0, 0);
     for _ in 0..count {
-        let tag = r.u8()?;
-        match tag {
+        match r.u8()? {
             REC_VERBATIM => {
-                let len = read_varint(&mut r)? as usize;
-                if len > r.remaining() {
-                    return Err(WalError::Decode("verbatim record overrun"));
-                }
-                let mut payload = vec![0u8; len];
-                for b in payload.iter_mut() {
-                    *b = r.u8().expect("length checked");
-                }
-                records.push(WalRecord::decode_payload(&payload)?);
+                verbatim(&mut r)?;
             }
-            REC_COMPACT_ARC | REC_COMPACT_COORDS => {
-                let coords = tag == REC_COMPACT_COORDS;
-                let id = undelta(read_varint(&mut r)?, last_id);
-                let ctx = contexts.get(&id).copied().unwrap_or(last);
-                let time = read_field(&mut r, raw, ctx.time)?;
-                let p0 = read_field(&mut r, raw, ctx.p0)?;
-                let p1 = if coords {
-                    read_field(&mut r, raw, ctx.p1)?
-                } else {
-                    ctx.p1
-                };
-                let speed = read_field(&mut r, raw, ctx.speed)?;
-                let cur = Ctx {
-                    time,
-                    p0,
-                    p1,
-                    speed,
-                };
-                records.push(basic_record(id, coords, cur));
-                contexts.insert(id, cur);
-                last = cur;
-                last_id = id;
-                raw = false;
-            }
+            REC_COMPACT_ARC => compact += 1,
+            REC_COMPACT_COORDS => (compact, coords) = (compact + 1, coords + 1),
             _ => return Err(WalError::Decode("unknown block record tag")),
         }
     }
+    let section = &body[..body.len() - r.remaining()];
+    let mut columns = (compact > 0)
+        .then(|| ColumnReader::read(&mut r, compact, coords))
+        .transpose()?;
     if !r.is_empty() {
         return Err(WalError::Decode("trailing bytes in block body"));
+    }
+    // And again, to build the records in order.
+    let mut records = Vec::with_capacity(count as usize);
+    let mut r = ByteReader::new(section);
+    while !r.is_empty() {
+        let tag = r.u8()?;
+        records.push(match (tag, columns.as_mut()) {
+            (REC_VERBATIM, _) => WalRecord::decode_payload(verbatim(&mut r)?)?,
+            (tag, Some(columns)) => basic_record(columns.next(tag == REC_COMPACT_COORDS)),
+            (_, None) => unreachable!("a compact tag was counted"),
+        });
     }
     Ok(records)
 }
@@ -302,16 +339,18 @@ fn decode_one_update(r: &mut ByteReader<'_>, coords: bool) -> Result<Vec<WalReco
     let time = r.u64()?;
     let p0 = r.u64()?;
     let p1 = if coords { r.u64()? } else { 0 };
-    let floats = Ctx {
-        time,
-        p0,
-        p1,
-        speed: r.u64()?,
-    };
+    let speed = r.u64()?;
     if !r.is_empty() {
         return Err(WalError::Decode("trailing bytes in block body"));
     }
-    Ok(vec![basic_record(id, coords, floats)])
+    Ok(vec![basic_record(Basic {
+        id,
+        coords,
+        time,
+        p0,
+        p1,
+        speed,
+    })])
 }
 
 /// Clears a scratch buffer, giving back what a large block grew it to.
@@ -321,12 +360,13 @@ fn reset(buf: &mut Vec<u8>) {
 }
 
 /// The one block sealer, for the log's appends and a snapshot's blocks:
-/// the LZ table, the per-object context map and the scratch buffers,
-/// kept from block to block (see the module docs).
+/// the LZ table, the columns and the scratch buffers, kept from block to
+/// block (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct Sealer {
     lz: lz::Compressor,
-    contexts: Contexts,
+    /// The compact records of the block being sealed.
+    compact: Vec<Basic>,
     /// A verbatim record's payload, before its length is written.
     verbatim: Vec<u8>,
     stream: Vec<u8>,
@@ -345,28 +385,26 @@ impl Sealer {
             reset(buf);
         }
         if let [record] = records {
-            if let Some((id, coords, floats)) = basic(record) {
+            if let Some(b) = basic(record) {
                 let payload = &mut self.payload;
-                payload.push(if coords {
+                payload.push(if b.coords {
                     BLOCK_FORMAT_ONE_COORDS
                 } else {
                     BLOCK_FORMAT_ONE_ARC
                 });
-                put_varint(payload, id);
-                payload.extend_from_slice(&floats.time.to_le_bytes());
-                payload.extend_from_slice(&floats.p0.to_le_bytes());
-                if coords {
-                    payload.extend_from_slice(&floats.p1.to_le_bytes());
+                put_varint(payload, b.id);
+                payload.extend_from_slice(&b.time.to_le_bytes());
+                payload.extend_from_slice(&b.p0.to_le_bytes());
+                if b.coords {
+                    payload.extend_from_slice(&b.p1.to_le_bytes());
                 }
-                payload.extend_from_slice(&floats.speed.to_le_bytes());
+                payload.extend_from_slice(&b.speed.to_le_bytes());
                 return payload.len();
             }
         }
-        self.contexts.clear();
-        self.contexts.shrink_to(KEEP_OBJECTS);
         encode_stream(
             records,
-            &mut self.contexts,
+            &mut self.compact,
             &mut self.verbatim,
             &mut self.stream,
         );
@@ -608,9 +646,8 @@ mod tests {
     }
 
     #[test]
-    fn per_object_context_and_interleavings() {
-        // Two objects interleaved with different trajectories: deltas
-        // must track per object, not just the stream tail.
+    fn interleaved_objects_round_trip() {
+        // Two objects interleaved with different trajectories.
         let mut records = Vec::new();
         for round in 0..10 {
             records.push(update(1, round as f64, round as f64 * 2.0, 1.0));
@@ -730,8 +767,8 @@ mod tests {
             ] {
                 let mut payload = Vec::new();
                 encode_block(std::slice::from_ref(&rec), true, &mut payload);
-                let (_, _, bits) = basic(&rec).unwrap();
-                let raw = [bits.time, bits.p0, bits.p1, bits.speed];
+                let b = basic(&rec).unwrap();
+                let raw = [b.time, b.p0, b.p1, b.speed];
                 let mut expected = vec![format];
                 put_varint(&mut expected, id);
                 for (i, field) in raw.iter().enumerate() {
@@ -749,10 +786,9 @@ mod tests {
                 );
 
                 assert_eq!(peek_block_count(&payload).unwrap(), 1);
-                let (back_id, back_coords, back) =
-                    basic(&decode_block(&payload).unwrap()[0]).unwrap();
-                let back = [back.time, back.p0, back.p1, back.speed];
-                assert_eq!((back_id, back_coords, back), (id, floats == 4, raw));
+                let back = basic(&decode_block(&payload).unwrap()[0]).unwrap();
+                let fields = [back.time, back.p0, back.p1, back.speed];
+                assert_eq!((back.id, back.coords, fields), (id, floats == 4, raw));
                 for cut in 0..payload.len() {
                     assert!(decode_block(&payload[..cut]).is_err(), "id {id}, cut {cut}");
                 }
@@ -760,8 +796,8 @@ mod tests {
                 assert!(decode_block(&payload).is_err(), "id {id}, trailing byte");
             }
         }
-        // Any other single record is a one-record delta stream, as in v3
-        // (plain here; the LZ stage may shrink it).
+        // Any other single record is a one-record stream (plain here; the
+        // LZ stage may shrink it).
         let route_change = WalRecord::Update {
             id: ObjectId(1),
             msg: UpdateMessage {
@@ -777,8 +813,8 @@ mod tests {
     }
 
     /// One sealer kept across blocks — the writer's — seals every block
-    /// exactly as a fresh one would: no context, LZ generation or scratch
-    /// byte of one block reaches the next, a block larger than the
+    /// exactly as a fresh one would: no column entry, LZ generation or
+    /// scratch byte of one block reaches the next, a block larger than the
     /// scratch it keeps included.
     #[test]
     fn a_reused_sealer_seals_as_a_fresh_one() {
@@ -823,6 +859,191 @@ mod tests {
         assert!(decode_block(&[]).is_err());
         assert!(decode_block(&[9, 1]).is_err(), "unknown format");
         assert!(peek_block_count(&[9, 1]).is_err());
+    }
+
+    /// Bytes `k` of every value, for `k` in `0..8`: a column's planes.
+    fn planes(values: &[u64]) -> Vec<u8> {
+        (0..8)
+            .flat_map(|k| values.iter().map(move |v| v.to_le_bytes()[k]))
+            .collect()
+    }
+
+    /// The stream is the record section — a tag per record, a verbatim
+    /// record inline — then the columns of the compact records: the ids
+    /// and the time deltas at the fewest bytes that hold them, the first
+    /// time and every other float raw, each column as byte planes.
+    #[test]
+    fn the_stream_is_a_record_section_then_byte_planes() {
+        let at = |x: f64, y: f64| UpdatePosition::Coordinates(modb_geom::Point::new(x, y));
+        let records = [
+            update(5, 2.0, 7.0, 0.25),
+            WalRecord::RemoveMoving(ObjectId(9)),
+            WalRecord::Update {
+                id: ObjectId(0x0102),
+                msg: UpdateMessage::basic(1.0, at(3.0, 4.0), 0.5),
+            },
+        ];
+        let mut removal = Vec::new();
+        records[1].encode_payload(&mut removal);
+        let mut expected = vec![BLOCK_FORMAT_PLAIN, 3, REC_COMPACT_ARC, REC_VERBATIM];
+        expected.push(removal.len() as u8);
+        expected.extend(&removal);
+        expected.push(REC_COMPACT_COORDS);
+        // Ids 5 and 0x0102 take two bytes: the low plane, then the high.
+        expected.extend([2, 0x05, 0x02, 0x00, 0x01]);
+        // The first time raw, then the one delta of bit patterns, which
+        // takes seven bytes (one value's planes are its bytes).
+        let (t0, t1) = (2.0f64.to_bits(), 1.0f64.to_bits());
+        expected.extend(t0.to_le_bytes());
+        let delta = zigzag(t1.wrapping_sub(t0) as i64);
+        expected.push(7);
+        expected.extend(&delta.to_le_bytes()[..7]);
+        let bits = |v: &[f64]| planes(&v.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+        expected.extend(bits(&[7.0, 3.0]));
+        expected.extend(bits(&[4.0]));
+        expected.extend(bits(&[0.25, 0.5]));
+        let mut payload = Vec::new();
+        encode_block(&records, false, &mut payload);
+        assert_eq!(payload, expected);
+        assert_eq!(decode_block(&payload).unwrap(), records);
+    }
+
+    /// A splitmix64 stream: the property test's seeded randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A float a hostile or unlucky log can hold: a NaN with a
+        /// payload, −0.0, ±∞, any bit pattern, or an ordinary value.
+        fn float(&mut self) -> f64 {
+            match self.below(8) {
+                0 => f64::from_bits(0x7ff8_0000_dead_beef),
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => f64::from_bits(self.next()),
+                _ => self.below(100_000) as f64 / 64.0 - 500.0,
+            }
+        }
+
+        /// A block of up to 40 records: arc and coordinate updates,
+        /// verbatim records among them, ids repeated and at both ends of
+        /// the range, times in no order.
+        fn block(&mut self) -> Vec<WalRecord> {
+            let mut ids = vec![0, u64::MAX];
+            (0..self.below(41))
+                .map(|_| {
+                    let id = match self.below(4) {
+                        0 => ids[self.below(ids.len() as u64) as usize],
+                        1 => self.next(),
+                        _ => self.below(60_000),
+                    };
+                    ids.push(id);
+                    let position = if self.below(3) == 0 {
+                        let (x, y) = (self.float(), self.float());
+                        UpdatePosition::Coordinates(modb_geom::Point::new(x, y))
+                    } else {
+                        UpdatePosition::Arc(self.float())
+                    };
+                    let msg = UpdateMessage::basic(self.float(), position, self.float());
+                    let (id, route) = (ObjectId(id), Some(modb_routes::RouteId(4)));
+                    match self.below(8) {
+                        0 => WalRecord::RemoveMoving(id),
+                        1 => WalRecord::LeaderEpoch { epoch: id.0 },
+                        2 => WalRecord::Update {
+                            id,
+                            msg: UpdateMessage { route, ..msg },
+                        },
+                        _ => WalRecord::Update { id, msg },
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// Each record's payload bytes: equal exactly when the records are
+    /// equal bit for bit, NaN payloads included.
+    fn bit_patterns(records: &[WalRecord]) -> Vec<Vec<u8>> {
+        records
+            .iter()
+            .map(|r| {
+                let mut payload = Vec::new();
+                r.encode_payload(&mut payload);
+                payload
+            })
+            .collect()
+    }
+
+    fn refused(payload: &[u8]) -> bool {
+        matches!(decode_block(payload), Err(WalError::Decode(_)))
+    }
+
+    /// Random blocks round-trip bit-exactly, plain and through the LZ
+    /// stage; every cut, a trailing byte, a width byte above 8 and a
+    /// count the body cannot hold are refused as `Decode`, not a panic
+    /// or an allocation sized by the count.
+    #[test]
+    fn random_blocks_round_trip_and_every_malformed_one_is_refused() {
+        let mut rng = Rng(0x5eed_0005);
+        for case in 0..48 {
+            let records = rng.block();
+            for compress in [false, true] {
+                let mut payload = Vec::new();
+                encode_block(&records, compress, &mut payload);
+                let count = records.len() as u64;
+                assert_eq!(peek_block_count(&payload).unwrap(), count, "case {case}");
+                let back = decode_block(&payload).unwrap();
+                assert_eq!(bit_patterns(&back), bit_patterns(&records), "case {case}");
+                for cut in 0..payload.len() {
+                    assert!(refused(&payload[..cut]), "case {case}, cut {cut}");
+                }
+                payload.push(0);
+                assert!(refused(&payload), "case {case}, trailing byte");
+            }
+            // The width bytes of a plain block's columns, past its count
+            // and record section: the ids', then the time deltas'.
+            let compact: Vec<Basic> = records.iter().filter_map(basic).collect();
+            if compact.is_empty() || records.len() == 1 {
+                continue;
+            }
+            let mut payload = Vec::new();
+            encode_block(&records, false, &mut payload);
+            let varint_len = |v: usize| {
+                let mut bytes = Vec::new();
+                put_varint(&mut bytes, v as u64);
+                bytes.len()
+            };
+            let section: usize = (bit_patterns(&records).iter().zip(&records))
+                .map(|(bytes, rec)| match basic(rec) {
+                    Some(_) => 1,
+                    None => 1 + varint_len(bytes.len()) + bytes.len(),
+                })
+                .sum();
+            let ids = 1 + varint_len(records.len()) + section;
+            let times = ids + 1 + compact.len() * usize::from(payload[ids]) + 8;
+            for at in [ids, times] {
+                assert!(payload[at] <= 8, "case {case}");
+                let mut wide = payload.clone();
+                wide[at] = 9 + rng.below(247) as u8;
+                assert!(refused(&wide), "case {case}, width {}", wide[at]);
+            }
+        }
+        for format in [BLOCK_FORMAT_PLAIN, BLOCK_FORMAT_LZ] {
+            let mut hostile = vec![format];
+            put_varint(&mut hostile, u64::MAX);
+            hostile.extend([REC_COMPACT_ARC; 4]);
+            assert!(refused(&hostile), "format {format}");
+        }
     }
 
     /// A small framed stream holding every block format — a one-update

@@ -74,6 +74,11 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WalError> {
+        self.take(n, "bytes underflow")
+    }
+
     /// Reads a `u32`-length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, WalError> {
         let len = self.u32()? as usize;
@@ -104,8 +109,8 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Appends an LEB128 varint (7 bits per byte, little-endian groups,
-/// high bit = continuation). Small values — the common case for the
-/// delta stream — cost one byte.
+/// high bit = continuation). Small values — record counts, lengths and
+/// most object ids — cost one byte.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8) | 0x80);

@@ -10,10 +10,11 @@
 //!   insertion — is a [`WalRecord`], appended (right after it is
 //!   applied, and before it is acknowledged — DESIGN §7) as part of a
 //!   varint-length-prefixed, CRC32-checksummed frame holding one
-//!   delta-coded, LZ-compressed block of records ([`block`]) — or, for
-//!   a block of one basic position update (each acknowledged single
-//!   update), that record alone: its object id and raw floats, 31 bytes
-//!   framed for a small id (segment format 4, [`SEGMENT_VERSION`]). The
+//!   LZ-compressed block of records whose position updates are stored
+//!   as columns of byte planes ([`block`]; segment format 5,
+//!   [`SEGMENT_VERSION`]) — or, for a block of one basic position update
+//!   (each acknowledged single update), that record alone: its object id
+//!   and raw floats, 31 bytes framed for a small id. The
 //!   writer seals every block with one [`block`] sealer whose tables and
 //!   buffers it keeps, so an append allocates nothing. Segment
 //!   files rotate at a size threshold, and the writer fsyncs every 256

@@ -1,9 +1,10 @@
 //! A small, dependency-free LZ77 byte codec for the block stage.
 //!
-//! The delta stream inside a block is already compact, but the
-//! workloads the paper cares about are *repetitive* — fleets sending the
-//! same speed, the same arc step, the same flag bytes — and an LZ pass
-//! squeezes out what delta coding leaves behind. The format is a plain
+//! The workloads the paper cares about are *repetitive* — fleets sending
+//! the same speed, the same flag bytes, floats that share their sign and
+//! exponent — and a block's stream lays those bytes side by side (its
+//! columns are byte planes, [`crate::block`]), where an LZ pass squeezes
+//! them out. The format is a plain
 //! token stream (no entropy stage, no external dictionary):
 //!
 //! ```text
@@ -30,7 +31,7 @@ const MIN_MATCH: usize = 4;
 const MAX_DISTANCE: usize = 1 << 16;
 /// Hash table slots (heads of 4-byte-prefix chains, no chaining — the
 /// newest position wins, which is both simplest and best for the short
-/// repeat distances delta streams produce).
+/// repeat distances byte planes produce).
 const HASH_BITS: u32 = 13;
 
 fn hash4(bytes: &[u8]) -> usize {

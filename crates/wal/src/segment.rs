@@ -14,11 +14,12 @@
 //!                            crate::record and crate::block
 //! ```
 //!
-//! The version is [`SEGMENT_VERSION`], 4: a block's first byte names its
-//! format — a delta stream of any number of records, plain (0) or LZ (1),
-//! or exactly one basic update (2: an arc, 3: coordinates), which is its
-//! record's id and raw floats and nothing else. A one-update block on an
-//! arc therefore weighs `5 + 1 + varint(id) + 24` bytes framed.
+//! The version is [`SEGMENT_VERSION`], 5: a block's first byte names its
+//! format — a stream of any number of records, plain (0) or LZ (1), whose
+//! basic updates are stored as columns of byte planes, or exactly one
+//! basic update (2: an arc, 3: coordinates), which is its record's id and
+//! raw floats and nothing else. A one-update block on an arc therefore
+//! weighs `5 + 1 + varint(id) + 24` bytes framed.
 //!
 //! A snapshot (`snap-<lsn>.snap`, [`crate::snapshot`]) is a sealed file of
 //! the same layout whose start LSN is the snapshot's: both are read with
@@ -35,16 +36,18 @@ use crate::record::{FrameEnd, WalRecord};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"MODBWAL1";
-/// The segment format version: one delta-encoded (optionally compressed)
-/// *block* of records per CRC frame — see [`crate::block`]. Version 4
-/// gives a block of exactly one basic update a layout of its own (its
-/// object id and raw floats, no count, no record tag); every other block
-/// and the `[len varint][crc32]` frame are as in version 3. Versions 3
+/// The segment format version: one (optionally compressed) *block* of
+/// records per CRC frame — see [`crate::block`]. Version 5 stores the
+/// basic updates of a block of many records as a column section of byte
+/// planes after its record tags, where version 4 delta-coded each against
+/// a per-object context; a block with no basic update, a one-update
+/// block (its object id and raw floats, since version 4) and the
+/// `[len varint][crc32]` frame are as in version 4. Versions 4, 3
 /// (one-update blocks in the delta-stream layout), 2 (a fixed `u32`
 /// length, every float a delta) and 1 (one record per frame) are
 /// retired. A header naming any other version is refused, never guessed
 /// at.
-pub const SEGMENT_VERSION: u32 = 4;
+pub const SEGMENT_VERSION: u32 = 5;
 /// Segment header length in bytes.
 pub const SEGMENT_HEADER_BYTES: u64 = 20;
 
@@ -201,8 +204,9 @@ mod tests {
         assert_eq!(read_segment_header(&path).unwrap(), 5);
         // Neither the retired per-record format (1), the retired
         // fixed-length frames (2), the retired one-update blocks in the
-        // delta-stream layout (3) nor a future one is guessed at.
-        for foreign in [1u32, 2, 3, 9] {
+        // delta-stream layout (3), the retired per-object delta streams
+        // (4) nor a future one is guessed at.
+        for foreign in [1u32, 2, 3, 4, 9] {
             let mut header = encode_header(5);
             header[8..12].copy_from_slice(&foreign.to_le_bytes());
             std::fs::write(&path, &header).unwrap();

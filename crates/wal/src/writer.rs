@@ -5,7 +5,7 @@
 //! `DurableDatabase`): producers collect records into one pending
 //! [`WalBatch`] without touching the writer; the [`SharedWal`] mutex is
 //! taken only to hand over a whole batch, which is sealed as one block —
-//! the batch is the delta/LZ compression window — and written with a
+//! the batch is the column/LZ compression window — and written with a
 //! single `write_all`. A [`SharedWal`] is also its log's one commit
 //! point ([`crate::commit`]).
 
@@ -200,7 +200,7 @@ impl WalWriter {
     /// Appends one record as a one-record block — still self-delimiting,
     /// just without a compression window (a basic update is its own
     /// block format, [`crate::block`]); batch appends are where the
-    /// delta stream pays off. Returns the record's LSN.
+    /// columns and the LZ stage pay off. Returns the record's LSN.
     ///
     /// # Errors
     ///
@@ -213,7 +213,7 @@ impl WalWriter {
     }
 
     /// Appends a whole batch (see [`WalBatch`]) as **one block** — one
-    /// frame, one restart point, the batch as the delta/LZ compression
+    /// frame, one restart point, the batch as the column/LZ compression
     /// window — and clears it. For the periodic fsync a batch counts
     /// record by record, but is synced at most once. A batch too large
     /// for one block is sealed and written as one block per record.

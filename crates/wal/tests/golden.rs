@@ -1,17 +1,19 @@
 //! Golden-file decode tests: the on-disk compatibility contract.
 //!
-//! The one format is a version-4 log segment (`tests/golden/segment-v4/`)
+//! The one format is a version-5 log segment (`tests/golden/segment-v5/`)
 //! and a snapshot written in the same layout beside it, whose head
 //! carries the leadership history. Both decode to the values they were
 //! built from and re-encode to the identical bytes, so a change to any
 //! surviving byte fails here first. Beside them are the fixtures of
-//! refusal: the version-3 segment and snapshots (the segment walked by
-//! hand into the v4 one), the version-2 segment (walked by hand into the
+//! refusal: the version-4 segment and snapshot (the segment walked by
+//! hand into the v5 one), the version-3 segment and snapshots (walked by
+//! hand into the v4 ones), the version-2 segment (walked by hand into the
 //! v3 one), the v3 snapshot whose head had no history (walked by hand
 //! into the v3 one with it) and the retired `MODBSNP1` snapshots of
 //! versions 3 and 4. See `tests/golden/README.md` for how the files were
 //! produced.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use modb_core::{
@@ -28,17 +30,22 @@ use modb_wal::{
 
 /// The segment's file name, in every directory.
 const SEGMENT_NAME: &str = "wal-00000000000000000000.log";
-/// The v4 segment.
-const SEGMENT: &str = "segment-v4/wal-00000000000000000000.log";
+/// The v5 segment.
+const SEGMENT: &str = "segment-v5/wal-00000000000000000000.log";
+/// The v4 segment, kept as the fixture of its refusal.
+const SEGMENT_V4: &str = "segment-v4/wal-00000000000000000000.log";
 /// The v3 segment, kept as the fixture of its refusal.
 const SEGMENT_V3: &str = "v3/wal-00000000000000000000.log";
 /// The v2 segment, kept as the fixture of its refusal.
 const SEGMENT_V2: &str = SEGMENT_NAME;
 /// The snapshot's file name, in every directory.
 const SNAPSHOT_NAME: &str = "snap-00000000000000000007.snap";
-/// The snapshot: a sealed file of the v4 segment layout whose head
+/// The snapshot: a sealed file of the v5 segment layout whose head
 /// carries the leadership history.
-const SNAPSHOT: &str = "segment-v4/snap-00000000000000000007.snap";
+const SNAPSHOT: &str = "segment-v5/snap-00000000000000000007.snap";
+/// The same snapshot in the v4 layout, kept as the fixture of its
+/// refusal.
+const SNAPSHOT_V4: &str = "segment-v4/snap-00000000000000000007.snap";
 /// The same snapshot in the v3 layout, kept as the fixture of its
 /// refusal.
 const SNAPSHOT_V3: &str = "v3/epochs/snap-00000000000000000007.snap";
@@ -200,7 +207,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Splits a v3 or v4 segment body into its frames' payloads by hand — the
+/// Splits a v3, v4 or v5 segment body into its frames' payloads by hand — the
 /// layout under contract (`[len varint][crc u32][payload]`), read
 /// without the crate's own frame reader.
 fn frame_payloads(body: &[u8]) -> Vec<&[u8]> {
@@ -241,9 +248,9 @@ fn segment_decodes_to_its_records_and_re_encodes_bit_identically() {
     let bytes = std::fs::read(golden(SEGMENT)).unwrap();
     let blocks = segment_blocks();
 
-    // Header: magic, version 4, start LSN 0 — nothing renumbered.
+    // Header: magic, version 5, start LSN 0 — nothing renumbered.
     assert_eq!(&bytes[..8], b"MODBWAL1");
-    assert_eq!(bytes[8..12], 4u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 5u32.to_le_bytes());
     assert_eq!(bytes[12..20], 0u64.to_le_bytes());
     // One frame per block; the format byte says which went through LZ
     // (1), which stayed plain (0) and which is one update on an arc (2).
@@ -316,6 +323,11 @@ fn v2_segment_is_refused_typed_and_left_untouched() {
 #[test]
 fn v3_segment_is_refused_typed_and_left_untouched() {
     assert_segment_refused(SEGMENT_V3, 3);
+}
+
+#[test]
+fn v4_segment_is_refused_typed_and_left_untouched() {
+    assert_segment_refused(SEGMENT_V4, 4);
 }
 
 /// A v2 block stream with its first compact record's floats (time,
@@ -409,7 +421,7 @@ fn v3_is_v2_reframed() {
 #[test]
 fn v4_is_v3_with_its_one_update_blocks_rewritten() {
     let v3 = std::fs::read(golden(SEGMENT_V3)).unwrap();
-    let v4 = std::fs::read(golden(SEGMENT)).unwrap();
+    let v4 = std::fs::read(golden(SEGMENT_V4)).unwrap();
     let mut rewritten = v3[..20].to_vec();
     rewritten[8..12].copy_from_slice(&4u32.to_le_bytes());
     let mut frames = Vec::new();
@@ -448,11 +460,183 @@ fn v4_is_v3_with_its_one_update_blocks_rewritten() {
 
     let (snap_v3, snap) = (
         std::fs::read(golden(SNAPSHOT_V3)).unwrap(),
-        std::fs::read(golden(SNAPSHOT)).unwrap(),
+        std::fs::read(golden(SNAPSHOT_V4)).unwrap(),
     );
     assert_eq!(snap_v3[8..12], 3u32.to_le_bytes());
     assert_eq!(snap[8..12], 4u32.to_le_bytes());
     assert_eq!((&snap_v3[..8], &snap_v3[12..]), (&snap[..8], &snap[12..]));
+}
+
+fn unzigzag(d: u64) -> u64 {
+    (d >> 1) ^ (d & 1).wrapping_neg()
+}
+
+/// Appends `values` at `width` bytes as byte planes: byte 0 of every
+/// value, then byte 1, and so on.
+fn put_planes(out: &mut Vec<u8>, values: &[u64], width: usize) {
+    for k in 0..width {
+        out.extend(values.iter().map(|v| (v >> (8 * k)) as u8));
+    }
+}
+
+/// The same after a width byte: the fewest bytes that hold every value.
+fn put_narrow(out: &mut Vec<u8>, values: &[u64]) {
+    let width = values
+        .iter()
+        .map(|v| (64 - v.leading_zeros() as usize).div_ceil(8))
+        .max()
+        .unwrap_or(0);
+    out.push(width as u8);
+    put_planes(out, values, width);
+}
+
+/// A compact update's fields: id, coordinates or not, and the bit
+/// patterns of time, p0, p1 (0 on an arc) and speed.
+type Compact = (u64, bool, [u64; 4]);
+
+/// Reads a v4 block stream by hand: its verbatim records' bytes as they
+/// are, and each compact record's fields, from its id's zigzag delta
+/// against the record before and its floats' zigzag deltas against its
+/// object's last values in the block (the stream's last values on an
+/// object's first appearance; the first compact record's floats raw; an
+/// arc leaves the second coordinate as it was).
+fn read_v4_stream(stream: &[u8]) -> Vec<Result<&[u8], Compact>> {
+    let mut records = Vec::new();
+    let (mut last_id, mut last) = (0u64, [0u64; 4]);
+    let mut objects: HashMap<u64, [u64; 4]> = HashMap::new();
+    let mut pos = 0;
+    while pos < stream.len() {
+        let (start, tag) = (pos, stream[pos]);
+        pos += 1;
+        if tag == 0 {
+            let len = varint(stream, &mut pos) as usize;
+            pos += len;
+            records.push(Ok(&stream[start..pos]));
+            continue;
+        }
+        let raw = records.iter().all(Result::is_ok);
+        let id = last_id.wrapping_add(unzigzag(varint(stream, &mut pos)));
+        let context = objects.get(&id).copied().unwrap_or(last);
+        let mut fields = context;
+        for (i, field) in fields.iter_mut().enumerate() {
+            if i == 2 && tag == 1 {
+                continue;
+            }
+            *field = if raw {
+                pos += 8;
+                u64::from_le_bytes(stream[pos - 8..pos].try_into().unwrap())
+            } else {
+                context[i].wrapping_add(unzigzag(varint(stream, &mut pos)))
+            };
+        }
+        objects.insert(id, fields);
+        (last_id, last) = (id, fields);
+        let coords = tag == 2;
+        records.push(Err((
+            id,
+            coords,
+            [
+                fields[0],
+                fields[1],
+                fields[2] * u64::from(coords),
+                fields[3],
+            ],
+        )));
+    }
+    records
+}
+
+/// The v5 segment is the v4 segment with exactly the change of version
+/// 5: the stream of block 0, the 49-record batch, is rewritten — its
+/// record section is each compact record's tag alone and the verbatim
+/// route change's bytes as they were, and its 48 updates, read back from
+/// v4's per-object deltas, follow as columns of byte planes (ids and time
+/// deltas at their fewest bytes, the first time and every other float
+/// raw) — and compressed again with a fresh table. The one-update block,
+/// the verbatim registration and the `LeaderEpoch` are byte-identical.
+/// The v5 snapshot holds no update, so it is the v4 one with only its
+/// version changed.
+#[test]
+fn v5_is_v4_with_its_streams_rewritten() {
+    let v4 = std::fs::read(golden(SEGMENT_V4)).unwrap();
+    let v5 = std::fs::read(golden(SEGMENT)).unwrap();
+    let mut rewritten = v4[..20].to_vec();
+    rewritten[8..12].copy_from_slice(&5u32.to_le_bytes());
+    let mut frames = Vec::new();
+    for (i, block) in frame_payloads(&v4[20..]).into_iter().enumerate() {
+        let payload = if i == 0 {
+            let v4_stream = inflate(block);
+            let records = read_v4_stream(&v4_stream);
+            let mut stream = Vec::new();
+            let mut updates = Vec::new();
+            for record in &records {
+                match *record {
+                    Ok(verbatim) => stream.extend_from_slice(verbatim),
+                    Err((id, coords, fields)) => {
+                        stream.push(if coords { 2 } else { 1 });
+                        updates.push((id, coords, fields));
+                    }
+                }
+            }
+            // The updates read back are the batch's basic updates.
+            let batch: Vec<Compact> = (segment_blocks()[0].iter())
+                .filter_map(|rec| match rec {
+                    WalRecord::Update { id, msg } if msg.route.is_none() => {
+                        let UpdatePosition::Arc(arc) = msg.position else {
+                            panic!("the batch's updates are on arcs")
+                        };
+                        let bits = [msg.time.to_bits(), arc.to_bits(), 0, msg.speed.to_bits()];
+                        Some((id.0, false, bits))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(updates, batch);
+            let column = |f: usize| -> Vec<u64> { updates.iter().map(|u| u.2[f]).collect() };
+            let ids: Vec<u64> = updates.iter().map(|u| u.0).collect();
+            put_narrow(&mut stream, &ids);
+            let times = column(0);
+            stream.extend_from_slice(&times[0].to_le_bytes());
+            let deltas: Vec<u64> = (times.windows(2))
+                .map(|t| {
+                    let d = t[1].wrapping_sub(t[0]);
+                    (d << 1) ^ ((d as i64 >> 63) as u64)
+                })
+                .collect();
+            put_narrow(&mut stream, &deltas);
+            let p1: Vec<u64> = (updates.iter().filter(|u| u.1)).map(|u| u.2[2]).collect();
+            for floats in [column(1), p1, column(3)] {
+                put_planes(&mut stream, &floats, 8);
+            }
+            let mut payload = vec![1];
+            put_varint(&mut payload, records.len() as u64);
+            put_varint(&mut payload, stream.len() as u64);
+            modb_wal::lz::Compressor::new().compress(&stream, &mut payload);
+            frames.push((v4_stream.len(), stream.len()));
+            payload
+        } else {
+            block.to_vec()
+        };
+        frames.push((block.len(), payload.len()));
+        put_varint(&mut rewritten, payload.len() as u64);
+        rewritten.extend_from_slice(&modb_wal::crc32(&payload).to_le_bytes());
+        rewritten.extend_from_slice(&payload);
+    }
+    assert_eq!(rewritten, v5);
+    // Block 0: its stream grows from 924 bytes to 1,259 (48 × 24 float
+    // bytes raw, where this toy batch's per-object deltas were small),
+    // and its LZ block shrinks from 248 bytes to 185 — the planes'
+    // repeated bytes are runs.
+    assert_eq!(frames[..2], [(924, 1_259), (248, 185)]);
+    assert_eq!((v4.len(), v5.len()), (391, 328));
+
+    let (snap_v4, snap) = (
+        std::fs::read(golden(SNAPSHOT_V4)).unwrap(),
+        std::fs::read(golden(SNAPSHOT)).unwrap(),
+    );
+    assert_eq!(snap_v4[8..12], 4u32.to_le_bytes());
+    assert_eq!(snap[8..12], 5u32.to_le_bytes());
+    assert_eq!((&snap_v4[..8], &snap_v4[12..]), (&snap[..8], &snap[12..]));
 }
 
 #[test]
@@ -462,7 +646,7 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
 
     // The segment header, with the snapshot's LSN as its start LSN.
     assert_eq!(&bytes[..8], b"MODBWAL1");
-    assert_eq!(bytes[8..12], 4u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 5u32.to_le_bytes());
     assert_eq!(bytes[12..20], 7u64.to_le_bytes());
     // Two LZ blocks, read by hand: the head alone, then all five records
     // of the state.
@@ -534,7 +718,9 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
 /// before, now goes through the LZ stage (the spans' zero bytes make it
 /// pay); the header and every body frame are byte-identical. Both files
 /// are retired since version 4; the v4 snapshot is the later one with
-/// its version changed (`v4_is_v3_with_its_one_update_blocks_rewritten`).
+/// its version changed (`v4_is_v3_with_its_one_update_blocks_rewritten`),
+/// and the v5 one the v4 one with its version changed
+/// (`v5_is_v4_with_its_streams_rewritten`).
 #[test]
 fn snapshot_is_the_historyless_one_with_the_history_in_its_head() {
     let old = std::fs::read(golden(SNAPSHOT_NO_EPOCHS)).unwrap();
@@ -564,13 +750,14 @@ fn snapshot_is_the_historyless_one_with_the_history_in_its_head() {
 /// as they were — by the reader and by recovery, which finds no usable
 /// snapshot and never falls back to a genesis history. The `MODBSNP1`
 /// container, version 3 and version 4, is refused by its magic and the
-/// two v3 segment-layout snapshots (with and without a history in the
-/// head) by their version, before anything is decoded.
+/// v4 and the two v3 segment-layout snapshots (with and without a history
+/// in the head) by their version, before anything is decoded.
 #[test]
 fn retired_snapshots_are_refused_typed_and_left_untouched() {
     for (retired, offset, reason) in [
         (SNAPSHOT_SNP1_V3, 0, "bad magic"),
         (SNAPSHOT_SNP1_V4, 0, "bad magic"),
+        (SNAPSHOT_V4, 8, "unsupported version"),
         (SNAPSHOT_V3, 8, "unsupported version"),
         (SNAPSHOT_NO_EPOCHS, 8, "unsupported version"),
     ] {

@@ -1,5 +1,5 @@
 //! Integration tests for the block WAL format: segments of any other
-//! header version refused without being touched, the delta codec under
+//! header version refused without being touched, the block codec under
 //! adversarial record streams, crash cuts landing inside compressed
 //! blocks, the frame scan under every truncation and bit flip, and a log
 //! that does not continue its snapshot refused.
@@ -103,10 +103,11 @@ fn opts(max_segment_bytes: u64) -> WalOptions {
 fn foreign_header_versions_are_refused_everywhere_and_left_on_disk() {
     // Version 1 is the retired one-record-per-frame format, 2 the
     // retired fixed-length frames, 3 the retired one-update blocks in the
-    // delta-stream layout, 5 a format this build has never heard of: all
-    // get the same typed refusal from every reader and the writer, and
-    // the file keeps every byte.
-    for foreign in [1u32, 2, 3, 5] {
+    // delta-stream layout, 4 the retired per-object delta streams, 9 a
+    // format this build has never heard of: all get the same typed
+    // refusal from every reader and the writer, and the file keeps every
+    // byte.
+    for foreign in [1u32, 2, 3, 4, 9] {
         let dir = tmp(&format!("foreign-v{foreign}"));
         let empty = Database::new(network(), DatabaseConfig::default());
         let mut w = WalWriter::create(&dir, opts(u64::MAX)).unwrap();
@@ -198,12 +199,12 @@ fn crash_inside_a_compressed_block_truncates_to_the_block_boundary() {
 }
 
 // ---------------------------------------------------------------------
-// Delta-codec property: adversarial object interleavings and times
+// Block-codec property: adversarial object interleavings and times
 // ---------------------------------------------------------------------
 
-/// An update whose shape stresses the per-object delta contexts: ids
-/// collide across a small space (interleavings), times go backwards as
-/// often as forwards, and some records carry options that force the
+/// An update whose shape stresses the block codec: ids collide across a
+/// small space (interleavings), times go backwards as often as forwards
+/// (wide time deltas), and some records carry options that force the
 /// verbatim fallback.
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     (
@@ -236,9 +237,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Random interleavings, out-of-order times, NaN/∞ payloads, and
-    /// random block boundaries (= restart points, since every block is
-    /// context-reset): the stream must round-trip bit-exactly through
-    /// the delta codec, compressed and uncompressed alike.
+    /// random block boundaries (= restart points, since a block is
+    /// decoded with nothing from another): the stream must round-trip
+    /// bit-exactly through the block codec, compressed and uncompressed
+    /// alike.
     #[test]
     fn delta_codec_round_trips_across_restart_points(
         records in proptest::collection::vec(arb_record(), 1..120),
