@@ -257,8 +257,8 @@ fn run_remote(client: &mut QueryClient, script: &str) -> bool {
     match client.batch_attempt(script, client.token()) {
         Ok(BatchOutcome::Stale { applied, required }) => {
             println!(
-                "  stale: follower applied {applied} < session token {required} \
-                 (retry once it catches up, or \\connect a fresher follower \
+                "  stale: applied {applied} < session token {required} \
+                 (retry once it catches up, or \\connect a fresher node \
                  — tokens never lower on a live session)"
             );
             true

@@ -44,29 +44,23 @@ use modb_wal::{
 };
 
 use crate::ingest::{IngestService, WAL_BATCH_RECORDS};
-use crate::replication::ShipHorizon;
+use crate::node::{Node, Watermark};
 use crate::shared::SharedDatabase;
 
 /// A shared database whose mutations are persisted to a directory of
 /// write-ahead-log segments and snapshots.
 #[derive(Debug, Clone)]
 pub struct DurableDatabase {
-    db: SharedDatabase,
+    /// The database, directory, horizon, epochs and watermark, shared
+    /// with a standby's handle when this is its local log.
+    node: Arc<Node>,
     wal: SharedWal,
     /// The tail lock: records applied but not yet appended, in the order
     /// they were applied (see [`DurableDatabase::write`]).
     tail: Arc<Mutex<WalBatch>>,
-    dir: PathBuf,
     /// One snapshot at a time (clones share it): two takers at one
     /// watermark would share a `.tmp` name.
     snapshots: Arc<Mutex<()>>,
-    /// Per-follower acknowledged LSNs; their minimum is the ship barrier
-    /// the post-snapshot compaction pass respects.
-    horizon: Arc<ShipHorizon>,
-    /// Leadership epochs of this log (the promotion divergence guard), as
-    /// recovered from it; shared with the replication listener's
-    /// handshake gate and written into every snapshot's head.
-    epochs: Arc<Mutex<EpochHistory>>,
 }
 
 impl DurableDatabase {
@@ -88,15 +82,7 @@ impl DurableDatabase {
         let db = SharedDatabase::new(db);
         let epochs = EpochHistory::new();
         db.write_snapshot(&dir, &epochs, writer.next_lsn())?;
-        Ok(DurableDatabase {
-            db,
-            wal: SharedWal::new(writer),
-            tail: Arc::default(),
-            dir,
-            snapshots: Arc::default(),
-            horizon: Arc::new(ShipHorizon::new()),
-            epochs: Arc::new(Mutex::new(epochs)),
-        })
+        Ok(DurableDatabase::leading(db, dir, epochs, writer))
     }
 
     /// Reopens a durability directory: recovers the state (snapshot +
@@ -112,45 +98,48 @@ impl DurableDatabase {
     ) -> Result<(Self, RecoveryReport), WalError> {
         let dir = dir.into();
         let recovered = modb_wal::recover(&dir)?;
-        let durable = DurableDatabase::from_parts(
-            SharedDatabase::new(recovered.database),
-            dir,
-            opts,
-            recovered.report.next_lsn,
-            Arc::new(ShipHorizon::new()),
-            Arc::new(Mutex::new(recovered.epochs)),
-        )?;
+        let writer = WalWriter::resume(&dir, opts, recovered.report.next_lsn)?;
+        let db = SharedDatabase::new(recovered.database);
+        let durable = DurableDatabase::leading(db, dir, recovered.epochs, writer);
         Ok((durable, recovered.report))
     }
 
-    /// Resumes the log in `dir` at `next_lsn` over a database holding
-    /// every record below it, with the ship horizon and epoch history of
-    /// `dir` — a standby's, kept across its promotion, so downstream acks
-    /// keep pinning compaction and the replication gate sees the new
-    /// epoch. Fails as [`WalWriter::resume`] does.
+    /// A leader from birth: the node over `db` and `dir` leads the log
+    /// `writer` writes.
+    fn leading(db: SharedDatabase, dir: PathBuf, epochs: EpochHistory, writer: WalWriter) -> Self {
+        let wal = SharedWal::new(writer);
+        let node = Node::new(db, dir, epochs, Watermark::leader(wal.clone()));
+        DurableDatabase::over(node, wal)
+    }
+
+    /// Resumes the log of `node` at `next_lsn`, over a database holding
+    /// every record below it: a standby's local log, which shares the
+    /// standby's node, so downstream acks keep pinning compaction and the
+    /// replication gate sees the epochs it logs. The node does not lead
+    /// this log until it is promoted. Fails as [`WalWriter::resume`]
+    /// does.
     pub(crate) fn from_parts(
-        db: SharedDatabase,
-        dir: PathBuf,
+        node: Arc<Node>,
         opts: WalOptions,
         next_lsn: u64,
-        horizon: Arc<ShipHorizon>,
-        epochs: Arc<Mutex<EpochHistory>>,
     ) -> Result<Self, WalError> {
-        let writer = WalWriter::resume(&dir, opts, next_lsn)?;
-        Ok(DurableDatabase {
-            db,
-            wal: SharedWal::new(writer),
+        let writer = WalWriter::resume(node.dir(), opts, next_lsn)?;
+        Ok(DurableDatabase::over(node, SharedWal::new(writer)))
+    }
+
+    /// The handle that writes `wal`, a log of `node`.
+    fn over(node: Arc<Node>, wal: SharedWal) -> Self {
+        DurableDatabase {
+            node,
+            wal,
             tail: Arc::default(),
-            dir,
             snapshots: Arc::default(),
-            horizon,
-            epochs,
-        })
+        }
     }
 
     /// The in-memory handle (queries go here; they never touch the log).
     pub fn database(&self) -> &SharedDatabase {
-        &self.db
+        self.node.database()
     }
 
     /// The shared log writer and its commit point. Mutations go through
@@ -162,29 +151,18 @@ impl DurableDatabase {
 
     /// The durability directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The replication horizon: connected followers' acknowledged LSNs,
-    /// whose minimum caps how far compaction may delete log (see
-    /// [`DurableDatabase::serve_replication`]).
-    pub fn ship_horizon(&self) -> &Arc<ShipHorizon> {
-        &self.horizon
-    }
-
-    /// The leadership-epoch history of this log, shared with the
-    /// replication handshake gate.
-    pub(crate) fn epochs(&self) -> &Arc<Mutex<EpochHistory>> {
-        &self.epochs
+        self.node.dir()
     }
 
     /// The current leadership epoch (1 for a log that never lived
     /// through a promotion).
     pub fn epoch(&self) -> u64 {
-        self.epochs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .current()
+        self.node.epoch()
+    }
+
+    /// The node this log belongs to.
+    pub(crate) fn node(&self) -> &Arc<Node> {
+        &self.node
     }
 
     /// An ingest service over this database: its sends take the same
@@ -199,7 +177,7 @@ impl DurableDatabase {
     /// ignored. Kept because `modb_ledger/` calls it.
     #[doc(hidden)]
     pub fn query_engine(&self, _config: crate::QueryEngineConfig) -> crate::QueryEngine {
-        crate::QueryEngine::new(self.db.clone())
+        crate::QueryEngine::new(self.database().clone())
     }
 
     /// The one write path. Under the tail lock, `apply` runs against the
@@ -223,7 +201,7 @@ impl DurableDatabase {
     ) -> Result<(T, Result<u64, WalError>), WalError> {
         let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
         self.wal.commit(0)?;
-        let (applied, record) = apply(&self.db);
+        let (applied, record) = apply(self.database());
         if let Some(record) = &record {
             tail.push(record);
         }
@@ -367,18 +345,14 @@ impl DurableDatabase {
         // A leader's history changes only when it is promoted, and a
         // standby's as it logs the seals it is shipped: either way it
         // holds every epoch begun below `lsn`.
-        let epochs = self
-            .epochs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
+        let epochs = self.node.epochs().clone();
         // Ingest blocks only for the clone; serialization runs unlocked.
-        let path = self.db.write_snapshot(&self.dir, &epochs, lsn)?;
+        let path = self.database().write_snapshot(self.dir(), &epochs, lsn)?;
         // Compaction under the writer lock so it cannot race a segment
         // rotation. The ship barrier (minimum acknowledged LSN across
         // connected replication followers) caps segment deletion so a
         // slow-but-live follower is never orphaned mid-stream.
-        self.wal.compact(retention, self.horizon.min())?;
+        self.wal.compact(retention, self.node.horizon().min())?;
         Ok(path)
     }
 }

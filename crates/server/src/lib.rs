@@ -37,7 +37,11 @@
 //!   database + query engine; follower acknowledgements form the
 //!   [`ShipHorizon`] compaction barrier, and replication lag prices into
 //!   the paper's deviation bound as `D·dt` (see the `replication` module
-//!   docs).
+//!   docs). A leader's [`DurableDatabase`] and a [`StandbyReplica`] are
+//!   one node underneath: one database, directory, horizon and epoch
+//!   history, and one watermark from which the front-end and the
+//!   replication listener — each written once — read the frontier and
+//!   the lag, so a standby promoted under them serves as a leader.
 //! - **Query front-end** ([`DurableDatabase::serve_queries`] /
 //!   [`QueryClient`]): remote `;`-batches and a one-frame metrics scrape
 //!   ([`ServerStatsSnapshot`], with a Prometheus text exposition) over
@@ -51,6 +55,7 @@ mod durable;
 mod framed;
 mod ingest;
 mod net;
+mod node;
 mod query_engine;
 mod replication;
 mod shared;

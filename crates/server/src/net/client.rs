@@ -26,17 +26,17 @@ fn timeout_error(what: &str) -> WalError {
 }
 
 /// How a server answered one `Batch` request: the verdict vector, or a
-/// follower's typed staleness refusal (its applied watermark had not
-/// reached the batch's read-your-writes floor within the server's wait
-/// deadline). `Stale` leaves the session usable: retry here later, or
+/// typed staleness refusal (the node's frontier — a follower's applied
+/// watermark, a leader's log — had not reached the batch's
+/// read-your-writes floor within the server's wait deadline). `Stale` leaves the session usable: retry here later, or
 /// send the batch to another endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchOutcome {
     /// The batch ran; one verdict per statement in script order.
     Done(Vec<RemoteVerdict>),
-    /// A follower could not satisfy the floor within its wait deadline.
+    /// The node could not satisfy the floor within its wait deadline.
     Stale {
-        /// The follower's applied watermark at the moment of refusal.
+        /// The node's frontier at the moment of refusal.
         applied: u64,
         /// The read-your-writes floor it could not reach (echoes the
         /// request's `min_lsn`).
@@ -119,9 +119,9 @@ impl QueryClient {
     }
 
     /// [`QueryClient::batch`] with an explicit read-your-writes floor,
-    /// WAL frontier `min_lsn` (0 = no floor). A leader covers every token
-    /// it acked by construction; a follower waits for its applied
-    /// watermark to reach the floor, or answers `Stale`. Use a token from
+    /// WAL frontier `min_lsn` (0 = no floor). A node waits for its
+    /// frontier to reach the floor, or answers `Stale`; a leader's
+    /// frontier covers every token it acked, so those never wait there. Use a token from
     /// another connection's update ack to read *its* writes from a
     /// follower; plain [`QueryClient::batch`] already covers this
     /// connection's own.
@@ -138,7 +138,7 @@ impl QueryClient {
             BatchOutcome::Done(verdicts) => Ok(verdicts),
             BatchOutcome::Stale { applied, required } => Err(WalError::Io(std::io::Error::new(
                 std::io::ErrorKind::WouldBlock,
-                format!("follower stale: applied {applied} < required {required}"),
+                format!("stale: applied {applied} < required {required}"),
             ))),
         }
     }

@@ -29,5 +29,4 @@ pub use client::{BatchOutcome, QueryClient};
 pub use protocol::{
     RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
 };
-pub(crate) use server::serve_follower_queries;
 pub use server::{QueryServer, QueryServerConfig};

@@ -1,6 +1,17 @@
 //! Server side of the query front-end: accept clients, run their
 //! `;`-batches on the [`QueryEngine`], and answer stats scrapes.
 //!
+//! One front-end serves every kind of node, [`Node::serve_queries`]: a
+//! leader ([`DurableDatabase::serve_queries`]) and a standby
+//! ([`crate::StandbyReplica::serve_queries`]) differ only in the node's
+//! watermark, which each request reads as it comes. A batch waits for
+//! the node's frontier to reach its read-your-writes token, up to
+//! [`QueryServerConfig::stale_deadline`], and is answered `Stale` past
+//! it; its answers are widened by the node's lag (zero on a node that
+//! leads its log); and a scrape reports the led log's I/O counters, or a
+//! follower's applied watermark and lag. A standby promoted under a
+//! running front-end serves as a leader from its next request on.
+//!
 //! The accept loop is the shared [`crate::framed::Listener`] (the one
 //! the replication leader runs); each client gets a session thread that
 //! handshakes, then loops over `Batch` / `StatsRequest` messages.
@@ -28,7 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
-use modb_wal::{SharedWal, WalError};
+use modb_wal::WalError;
 
 use crate::durable::DurableDatabase;
 use crate::framed::{send, FrameReader, Listener, ReadEvent, READ_TIMEOUT, WRITE_TIMEOUT};
@@ -37,8 +48,8 @@ use crate::net::protocol::{
     Message, RemoteUpdateVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
     NET_PROTOCOL_VERSION,
 };
+use crate::node::Node;
 use crate::query_engine::QueryEngine;
-use crate::replication::{ReplicaWatch, ShipHorizon};
 
 /// Tuning for [`DurableDatabase::serve_queries`].
 #[derive(Debug, Clone)]
@@ -52,10 +63,10 @@ pub struct QueryServerConfig {
     /// is declared stalled and disconnected. (A client not draining its
     /// results for 10 s is disconnected too.)
     pub request_deadline: Duration,
-    /// Follower-served reads only: how long a `Batch` whose
-    /// read-your-writes token outruns the applied watermark may wait for
-    /// replication to catch up before the typed `Stale` answer goes
-    /// back. Ignored on a leader (its own tokens never outrun its WAL).
+    /// How long a `Batch` whose read-your-writes token outruns the
+    /// node's frontier — a follower's applied watermark, a leader's log —
+    /// may wait for it before the typed `Stale` answer goes back. Every
+    /// token a leader acks is within its own frontier.
     pub stale_deadline: Duration,
 }
 
@@ -70,29 +81,11 @@ impl Default for QueryServerConfig {
     }
 }
 
-/// What the serving node's frontier is read from: the leader reads its
-/// own WAL frontier, a standby replica reads its applied watermark (and
-/// prices its lag into every answer).
-enum Backend {
-    Leader { wal: SharedWal },
-    Follower { watch: ReplicaWatch },
-}
-
-impl Backend {
-    /// The LSN every record applied to the serving database is below.
-    fn frontier_now(&self) -> u64 {
-        match self {
-            Backend::Leader { wal } => wal.next_lsn(),
-            Backend::Follower { watch } => watch.applied_lsn(),
-        }
-    }
-}
-
 /// Everything a session needs, shared across connection threads.
 struct ServeContext {
     engine: Arc<QueryEngine>,
-    backend: Backend,
-    horizon: Arc<ShipHorizon>,
+    /// The node served: its frontier, lag and horizon are read from it.
+    node: Arc<Node>,
     ingest: Option<IngestHandle>,
     config: QueryServerConfig,
 }
@@ -105,16 +98,18 @@ impl ServeContext {
 
     /// One consistent scrape: every gauge and counter read back to back.
     fn scrape(&self) -> ServerStatsSnapshot {
-        // Follower-served nodes report no WAL I/O here: their local log
-        // is the replication worker's (its counters live in the replica
-        // stats), and what a reader cares about is the watermark + lag.
-        let ((wal_bytes_written, wal_fsyncs), group) = match &self.backend {
-            Backend::Leader { wal } => (wal.io_counters(), wal.commit_stats()),
-            Backend::Follower { .. } => Default::default(),
-        };
-        let (replica_applied_lsn, replica_lag) = match &self.backend {
-            Backend::Leader { .. } => (None, None),
-            Backend::Follower { watch } => (Some(watch.applied_lsn()), Some(watch.lag())),
+        // A follower reports no WAL I/O here: its local log is the
+        // replication worker's (its counters live in the replica stats),
+        // and what a reader cares about is the watermark and the lag. A
+        // node that leads its log — a promoted standby too — reports the
+        // log's.
+        let watermark = self.node.watermark();
+        let ((wal_bytes_written, wal_fsyncs), group, replica) = match watermark.leads() {
+            Some(wal) => (wal.io_counters(), wal.commit_stats(), None),
+            None => {
+                let replica = (watermark.applied(), watermark.lag());
+                (Default::default(), Default::default(), Some(replica))
+            }
         };
         ServerStatsSnapshot {
             query: self.engine.stats(),
@@ -128,46 +123,39 @@ impl ServeContext {
             wal_group_tickets: group.tickets,
             wal_group_commits: group.commits,
             wal_group_last_batch: group.last_batch,
-            wal_next_lsn: self.backend.frontier_now(),
+            wal_next_lsn: watermark.applied(),
             // Ingest has no queue; the field is there for `modb_ledger/`.
             ingest_queue_depth: 0,
-            followers: self.horizon.followers() as u64,
-            min_acked_lsn: self.horizon.min(),
+            followers: self.node.horizon().followers() as u64,
+            min_acked_lsn: self.node.horizon().min(),
             // No server sets a shard number; the field stays for the
             // v6 stats frame (`tests/golden/`).
             shard: None,
             // One tree, no bands; the field is there for `modb_ledger/`.
             index_band_migrations: 0,
-            replica_applied_lsn,
-            replica_lag,
+            replica_applied_lsn: replica.map(|(applied, _)| applied),
+            replica_lag: replica.map(|(_, lag)| lag),
         }
     }
 
-    /// Follower-only gate ahead of a batch: when the token outruns the
-    /// applied watermark, wait up to the stale deadline for replication
-    /// to deliver; `Some((applied, required))` means it didn't and the
-    /// caller must answer `Stale`. A leader's tokens are its own acked
-    /// frontiers, so the floor is satisfiable by definition there.
+    /// The gate ahead of a batch: when the token outruns the node's
+    /// frontier, wait up to the stale deadline for it to get there;
+    /// `Some((applied, required))` means it didn't and the caller must
+    /// answer `Stale`.
     fn await_floor(&self, min_lsn: u64) -> Option<(u64, u64)> {
-        let Backend::Follower { watch } = &self.backend else {
-            return None;
-        };
-        if min_lsn <= watch.applied_lsn() || watch.wait_for_lsn(min_lsn, self.config.stale_deadline)
-        {
+        let watermark = self.node.watermark();
+        if watermark.wait_for_lsn(min_lsn, self.config.stale_deadline) {
             return None;
         }
-        Some((watch.applied_lsn(), min_lsn))
+        Some((watermark.applied(), min_lsn))
     }
 
-    /// The staleness `Δ` priced into follower-served answers: the lag
-    /// clock read as the batch starts (one wall-clock second is one unit
-    /// of database time). 0.0 on a leader, and on a follower within its
-    /// contact window of a caught-up contact.
+    /// The staleness `Δ` priced into served answers: the lag read as
+    /// the batch starts (one wall-clock second is one unit of database
+    /// time). 0.0 on a node that leads its log, and on a follower within
+    /// its contact window of a caught-up contact.
     fn staleness(&self) -> f64 {
-        match &self.backend {
-            Backend::Leader { .. } => 0.0,
-            Backend::Follower { watch } => watch.lag().as_secs_f64(),
-        }
+        self.node.watermark().lag().as_secs_f64()
     }
 }
 
@@ -283,77 +271,49 @@ impl DurableDatabase {
         addr: impl ToSocketAddrs,
         config: QueryServerConfig,
     ) -> Result<QueryServer, WalError> {
-        serve_with_backend(
-            engine,
-            Backend::Leader {
-                wal: self.wal().clone(),
-            },
-            Arc::clone(self.ship_horizon()),
-            ingest,
-            addr,
-            config,
-        )
+        self.node().serve_queries(engine, ingest, addr, config)
     }
 }
 
-/// Follower-side query front-end constructor — the seam
-/// [`crate::StandbyReplica::serve_queries`] goes through. Followers take
-/// no remote ingest (they are read-only; `Update` frames get the typed
-/// `Invalid` verdict the no-ingest path already produces), and their
-/// scrape carries the applied watermark and lag instead of WAL I/O.
-pub(crate) fn serve_follower_queries(
-    engine: Arc<QueryEngine>,
-    watch: ReplicaWatch,
-    horizon: Arc<ShipHorizon>,
-    addr: impl ToSocketAddrs,
-    config: QueryServerConfig,
-) -> Result<QueryServer, WalError> {
-    serve_with_backend(
-        engine,
-        Backend::Follower { watch },
-        horizon,
-        None,
-        addr,
-        config,
-    )
-}
-
-fn serve_with_backend(
-    engine: Arc<QueryEngine>,
-    backend: Backend,
-    horizon: Arc<ShipHorizon>,
-    ingest: Option<IngestHandle>,
-    addr: impl ToSocketAddrs,
-    config: QueryServerConfig,
-) -> Result<QueryServer, WalError> {
-    let ctx = Arc::new(ServeContext {
-        engine,
-        backend,
-        horizon,
-        ingest,
-        config,
-    });
-    let door = Arc::clone(&ctx);
-    let listener = Listener::spawn(
-        addr,
-        move |stream, active| {
-            if active < door.config.max_connections {
-                return true;
-            }
-            // A capacity rejection is one small write, made inline.
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-            let _ = door.reply(
-                stream,
-                &Message::Refused {
-                    reason: "server at connection capacity".into(),
-                },
-            );
-            let _ = stream.shutdown(Shutdown::Both);
-            false
-        },
-        move |stream, stop| handle_client(stream, &ctx, stop),
-    )?;
-    Ok(QueryServer { listener })
+impl Node {
+    /// The query front-end over this node, for a leader and a standby
+    /// alike: the floor gate, the widening and the scrape read the
+    /// node's watermark as each request comes.
+    pub(crate) fn serve_queries(
+        self: &Arc<Self>,
+        engine: Arc<QueryEngine>,
+        ingest: Option<IngestHandle>,
+        addr: impl ToSocketAddrs,
+        config: QueryServerConfig,
+    ) -> Result<QueryServer, WalError> {
+        let ctx = Arc::new(ServeContext {
+            engine,
+            node: Arc::clone(self),
+            ingest,
+            config,
+        });
+        let door = Arc::clone(&ctx);
+        let listener = Listener::spawn(
+            addr,
+            move |stream, active| {
+                if active < door.config.max_connections {
+                    return true;
+                }
+                // A capacity rejection is one small write, made inline.
+                let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
+                let _ = door.reply(
+                    stream,
+                    &Message::Refused {
+                        reason: "server at connection capacity".into(),
+                    },
+                );
+                let _ = stream.shutdown(Shutdown::Both);
+                false
+            },
+            move |stream, stop| handle_client(stream, &ctx, stop),
+        )?;
+        Ok(QueryServer { listener })
+    }
 }
 
 /// One client session: handshake, then serve batches and scrapes until
@@ -421,9 +381,9 @@ fn run_session(
         match reader.poll()? {
             ReadEvent::Message(Message::Batch { script, min_lsn }) => {
                 partial_since = None;
-                // Follower-served reads: a token the watermark cannot
-                // satisfy within the deadline gets a typed Stale, never
-                // a hang — and the session stays open for a retry.
+                // A token the frontier cannot satisfy within the
+                // deadline gets a typed Stale, never a hang — and the
+                // session stays open for a retry.
                 if let Some((applied, required)) = ctx.await_floor(min_lsn) {
                     ctx.reply(stream, &Message::Stale { applied, required })?;
                     continue;

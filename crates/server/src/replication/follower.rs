@@ -18,13 +18,18 @@
 //! the acks and the local snapshot cadence, and ends a session whose
 //! upstream has sent nothing for [`SESSION_DEADLINE`]. Every hazard
 //! resolves to "reject and re-sync, never apply a torn record". The
-//! local log is a [`DurableDatabase`] over the replica's database, the
-//! write path of every log the server keeps, with its rules: a record
-//! is applied ([`modb_wal::apply_record`]) before it gets its LSN,
-//! blocks hold up to [`crate::WAL_BATCH_RECORDS`] records, and a failed
-//! write or sync is sticky: the worker stops ([`ReplicaPhase::Failed`])
-//! until the replica is reopened. Local snapshots and a promotion's
-//! seal go through it too. A bootstrap snapshot is built through a
+//! replica, its worker and the worker's local log share one node
+//! (`crate::node`): its database, directory, horizon and epochs, and the
+//! watermark the worker publishes its applied LSN, lag clock and stats
+//! to, under one lock. The local log is a [`DurableDatabase`] over that
+//! node, the write path of every log the server keeps, with its rules:
+//! a record is applied ([`modb_wal::apply_record`]) before it gets its
+//! LSN, blocks hold up to [`crate::WAL_BATCH_RECORDS`] records, and a
+//! failed write or sync is sticky: the worker stops
+//! ([`ReplicaPhase::Failed`]) until the replica is reopened. Local
+//! snapshots and a promotion's seal go through it too; once sealed, the
+//! node leads that log, and everything reading its watermark reads the
+//! log. A bootstrap snapshot is built through a
 //! [`SnapshotLoad`] and a temp file. The replica's previous state and
 //! files serve on untouched until the snapshot's last record has
 //! validated; a session that ends first drops the half-built snapshot.
@@ -38,7 +43,7 @@ use std::fs::File;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,16 +53,16 @@ use modb_wal::segment::{encode_header, SEGMENT_HEADER_BYTES};
 use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
     apply_record, decode_block_frames, list_segments, list_snapshots, EpochHistory, FrameEnd,
-    SharedWal, SnapshotLoad, WalError, WalOptions, WalRecord, SEGMENT_VERSION,
+    SnapshotLoad, WalError, WalOptions, WalRecord, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
 use crate::framed::{ReadEvent, READ_TIMEOUT};
 use crate::net::{QueryServer, QueryServerConfig};
+use crate::node::{Node, Watermark};
 use crate::query_engine::QueryEngine;
-use crate::replication::horizon::ShipHorizon;
 use crate::replication::lag::LagClock;
-use crate::replication::leader::{serve_replication_from, ReplicationServer, ShipContext};
+use crate::replication::leader::ReplicationServer;
 use crate::replication::link::{Clock, Link, TcpLink, WallClock};
 use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
 use crate::replication::ReplicationConfig;
@@ -102,8 +107,8 @@ pub enum ReplicaPhase {
     /// replica, once its disk is sound, to follow again.
     Failed,
     /// Terminal: this replica was promoted to a leader
-    /// ([`StandbyReplica::promote`]); the watermark now tracks the local
-    /// WAL frontier.
+    /// ([`StandbyReplica::promote`]); the watermark is now the local log's
+    /// frontier.
     Promoted,
 }
 
@@ -199,7 +204,7 @@ pub(crate) struct Published {
 
 impl Published {
     /// A replica whose log ends at `applied`, opened at `now`.
-    fn new(applied: u64, now: Instant) -> Self {
+    pub(crate) fn new(applied: u64, now: Instant) -> Self {
         let stats = ReplicaStatsSnapshot {
             applied_lsn: applied,
             ..ReplicaStatsSnapshot::default()
@@ -235,15 +240,9 @@ pub(crate) enum SessionEnd {
     LogFailed,
 }
 
-#[derive(Debug)]
+/// The controls the replica's handle and its worker share.
+#[derive(Debug, Default)]
 struct Shared {
-    /// What the worker last published. The watermark in it is what reads
-    /// floor against, and the lag clock and stats that go with it change
-    /// under the same lock: a reader that sees `applied ≥ floor` also sees
-    /// the clock of that contact, or a caught-up follower would widen one
-    /// answer by a lag it no longer has.
-    published: Mutex<Published>,
-    published_cv: Condvar,
     stop: AtomicBool,
     /// Raised by [`StandbyReplica::repoint`]: the live session ends and
     /// the worker re-dials.
@@ -252,149 +251,34 @@ struct Shared {
     /// swaps it so a surviving follower can chase a promoted standby
     /// without re-bootstrapping.
     addr: Mutex<String>,
-    /// The leadership-epoch history of the local log (as recovered, then
-    /// as bootstrapped and applied), shared with the re-shipping server
-    /// so a post-promotion handshake sees the new epoch.
-    epochs: Arc<Mutex<EpochHistory>>,
-    /// Set by [`StandbyReplica::promote`]: the local WAL this node now
-    /// leads. Once set, the watermark, lag, and frontier views all
-    /// delegate here — every live consumer of this `Shared` (the
-    /// follower query front-end, the re-shipping `Frontier`, watches)
-    /// tracks the new leader's log without restarting.
-    promoted: Mutex<Option<SharedWal>>,
-    /// What the lag, the watermark waits and the worker read the time
-    /// from.
-    clock: Arc<dyn Clock>,
 }
 
-impl Shared {
-    fn new(
-        published: Published,
-        addr: String,
-        epochs: EpochHistory,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        Shared {
-            published: Mutex::new(published),
-            published_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            reconnects: AtomicUsize::new(0),
-            addr: Mutex::new(addr),
-            epochs: Arc::new(Mutex::new(epochs)),
-            promoted: Mutex::new(None),
-            clock,
-        }
-    }
-
-    /// The local leadership history, locked.
-    fn epochs(&self) -> MutexGuard<'_, EpochHistory> {
-        self.epochs.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn published(&self) -> MutexGuard<'_, Published> {
-        self.published.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Swaps in what the worker published and wakes the watermark's
-    /// waiters.
-    fn publish(&self, published: Published) {
-        *self.published() = published;
-        self.published_cv.notify_all();
-    }
-
-    fn promoted_wal(&self) -> Option<SharedWal> {
-        self.promoted
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    fn applied(&self) -> u64 {
-        if let Some(wal) = self.promoted_wal() {
-            return wal.next_lsn();
-        }
-        self.published().stats.applied_lsn
-    }
-
-    fn lag(&self) -> Duration {
-        // A promoted node is the frontier — there is nothing upstream to
-        // trail, so its served answers carry no staleness widening.
-        if self.promoted_wal().is_some() {
-            return Duration::ZERO;
-        }
-        self.published().clock.lag_at(self.clock.now())
-    }
-
-    fn wait_for_lsn(&self, lsn: u64, timeout: Duration) -> bool {
-        let deadline = self.clock.now() + timeout;
-        // Post-promotion the watermark is the WAL frontier, which no
-        // condvar tracks — poll it in short slices instead.
-        if let Some(wal) = self.promoted_wal() {
-            loop {
-                if wal.next_lsn() >= lsn {
-                    return true;
-                }
-                let now = self.clock.now();
-                if now >= deadline {
-                    return false;
-                }
-                self.clock.sleep_until(now + Duration::from_millis(1));
-            }
-        }
-        let mut g = self.published();
-        while g.stats.applied_lsn < lsn {
-            let now = self.clock.now();
-            if now >= deadline {
-                return false;
-            }
-            let (ng, waited) = self
-                .published_cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = ng;
-            if waited.timed_out() {
-                // The wall clock is past the deadline already; a virtual
-                // one is moved there.
-                self.clock.sleep_until(deadline);
-            }
-        }
-        true
-    }
-}
-
-/// A cheap, cloneable view of a replica's replication progress, detached
-/// from the [`StandbyReplica`] handle so the follower's query front-end
-/// ([`StandbyReplica::serve_queries`]) can consult the watermark from its
-/// session threads.
+/// A cheap, cloneable view of a replica's watermark, detached from the
+/// [`StandbyReplica`] handle: it reads the same node, before and after a
+/// promotion.
 #[derive(Debug, Clone)]
 pub struct ReplicaWatch {
-    shared: Arc<Shared>,
+    node: Arc<Node>,
 }
 
 impl ReplicaWatch {
     /// The applied watermark (see [`StandbyReplica::applied_lsn`]).
     pub fn applied_lsn(&self) -> u64 {
-        self.shared.applied()
-    }
-
-    /// The upstream frontier from the last heartbeat (0 before the
-    /// first).
-    pub fn leader_lsn(&self) -> u64 {
-        self.shared.published().stats.leader_lsn
+        self.node.watermark().applied()
     }
 
     /// The age of the replica's last contact with a caught-up upstream
     /// — zero within [`crate::LagClock::CONTACT_WINDOW`] of it, unless a
     /// later contact found the replica behind — the `Δ` that widens
-    /// served answers by `2·v_max·Δ`.
+    /// served answers by `2·v_max·Δ`; zero once promoted.
     pub fn lag(&self) -> Duration {
-        self.shared.lag()
+        self.node.watermark().lag()
     }
 
     /// Blocks until the applied watermark reaches `lsn` or the timeout
     /// elapses; `true` when reached.
     pub fn wait_for_lsn(&self, lsn: u64, timeout: Duration) -> bool {
-        self.shared.wait_for_lsn(lsn, timeout)
+        self.node.watermark().wait_for_lsn(lsn, timeout)
     }
 }
 
@@ -403,10 +287,10 @@ impl ReplicaWatch {
 /// the other end.
 #[derive(Debug)]
 pub struct StandbyReplica {
-    db: SharedDatabase,
-    dir: PathBuf,
+    /// The database, directory, horizon, epochs and watermark, shared
+    /// with the worker's log and, once promoted, the leader's handle.
+    pub(super) node: Arc<Node>,
     shared: Arc<Shared>,
-    horizon: Arc<ShipHorizon>,
     /// The worker thread; it hands the local log back when it stops.
     worker: Option<JoinHandle<Option<DurableDatabase>>>,
 }
@@ -451,17 +335,18 @@ impl StandbyReplica {
         } else {
             (placeholder_database(), EpochHistory::new(), 0)
         };
-        let db = SharedDatabase::new(db);
         let now = clock.now();
         let out = Published::new(applied, now);
-        let shared = Arc::new(Shared::new(out, addr, epochs, clock));
-        let horizon = Arc::new(ShipHorizon::new());
+        let watermark = Watermark::new(out, clock);
+        let node = Node::new(SharedDatabase::new(db), dir, epochs, watermark);
+        let shared = Arc::new(Shared {
+            addr: Mutex::new(addr),
+            ..Shared::default()
+        });
         let mut worker = Worker {
-            dir: dir.clone(),
+            node: Arc::clone(&node),
             config,
-            db: db.clone(),
             shared: Arc::clone(&shared),
-            horizon: Arc::clone(&horizon),
             log: None,
             incoming: None,
             out,
@@ -473,10 +358,8 @@ impl StandbyReplica {
             worker.resume_log(applied)?;
         }
         let replica = StandbyReplica {
-            db,
-            dir,
+            node,
             shared,
-            horizon,
             worker: None,
         };
         Ok((replica, worker))
@@ -487,58 +370,48 @@ impl StandbyReplica {
     /// replication lag, which widens the paper's deviation bound by at
     /// most `D·dt` (DESIGN.md §10).
     pub fn database(&self) -> &SharedDatabase {
-        &self.db
+        self.node.database()
     }
 
     /// The applied watermark: every record with `lsn <` this is in the
     /// local state.
     pub fn applied_lsn(&self) -> u64 {
-        self.shared.applied()
+        self.node.watermark().applied()
     }
 
     /// Current lifecycle phase.
     pub fn phase(&self) -> ReplicaPhase {
-        self.shared.published().stats.phase
+        self.node.watermark().published().stats.phase
     }
 
     /// Blocks until the applied watermark reaches `lsn` or the timeout
     /// elapses; `true` when reached.
     pub fn wait_for_lsn(&self, lsn: u64, timeout: Duration) -> bool {
-        self.shared.wait_for_lsn(lsn, timeout)
+        self.node.watermark().wait_for_lsn(lsn, timeout)
     }
 
-    /// A detached, cloneable view of this replica's progress (watermark,
-    /// upstream frontier, lag clock) for the query front-end's session
-    /// threads.
+    /// A detached, cloneable view of this replica's watermark, for the
+    /// threads that wait on it.
     pub fn watch(&self) -> ReplicaWatch {
         ReplicaWatch {
-            shared: Arc::clone(&self.shared),
+            node: Arc::clone(&self.node),
         }
     }
 
-    /// The horizon of this replica's own downstream followers (empty
-    /// unless [`StandbyReplica::serve_replication`] is running) — the
-    /// barrier its local compaction pass honors.
-    pub fn ship_horizon(&self) -> &Arc<ShipHorizon> {
-        &self.horizon
-    }
-
-    /// The replica's durability directory.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
     /// Starts a query front-end on this follower: remote clients get the
-    /// same CRC-framed protocol a leader serves, with three follower
-    /// twists (DESIGN.md §15). A `Batch` whose read-your-writes token
-    /// outruns the applied watermark waits up to
+    /// protocol a leader serves, read from the node's watermark
+    /// (DESIGN.md §15). Updates are refused, as on a leader served with
+    /// no ingest. A `Batch` whose read-your-writes token outruns the
+    /// applied watermark waits up to
     /// [`QueryServerConfig::stale_deadline`] and then gets a typed
     /// `Stale { applied, required }` instead of a hang (a statement's
     /// clone, taken after the wait, holds every record below the floor);
     /// and every served answer is widened by the lag-derived
     /// `2·v_max·Δ` term, so a stale follower's imprecision is priced
-    /// honestly (§3.3 of the paper). `engine` must be built on this
-    /// replica's database ([`StandbyReplica::database`]).
+    /// honestly (§3.3 of the paper). After a promotion the same
+    /// front-end serves as a leader's: no widening, and a scrape with the
+    /// promotee's WAL counters. `engine` must be built on this replica's
+    /// database ([`StandbyReplica::database`]).
     ///
     /// # Errors
     ///
@@ -549,25 +422,19 @@ impl StandbyReplica {
         addr: impl std::net::ToSocketAddrs,
         config: QueryServerConfig,
     ) -> Result<QueryServer, WalError> {
-        crate::net::serve_follower_queries(
-            engine,
-            self.watch(),
-            Arc::clone(&self.horizon),
-            addr,
-            config,
-        )
+        self.node.serve_queries(engine, None, addr, config)
     }
 
     /// Re-ships this replica's received WAL to downstream followers —
     /// the chaining seam. The local log holds the leader's records at the
     /// leader's LSNs (apply-before-log), so the same
     /// [`modb_wal::SegmentTailer`] machinery the leader uses tails it
-    /// here; the shipped frontier is this replica's *applied* watermark,
-    /// and downstream acknowledgements pin the local compaction pass
-    /// through [`StandbyReplica::ship_horizon`]. A bootstrap (timeline
-    /// replacement) wipes local segments regardless — downstream
-    /// sessions then error out and re-bootstrap from the new snapshot,
-    /// exactly like a follower whose cursor fell behind compaction.
+    /// here; the shipped frontier is the node's watermark (the applied
+    /// one, the log's once promoted), and downstream acknowledgements pin
+    /// the local compaction pass. A bootstrap (timeline replacement)
+    /// wipes local segments regardless — downstream sessions then error
+    /// out and re-bootstrap from the new snapshot, exactly like a
+    /// follower whose cursor fell behind compaction.
     ///
     /// # Errors
     ///
@@ -577,20 +444,7 @@ impl StandbyReplica {
         addr: impl std::net::ToSocketAddrs,
         config: ReplicationConfig,
     ) -> Result<ReplicationServer, WalError> {
-        serve_replication_from(self.ship_context(config), addr)
-    }
-
-    /// What a session re-shipping this replica's log works from.
-    pub(crate) fn ship_context(&self, config: ReplicationConfig) -> ShipContext {
-        let shared = Arc::clone(&self.shared);
-        ShipContext::new(
-            self.dir.clone(),
-            Box::new(move || shared.applied()),
-            Arc::clone(&self.horizon),
-            Arc::clone(&self.shared.epochs),
-            config,
-            Arc::clone(&self.shared.clock),
-        )
+        self.node.serve_replication(addr, config)
     }
 
     /// Swaps the upstream this replica follows and drops the current
@@ -610,13 +464,13 @@ impl StandbyReplica {
     /// declared this replica's log tail forked history (phase
     /// [`ReplicaPhase::Diverged`]).
     pub fn divergence(&self) -> Option<DivergenceInfo> {
-        self.shared.published().diverged
+        self.node.watermark().published().diverged
     }
 
     /// The leadership epoch of the local log (1 until a promotion
     /// somewhere upstream has been observed).
     pub fn epoch(&self) -> u64 {
-        self.shared.epochs().current()
+        self.node.epoch()
     }
 
     /// Promotes this standby to a full leader. The operator picks the
@@ -633,15 +487,17 @@ impl StandbyReplica {
     /// commit point of the promotion — and that handle is returned to
     /// accept acked ingest.
     ///
-    /// Everything chained off this replica keeps working across the
-    /// switch: a running [`StandbyReplica::serve_replication`] keeps
-    /// shipping (its frontier now tracks the WAL, its epoch state shows
-    /// the new epoch, and downstream followers repointed here resume
-    /// from their applied LSN); a running
-    /// [`StandbyReplica::serve_queries`] front-end keeps answering (its
-    /// watch now reports the WAL frontier with zero lag — the promotee
-    /// is the new session-token source); and the shared ship horizon
-    /// keeps pinning compaction for downstream acks. A revived old
+    /// The replica's node then leads the sealed log, so everything
+    /// opened on this replica keeps working across the switch and serves
+    /// as a leader's: a running [`StandbyReplica::serve_replication`]
+    /// keeps shipping (its frontier is now the log's, its epoch state
+    /// shows the new epoch, and downstream followers repointed here
+    /// resume from their applied LSN); a running
+    /// [`StandbyReplica::serve_queries`] front-end keeps answering, with
+    /// no lag widening, the log's frontier as its session-token source
+    /// and the log's counters in its scrape; a [`ReplicaWatch`], even one
+    /// already waiting, reads the log; and the shared ship horizon keeps
+    /// pinning compaction for downstream acks. A revived old
     /// leader that tails past the promotion point is refused with a
     /// typed `Diverged` answer, never silently overwritten.
     ///
@@ -676,37 +532,34 @@ impl StandbyReplica {
             ))));
         }
         let Some(log) = log else {
-            return Err(WalError::NoSnapshot(self.dir.clone()));
+            return Err(WalError::NoSnapshot(self.node.dir().to_path_buf()));
         };
         // The seal record's sync is the commit point: a crash before it
         // reopens on the old epoch at the same frontier, and nothing can
         // have been acked under the new one. Memory follows the disk. A
         // failed log refuses the seal unwritten.
-        let mut sealed = self.shared.epochs().clone();
+        let mut sealed = self.node.epochs().clone();
         let epoch = sealed.begin(log.wal().next_lsn())?;
         let seal = WalRecord::LeaderEpoch { epoch };
         log.write(true, |_| ((), Some(seal)))?.1?;
         log.wal().sync()?;
-        *self.shared.epochs() = sealed;
-        // Flip every live view of this replica over to the new log: the
-        // watermark, lag clock, and re-ship frontier all delegate to the
-        // WAL from here on.
-        *self
-            .shared
-            .promoted
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(log.wal().clone());
-        let mut published = *self.shared.published();
-        published.stats.applied_lsn = log.wal().next_lsn();
+        *self.node.epochs() = sealed;
+        // The node leads the log from here on: every reader of its
+        // watermark — the front-end, the re-ship context, the watches —
+        // reads the log's frontier and no lag.
+        let watermark = self.node.watermark();
+        watermark.lead(log.wal().clone());
+        let mut published = *watermark.published();
         published.stats.phase = ReplicaPhase::Promoted;
-        self.shared.publish(published); // wakes the watermark's waiters
+        watermark.publish(published);
         Ok(log)
     }
 
     /// Current progress counters.
     pub fn stats(&self) -> ReplicaStatsSnapshot {
-        let mut stats = self.shared.published().stats;
-        stats.applied_lsn = self.shared.applied();
+        let watermark = self.node.watermark();
+        let mut stats = watermark.published().stats;
+        stats.applied_lsn = watermark.applied();
         stats.lag_records = stats.leader_lsn.saturating_sub(stats.applied_lsn);
         stats
     }
@@ -745,13 +598,9 @@ fn placeholder_database() -> Database {
 /// the local log and the bootstrap under way, stepped over one link at a
 /// time.
 pub(crate) struct Worker {
-    dir: PathBuf,
+    node: Arc<Node>,
     config: ReplicaConfig,
-    db: SharedDatabase,
     shared: Arc<Shared>,
-    /// Downstream followers chained off this replica; their lowest ack
-    /// is the barrier the local compaction pass must not cross.
-    horizon: Arc<ShipHorizon>,
     /// The local log; `None` while the replica has no state to resume.
     log: Option<DurableDatabase>,
     /// The bootstrap snapshot arriving in this session, if any.
@@ -785,7 +634,7 @@ impl Worker {
         mut self,
         mut dial: impl FnMut(&str) -> Result<L, WalError>,
     ) -> Option<DurableDatabase> {
-        let clock = Arc::clone(&self.shared.clock);
+        let clock = Arc::clone(self.node.watermark().clock());
         while !self.shared.stop.load(Ordering::SeqCst) {
             // Re-read the dial target every attempt: a repoint swaps it
             // while the worker runs, and the next connect chases the new
@@ -812,17 +661,16 @@ impl Worker {
     }
 
     /// Opens the local log for appending at `next_lsn`, over the replica's
-    /// database, ship horizon and leadership history.
+    /// node.
     fn resume_log(&mut self, next_lsn: u64) -> Result<(), WalError> {
-        self.log = Some(DurableDatabase::from_parts(
-            self.db.clone(),
-            self.dir.clone(),
-            self.config.wal,
-            next_lsn,
-            Arc::clone(&self.horizon),
-            Arc::clone(&self.shared.epochs),
-        )?);
+        let (node, opts) = (Arc::clone(&self.node), self.config.wal);
+        self.log = Some(DurableDatabase::from_parts(node, opts, next_lsn)?);
         Ok(())
+    }
+
+    /// The time on the replica's clock.
+    fn now(&self) -> Instant {
+        self.node.watermark().clock().now()
     }
 
     /// The upstream this worker dials next.
@@ -835,7 +683,7 @@ impl Worker {
     /// watermark, whether there is state to resume and the current epoch.
     pub(crate) fn connect(&mut self, link: &mut impl Link) -> Result<(), SessionEnd> {
         self.reconnects = self.shared.reconnects.load(Ordering::SeqCst);
-        self.heard = self.shared.clock.now();
+        self.heard = self.now();
         let have_state = self.log.is_some();
         let stats = &mut self.out.stats;
         stats.connects += 1;
@@ -848,7 +696,7 @@ impl Worker {
             version: PROTOCOL_VERSION,
             next_lsn: stats.applied_lsn,
             have_state,
-            epoch: self.shared.epochs().current(),
+            epoch: self.node.epoch(),
         };
         send(link, &hello)?;
         self.publish();
@@ -875,11 +723,11 @@ impl Worker {
         }
         match link.poll(deadline) {
             Ok(ReadEvent::Message(msg)) => {
-                self.heard = self.shared.clock.now();
+                self.heard = self.now();
                 self.take(link, msg).map(|()| true)
             }
             Ok(ReadEvent::Idle) => {
-                let now = self.shared.clock.now();
+                let now = self.now();
                 if now.saturating_duration_since(self.heard) > SESSION_DEADLINE {
                     Err(SessionEnd::Disconnected)
                 } else {
@@ -970,7 +818,7 @@ impl Worker {
 
     /// Where an incoming bootstrap snapshot is written.
     fn incoming_path(&self) -> PathBuf {
-        self.dir.join("incoming.snap.tmp")
+        self.node.dir().join("incoming.snap.tmp")
     }
 
     /// Takes one run of a bootstrap snapshot: it must continue the run
@@ -1011,7 +859,7 @@ impl Worker {
         let Some(epochs) = self.install(frames).map_err(|_| SessionEnd::Reject)? else {
             return Ok(());
         };
-        *self.shared.epochs() = epochs;
+        *self.node.epochs() = epochs;
         self.last_snapshot = lsn;
         let stats = &mut self.out.stats;
         (stats.applied_lsn, stats.phase) = (lsn, ReplicaPhase::CatchingUp);
@@ -1037,15 +885,13 @@ impl Worker {
         file.sync_data()?;
         // Local log and snapshots describe a dead timeline now.
         self.log = None;
-        for (_, path) in list_segments(&self.dir)?
-            .into_iter()
-            .chain(list_snapshots(&self.dir)?)
-        {
+        let dir = self.node.dir();
+        for (_, path) in list_segments(dir)?.into_iter().chain(list_snapshots(dir)?) {
             std::fs::remove_file(path)?;
         }
-        std::fs::rename(self.incoming_path(), self.dir.join(snapshot_file_name(lsn)))?;
+        std::fs::rename(self.incoming_path(), dir.join(snapshot_file_name(lsn)))?;
         self.resume_log(lsn)?;
-        self.db.replace(db);
+        self.node.database().replace(db);
         Ok(Some(epochs))
     }
 
@@ -1085,7 +931,7 @@ impl Worker {
         // shipped; a conflicting claim in an admitted stream is a protocol
         // violation, so the run applies up to it and the session ends.
         let cut = {
-            let mut epochs = self.shared.epochs();
+            let mut epochs = self.node.epochs();
             records.iter().enumerate().position(|(i, rec)| {
                 matches!(rec, WalRecord::LeaderEpoch { epoch }
                     if epochs.observe(*epoch, lsn + i as u64).is_err())
@@ -1132,7 +978,7 @@ impl Worker {
     /// stands: the lag clock is settled and everything published.
     fn contact(&mut self) {
         let stats = &self.out.stats;
-        let now = self.shared.clock.now();
+        let now = self.now();
         (self.out.clock).contact(stats.applied_lsn, stats.leader_lsn, now);
         self.publish();
     }
@@ -1141,7 +987,7 @@ impl Worker {
     fn publish(&mut self) {
         let stats = &mut self.out.stats;
         stats.lag_records = stats.leader_lsn.saturating_sub(stats.applied_lsn);
-        self.shared.publish(self.out);
+        self.node.watermark().publish(self.out);
     }
 }
 
@@ -1156,7 +1002,8 @@ mod tests {
     //! virtual clock: the test plays the upstream, sends crafted messages
     //! and reads the replies, one step at a time, against a real local
     //! log and database. No socket, no sleep, no thread (but in the last
-    //! test, which races a reader against the publication).
+    //! two tests, which race a reader against a promotion and against
+    //! the publication).
 
     use super::*;
     use crate::replication::leader::shippable_snapshot;
@@ -1584,12 +1431,12 @@ mod tests {
         assert_eq!(u.received(), [hello(4, true, 1), ack(6)]);
         let mut sealed = EpochHistory::new();
         sealed.observe(2, 5).unwrap();
-        assert_eq!(*u.replica.shared.epochs(), sealed);
+        assert_eq!(*u.replica.node.epochs(), sealed);
 
         assert_eq!(u.send(run(6, &[remove(2), seal, remove(3)])), REJECT);
         assert_eq!(u.received(), [], "no ack");
         assert_eq!(u.stats().applied_lsn, 7);
-        assert_eq!(*u.replica.shared.epochs(), sealed);
+        assert_eq!(*u.replica.node.epochs(), sealed);
     }
 
     /// A local snapshot is due every `snapshot_every` records past the
@@ -1788,6 +1635,66 @@ mod tests {
         );
     }
 
+    /// A virtual clock that counts the times it is read.
+    #[derive(Debug)]
+    struct Counted {
+        clock: VirtualClock,
+        reads: AtomicUsize,
+    }
+
+    impl Clock for Counted {
+        fn now(&self) -> Instant {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.clock.now()
+        }
+
+        fn sleep_until(&self, deadline: Instant) {
+            self.clock.sleep_until(deadline);
+        }
+    }
+
+    /// A wait begun on a standby ends on the log it leads once promoted.
+    /// A reader waits for two records past the watermark; the standby is
+    /// promoted (its seal is the first) and the promotee registers two
+    /// vehicles; the wait ends as soon as the log holds the second
+    /// record, long before its timeout.
+    #[test]
+    fn a_wait_begun_before_promote_ends_on_the_promoted_log() {
+        const TIMEOUT: Duration = Duration::from_secs(10);
+        let dir = scratch("waiter");
+        logged(&dir, 2);
+        let clock = Arc::new(Counted {
+            clock: VirtualClock::new(),
+            reads: AtomicUsize::new(0),
+        });
+        let (replica, worker) =
+            StandbyReplica::open_with(&dir, "upstream", replica_config(), clock.clone()).unwrap();
+        let (watch, watermark) = (replica.watch(), replica.applied_lsn());
+        let read_before = clock.reads.load(Ordering::SeqCst);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let started = Instant::now();
+                let reached = watch.wait_for_lsn(watermark + 2, TIMEOUT);
+                (reached, started.elapsed())
+            });
+            // The waiter reads the clock for its deadline, then again
+            // under the lock it parks with, which the promotion's wake-up
+            // takes: the promotion finds it parked.
+            while clock.reads.load(Ordering::SeqCst) < read_before + 2 {
+                std::thread::yield_now();
+            }
+            let promoted = replica.promote_with(worker.into_log()).unwrap();
+            assert_eq!(promoted.wal().next_lsn(), watermark + 1, "the seal");
+            for id in [10, 11] {
+                promoted.register_moving(vehicle(id, id as f64)).unwrap();
+            }
+            let (reached, waited) = waiter.join().unwrap();
+            assert!(reached, "the wait missed the promoted log's records");
+            assert!(waited < TIMEOUT / 4, "the wait took {waited:?}");
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// The worker falls behind (a heartbeat raises the frontier), then
     /// catches up (a run applied); a reader spinning on the watermark —
     /// what a floored read does — must find the lag clock already
@@ -1812,12 +1719,7 @@ mod tests {
         }
         let t0 = Instant::now();
         let published = Published::new(0, t0);
-        let shared = Shared::new(
-            published,
-            String::new(),
-            EpochHistory::new(),
-            Arc::new(WallClock),
-        );
+        let shared = Watermark::new(published, Arc::new(WallClock));
         let seen = AtomicU64::new(0);
         let stale_clocks = std::thread::scope(|s| {
             s.spawn(|| {

@@ -3,9 +3,10 @@
 //!
 //! Every connected follower registers an entry holding the LSN it has
 //! acknowledged; [`ShipHorizon::min`] is the lowest such LSN across all
-//! of them, and the leader passes it to
-//! [`modb_wal::SharedWal::compact`] so no segment a live follower
-//! still has to read is ever garbage-collected. A follower that
+//! of them, and every compaction of the node's log
+//! ([`crate::DurableDatabase::snapshot_with_retention`]) stops at it, so
+//! no segment a live follower still has to read is ever
+//! garbage-collected. A follower that
 //! disconnects releases its entry — its log may then be compacted away,
 //! and on reconnect it re-bootstraps from a snapshot if its cursor fell
 //! behind the oldest surviving segment.

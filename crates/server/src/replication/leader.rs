@@ -12,28 +12,31 @@
 //! due. In production the shared [`crate::framed::Listener`] gives each
 //! accepted connection a thread that steps its session and sleeps
 //! [`POLL_INTERVAL`] whenever a step found nothing to ship or read. Acks
-//! move the session's entry in the [`ShipHorizon`], which
-//! [`crate::DurableDatabase::snapshot_with_retention`] passes to
-//! [`modb_wal::SharedWal::compact`], so compaction never deletes a
-//! segment a connected follower still has to read.
+//! move the session's entry in the node's [`crate::ShipHorizon`], at
+//! which every compaction of the log
+//! ([`crate::DurableDatabase::snapshot_with_retention`]) stops, so it
+//! never deletes a segment a connected follower still has to read. The
+//! log shipped and its frontier are the node's (`crate::node`): a
+//! leader's, a chained standby's and a promotee's are shipped by the
+//! same [`ShipContext`], up to the node's watermark.
 
 use std::fmt;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use modb_wal::segment::{read_segment_file, SEGMENT_HEADER_BYTES};
 use modb_wal::{
     decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochCheck,
-    EpochHistory, SegmentTailer, WalError, WalRecord, GENESIS_EPOCH, SEGMENT_VERSION,
+    SegmentTailer, WalError, WalRecord, GENESIS_EPOCH, SEGMENT_VERSION,
 };
 
 use crate::durable::DurableDatabase;
 use crate::framed::{Listener, ReadEvent};
-use crate::replication::horizon::ShipHorizon;
+use crate::node::Node;
 use crate::replication::link::{self, Clock, Link, TcpLink, WallClock};
 use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
 
@@ -48,13 +51,6 @@ pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(2);
 /// leader's log frontier, so the follower can report lag and keep its lag
 /// clock at zero while it is caught up.
 pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
-
-/// Where the shipped log ends: a closure yielding the serving node's
-/// frontier LSN. On a leader that is the WAL's next LSN; on a chained
-/// follower ([`crate::StandbyReplica::serve_replication`]) it is the
-/// applied watermark — the ship machinery itself is identical, which is
-/// what lets one leader feed a tree of followers through the same seam.
-pub(crate) type Frontier = Box<dyn Fn() -> u64 + Send + Sync>;
 
 /// Tuning for [`DurableDatabase::serve_replication`].
 #[derive(Debug, Clone)]
@@ -132,44 +128,20 @@ impl fmt::Debug for ReplicationServer {
     }
 }
 
-/// Everything a follower session needs, shared across session threads.
+/// Everything a follower session needs, shared across session threads:
+/// the node whose log it ships, up to the node's watermark.
 pub(crate) struct ShipContext {
-    dir: PathBuf,
-    frontier: Frontier,
-    horizon: Arc<ShipHorizon>,
-    epochs: Arc<Mutex<EpochHistory>>,
+    node: Arc<Node>,
     stats: ServerStats,
     config: ReplicationConfig,
     clock: Arc<dyn Clock>,
 }
 
 impl ShipContext {
-    /// Ships the segments in `dir` up to `frontier`, feeding
-    /// acknowledgements into `horizon`. The leader and a chained follower
-    /// differ only in these inputs.
-    pub(crate) fn new(
-        dir: PathBuf,
-        frontier: Frontier,
-        horizon: Arc<ShipHorizon>,
-        epochs: Arc<Mutex<EpochHistory>>,
-        config: ReplicationConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        ShipContext {
-            dir,
-            frontier,
-            horizon,
-            epochs,
-            stats: ServerStats::default(),
-            config,
-            clock,
-        }
-    }
-
     /// Current activity counters and lag.
     pub(crate) fn stats(&self) -> ReplicationStatsSnapshot {
-        let (horizon, stats) = (&self.horizon, &self.stats);
-        let leader_next_lsn = (self.frontier)();
+        let (horizon, stats) = (self.node.horizon(), &self.stats);
+        let leader_next_lsn = self.node.watermark().applied();
         let min_acked_lsn = horizon.min();
         ReplicationStatsSnapshot {
             followers: horizon.followers(),
@@ -221,38 +193,39 @@ impl DurableDatabase {
         addr: impl ToSocketAddrs,
         config: ReplicationConfig,
     ) -> Result<ReplicationServer, WalError> {
-        serve_replication_from(self.ship_context(config, Arc::new(WallClock)), addr)
-    }
-
-    /// What a session shipping this database's log works from.
-    pub(crate) fn ship_context(
-        &self,
-        config: ReplicationConfig,
-        clock: Arc<dyn Clock>,
-    ) -> ShipContext {
-        let wal = self.wal().clone();
-        ShipContext::new(
-            self.dir().to_path_buf(),
-            Box::new(move || wal.next_lsn()),
-            Arc::clone(self.ship_horizon()),
-            Arc::clone(self.epochs()),
-            config,
-            clock,
-        )
+        self.node().serve_replication(addr, config)
     }
 }
 
-/// Serves `ctx`'s log to followers that connect to `addr`.
-pub(crate) fn serve_replication_from(
-    ctx: ShipContext,
-    addr: impl ToSocketAddrs,
-) -> Result<ReplicationServer, WalError> {
-    let ctx = Arc::new(ctx);
-    let session_ctx = Arc::clone(&ctx);
-    let listener = link::listen(addr, move |link, stop| {
-        handle_follower(link, &session_ctx, stop)
-    })?;
-    Ok(ReplicationServer { listener, ctx })
+impl Node {
+    /// Serves this node's log, up to its watermark, to followers that
+    /// connect to `addr`.
+    pub(crate) fn serve_replication(
+        self: &Arc<Self>,
+        addr: impl ToSocketAddrs,
+        config: ReplicationConfig,
+    ) -> Result<ReplicationServer, WalError> {
+        let ctx = Arc::new(self.ship_context(config, Arc::new(WallClock)));
+        let session_ctx = Arc::clone(&ctx);
+        let listener = link::listen(addr, move |link, stop| {
+            handle_follower(link, &session_ctx, stop)
+        })?;
+        Ok(ReplicationServer { listener, ctx })
+    }
+
+    /// What a session shipping this node's log works from, on `clock`.
+    pub(crate) fn ship_context(
+        self: &Arc<Self>,
+        config: ReplicationConfig,
+        clock: Arc<dyn Clock>,
+    ) -> ShipContext {
+        ShipContext {
+            node: Arc::clone(self),
+            stats: ServerStats::default(),
+            config,
+            clock,
+        }
+    }
 }
 
 /// One follower session on its own thread: steps the shell until the
@@ -309,7 +282,7 @@ impl<L: Link> LeaderShell<L> {
         ctx.stats.connections.fetch_add(1, Ordering::Relaxed);
         LeaderShell {
             link,
-            hid: ctx.horizon.register(0),
+            hid: ctx.node.horizon().register(0),
             opened: ctx.clock.now(),
             tailer: None,
             shipped_end: 0,
@@ -339,7 +312,7 @@ impl<L: Link> LeaderShell<L> {
                 Err(WalError::Decode("ack past the shipped log"))
             }
             Message::Ack { applied_lsn } => {
-                ctx.horizon.advance(self.hid, applied_lsn);
+                ctx.node.horizon().advance(self.hid, applied_lsn);
                 Ok(Step::Busy)
             }
             _ => Err(WalError::Decode("unexpected message from a follower")),
@@ -374,7 +347,7 @@ impl<L: Link> LeaderShell<L> {
         // node is the stale one: close without serving.
         if have_state {
             let (check, leader_epoch) = {
-                let epochs = ctx.epochs.lock().unwrap_or_else(|e| e.into_inner());
+                let epochs = ctx.node.epochs();
                 (epochs.check_follower(epoch, next_lsn), epochs.current())
             };
             match check {
@@ -397,9 +370,11 @@ impl<L: Link> LeaderShell<L> {
         // frontier, whose seal records are in the shipped stretch. It
         // resumes when its next record is still in a surviving segment
         // (read now that the session's horizon entry pins the log).
-        let oldest_segment = list_segments(&ctx.dir)?.first().map(|&(start, _)| start);
+        let oldest_segment = list_segments(ctx.node.dir())?
+            .first()
+            .map(|&(start, _)| start);
         let resumable = have_state
-            && next_lsn <= (ctx.frontier)()
+            && next_lsn <= ctx.node.watermark().applied()
             && oldest_segment.is_some_and(|start| start <= next_lsn);
         let cursor = if resumable {
             next_lsn
@@ -407,8 +382,8 @@ impl<L: Link> LeaderShell<L> {
             ship_snapshot(&mut self.link, ctx)?
         };
         self.shipped_end = cursor;
-        ctx.horizon.advance(self.hid, cursor);
-        self.tailer = Some(SegmentTailer::new(&ctx.dir, cursor));
+        ctx.node.horizon().advance(self.hid, cursor);
+        self.tailer = Some(SegmentTailer::new(ctx.node.dir(), cursor));
         Ok(())
     }
 
@@ -441,7 +416,7 @@ impl<L: Link> LeaderShell<L> {
             .is_none_or(|at| now.saturating_duration_since(at) >= HEARTBEAT_INTERVAL);
         if due {
             self.last_heartbeat = Some(now);
-            let leader_next_lsn = (ctx.frontier)();
+            let leader_next_lsn = ctx.node.watermark().applied();
             self.link.send(&Message::Heartbeat { leader_next_lsn })?;
         }
         Ok(Step::Idle)
@@ -454,7 +429,7 @@ impl<L: Link> LeaderShell<L> {
         if failed {
             ctx.stats.session_errors.fetch_add(1, Ordering::Relaxed);
         }
-        ctx.horizon.release(self.hid);
+        ctx.node.horizon().release(self.hid);
         self.link.shutdown();
     }
 }
@@ -464,10 +439,10 @@ impl<L: Link> LeaderShell<L> {
 /// shipped, and a compaction that removes the file after it was read does
 /// not touch them.
 fn ship_snapshot(link: &mut impl Link, ctx: &ShipContext) -> Result<u64, WalError> {
-    let Some(Shipment { lsn, bytes, runs }) =
-        shippable_snapshot(&ctx.dir, ctx.config.chunk_records)?
+    let dir = ctx.node.dir();
+    let Some(Shipment { lsn, bytes, runs }) = shippable_snapshot(dir, ctx.config.chunk_records)?
     else {
-        return Err(WalError::NoSnapshot(ctx.dir.clone()));
+        return Err(WalError::NoSnapshot(dir.to_path_buf()));
     };
     for run in runs {
         let msg = Message::SnapshotBlocks {
@@ -538,8 +513,10 @@ mod tests {
 
     use super::*;
     use crate::framed::{send, FrameReader};
+    use crate::node::Watermark;
     use crate::replication::link::mem::{pair, Fault, MemLink, VirtualClock};
     use crate::replication::protocol::MAX_MESSAGE_BYTES;
+    use crate::replication::Published;
     use modb_core::{
         Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
         UpdateMessage, UpdatePosition,
@@ -547,8 +524,11 @@ mod tests {
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::{decode_block_frames, FrameEnd, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION};
+    use modb_wal::{
+        decode_block_frames, EpochHistory, FrameEnd, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION,
+    };
     use std::net::TcpStream;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("modb-leader-{}-{name}", std::process::id()));
@@ -792,7 +772,7 @@ mod tests {
         fn on(durable: &DurableDatabase) -> Self {
             let clock = Arc::new(VirtualClock::new());
             let config = ReplicationConfig { chunk_records: 4 };
-            Session::open(durable.ship_context(config, clock.clone()), clock)
+            Session::open(durable.node().ship_context(config, clock.clone()), clock)
         }
 
         /// The follower sends `msg`, then the shell steps once.
@@ -818,7 +798,7 @@ mod tests {
 
         /// The lowest horizon entry of the shipped log.
         fn horizon(&self) -> Option<u64> {
-            self.ctx.horizon.min()
+            self.ctx.node.horizon().min()
         }
 
         /// Ends the session, releasing its horizon entry.
@@ -967,21 +947,20 @@ mod tests {
     }
 
     /// Heartbeats go out while the tail is idle, at most one per
-    /// interval, each carrying the frontier of its moment.
+    /// interval, each carrying the frontier of its moment: the watermark
+    /// of a follower's node over the log, moved by hand.
     #[test]
     fn an_idle_tail_heartbeats_once_per_interval() {
         let durable = logged("beat-shell", 2);
         let clock = Arc::new(VirtualClock::new());
-        let frontier = Arc::new(AtomicU64::new(durable.wal().next_lsn()));
-        let shown = Arc::clone(&frontier);
-        let ctx = ShipContext::new(
+        let published = Published::new(durable.wal().next_lsn(), clock.now());
+        let node = Node::new(
+            durable.database().clone(),
             durable.dir().to_path_buf(),
-            Box::new(move || shown.load(Ordering::SeqCst)),
-            Arc::clone(durable.ship_horizon()),
-            Arc::clone(durable.epochs()),
-            ReplicationConfig::default(),
-            clock.clone(),
+            EpochHistory::new(),
+            Watermark::new(published, clock.clone()),
         );
+        let ctx = node.ship_context(ReplicationConfig::default(), clock.clone());
         let mut session = Session::open(ctx, clock);
         let t0 = session.clock.now();
         session.answer(hello(4, true, 1)).unwrap();
@@ -993,7 +972,9 @@ mod tests {
             (150, 5, false),
             (250, 6, true),
         ] {
-            frontier.store(shows, Ordering::SeqCst);
+            let mut frontier = *node.watermark().published();
+            frontier.stats.applied_lsn = shows;
+            node.watermark().publish(frontier);
             assert_eq!(session.step_at(t0, at), Step::Idle);
             let expected = if beats { beat(shows).to_vec() } else { vec![] };
             assert_eq!(session.received(), expected, "at {at} ms");

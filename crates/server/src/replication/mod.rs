@@ -10,13 +10,20 @@
 //!   bootstraps each follower from its newest snapshot and then tails
 //!   its own segments with [`modb_wal::SegmentTailer`], shipping records
 //!   in bounded runs; follower acknowledgements feed the
-//!   [`ShipHorizon`], the compaction barrier that keeps unshipped log
-//!   alive ([`modb_wal::SharedWal::compact`]);
+//!   [`ShipHorizon`], the barrier every compaction of the log stops at,
+//!   which keeps unshipped log alive;
 //! - the **follower** ([`StandbyReplica`]) replays the stream through
 //!   [`modb_wal::apply_record`] — the exact seam recovery uses — into
 //!   its own database, persists what it applies to a local log, and
 //!   tracks an applied watermark so a reconnect (or restart) resumes
 //!   incrementally instead of re-bootstrapping;
+//! - both are one node (`crate::node`): the database, directory, horizon
+//!   and epochs of one log, and one watermark from which the query
+//!   front-end and the ship context read the frontier and the lag. A
+//!   standby's watermark is what its worker publishes; a leader's, and a
+//!   standby's once promoted, is the log it leads. So a front-end, a
+//!   re-ship listener or a watch opened on a standby keeps serving
+//!   across its promotion, as a leader's;
 //! - each side of a session is a step function over a `Link` and a
 //!   `Clock` (`link.rs`: a TCP stream and the wall clock in production)
 //!   that makes the session's decisions itself — `LeaderShell` in
@@ -41,12 +48,14 @@ mod leader;
 mod link;
 mod protocol;
 
+pub(crate) use follower::Published;
 pub use follower::{
     DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicaWatch, StandbyReplica,
 };
 pub use horizon::ShipHorizon;
 pub use lag::LagClock;
 pub use leader::{ReplicationConfig, ReplicationServer, ReplicationStatsSnapshot};
+pub(crate) use link::{Clock, WallClock};
 
 #[cfg(test)]
 mod sim {
@@ -57,7 +66,9 @@ mod sim {
     //! virtual clock. A round steps every actor once, in an order drawn
     //! from the seed; a round in which nothing moved advances the clock
     //! by one leader poll interval. The same seed gives the same run,
-    //! event for event. No socket, no sleep, no spawned thread.
+    //! event for event. No socket, no sleep, no spawned thread (but in
+    //! the test that serves a standby's query front-end on a loopback
+    //! socket).
 
     use std::cell::Cell;
     use std::collections::{BTreeMap, VecDeque};
@@ -89,6 +100,7 @@ mod sim {
     };
     use crate::durable::DurableDatabase;
     use crate::framed::encode_frame;
+    use crate::net::{QueryClient, QueryServerConfig};
     use crate::query_engine::QueryEngine;
 
     /// How much virtual time a wait may take before the run is declared
@@ -170,13 +182,16 @@ mod sim {
 
         /// Serves a leader's log at `addr`.
         pub(crate) fn serve(&mut self, addr: &str, leader: &DurableDatabase) {
-            let ctx = leader.ship_context(ship_config(), self.clock());
+            let ctx = leader.node().ship_context(ship_config(), self.clock());
             self.listen(addr, ctx);
         }
 
         /// Re-ships standby `i`'s log at `addr`.
         pub(crate) fn serve_standby(&mut self, addr: &str, i: usize) {
-            let ctx = self.replica(i).ship_context(ship_config());
+            let ctx = self
+                .replica(i)
+                .node
+                .ship_context(ship_config(), self.clock());
             self.listen(addr, ctx);
         }
 
@@ -648,6 +663,62 @@ mod sim {
                 .collect()
         };
         assert_eq!(strings(served), strings(local));
+    }
+
+    /// A query front-end opened on a standby serves across its
+    /// promotion, and from then on as a leader's. Before, a minute
+    /// without an upstream widens its answers and its scrape reports the
+    /// watermark and the lag; after, the same minute widens nothing, the
+    /// frontier follows the promotee's log and the scrape carries the
+    /// log's counters and no replica fields.
+    #[test]
+    fn a_standby_front_end_serves_as_a_leader_once_promoted() {
+        let mut c = Cluster::new("front", 17);
+        let leader = c.leader(4);
+        c.serve("leader", &leader);
+        let f = c.follow("f", "leader");
+        churn(&leader, 1..=4, 4);
+        let frontier = leader.wal().next_lsn();
+        c.run_until("the standby to catch up", |c| {
+            c.replica(f).applied_lsn() >= frontier
+        });
+        c.kill("leader");
+        drop(leader);
+        let engine = Arc::new(QueryEngine::new(c.replica(f).database().clone()));
+        let config = QueryServerConfig::default();
+        let server = (c
+            .replica(f)
+            .serve_queries(Arc::clone(&engine), "127.0.0.1:0", config))
+        .unwrap();
+        let mut client = QueryClient::connect(server.local_addr()).unwrap();
+        let local = || -> Vec<Result<_, String>> {
+            let verdicts = engine.run_batch(SCRIPT).into_iter();
+            verdicts.map(|r| r.map_err(|e| e.to_string())).collect()
+        };
+        let minute_later =
+            |c: &Cluster| c.clock.sleep_until(c.clock.now() + Duration::from_secs(60));
+
+        minute_later(&c);
+        assert_ne!(client.batch(SCRIPT).unwrap(), local(), "a follower widens");
+        let follower = client.stats().unwrap();
+        assert_eq!(
+            (follower.wal_next_lsn, follower.replica_applied_lsn),
+            (frontier, Some(frontier))
+        );
+        assert!(follower.replica_lag >= Some(Duration::from_secs(60)));
+        assert_eq!((follower.wal_bytes_written, follower.wal_fsyncs), (0, 0));
+
+        let promoted = c.promote(f);
+        churn(&promoted, 5..=6, 4);
+        minute_later(&c);
+        assert_eq!(client.batch(SCRIPT).unwrap(), local(), "a leader does not");
+        let led = client.stats().unwrap();
+        assert_eq!(led.wal_next_lsn, promoted.wal().next_lsn());
+        assert_eq!((led.replica_applied_lsn, led.replica_lag), (None, None));
+        let (bytes, fsyncs) = promoted.wal().io_counters();
+        assert!(bytes > 0 && fsyncs > 0, "{bytes} B, {fsyncs} fsyncs");
+        assert_eq!((led.wal_bytes_written, led.wal_fsyncs), (bytes, fsyncs));
+        server.shutdown();
     }
 
     /// A leader with `vehicles` objects serving at "leader", and one

@@ -4,8 +4,9 @@
 //! the stats scrape must round-trip every counter, capacity refusals
 //! must be clean, a statement too long to refine must be refused without
 //! harming the session, an update batch must answer in input order and
-//! log no envelope it refuses as invalid, and a shutdown must drain an
-//! in-flight batch.
+//! log no envelope it refuses as invalid, a token past the leader's log
+//! must get the typed `Stale` a follower gives, and a shutdown must
+//! drain an in-flight batch.
 
 mod common;
 
@@ -17,8 +18,8 @@ use modb_core::{ObjectId, PolicyDescriptor, UpdateMessage, UpdatePosition};
 use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_server::{
-    DurableDatabase, QueryClient, QueryEngine, QueryServer, QueryServerConfig, RemoteUpdateVerdict,
-    UpdateEnvelope,
+    BatchOutcome, DurableDatabase, QueryClient, QueryEngine, QueryServer, QueryServerConfig,
+    RemoteUpdateVerdict, UpdateEnvelope,
 };
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -423,6 +424,37 @@ fn capacity_overflow_is_refused_and_slot_reuse_works() {
         .unwrap()[0]
         .is_ok());
     third.close();
+    server.shutdown();
+}
+
+/// A leader takes the floor gate a follower takes: a token past its log
+/// holds the batch for the stale deadline, then gets the typed `Stale`,
+/// and the session lives on. A token at the frontier — every token the
+/// leader acks is at most that — is answered at once.
+#[test]
+fn a_token_past_the_leaders_log_is_refused_stale_after_the_deadline() {
+    let deadline = Duration::from_millis(100);
+    let config = QueryServerConfig {
+        stale_deadline: deadline,
+        ..QueryServerConfig::default()
+    };
+    let (durable, engine, server) = serve("net-leader-floor", config);
+    let frontier = durable.wal().next_lsn();
+    let mut client = QueryClient::connect(server.local_addr()).unwrap();
+
+    let asked = Instant::now();
+    match client.batch_attempt(SCRIPT, frontier + 1).unwrap() {
+        BatchOutcome::Stale { applied, required } => {
+            assert_eq!((applied, required), (frontier, frontier + 1));
+        }
+        BatchOutcome::Done(_) => panic!("a floor past the leader's log was answered"),
+    }
+    assert!(asked.elapsed() >= deadline, "{:?}", asked.elapsed());
+
+    match client.batch_attempt(SCRIPT, frontier).unwrap() {
+        BatchOutcome::Done(remote) => assert_eq!(remote.len(), engine.run_batch(SCRIPT).len()),
+        BatchOutcome::Stale { .. } => panic!("the leader's own frontier was refused"),
+    }
     server.shutdown();
 }
 
