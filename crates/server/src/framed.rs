@@ -10,7 +10,7 @@
 //! ```
 //!
 //! The log frames its blocks the same way except for the length, which
-//! there is a varint ([`modb_wal::split_frame`]); a message frame keeps
+//! there is a varint (`modb_wal`'s frame parser); a message frame keeps
 //! the fixed eight-byte header.
 //!
 //! The CRC is checked before a byte of the payload is interpreted, so a

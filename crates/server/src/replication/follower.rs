@@ -12,11 +12,10 @@
 //! sessions. The [`Worker`] is a step function over a [`Link`] and a
 //! [`Clock`] ([`Worker::connect`], [`Worker::step`], [`Worker::end`]) that
 //! makes every decision of the session itself: it writes the `Hello`,
-//! checks every run (one segment format, clean, complete, contiguous with
-//! the applied watermark, duplicates below it skipped, each snapshot run
-//! continuing the one before), keeps the lag clock, decides the phase,
-//! the acks and the local snapshot cadence, and ends a session whose
-//! upstream has sent nothing for [`SESSION_DEADLINE`]. Every hazard
+//! checks that every log run continues the applied watermark (duplicates
+//! below it skipped), keeps the lag clock, decides the phase, the acks
+//! and the local snapshot cadence, and ends a session whose upstream has
+//! sent nothing for [`SESSION_DEADLINE`]. Every hazard
 //! resolves to "reject and re-sync, never apply a torn record". The
 //! replica, its worker and the worker's local log share one node
 //! (`crate::node`): its database, directory, horizon and epochs, and the
@@ -29,18 +28,17 @@
 //! ([`ReplicaPhase::Failed`]) until the replica is reopened. Local
 //! snapshots and a promotion's seal go through it too; once sealed, the
 //! node leads that log, and everything reading its watermark reads the
-//! log. A bootstrap snapshot is built through a
-//! [`SnapshotLoad`] and a temp file. The replica's previous state and
-//! files serve on untouched until the snapshot's last record has
-//! validated; a session that ends first drops the half-built snapshot.
-//! The leadership history comes with it: the snapshot's head carries
-//! every epoch begun below its LSN, adopted in the same swap as the
-//! database, and each `LeaderEpoch` seal shipped afterwards is folded
-//! in as it is applied. Nothing but the log records it.
+//! log. The worker passes bytes and LSNs and never reads the file layout:
+//! a log run is checked and decoded by [`RawChunk::decode`], and a
+//! bootstrap snapshot fed run by run to a [`SnapshotReceiver`], which
+//! owns the runs' continuity, the temp file and a crash-safe install. The
+//! previous state and files serve on untouched until the last record has
+//! validated; a session that ends first drops the receiver. The
+//! snapshot's head carries every epoch begun below its LSN, adopted in
+//! the same swap as the database, and each `LeaderEpoch` seal shipped
+//! afterwards is folded in as it is applied.
 
 use std::fmt;
-use std::fs::File;
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,11 +47,9 @@ use std::time::{Duration, Instant};
 
 use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
-use modb_wal::segment::{encode_header, SEGMENT_HEADER_BYTES};
-use modb_wal::snapshot::snapshot_file_name;
 use modb_wal::{
-    apply_record, decode_block_frames, list_segments, list_snapshots, EpochHistory, FrameEnd,
-    SnapshotLoad, WalError, WalOptions, WalRecord, SEGMENT_VERSION,
+    apply_record, list_snapshots, EpochHistory, RawChunk, SnapshotReceiver, SnapshotRun, WalError,
+    WalOptions, WalRecord,
 };
 
 use crate::durable::DurableDatabase;
@@ -300,7 +296,8 @@ impl StandbyReplica {
     /// `addr`. A directory holding a usable snapshot is recovered
     /// locally first — the session then resumes from the recovered
     /// watermark instead of re-bootstrapping. A fresh directory starts
-    /// empty and waits for the leader's bootstrap snapshot.
+    /// empty and waits for the leader's bootstrap snapshot. The temp file
+    /// of a bootstrap the process died in is removed.
     ///
     /// # Errors
     ///
@@ -326,7 +323,7 @@ impl StandbyReplica {
     ) -> Result<(Self, Worker), WalError> {
         let dir = dir.into();
         let addr = addr.into();
-        std::fs::create_dir_all(&dir)?;
+        SnapshotReceiver::prepare(&dir)?;
         let have_state = !list_snapshots(&dir)?.is_empty();
         let (db, epochs, applied) = if have_state {
             let recovered = modb_wal::recover(&dir)?;
@@ -604,7 +601,7 @@ pub(crate) struct Worker {
     /// The local log; `None` while the replica has no state to resume.
     log: Option<DurableDatabase>,
     /// The bootstrap snapshot arriving in this session, if any.
-    incoming: Option<Incoming>,
+    incoming: Option<SnapshotReceiver>,
     /// What the worker last published; its `stats.applied_lsn` is the
     /// watermark.
     out: Published,
@@ -614,16 +611,6 @@ pub(crate) struct Worker {
     reconnects: usize,
     /// When the live session last heard from its upstream.
     heard: Instant,
-}
-
-/// A bootstrap snapshot arriving run by run: the load its frames are
-/// applied to and the temp file they are written to.
-struct Incoming {
-    lsn: u64,
-    /// Where in the snapshot file the next run must start.
-    offset: u64,
-    load: SnapshotLoad,
-    file: File,
 }
 
 impl Worker {
@@ -765,7 +752,6 @@ impl Worker {
             self.publish();
         }
         self.incoming = None;
-        let _ = std::fs::remove_file(self.incoming_path());
         link.shutdown();
         !matches!(
             end,
@@ -776,17 +762,8 @@ impl Worker {
     /// Takes one message from the upstream.
     fn take(&mut self, link: &mut impl Link, msg: Message) -> Result<(), SessionEnd> {
         match msg {
-            Message::SnapshotBlocks {
-                lsn,
-                offset,
-                frames,
-            } => self.snapshot_run(link, lsn, offset, &frames),
-            Message::Blocks {
-                start_lsn,
-                count,
-                version,
-                frames,
-            } => self.blocks(link, start_lsn, count, version, &frames),
+            Message::SnapshotBlocks(run) => self.snapshot_run(link, &run),
+            Message::Blocks(chunk) => self.blocks(link, &chunk),
             Message::Heartbeat { leader_next_lsn } => {
                 let stats = &mut self.out.stats;
                 stats.leader_lsn = leader_next_lsn;
@@ -816,49 +793,24 @@ impl Worker {
         }
     }
 
-    /// Where an incoming bootstrap snapshot is written.
-    fn incoming_path(&self) -> PathBuf {
-        self.node.dir().join("incoming.snap.tmp")
-    }
-
-    /// Takes one run of a bootstrap snapshot: it must continue the run
-    /// before it (the first opens the load and the temp file). Once the
-    /// last run validates the snapshot is installed, adopted with the
-    /// leadership history its head carries and acked.
-    fn snapshot_run(
-        &mut self,
-        link: &mut impl Link,
-        lsn: u64,
-        offset: u64,
-        frames: &[u8],
-    ) -> Result<(), SessionEnd> {
-        if self.incoming.is_none() && offset == SEGMENT_HEADER_BYTES {
-            let tmp = self.incoming_path();
-            let open = || -> Result<Incoming, WalError> {
-                let mut file = File::create(&tmp)?;
-                file.write_all(&encode_header(lsn))?;
-                let load = SnapshotLoad::new(&tmp);
-                Ok(Incoming {
-                    lsn,
-                    offset,
-                    load,
-                    file,
-                })
-            };
-            self.incoming = Some(open().map_err(|_| SessionEnd::Reject)?);
+    /// Takes one run of a bootstrap snapshot (the first opens the
+    /// receiver). After the last, the local log is closed, the snapshot
+    /// installed in its place and adopted with its head's leadership
+    /// history, the log resumed at its LSN, and the snapshot acked.
+    fn snapshot_run(&mut self, link: &mut impl Link, run: &SnapshotRun) -> Result<(), SessionEnd> {
+        if self.incoming.is_none() {
+            self.incoming = SnapshotReceiver::open(self.node.dir(), run).ok();
         }
-        // A duplicated, reordered or foreign run, or one with no first run
-        // before it, continues nothing.
-        let Some(incoming) = self.incoming.as_mut() else {
-            return Err(SessionEnd::Reject);
-        };
-        if (incoming.lsn, incoming.offset) != (lsn, offset) {
-            return Err(SessionEnd::Reject);
-        }
-        incoming.offset += frames.len() as u64;
-        let Some(epochs) = self.install(frames).map_err(|_| SessionEnd::Reject)? else {
+        let incoming = self.incoming.as_mut().ok_or(SessionEnd::Reject)?;
+        if !incoming.receive(run).map_err(|_| SessionEnd::Reject)? {
             return Ok(());
-        };
+        }
+        let (incoming, lsn) = (self.incoming.take().expect("received above"), run.lsn);
+        // Local log and snapshots describe a dead timeline now.
+        self.log = None;
+        let (db, epochs) = incoming.install().map_err(|_| SessionEnd::Reject)?;
+        self.resume_log(lsn).map_err(|_| SessionEnd::Reject)?;
+        self.node.database().replace(db);
         *self.node.epochs() = epochs;
         self.last_snapshot = lsn;
         let stats = &mut self.out.stats;
@@ -868,58 +820,19 @@ impl Worker {
         send(link, &Message::Ack { applied_lsn: lsn })
     }
 
-    /// Feeds one run to the bootstrap under way and appends it to the
-    /// temp file; after the last, installs the snapshot and returns the
-    /// leadership history its head carries.
-    fn install(&mut self, frames: &[u8]) -> Result<Option<EpochHistory>, WalError> {
-        let incoming = self
-            .incoming
-            .as_mut()
-            .expect("a run continues the bootstrap");
-        let fed = incoming.load.feed(frames)?;
-        incoming.file.write_all(frames)?;
-        let Some((db, epochs)) = fed else {
-            return Ok(None);
-        };
-        let Incoming { lsn, file, .. } = self.incoming.take().expect("checked above");
-        file.sync_data()?;
-        // Local log and snapshots describe a dead timeline now.
-        self.log = None;
-        let dir = self.node.dir();
-        for (_, path) in list_segments(dir)?.into_iter().chain(list_snapshots(dir)?) {
-            std::fs::remove_file(path)?;
-        }
-        std::fs::rename(self.incoming_path(), dir.join(snapshot_file_name(lsn)))?;
-        self.resume_log(lsn)?;
-        self.node.database().replace(db);
-        Ok(Some(epochs))
-    }
-
-    /// A `Blocks` run applies whole or not at all. It must name the one
-    /// segment format, decode clean and complete (wire chunks are whole
-    /// frames, so a torn tail is corruption in flight), arrive with no
-    /// bootstrap under way, and continue the watermark — a gap would
-    /// desynchronize the watermark from the stream. Once applied and
-    /// logged it is acked, and a local snapshot taken when one is due. A
-    /// failed write publishes what was logged before it and ends the
-    /// session for good; on a log that failed earlier that is the run's
-    /// first write, which [`DurableDatabase::write`] refuses unapplied.
-    fn blocks(
-        &mut self,
-        link: &mut impl Link,
-        start: u64,
-        count: u32,
-        version: u32,
-        frames: &[u8],
-    ) -> Result<(), SessionEnd> {
-        let lsn = self.out.stats.applied_lsn;
-        let run = (version == SEGMENT_VERSION)
-            .then(|| decode_block_frames(frames))
-            .filter(|(records, _, end)| {
-                matches!(end, FrameEnd::Clean) && records.len() == count as usize
-            })
-            .filter(|_| self.incoming.is_none() && start <= lsn);
-        let (Some(log), Some((records, ..))) = (self.log.clone(), run) else {
+    /// A `Blocks` run applies whole or not at all. It must decode
+    /// ([`RawChunk::decode`]), arrive with no bootstrap under way, and
+    /// continue the watermark — a gap would desynchronize the watermark
+    /// from the stream. Once applied and logged it is acked, and a local
+    /// snapshot taken when one is due. A failed write publishes what was
+    /// logged before it and ends the session for good; on a log that
+    /// failed earlier that is the run's first write, which
+    /// [`DurableDatabase::write`] refuses unapplied.
+    fn blocks(&mut self, link: &mut impl Link, chunk: &RawChunk) -> Result<(), SessionEnd> {
+        let (lsn, start) = (self.out.stats.applied_lsn, chunk.start_lsn);
+        let run = chunk.decode().ok();
+        let run = run.filter(|_| self.incoming.is_none() && start <= lsn);
+        let (Some(log), Some(records)) = (self.log.clone(), run) else {
             return Err(SessionEnd::Reject);
         };
         // Overlap below the watermark is a duplicate delivery, already
@@ -1006,13 +919,13 @@ mod tests {
     //! the publication).
 
     use super::*;
-    use crate::replication::leader::shippable_snapshot;
     use crate::replication::link::mem::{pair, Fault, MemLink, VirtualClock};
     use crate::replication::link::DIAL_TIMEOUT;
-    use crate::replication::sim::{fresh_db, replica_config, vehicle, wal_options, Cluster};
+    use crate::replication::sim::{files, fresh_db, replica_config, vehicle, wal_options, Cluster};
     use modb_core::ObjectId;
     use modb_wal::segment::segment_file_name;
-    use modb_wal::{encode_block, frame_block};
+    use modb_wal::snapshot::snapshot_file_name;
+    use modb_wal::{encode_block, frame_block, Shipment, SEGMENT_VERSION};
     use std::cell::Cell;
     use std::path::Path;
     use std::sync::atomic::AtomicU64;
@@ -1160,12 +1073,12 @@ mod tests {
 
     /// A `Blocks` message carrying `records` from `start_lsn` on.
     fn run(start_lsn: u64, records: &[WalRecord]) -> Message {
-        Message::Blocks {
+        Message::Blocks(RawChunk {
             start_lsn,
-            count: records.len() as u32,
+            records: records.len() as u64,
             version: SEGMENT_VERSION,
             frames: frames_of(records),
-        }
+        })
     }
 
     fn heartbeat(leader_next_lsn: u64) -> Message {
@@ -1304,16 +1217,10 @@ mod tests {
         seal(&dir, vehicles, 2);
         let (leader, _) = DurableDatabase::open(&dir, wal_options()).unwrap();
         leader.snapshot_with_retention(1).unwrap();
-        let shipment = shippable_snapshot(&dir, 1).unwrap().unwrap();
-        let runs = (shipment.runs.iter())
-            .map(|run| Message::SnapshotBlocks {
-                lsn: shipment.lsn,
-                offset: run.start as u64,
-                frames: shipment.bytes[run.clone()].to_vec(),
-            })
-            .collect();
+        let shipment = Shipment::newest(&dir).unwrap();
+        let runs = shipment.runs(1).map(Message::SnapshotBlocks).collect();
         std::fs::remove_dir_all(&dir).unwrap();
-        (shipment.lsn, runs)
+        (shipment.lsn(), runs)
     }
 
     /// Bootstrap runs must continue each other. A run that is not first
@@ -1326,24 +1233,19 @@ mod tests {
     fn snapshot_runs_continue_each_other_or_are_refused() {
         let (lsn, runs) = snapshot_runs("runs-leader", 300);
         assert!(runs.len() >= 3, "{} runs", runs.len());
-        let Message::SnapshotBlocks {
-            offset, ref frames, ..
-        } = runs[1]
-        else {
+        let Message::SnapshotBlocks(ref second) = runs[1] else {
             unreachable!()
         };
-        let foreign = Message::SnapshotBlocks {
+        let foreign = Message::SnapshotBlocks(SnapshotRun {
             lsn: lsn + 1,
-            offset,
-            frames: frames.clone(),
-        };
-        let mut flipped = frames.clone();
-        flipped[frames.len() / 2] ^= 0x40;
-        let torn = Message::SnapshotBlocks {
-            lsn,
-            offset,
+            ..second.clone()
+        });
+        let mut flipped = second.frames.clone();
+        flipped[second.frames.len() / 2] ^= 0x40;
+        let torn = Message::SnapshotBlocks(SnapshotRun {
             frames: flipped,
-        };
+            ..second.clone()
+        });
 
         let mut u = Upstream::new("runs", Some(9), 0);
         assert_eq!(u.send(runs[1].clone()), REJECT);
@@ -1370,6 +1272,35 @@ mod tests {
         );
         assert_eq!(u.replica.epoch(), 2, "the head's history is adopted");
         assert_eq!(u.send(runs[1].clone()), REJECT, "the snapshot is spent");
+    }
+
+    /// A bootstrap whose session ends mid-snapshot leaves the replica's
+    /// snapshot and segments as they were, byte for byte, and no temp
+    /// file; a temp file a crash left is removed when the replica opens.
+    #[test]
+    fn a_bootstrap_cut_mid_snapshot_leaves_the_old_files_and_no_temp_file() {
+        const TEMP: &str = "incoming.snap.tmp";
+        let (_, runs) = snapshot_runs("cut-leader", 300);
+        let mut u = Upstream::new("cut", Some(9), 0);
+        let before = files(&u.dir);
+        let names: Vec<&String> = before.keys().collect();
+        assert!(names.iter().any(|n| n.ends_with(".snap")), "{names:?}");
+        assert!(names.iter().any(|n| n.ends_with(".log")), "{names:?}");
+        for run in &runs[..2] {
+            assert_eq!(u.send(run.clone()), Ok(true));
+        }
+        assert!(
+            files(&u.dir).contains_key(TEMP),
+            "the bootstrap is under way"
+        );
+        u.reconnect(SessionEnd::Disconnected);
+        assert_eq!(files(&u.dir), before);
+        assert_eq!(u.stats().applied_lsn, 9);
+
+        std::fs::write(u.dir.join(TEMP), b"left by a crash").unwrap();
+        let again = Upstream::open(u.dir.clone(), 0);
+        assert_eq!(files(&again.dir), before);
+        assert_eq!(again.stats().applied_lsn, 9);
     }
 
     /// A log run applies whole or not at all: one cut from another
@@ -1399,12 +1330,12 @@ mod tests {
         {
             let mut u = Upstream::new(&format!("run-bad-{i}"), Some(applied), 0);
             let start_lsn = 4;
-            let blocks = Message::Blocks {
+            let blocks = Message::Blocks(RawChunk {
                 start_lsn,
-                count,
+                records: count,
                 version,
                 frames,
-            };
+            });
             let case = format!("count {count}, version {version}, applied {applied}");
             assert_eq!(u.send(blocks), REJECT, "{case}");
             u.worker.end(&mut u.link, SessionEnd::Reject);

@@ -1,5 +1,6 @@
 //! Leader side of WAL shipping: accept followers, bootstrap them from a
-//! snapshot, then stream log segments as the writer grows them.
+//! snapshot ([`Shipment`]), then stream log segments as the writer grows
+//! them ([`SegmentTailer`]) — bytes and LSNs, never the file layout.
 //!
 //! Each follower session is a [`LeaderShell`], a step function over a
 //! [`Link`] and a [`Clock`] that makes every decision of the session
@@ -22,17 +23,11 @@
 
 use std::fmt;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::ops::Range;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use modb_wal::segment::{read_segment_file, SEGMENT_HEADER_BYTES};
-use modb_wal::{
-    decode_block, list_segments, list_snapshots, split_frame, take_frames, EpochCheck,
-    SegmentTailer, WalError, WalRecord, GENESIS_EPOCH, SEGMENT_VERSION,
-};
+use modb_wal::{list_segments, EpochCheck, SegmentTailer, Shipment, WalError, GENESIS_EPOCH};
 
 use crate::durable::DurableDatabase;
 use crate::framed::{Listener, ReadEvent};
@@ -379,7 +374,12 @@ impl<L: Link> LeaderShell<L> {
         let cursor = if resumable {
             next_lsn
         } else {
-            ship_snapshot(&mut self.link, ctx)?
+            let shipment = Shipment::newest(ctx.node.dir())?;
+            for run in shipment.runs(ctx.config.chunk_records) {
+                self.link.send(&Message::SnapshotBlocks(run))?;
+            }
+            ctx.stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
+            shipment.lsn()
         };
         self.shipped_end = cursor;
         ctx.node.horizon().advance(self.hid, cursor);
@@ -399,16 +399,10 @@ impl<L: Link> LeaderShell<L> {
         // frames go out verbatim: compressed blocks exactly as they sit
         // on disk.
         if let Some(chunk) = tailer.poll_blocks(ctx.config.chunk_records)? {
+            let (records, shipped) = (chunk.records, &ctx.stats.records_shipped);
             self.shipped_end = chunk.end_lsn();
-            let count = chunk.records as u32;
-            self.link.send(&Message::Blocks {
-                start_lsn: chunk.start_lsn,
-                count,
-                version: SEGMENT_VERSION,
-                frames: chunk.frames,
-            })?;
-            let shipped = &ctx.stats.records_shipped;
-            shipped.fetch_add(u64::from(count), Ordering::Relaxed);
+            self.link.send(&Message::Blocks(chunk))?;
+            shipped.fetch_add(records, Ordering::Relaxed);
             return Ok(Step::Busy);
         }
         let due = self
@@ -434,75 +428,6 @@ impl<L: Link> LeaderShell<L> {
     }
 }
 
-/// Ships the newest whole snapshot in `SnapshotBlocks` runs and returns
-/// its LSN. The snapshot is read once: the bytes checked are the bytes
-/// shipped, and a compaction that removes the file after it was read does
-/// not touch them.
-fn ship_snapshot(link: &mut impl Link, ctx: &ShipContext) -> Result<u64, WalError> {
-    let dir = ctx.node.dir();
-    let Some(Shipment { lsn, bytes, runs }) = shippable_snapshot(dir, ctx.config.chunk_records)?
-    else {
-        return Err(WalError::NoSnapshot(dir.to_path_buf()));
-    };
-    for run in runs {
-        let msg = Message::SnapshotBlocks {
-            lsn,
-            offset: run.start as u64,
-            frames: bytes[run].to_vec(),
-        };
-        link.send(&msg)?;
-    }
-    ctx.stats.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
-    Ok(lsn)
-}
-
-/// A bootstrap snapshot ready to ship: its LSN, its bytes, and the runs
-/// of whole frames they are cut into.
-pub(crate) struct Shipment {
-    pub(crate) lsn: u64,
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) runs: Vec<Range<usize>>,
-}
-
-/// The newest snapshot in `dir` whose header names its file's LSN, whose
-/// frames all pass their CRC and whose head promises the records its
-/// blocks hold, with its bytes cut into runs of whole frames of
-/// `chunk_records` records or one block past them ([`take_frames`], as
-/// the log's tail is cut). Only the head is decoded: the follower decodes
-/// each run as it applies it.
-pub(crate) fn shippable_snapshot(
-    dir: &Path,
-    chunk_records: usize,
-) -> Result<Option<Shipment>, WalError> {
-    for (lsn, path) in list_snapshots(dir)?.into_iter().rev() {
-        let Ok((start_lsn, bytes)) = read_segment_file(&path) else {
-            continue;
-        };
-        let (mut runs, mut records) = (Vec::new(), 0);
-        let mut pos = SEGMENT_HEADER_BYTES as usize;
-        let whole = loop {
-            let run = take_frames(&bytes[pos..], chunk_records.max(1));
-            if run.torn.is_some() || run.bytes == 0 {
-                break run.torn.is_none() && pos == bytes.len();
-            }
-            runs.push(pos..pos + run.bytes);
-            (pos, records) = (pos + run.bytes, records + run.records);
-        };
-        let head = split_frame(&bytes[SEGMENT_HEADER_BYTES as usize..])
-            .ok()
-            .flatten()
-            .and_then(|(payload, _)| decode_block(payload).ok());
-        let sealed = matches!(
-            head.as_deref(),
-            Some([WalRecord::SnapshotHead { records: promised, .. }]) if promised + 1 == records
-        );
-        if whole && sealed && start_lsn == lsn {
-            return Ok(Some(Shipment { lsn, bytes, runs }));
-        }
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     //! Handshake and shipping checks that speak the protocol by hand (the
@@ -524,9 +449,7 @@ mod tests {
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::{
-        decode_block_frames, EpochHistory, FrameEnd, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION,
-    };
+    use modb_wal::{EpochHistory, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION};
     use std::net::TcpStream;
     use std::path::PathBuf;
 
@@ -655,27 +578,16 @@ mod tests {
         let total = 2 + 38;
         let (_tx, mut reader) = dial(&server, PROTOCOL_VERSION, GENESIS_EPOCH);
         // The genesis snapshot (a head and one route) is one run.
-        let Some(Message::SnapshotBlocks {
-            lsn: 0, offset: 20, ..
-        }) = next_message(&mut reader)
-        else {
-            panic!("expected the bootstrap snapshot at lsn 0");
+        let Some(Message::SnapshotBlocks(first)) = next_message(&mut reader) else {
+            panic!("expected the bootstrap snapshot");
         };
+        assert_eq!((first.lsn, first.offset), (0, 20), "at lsn 0");
         let records = drain(&mut reader, total, |msg| {
-            let Message::Blocks {
-                count,
-                version,
-                frames,
-                ..
-            } = msg
-            else {
+            let Message::Blocks(chunk) = msg else {
                 panic!("a follower must never see {msg:?}");
             };
-            assert_eq!(*version, SEGMENT_VERSION);
-            let (recs, _, end) = decode_block_frames(frames);
-            assert!(matches!(end, FrameEnd::Clean));
-            assert_eq!(recs.len(), *count as usize);
-            recs
+            assert_eq!(chunk.version, SEGMENT_VERSION);
+            chunk.decode().unwrap()
         });
         assert_eq!(records.len() as u64, durable.wal().next_lsn());
         server.shutdown();
@@ -923,15 +835,11 @@ mod tests {
             assert_eq!(session.answer(ack(4)).unwrap(), Step::Busy);
             assert_eq!(session.horizon(), Some(4));
             assert_eq!(session.shell.step(&session.ctx).unwrap(), Step::Busy);
-            let [Message::Blocks {
-                start_lsn: 4,
-                count,
-                ..
-            }] = session.received()[..]
-            else {
-                panic!("expected one run from 4");
+            let [Message::Blocks(ref chunk)] = session.received()[..] else {
+                panic!("expected one run");
             };
-            let end = 4 + u64::from(count);
+            assert_eq!(chunk.start_lsn, 4, "a run from 4");
+            let end = chunk.end_lsn();
             assert_eq!(session.answer(ack(end)).unwrap(), Step::Busy);
             assert_eq!(session.horizon(), Some(end));
             assert_eq!(

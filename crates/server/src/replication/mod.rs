@@ -85,12 +85,10 @@ mod sim {
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::WalOptions;
+    use modb_wal::{Shipment, WalOptions};
 
     use super::follower::{SessionEnd, Worker, RECONNECT_BACKOFF};
-    use super::leader::{
-        shippable_snapshot, LeaderShell, ShipContext, Step, HEARTBEAT_INTERVAL, POLL_INTERVAL,
-    };
+    use super::leader::{LeaderShell, ShipContext, Step, HEARTBEAT_INTERVAL, POLL_INTERVAL};
     use super::link::mem::{pair, Fault, MemLink, VirtualClock};
     use super::link::Clock;
     use super::protocol::{Message, MAX_MESSAGE_BYTES, SESSION_DEADLINE};
@@ -510,7 +508,7 @@ mod sim {
     }
 
     /// Every file of a directory, by name.
-    fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    pub(crate) fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         std::fs::read_dir(dir)
             .unwrap()
             .map(|entry| {
@@ -988,19 +986,12 @@ mod sim {
         );
 
         // Where each snapshot message of that session ends on the link.
-        let shipment = shippable_snapshot(leader.dir(), ship_config().chunk_records)
-            .unwrap()
-            .unwrap();
-        let ends: Vec<usize> = shipment
-            .runs
-            .iter()
+        let shipment = Shipment::newest(leader.dir()).unwrap();
+        let ends: Vec<usize> = (shipment.runs(ship_config().chunk_records))
             .map(|run| {
-                let msg = Message::SnapshotBlocks {
-                    lsn: shipment.lsn,
-                    offset: run.start as u64,
-                    frames: shipment.bytes[run.clone()].to_vec(),
-                };
-                encode_frame(&msg, MAX_MESSAGE_BYTES).unwrap().len()
+                encode_frame(&Message::SnapshotBlocks(run), MAX_MESSAGE_BYTES)
+                    .unwrap()
+                    .len()
             })
             .scan(0, |at, len| {
                 *at += len;

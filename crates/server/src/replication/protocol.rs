@@ -21,24 +21,21 @@
 //! decoded-records message, tag 8 the leadership-history message of
 //! version 4.)
 //!
-//! `Blocks` carries a run of *segment* frames shipped verbatim off the
-//! leader's disk, each holding one possibly LZ-compressed block, with
-//! `version` naming the segment format the frames came from (always
-//! [`modb_wal::SEGMENT_VERSION`]; a follower refuses any other).
+//! `Blocks` carries a [`modb_wal::RawChunk`]: a run of *segment* frames
+//! shipped verbatim off the leader's disk, each holding one possibly
+//! LZ-compressed block, with `version` naming their segment format.
 //! Compression paid once at append time is reused on the wire, and the
-//! follower validates every frame's CRC a second time with the same
-//! [`modb_wal::walk_blocks`] path recovery uses — a partially delivered
-//! or torn run can never be applied.
+//! follower decodes the run whole or not at all
+//! ([`modb_wal::RawChunk::decode`]) — a torn run can never be applied.
 //!
-//! `SnapshotBlocks` bootstraps a follower the same way: a snapshot is a
-//! sealed file of the segment layout ([`modb_wal::snapshot`]), and the
-//! leader ships its frames verbatim in runs of at most `chunk_records`
-//! records, `offset` being where the run starts in the file (the first
-//! run starts right after the 20-byte header). The follower applies each
-//! run to a fresh database as it arrives and installs the snapshot only
-//! once its last record has validated; a run that does not continue the
-//! one before it — duplicated, reordered, from another snapshot — ends
-//! the session.
+//! `SnapshotBlocks` bootstraps a follower the same way: the leader ships
+//! its newest snapshot file verbatim ([`modb_wal::Shipment`]) in runs of
+//! at most `chunk_records` records, `offset` being where the run starts
+//! in the file. The follower applies each run as it arrives
+//! ([`modb_wal::SnapshotReceiver`]) and installs the snapshot only once
+//! its last record has validated; a run that does not continue the one
+//! before it — duplicated, reordered, from another snapshot — ends the
+//! session. Neither side reads the file layout.
 //!
 //! `Hello` carries the follower's leadership epoch because of the
 //! promotion-time divergence guard: a server whose
@@ -58,7 +55,7 @@
 use std::time::Duration;
 
 use modb_wal::codec::{put_u32, put_u64};
-use modb_wal::{ByteReader, WalError};
+use modb_wal::{ByteReader, RawChunk, SnapshotRun, WalError};
 
 use crate::framed::WireMessage;
 
@@ -94,15 +91,10 @@ pub(crate) enum Message {
     Heartbeat { leader_next_lsn: u64 },
     /// Follower's applied watermark; advances the leader's ship barrier.
     Ack { applied_lsn: u64 },
-    /// `count` consecutive records starting at `start_lsn`, as verbatim
-    /// segment frames (whole, possibly compressed blocks) from a segment
-    /// of format `version`.
-    Blocks {
-        start_lsn: u64,
-        count: u32,
-        version: u32,
-        frames: Vec<u8>,
-    },
+    /// A run of the log as the leader's tailer read it: consecutive
+    /// records as verbatim segment frames (whole, possibly compressed
+    /// blocks) of the format the chunk names.
+    Blocks(RawChunk),
     /// Typed refusal of a follower whose log tail forked off this
     /// server's timeline: the follower holds records at or past
     /// `boundary_lsn` that were never written under `leader_epoch`'s
@@ -112,13 +104,8 @@ pub(crate) enum Message {
         leader_epoch: u64,
         boundary_lsn: u64,
     },
-    /// A run of whole frames of the bootstrap snapshot taken at `lsn`,
-    /// verbatim, starting `offset` bytes into the snapshot file.
-    SnapshotBlocks {
-        lsn: u64,
-        offset: u64,
-        frames: Vec<u8>,
-    },
+    /// A run of the bootstrap snapshot, verbatim.
+    SnapshotBlocks(SnapshotRun),
 }
 
 impl WireMessage for Message {
@@ -144,17 +131,12 @@ impl WireMessage for Message {
                 out.push(5);
                 put_u64(out, *applied_lsn);
             }
-            Message::Blocks {
-                start_lsn,
-                count,
-                version,
-                frames,
-            } => {
+            Message::Blocks(chunk) => {
                 out.push(6);
-                put_u64(out, *start_lsn);
-                put_u32(out, *count);
-                put_u32(out, *version);
-                out.extend_from_slice(frames);
+                put_u64(out, chunk.start_lsn);
+                put_u32(out, chunk.records as u32);
+                put_u32(out, chunk.version);
+                out.extend_from_slice(&chunk.frames);
             }
             Message::Diverged {
                 leader_epoch,
@@ -164,15 +146,11 @@ impl WireMessage for Message {
                 put_u64(out, *leader_epoch);
                 put_u64(out, *boundary_lsn);
             }
-            Message::SnapshotBlocks {
-                lsn,
-                offset,
-                frames,
-            } => {
+            Message::SnapshotBlocks(run) => {
                 out.push(9);
-                put_u64(out, *lsn);
-                put_u64(out, *offset);
-                out.extend_from_slice(frames);
+                put_u64(out, run.lsn);
+                put_u64(out, run.offset);
+                out.extend_from_slice(&run.frames);
             }
         }
     }
@@ -198,30 +176,29 @@ impl WireMessage for Message {
                 applied_lsn: r.u64()?,
             },
             6 => {
-                let start_lsn = r.u64()?;
-                let count = r.u32()?;
-                let version = r.u32()?;
+                let (start_lsn, records, version) = (r.u64()?, r.u32()?.into(), r.u32()?);
                 // The rest of the payload is the verbatim segment frames.
-                return Ok(Message::Blocks {
+                let frames = payload[payload.len() - r.remaining()..].to_vec();
+                return Ok(Message::Blocks(RawChunk {
                     start_lsn,
-                    count,
+                    records,
                     version,
-                    frames: payload[payload.len() - r.remaining()..].to_vec(),
-                });
+                    frames,
+                }));
             }
             7 => Message::Diverged {
                 leader_epoch: r.u64()?,
                 boundary_lsn: r.u64()?,
             },
             9 => {
-                let lsn = r.u64()?;
-                let offset = r.u64()?;
+                let (lsn, offset) = (r.u64()?, r.u64()?);
                 // The rest of the payload is the verbatim snapshot frames.
-                return Ok(Message::SnapshotBlocks {
+                let frames = payload[payload.len() - r.remaining()..].to_vec();
+                return Ok(Message::SnapshotBlocks(SnapshotRun {
                     lsn,
                     offset,
-                    frames: payload[payload.len() - r.remaining()..].to_vec(),
-                });
+                    frames,
+                }));
             }
             _ => return Err(WalError::Decode("unknown replication message tag")),
         };
@@ -251,21 +228,21 @@ mod tests {
                 leader_next_lsn: 11,
             },
             Message::Ack { applied_lsn: 10 },
-            Message::Blocks {
+            Message::Blocks(RawChunk {
                 start_lsn: 13,
-                count: 3,
+                records: 3,
                 version: 2,
                 frames: vec![0xca, 0xfe, 0xf0, 0x0d, 0x01],
-            },
+            }),
             Message::Diverged {
                 leader_epoch: 4,
                 boundary_lsn: 120,
             },
-            Message::SnapshotBlocks {
+            Message::SnapshotBlocks(SnapshotRun {
                 lsn: 7,
                 offset: 20,
                 frames: vec![1, 2, 3, 4, 5],
-            },
+            }),
         ]
     }
 

@@ -54,7 +54,7 @@
 //! self-contained unit — decode it with zero history, truncate a torn
 //! tail at a frame (= block) boundary, or ship the frame bytes verbatim
 //! to a follower that decompresses on apply. A snapshot is blocks too
-//! ([`crate::snapshot`]), so one walk ([`walk_blocks`]) replays both.
+//! ([`crate::snapshot`]), so one walk (`walk_blocks`) replays both.
 //!
 //! **Sealing.** A log's writer owns one `Sealer`: the LZ table and the
 //! scratch buffers the compact records, stream, payload and frame are
@@ -72,13 +72,13 @@ use crate::lz;
 use crate::record::{split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 
 /// Block body is a plain stream.
-pub const BLOCK_FORMAT_PLAIN: u8 = 0;
+pub(crate) const BLOCK_FORMAT_PLAIN: u8 = 0;
 /// Block body is an LZ-compressed stream (see [`crate::lz`]).
-pub const BLOCK_FORMAT_LZ: u8 = 1;
+pub(crate) const BLOCK_FORMAT_LZ: u8 = 1;
 /// Block is one basic update whose position is an arc.
-pub const BLOCK_FORMAT_ONE_ARC: u8 = 2;
+pub(crate) const BLOCK_FORMAT_ONE_ARC: u8 = 2;
 /// Block is one basic update whose position is coordinates.
-pub const BLOCK_FORMAT_ONE_COORDS: u8 = 3;
+pub(crate) const BLOCK_FORMAT_ONE_COORDS: u8 = 3;
 
 const REC_VERBATIM: u8 = 0;
 const REC_COMPACT_ARC: u8 = 1;
@@ -559,7 +559,7 @@ pub fn frame_block(payload: &[u8], out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Whatever `apply` returns; it stops the walk.
-pub fn walk_blocks<E>(
+pub(crate) fn walk_blocks<E>(
     buf: &[u8],
     mut apply: impl FnMut(Vec<WalRecord>, usize) -> Result<(), E>,
 ) -> Result<(usize, FrameEnd), E> {
@@ -582,7 +582,7 @@ pub fn walk_blocks<E>(
     }
 }
 
-/// [`walk_blocks`], collected: the records of every whole valid block,
+/// The block walk (`walk_blocks`), collected: the records of every whole valid block,
 /// the byte length of the valid prefix, and how decoding ended.
 pub fn decode_block_frames(buf: &[u8]) -> (Vec<WalRecord>, usize, FrameEnd) {
     let mut records = Vec::new();
@@ -596,7 +596,7 @@ pub fn decode_block_frames(buf: &[u8]) -> (Vec<WalRecord>, usize, FrameEnd) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::frame_len;
+    use crate::record::tests::frame_len;
     use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
     fn update(id: u64, time: f64, arc: f64, speed: f64) -> WalRecord {

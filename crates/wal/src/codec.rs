@@ -125,7 +125,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 ///
 /// [`WalError::Decode`] on buffer underflow or a varint longer than the
 /// 10 bytes a `u64` can need.
-pub fn read_varint(r: &mut ByteReader<'_>) -> Result<u64, WalError> {
+pub(crate) fn read_varint(r: &mut ByteReader<'_>) -> Result<u64, WalError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {

@@ -31,7 +31,7 @@ pub const GENESIS_EPOCH: u64 = 1;
 /// One leadership span: `epoch` governs LSNs from `start_lsn` until the
 /// next entry's `start_lsn` (or the log frontier for the last entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochSpan {
+pub(crate) struct EpochSpan {
     /// The epoch number (monotonically increasing across entries).
     pub epoch: u64,
     /// First LSN written under this epoch.
@@ -90,7 +90,7 @@ impl EpochHistory {
     /// [`WalError::Decode`] when the list does not open with genesis
     /// (epoch 1 from LSN 0) or is not strictly monotonic in epoch and
     /// monotonic in start LSN.
-    pub fn from_spans(spans: Vec<EpochSpan>) -> Result<Self, WalError> {
+    pub(crate) fn from_spans(spans: Vec<EpochSpan>) -> Result<Self, WalError> {
         let genesis = EpochSpan {
             epoch: GENESIS_EPOCH,
             start_lsn: 0,
@@ -112,7 +112,7 @@ impl EpochHistory {
     }
 
     /// The LSN at which the current epoch began.
-    pub fn current_start_lsn(&self) -> u64 {
+    pub(crate) fn current_start_lsn(&self) -> u64 {
         self.entries.last().map_or(0, |s| s.start_lsn)
     }
 

@@ -1,7 +1,7 @@
 //! Errors raised by the durability layer.
 
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use modb_core::CoreError;
 
@@ -51,6 +51,19 @@ pub enum WalError {
         /// The ceiling it exceeded.
         max: u32,
     },
+}
+
+impl WalError {
+    /// [`WalError::CorruptSegment`] at byte `offset` of the file at
+    /// `path`.
+    pub(crate) fn corrupt(path: &Path, offset: u64, reason: &'static str) -> Self {
+        let path = path.to_path_buf();
+        WalError::CorruptSegment {
+            path,
+            offset,
+            reason,
+        }
+    }
 }
 
 impl fmt::Display for WalError {

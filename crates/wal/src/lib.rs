@@ -24,19 +24,20 @@
 //!   on it is sticky, so no ack is issued for a record the log cannot
 //!   vouch for.
 //! - **Snapshots** ([`write_snapshot`] / [`read_snapshot`]): atomic
-//!   (write-tmp-rename) point-in-time captures of full database state,
-//!   tagged with the log LSN they reflect, bounding replay work. A
+//!   point-in-time captures of full database state at a log LSN. A
 //!   snapshot is a log prefix: a sealed file of the segment layout
 //!   holding a head record (config, record count, leadership history),
-//!   then the routes, landmarks and vehicles as registration records,
-//!   written and read one block at a time.
+//!   then the routes, landmarks and vehicles as registration records.
+//!   Replication ships both as they sit on disk: the log as
+//!   [`RawChunk`]s, a snapshot as a [`Shipment`] a [`SnapshotReceiver`]
+//!   loads and installs.
 //! - **Recovery** ([`recover`]): loads the newest readable snapshot,
 //!   replays newer log records through the ordinary mutation methods
 //!   (so restored state re-validates and re-indexes identically), and
 //!   truncates a torn tail left by a crash mid-append instead of
 //!   failing — while refusing to skip interior corruption or a log that
 //!   does not continue the snapshot. Snapshot and segments go through
-//!   one replay loop ([`walk_blocks`]), block by block. The leadership
+//!   one replay loop (`block::walk_blocks`), block by block. The leadership
 //!   history ([`EpochHistory`]) is read from the log the same way: the
 //!   snapshot head's spans plus every `LeaderEpoch` seal replayed after
 //!   it.
@@ -95,17 +96,18 @@ pub mod writer;
 
 pub use block::{
     check_frame, decode_block, decode_block_frames, encode_block, frame_block, peek_block_count,
-    walk_blocks,
 };
 pub use codec::{ByteReader, WalCodec};
 pub use commit::GroupCommitStats;
 pub use compact::{CompactionReport, DEFAULT_SNAPSHOT_RETENTION};
 pub use crc32::crc32;
-pub use epoch::{EpochCheck, EpochHistory, EpochSpan, GENESIS_EPOCH};
+pub use epoch::{EpochCheck, EpochHistory, GENESIS_EPOCH};
 pub use error::WalError;
-pub use record::{frame_len, split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
+pub use record::{split_frame, FrameEnd, WalRecord, MAX_RECORD_BYTES};
 pub use recovery::{apply_record, recover, Recovered, RecoveryReport};
 pub use segment::{list_segments, scan_segment, SegmentScan, SEGMENT_VERSION};
-pub use ship::{take_frames, FrameRun, RawChunk, SegmentTailer};
-pub use snapshot::{list_snapshots, read_snapshot, write_snapshot, SnapshotLoad};
+pub use ship::{RawChunk, SegmentTailer};
+pub use snapshot::{
+    list_snapshots, read_snapshot, write_snapshot, Shipment, SnapshotReceiver, SnapshotRun,
+};
 pub use writer::{SharedWal, WalBatch, WalOptions, WalWriter};

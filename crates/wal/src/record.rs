@@ -181,18 +181,11 @@ const MAX_LEN_VARINT_BYTES: usize = 5;
 /// Bytes of the CRC that follows the length varint.
 const CRC_BYTES: usize = 4;
 
-/// What a frame around a `payload_bytes`-byte payload weighs on disk:
-/// the length varint, the CRC and the payload.
-pub fn frame_len(payload_bytes: usize) -> usize {
-    let bits = usize::BITS - payload_bytes.leading_zeros();
-    bits.max(1).div_ceil(7) as usize + CRC_BYTES + payload_bytes
-}
-
 /// Splits the first CRC frame off `buf`: `Ok(Some((payload, frame_len)))`
 /// for a whole valid frame, `Ok(None)` at end of input, `Err(reason)`
 /// when the prefix is not a complete valid frame (a torn tail). The one
 /// frame parser: the block walk that replays segments and snapshots
-/// ([`crate::block::walk_blocks`]), the tailer and the experiments that
+/// (`block::walk_blocks`), the tailer and the experiments that
 /// walk a log all read frames through it.
 ///
 /// # Errors
@@ -239,11 +232,18 @@ pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, &'static str> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use modb_core::{PolicyDescriptor, PositionAttribute, UpdatePosition};
     use modb_geom::Point;
     use modb_routes::{Direction, RouteId};
+
+    /// What a frame around a `payload_bytes`-byte payload weighs on disk:
+    /// the length varint, the CRC and the payload.
+    pub(crate) fn frame_len(payload_bytes: usize) -> usize {
+        let bits = usize::BITS - payload_bytes.leading_zeros();
+        bits.max(1).div_ceil(7) as usize + CRC_BYTES + payload_bytes
+    }
 
     fn sample_records() -> Vec<WalRecord> {
         vec![

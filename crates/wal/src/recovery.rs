@@ -14,7 +14,7 @@
 //!    methods — so replayed state is re-validated and re-indexed exactly
 //!    like live state; each replayed `LeaderEpoch` seal extends the
 //!    history at its own LSN, and one that contradicts it is refused as
-//!    corruption. The walk ([`walk_blocks`]) decodes and applies
+//!    corruption. The walk (`block::walk_blocks`) decodes and applies
 //!    one block at a time; no file becomes a list of records. The
 //!    segments must continue the snapshot: a first segment that starts
 //!    past the snapshot LSN, a gap between segments, or a segment whose
@@ -200,7 +200,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
     // starts at or below its LSN, and each later one where the previous
     // ended.
     let mut lsn = snapshot_lsn;
-    for (i, (named_lsn, path)) in segments.iter().enumerate().skip(first_needed) {
+    for (i, (_, path)) in segments.iter().enumerate().skip(first_needed) {
         let last = i + 1 == segments.len();
         let (start_lsn, bytes) = match read_segment_file(path) {
             Ok(read) => read,
@@ -217,13 +217,6 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
             }
             Err(e) => return Err(e),
         };
-        if start_lsn != *named_lsn {
-            return Err(WalError::CorruptSegment {
-                path: path.clone(),
-                offset: 12,
-                reason: "start lsn disagrees with the file name",
-            });
-        }
         let joins = if i == first_needed {
             start_lsn <= snapshot_lsn
         } else {
@@ -255,19 +248,14 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
             }
             Ok(())
         });
-        let (clean, end) = walked.map_err(|at: usize| WalError::CorruptSegment {
-            path: path.clone(),
-            offset: SEGMENT_HEADER_BYTES + at as u64,
-            reason: "leader epoch contradicts the history",
+        let (clean, end) = walked.map_err(|at: usize| {
+            let reason = "leader epoch contradicts the history";
+            WalError::corrupt(path, SEGMENT_HEADER_BYTES + at as u64, reason)
         })?;
         if let FrameEnd::Torn { reason } = end {
             let clean_bytes = SEGMENT_HEADER_BYTES + clean as u64;
             if !last {
-                return Err(WalError::CorruptSegment {
-                    path: path.clone(),
-                    offset: clean_bytes,
-                    reason,
-                });
+                return Err(WalError::corrupt(path, clean_bytes, reason));
             }
             report.truncated_bytes = bytes.len() as u64 - clean_bytes;
             report.torn = Some(reason);

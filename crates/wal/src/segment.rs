@@ -23,7 +23,7 @@
 //!
 //! A snapshot (`snap-<lsn>.snap`, [`crate::snapshot`]) is a sealed file of
 //! the same layout whose start LSN is the snapshot's: both are read with
-//! [`read_segment_file`] and replayed with [`crate::block::walk_blocks`].
+//! `read_segment_file` and replayed with `block::walk_blocks`.
 
 use std::fs;
 use std::io::Read;
@@ -33,9 +33,10 @@ use crate::block::decode_block_frames;
 use crate::codec::{put_u32, put_u64, ByteReader};
 use crate::error::WalError;
 use crate::record::{FrameEnd, WalRecord};
+use crate::snapshot::SNAPSHOT_NAME;
 
 /// Magic bytes opening every segment file.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"MODBWAL1";
+pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"MODBWAL1";
 /// The segment format version: one (optionally compressed) *block* of
 /// records per CRC frame — see [`crate::block`]. Version 5 stores the
 /// basic updates of a block of many records as a column section of byte
@@ -57,9 +58,14 @@ pub fn segment_file_name(start_lsn: u64) -> String {
     format!("wal-{start_lsn:020}.log")
 }
 
-/// Inverse of [`segment_file_name`]; `None` for non-segment files.
-pub fn parse_segment_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+/// How a segment's file name is formed around its LSN.
+pub(crate) const SEGMENT_NAME: (&str, &str) = ("wal-", ".log");
+
+/// The LSN a file `name` of the form `(prefix, suffix)` gives — a
+/// segment's ([`SEGMENT_NAME`]) or a snapshot's — as 20 digits between
+/// the two; `None` for any other name.
+pub(crate) fn parse_name(name: &str, (prefix, suffix): (&str, &str)) -> Option<u64> {
+    let digits = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
     if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
@@ -67,7 +73,7 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// The encoded segment header.
-pub fn encode_header(start_lsn: u64) -> Vec<u8> {
+pub(crate) fn encode_header(start_lsn: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
     out.extend_from_slice(&SEGMENT_MAGIC);
     put_u32(&mut out, SEGMENT_VERSION);
@@ -78,11 +84,7 @@ pub fn encode_header(start_lsn: u64) -> Vec<u8> {
 /// Validates the header at the front of `bytes` (length, magic, version)
 /// and returns its start LSN.
 fn parse_header(path: &Path, bytes: &[u8]) -> Result<u64, WalError> {
-    let corrupt = |offset, reason| WalError::CorruptSegment {
-        path: path.to_path_buf(),
-        offset,
-        reason,
-    };
+    let corrupt = |offset, reason| WalError::corrupt(path, offset, reason);
     if bytes.len() < SEGMENT_HEADER_BYTES as usize {
         return Err(corrupt(0, "short header"));
     }
@@ -104,7 +106,7 @@ fn parse_header(path: &Path, bytes: &[u8]) -> Result<u64, WalError> {
 ///
 /// [`WalError::CorruptSegment`] for a short header, bad magic, or an
 /// unsupported version; I/O failures.
-pub fn read_segment_header(path: &Path) -> Result<u64, WalError> {
+pub(crate) fn read_segment_header(path: &Path) -> Result<u64, WalError> {
     let mut head = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
     fs::File::open(path)?
         .take(SEGMENT_HEADER_BYTES)
@@ -112,18 +114,24 @@ pub fn read_segment_header(path: &Path) -> Result<u64, WalError> {
     parse_header(path, &head)
 }
 
+/// Lists the files in `dir` whose names have the form `form` (see
+/// [`parse_name`]), sorted by LSN. Other files are ignored.
+pub(crate) fn list_named(dir: &Path, form: (&str, &str)) -> Result<Vec<(u64, PathBuf)>, WalError> {
+    let mut named = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if let Some(lsn) = entry.file_name().to_str().and_then(|n| parse_name(n, form)) {
+            named.push((lsn, entry.path()));
+        }
+    }
+    named.sort_unstable_by_key(|&(lsn, _)| lsn);
+    Ok(named)
+}
+
 /// Lists the segment files in `dir`, sorted by start LSN. Non-segment
 /// files are ignored.
 pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
-    let mut segments = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(lsn) = entry.file_name().to_str().and_then(parse_segment_name) {
-            segments.push((lsn, entry.path()));
-        }
-    }
-    segments.sort_unstable_by_key(|&(lsn, _)| lsn);
-    Ok(segments)
+    list_named(dir, SEGMENT_NAME)
 }
 
 /// Result of scanning one segment file.
@@ -145,11 +153,19 @@ pub struct SegmentScan {
 ///
 /// # Errors
 ///
-/// [`WalError::CorruptSegment`] for a short header, bad magic, or an
-/// unsupported version; I/O failures.
-pub fn read_segment_file(path: &Path) -> Result<(u64, Vec<u8>), WalError> {
+/// [`WalError::CorruptSegment`] for a short header, bad magic, an
+/// unsupported version, or a start LSN other than the one a segment's or
+/// a snapshot's file name gives; I/O failures.
+pub(crate) fn read_segment_file(path: &Path) -> Result<(u64, Vec<u8>), WalError> {
     let bytes = fs::read(path)?;
-    Ok((parse_header(path, &bytes)?, bytes))
+    let lsn = parse_header(path, &bytes)?;
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    let named = parse_name(name, SEGMENT_NAME).or(parse_name(name, SNAPSHOT_NAME));
+    if named.is_some_and(|named| named != lsn) {
+        let reason = "start lsn disagrees with the file name";
+        return Err(WalError::corrupt(path, 12, reason));
+    }
+    Ok((lsn, bytes))
 }
 
 /// Reads and validates a whole segment file. Header failures are reported
@@ -176,10 +192,11 @@ mod tests {
     #[test]
     fn names_round_trip_and_sort() {
         assert_eq!(segment_file_name(0), "wal-00000000000000000000.log");
-        assert_eq!(parse_segment_name(&segment_file_name(12345)), Some(12345));
-        assert_eq!(parse_segment_name("wal-abc.log"), None);
-        assert_eq!(parse_segment_name("snap-00000000000000000000.snap"), None);
-        assert_eq!(parse_segment_name("wal-123.log"), None, "unpadded rejected");
+        let parse = |name: &str| parse_name(name, SEGMENT_NAME);
+        assert_eq!(parse(&segment_file_name(12345)), Some(12345));
+        assert_eq!(parse("wal-abc.log"), None);
+        assert_eq!(parse("snap-00000000000000000000.snap"), None);
+        assert_eq!(parse("wal-123.log"), None, "unpadded rejected");
         assert!(segment_file_name(9) < segment_file_name(10));
         assert!(segment_file_name(99) < segment_file_name(100));
     }

@@ -1,5 +1,6 @@
-//! Segment tailing for log shipping: an incremental reader that follows
-//! the log as the writer grows it.
+//! Log shipping: the leader's incremental reader that follows the log as
+//! the writer grows it, and the follower's check of each run it is
+//! shipped.
 //!
 //! A [`SegmentTailer`] holds a cursor (the LSN of the next record to
 //! deliver) and, on each [`SegmentTailer::poll_blocks`], reads whatever whole
@@ -21,8 +22,9 @@
 //!
 //! [`SegmentTailer::poll_blocks`] delivers the on-disk frame bytes
 //! **verbatim** as a [`RawChunk`], peeking only the per-frame record
-//! counts for LSN accounting. Compressed blocks cross the replication
-//! wire as-is and the follower decompresses on apply — the disk-format
+//! counts for LSN accounting, and names their segment format. Compressed
+//! blocks cross the replication wire as-is and the follower decodes each
+//! chunk whole or not at all ([`RawChunk::decode`]) — the disk-format
 //! savings are the wire-format savings.
 //!
 //! Reads are incremental: the tailer remembers its byte offset in the
@@ -33,20 +35,23 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 
-use crate::block::peek_block_count;
+use crate::block::{decode_block_frames, peek_block_count};
 use crate::error::WalError;
-use crate::record::split_frame;
-use crate::segment::{list_segments, read_segment_file, SEGMENT_HEADER_BYTES};
+use crate::record::{split_frame, FrameEnd, WalRecord};
+use crate::segment::{list_segments, read_segment_file, SEGMENT_HEADER_BYTES, SEGMENT_VERSION};
 
 /// A run of whole on-disk frames delivered by
 /// [`SegmentTailer::poll_blocks`] — CRC-validated but not decoded, ready
-/// to ship verbatim. A chunk never spans segments.
+/// to ship verbatim and to be [decoded](RawChunk::decode) where it lands.
+/// A chunk never spans segments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawChunk {
     /// LSN of the first record in the first frame.
     pub start_lsn: u64,
     /// Total records across the frames (peeked from block headers).
     pub records: u64,
+    /// The segment format the frames are in.
+    pub version: u32,
     /// The frame bytes exactly as stored (`len + crc + payload`, …).
     pub frames: Vec<u8>,
 }
@@ -55,6 +60,22 @@ impl RawChunk {
     /// LSN one past the last record in the chunk.
     pub fn end_lsn(&self) -> u64 {
         self.start_lsn + self.records
+    }
+
+    /// Decodes the chunk as it crossed the wire, whole or not at all.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Decode`] for another segment format, a torn frame
+    /// (corruption in flight) or a count the frames do not hold.
+    pub fn decode(&self) -> Result<Vec<WalRecord>, WalError> {
+        let (records, _, end) = decode_block_frames(&self.frames);
+        let whole = end == FrameEnd::Clean && records.len() as u64 == self.records;
+        (whole && self.version == SEGMENT_VERSION)
+            .then_some(records)
+            .ok_or(WalError::Decode(
+                "run not whole, counted and of this format",
+            ))
     }
 }
 
@@ -137,6 +158,7 @@ impl SegmentTailer {
                 let chunk = RawChunk {
                     start_lsn: self.next_lsn,
                     records: run.records,
+                    version: SEGMENT_VERSION,
                     frames,
                 };
                 self.next_lsn = chunk.end_lsn();
@@ -164,11 +186,7 @@ impl SegmentTailer {
             if is_last {
                 return Ok(false); // write in flight; retry later
             }
-            return Err(WalError::CorruptSegment {
-                path: pos.path.clone(),
-                offset: pos.offset,
-                reason,
-            });
+            return Err(WalError::corrupt(&pos.path, pos.offset, reason));
         }
         if segments
             .iter()
@@ -243,11 +261,9 @@ impl SegmentTailer {
                     found: start_lsn + whole.records,
                 });
             }
-            return Err(WalError::CorruptSegment {
-                path: path.clone(),
-                offset: SEGMENT_HEADER_BYTES + whole.bytes as u64,
-                reason: whole.torn.unwrap_or("segment ends before successor"),
-            });
+            let reason = whole.torn.unwrap_or("segment ends before successor");
+            let offset = SEGMENT_HEADER_BYTES + whole.bytes as u64;
+            return Err(WalError::corrupt(path, offset, reason));
         }
         // The whole frames below the cursor, one at a time, stopping
         // short of a block that holds it.
@@ -276,23 +292,23 @@ impl SegmentTailer {
 /// A run of whole frames at the front of a buffer, measured by
 /// [`take_frames`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameRun {
+pub(crate) struct FrameRun {
     /// Bytes of the run.
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// Records its blocks carry.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Why the run stopped short of the cap at an invalid frame, if it
     /// did.
-    pub torn: Option<&'static str>,
+    pub(crate) torn: Option<&'static str>,
 }
 
 /// The run of whole, CRC-valid frames at the front of `buf` that holds
 /// `max_records` records or the first block to reach past them (a block
 /// is indivisible), or everything valid when fewer are there. Frames are
 /// checked ([`split_frame`]) and their record counts peeked, never
-/// decoded: how a leader cuts both the log's tail and a bootstrap
-/// snapshot into messages.
-pub fn take_frames(buf: &[u8], max_records: usize) -> FrameRun {
+/// decoded: how both the log's tail and a bootstrap snapshot
+/// ([`crate::Shipment`]) are cut into runs.
+pub(crate) fn take_frames(buf: &[u8], max_records: usize) -> FrameRun {
     let mut run = FrameRun {
         bytes: 0,
         records: 0,
@@ -323,8 +339,8 @@ pub fn take_frames(buf: &[u8], max_records: usize) -> FrameRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{decode_block_frames, encode_block, frame_block};
-    use crate::record::{frame_len, FrameEnd, WalRecord};
+    use crate::block::{encode_block, frame_block};
+    use crate::record::tests::frame_len;
     use crate::writer::{WalBatch, WalOptions, WalWriter};
     use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 
@@ -356,14 +372,9 @@ mod tests {
         frame
     }
 
-    /// What a follower does with a shipped chunk: decode its frames,
-    /// all of which must be whole.
+    /// What a follower does with a shipped chunk.
     fn decode(chunk: &RawChunk) -> Vec<WalRecord> {
-        let (records, clean, end) = decode_block_frames(&chunk.frames);
-        assert_eq!(end, FrameEnd::Clean);
-        assert_eq!(clean, chunk.frames.len());
-        assert_eq!(records.len() as u64, chunk.records);
-        records
+        chunk.decode().unwrap()
     }
 
     /// Drains the tailer completely; asserts chunk LSNs are contiguous.
@@ -686,5 +697,29 @@ mod tests {
             "wire bytes must at least halve: {shipped_bytes} vs {framed_singly}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shipped run is taken whole or not at all: one of another
+    /// segment format, one a byte short and one whose count disagrees
+    /// with its frames are each refused.
+    #[test]
+    fn a_chunk_decodes_only_whole_current_and_counted() {
+        let records: Vec<WalRecord> = (0..3).map(update).collect();
+        let frames: Vec<u8> = records.iter().flat_map(block_frame).collect();
+        let (v, n) = (SEGMENT_VERSION, frames.len());
+        let chunk = |version, records, frames: &[u8]| RawChunk {
+            start_lsn: 0,
+            records,
+            version,
+            frames: frames.to_vec(),
+        };
+        assert_eq!(chunk(v, 3, &frames).decode().unwrap(), records);
+        for bad in [
+            chunk(v - 1, 3, &frames),
+            chunk(v, 3, &frames[..n - 1]),
+            chunk(v, 2, &frames),
+        ] {
+            assert!(matches!(bad.decode(), Err(WalError::Decode(_))), "{bad:?}");
+        }
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! **A snapshot is a log prefix**: `snap-<lsn>.snap` is a sealed file of
 //! the segment layout ([`crate::segment`]) whose records rebuild the state
-//! through [`apply_record`], read by the walk that replays segments
-//! ([`walk_blocks`]):
+//! through [`apply_record`], read by the walk that replays segments:
 //!
 //! ```text
 //! [segment header: "MODBWAL1", SEGMENT_VERSION, start_lsn = snapshot lsn]
@@ -27,26 +26,36 @@
 //! rename, dir fsync): a crash leaves the old state or the new, never a
 //! half-written snapshot under the real name.
 //!
+//! **Shipping.** A leader ships the newest whole snapshot as it sits on
+//! disk, cut into runs ([`Shipment`]); a follower feeds them to a
+//! [`SnapshotReceiver`] and installs the result in place of its log and
+//! snapshots: the old snapshots oldest-first, the old segments, a
+//! directory sync, the rename, a directory sync. A crash after any prefix
+//! of that list leaves the old state (the newest remaining snapshot and
+//! its whole log), none ([`WalError::NoSnapshot`]) or the new one.
+//!
 //! **Memory.** [`write_snapshot`] holds the id-sorted entry references
 //! [`Database::moving_objects`] iterates by (8 bytes a vehicle) and one
 //! block of records at a time;
 //! [`read_snapshot`] holds the file's bytes once and applies them block
-//! by block; a bootstrapping follower feeds each run it receives to a
-//! [`SnapshotLoad`]. Neither direction holds a second copy of the fleet.
+//! by block; a [`SnapshotReceiver`] applies each run as it arrives.
+//! Neither direction holds a second copy of the fleet.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs::{self, File};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use modb_core::{Database, StationaryObject};
 use modb_routes::RouteNetwork;
 
-use crate::block::{walk_blocks, Sealer};
+use crate::block::{decode_block, walk_blocks, Sealer};
 use crate::epoch::EpochHistory;
 use crate::error::WalError;
-use crate::record::{FrameEnd, WalRecord};
+use crate::record::{split_frame, FrameEnd, WalRecord};
 use crate::recovery::apply_record;
-use crate::segment::{encode_header, read_segment_file, SEGMENT_HEADER_BYTES};
+use crate::segment::SEGMENT_HEADER_BYTES;
+use crate::segment::{encode_header, list_named, list_segments, read_segment_file};
+use crate::ship::take_frames;
 use crate::writer::sync_dir;
 
 /// Records per block of a snapshot's body: enough for the LZ stage to
@@ -56,33 +65,22 @@ use crate::writer::sync_dir;
 /// snapshot) and every frame stays far below [`crate::MAX_RECORD_BYTES`].
 pub(crate) const SNAPSHOT_BLOCK_RECORDS: usize = 128;
 
+/// How a snapshot's file name is formed around its LSN.
+pub(crate) const SNAPSHOT_NAME: (&str, &str) = ("snap-", ".snap");
+
+/// Where a [`SnapshotReceiver`] builds the snapshot it receives.
+const INCOMING: &str = "incoming.snap.tmp";
+
 /// File name for the snapshot taken at `lsn` (zero-padded so
 /// lexicographic order equals LSN order).
 pub fn snapshot_file_name(lsn: u64) -> String {
     format!("snap-{lsn:020}.snap")
 }
 
-/// Inverse of [`snapshot_file_name`]; `None` for non-snapshot files.
-pub fn parse_snapshot_name(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix("snap-")?.strip_suffix(".snap")?;
-    if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 /// Lists the snapshot files in `dir`, sorted by LSN. Non-snapshot files
 /// (including in-flight `.tmp` files) are ignored.
 pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
-    let mut snapshots = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(lsn) = entry.file_name().to_str().and_then(parse_snapshot_name) {
-            snapshots.push((lsn, entry.path()));
-        }
-    }
-    snapshots.sort_unstable_by_key(|&(lsn, _)| lsn);
-    Ok(snapshots)
+    list_named(dir, SNAPSHOT_NAME)
 }
 
 /// Streams the snapshot of `db` and `epochs` at `lsn` into `file` —
@@ -161,73 +159,227 @@ pub fn write_snapshot(
     fs::create_dir_all(dir)?;
     let final_path = dir.join(snapshot_file_name(lsn));
     let tmp_path = dir.join(format!("{}.tmp", snapshot_file_name(lsn)));
-    let file = OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(true)
-        .open(&tmp_path)?;
+    let file = File::create(&tmp_path)?;
     if let Err(e) = stream_snapshot(file, db, epochs, lsn) {
         let _ = fs::remove_file(&tmp_path);
         return Err(e);
     }
-    fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir)?;
+    publish(dir, &tmp_path, &final_path)?;
     Ok(final_path)
 }
 
-/// A snapshot being replayed, fed its frames in order — a whole file by
-/// [`read_snapshot`], one replication message at a time by a
-/// bootstrapping follower — and applied block by block: the head founds
-/// the database and names the history, every later record must be
-/// accepted.
+/// Gives the synced file `tmp` in `dir` its real name `to` and makes the
+/// name durable: how every snapshot file, written or received, appears.
+fn publish(dir: &Path, tmp: &Path, to: &Path) -> Result<(), WalError> {
+    fs::rename(tmp, to)?;
+    sync_dir(dir)
+}
+
+/// Reads and validates a snapshot file, rebuilding the database record
+/// by record (every one re-validated and re-indexed, as on first insert).
+/// Returns the database, the leadership history its head carries and the
+/// snapshot's LSN high-water mark.
+///
+/// # Errors
+///
+/// I/O failures; [`WalError::CorruptSegment`] for a header that is not
+/// the current segment header (a snapshot of the retired container
+/// format reads as `"bad magic"`), a start LSN other than the file
+/// name's, a file that ends before the head's count is met, and whatever
+/// else the load refuses — a head of the retired layout without a
+/// leadership history among it, as an `"undecodable block"` at byte 20.
+pub fn read_snapshot(path: &Path) -> Result<(Database, EpochHistory, u64), WalError> {
+    let (lsn, bytes) = read_segment_file(path)?;
+    let mut load = SnapshotReceiver::new(path.to_path_buf(), lsn, None);
+    if !load.feed(&bytes[SEGMENT_HEADER_BYTES as usize..])? {
+        return Err(load.corrupt(0, "snapshot ends early"));
+    }
+    let (db, epochs) = load.state.take().expect("a whole load holds its state");
+    Ok((db, epochs, lsn))
+}
+
+/// The newest whole snapshot of a directory, read once: the bytes
+/// checked are the bytes shipped, whatever compaction does meanwhile.
 #[derive(Debug)]
-pub struct SnapshotLoad {
-    /// Names the file in errors.
+pub struct Shipment {
+    lsn: u64,
+    bytes: Vec<u8>,
+}
+
+impl Shipment {
+    /// The newest snapshot in `dir` whose header names its file's LSN,
+    /// whose frames pass their CRC and whose head promises the records
+    /// its blocks hold (only the head is decoded).
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::NoSnapshot`] when none is whole; I/O failures.
+    pub fn newest(dir: &Path) -> Result<Self, WalError> {
+        for (lsn, path) in list_snapshots(dir)?.into_iter().rev() {
+            let Ok((_, bytes)) = read_segment_file(&path) else {
+                continue;
+            };
+            let body = &bytes[SEGMENT_HEADER_BYTES as usize..];
+            let all = take_frames(body, usize::MAX);
+            let head = split_frame(body).ok().flatten();
+            let head = head.and_then(|(payload, _)| decode_block(payload).ok());
+            let sealed = matches!(
+                head.as_deref(),
+                Some([WalRecord::SnapshotHead { records, .. }]) if records + 1 == all.records
+            );
+            if sealed && all.bytes == body.len() {
+                return Ok(Shipment { lsn, bytes });
+            }
+        }
+        Err(WalError::NoSnapshot(dir.to_path_buf()))
+    }
+
+    /// The LSN the snapshot was taken at.
+    pub fn lsn(&self) -> u64 {
+        self.lsn
+    }
+
+    /// The snapshot in runs of whole frames of `chunk_records` records
+    /// (or one block past them), what a [`SnapshotReceiver`] is fed.
+    pub fn runs(&self, chunk_records: usize) -> impl Iterator<Item = SnapshotRun> + '_ {
+        let mut at = SEGMENT_HEADER_BYTES as usize;
+        std::iter::from_fn(move || {
+            let run = take_frames(&self.bytes[at..], chunk_records.max(1));
+            let (offset, frames) = (at as u64, self.bytes[at..at + run.bytes].to_vec());
+            at += run.bytes;
+            (run.bytes > 0).then_some(SnapshotRun {
+                lsn: self.lsn,
+                offset,
+                frames,
+            })
+        })
+    }
+}
+
+/// A run of a [`Shipment`]: whole frames of the snapshot taken at `lsn`,
+/// verbatim, starting `offset` bytes into its file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapshotRun {
+    /// The snapshot's LSN.
+    pub lsn: u64,
+    /// Where the frames start in the snapshot file.
+    pub offset: u64,
+    /// The frame bytes as stored.
+    pub frames: Vec<u8>,
+}
+
+/// A snapshot being loaded block by block: the head founds the database
+/// and names the history, every later record must be accepted.
+/// [`read_snapshot`] feeds it a whole file; a follower, the runs of a
+/// [`Shipment`], each continuing the last and appended to a temp file
+/// that a receiver dropped before its install removes.
+#[derive(Debug)]
+pub struct SnapshotReceiver {
+    /// Names the file in errors: the one read, or the temp file.
     path: PathBuf,
+    lsn: u64,
     /// Bytes of the file validated so far, header included.
     offset: u64,
     /// The database the head founded and the history it carried.
     state: Option<(Database, EpochHistory)>,
     /// Records the head promised that have not been applied yet.
     remaining: u64,
+    /// The temp file of a snapshot being received.
+    file: Option<File>,
 }
 
-impl SnapshotLoad {
-    /// A load of the snapshot file at `path` (named in errors), ready for
+impl SnapshotReceiver {
+    /// A load of the snapshot at `lsn` in the file at `path`, ready for
     /// the frames after its header.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        SnapshotLoad {
-            path: path.into(),
-            offset: SEGMENT_HEADER_BYTES,
-            state: None,
-            remaining: 0,
+    fn new(path: PathBuf, lsn: u64, file: Option<File>) -> Self {
+        let (offset, state, remaining) = (SEGMENT_HEADER_BYTES, None, 0);
+        SnapshotReceiver {
+            path,
+            lsn,
+            offset,
+            state,
+            remaining,
+            file,
         }
     }
 
-    /// Where the next frames start in the snapshot file.
-    pub fn offset(&self) -> u64 {
-        self.offset
+    /// Creates `dir` if it is missing and removes the temp file a crash
+    /// left in it; I/O failures are errors.
+    pub fn prepare(dir: &Path) -> Result<(), WalError> {
+        fs::create_dir_all(dir)?;
+        match fs::remove_file(dir.join(INCOMING)) {
+            Err(e) if e.kind() != ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
     }
 
-    /// Applies the next run of whole frames. Returns the database and
-    /// the head's leadership history once the head and every record it
-    /// promised have been applied (the load is spent then), `None` while
-    /// records are still to come.
+    /// A receiver in `dir` for the snapshot whose first run is `first`.
     ///
     /// # Errors
     ///
-    /// [`WalError::CorruptSegment`] at the offending frame: a torn or
-    /// undecodable frame, a first block that is not the head alone, a
-    /// record past the head's count, or a record the database rejects.
-    pub fn feed(&mut self, frames: &[u8]) -> Result<Option<(Database, EpochHistory)>, WalError> {
+    /// [`WalError::Decode`] when `first` is not a first run; I/O failures
+    /// creating the temp file.
+    pub fn open(dir: &Path, first: &SnapshotRun) -> Result<Self, WalError> {
+        if first.offset != SEGMENT_HEADER_BYTES {
+            return Err(WalError::Decode("snapshot run with no first run before it"));
+        }
+        let path = dir.join(INCOMING);
+        let mut file = File::create(&path)?;
+        file.write_all(&encode_header(first.lsn))?;
+        Ok(SnapshotReceiver::new(path, first.lsn, Some(file)))
+    }
+
+    /// Takes the next run; `true` once the last record has validated and
+    /// the temp file is synced.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Decode`] for a run that does not continue the last;
+    /// [`WalError::CorruptSegment`] for one that does not load; I/O
+    /// failures.
+    pub fn receive(&mut self, run: &SnapshotRun) -> Result<bool, WalError> {
+        if (self.lsn, self.offset) != (run.lsn, run.offset) {
+            return Err(WalError::Decode("snapshot run does not continue the last"));
+        }
+        let whole = self.feed(&run.frames)?;
+        let file = self.file.as_mut().expect("a receiver writes its temp file");
+        file.write_all(&run.frames)?;
+        if whole {
+            file.sync_data()?;
+        }
+        Ok(whole)
+    }
+
+    /// Installs the received snapshot in place of the directory's log
+    /// and snapshots (see the module docs), which nothing may write
+    /// meanwhile, and returns its database and leadership history.
+    ///
+    /// # Errors
+    ///
+    /// [`WalError::Decode`] before the last record was received; I/O
+    /// failures.
+    pub fn install(mut self) -> Result<(Database, EpochHistory), WalError> {
+        let whole = self.remaining == 0;
+        let received = self.state.take().filter(|_| whole);
+        let received = received.ok_or(WalError::Decode("snapshot not received whole"))?;
+        let dir = self.path.parent().unwrap_or(Path::new("."));
+        carry_out(dir, &install_plan(dir, self.lsn)?)?;
+        Ok(received)
+    }
+
+    /// Applies the next run of whole frames; `true` once the head and
+    /// every record it promised are applied. A torn or undecodable frame,
+    /// a first block that is not the head alone, a record past the
+    /// head's count or one the database rejects is a
+    /// [`WalError::CorruptSegment`] at its frame.
+    fn feed(&mut self, frames: &[u8]) -> Result<bool, WalError> {
         let walked = walk_blocks(frames, |block, at| {
             self.apply(block).map_err(|reason| (at, reason))
         });
         let (at, reason) = match walked {
             Ok((clean, FrameEnd::Clean)) => {
                 self.offset += clean as u64;
-                let done = self.state.is_some() && self.remaining == 0;
-                return Ok(if done { self.state.take() } else { None });
+                return Ok(self.state.is_some() && self.remaining == 0);
             }
             Ok((clean, FrameEnd::Torn { reason })) => (clean, reason),
             Err(broken) => broken,
@@ -263,55 +415,54 @@ impl SnapshotLoad {
     }
 
     fn corrupt(&self, at: u64, reason: &'static str) -> WalError {
-        WalError::CorruptSegment {
-            path: self.path.clone(),
-            offset: self.offset + at,
-            reason,
+        WalError::corrupt(&self.path, self.offset + at, reason)
+    }
+}
+
+impl Drop for SnapshotReceiver {
+    fn drop(&mut self) {
+        // A received file is gone already once installed.
+        if self.file.is_some() {
+            let _ = fs::remove_file(&self.path);
         }
     }
 }
 
-/// Reads and validates a snapshot file, rebuilding the database record
-/// by record (every one re-validated and re-indexed, as on first insert).
-/// Returns the database, the leadership history its head carries and the
-/// snapshot's LSN high-water mark.
-///
-/// # Errors
-///
-/// I/O failures; [`WalError::CorruptSegment`] for a header that is not
-/// the current segment header (a snapshot of the retired container
-/// format reads as `"bad magic"`), a start LSN other than the file
-/// name's, a file that ends before the head's count is met, and whatever
-/// [`SnapshotLoad::feed`] refuses — a head of the retired layout without
-/// a leadership history among it, as an `"undecodable block"` at byte
-/// 20.
-pub fn read_snapshot(path: &Path) -> Result<(Database, EpochHistory, u64), WalError> {
-    let (lsn, bytes) = read_segment_file(path)?;
-    let mut load = SnapshotLoad::new(path);
-    let named = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .and_then(parse_snapshot_name);
-    if named != Some(lsn) {
-        let reason = "start lsn disagrees with the file name";
-        let path = path.to_path_buf();
-        return Err(WalError::CorruptSegment {
-            path,
-            offset: 12,
-            reason,
-        });
+/// One file operation of an install.
+#[derive(Debug)]
+enum FileOp {
+    Remove(PathBuf),
+    SyncDir,
+    Publish { tmp: PathBuf, to: PathBuf },
+}
+
+/// The install of the snapshot at `lsn` received in `dir`, in order.
+fn install_plan(dir: &Path, lsn: u64) -> Result<Vec<FileOp>, WalError> {
+    let old = list_snapshots(dir)?.into_iter().chain(list_segments(dir)?);
+    let mut ops: Vec<FileOp> = old.map(|(_, path)| FileOp::Remove(path)).collect();
+    let (tmp, to) = (dir.join(INCOMING), dir.join(snapshot_file_name(lsn)));
+    ops.extend([FileOp::SyncDir, FileOp::Publish { tmp, to }]);
+    Ok(ops)
+}
+
+/// Carries out `ops` in `dir`, in order, up to the first failure.
+fn carry_out(dir: &Path, ops: &[FileOp]) -> Result<(), WalError> {
+    for op in ops {
+        match op {
+            FileOp::Remove(path) => fs::remove_file(path)?,
+            FileOp::SyncDir => sync_dir(dir)?,
+            FileOp::Publish { tmp, to } => publish(dir, tmp, to)?,
+        }
     }
-    match load.feed(&bytes[SEGMENT_HEADER_BYTES as usize..])? {
-        Some((db, epochs)) => Ok((db, epochs, lsn)),
-        None => Err(load.corrupt(0, "snapshot ends early")),
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::{encode_block, frame_block};
-    use crate::record::split_frame;
+    use crate::recovery::recover;
+    use crate::writer::{WalOptions, WalWriter};
     use modb_core::{
         DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, UpdateMessage, UpdatePosition,
     };
@@ -386,11 +537,12 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        assert_eq!(parse_snapshot_name(&snapshot_file_name(42)), Some(42));
-        assert_eq!(parse_snapshot_name("snap-42.snap"), None);
-        assert_eq!(parse_snapshot_name("wal-00000000000000000042.log"), None);
+        let parse = |name: &str| crate::segment::parse_name(name, SNAPSHOT_NAME);
+        assert_eq!(parse(&snapshot_file_name(42)), Some(42));
+        assert_eq!(parse("snap-42.snap"), None);
+        assert_eq!(parse("wal-00000000000000000042.log"), None);
         assert_eq!(
-            parse_snapshot_name("snap-00000000000000000042.snap.tmp"),
+            parse("snap-00000000000000000042.snap.tmp"),
             None,
             "in-flight tmp files are not snapshots"
         );
@@ -622,5 +774,149 @@ mod tests {
         }
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The files of `dir` by name.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A receiver opens only on a first run and takes only the run that
+    /// continues the last; dropped before its install, it leaves nothing
+    /// behind. Fed every run, it installs the snapshot byte for byte, and
+    /// a temp file a crash left is removed when the directory is
+    /// prepared again.
+    #[test]
+    fn a_receiver_takes_runs_in_order_and_leaves_nothing_when_dropped() {
+        let (leader, dir) = (tmp("receiver-leader"), tmp("receiver"));
+        let (db, ids) = many_blocks_db();
+        let sent = write_snapshot(&leader, &db, &EpochHistory::new(), 9).unwrap();
+        let shipment = Shipment::newest(&leader).unwrap();
+        let runs: Vec<SnapshotRun> = shipment.runs(SNAPSHOT_BLOCK_RECORDS).collect();
+        assert!(runs.len() >= 3, "{} runs", runs.len());
+        SnapshotReceiver::prepare(&dir).unwrap();
+        assert!(SnapshotReceiver::open(&dir, &runs[1]).is_err());
+
+        let mut receiver = SnapshotReceiver::open(&dir, &runs[0]).unwrap();
+        assert!(!receiver.receive(&runs[0]).unwrap());
+        let foreign = SnapshotRun {
+            lsn: 10,
+            ..runs[1].clone()
+        };
+        for stray in [&runs[0], &runs[2], &foreign] {
+            let refused = receiver.receive(stray);
+            assert!(matches!(refused, Err(WalError::Decode(_))), "{stray:?}");
+        }
+        assert_eq!(names(&dir), [INCOMING]);
+        drop(receiver);
+        assert_eq!(names(&dir), [] as [&str; 0], "the temp file goes with it");
+
+        let mut receiver = SnapshotReceiver::open(&dir, &runs[0]).unwrap();
+        for (i, run) in runs.iter().enumerate() {
+            assert_eq!(receiver.receive(run).unwrap(), i + 1 == runs.len());
+        }
+        let (installed, _) = receiver.install().unwrap();
+        assert_eq!(installed.moving_count(), ids.len());
+        assert_eq!(names(&dir), [snapshot_file_name(9)]);
+        assert_eq!(
+            fs::read(dir.join(snapshot_file_name(9))).unwrap(),
+            fs::read(&sent).unwrap()
+        );
+
+        fs::write(dir.join(INCOMING), b"left by a crash").unwrap();
+        SnapshotReceiver::prepare(&dir).unwrap();
+        assert_eq!(names(&dir), [snapshot_file_name(9)]);
+        fs::remove_dir_all(&leader).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log of several segments with snapshots at 0 and at 20 in `dir`;
+    /// returns its frontier.
+    fn old_log(dir: &Path) -> u64 {
+        let mut db = sample_db();
+        let opts = WalOptions {
+            max_segment_bytes: 256,
+        };
+        let mut wal = WalWriter::create(dir, opts).unwrap();
+        write_snapshot(dir, &db, &EpochHistory::new(), 0).unwrap();
+        for i in 0..40u64 {
+            if i == 20 {
+                write_snapshot(dir, &db, &EpochHistory::new(), i).unwrap();
+            }
+            let msg =
+                UpdateMessage::basic(6.0 + i as f64, UpdatePosition::Arc(40.0 + i as f64), 1.0);
+            let rec = WalRecord::Update {
+                id: ObjectId(1 + i % 3),
+                msg,
+            };
+            apply_record(&mut db, rec.clone());
+            wal.append(&rec).unwrap();
+        }
+        wal.sync().unwrap();
+        wal.next_lsn()
+    }
+
+    /// A crash after any prefix of an install's file operations leaves a
+    /// directory that recovery reads as the old state (the newest
+    /// remaining snapshot and its whole log), as no state at all, or as
+    /// the received snapshot with no old record replayed onto it — never
+    /// a log that no longer joins its snapshot. The received snapshot
+    /// sits in the temp file its receiver synced.
+    #[test]
+    fn every_prefix_of_an_install_recovers_the_old_state_none_or_the_new() {
+        let (template, received, case) = (
+            tmp("install-template"),
+            tmp("install-received"),
+            tmp("install-case"),
+        );
+        let frontier = old_log(&template);
+        assert_eq!(list_snapshots(&template).unwrap().len(), 2);
+        assert!(list_segments(&template).unwrap().len() > 3);
+        let mut new_db = sample_db();
+        let landmark = StationaryObject::new(ObjectId(200), "new", modb_geom::Point::new(3.0, 0.0));
+        new_db.insert_stationary(landmark).unwrap();
+        let snapshot = write_snapshot(&received, &new_db, &EpochHistory::new(), 7).unwrap();
+
+        let mut prefixes = 0;
+        for k in 0.. {
+            let _ = fs::remove_dir_all(&case);
+            fs::create_dir_all(&case).unwrap();
+            for entry in fs::read_dir(&template).unwrap() {
+                let entry = entry.unwrap();
+                fs::copy(entry.path(), case.join(entry.file_name())).unwrap();
+            }
+            fs::copy(&snapshot, case.join(INCOMING)).unwrap();
+            let ops = install_plan(&case, 7).unwrap();
+            if k > ops.len() {
+                break;
+            }
+            carry_out(&case, &ops[..k]).unwrap();
+            let snapshots = list_snapshots(&case).unwrap();
+            match recover(&case) {
+                Err(WalError::NoSnapshot(_)) => assert_eq!(snapshots, [], "prefix {k}"),
+                Ok(new) if new.report.snapshot_lsn == 7 => {
+                    let report = &new.report;
+                    assert_eq!((k, snapshots.len()), (ops.len(), 1));
+                    assert_eq!((report.next_lsn, report.replayed + report.rejected), (7, 0));
+                    assert_eq!(new.database.stationary_count(), 2);
+                }
+                Ok(old) => {
+                    let newest = snapshots.last().map(|&(lsn, _)| lsn);
+                    assert_eq!(Some(old.report.snapshot_lsn), newest, "prefix {k}");
+                    assert_eq!(old.report.next_lsn, frontier, "prefix {k}");
+                }
+                Err(e) => panic!("prefix {k} of {ops:?}: {e}"),
+            }
+            prefixes += 1;
+        }
+        assert!(prefixes > 8, "{prefixes} prefixes");
+        for dir in [template, received, case] {
+            fs::remove_dir_all(dir).unwrap();
+        }
     }
 }
