@@ -223,13 +223,19 @@ impl PolicyEngine {
                 initial.speed,
             ));
         }
+        // Simple fitting reads only the newest sample and the scalar
+        // last-zero time; least squares fits over a window of samples.
+        let window = match quintuple.fitting {
+            FittingMethod::Simple => 1,
+            FittingMethod::LeastSquares => 8192,
+        };
         Ok(PolicyEngine {
             quintuple,
             route_len,
             direction_sign: if direction_sign < 0.0 { -1.0 } else { 1.0 },
             first: initial,
             last: initial,
-            trace: DeviationTrace::new(8192, ZERO_DEVIATION_EPS),
+            trace: DeviationTrace::new(window, ZERO_DEVIATION_EPS),
             last_seen: initial.time,
             updates_sent: 0,
         })
@@ -465,6 +471,34 @@ mod tests {
         let (t_cil, u) = play_example1(engine(Quintuple::cil(C)));
         assert!((t_ail - t_cil).abs() < 2.0 * DT);
         assert_eq!(u.speed, 0.0);
+    }
+
+    /// Simple fitting keeps one sample, and emits bit for bit the updates
+    /// it emitted over an 8,192-sample window, through stop-and-go
+    /// driving and across the updates that reset the trace.
+    #[test]
+    fn simple_fitting_keeps_one_sample_and_the_same_updates() {
+        let mut one = engine(Quintuple::dl(C));
+        let mut wide = one.clone();
+        wide.trace = DeviationTrace::new(8192, ZERO_DEVIATION_EPS);
+        let mut updates = 0;
+        for step in 1..20_000 {
+            let t = step as f64 * DT;
+            let speed = if (t as u64).is_multiple_of(3) {
+                0.0
+            } else {
+                1.2
+            };
+            let arc = (t * 0.8 + (t * 1.7).sin() * 0.6).max(0.0);
+            let (a, b) = (one.tick(t, arc, speed), wide.tick(t, arc, speed));
+            let bits =
+                |u: Option<PositionUpdate>| u.map(|u| [u.time, u.arc, u.speed].map(f64::to_bits));
+            assert_eq!(bits(a.unwrap()), bits(b.unwrap()), "at t = {t}");
+            updates = one.updates_sent();
+        }
+        assert!(updates > 3, "the drive must emit updates: {updates}");
+        assert_eq!(one.trace.len(), 1);
+        assert!(wide.trace.len() > 1);
     }
 
     /// No deviation → never updates, regardless of policy.

@@ -5,10 +5,11 @@
 //! database and the log, so the state in `dir` can always be rebuilt by
 //! [`DurableDatabase::open`] (or bare [`SharedDatabase::recover`]):
 //!
-//! - **One write path.** Every mutation — the five methods below and
-//!   every [`crate::IngestHandle`] send — is applied and framed under one
-//!   lock, the *tail lock* over the pending [`WalBatch`], and the tail
-//!   is appended under it too. So the log holds mutations in the order
+//! - **One write path.** Every mutation — the five methods below,
+//!   every [`crate::IngestHandle`] send and every run a follower applies
+//!   — is applied and framed under the log's *tail lock*, in
+//!   [`SharedWal::write`], which also decides when the tail is appended
+//!   and when the log is synced. So the log holds mutations in the order
 //!   they were applied: the paper's DBMS keeps one position attribute
 //!   per object and a same-instant update replaces it (last writer
 //!   wins), and replay must end where the live database did. This is the
@@ -22,13 +23,13 @@
 //!   only when they succeed, so the log carries only mutations that
 //!   actually changed state. The five methods append the tail at once
 //!   (their record has an LSN when they return); an unacknowledged send
-//!   waits in it for up to [`WAL_BATCH_RECORDS`] records.
+//!   waits in it for up to [`crate::WAL_BATCH_RECORDS`] records.
 //! - **Snapshots** ([`DurableDatabase::snapshot`]) bound replay work and
-//!   are **pause-free**: the log is fsynced and its frontier read as the
-//!   watermark, the state is cloned under a brief read lock (pointer
-//!   copies; [`SharedDatabase::write_snapshot`]), and serialization runs
-//!   with *no* database lock held — ingest and queries proceed
-//!   throughout. The clone is dropped when the file is on disk: no copy
+//!   are **pause-free**: the tail is appended, the log fsynced and its
+//!   frontier read as the watermark, the state is cloned under a brief
+//!   read lock (pointer copies; [`SharedDatabase::write_snapshot`]), and
+//!   serialization runs with *no* database lock held — ingest and
+//!   queries proceed throughout. The clone is dropped when the file is on disk: no copy
 //!   of the fleet stays resident between snapshots. Replay from the
 //!   watermark re-applies any overlap idempotently (re-deliveries of an
 //!   already-applied update are no-ops; duplicate registrations
@@ -40,10 +41,10 @@ use std::sync::{Arc, Mutex};
 use modb_core::{CoreError, Database, MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
 use modb_wal::{
-    EpochHistory, RecoveryReport, SharedWal, WalBatch, WalError, WalOptions, WalRecord, WalWriter,
+    EpochHistory, RecoveryReport, SharedWal, WalError, WalOptions, WalRecord, WalWriter,
 };
 
-use crate::ingest::{IngestService, WAL_BATCH_RECORDS};
+use crate::ingest::IngestService;
 use crate::node::{Node, Watermark};
 use crate::shared::SharedDatabase;
 
@@ -55,9 +56,6 @@ pub struct DurableDatabase {
     /// with a standby's handle when this is its local log.
     node: Arc<Node>,
     wal: SharedWal,
-    /// The tail lock: records applied but not yet appended, in the order
-    /// they were applied (see [`DurableDatabase::write`]).
-    tail: Arc<Mutex<WalBatch>>,
     /// One snapshot at a time (clones share it): two takers at one
     /// watermark would share a `.tmp` name.
     snapshots: Arc<Mutex<()>>,
@@ -132,7 +130,6 @@ impl DurableDatabase {
         DurableDatabase {
             node,
             wal,
-            tail: Arc::default(),
             snapshots: Arc::default(),
         }
     }
@@ -143,8 +140,8 @@ impl DurableDatabase {
     }
 
     /// The shared log writer and its commit point. Mutations go through
-    /// this handle's methods, not through appends here: those would skip
-    /// the tail lock that keeps the log in apply order.
+    /// this handle's methods, which apply them under the log's tail lock
+    /// and so keep the log in apply order.
     pub fn wal(&self) -> &SharedWal {
         &self.wal
     }
@@ -180,56 +177,18 @@ impl DurableDatabase {
         crate::QueryEngine::new(self.database().clone())
     }
 
-    /// The one write path. Under the tail lock, `apply` runs against the
-    /// database and returns its result and the record to log, if any;
-    /// the record joins the tail, and the tail is appended as one block —
-    /// its records get their LSNs — when `append` is set or it holds
-    /// [`WAL_BATCH_RECORDS`] records. So the log holds every mutation in
-    /// the order it was applied, and no record has an LSN before its
-    /// mutation is in memory. Returns `apply`'s result and the frontier
-    /// right after the append, `Ok(0)` when nothing was appended.
-    ///
-    /// # Errors
-    ///
-    /// The log's sticky failure, once it has failed, with `apply` never
-    /// run: a write to a failed log applies nothing (checked under the
-    /// tail lock, so no write applies behind a failed append).
-    pub(crate) fn write<T>(
-        &self,
-        append: bool,
-        apply: impl FnOnce(&SharedDatabase) -> (T, Option<WalRecord>),
-    ) -> Result<(T, Result<u64, WalError>), WalError> {
-        let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
-        self.wal.commit(0)?;
-        let (applied, record) = apply(self.database());
-        if let Some(record) = &record {
-            tail.push(record);
-        }
-        let appended = if !tail.is_empty() && (append || tail.records() >= WAL_BATCH_RECORDS) {
-            let appended = self.wal.append_batch(&mut tail);
-            // Every record in the tail fits a block (an update always
-            // does; `write_if_ok` checks the others before applying
-            // them), so only an I/O failure gets here, and a failed log
-            // takes nothing more: its failure is sticky.
-            tail.clear();
-            appended
-        } else {
-            Ok(0)
-        };
-        Ok((applied, appended))
-    }
-
-    /// [`DurableDatabase::write`] for a mutation that is logged as
-    /// `record` only when it succeeds, appended at once. A record too
-    /// large for any block is refused before the mutation is applied:
-    /// applied and never logged, it would be gone at the next reopen.
+    /// The log's one write call ([`SharedWal::write`]) for a mutation
+    /// that is logged as `record` only when it succeeds, appended at
+    /// once. A record too large for any block is refused before the
+    /// mutation is applied: applied and never logged, it would be gone at
+    /// the next reopen.
     fn write_if_ok<T>(
         &self,
         record: WalRecord,
         apply: impl FnOnce(&SharedDatabase) -> Result<T, CoreError>,
     ) -> Result<T, WalError> {
         modb_wal::check_frame(&record)?;
-        let (applied, appended) = self.write(true, |db| match apply(db) {
+        let (applied, appended) = self.wal.write(true, || match apply(self.database()) {
             Ok(out) => (Ok(out), Some(record)),
             Err(e) => (Err(e), None),
         })?;
@@ -286,9 +245,7 @@ impl DurableDatabase {
     /// (the log stays a complete update-stream trace, and replay
     /// re-derives the same verdicts), appending it at once. For
     /// high-volume ingestion use [`DurableDatabase::ingest_service`],
-    /// whose unacknowledged sends share one block per
-    /// [`WAL_BATCH_RECORDS`] records instead of locking the writer per
-    /// update.
+    /// whose unacknowledged sends share a block.
     ///
     /// # Errors
     ///
@@ -297,23 +254,22 @@ impl DurableDatabase {
     /// rejections ([`WalError::Core`] — the envelope is still logged,
     /// mirroring replay semantics).
     pub fn apply_update(&self, id: ObjectId, msg: &UpdateMessage) -> Result<(), WalError> {
-        let (verdict, appended) = self.write(true, |db| {
+        let (verdict, appended) = self.wal.write(true, || {
             let record = WalRecord::Update { id, msg: *msg };
-            (db.apply_update(id, msg), Some(record))
+            (self.database().apply_update(id, msg), Some(record))
         })?;
         appended?;
         verdict?;
         Ok(())
     }
 
-    /// Takes a pause-free point-in-time snapshot: fsyncs the log and
-    /// takes the frontier it made durable as the watermark LSN, clones the state
-    /// under a brief read lock and serializes the clone with **no
-    /// database lock held** ([`SharedDatabase::write_snapshot`]), then
-    /// compacts the directory down to
-    /// [`modb_wal::DEFAULT_SNAPSHOT_RETENTION`] snapshots (deleting log
-    /// segments every retained snapshot covers). Returns the snapshot
-    /// path.
+    /// Takes a pause-free point-in-time snapshot: syncs the log, tail
+    /// included, and takes the frontier it made durable as the watermark
+    /// LSN, clones the state under a brief read lock and serializes the
+    /// clone with **no database lock held**
+    /// ([`SharedDatabase::write_snapshot`]), then compacts the directory
+    /// down to [`modb_wal::DEFAULT_SNAPSHOT_RETENTION`] snapshots
+    /// (deleting log segments every retained snapshot covers).
     ///
     /// Safe while ingest is live: by the watermark invariant (DESIGN §7)
     /// the clone holds every record below the watermark, and replay
@@ -348,8 +304,7 @@ impl DurableDatabase {
         let epochs = self.node.epochs().clone();
         // Ingest blocks only for the clone; serialization runs unlocked.
         let path = self.database().write_snapshot(self.dir(), &epochs, lsn)?;
-        // Compaction under the writer lock so it cannot race a segment
-        // rotation. The ship barrier (minimum acknowledged LSN across
+        // The ship barrier (minimum acknowledged LSN across
         // connected replication followers) caps segment deletion so a
         // slow-but-live follower is never orphaned mid-stream.
         self.wal.compact(retention, self.node.horizon().min())?;
@@ -862,7 +817,9 @@ mod tests {
             let durable = &durable;
             let parked = s.spawn(move || {
                 let (seen, appended) = durable
-                    .write(true, |db| {
+                    .wal()
+                    .write(true, || {
+                        let db = durable.database();
                         parked_tx.send(()).unwrap();
                         about_to_send.recv().unwrap();
                         let deadline = Instant::now() + Duration::from_millis(500);

@@ -7,23 +7,20 @@
 //! thread**; the [`IngestService`] owns no thread and no queue, so a call
 //! that returned has been applied.
 //!
-//! **One write path.** A send is [`crate::DurableDatabase`]'s own write
-//! path: under its tail lock the update is applied and its record framed
-//! into the pending [`modb_wal::WalBatch`] (no I/O), which is appended —
-//! where its records get their LSNs — every [`WAL_BATCH_RECORDS`]
-//! records, on an acknowledged send, on any other mutation of the
-//! database, and at shutdown. So the log holds every update in the order
-//! it was applied, interleaved correctly with registrations, removals
-//! and `DurableDatabase::apply_update` calls, and a record never has an
-//! LSN ahead of the in-memory state. Rejected updates are logged too:
-//! replay re-derives the same verdicts, and the log doubles as a
-//! complete update-stream trace.
+//! **One write path.** A send is the log's one write call
+//! ([`modb_wal::SharedWal::write`], through [`crate::DurableDatabase`]):
+//! under the log's tail lock the update is applied and its record framed
+//! into the log's tail, which the log appends every
+//! [`WAL_BATCH_RECORDS`] records, on an acknowledged send or any other
+//! mutation, and at the sync that ends a shutdown. So the log holds
+//! every update in the order it was applied, and no record has an LSN
+//! ahead of the in-memory state. Rejected updates are logged too: replay
+//! re-derives the same verdicts.
 //!
 //! Acknowledged sends additionally promise durability:
 //! [`PendingAck::recv`] waits on the log's group commit
 //! ([`modb_wal::SharedWal::commit`]) *after* the tail lock is released,
-//! so one fsync serves every thread acking concurrently and no sender is
-//! stalled behind a disk flush.
+//! so one fsync serves every thread acking at once.
 //!
 //! Rejections (stale timestamps after a vehicle reboot, off-route fixes,
 //! unknown objects) are normal radio-network operation — counted by
@@ -34,13 +31,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use modb_core::{CoreError, ObjectId, UpdateMessage};
+pub use modb_wal::WAL_BATCH_RECORDS;
 use modb_wal::{GroupCommitStats, SharedWal, WalError, WalRecord};
 
 use crate::durable::DurableDatabase;
-
-/// Records the write path's tail holds before it is appended as one
-/// block: an unacknowledged send waits there behind at most this many.
-pub const WAL_BATCH_RECORDS: u64 = 32;
 
 /// What an acknowledged send reports back to the producer.
 #[derive(Debug, Clone)]
@@ -246,9 +240,9 @@ impl PendingAck {
 pub struct IngestHandle {
     durable: DurableDatabase,
     stats: Arc<IngestStats>,
-    /// Set by [`IngestService`]'s shutdown; read and set only under the
-    /// tail lock, so a send either lands before the final flush or is
-    /// refused.
+    /// Set by [`IngestService`]'s shutdown before its sync takes the tail
+    /// lock; read under that lock, so a send either lands in the tail the
+    /// sync appends or is refused.
     closed: Arc<AtomicBool>,
 }
 
@@ -265,11 +259,11 @@ impl IngestHandle {
     /// lock, and append on `acked` or a full tail. Durability is the
     /// caller's to wait for, after the lock is gone.
     fn apply(&self, env: UpdateEnvelope, acked: bool) -> Result<PendingAck, IngestClosed> {
-        let written = self.durable.write(acked, |db| {
+        let written = self.durable.wal().write(acked, || {
             if self.closed.load(Ordering::Relaxed) {
                 return (None, None);
             }
-            let verdict = db.apply_update(env.id, &env.msg);
+            let verdict = self.durable.database().apply_update(env.id, &env.msg);
             // Counted under the lock: the shutdown snapshot counts every
             // send that returned `Ok`.
             self.stats.record(&verdict);
@@ -385,27 +379,13 @@ impl IngestService {
 impl Drop for IngestService {
     fn drop(&mut self) {
         let handle = &self.handle;
-        // A sender holding the tail lock has framed its record before the
-        // append below; the next one finds the service closed.
-        let closing = handle.durable.write(true, |_| {
-            handle.closed.store(true, Ordering::Relaxed);
-            ((), None)
-        });
-        let appended = match closing {
-            Ok(((), appended)) => appended,
-            // A failed log refuses every send unapplied from here on, and
-            // the final sync below reports it.
-            Err(_) => {
-                handle.closed.store(true, Ordering::Relaxed);
-                Ok(0)
-            }
-        };
-        let synced = handle.durable.wal().sync();
-        let failures = usize::from(appended.is_err()) + usize::from(synced.is_err());
-        handle
-            .stats
-            .wal_errors
-            .fetch_add(failures, Ordering::Relaxed);
+        // A sender holding the tail lock has framed its record, which the
+        // sync appends once it has the lock; the next one finds the
+        // service closed.
+        handle.closed.store(true, Ordering::Relaxed);
+        if handle.durable.wal().sync().is_err() {
+            handle.stats.wal_errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -735,6 +715,42 @@ mod tests {
         }
         assert_eq!(logged, 250);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A sync makes every send that returned before it durable: the
+    /// log appends the tail's records first. A copy of the directory
+    /// taken after the sync — what a crash would leave — reopens with
+    /// every one of them.
+    #[test]
+    fn a_sync_appends_the_unacknowledged_sends_before_it() {
+        let (dir, durable) = durable("sync-tail", 4);
+        let service = durable.ingest_service(0, 0);
+        let handle = service.handle();
+        let sent = WAL_BATCH_RECORDS - 1;
+        for t in 1..=sent {
+            let msg = UpdateMessage::basic(t as f64, UpdatePosition::Arc(t as f64), 1.0);
+            let id = ObjectId(t % 4);
+            handle.send(UpdateEnvelope { id, msg }).unwrap();
+        }
+        assert_eq!(durable.wal().sync().unwrap(), sent);
+        let copy = dir.with_extension("copy");
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        let (reopened, report) = DurableDatabase::open(&copy, WalOptions::default()).unwrap();
+        assert_eq!((report.next_lsn, report.replayed), (sent, sent));
+        let live = durable.database().with_read(Database::clone);
+        reopened.database().with_read(|db| {
+            for id in (0..4).map(ObjectId) {
+                assert_eq!(db.moving(id).ok(), live.moving(id).ok(), "{id:?}");
+            }
+        });
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&copy).unwrap();
     }
 
     #[test]

@@ -538,7 +538,7 @@ impl StandbyReplica {
         let mut sealed = self.node.epochs().clone();
         let epoch = sealed.begin(log.wal().next_lsn())?;
         let seal = WalRecord::LeaderEpoch { epoch };
-        log.write(true, |_| ((), Some(seal)))?.1?;
+        log.wal().write(true, || ((), Some(seal)))?.1?;
         log.wal().sync()?;
         *self.node.epochs() = sealed;
         // The node leads the log from here on: every reader of its
@@ -824,10 +824,10 @@ impl Worker {
     /// ([`RawChunk::decode`]), arrive with no bootstrap under way, and
     /// continue the watermark — a gap would desynchronize the watermark
     /// from the stream. Once applied and logged it is acked, and a local
-    /// snapshot taken when one is due. A failed write publishes what was
-    /// logged before it and ends the session for good; on a log that
-    /// failed earlier that is the run's first write, which
-    /// [`DurableDatabase::write`] refuses unapplied.
+    /// snapshot taken when one is due. The run is one write of the log.
+    /// A failed append publishes what was logged before it and ends the
+    /// session for good; a log that failed earlier refuses the run
+    /// unapplied.
     fn blocks(&mut self, link: &mut impl Link, chunk: &RawChunk) -> Result<(), SessionEnd> {
         let (lsn, start) = (self.out.stats.applied_lsn, chunk.start_lsn);
         let run = chunk.decode().ok();
@@ -853,17 +853,18 @@ impl Worker {
         if let Some(cut) = cut {
             records.truncate(cut);
         }
-        // Verdicts are re-derived locally; a block's records wait in the
-        // tail (`Ok(0)`) until it is full or the run ends.
-        let (mut applied_lsn, last) = (lsn, records.len());
-        let logged = records.into_iter().enumerate().all(|(i, rec)| {
-            log.write(i + 1 == last, |db| {
-                (db.with_write(|db| apply_record(db, rec.clone())), Some(rec))
-            })
-            .and_then(|(_accepted, appended)| appended)
-            .map(|frontier| applied_lsn = applied_lsn.max(frontier))
-            .is_ok()
+        // Verdicts are re-derived locally. The run is one write, which
+        // applies each record as it frames it: its blocks are cut as the
+        // leader's were, and a failed append applies no more of it.
+        let db = log.database();
+        let applied = records.into_iter().inspect(|rec| {
+            db.with_write(|db| apply_record(db, rec.clone()));
         });
+        let logged = log.wal().write(true, || ((), applied));
+        let logged = logged.and_then(|(_, appended)| appended).is_ok();
+        // This worker is the log's one writer: its frontier is what the
+        // run logged.
+        let applied_lsn = log.wal().next_lsn().max(lsn);
         let stats = &mut self.out.stats;
         stats.records_applied += applied_lsn - lsn;
         stats.applied_lsn = applied_lsn;

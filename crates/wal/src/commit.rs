@@ -3,34 +3,27 @@
 //!
 //! The unit of durability is the fsync, and fsyncs are the expensive
 //! part of logging (the cost ledger's `wal.fsync_us` row prices one).
-//! With many sessions each wanting an acknowledged update to be durable
-//! before the ack goes out, per-session fsyncs serialize the whole
-//! ingest tier on the disk's flush latency. [`SharedWal::commit`]
-//! replaces them with a *commit ticket* protocol, run entirely by the
-//! threads that want durability:
+//! [`SharedWal::commit`] runs a *commit ticket* protocol on the threads
+//! that want durability, with no thread of its own:
 //!
-//! 1. A producer appends its records, reads the log frontier, and calls
-//!    [`SharedWal::commit`] with it.
-//! 2. `commit` takes a ticket — the LSN the caller needs durable. When
-//!    no sync is in flight the caller becomes the **syncer**: it claims
-//!    every ticket taken so far, issues **one** `fsync`
-//!    ([`SharedWal::sync`], which advances the log's durable-LSN
-//!    watermark to the frontier it read just before), and broadcasts.
-//!    Otherwise it waits on the condvar.
+//! 1. A producer appends its records and calls [`SharedWal::commit`]
+//!    with the frontier after them; `commit` takes a ticket for it.
+//! 2. When no sync is in flight the caller becomes the **syncer**: it
+//!    claims every ticket taken so far, issues **one** fsync — which
+//!    reads the frontier, syncs without the writer lock and advances the
+//!    durable watermark to that frontier — and broadcasts. Otherwise it
+//!    waits on the condvar.
 //! 3. A waiter woken by the broadcast either finds the watermark past
-//!    its LSN and returns, or — its record landed after the syncer's
-//!    frontier read — becomes the next syncer for everyone who queued
-//!    up during the last sync.
+//!    its LSN and returns, or becomes the next syncer for everyone who
+//!    queued up during the last sync.
 //!
-//! The collapse needs no dedicated thread: the pile-up happens *while
-//! the disk is busy* — [`SharedWal::sync`] does not hold the writer lock
-//! across the fsync, so other producers keep appending and taking
-//! tickets — and whoever syncs next carries the whole pile.
-//! Under load the batch size grows with concurrency and the fsync rate
-//! stays pinned near the disk's flush rate regardless of producer
-//! count — the classic group-commit shape. Under a single slow producer
-//! every commit degenerates to one private fsync on the caller's own
-//! thread.
+//! Producers keep appending and taking tickets while the disk is busy,
+//! and whoever syncs next carries the whole pile: under load the batch
+//! grows with concurrency and the fsync rate stays near the disk's flush
+//! rate. The log's other fsyncs — the window sync of
+//! [`SharedWal::write`], a rotation's, [`SharedWal::sync`]'s — advance
+//! the same watermark and take no ticket, so a commit they already cover
+//! returns at once.
 //!
 //! **Failures are sticky.** Any I/O error from a write or a sync through
 //! a [`SharedWal`] poisons it: every later append, sync and commit

@@ -17,12 +17,12 @@
 //!   and raw floats, 31 bytes framed for a small id. The
 //!   writer seals every block with one [`block`] sealer whose tables and
 //!   buffers it keeps, so an append allocates nothing. Segment
-//!   files rotate at a size threshold, and the writer fsyncs every 256
-//!   records. A [`SharedWal`] is also the log's one commit point: an
-//!   acknowledged write waits on its group commit ([`commit`]), one
-//!   fsync shared by every thread waiting at once, and any I/O failure
-//!   on it is sticky, so no ack is issued for a record the log cannot
-//!   vouch for.
+//!   files rotate at a size threshold. A [`SharedWal`] decides when a
+//!   record is appended and when it is durable ([`writer`]): its one
+//!   write call keeps the tail and cuts its blocks, every fsync advances
+//!   its one durable watermark, an acknowledged write waits on its group
+//!   commit ([`commit`]), and any I/O failure on it is sticky, so no ack
+//!   is issued for a record the log cannot vouch for.
 //! - **Snapshots** ([`write_snapshot`] / [`read_snapshot`]): atomic
 //!   point-in-time captures of full database state at a log LSN. A
 //!   snapshot is a log prefix: a sealed file of the segment layout
@@ -110,4 +110,4 @@ pub use ship::{RawChunk, SegmentTailer};
 pub use snapshot::{
     list_snapshots, read_snapshot, write_snapshot, Shipment, SnapshotReceiver, SnapshotRun,
 };
-pub use writer::{SharedWal, WalBatch, WalOptions, WalWriter};
+pub use writer::{SharedWal, WalBatch, WalOptions, WalWriter, WAL_BATCH_RECORDS};

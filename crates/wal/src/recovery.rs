@@ -26,7 +26,8 @@
 //!    anywhere else (an interior segment, an interior frame followed by a
 //!    later segment) means records the writer had durably acknowledged
 //!    are gone, and recovery refuses with [`WalError::CorruptSegment`]
-//!    rather than silently dropping them.
+//!    rather than silently dropping them. A crash mid-snapshot leaves a
+//!    `snap-<lsn>.snap.tmp` that no reader looks at; it is removed.
 //!
 //! Replay re-derives update acceptance: the stale / off-route /
 //! unknown-object checks depend only on the receiving object's own state
@@ -50,8 +51,8 @@ use crate::block::walk_blocks;
 use crate::epoch::EpochHistory;
 use crate::error::WalError;
 use crate::record::{FrameEnd, WalRecord};
-use crate::segment::{list_segments, read_segment_file, SEGMENT_HEADER_BYTES};
-use crate::snapshot::{list_snapshots, read_snapshot};
+use crate::segment::{list_named, list_segments, read_segment_file, SEGMENT_HEADER_BYTES};
+use crate::snapshot::{list_snapshots, read_snapshot, SNAPSHOT_TMP_NAME};
 
 /// What recovery did, for operator logs and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,6 +266,9 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
         }
     }
     report.next_lsn = lsn.max(snapshot_lsn);
+    for (_, leftover) in list_named(dir, SNAPSHOT_TMP_NAME)? {
+        std::fs::remove_file(leftover)?;
+    }
 
     Ok(Recovered {
         database: db,
@@ -537,6 +541,23 @@ mod tests {
         assert_eq!(rec.report.torn, Some("short header"));
         assert!(!dir.join(crate::segment::segment_file_name(10)).exists());
         assert_eq!(rec.report.next_lsn, 10);
+        assert_same_answers(&rec.database, &reference);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash between a snapshot's create and its rename leaves its temp
+    /// file; recovery removes it, and leaves every other file alone.
+    #[test]
+    fn a_leftover_snapshot_temp_file_is_removed() {
+        let dir = tmp("snapshot-tmp");
+        let reference = scripted(&dir, 3, WalOptions::default());
+        let leftover = dir.join("snap-00000000000000000009.snap.tmp");
+        std::fs::write(&leftover, b"half a snapshot").unwrap();
+        let files = |dir: &Path| std::fs::read_dir(dir).unwrap().count();
+        let before = files(&dir);
+        let rec = recover(&dir).unwrap();
+        assert!(!leftover.exists(), "the temp file survived recovery");
+        assert_eq!(files(&dir), before - 1, "only the temp file went");
         assert_same_answers(&rec.database, &reference);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -68,6 +68,9 @@ pub(crate) const SNAPSHOT_BLOCK_RECORDS: usize = 128;
 /// How a snapshot's file name is formed around its LSN.
 pub(crate) const SNAPSHOT_NAME: (&str, &str) = ("snap-", ".snap");
 
+/// How the temp file [`write_snapshot`] renames into place is named.
+pub(crate) const SNAPSHOT_TMP_NAME: (&str, &str) = ("snap-", ".snap.tmp");
+
 /// Where a [`SnapshotReceiver`] builds the snapshot it receives.
 const INCOMING: &str = "incoming.snap.tmp";
 

@@ -1,13 +1,17 @@
 //! The append path: [`WalWriter`], segment rotation, the [`WalBatch`]
-//! buffer, and the thread-safe [`SharedWal`].
+//! buffer, and the thread-safe [`SharedWal`], which decides when a
+//! record is appended and when it is durable.
 //!
-//! The intended concurrency shape (used by `modb-server`'s
-//! `DurableDatabase`): producers collect records into one pending
-//! [`WalBatch`] without touching the writer; the [`SharedWal`] mutex is
-//! taken only to hand over a whole batch, which is sealed as one block —
-//! the batch is the column/LZ compression window — and written with a
-//! single `write_all`. A [`SharedWal`] is also its log's one commit
-//! point ([`crate::commit`]).
+//! Every write of `modb-server` is one [`SharedWal::write`]: under the
+//! *tail lock* the caller applies its mutation and frames its records
+//! into the pending tail (no I/O), which is appended as one block — the
+//! column/LZ compression window, one `write_all` — when the caller needs
+//! an LSN or the tail holds [`WAL_BATCH_RECORDS`] records. A write that
+//! leaves 256 appended records unsynced fsyncs the log once it has
+//! released its locks: a crash no commit waited for loses at most that
+//! window. Every fsync of the open segment — the window's, a rotation's,
+//! [`SharedWal::sync`]'s and a commit's ([`crate::commit`]) — advances
+//! the log's one durable watermark.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -23,9 +27,11 @@ use crate::segment::{
     encode_header, list_segments, read_segment_header, segment_file_name, SEGMENT_HEADER_BYTES,
 };
 
-/// The writer fsyncs the open segment once this many records have been
-/// appended since the last sync (and at every rotation): a crash that
-/// no commit waited for loses at most this window.
+/// Records the tail holds before it is appended as one block: a record
+/// written with no need for its LSN waits there behind at most this many.
+pub const WAL_BATCH_RECORDS: u64 = 32;
+
+/// The unsynced window: a [`SharedWal`] fsyncs once it is full.
 const SYNC_EVERY_RECORDS: u64 = 256;
 
 /// Writer tuning knobs.
@@ -67,16 +73,6 @@ impl WalBatch {
     pub fn records(&self) -> u64 {
         self.recs.len() as u64
     }
-
-    /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.recs.is_empty()
-    }
-
-    /// Drops the buffered content (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.recs.clear();
-    }
 }
 
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), WalError> {
@@ -89,9 +85,9 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), WalError> {
     Ok(())
 }
 
-/// Appends framed records to segment files with rotation, fsyncing every
-/// 256 records. Single-owner; see [`SharedWal`] for the
-/// thread-safe handle.
+/// Appends framed records to segment files with rotation, fsyncing a
+/// finished segment before its successor exists and otherwise only when
+/// asked. Single-owner; see [`SharedWal`] for the thread-safe handle.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
@@ -99,12 +95,13 @@ pub struct WalWriter {
     file: File,
     segment_bytes: u64,
     next_lsn: u64,
-    unsynced: u64,
+    /// Every record below it was on disk at this writer's last sync.
+    synced_lsn: u64,
     /// Record-payload bytes appended since this writer was opened
     /// (segment headers excluded).
     bytes_appended: u64,
-    /// Data fsyncs since this writer was opened: periodic, rotation and
-    /// forced syncs (not segment-header syncs).
+    /// Data fsyncs since this writer was opened (not segment-header
+    /// syncs).
     fsyncs: u64,
     /// Seals each append's block, with the LZ table and scratch
     /// buffers it keeps from block to block.
@@ -165,7 +162,7 @@ impl WalWriter {
             file,
             segment_bytes,
             next_lsn,
-            unsynced: 0,
+            synced_lsn: next_lsn,
             bytes_appended: 0,
             fsyncs: 0,
             sealer: Sealer::default(),
@@ -192,11 +189,6 @@ impl WalWriter {
         self.next_lsn
     }
 
-    /// The directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Appends one record as a one-record block — still self-delimiting,
     /// just without a compression window (a basic update is its own
     /// block format, [`crate::block`]); batch appends are where the
@@ -214,9 +206,8 @@ impl WalWriter {
 
     /// Appends a whole batch (see [`WalBatch`]) as **one block** — one
     /// frame, one restart point, the batch as the column/LZ compression
-    /// window — and clears it. For the periodic fsync a batch counts
-    /// record by record, but is synced at most once. A batch too large
-    /// for one block is sealed and written as one block per record.
+    /// window — and clears it. A batch too large for one block is sealed
+    /// and written as one block per record.
     ///
     /// # Errors
     ///
@@ -224,7 +215,7 @@ impl WalWriter {
     /// large for a block of its own (nothing is written then); the batch
     /// is left unconsumed so the caller can retry or count the loss.
     pub fn append_batch(&mut self, batch: &mut WalBatch) -> Result<(), WalError> {
-        if batch.is_empty() {
+        if batch.recs.is_empty() {
             return Ok(());
         }
         match self.append_block(&batch.recs) {
@@ -239,7 +230,7 @@ impl WalWriter {
             }
             result => result?,
         }
-        batch.clear();
+        batch.recs.clear();
         Ok(())
     }
 
@@ -252,10 +243,6 @@ impl WalWriter {
         self.segment_bytes += len as u64;
         self.bytes_appended += len as u64;
         self.next_lsn += records.len() as u64;
-        self.unsynced += records.len() as u64;
-        if self.unsynced >= SYNC_EVERY_RECORDS {
-            self.sync()?;
-        }
         Ok(())
     }
 
@@ -270,10 +257,10 @@ impl WalWriter {
     }
 
     fn rotate(&mut self) -> Result<(), WalError> {
-        // The finished segment is synced at once: recovery
-        // treats interior (non-last) segments as immutable truth and will
-        // not truncate them, so they must be durable before a successor
-        // exists.
+        // The finished segment is synced at once, under the writer lock:
+        // recovery treats interior (non-last) segments as immutable truth
+        // and will not truncate them, so they must be durable before a
+        // successor exists.
         self.sync()?;
         let (file, segment_bytes) = Self::open_segment(&self.dir, self.next_lsn)?;
         self.file = file;
@@ -288,7 +275,7 @@ impl WalWriter {
     /// I/O failures.
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.file.sync_data()?;
-        self.unsynced = 0;
+        self.synced_lsn = self.next_lsn;
         self.fsyncs += 1;
         Ok(())
     }
@@ -296,13 +283,17 @@ impl WalWriter {
 
 #[derive(Debug)]
 struct Inner {
+    /// The tail lock, over the records applied but not yet appended, in
+    /// the order they were applied. Taken before the writer lock.
+    tail: Mutex<WalBatch>,
     writer: Mutex<WalWriter>,
     commit: CommitPoint,
 }
 
-/// A cloneable, thread-safe handle to one [`WalWriter`], and the log's
-/// one commit point (see the module docs): every clone appends to the
-/// same writer and requests durability against the same watermark.
+/// A cloneable, thread-safe handle to one [`WalWriter`], its tail, and
+/// the log's one commit point (see the module docs): every clone writes
+/// through the same tail to the same writer and requests durability
+/// against the same watermark.
 #[derive(Debug, Clone)]
 pub struct SharedWal {
     inner: Arc<Inner>,
@@ -314,11 +305,14 @@ impl SharedWal {
     /// or survived recovery.
     pub fn new(writer: WalWriter) -> Self {
         let commit = CommitPoint::default();
-        commit.advance(writer.next_lsn());
-        let writer = Mutex::new(writer);
-        SharedWal {
-            inner: Arc::new(Inner { writer, commit }),
-        }
+        commit.advance(writer.synced_lsn);
+        let (tail, writer) = (Mutex::default(), Mutex::new(writer));
+        let inner = Arc::new(Inner {
+            tail,
+            writer,
+            commit,
+        });
+        SharedWal { inner }
     }
 
     fn lock(&self) -> MutexGuard<'_, WalWriter> {
@@ -329,47 +323,116 @@ impl SharedWal {
     }
 
     /// Runs one write against the locked writer, unless the log has
-    /// already failed; an I/O failure of this one poisons the log.
+    /// already failed; an I/O failure of this one poisons the log, and a
+    /// rotation's fsync advances the durable watermark.
     fn io<R>(&self, f: impl FnOnce(&mut WalWriter) -> Result<R, WalError>) -> Result<R, WalError> {
         let mut w = self.lock();
         self.inner.commit.check()?;
         let result = f(&mut w);
-        if let Err(e) = &result {
-            self.inner.commit.poison(e);
+        match &result {
+            Ok(_) => self.inner.commit.advance(w.synced_lsn),
+            Err(e) => self.inner.commit.poison(e),
         }
         result
     }
 
-    /// Appends and clears a batch (see [`WalWriter::append_batch`]);
-    /// returns the frontier right after it, i.e. one past its last
-    /// record's LSN.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures (sticky: see [`crate::commit`]) and
-    /// [`WalError::FrameTooLarge`] (see [`WalWriter::append_batch`]).
-    pub fn append_batch(&self, batch: &mut WalBatch) -> Result<u64, WalError> {
+    /// Appends and clears a batch; returns the frontier right after it.
+    fn append_locked(&self, batch: &mut WalBatch) -> Result<u64, WalError> {
         self.io(|w| {
             w.append_batch(batch)?;
             Ok(w.next_lsn())
         })
     }
 
-    /// Forces an fsync of everything appended before the call and returns
-    /// that frontier, which becomes durable: the watermark
-    /// [`SharedWal::commit`] reads advances to it. The writer lock is not
-    /// held while the disk works — the sync runs on a duplicate of the
-    /// open segment's handle — so appends proceed meanwhile: they are
-    /// what the next group commit collects. A rotation that slips in
-    /// between has synced the segment it finished itself. The periodic
-    /// fsync's window shrinks to the records appended since the frontier
-    /// this sync covered, so a record a commit already made durable never
-    /// counts towards a periodic fsync under the writer lock.
+    /// The log's one write call. Under the tail lock, `apply` applies its
+    /// mutation and returns the records that log it, which join the tail
+    /// as they are drawn; the tail is appended as one block — its records
+    /// get their LSNs — each time it holds [`WAL_BATCH_RECORDS`] records,
+    /// and at the end when `append` is set. A failed append draws no more
+    /// records. With the locks released, the log is synced once 256
+    /// appended records (`SYNC_EVERY_RECORDS`) are unsynced. Returns
+    /// `apply`'s result and the frontier after the last append (`Ok(0)`
+    /// when there was none), or the append's or sync's failure.
+    ///
+    /// # Errors
+    ///
+    /// The log's sticky failure, once it has failed, with `apply` never
+    /// run: a write to a failed log applies nothing (checked under the
+    /// tail lock, so no write applies behind a failed append).
+    pub fn write<T, R: IntoIterator<Item = WalRecord>>(
+        &self,
+        append: bool,
+        apply: impl FnOnce() -> (T, R),
+    ) -> Result<(T, Result<u64, WalError>), WalError> {
+        let (applied, appended) = {
+            let mut tail = self.inner.tail.lock().unwrap_or_else(|e| e.into_inner());
+            self.inner.commit.check()?;
+            let (applied, records) = apply();
+            let mut appended = Ok(0);
+            for rec in records {
+                tail.recs.push(rec);
+                if tail.records() >= WAL_BATCH_RECORDS {
+                    appended = self.append_tail(&mut tail);
+                    if appended.is_err() {
+                        break;
+                    }
+                }
+            }
+            if append && appended.is_ok() && !tail.recs.is_empty() {
+                appended = self.append_tail(&mut tail);
+            }
+            (applied, appended)
+        };
+        Ok((applied, appended.and_then(|frontier| self.settle(frontier))))
+    }
+
+    /// Appends the tail as one block and empties it: only an I/O failure
+    /// refuses a tail (callers check a record fits before applying it),
+    /// and a failed log takes nothing more.
+    fn append_tail(&self, tail: &mut WalBatch) -> Result<u64, WalError> {
+        let appended = self.append_locked(tail);
+        tail.recs.clear();
+        appended
+    }
+
+    /// Syncs the log, taking no commit ticket, when `frontier` (an
+    /// append's, or 0) is a window past the durable watermark.
+    fn settle(&self, frontier: u64) -> Result<u64, WalError> {
+        if frontier.saturating_sub(self.durable_lsn()) >= SYNC_EVERY_RECORDS {
+            self.sync_appended()?;
+        }
+        Ok(frontier)
+    }
+
+    /// Appends and clears a batch as one block (see
+    /// [`WalWriter::append_batch`]), bypassing the tail, and syncs as
+    /// [`SharedWal::write`] does; returns the frontier right after it.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures (sticky: see [`crate::commit`]) and
+    /// [`WalError::FrameTooLarge`] (see [`WalWriter::append_batch`]).
+    pub fn append_batch(&self, batch: &mut WalBatch) -> Result<u64, WalError> {
+        self.settle(self.append_locked(batch)?)
+    }
+
+    /// Appends the tail, then fsyncs everything appended before the sync
+    /// starts and returns that frontier, which becomes durable: the
+    /// watermark [`SharedWal::commit`] reads advances to it.
     ///
     /// # Errors
     ///
     /// I/O failures (sticky).
     pub fn sync(&self) -> Result<u64, WalError> {
+        self.append_tail(&mut self.inner.tail.lock().unwrap_or_else(|e| e.into_inner()))?;
+        self.sync_appended()
+    }
+
+    /// The fsync of a commit, of the window and of [`SharedWal::sync`],
+    /// on a duplicate of the open segment's handle: appends proceed while
+    /// the disk works, and a rotation that slips in has synced the
+    /// segment it finished itself.
+    fn sync_appended(&self) -> Result<u64, WalError> {
         let (segment, frontier) = self.io(|w| Ok((w.file.try_clone()?, w.next_lsn)))?;
         let armed = self.inner.commit.take_armed();
         if let Err(e) = armed.map_or_else(|| segment.sync_data(), Err) {
@@ -377,11 +440,7 @@ impl SharedWal {
             self.inner.commit.poison(&e);
             return Err(e);
         }
-        {
-            let mut w = self.lock();
-            w.fsyncs += 1;
-            w.unsynced = w.unsynced.min(w.next_lsn - frontier);
-        }
+        self.lock().fsyncs += 1;
         self.inner.commit.advance(frontier);
         Ok(frontier)
     }
@@ -397,7 +456,7 @@ impl SharedWal {
     /// The log's sticky I/O failure, for every caller once any write or
     /// sync has failed — even for an LSN that was durable before it.
     pub fn commit(&self, lsn: u64) -> Result<u64, WalError> {
-        self.inner.commit.commit(lsn, || self.sync())
+        self.inner.commit.commit(lsn, || self.sync_appended())
     }
 
     /// The durable-LSN watermark: every record below it is on disk.
@@ -524,7 +583,7 @@ mod tests {
         }
         assert_eq!(batch.records(), 5);
         w.append_batch(&mut batch).unwrap();
-        assert!(batch.is_empty(), "append consumes the batch");
+        assert_eq!(batch.records(), 0, "append consumes the batch");
         w.append(&update(5)).unwrap();
         assert_eq!(w.next_lsn(), 6);
         let scan = scan_segment(&list_segments(&dir).unwrap()[0].1).unwrap();
@@ -553,7 +612,7 @@ mod tests {
             batch.push(&rec);
         }
         w.append_batch(&mut batch).unwrap();
-        assert!(batch.is_empty());
+        assert_eq!(batch.records(), 0);
         assert_eq!(w.next_lsn(), 3);
         batch.push(&update(3));
         batch.push(&landmark(4, crate::MAX_RECORD_BYTES as usize));
@@ -618,34 +677,95 @@ mod tests {
         std::fs::remove_dir_all(&dir2).unwrap();
     }
 
+    /// One record through the tail, appended at once; its frontier.
+    fn write(wal: &SharedWal, rec: WalRecord) -> u64 {
+        wal.write(true, || ((), Some(rec))).unwrap().1.unwrap()
+    }
+
     #[test]
     fn io_counters_track_bytes_and_fsyncs() {
         let dir = tmp("io-counters");
-        let mut w = WalWriter::create(&dir, WalOptions::default()).unwrap();
-        assert_eq!((w.bytes_appended, w.fsyncs), (0, 0));
+        let wal = SharedWal::new(WalWriter::create(&dir, WalOptions::default()).unwrap());
+        assert_eq!(wal.io_counters(), (0, 0));
         for i in 0..2 * SYNC_EVERY_RECORDS + 1 {
-            w.append(&update(i)).unwrap();
+            write(&wal, update(i));
         }
         // One periodic sync per 256 records: after records 256 and 512.
-        assert_eq!(w.fsyncs, 2);
-        let bytes = w.bytes_appended;
+        let (bytes, fsyncs) = wal.io_counters();
+        assert_eq!(fsyncs, 2);
         assert!(bytes > 0, "appended payload bytes must be counted");
-        w.sync().unwrap();
-        assert_eq!(w.fsyncs, 3, "forced sync counts");
-        assert_eq!(w.bytes_appended, bytes, "sync appends nothing");
+        wal.sync().unwrap();
+        assert_eq!(wal.io_counters().1, 3, "forced sync counts");
+        assert_eq!(wal.io_counters().0, bytes, "sync appends nothing");
         // Rotation syncs the finished segment.
         let rotated = tmp("io-counters-rotate");
-        let mut w = WalWriter::create(
-            &rotated,
-            WalOptions {
-                max_segment_bytes: 128,
-            },
-        )
-        .unwrap();
+        let wal = SharedWal::new(
+            WalWriter::create(
+                &rotated,
+                WalOptions {
+                    max_segment_bytes: 128,
+                },
+            )
+            .unwrap(),
+        );
         for i in 0..20 {
-            w.append(&update(i)).unwrap();
+            write(&wal, update(i));
         }
-        assert!(w.fsyncs > 0, "rotation must count its segment sync");
+        assert!(
+            wal.io_counters().1 > 0,
+            "rotation must count its segment sync"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&rotated).unwrap();
+    }
+
+    /// The window's fsync and a rotation's advance the durable watermark
+    /// a commit reads, so a commit at or below it issues no fsync of its
+    /// own; and a sync appends the tail before it syncs.
+    #[test]
+    fn every_fsync_advances_the_durable_watermark() {
+        let dir = tmp("watermark");
+        let wal = SharedWal::new(WalWriter::create(&dir, WalOptions::default()).unwrap());
+        for i in 0..SYNC_EVERY_RECORDS + 40 {
+            wal.write(false, || ((), Some(update(i))))
+                .unwrap()
+                .1
+                .unwrap();
+        }
+        // Nine 32-record blocks are appended; the window synced the eighth.
+        assert_eq!((wal.next_lsn(), wal.io_counters().1), (9 * 32, 1));
+        assert_eq!(wal.durable_lsn(), SYNC_EVERY_RECORDS);
+        assert_eq!(wal.commit(SYNC_EVERY_RECORDS).unwrap(), SYNC_EVERY_RECORDS);
+        assert_eq!(
+            wal.io_counters().1,
+            1,
+            "a commit below the watermark syncs nothing"
+        );
+        // A sync appends the tail's last 8 records first.
+        assert_eq!(wal.sync().unwrap(), SYNC_EVERY_RECORDS + 40);
+        let scan = scan_segment(&list_segments(&dir).unwrap()[0].1).unwrap();
+        assert_eq!(scan.records.len() as u64, SYNC_EVERY_RECORDS + 40);
+
+        let rotated = tmp("watermark-rotate");
+        let opts = WalOptions {
+            max_segment_bytes: 128,
+        };
+        let wal = SharedWal::new(WalWriter::create(&rotated, opts).unwrap());
+        for i in 0..20 {
+            write(&wal, update(i));
+        }
+        let segments = list_segments(&rotated).unwrap();
+        assert!(segments.len() > 2, "a tiny cap rotates");
+        let last_start = segments.last().unwrap().0;
+        assert_eq!(wal.durable_lsn(), last_start, "the last rotation synced");
+        let fsyncs = wal.io_counters().1;
+        assert_eq!(fsyncs, segments.len() as u64 - 1, "one per rotation");
+        assert_eq!(wal.commit(last_start).unwrap(), last_start);
+        assert_eq!(
+            wal.io_counters().1,
+            fsyncs,
+            "a commit at the watermark syncs nothing"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&rotated).unwrap();
     }
