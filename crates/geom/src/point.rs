@@ -88,18 +88,6 @@ impl Point {
         )
     }
 
-    /// Unit vector in the direction of `self`, or `None` for (near-)zero
-    /// vectors where the direction is undefined.
-    #[inline]
-    pub fn normalized(self) -> Option<Point> {
-        let n = self.norm();
-        if n < EPS {
-            None
-        } else {
-            Some(self / n)
-        }
-    }
-
     /// Returns `true` when `self` and `other` coincide within [`EPS`].
     #[inline]
     pub fn approx_eq(self, other: Point) -> bool {
@@ -196,13 +184,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.5), Point::new(5.0, -5.0));
         // Extrapolation is allowed.
         assert_eq!(a.lerp(b, 2.0), Point::new(20.0, -20.0));
-    }
-
-    #[test]
-    fn normalized_zero_vector_is_none() {
-        assert!(Point::ORIGIN.normalized().is_none());
-        let u = Point::new(0.0, 2.0).normalized().unwrap();
-        assert!(u.approx_eq(Point::new(0.0, 1.0)));
     }
 
     #[test]

@@ -223,35 +223,6 @@ impl Polygon {
         }
         least
     }
-
-    /// Convenience: does the polygon's interior intersect a rectangle.
-    pub fn intersects_rect(&self, r: &Rect) -> bool {
-        if !self.bbox.intersects(r) {
-            return false;
-        }
-        // Any polygon vertex in the rect, any rect corner in the polygon,
-        // or any pair of edges crossing.
-        if self.vertices.iter().any(|&v| r.contains_point(v)) {
-            return true;
-        }
-        let corners = [
-            r.min,
-            Point::new(r.max.x, r.min.y),
-            r.max,
-            Point::new(r.min.x, r.max.y),
-        ];
-        if corners.iter().any(|&c| self.contains_point(c)) {
-            return true;
-        }
-        let rect_edges = [
-            Segment::new(corners[0], corners[1]),
-            Segment::new(corners[1], corners[2]),
-            Segment::new(corners[2], corners[3]),
-            Segment::new(corners[3], corners[0]),
-        ];
-        self.edges()
-            .any(|e| rect_edges.iter().any(|re| e.intersects(re)))
-    }
 }
 
 #[cfg(test)]
@@ -410,18 +381,5 @@ mod tests {
         assert!(disc.contains_point(Point::new(0.0, 0.0)));
         assert!(!disc.contains_point(Point::new(1.1, 0.0)));
         assert!(Polygon::regular(Point::ORIGIN, 1.0, 2).is_err());
-    }
-
-    #[test]
-    fn rect_intersection() {
-        let sq = unit_square();
-        let overlapping = Rect::new(Point::new(0.5, 0.5), Point::new(2.0, 2.0));
-        let containing = Rect::new(Point::new(-1.0, -1.0), Point::new(2.0, 2.0));
-        let contained = Rect::new(Point::new(0.4, 0.4), Point::new(0.6, 0.6));
-        let disjoint = Rect::new(Point::new(2.0, 2.0), Point::new(3.0, 3.0));
-        assert!(sq.intersects_rect(&overlapping));
-        assert!(sq.intersects_rect(&containing));
-        assert!(sq.intersects_rect(&contained));
-        assert!(!sq.intersects_rect(&disjoint));
     }
 }

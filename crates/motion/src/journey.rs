@@ -8,8 +8,6 @@
 //! (possibly) different routes; the leg boundaries are exactly the
 //! route-change update points.
 
-use modb_routes::RouteId;
-
 use crate::error::MotionError;
 use crate::trip::Trip;
 
@@ -63,11 +61,6 @@ impl Journey {
             .unwrap_or_else(|| self.legs.last().expect("non-empty"))
     }
 
-    /// The route in use at absolute time `t`.
-    pub fn route_at(&self, t: f64) -> RouteId {
-        self.leg_at(t).route()
-    }
-
     /// The absolute times at which the object changes routes — the §3.1
     /// forced-update instants (leg boundaries where the route differs).
     pub fn route_change_times(&self) -> Vec<f64> {
@@ -83,7 +76,7 @@ impl Journey {
 mod tests {
     use super::*;
     use crate::speed_curve::SpeedCurve;
-    use modb_routes::Direction;
+    use modb_routes::{Direction, RouteId};
 
     fn leg(route: u64, start_arc: f64, start_time: f64, minutes: usize) -> Trip {
         Trip::new(
@@ -116,11 +109,11 @@ mod tests {
             leg(2, 8.0, 10.0, 5),
         ])
         .unwrap();
-        assert_eq!(j.route_at(2.0), RouteId(1));
-        assert_eq!(j.route_at(5.0), RouteId(2));
-        assert_eq!(j.route_at(7.0), RouteId(2));
-        assert_eq!(j.route_at(100.0), RouteId(2)); // after the end
-        assert_eq!(j.route_at(-1.0), RouteId(1)); // before the start
+        assert_eq!(j.leg_at(2.0).route(), RouteId(1));
+        assert_eq!(j.leg_at(5.0).route(), RouteId(2));
+        assert_eq!(j.leg_at(7.0).route(), RouteId(2));
+        assert_eq!(j.leg_at(100.0).route(), RouteId(2)); // after the end
+        assert_eq!(j.leg_at(-1.0).route(), RouteId(1)); // before the start
     }
 
     #[test]

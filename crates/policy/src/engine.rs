@@ -258,16 +258,6 @@ impl PolicyEngine {
         (actual_arc - self.database_arc(now)).abs()
     }
 
-    /// The optimal update threshold for the currently fitted estimator, if
-    /// one can be fitted.
-    pub fn current_threshold(&self) -> Option<f64> {
-        let fit = self
-            .quintuple
-            .fitting
-            .fit(self.quintuple.estimator, &self.trace)?;
-        Some(self.threshold_for(fit.slope, fit.delay))
-    }
-
     fn threshold_for(&self, a: f64, b: f64) -> f64 {
         match self.quintuple.deviation_cost {
             DeviationCost::Uniform { .. } => optimal_threshold(a, b, self.quintuple.update_cost),

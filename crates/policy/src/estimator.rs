@@ -49,18 +49,6 @@ impl FittedEstimator {
         let ramp = (tau - self.delay).max(0.0);
         0.5 * self.slope * ramp * ramp
     }
-
-    /// Time at which the estimator first reaches deviation `k`
-    /// (`∞` when the slope is zero and `k > 0`).
-    pub fn time_to_reach(&self, k: f64) -> f64 {
-        if k <= 0.0 {
-            return 0.0;
-        }
-        if self.slope <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.delay + k / self.slope
-    }
 }
 
 #[cfg(test)]
@@ -98,18 +86,6 @@ mod tests {
         assert_eq!(f.integral(3.0), 4.0);
         let g = FittedEstimator::immediate(1.0);
         assert_eq!(g.integral(2.0), 2.0);
-    }
-
-    #[test]
-    fn time_to_reach() {
-        let f = FittedEstimator {
-            slope: 0.5,
-            delay: 2.0,
-        };
-        assert_eq!(f.time_to_reach(1.0), 4.0);
-        assert_eq!(f.time_to_reach(0.0), 0.0);
-        let flat = FittedEstimator::immediate(0.0);
-        assert_eq!(flat.time_to_reach(1.0), f64::INFINITY);
     }
 
     #[test]

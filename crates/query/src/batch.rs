@@ -3,22 +3,17 @@
 //! The language itself is single-statement; a REPL line or script file
 //! holds several statements separated by `;`. [`split_statements`] does
 //! the split (respecting single-quoted object names, where a `;` is
-//! literal text), and [`run_batch`] executes every statement in order
-//! against one database view, returning a per-statement verdict.
+//! literal text).
 //!
 //! The splitter agrees with the lexer on string literals: an
 //! unterminated `'` is a [`LexError`] for the whole script (at the
 //! offset of the opening quote, like [`crate::lex`]) rather than a
 //! silent swallow of every later `;` into one statement.
 //!
-//! `modb-server`'s query engine uses the same split to run a batch
-//! against one clone of the database.
+//! `modb-server`'s query engine uses this split to run a batch in order
+//! against one clone of the database, one verdict per statement.
 
-use modb_core::Database;
-
-use crate::exec::QueryResult;
 use crate::lexer::LexError;
-use crate::{ParseError, QueryError};
 
 /// Splits a script on `;` separators that sit outside single-quoted
 /// string literals. Statements are trimmed; empty statements (leading,
@@ -59,21 +54,6 @@ pub fn split_statements(src: &str) -> Result<Vec<&str>, LexError> {
         statements.push(tail);
     }
     Ok(statements)
-}
-
-/// Parses and executes every statement of a `;`-separated script against
-/// `db`, in order. Each statement gets its own verdict — one bad
-/// statement does not abort the rest. A script whose quoting never
-/// closes cannot be split at all; that surfaces as a single
-/// [`QueryError::Parse`] verdict for the whole batch.
-pub fn run_batch(db: &Database, src: &str) -> Vec<Result<QueryResult, QueryError>> {
-    match split_statements(src) {
-        Ok(statements) => statements
-            .into_iter()
-            .map(|stmt| crate::run(db, stmt))
-            .collect(),
-        Err(e) => vec![Err(QueryError::Parse(ParseError::Lex(e)))],
-    }
 }
 
 #[cfg(test)]
@@ -144,8 +124,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_batch_gives_per_statement_verdicts() {
+    fn one_route_db() -> modb_core::Database {
         use modb_geom::Point;
         use modb_routes::{Route, RouteId, RouteNetwork};
         let network = RouteNetwork::from_routes([Route::from_vertices(
@@ -155,30 +134,38 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let db = Database::new(network, modb_core::DatabaseConfig::default());
-        let results = run_batch(
-            &db,
-            "RETRIEVE OBJECTS INSIDE RECT (0, 0, 10, 10) AT TIME 5; nonsense;",
-        );
-        assert_eq!(results.len(), 2);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(QueryError::Parse(_))));
+        modb_core::Database::new(network, modb_core::DatabaseConfig::default())
     }
 
+    /// Each statement the splitter emits runs on its own: one bad
+    /// statement gets its own parse verdict and does not take the
+    /// good one before it down with it.
+    #[test]
+    fn run_batch_gives_per_statement_verdicts() {
+        let db = one_route_db();
+        let results: Vec<_> = split_statements(
+            "RETRIEVE OBJECTS INSIDE RECT (0, 0, 10, 10) AT TIME 5; nonsense;",
+        )
+        .unwrap()
+        .into_iter()
+        .map(|stmt| crate::run(&db, stmt))
+        .collect();
+        assert_eq!(results.len(), 2);
+        assert!(results[0].is_ok());
+        assert!(matches!(results[1], Err(crate::QueryError::Parse(_))));
+    }
+
+    /// An unterminated literal rejects the whole script once, at the
+    /// same offset at which running the unsplit script would fail to
+    /// parse — so the one batch verdict is that parse error.
     #[test]
     fn run_batch_surfaces_unterminated_literal_as_one_parse_error() {
-        use modb_geom::Point;
-        use modb_routes::{Route, RouteId, RouteNetwork};
-        let network = RouteNetwork::from_routes([Route::from_vertices(
-            RouteId(1),
-            "main",
-            vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)],
-        )
-        .unwrap()])
-        .unwrap();
-        let db = Database::new(network, modb_core::DatabaseConfig::default());
-        let results = run_batch(&db, "RETRIEVE POSITION OF OBJECT 'oops AT TIME 1; next");
-        assert_eq!(results.len(), 1);
-        assert!(matches!(&results[0], Err(QueryError::Parse(_))));
+        let db = one_route_db();
+        let script = "RETRIEVE POSITION OF OBJECT 'oops AT TIME 1; next";
+        let split_err = split_statements(script).unwrap_err();
+        match crate::run(&db, script) {
+            Err(crate::QueryError::Parse(crate::ParseError::Lex(e))) => assert_eq!(e, split_err),
+            other => panic!("expected one lex-level parse error, got {other:?}"),
+        }
     }
 }

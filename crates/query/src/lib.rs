@@ -27,7 +27,7 @@ mod lexer;
 mod parser;
 
 pub use ast::{ObjectRef, Query, RegionSpec, TimeSpec};
-pub use batch::{run_batch, split_statements};
+pub use batch::split_statements;
 pub use exec::{execute, run, run_lagging, ExecError, QueryResult};
 pub use lexer::{lex, LexError, Token, TokenKind};
 pub use parser::{parse, ParseError};

@@ -7,10 +7,13 @@
 //! directory; `\load <dir>` replaces the session database with the state
 //! recovered from one (snapshot + any write-ahead-log segments).
 //!
-//! Queries execute on a [`modb_server::QueryEngine`] — lock-free against
-//! a clone of the database taken when each starts, so every query sees
-//! every write applied before it. Several statements separated by `;` on
-//! one line run as a batch, in order, against one clone.
+//! Every line runs as a batch on a [`modb_server::QueryEngine`]
+//! ([`modb_server::QueryEngine::run_batch`], the path the front-end
+//! serves) — lock-free against a clone of the database taken when it
+//! starts, so every query sees every write applied before it. Several
+//! statements separated by `;` on one line run in order against one
+//! clone, and their answers are numbered; local and remote answers go
+//! through one printer.
 //! `\connect <addr>` points the console at a remote query front-end
 //! ([`modb_server::DurableDatabase::serve_queries`]): queries and batches
 //! then travel the wire, and `\stats` scrapes the server's combined
@@ -92,15 +95,13 @@ fn print_scrape(stats: &ServerStatsSnapshot) {
 fn demo_fleet() -> SharedDatabase {
     let network = generators::grid_network(10, 10, 1.0, 0).expect("valid grid");
     let route_ids = network.route_ids();
-    let db = SharedDatabase::new(Database::new(network, DatabaseConfig::default()));
+    let mut db = Database::new(network, DatabaseConfig::default());
     let mut rng = StdRng::seed_from_u64(1);
     for i in 0..50u64 {
         let rid = route_ids[rng.gen_range(0..route_ids.len())];
-        let (arc, point) = db.with_read(|inner| {
-            let route = inner.network().get(rid).expect("route");
-            let arc = rng.gen_range(0.0..route.length());
-            (arc, route.point_at(arc))
-        });
+        let route = db.network().get(rid).expect("route");
+        let arc = rng.gen_range(0.0..route.length());
+        let point = route.point_at(arc);
         db.register_moving(MovingObject {
             id: ObjectId(i),
             name: format!("veh-{i:02}"),
@@ -125,53 +126,44 @@ fn demo_fleet() -> SharedDatabase {
         })
         .expect("registered");
     }
-    db
+    SharedDatabase::new(db)
 }
 
-fn print_result(db: &SharedDatabase, result: &QueryResult) {
-    match result {
-        QueryResult::Position(p) => println!(
-            "  ({:.3}, {:.3}) ± {:.3} mi  [interval miles {:.3}..{:.3}]",
-            p.position.x, p.position.y, p.bound, p.interval.0, p.interval.1
-        ),
-        QueryResult::Range(r) => {
-            let names = |ids: &[ObjectId]| -> String {
-                ids.iter()
-                    .map(|id| {
-                        db.with_read(|inner| {
-                            inner
-                                .moving(*id)
-                                .map(|o| o.name.clone())
-                                .unwrap_or_else(|_| format!("{id:?}"))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            println!("  must: [{}]", names(&r.must));
-            println!("  may:  [{}]", names(&r.may));
-            println!("  ({} candidates filtered)", r.candidates);
+/// Prints a script's verdicts, numbering the statements when there are
+/// several, with `label` naming each object an answer lists.
+fn print_verdicts<E: std::fmt::Display>(
+    verdicts: &[Result<QueryResult, E>],
+    label: impl Fn(ObjectId) -> String,
+) {
+    let labels = |ids: &[ObjectId]| ids.iter().map(|&id| label(id)).collect::<Vec<_>>();
+    for (i, verdict) in verdicts.iter().enumerate() {
+        if verdicts.len() > 1 {
+            println!("  -- statement {}", i + 1);
         }
-        QueryResult::Nearest(n) => {
-            for nb in &n.ranked {
-                let name = db.with_read(|inner| {
-                    inner
-                        .moving(nb.id)
-                        .map(|o| o.name.clone())
-                        .unwrap_or_default()
-                });
-                println!(
-                    "  {name}: {:.3} mi (±{:.3}) {}",
-                    nb.distance,
-                    nb.bound,
-                    if nb.certain {
+        match verdict {
+            Ok(QueryResult::Position(p)) => println!(
+                "  ({:.3}, {:.3}) ± {:.3} mi  [interval miles {:.3}..{:.3}]",
+                p.position.x, p.position.y, p.bound, p.interval.0, p.interval.1
+            ),
+            Ok(QueryResult::Range(r)) => {
+                println!("  must: [{}]", labels(&r.must).join(", "));
+                println!("  may:  [{}]", labels(&r.may).join(", "));
+                println!("  ({} candidates filtered)", r.candidates);
+            }
+            Ok(QueryResult::Nearest(n)) => {
+                for nb in &n.ranked {
+                    let certainty = if nb.certain {
                         "[certain]"
                     } else {
                         "[possible]"
-                    }
-                );
+                    };
+                    let name = label(nb.id);
+                    let (distance, bound) = (nb.distance, nb.bound);
+                    println!("  {name}: {distance:.3} mi (±{bound:.3}) {certainty}");
+                }
+                println!("  ({} contenders outside the ranking)", n.contenders.len());
             }
-            println!("  ({} contenders outside the ranking)", n.contenders.len());
+            Err(e) => println!("  error: {e}"),
         }
     }
 }
@@ -211,44 +203,6 @@ fn load(db: &mut SharedDatabase, dir: &str) {
     }
 }
 
-/// Prints a verdict that came over the wire. Ids stay raw — the remote
-/// database's names are not resolvable against the local demo fleet.
-fn print_remote(result: &QueryResult) {
-    match result {
-        QueryResult::Position(p) => println!(
-            "  ({:.3}, {:.3}) ± {:.3} mi  [interval miles {:.3}..{:.3}]",
-            p.position.x, p.position.y, p.bound, p.interval.0, p.interval.1
-        ),
-        QueryResult::Range(r) => {
-            let ids = |ids: &[ObjectId]| {
-                ids.iter()
-                    .map(|id| format!("#{}", id.0))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            println!("  must: [{}]", ids(&r.must));
-            println!("  may:  [{}]", ids(&r.may));
-            println!("  ({} candidates filtered)", r.candidates);
-        }
-        QueryResult::Nearest(n) => {
-            for nb in &n.ranked {
-                println!(
-                    "  #{}: {:.3} mi (±{:.3}) {}",
-                    nb.id.0,
-                    nb.distance,
-                    nb.bound,
-                    if nb.certain {
-                        "[certain]"
-                    } else {
-                        "[possible]"
-                    }
-                );
-            }
-            println!("  ({} contenders outside the ranking)", n.contenders.len());
-        }
-    }
-}
-
 /// Runs a script on the remote front-end, printing per-statement
 /// verdicts. Returns `false` when the connection died (the caller then
 /// drops it and the console goes local again). A typed `Stale` refusal
@@ -264,16 +218,9 @@ fn run_remote(client: &mut QueryClient, script: &str) -> bool {
             true
         }
         Ok(BatchOutcome::Done(verdicts)) => {
-            let many = verdicts.len() > 1;
-            for (i, verdict) in verdicts.iter().enumerate() {
-                if many {
-                    println!("  -- statement {}", i + 1);
-                }
-                match verdict {
-                    Ok(result) => print_remote(result),
-                    Err(e) => println!("  error: {e}"),
-                }
-            }
+            // The remote database's names are not resolvable against the
+            // local demo fleet: ids stay raw.
+            print_verdicts(&verdicts, |id| format!("#{}", id.0));
             true
         }
         Err(e) => {
@@ -510,19 +457,13 @@ fn main() {
                     remote = None;
                 }
             }
-            script if script.contains(';') => {
-                for (i, result) in engine.run_batch(script).into_iter().enumerate() {
-                    println!("  -- statement {}", i + 1);
-                    match result {
-                        Ok(result) => print_result(&db, &result),
-                        Err(e) => println!("  error: {e}"),
-                    }
-                }
+            script => {
+                let name = |id: ObjectId| {
+                    db.with_read(|inner| inner.moving(id).map(|o| o.name.clone()))
+                        .unwrap_or_else(|_| format!("{id:?}"))
+                };
+                print_verdicts(&engine.run_batch(script), name);
             }
-            query => match engine.run_query(query) {
-                Ok(result) => print_result(&db, &result),
-                Err(e) => println!("  error: {e}"),
-            },
         }
     }
 }

@@ -7,23 +7,28 @@
 //!
 //! - **One write path.** Every mutation — the five methods below,
 //!   every [`crate::IngestHandle`] send and every run a follower applies
-//!   — is applied and framed under the log's *tail lock*, in
-//!   [`SharedWal::write`], which also decides when the tail is appended
-//!   and when the log is synced. So the log holds mutations in the order
-//!   they were applied: the paper's DBMS keeps one position attribute
-//!   per object and a same-instant update replaces it (last writer
-//!   wins), and replay must end where the live database did. This is the
-//!   write order DESIGN §7 states (*frame → apply → LSN → fsync → ack*),
-//!   and its **watermark invariant** is what makes online snapshots
-//!   sound: every record with an assigned LSN is already reflected in
-//!   the in-memory state.
-//! - **Position updates** are logged accepted or not — replay re-derives
+//!   — is applied through the one apply seam ([`modb_wal::apply_record`],
+//!   run under the database's write lock) and framed under the log's
+//!   *tail lock*, in [`SharedWal::write`], which also decides when the
+//!   tail is appended and when the log is synced. So the log holds
+//!   mutations in the order they were applied: the paper's DBMS keeps
+//!   one position attribute per object and a same-instant update
+//!   replaces it (last writer wins), and replay must end where the live
+//!   database did. This is the write order DESIGN §7 states (*frame →
+//!   apply → LSN → fsync → ack*), and its **watermark invariant** is
+//!   what makes online snapshots sound: every record with an assigned
+//!   LSN is already reflected in the in-memory state.
+//! - **The leader's logging rule** lives in one crate-private write
+//!   call, of which the five methods and a promotion's seal are one-line
+//!   calls: a record too large to frame is refused unapplied; a
+//!   **position update** is logged accepted or not — replay re-derives
 //!   the same verdicts, and the log doubles as a complete update-stream
-//!   trace. **Registrations, removals, and route insertions** are logged
-//!   only when they succeed, so the log carries only mutations that
-//!   actually changed state. The five methods append the tail at once
-//!   (their record has an LSN when they return); an unacknowledged send
-//!   waits in it for up to [`crate::WAL_BATCH_RECORDS`] records.
+//!   trace; **any other record** (registration, landmark, route,
+//!   removal, seal) is logged only when it applied, so the log carries
+//!   only mutations that changed state. The five methods append the tail
+//!   at once (their record has an LSN when they return); an
+//!   unacknowledged send waits in it for up to
+//!   [`crate::WAL_BATCH_RECORDS`] records.
 //! - **Snapshots** ([`DurableDatabase::snapshot`]) bound replay work and
 //!   are **pause-free**: the tail is appended, the log fsynced and its
 //!   frontier read as the watermark, the state is cloned under a brief
@@ -38,7 +43,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use modb_core::{CoreError, Database, MovingObject, ObjectId, StationaryObject, UpdateMessage};
+use modb_core::{Database, MovingObject, ObjectId, StationaryObject, UpdateMessage};
 use modb_routes::Route;
 use modb_wal::{
     EpochHistory, RecoveryReport, SharedWal, WalError, WalOptions, WalRecord, WalWriter,
@@ -134,7 +139,8 @@ impl DurableDatabase {
         }
     }
 
-    /// The in-memory handle (queries go here; they never touch the log).
+    /// The in-memory handle, for reads: it has no public write, so every
+    /// change goes through this handle's methods and reaches the log.
     pub fn database(&self) -> &SharedDatabase {
         self.node.database()
     }
@@ -177,24 +183,24 @@ impl DurableDatabase {
         crate::QueryEngine::new(self.database().clone())
     }
 
-    /// The log's one write call ([`SharedWal::write`]) for a mutation
-    /// that is logged as `record` only when it succeeds, appended at
-    /// once. A record too large for any block is refused before the
-    /// mutation is applied: applied and never logged, it would be gone at
-    /// the next reopen.
-    fn write_if_ok<T>(
-        &self,
-        record: WalRecord,
-        apply: impl FnOnce(&SharedDatabase) -> Result<T, CoreError>,
-    ) -> Result<T, WalError> {
+    /// The leader's one write call, and its logging rule. A record too
+    /// large to frame is refused before it is applied — applied and never
+    /// logged, it would be gone at the next reopen. Under the log's tail
+    /// lock ([`SharedWal::write`]) the record is applied; an `Update` is
+    /// logged whatever its verdict (replay re-derives it, and the log
+    /// stays a complete update-stream trace), any other record only when
+    /// it applied. The tail is appended at once, so the record has its
+    /// LSN when this returns. The log's failure is reported before the
+    /// database's rejection.
+    pub(crate) fn write(&self, record: WalRecord) -> Result<(), WalError> {
         modb_wal::check_frame(&record)?;
-        let (applied, appended) = self.wal.write(true, || match apply(self.database()) {
-            Ok(out) => (Ok(out), Some(record)),
-            Err(e) => (Err(e), None),
+        let (verdict, appended) = self.wal.write(true, || {
+            let verdict = self.database().apply(record.clone());
+            let logged = verdict.is_ok() || matches!(record, WalRecord::Update { .. });
+            (verdict, logged.then_some(record))
         })?;
-        let out = applied?;
         appended?;
-        Ok(out)
+        Ok(verdict?)
     }
 
     /// Registers a moving object, logging it on success.
@@ -205,9 +211,7 @@ impl DurableDatabase {
     /// log ([`WalError::FrameTooLarge`], nothing applied) and log I/O
     /// failures.
     pub fn register_moving(&self, obj: MovingObject) -> Result<(), WalError> {
-        self.write_if_ok(WalRecord::RegisterMoving(obj.clone()), |db| {
-            db.register_moving(obj)
-        })
+        self.write(WalRecord::RegisterMoving(obj))
     }
 
     /// Registers a stationary landmark, logging it on success.
@@ -216,9 +220,7 @@ impl DurableDatabase {
     ///
     /// As for [`DurableDatabase::register_moving`].
     pub fn insert_stationary(&self, obj: StationaryObject) -> Result<(), WalError> {
-        self.write_if_ok(WalRecord::InsertStationary(obj.clone()), |db| {
-            db.insert_stationary(obj)
-        })
+        self.write(WalRecord::InsertStationary(obj))
     }
 
     /// Adds a route, logging it on success.
@@ -227,9 +229,7 @@ impl DurableDatabase {
     ///
     /// As for [`DurableDatabase::register_moving`].
     pub fn insert_route(&self, route: Route) -> Result<(), WalError> {
-        self.write_if_ok(WalRecord::InsertRoute(route.clone()), |db| {
-            db.insert_route(route)
-        })
+        self.write(WalRecord::InsertRoute(route))
     }
 
     /// Removes a moving object, logging it on success.
@@ -237,30 +237,23 @@ impl DurableDatabase {
     /// # Errors
     ///
     /// Database rejections and log I/O failures.
-    pub fn remove_moving(&self, id: ObjectId) -> Result<MovingObject, WalError> {
-        self.write_if_ok(WalRecord::RemoveMoving(id), |db| db.remove_moving(id))
+    pub fn remove_moving(&self, id: ObjectId) -> Result<(), WalError> {
+        self.write(WalRecord::RemoveMoving(id))
     }
 
-    /// Applies a position update and logs the envelope, accepted or not
-    /// (the log stays a complete update-stream trace, and replay
-    /// re-derives the same verdicts), appending it at once. For
-    /// high-volume ingestion use [`DurableDatabase::ingest_service`],
-    /// whose unacknowledged sends share a block.
+    /// Applies a position update and logs it, accepted or not, appending
+    /// it at once. For high-volume ingestion use
+    /// [`DurableDatabase::ingest_service`], whose unacknowledged sends
+    /// share a block.
     ///
     /// # Errors
     ///
     /// Log I/O failures ([`WalError::Io`] — the update was applied but
     /// not logged, like an ingest-service `wal_error`); database
-    /// rejections ([`WalError::Core`] — the envelope is still logged,
-    /// mirroring replay semantics).
+    /// rejections ([`WalError::Core`] — the update is still logged, and
+    /// replay rejects it again).
     pub fn apply_update(&self, id: ObjectId, msg: &UpdateMessage) -> Result<(), WalError> {
-        let (verdict, appended) = self.wal.write(true, || {
-            let record = WalRecord::Update { id, msg: *msg };
-            (self.database().apply_update(id, msg), Some(record))
-        })?;
-        appended?;
-        verdict?;
-        Ok(())
+        self.write(WalRecord::Update { id, msg: *msg })
     }
 
     /// Takes a pause-free point-in-time snapshot: syncs the log, tail
@@ -516,9 +509,8 @@ mod tests {
         for round in 1..=3 {
             let moved = UpdateMessage::basic(f64::from(round), UpdatePosition::Arc(20.0), 1.0);
             durable.apply_update(ObjectId(1), &moved).unwrap();
-            engine
-                .run_query("RETRIEVE POSITION OF OBJECT 1 AT TIME 5")
-                .unwrap();
+            let verdicts = engine.run_batch("RETRIEVE POSITION OF OBJECT 1 AT TIME 5");
+            assert!(verdicts[0].is_ok());
             durable.snapshot().unwrap();
             assert_eq!(copies(), live_only, "round {round} left a copy behind");
         }
@@ -752,15 +744,24 @@ mod tests {
     }
 
     /// Reopens `dir` and asserts that every object `ids` names is as
-    /// `live` holds it: replay ends where the live database did.
-    fn assert_reopens_as(dir: &Path, live: &Database, ids: impl IntoIterator<Item = u64>) {
-        let (reopened, _) = DurableDatabase::open(dir, WalOptions::default()).unwrap();
+    /// `live` holds it, and so do its landmark count and its route
+    /// network: replay ends where the live database did. Returns the
+    /// reopen's report.
+    fn assert_reopens_as(
+        dir: &Path,
+        live: &Database,
+        ids: impl IntoIterator<Item = u64>,
+    ) -> RecoveryReport {
+        let (reopened, report) = DurableDatabase::open(dir, WalOptions::default()).unwrap();
         reopened.database().with_read(|db| {
             assert_eq!(db.moving_count(), live.moving_count());
+            assert_eq!(db.stationary_count(), live.stationary_count());
+            assert_eq!(db.network().len(), live.network().len());
             for id in ids.into_iter().map(ObjectId) {
                 assert_eq!(db.moving(id).ok(), live.moving(id).ok(), "object {id:?}");
             }
         });
+        report
     }
 
     /// A same-instant revision replaces the stored attribute (last
@@ -828,11 +829,11 @@ mod tests {
                             std::thread::sleep(Duration::from_millis(1));
                             seen = arc_of_1(db);
                         }
-                        db.apply_update(ObjectId(1), &at(12.0)).unwrap();
                         let record = WalRecord::Update {
                             id: ObjectId(1),
                             msg: at(12.0),
                         };
+                        db.apply(record.clone()).unwrap();
                         (seen, Some(record))
                     })
                     .unwrap();
@@ -876,7 +877,7 @@ mod tests {
                 msg: UpdateMessage::basic(1.0, UpdatePosition::Arc(30.0), 1.0),
             })
             .unwrap();
-        assert_eq!(service.stats().unknown_object(), 1);
+        assert_eq!(service.stats().snapshot().unknown_object, 1);
         durable.register_moving(vehicle(7, 10.0)).unwrap();
         service.shutdown();
         let live = durable.database().with_read(Database::clone);
@@ -1007,21 +1008,28 @@ mod tests {
         ApplyUpdate(u64, UpdateMessage),
         Register(u64, f64),
         Remove(u64),
+        InsertStationary(u64),
+        InsertRoute(u64),
     }
 
     fn op() -> impl proptest::strategy::Strategy<Value = Op> {
         use proptest::strategy::Strategy;
         // Four ids and four instants: same-instant revisions, stale
         // updates, updates to removed or unregistered objects and
-        // duplicate registrations all come up often.
-        (0u8..5, 0u64..4, 0u8..4, 0u8..60).prop_map(|(kind, id, t, arc)| {
+        // duplicate registrations all come up often. A landmark takes an
+        // id from 2 to 5, so it collides with vehicles 2 and 3 and with
+        // itself; a route an id from 1 to 3, so route 1 (the genesis
+        // network's) and every second insert collide.
+        (0u8..7, 0u64..4, 0u8..4, 0u8..60).prop_map(|(kind, id, t, arc)| {
             let msg = UpdateMessage::basic(f64::from(t), UpdatePosition::Arc(f64::from(arc)), 1.0);
             match kind {
                 0 => Op::Send(id, msg),
                 1 => Op::SendAcked(id, msg),
                 2 => Op::ApplyUpdate(id, msg),
                 3 => Op::Register(id, f64::from(arc)),
-                _ => Op::Remove(id),
+                4 => Op::Remove(id),
+                5 => Op::InsertStationary(id + 2),
+                _ => Op::InsertRoute(id % 3 + 1),
             }
         })
     }
@@ -1030,7 +1038,9 @@ mod tests {
         #![proptest_config(proptest::test_runner::Config::with_cases(24))]
 
         /// Every mutation method, interleaved: the reopened state equals
-        /// the live one object by object.
+        /// the live one object by object, and replay gives the live
+        /// verdicts — every update the leader rejected is rejected again,
+        /// and every other logged record applies, as it did live.
         #[test]
         fn interleaved_mutations_reopen_as_the_live_state(
             ops in proptest::collection::vec(op(), 1..60),
@@ -1045,29 +1055,52 @@ mod tests {
                 id: ObjectId(id),
                 msg,
             };
+            // The live verdicts of this handle's own writes; the sends'
+            // are the service's counters.
+            let (mut applied, mut rejected_updates) = (0u64, 0u64);
             for op in ops {
                 // Rejections are part of the property: they must
                 // re-reject on replay.
-                match op {
-                    Op::Send(id, msg) => handle.send(envelope(id, msg)).unwrap(),
+                let written = match op {
+                    Op::Send(id, msg) => {
+                        handle.send(envelope(id, msg)).unwrap();
+                        continue;
+                    }
                     Op::SendAcked(id, msg) => {
                         handle.send_acked(envelope(id, msg)).unwrap().recv().unwrap();
+                        continue;
                     }
                     Op::ApplyUpdate(id, msg) => {
-                        let _ = durable.apply_update(ObjectId(id), &msg);
+                        let written = durable.apply_update(ObjectId(id), &msg);
+                        rejected_updates += u64::from(written.is_err());
+                        written
                     }
-                    Op::Register(id, arc) => {
-                        let _ = durable.register_moving(vehicle(id, arc));
-                    }
-                    Op::Remove(id) => {
-                        let _ = durable.remove_moving(ObjectId(id));
-                    }
+                    Op::Register(id, arc) => durable.register_moving(vehicle(id, arc)),
+                    Op::Remove(id) => durable.remove_moving(ObjectId(id)),
+                    Op::InsertStationary(id) => durable.insert_stationary(
+                        StationaryObject::new(ObjectId(id), "depot", Point::new(5.0, 0.0)),
+                    ),
+                    Op::InsertRoute(id) => durable.insert_route(
+                        Route::from_vertices(
+                            RouteId(id),
+                            "spur",
+                            vec![Point::new(0.0, 5.0), Point::new(50.0, 5.0)],
+                        )
+                        .unwrap(),
+                    ),
+                };
+                match written {
+                    Ok(()) => applied += 1,
+                    Err(WalError::Core(_)) => {}
+                    Err(e) => panic!("the log failed: {e}"),
                 }
             }
-            service.shutdown();
+            let sends = service.shutdown();
             let live = durable.database().with_read(Database::clone);
             drop(durable);
-            assert_reopens_as(&dir, &live, 0..4);
+            let report = assert_reopens_as(&dir, &live, 0..4);
+            assert_eq!(report.rejected, rejected_updates + sends.rejected() as u64);
+            assert_eq!(report.replayed, applied + sends.accepted as u64);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -9,13 +9,15 @@
 //!
 //! **One write path.** A send is the log's one write call
 //! ([`modb_wal::SharedWal::write`], through [`crate::DurableDatabase`]):
-//! under the log's tail lock the update is applied and its record framed
-//! into the log's tail, which the log appends every
-//! [`WAL_BATCH_RECORDS`] records, on an acknowledged send or any other
-//! mutation, and at the sync that ends a shutdown. So the log holds
-//! every update in the order it was applied, and no record has an LSN
-//! ahead of the in-memory state. Rejected updates are logged too: replay
-//! re-derives the same verdicts.
+//! under the log's tail lock the update is applied through the one apply
+//! seam (`SharedDatabase::apply`: [`modb_wal::apply_record`] under the
+//! write lock) and its record framed into the log's tail whatever its
+//! verdict, as the leader's logging rule has it (DESIGN §7). The log
+//! appends the tail every [`WAL_BATCH_RECORDS`] records, on an
+//! acknowledged send or any other mutation, and at the sync that ends a
+//! shutdown. So the log holds every update in the order it was applied,
+//! and no record has an LSN ahead of the in-memory state. Rejected
+//! updates are logged too: replay re-derives the same verdicts.
 //!
 //! Acknowledged sends additionally promise durability:
 //! [`PendingAck::recv`] waits on the log's group commit
@@ -71,9 +73,10 @@ pub struct UpdateEnvelope {
     pub msg: UpdateMessage,
 }
 
-/// Counters of the ingest path. Rejections are broken down
-/// by the DBMS verdict so operators can tell a fleet of rebooting
-/// vehicles (stale timestamps) from a map-matching problem (off-route).
+/// Counters of the ingest path, read through
+/// [`IngestStats::snapshot`]. Rejections are broken down by the DBMS
+/// verdict so operators can tell a fleet of rebooting vehicles (stale
+/// timestamps) from a map-matching problem (off-route).
 #[derive(Debug, Default)]
 pub struct IngestStats {
     accepted: AtomicUsize,
@@ -85,58 +88,17 @@ pub struct IngestStats {
 }
 
 impl IngestStats {
-    /// Updates applied successfully.
-    pub fn accepted(&self) -> usize {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Total updates rejected by the DBMS, all reasons combined.
-    pub fn rejected(&self) -> usize {
-        self.stale.load(Ordering::Relaxed)
-            + self.off_route.load(Ordering::Relaxed)
-            + self.unknown_object.load(Ordering::Relaxed)
-            + self.other_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Updates rejected for a timestamp older than the stored one.
-    pub fn stale(&self) -> usize {
-        self.stale.load(Ordering::Relaxed)
-    }
-
-    /// Updates rejected because the reported position was too far from
-    /// the route (map-matching tolerance exceeded).
-    pub fn off_route(&self) -> usize {
-        self.off_route.load(Ordering::Relaxed)
-    }
-
-    /// Updates addressed to an object the DBMS does not know.
-    pub fn unknown_object(&self) -> usize {
-        self.unknown_object.load(Ordering::Relaxed)
-    }
-
-    /// Updates rejected for any other reason (invalid fields, unknown
-    /// routes, …).
-    pub fn other_rejected(&self) -> usize {
-        self.other_rejected.load(Ordering::Relaxed)
-    }
-
-    /// WAL append and commit failures (the update was still applied; the
-    /// durable log is missing records, a recovery would replay a shorter
-    /// prefix, and no acknowledged send was answered `Ok` for them).
-    pub fn wal_errors(&self) -> usize {
-        self.wal_errors.load(Ordering::Relaxed)
-    }
-
     /// A coherent copy of all counters (each counter is read once; the
     /// snapshot is consistent to within concurrent increments).
     pub fn snapshot(&self) -> IngestStatsSnapshot {
+        let read = |counter: &AtomicUsize| counter.load(Ordering::Relaxed);
         IngestStatsSnapshot {
-            accepted: self.accepted(),
-            stale: self.stale(),
-            off_route: self.off_route(),
-            unknown_object: self.unknown_object(),
-            other_rejected: self.other_rejected(),
-            wal_errors: self.wal_errors(),
+            accepted: read(&self.accepted),
+            stale: read(&self.stale),
+            off_route: read(&self.off_route),
+            unknown_object: read(&self.unknown_object),
+            other_rejected: read(&self.other_rejected),
+            wal_errors: read(&self.wal_errors),
         }
     }
 
@@ -166,7 +128,10 @@ pub struct IngestStatsSnapshot {
     pub unknown_object: usize,
     /// Rejected: everything else.
     pub other_rejected: usize,
-    /// WAL append and commit failures.
+    /// WAL append and commit failures (the update was still applied;
+    /// the durable log is missing records, a recovery would replay a
+    /// shorter prefix, and no acknowledged send was answered `Ok` for
+    /// them).
     pub wal_errors: usize,
 }
 
@@ -263,14 +228,14 @@ impl IngestHandle {
             if self.closed.load(Ordering::Relaxed) {
                 return (None, None);
             }
-            let verdict = self.durable.database().apply_update(env.id, &env.msg);
-            // Counted under the lock: the shutdown snapshot counts every
-            // send that returned `Ok`.
-            self.stats.record(&verdict);
             let record = WalRecord::Update {
                 id: env.id,
                 msg: env.msg,
             };
+            let verdict = self.durable.database().apply(record.clone());
+            // Counted under the lock: the shutdown snapshot counts every
+            // send that returned `Ok`.
+            self.stats.record(&verdict);
             (Some(verdict), Some(record))
         });
         let logged = match written {
@@ -772,7 +737,7 @@ mod tests {
         durable.wal().fail_for_test("disk on fire");
         let err = pending.recv().unwrap_err();
         assert!(err.to_string().contains("disk on fire"), "{err}");
-        assert_eq!(handle.stats().wal_errors(), 1, "the failed commit");
+        assert_eq!(handle.stats().snapshot().wal_errors, 1, "the failed commit");
         assert_eq!(durable.wal().durable_lsn(), 1);
         // The failure is sticky: the next acked send is refused before
         // it is applied, and it is not acknowledged either.
@@ -782,7 +747,7 @@ mod tests {
             .recv()
             .unwrap_err();
         assert!(err.to_string().contains("disk on fire"), "{err}");
-        assert_eq!(handle.stats().wal_errors(), 2, "the refused send");
+        assert_eq!(handle.stats().snapshot().wal_errors, 2, "the refused send");
         db.with_read(|inner| assert_eq!(inner.moving(ObjectId(1)).unwrap().attr.start_time, 2.0));
         assert_eq!(durable.wal().next_lsn(), 2, "a failed log takes no record");
         let stats = service.shutdown();

@@ -5,9 +5,13 @@
 //! This crate provides that service shape on top of `modb-core`:
 //!
 //! - [`SharedDatabase`]: a cloneable, thread-safe handle (readers–writer
-//!   locking via `parking_lot`): the write operations, and
-//!   [`SharedDatabase::with_read`] for a read under the lock. Served
-//!   statements read through [`QueryEngine`] instead.
+//!   locking via `parking_lot`): [`SharedDatabase::with_read`] for a read
+//!   under the lock, and no public write. A log record becomes state only
+//!   through [`modb_wal::apply_record`], which the handle runs under its
+//!   write lock for the leader's writes, its ingest sends and a
+//!   follower's runs alike — the seam recovery replays through — so no
+//!   public call changes a node without logging it. Served statements
+//!   read through [`QueryEngine`].
 //! - [`IngestService`]: an asynchronous stream of [`UpdateEnvelope`]s
 //!   into a [`DurableDatabase`]. It owns no thread:
 //!   [`IngestHandle::send`] logs and applies an update on the thread that
@@ -33,7 +37,7 @@
 //! - **Replication** ([`DurableDatabase::serve_replication`] /
 //!   [`StandbyReplica`]): the leader ships its WAL (bootstrap snapshot +
 //!   streamed segments) over a CRC-framed socket protocol to warm standby
-//!   followers, which replay it through the recovery seam into their own
+//!   followers, which replay it through the same apply seam into their own
 //!   database + query engine; follower acknowledgements form the
 //!   [`ShipHorizon`] compaction barrier, and replication lag prices into
 //!   the paper's deviation bound as `D·dt` (see the `replication` module

@@ -16,12 +16,12 @@
 //! and with it every node the live database has since replaced.
 //!
 //! **A statement runs on the thread that received it.** The engine owns
-//! no thread: [`QueryEngine::range_query`], [`QueryEngine::position_of`],
-//! [`QueryEngine::run_query`] and [`QueryEngine::run_batch`] take the
-//! clone and do the filter + refine on the caller. Concurrency across
-//! queries comes from callers — one thread per connection in the wire
-//! front-end; a `;`-separated batch takes **one** clone up front and runs
-//! its statements in order against it.
+//! no thread and has one read path: [`QueryEngine::run_batch_lagging`]
+//! ([`QueryEngine::run_batch`] at zero lag) splits a `;`-separated script,
+//! takes **one** clone up front and runs its statements in order against
+//! it on the caller, filter and refine alike. Served statements, the
+//! REPL and the ledger all read through it; concurrency across queries
+//! comes from callers — one thread per connection in the wire front-end.
 //!
 //! **No staleness of its own.** A statement sees every write applied
 //! before it began. Since a write is applied before it gets its LSN
@@ -35,9 +35,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use modb_core::{CoreError, Database, ObjectId, PositionAnswer, RangeAnswer};
-use modb_geom::Point;
-use modb_index::QueryRegion;
+use modb_core::Database;
 use modb_query::{QueryError, QueryResult};
 
 use crate::shared::SharedDatabase;
@@ -237,8 +235,7 @@ impl QueryEngine {
         }
     }
 
-    /// The underlying locked handle (for mutations, which always go
-    /// through the live database).
+    /// The underlying locked handle, which the statements clone.
     pub fn database(&self) -> &SharedDatabase {
         &self.db
     }
@@ -259,60 +256,6 @@ impl QueryEngine {
     /// Current counters.
     pub fn stats(&self) -> QueryStatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// May/must range query against a clone taken now, on the calling
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::range_query`].
-    pub fn range_query(&self, region: &QueryRegion) -> Result<RangeAnswer, CoreError> {
-        let t0 = Instant::now();
-        let result = self.snapshot().range_query(region);
-        self.record_range(t0.elapsed(), &result);
-        result
-    }
-
-    /// "Objects within `radius` miles of `center` at time `t`" against a
-    /// clone taken now.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::within_distance_of_point`].
-    pub fn within_distance_of_point(
-        &self,
-        center: Point,
-        radius: f64,
-        t: f64,
-    ) -> Result<RangeAnswer, CoreError> {
-        let region = modb_index::within_radius(center, radius, t)
-            .ok_or(CoreError::InvalidField("radius", radius))?;
-        self.range_query(&region)
-    }
-
-    /// Position query against a clone taken now (§3.3 bound included).
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::position_of`].
-    pub fn position_of(&self, id: ObjectId, t: f64) -> Result<PositionAnswer, CoreError> {
-        let t0 = Instant::now();
-        let result = self.snapshot().position_of(id, t);
-        self.stats.record(t0.elapsed(), 0, 0, result.is_err());
-        result
-    }
-
-    /// Executes one `modb-query` statement against a clone taken now.
-    ///
-    /// # Errors
-    ///
-    /// See [`modb_query::run`].
-    pub fn run_query(&self, src: &str) -> Result<QueryResult, QueryError> {
-        let t0 = Instant::now();
-        let result = modb_query::run(&self.snapshot(), src);
-        self.record_result(t0.elapsed(), &result);
-        result
     }
 
     /// Splits a `;`-separated `modb-query` script and runs its
@@ -355,18 +298,6 @@ impl QueryEngine {
         self.stats()
     }
 
-    fn record_range(&self, elapsed: Duration, result: &Result<RangeAnswer, CoreError>) {
-        match result {
-            Ok(answer) => self.stats.record(
-                elapsed,
-                answer.candidates,
-                answer.must.len() + answer.may.len(),
-                false,
-            ),
-            Err(_) => self.stats.record(elapsed, 0, 0, true),
-        }
-    }
-
     fn record_result(&self, elapsed: Duration, result: &Result<QueryResult, QueryError>) {
         match result {
             Ok(QueryResult::Range(answer)) => self.stats.record(
@@ -385,12 +316,14 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use modb_core::{
-        DatabaseConfig, MovingObject, PolicyDescriptor, PositionAttribute, UpdateMessage,
+        DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute, UpdateMessage,
         UpdatePosition,
     };
-    use modb_geom::{Polygon, Rect};
+    use modb_geom::{Point, Polygon, Rect};
+    use modb_index::QueryRegion;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
+    use modb_wal::WalRecord;
 
     fn shared(n_objects: u64) -> SharedDatabase {
         let route = Route::from_vertices(
@@ -400,7 +333,7 @@ mod tests {
         )
         .unwrap();
         let network = RouteNetwork::from_routes([route]).unwrap();
-        let db = SharedDatabase::new(Database::new(network, DatabaseConfig::default()));
+        let mut db = Database::new(network, DatabaseConfig::default());
         for i in 0..n_objects {
             db.register_moving(MovingObject {
                 id: ObjectId(i),
@@ -422,7 +355,29 @@ mod tests {
             })
             .unwrap();
         }
-        db
+        SharedDatabase::new(db)
+    }
+
+    /// A live write, as a leader's write path applies it.
+    fn update(db: &SharedDatabase, id: u64, t: f64, arc: f64, speed: f64) {
+        let msg = UpdateMessage::basic(t, UpdatePosition::Arc(arc), speed);
+        db.apply(WalRecord::Update {
+            id: ObjectId(id),
+            msg,
+        })
+        .unwrap();
+    }
+
+    /// One statement through the engine's read path.
+    fn run(engine: &QueryEngine, statement: &str) -> QueryResult {
+        let mut verdicts = engine.run_batch(statement);
+        assert_eq!(verdicts.len(), 1, "{statement}");
+        verdicts.pop().unwrap().unwrap()
+    }
+
+    /// The statement for [`region`].
+    fn rect(x0: f64, x1: f64, t: f64) -> String {
+        format!("RETRIEVE OBJECTS INSIDE RECT ({x0}, -1, {x1}, 1) AT TIME {t}")
     }
 
     fn region(x0: f64, x1: f64, t: f64) -> QueryRegion {
@@ -437,19 +392,21 @@ mod tests {
         for (x0, x1, t) in [(0.0, 50.0, 0.0), (10.0, 400.0, 5.0), (0.0, 1000.0, 2.0)] {
             let r = region(x0, x1, t);
             let locked = db.with_read(|d| d.range_query(&r)).unwrap();
-            let snap = engine.range_query(&r).unwrap();
-            assert_eq!(locked, snap, "x=[{x0},{x1}] t={t}");
+            let snap = run(&engine, &rect(x0, x1, t));
+            assert_eq!(snap.as_range(), Some(&locked), "x=[{x0},{x1}] t={t}");
         }
         let locked = db
             .with_read(|d| d.within_distance_of_point(Point::new(50.0, 0.0), 20.0, 1.0))
             .unwrap();
-        let snap = engine
-            .within_distance_of_point(Point::new(50.0, 0.0), 20.0, 1.0)
-            .unwrap();
-        assert_eq!(locked, snap);
+        let snap = run(
+            &engine,
+            "RETRIEVE OBJECTS WITHIN 20 OF POINT (50, 0) AT TIME 1",
+        );
+        assert_eq!(snap.as_range(), Some(&locked));
+        let snap = run(&engine, "RETRIEVE POSITION OF OBJECT 3 AT TIME 2");
         assert_eq!(
-            engine.position_of(ObjectId(3), 2.0).unwrap(),
-            db.with_read(|d| d.position_of(ObjectId(3), 2.0)).unwrap()
+            snap.as_position(),
+            Some(&db.with_read(|d| d.position_of(ObjectId(3), 2.0)).unwrap())
         );
     }
 
@@ -462,23 +419,19 @@ mod tests {
         let engine = QueryEngine::new(db.clone());
         for round in 1..=5u64 {
             let (t, arc) = (round as f64, 100.0 * round as f64);
-            db.apply_update(
-                ObjectId(0),
-                &UpdateMessage::basic(t, UpdatePosition::Arc(arc), 1.0),
-            )
-            .unwrap();
-            assert_eq!(engine.position_of(ObjectId(0), t).unwrap().arc, arc);
+            update(&db, 0, t, arc, 1.0);
             let stmt = format!("RETRIEVE POSITION OF OBJECT 0 AT TIME {t}");
-            let single = engine.run_query(&stmt).unwrap();
+            let single = run(&engine, &stmt);
             assert_eq!(single.as_position().unwrap().arc, arc, "round {round}");
             let batch = engine.run_batch(&format!("{stmt}; {stmt}"));
             for verdict in &batch {
                 assert_eq!(verdict.as_ref().unwrap(), &single, "round {round}");
             }
-            let near = engine
-                .range_query(&region(arc - 0.5, arc + 0.5, t))
-                .unwrap();
-            assert!(near.all().contains(&ObjectId(0)), "round {round}");
+            let near = run(&engine, &rect(arc - 0.5, arc + 0.5, t));
+            assert!(
+                near.as_range().unwrap().all().contains(&ObjectId(0)),
+                "round {round}"
+            );
         }
     }
 
@@ -527,7 +480,7 @@ mod tests {
         let db = shared(100);
         let engine = QueryEngine::new(db);
         for _ in 0..20 {
-            engine.range_query(&region(0.0, 200.0, 0.0)).unwrap();
+            run(&engine, &rect(0.0, 200.0, 0.0));
         }
         let stats = engine.stats();
         assert_eq!(stats.queries, 20);
@@ -627,24 +580,20 @@ mod tests {
         let (shared, total) = db.with_read(|live| live.shared_with(&engine.snapshot()));
         assert_eq!(shared, total);
         for round in 1..=3u64 {
-            db.apply_update(
-                ObjectId(round),
-                &UpdateMessage::basic(round as f64, UpdatePosition::Arc(500.0 + round as f64), 1.0),
-            )
-            .unwrap();
-            assert_eq!(
-                engine
-                    .position_of(ObjectId(round), round as f64)
-                    .unwrap()
-                    .arc,
-                500.0 + round as f64
-            );
+            let (t, arc) = (round as f64, 500.0 + round as f64);
+            update(&db, round, t, arc, 1.0);
+            let stmt = format!("RETRIEVE POSITION OF OBJECT {round} AT TIME {t}");
+            assert_eq!(run(&engine, &stmt).as_position().unwrap().arc, arc);
         }
         // The clone is the live tree, so it answers exactly like the
         // locked database, traversal statistics included.
-        let r = region(0.0, 1000.0, 2.0);
-        let locked = db.with_read(|d| d.range_query(&r)).unwrap();
-        assert_eq!(engine.range_query(&r).unwrap(), locked);
+        let locked = db
+            .with_read(|d| d.range_query(&region(0.0, 1000.0, 2.0)))
+            .unwrap();
+        assert_eq!(
+            run(&engine, &rect(0.0, 1000.0, 2.0)).as_range(),
+            Some(&locked)
+        );
     }
 
     /// A reader that pinned a clone keeps reading it, and keeps it alive,
@@ -659,19 +608,14 @@ mod tests {
         for round in 1..=20u64 {
             for i in 0..50u64 {
                 let arc = ((i * 13 + round * 29) % 1000) as f64;
-                db.apply_update(
-                    ObjectId(i),
-                    &UpdateMessage::basic(round as f64, UpdatePosition::Arc(arc), 0.8),
-                )
-                .unwrap();
+                update(&db, i, round as f64, arc, 0.8);
             }
-            engine
-                .run_query("RETRIEVE POSITION OF OBJECT 7 AT TIME 0")
-                .unwrap();
+            run(&engine, "RETRIEVE POSITION OF OBJECT 7 AT TIME 0");
         }
         assert_eq!(pinned.range_query(&r).unwrap(), at_pin);
         assert_eq!(pinned.position_of(ObjectId(7), 0.0).unwrap().arc, 7.0);
-        assert_ne!(engine.range_query(&r).unwrap(), at_pin);
+        let now = run(&engine, &rect(0.0, 1000.0, 2.0));
+        assert_ne!(now.as_range(), Some(&at_pin));
     }
 
     #[test]
@@ -690,15 +634,7 @@ mod tests {
                     round += 1;
                     for i in 0..200u64 {
                         let arc = ((i * 5 + round * 7) % 1000) as f64;
-                        db.apply_update(
-                            ObjectId(i),
-                            &UpdateMessage::basic(
-                                round as f64 * 1e-5,
-                                UpdatePosition::Arc(arc),
-                                0.9,
-                            ),
-                        )
-                        .unwrap();
+                        update(&db, i, round as f64 * 1e-5, arc, 0.9);
                     }
                     rounds.store(round, Ordering::Relaxed);
                 }
@@ -757,15 +693,8 @@ mod tests {
                 s.spawn(move || {
                     for round in 1..=100u64 {
                         for i in (w * 100)..(w * 100 + 100) {
-                            db.apply_update(
-                                ObjectId(i),
-                                &UpdateMessage::basic(
-                                    round as f64 * 0.05,
-                                    UpdatePosition::Arc((i as f64 + round as f64).min(1000.0)),
-                                    0.9,
-                                ),
-                            )
-                            .unwrap();
+                            let arc = (i as f64 + round as f64).min(1000.0);
+                            update(&db, i, round as f64 * 0.05, arc, 0.9);
                         }
                     }
                 });
@@ -774,8 +703,8 @@ mod tests {
                 let engine = &engine;
                 s.spawn(move || {
                     for _ in 0..100 {
-                        let r = engine.range_query(&region(0.0, 1000.0, 5.0)).unwrap();
-                        assert!(r.candidates <= 200);
+                        let r = run(engine, &rect(0.0, 1000.0, 5.0));
+                        assert!(r.as_range().unwrap().candidates <= 200);
                         // A clone is internally consistent: the scan
                         // baseline over the same clone agrees.
                         let snap = engine.snapshot();

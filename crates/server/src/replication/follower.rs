@@ -1,8 +1,9 @@
 //! The warm standby: a [`StandbyReplica`] connects to a leader, replays
-//! its WAL stream into a local [`SharedDatabase`] (through the same
-//! [`modb_wal::apply_record`] seam recovery uses), and persists what it
-//! applies to its own durability directory so a restart resumes from the
-//! local snapshot + cursor instead of re-bootstrapping.
+//! its WAL stream into a local [`SharedDatabase`] (through the one apply
+//! seam, [`modb_wal::apply_record`], that recovery and the leader use),
+//! and persists what it applies to its own durability directory so a
+//! restart resumes from the local snapshot + cursor instead of
+//! re-bootstrapping.
 //!
 //! One worker thread runs the replica's sessions, one after another:
 //! `Connecting → Bootstrapping | CatchingUp ⇄ Steady`, back to
@@ -22,13 +23,14 @@
 //! watermark the worker publishes its applied LSN, lag clock and stats
 //! to, under one lock. The local log is a [`DurableDatabase`] over that
 //! node, the write path of every log the server keeps, with its rules:
-//! a record is applied ([`modb_wal::apply_record`]) before it gets its
-//! LSN, blocks hold up to [`crate::WAL_BATCH_RECORDS`] records, and a
-//! failed write or sync is sticky: the worker stops
-//! ([`ReplicaPhase::Failed`]) until the replica is reopened. Local
-//! snapshots and a promotion's seal go through it too; once sealed, the
-//! node leads that log, and everything reading its watermark reads the
-//! log. The worker passes bytes and LSNs and never reads the file layout:
+//! each record is applied through the seam (`SharedDatabase::apply`, its
+//! verdict re-derived locally) before it gets its LSN, blocks hold up to
+//! [`crate::WAL_BATCH_RECORDS`] records, and a failed write or sync is
+//! sticky: the worker stops ([`ReplicaPhase::Failed`]) until the replica
+//! is reopened. Local snapshots and a promotion's seal (the leader's
+//! write call) go through it too; once sealed, the node leads that log,
+//! and everything reading its watermark reads the log. The worker passes
+//! bytes and LSNs and never reads the file layout:
 //! a log run is checked and decoded by [`RawChunk::decode`], and a
 //! bootstrap snapshot fed run by run to a [`SnapshotReceiver`], which
 //! owns the runs' continuity, the temp file and a crash-safe install. The
@@ -48,8 +50,8 @@ use std::time::{Duration, Instant};
 use modb_core::{Database, DatabaseConfig};
 use modb_routes::{Route, RouteNetwork};
 use modb_wal::{
-    apply_record, list_snapshots, EpochHistory, RawChunk, SnapshotReceiver, SnapshotRun, WalError,
-    WalOptions, WalRecord,
+    list_snapshots, EpochHistory, RawChunk, SnapshotReceiver, SnapshotRun, WalError, WalOptions,
+    WalRecord,
 };
 
 use crate::durable::DurableDatabase;
@@ -537,8 +539,7 @@ impl StandbyReplica {
         // failed log refuses the seal unwritten.
         let mut sealed = self.node.epochs().clone();
         let epoch = sealed.begin(log.wal().next_lsn())?;
-        let seal = WalRecord::LeaderEpoch { epoch };
-        log.wal().write(true, || ((), Some(seal)))?.1?;
+        log.write(WalRecord::LeaderEpoch { epoch })?;
         log.wal().sync()?;
         *self.node.epochs() = sealed;
         // The node leads the log from here on: every reader of its
@@ -858,7 +859,7 @@ impl Worker {
         // leader's were, and a failed append applies no more of it.
         let db = log.database();
         let applied = records.into_iter().inspect(|rec| {
-            db.with_write(|db| apply_record(db, rec.clone()));
+            let _ = db.apply(rec.clone());
         });
         let logged = log.wal().write(true, || ((), applied));
         let logged = logged.and_then(|(_, appended)| appended).is_ok();

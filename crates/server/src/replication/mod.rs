@@ -13,7 +13,7 @@
 //!   [`ShipHorizon`], the barrier every compaction of the log stops at,
 //!   which keeps unshipped log alive;
 //! - the **follower** ([`StandbyReplica`]) replays the stream through
-//!   [`modb_wal::apply_record`] — the exact seam recovery uses — into
+//!   [`modb_wal::apply_record`] — the seam recovery and the leader use — into
 //!   its own database, persists what it applies to a local log, and
 //!   tracks an applied watermark so a reconnect (or restart) resumes
 //!   incrementally instead of re-bootstrapping;

@@ -1,16 +1,23 @@
 //! A thread-safe database handle.
+//!
+//! Reads take the read lock ([`SharedDatabase::with_read`]); the one
+//! mutation is crate-private: a log record becomes state only through
+//! `SharedDatabase::apply`, which runs [`modb_wal::apply_record`] — the
+//! seam recovery and snapshot loads use — under the write lock. So no
+//! public call changes a node's memory without its log: a leader writes
+//! through [`crate::DurableDatabase`], a follower through the runs it
+//! logs (DESIGN §7, §10).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use modb_core::{CoreError, Database, MovingObject, ObjectId, StationaryObject, UpdateMessage};
-use modb_routes::Route;
-use modb_wal::{EpochHistory, RecoveryReport, WalError};
+use modb_core::{CoreError, Database};
+use modb_wal::{EpochHistory, RecoveryReport, WalError, WalRecord};
 use parking_lot::RwLock;
 
 /// A cloneable, thread-safe handle to one moving-objects database.
 ///
-/// Writes take the write lock for one operation — the underlying
+/// A write takes the write lock for one record — the underlying
 /// [`Database`] operations are all short (no I/O). Reads go through
 /// [`SharedDatabase::with_read`]; a served statement takes the read lock
 /// only to clone the database ([`crate::QueryEngine`]).
@@ -72,49 +79,14 @@ impl SharedDatabase {
         crate::QueryEngine::new(self.clone())
     }
 
-    /// Registers a moving object.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::register_moving`].
-    pub fn register_moving(&self, obj: MovingObject) -> Result<(), CoreError> {
-        self.inner.write().register_moving(obj)
-    }
-
-    /// Registers a stationary landmark.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::insert_stationary`].
-    pub fn insert_stationary(&self, obj: StationaryObject) -> Result<(), CoreError> {
-        self.inner.write().insert_stationary(obj)
-    }
-
-    /// Adds a route to the route network.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::insert_route`].
-    pub fn insert_route(&self, route: Route) -> Result<(), CoreError> {
-        self.inner.write().insert_route(route)
-    }
-
-    /// Applies a position update.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::apply_update`].
-    pub fn apply_update(&self, id: ObjectId, msg: &UpdateMessage) -> Result<(), CoreError> {
-        self.inner.write().apply_update(id, msg)
-    }
-
-    /// Removes a moving object.
-    ///
-    /// # Errors
-    ///
-    /// See [`Database::remove_moving`].
-    pub fn remove_moving(&self, id: ObjectId) -> Result<MovingObject, CoreError> {
-        self.inner.write().remove_moving(id)
+    /// Turns one log record into the database change it stands for,
+    /// under the write lock, and returns the database's verdict: the one
+    /// mutation of a shared database ([`modb_wal::apply_record`]).
+    /// Crate-private, so every change reaches the log: a leader's writes
+    /// come through [`crate::DurableDatabase`] and its ingest handles, a
+    /// follower's through the runs it logs.
+    pub(crate) fn apply(&self, record: WalRecord) -> Result<(), CoreError> {
+        modb_wal::apply_record(&mut self.inner.write(), record)
     }
 
     /// Number of moving objects.
@@ -126,13 +98,6 @@ impl SharedDatabase {
     /// lock.
     pub fn with_read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.inner.read())
-    }
-
-    /// Runs a mutating closure under the write lock. Crate-internal: the
-    /// replication follower applies raw WAL records through
-    /// [`modb_wal::apply_record`], which needs `&mut Database`.
-    pub(crate) fn with_write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.inner.write())
     }
 
     /// Swaps the wrapped database in place. Existing clones (and query
@@ -147,7 +112,10 @@ impl SharedDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modb_core::{DatabaseConfig, PolicyDescriptor, PositionAttribute, UpdatePosition};
+    use modb_core::{
+        DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
+        StationaryObject, UpdateMessage, UpdatePosition,
+    };
     use modb_geom::Point;
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
@@ -161,6 +129,13 @@ mod tests {
         .unwrap();
         let network = RouteNetwork::from_routes([route]).unwrap();
         SharedDatabase::new(Database::new(network, DatabaseConfig::default()))
+    }
+
+    fn update(db: &SharedDatabase, id: u64, msg: UpdateMessage) -> Result<(), CoreError> {
+        db.apply(WalRecord::Update {
+            id: ObjectId(id),
+            msg,
+        })
     }
 
     fn obj(id: u64, arc: f64) -> MovingObject {
@@ -187,11 +162,12 @@ mod tests {
     #[test]
     fn basic_operations_through_handle() {
         let db = shared();
-        db.register_moving(obj(1, 10.0)).unwrap();
+        db.apply(WalRecord::RegisterMoving(obj(1, 10.0))).unwrap();
         assert_eq!(db.moving_count(), 1);
-        db.apply_update(
-            ObjectId(1),
-            &UpdateMessage::basic(2.0, UpdatePosition::Arc(12.0), 0.5),
+        update(
+            &db,
+            1,
+            UpdateMessage::basic(2.0, UpdatePosition::Arc(12.0), 0.5),
         )
         .unwrap();
         let p = db.with_read(|d| d.position_of(ObjectId(1), 4.0)).unwrap();
@@ -202,7 +178,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r.as_range().unwrap().all(), vec![ObjectId(1)]);
-        db.remove_moving(ObjectId(1)).unwrap();
+        db.apply(WalRecord::RemoveMoving(ObjectId(1))).unwrap();
         assert_eq!(db.moving_count(), 0);
     }
 
@@ -210,7 +186,7 @@ mod tests {
     fn clones_share_state() {
         let a = shared();
         let b = a.clone();
-        a.register_moving(obj(1, 10.0)).unwrap();
+        a.apply(WalRecord::RegisterMoving(obj(1, 10.0))).unwrap();
         assert_eq!(b.moving_count(), 1);
         b.with_read(|db| assert!(db.moving(ObjectId(1)).is_ok()));
     }
@@ -219,7 +195,8 @@ mod tests {
     fn concurrent_readers_and_writer() {
         let db = shared();
         for i in 0..20 {
-            db.register_moving(obj(i, i as f64)).unwrap();
+            db.apply(WalRecord::RegisterMoving(obj(i, i as f64)))
+                .unwrap();
         }
         std::thread::scope(|s| {
             // Writers: each thread updates its own disjoint objects.
@@ -229,16 +206,16 @@ mod tests {
                     for round in 1..=50u64 {
                         for i in (w * 5)..(w * 5 + 5) {
                             let t = round as f64 * 0.1;
-                            handle
-                                .apply_update(
-                                    ObjectId(i),
-                                    &UpdateMessage::basic(
-                                        t,
-                                        UpdatePosition::Arc((i as f64 + t).min(100.0)),
-                                        0.8,
-                                    ),
-                                )
-                                .unwrap();
+                            update(
+                                &handle,
+                                i,
+                                UpdateMessage::basic(
+                                    t,
+                                    UpdatePosition::Arc((i as f64 + t).min(100.0)),
+                                    0.8,
+                                ),
+                            )
+                            .unwrap();
                         }
                     }
                 });
@@ -277,18 +254,16 @@ mod tests {
         let dir = tmp("round-trip");
         let db = shared();
         for i in 1..=3 {
-            db.register_moving(obj(i, 10.0 * i as f64)).unwrap();
+            db.apply(WalRecord::RegisterMoving(obj(i, 10.0 * i as f64)))
+                .unwrap();
         }
-        db.insert_stationary(StationaryObject::new(
-            ObjectId(100),
-            "depot",
-            Point::new(12.0, 0.0),
-        ))
-        .unwrap();
+        let depot = StationaryObject::new(ObjectId(100), "depot", Point::new(12.0, 0.0));
+        db.apply(WalRecord::InsertStationary(depot)).unwrap();
         for t in [2.0, 4.0] {
-            db.apply_update(
-                ObjectId(1),
-                &UpdateMessage::basic(t, UpdatePosition::Arc(10.0 + t), 0.5),
+            update(
+                &db,
+                1,
+                UpdateMessage::basic(t, UpdatePosition::Arc(10.0 + t), 0.5),
             )
             .unwrap();
         }
@@ -320,7 +295,8 @@ mod tests {
         let dir = tmp("in-flight");
         let db = shared();
         for i in 1..=4000u64 {
-            db.register_moving(obj(i, (i % 90) as f64)).unwrap();
+            db.apply(WalRecord::RegisterMoving(obj(i, (i % 90) as f64)))
+                .unwrap();
         }
         // Encoding 4000 objects holds no database lock, so the writer
         // loop below must land updates strictly inside the snapshot
@@ -343,9 +319,10 @@ mod tests {
                 }
                 while in_flight.load(Ordering::SeqCst) {
                     t += 0.001;
-                    db.apply_update(
-                        ObjectId(1),
-                        &UpdateMessage::basic(t, UpdatePosition::Arc(20.0 + (t % 50.0)), 0.9),
+                    update(
+                        &db,
+                        1,
+                        UpdateMessage::basic(t, UpdatePosition::Arc(20.0 + (t % 50.0)), 0.9),
                     )
                     .unwrap();
                     updates_during_snapshot += 1;

@@ -1,6 +1,7 @@
 //! Stress test: the clone a statement reads is never torn.
 //!
-//! Writers mutate the live database continuously while reader threads
+//! Writers mutate the live database continuously, through the durable
+//! write path, while reader threads
 //! take a clone per statement. Every writer maintains a per-object
 //! invariant — the reported arc is a fixed function of the report time —
 //! and reports with rising times, so a reader holding a half-cloned
@@ -20,7 +21,8 @@ use modb_geom::{Point, Polygon, Rect};
 use modb_index::QueryRegion;
 use modb_policy::BoundKind;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_server::{QueryEngine, SharedDatabase};
+use modb_server::{DurableDatabase, QueryEngine};
+use modb_wal::WalOptions;
 
 const ROUTE_LEN: f64 = 1_000.0;
 const N_OBJECTS: u64 = 100;
@@ -34,7 +36,9 @@ fn arc_for(id: u64, time: f64) -> f64 {
     10.0 + (id as f64 * 3.7 + time * 29.0) % (ROUTE_LEN - 20.0)
 }
 
-fn shared() -> SharedDatabase {
+/// A durable database in a fresh directory under the temp dir, its
+/// fleet in the genesis snapshot.
+fn durable(dir: &std::path::Path) -> DurableDatabase {
     let network = RouteNetwork::from_routes([Route::from_vertices(
         RouteId(1),
         "main",
@@ -42,7 +46,7 @@ fn shared() -> SharedDatabase {
     )
     .unwrap()])
     .unwrap();
-    let db = SharedDatabase::new(Database::new(network, DatabaseConfig::default()));
+    let mut db = Database::new(network, DatabaseConfig::default());
     for i in 0..N_OBJECTS {
         db.register_moving(MovingObject {
             id: ObjectId(i),
@@ -64,7 +68,8 @@ fn shared() -> SharedDatabase {
         })
         .unwrap();
     }
-    db
+    let _ = std::fs::remove_dir_all(dir);
+    DurableDatabase::create(dir, db, WalOptions::default()).unwrap()
 }
 
 /// Checks a clone for tears: invariant on every attribute, index and
@@ -96,8 +101,9 @@ fn check_snapshot(db: &Database) {
 
 #[test]
 fn epoch_publication_never_tears_under_concurrent_writes() {
-    let db = shared();
-    let engine = QueryEngine::new(db.clone());
+    let dir = std::env::temp_dir().join(format!("modb-epoch-stress-{}", std::process::id()));
+    let db = durable(&dir);
+    let engine = QueryEngine::new(db.database().clone());
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
@@ -144,15 +150,10 @@ fn epoch_publication_never_tears_under_concurrent_writes() {
                     check_snapshot(&snap);
                     // The engine's own query path reads the same kind of
                     // clone: exercise it under churn.
-                    let g = Polygon::rectangle(&Rect::new(
-                        Point::new(0.0, -2.0),
-                        Point::new(ROUTE_LEN, 2.0),
-                    ))
-                    .unwrap();
-                    let answer = engine
-                        .range_query(&QueryRegion::at_instant(g, 8.0))
-                        .unwrap();
-                    assert!(answer.candidates <= N_OBJECTS as usize);
+                    let stmt =
+                        format!("RETRIEVE OBJECTS INSIDE RECT (0, -2, {ROUTE_LEN}, 2) AT TIME 8");
+                    let answer = engine.run_batch(&stmt).remove(0).unwrap();
+                    assert!(answer.as_range().unwrap().candidates <= N_OBJECTS as usize);
                     if done {
                         break;
                     }
@@ -181,4 +182,6 @@ fn epoch_publication_never_tears_under_concurrent_writes() {
     let stats = engine.stats();
     assert!(stats.queries > 0);
     assert_eq!(stats.errors, 0);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

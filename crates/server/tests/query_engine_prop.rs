@@ -1,10 +1,11 @@
 //! Property tests for the query engine and the clone it reads.
 //!
-//! The contract under test: a query answered by [`QueryEngine`] equals
-//! the answer the locked [`SharedDatabase`] path gives **at the moment
-//! the statement starts** — every update applied before it is in its
-//! answer, with no publication step in between. And a clone, once
-//! taken, is frozen: nothing applied after it leaks in.
+//! The contract under test: a statement answered by [`QueryEngine`]'s
+//! read path equals the answer of the locked database behind it **at the
+//! moment the statement starts** — every update the durable write path
+//! applied before it is in its answer, with no publication step in
+//! between. And a clone, once taken, is frozen: nothing applied after it
+//! leaks in.
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, NearestAnswer, ObjectId, PolicyDescriptor,
@@ -13,8 +14,10 @@ use modb_core::{
 use modb_geom::{Point, Polygon, Rect};
 use modb_index::QueryRegion;
 use modb_policy::BoundKind;
+use modb_query::QueryResult;
 use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-use modb_server::{QueryEngine, SharedDatabase};
+use modb_server::{DurableDatabase, QueryEngine};
+use modb_wal::WalOptions;
 use proptest::prelude::*;
 
 const ROUTE_LEN: f64 = 100.0;
@@ -40,7 +43,13 @@ fn vehicle(id: u64, arc: f64) -> MovingObject {
     }
 }
 
-fn shared(n_objects: u64) -> SharedDatabase {
+/// A durable database with `n_objects` vehicles in its genesis snapshot,
+/// in a fresh directory under the temp dir.
+fn durable(n_objects: u64) -> (std::path::PathBuf, DurableDatabase) {
+    static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("modb-engine-prop-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let network = RouteNetwork::from_routes([Route::from_vertices(
         RouteId(1),
         "main",
@@ -48,15 +57,16 @@ fn shared(n_objects: u64) -> SharedDatabase {
     )
     .unwrap()])
     .unwrap();
-    let db = SharedDatabase::new(Database::new(network, DatabaseConfig::default()));
+    let mut db = Database::new(network, DatabaseConfig::default());
     for i in 0..n_objects {
         db.register_moving(vehicle(i, (i as f64 * 7.3) % ROUTE_LEN))
             .unwrap();
     }
-    db
+    let durable = DurableDatabase::create(&dir, db, WalOptions::default()).unwrap();
+    (dir, durable)
 }
 
-fn apply_stream(db: &SharedDatabase, updates: &[(u64, f64, f64, f64)]) {
+fn apply_stream(db: &DurableDatabase, updates: &[(u64, f64, f64, f64)]) {
     for &(id, time, arc_frac, speed) in updates {
         // Stale / unknown-object updates are legitimate rejections; the
         // equivalence property only needs both sides to see the same
@@ -66,6 +76,19 @@ fn apply_stream(db: &SharedDatabase, updates: &[(u64, f64, f64, f64)]) {
             &UpdateMessage::basic(time, UpdatePosition::Arc(arc_frac * ROUTE_LEN), speed),
         );
     }
+}
+
+/// One statement through the engine's read path, the one the front-end
+/// serves.
+fn run(engine: &QueryEngine, statement: &str) -> QueryResult {
+    engine.run_batch(statement).remove(0).unwrap()
+}
+
+/// The statement for [`region`].
+fn rect(x0: f64, x1: f64, t: f64) -> String {
+    let (lo, hi) = if x0 <= x1 { (x0, x1) } else { (x1, x0) };
+    let hi = hi + 0.5;
+    format!("RETRIEVE OBJECTS INSIDE RECT ({lo}, -2, {hi}, 2) AT TIME {t}")
 }
 
 fn region(x0: f64, x1: f64, t: f64) -> QueryRegion {
@@ -245,31 +268,38 @@ proptest! {
     /// statistics agree.
     #[test]
     fn snapshot_reads_equal_locked_reads_at_publication(spec in spec()) {
-        let db = shared(spec.n_objects);
-        apply_stream(&db, &spec.before);
+        let (dir, durable) = durable(spec.n_objects);
+        let db = durable.database();
+        apply_stream(&durable, &spec.before);
         let engine = QueryEngine::new(db.clone());
         // Updates after the engine exists must appear in its answers.
-        apply_stream(&db, &spec.after);
+        apply_stream(&durable, &spec.after);
 
         for &(x0, x1, t) in &spec.regions {
             let r = region(x0, x1, t);
             prop_assert_eq!(
-                engine.range_query(&r).unwrap(),
-                db.with_read(|d| d.range_query(&r)).unwrap(),
+                run(&engine, &rect(x0, x1, t)),
+                QueryResult::Range(db.with_read(|d| d.range_query(&r)).unwrap()),
                 "region x=[{x0},{x1}] t={t}"
             );
+            let within = format!("RETRIEVE OBJECTS WITHIN 5 OF POINT ({x0}, 0) AT TIME {t}");
             prop_assert_eq!(
-                engine.within_distance_of_point(Point::new(x0, 0.0), 5.0, t).unwrap(),
-                db.with_read(|d| d.within_distance_of_point(Point::new(x0, 0.0), 5.0, t)).unwrap(),
+                run(&engine, &within),
+                QueryResult::Range(
+                    db.with_read(|d| d.within_distance_of_point(Point::new(x0, 0.0), 5.0, t)).unwrap()
+                ),
                 "within x={x0} t={t}"
             );
         }
         for id in 0..spec.n_objects {
+            let position = format!("RETRIEVE POSITION OF OBJECT {id} AT TIME 12");
             prop_assert_eq!(
-                engine.position_of(ObjectId(id), 12.0).unwrap(),
-                db.with_read(|d| d.position_of(ObjectId(id), 12.0)).unwrap()
+                run(&engine, &position),
+                QueryResult::Position(db.with_read(|d| d.position_of(ObjectId(id), 12.0)).unwrap())
             );
         }
+        drop(durable);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A text batch through the engine gives the same per-statement
@@ -280,10 +310,11 @@ proptest! {
         spec in spec(),
         t in 0.0f64..40.0,
     ) {
-        let db = shared(spec.n_objects);
-        apply_stream(&db, &spec.before);
+        let (dir, durable) = durable(spec.n_objects);
+        let db = durable.database();
+        apply_stream(&durable, &spec.before);
         let engine = QueryEngine::new(db.clone());
-        apply_stream(&db, &spec.after);
+        apply_stream(&durable, &spec.after);
 
         let script = format!(
             "RETRIEVE OBJECTS INSIDE RECT (0, -2, 50, 2) AT TIME {t};\n\
@@ -292,10 +323,15 @@ proptest! {
              RETRIEVE POSITION OF OBJECT 99999 AT TIME {t}"
         );
         let batched = engine.run_batch(&script);
-        let serial = db.with_read(|live| modb_query::run_batch(live, &script));
+        let statements = modb_query::split_statements(&script).unwrap();
+        let serial: Vec<_> = db.with_read(|live| {
+            statements.iter().map(|s| modb_query::run(live, s)).collect()
+        });
         prop_assert_eq!(batched.len(), serial.len());
         for (i, (b, s)) in batched.iter().zip(serial.iter()).enumerate() {
             prop_assert_eq!(b, s, "statement {}", i + 1);
         }
+        drop(durable);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -65,7 +65,7 @@
 //! // …apply and log a mutation…
 //! let depot = WalRecord::InsertStationary(StationaryObject::new(
 //!     ObjectId(7), "depot", Point::new(2.0, 0.0)));
-//! assert!(apply_record(&mut db, depot.clone()));
+//! apply_record(&mut db, depot.clone()).unwrap();
 //! wal.append(&depot).unwrap();
 //! wal.sync().unwrap();
 //!

@@ -45,7 +45,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use modb_core::Database;
+use modb_core::{CoreError, Database};
 
 use crate::block::walk_blocks;
 use crate::epoch::EpochHistory;
@@ -115,32 +115,39 @@ pub struct Recovered {
     pub report: RecoveryReport,
 }
 
-/// Replays one record through the database's ordinary mutation methods,
-/// classifying the outcome. Returns `true` when the mutation was
-/// accepted, `false` when the database rejected it (stale / off-route /
-/// duplicate / unknown — the same verdicts the live system gave, which
-/// replay re-derives deterministically).
+/// Turns one logged record into the database change it stands for,
+/// through the database's ordinary mutation methods, and returns the
+/// database's verdict: `Ok` when the mutation applied, the rejection
+/// (stale / off-route / duplicate / unknown) when it did not. A
+/// `LeaderEpoch` seal changes no state and applies; a `SnapshotHead`
+/// founds the database a snapshot load builds (`crate::snapshot`) and is
+/// rejected anywhere else.
 ///
-/// This is the single application seam shared by [`recover`] and any
-/// other log consumer — notably a replication follower replaying shipped
-/// records — so replicated state is re-validated and re-indexed exactly
-/// like recovered state. Re-delivery at or past a watermark is
-/// idempotent: an already-applied update is a no-op, older ones
-/// re-reject as stale, and duplicate registrations / removals re-reject.
-pub fn apply_record(db: &mut Database, rec: WalRecord) -> bool {
+/// This is the one seam through which a record becomes state: recovery
+/// ([`recover`]), a snapshot load, a leader's live writes and a
+/// replication follower's runs all apply through it, so every copy of the
+/// state is validated and indexed alike, and replay re-derives the
+/// verdicts the live writer got. Re-delivery at or past a watermark is
+/// idempotent: an already-applied update is a no-op, older ones re-reject
+/// as stale, and duplicate registrations / removals re-reject.
+///
+/// # Errors
+///
+/// The database's rejection of the mutation.
+pub fn apply_record(db: &mut Database, rec: WalRecord) -> Result<(), CoreError> {
     match rec {
-        WalRecord::RegisterMoving(obj) => db.register_moving(obj).is_ok(),
-        WalRecord::InsertStationary(obj) => db.insert_stationary(obj).is_ok(),
-        WalRecord::Update { id, msg } => db.apply_update(id, &msg).is_ok(),
-        WalRecord::RemoveMoving(id) => db.remove_moving(id).is_ok(),
-        WalRecord::InsertRoute(route) => db.insert_route(route).is_ok(),
+        WalRecord::RegisterMoving(obj) => db.register_moving(obj),
+        WalRecord::InsertStationary(obj) => db.insert_stationary(obj),
+        WalRecord::Update { id, msg } => db.apply_update(id, &msg),
+        WalRecord::RemoveMoving(id) => db.remove_moving(id).map(drop),
+        WalRecord::InsertRoute(route) => db.insert_route(route),
         // A leadership change carries no state mutation — its LSN is the
         // divergence boundary, which the log's reader folds into its
         // epoch history, not the database.
-        WalRecord::LeaderEpoch { .. } => true,
-        // A snapshot's head founds the database a snapshot load builds
-        // (`crate::snapshot`); anywhere else it changes nothing.
-        WalRecord::SnapshotHead { .. } => false,
+        WalRecord::LeaderEpoch { .. } => Ok(()),
+        WalRecord::SnapshotHead { records, .. } => {
+            Err(CoreError::InvalidField("snapshot head", records as f64))
+        }
     }
 }
 
@@ -240,10 +247,9 @@ pub fn recover(dir: &Path) -> Result<Recovered, WalError> {
                 if let WalRecord::LeaderEpoch { epoch } = rec {
                     epochs.observe(epoch, lsn).map_err(|_| at)?;
                 }
-                if apply_record(&mut db, rec) {
-                    report.replayed += 1;
-                } else {
-                    report.rejected += 1;
+                match apply_record(&mut db, rec) {
+                    Ok(()) => report.replayed += 1,
+                    Err(_) => report.rejected += 1,
                 }
                 lsn += 1;
             }

@@ -410,9 +410,7 @@ impl SnapshotReceiver {
             .checked_sub(block.len() as u64)
             .ok_or("records past the snapshot's end")?;
         for rec in block {
-            if !apply_record(db, rec) {
-                return Err("snapshot record rejected");
-            }
+            apply_record(db, rec).map_err(|_| "snapshot record rejected")?;
         }
         Ok(())
     }
@@ -857,7 +855,7 @@ mod tests {
                 id: ObjectId(1 + i % 3),
                 msg,
             };
-            apply_record(&mut db, rec.clone());
+            apply_record(&mut db, rec.clone()).unwrap();
             wal.append(&rec).unwrap();
         }
         wal.sync().unwrap();

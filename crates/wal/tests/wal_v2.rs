@@ -77,7 +77,7 @@ fn workload(fleet: u64, rounds: u64) -> Vec<WalRecord> {
 fn reference_db(records: &[WalRecord]) -> Database {
     let mut db = Database::new(network(), DatabaseConfig::default());
     for rec in records {
-        modb_wal::apply_record(&mut db, rec.clone());
+        let _ = modb_wal::apply_record(&mut db, rec.clone());
     }
     db
 }
