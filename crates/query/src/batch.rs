@@ -143,13 +143,12 @@ mod tests {
     #[test]
     fn run_batch_gives_per_statement_verdicts() {
         let db = one_route_db();
-        let results: Vec<_> = split_statements(
-            "RETRIEVE OBJECTS INSIDE RECT (0, 0, 10, 10) AT TIME 5; nonsense;",
-        )
-        .unwrap()
-        .into_iter()
-        .map(|stmt| crate::run(&db, stmt))
-        .collect();
+        let results: Vec<_> =
+            split_statements("RETRIEVE OBJECTS INSIDE RECT (0, 0, 10, 10) AT TIME 5; nonsense;")
+                .unwrap()
+                .into_iter()
+                .map(|stmt| crate::run(&db, stmt))
+                .collect();
         assert_eq!(results.len(), 2);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(crate::QueryError::Parse(_))));

@@ -48,10 +48,10 @@
 //!   the lag, so a standby promoted under them serves as a leader.
 //! - **Query front-end** ([`DurableDatabase::serve_queries`] /
 //!   [`QueryClient`]): remote `;`-batches and a one-frame metrics scrape
-//!   ([`ServerStatsSnapshot`], with a Prometheus text exposition) over
-//!   the same CRC-framed socket protocol, with connection caps, frame
-//!   caps, stalled-client deadlines, and drained shutdown (see the `net`
-//!   module docs).
+//!   ([`ServerStatsSnapshot`], with a Prometheus text exposition), with
+//!   connection caps, frame caps, handshake and stall deadlines, and a
+//!   drained shutdown. Its sessions and client, like replication's, are
+//!   step functions over one transport's `Link` and `Clock` (`framed`).
 
 #![warn(missing_docs)]
 

@@ -1,35 +1,36 @@
 //! Client side of the query front-end: a small blocking library (and the
 //! REPL's `\connect` backend) that speaks the protocol in
-//! [`crate::net::protocol`].
+//! [`crate::net::protocol`]. Its request/reply logic runs over any `Link`
+//! (`crate::framed`): [`QueryClient::connect`] dials TCP and waits on the
+//! wall clock, and the cluster driver's tests put clients on in-memory
+//! links and step them on a virtual clock.
 
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use modb_core::{ObjectId, UpdateMessage};
 use modb_wal::WalError;
 
-use crate::framed::{send, FrameReader, ReadEvent, READ_TIMEOUT};
+use crate::framed::{Clock, Link, ReadEvent, TcpLink, WallClock};
 use crate::net::protocol::{
     Message, RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
     NET_PROTOCOL_VERSION,
 };
 
 /// How long the client waits for the complete response to one request
-/// (handshake, batch, or scrape), and the bound on writing one.
+/// (handshake, batch, or scrape).
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn timeout_error(what: &str) -> WalError {
-    WalError::Io(std::io::Error::new(
-        std::io::ErrorKind::TimedOut,
-        format!("timed out waiting for {what}"),
-    ))
+fn io_error(kind: std::io::ErrorKind, why: String) -> WalError {
+    WalError::Io(std::io::Error::new(kind, why))
 }
 
 /// How a server answered one `Batch` request: the verdict vector, or a
 /// typed staleness refusal (the node's frontier — a follower's applied
 /// watermark, a leader's log — had not reached the batch's
-/// read-your-writes floor within the server's wait deadline). `Stale` leaves the session usable: retry here later, or
-/// send the batch to another endpoint.
+/// read-your-writes floor within the server's wait deadline). `Stale`
+/// leaves the session usable: retry here later, or send the batch to
+/// another endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchOutcome {
     /// The batch ran; one verdict per statement in script order.
@@ -44,12 +45,32 @@ pub enum BatchOutcome {
     },
 }
 
+/// The request in flight, and what of its answer has arrived.
+#[derive(Debug)]
+enum Pending {
+    Hello,
+    Batch(Vec<RemoteVerdict>),
+    /// An update frame of this many envelopes.
+    Update(usize),
+    Stats,
+}
+
+/// A whole, checked answer to one request.
+#[derive(Debug)]
+pub(crate) enum Reply {
+    HelloAck,
+    Batch(BatchOutcome),
+    Update(Vec<RemoteUpdateVerdict>),
+    Stats(Box<ServerStatsSnapshot>),
+}
+
 /// A blocking connection to a [`crate::net::QueryServer`]. One request
 /// runs at a time: [`QueryClient::batch`] sends a `;`-script and
 /// collects the per-statement verdicts, [`QueryClient::update`] /
 /// [`QueryClient::update_batch`] push position updates through the
 /// server's ingest path, and [`QueryClient::stats`] scrapes the
-/// server's counters.
+/// server's counters. Each answer is checked as it arrives: statement
+/// indices in order, the count, the ack's verdict count.
 ///
 /// **Read your writes.** Every update ack carries the server's WAL
 /// frontier; the client keeps the highest as its token
@@ -58,9 +79,9 @@ pub enum BatchOutcome {
 /// that update, regardless of the server's epoch cadence.
 #[derive(Debug)]
 pub struct QueryClient {
-    stream: TcpStream,
-    reader: FrameReader<Message>,
+    link: Box<dyn Link<Message> + Send>,
     addr: SocketAddr,
+    pending: Option<Pending>,
     token: u64,
 }
 
@@ -74,29 +95,27 @@ impl QueryClient {
     /// Connection failures, a `Refused` server (capacity or version),
     /// or a handshake timeout.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WalError> {
-        let stream = TcpStream::connect(addr)?;
-        let peer = stream.peer_addr()?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(READ_TIMEOUT))?;
-        stream.set_write_timeout(Some(RESPONSE_TIMEOUT))?;
-        let reader = FrameReader::new(stream.try_clone()?, DEFAULT_MAX_FRAME_BYTES);
+        let link = TcpLink::dial(addr, DEFAULT_MAX_FRAME_BYTES)?;
+        let addr = link.peer_addr()?;
+        let mut client = QueryClient::open(Box::new(link), addr)?;
+        client.reply()?;
+        Ok(client)
+    }
+
+    /// A client on a fresh `link` to `addr`, its `Hello` in flight.
+    pub(crate) fn open(
+        link: Box<dyn Link<Message> + Send>,
+        addr: SocketAddr,
+    ) -> Result<Self, WalError> {
         let mut client = QueryClient {
-            stream,
-            reader,
-            addr: peer,
+            link,
+            addr,
+            pending: None,
             token: 0,
         };
-        client.request(&Message::Hello {
-            version: NET_PROTOCOL_VERSION,
-        })?;
-        match client.next_message("handshake")? {
-            Message::HelloAck { .. } => Ok(client),
-            Message::Refused { reason } => Err(WalError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                reason,
-            ))),
-            _ => Err(WalError::Decode("unexpected handshake reply")),
-        }
+        let version = NET_PROTOCOL_VERSION;
+        client.request(Message::Hello { version })?;
+        Ok(client)
     }
 
     /// The server address this client is connected to.
@@ -114,17 +133,16 @@ impl QueryClient {
     /// Transport failures, protocol violations (out-of-order statement
     /// indices, a count mismatch), or a response timeout.
     pub fn batch(&mut self, script: &str) -> Result<Vec<RemoteVerdict>, WalError> {
-        let token = self.token;
-        self.batch_with_token(script, token)
+        self.batch_with_token(script, self.token)
     }
 
     /// [`QueryClient::batch`] with an explicit read-your-writes floor,
     /// WAL frontier `min_lsn` (0 = no floor). A node waits for its
     /// frontier to reach the floor, or answers `Stale`; a leader's
-    /// frontier covers every token it acked, so those never wait there. Use a token from
-    /// another connection's update ack to read *its* writes from a
-    /// follower; plain [`QueryClient::batch`] already covers this
-    /// connection's own.
+    /// frontier covers every token it acked, so those never wait there.
+    /// Use a token from another connection's update ack to read *its*
+    /// writes from a follower; plain [`QueryClient::batch`] already
+    /// covers this connection's own.
     ///
     /// # Errors
     ///
@@ -136,10 +154,10 @@ impl QueryClient {
     ) -> Result<Vec<RemoteVerdict>, WalError> {
         match self.batch_attempt(script, min_lsn)? {
             BatchOutcome::Done(verdicts) => Ok(verdicts),
-            BatchOutcome::Stale { applied, required } => Err(WalError::Io(std::io::Error::new(
+            BatchOutcome::Stale { applied, required } => Err(io_error(
                 std::io::ErrorKind::WouldBlock,
                 format!("stale: applied {applied} < required {required}"),
-            ))),
+            )),
         }
     }
 
@@ -153,39 +171,20 @@ impl QueryClient {
     ///
     /// Transport failures, protocol violations, or a response timeout.
     pub fn batch_attempt(&mut self, script: &str, min_lsn: u64) -> Result<BatchOutcome, WalError> {
-        self.request(&Message::Batch {
-            script: script.to_string(),
-            min_lsn,
-        })?;
-        let mut verdicts: Vec<RemoteVerdict> = Vec::new();
-        loop {
-            match self.next_message("batch results")? {
-                Message::Statement { index, verdict } => {
-                    if index as usize != verdicts.len() {
-                        return Err(WalError::Decode("statement results out of order"));
-                    }
-                    verdicts.push(verdict);
-                }
-                Message::BatchDone { count } => {
-                    if count as usize != verdicts.len() {
-                        return Err(WalError::Decode("batch result count mismatch"));
-                    }
-                    return Ok(BatchOutcome::Done(verdicts));
-                }
-                Message::Stale { applied, required } if verdicts.is_empty() => {
-                    return Ok(BatchOutcome::Stale { applied, required });
-                }
-                _ => return Err(WalError::Decode("unexpected message in batch reply")),
-            }
-        }
+        let script = script.to_string();
+        let Reply::Batch(outcome) = self.call(Message::Batch { script, min_lsn })? else {
+            unreachable!("a batch is answered by a batch reply")
+        };
+        Ok(outcome)
     }
 
     /// Sends one position update to the server's ingest path and waits
     /// for the ack. The verdict distinguishes applied, rejected by the
     /// DBMS (still logged), and refused by the server (non-finite fields
     /// — never logged — or a log that could not make the update
-    /// durable); transport-level failures are the `Err` side. On ack the client's read-your-writes token
-    /// advances, so a following [`QueryClient::batch`] sees the write.
+    /// durable); transport-level failures are the `Err` side. On ack the
+    /// client's read-your-writes token advances, so a following
+    /// [`QueryClient::batch`] sees the write.
     ///
     /// # Errors
     ///
@@ -195,9 +194,7 @@ impl QueryClient {
         id: ObjectId,
         msg: &UpdateMessage,
     ) -> Result<RemoteUpdateVerdict, WalError> {
-        self.request(&Message::Update { id, msg: *msg })?;
-        let (lsn, mut verdicts) = self.recv_update_ack(1)?;
-        self.token = self.token.max(lsn);
+        let mut verdicts = self.updates(Message::Update { id, msg: *msg })?;
         Ok(verdicts.remove(0))
     }
 
@@ -211,12 +208,8 @@ impl QueryClient {
         &mut self,
         updates: &[(ObjectId, UpdateMessage)],
     ) -> Result<Vec<RemoteUpdateVerdict>, WalError> {
-        self.request(&Message::UpdateBatch {
-            updates: updates.to_vec(),
-        })?;
-        let (lsn, verdicts) = self.recv_update_ack(updates.len())?;
-        self.token = self.token.max(lsn);
-        Ok(verdicts)
+        let updates = updates.to_vec();
+        self.updates(Message::UpdateBatch { updates })
     }
 
     /// The highest acknowledged WAL frontier seen on this connection —
@@ -235,60 +228,127 @@ impl QueryClient {
         self.token = self.token.max(lsn);
     }
 
-    fn recv_update_ack(
-        &mut self,
-        expected: usize,
-    ) -> Result<(u64, Vec<RemoteUpdateVerdict>), WalError> {
-        match self.next_message("update ack")? {
-            Message::UpdateAck { lsn, verdicts } => {
-                if verdicts.len() != expected {
-                    return Err(WalError::Decode("update ack verdict count mismatch"));
-                }
-                Ok((lsn, verdicts))
-            }
-            _ => Err(WalError::Decode("unexpected message in update ack")),
-        }
-    }
-
     /// Scrapes the server's combined stats frame.
     ///
     /// # Errors
     ///
     /// Transport failures, protocol violations, or a response timeout.
     pub fn stats(&mut self) -> Result<ServerStatsSnapshot, WalError> {
-        self.request(&Message::StatsRequest)?;
-        match self.next_message("stats reply")? {
-            Message::StatsReply(stats) => Ok(*stats),
-            _ => Err(WalError::Decode("unexpected message in stats reply")),
-        }
+        let Reply::Stats(stats) = self.call(Message::StatsRequest)? else {
+            unreachable!("a scrape is answered by a stats reply")
+        };
+        Ok(*stats)
     }
 
     /// Closes the connection (also happens on drop).
-    pub fn close(self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
+    pub fn close(mut self) {
+        self.hang_up();
     }
 
-    /// Sends one message to the server under the frame ceiling.
-    fn request(&mut self, msg: &Message) -> Result<(), WalError> {
-        send(&mut self.stream, msg, DEFAULT_MAX_FRAME_BYTES)
+    pub(crate) fn hang_up(&mut self) {
+        self.link.shutdown();
     }
 
-    fn next_message(&mut self, what: &str) -> Result<Message, WalError> {
-        let deadline = Instant::now() + RESPONSE_TIMEOUT;
+    /// Sends a request; [`QueryClient::poll`] gives its answer.
+    pub(crate) fn request(&mut self, msg: Message) -> Result<(), WalError> {
+        let pending = match &msg {
+            Message::Hello { .. } => Pending::Hello,
+            Message::Batch { .. } => Pending::Batch(Vec::new()),
+            Message::Update { .. } => Pending::Update(1),
+            Message::UpdateBatch { updates } => Pending::Update(updates.len()),
+            Message::StatsRequest => Pending::Stats,
+            _ => return Err(WalError::Decode("not a client request")),
+        };
+        self.link.send(&msg)?;
+        self.pending = Some(pending);
+        Ok(())
+    }
+
+    /// The answer to the request in flight once it is whole; `None`
+    /// while it is not. Reads what has arrived, waiting for a message
+    /// until `deadline` at most.
+    pub(crate) fn poll(&mut self, deadline: Instant) -> Result<Option<Reply>, WalError> {
         loop {
-            match self.reader.poll()? {
-                ReadEvent::Message(msg) => return Ok(msg),
-                ReadEvent::Idle => {
-                    if Instant::now() > deadline {
-                        return Err(timeout_error(what));
-                    }
-                }
+            let msg = match self.link.poll(deadline)? {
+                ReadEvent::Message(msg) => msg,
+                ReadEvent::Idle => return Ok(None),
                 ReadEvent::Closed => {
-                    return Err(WalError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        format!("server closed the connection during {what}"),
-                    )))
+                    let why = format!("server closed the connection during {}", self.waiting_for());
+                    return Err(io_error(std::io::ErrorKind::UnexpectedEof, why));
                 }
+            };
+            let reply = match (self.pending.take(), msg) {
+                (Some(Pending::Hello), Message::HelloAck { .. }) => Reply::HelloAck,
+                (Some(Pending::Hello), Message::Refused { reason }) => {
+                    return Err(io_error(std::io::ErrorKind::ConnectionRefused, reason))
+                }
+                (Some(Pending::Batch(mut verdicts)), Message::Statement { index, verdict }) => {
+                    if index as usize != verdicts.len() {
+                        return Err(WalError::Decode("statement results out of order"));
+                    }
+                    verdicts.push(verdict);
+                    self.pending = Some(Pending::Batch(verdicts));
+                    continue;
+                }
+                (Some(Pending::Batch(verdicts)), Message::BatchDone { count }) => {
+                    if count as usize != verdicts.len() {
+                        return Err(WalError::Decode("batch result count mismatch"));
+                    }
+                    Reply::Batch(BatchOutcome::Done(verdicts))
+                }
+                (Some(Pending::Batch(verdicts)), Message::Stale { applied, required })
+                    if verdicts.is_empty() =>
+                {
+                    Reply::Batch(BatchOutcome::Stale { applied, required })
+                }
+                (Some(Pending::Update(expected)), Message::UpdateAck { lsn, verdicts }) => {
+                    if verdicts.len() != expected {
+                        return Err(WalError::Decode("update ack verdict count mismatch"));
+                    }
+                    self.token = self.token.max(lsn);
+                    Reply::Update(verdicts)
+                }
+                (Some(Pending::Stats), Message::StatsReply(stats)) => Reply::Stats(stats),
+                _ => return Err(WalError::Decode("unexpected message in a reply")),
+            };
+            return Ok(Some(reply));
+        }
+    }
+
+    /// What the request in flight waits for, for an error message.
+    fn waiting_for(&self) -> &'static str {
+        match self.pending {
+            Some(Pending::Hello) => "handshake",
+            Some(Pending::Batch(_)) => "batch results",
+            Some(Pending::Update(_)) => "update ack",
+            _ => "stats reply",
+        }
+    }
+
+    /// Sends an update frame and waits for its ack.
+    fn updates(&mut self, request: Message) -> Result<Vec<RemoteUpdateVerdict>, WalError> {
+        let Reply::Update(verdicts) = self.call(request)? else {
+            unreachable!("an update frame is answered by an ack")
+        };
+        Ok(verdicts)
+    }
+
+    fn call(&mut self, request: Message) -> Result<Reply, WalError> {
+        self.request(request)?;
+        self.reply()
+    }
+
+    /// The answer to the request in flight, waited for
+    /// [`RESPONSE_TIMEOUT`] at most.
+    fn reply(&mut self) -> Result<Reply, WalError> {
+        let deadline = WallClock.now() + RESPONSE_TIMEOUT;
+        loop {
+            if let Some(reply) = self.poll(deadline)? {
+                return Ok(reply);
+            }
+            if WallClock.now() > deadline {
+                let why = format!("timed out waiting for {}", self.waiting_for());
+                return Err(io_error(std::io::ErrorKind::TimedOut, why));
             }
         }
     }

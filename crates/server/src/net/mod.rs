@@ -1,5 +1,5 @@
 //! The network front-end: remote query batches and a metrics scrape over
-//! the same CRC-framed socket protocol the replication stream uses.
+//! the transport the replication stream uses (`crate::framed`).
 //!
 //! The paper's deployment has *queries* arriving over the network, not
 //! just position updates; this module is that last wire. A
@@ -30,3 +30,10 @@ pub use protocol::{
     RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
 };
 pub use server::{QueryServer, QueryServerConfig};
+
+#[cfg(test)]
+pub(crate) use client::Reply;
+#[cfg(test)]
+pub(crate) use protocol::{Message, NET_PROTOCOL_VERSION};
+#[cfg(test)]
+pub(crate) use server::{FrontSession, ServeContext};

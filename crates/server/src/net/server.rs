@@ -4,36 +4,34 @@
 //! One front-end serves every kind of node, [`Node::serve_queries`]: a
 //! leader ([`DurableDatabase::serve_queries`]) and a standby
 //! ([`crate::StandbyReplica::serve_queries`]) differ only in the node's
-//! watermark, which each request reads as it comes. A batch waits for
-//! the node's frontier to reach its read-your-writes token, up to
-//! [`QueryServerConfig::stale_deadline`], and is answered `Stale` past
-//! it; its answers are widened by the node's lag (zero on a node that
-//! leads its log); and a scrape reports the led log's I/O counters, or a
-//! follower's applied watermark and lag. A standby promoted under a
-//! running front-end serves as a leader from its next request on.
+//! watermark, which each request reads as it comes: answers are widened
+//! by the node's lag, a scrape reports the led log's counters or a
+//! follower's watermark and lag, and a standby promoted under a running
+//! front-end serves as a leader from its next request on.
 //!
-//! The accept loop is the shared [`crate::framed::Listener`] (the one
-//! the replication leader runs); each client gets a session thread that
-//! handshakes, then loops over `Batch` / `StatsRequest` messages.
-//! Robustness is fail-fast per connection and fail-safe for the server:
+//! A client session is a [`FrontSession`], a step function over a `Link`
+//! and a `Clock` (`crate::framed`) that takes at most one request a step
+//! and answers it in full. On the session's clock:
 //!
-//! - **Connection cap**: past [`QueryServerConfig::max_connections`]
-//!   live sessions, a new client is sent `Refused` and closed — the
-//!   accept loop never blocks on a slow client.
-//! - **Frame cap**: a frame above
-//!   [`QueryServerConfig::max_frame_bytes`] is stream corruption; the
-//!   session ends without reading the body.
-//! - **Request deadline**: a client that starts a frame and stalls
-//!   (bytes buffered, no complete message) past
-//!   [`QueryServerConfig::request_deadline`] is disconnected; its slot
-//!   is released. Idle connections with *no* partial frame are fine —
-//!   consoles sit at prompts for minutes.
-//! - **Drained shutdown**: [`QueryServer::shutdown`] stops accepting and
-//!   joins every session; a batch already delivered or executing finishes
-//!   and its results are written out before the session exits, so a
-//!   client never sees a half-answered batch from a clean shutdown.
+//! - a connection that has not said `Hello`, or has left a partial frame
+//!   on the link, for [`QueryServerConfig::request_deadline`] ends (an
+//!   idle one may sit for ever: consoles wait at prompts);
+//! - a batch whose read-your-writes token outruns the node's frontier is
+//!   parked at the floor gate: each step re-reads the watermark, runs
+//!   the batch once the frontier reaches the token, or answers `Stale`
+//!   at [`QueryServerConfig::stale_deadline`]. No step blocks on it;
+//! - once the server stops, a step answers the request in hand in full,
+//!   then ends the session, so a client that sends back to back does not
+//!   hold the shutdown up.
+//!
+//! In production the shared [`crate::framed::Listener`] refuses a client
+//! past [`QueryServerConfig::max_connections`] with `Refused`, inline,
+//! and gives each other one a thread that steps its session: it waits on
+//! the watermark while a batch is parked, so a publish wakes it, and
+//! else blocks in the socket read. A frame over
+//! [`QueryServerConfig::max_frame_bytes`] ends the session unread.
 
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,7 +40,7 @@ use modb_core::{ObjectId, UpdateMessage, UpdatePosition};
 use modb_wal::WalError;
 
 use crate::durable::DurableDatabase;
-use crate::framed::{send, FrameReader, Listener, ReadEvent, READ_TIMEOUT, WRITE_TIMEOUT};
+use crate::framed::{Clock, Link, Listener, ReadEvent, Step, TcpLink, WallClock};
 use crate::ingest::{IngestHandle, UpdateEnvelope};
 use crate::net::protocol::{
     Message, RemoteUpdateVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
@@ -82,20 +80,17 @@ impl Default for QueryServerConfig {
 }
 
 /// Everything a session needs, shared across connection threads.
-struct ServeContext {
-    engine: Arc<QueryEngine>,
+pub(crate) struct ServeContext {
+    pub(crate) engine: Arc<QueryEngine>,
     /// The node served: its frontier, lag and horizon are read from it.
-    node: Arc<Node>,
-    ingest: Option<IngestHandle>,
-    config: QueryServerConfig,
+    pub(crate) node: Arc<Node>,
+    pub(crate) ingest: Option<IngestHandle>,
+    pub(crate) config: QueryServerConfig,
+    /// Where the sessions read the time their deadlines key off.
+    pub(crate) clock: Arc<dyn Clock>,
 }
 
 impl ServeContext {
-    /// Sends one message to a client under this server's frame ceiling.
-    fn reply(&self, stream: &mut TcpStream, msg: &Message) -> Result<(), WalError> {
-        send(stream, msg, self.config.max_frame_bytes)
-    }
-
     /// One consistent scrape: every gauge and counter read back to back.
     fn scrape(&self) -> ServerStatsSnapshot {
         // A follower reports no WAL I/O here: its local log is the
@@ -137,33 +132,12 @@ impl ServeContext {
             replica_lag: replica.map(|(_, lag)| lag),
         }
     }
-
-    /// The gate ahead of a batch: when the token outruns the node's
-    /// frontier, wait up to the stale deadline for it to get there;
-    /// `Some((applied, required))` means it didn't and the caller must
-    /// answer `Stale`.
-    fn await_floor(&self, min_lsn: u64) -> Option<(u64, u64)> {
-        let watermark = self.node.watermark();
-        if watermark.wait_for_lsn(min_lsn, self.config.stale_deadline) {
-            return None;
-        }
-        Some((watermark.applied(), min_lsn))
-    }
-
-    /// The staleness `Δ` priced into served answers: the lag read as
-    /// the batch starts (one wall-clock second is one unit of database
-    /// time). 0.0 on a node that leads its log, and on a follower within
-    /// its contact window of a caught-up contact.
-    fn staleness(&self) -> f64 {
-        self.node.watermark().lag().as_secs_f64()
-    }
 }
 
 /// Refuses non-finite numeric fields, and policy parameters that make
-/// the deviation bound unsound, at the protocol boundary. The ingest
-/// path logs every envelope, whatever the DBMS makes of it; accepting
-/// a NaN here would poison the WAL with a record replay can only
-/// reject — so it never reaches the ingest handle.
+/// the deviation bound unsound, at the protocol boundary: ingest logs
+/// every envelope, and a NaN would poison the WAL with a record replay
+/// can only reject.
 fn validate_update(msg: &UpdateMessage) -> Result<(), String> {
     if !msg.time.is_finite() {
         return Err(format!("non-finite time {}", msg.time));
@@ -186,20 +160,11 @@ fn validate_update(msg: &UpdateMessage) -> Result<(), String> {
 /// Applies one frame's envelopes on this session's thread, in order, and
 /// gathers the ack: the reported LSN is the highest durable frontier — a
 /// token covering every acknowledged envelope of the frame, and none
-/// that is not in the log.
-///
-/// Each envelope is appended as a block of its own and waited on before
-/// the next is appended: at most one fsync per envelope (the group
-/// commit lets one fsync cover envelopes of concurrent sessions).
-/// Appending a frame's envelopes as one block under one fsync was
-/// measured (EXPERIMENTS M13): `mixed_follower` then acks over 21 k
-/// updates/s against ≈ 4.5 k/s, and exhausts the benchmark's update
-/// trace inside its window. It waits for ROADMAP's ledger item, which
-/// has to size that trace to the faster rate first.
-fn apply_updates(
-    ctx: &ServeContext,
-    updates: Vec<(ObjectId, UpdateMessage)>,
-) -> (u64, Vec<RemoteUpdateVerdict>) {
+/// that is not in the log. Each envelope is a block of its own, waited
+/// on before the next: one block per frame under one fsync acks over
+/// 21 k updates/s on `mixed_follower` and exhausts the benchmark's
+/// update trace (EXPERIMENTS M13), so it waits for ROADMAP's ledger item.
+fn apply_updates(ctx: &ServeContext, updates: Vec<(ObjectId, UpdateMessage)>) -> Message {
     use RemoteUpdateVerdict::{Accepted, Invalid, Rejected};
     let mut lsn = 0;
     let verdicts = updates
@@ -220,7 +185,7 @@ fn apply_updates(
             Err(refused) => Invalid(refused),
         })
         .collect();
-    (lsn, verdicts)
+    Message::UpdateAck { lsn, verdicts }
 }
 
 /// Handle to a running query front-end listener. Dropping (or
@@ -237,9 +202,8 @@ impl QueryServer {
         self.listener.local_addr()
     }
 
-    /// Sessions currently holding a connection slot. Drops back to 0
-    /// once every client has disconnected — the fault tests use this to
-    /// prove no slot leaks.
+    /// Sessions currently holding a connection slot: 0 again once every
+    /// client has disconnected.
     pub fn active_connections(&self) -> usize {
         self.listener.active()
     }
@@ -277,8 +241,7 @@ impl DurableDatabase {
 
 impl Node {
     /// The query front-end over this node, for a leader and a standby
-    /// alike: the floor gate, the widening and the scrape read the
-    /// node's watermark as each request comes.
+    /// alike (see the module docs).
     pub(crate) fn serve_queries(
         self: &Arc<Self>,
         engine: Arc<QueryEngine>,
@@ -291,159 +254,401 @@ impl Node {
             node: Arc::clone(self),
             ingest,
             config,
+            clock: Arc::new(WallClock),
         });
         let door = Arc::clone(&ctx);
         let listener = Listener::spawn(
             addr,
-            move |stream, active| {
+            ctx.config.max_frame_bytes,
+            move |link: &mut TcpLink<Message>, active| {
                 if active < door.config.max_connections {
                     return true;
                 }
                 // A capacity rejection is one small write, made inline.
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-                let _ = door.reply(
-                    stream,
-                    &Message::Refused {
-                        reason: "server at connection capacity".into(),
-                    },
-                );
-                let _ = stream.shutdown(Shutdown::Both);
+                let reason = "server at connection capacity".into();
+                let _ = link.send(&Message::Refused { reason });
                 false
             },
-            move |stream, stop| handle_client(stream, &ctx, stop),
+            move |link, stop| serve_client(link, &ctx, stop),
         )?;
         Ok(QueryServer { listener })
     }
 }
 
-/// One client session: handshake, then serve batches and scrapes until
-/// the peer closes, violates the protocol, stalls past the deadline, or
-/// the server shuts down.
-fn handle_client(mut stream: TcpStream, ctx: &ServeContext, stop: &AtomicBool) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let _ = run_session(&mut stream, ctx, stop);
-    let _ = stream.shutdown(Shutdown::Both);
+/// One client session on its own thread: steps it until it ends, waiting
+/// on the node's watermark while a batch is parked.
+fn serve_client(link: TcpLink<Message>, ctx: &ServeContext, stop: &AtomicBool) {
+    let mut session = FrontSession::open(link, ctx);
+    while let Ok(step) = session.step(ctx, stop.load(Ordering::SeqCst)) {
+        match (step, session.parked_floor()) {
+            (Step::Ended, _) => break,
+            (Step::Idle, Some((lsn, until))) => {
+                let left = until.saturating_duration_since(ctx.clock.now());
+                ctx.node.watermark().wait_for_lsn(lsn, left);
+            }
+            _ => {}
+        }
+    }
+    session.close();
 }
 
-fn run_session(
-    stream: &mut TcpStream,
-    ctx: &ServeContext,
-    stop: &AtomicBool,
-) -> Result<(), WalError> {
-    let reader_stream = stream.try_clone()?;
-    let mut reader = FrameReader::<Message>::new(reader_stream, ctx.config.max_frame_bytes);
+/// A batch held at the floor gate until `until`.
+struct Parked {
+    script: String,
+    min_lsn: u64,
+    until: Instant,
+}
 
-    // ---- Handshake: wait (bounded) for the client's Hello.
-    let deadline = Instant::now() + ctx.config.request_deadline;
-    loop {
-        if stop.load(Ordering::SeqCst) || Instant::now() > deadline {
-            return Ok(());
-        }
-        match reader.poll()? {
-            ReadEvent::Message(Message::Hello { version }) => {
-                if version != NET_PROTOCOL_VERSION {
-                    let _ = ctx.reply(
-                        stream,
-                        &Message::Refused {
-                            reason: format!(
-                                "protocol version mismatch: client {version}, \
-                                 server {NET_PROTOCOL_VERSION}"
-                            ),
-                        },
-                    );
-                    return Ok(());
-                }
-                ctx.reply(
-                    stream,
-                    &Message::HelloAck {
-                        version: NET_PROTOCOL_VERSION,
-                    },
-                )?;
-                break;
-            }
-            ReadEvent::Message(_) => {
-                return Err(WalError::Decode("expected Hello"));
-            }
-            ReadEvent::Idle => continue,
-            ReadEvent::Closed => return Ok(()),
+/// One client session: its link, and where it stands — before the
+/// `Hello`, parked at the floor gate, or between requests.
+pub(crate) struct FrontSession<L> {
+    link: L,
+    /// When the connection was taken, until its `Hello` is.
+    opened: Option<Instant>,
+    parked: Option<Parked>,
+    /// Since when bytes of an unfinished request have sat on the link.
+    partial_since: Option<Instant>,
+}
+
+impl<L: Link<Message>> FrontSession<L> {
+    /// Takes a new connection: its `Hello` is due.
+    pub(crate) fn open(link: L, ctx: &ServeContext) -> Self {
+        FrontSession {
+            link,
+            opened: Some(ctx.clock.now()),
+            parked: None,
+            partial_since: None,
         }
     }
 
-    // ---- Serve loop. Shutdown is observed on Idle, not up front: a
-    // request already delivered when the stop flag flips is still
-    // answered in full (the drain guarantee), and only then does the
-    // session exit.
-    let mut partial_since: Option<Instant> = None;
-    loop {
-        let stopping = stop.load(Ordering::SeqCst);
-        match reader.poll()? {
-            ReadEvent::Message(Message::Batch { script, min_lsn }) => {
-                partial_since = None;
-                // A token the frontier cannot satisfy within the
-                // deadline gets a typed Stale, never a hang — and the
-                // session stays open for a retry.
-                if let Some((applied, required)) = ctx.await_floor(min_lsn) {
-                    ctx.reply(stream, &Message::Stale { applied, required })?;
-                    continue;
-                }
-                // The batch clones the database as it starts, so it reads
-                // every record applied below the token: on a leader each
-                // acked LSN was applied before its ack, on a follower the
-                // floor was applied before the watermark passed it.
-                // Synchronous execution: shutdown observed after this
-                // point still lets the full response stream out (the
-                // drain guarantee). A lagging follower's staleness is
-                // priced into every answer as it runs (no-op on a leader
-                // or when caught up — served verdicts are then
-                // bit-identical to local).
-                let verdicts = ctx.engine.run_batch_lagging(&script, ctx.staleness());
-                let count = verdicts.len() as u32;
-                for (index, verdict) in verdicts.into_iter().enumerate() {
-                    ctx.reply(
-                        stream,
-                        &Message::Statement {
-                            index: index as u32,
-                            verdict: verdict.map_err(|e| e.to_string()),
-                        },
-                    )?;
-                }
-                ctx.reply(stream, &Message::BatchDone { count })?;
-            }
-            ReadEvent::Message(Message::StatsRequest) => {
-                partial_since = None;
-                ctx.reply(stream, &Message::StatsReply(Box::new(ctx.scrape())))?;
-            }
-            ReadEvent::Message(Message::Update { id, msg }) => {
-                partial_since = None;
-                let (lsn, verdicts) = apply_updates(ctx, vec![(id, msg)]);
-                ctx.reply(stream, &Message::UpdateAck { lsn, verdicts })?;
-            }
-            ReadEvent::Message(Message::UpdateBatch { updates }) => {
-                partial_since = None;
-                let (lsn, verdicts) = apply_updates(ctx, updates);
-                ctx.reply(stream, &Message::UpdateAck { lsn, verdicts })?;
-            }
-            ReadEvent::Message(_) => {
-                // A server-only message from a client is a protocol
-                // violation.
-                return Err(WalError::Decode("unexpected client message"));
-            }
-            ReadEvent::Idle => {
-                if stopping {
-                    return Ok(());
-                }
-                if reader.has_partial() {
-                    let since = *partial_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() > ctx.config.request_deadline {
-                        return Err(WalError::Decode("client stalled mid-request"));
-                    }
-                } else {
-                    partial_since = None;
-                }
-            }
-            ReadEvent::Closed => return Ok(()),
+    /// The token and the `Stale` deadline of a batch parked at the gate.
+    pub(crate) fn parked_floor(&self) -> Option<(u64, Instant)> {
+        self.parked.as_ref().map(|p| (p.min_lsn, p.until))
+    }
+
+    /// One step: a parked batch goes back to the gate; else at most one
+    /// request is read (without waiting once `stopping`) and answered in
+    /// full. Once `stopping`, a step that answered a request, or found
+    /// none, ends the session. An `Err` ends it as a protocol violation.
+    pub(crate) fn step(&mut self, ctx: &ServeContext, stopping: bool) -> Result<Step, WalError> {
+        let now = ctx.clock.now();
+        let step = if self.parked.is_some() {
+            self.gate(ctx, now)?
+        } else {
+            self.read(ctx, now, stopping)?
+        };
+        if stopping && step == Step::Busy {
+            return Ok(Step::Ended);
         }
+        Ok(step)
+    }
+
+    /// Reads one request and answers it, or parks a batch at the gate.
+    fn read(&mut self, ctx: &ServeContext, now: Instant, stopping: bool) -> Result<Step, WalError> {
+        let wait = if stopping {
+            now
+        } else {
+            now + ctx.config.request_deadline
+        };
+        let msg = match self.link.poll(wait)? {
+            ReadEvent::Message(msg) => msg,
+            ReadEvent::Idle => return self.idle(ctx, now, stopping),
+            ReadEvent::Closed => return Ok(Step::Ended),
+        };
+        self.partial_since = None;
+        if self.opened.is_some() {
+            return self.hello(msg);
+        }
+        let reply = match msg {
+            Message::Batch { script, min_lsn } => {
+                let until = now + ctx.config.stale_deadline;
+                self.parked = Some(Parked {
+                    script,
+                    min_lsn,
+                    until,
+                });
+                return self.gate(ctx, now);
+            }
+            Message::StatsRequest => Message::StatsReply(Box::new(ctx.scrape())),
+            Message::Update { id, msg } => apply_updates(ctx, vec![(id, msg)]),
+            Message::UpdateBatch { updates } => apply_updates(ctx, updates),
+            // A server-only message from a client is a protocol violation.
+            _ => return Err(WalError::Decode("unexpected client message")),
+        };
+        self.link.send(&reply)?;
+        Ok(Step::Busy)
+    }
+
+    /// Judges the first message, which must be a `Hello` at this
+    /// protocol's version; another version is answered `Refused`.
+    fn hello(&mut self, msg: Message) -> Result<Step, WalError> {
+        let Message::Hello { version } = msg else {
+            return Err(WalError::Decode("expected Hello"));
+        };
+        if version != NET_PROTOCOL_VERSION {
+            let reason = format!(
+                "protocol version mismatch: client {version}, server {NET_PROTOCOL_VERSION}"
+            );
+            let _ = self.link.send(&Message::Refused { reason });
+            return Ok(Step::Ended);
+        }
+        self.opened = None;
+        let version = NET_PROTOCOL_VERSION;
+        self.link.send(&Message::HelloAck { version })?;
+        Ok(Step::Busy)
+    }
+
+    /// Nothing was read: the handshake and stall deadlines.
+    fn idle(&mut self, ctx: &ServeContext, now: Instant, stopping: bool) -> Result<Step, WalError> {
+        let deadline = ctx.config.request_deadline;
+        if stopping {
+            return Ok(Step::Ended);
+        }
+        if let Some(opened) = self.opened {
+            let late = now.saturating_duration_since(opened) > deadline;
+            return Ok(if late { Step::Ended } else { Step::Idle });
+        }
+        if !self.link.has_partial() {
+            self.partial_since = None;
+        } else if now.saturating_duration_since(*self.partial_since.get_or_insert(now)) > deadline {
+            return Err(WalError::Decode("client stalled mid-request"));
+        }
+        Ok(Step::Idle)
+    }
+
+    /// The floor gate: the parked batch runs once the node's frontier
+    /// has reached its token, and is answered `Stale` — the session
+    /// stays open for a retry — once the deadline has passed first.
+    fn gate(&mut self, ctx: &ServeContext, now: Instant) -> Result<Step, WalError> {
+        let applied = ctx.node.watermark().applied();
+        let Some(parked) = self
+            .parked
+            .take_if(|p| applied >= p.min_lsn || now >= p.until)
+        else {
+            return Ok(Step::Idle);
+        };
+        if applied < parked.min_lsn {
+            let required = parked.min_lsn;
+            self.link.send(&Message::Stale { applied, required })?;
+            return Ok(Step::Busy);
+        }
+        // The batch clones the database as it starts, so it reads every
+        // record applied below the token: on a leader each acked LSN was
+        // applied before its ack, on a follower the floor was applied
+        // before the watermark passed it. The lag read now (one wall-clock
+        // second is one unit of database time) is priced into every
+        // answer: zero on a node that leads its log, and on a follower
+        // within its contact window of a caught-up contact, when served
+        // verdicts are bit-identical to local ones.
+        let lag = ctx.node.watermark().lag().as_secs_f64();
+        let verdicts = ctx.engine.run_batch_lagging(&parked.script, lag);
+        let count = verdicts.len() as u32;
+        for (index, verdict) in verdicts.into_iter().enumerate() {
+            let verdict = verdict.map_err(|e| e.to_string());
+            let index = index as u32;
+            self.link.send(&Message::Statement { index, verdict })?;
+        }
+        self.link.send(&Message::BatchDone { count })?;
+        Ok(Step::Busy)
+    }
+
+    /// Ends the session: the link is closed.
+    pub(crate) fn close(mut self) {
+        self.link.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The session's rules on the cluster driver (`replication::sim`): a
+    //! leader's front-end over in-memory links on the virtual clock, so
+    //! every deadline is exact and nothing sleeps.
+
+    use super::*;
+    use crate::framed::encode_frame;
+    use crate::framed::mem::{Fault, MemLink};
+    use crate::ingest::IngestService;
+    use crate::net::{BatchOutcome, Reply};
+    use crate::replication::sim::Cluster;
+
+    const SCRIPT: &str = "RETRIEVE POSITION OF OBJECT 1 AT TIME 3";
+
+    /// A leader of 4 vehicles serving queries and updates at "q" under
+    /// `config`; the ingest service lives as long as the front-end.
+    fn front(name: &str, config: QueryServerConfig) -> (Cluster, DurableDatabase, IngestService) {
+        let mut c = Cluster::new(name, 1);
+        let leader = c.leader(4);
+        let service = leader.ingest_service(0, 0);
+        c.serve_queries("q", leader.node(), Some(service.handle()), config);
+        (c, leader, service)
+    }
+
+    fn deadline(request_deadline: Duration) -> QueryServerConfig {
+        QueryServerConfig {
+            request_deadline,
+            ..QueryServerConfig::default()
+        }
+    }
+
+    /// The front-end still answers a fresh client — the wedge check.
+    fn assert_healthy(c: &mut Cluster) {
+        let client = c.connect("q");
+        let BatchOutcome::Done(verdicts) = c.batch(client, SCRIPT, 0) else {
+            panic!("a floor-free batch was refused");
+        };
+        assert!(verdicts[0].is_ok(), "{verdicts:?}");
+    }
+
+    /// Runs the cluster until the front-end holds no session; how long
+    /// that took.
+    fn until_released(c: &mut Cluster) -> Duration {
+        let t0 = c.clock().now();
+        c.run_until("the slot to be released", |c| c.front_sessions("q") == 0);
+        c.clock().now() - t0
+    }
+
+    /// What `raw` reads, in order, up to the close.
+    fn read_all(raw: &mut MemLink<Message>, c: &Cluster) -> Vec<Message> {
+        let mut got = Vec::new();
+        while let ReadEvent::Message(msg) = raw.poll(c.clock().now()).unwrap() {
+            got.push(msg);
+        }
+        got
+    }
+
+    /// A connection that never says `Hello` is dropped at the request
+    /// deadline, and its slot is free again.
+    #[test]
+    fn a_silent_connection_is_dropped_at_the_handshake_deadline() {
+        let limit = Duration::from_millis(200);
+        let (mut c, _leader, _service) = front("silent-hello", deadline(limit));
+        let mut raw = c.dial_queries("q", Fault::None);
+        assert_eq!(c.front_sessions("q"), 1);
+        let waited = until_released(&mut c);
+        assert!(
+            limit < waited && waited < limit + Duration::from_millis(10),
+            "{waited:?}"
+        );
+        assert_eq!(read_all(&mut raw, &c), [], "nothing was sent");
+        assert!(matches!(raw.poll(c.clock().now()), Ok(ReadEvent::Closed)));
+        assert_healthy(&mut c);
+    }
+
+    /// Half a frame, then silence: the session ends at the request
+    /// deadline, counted from when the partial request was seen, and the
+    /// slot is released.
+    #[test]
+    fn stalled_client_is_disconnected_at_the_request_deadline() {
+        let limit = Duration::from_millis(200);
+        let (mut c, _leader, _service) = front("stall", deadline(limit));
+        let mut raw = c.dial_queries("q", Fault::None);
+        let version = NET_PROTOCOL_VERSION;
+        raw.send(&Message::Hello { version }).unwrap();
+        let batch = Message::Batch {
+            script: SCRIPT.into(),
+            min_lsn: 0,
+        };
+        let frame = encode_frame(&batch, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        raw.send_bytes(&frame[..frame.len() / 2]).unwrap();
+        let waited = until_released(&mut c);
+        assert!(
+            limit < waited && waited < limit + Duration::from_millis(10),
+            "{waited:?}"
+        );
+        assert_eq!(read_all(&mut raw, &c), [Message::HelloAck { version }]);
+        assert!(matches!(raw.poll(c.clock().now()), Ok(ReadEvent::Closed)));
+        assert_healthy(&mut c);
+    }
+
+    /// An idle connection with no partial frame may sit past the
+    /// deadline: consoles wait at prompts.
+    #[test]
+    fn idle_connection_without_partial_frame_survives_the_deadline() {
+        let limit = Duration::from_millis(100);
+        let (mut c, _leader, _service) = front("idle", deadline(limit));
+        let client = c.connect("q");
+        c.run_for(3 * limit);
+        assert_eq!(c.front_sessions("q"), 1);
+        let BatchOutcome::Done(verdicts) = c.batch(client, SCRIPT, 0) else {
+            panic!("an idle console was refused");
+        };
+        assert!(verdicts[0].is_ok(), "{verdicts:?}");
+    }
+
+    /// A leader takes the floor gate a follower takes: a token past its
+    /// log parks the batch for the stale deadline, then gets the typed
+    /// `Stale`, and the session lives on. A token at the frontier — every
+    /// token the leader acks is at most that — is answered at once.
+    #[test]
+    fn a_token_past_the_leaders_log_is_refused_stale_after_the_deadline() {
+        let limit = Duration::from_millis(100);
+        let config = QueryServerConfig {
+            stale_deadline: limit,
+            ..QueryServerConfig::default()
+        };
+        let (mut c, leader, _service) = front("leader-floor", config);
+        let client = c.connect("q");
+        let frontier = leader.wal().next_lsn();
+        let asked = c.clock().now();
+        let refused = c.batch(client, SCRIPT, frontier + 1);
+        let waited = c.clock().now() - asked;
+        let stale = BatchOutcome::Stale {
+            applied: frontier,
+            required: frontier + 1,
+        };
+        assert_eq!(refused, stale);
+        assert!(
+            limit <= waited && waited < limit + Duration::from_millis(10),
+            "{waited:?}"
+        );
+
+        let asked = c.clock().now();
+        assert!(matches!(
+            c.batch(client, SCRIPT, frontier),
+            BatchOutcome::Done(_)
+        ));
+        assert_eq!(c.clock().now(), asked, "answered without waiting");
+        // A write acked on the session raises its token to the new
+        // frontier, which reads at once.
+        let update = modb_core::UpdateMessage::basic(2.0, UpdatePosition::Arc(15.0), 1.0);
+        let verdicts = c.update(client, vec![(ObjectId(1), update)]);
+        assert_eq!(verdicts, [RemoteUpdateVerdict::Accepted]);
+        assert_eq!(c.token(client), leader.wal().next_lsn());
+        let token = c.token(client);
+        assert!(matches!(
+            c.batch(client, SCRIPT, token),
+            BatchOutcome::Done(_)
+        ));
+        assert_eq!(c.clock().now(), asked, "answered without waiting");
+    }
+
+    /// A client that sends its next request as soon as it reads a reply
+    /// never leaves its session idle. Once the server stops, the request
+    /// in hand is answered in full (the drain guarantee), and the session
+    /// ends there: the next request finds the connection closed.
+    #[test]
+    fn a_back_to_back_client_ends_within_one_request_of_the_stop() {
+        let (mut c, _leader, _service) = front("busy-stop", QueryServerConfig::default());
+        let client = c.connect("q");
+        let script = [SCRIPT; 8].join("; ");
+        let batch = || Message::Batch {
+            script: script.clone(),
+            min_lsn: 0,
+        };
+        for _ in 0..3 {
+            assert!(matches!(c.call(client, batch()), Ok(Reply::Batch(_))));
+        }
+        c.request(client, batch()).unwrap();
+        c.stop_queries("q");
+        let Ok(Reply::Batch(BatchOutcome::Done(verdicts))) = c.reply(client) else {
+            panic!("the request in hand was not answered");
+        };
+        assert_eq!(verdicts.len(), 8);
+        assert_eq!(
+            c.front_sessions("q"),
+            0,
+            "the session ended with the answer"
+        );
+        assert!(c.call(client, batch()).is_err(), "a request past the stop");
     }
 }

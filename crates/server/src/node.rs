@@ -27,7 +27,8 @@ use std::time::{Duration, Instant};
 
 use modb_wal::{EpochHistory, SharedWal};
 
-use crate::replication::{Clock, Published, ShipHorizon, WallClock};
+use crate::framed::{Clock, WallClock};
+use crate::replication::{Published, ShipHorizon};
 use crate::shared::SharedDatabase;
 
 /// How long a wait on a leading log sleeps between looks at it: its

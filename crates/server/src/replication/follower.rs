@@ -55,14 +55,15 @@ use modb_wal::{
 };
 
 use crate::durable::DurableDatabase;
-use crate::framed::{ReadEvent, READ_TIMEOUT};
+use crate::framed::{Clock, Link, ReadEvent, TcpLink, WallClock};
 use crate::net::{QueryServer, QueryServerConfig};
 use crate::node::{Node, Watermark};
 use crate::query_engine::QueryEngine;
 use crate::replication::lag::LagClock;
 use crate::replication::leader::ReplicationServer;
-use crate::replication::link::{Clock, Link, TcpLink, WallClock};
-use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
+use crate::replication::protocol::{
+    Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION, SESSION_DEADLINE,
+};
 use crate::replication::ReplicationConfig;
 use crate::shared::SharedDatabase;
 
@@ -311,7 +312,8 @@ impl StandbyReplica {
         config: ReplicaConfig,
     ) -> Result<Self, WalError> {
         let (mut replica, worker) = Self::open_with(dir, addr, config, Arc::new(WallClock))?;
-        replica.worker = Some(std::thread::spawn(move || worker.run(TcpLink::dial)));
+        let dial = |addr: &str| TcpLink::dial(addr, MAX_MESSAGE_BYTES);
+        replica.worker = Some(std::thread::spawn(move || worker.run(dial)));
         Ok(replica)
     }
 
@@ -618,7 +620,7 @@ impl Worker {
     /// The worker thread: `dial` the current upstream, step a session on
     /// it to its end, back off, and again — until the replica stops or a
     /// session ends for good. Hands back the local log.
-    pub(crate) fn run<L: Link>(
+    pub(crate) fn run<L: Link<Message>>(
         mut self,
         mut dial: impl FnMut(&str) -> Result<L, WalError>,
     ) -> Option<DurableDatabase> {
@@ -630,7 +632,8 @@ impl Worker {
             if let Ok(mut link) = dial(&self.upstream()) {
                 let mut live = self.connect(&mut link);
                 while live.is_ok() {
-                    live = self.step(&mut link, clock.now() + READ_TIMEOUT).map(drop);
+                    let wait = clock.now() + SESSION_DEADLINE;
+                    live = self.step(&mut link, wait).map(drop);
                 }
                 if let Err(end) = live {
                     if self.end(&mut link, end) {
@@ -669,7 +672,7 @@ impl Worker {
 
     /// Opens a session on a fresh `link` with a `Hello` naming the
     /// watermark, whether there is state to resume and the current epoch.
-    pub(crate) fn connect(&mut self, link: &mut impl Link) -> Result<(), SessionEnd> {
+    pub(crate) fn connect(&mut self, link: &mut impl Link<Message>) -> Result<(), SessionEnd> {
         self.reconnects = self.shared.reconnects.load(Ordering::SeqCst);
         self.heard = self.now();
         let have_state = self.log.is_some();
@@ -700,7 +703,7 @@ impl Worker {
     /// sent meanwhile is waiting on the link.
     pub(crate) fn step(
         &mut self,
-        link: &mut impl Link,
+        link: &mut impl Link<Message>,
         deadline: Instant,
     ) -> Result<bool, SessionEnd> {
         if self.shared.stop.load(Ordering::SeqCst) {
@@ -733,7 +736,7 @@ impl Worker {
     /// take note, a bootstrap the session did not finish is dropped
     /// whole, and the link is shut. `true` when the replica must not
     /// reconnect.
-    pub(crate) fn end(&mut self, link: &mut impl Link, end: SessionEnd) -> bool {
+    pub(crate) fn end(&mut self, link: &mut impl Link<Message>, end: SessionEnd) -> bool {
         if end != SessionEnd::Shutdown {
             let stats = &mut self.out.stats;
             stats.phase = ReplicaPhase::Connecting;
@@ -761,7 +764,7 @@ impl Worker {
     }
 
     /// Takes one message from the upstream.
-    fn take(&mut self, link: &mut impl Link, msg: Message) -> Result<(), SessionEnd> {
+    fn take(&mut self, link: &mut impl Link<Message>, msg: Message) -> Result<(), SessionEnd> {
         match msg {
             Message::SnapshotBlocks(run) => self.snapshot_run(link, &run),
             Message::Blocks(chunk) => self.blocks(link, &chunk),
@@ -798,7 +801,11 @@ impl Worker {
     /// receiver). After the last, the local log is closed, the snapshot
     /// installed in its place and adopted with its head's leadership
     /// history, the log resumed at its LSN, and the snapshot acked.
-    fn snapshot_run(&mut self, link: &mut impl Link, run: &SnapshotRun) -> Result<(), SessionEnd> {
+    fn snapshot_run(
+        &mut self,
+        link: &mut impl Link<Message>,
+        run: &SnapshotRun,
+    ) -> Result<(), SessionEnd> {
         if self.incoming.is_none() {
             self.incoming = SnapshotReceiver::open(self.node.dir(), run).ok();
         }
@@ -829,7 +836,11 @@ impl Worker {
     /// A failed append publishes what was logged before it and ends the
     /// session for good; a log that failed earlier refuses the run
     /// unapplied.
-    fn blocks(&mut self, link: &mut impl Link, chunk: &RawChunk) -> Result<(), SessionEnd> {
+    fn blocks(
+        &mut self,
+        link: &mut impl Link<Message>,
+        chunk: &RawChunk,
+    ) -> Result<(), SessionEnd> {
         let (lsn, start) = (self.out.stats.applied_lsn, chunk.start_lsn);
         let run = chunk.decode().ok();
         let run = run.filter(|_| self.incoming.is_none() && start <= lsn);
@@ -907,7 +918,7 @@ impl Worker {
 }
 
 /// Sends `msg`; a link that refuses it has disconnected.
-fn send(link: &mut impl Link, msg: &Message) -> Result<(), SessionEnd> {
+fn send(link: &mut impl Link<Message>, msg: &Message) -> Result<(), SessionEnd> {
     link.send(msg).map_err(|_| SessionEnd::Disconnected)
 }
 
@@ -921,8 +932,8 @@ mod tests {
     //! the publication).
 
     use super::*;
-    use crate::replication::link::mem::{pair, Fault, MemLink, VirtualClock};
-    use crate::replication::link::DIAL_TIMEOUT;
+    use crate::framed::mem::{pair, Fault, MemLink, VirtualClock};
+    use crate::framed::DIAL_TIMEOUT;
     use crate::replication::sim::{files, fresh_db, replica_config, vehicle, wal_options, Cluster};
     use modb_core::ObjectId;
     use modb_wal::segment::segment_file_name;
@@ -971,9 +982,9 @@ mod tests {
         worker: Worker,
         clock: Arc<VirtualClock>,
         /// The worker's end of the link.
-        link: MemLink,
+        link: MemLink<Message>,
         /// The test's end.
-        up: MemLink,
+        up: MemLink<Message>,
     }
 
     impl Upstream {
@@ -997,7 +1008,7 @@ mod tests {
             };
             let (replica, mut worker) =
                 StandbyReplica::open_with(&dir, "upstream", config, clock.clone()).unwrap();
-            let (mut link, up) = pair(Fault::None);
+            let (mut link, up) = pair(Fault::None, MAX_MESSAGE_BYTES);
             worker.connect(&mut link).unwrap();
             Upstream {
                 dir,
@@ -1038,7 +1049,7 @@ mod tests {
         /// Opens the next session on a fresh link, its `Hello` read off,
         /// whether or not the worker's own loop would dial again.
         fn redial(&mut self) {
-            (self.link, self.up) = pair(Fault::None);
+            (self.link, self.up) = pair(Fault::None, MAX_MESSAGE_BYTES);
             self.worker.connect(&mut self.link).unwrap();
             self.received();
         }
@@ -1550,7 +1561,7 @@ mod tests {
         let (replica, worker) = c.take(f);
         let clock = c.clock();
         let asked = Cell::new(None);
-        let log = worker.run(|_upstream: &str| -> Result<MemLink, WalError> {
+        let log = worker.run(|_upstream: &str| -> Result<MemLink<Message>, WalError> {
             asked.set(Some(clock.now()));
             replica.shared.stop.store(true, Ordering::SeqCst);
             clock.sleep_until(clock.now() + DIAL_TIMEOUT);

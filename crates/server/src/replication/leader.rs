@@ -2,8 +2,8 @@
 //! snapshot ([`Shipment`]), then stream log segments as the writer grows
 //! them ([`SegmentTailer`]) — bytes and LSNs, never the file layout.
 //!
-//! Each follower session is a [`LeaderShell`], a step function over a
-//! [`Link`] and a [`Clock`] that makes every decision of the session
+//! Each follower session is a [`LeaderShell`], a step function over the
+//! transport's [`Link`] and [`Clock`] that makes every decision of it
 //! itself: it judges the `Hello` (version, epoch 0, the divergence check),
 //! chooses resume or bootstrap, ends a session whose `Hello` is late,
 //! heartbeats an idle tail and refuses an `Ack` past what it shipped. One
@@ -30,10 +30,11 @@ use std::time::{Duration, Instant};
 use modb_wal::{list_segments, EpochCheck, SegmentTailer, Shipment, WalError, GENESIS_EPOCH};
 
 use crate::durable::DurableDatabase;
-use crate::framed::{Listener, ReadEvent};
+use crate::framed::{Clock, Link, Listener, ReadEvent, Step, TcpLink, WallClock};
 use crate::node::Node;
-use crate::replication::link::{self, Clock, Link, TcpLink, WallClock};
-use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
+use crate::replication::protocol::{
+    Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION, SESSION_DEADLINE,
+};
 
 /// How long a caught-up session waits before it looks at the log and
 /// the follower again. It is a sleep, not a socket read timeout: a
@@ -202,9 +203,12 @@ impl Node {
     ) -> Result<ReplicationServer, WalError> {
         let ctx = Arc::new(self.ship_context(config, Arc::new(WallClock)));
         let session_ctx = Arc::clone(&ctx);
-        let listener = link::listen(addr, move |link, stop| {
-            handle_follower(link, &session_ctx, stop)
-        })?;
+        let listener = Listener::spawn(
+            addr,
+            MAX_MESSAGE_BYTES,
+            |_link, _active| true,
+            move |link, stop| handle_follower(link, &session_ctx, stop),
+        )?;
         Ok(ReplicationServer { listener, ctx })
     }
 
@@ -226,7 +230,7 @@ impl Node {
 /// One follower session on its own thread: steps the shell until the
 /// session ends or the listener stops, sleeping [`POLL_INTERVAL`] after
 /// a step that found nothing to do.
-fn handle_follower(link: TcpLink, ctx: &ShipContext, stop: &AtomicBool) {
+fn handle_follower(link: TcpLink<Message>, ctx: &ShipContext, stop: &AtomicBool) {
     let mut shell = LeaderShell::open(link, ctx);
     let result = loop {
         if stop.load(Ordering::SeqCst) {
@@ -240,17 +244,6 @@ fn handle_follower(link: TcpLink, ctx: &ShipContext, stop: &AtomicBool) {
         }
     };
     shell.close(ctx, result.is_err());
-}
-
-/// What one [`LeaderShell::step`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// It read or shipped something: step again at once.
-    Busy,
-    /// Nothing to read or ship.
-    Idle,
-    /// The session is over.
-    Ended,
 }
 
 /// One follower session: its link, its horizon entry and, once the
@@ -270,7 +263,7 @@ pub(crate) struct LeaderShell<L> {
     last_heartbeat: Option<Instant>,
 }
 
-impl<L: Link> LeaderShell<L> {
+impl<L: Link<Message>> LeaderShell<L> {
     /// Takes a new connection. Its horizon entry is registered at 0,
     /// pinning the whole log, *before* the log is read for the handshake.
     pub(crate) fn open(link: L, ctx: &ShipContext) -> Self {
@@ -437,10 +430,8 @@ mod tests {
     //! the follower and every timing is exact.
 
     use super::*;
-    use crate::framed::{send, FrameReader};
+    use crate::framed::mem::{pair, Fault, MemLink, VirtualClock};
     use crate::node::Watermark;
-    use crate::replication::link::mem::{pair, Fault, MemLink, VirtualClock};
-    use crate::replication::protocol::MAX_MESSAGE_BYTES;
     use crate::replication::Published;
     use modb_core::{
         Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
@@ -450,7 +441,6 @@ mod tests {
     use modb_policy::BoundKind;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
     use modb_wal::{EpochHistory, WalOptions, GENESIS_EPOCH, SEGMENT_VERSION};
-    use std::net::TcpStream;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -516,34 +506,22 @@ mod tests {
         durable
     }
 
-    fn dial(
-        server: &ReplicationServer,
-        version: u32,
-        epoch: u64,
-    ) -> (TcpStream, FrameReader<Message>) {
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .unwrap();
-        let mut tx = stream.try_clone().unwrap();
-        send(
-            &mut tx,
-            &Message::Hello {
-                version,
-                next_lsn: 0,
-                have_state: false,
-                epoch,
-            },
-            MAX_MESSAGE_BYTES,
-        )
+    fn dial(server: &ReplicationServer, version: u32, epoch: u64) -> TcpLink<Message> {
+        let mut link = TcpLink::dial(server.local_addr(), MAX_MESSAGE_BYTES).unwrap();
+        link.send(&Message::Hello {
+            version,
+            next_lsn: 0,
+            have_state: false,
+            epoch,
+        })
         .unwrap();
-        (tx, FrameReader::new(stream, MAX_MESSAGE_BYTES))
+        link
     }
 
-    fn next_message(reader: &mut FrameReader<Message>) -> Option<Message> {
+    fn next_message(link: &mut TcpLink<Message>) -> Option<Message> {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            match reader.poll() {
+            match link.poll(deadline) {
                 Ok(ReadEvent::Message(m)) => return Some(m),
                 Ok(ReadEvent::Idle) if Instant::now() < deadline => continue,
                 Ok(ReadEvent::Idle) => panic!("timed out waiting for a message"),
@@ -555,7 +533,7 @@ mod tests {
     /// Drains the stream until `expected` records arrived, returning the
     /// decoded records; `assert_shape` sees every data message.
     fn drain(
-        reader: &mut FrameReader<Message>,
+        reader: &mut TcpLink<Message>,
         expected: u64,
         mut assert_shape: impl FnMut(&Message) -> Vec<modb_wal::WalRecord>,
     ) -> Vec<modb_wal::WalRecord> {
@@ -576,7 +554,7 @@ mod tests {
     fn hello_is_served_verbatim_blocks() {
         let (durable, server) = leader("blocks", 38);
         let total = 2 + 38;
-        let (_tx, mut reader) = dial(&server, PROTOCOL_VERSION, GENESIS_EPOCH);
+        let mut reader = dial(&server, PROTOCOL_VERSION, GENESIS_EPOCH);
         // The genesis snapshot (a head and one route) is one run.
         let Some(Message::SnapshotBlocks(first)) = next_message(&mut reader) else {
             panic!("expected the bootstrap snapshot");
@@ -602,7 +580,7 @@ mod tests {
         // The current version naming epoch 0, a timeline no log is on.
         hellos.push((PROTOCOL_VERSION, 0));
         for &(version, epoch) in &hellos {
-            let (_tx, mut reader) = dial(&server, version, epoch);
+            let mut reader = dial(&server, version, epoch);
             assert!(
                 next_message(&mut reader).is_none(),
                 "version {version}, epoch {epoch} must be disconnected, not served"
@@ -619,12 +597,12 @@ mod tests {
     #[test]
     fn an_ack_past_the_shipped_log_ends_the_session() {
         let (_durable, server) = leader("ack-past", 4);
-        let (mut tx, mut reader) = dial(&server, PROTOCOL_VERSION, GENESIS_EPOCH);
+        let mut reader = dial(&server, PROTOCOL_VERSION, GENESIS_EPOCH);
         while !matches!(next_message(&mut reader), Some(Message::Heartbeat { .. })) {}
         let bogus = Message::Ack {
             applied_lsn: u64::MAX,
         };
-        send(&mut tx, &bogus, MAX_MESSAGE_BYTES).unwrap();
+        reader.send(&bogus).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while next_message(&mut reader).is_some() {
             assert!(Instant::now() < deadline, "the session outlived the ack");
@@ -638,12 +616,8 @@ mod tests {
     /// without the leader shipping anything.
     #[test]
     fn epoch_less_hello_is_rejected() {
-        use std::io::Write as _;
-        let (_durable, server) = leader("short-hello", 4);
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .unwrap();
+        let durable = logged("short-hello", 4);
+        let mut session = Session::on(&durable);
         let mut payload = vec![1u8];
         payload.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
         payload.extend_from_slice(&0u64.to_le_bytes());
@@ -651,11 +625,11 @@ mod tests {
         let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&modb_wal::crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        stream.write_all(&frame).unwrap();
-        let mut reader = FrameReader::<Message>::new(stream, MAX_MESSAGE_BYTES);
-        assert!(next_message(&mut reader).is_none());
-        let stats = server.shutdown();
-        assert_eq!((stats.session_errors, stats.records_shipped), (1, 0));
+        session.follower.send_bytes(&frame).unwrap();
+        let step = session.shell.step(&session.ctx);
+        assert!(matches!(step, Err(WalError::Decode(_))), "{step:?}");
+        assert_eq!(session.received(), [], "nothing ships");
+        assert_eq!(session.ctx.stats().records_shipped, 0);
     }
 
     /// A session over an in-memory link on a virtual clock: the shell
@@ -664,13 +638,13 @@ mod tests {
     struct Session {
         ctx: ShipContext,
         clock: Arc<VirtualClock>,
-        follower: MemLink,
-        shell: LeaderShell<MemLink>,
+        follower: MemLink<Message>,
+        shell: LeaderShell<MemLink<Message>>,
     }
 
     impl Session {
         fn open(ctx: ShipContext, clock: Arc<VirtualClock>) -> Self {
-            let (follower, acceptor) = pair(Fault::None);
+            let (follower, acceptor) = pair(Fault::None, MAX_MESSAGE_BYTES);
             let shell = LeaderShell::open(acceptor, &ctx);
             Session {
                 ctx,

@@ -25,12 +25,12 @@
 //!   re-ship listener or a watch opened on a standby keeps serving
 //!   across its promotion, as a leader's;
 //! - each side of a session is a step function over a `Link` and a
-//!   `Clock` (`link.rs`: a TCP stream and the wall clock in production)
-//!   that makes the session's decisions itself — `LeaderShell` in
-//!   `leader.rs`, the follower's `Worker` in `follower.rs` — so the tests
-//!   drive one side from the other end of an in-memory link, or step a
-//!   whole cluster in one thread, on a virtual clock (the `sim` module
-//!   below).
+//!   `Clock` (the transport, `crate::framed`: a TCP stream and the wall
+//!   clock in production) that makes the session's decisions itself —
+//!   `LeaderShell` in `leader.rs`, the follower's `Worker` in
+//!   `follower.rs` — so the tests drive one side from the other end of an
+//!   in-memory link, or step a whole cluster and its query clients in one
+//!   thread, on a virtual clock (the `sim` module below).
 //!
 //! A lagging follower is not wrong, just stale in a *bounded* way: if it
 //! lags the leader by `dt` seconds of database time, a position answered
@@ -45,7 +45,6 @@ mod follower;
 mod horizon;
 mod lag;
 mod leader;
-mod link;
 mod protocol;
 
 pub(crate) use follower::Published;
@@ -55,26 +54,25 @@ pub use follower::{
 pub use horizon::ShipHorizon;
 pub use lag::LagClock;
 pub use leader::{ReplicationConfig, ReplicationServer, ReplicationStatsSnapshot};
-pub(crate) use link::{Clock, WallClock};
 
 #[cfg(test)]
-mod sim {
-    //! A deterministic cluster driver. A leader, chained followers and
-    //! the operator's `promote` / `repoint` run in one thread: each
-    //! follower is its [`Worker`] stepped over an in-memory link, each
-    //! served connection a [`LeaderShell`] stepped beside it, all on one
-    //! virtual clock. A round steps every actor once, in an order drawn
-    //! from the seed; a round in which nothing moved advances the clock
-    //! by one leader poll interval. The same seed gives the same run,
-    //! event for event. No socket, no sleep, no spawned thread (but in
-    //! the test that serves a standby's query front-end on a loopback
-    //! socket).
+pub(crate) mod sim {
+    //! A deterministic cluster driver. A leader, chained followers, query
+    //! front-ends on any node, their clients, and the operator's
+    //! `promote` / `repoint` run in one thread: each follower is its
+    //! [`Worker`] stepped over an in-memory link, each served replication
+    //! connection a [`LeaderShell`] and each client connection a
+    //! [`FrontSession`] stepped beside it, all on one virtual clock. A
+    //! round steps every actor once, in an order drawn from the seed; a
+    //! round in which nothing moved advances the clock by one leader poll
+    //! interval. A client's request runs rounds until its answer is
+    //! whole. The same seed gives the same run, event for event. No
+    //! socket, no sleep, no spawned thread.
 
-    use std::cell::Cell;
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
     use std::ops::RangeInclusive;
     use std::path::{Path, PathBuf};
-    use std::rc::Rc;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -84,21 +82,26 @@ mod sim {
     };
     use modb_geom::Point;
     use modb_policy::BoundKind;
+    use modb_query::QueryResult;
     use modb_routes::{Direction, Route, RouteId, RouteNetwork};
-    use modb_wal::{Shipment, WalOptions};
+    use modb_wal::{Shipment, WalError, WalOptions};
 
     use super::follower::{SessionEnd, Worker, RECONNECT_BACKOFF};
-    use super::leader::{LeaderShell, ShipContext, Step, HEARTBEAT_INTERVAL, POLL_INTERVAL};
-    use super::link::mem::{pair, Fault, MemLink, VirtualClock};
-    use super::link::Clock;
+    use super::leader::{LeaderShell, ShipContext, HEARTBEAT_INTERVAL, POLL_INTERVAL};
     use super::protocol::{Message, MAX_MESSAGE_BYTES, SESSION_DEADLINE};
     use super::{
         DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicationConfig,
         ReplicationStatsSnapshot, StandbyReplica,
     };
     use crate::durable::DurableDatabase;
-    use crate::framed::encode_frame;
-    use crate::net::{QueryClient, QueryServerConfig};
+    use crate::framed::mem::{pair, Fault, MemLink, VirtualClock};
+    use crate::framed::{encode_frame, Clock, Link, ReadEvent, Step};
+    use crate::ingest::IngestHandle;
+    use crate::net::{
+        self, BatchOutcome, FrontSession, QueryClient, QueryServerConfig, RemoteUpdateVerdict,
+        Reply, ServeContext, ServerStatsSnapshot,
+    };
+    use crate::node::Node;
     use crate::query_engine::QueryEngine;
 
     /// How much virtual time a wait may take before the run is declared
@@ -108,9 +111,17 @@ mod sim {
     /// A replication server on the simulated network.
     struct Server {
         ctx: ShipContext,
-        sessions: Vec<LeaderShell<MemLink>>,
+        sessions: Vec<LeaderShell<MemLink<Message>>>,
         /// The faults the next connections draw, one each, then none.
         faults: VecDeque<Fault>,
+    }
+
+    /// A query front-end on the simulated network.
+    struct Front {
+        ctx: ServeContext,
+        sessions: Vec<FrontSession<MemLink<net::Message>>>,
+        /// The server is shutting down.
+        stopping: bool,
     }
 
     /// A standby, its worker, and the link of its live session.
@@ -118,7 +129,7 @@ mod sim {
         name: String,
         replica: StandbyReplica,
         worker: Worker,
-        link: Option<MemLink>,
+        link: Option<MemLink<Message>>,
         redial_at: Instant,
         /// A session ended for good (divergence or a failed log).
         stopped: bool,
@@ -130,6 +141,7 @@ mod sim {
     enum Actor {
         Standby(usize),
         Server(String),
+        Front(String),
     }
 
     pub(crate) struct Cluster {
@@ -138,6 +150,8 @@ mod sim {
         root: PathBuf,
         servers: BTreeMap<String, Server>,
         standbys: Vec<Option<Standby>>,
+        fronts: BTreeMap<String, Front>,
+        clients: Vec<QueryClient>,
         /// What happened, in order, with the virtual time it happened at.
         pub(crate) trace: Vec<String>,
     }
@@ -153,6 +167,8 @@ mod sim {
                 root,
                 servers: BTreeMap::new(),
                 standbys: Vec::new(),
+                fronts: BTreeMap::new(),
+                clients: Vec::new(),
                 trace: Vec::new(),
             }
         }
@@ -205,11 +221,157 @@ mod sim {
         /// The host at `addr` dies: every session it served is cut and
         /// new dials are refused.
         pub(crate) fn kill(&mut self, addr: &str) {
-            let server = self.servers.remove(addr).expect("no such server");
-            for shell in server.sessions {
-                shell.close(&server.ctx, false);
+            if let Some(server) = self.servers.remove(addr) {
+                for shell in server.sessions {
+                    shell.close(&server.ctx, false);
+                }
+            } else {
+                let front = self.fronts.remove(addr).expect("no such server");
+                front.sessions.into_iter().for_each(FrontSession::close);
             }
             self.note(addr, "killed");
+        }
+
+        /// Serves queries on `node` at `addr`, with `ingest` taking update
+        /// frames; the sessions keep the cluster's clock.
+        pub(crate) fn serve_queries(
+            &mut self,
+            addr: &str,
+            node: &Arc<Node>,
+            ingest: Option<IngestHandle>,
+            config: QueryServerConfig,
+        ) {
+            let ctx = ServeContext {
+                engine: Arc::new(QueryEngine::new(node.database().clone())),
+                node: Arc::clone(node),
+                ingest,
+                config,
+                clock: self.clock(),
+            };
+            let front = Front {
+                ctx,
+                sessions: Vec::new(),
+                stopping: false,
+            };
+            assert!(self.fronts.insert(addr.to_string(), front).is_none());
+        }
+
+        /// The front-end at `addr` shuts down: each session answers the
+        /// request in hand, then ends.
+        pub(crate) fn stop_queries(&mut self, addr: &str) {
+            self.fronts
+                .get_mut(addr)
+                .expect("no such front-end")
+                .stopping = true;
+        }
+
+        /// Sessions the front-end at `addr` is serving: its taken slots.
+        pub(crate) fn front_sessions(&self, addr: &str) -> usize {
+            self.fronts[addr].sessions.len()
+        }
+
+        /// A raw connection to the front-end at `addr`: its far end is a
+        /// new session, and `fault` acts on what the session sends.
+        pub(crate) fn dial_queries(&mut self, addr: &str, fault: Fault) -> MemLink<net::Message> {
+            let front = self.fronts.get_mut(addr).expect("no such front-end");
+            let (link, acceptor) = pair(fault, front.ctx.config.max_frame_bytes);
+            front
+                .sessions
+                .push(FrontSession::open(acceptor, &front.ctx));
+            link
+        }
+
+        /// A client of the front-end at `addr`, once its handshake is
+        /// answered.
+        pub(crate) fn connect(&mut self, addr: &str) -> usize {
+            self.connect_with(addr, Fault::None).expect("handshake")
+        }
+
+        /// [`Cluster::connect`] over a link whose replies pass `fault`.
+        pub(crate) fn connect_with(&mut self, addr: &str, fault: Fault) -> Result<usize, WalError> {
+            let link = Box::new(self.dial_queries(addr, fault));
+            let unaddressed = std::net::SocketAddr::from(([0, 0, 0, 0], 0));
+            self.clients.push(QueryClient::open(link, unaddressed)?);
+            let client = self.clients.len() - 1;
+            if let Err(e) = self.reply(client) {
+                self.disconnect(client);
+                return Err(e);
+            }
+            Ok(client)
+        }
+
+        /// `client` hangs up.
+        pub(crate) fn disconnect(&mut self, client: usize) {
+            self.clients[client].hang_up();
+        }
+
+        /// `client` sends `request`; rounds run until its answer is whole.
+        pub(crate) fn call(
+            &mut self,
+            client: usize,
+            request: net::Message,
+        ) -> Result<Reply, WalError> {
+            self.request(client, request)?;
+            self.reply(client)
+        }
+
+        /// `client` sends `request`, and nothing runs.
+        pub(crate) fn request(
+            &mut self,
+            client: usize,
+            request: net::Message,
+        ) -> Result<(), WalError> {
+            self.clients[client].request(request)
+        }
+
+        /// Runs rounds until the answer to `client`'s request is whole.
+        pub(crate) fn reply(&mut self, client: usize) -> Result<Reply, WalError> {
+            let deadline = self.clock.now() + PATIENCE;
+            loop {
+                let now = self.clock.now();
+                if let Some(reply) = self.clients[client].poll(now)? {
+                    return Ok(reply);
+                }
+                assert!(now < deadline, "stuck waiting for a reply");
+                if !self.round() {
+                    self.clock.sleep_until(now + POLL_INTERVAL);
+                }
+            }
+        }
+
+        /// `client` runs `script` with the read-your-writes floor
+        /// `min_lsn`.
+        pub(crate) fn batch(&mut self, client: usize, script: &str, min_lsn: u64) -> BatchOutcome {
+            let script = script.to_string();
+            match self.call(client, net::Message::Batch { script, min_lsn }) {
+                Ok(Reply::Batch(outcome)) => outcome,
+                other => panic!("a batch was answered {other:?}"),
+            }
+        }
+
+        /// `client` sends one update frame; its verdicts.
+        pub(crate) fn update(
+            &mut self,
+            client: usize,
+            updates: Vec<(ObjectId, UpdateMessage)>,
+        ) -> Vec<RemoteUpdateVerdict> {
+            match self.call(client, net::Message::UpdateBatch { updates }) {
+                Ok(Reply::Update(verdicts)) => verdicts,
+                other => panic!("an update frame was answered {other:?}"),
+            }
+        }
+
+        /// `client` scrapes its front-end.
+        pub(crate) fn scrape(&mut self, client: usize) -> ServerStatsSnapshot {
+            match self.call(client, net::Message::StatsRequest) {
+                Ok(Reply::Stats(stats)) => *stats,
+                other => panic!("a scrape was answered {other:?}"),
+            }
+        }
+
+        /// The highest update-ack frontier `client` has seen.
+        pub(crate) fn token(&self, client: usize) -> u64 {
+            self.clients[client].token()
         }
 
         pub(crate) fn server_stats(&self, addr: &str) -> ReplicationStatsSnapshot {
@@ -301,6 +463,7 @@ mod sim {
         fn round(&mut self) -> bool {
             let mut actors: Vec<Actor> = (0..self.standbys.len()).map(Actor::Standby).collect();
             actors.extend(self.servers.keys().cloned().map(Actor::Server));
+            actors.extend(self.fronts.keys().cloned().map(Actor::Front));
             for i in (1..actors.len()).rev() {
                 let j = (self.draw() % (i as u64 + 1)) as usize;
                 actors.swap(i, j);
@@ -310,6 +473,7 @@ mod sim {
                 moved |= match actor {
                     Actor::Standby(i) => self.step_standby(i),
                     Actor::Server(addr) => self.step_server(&addr),
+                    Actor::Front(addr) => self.step_front(&addr),
                 };
             }
             moved
@@ -331,8 +495,10 @@ mod sim {
                             s.redial_at = now + RECONNECT_BACKOFF;
                         }
                         Some(server) => {
-                            let (mut link, acceptor) =
-                                pair(server.faults.pop_front().unwrap_or_default());
+                            let (mut link, acceptor) = pair(
+                                server.faults.pop_front().unwrap_or_default(),
+                                MAX_MESSAGE_BYTES,
+                            );
                             server
                                 .sessions
                                 .push(LeaderShell::open(acceptor, &server.ctx));
@@ -374,23 +540,22 @@ mod sim {
 
         fn step_server(&mut self, addr: &str) -> bool {
             let server = self.servers.get_mut(addr).expect("listed");
-            let (mut moved, mut ended, mut i) = (false, Vec::new(), 0);
-            while i < server.sessions.len() {
-                match server.sessions[i].step(&server.ctx) {
-                    Ok(Step::Busy) => moved = true,
-                    Ok(Step::Idle) => {}
-                    result => {
-                        let shell = server.sessions.remove(i);
-                        shell.close(&server.ctx, result.is_err());
-                        ended.push(format!("session ended: {result:?}"));
-                        moved = true;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
+            let (ctx, sessions) = (&server.ctx, &mut server.sessions);
+            let (moved, ended) =
+                step_all(sessions, |s| s.step(ctx), |s, r| s.close(ctx, r.is_err()));
             for event in ended {
                 self.note(addr, &event);
+            }
+            moved
+        }
+
+        fn step_front(&mut self, addr: &str) -> bool {
+            let front = self.fronts.get_mut(addr).expect("listed");
+            let (ctx, stopping) = (&front.ctx, front.stopping);
+            let step = |s: &mut FrontSession<_>| s.step(ctx, stopping);
+            let (moved, ended) = step_all(&mut front.sessions, step, |s, _| s.close());
+            for event in ended {
+                self.note(addr, &format!("client {event}"));
             }
             moved
         }
@@ -414,8 +579,34 @@ mod sim {
         }
     }
 
+    /// Steps every session once, closing the ones that end: whether one
+    /// moved, and how each ended one did.
+    fn step_all<S>(
+        sessions: &mut Vec<S>,
+        mut step: impl FnMut(&mut S) -> Result<Step, WalError>,
+        mut close: impl FnMut(S, &Result<Step, WalError>),
+    ) -> (bool, Vec<String>) {
+        let (mut moved, mut ended, mut i) = (false, Vec::new(), 0);
+        while i < sessions.len() {
+            match step(&mut sessions[i]) {
+                Ok(Step::Busy) => moved = true,
+                Ok(Step::Idle) => {}
+                result => {
+                    close(sessions.remove(i), &result);
+                    ended.push(format!("session ended: {result:?}"));
+                    moved = true;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        (moved, ended)
+    }
+
     impl Drop for Cluster {
         fn drop(&mut self) {
+            self.clients.clear();
+            self.fronts.clear();
             self.servers.clear();
             self.standbys.clear();
             let _ = std::fs::remove_dir_all(&self.root);
@@ -650,17 +841,25 @@ mod sim {
             );
         }
         converged_on(&leader, c.replica(f2));
-        let tail = c.replica(f2);
-        let lag = tail.watch().lag().as_secs_f64();
+        let lag = c.replica(f2).watch().lag().as_secs_f64();
         assert_eq!(lag, 0.0, "a caught-up tail is current");
-        let served = QueryEngine::new(tail.database().clone()).run_batch_lagging(SCRIPT, lag);
-        let local = QueryEngine::new(leader.database().clone()).run_batch(SCRIPT);
-        let strings = |v: Vec<Result<_, modb_query::QueryError>>| -> Vec<Result<_, String>> {
-            v.into_iter()
-                .map(|r| r.map_err(|e| e.to_string()))
-                .collect()
+        let node = Arc::clone(&c.replica(f2).node);
+        c.serve_queries("f2-queries", &node, None, QueryServerConfig::default());
+        let client = c.connect("f2-queries");
+        let BatchOutcome::Done(served) = c.batch(client, SCRIPT, frontier) else {
+            panic!("a converged chain refused its frontier");
         };
-        assert_eq!(strings(served), strings(local));
+        assert_eq!(served, local(&leader, SCRIPT));
+    }
+
+    /// `script` run on `durable`'s database, errors as display strings:
+    /// what a front-end serving it answers.
+    fn local(durable: &DurableDatabase, script: &str) -> Vec<Result<QueryResult, String>> {
+        let verdicts = QueryEngine::new(durable.database().clone()).run_batch(script);
+        verdicts
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect()
     }
 
     /// A query front-end opened on a standby serves across its
@@ -682,23 +881,24 @@ mod sim {
         });
         c.kill("leader");
         drop(leader);
-        let engine = Arc::new(QueryEngine::new(c.replica(f).database().clone()));
-        let config = QueryServerConfig::default();
-        let server = (c
-            .replica(f)
-            .serve_queries(Arc::clone(&engine), "127.0.0.1:0", config))
-        .unwrap();
-        let mut client = QueryClient::connect(server.local_addr()).unwrap();
+        let node = Arc::clone(&c.replica(f).node);
+        c.serve_queries("queries", &node, None, QueryServerConfig::default());
+        let client = c.connect("queries");
+        let engine = QueryEngine::new(node.database().clone());
         let local = || -> Vec<Result<_, String>> {
             let verdicts = engine.run_batch(SCRIPT).into_iter();
             verdicts.map(|r| r.map_err(|e| e.to_string())).collect()
         };
         let minute_later =
             |c: &Cluster| c.clock.sleep_until(c.clock.now() + Duration::from_secs(60));
+        let served = |c: &mut Cluster| match c.batch(client, SCRIPT, 0) {
+            BatchOutcome::Done(verdicts) => verdicts,
+            stale => panic!("{stale:?}"),
+        };
 
         minute_later(&c);
-        assert_ne!(client.batch(SCRIPT).unwrap(), local(), "a follower widens");
-        let follower = client.stats().unwrap();
+        assert_ne!(served(&mut c), local(), "a follower widens");
+        let follower = c.scrape(client);
         assert_eq!(
             (follower.wal_next_lsn, follower.replica_applied_lsn),
             (frontier, Some(frontier))
@@ -709,14 +909,13 @@ mod sim {
         let promoted = c.promote(f);
         churn(&promoted, 5..=6, 4);
         minute_later(&c);
-        assert_eq!(client.batch(SCRIPT).unwrap(), local(), "a leader does not");
-        let led = client.stats().unwrap();
+        assert_eq!(served(&mut c), local(), "a leader does not");
+        let led = c.scrape(client);
         assert_eq!(led.wal_next_lsn, promoted.wal().next_lsn());
         assert_eq!((led.replica_applied_lsn, led.replica_lag), (None, None));
         let (bytes, fsyncs) = promoted.wal().io_counters();
         assert!(bytes > 0 && fsyncs > 0, "{bytes} B, {fsyncs} fsyncs");
         assert_eq!((led.wal_bytes_written, led.wal_fsyncs), (bytes, fsyncs));
-        server.shutdown();
     }
 
     /// A leader with `vehicles` objects serving at "leader", and one
@@ -792,11 +991,11 @@ mod sim {
     /// backlog — no orphaning, no re-bootstrap.
     #[test]
     fn stalled_follower_is_not_orphaned_by_compaction() {
-        let hold = Rc::new(Cell::new(false));
-        let (mut c, leader, f) = faulty("stall", 5, vec![Fault::Stall(Rc::clone(&hold))]);
+        let hold = Arc::new(AtomicBool::new(false));
+        let (mut c, leader, f) = faulty("stall", 5, vec![Fault::Stall(Arc::clone(&hold))]);
         churn(&leader, 1..=10, 5);
         converge(&mut c, &leader, f);
-        hold.set(true);
+        hold.store(true, Ordering::SeqCst);
         let w = c.replica(f).applied_lsn();
         for batch in 0..4u64 {
             churn(&leader, 11 + batch * 20..=30 + batch * 20, 5);
@@ -815,7 +1014,7 @@ mod sim {
              (oldest surviving segment starts at {oldest}, follower acked {w})"
         );
         assert_eq!(c.replica(f).applied_lsn(), w, "the stall held");
-        hold.set(false);
+        hold.store(false, Ordering::SeqCst);
         converge(&mut c, &leader, f);
         let stats = c.replica(f).stats();
         assert_eq!((stats.connects, stats.bootstraps), (1, 1), "{stats}");
@@ -829,11 +1028,11 @@ mod sim {
     /// session's horizon entry as the link closes.
     #[test]
     fn a_silent_upstream_ends_the_session_and_the_follower_redials() {
-        let hold = Rc::new(Cell::new(false));
-        let (mut c, leader, f) = faulty("silent", 5, vec![Fault::Stall(Rc::clone(&hold))]);
+        let hold = Arc::new(AtomicBool::new(false));
+        let (mut c, leader, f) = faulty("silent", 5, vec![Fault::Stall(Arc::clone(&hold))]);
         churn(&leader, 1..=10, 5);
         converge(&mut c, &leader, f);
-        hold.set(true);
+        hold.store(true, Ordering::SeqCst);
         let stalled = c.clock.now();
         churn(&leader, 11..=20, 5);
         c.run_for(SESSION_DEADLINE - HEARTBEAT_INTERVAL);
@@ -1000,14 +1199,14 @@ mod sim {
             .collect();
         assert!(ends.len() >= 3, "{} snapshot runs", ends.len());
 
-        let hold = Rc::new(Cell::new(true));
+        let hold = Arc::new(AtomicBool::new(true));
         for fault in [
             Fault::CutAfterBytes(ends[0]),                 // between runs 1 and 2
             Fault::CutAfterBytes((ends[0] + ends[1]) / 2), // inside run 2
             Fault::CorruptByteAt(ends[1] + 64),            // inside run 3
             Fault::DuplicateMessages,                      // run 1 twice
             Fault::SwapMessages(1),                        // run 3 before run 2
-            Fault::Stall(Rc::clone(&hold)),
+            Fault::Stall(Arc::clone(&hold)),
         ] {
             c.push_fault("leader", fault);
         }
@@ -1034,7 +1233,7 @@ mod sim {
             .with_read(|db| assert_converged(&expected_before, db));
 
         // Let the last session through: the snapshot installs whole.
-        hold.set(false);
+        hold.store(false, Ordering::SeqCst);
         converge(&mut c, &leader, f);
         assert_eq!(c.replica(f).stats().bootstraps, 1);
         let installed: Vec<Vec<u8>> = files(&fdir)
@@ -1043,5 +1242,455 @@ mod sim {
             .map(|(_, bytes)| bytes)
             .collect();
         assert_eq!(installed, [snapshot], "the leader's snapshot, once");
+    }
+
+    /// Serves queries on standby `f` at `addr` under `config`, and
+    /// connects a client to it.
+    fn client_of(c: &mut Cluster, f: usize, addr: &str, config: QueryServerConfig) -> usize {
+        let node = Arc::clone(&c.replica(f).node);
+        c.serve_queries(addr, &node, None, config);
+        c.connect(addr)
+    }
+
+    /// One update per object of a fleet of `vehicles`, at time `t`, as a
+    /// client sends them.
+    fn burst(vehicles: u64, t: f64) -> Vec<(ObjectId, UpdateMessage)> {
+        (1..=vehicles)
+            .map(|i| {
+                let arc = UpdatePosition::Arc(10.0 * i as f64 + t * 0.5);
+                (ObjectId(i), UpdateMessage::basic(t, arc, 1.0))
+            })
+            .collect()
+    }
+
+    /// At equal applied LSN, caught up and quiescent, a follower's
+    /// served verdicts are the leader's, bit for bit — the error string
+    /// included.
+    #[test]
+    fn follower_verdicts_are_bit_identical_at_equal_applied_lsn() {
+        let (mut c, leader, f) = faulty("parity", 4, vec![]);
+        churn(&leader, 1..=30, 4);
+        converge(&mut c, &leader, f);
+        let frontier = leader.wal().next_lsn();
+        let client = client_of(&mut c, f, "f-queries", QueryServerConfig::default());
+        let BatchOutcome::Done(served) = c.batch(client, SCRIPT, frontier) else {
+            panic!("a reachable floor was refused");
+        };
+        assert_eq!(served, local(&leader, SCRIPT));
+    }
+
+    /// A name several vehicles share resolves to the same vehicle — the
+    /// one with the smallest id — on the leader and on a follower
+    /// bootstrapped from the leader's snapshot. The follower's object
+    /// table hashes with a seed of its own, so a rule that followed
+    /// iteration order would answer the same statement about different
+    /// vehicles at the same LSN.
+    #[test]
+    fn a_shared_name_resolves_to_the_same_vehicle_on_leader_and_follower() {
+        let (mut c, leader, f) = faulty("names", 0, vec![]);
+        for id in (5..=20).rev() {
+            let mut dup = vehicle(id, 10.0 * id as f64);
+            dup.name = "dup".into();
+            leader.register_moving(dup).unwrap();
+        }
+        leader.snapshot().unwrap();
+        converge(&mut c, &leader, f);
+        assert_eq!(c.replica(f).stats().bootstraps, 1, "from the snapshot");
+        let script = "RETRIEVE POSITION OF OBJECT 'dup' AT TIME 20; \
+             RETRIEVE POSITION OF OBJECT 5 AT TIME 20; \
+             RETRIEVE OBJECTS WITHIN 25 OF OBJECT 'dup' AT TIME 20";
+        let client = client_of(&mut c, f, "f-queries", QueryServerConfig::default());
+        let frontier = leader.wal().next_lsn();
+        let BatchOutcome::Done(served) = c.batch(client, script, frontier) else {
+            panic!("a reachable floor was refused");
+        };
+        let local = local(&leader, script);
+        assert_eq!(served, local);
+        assert_eq!(local[0], local[1], "'dup' is object 5, the smallest id");
+        let near = local[2].as_ref().unwrap().as_range().unwrap().all();
+        assert!(near.contains(&ObjectId(6)) && !near.contains(&ObjectId(5)));
+    }
+
+    /// The start position a lookup reports is the point its arc names,
+    /// `route.point_at(start_arc)`, bit for bit — whatever point the
+    /// registration sent within the map-matching tolerance, after an
+    /// `Arc` update and after a map-matched `Coordinates` update — on the
+    /// leader, on a follower bootstrapped from the leader's snapshot, and
+    /// on a copy recovered from that snapshot. The arcs are ones whose
+    /// point is not `(arc, 0)` on this route, and the registered point is
+    /// 0.1 mi off it.
+    #[test]
+    fn the_reported_start_position_is_the_point_its_arc_names() {
+        let (mut c, leader, f) = faulty("start-point", 0, vec![]);
+        let network = fresh_db().network_arc();
+        let route = network.get(RouteId(1)).unwrap();
+        assert_ne!(route.point_at(63.7).x, 63.7);
+        let mut off = vehicle(1, 63.7);
+        off.attr.start_position = Point::new(63.7, 0.1);
+        leader.register_moving(off.clone()).unwrap();
+        leader.register_moving(vehicle(2, 10.0)).unwrap();
+        leader.register_moving(vehicle(3, 20.0)).unwrap();
+        let arc = UpdateMessage::basic(1.0, UpdatePosition::Arc(127.4), 1.0);
+        leader.apply_update(ObjectId(2), &arc).unwrap();
+        let fix = UpdatePosition::Coordinates(Point::new(254.3, 0.2));
+        let fix = UpdateMessage::basic(1.0, fix, 1.0);
+        leader.apply_update(ObjectId(3), &fix).unwrap();
+        let check = |db: &Database, who: &str| {
+            for (id, arc) in [(1, Some(63.7)), (2, Some(127.4)), (3, None)] {
+                let attr = db.moving(ObjectId(id)).unwrap().attr;
+                if let Some(arc) = arc {
+                    assert_eq!(attr.start_arc, arc, "{who}: vehicle {id}");
+                }
+                let named = route.point_at(attr.start_arc);
+                assert_eq!(attr.start_position, named, "{who}: vehicle {id}");
+            }
+            let echoed = db.moving(ObjectId(1)).unwrap() == off;
+            assert!(!echoed, "{who}: echoed the sent point");
+        };
+        leader.database().with_read(|db| check(db, "leader"));
+
+        leader.snapshot().unwrap();
+        converge(&mut c, &leader, f);
+        assert_eq!(c.replica(f).stats().bootstraps, 1, "from the snapshot");
+        c.replica(f)
+            .database()
+            .with_read(|db| check(db, "follower"));
+        c.kill("leader");
+        drop(leader);
+        let recovered = modb_wal::recover(&c.dir("leader")).unwrap();
+        assert_eq!(recovered.report.replayed, 0, "all of it from the snapshot");
+        check(&recovered.database, "recovered");
+    }
+
+    /// A floor the follower cannot reach is parked for the stale
+    /// deadline and then refused with the typed `Stale` — its watermark,
+    /// the floor echoed — never a hang and never a stale answer; the
+    /// session survives. A reachable floor is answered at once, and once
+    /// the leader crosses the refused floor, that floor is answered as
+    /// soon as the follower applies it.
+    #[test]
+    fn unreachable_floor_is_a_typed_stale_refusal_not_a_hang() {
+        let (mut c, leader, f) = faulty("stale", 4, vec![]);
+        churn(&leader, 1..=10, 4);
+        converge(&mut c, &leader, f);
+        let frontier = leader.wal().next_lsn();
+        let limit = Duration::from_millis(100);
+        let config = QueryServerConfig {
+            stale_deadline: limit,
+            ..QueryServerConfig::default()
+        };
+        let client = client_of(&mut c, f, "f-queries", config);
+
+        let floor = frontier + 50;
+        let asked = c.clock.now();
+        match c.batch(client, SCRIPT, floor) {
+            BatchOutcome::Stale { applied, required } => {
+                assert_eq!(required, floor, "the refusal echoes the floor");
+                assert!((frontier..floor).contains(&applied), "{applied}");
+            }
+            BatchOutcome::Done(_) => panic!("an unreachable floor was answered"),
+        }
+        let waited = c.clock.now() - asked;
+        assert!(
+            limit <= waited && waited < limit + 5 * POLL_INTERVAL,
+            "{waited:?}"
+        );
+
+        let asked = c.clock.now();
+        assert!(matches!(c.batch(client, SCRIPT, frontier), BatchOutcome::Done(v) if v.len() == 4));
+        assert_eq!(c.clock.now(), asked, "a reachable floor waits for nothing");
+        churn(&leader, 11..=30, 4);
+        assert!(matches!(c.batch(client, SCRIPT, floor), BatchOutcome::Done(v) if v.len() == 4));
+        assert!(c.replica(f).applied_lsn() >= floor);
+    }
+
+    /// Byte-level faults on a follower's front-end end the offending
+    /// session, release its slot and never wedge it: a garbage header,
+    /// half a request then silence (reaped at the request deadline), and
+    /// replies corrupted in flight — on the handshake and inside a
+    /// batch's statements.
+    #[test]
+    fn byte_faults_on_the_serving_link_do_not_wedge_the_follower() {
+        let (mut c, leader, f) = faulty("serving-faults", 4, vec![]);
+        churn(&leader, 1..=10, 4);
+        converge(&mut c, &leader, f);
+        let frontier = leader.wal().next_lsn();
+        let limit = Duration::from_millis(200);
+        let config = QueryServerConfig {
+            request_deadline: limit,
+            ..QueryServerConfig::default()
+        };
+        let client = client_of(&mut c, f, "q", config);
+        c.disconnect(client);
+        let released = |c: &mut Cluster, what: &str| {
+            c.run_until(what, |c| c.front_sessions("q") == 0);
+            let client = c.connect("q");
+            let BatchOutcome::Done(verdicts) = c.batch(client, SCRIPT, frontier) else {
+                panic!("{what}: a healthy floor was refused");
+            };
+            assert!(verdicts[0].is_ok(), "{what}: {:?}", verdicts[0]);
+            c.disconnect(client);
+        };
+        released(&mut c, "a healthy client to leave");
+
+        let mut vandal = c.dial_queries("q", Fault::None);
+        vandal.send_bytes(&[0xff; 16]).unwrap();
+        released(&mut c, "the garbage header's session to end");
+        assert!(matches!(vandal.poll(c.clock.now()), Ok(ReadEvent::Closed)));
+
+        let mut staller = c.dial_queries("q", Fault::None);
+        let version = net::NET_PROTOCOL_VERSION;
+        staller.send(&net::Message::Hello { version }).unwrap();
+        let script = SCRIPT.to_string();
+        let batch = net::Message::Batch { script, min_lsn: 0 };
+        let frame = encode_frame(&batch, net::DEFAULT_MAX_FRAME_BYTES).unwrap();
+        staller.send_bytes(&frame[..frame.len() / 2]).unwrap();
+        let stalled = c.clock.now();
+        released(&mut c, "the staller to be reaped");
+        assert!(c.clock.now() - stalled > limit);
+
+        // The `HelloAck` is bytes 0..13: byte 12 fails the handshake, byte
+        // 40 the first statement of a batch.
+        assert!(c.connect_with("q", Fault::CorruptByteAt(12)).is_err());
+        released(&mut c, "the corrupted handshake's session to end");
+        let client = c.connect_with("q", Fault::CorruptByteAt(40)).unwrap();
+        let batch = net::Message::Batch {
+            script: SCRIPT.into(),
+            min_lsn: frontier,
+        };
+        assert!(matches!(c.call(client, batch), Err(WalError::Decode(_))));
+        c.disconnect(client);
+        released(&mut c, "the corrupted batch's session to end");
+    }
+
+    /// Served uncertainty must contain the leader's: equal when
+    /// quiescent, and a nonzero lag only ever widens — bounds and
+    /// intervals grow, `must` only drains into `may`, a `certain`
+    /// neighbour is certain on the leader too.
+    fn contains_widened(served: &QueryResult, leader: &QueryResult) -> Result<(), String> {
+        const EPS: f64 = 1e-9;
+        match (served, leader) {
+            (QueryResult::Position(r), QueryResult::Position(l)) => {
+                if r.position != l.position || r.arc != l.arc {
+                    return Err(format!("position moved: {r:?} vs {l:?}"));
+                }
+                if r.bound + EPS < l.bound
+                    || r.interval.0 > l.interval.0 + EPS
+                    || r.interval.1 + EPS < l.interval.1
+                {
+                    return Err(format!("uncertainty shrank: {r:?} vs {l:?}"));
+                }
+            }
+            (QueryResult::Range(r), QueryResult::Range(l)) => {
+                let must = |a: &modb_core::RangeAnswer| -> BTreeSet<ObjectId> {
+                    a.must.iter().copied().collect()
+                };
+                let all = |a: &modb_core::RangeAnswer| -> BTreeSet<ObjectId> {
+                    a.all().into_iter().collect()
+                };
+                if !must(r).is_subset(&must(l)) || all(r) != all(l) {
+                    return Err(format!("range answer changed: {r:?} vs {l:?}"));
+                }
+            }
+            (QueryResult::Nearest(r), QueryResult::Nearest(l)) => {
+                if r.ranked.len() != l.ranked.len() {
+                    return Err(format!("ranking length changed: {r:?} vs {l:?}"));
+                }
+                for (rn, ln) in r.ranked.iter().zip(&l.ranked) {
+                    if rn.id != ln.id
+                        || (rn.distance - ln.distance).abs() > EPS
+                        || rn.bound + EPS < ln.bound
+                        || (rn.certain && !ln.certain)
+                    {
+                        return Err(format!("neighbour changed: {rn:?} vs {ln:?}"));
+                    }
+                }
+            }
+            _ => return Err("verdict kind changed".to_string()),
+        }
+        Ok(())
+    }
+
+    /// Read-your-writes through a leader → f1 → f2 chain, over seeded
+    /// runs of write bursts, floored reads and checkpoints. A writer
+    /// session on the leader's front-end sends each burst; a reader on a
+    /// follower, floored at the writer's token, observes the burst — its
+    /// answer contains the leader's, widened by the lag at most — and a
+    /// typed `Stale` while the chain catches up is retried, never a
+    /// pre-write answer. At checkpoints and at the end the whole chain
+    /// has converged.
+    #[test]
+    fn session_token_reads_observe_own_writes_through_the_chain() {
+        for seed in 0..8 {
+            let mut c = Cluster::new("ryw", seed);
+            let fleet = 2 + c.draw() % 4;
+            let leader = c.leader(fleet);
+            c.serve("leader", &leader);
+            let f1 = c.follow("f1", "leader");
+            c.serve_standby("f1", f1);
+            let f2 = c.follow("f2", "f1");
+            let service = leader.ingest_service(0, 0);
+            let config = QueryServerConfig::default();
+            c.serve_queries("leader-q", leader.node(), Some(service.handle()), config);
+            let writer = c.connect("leader-q");
+            let config = QueryServerConfig {
+                stale_deadline: Duration::from_millis(50),
+                ..QueryServerConfig::default()
+            };
+            let readers = [f1, f2].map(|f| client_of(&mut c, f, &format!("q{f}"), config.clone()));
+            let (mut t, mut token) = (0.0, leader.wal().next_lsn());
+            for _ in 0..10 + c.draw() % 40 {
+                match c.draw() % 6 {
+                    0 | 1 => {
+                        t += 1.0;
+                        let verdicts = c.update(writer, burst(fleet, t));
+                        assert!(verdicts.iter().all(|v| v.is_accepted()), "{verdicts:?}");
+                        token = c.token(writer);
+                        assert_eq!(token, leader.wal().next_lsn(), "the ack is the frontier");
+                    }
+                    2..=4 => {
+                        let reader = readers[(c.draw() % 2) as usize];
+                        let id = 1 + c.draw() % fleet;
+                        let script = format!(
+                            "RETRIEVE POSITION OF OBJECT {id} AT TIME {t}; \
+                             RETRIEVE OBJECTS INSIDE RECT (0, -1, 1000, 1) AT TIME {t}; \
+                             RETRIEVE 2 NEAREST OBJECTS TO POINT (20, 0) AT TIME {t}"
+                        );
+                        let served = loop {
+                            match c.batch(reader, &script, token) {
+                                BatchOutcome::Done(verdicts) => break verdicts,
+                                BatchOutcome::Stale { required, .. } => assert_eq!(required, token),
+                            }
+                        };
+                        for (i, (r, l)) in served.iter().zip(local(&leader, &script)).enumerate() {
+                            match (r, &l) {
+                                (Ok(r), Ok(l)) => contains_widened(r, l).unwrap_or_else(|why| {
+                                    panic!("seed {seed}, statement {i}: {why}")
+                                }),
+                                _ => assert_eq!(r, &l, "seed {seed}, statement {i}"),
+                            }
+                        }
+                    }
+                    _ => {
+                        converge(&mut c, &leader, f1);
+                        converge(&mut c, &leader, f2);
+                    }
+                }
+            }
+            converge(&mut c, &leader, f1);
+            converge(&mut c, &leader, f2);
+        }
+    }
+
+    /// Read-your-writes across a swap. A writer session on the leader's
+    /// front-end acks a burst; a reader on the standby's front-end,
+    /// floored at the writer's token, waits at the gate until the
+    /// standby has applied it. The leader dies, every acked write on the
+    /// standby, which is promoted: the same reader session reads the old
+    /// token at once, and a writer on the promotee mints a token past the
+    /// seal that the reader reads at once too.
+    #[test]
+    fn a_writers_token_reads_its_writes_across_a_promotion() {
+        let mut c = Cluster::new("swap", 23);
+        let leader = c.leader(4);
+        c.serve("leader", &leader);
+        let f = c.follow("f", "leader");
+        let service = leader.ingest_service(0, 0);
+        let config = QueryServerConfig::default();
+        c.serve_queries(
+            "leader-q",
+            leader.node(),
+            Some(service.handle()),
+            config.clone(),
+        );
+        let writer = c.connect("leader-q");
+        let reader = client_of(&mut c, f, "f-q", config.clone());
+        let position = |c: &mut Cluster, t: f64, token: u64| {
+            let script = format!("RETRIEVE POSITION OF OBJECT 2 AT TIME {t}");
+            let BatchOutcome::Done(verdicts) = c.batch(reader, &script, token) else {
+                panic!("a token of an acked write was refused");
+            };
+            verdicts[0].as_ref().unwrap().as_position().unwrap().arc
+        };
+
+        for t in 1..=3 {
+            c.update(writer, burst(4, t as f64));
+        }
+        let token = c.token(writer);
+        assert_eq!(
+            position(&mut c, 3.0, token),
+            21.5,
+            "the reader saw the writes"
+        );
+        assert!(c.replica(f).applied_lsn() >= token);
+        c.kill("leader");
+        c.kill("leader-q");
+        drop(service);
+        drop(leader);
+        assert!(
+            c.call(writer, net::Message::StatsRequest).is_err(),
+            "its host is gone"
+        );
+
+        let promoted = c.promote(f);
+        let asked = c.clock.now();
+        assert_eq!(
+            position(&mut c, 3.0, token),
+            21.5,
+            "no acked write was lost"
+        );
+        assert_eq!(c.clock.now(), asked, "the promotee's frontier covers it");
+        let service = promoted.ingest_service(0, 0);
+        c.serve_queries("f-ingest", promoted.node(), Some(service.handle()), config);
+        let writer = c.connect("f-ingest");
+        c.update(writer, burst(4, 4.0));
+        let token_after = c.token(writer);
+        assert!(token_after > token + 1, "past the seal");
+        assert_eq!(position(&mut c, 4.0, token_after), 22.0);
+        assert_eq!(c.clock.now(), asked, "a leader's own acks never wait");
+    }
+
+    /// Convergence under seeded interleavings of registers, updates and
+    /// removes — rejected ones included — with forced reconnects and
+    /// leader snapshot + compaction passes, one cluster round after each:
+    /// at every checkpoint the follower at watermark W is the leader's
+    /// database at W, and at the end the follower's own log, recovered
+    /// on its own, ends at W in that state.
+    #[test]
+    fn follower_at_watermark_equals_leader_clone() {
+        for seed in 0..8 {
+            let mut c = Cluster::new("converge", seed);
+            let leader = c.leader(0);
+            c.serve("leader", &leader);
+            let config = ReplicaConfig {
+                snapshot_every: 16,
+                ..replica_config()
+            };
+            let f = c.follow_with("f", "leader", config);
+            for _ in 0..10 + c.draw() % 70 {
+                let (id, arc) = (1 + c.draw() % 9, (c.draw() % 900) as f64);
+                match c.draw() % 8 {
+                    0 => drop(leader.register_moving(vehicle(id, arc))),
+                    1..=3 => {
+                        let t = (c.draw() % 60) as f64;
+                        let msg = UpdateMessage::basic(t, UpdatePosition::Arc(arc), 1.0);
+                        drop(leader.apply_update(ObjectId(id), &msg));
+                    }
+                    4 => drop(leader.remove_moving(ObjectId(id))),
+                    5 => c.replica(f).repoint("leader"),
+                    6 => drop(leader.snapshot_with_retention(2).unwrap()),
+                    _ => converge(&mut c, &leader, f),
+                }
+                c.round();
+            }
+            converge(&mut c, &leader, f);
+            let w = leader.wal().next_lsn();
+            assert_eq!(c.replica(f).applied_lsn(), w, "seed {seed}");
+            let at_w = leader.database().with_read(|db| db.clone());
+            c.shutdown(f);
+            let recovered = modb_wal::recover(&c.dir("f")).unwrap();
+            assert_eq!(recovered.report.next_lsn, w, "seed {seed}");
+            assert_converged(&at_w, &recovered.database);
+        }
     }
 }

@@ -1,12 +1,7 @@
 //! Shared fault-injection plumbing for the replication and front-end
-//! integration suites: the byte-level [`FaultProxy`], the
-//! leader-behind-proxy [`Scenario`], and raw-wire helpers for hitting a
-//! query server below the client library.
-//!
-//! Anything that proxies a TCP stream is topology-agnostic: the same
-//! [`FaultProxy`] sits in front of a leader's replication server, a
-//! follower's re-shipping server, or a query front-end (leader- or
-//! follower-served).
+//! integration suites over real sockets: the byte-level [`FaultProxy`],
+//! the leader-behind-proxy [`Scenario`], and raw-wire helpers for
+//! hitting a query server below the client library.
 #![allow(dead_code)]
 
 use std::collections::VecDeque;
@@ -121,11 +116,6 @@ impl FaultProxy {
     /// The proxy's listening address, as a connect string.
     pub fn addr(&self) -> String {
         self.addr.to_string()
-    }
-
-    /// The proxy's listening address, as a socket address.
-    pub fn socket_addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Queues a fault for the next accepted connection.

@@ -1,29 +1,27 @@
-//! Leader failover: follower promotion, chain repoint and divergence
-//! refusal (DESIGN.md §16). The operator promotes the standby with the
-//! highest applied LSN and repoints the others at it.
+//! Leader failover: follower promotion and divergence refusal
+//! (DESIGN.md §16), over real sockets. The operator promotes the standby
+//! with the highest applied LSN and repoints the others at it.
 //!
 //! The invariants under test:
 //!
 //! - a promoted standby becomes a full acked-write leader whose state is
-//!   exactly the applied prefix it acknowledged — zero acked-write loss
-//!   across the kill → promote → repoint sequence (with the dying
-//!   leader's last session severed mid-byte on the driver);
-//! - everything chained off the promotee keeps working: its re-ship
-//!   server streams the sealed `LeaderEpoch` record and the new epoch's
-//!   writes to survivors repointed at it, which resume from their
-//!   applied watermark instead of re-bootstrapping (checked here over
-//!   sockets, and with a severed session and a seeded interleaving on
-//!   the crate's deterministic driver, `replication::sim`);
+//!   exactly the applied prefix it acknowledged, and reopens sealed;
+//! - kill → promote → repoint on a chain loses no acked write, and the
+//!   survivor resumes from its watermark on the promotee (the one
+//!   real-socket run of the whole story);
 //! - a revived old leader whose log tail passed the promotion point is
 //!   refused with a typed `Diverged` answer and its local log is left
 //!   intact — never silently truncated or overwritten; nor can it be
-//!   promoted itself (a fresher survivor repointed at a staler promotee
-//!   is the same refusal, checked on the deterministic driver,
-//!   `replication::sim::a_fresher_follower_of_a_staler_promotee_is_refused_at_the_seal`);
+//!   promoted itself;
 //! - the leadership history lives in the log and nowhere else: a data
 //!   directory holds segments and snapshots only, a snapshot's head
 //!   keeps every epoch whose seal record compaction deleted, and a torn
 //!   seal record means the promotion never happened.
+//!
+//! The same chain story with the dying leader's last session severed
+//! mid-byte, a fresher survivor repointed at a staler promotee, and a
+//! writer's session token read across the swap run on the crate's
+//! deterministic cluster driver, `replication::sim`.
 
 mod common;
 

@@ -1,25 +1,28 @@
-//! Fault injection for the query front-end, in the style of
-//! `replication_faults`: misbehaving clients hit the server at the byte
-//! level — garbage headers, oversized frames, disconnects mid-batch,
-//! and stalls mid-frame. The invariant under every fault: the offending
-//! session ends, its connection slot is released (no leak), and the
-//! server keeps answering healthy clients — it never wedges.
+//! Fault injection for the query front-end over real sockets, in the
+//! style of `replication_faults`: misbehaving clients hit the server at
+//! the byte level — garbage headers, a foreign version, oversized
+//! frames, disconnects mid-batch. The invariant under every fault: the
+//! offending session ends, its connection slot is released (no leak),
+//! and the server keeps answering healthy clients — it never wedges.
 //!
-//! The raw-wire helpers (hand-rolled framing, handshake, closed/healthy
-//! assertions) live in `common::replica_harness`, shared with the
-//! follower-read fault suite.
+//! The deadlines — a connection that never says `Hello`, a client that
+//! stalls mid-frame, an idle one that must survive — and a follower's
+//! serving faults run on the crate's deterministic cluster driver, on
+//! the virtual clock (`net::server::tests`, `replication::sim`). The
+//! raw-wire helpers (hand-rolled framing, handshake, closed/healthy
+//! assertions) live in `common::replica_harness`.
 
 mod common;
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use common::replica_harness::{
     assert_closed, assert_healthy, batch_payload, frame, raw_handshake, serve, wait_until,
     RAW_NET_VERSION,
 };
-use modb_server::{QueryClient, QueryServerConfig};
+use modb_server::QueryServerConfig;
 
 #[test]
 fn garbage_header_ends_the_session_without_leaking_a_slot() {
@@ -117,54 +120,5 @@ fn disconnect_mid_batch_does_not_wedge_the_server() {
     wait_until("slot released", || server.active_connections() == 0);
 
     assert_healthy(addr);
-    server.shutdown();
-}
-
-#[test]
-fn stalled_client_is_disconnected_at_the_request_deadline() {
-    let (_durable, server) = serve(
-        "fault-stall",
-        QueryServerConfig {
-            request_deadline: Duration::from_millis(200),
-            ..QueryServerConfig::default()
-        },
-    );
-    let addr = server.local_addr();
-
-    // Send half a frame and go silent. An *idle* connection (no partial
-    // frame) may sit forever; a half-delivered request may not.
-    let mut staller = raw_handshake(addr);
-    let full = frame(&batch_payload("RETRIEVE POSITION OF OBJECT 0 AT TIME 3"));
-    staller.write_all(&full[..full.len() / 2]).unwrap();
-    let stalled_at = Instant::now();
-    assert_closed(&mut staller);
-    assert!(
-        stalled_at.elapsed() >= Duration::from_millis(150),
-        "disconnected suspiciously early — deadline not honored?"
-    );
-    wait_until("slot released", || server.active_connections() == 0);
-
-    assert_healthy(addr);
-    server.shutdown();
-}
-
-#[test]
-fn idle_connection_without_partial_frame_survives_the_deadline() {
-    let (_durable, server) = serve(
-        "fault-idle",
-        QueryServerConfig {
-            request_deadline: Duration::from_millis(100),
-            ..QueryServerConfig::default()
-        },
-    );
-    let addr = server.local_addr();
-
-    let mut client = QueryClient::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(300)); // 3× the deadline
-    let verdicts = client
-        .batch("RETRIEVE POSITION OF OBJECT 0 AT TIME 3")
-        .expect("an idle console must not be reaped");
-    assert!(verdicts[0].is_ok());
-    client.close();
     server.shutdown();
 }
