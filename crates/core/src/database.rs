@@ -16,32 +16,31 @@ use crate::query::{Containment, PositionAnswer, RangeAnswer};
 use crate::resident::Resident;
 use crate::update::{UpdateMessage, UpdatePosition};
 
-/// Tuning knobs for the DBMS.
+/// Maximum distance (miles) a reported coordinate may lie from its route
+/// before the update is rejected as off-route.
+pub const MAP_MATCH_TOLERANCE: f64 = 0.25;
+
+/// Horizon (minutes) an o-plane extends past its update when the object
+/// has no known trip end — the `T` of §4.2's index time span.
+pub const DEFAULT_HORIZON: f64 = 60.0;
+
+/// Sampling step (minutes) for exact refinement of time-interval queries.
+pub const REFINEMENT_DT: f64 = 1.0;
+
+/// The index's one setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatabaseConfig {
-    /// Maximum distance (miles) a reported coordinate may lie from its
-    /// route before the update is rejected as off-route.
-    pub map_match_tolerance: f64,
-    /// Horizon (minutes) an o-plane extends past its update when the
-    /// object has no known trip end — the `T` of §4.2's index time span.
-    pub default_horizon: f64,
     /// Slab duration (minutes) of the index's o-plane decomposition
     /// (§4.2). The name is what is left of the speed-band layout this
     /// field used to hold; it stays because `modb_ledger/` reads it and
     /// may not be edited.
     pub bands: f64,
-    /// Sampling step (minutes) for exact refinement of time-interval
-    /// queries.
-    pub refinement_dt: f64,
 }
 
 impl Default for DatabaseConfig {
     fn default() -> Self {
         DatabaseConfig {
-            map_match_tolerance: 0.25,
-            default_horizon: 60.0,
             bands: DEFAULT_SLAB_MINUTES,
-            refinement_dt: 1.0,
         }
     }
 }
@@ -319,10 +318,10 @@ impl Database {
             return Err(CoreError::InvalidField("start_position", bad));
         }
         let distance = start.distance(route.point_at(obj.attr.start_arc));
-        if distance > self.config.map_match_tolerance {
+        if distance > MAP_MATCH_TOLERANCE {
             return Err(CoreError::OffRoute {
                 distance,
-                tolerance: self.config.map_match_tolerance,
+                tolerance: MAP_MATCH_TOLERANCE,
             });
         }
         let (id, resident) = Resident::new(obj);
@@ -335,10 +334,10 @@ impl Database {
     ///
     /// [`CoreError::UnknownObject`] when absent.
     pub fn remove_moving(&mut self, id: ObjectId) -> Result<MovingObject, CoreError> {
-        let (network, config) = (&*self.network, &self.config);
+        let network = &*self.network;
         let entry = self
             .moving
-            .remove(&id, |resident| Self::filing(network, config, resident))?
+            .remove(&id, |resident| Self::filing(network, resident))?
             .ok_or(CoreError::UnknownObject(id))?;
         self.set_unindexed(id, false);
         Ok(self.object(id, entry.value()))
@@ -442,10 +441,10 @@ impl Database {
                     return Err(CoreError::InvalidField("position.x/y", p.x));
                 }
                 let (arc, dist) = route.locate(p);
-                if dist > self.config.map_match_tolerance {
+                if dist > MAP_MATCH_TOLERANCE {
                     return Err(CoreError::OffRoute {
                         distance: dist,
-                        tolerance: self.config.map_match_tolerance,
+                        tolerance: MAP_MATCH_TOLERANCE,
                     });
                 }
                 Ok(arc)
@@ -454,23 +453,23 @@ impl Database {
     }
 
     /// The o-plane `obj`'s position attribute defines (§4.1.1), cut off at
-    /// its trip end `Z` or else `default_horizon` past its update (§4.2);
+    /// its trip end `Z` or else [`DEFAULT_HORIZON`] past its update (§4.2);
     /// `None` when its policy is not cost-based. The one derivation of a
     /// plane: [`Database::store`] files an object under the union box of
     /// the plane this returns, a later write finds that box again by
     /// calling it on the superseded object, and the range filter tests
     /// each tree hit against the plane this returns for it — so all three
-    /// are the same plane, bit for bit: it reads only the object and the
-    /// configuration, neither of which changes while the entry is filed,
-    /// and the box also reads the plane's route, which never changes
-    /// (the network is append-only).
-    fn plane_of(config: &DatabaseConfig, obj: &Resident) -> Result<Option<OPlane>, CoreError> {
+    /// are the same plane, bit for bit: it reads only the object, which
+    /// does not change while the entry is filed, and the box also reads
+    /// the plane's route, which never changes (the network is
+    /// append-only).
+    fn plane_of(obj: &Resident) -> Result<Option<OPlane>, CoreError> {
         let PolicyDescriptor::CostBased { kind, update_cost } = obj.attr.policy() else {
             return Ok(None);
         };
         let end_time = obj
             .trip_end()
-            .unwrap_or(obj.attr.start_time + config.default_horizon)
+            .unwrap_or(obj.attr.start_time + DEFAULT_HORIZON)
             .max(obj.attr.start_time + 1e-6);
         let plane = OPlane::new(
             obj.attr.route,
@@ -487,14 +486,10 @@ impl Database {
     }
 
     /// Where `obj` is filed: [`Database::plane_of`]'s plane on its route.
-    /// An associated function over the two fields it reads, so a write can
+    /// An associated function over the network it reads, so a write can
     /// hand it to the index while borrowing the index mutably.
-    fn filing<'n>(
-        network: &'n RouteNetwork,
-        config: &DatabaseConfig,
-        obj: &Resident,
-    ) -> Result<Filing<'n>, CoreError> {
-        match Self::plane_of(config, obj)? {
+    fn filing<'n>(network: &'n RouteNetwork, obj: &Resident) -> Result<Filing<'n>, CoreError> {
+        match Self::plane_of(obj)? {
             Some(plane) => {
                 let route = network.get(plane.route)?;
                 Ok(Some((plane, route)))
@@ -513,9 +508,9 @@ impl Database {
     fn store(&mut self, id: ObjectId, obj: Resident) -> Result<(), CoreError> {
         let filed = matches!(obj.attr.policy(), PolicyDescriptor::CostBased { .. });
         let max_speed = obj.max_speed;
-        let (network, config) = (&*self.network, &self.config);
+        let network = &*self.network;
         self.moving
-            .insert(id, obj, |obj| Self::filing(network, config, obj))?;
+            .insert(id, obj, |obj| Self::filing(network, obj))?;
         self.set_unindexed(id, !filed);
         self.speed_cap = self.speed_cap.max(max_speed);
         Ok(())
@@ -609,7 +604,7 @@ impl Database {
         let route = self.network.get(obj.attr.route)?;
         let polygon = region.polygon();
         let mut best: Option<Containment> = None;
-        for t in region.refinement_times(self.config.refinement_dt) {
+        for t in region.refinement_times(REFINEMENT_DT) {
             if t < obj.attr.start_time {
                 continue;
             }
@@ -682,7 +677,7 @@ impl Database {
         let stats = self.moving.for_each_candidate(
             filter,
             &self.network,
-            |obj| Self::plane_of(&self.config, obj).ok().flatten(),
+            |obj| Self::plane_of(obj).ok().flatten(),
             |entry| {
                 if refined.is_ok() {
                     refined = self.tally(&mut answer, *entry.key(), entry.value(), region, lag);
@@ -708,7 +703,7 @@ impl Database {
         let stats = self.moving.candidates_into(
             region,
             &self.network,
-            |obj| Self::plane_of(&self.config, obj).ok().flatten(),
+            |obj| Self::plane_of(obj).ok().flatten(),
             &mut candidates,
         );
         candidates.extend(self.unindexed.iter().copied());
@@ -1746,7 +1741,7 @@ mod tests {
         let mut leaves = Vec::new();
         db.moving.for_each_leaf(|union, entry| {
             let (id, obj) = (*entry.key(), entry.value());
-            let derived = Database::filing(&db.network, &db.config, obj)
+            let derived = Database::filing(&db.network, obj)
                 .unwrap()
                 .map(|(plane, route)| plane.union_box(route, db.config.bands).unwrap())
                 .map(|union| modb_index::stored_box(&union));

@@ -40,7 +40,9 @@ mod resident;
 mod update;
 
 pub use attr::{PolicyDescriptor, PositionAttribute};
-pub use database::{Database, DatabaseConfig, MovingObject};
+pub use database::{
+    Database, DatabaseConfig, MovingObject, DEFAULT_HORIZON, MAP_MATCH_TOLERANCE, REFINEMENT_DT,
+};
 pub use error::CoreError;
 pub use nearest::{NearestAnswer, Neighbour};
 pub use object::{ObjectId, StationaryObject};

@@ -790,8 +790,7 @@ fn rstar_split<E>(mut entries: Vec<(Bounds, E)>) -> Split<E> {
     for axis in 0..3 {
         entries.sort_by(by_axis(axis));
         let mut margin_sum = 0.0;
-        for k in MIN_ENTRIES..=(entries.len() - MIN_ENTRIES) {
-            let (left, right) = groups(&entries, k);
+        for (_, left, right) in distributions(&entries) {
             margin_sum += left.margin() + right.margin();
         }
         if margin_sum < best_margin {
@@ -804,8 +803,7 @@ fn rstar_split<E>(mut entries: Vec<(Bounds, E)>) -> Split<E> {
     entries.sort_by(by_axis(best_axis));
     let mut best_k = MIN_ENTRIES;
     let mut best_key = (f64::INFINITY, f64::INFINITY);
-    for k in MIN_ENTRIES..=(entries.len() - MIN_ENTRIES) {
-        let (left, right) = groups(&entries, k);
+    for (k, left, right) in distributions(&entries) {
         let key = (
             left.intersection_volume(&right),
             left.volume() + right.volume(),
@@ -819,14 +817,22 @@ fn rstar_split<E>(mut entries: Vec<(Bounds, E)>) -> Split<E> {
     (entries, right)
 }
 
-/// The boxes of the two groups a split at `k` makes, widened.
-fn groups<E>(entries: &[(Bounds, E)], k: usize) -> (Aabb3, Aabb3) {
-    let union = |es: &[(Bounds, E)]| {
-        es.iter()
-            .fold(Bounds::EMPTY, |a, (b, _)| a.union(b))
-            .widen()
+/// Every legal distribution of `entries`, `k` from `MIN_ENTRIES` to
+/// `len - MIN_ENTRIES`: `k` and the boxes of its two groups, `[..k]` and
+/// `[k..]`, widened. One pass of prefix unions and one of suffix unions
+/// make them all: an `f32` union is exact and order-free, so each is the
+/// union of its group's own slots.
+fn distributions<E>(entries: &[(Bounds, E)]) -> impl Iterator<Item = (usize, Aabb3, Aabb3)> {
+    let grow = |acc: &mut Bounds, (b, _): &(Bounds, E)| {
+        *acc = acc.union(b);
+        Some(*acc)
     };
-    (union(&entries[..k]), union(&entries[k..]))
+    // `prefix[i]` covers `..=i`, `suffix[i]` covers `i..`.
+    let prefix: Vec<Bounds> = entries.iter().scan(Bounds::EMPTY, grow).collect();
+    let mut suffix: Vec<Bounds> = entries.iter().rev().scan(Bounds::EMPTY, grow).collect();
+    suffix.reverse();
+    (MIN_ENTRIES..=entries.len() - MIN_ENTRIES)
+        .map(move |k| (k, prefix[k - 1].widen(), suffix[k].widen()))
 }
 
 /// The union of a node's slot boxes.
@@ -1229,6 +1235,24 @@ mod tests {
             prop_assert_eq!(fast.unwrap_or(full), full, "children {:?}, box {:?}", children, bbox);
             if kind < 3 && infinite != 0 {
                 prop_assert!(fast.is_some(), "a containing child takes the fast path");
+            }
+        }
+
+        /// The split's prefix and suffix unions are each group's own
+        /// union, bit for bit, for every legal distribution of an
+        /// overflowing node.
+        #[test]
+        fn split_distributions_are_the_groups_own_unions(
+            boxes in proptest::collection::vec(grid_box_case(), MAX_ENTRIES + 1),
+        ) {
+            let entries: Vec<(Bounds, ())> = boxes.iter().map(|b| (Bounds::round_out(b), ())).collect();
+            let union = |es: &[(Bounds, ())]| {
+                es.iter().fold(Bounds::EMPTY, |a, (b, _)| a.union(b)).widen()
+            };
+            let ks: Vec<usize> = distributions(&entries).map(|(k, _, _)| k).collect();
+            prop_assert_eq!(ks, (MIN_ENTRIES..=MAX_ENTRIES + 1 - MIN_ENTRIES).collect::<Vec<_>>());
+            for (k, left, right) in distributions(&entries) {
+                prop_assert_eq!((left, right), (union(&entries[..k]), union(&entries[k..])));
             }
         }
     }

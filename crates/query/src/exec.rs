@@ -1,6 +1,8 @@
 //! Query evaluation against a [`Database`].
 
-use modb_core::{CoreError, Database, NearestAnswer, ObjectId, PositionAnswer, RangeAnswer};
+use modb_core::{
+    CoreError, Database, NearestAnswer, ObjectId, PositionAnswer, RangeAnswer, REFINEMENT_DT,
+};
 use modb_geom::{Point, Polygon, Rect};
 use modb_index::QueryRegion;
 use std::fmt;
@@ -107,12 +109,8 @@ fn resolve(db: &Database, obj: &ObjectRef) -> Result<ObjectId, ExecError> {
 
 /// The query region of a range statement: its polygon over its time
 /// span, which must be finite and need at most [`MAX_REFINEMENT_SAMPLES`]
-/// refinement instants at the database's step.
-fn build_region(
-    db: &Database,
-    region: &RegionSpec,
-    time: TimeSpec,
-) -> Result<QueryRegion, ExecError> {
+/// refinement instants at [`REFINEMENT_DT`] steps.
+fn build_region(region: &RegionSpec, time: TimeSpec) -> Result<QueryRegion, ExecError> {
     let polygon = match region {
         RegionSpec::Polygon(pts) => {
             Polygon::new(pts.clone()).map_err(|e| ExecError::InvalidRegion(e.to_string()))?
@@ -139,11 +137,10 @@ fn build_region(
             region.t1()
         )));
     }
-    let step = db.config().refinement_dt;
-    if region.refinement_samples(step) > MAX_REFINEMENT_SAMPLES {
+    if region.refinement_samples(REFINEMENT_DT) > MAX_REFINEMENT_SAMPLES {
         return Err(ExecError::InvalidRegion(format!(
             "time span {} .. {} needs more than {MAX_REFINEMENT_SAMPLES} refinement \
-             samples at {step}-minute steps",
+             samples at {REFINEMENT_DT}-minute steps",
             region.t0(),
             region.t1()
         )));
@@ -172,7 +169,7 @@ fn execute_lagging(db: &Database, query: &Query, lag: f64) -> Result<QueryResult
             Ok(QueryResult::Position(db.position_of_lagging(id, *at, lag)?))
         }
         Query::Range { region, time } => {
-            let region = build_region(db, region, *time)?;
+            let region = build_region(region, *time)?;
             Ok(QueryResult::Range(db.range_query_lagging(&region, lag)?))
         }
         Query::WithinPoint { center, radius, at } => {

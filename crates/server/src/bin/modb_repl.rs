@@ -316,11 +316,7 @@ fn main() {
                             }
                             let follower_engine =
                                 std::sync::Arc::new(QueryEngine::new(r.database().clone()));
-                            match r.serve_queries(
-                                follower_engine,
-                                *addr,
-                                QueryServerConfig::default(),
-                            ) {
+                            match r.serve_queries(follower_engine, *addr, QueryServerConfig) {
                                 Ok(server) => {
                                     println!(
                                         "  serving follower reads on {} (lag-widened; \

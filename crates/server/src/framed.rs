@@ -3,7 +3,7 @@
 //! ([`crate::replication`]) — reaches its peer and the time. Every
 //! session is a step function over a [`Link`], which moves its messages
 //! in CRC frames, `[len: u32 LE] [crc32(payload): u32 LE] [payload]`,
-//! under the link's own frame ceiling, and a [`Clock`]. The CRC is
+//! under its protocol's frame ceiling, and a [`Clock`]. The CRC is
 //! checked before a byte of the payload is interpreted, so a frame
 //! corrupted in flight is rejected whole and the session ends: a stream
 //! cannot be re-synchronized once framing is lost.
@@ -43,6 +43,10 @@ pub(crate) const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A protocol's message set: a tag byte followed by the message body.
 pub(crate) trait WireMessage: Sized + Debug {
+    /// The protocol's ceiling on one payload, both ways: a sender refuses
+    /// a larger message, and a reader takes a larger length for
+    /// corruption. Both ends of a link read the one constant.
+    const MAX_FRAME_BYTES: u32;
     /// Appends the payload form (no framing).
     fn encode_payload(&self, out: &mut Vec<u8>);
     /// Decodes a payload; the whole buffer must be consumed.
@@ -50,19 +54,16 @@ pub(crate) trait WireMessage: Sized + Debug {
 }
 
 /// The framed form of `msg`, or [`WalError::FrameTooLarge`] when its
-/// payload exceeds `max_frame_bytes` — the ceiling the peer's reader
-/// enforces.
-pub(crate) fn encode_frame<M: WireMessage>(
-    msg: &M,
-    max_frame_bytes: u32,
-) -> Result<Vec<u8>, WalError> {
+/// payload exceeds [`WireMessage::MAX_FRAME_BYTES`] — the ceiling the
+/// peer's reader enforces.
+pub(crate) fn encode_frame<M: WireMessage>(msg: &M) -> Result<Vec<u8>, WalError> {
     let mut frame = vec![0u8; 8];
     msg.encode_payload(&mut frame);
     let payload = &frame[8..];
-    if payload.len() > max_frame_bytes as usize {
+    if payload.len() > M::MAX_FRAME_BYTES as usize {
         return Err(WalError::FrameTooLarge {
             len: payload.len() as u64,
-            max: max_frame_bytes,
+            max: M::MAX_FRAME_BYTES,
         });
     }
     let (len, crc) = (payload.len() as u32, crc32(payload));
@@ -73,15 +74,12 @@ pub(crate) fn encode_frame<M: WireMessage>(
 
 /// Splits the first frame off `buf` and decodes it: the message and the
 /// frame's byte length, or `None` while the frame is incomplete.
-pub(crate) fn decode_frame<M: WireMessage>(
-    buf: &[u8],
-    max_frame_bytes: u32,
-) -> Result<Option<(M, usize)>, WalError> {
+pub(crate) fn decode_frame<M: WireMessage>(buf: &[u8]) -> Result<Option<(M, usize)>, WalError> {
     if buf.len() < 8 {
         return Ok(None);
     }
     let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len == 0 || len > max_frame_bytes {
+    if len == 0 || len > M::MAX_FRAME_BYTES {
         return Err(WalError::Decode("implausible frame length"));
     }
     let crc = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
@@ -109,7 +107,7 @@ pub(crate) enum ReadEvent<M> {
 
 /// One connection, as a session sees it.
 pub(crate) trait Link<M>: Debug {
-    /// Frames and sends one message. A message over the link's frame
+    /// Frames and sends one message. A message over its protocol's frame
     /// ceiling is refused before a byte is written, not after the peer
     /// has read the whole frame.
     fn send(&mut self, msg: &M) -> Result<(), WalError>;
@@ -167,32 +165,29 @@ impl Clock for WallClock {
 pub(crate) struct TcpLink<M> {
     stream: TcpStream,
     buf: Vec<u8>,
-    max_frame_bytes: u32,
     _message: PhantomData<fn() -> M>,
 }
 
 impl<M: WireMessage> TcpLink<M> {
-    /// A connected stream under `max_frame_bytes` per message both ways.
-    /// Every socket option of the crate is set here.
-    fn new(stream: TcpStream, max_frame_bytes: u32) -> Result<Self, WalError> {
+    /// A connected stream. Every socket option of the crate is set here.
+    fn new(stream: TcpStream) -> Result<Self, WalError> {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         stream.set_read_timeout(Some(READ_TIMEOUT))?;
         Ok(TcpLink {
             stream,
             buf: Vec::new(),
-            max_frame_bytes,
             _message: PhantomData,
         })
     }
 
     /// Connects to `addr`, trying each address it resolves to for at
     /// most [`DIAL_TIMEOUT`].
-    pub(crate) fn dial(addr: impl ToSocketAddrs, max_frame_bytes: u32) -> Result<Self, WalError> {
+    pub(crate) fn dial(addr: impl ToSocketAddrs) -> Result<Self, WalError> {
         let mut last = std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address");
         for addr in addr.to_socket_addrs()? {
             match TcpStream::connect_timeout(&addr, DIAL_TIMEOUT) {
-                Ok(stream) => return TcpLink::new(stream, max_frame_bytes),
+                Ok(stream) => return TcpLink::new(stream),
                 Err(e) => last = e,
             }
         }
@@ -205,7 +200,7 @@ impl<M: WireMessage> TcpLink<M> {
     }
 
     fn try_decode(&mut self) -> Result<Option<M>, WalError> {
-        let Some((msg, consumed)) = decode_frame(&self.buf, self.max_frame_bytes)? else {
+        let Some((msg, consumed)) = decode_frame(&self.buf)? else {
             return Ok(None);
         };
         self.buf.drain(..consumed);
@@ -216,8 +211,7 @@ impl<M: WireMessage> TcpLink<M> {
 impl<M: WireMessage> Link<M> for TcpLink<M> {
     /// Blocks for the socket's write timeout at most.
     fn send(&mut self, msg: &M) -> Result<(), WalError> {
-        self.stream
-            .write_all(&encode_frame(msg, self.max_frame_bytes)?)?;
+        self.stream.write_all(&encode_frame(msg)?)?;
         Ok(())
     }
 
@@ -278,7 +272,7 @@ pub(crate) struct Listener {
 }
 
 impl Listener {
-    /// Binds `addr` and starts accepting links under `max_frame_bytes`.
+    /// Binds `addr` and starts accepting links.
     /// `admit` sees each accepted link with the number of live sessions:
     /// a refusal runs inline (it may send a goodbye; the link is closed)
     /// and takes neither a thread nor a slot, so the accept loop never
@@ -289,7 +283,6 @@ impl Listener {
     /// Socket bind failures.
     pub(crate) fn spawn<M: WireMessage + 'static>(
         addr: impl ToSocketAddrs,
-        max_frame_bytes: u32,
         admit: impl Fn(&mut TcpLink<M>, usize) -> bool + Send + 'static,
         session: impl Fn(TcpLink<M>, &AtomicBool) + Send + Sync + 'static,
     ) -> Result<Self, WalError> {
@@ -306,7 +299,7 @@ impl Listener {
                 while !stop.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
-                            let Ok(mut link) = TcpLink::new(stream, max_frame_bytes) else {
+                            let Ok(mut link) = TcpLink::new(stream) else {
                                 continue;
                             };
                             if !admit(&mut link, active.load(Ordering::SeqCst)) {
@@ -460,19 +453,17 @@ pub(crate) mod mem {
         wire: Arc<Mutex<Wire>>,
         /// Which pipe this end sends on.
         side: usize,
-        max_frame_bytes: u32,
         _message: PhantomData<fn() -> M>,
     }
 
-    /// A connected pair under `max_frame_bytes` per message,
-    /// `(dialer, acceptor)`; `fault` acts on what the acceptor sends.
-    pub(crate) fn pair<M>(fault: Fault, max_frame_bytes: u32) -> (MemLink<M>, MemLink<M>) {
+    /// A connected pair, `(dialer, acceptor)`; `fault` acts on what the
+    /// acceptor sends.
+    pub(crate) fn pair<M>(fault: Fault) -> (MemLink<M>, MemLink<M>) {
         let wire = Arc::new(Mutex::new(Wire::default()));
         wire.lock().unwrap().pipes[1].fault = fault;
         let end = |side| MemLink {
             wire: Arc::clone(&wire),
             side,
-            max_frame_bytes,
             _message: PhantomData,
         };
         (end(0), end(1))
@@ -495,7 +486,7 @@ pub(crate) mod mem {
 
     impl<M: WireMessage> Link<M> for MemLink<M> {
         fn send(&mut self, msg: &M) -> Result<(), WalError> {
-            self.send_bytes(&encode_frame(msg, self.max_frame_bytes)?)
+            self.send_bytes(&encode_frame(msg)?)
         }
 
         /// Nothing arrives while the one thread is here, so the deadline
@@ -507,7 +498,7 @@ pub(crate) mod mem {
             if pipe.stalled() {
                 return Ok(ReadEvent::Idle);
             }
-            match decode_frame(&pipe.bytes, self.max_frame_bytes)? {
+            match decode_frame(&pipe.bytes)? {
                 Some((msg, len)) => {
                     pipe.bytes.drain(..len);
                     Ok(ReadEvent::Message(msg))
@@ -570,6 +561,7 @@ pub(crate) mod mem {
     mod tests {
         use super::super::tests::Blob;
         use super::*;
+        use crate::{net, replication};
 
         /// A 17-byte frame.
         fn beat(n: u8) -> Blob {
@@ -590,7 +582,7 @@ pub(crate) mod mem {
         }
 
         fn send_beats(fault: Fault, n: u8) -> (MemLink<Blob>, MemLink<Blob>) {
-            let (down, mut up) = pair(fault, 64);
+            let (down, mut up) = pair(fault);
             for i in 0..n {
                 let _ = up.send(&beat(i));
             }
@@ -627,19 +619,81 @@ pub(crate) mod mem {
                 ((0..2).map(beat).collect(), false)
             );
             // The dialer's own messages pass clean, and a drop closes.
-            let (down, mut up) = pair(Fault::CorruptByteAt(0), 64);
+            let (down, mut up) = pair(Fault::CorruptByteAt(0));
             let mut down = down;
             down.send(&beat(7)).unwrap();
             assert_eq!(drain(&mut up).unwrap(), (vec![beat(7)], false));
             drop(down);
             assert_eq!(drain(&mut up).unwrap(), (vec![], true));
-            // The ceiling is the link's: a larger message is refused at
-            // the sender.
-            let (_down, mut up) = pair::<Blob>(Fault::None, 8);
+        }
+
+        fn payload_len<M: WireMessage>(msg: &M) -> usize {
+            let mut payload = Vec::new();
+            msg.encode_payload(&mut payload);
+            payload.len()
+        }
+
+        /// A frame header announcing a `len`-byte payload.
+        fn header(len: u32) -> Vec<u8> {
+            [len.to_le_bytes(), [0; 4]].concat()
+        }
+
+        /// `M`'s ceiling holds on both ends of a link. `sized(n)` is a
+        /// message whose payload grows one byte with each byte of `n`: at
+        /// `M::MAX_FRAME_BYTES` it crosses whole; one byte more is refused
+        /// by the sender before a byte is written, and a header announcing
+        /// one byte more is refused by the reader, which waits for the
+        /// body of a header at the ceiling.
+        fn the_ceiling_holds<M: WireMessage + PartialEq>(sized: impl Fn(usize) -> M) {
+            let max = M::MAX_FRAME_BYTES;
+            let fill = |len: usize| sized(len - payload_len(&sized(0)));
+            let (mut down, mut up) = pair::<M>(Fault::None);
+            let at = fill(max as usize);
+            assert_eq!(payload_len(&at), max as usize);
+            up.send(&at).unwrap();
+            let ReadEvent::Message(got) = down.poll(Instant::now()).unwrap() else {
+                panic!("a message at the ceiling did not cross");
+            };
+            assert!(got == at, "a message at the ceiling changed on the way");
+            drop((at, got));
+            let sent = up.send(&fill(max as usize + 1));
+            let refused = u64::from(max) + 1;
+            assert!(
+                matches!(sent, Err(WalError::FrameTooLarge { len, max: m }) if len == refused && m == max),
+                "{sent:?}"
+            );
+            assert!(!down.has_partial(), "bytes of the refused frame arrived");
+            up.send_bytes(&header(max)).unwrap();
+            assert!(matches!(down.poll(Instant::now()), Ok(ReadEvent::Idle)));
+            assert!(
+                down.has_partial(),
+                "the body of a frame at the ceiling is due"
+            );
+            let (mut down, mut up) = pair::<M>(Fault::None);
+            up.send_bytes(&header(max + 1)).unwrap();
             assert!(matches!(
-                up.send(&beat(0)),
-                Err(WalError::FrameTooLarge { len: 9, max: 8 })
+                down.poll(Instant::now()),
+                Err(WalError::Decode(_))
             ));
+        }
+
+        /// One ceiling per protocol, which a client and a server read
+        /// alike: the front-end's 4 MiB and replication's 64 MiB.
+        #[test]
+        fn each_protocol_holds_its_ceiling_on_both_ends() {
+            assert_eq!(net::Message::MAX_FRAME_BYTES, 4 << 20);
+            the_ceiling_holds(|n| net::Message::Batch {
+                script: "x".repeat(n),
+                min_lsn: 0,
+            });
+            assert_eq!(replication::Message::MAX_FRAME_BYTES, 64 << 20);
+            the_ceiling_holds(|n| {
+                replication::Message::SnapshotBlocks(modb_wal::SnapshotRun {
+                    lsn: 1,
+                    offset: 0,
+                    frames: vec![7; n],
+                })
+            });
         }
 
         #[test]
@@ -664,6 +718,8 @@ mod tests {
     pub(super) struct Blob(pub(super) Vec<u8>);
 
     impl WireMessage for Blob {
+        const MAX_FRAME_BYTES: u32 = 64;
+
         fn encode_payload(&self, out: &mut Vec<u8>) {
             out.extend_from_slice(&self.0);
         }
@@ -672,13 +728,12 @@ mod tests {
         }
     }
 
-    /// A connected pair: a raw stream, and a link reading it under
-    /// `max_frame_bytes`.
-    fn pair(max_frame_bytes: u32) -> (TcpStream, TcpLink<Blob>) {
+    /// A connected pair: a raw stream, and a link reading it.
+    fn pair() -> (TcpStream, TcpLink<Blob>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        (client, TcpLink::new(server, max_frame_bytes).unwrap())
+        (client, TcpLink::new(server).unwrap())
     }
 
     /// Polls with a future deadline: waits one read timeout at most.
@@ -700,33 +755,33 @@ mod tests {
     /// is a typed error here, and not one byte of it reaches the wire.
     #[test]
     fn oversized_send_is_refused_before_a_byte_is_written() {
-        let (tx, mut reader) = pair(16);
-        let mut tx = TcpLink::<Blob>::new(tx, 16).unwrap();
-        let err = tx.send(&Blob(vec![7; 17])).unwrap_err();
+        let (tx, mut reader) = pair();
+        let mut tx = TcpLink::<Blob>::new(tx).unwrap();
+        let err = tx.send(&Blob(vec![7; 65])).unwrap_err();
         assert!(
-            matches!(err, WalError::FrameTooLarge { len: 17, max: 16 }),
+            matches!(err, WalError::FrameTooLarge { len: 65, max: 64 }),
             "{err}"
         );
         assert!(matches!(poll(&mut reader).unwrap(), ReadEvent::Idle));
         assert!(!reader.has_partial(), "bytes of the refused frame arrived");
         // The connection is still good: a message at the ceiling passes.
-        tx.send(&Blob(vec![7; 16])).unwrap();
-        assert_eq!(next(&mut reader).unwrap(), Some(Blob(vec![7; 16])));
+        tx.send(&Blob(vec![7; 64])).unwrap();
+        assert_eq!(next(&mut reader).unwrap(), Some(Blob(vec![7; 64])));
         drop(tx);
         assert_eq!(next(&mut reader).unwrap(), None);
     }
 
     #[test]
     fn oversized_and_corrupt_frames_are_hard_errors() {
-        let frame = encode_frame(&Blob(vec![1, 2, 3]), 16).unwrap();
         // A length above the reader's ceiling: rejected from the header
         // alone, before the body is buffered.
-        let (mut tx, mut reader) = pair(2);
-        tx.write_all(&frame[..8]).unwrap();
+        let (mut tx, mut reader) = pair();
+        tx.write_all(&65u32.to_le_bytes()).unwrap();
+        tx.write_all(&0u32.to_le_bytes()).unwrap();
         assert!(matches!(next(&mut reader), Err(WalError::Decode(_))));
         // A flipped CRC bit.
-        let (mut tx, mut reader) = pair(16);
-        let mut bad = frame.clone();
+        let (mut tx, mut reader) = pair();
+        let mut bad = encode_frame(&Blob(vec![1, 2, 3])).unwrap();
         bad[4] ^= 1;
         tx.write_all(&bad).unwrap();
         assert!(matches!(next(&mut reader), Err(WalError::Decode(_))));
@@ -736,15 +791,15 @@ mod tests {
     /// deadline reads what has arrived without waiting.
     #[test]
     fn partial_frames_accumulate_across_polls() {
-        let (mut tx, mut reader) = pair(1024);
-        let frame = encode_frame(&Blob(vec![9; 300]), 1024).unwrap();
-        tx.write_all(&frame[..100]).unwrap();
+        let (mut tx, mut reader) = pair();
+        let frame = encode_frame(&Blob(vec![9; 60])).unwrap();
+        tx.write_all(&frame[..30]).unwrap();
         assert!(matches!(poll(&mut reader).unwrap(), ReadEvent::Idle));
         assert!(reader.has_partial());
         let past = Instant::now();
         assert!(matches!(reader.poll(past).unwrap(), ReadEvent::Idle));
-        tx.write_all(&frame[100..]).unwrap();
-        assert_eq!(next(&mut reader).unwrap(), Some(Blob(vec![9; 300])));
+        tx.write_all(&frame[30..]).unwrap();
+        assert_eq!(next(&mut reader).unwrap(), Some(Blob(vec![9; 60])));
         assert!(!reader.has_partial());
     }
 
@@ -755,7 +810,6 @@ mod tests {
     fn listener_admits_serves_and_drains() {
         let mut listener = Listener::spawn(
             "127.0.0.1:0",
-            64,
             |_link: &mut TcpLink<Blob>, active| active < 1,
             |mut link, stop| {
                 while !stop.load(Ordering::SeqCst) {
@@ -775,7 +829,7 @@ mod tests {
                 Ok(ReadEvent::Closed) | Err(_) => return None,
             }
         };
-        let dial = || TcpLink::<Blob>::dial(listener.local_addr(), 64).unwrap();
+        let dial = || TcpLink::<Blob>::dial(listener.local_addr()).unwrap();
         let mut link = dial();
         link.send(&Blob(vec![1])).unwrap();
         assert_eq!(next(&mut link), Some(Blob(vec![1])));

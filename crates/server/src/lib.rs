@@ -71,7 +71,7 @@ pub use ingest::{
 };
 pub use net::{
     BatchOutcome, QueryClient, QueryServer, QueryServerConfig, RemoteUpdateVerdict, RemoteVerdict,
-    ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
+    ServerStatsSnapshot, MAX_CONNECTIONS, MAX_FRAME_BYTES,
 };
 pub use query_engine::{QueryEngine, QueryEngineConfig, QueryStats, QueryStatsSnapshot};
 pub use replication::{

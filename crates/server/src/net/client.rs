@@ -13,8 +13,7 @@ use modb_wal::WalError;
 
 use crate::framed::{Clock, Link, ReadEvent, TcpLink, WallClock};
 use crate::net::protocol::{
-    Message, RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
-    NET_PROTOCOL_VERSION,
+    Message, RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, NET_PROTOCOL_VERSION,
 };
 
 /// How long the client waits for the complete response to one request
@@ -86,16 +85,17 @@ pub struct QueryClient {
 }
 
 impl QueryClient {
-    /// Connects and handshakes. Frames are capped at
-    /// [`DEFAULT_MAX_FRAME_BYTES`] both ways: a larger reply ends the
-    /// connection, a larger request is refused before it is written.
+    /// Connects and handshakes. Frames are capped at the protocol's
+    /// [`MAX_FRAME_BYTES`](crate::MAX_FRAME_BYTES) both ways, as the server's are: a larger reply
+    /// ends the connection, a larger request is refused before it is
+    /// written.
     ///
     /// # Errors
     ///
     /// Connection failures, a `Refused` server (capacity or version),
     /// or a handshake timeout.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WalError> {
-        let link = TcpLink::dial(addr, DEFAULT_MAX_FRAME_BYTES)?;
+        let link = TcpLink::dial(addr)?;
         let addr = link.peer_addr()?;
         let mut client = QueryClient::open(Box::new(link), addr)?;
         client.reply()?;

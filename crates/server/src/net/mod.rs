@@ -26,14 +26,12 @@ mod protocol;
 mod server;
 
 pub use client::{BatchOutcome, QueryClient};
-pub use protocol::{
-    RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
-};
-pub use server::{QueryServer, QueryServerConfig};
+pub use protocol::{RemoteUpdateVerdict, RemoteVerdict, ServerStatsSnapshot, MAX_FRAME_BYTES};
+pub use server::{QueryServer, QueryServerConfig, MAX_CONNECTIONS};
 
 #[cfg(test)]
 pub(crate) use client::Reply;
 #[cfg(test)]
 pub(crate) use protocol::{Message, NET_PROTOCOL_VERSION};
 #[cfg(test)]
-pub(crate) use server::{FrontSession, ServeContext};
+pub(crate) use server::{FrontSession, ServeContext, REQUEST_DEADLINE, STALE_DEADLINE};

@@ -80,10 +80,11 @@ use crate::query_engine::QueryStatsSnapshot;
 /// again. Every other message is byte-for-byte what v5 sent.
 pub(crate) const NET_PROTOCOL_VERSION: u32 = 6;
 
-/// Default ceiling on one message's payload. Query scripts and result
-/// sets are small next to replication snapshots, so the front-end default
-/// is far below the replication stream's 64 MiB.
-pub const DEFAULT_MAX_FRAME_BYTES: u32 = 4 * 1024 * 1024;
+/// Ceiling on one message's payload, both ways, for a server and a
+/// client alike. Query scripts and result sets are small next to
+/// replication snapshots, so it is far below the replication stream's
+/// 64 MiB.
+pub const MAX_FRAME_BYTES: u32 = 4 * 1024 * 1024;
 
 /// The outcome of one remote statement: the structural result, or the
 /// server-side error rendered to its display string.
@@ -583,6 +584,8 @@ fn read_update_verdict(r: &mut ByteReader<'_>) -> Result<RemoteUpdateVerdict, Wa
 }
 
 impl WireMessage for Message {
+    const MAX_FRAME_BYTES: u32 = MAX_FRAME_BYTES;
+
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { version } => {
@@ -889,7 +892,7 @@ mod tests {
         assert_eq!(v6.len(), samples.len());
         assert_eq!(v5.len(), samples.len());
         for ((expected, v6), v5) in samples.iter().zip(v6).zip(v5) {
-            let (msg, consumed) = decode_frame::<Message>(v6, DEFAULT_MAX_FRAME_BYTES)
+            let (msg, consumed) = decode_frame::<Message>(v6)
                 .unwrap()
                 .expect("a whole frame per message");
             assert_eq!(&msg, expected);
@@ -897,7 +900,7 @@ mod tests {
             if matches!(expected, Message::StatsReply(_)) {
                 continue;
             }
-            let re_encoded = encode_frame(expected, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            let re_encoded = encode_frame(expected).unwrap();
             assert_eq!(re_encoded, v6, "{expected:?}");
             if !matches!(expected, Message::Hello { .. } | Message::HelloAck { .. }) {
                 assert_eq!(v6, v5, "{expected:?} changed since v5");
@@ -1073,8 +1076,8 @@ mod tests {
                     }
                 }
                 let msg = Message::StatsReply(Box::new(stats));
-                let frame = encode_frame(&msg, DEFAULT_MAX_FRAME_BYTES).unwrap();
-                let (decoded, _) = decode_frame::<Message>(&frame, DEFAULT_MAX_FRAME_BYTES)
+                let frame = encode_frame(&msg).unwrap();
+                let (decoded, _) = decode_frame::<Message>(&frame)
                     .unwrap()
                     .expect("a whole frame");
                 prop_assert_eq!(decoded, msg);

@@ -14,22 +14,23 @@
 //! and answers it in full. On the session's clock:
 //!
 //! - a connection that has not said `Hello`, or has left a partial frame
-//!   on the link, for [`QueryServerConfig::request_deadline`] ends (an
+//!   on the link, for [`REQUEST_DEADLINE`] ends (an
 //!   idle one may sit for ever: consoles wait at prompts);
 //! - a batch whose read-your-writes token outruns the node's frontier is
 //!   parked at the floor gate: each step re-reads the watermark, runs
 //!   the batch once the frontier reaches the token, or answers `Stale`
-//!   at [`QueryServerConfig::stale_deadline`]. No step blocks on it;
+//!   at [`STALE_DEADLINE`]. No step blocks on it;
 //! - once the server stops, a step answers the request in hand in full,
 //!   then ends the session, so a client that sends back to back does not
 //!   hold the shutdown up.
 //!
 //! In production the shared [`crate::framed::Listener`] refuses a client
-//! past [`QueryServerConfig::max_connections`] with `Refused`, inline,
+//! past [`MAX_CONNECTIONS`] with `Refused`, inline,
 //! and gives each other one a thread that steps its session: it waits on
 //! the watermark while a batch is parked, so a publish wakes it, and
-//! else blocks in the socket read. A frame over
-//! [`QueryServerConfig::max_frame_bytes`] ends the session unread.
+//! else blocks in the socket read. A frame over the protocol's
+//! [`MAX_FRAME_BYTES`](crate::MAX_FRAME_BYTES), the ceiling its client
+//! dials with too, ends the session unread.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,41 +44,32 @@ use crate::durable::DurableDatabase;
 use crate::framed::{Clock, Link, Listener, ReadEvent, Step, TcpLink, WallClock};
 use crate::ingest::{IngestHandle, UpdateEnvelope};
 use crate::net::protocol::{
-    Message, RemoteUpdateVerdict, ServerStatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
-    NET_PROTOCOL_VERSION,
+    Message, RemoteUpdateVerdict, ServerStatsSnapshot, NET_PROTOCOL_VERSION,
 };
 use crate::node::Node;
 use crate::query_engine::QueryEngine;
 
-/// Tuning for [`DurableDatabase::serve_queries`].
-#[derive(Debug, Clone)]
-pub struct QueryServerConfig {
-    /// Live sessions beyond this are refused at accept.
-    pub max_connections: usize,
-    /// Per-message payload ceiling, both ways: a larger incoming frame
-    /// ends the session, a larger reply is refused before it is written.
-    pub max_frame_bytes: u32,
-    /// How long a partially received request may sit before the client
-    /// is declared stalled and disconnected. (A client not draining its
-    /// results for 10 s is disconnected too.)
-    pub request_deadline: Duration,
-    /// How long a `Batch` whose read-your-writes token outruns the
-    /// node's frontier — a follower's applied watermark, a leader's log —
-    /// may wait for it before the typed `Stale` answer goes back. Every
-    /// token a leader acks is within its own frontier.
-    pub stale_deadline: Duration,
-}
+/// Live sessions beyond this are refused at accept.
+pub const MAX_CONNECTIONS: usize = 64;
 
-impl Default for QueryServerConfig {
-    fn default() -> Self {
-        QueryServerConfig {
-            max_connections: 64,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            request_deadline: Duration::from_secs(10),
-            stale_deadline: Duration::from_secs(2),
-        }
-    }
-}
+/// How long a connection may go without its `Hello`, or a partially
+/// received request may sit, before the client is disconnected. (A
+/// client not draining its results for 10 s is disconnected too.)
+pub(crate) const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How long a `Batch` whose read-your-writes token outruns the node's
+/// frontier — a follower's applied watermark, a leader's log — may wait
+/// for it before the typed `Stale` answer goes back. Every token a leader
+/// acks is within its own frontier.
+pub(crate) const STALE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// The front-end's settings: none is left. Its limits are constants —
+/// [`MAX_CONNECTIONS`], the protocol's
+/// [`MAX_FRAME_BYTES`](crate::MAX_FRAME_BYTES), a 10-s request deadline
+/// and a 2-s stale deadline. The type stays because `modb_ledger/` names
+/// it.
+#[derive(Debug, Clone, Default)]
+pub struct QueryServerConfig;
 
 /// Everything a session needs, shared across connection threads.
 pub(crate) struct ServeContext {
@@ -85,7 +77,6 @@ pub(crate) struct ServeContext {
     /// The node served: its frontier, lag and horizon are read from it.
     pub(crate) node: Arc<Node>,
     pub(crate) ingest: Option<IngestHandle>,
-    pub(crate) config: QueryServerConfig,
     /// Where the sessions read the time their deadlines key off.
     pub(crate) clock: Arc<dyn Clock>,
 }
@@ -233,9 +224,9 @@ impl DurableDatabase {
         engine: Arc<QueryEngine>,
         ingest: Option<IngestHandle>,
         addr: impl ToSocketAddrs,
-        config: QueryServerConfig,
+        _config: QueryServerConfig,
     ) -> Result<QueryServer, WalError> {
-        self.node().serve_queries(engine, ingest, addr, config)
+        self.node().serve_queries(engine, ingest, addr)
     }
 }
 
@@ -247,21 +238,17 @@ impl Node {
         engine: Arc<QueryEngine>,
         ingest: Option<IngestHandle>,
         addr: impl ToSocketAddrs,
-        config: QueryServerConfig,
     ) -> Result<QueryServer, WalError> {
         let ctx = Arc::new(ServeContext {
             engine,
             node: Arc::clone(self),
             ingest,
-            config,
             clock: Arc::new(WallClock),
         });
-        let door = Arc::clone(&ctx);
         let listener = Listener::spawn(
             addr,
-            ctx.config.max_frame_bytes,
-            move |link: &mut TcpLink<Message>, active| {
-                if active < door.config.max_connections {
+            |link: &mut TcpLink<Message>, active| {
+                if active < MAX_CONNECTIONS {
                     return true;
                 }
                 // A capacity rejection is one small write, made inline.
@@ -348,11 +335,11 @@ impl<L: Link<Message>> FrontSession<L> {
         let wait = if stopping {
             now
         } else {
-            now + ctx.config.request_deadline
+            now + REQUEST_DEADLINE
         };
         let msg = match self.link.poll(wait)? {
             ReadEvent::Message(msg) => msg,
-            ReadEvent::Idle => return self.idle(ctx, now, stopping),
+            ReadEvent::Idle => return self.idle(now, stopping),
             ReadEvent::Closed => return Ok(Step::Ended),
         };
         self.partial_since = None;
@@ -361,7 +348,7 @@ impl<L: Link<Message>> FrontSession<L> {
         }
         let reply = match msg {
             Message::Batch { script, min_lsn } => {
-                let until = now + ctx.config.stale_deadline;
+                let until = now + STALE_DEADLINE;
                 self.parked = Some(Parked {
                     script,
                     min_lsn,
@@ -399,18 +386,19 @@ impl<L: Link<Message>> FrontSession<L> {
     }
 
     /// Nothing was read: the handshake and stall deadlines.
-    fn idle(&mut self, ctx: &ServeContext, now: Instant, stopping: bool) -> Result<Step, WalError> {
-        let deadline = ctx.config.request_deadline;
+    fn idle(&mut self, now: Instant, stopping: bool) -> Result<Step, WalError> {
         if stopping {
             return Ok(Step::Ended);
         }
         if let Some(opened) = self.opened {
-            let late = now.saturating_duration_since(opened) > deadline;
+            let late = now.saturating_duration_since(opened) > REQUEST_DEADLINE;
             return Ok(if late { Step::Ended } else { Step::Idle });
         }
         if !self.link.has_partial() {
             self.partial_since = None;
-        } else if now.saturating_duration_since(*self.partial_since.get_or_insert(now)) > deadline {
+        } else if now.saturating_duration_since(*self.partial_since.get_or_insert(now))
+            > REQUEST_DEADLINE
+        {
             return Err(WalError::Decode("client stalled mid-request"));
         }
         Ok(Step::Idle)
@@ -473,21 +461,14 @@ mod tests {
 
     const SCRIPT: &str = "RETRIEVE POSITION OF OBJECT 1 AT TIME 3";
 
-    /// A leader of 4 vehicles serving queries and updates at "q" under
-    /// `config`; the ingest service lives as long as the front-end.
-    fn front(name: &str, config: QueryServerConfig) -> (Cluster, DurableDatabase, IngestService) {
+    /// A leader of 4 vehicles serving queries and updates at "q"; the
+    /// ingest service lives as long as the front-end.
+    fn front(name: &str) -> (Cluster, DurableDatabase, IngestService) {
         let mut c = Cluster::new(name, 1);
         let leader = c.leader(4);
         let service = leader.ingest_service(0, 0);
-        c.serve_queries("q", leader.node(), Some(service.handle()), config);
+        c.serve_queries("q", leader.node(), Some(service.handle()));
         (c, leader, service)
-    }
-
-    fn deadline(request_deadline: Duration) -> QueryServerConfig {
-        QueryServerConfig {
-            request_deadline,
-            ..QueryServerConfig::default()
-        }
     }
 
     /// The front-end still answers a fresh client — the wedge check.
@@ -520,8 +501,8 @@ mod tests {
     /// deadline, and its slot is free again.
     #[test]
     fn a_silent_connection_is_dropped_at_the_handshake_deadline() {
-        let limit = Duration::from_millis(200);
-        let (mut c, _leader, _service) = front("silent-hello", deadline(limit));
+        let limit = REQUEST_DEADLINE;
+        let (mut c, _leader, _service) = front("silent-hello");
         let mut raw = c.dial_queries("q", Fault::None);
         assert_eq!(c.front_sessions("q"), 1);
         let waited = until_released(&mut c);
@@ -539,8 +520,8 @@ mod tests {
     /// slot is released.
     #[test]
     fn stalled_client_is_disconnected_at_the_request_deadline() {
-        let limit = Duration::from_millis(200);
-        let (mut c, _leader, _service) = front("stall", deadline(limit));
+        let limit = REQUEST_DEADLINE;
+        let (mut c, _leader, _service) = front("stall");
         let mut raw = c.dial_queries("q", Fault::None);
         let version = NET_PROTOCOL_VERSION;
         raw.send(&Message::Hello { version }).unwrap();
@@ -548,7 +529,7 @@ mod tests {
             script: SCRIPT.into(),
             min_lsn: 0,
         };
-        let frame = encode_frame(&batch, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        let frame = encode_frame(&batch).unwrap();
         raw.send_bytes(&frame[..frame.len() / 2]).unwrap();
         let waited = until_released(&mut c);
         assert!(
@@ -564,8 +545,8 @@ mod tests {
     /// deadline: consoles wait at prompts.
     #[test]
     fn idle_connection_without_partial_frame_survives_the_deadline() {
-        let limit = Duration::from_millis(100);
-        let (mut c, _leader, _service) = front("idle", deadline(limit));
+        let limit = REQUEST_DEADLINE;
+        let (mut c, _leader, _service) = front("idle");
         let client = c.connect("q");
         c.run_for(3 * limit);
         assert_eq!(c.front_sessions("q"), 1);
@@ -581,12 +562,8 @@ mod tests {
     /// token the leader acks is at most that — is answered at once.
     #[test]
     fn a_token_past_the_leaders_log_is_refused_stale_after_the_deadline() {
-        let limit = Duration::from_millis(100);
-        let config = QueryServerConfig {
-            stale_deadline: limit,
-            ..QueryServerConfig::default()
-        };
-        let (mut c, leader, _service) = front("leader-floor", config);
+        let limit = STALE_DEADLINE;
+        let (mut c, leader, _service) = front("leader-floor");
         let client = c.connect("q");
         let frontier = leader.wal().next_lsn();
         let asked = c.clock().now();
@@ -628,7 +605,7 @@ mod tests {
     /// ends there: the next request finds the connection closed.
     #[test]
     fn a_back_to_back_client_ends_within_one_request_of_the_stop() {
-        let (mut c, _leader, _service) = front("busy-stop", QueryServerConfig::default());
+        let (mut c, _leader, _service) = front("busy-stop");
         let client = c.connect("q");
         let script = [SCRIPT; 8].join("; ");
         let batch = || Message::Batch {

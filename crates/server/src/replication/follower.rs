@@ -61,9 +61,7 @@ use crate::node::{Node, Watermark};
 use crate::query_engine::QueryEngine;
 use crate::replication::lag::LagClock;
 use crate::replication::leader::ReplicationServer;
-use crate::replication::protocol::{
-    Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION, SESSION_DEADLINE,
-};
+use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
 use crate::replication::ReplicationConfig;
 use crate::shared::SharedDatabase;
 
@@ -312,7 +310,7 @@ impl StandbyReplica {
         config: ReplicaConfig,
     ) -> Result<Self, WalError> {
         let (mut replica, worker) = Self::open_with(dir, addr, config, Arc::new(WallClock))?;
-        let dial = |addr: &str| TcpLink::dial(addr, MAX_MESSAGE_BYTES);
+        let dial = |addr: &str| TcpLink::dial(addr);
         replica.worker = Some(std::thread::spawn(move || worker.run(dial)));
         Ok(replica)
     }
@@ -403,8 +401,8 @@ impl StandbyReplica {
     /// protocol a leader serves, read from the node's watermark
     /// (DESIGN.md §15). Updates are refused, as on a leader served with
     /// no ingest. A `Batch` whose read-your-writes token outruns the
-    /// applied watermark waits up to
-    /// [`QueryServerConfig::stale_deadline`] and then gets a typed
+    /// applied watermark waits up to the front-end's 2-s stale deadline
+    /// and then gets a typed
     /// `Stale { applied, required }` instead of a hang (a statement's
     /// clone, taken after the wait, holds every record below the floor);
     /// and every served answer is widened by the lag-derived
@@ -421,9 +419,9 @@ impl StandbyReplica {
         &self,
         engine: Arc<QueryEngine>,
         addr: impl std::net::ToSocketAddrs,
-        config: QueryServerConfig,
+        _config: QueryServerConfig,
     ) -> Result<QueryServer, WalError> {
-        self.node.serve_queries(engine, None, addr, config)
+        self.node.serve_queries(engine, None, addr)
     }
 
     /// Re-ships this replica's received WAL to downstream followers —
@@ -1008,7 +1006,7 @@ mod tests {
             };
             let (replica, mut worker) =
                 StandbyReplica::open_with(&dir, "upstream", config, clock.clone()).unwrap();
-            let (mut link, up) = pair(Fault::None, MAX_MESSAGE_BYTES);
+            let (mut link, up) = pair(Fault::None);
             worker.connect(&mut link).unwrap();
             Upstream {
                 dir,
@@ -1049,7 +1047,7 @@ mod tests {
         /// Opens the next session on a fresh link, its `Hello` read off,
         /// whether or not the worker's own loop would dial again.
         fn redial(&mut self) {
-            (self.link, self.up) = pair(Fault::None, MAX_MESSAGE_BYTES);
+            (self.link, self.up) = pair(Fault::None);
             self.worker.connect(&mut self.link).unwrap();
             self.received();
         }

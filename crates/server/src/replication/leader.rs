@@ -32,9 +32,7 @@ use modb_wal::{list_segments, EpochCheck, SegmentTailer, Shipment, WalError, GEN
 use crate::durable::DurableDatabase;
 use crate::framed::{Clock, Link, Listener, ReadEvent, Step, TcpLink, WallClock};
 use crate::node::Node;
-use crate::replication::protocol::{
-    Message, MAX_MESSAGE_BYTES, PROTOCOL_VERSION, SESSION_DEADLINE,
-};
+use crate::replication::protocol::{Message, PROTOCOL_VERSION, SESSION_DEADLINE};
 
 /// How long a caught-up session waits before it looks at the log and
 /// the follower again. It is a sleep, not a socket read timeout: a
@@ -205,7 +203,6 @@ impl Node {
         let session_ctx = Arc::clone(&ctx);
         let listener = Listener::spawn(
             addr,
-            MAX_MESSAGE_BYTES,
             |_link, _active| true,
             move |link, stop| handle_follower(link, &session_ctx, stop),
         )?;
@@ -507,7 +504,7 @@ mod tests {
     }
 
     fn dial(server: &ReplicationServer, version: u32, epoch: u64) -> TcpLink<Message> {
-        let mut link = TcpLink::dial(server.local_addr(), MAX_MESSAGE_BYTES).unwrap();
+        let mut link = TcpLink::dial(server.local_addr()).unwrap();
         link.send(&Message::Hello {
             version,
             next_lsn: 0,
@@ -644,7 +641,7 @@ mod tests {
 
     impl Session {
         fn open(ctx: ShipContext, clock: Arc<VirtualClock>) -> Self {
-            let (follower, acceptor) = pair(Fault::None, MAX_MESSAGE_BYTES);
+            let (follower, acceptor) = pair(Fault::None);
             let shell = LeaderShell::open(acceptor, &ctx);
             Session {
                 ctx,

@@ -54,6 +54,8 @@ pub use follower::{
 pub use horizon::ShipHorizon;
 pub use lag::LagClock;
 pub use leader::{ReplicationConfig, ReplicationServer, ReplicationStatsSnapshot};
+#[cfg(test)]
+pub(crate) use protocol::Message;
 
 #[cfg(test)]
 pub(crate) mod sim {
@@ -88,7 +90,7 @@ pub(crate) mod sim {
 
     use super::follower::{SessionEnd, Worker, RECONNECT_BACKOFF};
     use super::leader::{LeaderShell, ShipContext, HEARTBEAT_INTERVAL, POLL_INTERVAL};
-    use super::protocol::{Message, MAX_MESSAGE_BYTES, SESSION_DEADLINE};
+    use super::protocol::{Message, SESSION_DEADLINE};
     use super::{
         DivergenceInfo, ReplicaConfig, ReplicaPhase, ReplicaStatsSnapshot, ReplicationConfig,
         ReplicationStatsSnapshot, StandbyReplica,
@@ -98,8 +100,8 @@ pub(crate) mod sim {
     use crate::framed::{encode_frame, Clock, Link, ReadEvent, Step};
     use crate::ingest::IngestHandle;
     use crate::net::{
-        self, BatchOutcome, FrontSession, QueryClient, QueryServerConfig, RemoteUpdateVerdict,
-        Reply, ServeContext, ServerStatsSnapshot,
+        self, BatchOutcome, FrontSession, QueryClient, RemoteUpdateVerdict, Reply, ServeContext,
+        ServerStatsSnapshot, REQUEST_DEADLINE, STALE_DEADLINE,
     };
     use crate::node::Node;
     use crate::query_engine::QueryEngine;
@@ -239,13 +241,11 @@ pub(crate) mod sim {
             addr: &str,
             node: &Arc<Node>,
             ingest: Option<IngestHandle>,
-            config: QueryServerConfig,
         ) {
             let ctx = ServeContext {
                 engine: Arc::new(QueryEngine::new(node.database().clone())),
                 node: Arc::clone(node),
                 ingest,
-                config,
                 clock: self.clock(),
             };
             let front = Front {
@@ -274,7 +274,7 @@ pub(crate) mod sim {
         /// new session, and `fault` acts on what the session sends.
         pub(crate) fn dial_queries(&mut self, addr: &str, fault: Fault) -> MemLink<net::Message> {
             let front = self.fronts.get_mut(addr).expect("no such front-end");
-            let (link, acceptor) = pair(fault, front.ctx.config.max_frame_bytes);
+            let (link, acceptor) = pair(fault);
             front
                 .sessions
                 .push(FrontSession::open(acceptor, &front.ctx));
@@ -495,10 +495,8 @@ pub(crate) mod sim {
                             s.redial_at = now + RECONNECT_BACKOFF;
                         }
                         Some(server) => {
-                            let (mut link, acceptor) = pair(
-                                server.faults.pop_front().unwrap_or_default(),
-                                MAX_MESSAGE_BYTES,
-                            );
+                            let fault = server.faults.pop_front().unwrap_or_default();
+                            let (mut link, acceptor) = pair(fault);
                             server
                                 .sessions
                                 .push(LeaderShell::open(acceptor, &server.ctx));
@@ -844,7 +842,7 @@ pub(crate) mod sim {
         let lag = c.replica(f2).watch().lag().as_secs_f64();
         assert_eq!(lag, 0.0, "a caught-up tail is current");
         let node = Arc::clone(&c.replica(f2).node);
-        c.serve_queries("f2-queries", &node, None, QueryServerConfig::default());
+        c.serve_queries("f2-queries", &node, None);
         let client = c.connect("f2-queries");
         let BatchOutcome::Done(served) = c.batch(client, SCRIPT, frontier) else {
             panic!("a converged chain refused its frontier");
@@ -882,7 +880,7 @@ pub(crate) mod sim {
         c.kill("leader");
         drop(leader);
         let node = Arc::clone(&c.replica(f).node);
-        c.serve_queries("queries", &node, None, QueryServerConfig::default());
+        c.serve_queries("queries", &node, None);
         let client = c.connect("queries");
         let engine = QueryEngine::new(node.database().clone());
         let local = || -> Vec<Result<_, String>> {
@@ -1187,11 +1185,7 @@ pub(crate) mod sim {
         // Where each snapshot message of that session ends on the link.
         let shipment = Shipment::newest(leader.dir()).unwrap();
         let ends: Vec<usize> = (shipment.runs(ship_config().chunk_records))
-            .map(|run| {
-                encode_frame(&Message::SnapshotBlocks(run), MAX_MESSAGE_BYTES)
-                    .unwrap()
-                    .len()
-            })
+            .map(|run| encode_frame(&Message::SnapshotBlocks(run)).unwrap().len())
             .scan(0, |at, len| {
                 *at += len;
                 Some(*at)
@@ -1244,11 +1238,11 @@ pub(crate) mod sim {
         assert_eq!(installed, [snapshot], "the leader's snapshot, once");
     }
 
-    /// Serves queries on standby `f` at `addr` under `config`, and
-    /// connects a client to it.
-    fn client_of(c: &mut Cluster, f: usize, addr: &str, config: QueryServerConfig) -> usize {
+    /// Serves queries on standby `f` at `addr`, and connects a client to
+    /// it.
+    fn client_of(c: &mut Cluster, f: usize, addr: &str) -> usize {
         let node = Arc::clone(&c.replica(f).node);
-        c.serve_queries(addr, &node, None, config);
+        c.serve_queries(addr, &node, None);
         c.connect(addr)
     }
 
@@ -1272,7 +1266,7 @@ pub(crate) mod sim {
         churn(&leader, 1..=30, 4);
         converge(&mut c, &leader, f);
         let frontier = leader.wal().next_lsn();
-        let client = client_of(&mut c, f, "f-queries", QueryServerConfig::default());
+        let client = client_of(&mut c, f, "f-queries");
         let BatchOutcome::Done(served) = c.batch(client, SCRIPT, frontier) else {
             panic!("a reachable floor was refused");
         };
@@ -1299,7 +1293,7 @@ pub(crate) mod sim {
         let script = "RETRIEVE POSITION OF OBJECT 'dup' AT TIME 20; \
              RETRIEVE POSITION OF OBJECT 5 AT TIME 20; \
              RETRIEVE OBJECTS WITHIN 25 OF OBJECT 'dup' AT TIME 20";
-        let client = client_of(&mut c, f, "f-queries", QueryServerConfig::default());
+        let client = client_of(&mut c, f, "f-queries");
         let frontier = leader.wal().next_lsn();
         let BatchOutcome::Done(served) = c.batch(client, script, frontier) else {
             panic!("a reachable floor was refused");
@@ -1374,12 +1368,8 @@ pub(crate) mod sim {
         churn(&leader, 1..=10, 4);
         converge(&mut c, &leader, f);
         let frontier = leader.wal().next_lsn();
-        let limit = Duration::from_millis(100);
-        let config = QueryServerConfig {
-            stale_deadline: limit,
-            ..QueryServerConfig::default()
-        };
-        let client = client_of(&mut c, f, "f-queries", config);
+        let limit = STALE_DEADLINE;
+        let client = client_of(&mut c, f, "f-queries");
 
         let floor = frontier + 50;
         let asked = c.clock.now();
@@ -1415,12 +1405,7 @@ pub(crate) mod sim {
         churn(&leader, 1..=10, 4);
         converge(&mut c, &leader, f);
         let frontier = leader.wal().next_lsn();
-        let limit = Duration::from_millis(200);
-        let config = QueryServerConfig {
-            request_deadline: limit,
-            ..QueryServerConfig::default()
-        };
-        let client = client_of(&mut c, f, "q", config);
+        let client = client_of(&mut c, f, "q");
         c.disconnect(client);
         let released = |c: &mut Cluster, what: &str| {
             c.run_until(what, |c| c.front_sessions("q") == 0);
@@ -1443,11 +1428,11 @@ pub(crate) mod sim {
         staller.send(&net::Message::Hello { version }).unwrap();
         let script = SCRIPT.to_string();
         let batch = net::Message::Batch { script, min_lsn: 0 };
-        let frame = encode_frame(&batch, net::DEFAULT_MAX_FRAME_BYTES).unwrap();
+        let frame = encode_frame(&batch).unwrap();
         staller.send_bytes(&frame[..frame.len() / 2]).unwrap();
         let stalled = c.clock.now();
         released(&mut c, "the staller to be reaped");
-        assert!(c.clock.now() - stalled > limit);
+        assert!(c.clock.now() - stalled > REQUEST_DEADLINE);
 
         // The `HelloAck` is bytes 0..13: byte 12 fails the handshake, byte
         // 40 the first statement of a batch.
@@ -1530,14 +1515,9 @@ pub(crate) mod sim {
             c.serve_standby("f1", f1);
             let f2 = c.follow("f2", "f1");
             let service = leader.ingest_service(0, 0);
-            let config = QueryServerConfig::default();
-            c.serve_queries("leader-q", leader.node(), Some(service.handle()), config);
+            c.serve_queries("leader-q", leader.node(), Some(service.handle()));
             let writer = c.connect("leader-q");
-            let config = QueryServerConfig {
-                stale_deadline: Duration::from_millis(50),
-                ..QueryServerConfig::default()
-            };
-            let readers = [f1, f2].map(|f| client_of(&mut c, f, &format!("q{f}"), config.clone()));
+            let readers = [f1, f2].map(|f| client_of(&mut c, f, &format!("q{f}")));
             let (mut t, mut token) = (0.0, leader.wal().next_lsn());
             for _ in 0..10 + c.draw() % 40 {
                 match c.draw() % 6 {
@@ -1596,15 +1576,9 @@ pub(crate) mod sim {
         c.serve("leader", &leader);
         let f = c.follow("f", "leader");
         let service = leader.ingest_service(0, 0);
-        let config = QueryServerConfig::default();
-        c.serve_queries(
-            "leader-q",
-            leader.node(),
-            Some(service.handle()),
-            config.clone(),
-        );
+        c.serve_queries("leader-q", leader.node(), Some(service.handle()));
         let writer = c.connect("leader-q");
-        let reader = client_of(&mut c, f, "f-q", config.clone());
+        let reader = client_of(&mut c, f, "f-q");
         let position = |c: &mut Cluster, t: f64, token: u64| {
             let script = format!("RETRIEVE POSITION OF OBJECT 2 AT TIME {t}");
             let BatchOutcome::Done(verdicts) = c.batch(reader, &script, token) else {
@@ -1641,7 +1615,7 @@ pub(crate) mod sim {
         );
         assert_eq!(c.clock.now(), asked, "the promotee's frontier covers it");
         let service = promoted.ingest_service(0, 0);
-        c.serve_queries("f-ingest", promoted.node(), Some(service.handle()), config);
+        c.serve_queries("f-ingest", promoted.node(), Some(service.handle()));
         let writer = c.connect("f-ingest");
         c.update(writer, burst(4, 4.0));
         let token_after = c.token(writer);

@@ -63,12 +63,6 @@ use crate::framed::WireMessage;
 /// refused.
 pub(crate) const PROTOCOL_VERSION: u32 = 5;
 
-/// Hard ceiling on one message's payload: four maximal block frames
-/// ([`modb_wal::MAX_RECORD_BYTES`]), far above a run of `chunk_records`
-/// records of log or snapshot. The sender refuses anything larger; a
-/// reader treats it as stream corruption.
-pub(crate) const MAX_MESSAGE_BYTES: u32 = 4 * modb_wal::MAX_RECORD_BYTES;
-
 /// How long either side of a session waits on a silent peer before it
 /// ends the session: a leader for the follower's `Hello`, a follower for
 /// any message at all (an idle leader heartbeats every 100 ms, so this
@@ -109,6 +103,10 @@ pub(crate) enum Message {
 }
 
 impl WireMessage for Message {
+    /// Four maximal block frames ([`modb_wal::MAX_RECORD_BYTES`]), far
+    /// above a run of `chunk_records` records of log or snapshot.
+    const MAX_FRAME_BYTES: u32 = 4 * modb_wal::MAX_RECORD_BYTES;
+
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello {
@@ -273,16 +271,16 @@ mod tests {
         let mut re_encoded = Vec::new();
         assert_eq!(v5.len(), sample_messages().len());
         for (frame, expected) in v5.iter().zip(sample_messages()) {
-            let decoded = decode_frame::<Message>(frame, MAX_MESSAGE_BYTES).unwrap();
+            let decoded = decode_frame::<Message>(frame).unwrap();
             assert_eq!(decoded, Some((expected.clone(), frame.len())));
-            re_encoded.extend(encode_frame(&expected, MAX_MESSAGE_BYTES).unwrap());
+            re_encoded.extend(encode_frame(&expected).unwrap());
         }
         assert_eq!(re_encoded, golden);
 
-        let decodes = |frame: &[u8]| decode_frame::<Message>(frame, MAX_MESSAGE_BYTES).is_ok();
+        let decodes = |frame: &[u8]| decode_frame::<Message>(frame).is_ok();
         let v4 = frames(include_bytes!("../../tests/golden/replication-v4.frames"));
         assert!(matches!(
-            decode_frame::<Message>(v4[0], MAX_MESSAGE_BYTES),
+            decode_frame::<Message>(v4[0]),
             Ok(Some((Message::Hello { version: 4, .. }, _)))
         ));
         assert_eq!(v4[5][8], 8, "the retired Epochs tag");

@@ -339,8 +339,8 @@ impl Scenario {
 // ---------------------------------------------------------------------
 
 /// A leader with 4 vehicles (ids `0..4` at arcs `100·i`), its engine,
-/// and a query front-end with the given config.
-pub fn serve(name: &str, config: QueryServerConfig) -> (DurableDatabase, QueryServer) {
+/// and a query front-end.
+pub fn serve(name: &str) -> (DurableDatabase, QueryServer) {
     let durable = DurableDatabase::create(tmp(name), fresh_db(), test_wal_options()).unwrap();
     for i in 0..4u64 {
         durable
@@ -349,7 +349,7 @@ pub fn serve(name: &str, config: QueryServerConfig) -> (DurableDatabase, QuerySe
     }
     let engine = Arc::new(QueryEngine::new(durable.database().clone()));
     let server = durable
-        .serve_queries(engine, None, "127.0.0.1:0", config)
+        .serve_queries(engine, None, "127.0.0.1:0", QueryServerConfig)
         .unwrap();
     (durable, server)
 }

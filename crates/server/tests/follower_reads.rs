@@ -29,10 +29,11 @@ fn engine(db: &modb_server::SharedDatabase) -> Arc<QueryEngine> {
     Arc::new(QueryEngine::new(db.clone()))
 }
 
-/// Starts a query front-end on the replica with the given config.
-fn follower_front_end(replica: &StandbyReplica, config: QueryServerConfig) -> QueryServer {
+/// Starts a query front-end on the replica.
+fn follower_front_end(replica: &StandbyReplica) -> QueryServer {
+    let engine = engine(replica.database());
     replica
-        .serve_queries(engine(replica.database()), "127.0.0.1:0", config)
+        .serve_queries(engine, "127.0.0.1:0", QueryServerConfig)
         .unwrap()
 }
 
@@ -101,7 +102,7 @@ fn chained_follower_serves_after_midstream_leader_restart() {
         test_replica_config(),
     )
     .unwrap();
-    let front = follower_front_end(&f2, QueryServerConfig::default());
+    let front = follower_front_end(&f2);
 
     // Phase 1: churn, then kill the leader mid-stream — without waiting
     // for the chain to drain first.

@@ -20,7 +20,7 @@ use modb_geom::Point;
 use modb_policy::BoundKind;
 use modb_server::{
     DurableDatabase, QueryClient, QueryEngine, QueryServer, QueryServerConfig, RemoteUpdateVerdict,
-    UpdateEnvelope,
+    UpdateEnvelope, MAX_CONNECTIONS,
 };
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -35,10 +35,7 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 
 /// A durable database with a handful of vehicles at known arcs, its
 /// engine, and a running front-end.
-fn serve(
-    name: &str,
-    config: QueryServerConfig,
-) -> (DurableDatabase, Arc<modb_server::QueryEngine>, QueryServer) {
+fn serve(name: &str) -> (DurableDatabase, Arc<modb_server::QueryEngine>, QueryServer) {
     let durable = DurableDatabase::create(tmp(name), fresh_db(), test_wal_options()).unwrap();
     for i in 0..8u64 {
         durable
@@ -52,7 +49,7 @@ fn serve(
     }
     let engine = Arc::new(QueryEngine::new(durable.database().clone()));
     let server = durable
-        .serve_queries(Arc::clone(&engine), None, "127.0.0.1:0", config)
+        .serve_queries(Arc::clone(&engine), None, "127.0.0.1:0", QueryServerConfig)
         .unwrap();
     (durable, engine, server)
 }
@@ -67,7 +64,7 @@ const SCRIPT: &str = "RETRIEVE POSITION OF OBJECT 3 AT TIME 6; \
 
 #[test]
 fn remote_batch_matches_local_run_batch() {
-    let (_durable, engine, server) = serve("net-parity", QueryServerConfig::default());
+    let (_durable, engine, server) = serve("net-parity");
     let mut client = QueryClient::connect(server.local_addr()).unwrap();
 
     let remote = client.batch(SCRIPT).unwrap();
@@ -98,7 +95,7 @@ fn remote_batch_matches_local_run_batch() {
 /// connection goes on answering.
 #[test]
 fn an_unsampleable_time_span_is_an_error_verdict_and_the_session_lives() {
-    let (_durable, _engine, server) = serve("net-span", QueryServerConfig::default());
+    let (_durable, _engine, server) = serve("net-span");
     let mut client = QueryClient::connect(server.local_addr()).unwrap();
     for stmt in [
         "RETRIEVE OBJECTS INSIDE RECT (0, -1, 450, 1) DURING 0 TO 1e400",
@@ -119,7 +116,7 @@ fn an_unsampleable_time_span_is_an_error_verdict_and_the_session_lives() {
 
 #[test]
 fn stats_scrape_round_trips_every_counter() {
-    let (durable, engine, server) = serve("net-stats", QueryServerConfig::default());
+    let (durable, engine, server) = serve("net-stats");
     let service = durable.ingest_service(2, 0);
     // Rewire: serve a second front-end that carries an ingest handle
     // (the helper starts one without).
@@ -128,7 +125,7 @@ fn stats_scrape_round_trips_every_counter() {
             Arc::clone(&engine),
             Some(service.handle()),
             "127.0.0.1:0",
-            QueryServerConfig::default(),
+            QueryServerConfig,
         )
         .unwrap();
 
@@ -201,14 +198,14 @@ fn stats_scrape_round_trips_every_counter() {
 /// round, with nothing published in between.
 #[test]
 fn an_acked_update_is_visible_to_another_connection_without_a_token() {
-    let (durable, engine, server) = serve("net-ack-visible", QueryServerConfig::default());
+    let (durable, engine, server) = serve("net-ack-visible");
     let service = durable.ingest_service(2, 0);
     let ingesting = durable
         .serve_queries(
             engine,
             Some(service.handle()),
             "127.0.0.1:0",
-            QueryServerConfig::default(),
+            QueryServerConfig,
         )
         .unwrap();
     let mut writer = QueryClient::connect(ingesting.local_addr()).unwrap();
@@ -241,14 +238,14 @@ fn an_acked_update_is_visible_to_another_connection_without_a_token() {
 /// token — not `Accepted` with an LSN for a record that is not durable.
 #[test]
 fn an_update_the_log_cannot_vouch_for_is_not_acknowledged() {
-    let (durable, engine, server) = serve("net-not-durable", QueryServerConfig::default());
+    let (durable, engine, server) = serve("net-not-durable");
     let service = durable.ingest_service(2, 0);
     let ingesting = durable
         .serve_queries(
             engine,
             Some(service.handle()),
             "127.0.0.1:0",
-            QueryServerConfig::default(),
+            QueryServerConfig,
         )
         .unwrap();
     let mut client = QueryClient::connect(ingesting.local_addr()).unwrap();
@@ -289,14 +286,14 @@ fn an_update_the_log_cannot_vouch_for_is_not_acknowledged() {
 /// ingest, and a refused policy leaves its object as it was.
 #[test]
 fn an_update_batch_answers_in_input_order_and_logs_no_invalid_envelope() {
-    let (durable, engine, server) = serve("net-update-batch", QueryServerConfig::default());
+    let (durable, engine, server) = serve("net-update-batch");
     let service = durable.ingest_service(2, 0);
     let ingesting = durable
         .serve_queries(
             engine,
             Some(service.handle()),
             "127.0.0.1:0",
-            QueryServerConfig::default(),
+            QueryServerConfig,
         )
         .unwrap();
     let mut client = QueryClient::connect(ingesting.local_addr()).unwrap();
@@ -395,42 +392,43 @@ fn an_update_batch_answers_in_input_order_and_logs_no_invalid_envelope() {
     server.shutdown();
 }
 
+/// [`MAX_CONNECTIONS`] clients are served; the next is refused with the
+/// reason, and a released slot lets a new client in.
 #[test]
 fn capacity_overflow_is_refused_and_slot_reuse_works() {
-    let (_durable, _engine, server) = serve(
-        "net-capacity",
-        QueryServerConfig {
-            max_connections: 1,
-            ..QueryServerConfig::default()
-        },
-    );
+    let (_durable, _engine, server) = serve("net-capacity");
     let addr = server.local_addr();
-    let first = QueryClient::connect(addr).unwrap();
-    wait_until("first session registered", || {
-        server.active_connections() == 1
+    let mut clients: Vec<QueryClient> = (0..MAX_CONNECTIONS)
+        .map(|_| QueryClient::connect(addr).unwrap())
+        .collect();
+    wait_until("every session registered", || {
+        server.active_connections() == MAX_CONNECTIONS
     });
 
-    let err = QueryClient::connect(addr).expect_err("second client must be refused");
+    let err = QueryClient::connect(addr).expect_err("one client past capacity must be refused");
     assert!(
         err.to_string().contains("capacity"),
         "refusal should carry the reason, got: {err}"
     );
 
-    // Releasing the slot lets a new client in.
-    first.close();
-    wait_until("slot released", || server.active_connections() == 0);
-    let mut third = QueryClient::connect(addr).unwrap();
-    assert!(third
+    // Releasing a slot lets a new client in.
+    clients.pop().unwrap().close();
+    wait_until("slot released", || {
+        server.active_connections() == MAX_CONNECTIONS - 1
+    });
+    let mut last = QueryClient::connect(addr).unwrap();
+    assert!(last
         .batch("RETRIEVE POSITION OF OBJECT 0 AT TIME 6")
         .unwrap()[0]
         .is_ok());
-    third.close();
+    last.close();
+    clients.into_iter().for_each(QueryClient::close);
     server.shutdown();
 }
 
 #[test]
 fn shutdown_drains_a_delivered_batch() {
-    let (_durable, engine, server) = serve("net-drain", QueryServerConfig::default());
+    let (_durable, engine, server) = serve("net-drain");
     let mut client = QueryClient::connect(server.local_addr()).unwrap();
     // Prove the session is established and serving.
     assert_eq!(

@@ -22,11 +22,11 @@ use common::replica_harness::{
     assert_closed, assert_healthy, batch_payload, frame, raw_handshake, serve, wait_until,
     RAW_NET_VERSION,
 };
-use modb_server::QueryServerConfig;
+use modb_server::MAX_FRAME_BYTES;
 
 #[test]
 fn garbage_header_ends_the_session_without_leaking_a_slot() {
-    let (_durable, server) = serve("fault-garbage", QueryServerConfig::default());
+    let (_durable, server) = serve("fault-garbage");
     let addr = server.local_addr();
 
     let mut vandal = TcpStream::connect(addr).unwrap();
@@ -48,7 +48,7 @@ fn garbage_header_ends_the_session_without_leaking_a_slot() {
 /// a typed `Refused` naming both versions, then the session ends.
 #[test]
 fn hello_at_any_other_version_is_refused() {
-    let (_durable, server) = serve("fault-version", QueryServerConfig::default());
+    let (_durable, server) = serve("fault-version");
     let addr = server.local_addr();
     assert_eq!(RAW_NET_VERSION, 6);
 
@@ -83,19 +83,15 @@ fn hello_at_any_other_version_is_refused() {
 
 #[test]
 fn oversized_frame_is_rejected_after_handshake() {
-    let (_durable, server) = serve(
-        "fault-oversize",
-        QueryServerConfig {
-            max_frame_bytes: 1024,
-            ..QueryServerConfig::default()
-        },
-    );
+    let (_durable, server) = serve("fault-oversize");
     let addr = server.local_addr();
 
     let mut vandal = raw_handshake(addr);
-    // A header announcing a payload over the 1 KiB ceiling: the session
-    // must end without waiting for (or allocating) the body.
-    vandal.write_all(&(64 * 1024u32).to_le_bytes()).unwrap();
+    // A header announcing one byte past the protocol's ceiling: the
+    // session must end without waiting for (or allocating) the body.
+    vandal
+        .write_all(&(MAX_FRAME_BYTES + 1).to_le_bytes())
+        .unwrap();
     vandal.write_all(&0u32.to_le_bytes()).unwrap();
     assert_closed(&mut vandal);
     wait_until("slot released", || server.active_connections() == 0);
@@ -106,7 +102,7 @@ fn oversized_frame_is_rejected_after_handshake() {
 
 #[test]
 fn disconnect_mid_batch_does_not_wedge_the_server() {
-    let (_durable, server) = serve("fault-disconnect", QueryServerConfig::default());
+    let (_durable, server) = serve("fault-disconnect");
     let addr = server.local_addr();
 
     // Deliver a sizable batch, then vanish before reading a single

@@ -10,7 +10,7 @@
 
 use modb_core::{
     DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute, StationaryObject,
-    UpdateMessage, UpdatePosition,
+    UpdateMessage, UpdatePosition, DEFAULT_HORIZON, MAP_MATCH_TOLERANCE, REFINEMENT_DT,
 };
 use modb_geom::Point;
 use modb_policy::BoundKind;
@@ -423,27 +423,26 @@ impl WalCodec for Route {
     }
 }
 
+/// A snapshot head's config: the slab duration between the three model
+/// constants, so a head keeps the four-number layout every snapshot has.
+/// A head whose constants are not this build's is refused, not installed.
 impl WalCodec for DatabaseConfig {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_f64(out, self.map_match_tolerance);
-        put_f64(out, self.default_horizon);
+        put_f64(out, MAP_MATCH_TOLERANCE);
+        put_f64(out, DEFAULT_HORIZON);
         put_f64(out, self.bands);
-        put_f64(out, self.refinement_dt);
+        put_f64(out, REFINEMENT_DT);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, WalError> {
-        let map_match_tolerance = r.f64()?;
-        let default_horizon = r.f64()?;
-        let slab_minutes = r.f64()?;
-        if !slab_minutes.is_finite() || slab_minutes <= 0.0 {
+        let (tolerance, horizon, bands, step) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+        if !bands.is_finite() || bands <= 0.0 {
             return Err(WalError::Decode("invalid slab duration"));
         }
-        Ok(DatabaseConfig {
-            map_match_tolerance,
-            default_horizon,
-            bands: slab_minutes,
-            refinement_dt: r.f64()?,
-        })
+        if (tolerance, horizon, step) != (MAP_MATCH_TOLERANCE, DEFAULT_HORIZON, REFINEMENT_DT) {
+            return Err(WalError::Decode("foreign model constants"));
+        }
+        Ok(DatabaseConfig { bands })
     }
 }
 
@@ -560,27 +559,34 @@ mod tests {
     #[test]
     fn config_round_trip() {
         round_trip(DatabaseConfig::default());
-        round_trip(DatabaseConfig {
-            map_match_tolerance: 0.1,
-            default_horizon: 90.0,
-            bands: 2.0,
-            refinement_dt: 0.5,
-        });
+        round_trip(DatabaseConfig { bands: 2.0 });
     }
 
-    /// A config is its four fields in order, and a slab duration no
-    /// index can use is refused.
+    /// A head of four numbers: tolerance, horizon, slab, refinement step.
+    fn head(tolerance: f64, horizon: f64, slab: f64, step: f64) -> Vec<u8> {
+        [tolerance, horizon, slab, step]
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect()
+    }
+
+    fn refused(bytes: &[u8]) -> &'static str {
+        match DatabaseConfig::decode(&mut ByteReader::new(bytes)) {
+            Err(WalError::Decode(reason)) => reason,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    /// A config is its four numbers in order, the three model constants
+    /// around the slab duration; a slab duration no index can use is
+    /// refused, and so is a head whose constants are not this build's.
     #[test]
     fn config_is_four_fields() {
-        let bytes = |slab: f64| -> Vec<u8> {
-            [0.25, 60.0, slab, 1.0]
-                .iter()
-                .flat_map(|v| v.to_bits().to_le_bytes())
-                .collect()
-        };
+        let (tol, horizon, dt) = (MAP_MATCH_TOLERANCE, DEFAULT_HORIZON, REFINEMENT_DT);
+        assert_eq!((tol, horizon, dt), (0.25, 60.0, 1.0));
         let mut encoded = Vec::new();
         DatabaseConfig::default().encode(&mut encoded);
-        assert_eq!(encoded, bytes(5.0));
+        assert_eq!(encoded, head(tol, horizon, 5.0, dt));
         let mut r = ByteReader::new(&encoded);
         assert_eq!(
             DatabaseConfig::decode(&mut r).unwrap(),
@@ -589,10 +595,20 @@ mod tests {
         assert!(r.is_empty());
         assert!(DatabaseConfig::decode(&mut ByteReader::new(&encoded[..31])).is_err());
         for slab in [0.0, -5.0, f64::NAN, f64::INFINITY] {
-            match DatabaseConfig::decode(&mut ByteReader::new(&bytes(slab))) {
-                Err(WalError::Decode(reason)) => assert!(reason.contains("slab"), "{reason}"),
-                other => panic!("slab {slab}: expected a decode error, got {other:?}"),
-            }
+            let reason = refused(&head(tol, horizon, slab, dt));
+            assert!(reason.contains("slab"), "slab {slab}: {reason}");
+        }
+        let foreign = [
+            head(0.1, horizon, 5.0, dt),
+            head(f64::NAN, horizon, 5.0, dt),
+            head(tol, 90.0, 5.0, dt),
+            head(tol, f64::NAN, 5.0, dt),
+            head(tol, horizon, 5.0, 0.5),
+            head(tol, horizon, 5.0, 0.0),
+            head(tol, horizon, 5.0, f64::NAN),
+        ];
+        for bytes in foreign {
+            assert_eq!(refused(&bytes), "foreign model constants");
         }
     }
 

@@ -18,7 +18,8 @@ use std::path::{Path, PathBuf};
 
 use modb_core::{
     Database, DatabaseConfig, MovingObject, ObjectId, PolicyDescriptor, PositionAttribute,
-    StationaryObject, UpdateMessage, UpdatePosition,
+    StationaryObject, UpdateMessage, UpdatePosition, DEFAULT_HORIZON, MAP_MATCH_TOLERANCE,
+    REFINEMENT_DT,
 };
 use modb_geom::Point;
 use modb_policy::BoundKind;
@@ -658,13 +659,8 @@ fn snapshot_decodes_to_its_state_and_re_encodes_bit_identically() {
     // after it, and the history: two spans, (1, 0) and (2, 4).
     let head = inflate(payloads[0]);
     let mut config = Vec::new();
-    let c = expected.config();
-    for f in [
-        c.map_match_tolerance,
-        c.default_horizon,
-        c.bands,
-        c.refinement_dt,
-    ] {
+    let slab = expected.config().bands;
+    for f in [MAP_MATCH_TOLERANCE, DEFAULT_HORIZON, slab, REFINEMENT_DT] {
         config.extend_from_slice(&f.to_le_bytes());
     }
     assert_eq!(head[..3], [0, 77, 8]);
